@@ -1,11 +1,14 @@
 //! Criterion benchmarks of the control plane: contract-call throughput on
 //! the in-process ledger (transactions per second for each operation the
-//! paper's Table 2 prices) and the coloring allocators.
+//! paper's Table 2 prices), the public-key and hash primitives every
+//! admission bottoms out in, and the coloring allocators.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hummingbird_coloring::{FirstFit, Interval, KiersteadTrotter};
 use hummingbird_control::pki::TrustAnchors;
 use hummingbird_control::{AsService, BandwidthAsset, ControlPlane, Direction, PurchaseSpec};
+use hummingbird_crypto::sealed;
+use hummingbird_crypto::sha256::Sha256;
 use hummingbird_crypto::sig::SecretKey;
 use hummingbird_ledger::Address;
 use hummingbird_wire::IsdAs;
@@ -99,6 +102,34 @@ fn bench_contract_calls(c: &mut Criterion) {
     g.finish();
 }
 
+/// The primitives under one admit: `keygen` is one fixed-base `G^k`,
+/// `dh` one variable-base exponentiation; `sha256_64B` is two
+/// compressions (data block + padding block) on the active backend —
+/// run with `HUMMINGBIRD_AES_BACKEND=soft` for the portable one.
+fn bench_admission_crypto(c: &mut Criterion) {
+    let mut g = c.benchmark_group("admission_crypto");
+    let mut rng = StdRng::seed_from_u64(3);
+    let sk = SecretKey::from_seed(b"bench-as");
+    let pk = sk.public();
+    let peer = SecretKey::from_seed(b"bench-peer").public();
+    let msg = [0x5Au8; 48];
+    let sig = sk.sign(&msg, &mut rng);
+    let boxed = sealed::seal(&pk, &msg, &mut rng);
+
+    g.bench_function("keygen", |b| b.iter(|| std::hint::black_box(SecretKey::generate(&mut rng))));
+    g.bench_function("dh", |b| b.iter(|| std::hint::black_box(sk.dh(std::hint::black_box(&peer)))));
+    g.bench_function("sign", |b| b.iter(|| std::hint::black_box(sk.sign(&msg, &mut rng))));
+    g.bench_function("verify", |b| b.iter(|| std::hint::black_box(pk.verify(&msg, &sig))));
+    g.bench_function("seal", |b| {
+        b.iter(|| std::hint::black_box(sealed::seal(&pk, &msg, &mut rng)))
+    });
+    g.bench_function("open", |b| b.iter(|| std::hint::black_box(sealed::open(&sk, &boxed))));
+    g.bench_function("sha256_64B", |b| {
+        b.iter(|| std::hint::black_box(Sha256::digest(std::hint::black_box(&[0u8; 64]))))
+    });
+    g.finish();
+}
+
 fn bench_coloring(c: &mut Criterion) {
     let mut g = c.benchmark_group("coloring");
     let mut rng = StdRng::seed_from_u64(2);
@@ -131,6 +162,6 @@ fn bench_coloring(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_contract_calls, bench_coloring
+    targets = bench_contract_calls, bench_admission_crypto, bench_coloring
 );
 criterion_main!(benches);

@@ -1,4 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the design choices ARCHITECTURE.md maps ("The
+//! data-plane pipeline", "Reservation crypto", "The multi-queue worker
+//! runtime"):
 //!
 //! 1. Policing-array size vs per-check cost (§4.4 cache-sizing examples).
 //! 2. First-Fit vs Kierstead-Trotter vs offline-optimal ResID allocation

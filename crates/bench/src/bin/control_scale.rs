@@ -144,9 +144,11 @@ fn main() {
     let mut issued_bwt: u128 = 0;
     let mut redeemed_bwt: u128 = 0;
 
+    let aes_backend = hummingbird_crypto::active_backend().name();
+    let sha_backend = hummingbird_crypto::sha256::active_backend();
     println!(
         "control_scale: {reservations} reservations, {shards} shards, \
-         {auctions} auctions, wave {wave}, seed {seed}"
+         {auctions} auctions, wave {wave}, seed {seed}, aes {aes_backend}, sha256 {sha_backend}"
     );
 
     // ---- Phase 1: admit -------------------------------------------------
@@ -446,7 +448,7 @@ fn main() {
         state.shard_skew
     );
 
-    let meta = ControlMeta { seed, reservations, shards, auctions };
+    let meta = ControlMeta { seed, reservations, shards, auctions, aes_backend, sha_backend };
     let records: Vec<ControlPhase> = phases.iter().map(Phase::record).collect();
     write_control_json(&json_path, &meta, &records, &state, &invariants)
         .expect("write BENCH_control.json");

@@ -163,6 +163,8 @@
 //!   "reservations": 1000000,      // reservations admitted and renewed
 //!   "shards": 8,                  // data-plane shards steering ResIDs
 //!   "auctions": 256,              // auctions in the cleared epoch
+//!   "aes_backend": "ni",          // active AES backend: "soft" | "ni"
+//!   "sha_backend": "ni",          // active SHA-256 backend, same names
 //!   "phases": [
 //!     {
 //!       "phase": "admit",         // "admit" | "renew" | "clear"
@@ -605,6 +607,12 @@ pub struct ControlMeta {
     pub shards: usize,
     /// Auctions batch-cleared in the settlement epoch.
     pub auctions: u64,
+    /// Active AES backend (`"soft"` / `"ni"`).
+    pub aes_backend: &'static str,
+    /// Active SHA-256 backend, by the same names: admission time is
+    /// mostly hashing and public-key work, so the document says what
+    /// ran underneath it.
+    pub sha_backend: &'static str,
 }
 
 /// One timed phase of a control-plane scale run.
@@ -683,6 +691,8 @@ pub fn control_json(
     out.push_str(&format!("  \"reservations\": {},\n", meta.reservations));
     out.push_str(&format!("  \"shards\": {},\n", meta.shards));
     out.push_str(&format!("  \"auctions\": {},\n", meta.auctions));
+    out.push_str(&format!("  \"aes_backend\": \"{}\",\n", meta.aes_backend));
+    out.push_str(&format!("  \"sha_backend\": \"{}\",\n", meta.sha_backend));
     out.push_str("  \"phases\": [");
     for (i, p) in phases.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -1038,7 +1048,14 @@ mod tests {
 
     #[test]
     fn control_schema_shape_is_stable() {
-        let meta = ControlMeta { seed: 7, reservations: 1_000_000, shards: 8, auctions: 256 };
+        let meta = ControlMeta {
+            seed: 7,
+            reservations: 1_000_000,
+            shards: 8,
+            auctions: 256,
+            aes_backend: "ni",
+            sha_backend: "soft",
+        };
         let phases = vec![
             ControlPhase {
                 phase: "admit",
@@ -1076,7 +1093,9 @@ mod tests {
         assert!(doc.contains("\"seed\": 7"));
         assert!(doc.contains("\"reservations\": 1000000"));
         assert!(doc.contains("\"shards\": 8"));
-        assert!(doc.contains("\"auctions\": 256"));
+        assert!(doc.contains(
+            "\"auctions\": 256,\n  \"aes_backend\": \"ni\",\n  \"sha_backend\": \"soft\","
+        ));
         assert!(doc.contains(
             "{\"phase\": \"admit\", \"ops\": 1000000, \"txs\": 4000000, \
              \"wall_ms\": 31250.500, \"ops_per_sec\": 32000.051}"

@@ -1,7 +1,8 @@
 //! Shared fixtures and table formatting for the benchmark harness.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md's experiment index); this library
+//! paper's evaluation (see ARCHITECTURE.md, "Benchmark output schema",
+//! for what each one writes); this library
 //! provides the common packet/router/market fixtures so the workloads are
 //! identical across experiments.
 //!

@@ -4,7 +4,8 @@
 //! has each AS prove possession of its certificate key once, during
 //! registration with the asset contract. This module models the PKI as a
 //! registry of trust-anchored AS public keys plus the challenge format for
-//! the possession proof. See DESIGN.md for the substitution rationale.
+//! the possession proof. See ARCHITECTURE.md ("Schnorr-group
+//! substitution") for the substitution rationale.
 
 use hummingbird_crypto::sig::{PublicKey, SecretKey, Signature};
 use hummingbird_ledger::Address;

@@ -23,11 +23,12 @@
 //! baked into each key at expansion time ([`Aes128::new`]), so the hot
 //! path carries no per-block dispatch. Selection order:
 //!
-//! 1. `HUMMINGBIRD_AES_BACKEND=soft` forces the portable T-table path
-//!    (used by CI to keep both backends green);
-//! 2. `HUMMINGBIRD_AES_BACKEND=ni` requests AES-NI (silently falling back
-//!    to `soft` where the CPU lacks it);
-//! 3. otherwise AES-NI is used when detected, `soft` elsewhere.
+//! 1. `HUMMINGBIRD_AES_BACKEND=soft` forces the portable T-table path.
+//!    This is **the portable-crypto switch**: the same setting also forces
+//!    the portable SHA-256 compression in [`crate::sha256`], so CI's one
+//!    `soft` leg keeps every fallback in the crate green;
+//! 2. otherwise (unset, `ni`, or anything else) AES-NI is used when
+//!    detected, `soft` elsewhere.
 //!
 //! [`Aes128::with_backend`] pins a specific backend for tests and
 //! benchmarks regardless of the process-wide choice.
@@ -144,24 +145,25 @@ pub fn ni_available() -> bool {
     }
 }
 
-/// The process-wide backend every [`Aes128::new`] key uses: the
-/// `HUMMINGBIRD_AES_BACKEND` override (`soft` / `ni`) if set, otherwise
-/// AES-NI when the CPU supports it, `soft` elsewhere. Computed once.
+/// Whether `HUMMINGBIRD_AES_BACKEND=soft` — the portable-crypto switch —
+/// is set. It forces *every* portable path in this crate (AES here,
+/// SHA-256 in [`crate::sha256`]), so the one CI leg that sets it runs the
+/// whole workspace without hardware crypto. Any other value means
+/// auto-detection: the override is a test/CI knob, not configuration.
+pub(crate) fn portable_forced() -> bool {
+    std::env::var("HUMMINGBIRD_AES_BACKEND").is_ok_and(|v| v == "soft")
+}
+
+/// The process-wide backend every [`Aes128::new`] key uses: `soft` under
+/// the `HUMMINGBIRD_AES_BACKEND=soft` override, otherwise AES-NI when the
+/// CPU supports it, `soft` elsewhere. Computed once.
 pub fn active_backend() -> AesBackend {
     static ACTIVE: OnceLock<AesBackend> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
-        let requested = std::env::var("HUMMINGBIRD_AES_BACKEND").ok();
-        match requested.as_deref() {
-            Some("soft") => AesBackend::Soft,
-            // Unknown values fall through to auto-detection rather than
-            // failing: the override is a test/CI knob, not configuration.
-            Some("ni") | Some(_) | None => {
-                if ni_available() {
-                    AesBackend::Ni
-                } else {
-                    AesBackend::Soft
-                }
-            }
+        if !portable_forced() && ni_available() {
+            AesBackend::Ni
+        } else {
+            AesBackend::Soft
         }
     })
 }
@@ -884,6 +886,18 @@ mod tests {
         assert_eq!(active_backend(), active_backend());
         assert_eq!(AesBackend::Soft.name(), "soft");
         assert_eq!(AesBackend::Ni.name(), "ni");
+    }
+
+    #[test]
+    fn portable_switch_covers_aes_and_sha256() {
+        // Only the CI `soft` leg sets the variable; there both primitives
+        // must report the portable path. Elsewhere the pair follows the CPU.
+        if portable_forced() {
+            assert_eq!(active_backend(), AesBackend::Soft);
+            assert_eq!(crate::sha256::active_backend(), "soft");
+        } else {
+            assert_eq!(active_backend() == AesBackend::Ni, ni_available());
+        }
     }
 
     #[test]

@@ -9,14 +9,16 @@
 //! * [`cmac`] — AES-CMAC (RFC 4493), the variable-length PRF/MAC.
 //! * [`sha256`] / [`hmac`] — SHA-256 and HMAC-SHA-256 (ledger digests, KDF).
 //! * [`sig`] — Schnorr signatures + DH over a 127-bit Schnorr group
-//!   (demo-grade PKI substitute; see DESIGN.md).
+//!   (demo-grade PKI substitute; see ARCHITECTURE.md, "Schnorr-group
+//!   substitution").
 //! * [`sealed`] — ECIES-style sealed boxes for reservation delivery (§4.2).
 //! * [`flyover`] — the Hummingbird derivations: `A_K` (Eq. 2), the 6-byte
 //!   per-packet flyover MAC (Eq. 3/7a) and the aggregate MAC (Eq. 6).
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// AES-NI backend in [`aes`], whose intrinsics module opts back in with a
-// scoped `#[allow(unsafe_code)]` and `deny(unsafe_op_in_unsafe_fn)`.
+// `deny` rather than `forbid`: the sanctioned exceptions are the AES-NI
+// backend in [`aes`] and the SHA-NI backend in [`sha256`], whose
+// intrinsics modules opt back in with a scoped `#[allow(unsafe_code)]`
+// and `deny(unsafe_op_in_unsafe_fn)`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

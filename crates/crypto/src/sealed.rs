@@ -20,7 +20,7 @@
 
 use crate::aes::Aes128;
 use crate::cmac::Cmac;
-use crate::hmac::{ct_eq, hmac_sha256, kdf_expand};
+use crate::hmac::{ct_eq, kdf_expand, Hmac};
 use crate::sig::{PublicKey, SecretKey};
 use rand::Rng;
 
@@ -55,10 +55,11 @@ impl std::fmt::Display for SealError {
 impl std::error::Error for SealError {}
 
 fn derive_keys(shared: &[u8; 32], eph: &PublicKey) -> ([u8; 16], [u8; 32]) {
+    const LABEL: &[u8] = b"hummingbird-sealed-box";
+    let mut info = [0u8; LABEL.len() + 16];
+    info[..LABEL.len()].copy_from_slice(LABEL);
+    info[LABEL.len()..].copy_from_slice(&eph.to_bytes());
     let mut okm = [0u8; 48];
-    let mut info = Vec::with_capacity(32);
-    info.extend_from_slice(b"hummingbird-sealed-box");
-    info.extend_from_slice(&eph.to_bytes());
     kdf_expand(shared, &info, &mut okm);
     let mut enc = [0u8; 16];
     enc.copy_from_slice(&okm[..16]);
@@ -91,12 +92,15 @@ fn ctr_xor(key: &[u8; 16], nonce: &[u8; 16], data: &mut [u8]) {
     }
 }
 
-fn mac_input(eph: &PublicKey, nonce: &[u8; 16], ciphertext: &[u8]) -> Vec<u8> {
-    let mut m = Vec::with_capacity(32 + ciphertext.len());
-    m.extend_from_slice(&eph.to_bytes());
-    m.extend_from_slice(nonce);
-    m.extend_from_slice(ciphertext);
-    m
+/// The box's tag: HMAC over `eph ∥ nonce ∥ ciphertext`, truncated.
+fn tag(mac_key: &[u8; 32], eph: &PublicKey, nonce: &[u8; 16], ciphertext: &[u8]) -> [u8; 16] {
+    let mut h = Hmac::new(mac_key);
+    h.update(&eph.to_bytes());
+    h.update(nonce);
+    h.update(ciphertext);
+    let mut tag = [0u8; 16];
+    tag.copy_from_slice(&h.finalize()[..16]);
+    tag
 }
 
 /// Encrypts `plaintext` to `recipient`.
@@ -109,9 +113,7 @@ pub fn seal<R: Rng + ?Sized>(recipient: &PublicKey, plaintext: &[u8], rng: &mut 
     rng.fill(&mut nonce);
     let mut ciphertext = plaintext.to_vec();
     ctr_xor(&enc_key, &nonce, &mut ciphertext);
-    let full_tag = hmac_sha256(&mac_key, &mac_input(&eph, &nonce, &ciphertext));
-    let mut tag = [0u8; 16];
-    tag.copy_from_slice(&full_tag[..16]);
+    let tag = tag(&mac_key, &eph, &nonce, &ciphertext);
     SealedBox { ephemeral: eph, nonce, ciphertext, tag }
 }
 
@@ -119,9 +121,8 @@ pub fn seal<R: Rng + ?Sized>(recipient: &PublicKey, plaintext: &[u8], rng: &mut 
 pub fn open(recipient: &SecretKey, boxed: &SealedBox) -> Result<Vec<u8>, SealError> {
     let shared = recipient.dh(&boxed.ephemeral);
     let (enc_key, mac_key) = derive_keys(&shared, &boxed.ephemeral);
-    let full_tag =
-        hmac_sha256(&mac_key, &mac_input(&boxed.ephemeral, &boxed.nonce, &boxed.ciphertext));
-    if !ct_eq(&full_tag[..16], &boxed.tag) {
+    let expected = tag(&mac_key, &boxed.ephemeral, &boxed.nonce, &boxed.ciphertext);
+    if !ct_eq(&expected, &boxed.tag) {
         return Err(SealError::TagMismatch);
     }
     let mut plaintext = boxed.ciphertext.clone();
@@ -207,6 +208,21 @@ mod tests {
         // Nonces randomize ciphertexts.
         let again = seal_with_key(&key, b"renewed A_K payload", &mut rng);
         assert_ne!(again.ciphertext, boxed.ciphertext);
+    }
+
+    /// Golden vector computed on the commit before the arithmetic, SHA-256
+    /// and HMAC paths were rebuilt: same draws in the same order, same box.
+    #[test]
+    fn seal_golden() {
+        let sk = SecretKey::from_seed(b"as-64500");
+        let msg = b"ResInfo || A_K delivery payload";
+        let boxed = seal(&sk.public(), msg, &mut StdRng::seed_from_u64(0x5EA1));
+        assert_eq!(boxed.ephemeral, PublicKey(0x2d63f7e87976ad28288f505289b2f756));
+        assert_eq!(u128::from_be_bytes(boxed.nonce), 0x58b55c52c9845e4715e28ab343373f41);
+        let ciphertext: String = boxed.ciphertext.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(ciphertext, "c2a4997e7fd28ae6f55baabd4a8cea1cd55792f58b2ec70f1e6c66deb6983a");
+        assert_eq!(u128::from_be_bytes(boxed.tag), 0xac3603bec942c48fcae4823f0de93285);
+        assert_eq!(open(&sk, &boxed).unwrap(), msg);
     }
 
     #[test]

@@ -3,6 +3,21 @@
 //! Used by the ledger substrate for transaction digests and object IDs, by
 //! HMAC, and by the Schnorr signature challenge derivation. Validated
 //! against the standard NIST vectors.
+//!
+//! # Backend selection
+//!
+//! Like [`crate::aes`], the compression function has two backends chosen
+//! **once per process** ([`active_backend`]): SHA-NI
+//! (`SHA256RNDS2`/`SHA256MSG1`/`SHA256MSG2` via `std::arch::x86_64`) when
+//! `is_x86_feature_detected!("sha")` says so, the portable word-oriented
+//! code elsewhere. `HUMMINGBIRD_AES_BACKEND=soft` is the portable-crypto
+//! switch: it forces the portable path here as well as in AES, so one CI
+//! leg covers every fallback.
+
+use std::sync::OnceLock;
+
+/// Bytes per compression block.
+const BLOCK: usize = 64;
 
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
@@ -19,11 +34,60 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// Whether the CPU has every feature `ni::compress` is compiled for — the
+/// soundness condition for calling it.
+fn ni_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as detected;
+        detected!("sha") && detected!("sse2") && detected!("ssse3") && detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether this process compresses with SHA-NI: available and not
+/// overridden by the portable-crypto switch. Computed once.
+fn ni_active() -> bool {
+    static ACTIVE: OnceLock<bool> = OnceLock::new();
+    *ACTIVE.get_or_init(|| !crate::aes::portable_forced() && ni_available())
+}
+
+/// The process-wide compression backend, by the names
+/// `HUMMINGBIRD_AES_BACKEND` and benchmark output use: `"ni"` (SHA-NI)
+/// or `"soft"` (portable). Computed once.
+pub fn active_backend() -> &'static str {
+    if ni_active() {
+        "ni"
+    } else {
+        "soft"
+    }
+}
+
+/// Runs the compression function over every block of `blocks`, in order,
+/// straight from the caller's bytes.
+#[allow(unsafe_code)] // calls into `ni` after runtime detection
+fn compress(state: &mut [u32; 8], blocks: &[[u8; BLOCK]]) {
+    if blocks.is_empty() {
+        return; // most `update`s are short: skip the state round trip
+    }
+    #[cfg(target_arch = "x86_64")]
+    if ni_active() {
+        // SAFETY: `ni_active` implies `ni_available`: sha, sse2, ssse3
+        // and sse4.1 were all runtime-detected.
+        return unsafe { ni::compress(state, blocks) };
+    }
+    compress_soft(state, blocks);
+}
+
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
-    buffer: [u8; 64],
+    /// The trailing partial block; `buffered < BLOCK` between calls.
+    buffer: [u8; BLOCK],
     buffered: usize,
     total_len: u64,
 }
@@ -37,7 +101,7 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
-        Sha256 { state: H0, buffer: [0u8; 64], buffered: 0, total_len: 0 }
+        Sha256 { state: H0, buffer: [0u8; BLOCK], buffered: 0, total_len: 0 }
     }
 
     /// Absorbs `data`.
@@ -45,45 +109,36 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffered > 0 {
-            let take = (64 - self.buffered).min(input.len());
+            let take = (BLOCK - self.buffered).min(input.len());
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&input[..take]);
             self.buffered += take;
             input = &input[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < BLOCK {
+                return;
             }
+            compress(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffered = 0;
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
-        }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
-        }
+        let (blocks, tail) = input.as_chunks::<BLOCK>();
+        compress(&mut self.state, blocks);
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Finishes and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        // Note: update() bumped total_len, but bit_len was captured first.
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 8-byte big-endian bit length — spilling
+        // into a second block when fewer than 8 bytes remain after 0x80.
+        const LEN_AT: usize = BLOCK - 8;
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= LEN_AT {
+            compress(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffer[..LEN_AT].fill(0);
         }
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        self.buffer[LEN_AT..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress(&mut self.state, std::slice::from_ref(&self.buffer));
+        digest_bytes(&self.state)
     }
 
     /// One-shot digest of `data`.
@@ -92,23 +147,30 @@ impl Sha256 {
         h.update(data);
         h.finalize()
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The digest a final state stands for: its words, big-endian.
+fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The portable compression function (FIPS-180-4 §6.2.2).
+fn compress_soft(state: &mut [u32; 8], blocks: &[[u8; BLOCK]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
             let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
             w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -125,20 +187,106 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni {
+    //! SHA-NI compression. `compress` carries
+    //! `#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]`; the
+    //! soundness condition for calling it is that
+    //! `super::ni_available()` returned true: all four runtime-detected.
+    #![deny(unsafe_op_in_unsafe_fn)]
+
+    use super::{BLOCK, K};
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    #[inline]
+    fn load_bytes(src: &[u8; 16]) -> __m128i {
+        // SAFETY: `src` is 16 readable bytes; `loadu` is unaligned.
+        unsafe { _mm_loadu_si128(src.as_ptr().cast()) }
+    }
+
+    #[inline]
+    fn load_words(src: &[u32; 4]) -> __m128i {
+        // SAFETY: `src` is 16 readable bytes; `loadu` is unaligned.
+        unsafe { _mm_loadu_si128(src.as_ptr().cast()) }
+    }
+
+    #[inline]
+    fn store_words(dst: &mut [u32; 4], v: __m128i) {
+        // SAFETY: `dst` is 16 writable bytes; `storeu` is unaligned.
+        unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), v) }
+    }
+
+    /// Four rounds: the instruction wants the state as `ABEF`/`CDGH`
+    /// halves and consumes two `w + k` lanes per issue.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, group: usize) {
+        let k: &[u32; 4] = K[4 * group..4 * group + 4].try_into().expect("4 of 64 constants");
+        let wk = _mm_add_epi32(w, load_words(k));
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[[u8; BLOCK]]) {
+        // Big-endian message words, four to a vector.
+        let be = _mm_set_epi64x(0x0C0D_0E0F_0809_0A0B, 0x0405_0607_0001_0203);
+        let (dcba, hgfe) = state.split_at_mut(4);
+        let dcba: &mut [u32; 4] = dcba.try_into().expect("first half of 8 words");
+        let hgfe: &mut [u32; 4] = hgfe.try_into().expect("second half of 8 words");
+
+        let cdab = _mm_shuffle_epi32(load_words(dcba), 0xB1);
+        let efgh = _mm_shuffle_epi32(load_words(hgfe), 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let (quads, _) = block.as_chunks::<16>();
+            // The last four message vectors (`be` is a placeholder);
+            // group `g >= 4` schedules its words from groups `g-4..g`
+            // and overwrites the oldest.
+            let mut w = [be; 4];
+            for g in 0..16 {
+                let wg = if g < 4 {
+                    _mm_shuffle_epi8(load_bytes(&quads[g]), be)
+                } else {
+                    let [w0, w1, w2, w3] =
+                        [w[g % 4], w[(g + 1) % 4], w[(g + 2) % 4], w[(g + 3) % 4]];
+                    let sum =
+                        _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+                    _mm_sha256msg2_epu32(sum, w3)
+                };
+                w[g % 4] = wg;
+                rounds4(&mut abef, &mut cdgh, wg, g);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        store_words(dcba, _mm_blend_epi16(feba, dchg, 0xF0));
+        store_words(hgfe, _mm_alignr_epi8(dchg, feba, 8));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len() / 2).map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).unwrap()).collect()
@@ -189,6 +337,82 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha256::digest(&data), "split at {split}");
+        }
+    }
+
+    /// A backend's compression function.
+    type Compress = fn(&mut [u32; 8], &[[u8; BLOCK]]);
+
+    /// `msg` padded by the book (FIPS-180-4 §5.1.1), independently of
+    /// `finalize`, and run through one backend's compression function.
+    fn digest_via(compress: Compress, msg: &[u8]) -> [u8; 32] {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % BLOCK != BLOCK - 8 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        let (blocks, tail) = padded.as_chunks::<BLOCK>();
+        assert!(tail.is_empty());
+        let mut state = H0;
+        compress(&mut state, blocks);
+        digest_bytes(&state)
+    }
+
+    /// The SHA-NI compression function as a plain `fn`, when this CPU
+    /// has it (regardless of the process-wide choice).
+    #[allow(unsafe_code)]
+    fn ni_compress() -> Option<Compress> {
+        #[cfg(target_arch = "x86_64")]
+        if ni_available() {
+            // SAFETY: every feature `ni::compress` enables was just
+            // runtime-detected.
+            return Some(|state, blocks| unsafe { ni::compress(state, blocks) });
+        }
+        println!("note: CPU lacks SHA-NI; only the portable SHA-256 backend is tested");
+        None
+    }
+
+    #[test]
+    fn backends_agree_at_every_length_and_split() {
+        let ni = ni_compress();
+        let data: Vec<u8> = (0u32..200).map(|i| (i * 167 + 13) as u8).collect();
+        let mut rng = StdRng::seed_from_u64(0x5A17);
+        // 55/56 and 119/120 straddle the one-vs-two padding blocks; 63/64/65
+        // the block boundary.
+        for len in 0..=200 {
+            let msg = &data[..len];
+            let expected = digest_via(compress_soft, msg);
+            assert_eq!(Sha256::digest(msg), expected, "{} backend, len {len}", active_backend());
+            if let Some(ni) = ni {
+                assert_eq!(digest_via(ni, msg), expected, "ni backend, len {len}");
+            }
+            for _ in 0..4 {
+                let (a, b) = (rng.gen_range(0..=len), rng.gen_range(0..=len));
+                let (a, b) = (a.min(b), a.max(b));
+                let mut h = Sha256::new();
+                h.update(&msg[..a]);
+                h.update(&msg[a..b]);
+                h.update(&msg[b..]);
+                assert_eq!(h.finalize(), expected, "len {len} split at {a},{b}");
+            }
+        }
+    }
+
+    #[test]
+    fn backends_agree_on_nist_vectors() {
+        let two_block = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+        let cases: [(&[u8], &str); 3] = [
+            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (two_block, "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"),
+        ];
+        let ni = ni_compress();
+        for (msg, want) in cases {
+            assert_eq!(digest_via(compress_soft, msg).to_vec(), hex(want));
+            if let Some(ni) = ni {
+                assert_eq!(digest_via(ni, msg).to_vec(), hex(want));
+            }
         }
     }
 }
