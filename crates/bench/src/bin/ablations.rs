@@ -13,15 +13,14 @@
 //!    null + Hummingbird workload (amortization vs cache footprint).
 //!
 //! Run with: `cargo run --release -p hummingbird-bench --bin ablations
-//! [-- --cores 1,2,4] [--pkts <count>] [--wait busy|yield[:n]|backoff]
-//! [--rx-queues multi|single] [--batch <n>]`
+//! [-- --cores 1,2,4] [--pkts <count>] [--batch <n>]`
 //!
 //! `--batch` pins the burst-size sweep to a single value (handy for
 //! profiling one point); without it the sweep covers 4..128.
 
 use hummingbird_bench::{
-    batch_from_args, cores_from_args, flag_present, pkts_from_args, row, rx_from_args, rx_label,
-    wait_from_args, wait_label, DataplaneFixture, EngineKind, EPOCH_NS,
+    batch_from_args, cores_from_args, flag_present, pkts_from_args, row, DataplaneFixture,
+    EngineKind, EPOCH_NS,
 };
 use hummingbird_coloring::{color_optimal, max_overlap, FirstFit, Interval, KiersteadTrotter};
 use hummingbird_dataplane::policing::Policer;
@@ -173,9 +172,6 @@ fn ablation_runtime_sharding() {
     let fx = DataplaneFixture::new(4);
     let cores_list = cores_from_args(&[1usize, 2, 4]);
     let per_core = pkts_from_args(100_000);
-    let wait = wait_from_args();
-    let rx = rx_from_args();
-    println!("(wait: {}, rx: {})", wait_label(wait), rx_label(rx));
     let widths = [12usize, 8, 12, 12];
     println!(
         "{}",
@@ -191,8 +187,6 @@ fn ablation_runtime_sharding() {
         for &cores in &cores_list {
             let total = per_core * cores as u64;
             let mut cfg = RuntimeConfig::new(cores);
-            cfg.wait = wait;
-            cfg.rx_mode = rx;
             cfg.exec = ExecMode::Auto;
             let clone = run_to_completion(
                 &cfg,
@@ -235,8 +229,6 @@ fn ablation_batch_size() {
     println!("== Ablation 6: burst size — amortization vs cache footprint ==\n");
     let fx = DataplaneFixture::new(4);
     let per_core = pkts_from_args(100_000);
-    let wait = wait_from_args();
-    let rx = rx_from_args();
     let cores = 2usize;
     // One --batch value pins the sweep (profiling a single point);
     // otherwise sweep the interesting range around the default of 32.
@@ -252,8 +244,6 @@ fn ablation_batch_size() {
             let mut cfg = RuntimeConfig::new(cores);
             cfg.batch_size = batch;
             cfg.ring_capacity = cfg.ring_capacity.max(batch);
-            cfg.wait = wait;
-            cfg.rx_mode = rx;
             cfg.exec = ExecMode::Auto;
             let rss = run_to_completion(
                 &cfg,

@@ -45,8 +45,8 @@
 //! [--wave <n>] [--seed <n>] [--json <path>]`
 
 use hummingbird_bench::{
-    row, u64_from_args, write_control_json, ControlInvariants, ControlMeta, ControlPhase,
-    ControlState,
+    flag_value, row, u64_from_args, write_control_json, ControlInvariants, ControlMeta,
+    ControlPhase, ControlState,
 };
 use hummingbird_control::auction::{TAG_AUCTION, TAG_BID};
 use hummingbird_control::pki::TrustAnchors;
@@ -115,10 +115,7 @@ fn main() {
     let auctions = u64_from_args("auctions", 256);
     let wave = u64_from_args("wave", 10_000).max(1);
     let seed = u64_from_args("seed", 7);
-    let json_path = std::env::args()
-        .skip_while(|a| a != "--json")
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_control.json".to_string());
+    let json_path = flag_value("json").unwrap_or_else(|| "BENCH_control.json".to_string());
 
     let mut failures: Vec<String> = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed);

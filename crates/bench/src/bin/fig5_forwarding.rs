@@ -16,8 +16,6 @@
 //! policed by exactly one shard — cross-core-correct policing, measured
 //! side by side with the per-core-clone mode on the same input, plus a
 //! core-scaling curve (clone and sharded at every `--cores` point).
-//! `--rx-queues single` swaps back the legacy dispatcher-thread layout,
-//! `--wait busy|yield[:n]|backoff` picks the worker wait strategy, and
 //! `--batch <n>` sets the hot-loop burst size. Every sharded/clone
 //! runtime run is checked for packet conservation (processed == offered);
 //! a mismatch aborts the process with a nonzero exit, which is what the
@@ -26,19 +24,18 @@
 //! Run with: `cargo run --release -p hummingbird-bench --bin fig5_forwarding
 //! [-- --engine hummingbird|scion|helia|drkey|epic|gateway|null|all]
 //! [--sharded] [--cores 1,2,4] [--pkts <per-core count>]
-//! [--wait busy|yield[:n]|backoff] [--rx-queues multi|single]
 //! [--batch <n>] [--json <path>]`
 //!
 //! Every run also writes the measured ns/pkt + Mpps points — and, when
 //! `--sharded` is set, the per-engine core-scaling curves — to
-//! `BENCH_hotpath.json` (schema 2 in `hummingbird_bench::json`) so the
+//! `BENCH_hotpath.json` (schema 3 in `hummingbird_bench::json`) so the
 //! hot-path perf trajectory is tracked machine-readably across PRs;
 //! `--json <path>` overrides the output location.
 
 use hummingbird_bench::{
-    batch_from_args, cores_from_args, engines_from_args, pkts_from_args, row, rx_from_args,
-    rx_label, sharded_from_args, wait_from_args, wait_label, write_hotpath_json, BenchRecord,
-    DataplaneFixture, EngineKind, HotpathMeta, ScalingCurve, ScalingPoint, EPOCH_NS,
+    batch_from_args, cores_from_args, engines_from_args, flag_value, pkts_from_args, row,
+    sharded_from_args, write_hotpath_json, BenchRecord, DataplaneFixture, EngineKind, HotpathMeta,
+    ScalingCurve, ScalingPoint, EPOCH_NS,
 };
 use hummingbird_dataplane::{
     forwarding_throughput, run_to_completion, ExecMode, RuntimeConfig, RuntimeMode, RuntimeReport,
@@ -51,24 +48,15 @@ fn main() {
     let payloads = [100usize, 500, 1000, 1500];
     let pkts_per_core: u64 = pkts_from_args(200_000);
     let sharded = sharded_from_args();
-    let wait = wait_from_args();
-    let rx = rx_from_args();
     let batch = batch_from_args(BATCH_SIZE);
-    let json_path = std::env::args()
-        .skip_while(|a| a != "--json")
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_hotpath.json".to_string());
+    let json_path = flag_value("json").unwrap_or_else(|| "BENCH_hotpath.json".to_string());
     let physical = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let backend = hummingbird_crypto::active_backend().name();
     println!(
         "Figure 5: forwarding throughput [Gbps] by Datapath engine, line rate {LINE_RATE_GBPS}"
     );
     println!("(machine has {physical} hardware threads; rows beyond that oversubscribe)");
-    println!(
-        "(AES backend: {backend}; wait: {}, rx: {}, batch: {batch})\n",
-        wait_label(wait),
-        rx_label(rx)
-    );
+    println!("(AES backend: {backend}; batch: {batch})\n");
 
     let mut records: Vec<BenchRecord> = Vec::new();
     let mut scaling: Vec<ScalingCurve> = Vec::new();
@@ -114,21 +102,13 @@ fn main() {
                 kind,
                 &cores_list,
                 pkts_per_core,
-                wait,
-                rx,
                 batch,
                 &mut records,
                 &mut scaling,
             );
         }
     }
-    let meta = HotpathMeta {
-        aes_backend: backend,
-        hardware_threads: physical,
-        wait: wait_label(wait),
-        rx_queues: rx_label(rx),
-        batch,
-    };
+    let meta = HotpathMeta { aes_backend: backend, hardware_threads: physical, batch };
     match write_hotpath_json(&json_path, &meta, &records, &scaling) {
         Ok(()) => println!(
             "wrote {} records and {} scaling curves to {json_path}\n",
@@ -166,14 +146,11 @@ fn assert_conserved(kind: EngineKind, mode: &str, cores: usize, offered: u64, r:
 
 /// Clone vs sharded runtime on the same 64-flow, 500 B workload, plus
 /// the core-scaling curves (speedup vs the 1-core point of each mode).
-#[allow(clippy::too_many_arguments)]
 fn sharded_comparison(
     fx: &DataplaneFixture,
     kind: EngineKind,
     cores_list: &[usize],
     pkts_per_core: u64,
-    wait: hummingbird_dataplane::WaitStrategy,
-    rx: hummingbird_dataplane::RxMode,
     batch: usize,
     records: &mut Vec<BenchRecord>,
     scaling: &mut Vec<ScalingCurve>,
@@ -192,8 +169,6 @@ fn sharded_comparison(
     for &cores in cores_list {
         let total = pkts_per_core / cores.max(1) as u64 * 4 * cores as u64;
         let mut cfg = RuntimeConfig::new(cores);
-        cfg.wait = wait;
-        cfg.rx_mode = rx;
         cfg.batch_size = batch;
         // Real threads when the host has the cores, dedicated-core
         // critical-path estimate when it doesn't.

@@ -30,7 +30,9 @@
 use std::time::Instant;
 
 use hummingbird::netsim::{run_churn_scenario, ChurnSpec, EngineFamily, EngineScenario};
-use hummingbird_bench::{pkts_from_args, row, u64_from_args, write_netsim_json, NetsimRecord};
+use hummingbird_bench::{
+    flag_value, pkts_from_args, row, u64_from_args, write_netsim_json, NetsimRecord,
+};
 use hummingbird_dataplane::RouterConfig;
 
 const START_S: u64 = 1_700_000_000;
@@ -49,10 +51,7 @@ fn main() {
     // stays fresh for the whole run.
     let pkts = pkts_from_args(750);
     let run_s = (pkts / 250).clamp(1, 16);
-    let json_path = std::env::args()
-        .skip_while(|a| a != "--json")
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_netsim.json".to_string());
+    let json_path = flag_value("json").unwrap_or_else(|| "BENCH_netsim.json".to_string());
     let pops = (routers / RPP).max(3);
     println!("== netsim scale: churned four-family sweep on a generated backbone ==");
     println!(

@@ -35,7 +35,8 @@ use hummingbird::netsim::{
     run_overload_scenario, EngineFamily, EngineScenario, FlowStats, OverloadPoint, OverloadSpec,
 };
 use hummingbird_bench::{
-    flag_present, row, u64_from_args, write_overload_json, OverloadRecord, OverloadSaturation,
+    flag_present, flag_value, row, u64_from_args, write_overload_json, OverloadRecord,
+    OverloadSaturation,
 };
 use hummingbird_dataplane::RouterConfig;
 
@@ -74,10 +75,7 @@ fn main() {
     let cfg = RouterConfig::default();
     let pkts_cap = u64_from_args("pkts", 0);
     let calibrate = !flag_present("no-calibrate");
-    let json_path = std::env::args()
-        .skip_while(|a| a != "--json")
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_overload.json".to_string());
+    let json_path = flag_value("json").unwrap_or_else(|| "BENCH_overload.json".to_string());
 
     println!("== closed-loop overload sweep: bounded queues + backpressure ==");
     println!(

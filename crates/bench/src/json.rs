@@ -6,19 +6,14 @@
 //! be tracked across PRs (one run of each is checked in at the repository
 //! root as the trajectory seed).
 //!
-//! # Hot-path schema (`schema = 2`)
+//! # Hot-path schema (`schema = 3`)
 //!
 //! ```json
 //! {
-//!   "schema": 2,
+//!   "schema": 3,
 //!   "bench": "hotpath",
 //!   "aes_backend": "ni",          // active AES backend: "soft" | "ni"
 //!   "hardware_threads": 8,        // available parallelism of the host
-//!   "wait": "backoff",            // worker wait strategy:
-//!                                 //   "busy" | "yield:<n>" | "backoff"
-//!   "rx_queues": "multi",         // rx layout: "multi" (per-shard rx
-//!                                 //   queues) | "single" (legacy
-//!                                 //   dispatcher thread)
 //!   "batch": 32,                  // packets per burst in the hot loop
 //!   "records": [
 //!     {
@@ -46,10 +41,12 @@
 //! }
 //! ```
 //!
-//! Schema 2 added the `wait` / `rx_queues` / `batch` runtime knobs and
-//! the `scaling` section (per-engine core-scaling curves, the Fig. 5
-//! "does N shards buy ~N×?" question in machine-readable form). The
-//! `records` rows are unchanged from schema 1.
+//! Schema 3 is schema 2 without the two header fields that recorded
+//! runtime knobs the runtime no longer has (the worker wait strategy
+//! and the rx layout); `records` rows are unchanged since schema 1, the
+//! `scaling` section (per-engine core-scaling curves, the Fig. 5 "does
+//! N shards buy ~N×?" question in machine-readable form) since
+//! schema 2.
 //!
 //! `ns_per_pkt` / `mpps` / `speedup` are `null` when a degenerate run
 //! (zero duration) produced a non-finite value — consumers should drop
@@ -264,7 +261,8 @@ pub struct BenchRecord {
     /// Engine name (`EngineKind::name`).
     pub engine: &'static str,
     /// Runtime layout: `clone` (independent engine per core) or
-    /// `sharded` (RSS dispatcher + per-shard workers).
+    /// `sharded` (one logical router, producer-side RSS into per-shard
+    /// workers).
     pub mode: &'static str,
     /// Worker cores driving the engine.
     pub cores: usize,
@@ -297,11 +295,6 @@ pub struct HotpathMeta {
     pub aes_backend: &'static str,
     /// Available parallelism of the host.
     pub hardware_threads: usize,
-    /// Worker wait strategy: `busy`, `yield:<n>`, or `backoff`.
-    pub wait: String,
-    /// Rx layout: `multi` (per-shard rx queues, producer-side RSS) or
-    /// `single` (legacy dispatcher thread).
-    pub rx_queues: &'static str,
     /// Packets per burst in the runtime hot loop.
     pub batch: usize,
 }
@@ -330,7 +323,7 @@ pub struct ScalingCurve {
 }
 
 /// Serializes `records` and `scaling` to the `BENCH_hotpath.json`
-/// schema (version 2; shape in the module docs).
+/// schema (version 3; shape in the module docs).
 pub fn hotpath_json(
     meta: &HotpathMeta,
     records: &[BenchRecord],
@@ -338,12 +331,10 @@ pub fn hotpath_json(
 ) -> String {
     let mut out = String::with_capacity(512 + records.len() * 128 + scaling.len() * 256);
     out.push_str("{\n");
-    out.push_str("  \"schema\": 2,\n");
+    out.push_str("  \"schema\": 3,\n");
     out.push_str("  \"bench\": \"hotpath\",\n");
     out.push_str(&format!("  \"aes_backend\": \"{}\",\n", meta.aes_backend));
     out.push_str(&format!("  \"hardware_threads\": {},\n", meta.hardware_threads));
-    out.push_str(&format!("  \"wait\": \"{}\",\n", meta.wait));
-    out.push_str(&format!("  \"rx_queues\": \"{}\",\n", meta.rx_queues));
     out.push_str(&format!("  \"batch\": {},\n", meta.batch));
     out.push_str("  \"records\": [");
     for (i, r) in records.iter().enumerate() {
@@ -876,13 +867,7 @@ mod tests {
     use super::*;
 
     fn meta() -> HotpathMeta {
-        HotpathMeta {
-            aes_backend: "ni",
-            hardware_threads: 8,
-            wait: "yield:64".to_string(),
-            rx_queues: "multi",
-            batch: 32,
-        }
+        HotpathMeta { aes_backend: "ni", hardware_threads: 8, batch: 32 }
     }
 
     #[test]
@@ -929,12 +914,11 @@ mod tests {
             ],
         }];
         let doc = hotpath_json(&meta(), &records, &scaling);
-        assert!(doc.starts_with("{\n  \"schema\": 2,"));
-        assert!(doc.contains("\"aes_backend\": \"ni\""));
-        assert!(doc.contains("\"hardware_threads\": 8"));
-        assert!(doc.contains("\"wait\": \"yield:64\""));
-        assert!(doc.contains("\"rx_queues\": \"multi\""));
-        assert!(doc.contains("\"batch\": 32"));
+        // The head is exactly these five fields, in this order.
+        assert!(doc.starts_with(
+            "{\n  \"schema\": 3,\n  \"bench\": \"hotpath\",\n  \"aes_backend\": \"ni\",\n  \
+             \"hardware_threads\": 8,\n  \"batch\": 32,\n  \"records\": ["
+        ));
         assert!(doc.contains(
             "{\"engine\": \"hummingbird\", \"mode\": \"clone\", \"cores\": 1, \
              \"payload_b\": 500, \"ns_per_pkt\": 308.250, \"mpps\": 3.245}"

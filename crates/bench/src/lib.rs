@@ -29,8 +29,9 @@ use hummingbird_baselines::{
 use hummingbird_crypto::{ResInfo, SecretValue};
 use hummingbird_dataplane::{
     forge_path, BeaconHop, BorderRouter, Datapath, Gateway, HostShare, NullEngine, RouterConfig,
-    RxMode, ShardedRouter, SourceGenerator, SourceReservation, Steering, WaitStrategy,
+    ShardedRouter, SourceGenerator, SourceReservation, Steering,
 };
+use hummingbird_testbed::WaitStrategy;
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
 
@@ -250,10 +251,10 @@ pub fn sharded_from_args() -> bool {
     flag_present("sharded")
 }
 
-/// Parses `--wait busy|yield[:n]|backoff` into a runtime
-/// [`WaitStrategy`]; the runtime default (backoff) applies when the flag
-/// is absent. `yield` without a count spins 64 times before yielding.
-/// Exits with a usage message on malformed input.
+/// Parses `--wait busy|yield[:n]|backoff` into the testbed's
+/// credit-wait [`WaitStrategy`]; its default (backoff) applies when the
+/// flag is absent. `yield` without a count spins 64 times before
+/// yielding. Exits with a usage message on malformed input.
 pub fn wait_from_args() -> WaitStrategy {
     let Some(v) = flag_value("wait") else { return WaitStrategy::default() };
     match v.as_str() {
@@ -277,30 +278,6 @@ pub fn wait_label(wait: WaitStrategy) -> String {
         WaitStrategy::BusyPoll => "busy".to_string(),
         WaitStrategy::YieldAfter(n) => format!("yield:{n}"),
         WaitStrategy::Backoff => "backoff".to_string(),
-    }
-}
-
-/// The `--rx-queues` spelling of an [`RxMode`] (for JSON metadata and
-/// log lines).
-pub fn rx_label(rx: RxMode) -> &'static str {
-    match rx {
-        RxMode::MultiQueue => "multi",
-        RxMode::SingleDispatcher => "single",
-    }
-}
-
-/// Parses `--rx-queues multi|single` into a runtime [`RxMode`]; the
-/// runtime default (multi-queue) applies when the flag is absent. Exits
-/// with a usage message on malformed input.
-pub fn rx_from_args() -> RxMode {
-    let Some(v) = flag_value("rx-queues") else { return RxMode::default() };
-    match v.as_str() {
-        "multi" => RxMode::MultiQueue,
-        "single" => RxMode::SingleDispatcher,
-        _ => {
-            eprintln!("bad --rx-queues '{v}'; expected multi|single");
-            std::process::exit(2);
-        }
     }
 }
 
@@ -658,6 +635,17 @@ mod tests {
         );
         // Absent flag: the default applies.
         assert_eq!(flag_value_in(&argv(&["bench", "--cores", "2"]), "pkts").unwrap(), None);
+        // `--json` likewise: a dangling or `=`-spelled flag that fell
+        // back to the default would overwrite the checked-in
+        // `BENCH_*.json` in the working directory.
+        assert!(flag_value_in(&argv(&["bench", "--json"]), "json").is_err());
+        for spelling in [&["bench", "--json", "/tmp/x.json"][..], &["bench", "--json=/tmp/x.json"]]
+        {
+            assert_eq!(
+                flag_value_in(&argv(spelling), "json").unwrap().as_deref(),
+                Some("/tmp/x.json")
+            );
+        }
     }
 
     #[test]

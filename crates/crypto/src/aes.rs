@@ -192,7 +192,7 @@ pub struct Aes128 {
 impl std::fmt::Debug for Aes128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print key material.
-        f.write_str("Aes128 {{ .. }}")
+        f.write_str("Aes128 { .. }")
     }
 }
 

@@ -22,7 +22,7 @@ pub struct Cmac {
 
 impl std::fmt::Debug for Cmac {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Cmac {{ .. }}")
+        f.write_str("Cmac { .. }")
     }
 }
 

@@ -108,7 +108,7 @@ pub struct SecretValue {
 
 impl std::fmt::Debug for SecretValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SecretValue {{ .. }}")
+        f.write_str("SecretValue { .. }")
     }
 }
 
@@ -166,7 +166,7 @@ pub struct AuthKey {
 
 impl std::fmt::Debug for AuthKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("AuthKey {{ .. }}")
+        f.write_str("AuthKey { .. }")
     }
 }
 
@@ -643,6 +643,23 @@ mod tests {
             bw_encoded: 321,
             res_start: 1_700_000_000,
             duration: 300,
+        }
+    }
+
+    #[test]
+    fn debug_of_secret_types_hides_the_key() {
+        let key = [0xA7u8; 16];
+        let shown = [
+            (format!("{:?}", SecretValue::new(key)), "SecretValue { .. }"),
+            (format!("{:?}", AuthKey::new(key)), "AuthKey { .. }"),
+            (format!("{:?}", Aes128::new(&key)), "Aes128 { .. }"),
+            (format!("{:?}", crate::cmac::Cmac::new(&key)), "Cmac { .. }"),
+        ];
+        for (got, want) in shown {
+            assert_eq!(got, want);
+            for byte in ["a7", "A7", "167"] {
+                assert!(!got.contains(byte), "{got} leaks key byte {byte}");
+            }
         }
     }
 

@@ -19,13 +19,11 @@
 //! `router`) so that routers, gateways and baseline engines all speak the
 //! same language and any harness can drive any engine.
 //!
-//! # Migration note
+//! # Example
 //!
-//! Pre-redesign code called inherent methods (`BorderRouter::process`).
-//! Those inherent methods are gone: import the trait
-//! (`use hummingbird_dataplane::Datapath;`) and call through it. Engines
-//! are constructed either directly (`BorderRouter::new`) or through
-//! [`DatapathBuilder`], which composes the pipeline stages explicitly.
+//! Engines are constructed either directly (`BorderRouter::new`) or
+//! through [`DatapathBuilder`], which composes the pipeline stages
+//! explicitly, and are driven through the trait.
 //!
 //! ```
 //! use hummingbird_dataplane::{Datapath, DatapathBuilder, PacketBuf, Verdict};
@@ -166,10 +164,6 @@ impl DatapathStats {
 /// be cheaply [`reset`](PacketBuf::reset) after an engine mutates it in
 /// place (SegID chaining, CurrHF advance, MAC replacement) — the batch
 /// loops measure engine work rather than packet construction.
-///
-/// (Migration note: this is the former `multicore::HotLoopPacket`,
-/// promoted to the shared API because [`Datapath::process_batch`] operates
-/// on slices of it.)
 #[derive(Clone, Debug)]
 pub struct PacketBuf {
     bytes: Vec<u8>,

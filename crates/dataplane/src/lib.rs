@@ -52,7 +52,7 @@ pub use router::{BorderRouter, RouterConfig, RouterStats};
 pub use runtime::{
     run_to_completion, BackpressureConfig, BackpressurePolicy, EgressClassStats, EgressConfig,
     EgressStats, ExecMode, LatencyHistogram, RuntimeConfig, RuntimeMode, RuntimeReport, RxMode,
-    ShardMap, ShardReport, ShardedRouter, Steering, WaitStrategy,
+    ShardMap, ShardReport, ShardedRouter, Steering,
 };
 pub use source::{GenError, SourceGenerator, SourceReservation};
 

@@ -9,14 +9,9 @@
 //! correct cross-core policing — is reached through the same entry point
 //! with [`crate::runtime::RuntimeMode::Sharded`].
 //!
-//! # Migration note
-//!
-//! [`forwarding_throughput`] used to be hard-wired to `BorderRouter` and
-//! to a thread-private batch loop; it is generic over any [`Datapath`]
-//! engine and now runs on the worker-ring runtime. Engines that drop
-//! traffic are measurable — drops are tallied in the runtime report, not
-//! asserted away. The deprecated `HotLoopPacket` alias is gone: use
-//! [`crate::PacketBuf`].
+//! [`forwarding_throughput`] is generic over any [`Datapath`] engine.
+//! Engines that drop traffic are measurable — drops are tallied in the
+//! runtime report, not asserted away.
 
 use crate::datapath::Datapath;
 use crate::runtime::{run_to_completion, ExecMode, RuntimeConfig, RuntimeMode};

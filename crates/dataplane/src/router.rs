@@ -6,16 +6,10 @@
 //! (SegID chaining, CurrHF advance, AggMAC → HopFieldMAC replacement)
 //! before forwarding. No allocation on the hot path.
 //!
-//! # Migration note
-//!
-//! The `Verdict`/`DropReason`/stats vocabulary moved to
-//! [`crate::datapath`] (re-exported here for compatibility), and
-//! `BorderRouter::process` is no longer an inherent method: the router is
-//! driven through the [`Datapath`] trait
-//! (`use hummingbird_dataplane::Datapath;`). The monolithic
-//! `process_inner` was decomposed into the explicit, individually
-//! testable [`stages`] the [`crate::DatapathBuilder`] documents; baseline
-//! engines reuse the same stages with their own key-derivation rules.
+//! The router is driven through the [`Datapath`] trait; its pipeline is
+//! the explicit, individually testable [`stages`] the
+//! [`crate::DatapathBuilder`] documents, which baseline engines reuse
+//! with their own key-derivation rules.
 
 use crate::datapath::{Datapath, DatapathBuilder, DatapathStats, PacketBuf};
 use crate::dup::DuplicateSuppressor;

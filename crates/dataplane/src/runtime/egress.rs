@@ -77,8 +77,8 @@ pub enum BackpressurePolicy {
     Drop,
     /// Producers hold until the wire drains below the watermark — the
     /// closed-loop netsim/testbed shape, where upstream senders feel the
-    /// stall and slow down. The worker busy-waits per the configured
-    /// [`WaitStrategy`](super::WaitStrategy); no packet is lost at rx.
+    /// stall and slow down. The worker backs off (exponential spin,
+    /// then yield) until the wire catches up; no packet is lost at rx.
     Block,
 }
 
@@ -119,7 +119,7 @@ impl Default for BackpressureConfig {
 /// worker's per-shard sequence number (FIFO audit).
 #[derive(Debug)]
 pub struct TxPacket {
-    /// The processed buffer (recycled by the dispatcher after tx).
+    /// The processed buffer (recycled by the worker after staging).
     pub buf: PacketBuf,
     /// The engine's verdict (class + egress interface).
     pub verdict: Verdict,
@@ -352,10 +352,10 @@ fn wire_ns(bandwidth_bps: u64, bytes: usize) -> u64 {
 /// The tx scheduler: bounded per-interface FIFO + priority-class egress
 /// queues over a modeled link rate.
 ///
-/// Driven in cycles by the worker (or, in single-dispatcher mode, the
-/// dispatcher): [`stage`](TxScheduler::stage) every packet popped off
-/// the egress rings, then [`transmit`](TxScheduler::transmit) once per
-/// cycle — each interface serializes whatever the wire can start by
+/// Driven in cycles by the worker: [`stage`](TxScheduler::stage) every
+/// packet popped off its egress ring, then
+/// [`transmit`](TxScheduler::transmit) once per cycle — each interface
+/// serializes whatever the wire can start by
 /// `now_ns`, staged priority packets front-to-back before any staged
 /// best-effort packet, so flyover traffic overtakes best effort at
 /// exactly the granularity a strict-priority port would enforce. At the

@@ -22,53 +22,41 @@
 //! * [`ShardedRouter`] — a facade that *itself implements* [`Datapath`],
 //!   so the simulator, testbed and every benchmark binary can drive a
 //!   multi-shard router exactly where they drove a single engine;
-//! * [`run_to_completion`] — the threaded harness, in two rx layouts
-//!   selected by [`RuntimeConfig::rx_mode`]:
-//!
-//!   **[`RxMode::MultiQueue`]** (the default, and the configuration
-//!   that scales): steering happens at *injection time* — the ShardMap
-//!   partitions the template workload into per-shard plans up front
-//!   (exactly what RSS hardware does per packet, hoisted to the
-//!   producer side), and each shard then runs a self-fed loop: re-arm a
-//!   burst of recycled buffers, push it through its own rx ring, pop it
-//!   back, process it via the engine's batch path, recycle. No
-//!   dispatcher thread exists; shards share *nothing*, so N shards
-//!   approach N× one core.
-//!
-//!   **[`RxMode::SingleDispatcher`]** (legacy): one dispatcher thread
-//!   classifies every packet and feeds per-shard rings, modeling a
-//!   software RSS stage whose cost is paid on a real core. Kept because
-//!   it is the configuration where steering cost is *measurable* and as
-//!   the historical tx-scheduler arrangement (dispatcher doubles as the
-//!   egress scheduler).
-//!
+//! * [`run_to_completion`] — the harness, in the paper's one rx layout:
+//!   per-shard rx queues that share nothing. Steering happens at
+//!   *injection time* — the ShardMap partitions the template workload
+//!   into per-shard plans up front (exactly what RSS hardware does per
+//!   packet, hoisted to the producer side), and each shard then runs a
+//!   self-fed loop: re-arm a burst of recycled buffers, push it through
+//!   its own rx ring, pop it back, process it via the engine's batch
+//!   path, recycle. No dispatcher thread exists and no ring is shared
+//!   between threads, so N shards approach N× one core.
 //! * [`egress::TxScheduler`] — the tx path: processed packets travel
 //!   per-shard egress rings of [`TxPacket`] into per-interface FIFO +
 //!   priority-class queues over a modeled link rate, recording
-//!   per-packet residence times ([`EgressStats`] on the report). In
-//!   multi-queue mode each *worker drains its own egress ring* into a
-//!   shard-local scheduler (its model of a per-core NIC tx queue) and
-//!   the per-shard stats are merged — no dispatcher round trip; in
-//!   single-dispatcher mode the dispatcher drains all rings into one
-//!   scheduler. Both enforce the per-shard sequence-number conservation
-//!   check. Enabled by [`RuntimeConfig::egress`].
+//!   per-packet residence times ([`EgressStats`] on the report). Each
+//!   *worker drains its own egress ring* into a shard-local scheduler
+//!   (its model of a per-core NIC tx queue), asserting the per-shard
+//!   sequence numbers on the way, and the per-shard stats are merged.
+//!   Enabled by [`RuntimeConfig::egress`].
 //!
-//! Blocking behavior is governed by [`RuntimeConfig::wait`]
-//! ([`WaitStrategy`]): dedicated-core deployments busy-poll,
-//! oversubscribed CI hosts yield. How workers map onto host threads is
-//! governed by [`RuntimeConfig::exec`] ([`ExecMode`]) — see its docs
-//! for the honest accounting of what "sequential" measures.
+//! A self-fed shard drains its own rings every iteration, so the only
+//! place a worker ever waits is the [`BackpressurePolicy::Block`] stall
+//! (tx queue over the watermark): it backs off exponentially, then
+//! yields. How workers map onto host threads is governed by
+//! [`RuntimeConfig::exec`] ([`ExecMode`]) — see its docs for the honest
+//! accounting of what "sequential" measures.
 //!
 //! What the model deliberately simplifies: "line rate" on the rx side
 //! is a cap applied in reporting, the tx link is modeled in virtual
 //! time (the scheduler computes departures, it does not pace the wire),
-//! and in multi-queue mode classification is hoisted to plan time — a
-//! software stand-in for hashing hardware, which also classifies before
-//! the packet reaches a core. Cross-shard duplicate detection holds for
-//! exact replays (bit-identical packets steer identically) but not for
-//! distinct packets that collide on the duplicate-filter key while
-//! carrying different ResIDs — the same property a per-queue dup filter
-//! has on real RSS hardware.
+//! and classification is hoisted to plan time — a software stand-in for
+//! hashing hardware, which also classifies before the packet reaches a
+//! core. Cross-shard duplicate detection holds for exact replays
+//! (bit-identical packets steer identically) but not for distinct
+//! packets that collide on the duplicate-filter key while carrying
+//! different ResIDs — the same property a per-queue dup filter has on
+//! real RSS hardware.
 
 pub mod egress;
 pub mod ring;
@@ -83,7 +71,6 @@ pub use shard::{FlowClass, ShardMap, Steering};
 
 use crate::datapath::{Datapath, DatapathStats, PacketBuf, Verdict};
 use crate::multicore::{Throughput, BATCH_SIZE};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
@@ -219,87 +206,36 @@ pub enum RuntimeMode {
     /// cross-core policing semantics.
     PerCoreClone,
     /// One logical router with correct cross-core policing: every
-    /// packet is processed by the shard the [`ShardMap`] assigns it to.
-    /// Where the steering decision is *executed* depends on
-    /// [`RuntimeConfig::rx_mode`] — at injection time
-    /// ([`RxMode::MultiQueue`], the default) or on a dispatcher thread
-    /// ([`RxMode::SingleDispatcher`]).
+    /// packet is processed by the shard the [`ShardMap`] assigns it to,
+    /// the assignment made at injection time
+    /// ([`ShardMap::partition_templates`]).
     Sharded,
 }
 
-/// How worker threads wait when a ring has nothing for them
-/// ([`RuntimeConfig::wait`]).
-///
-/// In multi-queue mode shards are self-fed and hardly ever wait; the
-/// strategy matters most for [`RxMode::SingleDispatcher`], where every
-/// worker continuously polls a ring another thread fills (and vice
-/// versa), and on oversubscribed hosts, where a spinning thread steals
-/// the timeslice the thread it waits on needs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaitStrategy {
-    /// Spin (`spin_loop` hint) without ever yielding — lowest latency
-    /// when every shard owns a dedicated hardware thread, pathological
-    /// when cores are shared.
-    BusyPoll,
-    /// Spin `n` times, then yield the timeslice on every subsequent
-    /// miss until progress resets the count. `YieldAfter(0)` yields
-    /// immediately — the pre-wait-strategy behavior of this runtime.
-    YieldAfter(u32),
-    /// Exponential backoff: spin 1, 2, 4, … (doubling up to a cap) on
-    /// consecutive misses, then start yielding. A middle ground that
-    /// needs no tuning parameter: short stalls stay on-core, long
-    /// stalls surrender the timeslice.
-    Backoff,
-}
-
-impl Default for WaitStrategy {
-    /// [`WaitStrategy::Backoff`]: graceful on both dedicated and
-    /// oversubscribed hosts without a tuning parameter.
-    fn default() -> Self {
-        WaitStrategy::Backoff
-    }
-}
-
-/// Progressive waiter driven by a [`WaitStrategy`]: call
+/// Exponential-backoff waiter for the one place a self-fed worker
+/// waits, the [`BackpressurePolicy::Block`] stall: call
 /// [`wait`](Waiter::wait) on every miss, [`reset`](Waiter::reset) on
-/// progress.
-#[derive(Debug)]
+/// progress. Spins 1, 2, 4, … on consecutive misses, then yields —
+/// short stalls stay on-core, long stalls surrender the timeslice.
+#[derive(Debug, Default)]
 struct Waiter {
-    strategy: WaitStrategy,
     misses: u32,
 }
 
 impl Waiter {
-    fn new(strategy: WaitStrategy) -> Self {
-        Waiter { strategy, misses: 0 }
-    }
-
     #[inline]
     fn wait(&mut self) {
-        match self.strategy {
-            WaitStrategy::BusyPoll => std::hint::spin_loop(),
-            WaitStrategy::YieldAfter(n) => {
-                if self.misses < n {
-                    self.misses += 1;
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+        // 2^6 = 64 spins is the largest burst; past that the stall is
+        // long enough that the timeslice is better spent by whoever we
+        // are waiting on.
+        const MAX_SPIN_EXP: u32 = 6;
+        if self.misses <= MAX_SPIN_EXP {
+            for _ in 0..(1u32 << self.misses) {
+                std::hint::spin_loop();
             }
-            WaitStrategy::Backoff => {
-                // 2^6 = 64 spins is the largest burst; past that the
-                // stall is long enough that the timeslice is better
-                // spent by whoever we are waiting on.
-                const MAX_SPIN_EXP: u32 = 6;
-                if self.misses <= MAX_SPIN_EXP {
-                    for _ in 0..(1u32 << self.misses) {
-                        std::hint::spin_loop();
-                    }
-                    self.misses += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            }
+            self.misses += 1;
+        } else {
+            std::thread::yield_now();
         }
     }
 
@@ -309,22 +245,20 @@ impl Waiter {
     }
 }
 
-/// Where rx steering runs in [`RuntimeMode::Sharded`]
-/// ([`RuntimeConfig::rx_mode`]).
+/// The rx layout of [`RuntimeMode::Sharded`]
+/// ([`RuntimeConfig::rx_mode`]). The runtime has exactly one, so this
+/// selects nothing: the type and the field exist only because the
+/// frozen `benchmark/src/router.rs` writes
+/// `cfg.rx_mode = RxMode::MultiQueue`. Delete both in the next PR that
+/// may edit `benchmark/`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RxMode {
     /// Per-shard rx queues filled by RSS-style hashing at injection
-    /// time (the default): the workload is partitioned into per-shard
-    /// plans up front via [`ShardMap::partition_templates`], each shard
-    /// self-feeds its own ring, and no dispatcher thread exists. This
-    /// is the layout that scales — shards share nothing.
+    /// time: the workload is partitioned into per-shard plans up front
+    /// via [`ShardMap::partition_templates`], each shard self-feeds its
+    /// own ring, and shards share nothing.
     #[default]
     MultiQueue,
-    /// The legacy layout: one dispatcher thread classifies every packet
-    /// and feeds per-shard rings (and, with egress enabled, drains all
-    /// egress rings into one tx scheduler). Kept as the configuration
-    /// where software steering cost is measurable on a real core.
-    SingleDispatcher,
 }
 
 /// How shard workers map onto host threads ([`RuntimeConfig::exec`]).
@@ -340,20 +274,19 @@ pub enum ExecMode {
     /// One OS thread per shard, started together behind a barrier; the
     /// run's `seconds` is the slowest worker's wall clock, so scheduler
     /// contention on oversubscribed hosts shows up in the measurement.
-    /// The default — and the only mode that exercises the rings
-    /// cross-thread, which is why the conservation tests pin it.
+    /// The default. Each worker's rings stay private to its thread (no
+    /// self-fed shard shares a ring), so what threading adds over
+    /// [`Sequential`](ExecMode::Sequential) is concurrency between
+    /// shards, not on a ring.
     #[default]
     Threaded,
     /// Run each shard's worker loop to completion on the calling
     /// thread, one after another, timing each independently; `seconds`
-    /// is the *maximum* per-shard elapsed time. Because multi-queue and
-    /// per-core-clone shards share no state whatsoever, this is a
-    /// faithful critical-path estimate of N dedicated cores — what the
-    /// run *would* take if each worker had its own core — and the only
-    /// honest way to measure N-shard scaling on a host with fewer than
-    /// N hardware threads. Only self-fed layouts honor it; the
-    /// single-dispatcher layout is inherently concurrent and always
-    /// threads.
+    /// is the *maximum* per-shard elapsed time. Because shards share no
+    /// state whatsoever, this is a faithful critical-path estimate of N
+    /// dedicated cores — what the run *would* take if each worker had
+    /// its own core — and the only honest way to measure N-shard
+    /// scaling on a host with fewer than N hardware threads.
     Sequential,
 }
 
@@ -386,18 +319,10 @@ pub struct RuntimeConfig {
     /// worker stops draining its rx ring, and what the rx side does
     /// while stalled ([`BackpressurePolicy::Block`] holds producers,
     /// [`BackpressurePolicy::Drop`] sheds offered packets into
-    /// [`ShardReport::rx_backpressure_drops`]). The single-dispatcher
-    /// layout honors the queue bound (tail drop under
-    /// [`DropReason`](crate::DropReason)`::TxQueueFull`) but not the
-    /// watermark stall: its workers and dispatcher already form a
-    /// closed buffer-recycling loop, and a stalled dispatcher could
-    /// deadlock against workers blocked on their egress rings.
+    /// [`ShardReport::rx_backpressure_drops`]).
     pub backpressure: BackpressureConfig,
-    /// How threads wait on empty/full rings. Default
-    /// [`WaitStrategy::Backoff`].
-    pub wait: WaitStrategy,
-    /// Where rx steering runs in [`RuntimeMode::Sharded`]. Default
-    /// [`RxMode::MultiQueue`].
+    /// Selects nothing (see [`RxMode`]); kept for the frozen
+    /// `benchmark/` package, which assigns it.
     pub rx_mode: RxMode,
     /// How shard workers map onto host threads. Default
     /// [`ExecMode::Threaded`]; benchmarks pass [`ExecMode::Auto`].
@@ -407,8 +332,7 @@ pub struct RuntimeConfig {
 impl RuntimeConfig {
     /// A sensible default: `shards` workers, 256-burst rings,
     /// [`BATCH_SIZE`]-packet bursts, the paper's 10⁵ ResID slots,
-    /// reservation-aware steering, no tx path, backoff waits,
-    /// multi-queue rx, threaded execution.
+    /// reservation-aware steering, no tx path, threaded execution.
     pub fn new(shards: usize) -> Self {
         RuntimeConfig {
             shards: shards.max(1),
@@ -418,7 +342,6 @@ impl RuntimeConfig {
             steering: Steering::ByReservation,
             egress: None,
             backpressure: BackpressureConfig::default(),
-            wait: WaitStrategy::default(),
             rx_mode: RxMode::default(),
             exec: ExecMode::default(),
         }
@@ -450,9 +373,8 @@ pub struct RuntimeReport {
     pub packets: u64,
     /// Bits moved (wire size × packets).
     pub bits: u64,
-    /// Run duration in seconds: the slowest worker's wall clock in the
-    /// self-fed layouts (threaded or sequential — see [`ExecMode`]),
-    /// the dispatcher's wall clock in [`RxMode::SingleDispatcher`].
+    /// Run duration in seconds: the slowest worker's wall clock,
+    /// threaded or sequential (see [`ExecMode`]).
     pub seconds: f64,
     /// Offered packets shed at rx rings under backpressure, summed
     /// across shards. Conservation: `packets + rx_backpressure_drops`
@@ -461,8 +383,8 @@ pub struct RuntimeReport {
     /// Per-shard breakdown (reveals steering skew).
     pub per_shard: Vec<ShardReport>,
     /// Tx-path statistics, when [`RuntimeConfig::egress`] enabled it:
-    /// per-class packet/byte counts and residence times (merged across
-    /// shards in multi-queue mode).
+    /// per-class packet/byte counts and residence times, merged across
+    /// shards.
     pub egress: Option<EgressStats>,
 }
 
@@ -473,8 +395,7 @@ impl RuntimeReport {
     }
 }
 
-/// Worker loop state shared by every runtime layout: drain the rx ring
-/// in bursts through the engine's batch path, tally, recycle.
+/// What a worker counts per burst it puts through the engine.
 #[derive(Default)]
 struct WorkerTally {
     processed: u64,
@@ -500,19 +421,17 @@ fn tally_burst(tally: &mut WorkerTally, burst: &[PacketBuf], verdicts: &[Verdict
 /// throughput.
 ///
 /// In [`RuntimeMode::Sharded`] one logical router with correct policing
-/// runs across the workers; [`RuntimeConfig::rx_mode`] picks the rx
-/// layout (per-shard multi-queue injection by default, legacy central
-/// dispatcher on request). In [`RuntimeMode::PerCoreClone`] each worker
-/// self-feeds its own ring with an even share of the total — the
+/// runs across the workers, each fed the share of the workload the
+/// [`ShardMap`] steers to it. In [`RuntimeMode::PerCoreClone`] each
+/// worker self-feeds its own ring with an even share of the total — the
 /// classic per-core-clone measurement. Engines are constructed inside
 /// their worker (no `Send` bound on `D`); construction stays out of the
 /// timed region.
 ///
 /// Packet accounting is deterministic: template `j` of `T` contributes
 /// exactly `total_pkts / T` packets plus one more when
-/// `j < total_pkts % T`, in every mode and layout — which is what makes
-/// sharded runs byte-comparable against a single engine fed the same
-/// multiset.
+/// `j < total_pkts % T`, in both modes — which is what makes sharded
+/// runs byte-comparable against a single engine fed the same multiset.
 pub fn run_to_completion<D, F>(
     cfg: &RuntimeConfig,
     mode: RuntimeMode,
@@ -533,27 +452,11 @@ where
             let plans = clone_plans(templates.len(), shards, total_pkts);
             run_multi_queue(cfg, plans, make_engine, templates, now_ns, None)
         }
-        RuntimeMode::Sharded => match cfg.rx_mode {
-            RxMode::MultiQueue => {
-                let map = ShardMap::new(shards, cfg.policer_slots, cfg.steering);
-                let plans = map.partition_templates(templates, total_pkts);
-                run_multi_queue(cfg, plans, make_engine, templates, now_ns, cfg.egress)
-            }
-            RxMode::SingleDispatcher => {
-                if let Some(ecfg) = cfg.egress {
-                    run_single_dispatcher_egress(
-                        cfg,
-                        &ecfg,
-                        make_engine,
-                        templates,
-                        total_pkts,
-                        now_ns,
-                    )
-                } else {
-                    run_single_dispatcher(cfg, make_engine, templates, total_pkts, now_ns)
-                }
-            }
-        },
+        RuntimeMode::Sharded => {
+            let map = ShardMap::new(shards, cfg.policer_slots, cfg.steering);
+            let plans = map.partition_templates(templates, total_pkts);
+            run_multi_queue(cfg, plans, make_engine, templates, now_ns, cfg.egress)
+        }
     }
 }
 
@@ -580,14 +483,14 @@ struct SelfFedOutcome {
 }
 
 /// The self-fed shard loop shared by [`RuntimeMode::PerCoreClone`] and
-/// the multi-queue [`RuntimeMode::Sharded`] layout: fill a burst of
-/// re-armed buffers from the shard's plan, push it through the shard's
-/// own rx ring (the NIC-model hop — one `push_burst`/`pop_burst` pair,
-/// no per-packet ring traffic), process it through the engine's batch
-/// path, tally, recycle. With egress enabled, processed packets take
-/// one more burst hop through the shard's egress ring and the worker
-/// drains it into its *own* [`TxScheduler`] (the per-core NIC tx
-/// queue), asserting the per-shard sequence numbers.
+/// [`RuntimeMode::Sharded`]: fill a burst of re-armed buffers from the
+/// shard's plan, push it through the shard's own rx ring (the NIC-model
+/// hop — one `push_burst`/`pop_burst` pair, no per-packet ring
+/// traffic), process it through the engine's batch path, tally,
+/// recycle. With egress enabled, processed packets take one more burst
+/// hop through the shard's egress ring and the worker drains it into
+/// its *own* [`TxScheduler`] (the per-core NIC tx queue), asserting the
+/// per-shard sequence numbers.
 ///
 /// Backpressure: each iteration first gives the scheduler a wire-paced
 /// [`transmit`](TxScheduler::transmit) tick; while the tx queue is over
@@ -606,14 +509,12 @@ struct SelfFedOutcome {
 /// per template (a buffer's bytes *are* its template, `reset()` only
 /// restores the header), at most one burst's worth each, so steady
 /// state allocates nothing.
-#[allow(clippy::too_many_arguments)]
 fn run_self_fed_shard<D: Datapath>(
     engine: &mut D,
     templates: &[Vec<u8>],
     plan: &[(usize, u64)],
     batch: usize,
     cap: usize,
-    wait: WaitStrategy,
     now_ns: u64,
     egress: Option<(EgressConfig, BackpressureConfig, Instant)>,
 ) -> SelfFedOutcome {
@@ -646,7 +547,7 @@ fn run_self_fed_shard<D: Datapath>(
     let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch);
     let mut tx_staging: Vec<TxPacket> = Vec::new();
     let mut tx_popped: Vec<TxPacket> = Vec::new();
-    let mut waiter = Waiter::new(wait);
+    let mut waiter = Waiter::default();
 
     let start = Instant::now();
     while tally.processed + rx_backpressure_drops < target {
@@ -804,63 +705,37 @@ where
     let shards = plans.len();
     let batch = cfg.batch_size.max(1);
     let cap = cfg.ring_capacity.max(1);
-    let wait = cfg.wait;
     let bp = cfg.backpressure;
     // One clock for all egress stamps, started before any worker.
     let epoch = Instant::now();
-    let threaded = match cfg.exec {
-        ExecMode::Threaded => true,
-        ExecMode::Sequential => false,
-        ExecMode::Auto => {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) >= shards
-        }
+    let threaded = shards > 1
+        && match cfg.exec {
+            ExecMode::Threaded => true,
+            ExecMode::Sequential => false,
+            ExecMode::Auto => {
+                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) >= shards
+            }
+        };
+    // Threaded workers start together; a sequential worker has nobody
+    // to wait for. Engine construction stays ahead of the barrier, out
+    // of the timed region.
+    let ready = Barrier::new(if threaded { shards } else { 1 });
+    let run_shard = |(i, plan): (usize, &Vec<(usize, u64)>)| {
+        let mut engine = make_engine(i);
+        ready.wait();
+        let egress = egress.map(|e| (e, bp, epoch));
+        run_self_fed_shard(&mut engine, templates, plan, batch, cap, now_ns, egress)
     };
 
-    let outcomes: Vec<SelfFedOutcome> = if threaded && shards > 1 {
-        let ready = Barrier::new(shards);
+    let outcomes: Vec<SelfFedOutcome> = if threaded {
+        let run_shard = &run_shard;
         std::thread::scope(|s| {
-            let handles: Vec<_> = plans
-                .iter()
-                .enumerate()
-                .map(|(i, plan)| {
-                    let make_engine = &make_engine;
-                    let ready = &ready;
-                    s.spawn(move || {
-                        let mut engine = make_engine(i);
-                        ready.wait();
-                        run_self_fed_shard(
-                            &mut engine,
-                            templates,
-                            plan,
-                            batch,
-                            cap,
-                            wait,
-                            now_ns,
-                            egress.map(|e| (e, bp, epoch)),
-                        )
-                    })
-                })
-                .collect();
+            let handles: Vec<_> =
+                plans.iter().enumerate().map(|job| s.spawn(move || run_shard(job))).collect();
             handles.into_iter().map(|h| h.join().expect("runtime worker panicked")).collect()
         })
     } else {
-        plans
-            .iter()
-            .enumerate()
-            .map(|(i, plan)| {
-                let mut engine = make_engine(i);
-                run_self_fed_shard(
-                    &mut engine,
-                    templates,
-                    plan,
-                    batch,
-                    cap,
-                    wait,
-                    now_ns,
-                    egress.map(|e| (e, bp, epoch)),
-                )
-            })
-            .collect()
+        plans.iter().enumerate().map(run_shard).collect()
     };
 
     let seconds = outcomes.iter().fold(0.0f64, |m, o| m.max(o.seconds));
@@ -879,407 +754,6 @@ where
         per_shard: outcomes.into_iter().map(|o| o.report).collect(),
         egress: egress_total,
     }
-}
-
-/// The legacy [`RxMode::SingleDispatcher`] rx-only run: the calling
-/// thread becomes the dispatcher, classifying every packet through the
-/// [`ShardMap`] and feeding per-shard rings in staged bursts; workers
-/// drain, process, and return buffers through per-shard recycle rings.
-///
-/// Liveness: the dispatcher never hard-blocks on a recycle ring (it
-/// polls), and workers never block returning buffers (a failed recycle
-/// push keeps the burst in a local outbox and retries next iteration —
-/// leftover buffers are simply dropped at shutdown, after their packets
-/// were tallied), so the stop/drain handshake cannot deadlock.
-fn run_single_dispatcher<D, F>(
-    cfg: &RuntimeConfig,
-    make_engine: F,
-    templates: &[Vec<u8>],
-    total_pkts: u64,
-    now_ns: u64,
-) -> RuntimeReport
-where
-    D: Datapath,
-    F: Fn(usize) -> D + Sync,
-{
-    let shards = cfg.shards.max(1);
-    let batch = cfg.batch_size.max(1);
-    let cap = cfg.ring_capacity.max(1);
-    let wait = cfg.wait;
-    // Circulating buffers per shard. At least one full burst; recycle
-    // rings are sized to hold every circulating buffer even as 1-packet
-    // bursts, so returns always succeed in bounded time.
-    let budget = cap.max(batch);
-    let map = ShardMap::new(shards, cfg.policer_slots, cfg.steering);
-    let rx: Vec<SpscRing<PacketBuf>> = (0..shards).map(|_| SpscRing::new(cap)).collect();
-    let recycle: Vec<SpscRing<PacketBuf>> = (0..shards).map(|_| SpscRing::new(budget)).collect();
-    let stop = AtomicBool::new(false);
-    let ready = Barrier::new(shards + 1);
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..shards)
-            .map(|i| {
-                let make_engine = &make_engine;
-                let (rx, recycle, stop, ready) = (&rx[i], &recycle[i], &stop, &ready);
-                s.spawn(move || {
-                    let mut engine = make_engine(i);
-                    let mut tally = WorkerTally::default();
-                    let mut burst: Vec<PacketBuf> = Vec::new();
-                    let mut verdicts: Vec<Verdict> = Vec::new();
-                    let mut outbox: Vec<PacketBuf> = Vec::new();
-                    let mut waiter = Waiter::new(wait);
-                    ready.wait();
-                    loop {
-                        // Return processed buffers opportunistically —
-                        // never block: after stop the dispatcher no
-                        // longer drains.
-                        if !outbox.is_empty() {
-                            recycle.push_burst(&mut outbox);
-                        }
-                        burst.clear();
-                        if rx.pop_burst(&mut burst) == 0 {
-                            if stop.load(Ordering::Acquire) && rx.is_empty() {
-                                break;
-                            }
-                            waiter.wait();
-                            continue;
-                        }
-                        waiter.reset();
-                        verdicts.clear();
-                        engine.process_batch(&mut burst, now_ns, &mut verdicts);
-                        tally_burst(&mut tally, &burst, &verdicts);
-                        outbox.append(&mut burst);
-                    }
-                    let report = ShardReport {
-                        processed: tally.processed,
-                        forwarded: tally.forwarded,
-                        dropped: tally.dropped,
-                        rx_backpressure_drops: 0,
-                        stats: engine.stats(),
-                    };
-                    (report, tally.bits)
-                })
-            })
-            .collect();
-
-        // ---- Dispatcher (this thread): the model NIC + RSS stage. ----
-        ready.wait();
-        let start = Instant::now();
-        let mut waiter = Waiter::new(wait);
-        let mut sent = 0u64;
-        let mut allocated = vec![0usize; shards];
-        let mut staging: Vec<Vec<PacketBuf>> =
-            (0..shards).map(|_| Vec::with_capacity(batch)).collect();
-        let mut scratch: Vec<PacketBuf> = Vec::new();
-        // Prime: allocate fresh buffers round-robin over the templates
-        // until every shard is at its buffer budget (or the run is
-        // smaller), flushing full bursts as they form.
-        'prime: loop {
-            let mut progress = false;
-            for t in templates {
-                if sent >= total_pkts {
-                    break 'prime;
-                }
-                let dst = map.shard_of(t);
-                if allocated[dst] < budget {
-                    staging[dst].push(PacketBuf::new(t.clone()));
-                    allocated[dst] += 1;
-                    sent += 1;
-                    progress = true;
-                    if staging[dst].len() >= batch {
-                        while !rx[dst].push_burst(&mut staging[dst]) {
-                            waiter.wait();
-                        }
-                    }
-                }
-            }
-            if !progress {
-                break;
-            }
-        }
-        for (dst, stage) in staging.iter_mut().enumerate() {
-            while !rx[dst].push_burst(stage) {
-                waiter.wait();
-            }
-        }
-        waiter.reset();
-        // Steady state: re-arm recycled buffers until the run is
-        // dispatched. A buffer recycled by shard `s` steers back to `s`
-        // — reset restores the header, so the flow hash (a function of
-        // the pristine bytes) is stable — which makes steady-state
-        // dispatch O(1) per packet, like a NIC re-arming an rx
-        // descriptor; classification happened once at prime time.
-        while sent < total_pkts {
-            let mut progress = false;
-            for s_idx in 0..shards {
-                scratch.clear();
-                while recycle[s_idx].pop_burst(&mut scratch) > 0 {
-                    progress = true;
-                    for mut buf in scratch.drain(..) {
-                        if sent >= total_pkts {
-                            continue; // surplus buffer retires
-                        }
-                        buf.reset();
-                        debug_assert_eq!(
-                            map.shard_of(buf.as_bytes()),
-                            s_idx,
-                            "flow hash must be reset-stable"
-                        );
-                        staging[s_idx].push(buf);
-                        sent += 1;
-                        if staging[s_idx].len() >= batch {
-                            while !rx[s_idx].push_burst(&mut staging[s_idx]) {
-                                waiter.wait();
-                            }
-                        }
-                    }
-                }
-            }
-            // Flush partial bursts every cycle: a shard whose whole
-            // buffer budget is staged would otherwise starve.
-            for s_idx in 0..shards {
-                if !staging[s_idx].is_empty() {
-                    while !rx[s_idx].push_burst(&mut staging[s_idx]) {
-                        waiter.wait();
-                    }
-                }
-            }
-            if progress {
-                waiter.reset();
-            } else {
-                waiter.wait();
-            }
-        }
-        for (dst, stage) in staging.iter_mut().enumerate() {
-            while !rx[dst].push_burst(stage) {
-                waiter.wait();
-            }
-        }
-        stop.store(true, Ordering::Release);
-        let results: Vec<_> =
-            handles.into_iter().map(|h| h.join().expect("runtime worker panicked")).collect();
-        let seconds = start.elapsed().as_secs_f64();
-        RuntimeReport {
-            packets: results.iter().map(|(r, _)| r.processed).sum(),
-            bits: results.iter().map(|(_, b)| *b).sum(),
-            seconds,
-            rx_backpressure_drops: 0,
-            per_shard: results.into_iter().map(|(r, _)| r).collect(),
-            egress: None,
-        }
-    })
-}
-
-/// The legacy [`RxMode::SingleDispatcher`] run with the tx path
-/// enabled: workers push every processed packet — buffer, verdict,
-/// enqueue stamp, per-shard sequence number — into per-shard egress
-/// rings, and the dispatcher doubles as the tx scheduler, draining them
-/// through the per-interface two-class [`TxScheduler`] before re-arming
-/// the buffer onto the owning shard's rx ring. The per-shard sequence
-/// numbers are asserted on the drain side: within a shard (and
-/// therefore within a priority class of that shard) no packet is
-/// leaked, duplicated or reordered on its way through the egress ring.
-///
-/// This mirrors [`run_single_dispatcher`] on purpose rather than
-/// sharing it: the rings carry a different element type ([`TxPacket`]
-/// vs bare [`PacketBuf`]) and the rx-only path is the *benchmarked*
-/// configuration, which must not pay for per-packet `Instant` stamps it
-/// doesn't use. A fix to the shared discipline — prime-phase
-/// allocation, the stop/drain handshake, the wait policy — belongs in
-/// both loops. Liveness: egress rings are sized for every circulating
-/// buffer (pushes always succeed in bounded time) and the dispatcher
-/// keeps draining until every packet has left through the tx path, so
-/// the handshake cannot deadlock.
-fn run_single_dispatcher_egress<D, F>(
-    cfg: &RuntimeConfig,
-    ecfg: &EgressConfig,
-    make_engine: F,
-    templates: &[Vec<u8>],
-    total_pkts: u64,
-    now_ns: u64,
-) -> RuntimeReport
-where
-    D: Datapath,
-    F: Fn(usize) -> D + Sync,
-{
-    let shards = cfg.shards.max(1);
-    let batch = cfg.batch_size.max(1);
-    let cap = cfg.ring_capacity.max(1);
-    let wait = cfg.wait;
-    let budget = cap.max(batch);
-    let map = ShardMap::new(shards, cfg.policer_slots, cfg.steering);
-    let rx: Vec<SpscRing<PacketBuf>> = (0..shards).map(|_| SpscRing::new(cap)).collect();
-    // Sized for the whole buffer budget even as 1-packet bursts, so a
-    // worker's egress push always finds room in bounded time.
-    let etx: Vec<SpscRing<TxPacket>> = (0..shards).map(|_| SpscRing::new(budget)).collect();
-    let stop = AtomicBool::new(false);
-    let ready = Barrier::new(shards + 1);
-    // One clock for enqueue stamps and the scheduler's `now`: every
-    // residence time is a difference of offsets from this epoch.
-    let epoch = Instant::now();
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..shards)
-            .map(|i| {
-                let make_engine = &make_engine;
-                let (rx, etx, stop, ready, epoch) = (&rx[i], &etx[i], &stop, &ready, &epoch);
-                s.spawn(move || {
-                    let mut engine = make_engine(i);
-                    let mut tally = WorkerTally::default();
-                    let mut burst: Vec<PacketBuf> = Vec::new();
-                    let mut verdicts: Vec<Verdict> = Vec::new();
-                    let mut tx_staging: Vec<TxPacket> = Vec::new();
-                    let mut seq = 0u64;
-                    let mut waiter = Waiter::new(wait);
-                    ready.wait();
-                    loop {
-                        burst.clear();
-                        if rx.pop_burst(&mut burst) == 0 {
-                            if stop.load(Ordering::Acquire) && rx.is_empty() {
-                                break;
-                            }
-                            waiter.wait();
-                            continue;
-                        }
-                        waiter.reset();
-                        verdicts.clear();
-                        engine.process_batch(&mut burst, now_ns, &mut verdicts);
-                        tally_burst(&mut tally, &burst, &verdicts);
-                        for (buf, &verdict) in burst.drain(..).zip(verdicts.iter()) {
-                            let enqueued_ns = epoch.elapsed().as_nanos() as u64;
-                            tx_staging.push(TxPacket { buf, verdict, enqueued_ns, seq });
-                            seq += 1;
-                        }
-                        while !etx.push_burst(&mut tx_staging) {
-                            waiter.wait();
-                        }
-                    }
-                    let report = ShardReport {
-                        processed: tally.processed,
-                        forwarded: tally.forwarded,
-                        dropped: tally.dropped,
-                        rx_backpressure_drops: 0,
-                        stats: engine.stats(),
-                    };
-                    (report, tally.bits)
-                })
-            })
-            .collect();
-
-        // ---- Dispatcher + tx scheduler (this thread). ----
-        ready.wait();
-        let start = Instant::now();
-        let mut waiter = Waiter::new(wait);
-        let mut scheduler = TxScheduler::with_backpressure(ecfg, &cfg.backpressure);
-        let mut sent = 0u64;
-        let mut drained = 0u64;
-        let mut expected_seq = vec![0u64; shards];
-        let mut allocated = vec![0usize; shards];
-        let mut staging: Vec<Vec<PacketBuf>> =
-            (0..shards).map(|_| Vec::with_capacity(batch)).collect();
-        let mut scratch: Vec<TxPacket> = Vec::new();
-        // Prime: exactly like the rx-only run.
-        'prime: loop {
-            let mut progress = false;
-            for t in templates {
-                if sent >= total_pkts {
-                    break 'prime;
-                }
-                let dst = map.shard_of(t);
-                if allocated[dst] < budget {
-                    staging[dst].push(PacketBuf::new(t.clone()));
-                    allocated[dst] += 1;
-                    sent += 1;
-                    progress = true;
-                    if staging[dst].len() >= batch {
-                        while !rx[dst].push_burst(&mut staging[dst]) {
-                            waiter.wait();
-                        }
-                    }
-                }
-            }
-            if !progress {
-                break;
-            }
-        }
-        for (dst, stage) in staging.iter_mut().enumerate() {
-            while !rx[dst].push_burst(stage) {
-                waiter.wait();
-            }
-        }
-        waiter.reset();
-        // Steady state: every processed packet comes back through its
-        // shard's egress ring, gets serialized by the scheduler, and its
-        // buffer re-arms onto the same shard's rx ring until the run is
-        // fully dispatched — then keeps draining until every packet has
-        // left through the tx path.
-        while drained < total_pkts {
-            let mut progress = false;
-            for s_idx in 0..shards {
-                scratch.clear();
-                while etx[s_idx].pop_burst(&mut scratch) > 0 {
-                    progress = true;
-                    for tx in scratch.drain(..) {
-                        assert_eq!(
-                            tx.seq, expected_seq[s_idx],
-                            "egress ring of shard {s_idx} leaked, duplicated or reordered a packet"
-                        );
-                        expected_seq[s_idx] += 1;
-                        // Tail drops land in the scheduler's own
-                        // `tx_queue_full` counter; the packet is still
-                        // drained (its buffer re-arms below).
-                        let _ = scheduler.stage(tx.verdict, tx.buf.wire_len(), tx.enqueued_ns);
-                        drained += 1;
-                        if sent < total_pkts {
-                            let mut buf = tx.buf;
-                            buf.reset();
-                            debug_assert_eq!(
-                                map.shard_of(buf.as_bytes()),
-                                s_idx,
-                                "flow hash must be reset-stable"
-                            );
-                            staging[s_idx].push(buf);
-                            sent += 1;
-                            if staging[s_idx].len() >= batch {
-                                while !rx[s_idx].push_burst(&mut staging[s_idx]) {
-                                    waiter.wait();
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            for s_idx in 0..shards {
-                if !staging[s_idx].is_empty() {
-                    while !rx[s_idx].push_burst(&mut staging[s_idx]) {
-                        waiter.wait();
-                    }
-                }
-            }
-            scheduler.transmit(epoch.elapsed().as_nanos() as u64);
-            if progress {
-                waiter.reset();
-            } else {
-                waiter.wait();
-            }
-        }
-        // Residue drain in virtual time: after this, the egress stats
-        // conserve exactly (`forwarded + dropped + tx_queue_full` =
-        // every packet staged).
-        scheduler.flush();
-        stop.store(true, Ordering::Release);
-        let results: Vec<_> =
-            handles.into_iter().map(|h| h.join().expect("runtime worker panicked")).collect();
-        let seconds = start.elapsed().as_secs_f64();
-        RuntimeReport {
-            packets: results.iter().map(|(r, _)| r.processed).sum(),
-            bits: results.iter().map(|(_, b)| *b).sum(),
-            seconds,
-            rx_backpressure_drops: 0,
-            per_shard: results.into_iter().map(|(r, _)| r).collect(),
-            egress: Some(scheduler.stats()),
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1375,39 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn single_dispatcher_mode_conserves_packets() {
-        let templates: Vec<Vec<u8>> =
-            [5u32, 40_000, 77_000].iter().map(|&r| reserved_packet(r)).collect();
-        let mut cfg = RuntimeConfig::new(3);
-        cfg.ring_capacity = 8;
-        cfg.rx_mode = RxMode::SingleDispatcher;
-        cfg.wait = WaitStrategy::YieldAfter(4);
-        let report = run_to_completion(
-            &cfg,
-            RuntimeMode::Sharded,
-            |_| hop_engine(),
-            &templates,
-            1_000,
-            NOW_NS,
-        );
-        assert_eq!(report.packets, 1_000);
-        let forwarded: u64 = report.per_shard.iter().map(|r| r.forwarded).sum();
-        assert_eq!(forwarded, 1_000);
-        // Tiny and zero-packet runs terminate cleanly too.
-        for total in [3, 0] {
-            let report = run_to_completion(
-                &cfg,
-                RuntimeMode::Sharded,
-                |_| hop_engine(),
-                &templates,
-                total,
-                NOW_NS,
-            );
-            assert_eq!(report.packets, total);
-        }
-    }
-
-    #[test]
     fn sequential_exec_matches_threaded_results() {
         let templates: Vec<Vec<u8>> =
             [9u32, 55_000, 91_000].iter().map(|&r| reserved_packet(r)).collect();
@@ -1451,93 +892,57 @@ mod tests {
     }
 
     #[test]
-    fn wait_strategies_all_complete() {
+    fn shallow_ring_run_completes() {
         let templates = vec![reserved_packet(42), reserved_packet(88_000)];
-        for wait in [WaitStrategy::BusyPoll, WaitStrategy::YieldAfter(0), WaitStrategy::Backoff] {
-            for rx_mode in [RxMode::MultiQueue, RxMode::SingleDispatcher] {
-                let mut cfg = RuntimeConfig::new(2);
-                cfg.ring_capacity = 4;
-                cfg.wait = wait;
-                cfg.rx_mode = rx_mode;
-                let report = run_to_completion(
-                    &cfg,
-                    RuntimeMode::Sharded,
-                    |_| hop_engine(),
-                    &templates,
-                    200,
-                    NOW_NS,
-                );
-                assert_eq!(report.packets, 200, "{wait:?}/{rx_mode:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn waiter_progresses_under_every_strategy() {
-        for strategy in [WaitStrategy::BusyPoll, WaitStrategy::YieldAfter(2), WaitStrategy::Backoff]
-        {
-            let mut w = Waiter::new(strategy);
-            for _ in 0..32 {
-                w.wait();
-            }
-            w.reset();
-            assert_eq!(w.misses, 0);
-            w.wait();
-        }
+        let mut cfg = RuntimeConfig::new(2);
+        cfg.ring_capacity = 4;
+        let report = run_to_completion(
+            &cfg,
+            RuntimeMode::Sharded,
+            |_| hop_engine(),
+            &templates,
+            200,
+            NOW_NS,
+        );
+        assert_eq!(report.packets, 200);
     }
 
     #[test]
     fn sharded_runtime_egress_reports_residence_times() {
         let templates: Vec<Vec<u8>> =
             [7u32, 33_000, 88_000].iter().map(|&r| reserved_packet(r)).collect();
-        for rx_mode in [RxMode::MultiQueue, RxMode::SingleDispatcher] {
-            let mut cfg = RuntimeConfig::new(3);
-            cfg.ring_capacity = 8;
-            cfg.egress = Some(EgressConfig::default());
-            cfg.rx_mode = rx_mode;
-            let report = run_to_completion(
-                &cfg,
-                RuntimeMode::Sharded,
-                |_| hop_engine(),
-                &templates,
-                1_000,
-                NOW_NS,
-            );
-            assert_eq!(report.packets, 1_000, "{rx_mode:?}");
-            let e = report.egress.expect("tx path enabled");
-            // Packet conservation through the tx path: everything
-            // processed either serialized or was a verdict drop.
-            assert_eq!(e.forwarded() + e.dropped, 1_000, "{rx_mode:?}");
-            // Valid reserved traffic rides the priority class exclusively.
-            assert_eq!(e.priority.pkts, 1_000, "{rx_mode:?}");
-            assert_eq!(e.best_effort.pkts, 0, "{rx_mode:?}");
-            assert!(e.priority.bytes > 0);
-            assert!(e.priority.residence_ns_sum >= e.priority.pkts, "residence accrues");
-            assert!(e.priority.residence_ns_max > 0);
-            // Tiny and zero-packet runs drain the tx path cleanly too.
-            let mut cfg2 = RuntimeConfig::new(2);
-            cfg2.egress = Some(EgressConfig::default());
-            cfg2.rx_mode = rx_mode;
-            let report = run_to_completion(
-                &cfg2,
-                RuntimeMode::Sharded,
-                |_| hop_engine(),
-                &templates,
-                3,
-                NOW_NS,
-            );
-            assert_eq!(report.packets, 3);
-            assert_eq!(report.egress.expect("enabled").forwarded(), 3);
-            let report = run_to_completion(
-                &cfg2,
-                RuntimeMode::Sharded,
-                |_| hop_engine(),
-                &templates,
-                0,
-                NOW_NS,
-            );
-            assert_eq!(report.egress.expect("enabled").forwarded(), 0);
-        }
+        let mut cfg = RuntimeConfig::new(3);
+        cfg.ring_capacity = 8;
+        cfg.egress = Some(EgressConfig::default());
+        let report = run_to_completion(
+            &cfg,
+            RuntimeMode::Sharded,
+            |_| hop_engine(),
+            &templates,
+            1_000,
+            NOW_NS,
+        );
+        assert_eq!(report.packets, 1_000);
+        let e = report.egress.expect("tx path enabled");
+        // Packet conservation through the tx path: everything
+        // processed either serialized or was a verdict drop.
+        assert_eq!(e.forwarded() + e.dropped, 1_000);
+        // Valid reserved traffic rides the priority class exclusively.
+        assert_eq!(e.priority.pkts, 1_000);
+        assert_eq!(e.best_effort.pkts, 0);
+        assert!(e.priority.bytes > 0);
+        assert!(e.priority.residence_ns_sum >= e.priority.pkts, "residence accrues");
+        assert!(e.priority.residence_ns_max > 0);
+        // Tiny and zero-packet runs drain the tx path cleanly too.
+        let mut cfg2 = RuntimeConfig::new(2);
+        cfg2.egress = Some(EgressConfig::default());
+        let report =
+            run_to_completion(&cfg2, RuntimeMode::Sharded, |_| hop_engine(), &templates, 3, NOW_NS);
+        assert_eq!(report.packets, 3);
+        assert_eq!(report.egress.expect("enabled").forwarded(), 3);
+        let report =
+            run_to_completion(&cfg2, RuntimeMode::Sharded, |_| hop_engine(), &templates, 0, NOW_NS);
+        assert_eq!(report.egress.expect("enabled").forwarded(), 0);
     }
 
     #[test]

@@ -142,9 +142,8 @@ impl ShardMap {
     }
 
     /// Producer-side RSS: partitions a template workload into per-shard
-    /// injection plans, the multi-queue runtime's replacement for a
-    /// dispatcher thread. Template `j` of `T` contributes exactly
-    /// `total_pkts / T` packets (+1 when `j < total_pkts % T`, the
+    /// injection plans, so no thread steers on the hot path. Template
+    /// `j` of `T` contributes exactly `total_pkts / T` packets (+1 when `j < total_pkts % T`, the
     /// largest-remainder rule a round-robin generator realizes), and
     /// lands whole on the shard [`ShardMap::shard_of`] assigns it —
     /// steering is per *flow*, and a template is one flow. Returns one

@@ -21,7 +21,7 @@
 use hummingbird_crypto::{ResInfo, SecretValue};
 use hummingbird_dataplane::{
     forge_path, run_to_completion, BackpressureConfig, BackpressurePolicy, BeaconHop, BorderRouter,
-    EgressConfig, RouterConfig, RuntimeConfig, RuntimeMode, RxMode, SourceGenerator,
+    EgressConfig, ExecMode, RouterConfig, RuntimeConfig, RuntimeMode, SourceGenerator,
     SourceReservation,
 };
 use hummingbird_wire::scion_mac::HopMacKey;
@@ -81,14 +81,14 @@ proptest! {
 
     /// Drop policy, with a wire slow enough and a queue small enough
     /// that both the watermark and the tail-drop bound actually trip:
-    /// conservation is exact at both stages, for any shard count, rx
-    /// layout, queue bound and offered load.
+    /// conservation is exact at both stages, for any shard count,
+    /// execution shape, queue bound and offered load.
     #[test]
     fn conservation_under_drop_policy(
         shards in 1usize..5,
         tx_queue_pkts in 2usize..24,
         pkts in 200u64..1200,
-        single_dispatcher in any::<bool>(),
+        exec in prop_oneof![Just(ExecMode::Threaded), Just(ExecMode::Sequential)],
         mbps in 20u64..200,
     ) {
         let mut cfg = RuntimeConfig::new(shards);
@@ -98,9 +98,7 @@ proptest! {
             high_watermark: (tx_queue_pkts * 3 / 4).max(1),
             policy: BackpressurePolicy::Drop,
         };
-        if single_dispatcher {
-            cfg.rx_mode = RxMode::SingleDispatcher;
-        }
+        cfg.exec = exec;
         let report = run_to_completion(
             &cfg, RuntimeMode::Sharded, engine, &templates(), pkts, EPOCH_NS,
         );

@@ -95,12 +95,9 @@ impl Link {
     }
 }
 
-/// What happens to packets arriving at a node.
-///
-/// (Migration note: `Router` used to hold a concrete
-/// `hummingbird_dataplane::BorderRouter`; it now holds any boxed
+/// What happens to packets arriving at a node. `Router` holds any boxed
 /// [`Datapath`] engine, so simulations can mix Hummingbird routers,
-/// gateways and baseline engines in one topology.)
+/// gateways and baseline engines in one topology.
 pub enum Node {
     /// An AS border router: verifies, polices and forwards by interface.
     Router {

@@ -10,16 +10,14 @@
 //! drops`, globally, per flow and per class — and reports any violation
 //! as a loud error string rather than a skewed statistic.
 
-use hummingbird_dataplane::{
-    Datapath, DropReason, LatencyHistogram, RouterConfig, ShardedRouter, WaitStrategy,
-};
+use hummingbird_dataplane::{Datapath, DropReason, LatencyHistogram, RouterConfig, ShardedRouter};
 use hummingbird_netsim::{EngineFamily, LinearTopology, LinkSpec};
 use hummingbird_wire::IsdAs;
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
 use crate::frame::{PayloadHeader, KIND_DATA, PAYLOAD_HDR_LEN};
-use crate::link::{AckSender, CreditedSender};
+use crate::link::{AckSender, CreditedSender, WaitStrategy};
 use crate::mix::TrafficMix;
 use crate::node::{NodeStats, Sink, SocketRouter, BEST_EFFORT, RESERVED};
 use crate::{now_unix_ms, now_unix_ns};

@@ -7,7 +7,7 @@
 //! them with [`hummingbird_wire::PacketView::new_checked`], drives them
 //! through any [`EngineFamily`](hummingbird_netsim::EngineFamily)
 //! datapath behind a [`ShardedRouter`](hummingbird_dataplane::ShardedRouter)
-//! (so the bench `--cores`/`--wait` knobs apply unchanged), and forwards
+//! (so the bench `--cores` knob applies unchanged), and forwards
 //! the mutated bytes to the next hop's socket. Links are credit-windowed
 //! ([`link`]) so kernel receive-buffer drops are structurally impossible
 //! and `sent = delivered + dropped` holds *exactly* — globally, per
@@ -29,7 +29,7 @@ pub mod node;
 
 pub use frame::{PayloadHeader, KIND_DATA, KIND_FIN, PAYLOAD_HDR_LEN};
 pub use harness::{run_chain, ChainSpec, ClassReport, RunReport, RESERVED_BW_KBPS};
-pub use link::{AckSender, CreditedSender};
+pub use link::{AckSender, CreditedSender, WaitStrategy};
 pub use mix::{FlowSpec, MixPlan, TrafficMix};
 pub use node::{NodeStats, Sink, SinkClass, SinkReport, SocketRouter, BEST_EFFORT, RESERVED};
 

@@ -15,26 +15,47 @@
 //!   sends the cumulative count back on a separate control socket (an
 //!   [`AckSender`], every `ack_every` frames and once more on FIN);
 //! * a sender that would exceed its window polls its control socket
-//!   under the runtime's [`WaitStrategy`] (`--wait` applies to the
-//!   socket path exactly as it does to the in-process rings) until
-//!   credit arrives — or errors out loudly after `timeout`, so a genuine
-//!   stall (a wedged node, an unexpected kernel drop) surfaces as a
-//!   failure instead of silent loss.
+//!   under its [`WaitStrategy`] (`--wait`) until credit arrives — or
+//!   errors out loudly after `timeout`, so a genuine stall (a wedged
+//!   node, an unexpected kernel drop) surfaces as a failure instead of
+//!   silent loss.
 //!
 //! Acks are cumulative *counts*, not sequence numbers, so they are
 //! idempotent and loss-tolerant: a later ack supersedes any number of
 //! lost earlier ones (and ack traffic is itself bounded by the data
 //! window, so the control sockets cannot overrun either).
 
-use hummingbird_dataplane::WaitStrategy;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use crate::frame::{KIND_DATA, KIND_FIN};
 
-/// Spin/yield/sleep helper implementing a [`WaitStrategy`] between
-/// nonblocking control-socket polls.
+/// How a [`CreditedSender`] waits between nonblocking control-socket
+/// polls while it is out of credit ([`ChainSpec::wait`], `--wait`): a
+/// spinning sender steals the timeslice the receiver it waits on needs
+/// when node threads outnumber hardware threads, a yielding one adds
+/// latency when they do not.
+///
+/// [`ChainSpec::wait`]: crate::ChainSpec::wait
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum WaitStrategy {
+    /// Spin (`spin_loop` hint) without ever yielding — lowest latency
+    /// when every node owns a dedicated hardware thread, pathological
+    /// when cores are shared.
+    BusyPoll,
+    /// Spin through the first `n` polls, then yield the timeslice on
+    /// every further one until credit arrives. `YieldAfter(0)` yields
+    /// immediately.
+    YieldAfter(u32),
+    /// Spin through 63 polls, yield through the next 192, then sleep
+    /// 50 µs per poll: short stalls stay on-core, long ones surrender
+    /// the core entirely. Needs no tuning parameter; the default.
+    #[default]
+    Backoff,
+}
+
+/// Spin/yield/sleep helper implementing a [`WaitStrategy`].
 struct Waiter {
     strategy: WaitStrategy,
     spins: u32,

@@ -7,7 +7,7 @@
 //! [`PacketView::new_checked`] (plus the declared-vs-actual length
 //! check), drive it through any [`Datapath`] — in practice a
 //! [`ShardedRouter`](hummingbird_dataplane::ShardedRouter) over the
-//! selected engine family, so `--cores`/`--wait` apply — and forward the
+//! selected engine family, so `--cores` applies — and forward the
 //! mutated bytes to the next hop's socket. Every datagram is accounted
 //! for: it is forwarded, counted as an engine drop against its flow, or
 //! counted as a parse drop. Nothing is lost silently, which is what

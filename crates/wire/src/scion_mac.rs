@@ -28,7 +28,7 @@ pub struct HopMacKey {
 
 impl std::fmt::Debug for HopMacKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("HopMacKey {{ .. }}")
+        f.write_str("HopMacKey { .. }")
     }
 }
 
@@ -91,6 +91,15 @@ mod tests {
             exp_time: 63,
             cons_ingress: 2,
             cons_egress: 5,
+        }
+    }
+
+    #[test]
+    fn debug_hides_the_key() {
+        let shown = format!("{:?}", HopMacKey::new([0xA7; 16]));
+        assert_eq!(shown, "HopMacKey { .. }");
+        for byte in ["a7", "A7", "167"] {
+            assert!(!shown.contains(byte), "{shown} leaks key byte {byte}");
         }
     }
 

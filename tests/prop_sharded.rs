@@ -13,17 +13,14 @@
 //!    exactly as a single engine would.
 //! 4. **Packet conservation** — the threaded runtime processes every
 //!    dispatched packet exactly once, in both clone and sharded modes.
-//! 5. **Multi-queue ≡ dispatcher ≡ single** — the per-shard rx-queue
-//!    layout conserves packets and produces the same aggregate verdict
-//!    counts as the legacy single-dispatcher layout and as one shard,
-//!    for every shard count and wait strategy.
+//! 5. **Multi-queue ≡ single** — the per-shard rx queues conserve
+//!    packets and produce the same aggregate verdict counts as one
+//!    shard, for every shard count.
 //! 6. **Runtime determinism** — two runs with one configuration are
-//!    bit-identical per shard, and the wait strategy never changes the
-//!    results, with the tx path off or on.
+//!    bit-identical per shard, with the tx path off or on.
 
 use hummingbird::dataplane::runtime::{
-    run_to_completion, RuntimeConfig, RuntimeMode, RxMode, ShardMap, ShardedRouter, Steering,
-    WaitStrategy,
+    run_to_completion, RuntimeConfig, RuntimeMode, ShardMap, ShardedRouter, Steering,
 };
 use hummingbird::dataplane::{
     forge_path, BeaconHop, Datapath, DatapathBuilder, PacketBuf, RouterConfig, SourceGenerator,
@@ -584,13 +581,9 @@ fn threaded_tx_path_is_deterministic_for_a_pinned_flow() {
     assert_eq!(ea.dropped, eb.dropped);
 }
 
-/// All three wait strategies, for every test below.
-const WAITS: [WaitStrategy; 3] =
-    [WaitStrategy::BusyPoll, WaitStrategy::YieldAfter(4), WaitStrategy::Backoff];
-
 /// Order-free aggregate verdict counts of a run (key-cache hits are
-/// excluded: they depend on per-engine interleaving, which legitimately
-/// differs between rx layouts).
+/// excluded: they depend on how flows interleave on an engine, which
+/// legitimately differs between shard counts).
 fn verdict_totals(report: &hummingbird::dataplane::RuntimeReport) -> [u64; 5] {
     let f = |get: fn(&hummingbird::dataplane::ShardReport) -> u64| {
         report.per_shard.iter().map(get).sum()
@@ -604,56 +597,49 @@ fn verdict_totals(report: &hummingbird::dataplane::RuntimeReport) -> [u64; 5] {
     ]
 }
 
-/// Multi-queue ≡ dispatcher ≡ single: both rx layouts conserve packets
-/// at every shard count, and their aggregate verdict counts match each
-/// other and the single-shard run — the per-shard rx queues are a pure
-/// transport change, invisible to what the router decides.
+/// Multi-queue ≡ single: the run conserves packets at every shard
+/// count, and its aggregate verdict counts match the single-shard run —
+/// the per-shard rx queues are a pure transport change, invisible to
+/// what the router decides.
 #[test]
 fn multi_queue_matches_dispatcher_and_single_shard() {
     let templates: Vec<Vec<u8>> =
         RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
     let total = 2_000u64;
     let mut baseline: Option<[u64; 5]> = None;
-    for rx in [RxMode::MultiQueue, RxMode::SingleDispatcher] {
-        for shards in [1usize, 2, 4] {
-            let mut cfg = RuntimeConfig::new(shards);
-            cfg.ring_capacity = 16;
-            cfg.rx_mode = rx;
-            let report = run_to_completion(
-                &cfg,
-                RuntimeMode::Sharded,
-                |_| make_engine(false),
-                &templates,
-                total,
-                NOW_NS,
-            );
-            let label = format!("{rx:?}/{shards}");
-            assert_eq!(report.packets, total, "{label}");
-            let processed: u64 = report.per_shard.iter().map(|r| r.processed).sum();
-            assert_eq!(processed, total, "{label}: conservation");
-            let totals = verdict_totals(&report);
-            match &baseline {
-                None => baseline = Some(totals),
-                Some(b) => assert_eq!(&totals, b, "{label}: verdicts diverged from baseline"),
-            }
+    for shards in [1usize, 2, 4] {
+        let mut cfg = RuntimeConfig::new(shards);
+        cfg.ring_capacity = 16;
+        let report = run_to_completion(
+            &cfg,
+            RuntimeMode::Sharded,
+            |_| make_engine(false),
+            &templates,
+            total,
+            NOW_NS,
+        );
+        assert_eq!(report.packets, total, "{shards}");
+        let processed: u64 = report.per_shard.iter().map(|r| r.processed).sum();
+        assert_eq!(processed, total, "{shards}: conservation");
+        let totals = verdict_totals(&report);
+        match &baseline {
+            None => baseline = Some(totals),
+            Some(b) => assert_eq!(&totals, b, "{shards}: verdicts diverged from baseline"),
         }
     }
 }
 
-/// Runtime determinism: for every shard count × wait strategy, two runs
-/// produce bit-identical per-shard reports, and the reports are also
-/// identical *across* wait strategies — how a worker waits must never
-/// change what it computes.
+/// Runtime determinism: for every shard count, two runs produce
+/// bit-identical per-shard reports.
 #[test]
-fn multi_queue_is_bit_identical_across_wait_strategies() {
+fn multi_queue_runs_are_bit_identical() {
     let templates: Vec<Vec<u8>> =
         RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
     let total = 1_500u64;
     for shards in [1usize, 2, 4] {
-        let run = |wait: WaitStrategy| {
+        let run = || {
             let mut cfg = RuntimeConfig::new(shards);
             cfg.ring_capacity = 16;
-            cfg.wait = wait;
             run_to_completion(
                 &cfg,
                 RuntimeMode::Sharded,
@@ -663,30 +649,24 @@ fn multi_queue_is_bit_identical_across_wait_strategies() {
                 NOW_NS,
             )
         };
-        let reference = run(WAITS[0]);
-        for wait in WAITS {
-            let (a, b) = (run(wait), run(wait));
-            for (x, y) in [(&a, &b), (&a, &reference)] {
-                assert_eq!(x.packets, y.packets, "{shards}/{wait:?}");
-                assert_eq!(x.bits, y.bits, "{shards}/{wait:?}");
-                for (i, (sx, sy)) in x.per_shard.iter().zip(y.per_shard.iter()).enumerate() {
-                    assert_eq!(sx.processed, sy.processed, "{shards}/{wait:?}: shard {i}");
-                    assert_eq!(sx.forwarded, sy.forwarded, "{shards}/{wait:?}: shard {i}");
-                    assert_eq!(sx.dropped, sy.dropped, "{shards}/{wait:?}: shard {i}");
-                    assert_eq!(sx.stats, sy.stats, "{shards}/{wait:?}: shard {i}");
-                }
-            }
+        let (x, y) = (run(), run());
+        assert_eq!(x.packets, y.packets, "{shards}");
+        assert_eq!(x.bits, y.bits, "{shards}");
+        for (i, (sx, sy)) in x.per_shard.iter().zip(y.per_shard.iter()).enumerate() {
+            assert_eq!(sx.processed, sy.processed, "{shards}: shard {i}");
+            assert_eq!(sx.forwarded, sy.forwarded, "{shards}: shard {i}");
+            assert_eq!(sx.dropped, sy.dropped, "{shards}: shard {i}");
+            assert_eq!(sx.stats, sy.stats, "{shards}: shard {i}");
         }
     }
 }
 
-/// The worker-drained tx path conserves packets under every wait
-/// strategy: each worker serializes its own egress through its shard's
-/// TxScheduler (no dispatcher round-trip), the per-shard sequence
-/// numbers prove nothing leaked or reordered, and the merged class
-/// totals balance.
+/// The worker-drained tx path conserves packets: each worker serializes
+/// its own egress through its shard's TxScheduler, the per-shard
+/// sequence numbers prove nothing leaked or reordered, and the merged
+/// class totals balance.
 #[test]
-fn multi_queue_tx_path_conserves_under_every_wait_strategy() {
+fn multi_queue_tx_path_conserves() {
     use hummingbird::dataplane::EgressConfig;
     let templates: Vec<Vec<u8>> = RES_IDS
         .iter()
@@ -694,27 +674,23 @@ fn multi_queue_tx_path_conserves_under_every_wait_strategy() {
         .collect();
     let total = 1_500u64;
     for shards in [1usize, 2, 4] {
-        for wait in WAITS {
-            let mut cfg = RuntimeConfig::new(shards);
-            cfg.ring_capacity = 16;
-            cfg.wait = wait;
-            cfg.egress = Some(EgressConfig::default());
-            let report = run_to_completion(
-                &cfg,
-                RuntimeMode::Sharded,
-                |_| make_engine(false),
-                &templates,
-                total,
-                NOW_NS,
-            );
-            let label = format!("{shards}/{wait:?}");
-            assert_eq!(report.packets, total, "{label}");
-            let e = report.egress.expect("tx path enabled");
-            assert_eq!(e.forwarded() + e.dropped, total, "{label}: tx conserves");
-            assert_eq!(e.priority.pkts, total, "{label}: valid reserved → all priority");
-            assert_eq!(e.dropped, 0, "{label}");
-            let forwarded: u64 = report.per_shard.iter().map(|r| r.forwarded).sum();
-            assert_eq!(forwarded, e.forwarded(), "{label}: worker tallies agree");
-        }
+        let mut cfg = RuntimeConfig::new(shards);
+        cfg.ring_capacity = 16;
+        cfg.egress = Some(EgressConfig::default());
+        let report = run_to_completion(
+            &cfg,
+            RuntimeMode::Sharded,
+            |_| make_engine(false),
+            &templates,
+            total,
+            NOW_NS,
+        );
+        assert_eq!(report.packets, total, "{shards}");
+        let e = report.egress.expect("tx path enabled");
+        assert_eq!(e.forwarded() + e.dropped, total, "{shards}: tx conserves");
+        assert_eq!(e.priority.pkts, total, "{shards}: valid reserved → all priority");
+        assert_eq!(e.dropped, 0, "{shards}");
+        let forwarded: u64 = report.per_shard.iter().map(|r| r.forwarded).sum();
+        assert_eq!(forwarded, e.forwarded(), "{shards}: worker tallies agree");
     }
 }
