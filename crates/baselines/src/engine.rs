@@ -1,5 +1,5 @@
-//! Per-packet [`Datapath`] engines for the baseline systems, so the
-//! simulator, testbed and every benchmark binary can sweep
+//! Per-packet [`Datapath`] engines for the Helia and DRKey baselines, so
+//! the simulator, testbed and every benchmark binary can sweep
 //! Hummingbird vs Helia vs DRKey through one interface.
 //!
 //! Both engines reuse the border-router pipeline stages of
@@ -15,21 +15,18 @@
 //!   only** (PISKES-style `K_{A→B:H}` host keys): no reservations, no
 //!   priority class, every authenticated packet rides best effort.
 //!
-//! The matching senders ([`HeliaSender`], [`DrKeySender`]) stamp packets
-//! the corresponding engine verifies, mirroring
-//! `hummingbird_dataplane::SourceGenerator`.
+//! Packets either engine verifies are stamped by a plain
+//! `hummingbird_dataplane::SourceGenerator` carrying the family's
+//! [`EngineFamily::credential`](crate::EngineFamily::credential).
 
-use crate::drkey::{epoch_of, DrKeySecret, EPOCH_SECS};
+use crate::drkey::{epoch_of, DrKeySecret};
 use crate::helia::{slot_key, slot_of, SLOT_SECS};
 use hummingbird_crypto::aes::Aes128;
-use hummingbird_crypto::{AuthKey, AuthKeyCache, ResInfo};
+use hummingbird_crypto::{AuthKey, AuthKeyCache};
 use hummingbird_dataplane::router::{stages, RouterConfig, DEFAULT_AUTH_KEY_CACHE_SLOTS};
-use hummingbird_dataplane::{
-    Datapath, DatapathStats, GenError, Policer, SourceGenerator, SourceReservation, Verdict,
-};
-use hummingbird_wire::path::HummingbirdPath;
+use hummingbird_dataplane::{Datapath, DatapathStats, Policer, Verdict};
 use hummingbird_wire::scion_mac::HopMacKey;
-use hummingbird_wire::{bwcls, IsdAs};
+use hummingbird_wire::IsdAs;
 
 /// The per-packet Helia authenticator key: the per-slot grant key
 /// (`slot_key`) further bound to the AS-assigned monitor index and
@@ -84,41 +81,6 @@ impl HeliaDatapath {
             cfg,
             stats: DatapathStats::default(),
         }
-    }
-
-    /// The per-packet key this engine would accept for `source_as` on
-    /// `slot` — what the AS's grant service hands to a source-AS gateway.
-    pub fn packet_key(
-        &self,
-        source_as: IsdAs,
-        slot: u64,
-        res_id: u32,
-        bw_encoded: u16,
-    ) -> [u8; 16] {
-        helia_packet_key(&self.drkey_master, source_as, slot, res_id, bw_encoded)
-    }
-
-    /// Issues a grant a [`HeliaSender`] can attach: the AS picks the
-    /// monitor index and the bandwidth (the source has no say) and binds
-    /// both into the key. Returns `None` for unencodable bandwidths.
-    pub fn issue_grant(
-        &self,
-        source_as: IsdAs,
-        slot: u64,
-        res_id: u32,
-        bandwidth_kbps: u64,
-        ingress: u16,
-        egress: u16,
-    ) -> Option<HeliaHopGrant> {
-        let bw_encoded = bwcls::encode_floor(bandwidth_kbps)?;
-        Some(HeliaHopGrant {
-            ingress,
-            egress,
-            res_id,
-            bw_encoded,
-            slot,
-            key: self.packet_key(source_as, slot, res_id, bw_encoded),
-        })
     }
 
     /// Runs the shared [`stages::run_pipeline`] driver with Helia's key
@@ -187,57 +149,6 @@ impl Datapath for HeliaDatapath {
     }
 }
 
-/// A Helia grant as attached to one hop of a sender's path — everything
-/// in it (index, bandwidth, slot, key) is AS-chosen; the source only
-/// carries it.
-#[derive(Clone, Copy, Debug)]
-pub struct HeliaHopGrant {
-    /// Construction-direction ingress of the hop.
-    pub ingress: u16,
-    /// Construction-direction egress of the hop.
-    pub egress: u16,
-    /// AS-assigned monitor index (the policing slot).
-    pub res_id: u32,
-    /// AS-assigned bandwidth class (10-bit codec).
-    pub bw_encoded: u16,
-    /// The slot the grant covers.
-    pub slot: u64,
-    /// The per-packet authenticator key the AS's grant service issued
-    /// ([`helia_packet_key`]).
-    pub key: [u8; 16],
-}
-
-/// A source stamping Helia-authenticated packets over a beaconed path.
-pub struct HeliaSender {
-    generator: SourceGenerator,
-}
-
-impl HeliaSender {
-    /// Creates a sender; `src` must be the AS the grants were issued to.
-    pub fn new(src: IsdAs, dst: IsdAs, path: HummingbirdPath) -> Self {
-        HeliaSender { generator: SourceGenerator::new(src, dst, path) }
-    }
-
-    /// Attaches a grant on hop `index`.
-    pub fn attach_grant(&mut self, index: usize, grant: &HeliaHopGrant) -> Result<(), GenError> {
-        let res_info = ResInfo {
-            ingress: grant.ingress,
-            egress: grant.egress,
-            res_id: grant.res_id,
-            bw_encoded: grant.bw_encoded,
-            res_start: (grant.slot * SLOT_SECS) as u32,
-            duration: SLOT_SECS as u16,
-        };
-        self.generator
-            .attach_reservation(index, SourceReservation { res_info, key: AuthKey::new(grant.key) })
-    }
-
-    /// Generates one stamped packet.
-    pub fn generate(&mut self, payload: &[u8], now_ms: u64) -> Result<Vec<u8>, GenError> {
-        self.generator.generate(payload, now_ms)
-    }
-}
-
 /// Derives (and memoizes) the DRKey epoch secret — shared by the engines'
 /// hot paths (DRKey here, EPIC in [`crate::epic`]) and the key-service
 /// helpers.
@@ -285,13 +196,6 @@ impl DrKeyDatapath {
             host_key_cache: AuthKeyCache::new(DEFAULT_AUTH_KEY_CACHE_SLOTS as usize),
             stats: DatapathStats::default(),
         }
-    }
-
-    /// The host key this engine accepts for `(src, host)` at `now_s` —
-    /// what the AS's key service would hand out.
-    pub fn host_key(&mut self, src: IsdAs, host: [u8; 4], now_s: u64) -> [u8; 16] {
-        cached_epoch_secret(&mut self.epoch_secret, &self.drkey_master, epoch_of(now_s))
-            .as_to_host(src, host)
     }
 
     /// Runs the shared [`stages::run_pipeline`] driver with the DRKey
@@ -348,81 +252,23 @@ impl Datapath for DrKeyDatapath {
     }
 }
 
-/// A source stamping DRKey host-authenticated packets.
-pub struct DrKeySender {
-    generator: SourceGenerator,
-}
-
-impl DrKeySender {
-    /// Creates a sender for `(src, src_host)` — the host address must
-    /// match what the sender's packets carry, since the verifying AS
-    /// derives the key from the address header.
-    pub fn new(src: IsdAs, dst: IsdAs, path: HummingbirdPath) -> Self {
-        DrKeySender { generator: SourceGenerator::new(src, dst, path) }
-    }
-
-    /// Attaches the host key for hop `index` (obtained from that AS's key
-    /// service, e.g. [`DrKeyDatapath::host_key`]) valid at `now_s`.
-    pub fn attach_host_key(
-        &mut self,
-        index: usize,
-        ingress: u16,
-        egress: u16,
-        key: [u8; 16],
-        now_s: u64,
-    ) -> Result<(), GenError> {
-        let epoch = epoch_of(now_s);
-        let res_info = ResInfo {
-            ingress,
-            egress,
-            res_id: 0,
-            bw_encoded: 0,
-            res_start: (epoch * EPOCH_SECS) as u32,
-            duration: u16::MAX, // epoch length exceeds the u16 field; unused
-        };
-        self.generator
-            .attach_reservation(index, SourceReservation { res_info, key: AuthKey::new(key) })
-    }
-
-    /// Generates one stamped packet.
-    pub fn generate(&mut self, payload: &[u8], now_ms: u64) -> Result<Vec<u8>, GenError> {
-        self.generator.generate(payload, now_ms)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hummingbird_dataplane::{forge_path, BeaconHop, DropReason};
+    use crate::testutil::{generator, hop_key, sender, sv, MASTER, NOW_MS, NOW_NS, NOW_S};
+    use crate::EngineFamily::{Drkey, Helia};
+    use hummingbird_dataplane::DropReason;
 
-    const NOW_S: u64 = 1_700_000_100;
-    const NOW_MS: u64 = NOW_S * 1000;
-    const NOW_NS: u64 = NOW_S * 1_000_000_000;
-
-    fn two_hop_fixture() -> (HummingbirdPath, Vec<HopMacKey>) {
-        let hop_keys: Vec<HopMacKey> =
-            (0..2).map(|i| HopMacKey::new([0x41 + i as u8; 16])).collect();
-        let hops: Vec<BeaconHop> = (0..2)
-            .map(|i| BeaconHop {
-                key: hop_keys[i].clone(),
-                cons_ingress: if i == 0 { 0 } else { 2 },
-                cons_egress: if i == 1 { 0 } else { 1 },
-            })
-            .collect();
-        (forge_path(&hops, NOW_S as u32 - 100, 0x7777), hop_keys)
+    fn helia_engine() -> HeliaDatapath {
+        HeliaDatapath::new(MASTER, hop_key(), RouterConfig::default())
     }
 
     #[test]
     fn helia_roundtrip_verifies_and_prioritizes() {
-        let (path, hop_keys) = two_hop_fixture();
         let src = IsdAs::new(3, 0x30);
-        let engine_src =
-            HeliaDatapath::new([0x99; 16], hop_keys[0].clone(), RouterConfig::default());
-        let grant = engine_src.issue_grant(src, slot_of(NOW_S), 7, 100_000, 0, 1).unwrap();
-        let mut sender = HeliaSender::new(src, IsdAs::new(2, 0x20), path);
-        sender.attach_grant(0, &grant).unwrap();
-        let mut pkt = sender.generate(&[0u8; 300], NOW_MS).unwrap();
-        let mut engine = engine_src;
+        let mut pkt =
+            sender(Helia, &MASTER, src, 7, 100_000, NOW_S).generate(&[0u8; 300], NOW_MS).unwrap();
+        let mut engine = helia_engine();
         let v = engine.process(&mut pkt, NOW_NS);
         assert!(v.is_flyover(), "{v:?}");
         assert_eq!(engine.stats().flyover, 1);
@@ -430,26 +276,20 @@ mod tests {
 
     #[test]
     fn helia_rejects_wrong_master_and_stale_slots() {
-        let (path, hop_keys) = two_hop_fixture();
         let src = IsdAs::new(3, 0x30);
-        let slot = slot_of(NOW_S);
-        let mut engine =
-            HeliaDatapath::new([0x99; 16], hop_keys[0].clone(), RouterConfig::default());
+        let mut engine = helia_engine();
 
         // Grant issued by a *different* AS (wrong master): drops.
-        let rogue = HeliaDatapath::new([0xAB; 16], hop_keys[0].clone(), RouterConfig::default());
-        let forged_grant = rogue.issue_grant(src, slot, 7, 100_000, 0, 1).unwrap();
-        let mut sender = HeliaSender::new(src, IsdAs::new(2, 0x20), path.clone());
-        sender.attach_grant(0, &forged_grant).unwrap();
-        let mut forged = sender.generate(&[0u8; 64], NOW_MS).unwrap();
+        let mut forged = sender(Helia, &[0xAB; 16], src, 7, 100_000, NOW_S)
+            .generate(&[0u8; 64], NOW_MS)
+            .unwrap();
         assert_eq!(engine.process(&mut forged, NOW_NS), Verdict::Drop(DropReason::BadMac));
 
         // Right master but a past slot: demoted, never prioritized (Helia
         // cannot reserve outside the current slot).
-        let stale_grant = engine.issue_grant(src, slot - 2, 7, 100_000, 0, 1).unwrap();
-        let mut sender = HeliaSender::new(src, IsdAs::new(2, 0x20), path);
-        sender.attach_grant(0, &stale_grant).unwrap();
-        let mut stale = sender.generate(&[0u8; 64], NOW_MS).unwrap();
+        let mut stale = sender(Helia, &MASTER, src, 7, 100_000, NOW_S - 2 * SLOT_SECS)
+            .generate(&[0u8; 64], NOW_MS)
+            .unwrap();
         let v = engine.process(&mut stale, NOW_NS);
         assert!(matches!(v, Verdict::BestEffort { .. }), "{v:?}");
         assert_eq!(engine.stats().demoted_untimely, 1);
@@ -457,15 +297,9 @@ mod tests {
 
     #[test]
     fn helia_polices_the_as_assigned_share() {
-        let (path, hop_keys) = two_hop_fixture();
-        let src = IsdAs::new(3, 0x30);
-        let engine_src =
-            HeliaDatapath::new([0x77; 16], hop_keys[0].clone(), RouterConfig::default());
         // 240 kbps: one 1500 B packet fills the 50 ms burst budget.
-        let grant = engine_src.issue_grant(src, slot_of(NOW_S), 3, 240, 0, 1).unwrap();
-        let mut sender = HeliaSender::new(src, IsdAs::new(2, 0x20), path);
-        sender.attach_grant(0, &grant).unwrap();
-        let mut engine = engine_src;
+        let mut sender = sender(Helia, &MASTER, IsdAs::new(3, 0x30), 3, 240, NOW_S);
+        let mut engine = helia_engine();
         let mut flyover = 0;
         let mut demoted = 0;
         for _ in 0..20 {
@@ -482,22 +316,22 @@ mod tests {
 
     #[test]
     fn drkey_authenticates_sources_without_priority() {
-        let (path, hop_keys) = two_hop_fixture();
         let src = IsdAs::new(4, 0x44);
-        let mut engine = DrKeyDatapath::new([0x55; 16], hop_keys[0].clone());
-        // SourceGenerator stamps src_host = 0.0.0.1 (the builder default).
-        let key = engine.host_key(src, [0, 0, 0, 1], NOW_S);
-        let mut sender = DrKeySender::new(src, IsdAs::new(2, 0x20), path);
-        sender.attach_host_key(0, 0, 1, key, NOW_S).unwrap();
-        let mut pkt = sender.generate(&[0u8; 200], NOW_MS).unwrap();
+        let mut engine = DrKeyDatapath::new(MASTER, hop_key());
+        // The table keys the credential to src_host = 0.0.0.1, the host
+        // address SourceGenerator stamps.
+        let mut pkt =
+            sender(Drkey, &MASTER, src, 0, 0, NOW_S).generate(&[0u8; 200], NOW_MS).unwrap();
         let v = engine.process(&mut pkt, NOW_NS);
         assert!(matches!(v, Verdict::BestEffort { .. }), "no priority class: {v:?}");
 
         // A different host's key does not verify.
-        let other_key = engine.host_key(src, [9, 9, 9, 9], NOW_S);
-        let mut sender = DrKeySender::new(src, IsdAs::new(2, 0x20), two_hop_fixture().0);
-        sender.attach_host_key(0, 0, 1, other_key, NOW_S).unwrap();
-        let mut forged = sender.generate(&[0u8; 200], NOW_MS).unwrap();
+        let secret = DrKeySecret::derive(&MASTER, epoch_of(NOW_S));
+        let mut credential = Drkey.credential(&sv(), &MASTER, 0, 1, &mut 0, src, 0, NOW_S);
+        credential.key = AuthKey::new(secret.as_to_host(src, [9, 9, 9, 9]));
+        let mut other = generator(src);
+        other.attach_reservation(0, credential).unwrap();
+        let mut forged = other.generate(&[0u8; 200], NOW_MS).unwrap();
         assert_eq!(engine.process(&mut forged, NOW_NS), Verdict::Drop(DropReason::BadMac));
     }
 }

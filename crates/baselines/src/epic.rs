@@ -41,19 +41,17 @@
 //! router, so the fig5/table3 comparisons measure the *designs*, not the
 //! harness.
 
-use crate::drkey::{epoch_of, DrKeySecret, EPOCH_SECS};
+use crate::drkey::{epoch_of, DrKeySecret};
 use crate::engine::cached_epoch_secret;
 use hummingbird_crypto::aes::Aes128;
 use hummingbird_crypto::{
-    flyover_tags_batch_with, AuthKey, AuthKeyCache, BurstKeyResolver, FlyoverMacInput, ResInfo, Tag,
+    flyover_tags_batch_with, AuthKey, AuthKeyCache, BurstKeyResolver, FlyoverMacInput, Tag,
 };
 use hummingbird_dataplane::dup::DuplicateSuppressor;
 use hummingbird_dataplane::router::{stages, RouterConfig};
 use hummingbird_dataplane::{
-    Datapath, DatapathBuilder, DatapathStats, DropReason, GenError, PacketBuf, SourceGenerator,
-    SourceReservation, Verdict,
+    Datapath, DatapathBuilder, DatapathStats, DropReason, PacketBuf, Verdict,
 };
-use hummingbird_wire::path::HummingbirdPath;
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
 
@@ -137,14 +135,6 @@ impl EpicDatapath {
             stats: DatapathStats::default(),
             batch: EpicBatchScratch::default(),
         }
-    }
-
-    /// The authenticator key this engine accepts for `(src, host)` at
-    /// `now_s` — what the AS's key service hands an [`EpicSender`].
-    pub fn auth_key(&mut self, src: IsdAs, host: [u8; 4], now_s: u64) -> [u8; 16] {
-        let secret =
-            cached_epoch_secret(&mut self.epoch_secret, &self.drkey_master, epoch_of(now_s));
-        epic_auth_key(secret, src, host)
     }
 
     /// Stages 1-7 with EPIC's rules: key derivation through the
@@ -332,100 +322,36 @@ impl Datapath for EpicDatapath {
     }
 }
 
-/// A source stamping EPIC-authenticated packets: one per-packet MAC per
-/// on-path AS, under that AS's [`epic_auth_key`] for this source.
-pub struct EpicSender {
-    generator: SourceGenerator,
-}
-
-impl EpicSender {
-    /// Creates a sender for `(src, dst)` over a beaconed `path`. The
-    /// source host is the generator's stamped host address (0.0.0.1),
-    /// which the verifying ASes read back out of the address header.
-    pub fn new(src: IsdAs, dst: IsdAs, path: HummingbirdPath) -> Self {
-        EpicSender { generator: SourceGenerator::new(src, dst, path) }
-    }
-
-    /// Attaches AS `index`'s authenticator key (obtained from that AS's
-    /// key service, e.g. [`EpicDatapath::auth_key`]) valid at `now_s`.
-    ///
-    /// EPIC carries no reservation, so the wire fields are the null
-    /// grant: ResID 0, bandwidth class 0, and a validity window covering
-    /// the DRKey epoch.
-    pub fn attach_auth_key(
-        &mut self,
-        index: usize,
-        ingress: u16,
-        egress: u16,
-        key: [u8; 16],
-        now_s: u64,
-    ) -> Result<(), GenError> {
-        let epoch = epoch_of(now_s);
-        let res_info = ResInfo {
-            ingress,
-            egress,
-            res_id: 0,
-            bw_encoded: 0,
-            res_start: (epoch * EPOCH_SECS) as u32,
-            duration: u16::MAX, // covers the 6 h epoch
-        };
-        self.generator
-            .attach_reservation(index, SourceReservation { res_info, key: AuthKey::new(key) })
-    }
-
-    /// Generates one stamped packet.
-    pub fn generate(&mut self, payload: &[u8], now_ms: u64) -> Result<Vec<u8>, GenError> {
-        self.generator.generate(payload, now_ms)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hummingbird_dataplane::{forge_path, BeaconHop};
+    use crate::testutil::{generator, hop_key, sender, sv, MASTER, NOW_MS, NOW_NS, NOW_S};
+    use crate::EngineFamily::Epic;
 
-    const NOW_S: u64 = 1_700_000_100;
-    const NOW_MS: u64 = NOW_S * 1000;
-    const NOW_NS: u64 = NOW_S * 1_000_000_000;
-
-    fn two_hop_fixture() -> (HummingbirdPath, Vec<HopMacKey>) {
-        let hop_keys: Vec<HopMacKey> =
-            (0..2).map(|i| HopMacKey::new([0x41 + i as u8; 16])).collect();
-        let hops: Vec<BeaconHop> = (0..2)
-            .map(|i| BeaconHop {
-                key: hop_keys[i].clone(),
-                cons_ingress: if i == 0 { 0 } else { 2 },
-                cons_egress: if i == 1 { 0 } else { 1 },
-            })
-            .collect();
-        (forge_path(&hops, NOW_S as u32 - 100, 0x7777), hop_keys)
+    fn engine(cfg: RouterConfig) -> EpicDatapath {
+        EpicDatapath::new(MASTER, hop_key(), cfg)
     }
 
-    fn stamped(engine: &mut EpicDatapath, src: IsdAs, at_ms: u64) -> Vec<u8> {
-        let (path, _) = two_hop_fixture();
-        let key = engine.auth_key(src, [0, 0, 0, 1], NOW_S);
-        let mut sender = EpicSender::new(src, IsdAs::new(2, 0x20), path);
-        sender.attach_auth_key(0, 0, 1, key, NOW_S).unwrap();
-        sender.generate(&[0u8; 300], at_ms).unwrap()
+    fn stamped(src: IsdAs, at_ms: u64) -> Vec<u8> {
+        sender(Epic, &MASTER, src, 0, 0, NOW_S).generate(&[0u8; 300], at_ms).unwrap()
     }
 
     #[test]
     fn epic_validates_sources_without_priority() {
-        let (_, hop_keys) = two_hop_fixture();
         let src = IsdAs::new(4, 0x44);
-        let mut engine =
-            EpicDatapath::new([0x77; 16], hop_keys[0].clone(), RouterConfig::default());
-        let mut pkt = stamped(&mut engine, src, NOW_MS);
+        let mut engine = engine(RouterConfig::default());
+        let mut pkt = stamped(src, NOW_MS);
         let v = engine.process(&mut pkt, NOW_NS);
         assert!(matches!(v, Verdict::BestEffort { .. }), "no priority class: {v:?}");
         assert_eq!(engine.stats().best_effort, 1);
 
         // A different host's key does not verify (source binding).
-        let (path, _) = two_hop_fixture();
-        let other_key = engine.auth_key(src, [9, 9, 9, 9], NOW_S);
-        let mut sender = EpicSender::new(src, IsdAs::new(2, 0x20), path);
-        sender.attach_auth_key(0, 0, 1, other_key, NOW_S).unwrap();
-        let mut forged = sender.generate(&[0u8; 300], NOW_MS).unwrap();
+        let secret = DrKeySecret::derive(&MASTER, epoch_of(NOW_S));
+        let mut credential = Epic.credential(&sv(), &MASTER, 0, 1, &mut 0, src, 0, NOW_S);
+        credential.key = AuthKey::new(epic_auth_key(&secret, src, [9, 9, 9, 9]));
+        let mut other = generator(src);
+        other.attach_reservation(0, credential).unwrap();
+        let mut forged = other.generate(&[0u8; 300], NOW_MS).unwrap();
         assert_eq!(engine.process(&mut forged, NOW_NS), Verdict::Drop(DropReason::BadMac));
     }
 
@@ -442,10 +368,8 @@ mod tests {
 
     #[test]
     fn stale_packets_are_dropped_not_demoted() {
-        let (_, hop_keys) = two_hop_fixture();
-        let mut engine =
-            EpicDatapath::new([0x77; 16], hop_keys[0].clone(), RouterConfig::default());
-        let mut pkt = stamped(&mut engine, IsdAs::new(4, 0x44), NOW_MS);
+        let mut engine = engine(RouterConfig::default());
+        let mut pkt = stamped(IsdAs::new(4, 0x44), NOW_MS);
         // Validate 10 s late: outside [−δ, Δ+δ] — rejected outright.
         let v = engine.process(&mut pkt, NOW_NS + 10_000_000_000);
         assert_eq!(v, Verdict::Drop(DropReason::Untimely));
@@ -453,10 +377,9 @@ mod tests {
 
     #[test]
     fn replay_suppression_covers_the_window() {
-        let (_, hop_keys) = two_hop_fixture();
         let cfg = RouterConfig { duplicate_suppression: true, ..Default::default() };
-        let mut engine = EpicDatapath::new([0x77; 16], hop_keys[0].clone(), cfg);
-        let pkt = stamped(&mut engine, IsdAs::new(4, 0x44), NOW_MS);
+        let mut engine = engine(cfg);
+        let pkt = stamped(IsdAs::new(4, 0x44), NOW_MS);
         let mut first = pkt.clone();
         let mut replay = pkt;
         assert!(matches!(engine.process(&mut first, NOW_NS), Verdict::BestEffort { .. }));
@@ -468,11 +391,9 @@ mod tests {
 
     #[test]
     fn key_cache_expands_once_per_source_epoch() {
-        let (_, hop_keys) = two_hop_fixture();
-        let mut engine =
-            EpicDatapath::new([0x77; 16], hop_keys[0].clone(), RouterConfig::default());
+        let mut engine = engine(RouterConfig::default());
         for i in 0..5u64 {
-            let mut pkt = stamped(&mut engine, IsdAs::new(4, 0x44), NOW_MS + i);
+            let mut pkt = stamped(IsdAs::new(4, 0x44), NOW_MS + i);
             assert!(engine.process(&mut pkt, NOW_NS).egress().is_some());
         }
         let stats = engine.stats();

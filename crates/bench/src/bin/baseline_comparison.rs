@@ -103,10 +103,17 @@ fn main() {
     for kind in EngineKind::ALL {
         let pkt = fx.engine_packet(kind, 500);
         let t = forwarding_throughput(|| fx.engine(kind), &pkt, 1, 50_000, EPOCH_NS);
-        let class = match kind {
-            EngineKind::Hummingbird | EngineKind::Helia | EngineKind::Gateway => "priority",
-            EngineKind::Scion | EngineKind::Drkey | EngineKind::Epic => "best effort",
-            EngineKind::Null => "pass-through",
+        let class = match kind.family() {
+            Some(family) if family.has_priority_class() => "priority",
+            Some(_) => "best effort",
+            // The bench-only kinds: the gateway stamps its admitted
+            // host onto a reservation, scion is plain traffic, null
+            // validates nothing.
+            None => match kind {
+                EngineKind::Gateway => "priority",
+                EngineKind::Null => "pass-through",
+                _ => "best effort",
+            },
         };
         println!("{:<14} {:>14.0} {:>12}", kind.name(), t.ns_per_pkt(1), class);
     }

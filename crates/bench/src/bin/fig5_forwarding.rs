@@ -173,11 +173,7 @@ fn sharded_comparison(
         // Real threads when the host has the cores, dedicated-core
         // critical-path estimate when it doesn't.
         cfg.exec = ExecMode::Auto;
-        // Source-keyed engines (gateway host buckets, EPIC per-source
-        // keys/replay filters) shard on the source hash.
-        if matches!(kind, EngineKind::Gateway | EngineKind::Epic) {
-            cfg.steering = hummingbird_dataplane::Steering::BySource;
-        }
+        cfg.steering = kind.steering();
         let clone_report = run_to_completion(
             &cfg,
             RuntimeMode::PerCoreClone,

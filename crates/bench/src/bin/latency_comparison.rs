@@ -31,7 +31,9 @@ use hummingbird::netsim::{
     run_latency_scenario, EngineFamily, EngineScenario, LatencySpec, LinearTopology, LinkSpec,
 };
 use hummingbird_baselines::SLOT_SECS;
-use hummingbird_bench::{pkts_from_args, row, DataplaneFixture, EngineKind, EPOCH_NS};
+use hummingbird_bench::{
+    hotpath_clone_1core_ns, pkts_from_args, row, DataplaneFixture, EngineKind, EPOCH_NS,
+};
 use hummingbird_dataplane::{
     run_to_completion, EgressConfig, RouterConfig, RuntimeConfig, RuntimeMode,
 };
@@ -112,15 +114,25 @@ fn main() {
             SLOT_SECS * 250
         );
     }
+    let hotpath = std::fs::read_to_string("BENCH_hotpath.json").ok();
     for family in EngineFamily::ALL {
+        let measured_ns =
+            hotpath.as_deref().and_then(|doc| hotpath_clone_1core_ns(doc, family.name()));
+        if measured_ns.is_none() {
+            eprintln!(
+                "no readable BENCH_hotpath.json clone/1-core record for {}; its latency sweep \
+                 keeps the hand-set service cost",
+                family.name()
+            );
+        }
         for shards in [1usize, 4] {
-            let scenario = EngineScenario { family, shards };
-            let mut spec = LatencySpec::new(scenario).calibrated();
+            let mut spec = LatencySpec::new(EngineScenario { family, shards });
+            spec.service_per_pkt_ns = measured_ns.unwrap_or(spec.service_per_pkt_ns);
             spec.run_s = run_s;
             let base = run_latency_scenario(cfg, &spec, START_NS);
             let loaded = run_latency_scenario(cfg, &spec.with_flood(30_000), START_NS);
             assert_eq!(base.victim.router_drops, 0, "credentialed victim must authenticate");
-            let d1 = forged_drop_ratio(scenario, cfg);
+            let d1 = forged_drop_ratio(spec.scenario, cfg);
             let flood_stats = loaded.flood.expect("flood ran");
             println!(
                 "{}",
@@ -170,9 +182,7 @@ fn main() {
         let templates = fx.flow_packets(kind, 500, 8);
         let mut rcfg = RuntimeConfig::new(4);
         rcfg.egress = Some(EgressConfig::default());
-        if matches!(kind, EngineKind::Epic) {
-            rcfg.steering = hummingbird_dataplane::Steering::BySource;
-        }
+        rcfg.steering = kind.steering();
         let report = run_to_completion(
             &rcfg,
             RuntimeMode::Sharded,

@@ -21,8 +21,7 @@
 //!    violation — this is the CI smoke leg's contract.
 //!
 //! Run with: `cargo run --release -p hummingbird-bench --bin
-//! overload_sweep [-- --pkts <n>] [--engines <list>] [--json <path>]
-//! [--no-calibrate]`
+//! overload_sweep [-- --pkts <n>] [--json <path>] [--no-calibrate]`
 //!
 //! `--pkts` caps each flow's packet budget (the CI smoke knob; 0 =
 //! uncapped). The router service cost is calibrated from
@@ -35,8 +34,8 @@ use hummingbird::netsim::{
     run_overload_scenario, EngineFamily, EngineScenario, FlowStats, OverloadPoint, OverloadSpec,
 };
 use hummingbird_bench::{
-    flag_present, flag_value, row, u64_from_args, write_overload_json, OverloadRecord,
-    OverloadSaturation,
+    flag_present, flag_value, hotpath_clone_1core_ns, row, u64_from_args, write_overload_json,
+    OverloadRecord, OverloadSaturation,
 };
 use hummingbird_dataplane::RouterConfig;
 
@@ -75,6 +74,7 @@ fn main() {
     let cfg = RouterConfig::default();
     let pkts_cap = u64_from_args("pkts", 0);
     let calibrate = !flag_present("no-calibrate");
+    let hotpath = calibrate.then(|| std::fs::read_to_string("BENCH_hotpath.json").ok()).flatten();
     let json_path = flag_value("json").unwrap_or_else(|| "BENCH_overload.json".to_string());
 
     println!("== closed-loop overload sweep: bounded queues + backpressure ==");
@@ -112,16 +112,20 @@ fn main() {
     let mut calibrated_any = false;
 
     for family in EngineFamily::ALL {
+        let measured_ns =
+            hotpath.as_deref().and_then(|doc| hotpath_clone_1core_ns(doc, family.name()));
+        calibrated_any |= measured_ns.is_some();
+        if calibrate && measured_ns.is_none() {
+            eprintln!(
+                "no readable BENCH_hotpath.json clone/1-core record for {}; its overload sweep \
+                 keeps the hand-set service cost",
+                family.name()
+            );
+        }
         for shards in [1usize, 4] {
-            let scenario = EngineScenario { family, shards };
-            let mut spec = OverloadSpec::new(scenario);
+            let mut spec = OverloadSpec::new(EngineScenario { family, shards });
             spec.max_pkts_per_flow = pkts_cap;
-            if calibrate {
-                let before = spec.service_per_pkt_ns;
-                spec = spec.calibrated();
-                calibrated_any |= spec.service_per_pkt_ns != before
-                    || hummingbird::netsim::calibrated_per_pkt_ns(family).is_some();
-            }
+            spec.service_per_pkt_ns = measured_ns.unwrap_or(spec.service_per_pkt_ns);
             let out = run_overload_scenario(cfg, &spec, START_NS);
 
             let mut reserved_held = true;

@@ -385,6 +385,40 @@ pub fn write_hotpath_json(
     f.write_all(hotpath_json(meta, records, scaling).as_bytes())
 }
 
+/// The measured single-core (`"mode": "clone"`, `"cores": 1`) ns/pkt of
+/// `engine`, averaged over the payload sweep of a [`hotpath_json`]
+/// document — the per-router service cost `latency_comparison` and
+/// `overload_sweep` feed the simulator so each family pays its own
+/// datapath cost. `None` when the document has no such record.
+///
+/// Hand-rolled (the offline build has no JSON library) against the
+/// one-record-per-line layout the writer above emits; the `"cores": 1,`
+/// needle keeps its trailing comma so multi-digit core counts never
+/// match, and `null` (non-finite) points are skipped.
+pub fn hotpath_clone_1core_ns(doc: &str, engine: &str) -> Option<u64> {
+    let engine_key = format!("\"engine\": \"{engine}\"");
+    let mut sum = 0.0f64;
+    let mut n = 0u32;
+    for line in doc.lines() {
+        if !line.contains(&engine_key)
+            || !line.contains("\"mode\": \"clone\"")
+            || !line.contains("\"cores\": 1,")
+        {
+            continue;
+        }
+        let Some(at) = line.find("\"ns_per_pkt\":") else { continue };
+        let rest = line[at + 13..].trim_start();
+        let end = rest.find([',', '}']).unwrap_or(rest.len());
+        if let Ok(v) = rest[..end].trim().parse::<f64>() {
+            if v.is_finite() && v > 0.0 {
+                sum += v;
+                n += 1;
+            }
+        }
+    }
+    (n > 0).then(|| (sum / f64::from(n)).round() as u64)
+}
+
 /// One churned netsim run of a single engine family on the generated
 /// backbone (the `BENCH_netsim.json` record; schema in the module docs).
 #[derive(Clone, Debug, PartialEq)]
@@ -883,6 +917,45 @@ mod tests {
         assert_eq!(num(0.0), "0.000");
         assert_eq!(num(308.25), "308.250");
         assert_eq!(num(-1.5), "-1.500");
+    }
+
+    #[test]
+    fn hotpath_reader_reads_what_the_writer_writes() {
+        let rec = |engine, mode, cores, ns_per_pkt| BenchRecord {
+            engine,
+            mode,
+            cores,
+            payload_b: 500,
+            ns_per_pkt,
+            mpps: 1.0,
+        };
+        let records = [
+            rec("helia", "clone", 1, 100.0),
+            rec("helia", "clone", 1, 201.0),
+            rec("helia", "clone", 1, f64::NAN), // written as null: skipped
+            rec("helia", "clone", 16, 9_999.0), // "cores": 16 is not "cores": 1
+            rec("helia", "sharded", 1, 9_999.0),
+            rec("epic", "clone", 1, 700.4),
+        ];
+        let doc = hotpath_json(&meta(), &records, &[]);
+        assert_eq!(hotpath_clone_1core_ns(&doc, "helia"), Some(151), "mean of 100 and 201");
+        assert_eq!(hotpath_clone_1core_ns(&doc, "epic"), Some(700));
+        assert_eq!(hotpath_clone_1core_ns(&doc, "drkey"), None, "no record, no calibration");
+
+        // The checked-in trajectory file is read by the same function.
+        // It was recorded with `--engine null,hummingbird`, so that
+        // family calibrates and any family without clone/1-core rows
+        // falls back to the hand-set cost.
+        let checked_in = include_str!("../../../BENCH_hotpath.json");
+        assert!(hotpath_clone_1core_ns(checked_in, "hummingbird").is_some_and(|ns| ns > 0));
+        for family in hummingbird_baselines::EngineFamily::ALL {
+            let recorded = checked_in.contains(&format!(
+                "\"engine\": \"{}\", \"mode\": \"clone\", \"cores\": 1,",
+                family.name()
+            ));
+            let parsed = hotpath_clone_1core_ns(checked_in, family.name());
+            assert_eq!(parsed.is_some(), recorded, "{}", family.name());
+        }
     }
 
     #[test]

@@ -14,18 +14,14 @@
 pub mod json;
 
 pub use json::{
-    control_json, hotpath_json, netsim_json, overload_json, testbed_json, write_control_json,
-    write_hotpath_json, write_netsim_json, write_overload_json, write_testbed_json, BenchRecord,
-    ControlInvariants, ControlMeta, ControlPhase, ControlState, HotpathMeta, NetsimRecord,
-    OverloadRecord, OverloadSaturation, ScalingCurve, ScalingPoint, TestbedClass, TestbedMeta,
-    TestbedRecord,
+    control_json, hotpath_clone_1core_ns, hotpath_json, netsim_json, overload_json, testbed_json,
+    write_control_json, write_hotpath_json, write_netsim_json, write_overload_json,
+    write_testbed_json, BenchRecord, ControlInvariants, ControlMeta, ControlPhase, ControlState,
+    HotpathMeta, NetsimRecord, OverloadRecord, OverloadSaturation, ScalingCurve, ScalingPoint,
+    TestbedClass, TestbedMeta, TestbedRecord,
 };
 
-use hummingbird_baselines::drkey::epoch_of;
-use hummingbird_baselines::{
-    epic_auth_key, slot_of, DrKeyDatapath, DrKeySecret, DrKeySender, EpicDatapath, EpicSender,
-    HeliaDatapath, HeliaSender,
-};
+use hummingbird_baselines::EngineFamily;
 use hummingbird_crypto::{ResInfo, SecretValue};
 use hummingbird_dataplane::{
     forge_path, BeaconHop, BorderRouter, Datapath, Gateway, HostShare, NullEngine, RouterConfig,
@@ -45,14 +41,18 @@ pub const EPOCH_NS: u64 = EPOCH_S * 1_000_000_000;
 /// The DRKey master every benchmark baseline AS uses (hop 0).
 const DRKEY_MASTER: [u8; 16] = [0xB5; 16];
 
+/// The source / destination AS every fixture packet carries.
+const SRC: IsdAs = IsdAs::new(1, 0x10);
+const DST: IsdAs = IsdAs::new(2, 0x20);
+
 /// Which [`Datapath`] engine a figure/table binary should drive.
 ///
 /// Every packet-processing binary accepts `--engine
 /// hummingbird|scion|helia|drkey|epic|gateway|null|all` (default: the
-/// binary's traditional engine set) and constructs engines exclusively
-/// through [`DataplaneFixture::engine`] +
-/// [`DataplaneFixture::engine_packet`] — the single place that knows
-/// concrete engine types.
+/// binary's traditional engine set). Four kinds are rows of the
+/// engine-family table ([`EngineFamily`]) and take their name, engine,
+/// steering and credential from it; `scion` is the Hummingbird router
+/// over plain packets, `gateway` and `null` are bench-only engines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
     /// Hummingbird border router over flyover-tagged packets.
@@ -83,72 +83,103 @@ impl EngineKind {
         EngineKind::Null,
     ];
 
-    /// Stable display name (matches `Datapath::engine_name` plus the
-    /// workload-only `scion` variant).
-    pub fn name(&self) -> &'static str {
+    /// The table row behind this kind; `None` for the bench-only kinds.
+    pub fn family(self) -> Option<EngineFamily> {
         match self {
-            EngineKind::Hummingbird => "hummingbird",
-            EngineKind::Scion => "scion",
-            EngineKind::Helia => "helia",
-            EngineKind::Drkey => "drkey",
-            EngineKind::Epic => "epic",
-            EngineKind::Gateway => "gateway",
-            EngineKind::Null => "null",
+            EngineKind::Hummingbird => Some(EngineFamily::Hummingbird),
+            EngineKind::Helia => Some(EngineFamily::Helia),
+            EngineKind::Drkey => Some(EngineFamily::Drkey),
+            EngineKind::Epic => Some(EngineFamily::Epic),
+            EngineKind::Scion | EngineKind::Gateway | EngineKind::Null => None,
+        }
+    }
+
+    /// Stable display name: the family's (which matches
+    /// `Datapath::engine_name`), or the bench-only kind's own.
+    pub fn name(&self) -> &'static str {
+        match (self.family(), self) {
+            (Some(family), _) => family.name(),
+            (None, EngineKind::Gateway) => "gateway",
+            (None, EngineKind::Null) => "null",
+            (None, _) => "scion",
+        }
+    }
+
+    /// The steering that keeps this kind's per-flow state on one shard:
+    /// the family's, the source hash for the gateway's per-host buckets,
+    /// reservation ranges otherwise.
+    pub fn steering(&self) -> Steering {
+        match (self.family(), self) {
+            (Some(family), _) => family.steering(),
+            (None, EngineKind::Gateway) => Steering::BySource,
+            (None, _) => Steering::ByReservation,
         }
     }
 
     /// Parses one engine selector or a comma-separated list of them
-    /// (`null,hummingbird`); `all` expands to every engine.
+    /// (`null,hummingbird`) by [`EngineKind::name`]; `all` expands to
+    /// every engine.
     fn parse(s: &str) -> Option<Vec<EngineKind>> {
         let mut kinds = Vec::new();
         for part in s.split(',') {
             match part.trim() {
-                "hummingbird" => kinds.push(EngineKind::Hummingbird),
-                "scion" => kinds.push(EngineKind::Scion),
-                "helia" => kinds.push(EngineKind::Helia),
-                "drkey" => kinds.push(EngineKind::Drkey),
-                "epic" => kinds.push(EngineKind::Epic),
-                "gateway" => kinds.push(EngineKind::Gateway),
-                "null" => kinds.push(EngineKind::Null),
                 "all" => kinds.extend(EngineKind::ALL),
-                _ => return None,
+                name => kinds.push(EngineKind::ALL.into_iter().find(|k| k.name() == name)?),
             }
         }
-        if kinds.is_empty() {
-            None
-        } else {
-            Some(kinds)
+        Some(kinds)
+    }
+}
+
+/// Every value of the repeatable `--<name> <v>` / `--<name>=<v>` flag in
+/// `args`, in order; `Err` when the flag appears as the last token with
+/// no value — a malformed command line that must fail loudly, never
+/// silently fall back to the default.
+fn flag_values_in(args: &[String], name: &str) -> Result<Vec<String>, String> {
+    let long = format!("--{name}");
+    let prefixed = format!("--{name}=");
+    let mut values = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if *arg == long {
+            match args.next() {
+                Some(v) => values.push(v.clone()),
+                None => {
+                    return Err(format!("--{name} requires a value (--{name} <v> or --{name}=<v>)"))
+                }
+            }
+        } else if let Some(v) = arg.strip_prefix(&prefixed) {
+            values.push(v.to_owned());
         }
     }
+    Ok(values)
+}
+
+/// The first value of `--<name>` in `args` ([`flag_values_in`]):
+/// `Ok(None)` when the flag is absent (the caller's default applies).
+fn flag_value_in(args: &[String], name: &str) -> Result<Option<String>, String> {
+    flag_values_in(args, name).map(|values| values.into_iter().next())
+}
+
+/// Unwraps a parsed flag; a malformed command line prints its usage
+/// message and exits with status 2.
+fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
 }
 
 /// Parses `--engine <kind>` (repeatable, or `all`) from the process
 /// arguments; `default` applies when the flag is absent. Exits with a
-/// usage message on an unknown engine.
+/// usage message on an unknown engine or a dangling `--engine`.
 pub fn engines_from_args(default: &[EngineKind]) -> Vec<EngineKind> {
     let args: Vec<String> = std::env::args().collect();
     let mut selected = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let value = if args[i] == "--engine" && i + 1 < args.len() {
-            i += 1;
-            Some(args[i].clone())
-        } else {
-            args[i].strip_prefix("--engine=").map(str::to_owned)
-        };
-        if let Some(v) = value {
-            match EngineKind::parse(&v) {
-                Some(kinds) => selected.extend(kinds),
-                None => {
-                    eprintln!(
-                        "unknown engine '{v}'; expected \
-                         hummingbird|scion|helia|drkey|epic|gateway|null|all"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-        i += 1;
+    for v in or_usage_exit(flag_values_in(&args, "engine")) {
+        selected.extend(or_usage_exit(EngineKind::parse(&v).ok_or_else(|| {
+            format!("unknown engine '{v}'; expected hummingbird|scion|helia|drkey|epic|gateway|null|all")
+        })));
     }
     if selected.is_empty() {
         default.to_vec()
@@ -157,42 +188,12 @@ pub fn engines_from_args(default: &[EngineKind]) -> Vec<EngineKind> {
     }
 }
 
-/// The value of `--<name> <v>` / `--<name>=<v>` in `args`: `Ok(None)`
-/// when the flag is absent (the caller's default applies), `Err` when
-/// the flag appears as the last token with no value — a malformed
-/// command line that must fail loudly, never silently fall back to the
-/// default.
-fn flag_value_in(args: &[String], name: &str) -> Result<Option<String>, String> {
-    let long = format!("--{name}");
-    let prefixed = format!("--{name}=");
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == long {
-            return match args.get(i + 1) {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(format!("--{name} requires a value (--{name} <v> or --{name}=<v>)")),
-            };
-        }
-        if let Some(v) = args[i].strip_prefix(&prefixed) {
-            return Ok(Some(v.to_owned()));
-        }
-        i += 1;
-    }
-    Ok(None)
-}
-
 /// The value of `--<name> <v>` / `--<name>=<v>` in the process
 /// arguments, if present. Exits with a usage message when the flag
 /// dangles with no value.
 pub fn flag_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    match flag_value_in(&args, name) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
+    or_usage_exit(flag_value_in(&args, name))
 }
 
 /// Parses `--<name> <v>` as a `u64` from the process arguments;
@@ -200,13 +201,9 @@ pub fn flag_value(name: &str) -> Option<String> {
 /// message on malformed input.
 pub fn u64_from_args(name: &str, default: u64) -> u64 {
     let Some(v) = flag_value(name) else { return default };
-    match v.parse::<u64>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("bad --{name} '{v}'; expected an unsigned integer");
-            std::process::exit(2);
-        }
-    }
+    or_usage_exit(
+        v.parse().map_err(|_| format!("bad --{name} '{v}'; expected an unsigned integer")),
+    )
 }
 
 /// Whether the bare flag `--<name>` appears in the process arguments.
@@ -222,27 +219,18 @@ pub fn cores_from_args(default: &[usize]) -> Vec<usize> {
     let Some(v) = flag_value("cores") else { return default.to_vec() };
     let parsed: Option<Vec<usize>> =
         v.split(',').map(|p| p.trim().parse::<usize>().ok().filter(|&c| c > 0)).collect();
-    match parsed {
-        Some(cores) if !cores.is_empty() => cores,
-        _ => {
-            eprintln!("bad --cores '{v}'; expected a comma-separated list like 1,2,4");
-            std::process::exit(2);
-        }
-    }
+    or_usage_exit(
+        parsed.filter(|cores| !cores.is_empty()).ok_or_else(|| {
+            format!("bad --cores '{v}'; expected a comma-separated list like 1,2,4")
+        }),
+    )
 }
 
 /// Parses `--pkts <n>` (total per-core packet budget override, letting CI
 /// smoke-run the figures with tiny counts); `default` applies when the
 /// flag is absent.
 pub fn pkts_from_args(default: u64) -> u64 {
-    let Some(v) = flag_value("pkts") else { return default };
-    match v.parse::<u64>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("bad --pkts '{v}'; expected an unsigned packet count");
-            std::process::exit(2);
-        }
-    }
+    u64_from_args("pkts", default)
 }
 
 /// Whether `--sharded` was passed (figure binaries add a sharded-runtime
@@ -261,13 +249,12 @@ pub fn wait_from_args() -> WaitStrategy {
         "busy" => WaitStrategy::BusyPoll,
         "yield" => WaitStrategy::YieldAfter(64),
         "backoff" => WaitStrategy::Backoff,
-        other => match other.strip_prefix("yield:").map(str::parse::<u32>) {
-            Some(Ok(n)) => WaitStrategy::YieldAfter(n),
-            _ => {
-                eprintln!("bad --wait '{v}'; expected busy|yield[:n]|backoff");
-                std::process::exit(2);
-            }
-        },
+        other => WaitStrategy::YieldAfter(or_usage_exit(
+            other
+                .strip_prefix("yield:")
+                .and_then(|n| n.parse().ok())
+                .ok_or_else(|| format!("bad --wait '{v}'; expected busy|yield[:n]|backoff")),
+        )),
     }
 }
 
@@ -286,13 +273,12 @@ pub fn wait_label(wait: WaitStrategy) -> String {
 /// is absent. Exits with a usage message on malformed or zero input.
 pub fn batch_from_args(default: usize) -> usize {
     let Some(v) = flag_value("batch") else { return default };
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => {
-            eprintln!("bad --batch '{v}'; expected a positive packet count");
-            std::process::exit(2);
-        }
-    }
+    or_usage_exit(
+        v.parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("bad --batch '{v}'; expected a positive packet count")),
+    )
 }
 
 /// A self-contained data-plane fixture: one source path of `h` hops plus
@@ -323,30 +309,32 @@ impl DataplaneFixture {
     /// hop (the paper always measures the worst case: a reservation at
     /// every on-path AS).
     pub fn generator(&self, with_reservations: bool) -> SourceGenerator {
-        let hops: Vec<BeaconHop> = (0..self.h)
-            .map(|i| {
-                let (cons_ingress, cons_egress) = self.interfaces(i);
-                BeaconHop { key: self.hop_keys[i].clone(), cons_ingress, cons_egress }
-            })
-            .collect();
-        let path = forge_path(&hops, EPOCH_S as u32 - 100, 0x7777);
-        let mut generator = SourceGenerator::new(IsdAs::new(1, 0x10), IsdAs::new(2, 0x20), path);
         if with_reservations {
-            for i in 0..self.h {
-                let (ingress, egress) = self.interfaces(i);
-                let res_info = ResInfo {
-                    ingress,
-                    egress,
-                    res_id: i as u32 + 1,
-                    bw_encoded: 1000, // huge class so policing never bites
-                    res_start: EPOCH_S as u32 - 50,
-                    duration: 36_000,
-                };
-                let key = self.svs[i].derive_key(&res_info);
-                generator
-                    .attach_reservation(i, SourceReservation { res_info, key })
-                    .expect("interfaces match");
-            }
+            return self.reserved_generator(1);
+        }
+        SourceGenerator::new(SRC, DST, self.beacon_path())
+    }
+
+    /// A generator with a flyover on every hop whose hop-0 reservation
+    /// uses `res0_id` — the knob flow-diverse workloads turn so different
+    /// flows land in different policing slots (and, sharded, on different
+    /// shards).
+    fn reserved_generator(&self, res0_id: u32) -> SourceGenerator {
+        let mut generator = self.generator(false);
+        for i in 0..self.h {
+            let (ingress, egress) = self.interfaces(i);
+            let res_info = ResInfo {
+                ingress,
+                egress,
+                res_id: if i == 0 { res0_id } else { i as u32 + 1 },
+                bw_encoded: 1000, // huge class so policing never bites
+                res_start: EPOCH_S as u32 - 50,
+                duration: 36_000,
+            };
+            let key = self.svs[i].derive_key(&res_info);
+            generator
+                .attach_reservation(i, SourceReservation { res_info, key })
+                .expect("interfaces match");
         }
         generator
     }
@@ -363,30 +351,17 @@ impl DataplaneFixture {
         generator.generate(&vec![0u8; payload_len], EPOCH_MS).expect("generation")
     }
 
-    /// The source / destination every fixture packet carries.
-    fn endpoints() -> (IsdAs, IsdAs) {
-        (IsdAs::new(1, 0x10), IsdAs::new(2, 0x20))
-    }
-
     /// A hop-0 engine of the requested kind, type-erased behind
     /// [`Datapath`] — the only constructor the figure binaries use.
     pub fn engine(&self, kind: EngineKind) -> Box<dyn Datapath + Send> {
-        match kind {
-            EngineKind::Hummingbird | EngineKind::Scion => Box::new(self.router()),
-            EngineKind::Helia => Box::new(HeliaDatapath::new(
-                DRKEY_MASTER,
-                self.hop_keys[0].clone(),
+        match (kind.family(), kind) {
+            (Some(family), _) => family.engine(
+                &self.svs[0],
+                &self.hop_keys[0],
+                &DRKEY_MASTER,
                 RouterConfig::default(),
-            )),
-            EngineKind::Drkey => {
-                Box::new(DrKeyDatapath::new(DRKEY_MASTER, self.hop_keys[0].clone()))
-            }
-            EngineKind::Epic => Box::new(EpicDatapath::new(
-                DRKEY_MASTER,
-                self.hop_keys[0].clone(),
-                RouterConfig::default(),
-            )),
-            EngineKind::Gateway => {
+            ),
+            (None, EngineKind::Gateway) => {
                 let reserved = self.generator(true);
                 let best_effort = self.generator(false);
                 let mut gw = Gateway::new(reserved, best_effort, 10_000_000);
@@ -395,99 +370,56 @@ impl DataplaneFixture {
                 gw.admit_host(1, HostShare { rate_kbps: 10_000_000 });
                 Box::new(gw)
             }
-            EngineKind::Null => Box::new(NullEngine::new()),
+            (None, EngineKind::Null) => Box::new(NullEngine::new()),
+            // scion: the Hummingbird router, over plain packets.
+            (None, _) => Box::new(self.router()),
         }
     }
 
     /// One logical hop-0 router of `kind` sharded across `shards`
-    /// engines, with steering matched to how the engine keys its state
-    /// (by reservation for routers, by source for the gateway's per-host
-    /// buckets and EPIC's per-source keys and replay filters).
+    /// engines under [`EngineKind::steering`].
     pub fn sharded_engine(&self, kind: EngineKind, shards: usize) -> ShardedRouter {
-        let steering = if matches!(kind, EngineKind::Gateway | EngineKind::Epic) {
-            Steering::BySource
-        } else {
-            Steering::ByReservation
-        };
         ShardedRouter::new(
             (0..shards.max(1)).map(|_| self.engine(kind)).collect(),
             RouterConfig::default().policer_slots,
-            steering,
+            kind.steering(),
         )
     }
 
-    /// A serialized `payload_len`-byte packet the matching
-    /// [`DataplaneFixture::engine`] accepts (stamped by that engine's own
-    /// sender model).
-    pub fn engine_packet(&self, kind: EngineKind, payload_len: usize) -> Vec<u8> {
-        let (src, dst) = Self::endpoints();
-        let payload = vec![0u8; payload_len];
-        match kind {
-            EngineKind::Hummingbird => self.packet(payload_len, true),
-            EngineKind::Scion | EngineKind::Gateway | EngineKind::Null => {
-                self.packet(payload_len, false)
-            }
-            EngineKind::Helia => {
-                let path = self.beacon_path();
-                let mut sender = HeliaSender::new(src, dst, path);
-                let issuer = HeliaDatapath::new(
-                    DRKEY_MASTER,
-                    self.hop_keys[0].clone(),
-                    RouterConfig::default(),
-                );
-                let (ingress, egress) = self.interfaces(0);
-                let grant = issuer
-                    .issue_grant(src, slot_of(EPOCH_S), 1, 10_000_000, ingress, egress)
-                    .expect("encodable share");
-                sender.attach_grant(0, &grant).expect("matching interfaces");
-                sender.generate(&payload, EPOCH_MS).expect("generation")
-            }
-            EngineKind::Drkey => {
-                let path = self.beacon_path();
-                let mut engine = DrKeyDatapath::new(DRKEY_MASTER, self.hop_keys[0].clone());
-                let key = engine.host_key(src, [0, 0, 0, 1], EPOCH_S);
-                let mut sender = DrKeySender::new(src, dst, path);
-                let (ingress, egress) = self.interfaces(0);
-                sender
-                    .attach_host_key(0, ingress, egress, key, EPOCH_S)
-                    .expect("matching interfaces");
-                sender.generate(&payload, EPOCH_MS).expect("generation")
-            }
-            EngineKind::Epic => self.epic_packet(src, &payload, EPOCH_MS),
-        }
-    }
-
-    /// A serialized EPIC-stamped packet from `src`, authenticated at
-    /// hop 0 under this fixture's DRKey master.
-    fn epic_packet(&self, src: IsdAs, payload: &[u8], at_ms: u64) -> Vec<u8> {
-        let (_, dst) = Self::endpoints();
-        let secret = DrKeySecret::derive(&DRKEY_MASTER, epoch_of(EPOCH_S));
-        let key = epic_auth_key(&secret, src, [0, 0, 0, 1]);
-        let mut sender = EpicSender::new(src, dst, self.beacon_path());
+    /// A generator from `src` carrying `family`'s hop-0 credential (the
+    /// one [`DataplaneFixture::engine`] re-derives), with ResID `res_id`
+    /// where the family has reservation identities.
+    fn family_generator(&self, family: EngineFamily, src: IsdAs, res_id: u32) -> SourceGenerator {
         let (ingress, egress) = self.interfaces(0);
-        sender.attach_auth_key(0, ingress, egress, key, EPOCH_S).expect("matching interfaces");
-        sender.generate(payload, at_ms).expect("generation")
-    }
-
-    /// A reserved generator whose hop-0 reservation uses `res_id` — the
-    /// knob flow-diverse workloads turn so different flows land in
-    /// different policing slots (and, sharded, on different shards).
-    fn reserved_generator_with_res0(&self, res_id: u32) -> SourceGenerator {
-        let mut generator = self.generator(true);
-        let (ingress, egress) = self.interfaces(0);
-        let res_info = ResInfo {
+        let credential = family.credential(
+            &self.svs[0],
+            &DRKEY_MASTER,
             ingress,
             egress,
-            res_id,
-            bw_encoded: 1000, // huge class so policing never bites
-            res_start: EPOCH_S as u32 - 50,
-            duration: 36_000,
-        };
-        let key = self.svs[0].derive_key(&res_info);
+            &mut { res_id },
+            src,
+            10_000_000,
+            EPOCH_S,
+        );
+        let mut generator = SourceGenerator::new(src, DST, self.beacon_path());
+        generator.attach_reservation(0, credential).expect("matching interfaces");
         generator
-            .attach_reservation(0, SourceReservation { res_info, key })
-            .expect("interfaces match");
-        generator
+    }
+
+    /// A serialized `payload_len`-byte packet the matching
+    /// [`DataplaneFixture::engine`] accepts: the fixture's own every-hop
+    /// reservations for Hummingbird (the Fig. 5/14/15 worst case), the
+    /// family's hop-0 credential for the baselines, plain SCION for the
+    /// rest.
+    pub fn engine_packet(&self, kind: EngineKind, payload_len: usize) -> Vec<u8> {
+        match kind.family() {
+            Some(EngineFamily::Hummingbird) => self.packet(payload_len, true),
+            Some(family) => self
+                .family_generator(family, SRC, 1)
+                .generate(&vec![0u8; payload_len], EPOCH_MS)
+                .expect("generation"),
+            None => self.packet(payload_len, false),
+        }
     }
 
     /// `flows` distinct packet templates the hop-0 engine of `kind`
@@ -496,11 +428,11 @@ impl DataplaneFixture {
     /// the policing array ([0, `policer_slots`)), plain kinds get
     /// distinct per-packet timestamps (the duplicate-filter key the
     /// plain flow hash covers). EPIC is keyed by source, so its flows
-    /// come from distinct source ASes and spread under the
-    /// [`Steering::BySource`] map [`DataplaneFixture::sharded_engine`]
-    /// gives it. DRKey carries no reservation axis, so
-    /// its flows intentionally share one shard under reservation
-    /// steering — the engine-model skew the sharded sweep makes visible.
+    /// come from distinct source ASes and spread under the family's
+    /// [`Steering::BySource`]. DRKey steers by source too, but its
+    /// workload here is one template from one source AS, so all of it
+    /// lands on one shard — a property of the one-source workload the
+    /// sharded sweep makes visible, not of the engine.
     pub fn flow_packets(&self, kind: EngineKind, payload_len: usize, flows: usize) -> Vec<Vec<u8>> {
         let flows = flows.max(1);
         let slots = RouterConfig::default().policer_slots;
@@ -510,38 +442,21 @@ impl DataplaneFixture {
                 // 1 + f·step stays strictly inside [1, slots).
                 let step = slots.saturating_sub(2) / flows as u32;
                 let res_id = 1 + f as u32 * step;
-                match kind {
-                    EngineKind::Hummingbird => self
-                        .reserved_generator_with_res0(res_id)
-                        .generate(&payload, EPOCH_MS + f as u64)
-                        .expect("generation"),
-                    EngineKind::Scion | EngineKind::Gateway | EngineKind::Null => self
-                        .generator(false)
-                        .generate(&payload, EPOCH_MS + f as u64)
-                        .expect("generation"),
-                    EngineKind::Helia => {
-                        let (src, dst) = Self::endpoints();
-                        let (ingress, egress) = self.interfaces(0);
-                        let issuer = HeliaDatapath::new(
-                            DRKEY_MASTER,
-                            self.hop_keys[0].clone(),
-                            RouterConfig::default(),
-                        );
-                        let grant = issuer
-                            .issue_grant(src, slot_of(EPOCH_S), res_id, 10_000_000, ingress, egress)
-                            .expect("encodable share");
-                        let mut sender = HeliaSender::new(src, dst, self.beacon_path());
-                        sender.attach_grant(0, &grant).expect("matching interfaces");
-                        sender.generate(&payload, EPOCH_MS + f as u64).expect("generation")
-                    }
-                    EngineKind::Drkey => self.engine_packet(kind, payload_len),
-                    EngineKind::Epic => {
-                        // One source AS per flow: the BySource hash is the
-                        // axis EPIC shards on.
-                        let src = IsdAs::new(1, 0x10 + f as u64);
-                        self.epic_packet(src, &payload, EPOCH_MS + f as u64)
-                    }
-                }
+                let at_ms = EPOCH_MS + f as u64;
+                let mut generator = match kind.family() {
+                    Some(EngineFamily::Drkey) => return self.engine_packet(kind, payload_len),
+                    Some(EngineFamily::Hummingbird) => self.reserved_generator(res_id),
+                    // One source AS per flow: the BySource hash is the
+                    // axis EPIC shards on.
+                    Some(EngineFamily::Epic) => self.family_generator(
+                        EngineFamily::Epic,
+                        IsdAs::new(SRC.isd, SRC.asn + f as u64),
+                        res_id,
+                    ),
+                    Some(family) => self.family_generator(family, SRC, res_id),
+                    None => self.generator(false),
+                };
+                generator.generate(&payload, at_ms).expect("generation")
             })
             .collect()
     }
@@ -646,6 +561,18 @@ mod tests {
                 Some("/tmp/x.json")
             );
         }
+        // `--engine` is repeatable and goes through the same scan: a
+        // dangling one must not silently run the default engines.
+        assert!(flag_values_in(&argv(&["bench", "--engine"]), "engine").is_err());
+        assert!(
+            flag_values_in(&argv(&["bench", "--engine", "epic", "--engine"]), "engine").is_err()
+        );
+        assert_eq!(
+            flag_values_in(&argv(&["bench", "--engine", "null", "--engine=helia,epic"]), "engine")
+                .unwrap(),
+            ["null", "helia,epic"]
+        );
+        assert!(flag_values_in(&argv(&["bench", "--pkts", "5"]), "engine").unwrap().is_empty());
     }
 
     #[test]

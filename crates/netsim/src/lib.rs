@@ -11,8 +11,9 @@
 //!   adversaries.
 //! * [`scenario`] — ready-made linear topologies and CBR flow plumbing,
 //!   plus the [`EngineScenario`] config that reruns any experiment with
-//!   every router node swapped to a baseline engine family (Helia,
-//!   DRKey, EPIC — see `hummingbird-baselines`), optionally sharded.
+//!   every router node swapped to another [`EngineFamily`] (the table
+//!   lives in `hummingbird-baselines` and is re-exported here),
+//!   optionally sharded.
 //! * [`topo`] — seed-driven Internet-scale topology generation
 //!   (ring-of-PoPs backbones, fat trees, AS hierarchies) over the same
 //!   real-router nodes, with BFS routing and per-family credentials.
@@ -37,14 +38,15 @@ pub use churn::{
     ChurnReport,
 };
 pub use flow::{FlowEvent, FlowEventKind, ReactiveFlow};
+pub use hummingbird_baselines::EngineFamily;
 pub use multipath::{Branch, DiamondTopology};
 pub use scenario::{
-    calibrated_per_pkt_ns, run_churn_scenario, run_latency_churn_scenario, run_latency_scenario,
-    run_multipath_scenario, run_overload_churn_scenario, run_overload_scenario,
-    run_partial_path_scenario, ChurnScenarioOutcome, ChurnSpec, EngineFamily, EngineScenario,
-    LatencyChurnOutcome, LatencyOutcome, LatencySpec, LinearTopology, LinkSpec, MultipathOutcome,
-    OverloadChurnOutcome, OverloadChurnSpec, OverloadOutcome, OverloadPoint, OverloadSpec,
-    PartialPathOutcome, ReactiveProfile,
+    run_churn_scenario, run_latency_churn_scenario, run_latency_scenario, run_multipath_scenario,
+    run_overload_churn_scenario, run_overload_scenario, run_partial_path_scenario,
+    ChurnScenarioOutcome, ChurnSpec, EngineScenario, LatencyChurnOutcome, LatencyOutcome,
+    LatencySpec, LinearTopology, LinkSpec, MultipathOutcome, OverloadChurnOutcome,
+    OverloadChurnSpec, OverloadOutcome, OverloadPoint, OverloadSpec, PartialPathOutcome,
+    ReactiveProfile,
 };
 pub use sim::{
     Class, Flow, FlowId, FlowStats, Node, NodeId, ReplayTap, ServiceModel, SimPacket, Simulator,
@@ -126,8 +128,8 @@ mod tests {
         let cfg = RouterConfig::default();
         let mut topo = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg);
         let entry = topo.as_nodes[0];
-        let sharded = topo.make_sharded_hop_engine(0, cfg, 4);
-        topo.sim.replace_engine(entry, sharded).ok().expect("entry node is a router");
+        let sharded = topo.make_sharded_hop_engine(EngineFamily::Hummingbird, 0, cfg, 4);
+        topo.sim.replace_engine(entry, Box::new(sharded)).ok().expect("entry node is a router");
         let run_s = 2;
         let victim = topo.add_cbr_flow(
             src(),

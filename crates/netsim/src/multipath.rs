@@ -12,10 +12,9 @@
 //! what creates the on-reservation-set adversary class (§5.1); this
 //! topology lets tests and examples exercise both with real packets.
 
-use crate::scenario::{
-    deploy_engine, family_credential, family_engine, EngineFamily, EngineScenario, LinkSpec,
-};
+use crate::scenario::{EngineScenario, LinkSpec};
 use crate::sim::{Flow, FlowId, NodeId, ServiceModel, Simulator};
+use hummingbird_baselines::EngineFamily;
 use hummingbird_crypto::{ResInfo, SecretValue};
 use hummingbird_dataplane::{
     forge_path, BeaconHop, RouterConfig, SourceGenerator, SourceReservation,
@@ -116,10 +115,7 @@ impl DiamondTopology {
     pub fn install_engines(&mut self, scenario: EngineScenario, cfg: RouterConfig) {
         for (name, node) in [("P", self.as_p), ("Q", self.as_q), ("T", self.as_t)] {
             let (hop_key, sv) = &self.keys[name];
-            let master = &self.masters[name];
-            let engine = deploy_engine(scenario, cfg, || {
-                family_engine(scenario.family, sv, hop_key, master, cfg)
-            });
+            let engine = scenario.deploy(sv, hop_key, &self.masters[name], cfg);
             self.sim.replace_engine(node, engine).ok().expect("diamond nodes are routers");
         }
     }
@@ -157,8 +153,7 @@ impl DiamondTopology {
                 [(0usize, name, 0u16, BRANCH_EGRESS), (1, "T", t_ingress, 0)]
             {
                 let (_, sv) = &self.keys[as_name];
-                let credential = family_credential(
-                    family,
+                let credential = family.credential(
                     sv,
                     &self.masters[as_name],
                     ingress,

@@ -1,8 +1,9 @@
 //! Scenario builders: linear AS topologies with Hummingbird routers,
 //! ready-made flows, and reservation plumbing for the QoS experiments —
 //! plus the [`EngineScenario`] config that reruns any experiment with
-//! every node swapped to a baseline engine family (Helia, DRKey, EPIC),
-//! optionally sharded, and the ready-made experiment runners
+//! every node swapped to another row of the engine-family table
+//! ([`EngineFamily`], owned by `hummingbird-baselines`), optionally
+//! sharded, and the ready-made experiment runners
 //! ([`run_latency_scenario`], [`run_partial_path_scenario`],
 //! [`run_multipath_scenario`]) behind the Fig. 3/4-style per-family
 //! sweeps.
@@ -14,85 +15,25 @@
 //! saturation with a mid-run link failure and a convergence delay before
 //! the reroute pass (retransmit-driven recovery), and
 //! [`run_latency_churn_scenario`] replays the latency experiment under a
-//! [`ChurnPlan`]-scheduled failure. [`calibrated_per_pkt_ns`] feeds the
-//! measured per-engine datapath cost from `BENCH_hotpath.json` into the
-//! service models so each family's sweep pays its own forwarding cost.
+//! [`ChurnPlan`]-scheduled failure. The per-router service cost
+//! (`service_per_pkt_ns`) is an input of every spec; the bench binaries
+//! that want each family to pay its own measured datapath cost read it
+//! from `BENCH_hotpath.json` themselves.
 
 use crate::churn::{apply_action, run_with_churn, ChurnAction, ChurnPlan, ChurnReport};
 use crate::flow::{FlowEventKind, ReactiveFlow};
 use crate::sim::{Flow, FlowId, FlowStats, NodeId, ServiceModel, Simulator};
 use crate::topo::{AdjId, BackboneSpec, TopologyBuilder};
-use hummingbird_baselines::drkey::{epoch_of, DrKeySecret, EPOCH_SECS};
-use hummingbird_baselines::engine::helia_packet_key;
-use hummingbird_baselines::{
-    epic_auth_key, slot_of, DrKeyDatapath, EpicDatapath, HeliaDatapath, SLOT_SECS,
-};
-use hummingbird_crypto::{AuthKey, ResInfo, SecretValue};
+use hummingbird_baselines::EngineFamily;
+use hummingbird_crypto::{ResInfo, SecretValue};
 use hummingbird_dataplane::{
-    forge_path, BeaconHop, Datapath, DatapathBuilder, DatapathStats, RouterConfig, ShardedRouter,
-    SourceGenerator, SourceReservation, Steering,
+    forge_path, BeaconHop, Datapath, DatapathStats, RouterConfig, ShardedRouter, SourceGenerator,
+    SourceReservation,
 };
 use hummingbird_wire::bwcls;
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
 use rand::{rngs::StdRng, Rng as _, SeedableRng as _};
-
-/// The host address every [`SourceGenerator`]-built packet carries —
-/// what the source-keyed baseline engines (DRKey, EPIC) derive their
-/// per-host keys from.
-const SRC_HOST: [u8; 4] = [0, 0, 0, 1];
-
-/// Which engine family a scenario's router nodes run.
-///
-/// The same topology, flows and adversaries rerun against any family;
-/// what changes is the credential attached per hop (reservation key,
-/// Helia grant, DRKey/EPIC host key) and therefore which of the paper's
-/// properties hold — D1 source/path authentication, D2 bandwidth
-/// protection, or both.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineFamily {
-    /// Hummingbird border routers (reservations, policing, priority).
-    Hummingbird,
-    /// Helia-style fixed-slot engines (per-slot grants, priority).
-    Helia,
-    /// DRKey-only source authentication (no priority class).
-    Drkey,
-    /// EPIC L1-style per-packet path validation (strict freshness,
-    /// replay suppression, no priority class).
-    Epic,
-}
-
-impl EngineFamily {
-    /// Every family, in comparison order.
-    pub const ALL: [EngineFamily; 4] =
-        [EngineFamily::Hummingbird, EngineFamily::Helia, EngineFamily::Drkey, EngineFamily::Epic];
-
-    /// Stable display name (matches `Datapath::engine_name`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineFamily::Hummingbird => "hummingbird",
-            EngineFamily::Helia => "helia",
-            EngineFamily::Drkey => "drkey",
-            EngineFamily::Epic => "epic",
-        }
-    }
-
-    /// Whether validated traffic of this family can ride the priority
-    /// class (the D2 axis of the sweep).
-    pub fn has_priority_class(&self) -> bool {
-        matches!(self, EngineFamily::Hummingbird | EngineFamily::Helia)
-    }
-
-    /// The shard steering that keeps this family's per-flow state on one
-    /// shard: reservation ranges for policer-keyed engines, the source
-    /// hash for the source-keyed EPIC/DRKey engines.
-    pub fn steering(&self) -> Steering {
-        match self {
-            EngineFamily::Hummingbird | EngineFamily::Helia => Steering::ByReservation,
-            EngineFamily::Drkey | EngineFamily::Epic => Steering::BySource,
-        }
-    }
-}
 
 /// One rerun configuration of a QoS/DoS experiment: which engine family
 /// every router node runs, and across how many shards.
@@ -109,119 +50,21 @@ pub struct EngineScenario {
     pub shards: usize,
 }
 
-/// A fresh engine of `family` over one AS's secrets — the constructor
-/// both scenario topologies (linear and diamond) install per node.
-pub(crate) fn family_engine(
-    family: EngineFamily,
-    sv: &SecretValue,
-    hop_key: &HopMacKey,
-    master: &[u8; 16],
-    cfg: RouterConfig,
-) -> Box<dyn Datapath + Send> {
-    match family {
-        EngineFamily::Hummingbird => {
-            DatapathBuilder::new(sv.clone(), hop_key.clone()).config(cfg).build_boxed()
-        }
-        EngineFamily::Helia => Box::new(HeliaDatapath::new(*master, hop_key.clone(), cfg)),
-        EngineFamily::Drkey => Box::new(DrKeyDatapath::new(*master, hop_key.clone())),
-        EngineFamily::Epic => Box::new(EpicDatapath::new(*master, hop_key.clone(), cfg)),
-    }
-}
-
-/// `make` deployed per [`EngineScenario`]: one bare engine, or
-/// `scenario.shards` of them behind a [`ShardedRouter`] with the
-/// family's steering.
-pub(crate) fn deploy_engine(
-    scenario: EngineScenario,
-    cfg: RouterConfig,
-    mut make: impl FnMut() -> Box<dyn Datapath + Send>,
-) -> Box<dyn Datapath + Send> {
-    if scenario.shards > 1 {
-        Box::new(ShardedRouter::new(
-            (0..scenario.shards).map(|_| make()).collect(),
-            cfg.policer_slots,
-            scenario.family.steering(),
-        ))
-    } else {
-        make()
-    }
-}
-
-/// The per-hop credential a `family` sender attaches, derived exactly as
-/// that hop's [`family_engine`] re-derives it: a Hummingbird reservation
-/// under `sv`, a Helia slot grant or a DRKey/EPIC per-source key under
-/// `master`. The reservation-keyed families allocate a fresh identity
-/// from the caller's `next_res_id` counter; the identity-keyed
-/// DRKey/EPIC families carry the null grant (ResID 0) and leave the
-/// counter untouched — this is the single place that rule lives.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn family_credential(
-    family: EngineFamily,
-    sv: &SecretValue,
-    master: &[u8; 16],
-    ingress: u16,
-    egress: u16,
-    next_res_id: &mut u32,
-    src: IsdAs,
-    bw_kbps: u64,
-    now_s: u64,
-) -> SourceReservation {
-    let res_id = match family {
-        EngineFamily::Drkey | EngineFamily::Epic => 0,
-        EngineFamily::Hummingbird | EngineFamily::Helia => {
-            let id = *next_res_id;
-            *next_res_id += 1;
-            id
-        }
-    };
-    match family {
-        EngineFamily::Hummingbird => {
-            let res_info = ResInfo {
-                ingress,
-                egress,
-                res_id,
-                bw_encoded: bwcls::encode_ceil(bw_kbps).expect("encodable bandwidth"),
-                res_start: now_s.saturating_sub(5) as u32,
-                duration: u16::MAX,
-            };
-            let key = sv.derive_key(&res_info);
-            SourceReservation { res_info, key }
-        }
-        EngineFamily::Helia => {
-            let slot = slot_of(now_s);
-            let bw_encoded = bwcls::encode_floor(bw_kbps).expect("encodable AS-assigned share");
-            let key = helia_packet_key(master, src, slot, res_id, bw_encoded);
-            SourceReservation {
-                res_info: ResInfo {
-                    ingress,
-                    egress,
-                    res_id,
-                    bw_encoded,
-                    res_start: (slot * SLOT_SECS) as u32,
-                    duration: SLOT_SECS as u16,
-                },
-                key: AuthKey::new(key),
-            }
-        }
-        EngineFamily::Drkey | EngineFamily::Epic => {
-            let epoch = epoch_of(now_s);
-            let secret = DrKeySecret::derive(master, epoch);
-            let key = if family == EngineFamily::Epic {
-                epic_auth_key(&secret, src, SRC_HOST)
-            } else {
-                secret.as_to_host(src, SRC_HOST)
-            };
-            SourceReservation {
-                res_info: ResInfo {
-                    ingress,
-                    egress,
-                    res_id: 0,
-                    bw_encoded: 0,
-                    res_start: (epoch * EPOCH_SECS) as u32,
-                    duration: u16::MAX, // covers the 6 h epoch
-                },
-                key: AuthKey::new(key),
-            }
+impl EngineScenario {
+    /// This deployment over one AS's secrets: one bare engine of the
+    /// family, or `shards` of them behind a [`ShardedRouter`] with the
+    /// family's steering.
+    pub(crate) fn deploy(
+        self,
+        sv: &SecretValue,
+        hop_key: &HopMacKey,
+        master: &[u8; 16],
+        cfg: RouterConfig,
+    ) -> Box<dyn Datapath + Send> {
+        if self.shards > 1 {
+            Box::new(self.family.sharded_engine(self.shards, sv, hop_key, master, cfg))
+        } else {
+            self.family.engine(sv, hop_key, master, cfg)
         }
     }
 }
@@ -366,41 +209,38 @@ impl LinearTopology {
         self.as_nodes.len()
     }
 
-    /// A fresh, stand-alone [`Datapath`] engine with hop `i`'s secrets —
-    /// for probing packets outside the simulator (the in-simulator
-    /// engines live in the router nodes).
-    pub fn make_hop_engine(&self, hop: usize, cfg: RouterConfig) -> Box<dyn Datapath + Send> {
-        DatapathBuilder::new(self.svs[hop].clone(), self.hop_keys[hop].clone())
-            .config(cfg)
-            .build_boxed()
-    }
-
-    /// Hop `i`'s router sharded across `shards` engines behind the
-    /// [`ShardedRouter`] facade — a drop-in for
-    /// [`Simulator::replace_engine`], so any scenario can rerun with a
-    /// multi-core router node and identical verdicts (the facade steers
-    /// every ResID to the one shard that polices it).
+    /// Hop `i`'s router of `family` sharded across `shards` engines
+    /// behind the [`ShardedRouter`] facade — a drop-in for
+    /// [`Simulator::replace_engine`] and the router every testbed node
+    /// runs, so any scenario can rerun with a multi-core router node and
+    /// identical verdicts (the facade steers every flow to the one shard
+    /// that holds its state).
     pub fn make_sharded_hop_engine(
         &self,
+        family: EngineFamily,
         hop: usize,
         cfg: RouterConfig,
         shards: usize,
-    ) -> Box<dyn Datapath + Send> {
-        Box::new(ShardedRouter::from_fn(shards, cfg.policer_slots, |_| {
-            self.make_hop_engine(hop, cfg)
-        }))
+    ) -> ShardedRouter {
+        family.sharded_engine(
+            shards,
+            &self.svs[hop],
+            &self.hop_keys[hop],
+            &self.drkey_masters[hop],
+            cfg,
+        )
     }
 
     /// A fresh, stand-alone engine of `family` with hop `i`'s secrets —
-    /// the per-family generalization of
-    /// [`make_hop_engine`](LinearTopology::make_hop_engine).
+    /// for probing packets outside the simulator (the in-simulator
+    /// engines live in the router nodes).
     pub fn make_family_hop_engine(
         &self,
         family: EngineFamily,
         hop: usize,
         cfg: RouterConfig,
     ) -> Box<dyn Datapath + Send> {
-        family_engine(family, &self.svs[hop], &self.hop_keys[hop], &self.drkey_masters[hop], cfg)
+        family.engine(&self.svs[hop], &self.hop_keys[hop], &self.drkey_masters[hop], cfg)
     }
 
     /// Swaps every router node's engine for `scenario`'s family, sharded
@@ -409,9 +249,8 @@ impl LinearTopology {
     /// unchanged topology, flows and adversaries.
     pub fn install_engines(&mut self, scenario: EngineScenario, cfg: RouterConfig) {
         for hop in 0..self.n_ases() {
-            let engine = deploy_engine(scenario, cfg, || {
-                self.make_family_hop_engine(scenario.family, hop, cfg)
-            });
+            let engine =
+                scenario.deploy(&self.svs[hop], &self.hop_keys[hop], &self.drkey_masters[hop], cfg);
             self.sim.replace_engine(self.as_nodes[hop], engine).ok().expect("AS nodes are routers");
         }
     }
@@ -493,18 +332,11 @@ impl LinearTopology {
         )
     }
 
-    /// The per-hop credential a `family` sender attaches for hop `hop`:
-    /// a Hummingbird reservation, a Helia slot grant, or a DRKey/EPIC
-    /// per-source key — each derived exactly as that hop's
+    /// The [`EngineFamily::credential`] a `family` sender `src` attaches
+    /// for hop `hop`, keyed under that hop's secrets exactly as its
     /// [`make_family_hop_engine`](LinearTopology::make_family_hop_engine)
-    /// engine re-derives it.
-    ///
-    /// `bw_kbps` is the granted rate for the reservation families and
-    /// ignored by the authentication-only ones (DRKey/EPIC have no
-    /// bandwidth axis — the contrast the family sweep exists to show).
-    /// Helia grants cover the 16 s slot containing `now_s`, so a run
-    /// crossing a slot boundary goes stale mid-flow, exactly as in the
-    /// real system.
+    /// engine re-derives it; reservation-keyed families draw a fresh
+    /// ResID from this topology's counter.
     pub fn make_family_credential(
         &mut self,
         family: EngineFamily,
@@ -515,8 +347,7 @@ impl LinearTopology {
     ) -> SourceReservation {
         let n = self.n_ases();
         let (ingress, egress) = Self::interfaces(n, hop);
-        family_credential(
-            family,
+        family.credential(
             &self.svs[hop],
             &self.drkey_masters[hop],
             ingress,
@@ -737,79 +568,6 @@ impl LatencySpec {
         self.flood_kbps = flood_kbps;
         self
     }
-
-    /// The same spec with `service_per_pkt_ns` replaced by the measured
-    /// single-core cost of this family's engine from the checked-in
-    /// `BENCH_hotpath.json` trajectory ([`calibrated_per_pkt_ns`]).
-    /// Falls back to the hand-set value — with a logged note — when no
-    /// trajectory file or matching record is found, so offline runs
-    /// keep working.
-    #[must_use]
-    pub fn calibrated(mut self) -> Self {
-        match calibrated_per_pkt_ns(self.scenario.family) {
-            Some(ns) => self.service_per_pkt_ns = ns,
-            None => eprintln!(
-                "BENCH_hotpath.json unavailable; {} latency sweep keeps the hand-set \
-                 {} ns/pkt service cost",
-                self.scenario.family.name(),
-                self.service_per_pkt_ns
-            ),
-        }
-        self
-    }
-}
-
-/// The measured single-core (`"mode": "clone"`, `"cores": 1`) ns/pkt of
-/// `family`'s engine, averaged over the payload sweep of a
-/// `BENCH_hotpath.json` trajectory document — the calibration source for
-/// [`ServiceModel::per_pkt_ns`] so each family's latency/overload sweep
-/// pays its own datapath cost rather than a hand-set constant.
-///
-/// The file is searched in the working directory and up to three parent
-/// directories (bench binaries run from the workspace root, `cargo test`
-/// from the crate root). `None` when no file or no matching record
-/// exists; callers fall back to their hand-set value (see
-/// [`LatencySpec::calibrated`]).
-pub fn calibrated_per_pkt_ns(family: EngineFamily) -> Option<u64> {
-    const CANDIDATES: [&str; 4] = [
-        "BENCH_hotpath.json",
-        "../BENCH_hotpath.json",
-        "../../BENCH_hotpath.json",
-        "../../../BENCH_hotpath.json",
-    ];
-    CANDIDATES
-        .iter()
-        .find_map(|p| std::fs::read_to_string(p).ok())
-        .and_then(|doc| hotpath_clone_1core_ns(&doc, family.name()))
-}
-
-/// Hand-rolled record extraction (no JSON library exists in the offline
-/// build): the mean `ns_per_pkt` over `records` rows matching `engine`
-/// with `"mode": "clone"` and `"cores": 1`, relying on the one-record-
-/// per-line layout the bench writer emits. The `"cores": 1,` needle
-/// keeps its trailing comma so multi-digit core counts never match.
-fn hotpath_clone_1core_ns(doc: &str, engine: &str) -> Option<u64> {
-    let engine_key = format!("\"engine\": \"{engine}\"");
-    let mut sum = 0.0f64;
-    let mut n = 0u32;
-    for line in doc.lines() {
-        if !line.contains(&engine_key)
-            || !line.contains("\"mode\": \"clone\"")
-            || !line.contains("\"cores\": 1,")
-        {
-            continue;
-        }
-        let Some(at) = line.find("\"ns_per_pkt\":") else { continue };
-        let rest = line[at + 13..].trim_start();
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].trim().parse::<f64>() {
-            if v.is_finite() && v > 0.0 {
-                sum += v;
-                n += 1;
-            }
-        }
-    }
-    (n > 0).then(|| (sum / f64::from(n)).round() as u64)
 }
 
 /// What a [`run_latency_scenario`] measured.
@@ -1329,24 +1087,6 @@ impl OverloadSpec {
             run_s: 1,
             max_pkts_per_flow: 0,
         }
-    }
-
-    /// The same spec with `service_per_pkt_ns` calibrated from
-    /// `BENCH_hotpath.json` ([`calibrated_per_pkt_ns`]), falling back to
-    /// the hand-set value with a logged note — the overload face of
-    /// [`LatencySpec::calibrated`].
-    #[must_use]
-    pub fn calibrated(mut self) -> Self {
-        match calibrated_per_pkt_ns(self.scenario.family) {
-            Some(ns) => self.service_per_pkt_ns = ns,
-            None => eprintln!(
-                "BENCH_hotpath.json unavailable; {} overload sweep keeps the hand-set \
-                 {} ns/pkt service cost",
-                self.scenario.family.name(),
-                self.service_per_pkt_ns
-            ),
-        }
-        self
     }
 }
 

@@ -26,9 +26,9 @@
 //! live in exactly one place.
 
 use crate::flow::ReactiveFlow;
-use crate::scenario::{deploy_engine, family_credential, family_engine, EngineFamily};
 use crate::scenario::{EngineScenario, LinkSpec, ReactiveProfile};
 use crate::sim::{Flow, FlowId, LinkId, Node, NodeId, ServiceModel, Simulator};
+use hummingbird_baselines::EngineFamily;
 use hummingbird_crypto::SecretValue;
 use hummingbird_dataplane::{
     forge_path, BeaconHop, Datapath, DatapathBuilder, DatapathStats, RouterConfig, SourceGenerator,
@@ -575,9 +575,7 @@ impl TopologyBuilder {
         let scenario =
             self.engines.unwrap_or(EngineScenario { family: EngineFamily::Hummingbird, shards: 1 });
         let meta = &self.routers[r];
-        deploy_engine(scenario, self.engine_cfg, || {
-            family_engine(scenario.family, &meta.sv, &meta.hop_key, &meta.master, self.engine_cfg)
-        })
+        scenario.deploy(&meta.sv, &meta.hop_key, &meta.master, self.engine_cfg)
     }
 
     /// Swaps every router's engine for `scenario`'s family (sharded per
@@ -686,8 +684,7 @@ impl TopologyBuilder {
             let mut next_res_id = self.next_res_id;
             for (i, (&r, &(ingress, egress))) in path.iter().zip(&ifaces).enumerate() {
                 let meta = &self.routers[r];
-                let credential = family_credential(
-                    family,
+                let credential = family.credential(
                     &meta.sv,
                     &meta.master,
                     ingress,

@@ -3,14 +3,15 @@
 //! [`run_chain`] stands up one gateway → router… → sink chain over UDP
 //! loopback: the gateway thread generates and sends `pkts` real
 //! datagrams per the mix's schedule, each router thread drives its own
-//! [`ShardedRouter`] over the selected engine family, and the sink
-//! thread measures delivery, goodput and end-to-end latency. When the
-//! FIN has propagated, the harness cross-checks every counter for exact
-//! packet conservation — `sent = delivered + engine drops + parse
-//! drops`, globally, per flow and per class — and reports any violation
-//! as a loud error string rather than a skewed statistic.
+//! [`ShardedRouter`](hummingbird_dataplane::ShardedRouter) over the
+//! selected engine family, and the sink thread measures delivery,
+//! goodput and end-to-end latency. When the FIN has propagated, the
+//! harness cross-checks every counter for exact packet conservation —
+//! `sent = delivered + engine drops + parse drops`, globally, per flow
+//! and per class — and reports any violation as a loud error string
+//! rather than a skewed statistic.
 
-use hummingbird_dataplane::{Datapath, DropReason, LatencyHistogram, RouterConfig, ShardedRouter};
+use hummingbird_dataplane::{DropReason, LatencyHistogram, RouterConfig};
 use hummingbird_netsim::{EngineFamily, LinearTopology, LinkSpec};
 use hummingbird_wire::IsdAs;
 use std::net::UdpSocket;
@@ -217,16 +218,9 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
     let epoch = Instant::now();
     let mut router_handles = Vec::with_capacity(spec.routers);
     for (hop, (data, next)) in router_socks.into_iter().zip(senders).enumerate() {
-        let engines: Vec<Box<dyn Datapath + Send>> = (0..spec.shards.max(1))
-            .map(|_| topo.make_family_hop_engine(spec.family, hop, cfg))
-            .collect();
         let router = SocketRouter {
             data,
-            engine: Box::new(ShardedRouter::new(
-                engines,
-                cfg.policer_slots,
-                spec.family.steering(),
-            )),
+            engine: Box::new(topo.make_sharded_hop_engine(spec.family, hop, cfg, spec.shards)),
             next,
             acks: AckSender::new(upstream_ctrls[hop], spec.ack_every).map_err(err)?,
             flow_reserved: flow_reserved.clone(),

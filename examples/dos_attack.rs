@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example dos_attack`
 
-use hummingbird::netsim::{LinearTopology, LinkSpec};
+use hummingbird::netsim::{EngineFamily, LinearTopology, LinkSpec};
 use hummingbird::{Datapath, IsdAs, RouterConfig, Verdict};
 
 const START_S: u64 = 1_700_000_000;
@@ -161,8 +161,8 @@ fn scenario_replay_via_datapath() {
     let mut original = generator.generate(&[0u8; 128], START_S * 1000).unwrap();
     let mut replay = original.clone();
     // Hop 0's secrets with the duplicate-suppression stage composed in.
-    let mut router =
-        topo.make_hop_engine(0, RouterConfig { duplicate_suppression: true, ..Default::default() });
+    let cfg = RouterConfig { duplicate_suppression: true, ..Default::default() };
+    let mut router = topo.make_family_hop_engine(EngineFamily::Hummingbird, 0, cfg);
     let first = router.process(&mut original, START_NS);
     let second = router.process(&mut replay, START_NS + 1_000);
     println!(

@@ -13,6 +13,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use hummingbird::netsim::EngineFamily;
 use hummingbird::testbed::{Testbed, TestbedConfig};
 use hummingbird::{Datapath, IsdAs, PacketBuf, PurchaseSpec};
 
@@ -104,7 +105,7 @@ fn main() {
         engine.process_batch(&mut batch, now_ns, &mut verdicts);
         (verdicts.iter().filter(|v| v.is_flyover()).count(), verdicts.len())
     };
-    let mut router = tb.topo.make_hop_engine(0, tb.cfg.router);
+    let mut router = tb.topo.make_family_hop_engine(EngineFamily::Hummingbird, 0, tb.cfg.router);
     let (priority, total) = verdict_probe(router.as_mut());
     println!(
         "Datapath batch API: {} of {} packets verified with priority at a fresh hop-0 \"{}\" engine",
@@ -118,8 +119,9 @@ fn main() {
     // The same trait also fronts a whole multi-core router: a
     // `ShardedRouter` RSS-steers each reservation to the one shard that
     // polices it, and behaves observably like the single engine above.
-    let mut sharded = tb.topo.make_sharded_hop_engine(0, tb.cfg.router, 4);
-    let (priority, total) = verdict_probe(sharded.as_mut());
+    let mut sharded =
+        tb.topo.make_sharded_hop_engine(EngineFamily::Hummingbird, 0, tb.cfg.router, 4);
+    let (priority, total) = verdict_probe(&mut sharded);
     println!(
         "Sharded runtime: the same {} packets verified with priority across a 4-shard \"{}\" router",
         priority,

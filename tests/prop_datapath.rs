@@ -14,11 +14,9 @@ use hummingbird::dataplane::{
     SourceReservation,
 };
 use hummingbird::{IsdAs, ResInfo, SecretValue};
-use hummingbird_baselines::{
-    slot_of, DrKeyDatapath, EpicDatapath, EpicSender, HeliaDatapath, HeliaSender,
-};
+use hummingbird_baselines::EngineFamily;
 use hummingbird_wire::scion_mac::HopMacKey;
-use hummingbird_wire::{Packet, PacketView};
+use hummingbird_wire::{HummingbirdPath, Packet, PacketView};
 use proptest::prelude::*;
 
 const NOW_S: u64 = 1_700_000_096; // slot-aligned (divisible by 16)
@@ -37,17 +35,38 @@ fn interfaces(n: usize, i: usize) -> (u16, u16) {
     (if i == 0 { 0 } else { 2 * i as u16 }, if i == n - 1 { 0 } else { 2 * i as u16 + 1 })
 }
 
-/// A mixed workload: `n_hops`-hop packets, hop 0 reserved on a subset,
-/// with a per-packet payload size and a corrupted-byte option so batches
-/// mix Flyover, BestEffort and Drop verdicts.
-fn workload(n_hops: usize, specs: &[(u16, bool, bool)]) -> Vec<Vec<u8>> {
+fn beaconed_path(n_hops: usize) -> HummingbirdPath {
     let hops: Vec<BeaconHop> = (0..n_hops)
         .map(|i| {
             let (cons_ingress, cons_egress) = interfaces(n_hops, i);
             BeaconHop { key: hop_key(i), cons_ingress, cons_egress }
         })
         .collect();
-    let path = forge_path(&hops, NOW_S as u32 - 100, 0x1234);
+    forge_path(&hops, NOW_S as u32 - 100, 0x1234)
+}
+
+/// The verifying AS's DRKey master (what the baseline families key on).
+const MASTER: [u8; 16] = [0xB5; 16];
+
+/// A hop-0 engine of `family` over the verifying AS's secrets.
+fn hop0_engine(family: EngineFamily, cfg: RouterConfig) -> Box<dyn Datapath + Send> {
+    family.engine(&sv(0), &hop_key(0), &MASTER, cfg)
+}
+
+/// A sender from `src` over the two-hop path, carrying `family`'s hop-0
+/// credential (ResID 1 at `bw_kbps` where the family has them).
+fn hop0_sender(family: EngineFamily, src: IsdAs, bw_kbps: u64) -> SourceGenerator {
+    let mut sender = SourceGenerator::new(src, IsdAs::new(2, 0x20), beaconed_path(2));
+    let credential = family.credential(&sv(0), &MASTER, 0, 1, &mut 1, src, bw_kbps, NOW_S);
+    sender.attach_reservation(0, credential).unwrap();
+    sender
+}
+
+/// A mixed workload: `n_hops`-hop packets, hop 0 reserved on a subset,
+/// with a per-packet payload size and a corrupted-byte option so batches
+/// mix Flyover, BestEffort and Drop verdicts.
+fn workload(n_hops: usize, specs: &[(u16, bool, bool)]) -> Vec<Vec<u8>> {
+    let path = beaconed_path(n_hops);
     let (ing, eg) = interfaces(n_hops, 0);
     let res_info = ResInfo {
         ingress: ing,
@@ -88,21 +107,8 @@ fn router() -> DatapathBuilder {
 /// in the past (→ the strict-freshness drop) or corrupted (→ BadMac) —
 /// so bursts mix BestEffort and both Drop reasons across sources.
 fn epic_workload(specs: &[(u8, u16, bool, bool)]) -> Vec<Vec<u8>> {
-    let hops = vec![
-        BeaconHop { key: hop_key(0), cons_ingress: 0, cons_egress: 1 },
-        BeaconHop { key: hop_key(1), cons_ingress: 2, cons_egress: 0 },
-    ];
-    let path = forge_path(&hops, NOW_S as u32 - 100, 0x1234);
-    let mut issuer = EpicDatapath::new([0xB5; 16], hop_key(0), RouterConfig::default());
-    let mut senders: Vec<EpicSender> = (0..3u64)
-        .map(|i| {
-            let src = IsdAs::new(1, 0x10 + i);
-            let key = issuer.auth_key(src, [0, 0, 0, 1], NOW_S);
-            let mut sender = EpicSender::new(src, IsdAs::new(2, 0x20), path.clone());
-            sender.attach_auth_key(0, 0, 1, key, NOW_S).unwrap();
-            sender
-        })
-        .collect();
+    let mut senders: Vec<SourceGenerator> =
+        (0..3u64).map(|i| hop0_sender(EngineFamily::Epic, IsdAs::new(1, 0x10 + i), 0)).collect();
     specs
         .iter()
         .enumerate()
@@ -162,18 +168,10 @@ proptest! {
         specs in prop::collection::vec((0u16..400, any::<bool>(), any::<bool>()), 1..16),
     ) {
         let packets = workload(2, &specs);
-        let helia = || -> Box<dyn Datapath + Send> {
-            Box::new(HeliaDatapath::new([0xB5; 16], hop_key(0), RouterConfig::default()))
-        };
-        assert_batch_matches_sequential(helia(), helia(), packets.clone())?;
-        let drkey = || -> Box<dyn Datapath + Send> {
-            Box::new(DrKeyDatapath::new([0xB5; 16], hop_key(0)))
-        };
-        assert_batch_matches_sequential(drkey(), drkey(), packets.clone())?;
-        let epic = || -> Box<dyn Datapath + Send> {
-            Box::new(EpicDatapath::new([0xB5; 16], hop_key(0), RouterConfig::default()))
-        };
-        assert_batch_matches_sequential(epic(), epic(), packets)?;
+        for family in [EngineFamily::Helia, EngineFamily::Drkey, EngineFamily::Epic] {
+            let make = || hop0_engine(family, RouterConfig::default());
+            assert_batch_matches_sequential(make(), make(), packets.clone())?;
+        }
     }
 
     /// EPIC-stamped traffic from several sources: batch ≡ sequential with
@@ -191,7 +189,7 @@ proptest! {
                 auth_key_cache_slots: cache_slots,
                 ..RouterConfig::default()
             };
-            Box::new(EpicDatapath::new([0xB5; 16], hop_key(0), cfg))
+            hop0_engine(EngineFamily::Epic, cfg)
         };
         let mut probe = make(0);
         let fresh = epic_workload(&[(0, 64, false, false)]);
@@ -230,24 +228,13 @@ proptest! {
     fn helia_stamped_batch_equals_sequential(
         payloads in prop::collection::vec(0u16..400, 1..12),
     ) {
-        let hops = vec![
-            BeaconHop { key: hop_key(0), cons_ingress: 0, cons_egress: 1 },
-            BeaconHop { key: hop_key(1), cons_ingress: 2, cons_egress: 0 },
-        ];
-        let path = forge_path(&hops, NOW_S as u32 - 100, 0x1234);
-        let src = IsdAs::new(1, 0x10);
-        let issuer = HeliaDatapath::new([0xB5; 16], hop_key(0), RouterConfig::default());
-        let grant = issuer.issue_grant(src, slot_of(NOW_S), 1, 1_000_000, 0, 1).unwrap();
-        let mut sender = HeliaSender::new(src, IsdAs::new(2, 0x20), path);
-        sender.attach_grant(0, &grant).unwrap();
+        let mut sender = hop0_sender(EngineFamily::Helia, IsdAs::new(1, 0x10), 1_000_000);
         let packets: Vec<Vec<u8>> = payloads
             .iter()
             .enumerate()
             .map(|(i, &p)| sender.generate(&vec![0u8; usize::from(p)], NOW_MS + i as u64).unwrap())
             .collect();
-        let make = || -> Box<dyn Datapath + Send> {
-            Box::new(HeliaDatapath::new([0xB5; 16], hop_key(0), RouterConfig::default()))
-        };
+        let make = || hop0_engine(EngineFamily::Helia, RouterConfig::default());
         let mut probe = make();
         let v = probe.process(&mut packets[0].clone(), NOW_NS);
         prop_assert!(v.is_flyover(), "stamped packet must prioritize: {:?}", v);

@@ -27,7 +27,7 @@ use hummingbird::dataplane::{
     SourceReservation,
 };
 use hummingbird::{IsdAs, ResInfo, SecretValue};
-use hummingbird_baselines::{EpicDatapath, EpicSender};
+use hummingbird_baselines::EngineFamily;
 use hummingbird_wire::scion_mac::HopMacKey;
 use proptest::prelude::*;
 
@@ -246,15 +246,21 @@ proptest! {
     }
 }
 
-/// EPIC engine + `Steering::BySource` helpers for the source-keyed
-/// sharding properties below.
+const MASTER: [u8; 16] = [0xB5; 16];
+
+fn epic_cfg(dup: bool) -> RouterConfig {
+    RouterConfig { duplicate_suppression: dup, ..RouterConfig::default() }
+}
+
+/// EPIC engine + `Steering::BySource` (the family's steering) helpers
+/// for the source-keyed sharding properties below.
 fn make_epic(dup: bool) -> Box<dyn Datapath + Send> {
-    let cfg = RouterConfig { duplicate_suppression: dup, ..RouterConfig::default() };
-    Box::new(EpicDatapath::new([0xB5; 16], hop_key(), cfg))
+    EngineFamily::Epic.engine(&sv(), &hop_key(), &MASTER, epic_cfg(dup))
 }
 
 fn make_sharded_epic(shards: usize, dup: bool) -> ShardedRouter {
-    ShardedRouter::new((0..shards).map(|_| make_epic(dup)).collect(), SLOTS, Steering::BySource)
+    assert_eq!(EngineFamily::Epic.steering(), Steering::BySource);
+    EngineFamily::Epic.sharded_engine(shards, &sv(), &hop_key(), &MASTER, epic_cfg(dup))
 }
 
 /// An EPIC-stamped duplicate-free workload from up to five source ASes
@@ -264,13 +270,13 @@ fn make_sharded_epic(shards: usize, dup: bool) -> ShardedRouter {
 fn epic_workload(specs: &[(u8, u16, bool)]) -> Vec<Vec<u8>> {
     let hops = vec![BeaconHop { key: hop_key(), cons_ingress: 0, cons_egress: 0 }];
     let path = forge_path(&hops, NOW_S as u32 - 100, 0x1234);
-    let mut issuer = EpicDatapath::new([0xB5; 16], hop_key(), RouterConfig::default());
-    let mut senders: Vec<EpicSender> = (0..5u64)
+    let mut senders: Vec<SourceGenerator> = (0..5u64)
         .map(|i| {
             let src = IsdAs::new(1, 0x10 + i);
-            let key = issuer.auth_key(src, [0, 0, 0, 1], NOW_S);
-            let mut sender = EpicSender::new(src, IsdAs::new(2, 0x20), path.clone());
-            sender.attach_auth_key(0, 0, 0, key, NOW_S).unwrap();
+            let credential =
+                EngineFamily::Epic.credential(&sv(), &MASTER, 0, 0, &mut 0, src, 0, NOW_S);
+            let mut sender = SourceGenerator::new(src, IsdAs::new(2, 0x20), path.clone());
+            sender.attach_reservation(0, credential).unwrap();
             sender
         })
         .collect();
