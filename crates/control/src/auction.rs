@@ -346,8 +346,7 @@ impl ControlPlane {
         auction_id: ObjectId,
         bid_ids: &[ObjectId],
     ) -> CpResult<AuctionOutcome> {
-        let bid_ids = bid_ids.to_vec();
-        self.exec(caller, move |ctx| settle_auction_inner(ctx, auction_id, &bid_ids))
+        self.exec(caller, |ctx| settle_auction_inner(ctx, auction_id, bid_ids))
     }
 
     /// Public chain scan: bid objects of an auction, in object-ID order.

@@ -11,10 +11,10 @@ use crate::service::ReservationPayload;
 use hummingbird_crypto::sealed;
 use hummingbird_crypto::sig::SecretKey;
 use hummingbird_crypto::{AuthKey, ResInfo};
-use hummingbird_ledger::{Address, ExecError, ObjectId};
+use hummingbird_ledger::{Address, DigestMap, DigestSet, ExecError, ObjectId};
 use hummingbird_wire::IsdAs;
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A reservation the client can use on the data plane: the `ResInfo` to put
 /// in the flyover hop field plus the authentication key `A_K`.
@@ -35,14 +35,14 @@ pub struct Client {
     /// Ephemeral secret keys of in-flight redeem requests, keyed by the
     /// request object they belong to — deliveries echo that ID, so each
     /// one is opened with exactly its key (no trial decryption).
-    pending_eph: HashMap<ObjectId, SecretKey>,
+    pending_eph: DigestMap<ObjectId, SecretKey>,
     granted: Vec<GrantedReservation>,
     /// Latest granted window per `(as, ingress, res_id)` — the entry a
     /// renewal delivery's unwrap key ratchets from.
     latest: HashMap<(IsdAs, u16, u32), usize>,
     /// Renewal deliveries already unwrapped (they stay on chain, so a
     /// later collect pass must not ingest them twice).
-    seen_renewals: HashSet<ObjectId>,
+    seen_renewals: DigestSet<ObjectId>,
     /// Delivery objects (redeem and renewal) whose payload has been
     /// ingested — dead weight on chain until [`Self::sweep_collected`]
     /// deletes them for the storage rebate.
@@ -54,10 +54,10 @@ impl Client {
     pub fn new(account: Address) -> Self {
         Client {
             account,
-            pending_eph: HashMap::new(),
+            pending_eph: DigestMap::default(),
             granted: Vec::new(),
             latest: HashMap::new(),
-            seen_renewals: HashSet::new(),
+            seen_renewals: DigestSet::default(),
             reclaimable: Vec::new(),
         }
     }

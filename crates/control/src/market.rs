@@ -7,13 +7,13 @@
 //! unsold pieces, exactly the worst case the paper benchmarks in Table 1.
 
 use crate::plane::{
-    read_asset, redeem_inner, split_bandwidth_inner, split_time_inner, ControlPlane, CpResult,
+    exec_on, read_asset, redeem_inner, split_bandwidth_inner, split_time_inner, ControlPlane,
+    CpResult,
 };
 use crate::types::*;
 use hummingbird_crypto::sig::PublicKey;
 use hummingbird_ledger::{Address, ExecError, ObjectId, Owner, TxContext};
 use hummingbird_wire::IsdAs;
-use std::collections::HashMap;
 
 /// What a buyer wants out of a listing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,14 +104,13 @@ impl ControlPlane {
         market: ObjectId,
         hops: &[HopPurchase],
     ) -> CpResult<Vec<ObjectId>> {
-        let as_accounts = self.as_accounts_snapshot();
-        let hops = hops.to_vec();
-        self.exec(sender, move |ctx| {
+        let as_accounts = &self.as_accounts;
+        exec_on(&mut self.ledger, &mut self.gas_coins, sender, |ctx| {
             let mut requests = Vec::with_capacity(hops.len());
-            for hop in &hops {
+            for hop in hops {
                 let ingress = buy_inner(ctx, market, hop.ingress_listing, hop.spec)?;
                 let egress = buy_inner(ctx, market, hop.egress_listing, hop.spec)?;
-                let request = redeem_inner(ctx, &as_accounts, ingress, egress, hop.ephemeral_pk)?;
+                let request = redeem_inner(ctx, as_accounts, ingress, egress, hop.ephemeral_pk)?;
                 requests.push(request);
             }
             Ok(requests)
@@ -131,10 +130,6 @@ impl ControlPlane {
                 Some((e.meta.id, listing, asset))
             })
             .collect()
-    }
-
-    pub(crate) fn as_accounts_snapshot(&self) -> HashMap<IsdAs, Address> {
-        self.as_accounts.clone()
     }
 
     /// All registered ASes and their accounts (the registry maintained by

@@ -10,7 +10,7 @@ use crate::pki::TrustAnchors;
 use crate::types::*;
 use hummingbird_crypto::sig::{PublicKey, Signature};
 use hummingbird_ledger::{
-    Address, ExecError, Ledger, ObjectId, Owner, TxContext, TxReceipt, MIST_PER_SUI,
+    Address, DigestMap, ExecError, Ledger, ObjectId, Owner, TxContext, TxReceipt, MIST_PER_SUI,
 };
 use hummingbird_wire::IsdAs;
 use std::collections::HashMap;
@@ -30,7 +30,7 @@ pub struct ControlPlane {
     pub ledger: Ledger,
     /// Trust anchors for AS registration proofs.
     pub anchors: TrustAnchors,
-    gas_coins: HashMap<Address, ObjectId>,
+    pub(crate) gas_coins: DigestMap<Address, ObjectId>,
     pub(crate) as_accounts: HashMap<IsdAs, Address>,
 }
 
@@ -46,7 +46,7 @@ impl ControlPlane {
         ControlPlane {
             ledger: Ledger::new(),
             anchors,
-            gas_coins: HashMap::new(),
+            gas_coins: DigestMap::default(),
             as_accounts: HashMap::new(),
         }
     }
@@ -68,26 +68,7 @@ impl ControlPlane {
         sender: Address,
         f: impl FnOnce(&mut TxContext) -> Result<T, ExecError>,
     ) -> CpResult<T> {
-        let known_coin = self.gas_coins.get(&sender).copied();
-        let receipt = self.ledger.execute(sender, |ctx| {
-            let coin = match known_coin {
-                Some(id) => {
-                    // Version-bump the coin without cloning its payload
-                    // through contract code; `touch` charges the same gas
-                    // as the read+write it replaces.
-                    ctx.touch(id, TAG_GAS_COIN)?;
-                    id
-                }
-                None => {
-                    ctx.create(Owner::Address(sender), TAG_GAS_COIN, vec![0u8; GAS_COIN_PAYLOAD])
-                }
-            };
-            let value = f(ctx)?;
-            Ok((value, coin))
-        })?;
-        self.gas_coins.insert(sender, receipt.value.1);
-        let TxReceipt { value: (value, _), gas, path, digest } = receipt;
-        Ok(TxReceipt { value, gas, path, digest })
+        exec_on(&mut self.ledger, &mut self.gas_coins, sender, f)
     }
 
     // ------------------------------------------------------------------
@@ -245,9 +226,9 @@ impl ControlPlane {
         egress_id: ObjectId,
         ephemeral_pk: PublicKey,
     ) -> CpResult<ObjectId> {
-        let as_accounts = self.as_accounts.clone();
-        self.exec(sender, move |ctx| {
-            redeem_inner(ctx, &as_accounts, ingress_id, egress_id, ephemeral_pk)
+        let as_accounts = &self.as_accounts;
+        exec_on(&mut self.ledger, &mut self.gas_coins, sender, |ctx| {
+            redeem_inner(ctx, as_accounts, ingress_id, egress_id, ephemeral_pk)
         })
     }
 
@@ -325,6 +306,36 @@ impl ControlPlane {
 // ----------------------------------------------------------------------
 // Inner contract logic shared with the market contract
 // ----------------------------------------------------------------------
+
+/// [`ControlPlane::exec`] over the two fields it needs, so a contract
+/// closure can borrow the rest of the control plane (the AS registry)
+/// instead of copying it.
+pub(crate) fn exec_on<T>(
+    ledger: &mut Ledger,
+    gas_coins: &mut DigestMap<Address, ObjectId>,
+    sender: Address,
+    f: impl FnOnce(&mut TxContext) -> Result<T, ExecError>,
+) -> CpResult<T> {
+    let known_coin = gas_coins.get(&sender).copied();
+    let mut created_coin = None;
+    let receipt = ledger.execute(sender, |ctx| {
+        match known_coin {
+            // Version-bump the coin without moving its payload; `touch`
+            // charges the same gas as the read+write it replaces.
+            Some(id) => ctx.touch(id, TAG_GAS_COIN)?,
+            None => {
+                let payload = vec![0u8; GAS_COIN_PAYLOAD];
+                created_coin = Some(ctx.create(Owner::Address(sender), TAG_GAS_COIN, payload));
+            }
+        }
+        f(ctx)
+    })?;
+    // The coin's ID only changes on the sender's first transaction.
+    if let Some(coin) = created_coin {
+        gas_coins.insert(sender, coin);
+    }
+    Ok(receipt)
+}
 
 /// Reads and decodes a bandwidth asset (borrowed read: the payload is
 /// decoded in place, never cloned).
@@ -407,7 +418,7 @@ pub(crate) fn redeem_inner(
         ephemeral_pk,
         ingress_asset: ingress_id,
         egress_asset: egress_id,
-        asset: ingress.clone(),
+        asset: ingress,
         egress_interface: egress.interface,
     };
     let request_id = ctx.create(Owner::Address(as_account), TAG_REDEEM, request.encode());

@@ -117,16 +117,6 @@ impl BandwidthAsset {
     /// the paper's contracts store, so the storage-gas numbers land in the
     /// same regime as Table 2.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u16(self.as_id.isd);
-        w.u64(self.as_id.asn);
-        w.u64(self.bandwidth_kbps);
-        w.u64(self.start_time);
-        w.u64(self.expiry_time);
-        w.u16(self.interface);
-        w.u8(self.direction.encode());
-        w.u64(self.time_granularity);
-        w.u64(self.min_bandwidth_kbps);
         let display = format!(
             "Hummingbird bandwidth reservation voucher: AS {} if {} {:?} {} kbps [{}, {})",
             self.as_id,
@@ -136,6 +126,16 @@ impl BandwidthAsset {
             self.start_time,
             self.expiry_time
         );
+        let mut w = Writer::with_capacity(57 + display.len());
+        w.u16(self.as_id.isd);
+        w.u64(self.as_id.asn);
+        w.u64(self.bandwidth_kbps);
+        w.u64(self.start_time);
+        w.u64(self.expiry_time);
+        w.u16(self.interface);
+        w.u8(self.direction.encode());
+        w.u64(self.time_granularity);
+        w.u64(self.min_bandwidth_kbps);
         w.var_bytes(display.as_bytes());
         w.finish()
     }
@@ -153,7 +153,7 @@ impl BandwidthAsset {
             time_granularity: r.u64()?,
             min_bandwidth_kbps: r.u64()?,
         };
-        let _display = r.var_bytes()?;
+        let _display = r.var_slice()?;
         r.finish()?;
         Ok(asset)
     }
@@ -206,12 +206,13 @@ pub struct RedeemRequest {
 impl RedeemRequest {
     /// Serializes the request.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let asset = self.asset.encode();
+        let mut w = Writer::with_capacity(118 + asset.len());
         w.bytes(&self.requester.0);
         w.bytes(&self.ephemeral_pk.to_bytes());
         w.bytes(&self.ingress_asset.0);
         w.bytes(&self.egress_asset.0);
-        w.var_bytes(&self.asset.encode());
+        w.var_bytes(&asset);
         w.u16(self.egress_interface);
         w.finish()
     }
@@ -224,7 +225,7 @@ impl RedeemRequest {
         let ephemeral_pk = PublicKey::from_bytes(&pk_bytes).ok_or(DecodeError)?;
         let ingress_asset = ObjectId(r.array::<32>()?);
         let egress_asset = ObjectId(r.array::<32>()?);
-        let asset = BandwidthAsset::decode(&r.var_bytes()?)?;
+        let asset = BandwidthAsset::decode(r.var_slice()?)?;
         let egress_interface = r.u16()?;
         r.finish()?;
         Ok(RedeemRequest {
@@ -255,7 +256,7 @@ pub struct EncryptedReservation {
 impl EncryptedReservation {
     /// Serializes the delivery.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(94 + self.sealed.ciphertext.len());
         w.u16(self.as_id.isd);
         w.u64(self.as_id.asn);
         w.bytes(&self.request.0);
@@ -298,7 +299,7 @@ pub struct Listing {
 impl Listing {
     /// Serializes the listing.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(72);
         w.bytes(&self.seller.0);
         w.bytes(&self.asset.0);
         w.u64(self.price_per_kbps_sec);

@@ -17,6 +17,13 @@ impl Writer {
         Self::default()
     }
 
+    /// Creates an empty writer with room for `bytes`, for encoders that
+    /// know their size: one allocation instead of one per doubling (a
+    /// wrong size costs a reallocation, nothing else).
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer { buf: Vec::with_capacity(bytes) }
+    }
+
     /// Consumes the writer, returning the bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -134,8 +141,13 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed byte string.
     pub fn var_bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+        self.var_slice().map(<[u8]>::to_vec)
+    }
+
+    /// Borrowed [`Self::var_bytes`]: the string stays in the buffer.
+    pub fn var_slice(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Asserts the buffer is fully consumed.

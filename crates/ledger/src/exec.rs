@@ -15,8 +15,8 @@
 //!   object has been accessed in the same transaction.
 
 use crate::gas::{GasSchedule, GasSummary};
-use crate::object::{Address, ObjectEntry, ObjectId, ObjectMeta, Owner};
-use std::collections::{HashMap, HashSet};
+use crate::object::{Address, DigestMap, DigestSet, ObjectEntry, ObjectId, ObjectMeta, Owner};
+use std::collections::hash_map::Entry;
 
 /// Errors surfaced by transaction execution. Any error aborts the whole
 /// transaction with no state change.
@@ -93,19 +93,71 @@ pub struct TxReceipt<T> {
     pub digest: [u8; 32],
 }
 
-/// Staged object state: `None` = deleted, `Some` = created/updated.
-type Staged = HashMap<ObjectId, Option<ObjectEntry>>;
+/// What a transaction leaves of one object it used mutably.
+#[derive(Debug)]
+pub(crate) struct Staged {
+    /// Metadata after the transaction.
+    pub meta: ObjectMeta,
+    /// Whether the transaction deleted the object.
+    pub deleted: bool,
+    /// New payload; `None` = the committed payload stays (or goes with
+    /// the deleted object), so bumping a version moves no bytes.
+    pub data: Option<Vec<u8>>,
+    /// Storage fee and payload length of the committed version, noted
+    /// when it was staged so pricing never looks it up again; `None` =
+    /// created by this transaction.
+    pub old: Option<(u64, usize)>,
+}
+
+impl Staged {
+    /// Payload length after the transaction.
+    pub fn len(&self) -> usize {
+        match (&self.data, self.old) {
+            (Some(data), _) => data.len(),
+            (None, old) => old.map_or(0, |(_, len)| len),
+        }
+    }
+}
+
+type Committed = DigestMap<ObjectId, ObjectEntry>;
+type StagedMap = DigestMap<ObjectId, Staged>;
+
+/// The tables a transaction fills, owned by the ledger and lent to one
+/// context at a time: a small transaction allocates none of them.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    pub staged: StagedMap,
+    pub balance_deltas: DigestMap<Address, i128>,
+    /// Objects used so far: each unlocks its children.
+    parents: DigestSet<ObjectId>,
+}
+
+impl Scratch {
+    /// Entries a table keeps room for between transactions. Every
+    /// transaction on the admit path stays below it; a 5 000-entry sweep
+    /// gives its capacity back instead of leaving it for the next
+    /// one-entry call to clear.
+    const KEEP: usize = 16;
+
+    /// Empties the tables for the next transaction.
+    pub fn reset(&mut self) {
+        self.staged.clear();
+        self.staged.shrink_to(Self::KEEP);
+        self.balance_deltas.clear();
+        self.balance_deltas.shrink_to(Self::KEEP);
+        self.parents.clear();
+        self.parents.shrink_to(Self::KEEP);
+    }
+}
 
 /// The mutable view a transaction closure operates on.
 pub struct TxContext<'l> {
-    pub(crate) committed: &'l HashMap<ObjectId, ObjectEntry>,
+    pub(crate) committed: &'l Committed,
     pub(crate) sender: Address,
     pub(crate) digest: [u8; 32],
-    pub(crate) staged: Staged,
-    pub(crate) balance_deltas: HashMap<Address, i128>,
+    pub(crate) tables: Scratch,
     pub(crate) raw_units: u64,
     pub(crate) touched_shared: bool,
-    pub(crate) accessed_parents: HashSet<ObjectId>,
     pub(crate) created_count: u32,
 }
 
@@ -114,6 +166,61 @@ pub struct TxContext<'l> {
 /// atomic buy-and-redeem lands in the computation buckets of Table 1
 /// (1-4 hops → 1000 units, 8 hops → 2000, 16 hops → 4000).
 const UNITS_PER_OP: u64 = 6;
+
+fn check_type(meta: &ObjectMeta, type_tag: &'static str) -> Result<(), ExecError> {
+    if meta.type_tag != type_tag {
+        return Err(ExecError::WrongType {
+            id: meta.id,
+            expected: type_tag,
+            actual: meta.type_tag,
+        });
+    }
+    Ok(())
+}
+
+/// Checks the sender (or an accessed parent) is allowed to use the object
+/// mutably, updating the fast-path/consensus flag. Like [`lookup`] it
+/// takes the context's fields one by one, so it can run while a borrow of
+/// the store is alive.
+fn check_usable(
+    sender: Address,
+    touched_shared: &mut bool,
+    parents: &mut DigestSet<ObjectId>,
+    meta: &ObjectMeta,
+) -> Result<(), ExecError> {
+    match meta.owner {
+        Owner::Address(a) if a == sender => {}
+        Owner::Address(_) | Owner::Immutable => return Err(ExecError::NotOwner(meta.id)),
+        Owner::Shared => *touched_shared = true,
+        Owner::Object(parent) => {
+            if !parents.contains(&parent) {
+                return Err(ExecError::ParentNotAccessed(meta.id));
+            }
+        }
+    }
+    // Any successfully used object can act as parent for its children
+    // later in the same transaction (wrapped assets, dynamic fields).
+    parents.insert(meta.id);
+    Ok(())
+}
+
+/// Current metadata and payload of an object: one probe of the staged
+/// table, then one of the committed store.
+fn lookup<'a>(
+    staged: &'a StagedMap,
+    committed: &'a Committed,
+    id: ObjectId,
+) -> Result<(&'a ObjectMeta, &'a [u8]), ExecError> {
+    let missing = ExecError::ObjectNotFound(id);
+    match staged.get(&id) {
+        Some(Staged { deleted: true, .. }) => Err(missing),
+        Some(Staged { meta, data: Some(data), .. }) => Ok((meta, data)),
+        Some(Staged { meta, data: None, .. }) => {
+            Ok((meta, &committed.get(&id).ok_or(missing)?.data))
+        }
+        None => committed.get(&id).map(|e| (&e.meta, &e.data[..])).ok_or(missing),
+    }
+}
 
 impl<'l> TxContext<'l> {
     /// The transaction sender.
@@ -131,59 +238,48 @@ impl<'l> TxContext<'l> {
         self.raw_units += units;
     }
 
-    fn lookup(&self, id: ObjectId) -> Result<&ObjectEntry, ExecError> {
-        if let Some(staged) = self.staged.get(&id) {
-            return staged.as_ref().ok_or(ExecError::ObjectNotFound(id));
-        }
-        self.committed.get(&id).ok_or(ExecError::ObjectNotFound(id))
-    }
-
-    fn check_type(meta: &ObjectMeta, type_tag: &'static str) -> Result<(), ExecError> {
-        if meta.type_tag != type_tag {
-            return Err(ExecError::WrongType {
-                id: meta.id,
-                expected: type_tag,
-                actual: meta.type_tag,
-            });
-        }
-        Ok(())
-    }
-
-    /// Checks the sender (or an accessed parent) is allowed to use the
-    /// object mutably, updating the fast-path/consensus flag. Takes only
-    /// the metadata so callers never have to clone object payloads to
-    /// run the checks.
-    fn check_usable(&mut self, meta: &ObjectMeta) -> Result<(), ExecError> {
-        let ok = match meta.owner {
-            Owner::Address(a) if a == self.sender => true,
-            Owner::Address(_) => return Err(ExecError::NotOwner(meta.id)),
-            Owner::Shared => {
-                self.touched_shared = true;
-                true
-            }
-            Owner::Immutable => return Err(ExecError::NotOwner(meta.id)),
-            Owner::Object(parent) => {
-                if !self.accessed_parents.contains(&parent) {
-                    return Err(ExecError::ParentNotAccessed(meta.id));
-                }
-                true
-            }
+    /// Runs the type and ownership checks of a mutating use and hands
+    /// back the object's staged slot, staging the committed version
+    /// (metadata only) on first use.
+    fn stage(
+        &mut self,
+        id: ObjectId,
+        type_tag: Option<&'static str>,
+    ) -> Result<&mut Staged, ExecError> {
+        let Scratch { staged, parents, .. } = &mut self.tables;
+        let (sender, touched_shared) = (self.sender, &mut self.touched_shared);
+        let mut check = |meta: &ObjectMeta| {
+            type_tag.map_or(Ok(()), |tag| check_type(meta, tag))?;
+            check_usable(sender, touched_shared, parents, meta)
         };
-        debug_assert!(ok);
-        // Any successfully used object can act as parent for its children
-        // later in the same transaction (wrapped assets, dynamic fields).
-        self.accessed_parents.insert(meta.id);
-        Ok(())
+        match staged.entry(id) {
+            Entry::Occupied(slot) if slot.get().deleted => Err(ExecError::ObjectNotFound(id)),
+            Entry::Occupied(slot) => {
+                check(&slot.get().meta)?;
+                Ok(slot.into_mut())
+            }
+            Entry::Vacant(slot) => {
+                let old = self.committed.get(&id).ok_or(ExecError::ObjectNotFound(id))?;
+                check(&old.meta)?;
+                let old_cost = Some((old.storage_paid, old.data.len()));
+                Ok(slot.insert(Staged {
+                    meta: old.meta,
+                    deleted: false,
+                    data: None,
+                    old: old_cost,
+                }))
+            }
+        }
     }
 
     /// Returns the metadata of an object without using it.
     pub fn object_meta(&self, id: ObjectId) -> Result<ObjectMeta, ExecError> {
-        Ok(self.lookup(id)?.meta.clone())
+        Ok(*lookup(&self.tables.staged, self.committed, id)?.0)
     }
 
     /// Whether the object currently exists.
     pub fn exists(&self, id: ObjectId) -> bool {
-        self.lookup(id).is_ok()
+        lookup(&self.tables.staged, self.committed, id).is_ok()
     }
 
     /// Reads an object's contents, enforcing ownership/consensus rules.
@@ -194,17 +290,15 @@ impl<'l> TxContext<'l> {
     /// Borrowed read: like [`TxContext::read`], but returns a reference
     /// into the staged/committed store instead of copying the payload
     /// out. Hot query paths (asset decodes, bid loads) use this so a
-    /// read costs one small metadata clone, not a payload allocation.
+    /// read costs one lookup and no allocation.
     pub fn read_ref(&mut self, id: ObjectId, type_tag: &'static str) -> Result<&[u8], ExecError> {
         self.charge(UNITS_PER_OP);
-        // Clone only the (small, fixed-size) metadata so the ownership
-        // checks can take `&mut self` without holding a store borrow.
-        let meta = self.lookup(id)?.meta.clone();
-        Self::check_type(&meta, type_tag)?;
+        let (meta, data) = lookup(&self.tables.staged, self.committed, id)?;
+        check_type(meta, type_tag)?;
         if !matches!(meta.owner, Owner::Immutable) {
-            self.check_usable(&meta)?;
+            check_usable(self.sender, &mut self.touched_shared, &mut self.tables.parents, meta)?;
         }
-        Ok(&self.lookup(id)?.data)
+        Ok(data)
     }
 
     /// Overwrites an object's contents, bumping its version.
@@ -215,39 +309,30 @@ impl<'l> TxContext<'l> {
         data: Vec<u8>,
     ) -> Result<(), ExecError> {
         self.charge(UNITS_PER_OP);
-        let mut entry = self.lookup(id)?.clone();
-        Self::check_type(&entry.meta, type_tag)?;
-        self.check_usable(&entry.meta)?;
-        entry.data = data;
-        entry.meta.version += 1;
-        self.staged.insert(id, Some(entry));
+        let slot = self.stage(id, Some(type_tag))?;
+        slot.meta.version += 1;
+        slot.data = Some(data);
         Ok(())
     }
 
     /// Uses an object without reading or replacing its contents: runs the
-    /// full ownership/type checks and bumps the version, staging the
-    /// existing payload unchanged. This is the gas-coin mutation every
+    /// full ownership/type checks and bumps the version, leaving the
+    /// payload where it is. This is the gas-coin mutation every
     /// control-plane call makes; it charges the same units as the
     /// read-then-write round trip it replaces (so Table 1/2 gas totals
-    /// are unchanged) while cloning the payload once instead of twice.
+    /// are unchanged) without copying a byte.
     pub fn touch(&mut self, id: ObjectId, type_tag: &'static str) -> Result<(), ExecError> {
         self.charge(2 * UNITS_PER_OP);
-        let mut entry = self.lookup(id)?.clone();
-        Self::check_type(&entry.meta, type_tag)?;
-        self.check_usable(&entry.meta)?;
-        entry.meta.version += 1;
-        self.staged.insert(id, Some(entry));
+        self.stage(id, Some(type_tag))?.meta.version += 1;
         Ok(())
     }
 
     /// Transfers an object to a new owner.
     pub fn transfer(&mut self, id: ObjectId, new_owner: Owner) -> Result<(), ExecError> {
         self.charge(UNITS_PER_OP);
-        let mut entry = self.lookup(id)?.clone();
-        self.check_usable(&entry.meta)?;
-        entry.meta.owner = new_owner;
-        entry.meta.version += 1;
-        self.staged.insert(id, Some(entry));
+        let slot = self.stage(id, None)?;
+        slot.meta.owner = new_owner;
+        slot.meta.version += 1;
         Ok(())
     }
 
@@ -256,33 +341,26 @@ impl<'l> TxContext<'l> {
         self.charge(UNITS_PER_OP);
         let id = ObjectId::derive(&self.digest, self.created_count);
         self.created_count += 1;
-        let entry = ObjectEntry {
-            meta: ObjectMeta { id, version: 1, owner, type_tag },
-            data,
-            storage_paid: 0, // set at commit
-        };
-        self.staged.insert(id, Some(entry));
+        let meta = ObjectMeta { id, version: 1, owner, type_tag };
+        self.tables.staged.insert(id, Staged { meta, deleted: false, data: Some(data), old: None });
         // Objects created in this transaction are usable by it regardless
         // of their owner (e.g. wrapping assets under a fresh redeem
         // request), matching Sui semantics.
-        self.accessed_parents.insert(id);
+        self.tables.parents.insert(id);
         id
     }
 
     /// Deletes an object, crediting the storage rebate at commit.
     pub fn delete(&mut self, id: ObjectId) -> Result<(), ExecError> {
         self.charge(UNITS_PER_OP);
-        let meta = self.lookup(id)?.meta.clone();
-        self.check_usable(&meta)?;
-        self.staged.insert(id, None);
+        let slot = self.stage(id, None)?;
+        (slot.deleted, slot.data) = (true, None);
         Ok(())
     }
 
     /// Moves `amount` MIST from the sender to `to`.
     pub fn pay(&mut self, to: Address, amount: u64) {
-        self.charge(UNITS_PER_OP);
-        *self.balance_deltas.entry(self.sender).or_insert(0) -= i128::from(amount);
-        *self.balance_deltas.entry(to).or_insert(0) += i128::from(amount);
+        self.pay_from(self.sender, to, amount);
     }
 
     /// Moves `amount` MIST between two arbitrary parties — used by contract
@@ -290,55 +368,28 @@ impl<'l> TxContext<'l> {
     /// sender earlier in the same or an earlier call).
     pub fn pay_from(&mut self, from: Address, to: Address, amount: u64) {
         self.charge(UNITS_PER_OP);
-        *self.balance_deltas.entry(from).or_insert(0) -= i128::from(amount);
-        *self.balance_deltas.entry(to).or_insert(0) += i128::from(amount);
-    }
-
-    /// Finalizes staging into effects + gas numbers (called by the ledger).
-    pub(crate) fn into_effects(self, schedule: &GasSchedule) -> TxEffects {
-        let mut storage_cost = 0u64;
-        let mut storage_rebate = 0u64;
-        let mut staged = self.staged;
-        for (id, slot) in staged.iter_mut() {
-            let old_paid = self.committed.get(id).map(|e| e.storage_paid);
-            match slot {
-                Some(entry) => {
-                    let fee = schedule.storage_fee(entry.data.len() as u64);
-                    storage_cost += fee;
-                    if let Some(paid) = old_paid {
-                        storage_rebate += schedule.rebate(paid);
-                    }
-                    entry.storage_paid = fee;
-                }
-                None => {
-                    if let Some(paid) = old_paid {
-                        storage_rebate += schedule.rebate(paid);
-                    }
-                }
-            }
-        }
-        let computation_units = schedule.bucket_computation(self.raw_units);
-        let gas = GasSummary {
-            computation_units,
-            computation_cost: computation_units * schedule.computation_price,
-            storage_cost,
-            storage_rebate,
-        };
-        TxEffects {
-            staged,
-            balance_deltas: self.balance_deltas,
-            gas,
-            path: if self.touched_shared { ExecPath::Consensus } else { ExecPath::FastPath },
-            digest: self.digest,
-        }
+        *self.tables.balance_deltas.entry(from).or_insert(0) -= i128::from(amount);
+        *self.tables.balance_deltas.entry(to).or_insert(0) += i128::from(amount);
     }
 }
 
-/// The committed outcome of a closure run, before the ledger applies it.
-pub(crate) struct TxEffects {
-    pub staged: Staged,
-    pub balance_deltas: HashMap<Address, i128>,
-    pub gas: GasSummary,
-    pub path: ExecPath,
-    pub digest: [u8; 32],
+/// Prices what a transaction staged (called by the ledger before it
+/// commits): every version that goes rebates its fee, every version that
+/// stays pays for its bytes. Needs no store lookup — [`Staged::old`]
+/// carries what the committed version paid.
+pub(crate) fn price(staged: &StagedMap, raw_units: u64, schedule: &GasSchedule) -> GasSummary {
+    let mut gas = GasSummary {
+        computation_units: schedule.bucket_computation(raw_units),
+        ..GasSummary::default()
+    };
+    gas.computation_cost = gas.computation_units * schedule.computation_price;
+    for slot in staged.values() {
+        if let Some((paid, _)) = slot.old {
+            gas.storage_rebate += schedule.rebate(paid);
+        }
+        if !slot.deleted {
+            gas.storage_cost += schedule.storage_fee(slot.len() as u64);
+        }
+    }
+    gas
 }

@@ -15,6 +15,20 @@
 //! * **execution paths** — owned-only transactions take the fast path,
 //!   shared-object transactions take consensus, with a latency model
 //!   calibrated to Fig. 4 ([`latency`]).
+//!
+//! ## Digest keys skip SipHash
+//!
+//! Every table here is keyed by an [`ObjectId`] or an [`Address`], and
+//! both are SHA-256 outputs the ledger (or a key holder) derived — the ID
+//! of the `n`-th object of a transaction, the hash of a public key — so
+//! any eight of their bytes already are a uniform hash, and a peer cannot
+//! choose them to collide without breaking SHA-256. [`DigestMap`] hashes
+//! them by taking eight bytes; the owner/type index goes one step further
+//! and *places* IDs in sorted tables by their leading bytes. What would
+//! make this unsafe is a key a peer picks freely: both types have a public
+//! field, so code that builds IDs or addresses from wire input (instead of
+//! deriving them) must not feed them to these tables — the worst case is
+//! not a wrong answer but every key in one bucket, O(n) per probe.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,31 +36,30 @@
 pub mod codec;
 pub mod exec;
 pub mod gas;
+mod index;
 pub mod latency;
 pub mod object;
 
 pub use exec::{ExecError, ExecPath, TxContext, TxReceipt};
 pub use gas::{GasSchedule, GasSummary, MIST_PER_SUI};
 pub use latency::LatencyModel;
-pub use object::{Address, ObjectEntry, ObjectId, ObjectMeta, Owner};
+pub use object::{Address, DigestMap, DigestSet, ObjectEntry, ObjectId, ObjectMeta, Owner};
 
+use exec::{Scratch, Staged};
 use hummingbird_crypto::sha256::Sha256;
-use std::collections::{BTreeSet, HashMap};
-
-/// Secondary-index key: every committed object is findable by
-/// (owner, type tag) without scanning the whole store.
-type IndexKey = (Owner, &'static str);
+use index::OwnerIndex;
 
 /// The in-process ledger: object store, account balances, gas schedule.
 #[derive(Debug, Default)]
 pub struct Ledger {
-    objects: HashMap<ObjectId, ObjectEntry>,
-    /// (owner, type tag) → committed object IDs, kept in sync by
-    /// [`Ledger::execute`]'s commit loop. `BTreeSet` so queries iterate
-    /// in ObjectId order (the order the old whole-store scans sorted
-    /// into) without a per-query sort.
-    index: HashMap<IndexKey, BTreeSet<ObjectId>>,
-    balances: HashMap<Address, u64>,
+    objects: DigestMap<ObjectId, ObjectEntry>,
+    /// (owner, type tag) → committed object IDs in ID order, kept in
+    /// sync by [`Ledger::execute`]'s commit loop.
+    index: OwnerIndex,
+    balances: DigestMap<Address, u64>,
+    /// The tables of the transaction in flight, kept between
+    /// transactions so a small one allocates none.
+    scratch: Scratch,
     tx_counter: u64,
     /// Cumulative minted MIST (faucet) and net burned gas (fees − rebates),
     /// for exact supply-conservation checks: at any point
@@ -110,17 +123,13 @@ impl Ledger {
         owner: Owner,
         type_tag: &'static str,
     ) -> impl Iterator<Item = &ObjectEntry> {
-        self.index
-            .get(&(owner, type_tag))
-            .into_iter()
-            .flat_map(|ids| ids.iter())
-            .filter_map(move |id| self.objects.get(id))
+        self.index.ids(owner, type_tag).filter_map(move |id| self.objects.get(&id))
     }
 
     /// Number of committed objects with the given owner and type tag
     /// (index lookup; no iteration).
     pub fn count_owned_by(&self, owner: Owner, type_tag: &'static str) -> usize {
-        self.index.get(&(owner, type_tag)).map_or(0, |ids| ids.len())
+        self.index.count(owner, type_tag)
     }
 
     /// Total serialized payload bytes across all committed objects
@@ -154,80 +163,84 @@ impl Ledger {
             committed: &self.objects,
             sender,
             digest,
-            staged: HashMap::new(),
-            balance_deltas: HashMap::new(),
+            tables: std::mem::take(&mut self.scratch),
             raw_units: 0,
             touched_shared: false,
-            accessed_parents: Default::default(),
             created_count: 0,
         };
-        let value = f(&mut ctx)?;
-        let effects = ctx.into_effects(&self.gas);
+        let result = f(&mut ctx);
+        let TxContext { mut tables, raw_units, touched_shared, .. } = ctx;
+        let path = if touched_shared { ExecPath::Consensus } else { ExecPath::FastPath };
+        let receipt = result.and_then(|value| {
+            let gas = self.commit(sender, raw_units, &mut tables)?;
+            Ok(TxReceipt { value, gas, path, digest })
+        });
+        tables.reset();
+        self.scratch = tables;
+        receipt
+    }
+
+    /// Prices and applies what a successful closure staged, or refuses
+    /// it whole if a balance would go negative.
+    fn commit(
+        &mut self,
+        sender: Address,
+        raw_units: u64,
+        tx: &mut Scratch,
+    ) -> Result<GasSummary, ExecError> {
+        let gas = exec::price(&tx.staged, raw_units, &self.gas);
 
         // Apply gas to the sender's balance delta: fees debit, rebate
         // credits.
-        let mut deltas = effects.balance_deltas;
-        let fee = i128::from(effects.gas.computation_cost) + i128::from(effects.gas.storage_cost);
-        let rebate = i128::from(effects.gas.storage_rebate);
-        *deltas.entry(sender).or_insert(0) -= fee - rebate;
+        let fee = i128::from(gas.computation_cost) + i128::from(gas.storage_cost);
+        let rebate = i128::from(gas.storage_rebate);
+        *tx.balance_deltas.entry(sender).or_insert(0) -= fee - rebate;
 
         // Validate all balances stay non-negative before touching state.
-        for (addr, delta) in &deltas {
-            let current = i128::from(self.balance(*addr));
-            if current + delta < 0 {
+        for (addr, delta) in &tx.balance_deltas {
+            if i128::from(self.balance(*addr)) + delta < 0 {
                 return Err(ExecError::InsufficientFunds(*addr));
             }
         }
 
-        // Commit.
         self.burned += fee - rebate;
-        for (addr, delta) in deltas {
+        for (addr, delta) in tx.balance_deltas.drain() {
             let entry = self.balances.entry(addr).or_insert(0);
             *entry = (i128::from(*entry) + delta) as u64;
         }
-        for (id, slot) in effects.staged {
-            match slot {
-                Some(entry) => {
-                    let new_key = (entry.meta.owner, entry.meta.type_tag);
-                    match self.objects.insert(id, entry) {
-                        Some(old) => {
-                            // Re-key only if the owner or tag changed
-                            // (transfers, escrow moves); plain writes
-                            // leave the index untouched.
-                            let old_key = (old.meta.owner, old.meta.type_tag);
-                            if old_key != new_key {
-                                Self::index_remove(&mut self.index, old_key, id);
-                                self.index.entry(new_key).or_default().insert(id);
-                            }
-                        }
-                        None => {
-                            self.index.entry(new_key).or_default().insert(id);
-                        }
-                    }
+        // One probe of the store per staged object.
+        for (id, slot) in tx.staged.drain() {
+            let storage_paid = self.gas.storage_fee(slot.len() as u64);
+            let Staged { meta, deleted, data, old } = slot;
+            match (deleted, old) {
+                (true, None) => {}
+                (true, Some(_)) => {
+                    let old = self.objects.remove(&id).expect("staged from the store");
+                    self.index.remove(&old.meta);
                 }
-                None => {
-                    if let Some(old) = self.objects.remove(&id) {
-                        let key = (old.meta.owner, old.meta.type_tag);
-                        Self::index_remove(&mut self.index, key, id);
+                (false, None) => {
+                    let data = data.expect("created objects carry their payload");
+                    self.objects.insert(id, ObjectEntry { meta, data, storage_paid });
+                    self.index.insert(&meta);
+                }
+                (false, Some(_)) => {
+                    let entry = self.objects.get_mut(&id).expect("staged from the store");
+                    let old_meta = std::mem::replace(&mut entry.meta, meta);
+                    entry.storage_paid = storage_paid;
+                    if let Some(data) = data {
+                        entry.data = data;
+                    }
+                    // Re-key only if the owner changed (transfers, escrow
+                    // moves); plain writes leave the index untouched.
+                    if old_meta.owner != meta.owner {
+                        self.index.remove(&old_meta);
+                        self.index.insert(&meta);
                     }
                 }
             }
         }
         self.tx_counter += 1;
-        Ok(TxReceipt { value, gas: effects.gas, path: effects.path, digest: effects.digest })
-    }
-
-    fn index_remove(
-        index: &mut HashMap<IndexKey, BTreeSet<ObjectId>>,
-        key: IndexKey,
-        id: ObjectId,
-    ) {
-        if let Some(ids) = index.get_mut(&key) {
-            ids.remove(&id);
-            if ids.is_empty() {
-                index.remove(&key);
-            }
-        }
+        Ok(gas)
     }
 
     fn next_digest(&self, sender: Address) -> [u8; 32] {
@@ -437,44 +450,6 @@ mod tests {
             .value;
         let err = l.execute(alice(), |ctx| ctx.read(id, "test::B")).unwrap_err();
         assert!(matches!(err, ExecError::WrongType { .. }));
-    }
-
-    #[test]
-    fn owner_tag_index_tracks_create_transfer_delete() {
-        let mut l = funded_ledger();
-        let owned = |who: Address| Owner::Address(who);
-        let mut ids = Vec::new();
-        for i in 0..3u8 {
-            let id = l
-                .execute(alice(), |ctx| {
-                    Ok(ctx.create(Owner::Address(ctx.sender()), "test::T", vec![i]))
-                })
-                .unwrap()
-                .value;
-            ids.push(id);
-        }
-        // Query returns exactly Alice's objects, in ObjectId order.
-        let got: Vec<_> =
-            l.objects_owned_by(owned(alice()), "test::T").map(|e| e.meta.id).collect();
-        let mut want = ids.clone();
-        want.sort();
-        assert_eq!(got, want);
-        assert_eq!(l.count_owned_by(owned(alice()), "test::T"), 3);
-        assert_eq!(l.count_owned_by(owned(bob()), "test::T"), 0);
-        assert_eq!(l.count_owned_by(owned(alice()), "test::Other"), 0);
-
-        // Transfer re-keys the entry; plain writes leave it in place.
-        l.execute(alice(), |ctx| ctx.transfer(ids[0], Owner::Address(bob()))).unwrap();
-        l.execute(alice(), |ctx| ctx.write(ids[1], "test::T", vec![9])).unwrap();
-        assert_eq!(l.count_owned_by(owned(alice()), "test::T"), 2);
-        assert_eq!(l.count_owned_by(owned(bob()), "test::T"), 1);
-
-        // Deletion removes the entry from the index.
-        l.execute(alice(), |ctx| ctx.delete(ids[1])).unwrap();
-        assert_eq!(l.count_owned_by(owned(alice()), "test::T"), 1);
-        let got: Vec<_> =
-            l.objects_owned_by(owned(alice()), "test::T").map(|e| e.meta.id).collect();
-        assert_eq!(got, vec![ids[2]]);
     }
 
     #[test]
