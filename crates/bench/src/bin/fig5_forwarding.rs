@@ -28,7 +28,7 @@
 //!
 //! Every run also writes the measured ns/pkt + Mpps points — and, when
 //! `--sharded` is set, the per-engine core-scaling curves — to
-//! `BENCH_hotpath.json` (schema 3 in `hummingbird_bench::json`) so the
+//! `BENCH_hotpath.json` (schema 4 in `hummingbird_bench::json`) so the
 //! hot-path perf trajectory is tracked machine-readably across PRs;
 //! `--json <path>` overrides the output location.
 
@@ -199,12 +199,14 @@ fn sharded_comparison(
             points.first().map_or(1.0, |p0| if p0.mpps > 0.0 { mpps / p0.mpps } else { 0.0 })
         };
         let rss_speedup = speedup(&rss_points, rss.mpps());
+        let exec = if cfg.exec.is_concurrent(cores) { "threaded" } else { "sequential" };
         clone_points.push(ScalingPoint {
             cores,
             mpps: clone.mpps(),
             speedup: speedup(&clone_points, clone.mpps()),
+            exec,
         });
-        rss_points.push(ScalingPoint { cores, mpps: rss.mpps(), speedup: rss_speedup });
+        rss_points.push(ScalingPoint { cores, mpps: rss.mpps(), speedup: rss_speedup, exec });
         records.push(BenchRecord {
             engine: kind.name(),
             mode: "sharded",

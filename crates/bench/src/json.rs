@@ -6,11 +6,11 @@
 //! be tracked across PRs (one run of each is checked in at the repository
 //! root as the trajectory seed).
 //!
-//! # Hot-path schema (`schema = 3`)
+//! # Hot-path schema (`schema = 4`)
 //!
 //! ```json
 //! {
-//!   "schema": 3,
+//!   "schema": 4,
 //!   "bench": "hotpath",
 //!   "aes_backend": "ni",          // active AES backend: "soft" | "ni"
 //!   "hardware_threads": 8,        // available parallelism of the host
@@ -33,20 +33,26 @@
 //!         {
 //!           "cores": 2,           // worker cores at this point
 //!           "mpps": 18.1,         // aggregate throughput at this point
-//!           "speedup": 1.94      // mpps relative to the 1-core point
-//!         }                       //   of the same (engine, mode) curve
+//!           "speedup": 1.94,     // mpps relative to the 1-core point
+//!                                 //   of the same (engine, mode) curve
+//!           "exec": "threaded"    // "threaded": workers ran concurrently
+//!         }                       //   (or one worker); "sequential":
+//!                                 //   the dedicated-core estimate of a
+//!                                 //   host with fewer hardware threads
 //!       ]
 //!     }
 //!   ]
 //! }
 //! ```
 //!
-//! Schema 3 is schema 2 without the two header fields that recorded
-//! runtime knobs the runtime no longer has (the worker wait strategy
-//! and the rx layout); `records` rows are unchanged since schema 1, the
-//! `scaling` section (per-engine core-scaling curves, the Fig. 5 "does
-//! N shards buy ~N×?" question in machine-readable form) since
-//! schema 2.
+//! Schema 4 is schema 3 with an `exec` label on every scaling point, so
+//! a curve says which of its points are concurrent wall clock and which
+//! are a sequential estimate; schema 3 dropped two header fields that
+//! recorded runtime knobs the runtime no longer has (the worker wait
+//! strategy and the rx layout). `records` rows are unchanged since
+//! schema 1, the `scaling` section (per-engine core-scaling curves, the
+//! Fig. 5 "does N shards buy ~N×?" question in machine-readable form)
+//! since schema 2.
 //!
 //! `ns_per_pkt` / `mpps` / `speedup` are `null` when a degenerate run
 //! (zero duration) produced a non-finite value — consumers should drop
@@ -309,6 +315,10 @@ pub struct ScalingPoint {
     pub mpps: f64,
     /// `mpps` relative to the curve's 1-core point (1.0 at 1 core).
     pub speedup: f64,
+    /// How the point was run: `threaded` (concurrent workers, or one)
+    /// or `sequential` (the dedicated-core estimate, see
+    /// `hummingbird_dataplane::ExecMode::is_concurrent`).
+    pub exec: &'static str,
 }
 
 /// A per-(engine, mode) core-scaling curve for the `scaling` section.
@@ -323,7 +333,7 @@ pub struct ScalingCurve {
 }
 
 /// Serializes `records` and `scaling` to the `BENCH_hotpath.json`
-/// schema (version 3; shape in the module docs).
+/// schema (version 4; shape in the module docs).
 pub fn hotpath_json(
     meta: &HotpathMeta,
     records: &[BenchRecord],
@@ -331,7 +341,7 @@ pub fn hotpath_json(
 ) -> String {
     let mut out = String::with_capacity(512 + records.len() * 128 + scaling.len() * 256);
     out.push_str("{\n");
-    out.push_str("  \"schema\": 3,\n");
+    out.push_str("  \"schema\": 4,\n");
     out.push_str("  \"bench\": \"hotpath\",\n");
     out.push_str(&format!("  \"aes_backend\": \"{}\",\n", meta.aes_backend));
     out.push_str(&format!("  \"hardware_threads\": {},\n", meta.hardware_threads));
@@ -361,10 +371,11 @@ pub fn hotpath_json(
         for (j, p) in c.points.iter().enumerate() {
             out.push_str(if j == 0 { "\n" } else { ",\n" });
             out.push_str(&format!(
-                "      {{\"cores\": {}, \"mpps\": {}, \"speedup\": {}}}",
+                "      {{\"cores\": {}, \"mpps\": {}, \"speedup\": {}, \"exec\": \"{}\"}}",
                 p.cores,
                 num(p.mpps),
                 num(p.speedup),
+                p.exec,
             ));
         }
         out.push_str("\n    ]}");
@@ -982,14 +993,19 @@ mod tests {
             engine: "null",
             mode: "sharded",
             points: vec![
-                ScalingPoint { cores: 1, mpps: 9.31, speedup: 1.0 },
-                ScalingPoint { cores: 2, mpps: 18.1004, speedup: f64::INFINITY },
+                ScalingPoint { cores: 1, mpps: 9.31, speedup: 1.0, exec: "threaded" },
+                ScalingPoint {
+                    cores: 2,
+                    mpps: 18.1004,
+                    speedup: f64::INFINITY,
+                    exec: "sequential",
+                },
             ],
         }];
         let doc = hotpath_json(&meta(), &records, &scaling);
         // The head is exactly these five fields, in this order.
         assert!(doc.starts_with(
-            "{\n  \"schema\": 3,\n  \"bench\": \"hotpath\",\n  \"aes_backend\": \"ni\",\n  \
+            "{\n  \"schema\": 4,\n  \"bench\": \"hotpath\",\n  \"aes_backend\": \"ni\",\n  \
              \"hardware_threads\": 8,\n  \"batch\": 32,\n  \"records\": ["
         ));
         assert!(doc.contains(
@@ -997,7 +1013,9 @@ mod tests {
              \"payload_b\": 500, \"ns_per_pkt\": 308.250, \"mpps\": 3.245}"
         ));
         assert!(doc.contains("{\"engine\": \"null\", \"mode\": \"sharded\", \"curve\": ["));
-        assert!(doc.contains("{\"cores\": 2, \"mpps\": 18.100, \"speedup\": null}"));
+        assert!(doc.contains(
+            "{\"cores\": 2, \"mpps\": 18.100, \"speedup\": null, \"exec\": \"sequential\"}"
+        ));
         // Non-finite values degrade to null (rejectable), never NaN/inf.
         assert!(doc.contains("\"mpps\": null"));
         assert!(!doc.contains("NaN") && !doc.contains("inf"));

@@ -13,7 +13,8 @@
 //!   replaced (kept as [`bytewise`] for differential testing and as the
 //!   benchmarks' "before" reference).
 //! * **`ni`** — AES-NI via `std::arch::x86_64` intrinsics
-//!   (`AESENC`/`AESENCLAST`/`AESKEYGENASSIST`), selected at runtime with
+//!   (`AESENC`/`AESENCLAST`, the latter also as the key schedule's
+//!   S-box), selected at runtime with
 //!   `is_x86_feature_detected!("aes")` and falling back to `soft`
 //!   otherwise.
 //!
@@ -522,11 +523,11 @@ mod ni {
     //! only on AES-capable CPUs).
     #![deny(unsafe_op_in_unsafe_fn)]
 
-    use super::{BLOCK_SIZE, KEY_SIZE, ROUND_KEYS};
+    use super::{BLOCK_SIZE, KEY_SIZE, RCON, ROUND_KEYS};
     use std::arch::x86_64::{
-        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128,
-        _mm_loadu_si128, _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128,
-        _mm_xor_si128,
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_or_si128,
+        _mm_set1_epi32, _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_epi32, _mm_slli_si128,
+        _mm_srli_epi32, _mm_storeu_si128, _mm_xor_si128,
     };
 
     /// Blocks kept in flight by the batch kernels: `AESENC` latency is
@@ -550,33 +551,33 @@ mod ni {
         unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), v) }
     }
 
-    /// FIPS-197 §5.2 via `AESKEYGENASSIST` (the immediate carries the
-    /// round constant, hence the macro: intrinsic immediates must be
-    /// literals).
+    /// FIPS-197 §5.2 with `AESENCLAST` as the S-box. `AESKEYGENASSIST`
+    /// is the instruction made for this, but it is several times slower
+    /// than `AESENCLAST` on many cores (≈ 55 vs ≈ 18 ns per key here),
+    /// and a border router expands one key per reservation it has not
+    /// cached.
+    ///
+    /// With the last word `w3` broadcast to all four columns, ShiftRows
+    /// moves nothing, so `AESENCLAST(w3 × 4, rc)` is `SubWord(w3) ⊕ rc`
+    /// in every column; rotating each column right by 8 bits then gives
+    /// `RotWord(SubWord(w3)) ⊕ Rcon = SubWord(RotWord(w3)) ⊕ Rcon` when
+    /// `rc` is `Rcon` pre-rotated left by 8 bits. The running XOR of the
+    /// previous round key's words is a two-step prefix XOR.
     #[target_feature(enable = "aes")]
     pub(super) fn expand(key: &[u8; KEY_SIZE]) -> Schedule {
         let mut rk = [_mm_setzero_si128(); ROUND_KEYS];
         rk[0] = load(key);
-        macro_rules! round {
-            ($i:literal, $rcon:literal) => {
-                let t = _mm_shuffle_epi32(_mm_aeskeygenassist_si128(rk[$i - 1], $rcon), 0xff);
-                let mut k = rk[$i - 1];
-                k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
-                k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
-                k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
-                rk[$i] = _mm_xor_si128(k, t);
-            };
+        for (i, &rcon) in RCON.iter().enumerate() {
+            let prev = rk[i];
+            let sub = _mm_aesenclast_si128(
+                _mm_shuffle_epi32(prev, 0xff),
+                _mm_set1_epi32(i32::from(rcon) << 8),
+            );
+            let t = _mm_or_si128(_mm_srli_epi32(sub, 8), _mm_slli_epi32(sub, 24));
+            let mut k = _mm_xor_si128(prev, _mm_slli_si128(prev, 4));
+            k = _mm_xor_si128(k, _mm_slli_si128(k, 8));
+            rk[i + 1] = _mm_xor_si128(k, t);
         }
-        round!(1, 0x01);
-        round!(2, 0x02);
-        round!(3, 0x04);
-        round!(4, 0x08);
-        round!(5, 0x10);
-        round!(6, 0x20);
-        round!(7, 0x40);
-        round!(8, 0x80);
-        round!(9, 0x1b);
-        round!(10, 0x36);
         Schedule(rk)
     }
 

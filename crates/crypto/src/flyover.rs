@@ -18,9 +18,9 @@
 //! budget possible.
 
 use crate::aes::Aes128;
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 /// Tag length ℓ_tag in bytes (§5.4: 6 bytes ⇒ ~2^47 online brute-force work).
 pub const TAG_LEN: usize = 6;
@@ -131,18 +131,39 @@ impl SecretValue {
         self.cipher.encrypt(&info.to_kdf_block())
     }
 
-    /// Derives the authentication keys of a whole burst in one AES sweep.
+    /// Derives the raw key bytes of a whole burst in one AES sweep: the
+    /// PRF inputs are serialized, then encrypted together via
+    /// [`Aes128::encrypt_blocks`] (round-major over the batch, several
+    /// blocks in flight) — the per-burst amortization the paper's DPDK
+    /// router performs when it derives every `A_i` of a packet burst
+    /// back to back. Appends one key per `ResInfo`, in order, to `out`;
+    /// element-wise identical to
+    /// [`derive_key_bytes`](SecretValue::derive_key_bytes).
     ///
-    /// The PRF inputs are serialized first, then encrypted together via
-    /// [`Aes128::encrypt_blocks`] (round-major over the batch), then
-    /// key-extended — the per-burst amortization the paper's DPDK router
-    /// performs when it derives every `A_i` of a packet burst back to
-    /// back. Appends one key per `ResInfo`, in order, to `out`; the
-    /// result is element-wise identical to calling
-    /// [`derive_key`](SecretValue::derive_key) per reservation.
+    /// The border router runs this over every flyover packet of a burst
+    /// *before* any cache lookup, so the bytes can serve as the cache
+    /// key (see [`AuthKeyCache`]).
+    pub fn derive_key_bytes_batch<'a>(
+        &self,
+        infos: impl IntoIterator<Item = &'a ResInfo>,
+        out: &mut Vec<[u8; 16]>,
+    ) {
+        let start = out.len();
+        out.extend(infos.into_iter().map(ResInfo::to_kdf_block));
+        self.cipher.encrypt_blocks(&mut out[start..]);
+    }
+
+    /// [`derive_key_bytes_batch`](SecretValue::derive_key_bytes_batch)
+    /// followed by the key expansion of every result. Appends one key per
+    /// `ResInfo`, in order, to `out`; the result is element-wise
+    /// identical to calling [`derive_key`](SecretValue::derive_key) per
+    /// reservation. The border router no longer calls this — it sweeps
+    /// the raw bytes of every flyover packet and expands only its cache
+    /// misses — but it is the one-call form for callers that want every
+    /// key expanded (and the benchmark's per-key derivation row).
     ///
-    /// `scratch` holds the intermediate KDF blocks so hot loops can reuse
-    /// one allocation across bursts (it is cleared on entry).
+    /// `scratch` holds the raw key bytes so hot loops can reuse one
+    /// allocation across calls (it is cleared on entry).
     pub fn derive_keys_batch(
         &self,
         infos: &[ResInfo],
@@ -150,8 +171,7 @@ impl SecretValue {
         out: &mut Vec<AuthKey>,
     ) {
         scratch.clear();
-        scratch.extend(infos.iter().map(ResInfo::to_kdf_block));
-        self.cipher.encrypt_blocks(scratch);
+        self.derive_key_bytes_batch(infos, scratch);
         out.reserve(infos.len());
         out.extend(scratch.iter().map(|bytes| AuthKey::new(*bytes)));
     }
@@ -261,17 +281,27 @@ pub fn flyover_tags_batch_with<'a>(
 /// period, so every packet after the first can reuse the expanded
 /// schedule. Engines hold one cache each (hence per-shard under the
 /// worker-ring runtime: no locking, and a reservation's entry lives
-/// exactly where its packets are steered). Keys default to
-/// [`ResInfo`]; the baseline engines instantiate the same cache over
-/// their own key-hierarchy identifiers.
+/// exactly where its packets are steered).
 ///
-/// Replacement is generational (segmented LRU): entries insert into a
-/// *hot* generation; when the hot generation fills, it becomes the
-/// *cold* one and the previous cold generation is dropped. A hit in
-/// cold promotes back to hot. This keeps lookups O(1), bounds the
-/// footprint to two generations, and ages out expired reservations
-/// without a sweeper. Hit/miss counters are exposed for
-/// `DatapathStats`-style reporting.
+/// **Keys.** The border router keys its cache by the raw `A_K` bytes
+/// ([`SecretValue::derive_key_bytes`]) it computes for the whole burst
+/// anyway, hashed on [`DigestState`](crate::DigestState): AES under `SV`
+/// is a permutation, so every hit and miss falls exactly where a
+/// `ResInfo`-keyed cache would put it, and the bytes are uniform and
+/// unsteerable without `SV` (see [`crate::digest_hash`]); a miss then
+/// costs only the key expansion. The defaults — [`ResInfo`] on std's
+/// hasher — serve callers that hold only the `ResInfo`; the baseline
+/// engines instantiate the cache over their own attacker-chosen
+/// key-hierarchy tuples, which stay on std's hasher.
+///
+/// **Replacement** is generational (segmented LRU): entries insert into
+/// a *hot* generation; when the hot generation fills, it becomes the
+/// *cold* one and the previous cold generation is cleared and reused as
+/// the new hot one — the two tables swap roles, so once both have held a
+/// full generation a flip allocates nothing. A hit in cold promotes back
+/// to hot. This keeps lookups O(1), bounds the footprint to two
+/// generations, and ages out expired reservations without a sweeper.
+/// Hit/miss counters are exposed for `DatapathStats`-style reporting.
 ///
 /// # Example
 ///
@@ -299,23 +329,64 @@ pub fn flyover_tags_batch_with<'a>(
 /// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// ```
 #[derive(Clone, Debug)]
-pub struct AuthKeyCache<K = ResInfo> {
-    hot: HashMap<K, AuthKey>,
-    cold: HashMap<K, AuthKey>,
+pub struct AuthKeyCache<K = ResInfo, S = RandomState> {
+    hot: Generation<K, S>,
+    cold: Generation<K, S>,
     /// Entries per generation (total footprint ≤ 2×).
     generation_capacity: usize,
     hits: u64,
     misses: u64,
 }
 
-impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
+/// One generation of an [`AuthKeyCache`]: a small identity → slot index
+/// over an arena of expanded keys in insertion order. Inserts append to
+/// the arena, so a miss writes its ~200-byte schedule sequentially
+/// instead of into a random bucket of a table of schedules; a cold hit
+/// leaves its slot dead until the generation is cleared.
+#[derive(Clone, Debug)]
+struct Generation<K, S> {
+    index: HashMap<K, u32, S>,
+    keys: Vec<AuthKey>,
+}
+
+impl<K: Eq + Hash, S: BuildHasher + Default> Generation<K, S> {
+    fn with_capacity(capacity: usize) -> Self {
+        Generation {
+            index: HashMap::with_capacity_and_hasher(capacity, S::default()),
+            keys: Vec::with_capacity(capacity),
+        }
+    }
+
+    fn take(&mut self, key: &K) -> Option<AuthKey> {
+        self.index.remove(key).map(|slot| self.keys[slot as usize].clone())
+    }
+
+    /// Stores `value` under `key` (in place if `key` is resident).
+    fn insert(&mut self, key: K, value: AuthKey) -> &AuthKey {
+        let next = self.keys.len() as u32;
+        let slot = *self.index.entry(key).or_insert(next) as usize;
+        if slot == self.keys.len() {
+            self.keys.push(value);
+        } else {
+            self.keys[slot] = value;
+        }
+        &self.keys[slot]
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.keys.clear();
+    }
+}
+
+impl<K: Eq + Hash + Clone, S: BuildHasher + Default> AuthKeyCache<K, S> {
     /// Creates a cache holding at most ~`capacity` expanded keys
     /// (internally two generations of `capacity / 2`, minimum 1).
     pub fn new(capacity: usize) -> Self {
         let generation_capacity = (capacity / 2).max(1);
         AuthKeyCache {
-            hot: HashMap::with_capacity(generation_capacity),
-            cold: HashMap::new(),
+            hot: Generation::with_capacity(generation_capacity),
+            cold: Generation::with_capacity(0),
             generation_capacity,
             hits: 0,
             misses: 0,
@@ -325,21 +396,7 @@ impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
     /// Looks `key` up, counting a hit or miss; a hit in the cold
     /// generation promotes the entry back to hot.
     pub fn lookup(&mut self, key: &K) -> Option<&AuthKey> {
-        if !self.hot.contains_key(key) {
-            match self.cold.remove(key) {
-                Some(v) => {
-                    self.hits += 1;
-                    self.promote(key.clone(), v);
-                }
-                None => {
-                    self.misses += 1;
-                    return None;
-                }
-            }
-        } else {
-            self.hits += 1;
-        }
-        self.hot.get(key)
+        self.get_or(key, || None)
     }
 
     /// Inserts an expanded key (no counter change — pair with a failed
@@ -349,30 +406,28 @@ impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
     }
 
     /// The cached key for `key`, deriving (and caching) it on a miss.
-    ///
-    /// (Two map probes on the hot-generation fast path — `contains_key`
-    /// then `get` — rather than delegating to [`lookup`] and probing a
-    /// third time; the split sidesteps the NLL limitation on returning
-    /// a borrow out of one arm while mutating in the other.)
-    ///
-    /// [`lookup`]: AuthKeyCache::lookup
     pub fn get_or_derive(&mut self, key: &K, derive: impl FnOnce() -> AuthKey) -> &AuthKey {
-        if self.hot.contains_key(key) {
+        self.get_or(key, || Some(derive())).expect("derived on a miss")
+    }
+
+    /// [`lookup`](AuthKeyCache::lookup), with `derive` deciding what a
+    /// miss caches (if anything).
+    fn get_or(&mut self, key: &K, derive: impl FnOnce() -> Option<AuthKey>) -> Option<&AuthKey> {
+        if let Some(&slot) = self.hot.index.get(key) {
             self.hits += 1;
-        } else {
-            match self.cold.remove(key) {
-                Some(value) => {
-                    self.hits += 1;
-                    self.promote(key.clone(), value);
-                }
-                None => {
-                    self.misses += 1;
-                    let value = derive();
-                    self.promote(key.clone(), value);
-                }
-            }
+            return Some(&self.hot.keys[slot as usize]);
         }
-        self.hot.get(key).expect("resident after count/promote")
+        let value = match self.cold.take(key) {
+            Some(value) => {
+                self.hits += 1;
+                value
+            }
+            None => {
+                self.misses += 1;
+                derive()?
+            }
+        };
+        Some(self.promote(key.clone(), value))
     }
 
     /// Records a hit that bypassed [`lookup`](AuthKeyCache::lookup) —
@@ -397,12 +452,17 @@ impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
         self.hits += 1;
     }
 
-    fn promote(&mut self, key: K, value: AuthKey) {
-        if self.hot.len() >= self.generation_capacity && !self.hot.contains_key(&key) {
-            self.cold = std::mem::take(&mut self.hot);
-            self.hot.reserve(self.generation_capacity);
+    fn promote(&mut self, key: K, value: AuthKey) -> &AuthKey {
+        if self.hot.keys.len() >= self.generation_capacity && !self.hot.index.contains_key(&key) {
+            // Swap and clear: the dropped cold generation's tables become
+            // the new hot one. `reserve` allocates only on the first flip,
+            // while those tables have never held a generation.
+            std::mem::swap(&mut self.hot, &mut self.cold);
+            self.hot.clear();
+            self.hot.index.reserve(self.generation_capacity);
+            self.hot.keys.reserve(self.generation_capacity);
         }
-        self.hot.insert(key, value);
+        self.hot.insert(key, value)
     }
 
     /// Cache hits since creation / the last counter reset.
@@ -423,12 +483,12 @@ impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
 
     /// Number of currently cached keys (both generations).
     pub fn len(&self) -> usize {
-        self.hot.len() + self.cold.len()
+        self.hot.index.len() + self.cold.index.len()
     }
 
     /// Whether the cache holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.hot.is_empty() && self.cold.is_empty()
+        self.len() == 0
     }
 }
 
@@ -437,7 +497,12 @@ impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
 /// `BorderRouter::process_batch` and `EpicDatapath::process_batch`
 /// (burst-local uniq map, the [`AuthKeyCache::record_burst_hit`]
 /// counter dance, the pass-2 key iterator), generic over the cache key
-/// so the counter-parity invariant lives in one place.
+/// and its hasher so the counter-parity invariant lives in one place.
+/// The border router's identity is the raw `A_K` bytes on
+/// [`DigestState`](crate::DigestState) (see [`AuthKeyCache`]: the
+/// identity is the key, so its derive sweep is only the key
+/// expansion); EPIC's is its attacker-chosen source tuple on std's
+/// hasher.
 ///
 /// Protocol, per burst:
 ///
@@ -461,11 +526,11 @@ impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
 /// sequential and batched paths (see `record_burst_hit` for the
 /// generation-boundary caveat).
 #[derive(Clone, Debug)]
-pub struct BurstKeyResolver<K> {
+pub struct BurstKeyResolver<K, S = RandomState> {
     /// The burst's distinct identities, in first-appearance order.
     uniq_ids: Vec<K>,
     /// Burst-local dedupe map: identity → index into `uniq_ids`.
-    uniq_index: HashMap<K, usize>,
+    uniq_index: HashMap<K, usize, S>,
     /// One resolved key per entry of `uniq_ids` (`None` until resolved
     /// from the cache or the derive sweep).
     uniq_keys: Vec<Option<AuthKey>>,
@@ -475,11 +540,11 @@ pub struct BurstKeyResolver<K> {
     key_of_pkt: Vec<usize>,
 }
 
-impl<K> Default for BurstKeyResolver<K> {
+impl<K, S: Default> Default for BurstKeyResolver<K, S> {
     fn default() -> Self {
         BurstKeyResolver {
             uniq_ids: Vec::new(),
-            uniq_index: HashMap::new(),
+            uniq_index: HashMap::default(),
             uniq_keys: Vec::new(),
             pending_slots: Vec::new(),
             key_of_pkt: Vec::new(),
@@ -487,7 +552,7 @@ impl<K> Default for BurstKeyResolver<K> {
     }
 }
 
-impl<K: Eq + Hash + Clone> BurstKeyResolver<K> {
+impl<K: Eq + Hash + Clone, S: BuildHasher + Default> BurstKeyResolver<K, S> {
     /// Creates an empty resolver (reusable across bursts; steady-state
     /// bursts allocate nothing once the vectors reach burst size).
     pub fn new() -> Self {
@@ -508,7 +573,7 @@ impl<K: Eq + Hash + Clone> BurstKeyResolver<K> {
     /// a cache hit (it *would* have hit sequentially), a first
     /// appearance does one [`AuthKeyCache::lookup`] and on a miss queues
     /// the id for the engine's derive sweep.
-    pub fn visit(&mut self, id: K, cache: Option<&mut AuthKeyCache<K>>) {
+    pub fn visit(&mut self, id: K, cache: Option<&mut AuthKeyCache<K, S>>) {
         let slot = match self.uniq_index.entry(id) {
             Entry::Occupied(e) => {
                 if let Some(cache) = cache {
@@ -550,7 +615,7 @@ impl<K: Eq + Hash + Clone> BurstKeyResolver<K> {
     pub fn fill_pending(
         &mut self,
         keys: impl IntoIterator<Item = AuthKey>,
-        mut cache: Option<&mut AuthKeyCache<K>>,
+        mut cache: Option<&mut AuthKeyCache<K, S>>,
     ) {
         let mut keys = keys.into_iter();
         for &slot in &self.pending_slots {
@@ -561,12 +626,6 @@ impl<K: Eq + Hash + Clone> BurstKeyResolver<K> {
             self.uniq_keys[slot] = Some(key);
         }
         self.pending_slots.clear();
-    }
-
-    /// The distinct identities of the burst, in first-appearance order
-    /// (e.g. for deduplicated policer pre-touching).
-    pub fn uniq_ids(&self) -> &[K] {
-        &self.uniq_ids
     }
 
     /// The resolved key of the `i`-th visited packet.

@@ -14,6 +14,8 @@
 //! * [`sealed`] — ECIES-style sealed boxes for reservation delivery (§4.2).
 //! * [`flyover`] — the Hummingbird derivations: `A_K` (Eq. 2), the 6-byte
 //!   per-packet flyover MAC (Eq. 3/7a) and the aggregate MAC (Eq. 6).
+//! * [`digest_hash`] — hash tables keyed by digests and `A_K` bytes, and
+//!   the argument for which keys may skip SipHash.
 
 // `deny` rather than `forbid`: the sanctioned exceptions are the AES-NI
 // backend in [`aes`] and the SHA-NI backend in [`sha256`], whose
@@ -24,6 +26,7 @@
 
 pub mod aes;
 pub mod cmac;
+pub mod digest_hash;
 pub mod flyover;
 pub mod hmac;
 pub mod sealed;
@@ -31,6 +34,7 @@ pub mod sha256;
 pub mod sig;
 
 pub use aes::{active_backend, ni_available, AesBackend};
+pub use digest_hash::{DigestHasher, DigestMap, DigestSet, DigestState};
 pub use flyover::{
     aggregate_mac, flyover_tags_batch, flyover_tags_batch_with, AuthKey, AuthKeyCache,
     BurstKeyResolver, FlyoverMacInput, ResInfo, SecretValue, Tag, BW_ENC_MAX, RES_ID_MAX, TAG_LEN,

@@ -15,7 +15,7 @@ use crate::datapath::{Datapath, DatapathBuilder, DatapathStats, PacketBuf};
 use crate::dup::DuplicateSuppressor;
 use crate::policing::{Policer, DEFAULT_BURST_TIME_NS};
 use hummingbird_crypto::{
-    flyover_tags_batch_with, AuthKey, AuthKeyCache, BurstKeyResolver, FlyoverMacInput, ResInfo,
+    flyover_tags_batch_with, AuthKey, AuthKeyCache, BurstKeyResolver, DigestState, FlyoverMacInput,
     SecretValue, Tag,
 };
 use hummingbird_wire::scion_mac::HopMacKey;
@@ -537,6 +537,11 @@ pub mod stages {
     }
 }
 
+/// A reservation's identity on the router: its raw `A_K` bytes, hashed
+/// as a PRF output (see [`AuthKeyCache`] for why this is exactly as
+/// precise as keying by `ResInfo` and no easier to attack).
+type RawKey = [u8; 16];
+
 /// Reusable per-burst scratch of the batched
 /// [`Datapath::process_batch`] override, so steady-state bursts allocate
 /// nothing once the vectors reach burst size.
@@ -544,15 +549,15 @@ pub mod stages {
 struct BatchScratch {
     /// Per-packet outcome of the read-only pipeline half.
     prepared: Vec<Result<(stages::Parsed, Option<stages::FlyoverInputs>), DropReason>>,
+    /// Per flyover packet: its raw `A_K`, out of the burst's KDF sweep.
+    raw_keys: Vec<RawKey>,
     /// Burst reservation dedupe + cache resolution (shared helper).
-    resolver: BurstKeyResolver<ResInfo>,
-    /// Reservations that missed the cache, awaiting the derivation sweep.
-    to_derive: Vec<ResInfo>,
+    resolver: BurstKeyResolver<RawKey, DigestState>,
     /// Per flyover packet: the MAC input of the tag sweep.
     mac_inputs: Vec<FlyoverMacInput>,
-    /// 16-byte block scratch shared by both AES sweeps.
+    /// 16-byte block scratch of the tag sweep.
     blocks: Vec<[u8; 16]>,
-    /// Keys out of the derivation sweep.
+    /// Expanded keys of the burst's cache misses.
     derived: Vec<AuthKey>,
     /// Flyover tags out of the tag sweep, in flyover-packet order.
     tags: Vec<Tag>,
@@ -568,10 +573,10 @@ pub struct BorderRouter {
     cfg: RouterConfig,
     policer: Policer,
     dup: Option<DuplicateSuppressor>,
-    /// Expanded `A_i` schedules, one entry per live reservation, so key
-    /// expansion runs once per epoch rather than once per packet
-    /// (`None` when `cfg.auth_key_cache_slots == 0`).
-    key_cache: Option<AuthKeyCache>,
+    /// Expanded `A_i` schedules keyed by their raw bytes, one entry per
+    /// live reservation, so key expansion runs once per epoch rather than
+    /// once per packet (`None` when `cfg.auth_key_cache_slots == 0`).
+    key_cache: Option<AuthKeyCache<RawKey, DigestState>>,
     stats: DatapathStats,
     batch: BatchScratch,
 }
@@ -599,9 +604,10 @@ impl BorderRouter {
 
     /// Implements Algorithm 2 with Algorithms 1, 3, 4 as the explicit
     /// [`stages`], via the shared [`stages::run_pipeline`] driver with
-    /// Hummingbird's key derivation: `A_i ← PRF_SV(ResInfo)`, served
-    /// from the per-engine [`AuthKeyCache`] so the AES key extension
-    /// runs once per reservation epoch.
+    /// Hummingbird's key derivation: `A_i ← PRF_SV(ResInfo)`, whose raw
+    /// bytes key the per-engine [`AuthKeyCache`] so the AES key
+    /// extension runs once per reservation epoch — the keying
+    /// [`Datapath::process_batch`] uses too.
     fn process_inner(&mut self, pkt: &mut [u8], now_ns: u64) -> Verdict {
         let BorderRouter { sv, hop_key, cfg, policer, dup, key_cache, stats, batch: _ } = self;
         let out = stages::run_pipeline(
@@ -610,11 +616,12 @@ impl BorderRouter {
             hop_key,
             Some(policer),
             dup.as_mut(),
-            |_, inputs| match key_cache {
-                Some(cache) => cache
-                    .get_or_derive(&inputs.res_info, || sv.derive_key(&inputs.res_info))
-                    .clone(),
-                None => sv.derive_key(&inputs.res_info),
+            |_, inputs| {
+                let raw = sv.derive_key_bytes(&inputs.res_info);
+                match key_cache {
+                    Some(cache) => cache.get_or_derive(&raw, || AuthKey::new(raw)).clone(),
+                    None => AuthKey::new(raw),
+                }
             },
             |parsed, inputs, now_ms| stages::freshness(cfg, parsed, &inputs.res_info, now_ms),
         );
@@ -632,16 +639,18 @@ impl Datapath for BorderRouter {
     }
 
     /// The batched Algorithm 2: the read-only pipeline half runs over the
-    /// whole burst first; the burst's reservations are **deduplicated**
-    /// and resolved against the [`AuthKeyCache`] (so a single-flow burst
-    /// derives its key at most once); the remaining misses are derived in
-    /// **one AES sweep** ([`SecretValue::derive_keys_batch`]); every
-    /// flyover tag of the burst comes out of **one multi-key AES pass**
-    /// ([`flyover_tags_batch_with`]); and the (deduplicated) policer
-    /// slots are pre-touched. The stateful stages (verification,
-    /// duplicate suppression, header mutation, policing) then run per
-    /// packet in input order — verdicts and stats stay element-wise
-    /// identical to sequential [`Datapath::process`] calls (the contract
+    /// whole burst first and pre-touches the policer slots; **one AES
+    /// sweep** ([`SecretValue::derive_key_bytes_batch`]) then derives
+    /// the raw `A_K` of every flyover packet, before any lookup; those
+    /// bytes are the identity the burst is **deduplicated** by and
+    /// resolved against the [`AuthKeyCache`] with (so a single-flow
+    /// burst expands its key at most once, and a miss costs only the
+    /// expansion); every flyover tag of the burst comes out of **one
+    /// multi-key AES pass** ([`flyover_tags_batch_with`]). The stateful
+    /// stages (verification, duplicate suppression, header mutation,
+    /// policing) then run per packet in input order — verdicts and stats
+    /// stay element-wise identical to sequential [`Datapath::process`]
+    /// calls, which key the cache the same way (the contract
     /// `tests/prop_datapath.rs` enforces; repeats within a burst count
     /// as cache hits, exactly as they would sequentially — see
     /// [`AuthKeyCache::record_burst_hit`] for the cache-counter
@@ -650,36 +659,38 @@ impl Datapath for BorderRouter {
     /// from sequential processing).
     fn process_batch(&mut self, pkts: &mut [PacketBuf], now_ns: u64, out: &mut Vec<Verdict>) {
         let BorderRouter { sv, hop_key, cfg, policer, dup, key_cache, stats, batch } = self;
-        let BatchScratch { prepared, resolver, to_derive, mac_inputs, blocks, derived, tags } =
+        let BatchScratch { prepared, raw_keys, resolver, mac_inputs, blocks, derived, tags } =
             batch;
         prepared.clear();
+        raw_keys.clear();
         resolver.begin();
-        to_derive.clear();
         mac_inputs.clear();
-        derived.clear();
         tags.clear();
 
-        // Pass 1 (read-only): parse + flyover-input reconstruction, with
-        // burst-local reservation dedupe resolved against the key cache.
+        // Pass 1 (read-only): parse + flyover-input reconstruction.
         for pkt in pkts.iter() {
             let prep = stages::prepare(pkt.as_bytes());
             if let Ok((_, Some(inputs))) = &prep {
-                resolver.visit(inputs.res_info, key_cache.as_mut());
+                policer.pre_touch(inputs.res_info.res_id);
                 mac_inputs.push(inputs.mac_input);
             }
             prepared.push(prep);
         }
 
-        // The amortized per-burst work: one AES sweep over the key
-        // derivations that missed the cache, one multi-key AES pass over
-        // every flyover tag, and a prefetch pass over the deduplicated
-        // policing slots.
-        to_derive.extend(resolver.pending().copied());
-        sv.derive_keys_batch(to_derive, blocks, derived);
-        resolver.fill_pending(derived.drain(..), key_cache.as_mut());
-        for info in resolver.uniq_ids() {
-            policer.pre_touch(info.res_id);
+        // The amortized per-burst work: one AES sweep derives every
+        // flyover packet's raw A_K; the burst is deduplicated and resolved
+        // against the cache by those bytes; the misses are key-expanded;
+        // and one multi-key AES pass computes every flyover tag.
+        let flyover_infos = prepared.iter().filter_map(|prep| match prep {
+            Ok((_, Some(inputs))) => Some(&inputs.res_info),
+            _ => None,
+        });
+        sv.derive_key_bytes_batch(flyover_infos, raw_keys);
+        for &raw in raw_keys.iter() {
+            resolver.visit(raw, key_cache.as_mut());
         }
+        derived.extend(resolver.pending().map(|&raw| AuthKey::new(raw)));
+        resolver.fill_pending(derived.drain(..), key_cache.as_mut());
         flyover_tags_batch_with(|i| resolver.key_of(i), mac_inputs, blocks, tags);
 
         // Pass 2 (stateful, in input order).

@@ -290,6 +290,23 @@ pub enum ExecMode {
     Sequential,
 }
 
+impl ExecMode {
+    /// Whether a run of `shards` workers is timed on concurrently
+    /// running threads — `false` exactly when it is the sequential
+    /// dedicated-core estimate. A single shard runs on the calling
+    /// thread and is a plain measurement either way.
+    pub fn is_concurrent(self, shards: usize) -> bool {
+        shards <= 1
+            || match self {
+                ExecMode::Threaded => true,
+                ExecMode::Sequential => false,
+                ExecMode::Auto => {
+                    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) >= shards
+                }
+            }
+    }
+}
+
 /// Tuning of the worker-ring runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
@@ -708,14 +725,7 @@ where
     let bp = cfg.backpressure;
     // One clock for all egress stamps, started before any worker.
     let epoch = Instant::now();
-    let threaded = shards > 1
-        && match cfg.exec {
-            ExecMode::Threaded => true,
-            ExecMode::Sequential => false,
-            ExecMode::Auto => {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) >= shards
-            }
-        };
+    let threaded = shards > 1 && cfg.exec.is_concurrent(shards);
     // Threaded workers start together; a sequential worker has nobody
     // to wait for. Engine construction stays ahead of the barrier, out
     // of the timed region.

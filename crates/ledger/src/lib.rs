@@ -18,17 +18,16 @@
 //!
 //! ## Digest keys skip SipHash
 //!
-//! Every table here is keyed by an [`ObjectId`] or an [`Address`], and
-//! both are SHA-256 outputs the ledger (or a key holder) derived — the ID
-//! of the `n`-th object of a transaction, the hash of a public key — so
-//! any eight of their bytes already are a uniform hash, and a peer cannot
-//! choose them to collide without breaking SHA-256. [`DigestMap`] hashes
-//! them by taking eight bytes; the owner/type index goes one step further
-//! and *places* IDs in sorted tables by their leading bytes. What would
-//! make this unsafe is a key a peer picks freely: both types have a public
-//! field, so code that builds IDs or addresses from wire input (instead of
-//! deriving them) must not feed them to these tables — the worst case is
-//! not a wrong answer but every key in one bucket, O(n) per probe.
+//! Every table here is keyed by an [`ObjectId`] or an [`Address`], both
+//! SHA-256 outputs the ledger (or a key holder) derived — the ID of the
+//! `n`-th object of a transaction, the hash of a public key — so
+//! [`DigestMap`] hashes them by taking eight bytes, and the owner/type
+//! index goes one step further and *places* IDs in sorted tables by their
+//! leading bytes. `hummingbird_crypto::digest_hash` holds the argument
+//! for which keys qualify and which do not; the ledger-specific caveat is
+//! that both types have a public field, so code that builds IDs or
+//! addresses from wire input (instead of deriving them) must not feed
+//! them to these tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

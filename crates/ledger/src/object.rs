@@ -8,36 +8,10 @@
 
 use hummingbird_crypto::sha256::Sha256;
 use hummingbird_crypto::sig::PublicKey;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// Hasher for keys that are SHA-256 outputs ([`Address`], [`ObjectId`]):
-/// any eight bytes of a digest already are a hash, so it takes the first
-/// eight and stops. See the crate docs for when this is safe.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DigestHasher(u64);
-
-impl Hasher for DigestHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut word = [0u8; 8];
-        let n = bytes.len().min(8);
-        word[..n].copy_from_slice(&bytes[..n]);
-        self.0 ^= u64::from_le_bytes(word);
-    }
-    fn write_u64(&mut self, word: u64) {
-        self.0 ^= word;
-    }
-    /// The length prefix `[u8; 32]` writes before its bytes says nothing.
-    fn write_usize(&mut self, _: usize) {}
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A hash map keyed by a digest ([`Address`] or [`ObjectId`]).
-pub type DigestMap<K, V> = HashMap<K, V, BuildHasherDefault<DigestHasher>>;
-/// A hash set of digests.
-pub type DigestSet<K> = HashSet<K, BuildHasherDefault<DigestHasher>>;
+// Digest-keyed tables live in `hummingbird-crypto` beside the other key
+// that already is a hash (`A_K`); re-exported under the ledger's names.
+pub use hummingbird_crypto::{DigestHasher, DigestMap, DigestSet};
 
 /// A 32-byte account address (hash of the account's public key).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

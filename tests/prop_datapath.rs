@@ -8,7 +8,13 @@
 //!    whether a packet's bytes are used directly, round-tripped through
 //!    the owned `Packet` repr, or wrapped in a checked zero-copy
 //!    `PacketView` first.
+//! 3. **Cache flips inside bursts** (ROADMAP 3(d)) — with a key cache
+//!    small enough that its generations flip mid-burst, batch ≡
+//!    sequential still holds, and the router's `A_K`-keyed cache counts
+//!    exactly the hits and misses a `ResInfo`-keyed cache would.
 
+use hummingbird::crypto::{AuthKeyCache, BurstKeyResolver};
+use hummingbird::dataplane::router::stages;
 use hummingbird::dataplane::{
     forge_path, BeaconHop, Datapath, DatapathBuilder, PacketBuf, RouterConfig, SourceGenerator,
     SourceReservation,
@@ -313,5 +319,107 @@ proptest! {
         }
         prop_assert_eq!(verdicts[0], verdicts[1], "owned Packet path diverged");
         prop_assert_eq!(verdicts[0], verdicts[2], "PacketView path diverged");
+    }
+}
+
+/// Per spec `(res_id, forged, bw, start_back_s, duration)`: one flyover
+/// packet at hop 0 of a two-hop path. Valid ones carry a reservation
+/// keyed under the router's SV; forged ones carry an attacker-chosen
+/// `ResInfo` keyed under a wrong SV, which the router still derives a
+/// key for (the MAC check comes after) before dropping the packet.
+fn flyover_mix(specs: &[(u32, bool, u16, u32, u16)]) -> Vec<Vec<u8>> {
+    let (ingress, egress) = interfaces(2, 0);
+    let (router_sv, wrong_sv) = (sv(0), SecretValue::new([0xEE; 16]));
+    let mut sender =
+        SourceGenerator::new(IsdAs::new(1, 0x10), IsdAs::new(2, 0x20), beaconed_path(2));
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, &(res_id, forged, bw_encoded, start_back_s, duration))| {
+            let res_info = ResInfo {
+                ingress,
+                egress,
+                res_id,
+                bw_encoded,
+                res_start: NOW_S as u32 - start_back_s,
+                duration,
+            };
+            let key = if forged { &wrong_sv } else { &router_sv }.derive_key(&res_info);
+            sender.attach_reservation(0, SourceReservation { res_info, key }).unwrap();
+            sender.generate(&[0u8; 64], NOW_MS + i as u64).unwrap()
+        })
+        .collect()
+}
+
+/// The `ResInfo` the router reconstructs from each packet that reaches
+/// key derivation, in packet order.
+fn derived_res_infos(packets: &[Vec<u8>]) -> Vec<ResInfo> {
+    packets
+        .iter()
+        .filter_map(|p| match stages::prepare(p) {
+            Ok((_, Some(inputs))) => Some(inputs.res_info),
+            _ => None,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// ROADMAP 3(d), cache rollover mid-burst: a cache of a few slots
+    /// flips generations inside most bursts; repeats within a burst and
+    /// forged wrong-SV flyovers on attacker-chosen `ResInfo`s are mixed
+    /// in. Verdicts stay batch ≡ sequential, and each path's hit/miss
+    /// counters equal a `ResInfo`-keyed `AuthKeyCache` replaying what
+    /// that path does (per packet sequentially; per burst — dedupe,
+    /// lookups, then inserts — in batch).
+    #[test]
+    fn key_cache_flips_inside_bursts_keep_batch_equal_to_sequential(
+        specs in prop::collection::vec(
+            (1u32..24, any::<bool>(), 1u16..1024, 0u32..3000, 3600u16..7200),
+            1..96,
+        ),
+        slots in 2u32..12,
+        burst in 1usize..33,
+    ) {
+        let packets = flyover_mix(&specs);
+        let make = || router().auth_key_cache(slots).build_boxed();
+        let (mut seq_engine, mut batch_engine) = (make(), make());
+
+        let sequential: Vec<_> =
+            packets.iter().map(|p| seq_engine.process(&mut p.clone(), NOW_NS)).collect();
+        let mut bufs: Vec<PacketBuf> = packets.iter().cloned().map(PacketBuf::new).collect();
+        let mut batched = Vec::new();
+        for chunk in bufs.chunks_mut(burst) {
+            batch_engine.process_batch(chunk, NOW_NS, &mut batched);
+        }
+        prop_assert_eq!(&batched, &sequential, "batch verdicts diverge from sequential");
+
+        let infos = derived_res_infos(&packets);
+        let derive = |info: &ResInfo| sv(0).derive_key(info);
+        let mut seq_ref: AuthKeyCache = AuthKeyCache::new(slots as usize);
+        for info in &infos {
+            seq_ref.get_or_derive(info, || derive(info));
+        }
+        let seq = seq_engine.stats();
+        prop_assert_eq!((seq.key_cache_hits, seq.key_cache_misses),
+            (seq_ref.hits(), seq_ref.misses()), "sequential counters differ from ResInfo keying");
+
+        // Every packet here reaches key derivation, so bursts of packets
+        // and bursts of `ResInfo`s line up.
+        prop_assert_eq!(infos.len(), packets.len());
+        let mut batch_ref: AuthKeyCache = AuthKeyCache::new(slots as usize);
+        let mut resolver = BurstKeyResolver::new();
+        for chunk in infos.chunks(burst) {
+            resolver.begin();
+            for info in chunk {
+                resolver.visit(*info, Some(&mut batch_ref));
+            }
+            let keys: Vec<_> = resolver.pending().map(derive).collect();
+            resolver.fill_pending(keys, Some(&mut batch_ref));
+        }
+        let batch = batch_engine.stats();
+        prop_assert_eq!((batch.key_cache_hits, batch.key_cache_misses),
+            (batch_ref.hits(), batch_ref.misses()), "batch counters differ from ResInfo keying");
     }
 }
