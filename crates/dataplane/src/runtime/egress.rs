@@ -8,15 +8,16 @@
 //! throughput but never *latency*. The tx path closes that gap:
 //!
 //! * workers push every processed packet as a [`TxPacket`] — the buffer,
-//!   its verdict, an enqueue stamp and a per-shard sequence number —
-//!   into a per-shard egress [`super::SpscRing`] (the SPSC discipline of
-//!   the rx side, reversed);
+//!   its verdict, the burst's enqueue stamp and a per-shard sequence
+//!   number — into a per-shard egress [`super::SpscRing`] (the SPSC
+//!   discipline of the rx side, reversed);
 //! * each processed packet lands in a [`TxScheduler`], which models one
 //!   egress port per interface as a *bounded* FIFO pair of
-//!   priority-class queues — flyover traffic is serialized ahead of best
-//!   effort, exactly the two-class forwarding of the paper's routers
-//!   (and of the netsim [`Link`](../../hummingbird_netsim) model) — over
-//!   a configurable link rate in virtual time;
+//!   priority-class queues — whenever the wire frees, flyover traffic
+//!   staged by then goes ahead of best effort, exactly the two-class
+//!   forwarding of the paper's routers (and of the netsim
+//!   [`Link`](../../hummingbird_netsim) model) — over a configurable
+//!   link rate in virtual time;
 //! * per-packet **residence time** (worker enqueue → modeled wire
 //!   departure) is folded into [`EgressStats`], the
 //!   [`RuntimeReport`](super::RuntimeReport) extension the latency
@@ -49,7 +50,7 @@
 //! property `tests/prop_sharded.rs` exercises end to end).
 
 use crate::datapath::{DropReason, PacketBuf, Verdict};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Tuning of the tx path.
 #[derive(Clone, Copy, Debug)]
@@ -102,9 +103,9 @@ pub struct BackpressureConfig {
 impl Default for BackpressureConfig {
     /// 2048-packet class queues, a 1536-packet watermark (¾ of the
     /// bound), open-loop [`BackpressurePolicy::Drop`]. At the default
-    /// 40 Gbps [`EgressConfig`] the wire outruns every engine and the
-    /// watermark never trips — the bounds only bite when a scenario
-    /// narrows the link.
+    /// 40 Gbps [`EgressConfig`] the wire outruns every engine and,
+    /// because the scheduler is work-conserving, the watermark never
+    /// trips — the bounds only bite when a scenario narrows the link.
     fn default() -> Self {
         BackpressureConfig {
             tx_queue_pkts: 2048,
@@ -335,10 +336,17 @@ struct Port {
 }
 
 impl Port {
-    /// Pops the next packet to serialize, priority first (strict
-    /// priority scheduling).
-    fn pop_next(&mut self) -> Option<(usize, u64)> {
-        self.prio.pop_front().or_else(|| self.best_effort.pop_front())
+    /// Pops the packet the wire takes when it frees at `busy_until_ns`
+    /// (the departure-instant rule of [`TxScheduler`]) and whether it is
+    /// priority class.
+    fn pop_next(&mut self) -> Option<((usize, u64), bool)> {
+        let prio = match (self.prio.front(), self.best_effort.front()) {
+            (None, None) => return None,
+            (Some(&(_, p)), Some(&(_, b))) => p <= self.busy_until_ns.max(b),
+            (head, _) => head.is_some(),
+        };
+        let queue = if prio { &mut self.prio } else { &mut self.best_effort };
+        queue.pop_front().map(|pkt| (pkt, prio))
     }
 }
 
@@ -355,18 +363,23 @@ fn wire_ns(bandwidth_bps: u64, bytes: usize) -> u64 {
 /// Driven in cycles by the worker: [`stage`](TxScheduler::stage) every
 /// packet popped off its egress ring, then
 /// [`transmit`](TxScheduler::transmit) once per cycle — each interface
-/// serializes whatever the wire can start by
-/// `now_ns`, staged priority packets front-to-back before any staged
-/// best-effort packet, so flyover traffic overtakes best effort at
-/// exactly the granularity a strict-priority port would enforce. At the
-/// end of a run, [`flush`](TxScheduler::flush) drains the residue in
-/// virtual time.
+/// serializes whatever the wire can start by `now_ns`. The class is
+/// decided at the instant the wire frees: priority if a priority packet
+/// was staged by then, else best effort if one was, else whichever was
+/// staged first. So flyover traffic overtakes best effort at exactly
+/// the granularity a non-preemptive strict-priority port enforces, a
+/// free wire never idles while a packet waits (deciding at poll time
+/// used to starve best effort on a mostly idle wire), and the schedule
+/// does not depend on how often the owner polls. At the end of a run,
+/// [`flush`](TxScheduler::flush) drains the residue in virtual time.
+/// Ports live in a `BTreeMap`: no per-packet hashing, and a lookup
+/// stays logarithmic for any interface id an engine can emit.
 #[derive(Debug)]
 pub struct TxScheduler {
     bandwidth_bps: u64,
     /// Per-port, per-class queue bound, packets.
     queue_bound: usize,
-    ports: HashMap<u16, Port>,
+    ports: BTreeMap<u16, Port>,
     /// Total packets currently queued across all ports and classes.
     queued: usize,
     stats: EgressStats,
@@ -385,7 +398,7 @@ impl TxScheduler {
         TxScheduler {
             bandwidth_bps: cfg.bandwidth_bps.max(1),
             queue_bound: bp.tx_queue_pkts.max(1),
-            ports: HashMap::new(),
+            ports: BTreeMap::new(),
             queued: 0,
             stats: EgressStats::default(),
         }
@@ -439,8 +452,7 @@ impl TxScheduler {
     /// also never idling a free wire just because the owner polls
     /// coarsely.
     fn serialize_next(port: &mut Port, bandwidth_bps: u64, stats: &mut EgressStats) -> bool {
-        let from_prio = !port.prio.is_empty();
-        let Some((wire_len, enqueued_ns)) = port.pop_next() else {
+        let Some(((wire_len, enqueued_ns), from_prio)) = port.pop_next() else {
             return false;
         };
         let start = port.busy_until_ns.max(enqueued_ns);
@@ -454,8 +466,9 @@ impl TxScheduler {
     }
 
     /// Serializes what the wire can *start* by `now_ns`: per interface,
-    /// packets leave the bounded queues (priority class first) while the
-    /// port's serialization horizon has not passed `now_ns`. The wire is
+    /// packets leave the bounded queues while the port's serialization
+    /// horizon has not passed `now_ns`, each chosen by the
+    /// departure-instant rule of [`TxScheduler`]. The wire is
     /// modeled as continuously busy between polls — each packet starts
     /// at `max(previous departure, its stage time)`, so a coarse polling
     /// cadence costs nothing and the drain rate is the configured
@@ -654,6 +667,28 @@ mod tests {
         tx.stage(fly(1), 1000, 5_600).unwrap();
         tx.flush();
         assert_eq!(tx.stats().priority.residence_ns_sum, 1_000 + 1_000 + 1_900);
+    }
+
+    #[test]
+    fn best_effort_uses_the_wire_priority_leaves_idle() {
+        // 1 µs per packet; every 4 µs a priority packet, 500 ns later a
+        // best-effort one, then a poll: the wire is half idle, so best
+        // effort waits at most for the priority packet in service.
+        let mut tx = TxScheduler::new(&EgressConfig { bandwidth_bps: 8_000_000_000 });
+        for k in 0..100u64 {
+            tx.stage(fly(1), 1000, 4_000 * k).unwrap();
+            tx.stage(be(1), 1000, 4_000 * k + 500).unwrap();
+            tx.transmit(4_000 * k + 500);
+        }
+        tx.flush();
+        let s = tx.stats();
+        assert_eq!((s.priority.pkts, s.best_effort.pkts), (100, 100));
+        assert_eq!(s.priority.residence_ns_max, 1_000, "priority never waits");
+        assert!(
+            s.best_effort.residence_ns_max <= 2 * tx.tx_time_ns(1000),
+            "best effort waited {} ns on a half-idle wire",
+            s.best_effort.residence_ns_max
+        );
     }
 
     #[test]

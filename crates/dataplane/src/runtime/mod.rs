@@ -71,6 +71,7 @@ pub use shard::{FlowClass, ShardMap, Steering};
 
 use crate::datapath::{Datapath, DatapathStats, PacketBuf, Verdict};
 use crate::multicore::{Throughput, BATCH_SIZE};
+use std::collections::VecDeque;
 use std::sync::Barrier;
 use std::time::Instant;
 
@@ -499,6 +500,33 @@ struct SelfFedOutcome {
     egress: Option<EgressStats>,
 }
 
+/// Takes up to `n` packets from `rotation` — the feeds with packets
+/// left, `(feed, remaining)` in plan order — one per feed per pass,
+/// each pass from the front (the order that keeps a burst's templates
+/// cache-resident), calling `take` with each packet's feed; returns how
+/// many it took. Exhausted feeds leave the rotation, so a call costs
+/// O(`n`) however many feeds the plan has.
+fn draw(rotation: &mut VecDeque<(usize, u64)>, n: usize, mut take: impl FnMut(usize)) -> usize {
+    let mut pos = 0;
+    for drawn in 0..n {
+        if rotation.is_empty() {
+            return drawn;
+        }
+        if pos == rotation.len() {
+            pos = 0;
+        }
+        let (feed, left) = &mut rotation[pos];
+        take(*feed);
+        *left -= 1;
+        if *left == 0 {
+            rotation.remove(pos);
+        } else {
+            pos += 1;
+        }
+    }
+    n
+}
+
 /// The self-fed shard loop shared by [`RuntimeMode::PerCoreClone`] and
 /// [`RuntimeMode::Sharded`]: fill a burst of re-armed buffers from the
 /// shard's plan, push it through the shard's own rx ring (the NIC-model
@@ -507,25 +535,30 @@ struct SelfFedOutcome {
 /// recycle. With egress enabled, processed packets take one more burst
 /// hop through the shard's egress ring and the worker drains it into
 /// its *own* [`TxScheduler`] (the per-core NIC tx queue), asserting the
-/// per-shard sequence numbers.
+/// per-shard sequence numbers. One clock read per egress burst stamps
+/// every packet of it and times the [`transmit`](TxScheduler::transmit)
+/// that follows.
 ///
-/// Backpressure: each iteration first gives the scheduler a wire-paced
-/// [`transmit`](TxScheduler::transmit) tick; while the tx queue is over
-/// [`BackpressureConfig::high_watermark`] the worker refuses to drain
-/// its rx ring — under [`BackpressurePolicy::Block`] it waits for the
-/// wire (no loss, the closed-loop shape), under
+/// Backpressure: while the tx queue is over
+/// [`BackpressureConfig::high_watermark`] the worker gives the wire a
+/// fresh [`transmit`](TxScheduler::transmit) tick per iteration and
+/// refuses to drain its rx ring — under [`BackpressurePolicy::Block`]
+/// it waits for the wire (no loss, the closed-loop shape), under
 /// [`BackpressurePolicy::Drop`] the offered packets that would have
 /// arrived are shed at the rx ring and counted in
 /// [`ShardReport::rx_backpressure_drops`] (the open-loop shape). The
-/// run's offered total is conserved either way:
-/// `processed + rx_backpressure_drops = target`, and a final
+/// scheduler is work-conserving, so this happens only when the wire
+/// really is the bottleneck. The plan's total is conserved either way:
+/// it equals `processed + rx_backpressure_drops`, and a final
 /// [`flush`](TxScheduler::flush) serializes the queued residue so the
 /// egress side conserves too.
 ///
-/// `plan` lists `(template index, packet count)`; buffers are pooled
-/// per template (a buffer's bytes *are* its template, `reset()` only
-/// restores the header), at most one burst's worth each, so steady
-/// state allocates nothing.
+/// `plan` lists `(template index, packet count)`, one feed each; the
+/// fill [`draw`]s from the feeds still in rotation in O(burst). Buffers
+/// are pooled per feed (a buffer's bytes *are* its template, `reset()`
+/// only restores the header) and created on demand: a pool grows only
+/// when one burst takes more from its feed than it holds, so a call
+/// allocates O(templates) buffers and steady state nothing.
 fn run_self_fed_shard<D: Datapath>(
     engine: &mut D,
     templates: &[Vec<u8>],
@@ -535,17 +568,13 @@ fn run_self_fed_shard<D: Datapath>(
     now_ns: u64,
     egress: Option<(EgressConfig, BackpressureConfig, Instant)>,
 ) -> SelfFedOutcome {
-    let target: u64 = plan.iter().map(|&(_, c)| c).sum();
-    // (template index, packets remaining, buffer pool) per feed.
-    let mut feeds: Vec<(usize, u64, Vec<PacketBuf>)> = plan
-        .iter()
-        .filter(|&&(_, c)| c > 0)
-        .map(|&(t, c)| {
-            let pool =
-                (0..c.min(batch as u64)).map(|_| PacketBuf::new(templates[t].clone())).collect();
-            (t, c, pool)
-        })
-        .collect();
+    let mut rotation: VecDeque<(usize, u64)> =
+        plan.iter().enumerate().filter(|(_, &(_, c))| c > 0).map(|(f, &(_, c))| (f, c)).collect();
+    // Every pool's vector is allocated here, ahead of any buffer, with
+    // room for the one buffer a feed holds when each burst takes one
+    // packet from it. Allocated at the first recycle instead, between the
+    // buffers, the loop measured ≈ 7 ns per packet slower.
+    let mut pools: Vec<Vec<PacketBuf>> = plan.iter().map(|_| Vec::with_capacity(1)).collect();
     let rx: SpscRing<PacketBuf> = SpscRing::new(cap);
     let bp = egress.map(|(_, bp, _)| bp).unwrap_or_default();
     let mut tx_state = egress.map(|(ecfg, bp, epoch)| {
@@ -563,79 +592,44 @@ fn run_self_fed_shard<D: Datapath>(
     let mut staged_feeds: Vec<usize> = Vec::with_capacity(batch);
     let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch);
     let mut tx_staging: Vec<TxPacket> = Vec::new();
-    let mut tx_popped: Vec<TxPacket> = Vec::new();
     let mut waiter = Waiter::default();
 
     let start = Instant::now();
-    while tally.processed + rx_backpressure_drops < target {
-        // Give the wire its paced tick, then honor the high-watermark:
-        // a worker whose tx queue is over it stops draining rx — the
-        // backpressure edge producers feel.
+    while !rotation.is_empty() {
+        // Honor the high-watermark: a worker whose tx queue is over it
+        // gives the wire a fresh tick and, if still over, stops draining
+        // rx — the backpressure edge producers feel.
         if let Some((_, sched, epoch, ..)) = &mut tx_state {
-            sched.transmit(epoch.elapsed().as_nanos() as u64);
             if sched.queued_pkts() > bp.high_watermark {
-                match bp.policy {
-                    BackpressurePolicy::Block => {
+                sched.transmit(epoch.elapsed().as_nanos() as u64);
+                if sched.queued_pkts() > bp.high_watermark {
+                    match bp.policy {
                         // Closed loop: hold the producers; wall time
                         // advances and the next tick drains the wire.
-                        waiter.wait();
-                    }
-                    BackpressurePolicy::Drop => {
+                        BackpressurePolicy::Block => waiter.wait(),
                         // Open loop: the offered packets that arrived
                         // during the stall are refused at the rx ring,
-                        // round-robin across feeds like the fill loop.
-                        let mut shed = 0usize;
-                        'shed: loop {
-                            let mut progress = false;
-                            for feed in feeds.iter_mut() {
-                                if shed >= batch {
-                                    break 'shed;
-                                }
-                                if feed.1 == 0 {
-                                    continue;
-                                }
-                                feed.1 -= 1;
-                                shed += 1;
-                                progress = true;
-                            }
-                            if !progress {
-                                break;
-                            }
+                        // drawn from the feeds like a burst.
+                        BackpressurePolicy::Drop => {
+                            rx_backpressure_drops += draw(&mut rotation, batch, |_| {}) as u64;
                         }
-                        rx_backpressure_drops += shed as u64;
                     }
-                }
-                continue;
-            }
-        }
-        // Fill: round-robin across the feeds with work left, one buffer
-        // each per pass, until the burst is full. Every buffer is home
-        // between iterations, so a feed with `remaining > 0` always
-        // progresses eventually.
-        staged_feeds.clear();
-        'fill: loop {
-            let mut progress = false;
-            for (fi, feed) in feeds.iter_mut().enumerate() {
-                if staging.len() >= batch {
-                    break 'fill;
-                }
-                if feed.1 == 0 {
                     continue;
                 }
-                let Some(mut buf) = feed.2.pop() else { continue };
-                buf.reset();
-                staging.push(buf);
-                staged_feeds.push(fi);
-                feed.1 -= 1;
-                progress = true;
-            }
-            if !progress {
-                break;
             }
         }
-        if staging.is_empty() {
-            break;
-        }
+        staged_feeds.clear();
+        draw(&mut rotation, batch, |feed| {
+            let buf = match pools[feed].pop() {
+                Some(mut buf) => {
+                    buf.reset();
+                    buf
+                }
+                None => PacketBuf::new(templates[plan[feed].0].clone()),
+            };
+            staging.push(buf);
+            staged_feeds.push(feed);
+        });
         // The NIC-model ring hop: one slot claim in, one out. The ring
         // is drained every iteration, so the push only backpressures if
         // the configured depth is pathological (cap rounds up to ≥ 1).
@@ -651,25 +645,26 @@ fn run_self_fed_shard<D: Datapath>(
 
         match &mut tx_state {
             None => {
-                for (k, buf) in staging.drain(..).enumerate() {
-                    feeds[staged_feeds[k]].2.push(buf);
+                for (buf, &feed) in staging.drain(..).zip(&staged_feeds) {
+                    pools[feed].push(buf);
                 }
             }
             Some((etx, sched, epoch, next_seq, expected_seq)) => {
-                // Worker-drained egress: stamp, burst through the
-                // egress ring, drain into the shard-local scheduler.
+                // Worker-drained egress: stamp the burst, push it through
+                // the egress ring, drain it into the shard's scheduler.
+                let now = epoch.elapsed().as_nanos() as u64;
                 for (buf, &verdict) in staging.drain(..).zip(verdicts.iter()) {
-                    let enqueued_ns = epoch.elapsed().as_nanos() as u64;
-                    tx_staging.push(TxPacket { buf, verdict, enqueued_ns, seq: *next_seq });
+                    tx_staging.push(TxPacket { buf, verdict, enqueued_ns: now, seq: *next_seq });
                     *next_seq += 1;
                 }
                 while !etx.push_burst(&mut tx_staging) {
                     waiter.wait();
                 }
                 waiter.reset();
-                tx_popped.clear();
-                etx.pop_burst(&mut tx_popped);
-                for (k, tx) in tx_popped.drain(..).enumerate() {
+                // Popped into the vector it was pushed from, like the rx
+                // hop, so one allocation circulates through the ring.
+                etx.pop_burst(&mut tx_staging);
+                for (tx, &feed) in tx_staging.drain(..).zip(&staged_feeds) {
                     assert_eq!(
                         tx.seq, *expected_seq,
                         "egress ring leaked, duplicated or reordered a packet"
@@ -678,9 +673,9 @@ fn run_self_fed_shard<D: Datapath>(
                     // Tail drops are counted inside the scheduler
                     // (`tx_queue_full`); the buffer recycles either way.
                     let _ = sched.stage(tx.verdict, tx.buf.wire_len(), tx.enqueued_ns);
-                    feeds[staged_feeds[k]].2.push(tx.buf);
+                    pools[feed].push(tx.buf);
                 }
-                sched.transmit(epoch.elapsed().as_nanos() as u64);
+                sched.transmit(now);
             }
         }
     }

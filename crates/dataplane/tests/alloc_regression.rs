@@ -1,4 +1,5 @@
-//! Allocation-count regression test for the border router's hot path.
+//! Allocation-count regression tests for the border router's hot path
+//! and the runtime loop around it.
 //!
 //! Steady-state bursts must not allocate, and neither may the
 //! authentication-key cache's generation flips: a flip swaps the hot
@@ -7,27 +8,41 @@
 //! flow set here is larger than the cache, so every packet misses and
 //! a flip falls every few bursts, inside bursts as well as between them.
 //!
-//! The whole file is one `#[test]`: the counting allocator is a
-//! process-global, and a single test keeps the counts deterministic.
+//! A whole `run_to_completion` allocates per template, not per buffer
+//! a template could ever need: its pools grow on demand.
+//!
+//! The counting allocator counts per thread, so the tests may run in
+//! parallel; the runtime test runs its shards sequentially on its own
+//! thread for the same reason.
 
 use hummingbird_crypto::{ResInfo, SecretValue};
 use hummingbird_dataplane::{
-    forge_path, BeaconHop, BorderRouter, Datapath, PacketBuf, RouterConfig, SourceGenerator,
-    SourceReservation, Verdict, BATCH_SIZE,
+    forge_path, run_to_completion, BackpressurePolicy, BeaconHop, BorderRouter, Datapath,
+    EgressConfig, ExecMode, NullEngine, PacketBuf, RouterConfig, RuntimeConfig, RuntimeMode,
+    SourceGenerator, SourceReservation, Verdict, BATCH_SIZE,
 };
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// System allocator wrapper that counts every allocation.
+/// System allocator wrapper that counts every allocation made by the
+/// current thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` and destructor-free: touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: same contract as the caller's; delegated unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -36,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: same contract as the caller's; delegated unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -45,11 +60,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations performed while running `f`.
+/// Allocations this thread performed while running `f`.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
 const NOW_S: u64 = 1_700_000_096;
@@ -127,4 +142,43 @@ fn miss_bursts_and_generation_flips_do_not_allocate() {
         }
     });
     assert_eq!(allocs, 0, "{allocs} allocations on the sequential path");
+}
+
+/// Allocations of one sharded `run_to_completion` with the tx path on,
+/// each of `templates` sent `4 * BATCH_SIZE` times. `Block`, so a build
+/// fast enough to outrun the wire stalls instead of shedding packets.
+fn sharded_run_allocations(templates: &[Vec<u8>]) -> u64 {
+    let mut cfg = RuntimeConfig::new(2);
+    cfg.exec = ExecMode::Sequential;
+    cfg.egress = Some(EgressConfig::default());
+    cfg.backpressure.policy = BackpressurePolicy::Block;
+    let pkts = (4 * BATCH_SIZE * templates.len()) as u64;
+    let (allocs, report) = allocations_during(|| {
+        run_to_completion(
+            &cfg,
+            RuntimeMode::Sharded,
+            |_| NullEngine::new(),
+            templates,
+            pkts,
+            NOW_NS,
+        )
+    });
+    assert_eq!(report.packets, pkts);
+    assert_eq!(report.egress.expect("tx path on").forwarded(), pkts);
+    allocs
+}
+
+#[test]
+fn sharded_run_allocates_per_template_not_per_buffer() {
+    let sv = SecretValue::new([0x42; 16]);
+    let hop_key = HopMacKey::new([0x17; 16]);
+    let all: Vec<Vec<u8>> = packets(&sv, &hop_key).iter().map(|b| b.as_bytes().to_vec()).collect();
+    let runs = [128, 256].map(|n| (n as u64, sharded_run_allocations(&all[..n])));
+    // A template costs one buffer (its bytes and header snapshot) plus
+    // its pool's vector, however many packets it sends, and the loop
+    // itself a few dozen allocations. Pools sized for a whole burst per
+    // template cost 2 × BATCH_SIZE + 1 each: 9 382 and 17 704 here.
+    for (n, allocs) in runs {
+        assert!(allocs <= 3 * n + 64, "{allocs} allocations for {n} templates");
+    }
 }
