@@ -7,8 +7,8 @@
 //!    (competitive ratio in practice).
 //! 3. Duplicate suppression: router cost with the stage on vs off.
 //! 4. Aggregate MAC vs a separate tag field: header bytes saved.
-//! 5. Worker-ring runtime: per-core-clone vs RSS-sharded scaling, with
-//!    the null engine isolating the harness's own ring/dispatch cost.
+//! 5. Multi-queue runtime: per-core-clone vs RSS-sharded scaling, with
+//!    the null engine isolating the harness's own fill/steering cost.
 //! 6. Burst size: the runtime's `batch_size` knob swept over the sharded
 //!    null + Hummingbird workload (amortization vs cache footprint).
 //!
@@ -168,7 +168,7 @@ fn fx_hop_key(_fx: &DataplaneFixture) -> hummingbird_wire::scion_mac::HopMacKey 
 }
 
 fn ablation_runtime_sharding() {
-    println!("== Ablation 5: worker-ring runtime — clone vs sharded vs harness floor ==\n");
+    println!("== Ablation 5: multi-queue runtime — clone vs sharded vs harness floor ==\n");
     let fx = DataplaneFixture::new(4);
     let cores_list = cores_from_args(&[1usize, 2, 4]);
     let per_core = pkts_from_args(100_000);
@@ -180,7 +180,7 @@ fn ablation_runtime_sharding() {
             &widths
         )
     );
-    // The null engine's rows are the harness floor: ring hops, burst
+    // The null engine's rows are the harness floor: burst fill,
     // bookkeeping and (sharded) rx steering with zero per-packet work.
     for kind in [EngineKind::Null, EngineKind::Hummingbird] {
         let templates = fx.flow_packets(kind, 500, 64);
@@ -243,7 +243,6 @@ fn ablation_batch_size() {
             let total = per_core * cores as u64;
             let mut cfg = RuntimeConfig::new(cores);
             cfg.batch_size = batch;
-            cfg.ring_capacity = cfg.ring_capacity.max(batch);
             cfg.exec = ExecMode::Auto;
             let rss = run_to_completion(
                 &cfg,
@@ -258,8 +257,9 @@ fn ablation_batch_size() {
         }
         println!("{}", row(&cells, &widths));
     }
-    println!("\n(small bursts pay ring/cursor overhead per packet; huge bursts spill the");
-    println!(" per-burst working set out of L1 — the default of 32 sits in the plateau.)\n");
+    println!("\n(small bursts pay the per-burst loop and engine set-up on few packets; huge");
+    println!(" bursts spill the per-burst working set out of L1 — the default of 32 sits in");
+    println!(" the plateau.)\n");
 }
 
 fn ablation_agg_mac() {

@@ -1,7 +1,7 @@
 //! The Fig. 3/4-style latency comparison, made executable: end-to-end
 //! delay, delivery and authentication outcomes (D1/D2) for every engine
 //! family × {single, 4-shard} deployment, on the same 3-AS bottleneck
-//! topology with the worker-ring service model installed.
+//! topology with the sharded-runtime service model installed.
 //!
 //! Three measurements per configuration:
 //!
@@ -15,7 +15,7 @@
 //!    traffic rides the priority class past the flood), the
 //!    authentication-only families watch it blow up with the queue.
 //!
-//! A final section drives the threaded worker-ring runtime with the tx
+//! A final section drives the threaded multi-queue runtime with the tx
 //! path enabled and prints per-class egress residence times — the same
 //! two-class scheduler, measured on real threads instead of simulated
 //! time. At the default 40 Gbps wire and `Drop` policy it asserts that
@@ -162,7 +162,7 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    println!("\n== threaded worker-ring runtime, tx path enabled ==");
+    println!("\n== threaded multi-queue runtime, tx path enabled ==");
     println!(
         "4 shards, 40 Gbps egress model, default backpressure (Drop); per-class residence =\n\
          enqueue -> modeled departure, p99 at the histogram's power-of-two resolution\n"

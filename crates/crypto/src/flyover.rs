@@ -280,7 +280,7 @@ pub fn flyover_tags_batch_with<'a>(
 /// it — but `ResInfo` is stable for a reservation's whole validity
 /// period, so every packet after the first can reuse the expanded
 /// schedule. Engines hold one cache each (hence per-shard under the
-/// worker-ring runtime: no locking, and a reservation's entry lives
+/// multi-queue runtime: no locking, and a reservation's entry lives
 /// exactly where its packets are steered).
 ///
 /// **Keys.** The border router keys its cache by the raw `A_K` bytes

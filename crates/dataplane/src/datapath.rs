@@ -331,8 +331,8 @@ impl<D: Datapath + ?Sized> Datapath for Box<D> {
 /// policing — every packet is forwarded best-effort through egress 0.
 ///
 /// Useful as the zero of the engine lattice: driving a harness (the
-/// multicore rig, the worker-ring runtime, a figure binary) with
-/// `--engine null` measures the harness's own overhead — ring hops,
+/// multicore rig, the multi-queue runtime, a figure binary) with
+/// `--engine null` measures the harness's own overhead — burst fill,
 /// batch bookkeeping, buffer resets — so every other engine's cost can
 /// be read as "minus the null baseline". Stats are still tallied, so
 /// sharded/batched drivers can verify packet conservation.

@@ -16,10 +16,12 @@
 //! * [`multicore`] — `std::thread`-based throughput harness for the
 //!   Fig. 5/14 scaling experiments, generic over any [`Datapath`] engine
 //!   (now one configuration of the [`runtime`]).
-//! * [`runtime`] — the sharded worker-ring runtime: bounded SPSC rings
-//!   model NIC queues, an RSS-style flow hash steers each reservation to
-//!   the one shard that polices it, and the [`ShardedRouter`] facade
-//!   exposes the whole thing as a single [`Datapath`] engine.
+//! * [`runtime`] — the sharded multi-queue runtime: an RSS-style flow
+//!   hash splits the workload into per-shard rx queues so each
+//!   reservation lands on the one shard that polices it, each shard
+//!   feeds its bursts straight to its engine and its own tx scheduler,
+//!   and the [`ShardedRouter`] facade exposes the whole thing as a
+//!   single [`Datapath`] engine.
 //! * [`datapath`] — the unified batch-oriented [`Datapath`] trait that
 //!   every packet-processing engine (router, gateway, baselines)
 //!   implements, plus the shared [`Verdict`]/[`DropReason`]/

@@ -1,13 +1,14 @@
 //! Multi-core throughput harness (paper §7.1-7.2, Figs. 5/14).
 //!
 //! The paper drives its DPDK implementation with a Spirent traffic
-//! generator over 4×40 Gbps links. Here the [`crate::runtime`] worker-
-//! ring runtime supplies the cores: [`forwarding_throughput`] is the
-//! per-core-clone configuration of [`crate::runtime::run_to_completion`]
-//! (each core drives its own engine through its own NIC-model ring), and
-//! the sharded configuration — one logical router with RSS steering and
-//! correct cross-core policing — is reached through the same entry point
-//! with [`crate::runtime::RuntimeMode::Sharded`].
+//! generator over 4×40 Gbps links. Here the [`crate::runtime`]
+//! multi-queue runtime supplies the cores: [`forwarding_throughput`] is
+//! the per-core-clone configuration of
+//! [`crate::runtime::run_to_completion`] (each core feeds its own engine
+//! its own share of the packets in bursts), and the sharded
+//! configuration — one logical router with RSS steering and correct
+//! cross-core policing — is reached through the same entry point with
+//! [`crate::runtime::RuntimeMode::Sharded`].
 //!
 //! [`forwarding_throughput`] is generic over any [`Datapath`] engine.
 //! Engines that drop traffic are measurable — drops are tallied in the
@@ -72,7 +73,7 @@ impl Throughput {
 /// worker shards each drive `pkts_per_core` copies of `packet` through
 /// their own engine instance in [`BATCH_SIZE`]-packet bursts via the
 /// batch path — the [`RuntimeMode::PerCoreClone`] configuration of the
-/// worker-ring runtime. Engines that drop traffic are measured, not
+/// multi-queue runtime. Engines that drop traffic are measured, not
 /// rejected (drop counts live in the runtime report; use
 /// [`run_to_completion`] directly to inspect them).
 pub fn forwarding_throughput<D, F>(
@@ -89,7 +90,6 @@ where
     let cores = cores.max(1);
     let mut cfg = RuntimeConfig::new(cores);
     cfg.batch_size = BATCH_SIZE.min(pkts_per_core.max(1) as usize);
-    cfg.ring_capacity = cfg.batch_size.max(2);
     // Benchmark setting: real threads when the host has the cores,
     // dedicated-core critical-path estimate when it doesn't.
     cfg.exec = ExecMode::Auto;

@@ -1,4 +1,4 @@
-//! The tx half of the worker-ring runtime: per-interface egress queues
+//! The tx half of the multi-queue runtime: per-interface egress queues
 //! with the paper's two-class strict-priority forwarding, bounded queue
 //! depth, and the backpressure contract the rx side honors.
 //!
@@ -7,17 +7,14 @@
 //! recycled — there was no egress, so the runtime could measure
 //! throughput but never *latency*. The tx path closes that gap:
 //!
-//! * workers push every processed packet as a [`TxPacket`] — the buffer,
-//!   its verdict, the burst's enqueue stamp and a per-shard sequence
-//!   number — into a per-shard egress [`super::SpscRing`] (the SPSC
-//!   discipline of the rx side, reversed);
-//! * each processed packet lands in a [`TxScheduler`], which models one
-//!   egress port per interface as a *bounded* FIFO pair of
-//!   priority-class queues — whenever the wire frees, flyover traffic
-//!   staged by then goes ahead of best effort, exactly the two-class
-//!   forwarding of the paper's routers (and of the netsim
-//!   [`Link`](../../hummingbird_netsim) model) — over a configurable
-//!   link rate in virtual time;
+//! * each worker stages every processed packet — its verdict, wire
+//!   length and the burst's one enqueue stamp — into its own
+//!   [`TxScheduler`], which models one egress port per interface as a
+//!   *bounded* FIFO pair of priority-class queues — whenever the wire
+//!   frees, flyover traffic staged by then goes ahead of best effort,
+//!   exactly the two-class forwarding of the paper's routers (and of the
+//!   netsim [`Link`](../../hummingbird_netsim) model) — over a
+//!   configurable link rate in virtual time;
 //! * per-packet **residence time** (worker enqueue → modeled wire
 //!   departure) is folded into [`EgressStats`], the
 //!   [`RuntimeReport`](super::RuntimeReport) extension the latency
@@ -34,22 +31,20 @@
 //! tail-dropped under [`DropReason::TxQueueFull`] and counted in
 //! [`EgressStats::tx_queue_full`] — never silently lost. Upstream, the
 //! worker loop watches [`queued_pkts`](TxScheduler::queued_pkts) against
-//! [`BackpressureConfig::high_watermark`] and stops draining its rx ring
-//! while the tx queue is over it, so producers see a full ring and
-//! either block ([`BackpressurePolicy::Block`], the closed-loop
-//! netsim/testbed shape) or shed load into
-//! `rx_backpressure_drops` ([`BackpressurePolicy::Drop`], the open-loop
-//! bench shape). At end of run [`flush`](TxScheduler::flush) drains the
-//! residue in virtual time so packet conservation is exact:
+//! [`BackpressureConfig::high_watermark`] and takes in no burst while
+//! the tx queue is over it, so producers either block
+//! ([`BackpressurePolicy::Block`], the closed-loop netsim/testbed shape)
+//! or shed load into `rx_backpressure_drops`
+//! ([`BackpressurePolicy::Drop`], the open-loop bench shape). At end of
+//! run [`flush`](TxScheduler::flush) drains the residue in virtual time
+//! so packet conservation is exact:
 //! `processed = forwarded + dropped + tx_queue_full`.
 //!
-//! Within one `(shard, class)` the egress path is provably FIFO — the
-//! SPSC ring preserves worker order and the scheduler serves each class
-//! queue front-to-back — and the drain side asserts the per-shard
-//! sequence numbers to catch any leak, duplication or reorder (the
-//! property `tests/prop_sharded.rs` exercises end to end).
+//! Within one `(shard, class)` the egress path is FIFO: a worker stages
+//! its packets in the order the engine returned them and the scheduler
+//! serves each class queue front-to-back.
 
-use crate::datapath::{DropReason, PacketBuf, Verdict};
+use crate::datapath::{DropReason, Verdict};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Tuning of the tx path.
@@ -70,10 +65,10 @@ impl Default for EgressConfig {
 /// ([`BackpressureConfig::policy`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {
-    /// Open-loop producers keep arriving and are shed at the rx ring:
-    /// each refused packet counts into the shard's
-    /// `rx_backpressure_drops`. The bench shape — offered load is a
-    /// workload parameter, so loss is the observable.
+    /// Open-loop producers keep arriving and are shed at rx: each
+    /// refused packet counts into the shard's `rx_backpressure_drops`.
+    /// The bench shape — offered load is a workload parameter, so loss
+    /// is the observable.
     #[default]
     Drop,
     /// Producers hold until the wire drains below the watermark — the
@@ -92,7 +87,7 @@ pub struct BackpressureConfig {
     /// [`DropReason::TxQueueFull`].
     pub tx_queue_pkts: usize,
     /// Total queued packets (across all ports of one shard's scheduler)
-    /// past which the worker stops draining its rx ring. Keep it below
+    /// past which the worker stops taking in bursts. Keep it below
     /// `tx_queue_pkts` so [`BackpressurePolicy::Block`] stalls before
     /// tail drop sets in.
     pub high_watermark: usize,
@@ -113,21 +108,6 @@ impl Default for BackpressureConfig {
             policy: BackpressurePolicy::Drop,
         }
     }
-}
-
-/// One processed packet traveling an egress ring: the recycled buffer,
-/// its verdict, the worker's enqueue stamp (ns since run start) and the
-/// worker's per-shard sequence number (FIFO audit).
-#[derive(Debug)]
-pub struct TxPacket {
-    /// The processed buffer (recycled by the worker after staging).
-    pub buf: PacketBuf,
-    /// The engine's verdict (class + egress interface).
-    pub verdict: Verdict,
-    /// Worker-side enqueue time, ns since run start.
-    pub enqueued_ns: u64,
-    /// Per-shard monotone sequence number.
-    pub seq: u64,
 }
 
 /// A log₂-bucketed latency histogram: [`Self::BUCKETS`] power-of-two
@@ -361,7 +341,7 @@ fn wire_ns(bandwidth_bps: u64, bytes: usize) -> u64 {
 /// queues over a modeled link rate.
 ///
 /// Driven in cycles by the worker: [`stage`](TxScheduler::stage) every
-/// packet popped off its egress ring, then
+/// packet of a processed burst, then
 /// [`transmit`](TxScheduler::transmit) once per cycle — each interface
 /// serializes whatever the wire can start by `now_ns`. The class is
 /// decided at the instant the wire frees: priority if a priority packet

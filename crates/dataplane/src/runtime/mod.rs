@@ -1,4 +1,4 @@
-//! The sharded worker-ring datapath runtime: a software model of the
+//! The sharded multi-queue datapath runtime: a software model of the
 //! NIC-fed multi-core router the paper evaluates (§7.1, Figs. 5/14).
 //!
 //! # The model vs. the paper's DPDK testbed
@@ -10,10 +10,6 @@
 //! to one queue. This module reproduces that architecture with portable
 //! pieces:
 //!
-//! * [`ring::SpscRing`] — bounded SPSC *burst* rings of [`PacketBuf`]
-//!   stand in for NIC descriptor rings (capacity = queue depth, full
-//!   ring = backpressure). One head/tail update moves a whole burst; no
-//!   per-packet lock (see the ring module's invariant note).
 //! * [`shard::ShardMap`] — the RSS function: flyover packets steer by
 //!   **per-shard ResID ranges** so each reservation's token bucket
 //!   (Algorithm 1) lives on exactly one core, plain packets steer by the
@@ -27,25 +23,22 @@
 //!   *injection time* — the ShardMap partitions the template workload
 //!   into per-shard plans up front (exactly what RSS hardware does per
 //!   packet, hoisted to the producer side), and each shard then runs a
-//!   self-fed loop: re-arm a burst of recycled buffers, push it through
-//!   its own rx ring, pop it back, process it via the engine's batch
-//!   path, recycle. No dispatcher thread exists and no ring is shared
-//!   between threads, so N shards approach N× one core.
-//! * [`egress::TxScheduler`] — the tx path: processed packets travel
-//!   per-shard egress rings of [`TxPacket`] into per-interface FIFO +
-//!   priority-class queues over a modeled link rate, recording
-//!   per-packet residence times ([`EgressStats`] on the report). Each
-//!   *worker drains its own egress ring* into a shard-local scheduler
-//!   (its model of a per-core NIC tx queue), asserting the per-shard
-//!   sequence numbers on the way, and the per-shard stats are merged.
-//!   Enabled by [`RuntimeConfig::egress`].
+//!   self-fed loop: re-arm a burst of recycled [`PacketBuf`]s from its
+//!   plan, process it via the engine's batch path, recycle. Shards share
+//!   nothing and no dispatcher thread exists, so N shards approach N×
+//!   one core.
+//! * [`egress::TxScheduler`] — the tx path: each worker stages its
+//!   processed bursts into its own per-interface FIFO + priority-class
+//!   queues over a modeled link rate (its model of a per-core NIC tx
+//!   queue), recording per-packet residence times; the per-shard
+//!   [`EgressStats`] are merged onto the report. Enabled by
+//!   [`RuntimeConfig::egress`].
 //!
-//! A self-fed shard drains its own rings every iteration, so the only
-//! place a worker ever waits is the [`BackpressurePolicy::Block`] stall
-//! (tx queue over the watermark): it backs off exponentially, then
-//! yields. How workers map onto host threads is governed by
-//! [`RuntimeConfig::exec`] ([`ExecMode`]) — see its docs for the honest
-//! accounting of what "sequential" measures.
+//! The only place a worker ever waits is the
+//! [`BackpressurePolicy::Block`] stall (tx queue over the watermark): it
+//! backs off exponentially, then yields. How workers map onto host
+//! threads is governed by [`RuntimeConfig::exec`] ([`ExecMode`]) — see
+//! its docs for the honest accounting of what "sequential" measures.
 //!
 //! What the model deliberately simplifies: "line rate" on the rx side
 //! is a cap applied in reporting, the tx link is modeled in virtual
@@ -64,9 +57,11 @@ pub mod shard;
 
 pub use egress::{
     BackpressureConfig, BackpressurePolicy, EgressClassStats, EgressConfig, EgressStats,
-    LatencyHistogram, TxPacket, TxScheduler,
+    LatencyHistogram, TxScheduler,
 };
-pub use ring::SpscRing;
+// The runtime itself queues nothing; the one type in `ring` stays
+// reachable at its old path for callers that measure a burst hop.
+pub use ring::*;
 pub use shard::{FlowClass, ShardMap, Steering};
 
 use crate::datapath::{Datapath, DatapathStats, PacketBuf, Verdict};
@@ -201,10 +196,10 @@ impl Datapath for ShardedRouter {
 /// How [`run_to_completion`] lays work onto cores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RuntimeMode {
-    /// Each worker owns an independent engine and self-feeds its own
-    /// ring — the historical `multicore` harness, now expressed as a
-    /// runtime configuration. Measures pure per-core engine scaling; no
-    /// cross-core policing semantics.
+    /// Each worker owns an independent engine and feeds itself an even
+    /// share of the workload — the historical `multicore` harness, now
+    /// expressed as a runtime configuration. Measures pure per-core
+    /// engine scaling; no cross-core policing semantics.
     PerCoreClone,
     /// One logical router with correct cross-core policing: every
     /// packet is processed by the shard the [`ShardMap`] assigns it to,
@@ -256,8 +251,8 @@ impl Waiter {
 pub enum RxMode {
     /// Per-shard rx queues filled by RSS-style hashing at injection
     /// time: the workload is partitioned into per-shard plans up front
-    /// via [`ShardMap::partition_templates`], each shard self-feeds its
-    /// own ring, and shards share nothing.
+    /// via [`ShardMap::partition_templates`], each shard feeds itself
+    /// its plan, and shards share nothing.
     #[default]
     MultiQueue,
 }
@@ -275,10 +270,9 @@ pub enum ExecMode {
     /// One OS thread per shard, started together behind a barrier; the
     /// run's `seconds` is the slowest worker's wall clock, so scheduler
     /// contention on oversubscribed hosts shows up in the measurement.
-    /// The default. Each worker's rings stay private to its thread (no
-    /// self-fed shard shares a ring), so what threading adds over
-    /// [`Sequential`](ExecMode::Sequential) is concurrency between
-    /// shards, not on a ring.
+    /// The default. Workers share no state, so what threading adds over
+    /// [`Sequential`](ExecMode::Sequential) is only that the shards run
+    /// at the same time.
     #[default]
     Threaded,
     /// Run each shard's worker loop to completion on the calling
@@ -308,13 +302,15 @@ impl ExecMode {
     }
 }
 
-/// Tuning of the worker-ring runtime.
+/// Tuning of the multi-queue runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
     /// Worker shard count (cores devoted to packet processing).
     pub shards: usize,
-    /// Per-shard ring depth in *bursts* (NIC descriptor-ring model;
-    /// rounded up to a power of two by the ring).
+    /// Selects nothing: a shard hands each burst straight from its fill
+    /// to the engine, so the runtime has no ring for this to size. Kept
+    /// for the frozen `benchmark/` package, which reads it to size the
+    /// queue in [`ring`] whose burst hop it measures.
     pub ring_capacity: usize,
     /// Burst size per `process_batch` call.
     pub batch_size: usize,
@@ -323,10 +319,10 @@ pub struct RuntimeConfig {
     pub policer_slots: u32,
     /// Flow steering policy (ignored in [`RuntimeMode::PerCoreClone`]).
     pub steering: Steering,
-    /// Tx-path model: `Some` routes every processed packet through
-    /// per-shard egress rings into the two-class [`TxScheduler`] and
-    /// reports [`EgressStats`]; `None` (the default) recycles buffers
-    /// directly, the historical rx-only harness. Only
+    /// Tx-path model: `Some` stages every processed packet into its
+    /// shard's two-class [`TxScheduler`] and reports [`EgressStats`];
+    /// `None` (the default) recycles buffers straight after the engine,
+    /// the historical rx-only harness. Only
     /// [`RuntimeMode::Sharded`] has a tx port (the clone mode measures
     /// independent engines, not one logical router), so the model is
     /// ignored under [`RuntimeMode::PerCoreClone`].
@@ -334,7 +330,7 @@ pub struct RuntimeConfig {
     /// Bounded-queue and backpressure tuning of the tx path (only
     /// meaningful when [`egress`](RuntimeConfig::egress) is `Some`):
     /// per-port per-class queue bound, the high-watermark past which a
-    /// worker stops draining its rx ring, and what the rx side does
+    /// worker stops taking in bursts, and what the rx side does
     /// while stalled ([`BackpressurePolicy::Block`] holds producers,
     /// [`BackpressurePolicy::Drop`] sheds offered packets into
     /// [`ShardReport::rx_backpressure_drops`]).
@@ -348,7 +344,7 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// A sensible default: `shards` workers, 256-burst rings,
+    /// A sensible default: `shards` workers, a `ring_capacity` of 256,
     /// [`BATCH_SIZE`]-packet bursts, the paper's 10⁵ ResID slots,
     /// reservation-aware steering, no tx path, threaded execution.
     pub fn new(shards: usize) -> Self {
@@ -375,8 +371,8 @@ pub struct ShardReport {
     pub forwarded: u64,
     /// Packets dropped by the engine.
     pub dropped: u64,
-    /// Offered packets shed at the rx ring while this shard's tx queue
-    /// was over the high-watermark under [`BackpressurePolicy::Drop`]
+    /// Offered packets shed at rx while this shard's tx queue was over
+    /// the high-watermark under [`BackpressurePolicy::Drop`]
     /// (never counted in `processed` — they were refused before the
     /// engine saw them).
     pub rx_backpressure_drops: u64,
@@ -394,7 +390,7 @@ pub struct RuntimeReport {
     /// Run duration in seconds: the slowest worker's wall clock,
     /// threaded or sequential (see [`ExecMode`]).
     pub seconds: f64,
-    /// Offered packets shed at rx rings under backpressure, summed
+    /// Offered packets shed at rx under backpressure, summed
     /// across shards. Conservation: `packets + rx_backpressure_drops`
     /// equals the offered total in every mode and policy.
     pub rx_backpressure_drops: u64,
@@ -441,10 +437,10 @@ fn tally_burst(tally: &mut WorkerTally, burst: &[PacketBuf], verdicts: &[Verdict
 /// In [`RuntimeMode::Sharded`] one logical router with correct policing
 /// runs across the workers, each fed the share of the workload the
 /// [`ShardMap`] steers to it. In [`RuntimeMode::PerCoreClone`] each
-/// worker self-feeds its own ring with an even share of the total — the
-/// classic per-core-clone measurement. Engines are constructed inside
-/// their worker (no `Send` bound on `D`); construction stays out of the
-/// timed region.
+/// worker feeds itself an even share of the total — the classic
+/// per-core-clone measurement. Engines are constructed inside their
+/// worker (no `Send` bound on `D`); construction stays out of the timed
+/// region.
 ///
 /// Packet accounting is deterministic: template `j` of `T` contributes
 /// exactly `total_pkts / T` packets plus one more when
@@ -528,25 +524,21 @@ fn draw(rotation: &mut VecDeque<(usize, u64)>, n: usize, mut take: impl FnMut(us
 }
 
 /// The self-fed shard loop shared by [`RuntimeMode::PerCoreClone`] and
-/// [`RuntimeMode::Sharded`]: fill a burst of re-armed buffers from the
-/// shard's plan, push it through the shard's own rx ring (the NIC-model
-/// hop — one `push_burst`/`pop_burst` pair, no per-packet ring
-/// traffic), process it through the engine's batch path, tally,
-/// recycle. With egress enabled, processed packets take one more burst
-/// hop through the shard's egress ring and the worker drains it into
-/// its *own* [`TxScheduler`] (the per-core NIC tx queue), asserting the
-/// per-shard sequence numbers. One clock read per egress burst stamps
-/// every packet of it and times the [`transmit`](TxScheduler::transmit)
-/// that follows.
+/// [`RuntimeMode::Sharded`]: draw a burst of re-armed buffers from the
+/// shard's plan, process it through the engine's batch path, tally,
+/// recycle. With egress enabled, the worker stages the processed burst
+/// into its *own* [`TxScheduler`] (the per-core NIC tx queue) before
+/// recycling it; one clock read stamps every packet of the burst and
+/// times the [`transmit`](TxScheduler::transmit) that follows.
 ///
 /// Backpressure: while the tx queue is over
 /// [`BackpressureConfig::high_watermark`] the worker gives the wire a
 /// fresh [`transmit`](TxScheduler::transmit) tick per iteration and
-/// refuses to drain its rx ring — under [`BackpressurePolicy::Block`]
-/// it waits for the wire (no loss, the closed-loop shape), under
+/// draws no burst — under [`BackpressurePolicy::Block`] it waits for
+/// the wire (no loss, the closed-loop shape), under
 /// [`BackpressurePolicy::Drop`] the offered packets that would have
-/// arrived are shed at the rx ring and counted in
-/// [`ShardReport::rx_backpressure_drops`] (the open-loop shape). The
+/// arrived are shed and counted in [`ShardReport::rx_backpressure_drops`]
+/// (the open-loop shape). The
 /// scheduler is work-conserving, so this happens only when the wire
 /// really is the bottleneck. The plan's total is conserved either way:
 /// it equals `processed + rx_backpressure_drops`, and a final
@@ -564,7 +556,6 @@ fn run_self_fed_shard<D: Datapath>(
     templates: &[Vec<u8>],
     plan: &[(usize, u64)],
     batch: usize,
-    cap: usize,
     now_ns: u64,
     egress: Option<(EgressConfig, BackpressureConfig, Instant)>,
 ) -> SelfFedOutcome {
@@ -575,31 +566,22 @@ fn run_self_fed_shard<D: Datapath>(
     // packet from it. Allocated at the first recycle instead, between the
     // buffers, the loop measured ≈ 7 ns per packet slower.
     let mut pools: Vec<Vec<PacketBuf>> = plan.iter().map(|_| Vec::with_capacity(1)).collect();
-    let rx: SpscRing<PacketBuf> = SpscRing::new(cap);
     let bp = egress.map(|(_, bp, _)| bp).unwrap_or_default();
-    let mut tx_state = egress.map(|(ecfg, bp, epoch)| {
-        (
-            SpscRing::<TxPacket>::new(cap),
-            TxScheduler::with_backpressure(&ecfg, &bp),
-            epoch,
-            0u64,
-            0u64,
-        )
-    });
+    let mut tx_state =
+        egress.map(|(ecfg, bp, epoch)| (TxScheduler::with_backpressure(&ecfg, &bp), epoch));
     let mut tally = WorkerTally::default();
     let mut rx_backpressure_drops = 0u64;
     let mut staging: Vec<PacketBuf> = Vec::with_capacity(batch);
     let mut staged_feeds: Vec<usize> = Vec::with_capacity(batch);
     let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch);
-    let mut tx_staging: Vec<TxPacket> = Vec::new();
     let mut waiter = Waiter::default();
 
     let start = Instant::now();
     while !rotation.is_empty() {
         // Honor the high-watermark: a worker whose tx queue is over it
-        // gives the wire a fresh tick and, if still over, stops draining
-        // rx — the backpressure edge producers feel.
-        if let Some((_, sched, epoch, ..)) = &mut tx_state {
+        // gives the wire a fresh tick and, if still over, draws no
+        // burst — the backpressure edge producers feel.
+        if let Some((sched, epoch)) = &mut tx_state {
             if sched.queued_pkts() > bp.high_watermark {
                 sched.transmit(epoch.elapsed().as_nanos() as u64);
                 if sched.queued_pkts() > bp.high_watermark {
@@ -608,8 +590,8 @@ fn run_self_fed_shard<D: Datapath>(
                         // advances and the next tick drains the wire.
                         BackpressurePolicy::Block => waiter.wait(),
                         // Open loop: the offered packets that arrived
-                        // during the stall are refused at the rx ring,
-                        // drawn from the feeds like a burst.
+                        // during the stall are refused, drawn from the
+                        // feeds like a burst.
                         BackpressurePolicy::Drop => {
                             rx_backpressure_drops += draw(&mut rotation, batch, |_| {}) as u64;
                         }
@@ -618,6 +600,7 @@ fn run_self_fed_shard<D: Datapath>(
                 }
             }
         }
+        waiter.reset();
         staged_feeds.clear();
         draw(&mut rotation, batch, |feed| {
             let buf = match pools[feed].pop() {
@@ -630,58 +613,28 @@ fn run_self_fed_shard<D: Datapath>(
             staging.push(buf);
             staged_feeds.push(feed);
         });
-        // The NIC-model ring hop: one slot claim in, one out. The ring
-        // is drained every iteration, so the push only backpressures if
-        // the configured depth is pathological (cap rounds up to ≥ 1).
-        while !rx.push_burst(&mut staging) {
-            waiter.wait();
-        }
-        rx.pop_burst(&mut staging);
-        waiter.reset();
 
         verdicts.clear();
         engine.process_batch(&mut staging, now_ns, &mut verdicts);
         tally_burst(&mut tally, &staging, &verdicts);
 
-        match &mut tx_state {
-            None => {
-                for (buf, &feed) in staging.drain(..).zip(&staged_feeds) {
-                    pools[feed].push(buf);
-                }
+        if let Some((sched, epoch)) = &mut tx_state {
+            // One stamp for the whole burst. Tail drops are counted
+            // inside the scheduler (`tx_queue_full`); the buffer
+            // recycles either way.
+            let now = epoch.elapsed().as_nanos() as u64;
+            for (buf, &verdict) in staging.iter().zip(&verdicts) {
+                let _ = sched.stage(verdict, buf.wire_len(), now);
             }
-            Some((etx, sched, epoch, next_seq, expected_seq)) => {
-                // Worker-drained egress: stamp the burst, push it through
-                // the egress ring, drain it into the shard's scheduler.
-                let now = epoch.elapsed().as_nanos() as u64;
-                for (buf, &verdict) in staging.drain(..).zip(verdicts.iter()) {
-                    tx_staging.push(TxPacket { buf, verdict, enqueued_ns: now, seq: *next_seq });
-                    *next_seq += 1;
-                }
-                while !etx.push_burst(&mut tx_staging) {
-                    waiter.wait();
-                }
-                waiter.reset();
-                // Popped into the vector it was pushed from, like the rx
-                // hop, so one allocation circulates through the ring.
-                etx.pop_burst(&mut tx_staging);
-                for (tx, &feed) in tx_staging.drain(..).zip(&staged_feeds) {
-                    assert_eq!(
-                        tx.seq, *expected_seq,
-                        "egress ring leaked, duplicated or reordered a packet"
-                    );
-                    *expected_seq += 1;
-                    // Tail drops are counted inside the scheduler
-                    // (`tx_queue_full`); the buffer recycles either way.
-                    let _ = sched.stage(tx.verdict, tx.buf.wire_len(), tx.enqueued_ns);
-                    pools[feed].push(tx.buf);
-                }
-                sched.transmit(now);
-            }
+            sched.transmit(now);
+        }
+        for (buf, &feed) in staging.drain(..).zip(&staged_feeds) {
+            pools[feed].push(buf);
         }
     }
     // End-of-run residue drain, in virtual time: after this the egress
     // conservation identity is exact.
-    if let Some((_, sched, ..)) = &mut tx_state {
+    if let Some((sched, _)) = &mut tx_state {
         sched.flush();
     }
     let seconds = start.elapsed().as_secs_f64();
@@ -696,7 +649,7 @@ fn run_self_fed_shard<D: Datapath>(
         },
         bits: tally.bits,
         seconds,
-        egress: tx_state.map(|(_, sched, ..)| sched.stats()),
+        egress: tx_state.map(|(sched, _)| sched.stats()),
     }
 }
 
@@ -716,7 +669,6 @@ where
 {
     let shards = plans.len();
     let batch = cfg.batch_size.max(1);
-    let cap = cfg.ring_capacity.max(1);
     let bp = cfg.backpressure;
     // One clock for all egress stamps, started before any worker.
     let epoch = Instant::now();
@@ -729,7 +681,7 @@ where
         let mut engine = make_engine(i);
         ready.wait();
         let egress = egress.map(|e| (e, bp, epoch));
-        run_self_fed_shard(&mut engine, templates, plan, batch, cap, now_ns, egress)
+        run_self_fed_shard(&mut engine, templates, plan, batch, now_ns, egress)
     };
 
     let outcomes: Vec<SelfFedOutcome> = if threaded {
@@ -838,8 +790,7 @@ mod tests {
         let templates: Vec<Vec<u8>> =
             [5u32, 40_000, 77_000].iter().map(|&r| reserved_packet(r)).collect();
         for mode in [RuntimeMode::PerCoreClone, RuntimeMode::Sharded] {
-            let mut cfg = RuntimeConfig::new(3);
-            cfg.ring_capacity = 8;
+            let cfg = RuntimeConfig::new(3);
             let report = run_to_completion(&cfg, mode, |_| hop_engine(), &templates, 1_000, NOW_NS);
             assert_eq!(report.packets, 1_000, "{mode:?}");
             assert_eq!(
@@ -899,8 +850,7 @@ mod tests {
     #[test]
     fn shallow_ring_run_completes() {
         let templates = vec![reserved_packet(42), reserved_packet(88_000)];
-        let mut cfg = RuntimeConfig::new(2);
-        cfg.ring_capacity = 4;
+        let cfg = RuntimeConfig::new(2);
         let report = run_to_completion(
             &cfg,
             RuntimeMode::Sharded,
@@ -917,7 +867,6 @@ mod tests {
         let templates: Vec<Vec<u8>> =
             [7u32, 33_000, 88_000].iter().map(|&r| reserved_packet(r)).collect();
         let mut cfg = RuntimeConfig::new(3);
-        cfg.ring_capacity = 8;
         cfg.egress = Some(EgressConfig::default());
         let report = run_to_completion(
             &cfg,

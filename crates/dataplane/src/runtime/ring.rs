@@ -1,251 +1,43 @@
-//! Bounded single-producer / single-consumer burst rings — the NIC-queue
-//! model of the worker-ring runtime.
-//!
-//! A real deployment of the paper's router receives packets through DPDK
-//! rx rings: fixed-capacity descriptor rings the NIC fills and one core
-//! drains in *bursts*, with no locking between producer and consumer
-//! beyond the head/tail indices. [`SpscRing`] reproduces that discipline
-//! in safe Rust at burst granularity: each slot carries one whole burst
-//! (a `Vec<T>`), and the burst operations move a burst in or out with a
-//! single `Vec` pointer swap plus **one** head/tail update — O(1) per
-//! burst, regardless of how many packets it carries.
-//!
-//! # Memory layout
-//!
-//! The slot count is rounded up to a power of two so slot indexing is a
-//! mask (`cursor & mask`), never a division. The producer's and the
-//! consumer's cursors live on **separate cache lines** (the
-//! `CachePadded` wrappers below): the producer writes `tail` on every
-//! push and the consumer writes `head` on every pop, so sharing a line
-//! would bounce it between cores on every operation (false sharing).
-//! Each side also keeps a same-line *cache* of the opposite cursor and
-//! only re-reads the shared counter when the cached view says the ring
-//! might be full (producer) or empty (consumer) — in steady state a
-//! burst push or pop touches exactly one foreign cache line (the slot),
-//! not three.
-//!
-//! # Locking discipline (grep-able invariant)
-//!
-//! **INVARIANT: no per-packet lock.** The burst paths
-//! ([`push_burst`](SpscRing::push_burst) /
-//! [`pop_burst`](SpscRing::pop_burst)) acquire exactly one uncontended
-//! `Mutex` per *burst* — needed only to satisfy the compiler's aliasing
-//! rules without `unsafe` (this crate is `#![forbid(unsafe_code)]`); by
-//! the head/tail protocol the two sides never touch the same slot at the
-//! same time, so the lock never blocks — and move the burst with a
-//! pointer swap, so the per-packet cost of a ring hop is `1/burst_len`
-//! atomic updates and zero lock acquisitions. The per-packet
-//! [`try_push`](SpscRing::try_push) / [`try_pop`](SpscRing::try_pop)
-//! compatibility paths are one-item bursts and are not used on the
-//! runtime's hot paths (`tests` and priming/teardown only).
-//!
-//! The ring is *bounded* on purpose: capacity (in burst slots) is the
-//! model's stand-in for NIC descriptor-ring depth, and a full ring is
-//! backpressure — the producer holds off exactly like a NIC drops or
-//! pauses when a queue overruns.
+//! A bounded FIFO of whole bursts, owned by one thread: the NIC-ring
+//! model's burst hop in isolation. The runtime itself queues nothing —
+//! a shard hands each burst straight from its fill to the engine.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Pads (and aligns) its contents to a 64-byte cache line so the two
-/// cursors of an [`SpscRing`] never share a line (x86-64 and aarch64
-/// both use 64-byte lines; on machines with longer lines this merely
-/// wastes a few bytes).
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-/// The producer's cache line: the shared `tail` cursor (bursts pushed)
-/// plus a producer-private cached view of `head`.
-#[derive(Debug, Default)]
-struct ProducerSide {
-    /// Total bursts pushed. Written only by the producer.
-    tail: AtomicUsize,
-    /// The producer's last view of `head` (only the producer touches
-    /// this, always `Relaxed`; it is an atomic purely so the ring stays
-    /// `Sync` without `unsafe`).
-    head_cache: AtomicUsize,
-}
-
-/// The consumer's cache line: the shared `head` cursor (bursts popped)
-/// plus a consumer-private cached view of `tail`.
-#[derive(Debug, Default)]
-struct ConsumerSide {
-    /// Total bursts popped. Written only by the consumer.
-    head: AtomicUsize,
-    /// The consumer's last view of `tail` (consumer-private, as above).
-    tail_cache: AtomicUsize,
-}
-
-/// A bounded SPSC ring of `T` bursts.
-///
-/// Sharable by reference across threads (`&SpscRing<T>` is `Send + Sync`
-/// for `T: Send`); correctness requires the single-producer /
-/// single-consumer discipline: at most one thread calls
-/// [`try_push`](SpscRing::try_push)/[`push_burst`](SpscRing::push_burst)
-/// and at most one thread calls
-/// [`try_pop`](SpscRing::try_pop)/[`pop_burst`](SpscRing::pop_burst)
-/// concurrently.
+/// A bounded FIFO of `T` bursts (not `Sync`; the name is historical).
 #[derive(Debug)]
 pub struct SpscRing<T> {
-    /// One burst per slot. A slot is logically empty (zero-length `Vec`)
-    /// outside `[head, tail)`; the `Vec`'s *capacity* stays with the
-    /// slot/burst as it circulates, so steady state allocates nothing.
-    slots: Vec<Mutex<Vec<T>>>,
-    /// `slots.len() - 1`; the slot count is a power of two.
-    mask: usize,
-    prod: CachePadded<ProducerSide>,
-    cons: CachePadded<ConsumerSide>,
+    bursts: std::cell::RefCell<std::collections::VecDeque<Vec<T>>>,
+    bound: usize,
 }
 
 impl<T> SpscRing<T> {
-    /// Creates a ring with room for `capacity` bursts (at least 1;
-    /// rounded up to the next power of two so indexing is a mask).
+    /// Creates a queue with room for `capacity` bursts (at least one),
+    /// rounded up to a power of two as a NIC descriptor ring's depth is.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1).next_power_of_two();
-        SpscRing {
-            slots: (0..capacity).map(|_| Mutex::new(Vec::new())).collect(),
-            mask: capacity - 1,
-            prod: CachePadded::default(),
-            cons: CachePadded::default(),
-        }
+        SpscRing { bursts: Default::default(), bound: capacity.max(1).next_power_of_two() }
     }
 
-    /// Maximum number of bursts the ring holds.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Occupied burst slots — a **conservative upper bound** when called
-    /// off-thread. The consumer's cursor is loaded *before* the
-    /// producer's: `head` only grows, so a later `tail` load can only
-    /// overcount, never undercount into a wrapped (huge) difference the
-    /// old tail-first order allowed. A partially consumed head burst
-    /// (see [`try_pop`](SpscRing::try_pop)) still counts as one slot.
-    pub fn len(&self) -> usize {
-        let head = self.cons.0.head.load(Ordering::Acquire);
-        let tail = self.prod.0.tail.load(Ordering::Acquire);
-        tail.wrapping_sub(head)
-    }
-
-    /// Whether the ring is currently empty. Like [`len`](SpscRing::len),
-    /// conservative off-thread: `true` is only stable once the producer
-    /// has stopped pushing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether every burst slot is occupied — the producer-side view of
-    /// backpressure. A full ring is exactly the condition under which
-    /// [`push_burst`](SpscRing::push_burst) returns `false`: a stalled
-    /// consumer (e.g. a worker refusing to drain rx while its tx queue
-    /// is over the
-    /// [`BackpressureConfig::high_watermark`](super::BackpressureConfig::high_watermark))
-    /// surfaces here, and the producer decides whether to spin
-    /// ([`BackpressurePolicy::Block`](super::BackpressurePolicy::Block))
-    /// or shed
-    /// ([`BackpressurePolicy::Drop`](super::BackpressurePolicy::Drop)).
-    /// Conservative off-thread in the same sense as `len`.
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity()
-    }
-
-    /// Enqueues `burst` whole, or leaves it untouched and returns
-    /// `false` if the ring is full (backpressure; the caller decides
-    /// whether to spin or drop). On success `burst` comes back *empty
-    /// but with the slot's previous capacity* — the `Vec` allocations
-    /// circulate through the ring, so steady state never allocates.
-    ///
-    /// Empty bursts are accepted as a no-op (nothing to enqueue), so a
-    /// caller draining a staging buffer never deadlocks on zero items.
+    /// Enqueues `burst` whole, leaving it empty; a full queue refuses it
+    /// untouched (`false`). An empty burst takes no slot and succeeds.
     pub fn push_burst(&self, burst: &mut Vec<T>) -> bool {
-        if burst.is_empty() {
-            return true;
+        let mut bursts = self.bursts.borrow_mut();
+        let fits = burst.is_empty() || bursts.len() < self.bound;
+        if fits && !burst.is_empty() {
+            bursts.push_back(std::mem::take(burst));
         }
-        // Only the producer writes `tail`, so a relaxed load reads our
-        // own last store. Check the cached head first; only when the
-        // ring *looks* full re-read the shared cursor (acquire, to
-        // observe the consumer's slot release before we reuse it).
-        let tail = self.prod.0.tail.load(Ordering::Relaxed);
-        let mut head = self.prod.0.head_cache.load(Ordering::Relaxed);
-        if tail.wrapping_sub(head) >= self.slots.len() {
-            head = self.cons.0.head.load(Ordering::Acquire);
-            self.prod.0.head_cache.store(head, Ordering::Relaxed);
-            if tail.wrapping_sub(head) >= self.slots.len() {
-                return false;
-            }
-        }
-        let mut slot = self.slots[tail & self.mask].lock().expect("ring slot poisoned");
-        debug_assert!(slot.is_empty(), "SPSC protocol violated: producer overran consumer");
-        std::mem::swap(&mut *slot, burst);
-        drop(slot);
-        self.prod.0.tail.store(tail.wrapping_add(1), Ordering::Release);
-        true
+        fits
     }
 
-    /// Dequeues one whole burst. When `out` is empty the burst is moved
-    /// with a `Vec` swap (`out`'s old capacity stays behind in the slot
-    /// for the producer to reuse); otherwise the items are appended.
-    /// Returns how many items arrived (0 when the ring is empty).
+    /// Moves the oldest burst into an empty `out`, or appends it to a
+    /// non-empty one; returns its length (0 when the queue is empty).
     pub fn pop_burst(&self, out: &mut Vec<T>) -> usize {
-        let head = self.cons.0.head.load(Ordering::Relaxed);
-        let mut tail = self.cons.0.tail_cache.load(Ordering::Relaxed);
-        if head == tail {
-            tail = self.prod.0.tail.load(Ordering::Acquire);
-            self.cons.0.tail_cache.store(tail, Ordering::Relaxed);
-            if head == tail {
-                return 0;
-            }
-        }
-        let mut slot = self.slots[head & self.mask].lock().expect("ring slot poisoned");
-        let taken = slot.len();
-        debug_assert!(taken > 0, "SPSC protocol violated: consumer overran producer");
+        let Some(mut burst) = self.bursts.borrow_mut().pop_front() else { return 0 };
+        let n = burst.len();
         if out.is_empty() {
-            std::mem::swap(&mut *slot, out);
+            *out = burst;
         } else {
-            out.append(&mut slot);
+            out.append(&mut burst);
         }
-        drop(slot);
-        self.cons.0.head.store(head.wrapping_add(1), Ordering::Release);
-        taken
-    }
-
-    /// Enqueues one item as a one-item burst (a compatibility path for
-    /// priming/teardown and tests — the hot paths use
-    /// [`push_burst`](SpscRing::push_burst)). Hands the item back if the
-    /// ring is full.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut burst = vec![item];
-        if self.push_burst(&mut burst) {
-            Ok(())
-        } else {
-            Err(burst.pop().expect("push_burst left the refused burst intact"))
-        }
-    }
-
-    /// Dequeues one item, if any. Multi-item head bursts are consumed
-    /// front-to-back (FIFO) without advancing `head` until the burst
-    /// empties, so mixing granularities stays ordered; the in-burst
-    /// `remove(0)` makes this a compatibility path, not a hot one.
-    pub fn try_pop(&self) -> Option<T> {
-        let head = self.cons.0.head.load(Ordering::Relaxed);
-        let mut tail = self.cons.0.tail_cache.load(Ordering::Relaxed);
-        if head == tail {
-            tail = self.prod.0.tail.load(Ordering::Acquire);
-            self.cons.0.tail_cache.store(tail, Ordering::Relaxed);
-            if head == tail {
-                return None;
-            }
-        }
-        let mut slot = self.slots[head & self.mask].lock().expect("ring slot poisoned");
-        debug_assert!(!slot.is_empty(), "SPSC protocol violated: consumer overran producer");
-        let item = slot.remove(0);
-        let emptied = slot.is_empty();
-        drop(slot);
-        if emptied {
-            self.cons.0.head.store(head.wrapping_add(1), Ordering::Release);
-        }
-        Some(item)
+        n
     }
 }
 
@@ -256,201 +48,45 @@ mod tests {
     #[test]
     fn fifo_order_and_capacity() {
         let ring = SpscRing::new(4);
-        assert_eq!(ring.capacity(), 4);
-        for i in 0..4 {
-            ring.try_push(i).unwrap();
+        for i in 0..5 {
+            assert_eq!(ring.push_burst(&mut vec![i]), i < 4, "holds exactly four bursts");
         }
-        assert_eq!(ring.try_push(99), Err(99), "full ring refuses");
-        assert_eq!(ring.len(), 4);
-        for i in 0..4 {
-            assert_eq!(ring.try_pop(), Some(i));
-        }
-        assert_eq!(ring.try_pop(), None);
-        assert!(ring.is_empty());
+        let mut out = Vec::new();
+        while ring.pop_burst(&mut out) > 0 {}
+        assert_eq!(out, [0, 1, 2, 3]);
     }
 
     #[test]
     fn capacity_rounds_up_to_power_of_two() {
-        assert_eq!(SpscRing::<u8>::new(0).capacity(), 1);
-        assert_eq!(SpscRing::<u8>::new(3).capacity(), 4);
-        assert_eq!(SpscRing::<u8>::new(8).capacity(), 8);
-        assert_eq!(SpscRing::<u8>::new(200).capacity(), 256);
-    }
-
-    #[test]
-    fn wraps_around_many_times() {
-        let ring = SpscRing::new(3);
-        for round in 0..100u32 {
-            ring.try_push(round).unwrap();
-            assert_eq!(ring.try_pop(), Some(round));
-        }
+        let holds = |capacity| {
+            let ring = SpscRing::new(capacity);
+            (0..).take_while(|&i| ring.push_burst(&mut vec![i])).count()
+        };
+        assert_eq!(holds(0), 1);
+        assert_eq!(holds(3), 4);
+        assert_eq!(holds(8), 8);
+        assert_eq!(holds(200), 256);
     }
 
     #[test]
     fn burst_swap_preserves_order_and_recycles_capacity() {
         let ring = SpscRing::new(2);
         let mut burst: Vec<u32> = (0..32).collect();
-        assert!(ring.push_burst(&mut burst));
-        assert!(burst.is_empty(), "pushed burst comes back empty");
-        let mut more: Vec<u32> = (32..40).collect();
-        assert!(ring.push_burst(&mut more));
-        let mut refused = vec![99u32];
-        assert!(!ring.push_burst(&mut refused), "full ring refuses the burst");
-        assert_eq!(refused, vec![99], "refused burst is untouched");
-
+        assert!(ring.push_burst(&mut burst) && burst.is_empty(), "a pushed burst comes back empty");
+        assert!(ring.push_burst(&mut (32..40).collect()));
+        let mut refused = vec![99];
+        assert!(!ring.push_burst(&mut refused) && refused == [99], "a refused burst is untouched");
         let mut out = Vec::new();
         assert_eq!(ring.pop_burst(&mut out), 32);
-        assert_eq!(out, (0..32).collect::<Vec<_>>());
-        // Non-empty `out` appends instead of swapping.
-        assert_eq!(ring.pop_burst(&mut out), 8);
+        assert!(out.capacity() >= 32, "the burst's allocation travels to the consumer");
+        assert_eq!(ring.pop_burst(&mut out), 8, "a non-empty `out` is appended to");
         assert_eq!(out, (0..40).collect::<Vec<_>>());
-        assert_eq!(ring.pop_burst(&mut out), 0);
-        // Allocations circulate instead of being freed: the swap handed
-        // the pushed burst's 32-capacity Vec to the consumer...
-        assert!(out.capacity() >= 32, "burst capacity travels to the consumer");
-        // ...and a fresh push swaps the staged Vec into the slot,
-        // handing the producer the slot's previous (empty) Vec back.
-        let mut next = vec![7u32];
-        assert!(ring.push_burst(&mut next));
-        assert!(next.is_empty());
     }
 
     #[test]
     fn empty_burst_push_is_a_noop() {
-        let ring: SpscRing<u32> = SpscRing::new(1);
-        let mut none = Vec::new();
-        assert!(ring.push_burst(&mut none));
-        assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn single_item_pops_consume_a_burst_in_order() {
-        let ring = SpscRing::new(2);
-        let mut burst = vec![1, 2, 3];
-        assert!(ring.push_burst(&mut burst));
-        ring.try_push(4).unwrap();
-        assert_eq!(ring.len(), 2, "len counts bursts, not items");
-        for want in 1..=4 {
-            assert_eq!(ring.try_pop(), Some(want));
-        }
-        assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn len_is_a_conservative_bound_and_never_wraps() {
-        let ring = SpscRing::new(8);
-        assert_eq!(ring.len(), 0);
-        for i in 0..5 {
-            ring.try_push(i).unwrap();
-        }
-        assert_eq!(ring.len(), 5);
-        for _ in 0..5 {
-            ring.try_pop().unwrap();
-        }
-        assert_eq!(ring.len(), 0);
-        // The head-before-tail load order keeps the subtraction
-        // non-negative under any interleaving; exhaustively check the
-        // single-threaded algebra across wrap points.
-        for _ in 0..64 {
-            ring.try_push(1u32).unwrap();
-            assert_eq!(ring.len(), 1);
-            ring.try_pop().unwrap();
-            assert_eq!(ring.len(), 0);
-        }
-    }
-
-    #[test]
-    fn cross_thread_stream_preserves_order() {
-        let ring = SpscRing::new(16);
-        let n = 10_000u64;
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..n {
-                    let mut item = i;
-                    loop {
-                        match ring.try_push(item) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                item = back;
-                                // Yield, not spin: single-hardware-thread
-                                // CI hosts would otherwise burn a whole
-                                // timeslice per full-ring stall.
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-            });
-            let mut expected = 0u64;
-            while expected < n {
-                if let Some(got) = ring.try_pop() {
-                    assert_eq!(got, expected);
-                    expected += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        });
-    }
-
-    /// Loom-style interleaving check of the head/tail protocol: a
-    /// producer and a consumer race over a deliberately tiny ring with
-    /// pseudo-random burst sizes and pseudo-random yields jittering the
-    /// schedule on both sides, across many rounds. Every item must
-    /// arrive exactly once, in order — no loss, no duplication — and the
-    /// conservative `len()` must never exceed capacity. (The real loom
-    /// crate is unavailable offline; scheduling jitter over many rounds
-    /// explores the same protocol states probabilistically.)
-    #[test]
-    fn interleaved_bursts_lose_and_duplicate_nothing() {
-        // Deterministic LCG so failures reproduce.
-        fn lcg(state: &mut u64) -> u64 {
-            *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            *state >> 33
-        }
-        for seed in 0..4u64 {
-            let ring: SpscRing<u64> = SpscRing::new(4);
-            let total = 8_000u64;
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    let mut rng = seed.wrapping_mul(0x9E37_79B9).wrapping_add(1);
-                    let mut next = 0u64;
-                    let mut burst = Vec::new();
-                    while next < total {
-                        let want = 1 + lcg(&mut rng) % 7;
-                        while (burst.len() as u64) < want && next < total {
-                            burst.push(next);
-                            next += 1;
-                        }
-                        while !ring.push_burst(&mut burst) {
-                            std::thread::yield_now();
-                        }
-                        if lcg(&mut rng).is_multiple_of(3) {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-                let mut rng = seed.wrapping_mul(0xB529_7A4D).wrapping_add(7);
-                let mut expected = 0u64;
-                let mut out = Vec::new();
-                while expected < total {
-                    assert!(ring.len() <= ring.capacity(), "len must never exceed capacity");
-                    out.clear();
-                    if ring.pop_burst(&mut out) == 0 {
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    for &got in &out {
-                        assert_eq!(got, expected, "seed {seed}: lost or duplicated an item");
-                        expected += 1;
-                    }
-                    if lcg(&mut rng).is_multiple_of(3) {
-                        std::thread::yield_now();
-                    }
-                }
-                assert_eq!(expected, total);
-            });
-            assert!(ring.is_empty(), "seed {seed}: ring must drain");
-        }
+        let ring = SpscRing::new(1);
+        assert!(ring.push_burst(&mut Vec::new()) && ring.push_burst(&mut vec![1]), "took a slot");
+        assert_eq!(ring.pop_burst(&mut Vec::new()), 1);
     }
 }

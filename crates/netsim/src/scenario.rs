@@ -519,7 +519,7 @@ fn attacker_src() -> IsdAs {
 /// Knobs of a Fig. 3/4-style end-to-end latency run: one credentialed
 /// victim CBR flow over an `n_ases` chain, optionally against a
 /// best-effort flood, with every router running `scenario`'s engine
-/// family under the worker-ring service model.
+/// family under the sharded-runtime service model.
 #[derive(Clone, Copy, Debug)]
 pub struct LatencySpec {
     /// Engine family + shard deployment every router node runs.
@@ -539,7 +539,7 @@ pub struct LatencySpec {
     /// Per-router, per-core datapath service time, ns (`0` =
     /// instantaneous forwarding). The deployed core count is
     /// `scenario.shards`, so a 4-shard deployment drains its ingress 4
-    /// packets at a time — the latency face of the worker-ring runtime.
+    /// packets at a time — the latency face of the multi-queue runtime.
     pub service_per_pkt_ns: u64,
     /// Run length, seconds.
     pub run_s: u64,

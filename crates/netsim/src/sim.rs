@@ -310,7 +310,7 @@ enum EgressTarget {
 /// `None` (the default) keeps the historical instantaneous forwarding.
 /// With a model installed ([`Simulator::set_router_service`]), every
 /// forwarded packet is served by the earliest-free of `shards` cores for
-/// `per_pkt_ns` — the M/D/c shape of the worker-ring runtime, where a
+/// `per_pkt_ns` — the M/D/c shape of the multi-queue runtime, where a
 /// [`hummingbird_dataplane::ShardedRouter`] with `c` shards drains its
 /// ingress `c` packets at a time. Feeding the measured per-packet engine
 /// cost (e.g. `BENCH_hotpath.json`'s ns/pkt) in here is what lets the

@@ -12,6 +12,23 @@ for dir in crates/*/src; do
     n=$(grep -rhE '^\s*pub (fn|struct|enum|const|trait|type|mod|use|static)' "$dir" | wc -l)
     printf '  %-10s %s\n' "${crate%/src}" "$n"
 done
+printf '*Stats/*Report structs:               %s\n' \
+    "$(grep -rhE '^\s*pub struct \w+(Stats|Report)\b' crates/*/src | wc -l)"
+# A percentile function takes arguments; test functions named after one do not.
+printf 'percentile functions (+1 benchmark):  %s\n' \
+    "$(grep -rhE 'fn \w*percentile\w*(<[^>]*>)?\(\s*[^) ]' crates src tests examples | wc -l)"
+# In wire, dataplane and testbed src/: everything from a file's first
+# #[cfg(test)] on is test code, and comments (doc examples) do not count.
+printf 'unwrap/expect outside tests:          %s\n' "$(
+    find crates/wire/src crates/dataplane/src crates/testbed/src -name '*.rs' -exec awk '
+        /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        { n += gsub(/\.unwrap\(\)|\.expect\(/, "&") }
+        END { print n + 0 }' {} \; | awk '{ s += $1 } END { print s }')"
+printf 'RuntimeConfig fields:                 %s\n' "$(
+    awk '/^pub struct RuntimeConfig \{/ { on = 1; next } on && /^}/ { exit }
+        on && /^[[:space:]]*pub [a-z_]+:/ { n++ } END { print n + 0 }' \
+        crates/dataplane/src/runtime/mod.rs)"
 printf 'clippy::too_many_arguments allows:    %s\n' \
     "$(grep -rn 'allow(clippy::too_many_arguments)' crates src tests examples | wc -l)"
 printf 'CI smoke legs:                        %s\n' \

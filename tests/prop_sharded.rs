@@ -1,4 +1,4 @@
-//! Property tests for the sharded worker-ring runtime:
+//! Property tests for the sharded multi-queue runtime:
 //!
 //! 1. **Sharded ≡ single** — for duplicate-free traffic, a
 //!    `ShardedRouter` over N identically-keyed engines produces verdicts
@@ -12,7 +12,7 @@
 //!    the same shard, and are caught by that shard's duplicate filter
 //!    exactly as a single engine would.
 //! 4. **Packet conservation** — the threaded runtime processes every
-//!    dispatched packet exactly once, in both clone and sharded modes.
+//!    offered packet exactly once, in both clone and sharded modes.
 //! 5. **Multi-queue ≡ single** — the per-shard rx queues conserve
 //!    packets and produce the same aggregate verdict counts as one
 //!    shard, for every shard count.
@@ -366,7 +366,7 @@ proptest! {
     }
 }
 
-/// The threaded runtime conserves packets: every dispatched packet is
+/// The threaded runtime conserves packets: every offered packet is
 /// processed exactly once, in both modes, and the per-shard stats add up.
 #[test]
 fn threaded_runtime_conserves_packets() {
@@ -374,8 +374,7 @@ fn threaded_runtime_conserves_packets() {
         RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
     for mode in [RuntimeMode::PerCoreClone, RuntimeMode::Sharded] {
         for shards in [1usize, 2, 4] {
-            let mut cfg = RuntimeConfig::new(shards);
-            cfg.ring_capacity = 16;
+            let cfg = RuntimeConfig::new(shards);
             let total = 2_000u64;
             let report =
                 run_to_completion(&cfg, mode, |_| make_engine(false), &templates, total, NOW_NS);
@@ -456,11 +455,10 @@ fn reservation_steering_overrides_hash_collisions() {
 }
 
 /// The threaded tx path conserves packets: with the egress model on,
-/// every dispatched packet crosses its shard's egress ring exactly once
-/// (the dispatcher asserts the per-shard sequence numbers — a leaked,
-/// duplicated or reordered packet panics the run), is serialized by the
-/// two-class scheduler, and the per-class totals balance against the
-/// verdicts.
+/// every packet a worker processes is staged into its shard's two-class
+/// scheduler and serialized exactly once — the per-class totals balance
+/// against the verdicts, and the workers' own forwarded tallies agree
+/// with the merged scheduler counts.
 #[test]
 fn threaded_tx_path_conserves_and_orders_packets() {
     use hummingbird::dataplane::EgressConfig;
@@ -472,7 +470,6 @@ fn threaded_tx_path_conserves_and_orders_packets() {
         .collect();
     for shards in [1usize, 2, 4] {
         let mut cfg = RuntimeConfig::new(shards);
-        cfg.ring_capacity = 16;
         cfg.egress = Some(EgressConfig::default());
         let total = 2_000u64;
         let report = run_to_completion(
@@ -560,7 +557,6 @@ fn threaded_tx_path_is_deterministic_for_a_pinned_flow() {
     let templates = vec![generator(50_000, 1000).generate(&[0u8; 400], NOW_MS).unwrap()];
     let run = || {
         let mut cfg = RuntimeConfig::new(3);
-        cfg.ring_capacity = 16;
         cfg.egress = Some(EgressConfig::default());
         run_to_completion(
             &cfg,
@@ -614,8 +610,7 @@ fn multi_queue_matches_dispatcher_and_single_shard() {
     let total = 2_000u64;
     let mut baseline: Option<[u64; 5]> = None;
     for shards in [1usize, 2, 4] {
-        let mut cfg = RuntimeConfig::new(shards);
-        cfg.ring_capacity = 16;
+        let cfg = RuntimeConfig::new(shards);
         let report = run_to_completion(
             &cfg,
             RuntimeMode::Sharded,
@@ -741,8 +736,7 @@ fn multi_queue_runs_are_bit_identical() {
     let total = 1_500u64;
     for shards in [1usize, 2, 4] {
         let run = || {
-            let mut cfg = RuntimeConfig::new(shards);
-            cfg.ring_capacity = 16;
+            let cfg = RuntimeConfig::new(shards);
             run_to_completion(
                 &cfg,
                 RuntimeMode::Sharded,
@@ -764,12 +758,13 @@ fn multi_queue_runs_are_bit_identical() {
     }
 }
 
-/// The worker-drained tx path conserves packets: each worker serializes
-/// its own egress through its shard's TxScheduler, the per-shard
-/// sequence numbers prove nothing leaked or reordered, and the merged
-/// class totals balance.
+/// The sequential executor's tx path conserves packets too: each shard
+/// stages its own egress into its TxScheduler whether the shards run on
+/// threads or one after another on the caller's, and the merged class
+/// totals balance against the workers' tallies.
 #[test]
 fn multi_queue_tx_path_conserves() {
+    use hummingbird::dataplane::runtime::ExecMode;
     use hummingbird::dataplane::EgressConfig;
     let templates: Vec<Vec<u8>> = RES_IDS
         .iter()
@@ -778,7 +773,7 @@ fn multi_queue_tx_path_conserves() {
     let total = 1_500u64;
     for shards in [1usize, 2, 4] {
         let mut cfg = RuntimeConfig::new(shards);
-        cfg.ring_capacity = 16;
+        cfg.exec = ExecMode::Sequential;
         cfg.egress = Some(EgressConfig::default());
         let report = run_to_completion(
             &cfg,

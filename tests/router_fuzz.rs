@@ -2,11 +2,17 @@
 //! matter what bytes arrive — malformed, truncated, bit-flipped, or
 //! adversarially crafted. A router that panics on a crafted packet is a
 //! remote-DoS vector far worse than anything in the paper's threat model.
+//!
+//! The second half extends this to every engine family and to the batch
+//! path: a hostile packet inside a burst of valid ones must neither panic
+//! `process_batch` nor make it disagree with per-packet `process`.
 
 use hummingbird::dataplane::{
-    forge_path, BeaconHop, BorderRouter, RouterConfig, SourceGenerator, SourceReservation,
+    forge_path, BeaconHop, BorderRouter, PacketBuf, RouterConfig, SourceGenerator,
+    SourceReservation,
 };
 use hummingbird::{Datapath, IsdAs, ResInfo, SecretValue};
+use hummingbird_baselines::EngineFamily;
 use hummingbird_wire::scion_mac::HopMacKey;
 use proptest::prelude::*;
 
@@ -118,5 +124,86 @@ proptest! {
         let mut pkt = valid_packet(n_hops, 64);
         let mut router = make_router();
         let _ = router.process(&mut pkt, now_ns);
+    }
+}
+
+/// The verifying AS's DRKey master (what the baseline families key on).
+const MASTER: [u8; 16] = [0xB5; 16];
+
+/// A hop-0 engine of `family` over the verifying AS's secrets.
+fn family_engine(family: EngineFamily) -> Box<dyn Datapath + Send> {
+    let (sv, hop_key) = (SecretValue::new([0x60; 16]), HopMacKey::new([0x10; 16]));
+    family.engine(&sv, &hop_key, &MASTER, RouterConfig::default())
+}
+
+/// `family`'s valid hop-0 packets over a two-hop path, the `k`-th
+/// stamped `k` ms after `NOW_MS` so no two share a replay identity.
+fn family_packets(family: EngineFamily, n: u64) -> Vec<Vec<u8>> {
+    let hops: Vec<BeaconHop> = (0..2u16)
+        .map(|i| BeaconHop {
+            key: HopMacKey::new([0x10 + i as u8; 16]),
+            cons_ingress: 2 * i,
+            cons_egress: if i == 1 { 0 } else { 1 },
+        })
+        .collect();
+    let path = forge_path(&hops, (NOW_MS / 1000) as u32 - 100, 0x1234);
+    let src = IsdAs::new(1, 0x10);
+    let mut sender = SourceGenerator::new(src, IsdAs::new(2, 0x20), path);
+    let sv = SecretValue::new([0x60; 16]);
+    let credential = family.credential(&sv, &MASTER, 0, 1, &mut 1, src, 1_000_000, NOW_MS / 1000);
+    sender.attach_reservation(0, credential).unwrap();
+    (0..n).map(|k| sender.generate(&[0u8; 120], NOW_MS + k).unwrap()).collect()
+}
+
+/// Puts `hostile` in the middle of a burst of `family`'s valid packets
+/// and checks, on fresh engines, that `process_batch` reaches the
+/// verdicts and counters of per-packet `process` — neither may panic.
+fn hostile_in_burst(family: EngineFamily, hostile: Vec<u8>) -> Result<(), String> {
+    let mut burst = family_packets(family, 4);
+    burst.insert(2, hostile);
+    let mut sequential = family_engine(family);
+    let want: Vec<_> = burst.iter().map(|p| sequential.process(&mut p.clone(), NOW_NS)).collect();
+    prop_assert!(!want[0].is_drop(), "{:?}: the valid packets must validate", family);
+    let mut batched = family_engine(family);
+    let mut bufs: Vec<PacketBuf> = burst.into_iter().map(PacketBuf::new).collect();
+    let mut got = Vec::new();
+    batched.process_batch(&mut bufs, NOW_NS, &mut got);
+    prop_assert_eq!(&got, &want, "{:?}: batch verdicts diverge from sequential", family);
+    prop_assert_eq!(batched.stats(), sequential.stats(), "{:?}: stats diverge", family);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random bytes in a burst never panic any family's engine.
+    #[test]
+    fn every_family_survives_random_bytes_in_a_burst(
+        bytes in prop::collection::vec(any::<u8>(), 0..400),
+    ) {
+        for family in EngineFamily::ALL {
+            hostile_in_burst(family, bytes.clone())?;
+        }
+    }
+
+    /// One flipped bit anywhere in a family's own valid packet.
+    #[test]
+    fn every_family_survives_a_bit_flip_in_a_burst(idx: usize, bit in 0u8..8) {
+        for family in EngineFamily::ALL {
+            let mut pkt = family_packets(family, 5).pop().unwrap();
+            let i = idx % pkt.len();
+            pkt[i] ^= 1 << bit;
+            hostile_in_burst(family, pkt)?;
+        }
+    }
+
+    /// A family's own valid packet cut at any length.
+    #[test]
+    fn every_family_survives_truncation_in_a_burst(cut: usize) {
+        for family in EngineFamily::ALL {
+            let mut pkt = family_packets(family, 5).pop().unwrap();
+            pkt.truncate(cut % (pkt.len() + 1));
+            hostile_in_burst(family, pkt)?;
+        }
     }
 }
