@@ -42,12 +42,58 @@
 //!
 //! Run with: `cargo run --release -p hummingbird-bench --bin
 //! control_scale [-- --reservations <n>] [--shards <n>] [--auctions <n>]
-//! [--wave <n>] [--seed <n>] [--json <path>]`
+//! [--wave <n>] [--seed <n>] [--json <path>]` (a failed write of the
+//! document exits nonzero).
+//!
+//! # Control-plane scale schema (`schema = 1`)
+//!
+//! ```json
+//! {
+//!   "schema": 1,
+//!   "bench": "control",
+//!   "seed": 7,                    // deterministic run seed
+//!   "reservations": 1000000,      // reservations admitted and renewed
+//!   "shards": 8,                  // data-plane shards steering ResIDs
+//!   "auctions": 256,              // auctions in the cleared epoch
+//!   "aes_backend": "ni",          // active AES backend: "soft" | "ni"
+//!   "sha_backend": "ni",          // active SHA-256 backend, same names
+//!   "phases": [
+//!     {
+//!       "phase": "admit",         // "admit" | "renew" | "clear"
+//!       "ops": 1000000,           // logical operations (reservations
+//!                                 //   admitted / renewed / auctions
+//!                                 //   settled)
+//!       "txs": 4000000,           // ledger transactions committed
+//!       "wall_ms": 31250.5,       // host wall-clock for the phase
+//!       "ops_per_sec": 32000.1    // ops / wall second (the trend)
+//!     }
+//!   ],
+//!   "state": {
+//!     "ledger_objects": 2000345,  // committed objects after the run
+//!     "ledger_bytes": 312000000,  // committed payload bytes
+//!     "bytes_per_reservation": 312.0, // ledger_bytes / reservations
+//!     "ledger_txs": 6000123,      // transactions committed in total
+//!     "res_id_high_water": 999999,// highest ResID in use on the
+//!                                 //   admission interface
+//!     "shard_skew": 1.0           // max/min active reservations
+//!   },                            //   across shards (1.0 = balanced)
+//!   "invariants": {
+//!     "bandwidth_time_conserved": true, // Σ granted bw×time == Σ issued
+//!     "coin_supply_conserved": true,    // minted == supply + burned gas
+//!     "shard_skew_ok": true,            // shard_skew <= 1.1
+//!     "renewal_keys_ok": true,          // sampled renewals unwrap to the
+//!                                       //   border-router A_K derivation
+//!     "auction_escrows_drained": true   // no MIST stranded in escrow
+//!   }
+//! }
+//! ```
+//!
+//! `wall_ms` / `ops_per_sec` are host-dependent (trend, not truth);
+//! counts, state and invariants are deterministic for a given seed.
+//! Floats degrade to `null` when non-finite, as everywhere else.
 
-use hummingbird_bench::{
-    flag_value, row, u64_from_args, write_control_json, ControlInvariants, ControlMeta,
-    ControlPhase, ControlState,
-};
+use hummingbird_bench::json::{self, Value};
+use hummingbird_bench::{flag_value, row, u64_from_args};
 use hummingbird_control::auction::{TAG_AUCTION, TAG_BID};
 use hummingbird_control::pki::TrustAnchors;
 use hummingbird_control::types::TAG_ASSET;
@@ -81,14 +127,18 @@ struct Phase {
 }
 
 impl Phase {
-    fn record(&self) -> ControlPhase {
-        ControlPhase {
-            phase: self.name,
-            ops: self.ops,
-            txs: self.txs,
-            wall_ms: self.wall_ms,
-            ops_per_sec: self.ops as f64 / (self.wall_ms / 1000.0),
-        }
+    fn ops_per_sec(&self) -> f64 {
+        self.ops as f64 / (self.wall_ms / 1000.0)
+    }
+
+    fn record(&self) -> Value {
+        Value::obj([
+            ("phase", self.name.into()),
+            ("ops", self.ops.into()),
+            ("txs", self.txs.into()),
+            ("wall_ms", self.wall_ms.into()),
+            ("ops_per_sec", self.ops_per_sec().into()),
+        ])
     }
 }
 
@@ -196,7 +246,7 @@ fn main() {
         "  admit: {} reservations in {:.1}s ({:.0}/s)",
         admit.ops,
         admit.wall_ms / 1000.0,
-        admit.record().ops_per_sec
+        admit.ops_per_sec()
     );
 
     // Steering: every admission drew from the least-loaded shard range.
@@ -283,7 +333,7 @@ fn main() {
         "  renew: {} renewals in {:.1}s ({:.0}/s; batched requests {:.1}s, batched service {:.1}s)",
         renew.ops,
         renew.wall_ms / 1000.0,
-        renew.record().ops_per_sec,
+        renew.ops_per_sec(),
         request_s,
         process_s
     );
@@ -339,7 +389,7 @@ fn main() {
         "  clear: {} auctions in {:.2}s ({:.0}/s, one settlement tx)",
         clear.ops,
         clear.wall_ms / 1000.0,
-        clear.record().ops_per_sec
+        clear.ops_per_sec()
     );
     if outcomes.len() as u64 != auctions {
         failures.push(format!("clear: {}/{auctions} auctions settled", outcomes.len()));
@@ -396,22 +446,11 @@ fn main() {
         ));
     }
 
-    let shard_skew_ok = shard_skew <= 1.1;
-    let state = ControlState {
-        ledger_objects: cp.ledger.object_count() as u64,
-        ledger_bytes: cp.ledger.total_object_bytes(),
-        bytes_per_reservation: cp.ledger.total_object_bytes() as f64 / reservations as f64,
-        ledger_txs: cp.ledger.tx_count(),
-        res_id_high_water: u64::from(service.res_id_high_water(ingress_if).unwrap_or(0)),
-        shard_skew,
-    };
-    let invariants = ControlInvariants {
-        bandwidth_time_conserved,
-        coin_supply_conserved,
-        shard_skew_ok,
-        renewal_keys_ok,
-        auction_escrows_drained,
-    };
+    let ledger_objects = cp.ledger.object_count();
+    let ledger_bytes = cp.ledger.total_object_bytes();
+    let bytes_per_reservation = ledger_bytes as f64 / reservations as f64;
+    let ledger_txs = cp.ledger.tx_count();
+    let res_id_high_water = u64::from(service.res_id_high_water(ingress_if).unwrap_or(0));
 
     // ---- Report ---------------------------------------------------------
     let phases = [admit, renew, clear];
@@ -419,37 +458,59 @@ fn main() {
     println!();
     println!("{}", row(&["phase", "ops", "txs", "wall_ms", "ops/s"].map(String::from), &widths));
     for p in &phases {
-        let r = p.record();
         println!(
             "{}",
             row(
                 &[
-                    r.phase.to_string(),
-                    r.ops.to_string(),
-                    r.txs.to_string(),
-                    format!("{:.1}", r.wall_ms),
-                    format!("{:.0}", r.ops_per_sec),
+                    p.name.to_string(),
+                    p.ops.to_string(),
+                    p.txs.to_string(),
+                    format!("{:.1}", p.wall_ms),
+                    format!("{:.0}", p.ops_per_sec()),
                 ],
                 &widths
             )
         );
     }
     println!(
-        "\nstate: {} objects, {} bytes ({:.0} B/reservation), {} txs, \
-         ResID high water {}, shard skew {:.4}",
-        state.ledger_objects,
-        state.ledger_bytes,
-        state.bytes_per_reservation,
-        state.ledger_txs,
-        state.res_id_high_water,
-        state.shard_skew
+        "\nstate: {ledger_objects} objects, {ledger_bytes} bytes ({bytes_per_reservation:.0} \
+         B/reservation), {ledger_txs} txs, ResID high water {res_id_high_water}, shard skew \
+         {shard_skew:.4}"
     );
 
-    let meta = ControlMeta { seed, reservations, shards, auctions, aes_backend, sha_backend };
-    let records: Vec<ControlPhase> = phases.iter().map(Phase::record).collect();
-    write_control_json(&json_path, &meta, &records, &state, &invariants)
-        .expect("write BENCH_control.json");
-    println!("wrote {json_path}");
+    let doc = Value::obj([
+        ("schema", 1u64.into()),
+        ("bench", "control".into()),
+        ("seed", seed.into()),
+        ("reservations", reservations.into()),
+        ("shards", shards.into()),
+        ("auctions", auctions.into()),
+        ("aes_backend", aes_backend.into()),
+        ("sha_backend", sha_backend.into()),
+        ("phases", phases.iter().map(Phase::record).collect::<Vec<_>>().into()),
+        (
+            "state",
+            Value::obj([
+                ("ledger_objects", ledger_objects.into()),
+                ("ledger_bytes", ledger_bytes.into()),
+                ("bytes_per_reservation", bytes_per_reservation.into()),
+                ("ledger_txs", ledger_txs.into()),
+                ("res_id_high_water", res_id_high_water.into()),
+                ("shard_skew", shard_skew.into()),
+            ]),
+        ),
+        (
+            "invariants",
+            Value::obj([
+                ("bandwidth_time_conserved", bandwidth_time_conserved.into()),
+                ("coin_supply_conserved", coin_supply_conserved.into()),
+                ("shard_skew_ok", (shard_skew <= 1.1).into()),
+                ("renewal_keys_ok", renewal_keys_ok.into()),
+                ("auction_escrows_drained", auction_escrows_drained.into()),
+            ]),
+        ),
+    ]);
+    json::write(&json_path, &doc);
 
     if !failures.is_empty() {
         eprintln!("\n{} invariant violation(s):", failures.len());

@@ -28,19 +28,83 @@
 //!
 //! Every run also writes the measured ns/pkt + Mpps points — and, when
 //! `--sharded` is set, the per-engine core-scaling curves — to
-//! `BENCH_hotpath.json` (schema 4 in `hummingbird_bench::json`) so the
-//! hot-path perf trajectory is tracked machine-readably across PRs;
-//! `--json <path>` overrides the output location.
+//! `BENCH_hotpath.json` so the hot-path perf trajectory is tracked
+//! machine-readably across PRs; `--json <path>` overrides the output
+//! location. A failed write exits nonzero.
+//!
+//! # Hot-path schema (`schema = 4`)
+//!
+//! ```json
+//! {
+//!   "schema": 4,
+//!   "bench": "hotpath",
+//!   "aes_backend": "ni",          // active AES backend: "soft" | "ni"
+//!   "hardware_threads": 8,        // available parallelism of the host
+//!   "batch": 32,                  // packets per burst in the hot loop
+//!   "records": [
+//!     {
+//!       "engine": "hummingbird",  // EngineKind name
+//!       "mode": "clone",          // "clone" | "sharded"
+//!       "cores": 1,               // worker cores driving the engine
+//!       "payload_b": 500,         // payload bytes per packet
+//!       "ns_per_pkt": 308.2,      // per-core-seconds per packet
+//!       "mpps": 3.24              // aggregate million packets / second
+//!     }
+//!   ],
+//!   "scaling": [
+//!     {
+//!       "engine": "null",         // EngineKind name
+//!       "mode": "sharded",        // "clone" | "sharded"
+//!       "curve": [
+//!         {
+//!           "cores": 2,           // worker cores at this point
+//!           "mpps": 18.1,         // aggregate throughput at this point
+//!           "speedup": 1.94,     // mpps relative to the 1-core point
+//!                                 //   of the same (engine, mode) curve
+//!           "exec": "threaded"    // "threaded": workers ran concurrently
+//!         }                       //   (or one worker); "sequential":
+//!                                 //   the dedicated-core estimate of a
+//!                                 //   host with fewer hardware threads
+//!       ]
+//!     }
+//!   ]
+//! }
+//! ```
+//!
+//! Schema 4 is schema 3 with an `exec` label on every scaling point, so
+//! a curve says which of its points are concurrent wall clock and which
+//! are a sequential estimate; schema 3 dropped two header fields that
+//! recorded runtime knobs the runtime no longer has (the worker wait
+//! strategy and the rx layout). `records` rows are unchanged since
+//! schema 1, the `scaling` section (per-engine core-scaling curves, the
+//! Fig. 5 "does N shards buy ~N×?" question in machine-readable form)
+//! since schema 2.
+//!
+//! `ns_per_pkt` / `mpps` / `speedup` are `null` when a degenerate run
+//! (zero duration) produced a non-finite value — consumers should drop
+//! such points rather than read them as zeros.
 
+use hummingbird_bench::json::{self, Value};
 use hummingbird_bench::{
     batch_from_args, cores_from_args, engines_from_args, flag_value, pkts_from_args, row,
-    sharded_from_args, write_hotpath_json, BenchRecord, DataplaneFixture, EngineKind, HotpathMeta,
-    ScalingCurve, ScalingPoint, EPOCH_NS,
+    sharded_from_args, DataplaneFixture, EngineKind, EPOCH_NS,
 };
 use hummingbird_dataplane::{
     forwarding_throughput, run_to_completion, ExecMode, RuntimeConfig, RuntimeMode, RuntimeReport,
-    BATCH_SIZE, LINE_RATE_GBPS,
+    Throughput, BATCH_SIZE, LINE_RATE_GBPS,
 };
+
+/// One `records` row: `t` measured on `cores` workers.
+fn record(kind: EngineKind, mode: &str, cores: usize, payload_b: usize, t: &Throughput) -> Value {
+    Value::obj([
+        ("engine", kind.name().into()),
+        ("mode", mode.into()),
+        ("cores", cores.into()),
+        ("payload_b", payload_b.into()),
+        ("ns_per_pkt", t.ns_per_pkt(cores).into()),
+        ("mpps", t.mpps().into()),
+    ])
+}
 
 fn main() {
     let engines = engines_from_args(&[EngineKind::Hummingbird, EngineKind::Scion]);
@@ -58,8 +122,8 @@ fn main() {
     println!("(machine has {physical} hardware threads; rows beyond that oversubscribe)");
     println!("(AES backend: {backend}; batch: {batch})\n");
 
-    let mut records: Vec<BenchRecord> = Vec::new();
-    let mut scaling: Vec<ScalingCurve> = Vec::new();
+    let mut records: Vec<Value> = Vec::new();
+    let mut scaling: Vec<Value> = Vec::new();
     for kind in engines {
         println!("--- engine: {} ---", kind.name());
         let mut widths = vec![6usize];
@@ -80,14 +144,7 @@ fn main() {
                     EPOCH_NS,
                 );
                 cells.push(format!("{:.2}", t.gbps_line_capped()));
-                records.push(BenchRecord {
-                    engine: kind.name(),
-                    mode: "clone",
-                    cores,
-                    payload_b: payload,
-                    ns_per_pkt: t.ns_per_pkt(cores),
-                    mpps: t.mpps(),
-                });
+                records.push(record(kind, "clone", cores, payload, &t));
             }
             println!("{}", row(&cells, &widths));
         }
@@ -108,15 +165,17 @@ fn main() {
             );
         }
     }
-    let meta = HotpathMeta { aes_backend: backend, hardware_threads: physical, batch };
-    match write_hotpath_json(&json_path, &meta, &records, &scaling) {
-        Ok(()) => println!(
-            "wrote {} records and {} scaling curves to {json_path}\n",
-            records.len(),
-            scaling.len()
-        ),
-        Err(e) => eprintln!("could not write {json_path}: {e}"),
-    }
+    let doc = Value::obj([
+        ("schema", 4u64.into()),
+        ("bench", "hotpath".into()),
+        ("aes_backend", backend.into()),
+        ("hardware_threads", physical.into()),
+        ("batch", batch.into()),
+        ("records", records.into()),
+        ("scaling", scaling.into()),
+    ]);
+    json::write(&json_path, &doc);
+    println!();
     if sharded {
         println!("(sharded = one logical router: producer-side RSS into per-shard rx queues,");
         println!(" every ResID policed by exactly one shard; clone = independent engine per");
@@ -152,8 +211,8 @@ fn sharded_comparison(
     cores_list: &[usize],
     pkts_per_core: u64,
     batch: usize,
-    records: &mut Vec<BenchRecord>,
-    scaling: &mut Vec<ScalingCurve>,
+    records: &mut Vec<Value>,
+    scaling: &mut Vec<Value>,
 ) {
     let templates = fx.flow_packets(kind, 500, 64);
     let widths = [6usize, 12, 12, 10, 10];
@@ -164,8 +223,9 @@ fn sharded_comparison(
             &widths
         )
     );
-    let mut clone_points: Vec<ScalingPoint> = Vec::new();
-    let mut rss_points: Vec<ScalingPoint> = Vec::new();
+    let (mut clone_curve, mut rss_curve) = (Vec::new(), Vec::new());
+    // Each curve's first-point mpps, which its speedups are relative to.
+    let (mut clone_mpps0, mut rss_mpps0) = (None, None);
     for &cores in cores_list {
         let total = pkts_per_core / cores.max(1) as u64 * 4 * cores as u64;
         let mut cfg = RuntimeConfig::new(cores);
@@ -195,26 +255,27 @@ fn sharded_comparison(
         assert_conserved(kind, "sharded", cores, total, &rss_report);
         let rss = rss_report.throughput();
         let ratio = if clone.gbps() > 0.0 { rss.gbps() / clone.gbps() } else { 0.0 };
-        let speedup = |points: &[ScalingPoint], mpps: f64| {
-            points.first().map_or(1.0, |p0| if p0.mpps > 0.0 { mpps / p0.mpps } else { 0.0 })
+        let speedup = |mpps0: &mut Option<f64>, mpps: f64| match *mpps0 {
+            None => {
+                *mpps0 = Some(mpps);
+                1.0
+            }
+            Some(p0) if p0 > 0.0 => mpps / p0,
+            Some(_) => 0.0,
         };
-        let rss_speedup = speedup(&rss_points, rss.mpps());
+        let rss_speedup = speedup(&mut rss_mpps0, rss.mpps());
         let exec = if cfg.exec.is_concurrent(cores) { "threaded" } else { "sequential" };
-        clone_points.push(ScalingPoint {
-            cores,
-            mpps: clone.mpps(),
-            speedup: speedup(&clone_points, clone.mpps()),
-            exec,
-        });
-        rss_points.push(ScalingPoint { cores, mpps: rss.mpps(), speedup: rss_speedup, exec });
-        records.push(BenchRecord {
-            engine: kind.name(),
-            mode: "sharded",
-            cores,
-            payload_b: 500,
-            ns_per_pkt: rss.ns_per_pkt(cores),
-            mpps: rss.mpps(),
-        });
+        let point = |mpps: f64, speedup: f64| {
+            Value::obj([
+                ("cores", cores.into()),
+                ("mpps", mpps.into()),
+                ("speedup", speedup.into()),
+                ("exec", exec.into()),
+            ])
+        };
+        clone_curve.push(point(clone.mpps(), speedup(&mut clone_mpps0, clone.mpps())));
+        rss_curve.push(point(rss.mpps(), rss_speedup));
+        records.push(record(kind, "sharded", cores, 500, &rss));
         println!(
             "{}",
             row(
@@ -229,7 +290,12 @@ fn sharded_comparison(
             )
         );
     }
-    scaling.push(ScalingCurve { engine: kind.name(), mode: "clone", points: clone_points });
-    scaling.push(ScalingCurve { engine: kind.name(), mode: "sharded", points: rss_points });
+    for (mode, curve) in [("clone", clone_curve), ("sharded", rss_curve)] {
+        scaling.push(Value::obj([
+            ("engine", kind.name().into()),
+            ("mode", mode.into()),
+            ("curve", curve.into()),
+        ]));
+    }
     println!();
 }

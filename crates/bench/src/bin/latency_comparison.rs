@@ -27,15 +27,16 @@
 //! latency_comparison` (`--pkts <n>` bounds both the per-run victim
 //! packet count and the runtime leg, for CI smoke runs). The simulated
 //! router service cost is calibrated from the checked-in
-//! `BENCH_hotpath.json` clone/1-core measurements when the file is
-//! readable; otherwise the hand-set default is kept (and logged).
+//! `BENCH_hotpath.json` clone/1-core measurements; without the file, or
+//! for a family it has no record of, the hand-set default is kept (and
+//! logged). A file that does not parse exits 2.
 
 use hummingbird::netsim::{
-    run_latency_scenario, EngineFamily, EngineScenario, LatencySpec, LinearTopology, LinkSpec,
+    run_latency_scenario, EngineScenario, LatencySpec, LinearTopology, LinkSpec,
 };
 use hummingbird_baselines::SLOT_SECS;
 use hummingbird_bench::{
-    hotpath_clone_1core_ns, pkts_from_args, row, DataplaneFixture, EngineKind, EPOCH_NS,
+    hotpath_calibration, pkts_from_args, row, DataplaneFixture, EngineKind, EPOCH_NS,
 };
 use hummingbird_dataplane::{
     run_to_completion, EgressConfig, RouterConfig, RuntimeConfig, RuntimeMode,
@@ -86,7 +87,7 @@ fn main() {
     println!("== Fig. 3/4-style latency comparison: engine family x shards ==");
     println!(
         "3-AS chain, 10 Mbps bottlenecks, 1 ms links, per-family router service cost\n\
-         calibrated from BENCH_hotpath.json (hand-set fallback when unreadable);\n\
+         calibrated from BENCH_hotpath.json (hand-set fallback when missing);\n\
          victim 2 Mbps credentialed, flood 30 Mbps best effort, ~{pkts} victim pkts/run\n"
     );
     let widths = [12usize, 7, 8, 8, 10, 11, 11, 10];
@@ -117,17 +118,7 @@ fn main() {
             SLOT_SECS * 250
         );
     }
-    let hotpath = std::fs::read_to_string("BENCH_hotpath.json").ok();
-    for family in EngineFamily::ALL {
-        let measured_ns =
-            hotpath.as_deref().and_then(|doc| hotpath_clone_1core_ns(doc, family.name()));
-        if measured_ns.is_none() {
-            eprintln!(
-                "no readable BENCH_hotpath.json clone/1-core record for {}; its latency sweep \
-                 keeps the hand-set service cost",
-                family.name()
-            );
-        }
+    for (family, measured_ns) in hotpath_calibration("latency") {
         for shards in [1usize, 4] {
             let mut spec = LatencySpec::new(EngineScenario { family, shards });
             spec.service_per_pkt_ns = measured_ns.unwrap_or(spec.service_per_pkt_ns);

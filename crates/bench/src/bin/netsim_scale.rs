@@ -24,15 +24,50 @@
 //! `--routers` rounds down to whole 4-router PoPs (min 3 PoPs);
 //! `--pkts` bounds the victim packet budget (250 pkts per simulated
 //! second), letting CI smoke-run the sweep in seconds. Every run writes
-//! `BENCH_netsim.json` (schema in `hummingbird_bench::json`);
-//! `--json <path>` overrides the output location.
+//! `BENCH_netsim.json`; `--json <path>` overrides the output location,
+//! and a failed write exits nonzero.
+//!
+//! # Netsim-scale schema (`schema = 1`)
+//!
+//! One churned four-family sweep of the generated ring-of-PoPs backbone,
+//! tracking how fast the discrete-event simulator chews through an
+//! Internet-scale topology and whether the recovery contrast holds.
+//!
+//! ```json
+//! {
+//!   "schema": 1,
+//!   "bench": "netsim",
+//!   "seed": 12648430,             // topology/key/background-mesh seed
+//!   "sim_s": 3,                   // simulated seconds per family run
+//!   "records": [
+//!     {
+//!       "family": "hummingbird",  // EngineFamily name
+//!       "shards": 1,              // shards per router datapath
+//!       "routers": 100,           // generated backbone routers
+//!       "adjacencies": 131,       // bidirectional backbone links
+//!       "flows": 258,             // victim + flood + background flows
+//!       "events": 5922331,        // simulator events processed
+//!       "wall_ms": 812.402,       // host wall-clock for the run
+//!       "events_per_sec": 7289e3, // events / wall second (the trend)
+//!       "recovery_delivery": 0.97,// victim delivery after the reroute
+//!       "recovery_ms": 12.31,     // victim mean latency after reroute
+//!       "link_failures": 3,       // injected mid-epoch link failures
+//!       "rerouted": 2,            // flows moved onto surviving paths
+//!       "stranded": 0             // flows left with no surviving path
+//!     }
+//!   ]
+//! }
+//! ```
+//!
+//! `wall_ms` / `events_per_sec` are host-dependent (trend, not truth);
+//! everything else in a record is deterministic for a given seed. Floats
+//! degrade to `null` when non-finite, as in the hot-path schema.
 
 use std::time::Instant;
 
 use hummingbird::netsim::{run_churn_scenario, ChurnSpec, EngineFamily, EngineScenario};
-use hummingbird_bench::{
-    flag_value, pkts_from_args, row, u64_from_args, write_netsim_json, NetsimRecord,
-};
+use hummingbird_bench::json::{self, Value};
+use hummingbird_bench::{flag_value, pkts_from_args, row, u64_from_args};
 use hummingbird_dataplane::RouterConfig;
 
 const START_S: u64 = 1_700_000_000;
@@ -78,7 +113,7 @@ fn main() {
             &widths
         )
     );
-    let mut records: Vec<NetsimRecord> = Vec::new();
+    let mut records: Vec<Value> = Vec::new();
     for family in EngineFamily::ALL {
         let scenario = EngineScenario { family, shards: 1 };
         let mut spec = ChurnSpec::new(scenario).with_flood(20_000);
@@ -95,45 +130,52 @@ fn main() {
         let out = run_churn_scenario(cfg, &spec, START_NS);
         let wall = t0.elapsed().as_secs_f64();
         let events_per_sec = out.events as f64 / wall.max(1e-9);
-        let record = NetsimRecord {
-            family: family.name(),
-            shards: scenario.shards,
-            routers: out.routers,
-            adjacencies: out.adjacencies,
-            flows: flows + 2, // victim + flood + background mesh
-            events: out.events,
-            wall_ms: wall * 1e3,
-            events_per_sec,
-            recovery_delivery: out.victim_recovery.delivery_ratio(),
-            recovery_ms: out.victim_recovery.mean_latency_ms(),
-            link_failures: out.report.link_failures(),
-            rerouted: out.report.total_rerouted(),
-            stranded: out.report.total_stranded(),
-        };
+        let recovery_delivery = out.victim_recovery.delivery_ratio();
+        let recovery_ms = out.victim_recovery.mean_latency_ms();
+        let (link_failures, stranded) = (out.report.link_failures(), out.report.total_stranded());
         println!(
             "{}",
             row(
                 &[
                     family.name().into(),
-                    format!("{}", record.routers),
-                    format!("{}", record.adjacencies),
-                    format!("{}", record.events),
-                    format!("{:.1}", record.wall_ms),
+                    format!("{}", out.routers),
+                    format!("{}", out.adjacencies),
+                    format!("{}", out.events),
+                    format!("{:.1}", wall * 1e3),
                     format!("{:.2}", events_per_sec / 1e6),
-                    format!("{:.0}", record.recovery_delivery * 100.0),
-                    format!("{:.2}", record.recovery_ms),
-                    format!("{}", record.stranded),
+                    format!("{:.0}", recovery_delivery * 100.0),
+                    format!("{recovery_ms:.2}"),
+                    format!("{stranded}"),
                 ],
                 &widths
             )
         );
-        assert!(record.link_failures >= 3, "{family:?}: too few injected failures");
-        records.push(record);
+        assert!(link_failures >= 3, "{family:?}: too few injected failures");
+        records.push(Value::obj([
+            ("family", family.name().into()),
+            ("shards", scenario.shards.into()),
+            ("routers", out.routers.into()),
+            ("adjacencies", out.adjacencies.into()),
+            ("flows", (flows + 2).into()), // victim + flood + background mesh
+            ("events", out.events.into()),
+            ("wall_ms", (wall * 1e3).into()),
+            ("events_per_sec", events_per_sec.into()),
+            ("recovery_delivery", recovery_delivery.into()),
+            ("recovery_ms", recovery_ms.into()),
+            ("link_failures", link_failures.into()),
+            ("rerouted", out.report.total_rerouted().into()),
+            ("stranded", stranded.into()),
+        ]));
     }
-    match write_netsim_json(&json_path, seed, run_s, &records) {
-        Ok(()) => println!("\nwrote {} records to {json_path}", records.len()),
-        Err(e) => eprintln!("\ncould not write {json_path}: {e}"),
-    }
+    println!();
+    let doc = Value::obj([
+        ("schema", 1u64.into()),
+        ("bench", "netsim".into()),
+        ("seed", seed.into()),
+        ("sim_s", run_s.into()),
+        ("records", records.into()),
+    ]);
+    json::write(&json_path, &doc);
     println!(
         "\nreservation families (hummingbird, helia) recover the victim's delivery and\n\
          latency after the reroute; authentication-only families (drkey, epic) leave it\n\

@@ -26,17 +26,64 @@
 //! `--pkts` caps each flow's packet budget (the CI smoke knob; 0 =
 //! uncapped). The router service cost is calibrated from
 //! `BENCH_hotpath.json` clone/1-core records when present
-//! (`--no-calibrate` keeps the hand-set default). Every run writes
-//! `BENCH_overload.json` (schema in `hummingbird_bench::json`);
-//! `--json <path>` overrides the output location.
+//! (`--no-calibrate` keeps the hand-set default; a file that does not
+//! parse exits 2). Every run writes `BENCH_overload.json`; `--json
+//! <path>` overrides the output location, and a failed write exits
+//! nonzero.
+//!
+//! # Overload schema (`schema = 1`)
+//!
+//! The binary verifies conservation and termination for every point
+//! before writing, so a checked-in document is also a green light.
+//!
+//! ```json
+//! {
+//!   "schema": 1,
+//!   "bench": "overload",
+//!   "pkts_cap": 2000,             // per-flow packet cap (0 = uncapped)
+//!   "service_calibrated": true,   // per-pkt cost from BENCH_hotpath.json
+//!   "records": [
+//!     {
+//!       "family": "hummingbird",  // EngineFamily name
+//!       "shards": 1,              // shards per router datapath
+//!       "offered_kbps": 16000,    // best-effort offered load
+//!       "reserved_delivery": 1.0, // reserved delivered / sent copies
+//!       "reserved_goodput_kbps": 2230.1,  // over its completion time
+//!       "reserved_p99_ms": 8.39,  // reserved p99 end-to-end latency
+//!       "be_delivery": 0.945,     // best-effort delivered / sent
+//!       "be_goodput_kbps": 6395.2,// over its completion time
+//!       "be_p99_ms": 33.55,       // best-effort p99 latency (bounded
+//!                                 //   by the queue caps)
+//!       "retransmits": 114,       // both flows' retried copies
+//!       "timeouts": 116,          // both flows' RTO fires
+//!       "stalls": 1950,           // both flows' full-window stalls
+//!       "queue_drops": 116,       // link-queue tail drops, both flows
+//!       "service_queue_drops": 0, // router-queue drops, both flows
+//!       "completed": true         // both flows terminated (no livelock)
+//!     }
+//!   ],
+//!   "saturation": [
+//!     {
+//!       "family": "hummingbird",  // EngineFamily name
+//!       "shards": 1,
+//!       "saturation_kbps": 8000,  // largest offered step the best-
+//!                                 //   effort flow still finished at
+//!                                 //   ≥ 0.9 of (0 = none did)
+//!       "post_goodput_kbps": 6953.2, // best-effort goodput at the
+//!                                 //   highest (2.5×) step — graceful
+//!                                 //   degradation, not collapse
+//!       "reserved_held": true     // reserved delivery > 0.95 at every
+//!                                 //   step (the reservation promise)
+//!     }
+//!   ]
+//! }
+//! ```
 
 use hummingbird::netsim::{
     run_overload_scenario, EngineFamily, EngineScenario, FlowStats, OverloadPoint, OverloadSpec,
 };
-use hummingbird_bench::{
-    flag_present, flag_value, hotpath_clone_1core_ns, row, u64_from_args, write_overload_json,
-    OverloadRecord, OverloadSaturation,
-};
+use hummingbird_bench::json::{self, Value};
+use hummingbird_bench::{flag_present, flag_value, hotpath_calibration, row, u64_from_args};
 use hummingbird_dataplane::RouterConfig;
 
 const START_S: u64 = 1_700_000_000;
@@ -73,8 +120,11 @@ fn violations(label: &str, p: &OverloadPoint) -> Vec<String> {
 fn main() {
     let cfg = RouterConfig::default();
     let pkts_cap = u64_from_args("pkts", 0);
-    let calibrate = !flag_present("no-calibrate");
-    let hotpath = calibrate.then(|| std::fs::read_to_string("BENCH_hotpath.json").ok()).flatten();
+    let calibration = if flag_present("no-calibrate") {
+        EngineFamily::ALL.map(|family| (family, None)).to_vec()
+    } else {
+        hotpath_calibration("overload")
+    };
     let json_path = flag_value("json").unwrap_or_else(|| "BENCH_overload.json".to_string());
 
     println!("== closed-loop overload sweep: bounded queues + backpressure ==");
@@ -106,22 +156,12 @@ fn main() {
         )
     );
 
-    let mut records: Vec<OverloadRecord> = Vec::new();
-    let mut saturation: Vec<OverloadSaturation> = Vec::new();
+    let mut records: Vec<Value> = Vec::new();
+    let mut saturation: Vec<Value> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    let mut calibrated_any = false;
+    let calibrated_any = calibration.iter().any(|(_, ns)| ns.is_some());
 
-    for family in EngineFamily::ALL {
-        let measured_ns =
-            hotpath.as_deref().and_then(|doc| hotpath_clone_1core_ns(doc, family.name()));
-        calibrated_any |= measured_ns.is_some();
-        if calibrate && measured_ns.is_none() {
-            eprintln!(
-                "no readable BENCH_hotpath.json clone/1-core record for {}; its overload sweep \
-                 keeps the hand-set service cost",
-                family.name()
-            );
-        }
+    for (family, measured_ns) in calibration {
         for shards in [1usize, 4] {
             let mut spec = OverloadSpec::new(EngineScenario { family, shards });
             spec.max_pkts_per_flow = pkts_cap;
@@ -162,40 +202,49 @@ fn main() {
                         &widths
                     )
                 );
-                records.push(OverloadRecord {
-                    family: family.name(),
-                    shards,
-                    offered_kbps: p.offered_kbps,
-                    reserved_delivery: p.reserved.delivery_ratio(),
-                    reserved_goodput_kbps: p.reserved_goodput_kbps(),
-                    reserved_p99_ms: p.reserved.p99_latency_ms(),
-                    be_delivery: p.best_effort.delivery_ratio(),
-                    be_goodput_kbps: p.best_effort_goodput_kbps(),
-                    be_p99_ms: p.best_effort.p99_latency_ms(),
-                    retransmits: p.reserved.retransmits + p.best_effort.retransmits,
-                    timeouts: p.reserved.timeouts + p.best_effort.timeouts,
-                    stalls: p.reserved.backpressure_stalls + p.best_effort.backpressure_stalls,
-                    queue_drops: p.reserved.queue_drops + p.best_effort.queue_drops,
-                    service_queue_drops: p.reserved.service_queue_drops
-                        + p.best_effort.service_queue_drops,
-                    completed: p.reserved_done && p.best_effort_done,
-                });
+                let (rsv, be) = (&p.reserved, &p.best_effort);
+                records.push(Value::obj([
+                    ("family", family.name().into()),
+                    ("shards", shards.into()),
+                    ("offered_kbps", p.offered_kbps.into()),
+                    ("reserved_delivery", rsv.delivery_ratio().into()),
+                    ("reserved_goodput_kbps", p.reserved_goodput_kbps().into()),
+                    ("reserved_p99_ms", rsv.p99_latency_ms().into()),
+                    ("be_delivery", be.delivery_ratio().into()),
+                    ("be_goodput_kbps", p.best_effort_goodput_kbps().into()),
+                    ("be_p99_ms", be.p99_latency_ms().into()),
+                    ("retransmits", (rsv.retransmits + be.retransmits).into()),
+                    ("timeouts", (rsv.timeouts + be.timeouts).into()),
+                    ("stalls", (rsv.backpressure_stalls + be.backpressure_stalls).into()),
+                    ("queue_drops", (rsv.queue_drops + be.queue_drops).into()),
+                    (
+                        "service_queue_drops",
+                        (rsv.service_queue_drops + be.service_queue_drops).into(),
+                    ),
+                    ("completed", (p.reserved_done && p.best_effort_done).into()),
+                ]));
             }
             let last = out.points.last().expect("non-empty sweep");
-            saturation.push(OverloadSaturation {
-                family: family.name(),
-                shards,
-                saturation_kbps: sat_kbps,
-                post_goodput_kbps: last.best_effort_goodput_kbps(),
-                reserved_held,
-            });
+            saturation.push(Value::obj([
+                ("family", family.name().into()),
+                ("shards", shards.into()),
+                ("saturation_kbps", sat_kbps.into()),
+                ("post_goodput_kbps", last.best_effort_goodput_kbps().into()),
+                ("reserved_held", reserved_held.into()),
+            ]));
         }
     }
 
-    match write_overload_json(&json_path, pkts_cap, calibrated_any, &records, &saturation) {
-        Ok(()) => println!("\nwrote {} records to {json_path}", records.len()),
-        Err(e) => eprintln!("\ncould not write {json_path}: {e}"),
-    }
+    println!();
+    let doc = Value::obj([
+        ("schema", 1u64.into()),
+        ("bench", "overload".into()),
+        ("pkts_cap", pkts_cap.into()),
+        ("service_calibrated", calibrated_any.into()),
+        ("records", records.into()),
+        ("saturation", saturation.into()),
+    ]);
+    json::write(&json_path, &doc);
 
     if !failures.is_empty() {
         eprintln!("\noverload invariants VIOLATED:");

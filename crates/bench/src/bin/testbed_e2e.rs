@@ -23,14 +23,61 @@
 //! [-- --pkts <n>] [--cores <n>] [--routers <n>] [--mix <name>]
 //! [--wait busy|yield:<n>|backoff] [--json <path>]`
 //!
-//! Every run writes `BENCH_testbed.json` (schema in
-//! `hummingbird_bench::json`); `--json <path>` overrides the location.
+//! Every run writes `BENCH_testbed.json`; `--json <path>` overrides the
+//! location, and a failed write exits nonzero.
+//!
+//! # Testbed schema (`schema = 1`)
+//!
+//! The binary verifies exact packet conservation (globally, per class
+//! and per flow) and zero parse failures for every run before writing,
+//! so a checked-in document is also a green light.
+//!
+//! ```json
+//! {
+//!   "schema": 1,
+//!   "bench": "testbed",
+//!   "routers": 3,                 // border routers in the chain
+//!   "shards": 1,                  // engine shards per router
+//!   "pkts_per_run": 1000000,      // datagrams the gateway sends per run
+//!   "payload_b": 200,             // L4 payload bytes per packet
+//!   "window": 64,                 // credit window per link, frames
+//!   "wait": "backoff",            // sender wait strategy (as hotpath)
+//!   "records": [
+//!     {
+//!       "family": "hummingbird",  // EngineFamily name
+//!       "mix": "cbr",             // TrafficMix name
+//!       "sent": 1000000,          // gateway datagrams
+//!       "delivered": 1000000,     // sink datagrams
+//!       "engine_drops": 0,        // engine-verdict drops on the chain
+//!       "parse_drops": 0,         // structurally invalid datagrams
+//!       "wall_ms": 9210.4,        // sink first-delivery → FIN window
+//!       "conserved": true,        // sent == delivered + drops, exactly,
+//!                                 //   globally and per flow/class
+//!       "classes": [
+//!         {
+//!           "class": "reserved",  // "reserved" | "best_effort"
+//!           "sent": 500000,
+//!           "delivered": 500000,
+//!           "engine_drops": 0,
+//!           "goodput_mbps": 78.1, // delivered payload bits / wall time
+//!           "p50_us": 127.0,      // end-to-end latency percentiles
+//!           "p95_us": 255.0,      //   (log2-bucketed upper bounds,
+//!           "p99_us": 511.0,      //   microseconds)
+//!           "p999_us": 1023.0
+//!         }
+//!       ]
+//!     }
+//!   ]
+//! }
+//! ```
+//!
+//! `wall_ms` / `goodput_mbps` / `p*_us` are host-dependent (trend, not
+//! truth); the counts and `conserved` are exact. Floats degrade to
+//! `null` when non-finite, as everywhere else.
 
 use hummingbird::netsim::EngineFamily;
-use hummingbird_bench::{
-    flag_value, row, u64_from_args, wait_from_args, wait_label, write_testbed_json, TestbedClass,
-    TestbedMeta, TestbedRecord,
-};
+use hummingbird_bench::json::{self, Value};
+use hummingbird_bench::{flag_value, row, u64_from_args, wait_from_args, wait_label};
 use hummingbird_testbed::{run_chain, ChainSpec, RunReport, TrafficMix, BEST_EFFORT, RESERVED};
 
 /// Microseconds for a histogram percentile (bucket upper bound).
@@ -38,19 +85,20 @@ fn pct_us(h: &hummingbird_dataplane::LatencyHistogram, p: f64) -> f64 {
     h.percentile_ns(p) as f64 / 1_000.0
 }
 
-fn class_record(report: &RunReport, class: usize) -> TestbedClass {
+/// One `classes` row of a run.
+fn class_record(report: &RunReport, class: usize) -> Value {
     let c = &report.classes[class];
-    TestbedClass {
-        class: if class == RESERVED { "reserved" } else { "best_effort" },
-        sent: c.sent,
-        delivered: c.delivered,
-        engine_drops: c.engine_dropped,
-        goodput_mbps: c.goodput_mbps(report.wall_ns),
-        p50_us: pct_us(&c.latency, 0.50),
-        p95_us: pct_us(&c.latency, 0.95),
-        p99_us: pct_us(&c.latency, 0.99),
-        p999_us: pct_us(&c.latency, 0.999),
-    }
+    Value::obj([
+        ("class", (if class == RESERVED { "reserved" } else { "best_effort" }).into()),
+        ("sent", c.sent.into()),
+        ("delivered", c.delivered.into()),
+        ("engine_drops", c.engine_dropped.into()),
+        ("goodput_mbps", c.goodput_mbps(report.wall_ns).into()),
+        ("p50_us", pct_us(&c.latency, 0.50).into()),
+        ("p95_us", pct_us(&c.latency, 0.95).into()),
+        ("p99_us", pct_us(&c.latency, 0.99).into()),
+        ("p999_us", pct_us(&c.latency, 0.999).into()),
+    ])
 }
 
 fn main() {
@@ -96,15 +144,18 @@ fn main() {
         )
     );
 
-    let mut records: Vec<TestbedRecord> = Vec::new();
+    // Every run is this chain with its own family and mix; the document
+    // head reads the scale from it.
+    let mut base = ChainSpec::new(EngineFamily::ALL[0], mixes[0]);
+    base.pkts = pkts;
+    base.shards = shards;
+    base.routers = routers;
+    base.wait = wait;
+    let mut records: Vec<Value> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     for family in EngineFamily::ALL {
         for &mix in &mixes {
-            let mut spec = ChainSpec::new(family, mix);
-            spec.pkts = pkts;
-            spec.shards = shards;
-            spec.routers = routers;
-            spec.wait = wait;
+            let spec = ChainSpec { family, mix, ..base.clone() };
             let label = format!("{}/{}", family.name(), mix.name());
             let report = match run_chain(&spec) {
                 Ok(r) => r,
@@ -119,8 +170,7 @@ fn main() {
             if report.parse_drops > 0 {
                 failures.push(format!("{label}: {} datagrams failed to parse", report.parse_drops));
             }
-            let reserved = class_record(&report, RESERVED);
-            let best_effort = class_record(&report, BEST_EFFORT);
+            let (rsv, be) = (&report.classes[RESERVED], &report.classes[BEST_EFFORT]);
             println!(
                 "{}",
                 row(
@@ -130,11 +180,14 @@ fn main() {
                         format!("{}", report.sent),
                         format!("{}", report.delivered()),
                         format!("{}", report.engine_dropped()),
-                        format!("{:.0}", reserved.p50_us),
-                        format!("{:.0}", reserved.p99_us),
-                        format!("{:.0}", best_effort.p99_us),
-                        format!("{:.0}", best_effort.p999_us),
-                        format!("{:.1}", reserved.goodput_mbps + best_effort.goodput_mbps),
+                        format!("{:.0}", pct_us(&rsv.latency, 0.50)),
+                        format!("{:.0}", pct_us(&rsv.latency, 0.99)),
+                        format!("{:.0}", pct_us(&be.latency, 0.99)),
+                        format!("{:.0}", pct_us(&be.latency, 0.999)),
+                        format!(
+                            "{:.1}",
+                            rsv.goodput_mbps(report.wall_ns) + be.goodput_mbps(report.wall_ns)
+                        ),
                     ],
                     &widths
                 )
@@ -142,34 +195,37 @@ fn main() {
             if !report.drop_reasons.is_empty() {
                 println!("    drop reasons: {:?}", report.drop_reasons);
             }
-            records.push(TestbedRecord {
-                family: family.name(),
-                mix: mix.name(),
-                sent: report.sent,
-                delivered: report.delivered(),
-                engine_drops: report.engine_dropped(),
-                parse_drops: report.parse_drops,
-                wall_ms: report.wall_ns as f64 / 1e6,
-                conserved: report.violations.is_empty(),
-                classes: vec![reserved, best_effort],
-            });
+            records.push(Value::obj([
+                ("family", family.name().into()),
+                ("mix", mix.name().into()),
+                ("sent", report.sent.into()),
+                ("delivered", report.delivered().into()),
+                ("engine_drops", report.engine_dropped().into()),
+                ("parse_drops", report.parse_drops.into()),
+                ("wall_ms", (report.wall_ns as f64 / 1e6).into()),
+                ("conserved", report.violations.is_empty().into()),
+                (
+                    "classes",
+                    vec![class_record(&report, RESERVED), class_record(&report, BEST_EFFORT)]
+                        .into(),
+                ),
+            ]));
         }
     }
 
-    let meta = TestbedMeta {
-        routers,
-        shards,
-        pkts_per_run: pkts,
-        payload_b: 200,
-        window: 64,
-        wait: wait_label(wait),
-    };
-    match write_testbed_json(&json_path, &meta, &records) {
-        Ok(()) => println!("\nwrote {} records to {json_path}", records.len()),
-        Err(e) => {
-            failures.push(format!("could not write {json_path}: {e}"));
-        }
-    }
+    println!();
+    let doc = Value::obj([
+        ("schema", 1u64.into()),
+        ("bench", "testbed".into()),
+        ("routers", base.routers.into()),
+        ("shards", base.shards.into()),
+        ("pkts_per_run", base.pkts.into()),
+        ("payload_b", base.payload_len.into()),
+        ("window", base.window.into()),
+        ("wait", wait_label(base.wait).into()),
+        ("records", records.into()),
+    ]);
+    json::write(&json_path, &doc);
 
     if !failures.is_empty() {
         eprintln!("\ntestbed invariants VIOLATED:");

@@ -6,20 +6,14 @@
 //! provides the common packet/router/market fixtures so the workloads are
 //! identical across experiments.
 //!
-//! Besides the human-readable tables, the forwarding binaries emit
-//! `BENCH_hotpath.json` and the `netsim_scale` binary emits
-//! `BENCH_netsim.json` ([`json`] documents both schemas) so ns/pkt,
-//! Mpps and simulator events/s are tracked machine-readably across PRs.
+//! Besides the human-readable tables, five binaries write a trajectory
+//! document each — `fig5_forwarding` `BENCH_hotpath.json`,
+//! `netsim_scale` `BENCH_netsim.json`, `overload_sweep`
+//! `BENCH_overload.json`, `control_scale` `BENCH_control.json`,
+//! `testbed_e2e` `BENCH_testbed.json` — built as a [`json::Value`]; each
+//! binary's module doc holds its schema.
 
 pub mod json;
-
-pub use json::{
-    control_json, hotpath_clone_1core_ns, hotpath_json, netsim_json, overload_json, testbed_json,
-    write_control_json, write_hotpath_json, write_netsim_json, write_overload_json,
-    write_testbed_json, BenchRecord, ControlInvariants, ControlMeta, ControlPhase, ControlState,
-    HotpathMeta, NetsimRecord, OverloadRecord, OverloadSaturation, ScalingCurve, ScalingPoint,
-    TestbedClass, TestbedMeta, TestbedRecord,
-};
 
 use hummingbird_baselines::EngineFamily;
 use hummingbird_crypto::{ResInfo, SecretValue};
@@ -161,7 +155,7 @@ fn flag_value_in(args: &[String], name: &str) -> Result<Option<String>, String> 
     flag_values_in(args, name).map(|values| values.into_iter().next())
 }
 
-/// Unwraps a parsed flag; a malformed command line prints its usage
+/// Unwraps a parsed flag or input file; a malformed one prints its
 /// message and exits with status 2.
 fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
     parsed.unwrap_or_else(|msg| {
@@ -279,6 +273,36 @@ pub fn batch_from_args(default: usize) -> usize {
             .filter(|&n| n > 0)
             .ok_or_else(|| format!("bad --batch '{v}'; expected a positive packet count")),
     )
+}
+
+/// The per-router service cost the `sweep` feeds the simulator, per
+/// engine family: its measured clone/1-core ns/pkt in the working
+/// directory's `BENCH_hotpath.json` (the mean over its payload sweep),
+/// so each family pays its own datapath cost. `None`, logged, keeps the
+/// hand-set cost: the file is missing or has no record for the family.
+/// A file that exists but cannot be read or parsed exits with status 2.
+pub fn hotpath_calibration(sweep: &str) -> Vec<(EngineFamily, Option<u64>)> {
+    const PATH: &str = "BENCH_hotpath.json";
+    let doc = match std::fs::read_to_string(PATH) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        read => Some(or_usage_exit(
+            read.map_err(|e| e.to_string())
+                .and_then(|text| json::parse(&text))
+                .map_err(|e| format!("{PATH}: {e}")),
+        )),
+    };
+    let measured = |family: EngineFamily| {
+        let ns = doc.as_ref().and_then(|doc| json::hotpath_clone_1core_ns(doc, family.name()));
+        if ns.is_none() {
+            eprintln!(
+                "no {PATH} clone/1-core record for {}; its {sweep} sweep keeps the hand-set \
+                 service cost",
+                family.name()
+            );
+        }
+        (family, ns)
+    };
+    EngineFamily::ALL.into_iter().map(measured).collect()
 }
 
 /// A self-contained data-plane fixture: one source path of `h` hops plus
@@ -484,8 +508,8 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
 
 /// Percentile of a sorted slice. Empty populations answer `0` — the
 /// same convention as `FlowStats` and the egress `LatencyHistogram`,
-/// and finite by construction so the hand-rolled JSON writers never see
-/// a `NaN` from this path.
+/// and finite by construction so no trajectory document gets a `null`
+/// from this path.
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -578,8 +602,8 @@ mod tests {
     #[test]
     fn percentile_of_empty_is_zero() {
         // The empty-population convention everywhere else (FlowStats,
-        // LatencyHistogram) is 0 — NaN here would leak invalid JSON
-        // through the hand-rolled writers.
+        // LatencyHistogram) is 0 — NaN here would reach a trajectory
+        // document as a null.
         assert_eq!(percentile(&[], 0.5), 0.0);
         assert_eq!(percentile(&[], 1.0), 0.0);
         // Non-empty percentiles are unchanged.
