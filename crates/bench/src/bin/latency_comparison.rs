@@ -31,9 +31,7 @@
 //! for a family it has no record of, the hand-set default is kept (and
 //! logged). A file that does not parse exits 2.
 
-use hummingbird::netsim::{
-    run_latency_scenario, EngineScenario, LatencySpec, LinearTopology, LinkSpec,
-};
+use hummingbird::netsim::{run, EngineScenario, LinearTopology, LinkSpec, Scenario};
 use hummingbird_baselines::SLOT_SECS;
 use hummingbird_bench::{
     hotpath_calibration, pkts_from_args, row, DataplaneFixture, EngineKind, EPOCH_NS,
@@ -120,14 +118,19 @@ fn main() {
     }
     for (family, measured_ns) in hotpath_calibration("latency") {
         for shards in [1usize, 4] {
-            let mut spec = LatencySpec::new(EngineScenario { family, shards });
-            spec.service_per_pkt_ns = measured_ns.unwrap_or(spec.service_per_pkt_ns);
-            spec.run_s = run_s;
-            let base = run_latency_scenario(cfg, &spec, START_NS);
-            let loaded = run_latency_scenario(cfg, &spec.with_flood(30_000), START_NS);
-            assert_eq!(base.victim.router_drops, 0, "credentialed victim must authenticate");
-            let d1 = forged_drop_ratio(spec.scenario, cfg);
-            let flood_stats = loaded.flood.expect("flood ran");
+            let scenario = EngineScenario { family, shards };
+            let [base, loaded] = [0, 30_000].map(|flood_kbps| {
+                let mut s = Scenario::latency(scenario, flood_kbps);
+                s.run_s = run_s;
+                if let (Some(model), Some(ns)) = (&mut s.service, measured_ns) {
+                    model.per_pkt_ns = ns;
+                }
+                run(cfg, &s, START_NS)
+            });
+            let base = base.flows[0].total;
+            let (victim, flood_stats) = (loaded.flows[0].total, loaded.flows[1].total);
+            assert_eq!(base.router_drops, 0, "credentialed victim must authenticate");
+            let d1 = forged_drop_ratio(scenario, cfg);
             println!(
                 "{}",
                 row(
@@ -135,10 +138,10 @@ fn main() {
                         family.name().into(),
                         format!("{shards}"),
                         format!("{:.0}", d1 * 100.0),
-                        format!("{:.0}", loaded.victim.delivery_ratio() * 100.0),
-                        format!("{:.2}", base.victim.mean_latency_ms()),
-                        format!("{:.2}", loaded.victim.mean_latency_ms()),
-                        format!("{:.2}", loaded.victim.latency_max_ns as f64 / 1e6),
+                        format!("{:.0}", victim.delivery_ratio() * 100.0),
+                        format!("{:.2}", base.mean_latency_ms()),
+                        format!("{:.2}", victim.mean_latency_ms()),
+                        format!("{:.2}", victim.latency_max_ns as f64 / 1e6),
                         format!("{:.0}", flood_stats.goodput_kbps(run_s as f64)),
                     ],
                     &widths

@@ -1,5 +1,5 @@
 //! Closed-loop overload sweep: bounded queues, end-to-end backpressure,
-//! graceful degradation (`netsim::run_overload_scenario`), swept across
+//! graceful degradation (`netsim::Scenario::overload_sweep`), swept across
 //! all four engine families × {single, 4-shard}.
 //!
 //! Per (family, shards) deployment: a 2 Mbps credentialed reserved flow
@@ -79,9 +79,7 @@
 //! }
 //! ```
 
-use hummingbird::netsim::{
-    run_overload_scenario, EngineFamily, EngineScenario, FlowStats, OverloadPoint, OverloadSpec,
-};
+use hummingbird::netsim::{run, EngineFamily, EngineScenario, FlowOutcome, Scenario};
 use hummingbird_bench::json::{self, Value};
 use hummingbird_bench::{flag_present, flag_value, hotpath_calibration, row, u64_from_args};
 use hummingbird_dataplane::RouterConfig;
@@ -89,30 +87,18 @@ use hummingbird_dataplane::RouterConfig;
 const START_S: u64 = 1_700_000_000;
 const START_NS: u64 = START_S * 1_000_000_000;
 
-/// Every wire copy either delivered or in a named drop counter.
-fn conserved(s: &FlowStats) -> bool {
-    s.sent_pkts
-        == s.delivered_pkts
-            + s.router_drops
-            + s.queue_drops
-            + s.link_down_drops
-            + s.service_queue_drops
-}
-
-/// Checks one sweep point's hard invariants; returns the violations.
-fn violations(label: &str, p: &OverloadPoint) -> Vec<String> {
+/// Checks one sweep point's hard invariants — both flows terminated,
+/// and every wire copy delivered or in a named drop counter; returns
+/// the violations.
+fn violations(label: &str, reserved: &FlowOutcome, best_effort: &FlowOutcome) -> Vec<String> {
     let mut v = Vec::new();
-    if !p.reserved_done {
-        v.push(format!("{label}: reserved flow did not terminate (livelock)"));
-    }
-    if !p.best_effort_done {
-        v.push(format!("{label}: best-effort flow did not terminate (livelock)"));
-    }
-    if !conserved(&p.reserved) {
-        v.push(format!("{label}: reserved flow leaks packets (conservation)"));
-    }
-    if !conserved(&p.best_effort) {
-        v.push(format!("{label}: best-effort flow leaks packets (conservation)"));
+    for (name, f) in [("reserved", reserved), ("best-effort", best_effort)] {
+        if !f.done {
+            v.push(format!("{label}: {name} flow did not terminate (livelock)"));
+        }
+        if f.total.unattributed() != 0 {
+            v.push(format!("{label}: {name} flow leaks packets (conservation)"));
+        }
     }
     v
 }
@@ -163,55 +149,58 @@ fn main() {
 
     for (family, measured_ns) in calibration {
         for shards in [1usize, 4] {
-            let mut spec = OverloadSpec::new(EngineScenario { family, shards });
-            spec.max_pkts_per_flow = pkts_cap;
-            spec.service_per_pkt_ns = measured_ns.unwrap_or(spec.service_per_pkt_ns);
-            let out = run_overload_scenario(cfg, &spec, START_NS);
-
             let mut reserved_held = true;
             let mut sat_kbps = 0u64;
-            for p in &out.points {
-                let label = format!("{}x{shards}@{}kbps", family.name(), p.offered_kbps);
-                failures.extend(violations(&label, p));
-                if p.reserved.delivery_ratio() <= 0.95 {
+            let mut post_goodput_kbps = 0.0;
+            for mut s in Scenario::overload_sweep(EngineScenario { family, shards }, pkts_cap) {
+                if let (Some(model), Some(ns)) = (&mut s.service, measured_ns) {
+                    model.per_pkt_ns = ns;
+                }
+                let offered_kbps = s.flows[1].1.rate_kbps;
+                let out = run(cfg, &s, START_NS);
+                let (reserved, best_effort) = (&out.flows[0], &out.flows[1]);
+                let label = format!("{}x{shards}@{offered_kbps}kbps", family.name());
+                failures.extend(violations(&label, reserved, best_effort));
+                let (rsv, be) = (&reserved.total, &best_effort.total);
+                if rsv.delivery_ratio() <= 0.95 {
                     reserved_held = false;
                 }
-                if p.best_effort_goodput_kbps() >= p.offered_kbps as f64 * 0.9 {
-                    sat_kbps = sat_kbps.max(p.offered_kbps);
+                if best_effort.goodput_kbps() >= offered_kbps as f64 * 0.9 {
+                    sat_kbps = sat_kbps.max(offered_kbps);
                 }
-                let drops = p.reserved.queue_drops
-                    + p.reserved.service_queue_drops
-                    + p.best_effort.queue_drops
-                    + p.best_effort.service_queue_drops;
+                post_goodput_kbps = best_effort.goodput_kbps();
+                let drops = rsv.queue_drops
+                    + rsv.service_queue_drops
+                    + be.queue_drops
+                    + be.service_queue_drops;
                 println!(
                     "{}",
                     row(
                         &[
                             family.name().into(),
                             format!("{shards}"),
-                            format!("{}", p.offered_kbps),
-                            format!("{:.1}", p.reserved.delivery_ratio() * 100.0),
-                            format!("{:.0}", p.reserved_goodput_kbps()),
-                            format!("{:.2}", p.reserved.p99_latency_ms()),
-                            format!("{:.1}", p.best_effort.delivery_ratio() * 100.0),
-                            format!("{:.0}", p.best_effort_goodput_kbps()),
-                            format!("{:.2}", p.best_effort.p99_latency_ms()),
-                            format!("{}", p.reserved.retransmits + p.best_effort.retransmits),
+                            format!("{offered_kbps}"),
+                            format!("{:.1}", rsv.delivery_ratio() * 100.0),
+                            format!("{:.0}", reserved.goodput_kbps()),
+                            format!("{:.2}", rsv.p99_latency_ms()),
+                            format!("{:.1}", be.delivery_ratio() * 100.0),
+                            format!("{:.0}", best_effort.goodput_kbps()),
+                            format!("{:.2}", be.p99_latency_ms()),
+                            format!("{}", rsv.retransmits + be.retransmits),
                             format!("{drops}"),
                         ],
                         &widths
                     )
                 );
-                let (rsv, be) = (&p.reserved, &p.best_effort);
                 records.push(Value::obj([
                     ("family", family.name().into()),
                     ("shards", shards.into()),
-                    ("offered_kbps", p.offered_kbps.into()),
+                    ("offered_kbps", offered_kbps.into()),
                     ("reserved_delivery", rsv.delivery_ratio().into()),
-                    ("reserved_goodput_kbps", p.reserved_goodput_kbps().into()),
+                    ("reserved_goodput_kbps", reserved.goodput_kbps().into()),
                     ("reserved_p99_ms", rsv.p99_latency_ms().into()),
                     ("be_delivery", be.delivery_ratio().into()),
-                    ("be_goodput_kbps", p.best_effort_goodput_kbps().into()),
+                    ("be_goodput_kbps", best_effort.goodput_kbps().into()),
                     ("be_p99_ms", be.p99_latency_ms().into()),
                     ("retransmits", (rsv.retransmits + be.retransmits).into()),
                     ("timeouts", (rsv.timeouts + be.timeouts).into()),
@@ -221,15 +210,14 @@ fn main() {
                         "service_queue_drops",
                         (rsv.service_queue_drops + be.service_queue_drops).into(),
                     ),
-                    ("completed", (p.reserved_done && p.best_effort_done).into()),
+                    ("completed", (reserved.done && best_effort.done).into()),
                 ]));
             }
-            let last = out.points.last().expect("non-empty sweep");
             saturation.push(Value::obj([
                 ("family", family.name().into()),
                 ("shards", shards.into()),
                 ("saturation_kbps", sat_kbps.into()),
-                ("post_goodput_kbps", last.best_effort_goodput_kbps().into()),
+                ("post_goodput_kbps", post_goodput_kbps.into()),
                 ("reserved_held", reserved_held.into()),
             ]));
         }

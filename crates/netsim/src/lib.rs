@@ -9,11 +9,12 @@
 //!
 //! * [`sim`] — the event engine: nodes, priority links, flows, replay
 //!   adversaries.
-//! * [`scenario`] — ready-made linear topologies and CBR flow plumbing,
-//!   plus the [`EngineScenario`] config that reruns any experiment with
-//!   every router node swapped to another [`EngineFamily`] (the table
-//!   lives in `hummingbird-baselines` and is re-exported here),
-//!   optionally sharded.
+//! * [`scenario`] — experiments as data: a [`Scenario`] (engines,
+//!   topology, service model, flows, failure plan) and the one [`run`]
+//!   that executes it into an [`Outcome`]. The engines are an
+//!   [`EngineScenario`]: every router node runs one [`EngineFamily`]
+//!   (the table lives in `hummingbird-baselines` and is re-exported
+//!   here), optionally sharded. Also the hand-wired [`LinearTopology`].
 //! * [`topo`] — seed-driven Internet-scale topology generation
 //!   (ring-of-PoPs backbones, fat trees, AS hierarchies) over the same
 //!   real-router nodes, with BFS routing and per-family credentials.
@@ -41,19 +42,14 @@ pub use flow::{FlowEvent, FlowEventKind, ReactiveFlow};
 pub use hummingbird_baselines::EngineFamily;
 pub use multipath::{Branch, DiamondTopology};
 pub use scenario::{
-    run_churn_scenario, run_latency_churn_scenario, run_latency_scenario, run_multipath_scenario,
-    run_overload_churn_scenario, run_overload_scenario, run_partial_path_scenario,
-    ChurnScenarioOutcome, ChurnSpec, EngineScenario, LatencyChurnOutcome, LatencyOutcome,
-    LatencySpec, LinearTopology, LinkSpec, MultipathOutcome, OverloadChurnOutcome,
-    OverloadChurnSpec, OverloadOutcome, OverloadPoint, OverloadSpec, PartialPathOutcome,
-    ReactiveProfile,
+    run, run_churn_scenario, ChurnScenarioOutcome, ChurnSpec, EngineScenario, FlowKind,
+    FlowOutcome, FlowSpec, LinearTopology, LinkSpec, Outcome, ReactiveProfile, Route, Scenario,
+    Step, Topology,
 };
 pub use sim::{
     Class, Flow, FlowId, FlowStats, Node, NodeId, ReplayTap, ServiceModel, SimPacket, Simulator,
 };
-pub use topo::{
-    AdjId, Adjacency, BackboneSpec, HierarchySpec, RouterId, TopologyBuilder, TopologyParts,
-};
+pub use topo::{AdjId, Adjacency, BackboneSpec, HierarchySpec, RouterId, TopologyBuilder};
 
 #[cfg(test)]
 mod tests {
@@ -168,26 +164,20 @@ mod tests {
                 let mut topo = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg);
                 topo.install_engines(EngineScenario { family, shards }, cfg);
                 let run_s = 2;
-                let victim = topo.add_family_cbr_flow(
+                let stop_ns = START_NS + run_s * SEC;
+                let victim_flow = FlowSpec::cbr(1000, 2_000, Some(3_000));
+                let victim = topo.add_family_flow(
                     family,
                     src(),
                     dst(),
-                    1000,
-                    2_000,
-                    Some(3_000),
-                    START_NS,
-                    START_NS + run_s * SEC,
-                );
-                let attacker = topo.add_family_cbr_flow(
-                    family,
-                    atk(),
-                    dst(),
-                    1000,
-                    30_000,
                     None,
+                    &victim_flow,
                     START_NS,
-                    START_NS + run_s * SEC,
+                    stop_ns,
                 );
+                let flood = FlowSpec::cbr(1000, 30_000, None);
+                let attacker =
+                    topo.add_family_flow(family, atk(), dst(), None, &flood, START_NS, stop_ns);
                 topo.sim.run_until(START_NS + (run_s + 1) * SEC);
                 let v = topo.sim.stats(victim);
                 let a = topo.sim.stats(attacker);
@@ -234,13 +224,12 @@ mod tests {
         let mut topo = LinearTopology::build(2, link, START_NS, cfg);
         topo.install_engines(EngineScenario { family: EngineFamily::Epic, shards: 1 }, cfg);
         let run_s = 1;
-        let victim = topo.add_family_cbr_flow(
+        let victim = topo.add_family_flow(
             EngineFamily::Epic,
             src(),
             dst(),
-            1000,
-            2_000,
-            Some(2_000),
+            None,
+            &FlowSpec::cbr(1000, 2_000, Some(2_000)),
             START_NS,
             START_NS + run_s * SEC,
         );

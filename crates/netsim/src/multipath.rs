@@ -11,9 +11,13 @@
 //! SCION's path choice is what makes the paper's market liquid (§5.3) and
 //! what creates the on-reservation-set adversary class (§5.1); this
 //! topology lets tests and examples exercise both with real packets.
+//! Engine families, service models and family-credentialed flows come
+//! through a [`Scenario`](crate::Scenario) on
+//! [`Topology::Diamond`](crate::Topology::Diamond); by hand, build paths
+//! with [`DiamondTopology::make_generator`] and the reservation helpers.
 
-use crate::scenario::{EngineScenario, LinkSpec};
-use crate::sim::{Flow, FlowId, NodeId, ServiceModel, Simulator};
+use crate::scenario::{EngineScenario, FlowSpec, LinkSpec};
+use crate::sim::{FlowId, NodeId, ServiceModel, Simulator};
 use hummingbird_baselines::EngineFamily;
 use hummingbird_crypto::{ResInfo, SecretValue};
 use hummingbird_dataplane::{
@@ -22,7 +26,6 @@ use hummingbird_dataplane::{
 use hummingbird_wire::bwcls;
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
-use std::collections::HashMap;
 
 /// Which of the two disjoint branches a path uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,6 +44,19 @@ const BRANCH_EGRESS: u16 = 1;
 const T_INGRESS_P: u16 = 2;
 const T_INGRESS_Q: u16 = 3;
 
+/// Index of the shared AS T in [`DiamondTopology`]'s per-AS arrays
+/// (P is 0, Q is 1).
+const T: usize = 2;
+
+/// One AS's key material.
+struct AsKeys {
+    hop_key: HopMacKey,
+    sv: SecretValue,
+    /// DRKey hierarchy root for the baseline engine families, derived
+    /// from the SV bytes like [`crate::LinearTopology`] derives its own.
+    master: [u8; 16],
+}
+
 /// The assembled diamond.
 pub struct DiamondTopology {
     /// The simulator, wired.
@@ -53,10 +69,8 @@ pub struct DiamondTopology {
     pub as_t: NodeId,
     /// Destination host behind T.
     pub dest: NodeId,
-    keys: HashMap<&'static str, (HopMacKey, SecretValue)>,
-    /// Per-AS DRKey masters for the baseline engine families, derived
-    /// from the SV bytes like [`crate::LinearTopology`] derives its own.
-    masters: HashMap<&'static str, [u8; 16]>,
+    /// Key material of P, Q and T, in that order.
+    keys: [AsKeys; 3],
     info_ts: u32,
     next_res_id: u32,
 }
@@ -67,118 +81,116 @@ impl DiamondTopology {
     /// [`TopologyBuilder`](crate::TopologyBuilder) primitives; only the
     /// branch/T interface convention is owned here.
     pub fn build(link: LinkSpec, start_ns: u64, cfg: RouterConfig) -> Self {
-        let mut keys = HashMap::new();
+        let seeds = [0x11u8, 0x22, 0x33];
         let mut builder = crate::TopologyBuilder::new(start_ns, cfg);
-        let mut ids = Vec::new();
-        for (i, (name, seed)) in [("P", 0x11u8), ("Q", 0x22), ("T", 0x33)].iter().enumerate() {
-            let sv_bytes = [seed ^ 0xFF; 16];
-            keys.insert(*name, (HopMacKey::new([*seed; 16]), SecretValue::new(sv_bytes)));
-            ids.push(builder.add_router_keyed(
-                [*seed; 16],
-                sv_bytes,
+        for (i, seed) in seeds.into_iter().enumerate() {
+            builder.add_router_keyed(
+                [seed; 16],
+                [seed ^ 0xFF; 16],
                 IsdAs::new(1, 0x100 + i as u64),
-            ));
+            );
         }
-        let (p, q, t) = (ids[0], ids[1], ids[2]);
-        builder.attach_host(t);
-        builder.connect_oneway(p, BRANCH_EGRESS, t, link);
-        builder.connect_oneway(q, BRANCH_EGRESS, t, link);
+        builder.attach_host(T);
+        builder.connect_oneway(0, BRANCH_EGRESS, T, link);
+        builder.connect_oneway(1, BRANCH_EGRESS, T, link);
         let parts = builder.into_parts();
-        let masters = ["P", "Q", "T"]
-            .into_iter()
-            .zip(parts.drkey_masters.iter().copied())
-            .collect::<HashMap<_, _>>();
+        let keys = std::array::from_fn(|i| AsKeys {
+            hop_key: HopMacKey::new([seeds[i]; 16]),
+            sv: SecretValue::new([seeds[i] ^ 0xFF; 16]),
+            master: parts.drkey_masters[i],
+        });
         DiamondTopology {
             sim: parts.sim,
-            as_p: parts.router_nodes[p],
-            as_q: parts.router_nodes[q],
-            as_t: parts.router_nodes[t],
-            dest: parts.hosts[t].expect("host attached to T"),
+            as_p: parts.router_nodes[0],
+            as_q: parts.router_nodes[1],
+            as_t: parts.router_nodes[T],
+            dest: parts.hosts[T].expect("host attached to T"),
             keys,
-            masters,
             info_ts: (start_ns / 1_000_000_000) as u32,
             next_res_id: 0,
         }
     }
 
-    fn branch_names(branch: Branch) -> (&'static str, u16) {
+    /// The branch AS's index in the per-AS arrays, and T's ingress
+    /// interface from it.
+    fn branch_as(branch: Branch) -> (usize, u16) {
         match branch {
-            Branch::P => ("P", T_INGRESS_P),
-            Branch::Q => ("Q", T_INGRESS_Q),
+            Branch::P => (0, T_INGRESS_P),
+            Branch::Q => (1, T_INGRESS_Q),
         }
     }
 
+    fn nodes(&self) -> [NodeId; 3] {
+        [self.as_p, self.as_q, self.as_t]
+    }
+
     /// Swaps every router node's engine for `scenario`'s family (sharded
-    /// across `scenario.shards` engines when more than one) — the
-    /// multipath face of the family sweep, mirroring
+    /// across `scenario.shards` engines when more than one), mirroring
     /// [`crate::LinearTopology::install_engines`].
-    pub fn install_engines(&mut self, scenario: EngineScenario, cfg: RouterConfig) {
-        for (name, node) in [("P", self.as_p), ("Q", self.as_q), ("T", self.as_t)] {
-            let (hop_key, sv) = &self.keys[name];
-            let engine = scenario.deploy(sv, hop_key, &self.masters[name], cfg);
+    pub(crate) fn install_engines(&mut self, scenario: EngineScenario, cfg: RouterConfig) {
+        for (k, node) in self.keys.iter().zip(self.nodes()) {
+            let engine = scenario.deploy(&k.sv, &k.hop_key, &k.master, cfg);
             self.sim.replace_engine(node, engine).ok().expect("diamond nodes are routers");
         }
     }
 
     /// Installs `model` on every router node (or clears it with `None`).
-    pub fn set_service_model(&mut self, model: Option<ServiceModel>) {
-        for node in [self.as_p, self.as_q, self.as_t] {
+    pub(crate) fn set_service_model(&mut self, model: Option<ServiceModel>) {
+        for node in self.nodes() {
             self.sim.set_router_service(node, model);
         }
     }
 
-    /// [`add_flow`](DiamondTopology::add_flow) generalized over the
-    /// engine family: `credential_kbps` of `Some(r)` attaches the
-    /// family's credential at both on-path ASes (the branch AS and T);
-    /// `None` sends plain best-effort SCION. Pair with
-    /// [`install_engines`](DiamondTopology::install_engines).
+    /// Adds `flow` over `branch` then T, with `family`'s credential at
+    /// both on-path ASes when `flow.credential_kbps` asks for one. Pair
+    /// with [`install_engines`](DiamondTopology::install_engines).
     #[allow(clippy::too_many_arguments)]
-    pub fn add_family_flow(
+    pub(crate) fn add_family_flow(
         &mut self,
         family: EngineFamily,
         branch: Branch,
         src: IsdAs,
         dst: IsdAs,
-        payload_len: usize,
-        rate_kbps: u64,
-        credential_kbps: Option<u64>,
+        flow: &FlowSpec,
         start_ns: u64,
         stop_ns: u64,
     ) -> FlowId {
-        let (name, t_ingress) = Self::branch_names(branch);
-        let mut reservations = Vec::new();
-        if let Some(r) = credential_kbps {
-            let now_s = start_ns / 1_000_000_000;
-            for (hop, as_name, ingress, egress) in
-                [(0usize, name, 0u16, BRANCH_EGRESS), (1, "T", t_ingress, 0)]
-            {
-                let (_, sv) = &self.keys[as_name];
+        let (b, t_ingress) = Self::branch_as(branch);
+        let mut generator = self.make_generator(branch, src, dst);
+        if let Some(r) = flow.credential_kbps {
+            for (hop, i, ingress, egress) in [(0, b, 0, BRANCH_EGRESS), (1, T, t_ingress, 0)] {
+                let k = &self.keys[i];
                 let credential = family.credential(
-                    sv,
-                    &self.masters[as_name],
+                    &k.sv,
+                    &k.master,
                     ingress,
                     egress,
                     &mut self.next_res_id,
                     src,
                     r,
-                    now_s,
+                    start_ns / 1_000_000_000,
                 );
-                reservations.push((hop, credential));
+                generator.attach_reservation(hop, credential).expect("matching interfaces");
             }
         }
-        self.add_flow(branch, src, dst, payload_len, rate_kbps, reservations, start_ns, stop_ns)
+        let entry = self.nodes()[b];
+        flow.add_to(&mut self.sim, generator, entry, start_ns, stop_ns)
     }
 
     /// A beaconed 2-hop path over `branch` then T.
     pub fn make_generator(&self, branch: Branch, src: IsdAs, dst: IsdAs) -> SourceGenerator {
-        let (name, t_ingress) = Self::branch_names(branch);
+        let (b, t_ingress) = Self::branch_as(branch);
         let hops = vec![
             BeaconHop {
-                key: self.keys[name].0.clone(),
+                key: self.keys[b].hop_key.clone(),
                 cons_ingress: 0,
                 cons_egress: BRANCH_EGRESS,
             },
-            BeaconHop { key: self.keys["T"].0.clone(), cons_ingress: t_ingress, cons_egress: 0 },
+            BeaconHop {
+                key: self.keys[T].hop_key.clone(),
+                cons_ingress: t_ingress,
+                cons_egress: 0,
+            },
         ];
         SourceGenerator::new(src, dst, forge_path(&hops, self.info_ts, 0x5151))
     }
@@ -197,7 +209,7 @@ impl DiamondTopology {
         duration_s: u16,
         shared_res_id: Option<u32>,
     ) -> SourceReservation {
-        let (_, t_ingress) = Self::branch_names(branch);
+        let (_, t_ingress) = Self::branch_as(branch);
         let res_id = shared_res_id.unwrap_or_else(|| {
             let id = self.next_res_id;
             self.next_res_id += 1;
@@ -211,7 +223,7 @@ impl DiamondTopology {
             res_start,
             duration: duration_s,
         };
-        let key = self.keys["T"].1.derive_key(&res_info);
+        let key = self.keys[T].sv.derive_key(&res_info);
         SourceReservation { res_info, key }
     }
 
@@ -223,7 +235,7 @@ impl DiamondTopology {
         res_start: u32,
         duration_s: u16,
     ) -> SourceReservation {
-        let (name, _) = Self::branch_names(branch);
+        let (b, _) = Self::branch_as(branch);
         let id = self.next_res_id;
         self.next_res_id += 1;
         let res_info = ResInfo {
@@ -234,34 +246,8 @@ impl DiamondTopology {
             res_start,
             duration: duration_s,
         };
-        let key = self.keys[name].1.derive_key(&res_info);
+        let key = self.keys[b].sv.derive_key(&res_info);
         SourceReservation { res_info, key }
-    }
-
-    /// Adds a CBR flow over `branch` with optional reservations at the
-    /// branch AS and at T.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_flow(
-        &mut self,
-        branch: Branch,
-        src: IsdAs,
-        dst: IsdAs,
-        payload_len: usize,
-        rate_kbps: u64,
-        reservations: Vec<(usize, SourceReservation)>,
-        start_ns: u64,
-        stop_ns: u64,
-    ) -> FlowId {
-        let mut generator = self.make_generator(branch, src, dst);
-        for (hop, res) in reservations {
-            generator.attach_reservation(hop, res).expect("matching interfaces");
-        }
-        let entry = match branch {
-            Branch::P => self.as_p,
-            Branch::Q => self.as_q,
-        };
-        let interval_ns = (payload_len as u64 * 8).saturating_mul(1_000_000) / rate_kbps.max(1);
-        self.sim.add_flow(Flow { generator, entry, payload_len, interval_ns, start_ns, stop_ns })
     }
 }
 
@@ -273,13 +259,48 @@ mod tests {
     const START_NS: u64 = START_S * 1_000_000_000;
     const SEC: u64 = 1_000_000_000;
 
+    /// A flow over `branch` carrying explicit reservations at the branch
+    /// AS and at T: one `payload_len`-byte packet every 4 ms.
+    fn add_reserved_flow(
+        d: &mut DiamondTopology,
+        branch: Branch,
+        payload_len: usize,
+        reservations: [SourceReservation; 2],
+        stop_ns: u64,
+    ) -> FlowId {
+        let mut generator = d.make_generator(branch, IsdAs::new(1, 1), IsdAs::new(2, 2));
+        for (hop, res) in reservations.into_iter().enumerate() {
+            generator.attach_reservation(hop, res).unwrap();
+        }
+        let entry = d.nodes()[DiamondTopology::branch_as(branch).0];
+        let interval_ns = 4_000_000;
+        d.sim.add_flow(crate::Flow {
+            generator,
+            entry,
+            payload_len,
+            interval_ns,
+            start_ns: START_NS,
+            stop_ns,
+        })
+    }
+
     #[test]
     fn both_branches_deliver() {
         let mut d = DiamondTopology::build(LinkSpec::default(), START_NS, RouterConfig::default());
         let src = IsdAs::new(1, 1);
         let dst = IsdAs::new(2, 2);
-        let p = d.add_flow(Branch::P, src, dst, 500, 1_000, vec![], START_NS, START_NS + SEC);
-        let q = d.add_flow(Branch::Q, src, dst, 500, 1_000, vec![], START_NS, START_NS + SEC);
+        let flow = FlowSpec::cbr(500, 1_000, None);
+        let [p, q] = [Branch::P, Branch::Q].map(|branch| {
+            d.add_family_flow(
+                EngineFamily::Hummingbird,
+                branch,
+                src,
+                dst,
+                &flow,
+                START_NS,
+                START_NS + SEC,
+            )
+        });
         d.sim.run_until(START_NS + 2 * SEC);
         for f in [p, q] {
             let s = d.sim.stats(f);
@@ -292,18 +313,7 @@ mod tests {
         let mut d = DiamondTopology::build(LinkSpec::default(), START_NS, RouterConfig::default());
         let res_branch = d.reservation_at_branch(Branch::P, 2_000, START_S as u32 - 5, u16::MAX);
         let res_t = d.reservation_at_t(Branch::P, 2_000, START_S as u32 - 5, u16::MAX, None);
-        let src = IsdAs::new(1, 1);
-        let dst = IsdAs::new(2, 2);
-        let f = d.add_flow(
-            Branch::P,
-            src,
-            dst,
-            500,
-            1_000,
-            vec![(0, res_branch), (1, res_t)],
-            START_NS,
-            START_NS + SEC,
-        );
+        let f = add_reserved_flow(&mut d, Branch::P, 500, [res_branch, res_t], START_NS + SEC);
         d.sim.run_until(START_NS + 2 * SEC);
         let s = d.sim.stats(f);
         assert!(s.delivery_ratio() > 0.99);
@@ -317,8 +327,6 @@ mod tests {
     #[test]
     fn fig3_adversary_on_q_cannot_touch_p() {
         let mut d = DiamondTopology::build(LinkSpec::default(), START_NS, RouterConfig::default());
-        let src = IsdAs::new(1, 1);
-        let dst = IsdAs::new(2, 2);
         let run = 2 * SEC;
 
         // Full-path reservations for both flows, with *separate*
@@ -327,34 +335,17 @@ mod tests {
         let res_q_branch = d.reservation_at_branch(Branch::Q, 5_000, START_S as u32 - 5, u16::MAX);
         let res_p = d.reservation_at_t(Branch::P, 5_000, START_S as u32 - 5, u16::MAX, None);
         let res_q = d.reservation_at_t(Branch::Q, 5_000, START_S as u32 - 5, u16::MAX, None);
-        let flow_p = d.add_flow(
-            Branch::P,
-            src,
-            dst,
-            1000,
-            2_000,
-            vec![(0, res_p_branch), (1, res_p)],
-            START_NS,
-            START_NS + run,
-        );
-        let flow_q = d.add_flow(
-            Branch::Q,
-            src,
-            dst,
-            1000,
-            2_000,
-            vec![(0, res_q_branch), (1, res_q)],
-            START_NS,
-            START_NS + run,
-        );
+        let flow_p =
+            add_reserved_flow(&mut d, Branch::P, 1000, [res_p_branch, res_p], START_NS + run);
+        let flow_q =
+            add_reserved_flow(&mut d, Branch::Q, 1000, [res_q_branch, res_q], START_NS + run);
         // Congestion on the shared links.
-        let _flood = d.add_flow(
+        let _flood = d.add_family_flow(
+            EngineFamily::Hummingbird,
             Branch::P,
             IsdAs::new(6, 6),
-            dst,
-            1000,
-            30_000,
-            vec![],
+            IsdAs::new(2, 2),
+            &FlowSpec::cbr(1000, 30_000, None),
             START_NS,
             START_NS + run,
         );

@@ -1,29 +1,26 @@
-//! Scenario builders: linear AS topologies with Hummingbird routers,
-//! ready-made flows, and reservation plumbing for the QoS experiments —
-//! plus the [`EngineScenario`] config that reruns any experiment with
-//! every node swapped to another row of the engine-family table
-//! ([`EngineFamily`], owned by `hummingbird-baselines`), optionally
-//! sharded, and the ready-made experiment runners
-//! ([`run_latency_scenario`], [`run_partial_path_scenario`],
-//! [`run_multipath_scenario`]) behind the Fig. 3/4-style per-family
-//! sweeps.
+//! Experiments as data: a [`Scenario`] names the engines every router
+//! runs ([`EngineScenario`], a row of the engine-family table owned by
+//! `hummingbird-baselines`, optionally sharded), the [`Topology`], the
+//! router [`ServiceModel`], the flows (open-loop CBR or closed-loop
+//! [`ReactiveFlow`] senders, see [`FlowSpec`]) and a timed failure plan,
+//! and one [`run`] executes any of them into an [`Outcome`]. The Fig. 3/4
+//! latency run, its partial-path and multipath variants, the overload
+//! sweep and the churned backbone runs are all values of this one type;
+//! the shapes with more than one caller have constructors
+//! ([`Scenario::latency`], [`Scenario::overload_sweep`], and
+//! [`run_churn_scenario`] for the backbone churn run the benchmark
+//! drives).
 //!
-//! The overload layer drives closed-loop [`ReactiveFlow`] senders
-//! instead of open-loop CBR injectors: [`run_overload_scenario`] sweeps
-//! offered load through and past a bottleneck's saturation point with
-//! every queue bounded, [`run_overload_churn_scenario`] combines
-//! saturation with a mid-run link failure and a convergence delay before
-//! the reroute pass (retransmit-driven recovery), and
-//! [`run_latency_churn_scenario`] replays the latency experiment under a
-//! [`ChurnPlan`]-scheduled failure. The per-router service cost
-//! (`service_per_pkt_ns`) is an input of every spec; the bench binaries
-//! that want each family to pay its own measured datapath cost read it
-//! from `BENCH_hotpath.json` themselves.
+//! Also here: [`LinearTopology`], the hand-wired AS chain with its
+//! reservation plumbing. The per-router service cost is plain scenario
+//! data; the bench binaries that want each family to pay its own
+//! measured datapath cost read it from `BENCH_hotpath.json` themselves.
 
-use crate::churn::{apply_action, run_with_churn, ChurnAction, ChurnPlan, ChurnReport};
+use crate::churn::{apply_action, ChurnAction, ChurnReport};
 use crate::flow::{FlowEventKind, ReactiveFlow};
+use crate::multipath::{Branch, DiamondTopology};
 use crate::sim::{Flow, FlowId, FlowStats, NodeId, ServiceModel, Simulator};
-use crate::topo::{AdjId, BackboneSpec, TopologyBuilder};
+use crate::topo::{AdjId, BackboneSpec, RouterId, TopologyBuilder};
 use hummingbird_baselines::EngineFamily;
 use hummingbird_crypto::{ResInfo, SecretValue};
 use hummingbird_dataplane::{
@@ -35,13 +32,14 @@ use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
 use rand::{rngs::StdRng, Rng as _, SeedableRng as _};
 
+const SEC: u64 = 1_000_000_000;
+
 /// One rerun configuration of a QoS/DoS experiment: which engine family
 /// every router node runs, and across how many shards.
 ///
-/// Apply with [`LinearTopology::install_engines`] (or
-/// [`DiamondTopology::install_engines`](crate::DiamondTopology::install_engines));
-/// attach matching per-hop credentials to flows with
-/// [`LinearTopology::add_family_cbr_flow`].
+/// A [`Scenario`]'s `engines`; by hand, apply with
+/// [`LinearTopology::install_engines`] and attach matching per-hop
+/// credentials to flows with [`LinearTopology::add_family_flow`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineScenario {
     /// The engine family under test.
@@ -305,10 +303,10 @@ impl LinearTopology {
         SourceReservation { res_info, key }
     }
 
-    /// Adds a CBR flow over the full chain. `reserved_kbps` of `Some(r)`
-    /// attaches reservations of rate `r` on *every* hop; `None` sends best
-    /// effort. (The Hummingbird special case of
-    /// [`add_family_cbr_flow`](LinearTopology::add_family_cbr_flow).)
+    /// A Hummingbird CBR flow over the full chain: `reserved_kbps` of
+    /// `Some(r)` attaches reservations of rate `r` on *every* hop; `None`
+    /// sends best effort. (The Hummingbird case of
+    /// [`add_family_flow`](LinearTopology::add_family_flow).)
     #[allow(clippy::too_many_arguments)]
     pub fn add_cbr_flow(
         &mut self,
@@ -320,16 +318,8 @@ impl LinearTopology {
         start_ns: u64,
         stop_ns: u64,
     ) -> FlowId {
-        self.add_family_cbr_flow(
-            EngineFamily::Hummingbird,
-            src,
-            dst,
-            payload_len,
-            rate_kbps,
-            reserved_kbps,
-            start_ns,
-            stop_ns,
-        )
+        let flow = FlowSpec::cbr(payload_len, rate_kbps, reserved_kbps);
+        self.add_family_flow(EngineFamily::Hummingbird, src, dst, None, &flow, start_ns, stop_ns)
     }
 
     /// The [`EngineFamily::credential`] a `family` sender `src` attaches
@@ -359,117 +349,39 @@ impl LinearTopology {
         )
     }
 
-    /// [`add_cbr_flow`](LinearTopology::add_cbr_flow) generalized over
-    /// the engine family: `credential_kbps` of `Some(r)` attaches the
-    /// family's per-hop credential on *every* hop (reservation keys,
-    /// Helia grants, or DRKey/EPIC source keys); `None` sends plain
-    /// best-effort SCION. Pair with
+    /// Adds `flow` from sender `src` over the full chain to `dst`'s host,
+    /// sending from `start_ns` (until `stop_ns` if it is CBR). A credential (`flow.credential_kbps`) is `family`'s per-hop
+    /// credential on every hop (reservation keys, Helia grants, or
+    /// DRKey/EPIC source keys), or only on `credential_hop` when set —
+    /// the partial-path shape (§3.3 ❸): reserve (or authenticate) the
+    /// congested hop and ride best effort elsewhere. Pair with
     /// [`install_engines`](LinearTopology::install_engines) so routers
     /// and senders agree on the key hierarchy.
     #[allow(clippy::too_many_arguments)]
-    pub fn add_family_cbr_flow(
+    pub fn add_family_flow(
         &mut self,
         family: EngineFamily,
         src: IsdAs,
         dst: IsdAs,
-        payload_len: usize,
-        rate_kbps: u64,
-        credential_kbps: Option<u64>,
-        start_ns: u64,
-        stop_ns: u64,
-    ) -> FlowId {
-        let hops: Vec<usize> = (0..self.n_ases()).collect();
-        self.add_family_cbr_flow_on_hops(
-            family,
-            src,
-            dst,
-            payload_len,
-            rate_kbps,
-            credential_kbps,
-            &hops,
-            start_ns,
-            stop_ns,
-        )
-    }
-
-    /// [`add_family_cbr_flow`](LinearTopology::add_family_cbr_flow) with
-    /// the credential attached only on `credential_hops` — the partial-
-    /// path shape (§3.3 ❸): reserve (or authenticate) exactly the
-    /// congested hop and ride best effort elsewhere.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_family_cbr_flow_on_hops(
-        &mut self,
-        family: EngineFamily,
-        src: IsdAs,
-        dst: IsdAs,
-        payload_len: usize,
-        rate_kbps: u64,
-        credential_kbps: Option<u64>,
-        credential_hops: &[usize],
+        credential_hop: Option<usize>,
+        flow: &FlowSpec,
         start_ns: u64,
         stop_ns: u64,
     ) -> FlowId {
         let mut generator = self.make_generator(src, dst);
-        if let Some(r) = credential_kbps {
-            let now_s = start_ns / 1_000_000_000;
-            for &hop in credential_hops {
-                let credential = self.make_family_credential(family, hop, src, r, now_s);
+        if let Some(r) = flow.credential_kbps {
+            let hops = credential_hop.map_or(0..self.n_ases(), |h| h..h + 1);
+            for hop in hops {
+                let credential = self.make_family_credential(family, hop, src, r, start_ns / SEC);
                 generator.attach_reservation(hop, credential).expect("matching interfaces");
             }
         }
-        let interval_ns = (payload_len as u64 * 8).saturating_mul(1_000_000) / rate_kbps.max(1);
-        let entry = self.as_nodes[0];
-        self.sim.add_flow(Flow { generator, entry, payload_len, interval_ns, start_ns, stop_ns })
-    }
-
-    /// The closed-loop counterpart of
-    /// [`add_family_cbr_flow`](LinearTopology::add_family_cbr_flow): a
-    /// windowed, ack-clocked [`ReactiveFlow`] pacing new packets at
-    /// `rate_kbps` until `total_pkts` distinct sequence numbers are
-    /// acked or abandoned. `credential_kbps` attaches the family's
-    /// per-hop credential on every hop exactly as the CBR variant does.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_family_reactive_flow(
-        &mut self,
-        family: EngineFamily,
-        src: IsdAs,
-        dst: IsdAs,
-        payload_len: usize,
-        rate_kbps: u64,
-        credential_kbps: Option<u64>,
-        total_pkts: u64,
-        profile: ReactiveProfile,
-        start_ns: u64,
-    ) -> FlowId {
-        let mut generator = self.make_generator(src, dst);
-        if let Some(r) = credential_kbps {
-            let now_s = start_ns / 1_000_000_000;
-            for hop in 0..self.n_ases() {
-                let credential = self.make_family_credential(family, hop, src, r, now_s);
-                generator.attach_reservation(hop, credential).expect("matching interfaces");
-            }
-        }
-        let pacing_ns = (payload_len as u64 * 8).saturating_mul(1_000_000) / rate_kbps.max(1);
-        let entry = self.as_nodes[0];
-        self.sim.add_reactive_flow(ReactiveFlow {
-            generator,
-            entry,
-            payload_len,
-            total_pkts,
-            window: profile.window.max(1),
-            pacing_ns,
-            ack_delay_ns: profile.ack_delay_ns,
-            rto_ns: profile.rto_ns,
-            rto_max_ns: profile.rto_max_ns,
-            max_retransmits: profile.max_retransmits,
-            start_ns,
-        })
+        flow.add_to(&mut self.sim, generator, self.as_nodes[0], start_ns, stop_ns)
     }
 }
 
-/// Retransmission and window knobs of a closed-loop sender, shared by
-/// the overload runners (the rate-derived knobs — pacing interval and
-/// total packet count — are computed from the offered load).
+/// Retransmission and window knobs of a closed-loop sender (its pacing
+/// and packet budget come from the [`FlowSpec`] it belongs to).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReactiveProfile {
     /// Maximum unacknowledged packets in flight (≥ 1).
@@ -501,265 +413,503 @@ impl Default for ReactiveProfile {
     }
 }
 
-/// The fixed cast of the ready-made experiment runners.
-const VICTIM_SRC: (u16, u64) = (1, 0xa);
-const DEST: (u16, u64) = (2, 0xb);
-const ATTACKER_SRC: (u16, u64) = (3, 0xc);
-
-fn victim_src() -> IsdAs {
-    IsdAs::new(VICTIM_SRC.0, VICTIM_SRC.1)
-}
-fn dest() -> IsdAs {
-    IsdAs::new(DEST.0, DEST.1)
-}
-fn attacker_src() -> IsdAs {
-    IsdAs::new(ATTACKER_SRC.0, ATTACKER_SRC.1)
-}
-
-/// Knobs of a Fig. 3/4-style end-to-end latency run: one credentialed
-/// victim CBR flow over an `n_ases` chain, optionally against a
-/// best-effort flood, with every router running `scenario`'s engine
-/// family under the sharded-runtime service model.
-#[derive(Clone, Copy, Debug)]
-pub struct LatencySpec {
-    /// Engine family + shard deployment every router node runs.
-    pub scenario: EngineScenario,
-    /// Chain length (ASes).
-    pub n_ases: usize,
-    /// Link parameters (the bottleneck axis).
-    pub link: LinkSpec,
-    /// Victim CBR rate, kbps.
-    pub victim_kbps: u64,
-    /// Credential (reservation/grant) rate attached on every hop, kbps.
-    pub credential_kbps: u64,
-    /// Victim payload bytes per packet.
+/// What a flow sends, on any topology: packet size, rate, the per-hop
+/// credential, and whether it is open or closed loop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FlowSpec {
+    /// Payload bytes per packet.
     pub payload_len: usize,
-    /// Best-effort flood rate, kbps (`0` = uncontended).
-    pub flood_kbps: u64,
-    /// Per-router, per-core datapath service time, ns (`0` =
-    /// instantaneous forwarding). The deployed core count is
-    /// `scenario.shards`, so a 4-shard deployment drains its ingress 4
-    /// packets at a time — the latency face of the multi-queue runtime.
-    pub service_per_pkt_ns: u64,
-    /// Run length, seconds.
+    /// Sending rate, kbps: the CBR rate, or a closed loop's pacing of
+    /// new packets.
+    pub rate_kbps: u64,
+    /// Credential (reservation/grant/key) rate attached per hop, kbps;
+    /// `None` sends plain best-effort SCION.
+    pub credential_kbps: Option<u64>,
+    /// Open or closed loop.
+    pub kind: FlowKind,
+}
+
+/// How a [`FlowSpec`] reacts to the network.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FlowKind {
+    /// Open loop: one packet per interval until the stop time, whatever
+    /// happens to them.
+    Cbr,
+    /// A windowed, ack-clocked [`ReactiveFlow`] that runs until
+    /// `total_pkts` distinct sequence numbers are acked or abandoned.
+    ClosedLoop {
+        /// Distinct packets to deliver.
+        total_pkts: u64,
+        /// Window and retransmission knobs.
+        profile: ReactiveProfile,
+    },
+}
+
+impl FlowSpec {
+    /// An open-loop CBR flow.
+    pub const fn cbr(payload_len: usize, rate_kbps: u64, credential_kbps: Option<u64>) -> Self {
+        FlowSpec { payload_len, rate_kbps, credential_kbps, kind: FlowKind::Cbr }
+    }
+
+    /// Registers this flow on `sim` with its path already in
+    /// `generator`, entering at `entry` from `start_ns`. `stop_ns` ends a
+    /// CBR flow; a closed loop ends when its budget terminates.
+    pub(crate) fn add_to(
+        &self,
+        sim: &mut Simulator,
+        generator: SourceGenerator,
+        entry: NodeId,
+        start_ns: u64,
+        stop_ns: u64,
+    ) -> FlowId {
+        let payload_len = self.payload_len;
+        let interval_ns =
+            (payload_len as u64 * 8).saturating_mul(1_000_000) / self.rate_kbps.max(1);
+        match self.kind {
+            FlowKind::Cbr => {
+                sim.add_flow(Flow { generator, entry, payload_len, interval_ns, start_ns, stop_ns })
+            }
+            FlowKind::ClosedLoop { total_pkts, profile } => sim.add_reactive_flow(ReactiveFlow {
+                generator,
+                entry,
+                payload_len,
+                total_pkts,
+                window: profile.window.max(1),
+                pacing_ns: interval_ns,
+                ack_delay_ns: profile.ack_delay_ns,
+                rto_ns: profile.rto_ns,
+                rto_max_ns: profile.rto_max_ns,
+                max_retransmits: profile.max_retransmits,
+                start_ns,
+            }),
+        }
+    }
+}
+
+/// The network a [`Scenario`] runs on.
+#[derive(Clone, Copy, Debug)]
+pub enum Topology {
+    /// A [`LinearTopology`] of `n_ases` with uniform `link`s; `narrow`
+    /// re-rates one link `(index, bits per second)` into the bottleneck.
+    Chain {
+        /// Chain length (ASes).
+        n_ases: usize,
+        /// Link parameters.
+        link: LinkSpec,
+        /// One link to re-rate after building.
+        narrow: Option<(usize, u64)>,
+    },
+    /// The Fig. 3 [`DiamondTopology`] with uniform links.
+    Diamond(LinkSpec),
+    /// A generated ring-of-PoPs backbone — the only topology a failure
+    /// plan can act on.
+    Backbone(BackboneSpec),
+}
+
+/// Where a scenario flow runs; each variant belongs to one [`Topology`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// The whole chain, from sender `src` to `dst`'s host (see
+    /// [`LinearTopology::add_family_flow`] for `credential_hop`).
+    Chain {
+        /// Sender identity.
+        src: IsdAs,
+        /// Destination identity.
+        dst: IsdAs,
+        /// Credential on this hop only; `None` = every hop.
+        credential_hop: Option<usize>,
+    },
+    /// One diamond branch, then the shared AS T.
+    Diamond {
+        /// The branch.
+        branch: Branch,
+        /// Sender identity.
+        src: IsdAs,
+        /// Destination identity.
+        dst: IsdAs,
+    },
+    /// Backbone router `from` to router `to`'s host, by BFS, from a fresh
+    /// sender identity.
+    Backbone {
+        /// Entry router.
+        from: RouterId,
+        /// Router whose host receives.
+        to: RouterId,
+    },
+}
+
+/// One step of a [`Scenario`]'s failure plan, resolved against the live
+/// backbone when it applies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Take down the first `links` adjacencies of scenario flow `flow`'s
+    /// current path, padded with further lane-0 ring links (PoP `p`'s
+    /// first router to PoP `p + 1`'s) when the path is shorter.
+    FailPath {
+        /// Index into [`Scenario::flows`].
+        flow: usize,
+        /// Adjacencies to fail.
+        links: usize,
+    },
+    /// Re-path every active flow that crosses a downed adjacency
+    /// ([`ChurnAction::RerouteAffected`]).
+    Reroute,
+    /// Cold-reboot the router halfway along scenario flow `flow`'s
+    /// current path (skipped on a path of two routers or fewer).
+    RebootMidPath {
+        /// Index into [`Scenario::flows`].
+        flow: usize,
+    },
+}
+
+/// One experiment as data; [`run`] executes it.
+#[derive(Clone, Debug)]
+pub struct Scenario {
+    /// Engine family + shard deployment every router runs.
+    pub engines: EngineScenario,
+    /// The network.
+    pub topology: Topology,
+    /// Service model installed on every router (`None` = instantaneous
+    /// forwarding).
+    pub service: Option<ServiceModel>,
+    /// The flows, added in order (which fixes flow ids, sender
+    /// identities and ResIDs).
+    pub flows: Vec<(Route, FlowSpec)>,
+    /// The failure plan: `(ns after the start, step)`; steps sharing an
+    /// instant apply in list order.
+    pub plan: Vec<(u64, Step)>,
+    /// Sending window, seconds: CBR flows stop here (see [`run`] for how
+    /// long the run drains past it).
     pub run_s: u64,
 }
 
-impl LatencySpec {
-    /// The default Fig. 3/4 shape: a 3-AS chain of 10 Mbps bottleneck
-    /// links, a 2 Mbps victim with 3 Mbps credentials, no flood, and the
-    /// paper's ~300 ns/pkt single-core router budget.
-    pub fn new(scenario: EngineScenario) -> Self {
-        LatencySpec {
-            scenario,
-            n_ases: 3,
-            link: LinkSpec::default(),
-            victim_kbps: 2_000,
-            credential_kbps: 3_000,
-            payload_len: 1_000,
-            flood_kbps: 0,
-            service_per_pkt_ns: 300,
+/// The sender identities of the chain shapes.
+const VICTIM: IsdAs = IsdAs::new(1, 0xa);
+const DEST: IsdAs = IsdAs::new(2, 0xb);
+const ATTACKER: IsdAs = IsdAs::new(3, 0xc);
+
+fn chain_route(src: IsdAs) -> Route {
+    Route::Chain { src, dst: DEST, credential_hop: None }
+}
+
+impl Scenario {
+    /// The Fig. 3/4 latency shape: a 3-AS chain of default 10 Mbps
+    /// links whose routers serve 300 ns/pkt (the paper's single-core
+    /// budget) on `engines.shards` cores, a 2 Mbps victim with 3 Mbps
+    /// credentials on every hop, and a `flood_kbps` best-effort flood
+    /// (none at 0), sending for 2 s. Under flood the reservation families
+    /// hold the victim's latency at the uncontended level, the
+    /// authentication-only families leave it queueing behind the flood.
+    pub fn latency(engines: EngineScenario, flood_kbps: u64) -> Self {
+        let mut flows = vec![(chain_route(VICTIM), FlowSpec::cbr(1_000, 2_000, Some(3_000)))];
+        if flood_kbps > 0 {
+            flows.push((chain_route(ATTACKER), FlowSpec::cbr(1_000, flood_kbps, None)));
+        }
+        Scenario {
+            engines,
+            topology: Topology::Chain { n_ases: 3, link: LinkSpec::default(), narrow: None },
+            service: Some(ServiceModel::new(300, engines.shards)),
+            flows,
+            plan: Vec::new(),
             run_s: 2,
         }
     }
 
-    /// The same spec with a `flood_kbps` best-effort flood.
-    pub fn with_flood(mut self, flood_kbps: u64) -> Self {
-        self.flood_kbps = flood_kbps;
-        self
+    /// The overload sweep, one scenario per best-effort offered load
+    /// (4, 8, 16 and 20 Mbps; the ≈ 8 Mbps leftover capacity sits between
+    /// the second and third): a 2 Mbps closed-loop reserved flow with
+    /// 3 Mbps credentials and a closed-loop best-effort flow over a 3-AS
+    /// chain of 10 Mbps links. Every queue is bounded — 16 KiB per link
+    /// class, shallower than the senders' windows so overload drops and
+    /// the loops retransmit, and 128 packets per router — so past
+    /// saturation the reservation families hold the reserved flow's
+    /// goodput and p99 while best effort degrades into named drop
+    /// counters. Each flow's budget is its rate over 1 s, capped at
+    /// `max_pkts` when nonzero.
+    pub fn overload_sweep(engines: EngineScenario, max_pkts: u64) -> Vec<Self> {
+        let closed = |rate_kbps: u64, credential_kbps| {
+            let total_pkts = (rate_kbps * 125 / 1_000).max(1);
+            FlowSpec {
+                payload_len: 1_000,
+                rate_kbps,
+                credential_kbps,
+                kind: FlowKind::ClosedLoop {
+                    total_pkts: if max_pkts > 0 { total_pkts.min(max_pkts) } else { total_pkts },
+                    profile: ReactiveProfile::default(),
+                },
+            }
+        };
+        let link = LinkSpec { queue_cap_bytes: 16 * 1024, ..LinkSpec::default() };
+        let service = ServiceModel { per_pkt_ns: 300, shards: engines.shards, queue_pkts: 128 };
+        [4_000, 8_000, 16_000, 20_000]
+            .map(|offered_kbps| Scenario {
+                engines,
+                topology: Topology::Chain { n_ases: 3, link, narrow: None },
+                service: Some(service),
+                flows: vec![
+                    (chain_route(VICTIM), closed(2_000, Some(3_000))),
+                    (chain_route(ATTACKER), closed(offered_kbps, None)),
+                ],
+                plan: Vec::new(),
+                run_s: 1,
+            })
+            .to_vec()
     }
 }
 
-/// What a [`run_latency_scenario`] measured.
-#[derive(Clone, Debug)]
-pub struct LatencyOutcome {
-    /// The credentialed victim flow.
-    pub victim: FlowStats,
-    /// The best-effort flood, when one ran.
-    pub flood: Option<FlowStats>,
-    /// Engine counters of the entry router (authentication sanity: the
-    /// victim must never lose packets to MAC verification).
-    pub entry_stats: DatapathStats,
+/// What [`run`] measured. `PartialEq` so same-seed runs can be asserted
+/// bit-identical wholesale.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Outcome {
+    /// One per [`Scenario::flows`] entry, in order.
+    pub flows: Vec<FlowOutcome>,
+    /// Every router's engine counters at the end (chain: AS order;
+    /// diamond: P, Q, T; backbone: router id order).
+    pub routers: Vec<DatapathStats>,
+    /// Bidirectional adjacencies of a backbone (0 on the chain and the
+    /// diamond).
+    pub adjacencies: usize,
+    /// The applied failure plan with per-action effects.
+    pub report: ChurnReport,
+    /// Simulator events processed over the whole run.
+    pub events: u64,
 }
 
-/// Runs the Fig. 3/4-style latency experiment for one `spec`: build the
-/// chain, install the family engines (sharded per the scenario) and the
-/// service model, run victim + optional flood, and report per-flow
-/// latency/delivery. The contrast the sweep surfaces: under flood, the
-/// reservation families hold the victim's latency at the uncontended
-/// level while the authentication-only families leave it queueing behind
-/// the flood in the best-effort class.
-pub fn run_latency_scenario(
-    cfg: RouterConfig,
-    spec: &LatencySpec,
-    start_ns: u64,
-) -> LatencyOutcome {
-    let mut topo = LinearTopology::build(spec.n_ases, spec.link, start_ns, cfg);
-    topo.install_engines(spec.scenario, cfg);
-    if spec.service_per_pkt_ns > 0 {
-        topo.set_service_model(Some(ServiceModel::new(
-            spec.service_per_pkt_ns,
-            spec.scenario.shards,
-        )));
+/// One flow's counters over a [`run`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FlowOutcome {
+    /// Cumulative counters at each distinct plan instant, in time order
+    /// (see [`window`](FlowOutcome::window)).
+    pub at: Vec<FlowStats>,
+    /// Counters at the end of the run.
+    pub total: FlowStats,
+    /// Whether the flow terminated (always for CBR; `false` flags a
+    /// livelocked closed loop).
+    pub done: bool,
+    /// Simulated time from the start to the flow's `Completed` event,
+    /// ns, or to the end of the run if it has none — past saturation a
+    /// closed loop delivers everything *eventually*, so collapse shows
+    /// up here, not in the delivery ratio.
+    pub elapsed_ns: u64,
+}
+
+impl FlowOutcome {
+    /// The flow's counters over window `i`. The plan instants split the
+    /// run into windows: window `0` runs from the start to the first
+    /// instant, window `i` from instant `i − 1` to instant `i`, and
+    /// window `at.len()` from the last instant to the end. A window ends
+    /// *before* the steps at its instant apply, so the packets a link
+    /// failure at `t` drains from its queues, and a reroute's
+    /// [`reroutes`](FlowStats::reroutes) bump, count in the window that
+    /// starts at `t`.
+    pub fn window(&self, i: usize) -> FlowStats {
+        let end = self.at.get(i).unwrap_or(&self.total);
+        match i.checked_sub(1) {
+            Some(j) => end.since(&self.at[j]),
+            None => *end,
+        }
     }
-    let sec = 1_000_000_000u64;
-    let stop_ns = start_ns + spec.run_s * sec;
-    let victim = topo.add_family_cbr_flow(
-        spec.scenario.family,
-        victim_src(),
-        dest(),
-        spec.payload_len,
-        spec.victim_kbps,
-        Some(spec.credential_kbps),
-        start_ns,
-        stop_ns,
-    );
-    let flood = (spec.flood_kbps > 0).then(|| {
-        topo.add_family_cbr_flow(
-            spec.scenario.family,
-            attacker_src(),
-            dest(),
-            spec.payload_len,
-            spec.flood_kbps,
-            None,
-            start_ns,
-            stop_ns,
-        )
-    });
-    topo.sim.run_until(stop_ns + sec);
-    LatencyOutcome {
-        victim: topo.sim.stats(victim),
-        flood: flood.map(|f| topo.sim.stats(f)),
-        entry_stats: topo.sim.router_stats(topo.as_nodes[0]).expect("entry is a router"),
+
+    /// Delivered goodput over [`elapsed_ns`](FlowOutcome::elapsed_ns),
+    /// kbps (`0.0` on an empty run).
+    pub fn goodput_kbps(&self) -> f64 {
+        if self.elapsed_ns == 0 {
+            return 0.0;
+        }
+        (self.total.delivered_bytes as f64 * 8.0) / (self.elapsed_ns as f64 / 1_000_000.0)
     }
 }
 
-/// What a [`run_partial_path_scenario`] measured.
-#[derive(Clone, Debug)]
-pub struct PartialPathOutcome {
-    /// The victim, credentialed on the middle hop only.
-    pub victim: FlowStats,
-    /// Engine counters per hop: `flyover` shows exactly where priority
-    /// rode (the middle hop for the reservation families, nowhere for
-    /// the authentication-only ones).
-    pub per_hop: Vec<DatapathStats>,
+/// A built [`Topology`].
+enum Net {
+    Chain(LinearTopology),
+    Diamond(Box<DiamondTopology>),
+    Backbone(TopologyBuilder, BackboneSpec),
 }
 
-/// The partial-path variant (§3.3 ❸) of the family sweep: a 3-AS chain
-/// whose *middle* hop's egress link is narrowed to the 10 Mbps
-/// bottleneck (the other links have 10× headroom), a flood across the
-/// whole path, and a victim holding a credential only at that middle
-/// hop. Reservation families protect the victim with that single hop's
-/// priority; authentication-only families validate it there and still
-/// lose it to the flooded queue.
-pub fn run_partial_path_scenario(
-    cfg: RouterConfig,
-    scenario: EngineScenario,
-    service_per_pkt_ns: u64,
-    start_ns: u64,
-) -> PartialPathOutcome {
-    let sec = 1_000_000_000u64;
-    let run_s = 2u64;
-    // Uniform 100 Mbps links, then narrow the middle hop's egress to the
-    // 10 Mbps bottleneck: the only contested queue is the one the victim
-    // holds a credential for.
-    let fat = LinkSpec { bandwidth_bps: 100_000_000, ..Default::default() };
-    let mut topo = LinearTopology::build(3, fat, start_ns, cfg);
-    topo.sim.set_link_bandwidth(topo.links[1], 10_000_000);
-    topo.install_engines(scenario, cfg);
-    if service_per_pkt_ns > 0 {
-        topo.set_service_model(Some(ServiceModel::new(service_per_pkt_ns, scenario.shards)));
+impl Net {
+    fn build(topology: &Topology, start_ns: u64, cfg: RouterConfig) -> Self {
+        match *topology {
+            Topology::Chain { n_ases, link, narrow } => {
+                let mut t = LinearTopology::build(n_ases, link, start_ns, cfg);
+                if let Some((i, bps)) = narrow {
+                    t.sim.set_link_bandwidth(t.links[i], bps);
+                }
+                Net::Chain(t)
+            }
+            Topology::Diamond(link) => {
+                Net::Diamond(Box::new(DiamondTopology::build(link, start_ns, cfg)))
+            }
+            Topology::Backbone(spec) => {
+                Net::Backbone(TopologyBuilder::ring_of_pops(&spec, start_ns, cfg), spec)
+            }
+        }
     }
-    let stop_ns = start_ns + run_s * sec;
-    // Credential on hop 1 (the middle AS) only.
-    let victim = topo.add_family_cbr_flow_on_hops(
-        scenario.family,
-        victim_src(),
-        dest(),
-        1_000,
-        2_000,
-        Some(3_000),
-        &[1],
-        start_ns,
-        stop_ns,
-    );
-    // The flood reaches hop 1's egress queue too: 2× the bottleneck.
-    let _flood = topo.add_family_cbr_flow(
-        scenario.family,
-        attacker_src(),
-        dest(),
-        1_000,
-        20_000,
-        None,
-        start_ns,
-        stop_ns,
-    );
-    topo.sim.run_until(stop_ns + sec);
-    let per_hop =
-        topo.as_nodes.iter().map(|&n| topo.sim.router_stats(n).expect("router")).collect();
-    PartialPathOutcome { victim: topo.sim.stats(victim), per_hop }
+
+    fn sim(&mut self) -> &mut Simulator {
+        match self {
+            Net::Chain(t) => &mut t.sim,
+            Net::Diamond(t) => &mut t.sim,
+            Net::Backbone(t, _) => &mut t.sim,
+        }
+    }
+
+    fn router_nodes(&self) -> Vec<NodeId> {
+        match self {
+            Net::Chain(t) => t.as_nodes.clone(),
+            Net::Diamond(t) => vec![t.as_p, t.as_q, t.as_t],
+            Net::Backbone(t, _) => (0..t.n_routers()).map(|r| t.router_node(r)).collect(),
+        }
+    }
+
+    fn install(
+        &mut self,
+        engines: EngineScenario,
+        cfg: RouterConfig,
+        service: Option<ServiceModel>,
+    ) {
+        match self {
+            Net::Chain(t) => {
+                t.install_engines(engines, cfg);
+                t.set_service_model(service);
+            }
+            Net::Diamond(t) => {
+                t.install_engines(engines, cfg);
+                t.set_service_model(service);
+            }
+            Net::Backbone(t, _) => {
+                t.install_engines(engines, cfg);
+                t.set_service_model(service);
+            }
+        }
+    }
+
+    fn add_flow(
+        &mut self,
+        family: EngineFamily,
+        route: Route,
+        flow: &FlowSpec,
+        start_ns: u64,
+        stop_ns: u64,
+    ) -> FlowId {
+        match (self, route) {
+            (Net::Chain(t), Route::Chain { src, dst, credential_hop }) => {
+                t.add_family_flow(family, src, dst, credential_hop, flow, start_ns, stop_ns)
+            }
+            (Net::Diamond(t), Route::Diamond { branch, src, dst }) => {
+                t.add_family_flow(family, branch, src, dst, flow, start_ns, stop_ns)
+            }
+            (Net::Backbone(t, _), Route::Backbone { from, to }) => {
+                t.add_family_flow(family, from, to, flow, start_ns, stop_ns)
+            }
+            (_, route) => panic!("{route:?} does not run on this topology"),
+        }
+    }
+
+    /// Applies one plan step now, recording each action into `report`.
+    fn apply(&mut self, step: Step, flows: &[FlowId], report: &mut ChurnReport) {
+        let Net::Backbone(t, spec) = self else {
+            panic!("a failure plan needs a backbone topology");
+        };
+        let path = |t: &TopologyBuilder, flow: usize| {
+            t.route_of(flows[flow]).expect("scenario flows are routed").to_vec()
+        };
+        match step {
+            Step::FailPath { flow, links } => {
+                let rpp = spec.routers_per_pop;
+                let lane0 =
+                    (0..spec.pops - 1).filter_map(|p| t.adjacency_between(p * rpp, (p + 1) * rpp));
+                let mut adjs: Vec<AdjId> = Vec::with_capacity(links);
+                let on_path: Vec<AdjId> = path(t, flow)
+                    .windows(2)
+                    .filter_map(|w| t.adjacency_between(w[0], w[1]))
+                    .collect();
+                for adj in on_path.into_iter().chain(lane0) {
+                    if adjs.len() < links && !adjs.contains(&adj) {
+                        adjs.push(adj);
+                    }
+                }
+                for adj in adjs {
+                    report.records.push(apply_action(t, ChurnAction::LinkDown(adj)));
+                }
+            }
+            Step::Reroute => report.records.push(apply_action(t, ChurnAction::RerouteAffected)),
+            Step::RebootMidPath { flow } => {
+                let path = path(t, flow);
+                if path.len() > 2 {
+                    let mid = path[path.len() / 2];
+                    report.records.push(apply_action(t, ChurnAction::RouterReboot(mid)));
+                }
+            }
+        }
+    }
 }
 
-/// What a [`run_multipath_scenario`] measured.
-#[derive(Clone, Debug)]
-pub struct MultipathOutcome {
-    /// The victim flow over the clean branch P.
-    pub p: FlowStats,
-    /// The victim flow over the flooded branch Q.
-    pub q: FlowStats,
-}
-
-/// The multipath variant of the family sweep, on the Fig. 3 diamond: the
-/// victim splits its traffic across branches P and Q, the flood rides Q
-/// only. Path choice isolates P for every family; on Q the usual D2
-/// split applies — reservation families keep the flow whole, the
-/// authentication-only families lose it to the flooded best-effort
-/// queue.
-pub fn run_multipath_scenario(
-    cfg: RouterConfig,
-    scenario: EngineScenario,
-    start_ns: u64,
-) -> MultipathOutcome {
-    let sec = 1_000_000_000u64;
-    let run_s = 2u64;
-    let mut topo = crate::DiamondTopology::build(LinkSpec::default(), start_ns, cfg);
-    topo.install_engines(scenario, cfg);
-    let stop_ns = start_ns + run_s * sec;
-    let p = topo.add_family_flow(
-        scenario.family,
-        crate::Branch::P,
-        victim_src(),
-        dest(),
-        1_000,
-        2_000,
-        Some(3_000),
-        start_ns,
-        stop_ns,
-    );
-    let q = topo.add_family_flow(
-        scenario.family,
-        crate::Branch::Q,
-        victim_src(),
-        dest(),
-        1_000,
-        2_000,
-        Some(3_000),
-        start_ns,
-        stop_ns,
-    );
-    let _flood = topo.add_family_flow(
-        scenario.family,
-        crate::Branch::Q,
-        attacker_src(),
-        dest(),
-        1_000,
-        30_000,
-        None,
-        start_ns,
-        stop_ns,
-    );
-    topo.sim.run_until(stop_ns + sec);
-    MultipathOutcome { p: topo.sim.stats(p), q: topo.sim.stats(q) }
+/// Runs `scenario` from `start_ns`: build the topology, install the
+/// engines and the service model, add the flows in order, then at each
+/// plan instant snapshot every flow and apply that instant's steps.
+/// CBR flows send for `run_s`; the run then goes on one drain second
+/// past the sending window, a second at a time until every closed loop
+/// has terminated (capped at 120 s, which turns a livelock into a
+/// visible `done: false` instead of a hang), and one more drain second,
+/// so in-flight copies land or die before the counters are read.
+pub fn run(cfg: RouterConfig, scenario: &Scenario, start_ns: u64) -> Outcome {
+    let mut net = Net::build(&scenario.topology, start_ns, cfg);
+    net.install(scenario.engines, cfg, scenario.service);
+    let stop_ns = start_ns + scenario.run_s * SEC;
+    let ids: Vec<FlowId> = scenario
+        .flows
+        .iter()
+        .map(|(route, flow)| net.add_flow(scenario.engines.family, *route, flow, start_ns, stop_ns))
+        .collect();
+    let mut plan = scenario.plan.clone();
+    plan.sort_by_key(|&(at, _)| at);
+    let mut at = vec![Vec::new(); ids.len()];
+    let mut report = ChurnReport::default();
+    for steps in plan.chunk_by(|a, b| a.0 == b.0) {
+        let sim = net.sim();
+        sim.run_until(start_ns + steps[0].0);
+        for (snapshots, &f) in at.iter_mut().zip(&ids) {
+            snapshots.push(sim.stats(f));
+        }
+        for &(_, step) in steps {
+            net.apply(step, &ids, &mut report);
+        }
+    }
+    let sim = net.sim();
+    let mut horizon = stop_ns + SEC;
+    sim.run_until(horizon);
+    while ids.iter().any(|&f| !sim.reactive_done(f)) && horizon < stop_ns + 120 * SEC {
+        horizon += SEC;
+        sim.run_until(horizon);
+    }
+    let end_ns = horizon + SEC;
+    sim.run_until(end_ns);
+    let flows = ids
+        .iter()
+        .zip(at)
+        .map(|(&f, at)| FlowOutcome {
+            at,
+            total: sim.stats(f),
+            done: sim.reactive_done(f),
+            elapsed_ns: sim
+                .flow_events(f)
+                .iter()
+                .rev()
+                .find(|e| e.kind == FlowEventKind::Completed)
+                .map_or(end_ns, |e| e.at_ns)
+                - start_ns,
+        })
+        .collect();
+    let events = sim.events_processed();
+    let nodes = net.router_nodes();
+    let sim = net.sim();
+    let routers = nodes.iter().map(|&n| sim.router_stats(n).expect("router node")).collect();
+    let adjacencies = match &net {
+        Net::Backbone(t, _) => t.n_adjacencies(),
+        _ => 0,
+    };
+    Outcome { flows, routers, adjacencies, report, events }
 }
 
 /// Knobs of a churn run: the QoS/DoS experiment (credentialed victim vs
@@ -851,14 +1001,15 @@ impl ChurnSpec {
 /// runs can be asserted bit-identical wholesale.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChurnScenarioOutcome {
-    /// Victim counters over the clean window `[start, failure)`.
+    /// The victim's clean window, from the start to the failure
+    /// ([`FlowOutcome::window`] 0).
     pub victim_base: FlowStats,
-    /// Victim delta over the outage window `[failure, reroute)` —
+    /// The victim's outage window, from the failure to the reroute —
     /// where `link_down_drops` shows the stranded reservation.
     pub victim_outage: FlowStats,
-    /// Victim delta over the recovery window `[reroute, end]` — what
-    /// the acceptance criteria (latency < 2× base, delivery > 0.9)
-    /// are asserted on.
+    /// The victim's recovery window, from the reroute to the end — what
+    /// the acceptance criteria (latency < 2× base, delivery > 0.9) are
+    /// asserted on.
     pub victim_recovery: FlowStats,
     /// Victim counters over the whole run.
     pub victim_total: FlowStats,
@@ -880,678 +1031,54 @@ pub struct ChurnScenarioOutcome {
     pub events: u64,
 }
 
-/// Runs the QoS/DoS experiment unchanged on a generated 100+-router
-/// backbone with mid-epoch fault injection: build the ring-of-PoPs
-/// topology, install the family engines and service model, start the
-/// victim, the optional flood and the background mesh, then at one
-/// third of the run
-/// take down the victim's path (≥ `spec.failures` link failures), let
-/// packets die at the dead links for `reroute_delay_ns` (reservation
-/// stranding, counted per flow), reroute every affected flow onto a
-/// surviving path with fresh credentials, optionally cold-reboot a
-/// transit router on the failover path, and run to the end.
-///
-/// The D2 contrast survives churn: after the reroute, reservation
-/// families restore the victim's latency and delivery at the clean
-/// level, while authentication-only families leave it queueing behind
-/// the (also rerouted) flood.
+/// Runs a [`ChurnSpec`] as a [`Scenario`] on its ring-of-PoPs backbone:
+/// the victim, the optional flood on the same route and the seeded
+/// background mesh, then at one third of the run a
+/// [`FailPath`](Step::FailPath) of `spec.failures` links on the
+/// victim's path, `reroute_delay_ns` of outage (reservation stranding,
+/// counted per flow), a [`Reroute`](Step::Reroute) with fresh
+/// credentials and, optionally, a cold reboot halfway along the
+/// victim's new path. The D2 contrast survives churn: after the reroute
+/// the reservation families restore the victim's latency and delivery
+/// at the clean level, while the authentication-only families leave it
+/// queueing behind the (also rerouted) flood.
 pub fn run_churn_scenario(
     cfg: RouterConfig,
     spec: &ChurnSpec,
     start_ns: u64,
 ) -> ChurnScenarioOutcome {
-    let sec = 1_000_000_000u64;
-    let backbone = BackboneSpec::new(spec.pops, spec.routers_per_pop, spec.seed);
-    let mut topo = TopologyBuilder::ring_of_pops(&backbone, start_ns, cfg);
-    topo.install_engines(spec.scenario, cfg);
-    if spec.service_per_pkt_ns > 0 {
-        topo.set_service_model(Some(ServiceModel::new(
-            spec.service_per_pkt_ns,
-            spec.scenario.shards,
-        )));
-    }
-    let stop_ns = start_ns + spec.run_s * sec;
-    let rpp = spec.routers_per_pop;
-    let src_router = 0; // PoP 0, router 0
-    let span = spec.span_pops.clamp(1, spec.pops - 1);
-    let dst_router = span * rpp; // PoP `span`, router 0
-    let victim = topo.add_family_flow(
-        spec.scenario.family,
-        src_router,
-        dst_router,
-        spec.payload_len,
-        spec.victim_kbps,
-        Some(spec.credential_kbps),
-        start_ns,
-        stop_ns,
-    );
-    let flood = (spec.flood_kbps > 0).then(|| {
-        topo.add_family_flow(
-            spec.scenario.family,
-            src_router,
-            dst_router,
-            spec.payload_len,
-            spec.flood_kbps,
-            None,
-            start_ns,
-            stop_ns,
-        )
-    });
+    let (n, rpp, p) = (spec.pops * spec.routers_per_pop, spec.routers_per_pop, spec.payload_len);
+    let victim = Route::Backbone { from: 0, to: spec.span_pops.clamp(1, spec.pops - 1) * rpp };
+    let mut flows = vec![(victim, FlowSpec::cbr(p, spec.victim_kbps, Some(spec.credential_kbps)))];
+    flows.extend((spec.flood_kbps > 0).then(|| (victim, FlowSpec::cbr(p, spec.flood_kbps, None))));
+    let mesh = FlowSpec::cbr(500, spec.background_kbps, spec.background_credential_kbps);
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x9E37_79B9_7F4A_7C15);
-    let n = topo.n_routers();
-    let background: Vec<FlowId> = (0..spec.background_flows)
-        .map(|_| {
-            let a = rng.gen_range(0..n);
-            let mut b = rng.gen_range(0..n);
-            if b == a {
-                b = (a + 1) % n;
-            }
-            topo.add_family_flow(
-                spec.scenario.family,
-                a,
-                b,
-                500,
-                spec.background_kbps,
-                spec.background_credential_kbps,
-                start_ns,
-                stop_ns,
-            )
-        })
-        .collect();
-
-    // The failure set: the victim's own path adjacencies first, padded
-    // with further lane-0 ring links when the path is shorter than the
-    // requested failure count.
-    let path: Vec<usize> = topo.route_of(victim).expect("victim routed").to_vec();
-    let mut fail_adjs: Vec<AdjId> = path
-        .windows(2)
-        .filter_map(|w| topo.adjacency_between(w[0], w[1]))
-        .take(spec.failures)
-        .collect();
-    let mut lane = 0;
-    while fail_adjs.len() < spec.failures && lane + 1 < spec.pops {
-        if let Some(adj) = topo.adjacency_between(lane * rpp, (lane + 1) * rpp) {
-            if !fail_adjs.contains(&adj) {
-                fail_adjs.push(adj);
-            }
-        }
-        lane += 1;
+    for _ in 0..spec.background_flows {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        flows.push((Route::Backbone { from: a, to: if b == a { (a + 1) % n } else { b } }, mesh));
     }
-
-    // Phase 1: clean run to the failure instant.
-    let t_fail = start_ns + spec.run_s * sec / 3;
-    let t_reroute = t_fail + spec.reroute_delay_ns;
-    topo.sim.run_until(t_fail);
-    let victim_base = topo.sim.stats(victim);
-    let mut report = ChurnReport::default();
-    for &adj in &fail_adjs {
-        report.records.push(apply_action(&mut topo, ChurnAction::LinkDown(adj)));
-    }
-
-    // Phase 2: the outage — flows keep sending into the dead links.
-    topo.sim.run_until(t_reroute);
-    let victim_at_reroute = topo.sim.stats(victim);
-    report.records.push(apply_action(&mut topo, ChurnAction::RerouteAffected));
-    if spec.reboot_on_path {
-        let new_path = topo.route_of(victim).expect("victim routed");
-        if new_path.len() > 2 {
-            let mid = new_path[new_path.len() / 2];
-            if mid != src_router {
-                report.records.push(apply_action(&mut topo, ChurnAction::RouterReboot(mid)));
-            }
-        }
-    }
-
-    // Phase 3: recovery, plus a drain second for in-flight packets.
-    topo.sim.run_until(stop_ns + sec);
-    let victim_total = topo.sim.stats(victim);
-    let (background_sent, background_delivered) = background
-        .iter()
-        .map(|&f| topo.sim.stats(f))
-        .fold((0, 0), |(s, d), st| (s + st.sent_pkts, d + st.delivered_pkts));
+    let (fail, reroute) = (spec.run_s * SEC / 3, spec.run_s * SEC / 3 + spec.reroute_delay_ns);
+    let mut plan =
+        vec![(fail, Step::FailPath { flow: 0, links: spec.failures }), (reroute, Step::Reroute)];
+    plan.extend(spec.reboot_on_path.then_some((reroute, Step::RebootMidPath { flow: 0 })));
+    let service = (spec.service_per_pkt_ns > 0)
+        .then(|| ServiceModel::new(spec.service_per_pkt_ns, spec.scenario.shards));
+    let topology = Topology::Backbone(BackboneSpec::new(spec.pops, rpp, spec.seed));
+    let (engines, run_s) = (spec.scenario, spec.run_s);
+    let out = run(cfg, &Scenario { engines, topology, service, flows, plan, run_s }, start_ns);
+    let (v, mesh) = (&out.flows[0], &out.flows[1 + usize::from(spec.flood_kbps > 0)..]);
     ChurnScenarioOutcome {
-        victim_base,
-        victim_outage: victim_at_reroute.since(&victim_base),
-        victim_recovery: victim_total.since(&victim_at_reroute),
-        victim_total,
-        flood_total: flood.map(|f| topo.sim.stats(f)),
-        background_sent,
-        background_delivered,
-        report,
-        routers: topo.n_routers(),
-        adjacencies: topo.n_adjacencies(),
-        entry_stats: topo.sim.router_stats(topo.router_node(src_router)).expect("entry router"),
-        events: topo.sim.events_processed(),
-    }
-}
-
-/// Knobs of an overload sweep: a closed-loop reserved sender and a
-/// closed-loop best-effort sender over the linear chain, with the
-/// best-effort offered load swept through and past the bottleneck
-/// link's saturation point while every queue — link, router service —
-/// is bounded. The sweep is the graceful-degradation experiment: with
-/// bounded queues, overload must show up as loss, retransmission and
-/// pushback (all named counters), never as unbounded delay.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OverloadSpec {
-    /// Engine family + shard deployment every router node runs.
-    pub scenario: EngineScenario,
-    /// Chain length (ASes).
-    pub n_ases: usize,
-    /// Link parameters (the saturation axis: default 10 Mbps).
-    pub link: LinkSpec,
-    /// Reserved (credentialed) flow rate, kbps.
-    pub reserved_kbps: u64,
-    /// Credential (reservation/grant) rate on every hop, kbps.
-    pub credential_kbps: u64,
-    /// Payload bytes per packet (both flows).
-    pub payload_len: usize,
-    /// Best-effort offered loads to sweep, kbps. The default steps run
-    /// from half the bottleneck's leftover capacity to 2.5× the link.
-    pub offered_kbps: Vec<u64>,
-    /// Window/RTO knobs of both closed-loop senders.
-    pub profile: ReactiveProfile,
-    /// Bound on packets held per router ([`ServiceModel::queue_pkts`]).
-    pub router_queue_pkts: usize,
-    /// Per-router, per-core datapath service time, ns (`0` = off).
-    pub service_per_pkt_ns: u64,
-    /// Nominal sending window, seconds — sizes each flow's total packet
-    /// budget; each point then runs until every flow terminates.
-    pub run_s: u64,
-    /// Per-flow cap on total packets (`0` = uncapped) — the CI smoke
-    /// knob (`overload_sweep --pkts`).
-    pub max_pkts_per_flow: u64,
-}
-
-impl OverloadSpec {
-    /// The default acceptance shape: a 3-AS chain of 10 Mbps links, a
-    /// 2 Mbps reserved flow with 3 Mbps credentials, and best-effort
-    /// load swept 4 → 20 Mbps (the ~8 Mbps leftover capacity sits
-    /// between the second and third steps; 16 Mbps is 2× it).
-    pub fn new(scenario: EngineScenario) -> Self {
-        OverloadSpec {
-            scenario,
-            n_ases: 3,
-            // Default links, but with a 16-packet (16 KiB) per-class
-            // queue: shallower than the senders' windows, so overload
-            // actually drops (and the loop retransmits) instead of the
-            // window fitting inside the queue and stalling politely.
-            link: LinkSpec { queue_cap_bytes: 16 * 1024, ..LinkSpec::default() },
-            reserved_kbps: 2_000,
-            credential_kbps: 3_000,
-            payload_len: 1_000,
-            offered_kbps: vec![4_000, 8_000, 16_000, 20_000],
-            profile: ReactiveProfile::default(),
-            router_queue_pkts: 128,
-            service_per_pkt_ns: 300,
-            run_s: 1,
-            max_pkts_per_flow: 0,
-        }
-    }
-}
-
-/// One swept load point of [`run_overload_scenario`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OverloadPoint {
-    /// Best-effort offered load at this point, kbps.
-    pub offered_kbps: u64,
-    /// The reserved (credentialed) closed-loop flow's counters.
-    pub reserved: FlowStats,
-    /// The best-effort closed-loop flow's counters.
-    pub best_effort: FlowStats,
-    /// Whether the reserved flow terminated (every sequence number
-    /// acked or abandoned) — `false` flags a livelock.
-    pub reserved_done: bool,
-    /// Whether the best-effort flow terminated.
-    pub best_effort_done: bool,
-    /// Simulated time from start to the reserved flow's `Completed`
-    /// event, ns (the run horizon if it never completed) — the
-    /// denominator for goodput-over-completion-time. Past saturation a
-    /// closed-loop flow delivers everything *eventually*; collapse
-    /// shows up as completion time, not delivery ratio.
-    pub reserved_elapsed_ns: u64,
-    /// Same, for the best-effort flow.
-    pub best_effort_elapsed_ns: u64,
-    /// Simulator events processed for this point.
-    pub events: u64,
-}
-
-impl OverloadPoint {
-    /// Goodput over the flow's own completion time, kbps.
-    pub fn reserved_goodput_kbps(&self) -> f64 {
-        goodput_over(self.reserved.delivered_bytes, self.reserved_elapsed_ns)
-    }
-
-    /// Goodput over the flow's own completion time, kbps.
-    pub fn best_effort_goodput_kbps(&self) -> f64 {
-        goodput_over(self.best_effort.delivered_bytes, self.best_effort_elapsed_ns)
-    }
-}
-
-/// `bytes` delivered over `elapsed_ns`, in kbps (`0.0` on an empty window).
-fn goodput_over(bytes: u64, elapsed_ns: u64) -> f64 {
-    if elapsed_ns == 0 {
-        return 0.0;
-    }
-    (bytes as f64 * 8.0) / (elapsed_ns as f64 / 1_000_000.0)
-}
-
-/// What a [`run_overload_scenario`] measured: one [`OverloadPoint`] per
-/// swept offered load, in sweep order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OverloadOutcome {
-    /// The swept points.
-    pub points: Vec<OverloadPoint>,
-}
-
-/// The per-flow total-packet budget for `kbps` offered over `run_s`
-/// seconds of `payload_len`-byte packets, capped at `max_pkts` when
-/// nonzero (the CI smoke knob).
-fn flow_budget(kbps: u64, payload_len: usize, run_s: u64, max_pkts: u64) -> u64 {
-    let pkts =
-        (kbps.saturating_mul(run_s).saturating_mul(125) / (payload_len as u64).max(1)).max(1);
-    if max_pkts > 0 {
-        pkts.min(max_pkts)
-    } else {
-        pkts
-    }
-}
-
-/// Runs the overload sweep for one `spec`: per offered-load step, a
-/// fresh chain with the family engines installed, a *bounded* service
-/// model on every router, a credentialed closed-loop flow at the
-/// reserved rate and a best-effort closed-loop flow at the step's
-/// offered rate. Each point runs until both flows terminate (the
-/// retransmit budget guarantees termination; a generous simulated-time
-/// cap turns a livelock bug into visible `*_done: false` flags instead
-/// of a hung test) plus one drain second so in-flight copies land or
-/// die before the conservation counters are read.
-///
-/// The contrast the sweep pins: past saturation the reservation
-/// families hold the reserved flow's goodput and p99 latency at the
-/// uncontended level while the best-effort flow degrades gracefully —
-/// bounded queues keep its tail latency bounded, and every lost packet
-/// is attributed to a named drop counter.
-pub fn run_overload_scenario(
-    cfg: RouterConfig,
-    spec: &OverloadSpec,
-    start_ns: u64,
-) -> OverloadOutcome {
-    let sec = 1_000_000_000u64;
-    let mut points = Vec::with_capacity(spec.offered_kbps.len());
-    for &offered in &spec.offered_kbps {
-        let mut topo = LinearTopology::build(spec.n_ases, spec.link, start_ns, cfg);
-        topo.install_engines(spec.scenario, cfg);
-        if spec.service_per_pkt_ns > 0 {
-            let mut model = ServiceModel::new(spec.service_per_pkt_ns, spec.scenario.shards);
-            model.queue_pkts = spec.router_queue_pkts;
-            topo.set_service_model(Some(model));
-        }
-        let reserved = topo.add_family_reactive_flow(
-            spec.scenario.family,
-            victim_src(),
-            dest(),
-            spec.payload_len,
-            spec.reserved_kbps,
-            Some(spec.credential_kbps),
-            flow_budget(spec.reserved_kbps, spec.payload_len, spec.run_s, spec.max_pkts_per_flow),
-            spec.profile,
-            start_ns,
-        );
-        let best_effort = topo.add_family_reactive_flow(
-            spec.scenario.family,
-            attacker_src(),
-            dest(),
-            spec.payload_len,
-            offered,
-            None,
-            flow_budget(offered, spec.payload_len, spec.run_s, spec.max_pkts_per_flow),
-            spec.profile,
-            start_ns,
-        );
-        let mut horizon = start_ns + (spec.run_s + 1) * sec;
-        let cap = start_ns + (spec.run_s + 120) * sec;
-        topo.sim.run_until(horizon);
-        while (!topo.sim.reactive_done(reserved) || !topo.sim.reactive_done(best_effort))
-            && horizon < cap
-        {
-            horizon += sec;
-            topo.sim.run_until(horizon);
-        }
-        topo.sim.run_until(horizon + sec);
-        let completion = |flow| {
-            topo.sim
-                .flow_events(flow)
-                .iter()
-                .rev()
-                .find(|e| e.kind == FlowEventKind::Completed)
-                .map_or(horizon + sec - start_ns, |e| e.at_ns - start_ns)
-        };
-        points.push(OverloadPoint {
-            offered_kbps: offered,
-            reserved: topo.sim.stats(reserved),
-            best_effort: topo.sim.stats(best_effort),
-            reserved_done: topo.sim.reactive_done(reserved),
-            best_effort_done: topo.sim.reactive_done(best_effort),
-            reserved_elapsed_ns: completion(reserved),
-            best_effort_elapsed_ns: completion(best_effort),
-            events: topo.sim.events_processed(),
-        });
-    }
-    OverloadOutcome { points }
-}
-
-/// Knobs of the churn+overload combination: both closed-loop flows on a
-/// generated ring-of-PoPs backbone, the best-effort load past the
-/// long-haul saturation point, a link failure on the reserved flow's
-/// path at one third of the run, and a configurable *convergence delay*
-/// before the reroute pass (the BGP-style window in which loss is the
-/// only signal and retransmission timers are what keep state alive).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OverloadChurnSpec {
-    /// Engine family + shard deployment every router node runs.
-    pub scenario: EngineScenario,
-    /// PoPs on the backbone ring (≥ 3).
-    pub pops: usize,
-    /// Routers per PoP (≥ 2 for failover paths to exist).
-    pub routers_per_pop: usize,
-    /// Seed for topology and key material.
-    pub seed: u64,
-    /// How many PoPs the flows' shared path spans.
-    pub span_pops: usize,
-    /// Reserved (credentialed) flow rate, kbps.
-    pub reserved_kbps: u64,
-    /// Credential rate on every hop, kbps.
-    pub credential_kbps: u64,
-    /// Payload bytes per packet.
-    pub payload_len: usize,
-    /// Best-effort offered load, kbps (past the long-haul saturation).
-    pub best_effort_kbps: u64,
-    /// Window/RTO knobs of both closed-loop senders.
-    pub profile: ReactiveProfile,
-    /// Link failures injected on the reserved flow's path at `run_s/3`.
-    pub failures: usize,
-    /// Delay from the failure to the reroute pass, ns — the
-    /// convergence window.
-    pub convergence_delay_ns: u64,
-    /// Bound on packets held per router ([`ServiceModel::queue_pkts`]).
-    pub router_queue_pkts: usize,
-    /// Per-router, per-core datapath service time, ns (`0` = off).
-    pub service_per_pkt_ns: u64,
-    /// Nominal sending window, seconds (sizes the packet budgets).
-    pub run_s: u64,
-    /// Per-flow cap on total packets (`0` = uncapped).
-    pub max_pkts_per_flow: u64,
-}
-
-impl OverloadChurnSpec {
-    /// The default acceptance shape: an 8-PoP × 2-router ring, a 2 Mbps
-    /// reserved flow against 16 Mbps of best effort (1.6× the 10 Mbps
-    /// long-haul links), one on-path link failure with a 50 ms
-    /// convergence delay before the reroute pass.
-    pub fn new(scenario: EngineScenario) -> Self {
-        OverloadChurnSpec {
-            scenario,
-            pops: 8,
-            routers_per_pop: 2,
-            seed: 0x0BAD_CA5E,
-            span_pops: 2,
-            reserved_kbps: 2_000,
-            credential_kbps: 3_000,
-            payload_len: 1_000,
-            best_effort_kbps: 16_000,
-            profile: ReactiveProfile::default(),
-            failures: 1,
-            convergence_delay_ns: 50_000_000,
-            router_queue_pkts: 128,
-            service_per_pkt_ns: 300,
-            run_s: 3,
-            max_pkts_per_flow: 0,
-        }
-    }
-}
-
-/// What a [`run_overload_churn_scenario`] measured. `PartialEq` so two
-/// same-seed runs can be asserted bit-identical wholesale.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OverloadChurnOutcome {
-    /// Reserved-flow counters over the clean window `[start, failure)`.
-    pub reserved_base: FlowStats,
-    /// Reserved-flow delta over the convergence window
-    /// `[failure, reroute)` — where `link_down_drops` shows sends and
-    /// retransmissions dying on the dead path.
-    pub reserved_outage: FlowStats,
-    /// Reserved-flow delta over `[reroute, end]` — the window the
-    /// ≥ 0.9-delivery recovery acceptance is asserted on. Retransmitted
-    /// copies of packets lost during the outage regenerate through the
-    /// rerouted generator and deliver here: retransmit-driven recovery.
-    pub reserved_recovery: FlowStats,
-    /// Reserved-flow counters over the whole run.
-    pub reserved_total: FlowStats,
-    /// Best-effort flow counters over the whole run.
-    pub best_effort_total: FlowStats,
-    /// Whether the reserved flow terminated (`false` flags a livelock).
-    pub reserved_done: bool,
-    /// Whether the best-effort flow terminated.
-    pub best_effort_done: bool,
-    /// The applied fault timeline with per-action effects.
-    pub report: ChurnReport,
-    /// Simulator events processed over the whole run.
-    pub events: u64,
-}
-
-/// Runs the churn+overload combination: build the ring backbone,
-/// install the family engines and a *bounded* service model, start both
-/// closed-loop flows on the same PoP-spanning path, saturate it, then
-/// at one third of the run take the path down, hold the failure for
-/// `convergence_delay_ns` (retransmissions keep firing into the dead
-/// link and die there — the convergence window), reroute every affected
-/// flow onto a surviving path with fresh credentials, and run until
-/// both flows terminate.
-///
-/// The acceptance contrast: after the reroute, reservation families
-/// recover ≥ 0.9 delivery in the recovery window (retransmits of the
-/// convergence-window losses ride the new path's priority class) while
-/// the best-effort flow degrades without collapse — it keeps
-/// terminating, with every loss in a named counter.
-pub fn run_overload_churn_scenario(
-    cfg: RouterConfig,
-    spec: &OverloadChurnSpec,
-    start_ns: u64,
-) -> OverloadChurnOutcome {
-    let sec = 1_000_000_000u64;
-    let backbone = BackboneSpec::new(spec.pops, spec.routers_per_pop, spec.seed);
-    let mut topo = TopologyBuilder::ring_of_pops(&backbone, start_ns, cfg);
-    topo.install_engines(spec.scenario, cfg);
-    if spec.service_per_pkt_ns > 0 {
-        let mut model = ServiceModel::new(spec.service_per_pkt_ns, spec.scenario.shards);
-        model.queue_pkts = spec.router_queue_pkts;
-        topo.set_service_model(Some(model));
-    }
-    let span = spec.span_pops.clamp(1, spec.pops - 1);
-    let (src_router, dst_router) = (0, span * spec.routers_per_pop);
-    let reserved = topo.add_family_reactive_flow(
-        spec.scenario.family,
-        src_router,
-        dst_router,
-        spec.payload_len,
-        spec.reserved_kbps,
-        Some(spec.credential_kbps),
-        flow_budget(spec.reserved_kbps, spec.payload_len, spec.run_s, spec.max_pkts_per_flow),
-        spec.profile,
-        start_ns,
-    );
-    let best_effort = topo.add_family_reactive_flow(
-        spec.scenario.family,
-        src_router,
-        dst_router,
-        spec.payload_len,
-        spec.best_effort_kbps,
-        None,
-        flow_budget(spec.best_effort_kbps, spec.payload_len, spec.run_s, spec.max_pkts_per_flow),
-        spec.profile,
-        start_ns,
-    );
-    // Failure set: the reserved flow's own path adjacencies.
-    let path: Vec<usize> = topo.route_of(reserved).expect("reserved flow routed").to_vec();
-    let fail_adjs: Vec<AdjId> = path
-        .windows(2)
-        .filter_map(|w| topo.adjacency_between(w[0], w[1]))
-        .take(spec.failures.max(1))
-        .collect();
-
-    // Phase 1: clean saturation up to the failure instant.
-    let t_fail = start_ns + spec.run_s * sec / 3;
-    let t_reroute = t_fail + spec.convergence_delay_ns;
-    topo.sim.run_until(t_fail);
-    let reserved_base = topo.sim.stats(reserved);
-    let mut report = ChurnReport::default();
-    for &adj in &fail_adjs {
-        report.records.push(apply_action(&mut topo, ChurnAction::LinkDown(adj)));
-    }
-
-    // Phase 2: the convergence window — sends and retransmissions die
-    // on the dead path until the reroute pass applies.
-    topo.sim.run_until(t_reroute);
-    let reserved_at_reroute = topo.sim.stats(reserved);
-    report.records.push(apply_action(&mut topo, ChurnAction::RerouteAffected));
-
-    // Phase 3: recovery, extended until both flows terminate (bounded
-    // by the retransmit budget; the cap makes a livelock visible as
-    // `*_done: false` instead of a hang) plus a drain second.
-    let stop_ns = start_ns + spec.run_s * sec;
-    let mut horizon = stop_ns + sec;
-    let cap = stop_ns + 120 * sec;
-    topo.sim.run_until(horizon);
-    while (!topo.sim.reactive_done(reserved) || !topo.sim.reactive_done(best_effort))
-        && horizon < cap
-    {
-        horizon += sec;
-        topo.sim.run_until(horizon);
-    }
-    topo.sim.run_until(horizon + sec);
-    let reserved_total = topo.sim.stats(reserved);
-    OverloadChurnOutcome {
-        reserved_base,
-        reserved_outage: reserved_at_reroute.since(&reserved_base),
-        reserved_recovery: reserved_total.since(&reserved_at_reroute),
-        reserved_total,
-        best_effort_total: topo.sim.stats(best_effort),
-        reserved_done: topo.sim.reactive_done(reserved),
-        best_effort_done: topo.sim.reactive_done(best_effort),
-        report,
-        events: topo.sim.events_processed(),
-    }
-}
-
-/// What a [`run_latency_churn_scenario`] measured: the latency
-/// experiment's victim counters split at the failure and reroute
-/// instants. Window accounting follows the [`ChurnPlan`] tie-break: the
-/// failure's own queue drain lands at the end of `base`, the reroute's
-/// counter bump at the end of `outage`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LatencyChurnOutcome {
-    /// Victim counters over the clean window `[start, failure]`.
-    pub base: FlowStats,
-    /// Victim delta over the outage window `(failure, reroute]`.
-    pub outage: FlowStats,
-    /// Victim delta over the recovery window `(reroute, end]` — what
-    /// the per-family recovery bounds are asserted on.
-    pub recovery: FlowStats,
-    /// Victim counters over the whole run.
-    pub total: FlowStats,
-    /// The flood's whole-run counters, when one ran.
-    pub flood_total: Option<FlowStats>,
-    /// The applied fault timeline (all windows concatenated).
-    pub report: ChurnReport,
-}
-
-/// Reruns the Fig. 3/4-style latency experiment under a mid-epoch link
-/// failure scheduled through a [`ChurnPlan`]: the same victim (and
-/// optional flood) as [`run_latency_scenario`], but on a small ring
-/// backbone — the linear chain has no failover path — whose long-haul
-/// links carry the spec's link parameters. At one third of the run the
-/// victim's first on-path adjacency goes down; `reroute_delay_ns` later
-/// the reroute pass re-paths every affected flow with fresh
-/// credentials. The plan is applied in three [`run_with_churn`] windows
-/// so base/outage/recovery counters can be snapshotted at the exact
-/// failure and reroute instants.
-pub fn run_latency_churn_scenario(
-    cfg: RouterConfig,
-    spec: &LatencySpec,
-    seed: u64,
-    reroute_delay_ns: u64,
-    start_ns: u64,
-) -> LatencyChurnOutcome {
-    let sec = 1_000_000_000u64;
-    let rpp = 2usize;
-    let mut backbone = BackboneSpec::new(spec.n_ases.max(3), rpp, seed);
-    backbone.pop_link = spec.link;
-    let mut topo = TopologyBuilder::ring_of_pops(&backbone, start_ns, cfg);
-    topo.install_engines(spec.scenario, cfg);
-    if spec.service_per_pkt_ns > 0 {
-        topo.set_service_model(Some(ServiceModel::new(
-            spec.service_per_pkt_ns,
-            spec.scenario.shards,
-        )));
-    }
-    let stop_ns = start_ns + spec.run_s * sec;
-    let victim = topo.add_family_flow(
-        spec.scenario.family,
-        0,
-        2 * rpp,
-        spec.payload_len,
-        spec.victim_kbps,
-        Some(spec.credential_kbps),
-        start_ns,
-        stop_ns,
-    );
-    let flood = (spec.flood_kbps > 0).then(|| {
-        topo.add_family_flow(
-            spec.scenario.family,
-            0,
-            2 * rpp,
-            spec.payload_len,
-            spec.flood_kbps,
-            None,
-            start_ns,
-            stop_ns,
-        )
-    });
-    let t_fail = start_ns + spec.run_s * sec / 3;
-    let t_reroute = t_fail + reroute_delay_ns;
-    let path = topo.route_of(victim).expect("victim routed").to_vec();
-    let adj = path
-        .windows(2)
-        .find_map(|w| topo.adjacency_between(w[0], w[1]))
-        .expect("victim path has links");
-    let plan = ChurnPlan::new()
-        .at(t_fail, ChurnAction::LinkDown(adj))
-        .at(t_reroute, ChurnAction::RerouteAffected);
-    // The plan restricted to `(lo, hi]` — one snapshot window.
-    let window = |lo: u64, hi: u64| {
-        let mut sub = ChurnPlan::new();
-        for ev in plan.events() {
-            if ev.at_ns > lo && ev.at_ns <= hi {
-                sub.push(ev.at_ns, ev.action);
-            }
-        }
-        sub
-    };
-    let mut report = run_with_churn(&mut topo, &window(0, t_fail), t_fail);
-    let base = topo.sim.stats(victim);
-    report.records.extend(run_with_churn(&mut topo, &window(t_fail, t_reroute), t_reroute).records);
-    let at_reroute = topo.sim.stats(victim);
-    report
-        .records
-        .extend(run_with_churn(&mut topo, &window(t_reroute, u64::MAX), stop_ns + sec).records);
-    let total = topo.sim.stats(victim);
-    LatencyChurnOutcome {
-        base,
-        outage: at_reroute.since(&base),
-        recovery: total.since(&at_reroute),
-        total,
-        flood_total: flood.map(|f| topo.sim.stats(f)),
-        report,
+        victim_base: v.window(0),
+        victim_outage: v.window(1),
+        victim_recovery: v.window(2),
+        victim_total: v.total,
+        flood_total: (spec.flood_kbps > 0).then(|| out.flows[1].total),
+        background_sent: mesh.iter().map(|f| f.total.sent_pkts).sum(),
+        background_delivered: mesh.iter().map(|f| f.total.delivered_pkts).sum(),
+        routers: out.routers.len(),
+        adjacencies: out.adjacencies,
+        entry_stats: out.routers[0],
+        events: out.events,
+        report: out.report,
     }
 }

@@ -203,6 +203,20 @@ impl FlowStats {
         self.latency.percentile_ns(0.99) as f64 / 1e6
     }
 
+    /// Wire copies sent but neither delivered nor in a named drop
+    /// counter: `sent − delivered − router − queue − link_down −
+    /// service_queue` drops. The conservation identity is that this is
+    /// 0 once the run has drained — every loss attributable, retries
+    /// included; negative means a copy was counted twice.
+    pub fn unattributed(&self) -> i64 {
+        let accounted = self.delivered_pkts
+            + self.router_drops
+            + self.queue_drops
+            + self.link_down_drops
+            + self.service_queue_drops;
+        self.sent_pkts as i64 - accounted as i64
+    }
+
     /// The stats accrued *since* an `earlier` snapshot of the same flow
     /// — how churn experiments isolate a phase (base window, outage,
     /// post-reroute recovery) out of the cumulative counters. All sums

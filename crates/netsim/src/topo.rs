@@ -21,13 +21,13 @@
 //! The bespoke [`crate::LinearTopology`] and [`crate::DiamondTopology`]
 //! are re-expressed on the same primitives
 //! ([`TopologyBuilder::add_router_keyed`],
-//! [`TopologyBuilder::connect_oneway`], [`TopologyBuilder::into_parts`])
+//! [`TopologyBuilder::connect_oneway`], and `into_parts`, which hands
+//! over the wired simulator)
 //! so node/link/interface wiring and the DRKey-master derivation rule
 //! live in exactly one place.
 
-use crate::flow::ReactiveFlow;
-use crate::scenario::{EngineScenario, LinkSpec, ReactiveProfile};
-use crate::sim::{Flow, FlowId, LinkId, Node, NodeId, ServiceModel, Simulator};
+use crate::scenario::{EngineScenario, FlowSpec, LinkSpec};
+use crate::sim::{FlowId, LinkId, Node, NodeId, ServiceModel, Simulator};
 use hummingbird_baselines::EngineFamily;
 use hummingbird_crypto::SecretValue;
 use hummingbird_dataplane::{
@@ -192,7 +192,7 @@ impl HierarchySpec {
 /// What [`TopologyBuilder::into_parts`] hands back to the bespoke
 /// topology shapes (linear chain, diamond) built on the same wiring
 /// primitives.
-pub struct TopologyParts {
+pub(crate) struct TopologyParts {
     /// The wired simulator.
     pub sim: Simulator,
     /// Router node per [`RouterId`], in creation order.
@@ -352,7 +352,7 @@ impl TopologyBuilder {
     /// Dismantles the builder into its simulator and node bookkeeping —
     /// how the bespoke chain/diamond topologies take ownership after
     /// wiring through the shared primitives.
-    pub fn into_parts(self) -> TopologyParts {
+    pub(crate) fn into_parts(self) -> TopologyParts {
         TopologyParts {
             sim: self.sim,
             router_nodes: self.routers.iter().map(|r| r.node).collect(),
@@ -701,21 +701,18 @@ impl TopologyBuilder {
         generator
     }
 
-    /// Adds a CBR flow from a fresh source identity behind `src_router`
-    /// to `dst_router`'s attached host, routed by
-    /// [`shortest_path`](TopologyBuilder::shortest_path).
-    /// `credential_kbps` of `Some(r)` attaches `family`'s per-hop
-    /// credential on every hop; `None` sends best effort. The route is
-    /// remembered so churn can re-path the flow.
-    #[allow(clippy::too_many_arguments)]
+    /// Adds `flow` from a fresh source identity behind `src_router` to
+    /// `dst_router`'s attached host, routed by
+    /// [`shortest_path`](TopologyBuilder::shortest_path), with `family`'s
+    /// per-hop credential on every hop when `flow.credential_kbps` asks
+    /// for one. The route is remembered, so churn re-paths the flow (a
+    /// closed loop's retransmissions follow the new path).
     pub fn add_family_flow(
         &mut self,
         family: EngineFamily,
         src_router: RouterId,
         dst_router: RouterId,
-        payload_len: usize,
-        rate_kbps: u64,
-        credential_kbps: Option<u64>,
+        flow: &FlowSpec,
         start_ns: u64,
         stop_ns: u64,
     ) -> FlowId {
@@ -724,6 +721,7 @@ impl TopologyBuilder {
         self.next_flow_src += 1;
         let src = IsdAs::new(FLOW_ISD, self.next_flow_src);
         let dst = self.routers[dst_router].isd_as;
+        let credential_kbps = flow.credential_kbps;
         let generator = self.build_generator(
             family,
             &path,
@@ -733,17 +731,9 @@ impl TopologyBuilder {
             start_ns / 1_000_000_000,
         );
         let entry = self.routers[path[0]].node;
-        let interval_ns = (payload_len as u64 * 8).saturating_mul(1_000_000) / rate_kbps.max(1);
-        let flow = self.sim.add_flow(Flow {
-            generator,
-            entry,
-            payload_len,
-            interval_ns,
-            start_ns,
-            stop_ns,
-        });
+        let id = flow.add_to(&mut self.sim, generator, entry, start_ns, stop_ns);
         self.routes.push(FlowRoute {
-            flow,
+            flow: id,
             family,
             src,
             dst,
@@ -752,67 +742,7 @@ impl TopologyBuilder {
             credential_kbps,
             path,
         });
-        flow
-    }
-
-    /// Adds a closed-loop ([`ReactiveFlow`]) flow from a fresh source
-    /// identity behind `src_router` to `dst_router`'s attached host —
-    /// the reactive counterpart of
-    /// [`add_family_flow`](TopologyBuilder::add_family_flow). The route
-    /// is remembered, so churn re-paths the flow and its
-    /// retransmissions follow the new path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_family_reactive_flow(
-        &mut self,
-        family: EngineFamily,
-        src_router: RouterId,
-        dst_router: RouterId,
-        payload_len: usize,
-        rate_kbps: u64,
-        credential_kbps: Option<u64>,
-        total_pkts: u64,
-        profile: ReactiveProfile,
-        start_ns: u64,
-    ) -> FlowId {
-        assert!(self.routers[dst_router].host.is_some(), "destination router has no host");
-        let path = self.shortest_path(src_router, dst_router).expect("graph is connected");
-        self.next_flow_src += 1;
-        let src = IsdAs::new(FLOW_ISD, self.next_flow_src);
-        let dst = self.routers[dst_router].isd_as;
-        let generator = self.build_generator(
-            family,
-            &path,
-            src,
-            dst,
-            credential_kbps,
-            start_ns / 1_000_000_000,
-        );
-        let entry = self.routers[path[0]].node;
-        let pacing_ns = (payload_len as u64 * 8).saturating_mul(1_000_000) / rate_kbps.max(1);
-        let flow = self.sim.add_reactive_flow(ReactiveFlow {
-            generator,
-            entry,
-            payload_len,
-            total_pkts,
-            window: profile.window.max(1),
-            pacing_ns,
-            ack_delay_ns: profile.ack_delay_ns,
-            rto_ns: profile.rto_ns,
-            rto_max_ns: profile.rto_max_ns,
-            max_retransmits: profile.max_retransmits,
-            start_ns,
-        });
-        self.routes.push(FlowRoute {
-            flow,
-            family,
-            src,
-            dst,
-            src_router,
-            dst_router,
-            credential_kbps,
-            path,
-        });
-        flow
+        id
     }
 
     // ---- churn primitives -------------------------------------------------

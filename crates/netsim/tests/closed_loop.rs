@@ -18,11 +18,12 @@
 //! 5. **Churn in the latency sweep**: per-family recovery bounds on the
 //!    Fig. 3/4 experiment under a scheduled link failure.
 
+mod common;
+
 use hummingbird_dataplane::RouterConfig;
 use hummingbird_netsim::{
-    run_latency_churn_scenario, run_overload_churn_scenario, run_overload_scenario, EngineFamily,
-    EngineScenario, FlowEventKind, FlowStats, LatencySpec, LinearTopology, LinkSpec,
-    OverloadChurnSpec, OverloadSpec, ReactiveProfile, ServiceModel,
+    run, EngineFamily, EngineScenario, FlowEventKind, FlowKind, FlowOutcome, FlowSpec,
+    LinearTopology, LinkSpec, ReactiveProfile, Scenario, ServiceModel,
 };
 use hummingbird_wire::IsdAs;
 
@@ -41,27 +42,16 @@ fn dst() -> IsdAs {
     IsdAs::new(2, 0xb)
 }
 
-/// Every wire copy a flow sent is either delivered or sits in exactly
-/// one named drop counter — the conservation identity that makes loss
-/// attributable.
-fn assert_conservation(label: &str, s: &FlowStats) {
-    let accounted = s.delivered_pkts
-        + s.router_drops
-        + s.queue_drops
-        + s.link_down_drops
-        + s.service_queue_drops;
-    assert_eq!(
-        s.sent_pkts,
-        accounted,
-        "{label}: conservation (sent {} != delivered {} + router {} + queue {} + link_down {} \
-         + service_queue {})",
-        s.sent_pkts,
-        s.delivered_pkts,
-        s.router_drops,
-        s.queue_drops,
-        s.link_down_drops,
-        s.service_queue_drops
-    );
+/// A closed-loop flow of `total_pkts` 1000-byte packets paced at
+/// `rate_kbps`.
+fn closed_loop(
+    rate_kbps: u64,
+    credential_kbps: Option<u64>,
+    total_pkts: u64,
+    profile: ReactiveProfile,
+) -> FlowSpec {
+    let kind = FlowKind::ClosedLoop { total_pkts, profile };
+    FlowSpec { payload_len: 1000, rate_kbps, credential_kbps, kind }
 }
 
 /// The acceptance sweep: offered load through and past saturation for
@@ -75,69 +65,77 @@ fn overload_sweep_across_families_and_shards() {
     for family in EngineFamily::ALL {
         for shards in [1usize, 4] {
             let scenario = EngineScenario { family, shards };
-            let out = run_overload_scenario(cfg(), &OverloadSpec::new(scenario), START_NS);
+            let sweep = Scenario::overload_sweep(scenario, 0);
             let label = format!("{}x{shards}", family.name());
-            assert_eq!(out.points.len(), 4, "{label}: all sweep points present");
+            assert_eq!(sweep.len(), 4, "{label}: all sweep points present");
+            // Per point: the offered load, and the reserved and
+            // best-effort flows' outcomes.
+            let points: Vec<_> = sweep
+                .iter()
+                .map(|s| {
+                    let [rsv, be]: [FlowOutcome; 2] =
+                        run(cfg(), s, START_NS).flows.try_into().expect("two flows");
+                    (s.flows[1].1.rate_kbps, rsv, be)
+                })
+                .collect();
 
-            for p in &out.points {
-                let l = format!("{label}@{}", p.offered_kbps);
+            for (offered, rsv, be) in &points {
+                let l = format!("{label}@{offered}");
                 // Termination: the retransmit budget guarantees every
                 // flow completes — a livelock would show here first.
-                assert!(p.reserved_done, "{l}: reserved flow must terminate");
-                assert!(p.best_effort_done, "{l}: best-effort flow must terminate");
+                assert!(rsv.done, "{l}: reserved flow must terminate");
+                assert!(be.done, "{l}: best-effort flow must terminate");
                 // Conservation: exact, for both flows, at every point.
-                assert_conservation(&format!("{l} reserved"), &p.reserved);
-                assert_conservation(&format!("{l} best-effort"), &p.best_effort);
+                assert_eq!(rsv.total.unattributed(), 0, "{l} reserved: conservation");
+                assert_eq!(be.total.unattributed(), 0, "{l} best-effort: conservation");
                 // Bounded queues ⇒ bounded tails, for everyone, at any load.
                 assert!(
-                    p.reserved.p99_latency_ms() < 50.0,
+                    rsv.total.p99_latency_ms() < 50.0,
                     "{l}: reserved p99 {} ms must stay bounded",
-                    p.reserved.p99_latency_ms()
+                    rsv.total.p99_latency_ms()
                 );
                 assert!(
-                    p.best_effort.p99_latency_ms() < 50.0,
+                    be.total.p99_latency_ms() < 50.0,
                     "{l}: best-effort p99 {} ms must stay bounded",
-                    p.best_effort.p99_latency_ms()
+                    be.total.p99_latency_ms()
                 );
                 // Graceful degradation: even past saturation the
                 // best-effort loop keeps the majority of its copies.
                 assert!(
-                    p.best_effort.delivery_ratio() > 0.5,
+                    be.total.delivery_ratio() > 0.5,
                     "{l}: best effort must degrade, not collapse (ratio {})",
-                    p.best_effort.delivery_ratio()
+                    be.total.delivery_ratio()
                 );
             }
 
             // Below saturation (first point): clean for everyone.
-            let base = &out.points[0];
-            assert!(base.reserved.delivery_ratio() > 0.99, "{label}: clean base");
-            assert_eq!(base.best_effort.retransmits, 0, "{label}: no base retransmits");
+            let (_, base_rsv, base_be) = &points[0];
+            assert!(base_rsv.total.delivery_ratio() > 0.99, "{label}: clean base");
+            assert_eq!(base_be.total.retransmits, 0, "{label}: no base retransmits");
 
             // Past saturation (last point, 2.5× the link): the loss
             // machinery actually engaged.
-            let sat = &out.points[3];
-            assert!(sat.best_effort.queue_drops > 0, "{label}: overload must drop");
-            assert!(sat.best_effort.retransmits > 0, "{label}: drops must drive retries");
-            assert!(sat.best_effort.backpressure_stalls > 0, "{label}: window must stall");
+            let (sat_offered, sat_rsv, sat_be) = &points[3];
+            assert!(sat_be.total.queue_drops > 0, "{label}: overload must drop");
+            assert!(sat_be.total.retransmits > 0, "{label}: drops must drive retries");
+            assert!(sat_be.total.backpressure_stalls > 0, "{label}: window must stall");
 
             if family.has_priority_class() {
                 // Reservation families: the reserved flow never notices.
-                for p in &out.points {
+                for (offered, rsv, _) in &points {
                     assert!(
-                        p.reserved.delivery_ratio() > 0.95,
-                        "{label}@{}: reservation must protect delivery (ratio {})",
-                        p.offered_kbps,
-                        p.reserved.delivery_ratio()
+                        rsv.total.delivery_ratio() > 0.95,
+                        "{label}@{offered}: reservation must protect delivery (ratio {})",
+                        rsv.total.delivery_ratio()
                     );
                     assert!(
-                        p.reserved_elapsed_ns < 2 * SEC,
-                        "{label}@{}: reserved flow must finish on time ({} ns)",
-                        p.offered_kbps,
-                        p.reserved_elapsed_ns
+                        rsv.elapsed_ns < 2 * SEC,
+                        "{label}@{offered}: reserved flow must finish on time ({} ns)",
+                        rsv.elapsed_ns
                     );
                 }
-                let base_p99 = base.reserved.p99_latency_ms();
-                let sat_p99 = sat.reserved.p99_latency_ms();
+                let base_p99 = base_rsv.total.p99_latency_ms();
+                let sat_p99 = sat_rsv.total.p99_latency_ms();
                 assert!(
                     sat_p99 < base_p99 * 2.5 + 1.0,
                     "{label}: reserved p99 must stay flat past saturation \
@@ -146,18 +144,17 @@ fn overload_sweep_across_families_and_shards() {
                 // Best effort saturates at the leftover capacity: its
                 // completion-time goodput lands well under the offer.
                 assert!(
-                    sat.best_effort_goodput_kbps() < sat.offered_kbps as f64 * 0.6,
-                    "{label}: best effort must saturate ({} kbps of {} offered)",
-                    sat.best_effort_goodput_kbps(),
-                    sat.offered_kbps
+                    sat_be.goodput_kbps() < *sat_offered as f64 * 0.6,
+                    "{label}: best effort must saturate ({} kbps of {sat_offered} offered)",
+                    sat_be.goodput_kbps(),
                 );
             } else {
                 // Authentication-only families: the reserved flow
                 // shares the contended queue and degrades with it.
                 assert!(
-                    sat.reserved.delivery_ratio() < 0.9,
+                    sat_rsv.total.delivery_ratio() < 0.9,
                     "{label}: no priority class, reserved cannot be protected (ratio {})",
-                    sat.reserved.delivery_ratio()
+                    sat_rsv.total.delivery_ratio()
                 );
             }
         }
@@ -177,29 +174,14 @@ fn closed_loop_bit_identical_across_shard_counts() {
         // Fixed 2-core service model regardless of engine shards: the
         // sharding facade must be behavior-preserving.
         topo.set_service_model(Some(ServiceModel::new(300, 2)));
-        let reserved = topo.add_family_reactive_flow(
-            EngineFamily::Hummingbird,
-            src(),
-            dst(),
-            1000,
-            2_000,
-            Some(3_000),
-            250,
-            ReactiveProfile::default(),
-            START_NS,
-        );
-        let best_effort = topo.add_family_reactive_flow(
-            EngineFamily::Hummingbird,
-            IsdAs::new(3, 0xc),
-            dst(),
-            1000,
-            16_000,
-            None,
-            1000,
-            ReactiveProfile::default(),
-            START_NS,
-        );
-        topo.sim.run_until(START_NS + 10 * SEC);
+        let (hb, profile, end_ns) =
+            (EngineFamily::Hummingbird, ReactiveProfile::default(), START_NS + 10 * SEC);
+        let flow = closed_loop(2_000, Some(3_000), 250, profile);
+        let reserved = topo.add_family_flow(hb, src(), dst(), None, &flow, START_NS, end_ns);
+        let flow = closed_loop(16_000, None, 1000, profile);
+        let best_effort =
+            topo.add_family_flow(hb, IsdAs::new(3, 0xc), dst(), None, &flow, START_NS, end_ns);
+        topo.sim.run_until(end_ns);
         (
             topo.sim.stats(reserved),
             topo.sim.stats(best_effort),
@@ -231,25 +213,25 @@ fn retransmit_budget_exhaustion_terminates() {
         max_retransmits: 3,
     };
     let total = 50u64;
-    let flow = topo.add_family_reactive_flow(
+    let spec = closed_loop(2_000, Some(3_000), total, profile);
+    let end_ns = START_NS + 60 * SEC;
+    let flow = topo.add_family_flow(
         EngineFamily::Hummingbird,
         src(),
         dst(),
-        1000,
-        2_000,
-        Some(3_000),
-        total,
-        profile,
+        None,
+        &spec,
         START_NS,
+        end_ns,
     );
     // Blackhole the first hop before anything is sent.
     topo.sim.set_link_up(topo.links[0], false);
-    topo.sim.run_until(START_NS + 60 * SEC);
+    topo.sim.run_until(end_ns);
 
     assert!(topo.sim.reactive_done(flow), "budget exhaustion must terminate the flow");
     let s = topo.sim.stats(flow);
     assert_eq!(s.delivered_pkts, 0, "nothing crosses a dead link");
-    assert_conservation("blackholed", &s);
+    assert_eq!(s.unattributed(), 0, "blackholed: conservation");
     assert_eq!(s.sent_pkts, s.link_down_drops, "every copy died on the dead link");
     assert_eq!(
         s.retransmits,
@@ -280,45 +262,48 @@ fn retransmit_budget_exhaustion_terminates() {
 fn overload_churn_recovers_after_reroute() {
     for family in EngineFamily::ALL {
         let scenario = EngineScenario { family, shards: 1 };
-        let out = run_overload_churn_scenario(cfg(), &OverloadChurnSpec::new(scenario), START_NS);
+        let out = run(cfg(), &common::overload_churn(scenario), START_NS);
         let label = family.name();
+        let (reserved, best_effort) = (&out.flows[0], &out.flows[1]);
+        let (outage, recovery) = (reserved.window(1), reserved.window(2));
+        let (reserved_total, best_effort_total) = (reserved.total, best_effort.total);
 
-        assert!(out.reserved_done, "{label}: reserved flow must terminate");
-        assert!(out.best_effort_done, "{label}: best-effort flow must terminate");
-        assert_conservation(&format!("{label} reserved"), &out.reserved_total);
-        assert_conservation(&format!("{label} best-effort"), &out.best_effort_total);
+        assert!(reserved.done, "{label}: reserved flow must terminate");
+        assert!(best_effort.done, "{label}: best-effort flow must terminate");
+        assert_eq!(reserved_total.unattributed(), 0, "{label} reserved: conservation");
+        assert_eq!(best_effort_total.unattributed(), 0, "{label} best-effort: conservation");
 
         // The failure bit: sends died on the dead path during the
         // convergence window, and the reroute pass then moved the flow.
-        assert!(out.reserved_outage.link_down_drops > 0, "{label}: outage must drop");
+        assert!(outage.link_down_drops > 0, "{label}: outage must drop");
         assert!(
-            out.reserved_outage.delivery_ratio() < 0.5,
+            outage.delivery_ratio() < 0.5,
             "{label}: convergence window must hurt (ratio {})",
-            out.reserved_outage.delivery_ratio()
+            outage.delivery_ratio()
         );
-        assert_eq!(out.reserved_total.reroutes, 1, "{label}: exactly one reroute");
+        assert_eq!(reserved_total.reroutes, 1, "{label}: exactly one reroute");
 
         // Retransmit-driven recovery: the convergence-window losses
         // come back down the new path, and the recovery window clears
         // the ≥ 0.9-delivery acceptance bar.
         assert!(
-            out.reserved_recovery.delivery_ratio() >= 0.9,
+            recovery.delivery_ratio() >= 0.9,
             "{label}: recovery delivery {} must reach 0.9",
-            out.reserved_recovery.delivery_ratio()
+            recovery.delivery_ratio()
         );
-        assert!(out.reserved_recovery.retransmits > 0, "{label}: recovery rides retransmits");
+        assert!(recovery.retransmits > 0, "{label}: recovery rides retransmits");
         assert!(
-            out.reserved_total.delivery_ratio() > 0.9,
+            reserved_total.delivery_ratio() > 0.9,
             "{label}: end-to-end the reservation still held (ratio {})",
-            out.reserved_total.delivery_ratio()
+            reserved_total.delivery_ratio()
         );
 
         // Best effort: degraded (it saw drops and retried), not collapsed.
-        assert!(out.best_effort_total.retransmits > 0, "{label}: best effort retried");
+        assert!(best_effort_total.retransmits > 0, "{label}: best effort retried");
         assert!(
-            out.best_effort_total.delivery_ratio() > 0.5,
+            best_effort_total.delivery_ratio() > 0.5,
             "{label}: best effort must not collapse (ratio {})",
-            out.best_effort_total.delivery_ratio()
+            best_effort_total.delivery_ratio()
         );
         // Failure + reroute both landed in the report.
         assert_eq!(out.report.records.len(), 2, "{label}: churn timeline recorded");
@@ -337,23 +322,23 @@ fn latency_sweep_recovers_from_churn() {
         let scenario = EngineScenario { family, shards: 1 };
         let label = family.name();
 
-        let spec = LatencySpec::new(scenario);
-        let out = run_latency_churn_scenario(cfg(), &spec, 42, 100_000_000, START_NS);
+        let out = run(cfg(), &common::latency_churn(scenario, 0, 42, 100_000_000), START_NS);
+        let [base, outage, recovery] = [0, 1, 2].map(|i| out.flows[0].window(i));
         assert_eq!(out.report.records.len(), 2, "{label}: failure + reroute recorded");
-        assert!(out.base.delivery_ratio() > 0.99, "{label}: clean base window");
-        assert!(out.outage.link_down_drops > 0, "{label}: outage must drop");
+        assert!(base.delivery_ratio() > 0.99, "{label}: clean base window");
+        assert!(outage.link_down_drops > 0, "{label}: outage must drop");
         assert!(
-            out.outage.delivery_ratio() < 0.5,
+            outage.delivery_ratio() < 0.5,
             "{label}: outage must hurt (ratio {})",
-            out.outage.delivery_ratio()
+            outage.delivery_ratio()
         );
         assert!(
-            out.recovery.delivery_ratio() > 0.9,
+            recovery.delivery_ratio() > 0.9,
             "{label}: recovery delivery {} must reach 0.9",
-            out.recovery.delivery_ratio()
+            recovery.delivery_ratio()
         );
-        let base_ms = out.base.mean_latency_ms();
-        let recovery_ms = out.recovery.mean_latency_ms();
+        let base_ms = base.mean_latency_ms();
+        let recovery_ms = recovery.mean_latency_ms();
         assert!(
             recovery_ms < base_ms * 3.0 + 1.0,
             "{label}: recovery latency {recovery_ms:.2} ms must stay within 3x of base \
@@ -362,23 +347,24 @@ fn latency_sweep_recovers_from_churn() {
 
         // Under a 3× flood the recovery bound splits by family.
         let flooded =
-            run_latency_churn_scenario(cfg(), &spec.with_flood(30_000), 42, 100_000_000, START_NS);
+            run(cfg(), &common::latency_churn(scenario, 30_000, 42, 100_000_000), START_NS);
+        let flooded_recovery = flooded.flows[0].window(2);
         if family.has_priority_class() {
             assert!(
-                flooded.recovery.delivery_ratio() > 0.9,
+                flooded_recovery.delivery_ratio() > 0.9,
                 "{label}: reservation family must recover under flood (ratio {})",
-                flooded.recovery.delivery_ratio()
+                flooded_recovery.delivery_ratio()
             );
             assert!(
-                flooded.recovery.mean_latency_ms() < base_ms * 3.0 + 1.0,
+                flooded_recovery.mean_latency_ms() < base_ms * 3.0 + 1.0,
                 "{label}: flooded recovery latency {} must stay bounded",
-                flooded.recovery.mean_latency_ms()
+                flooded_recovery.mean_latency_ms()
             );
         } else {
             assert!(
-                flooded.recovery.delivery_ratio() < 0.5,
+                flooded_recovery.delivery_ratio() < 0.5,
                 "{label}: authentication-only family stays drowned (ratio {})",
-                flooded.recovery.delivery_ratio()
+                flooded_recovery.delivery_ratio()
             );
         }
     }

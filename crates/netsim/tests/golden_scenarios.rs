@@ -10,13 +10,13 @@
 //! one over its windowed snapshots (base, outage, recovery). A changed
 //! digest means a count, a latency or the event order changed, not speed.
 
+mod common;
+
 use hummingbird_crypto::sha256::Sha256;
 use hummingbird_dataplane::{DatapathStats, RouterConfig};
 use hummingbird_netsim::{
-    run_churn_scenario, run_latency_churn_scenario, run_latency_scenario, run_multipath_scenario,
-    run_overload_churn_scenario, run_overload_scenario, run_partial_path_scenario, ChurnReport,
-    ChurnSpec, EngineFamily, EngineScenario, FlowStats, LatencySpec, OverloadChurnSpec,
-    OverloadSpec,
+    run, run_churn_scenario, ChurnReport, ChurnSpec, EngineFamily, EngineScenario, FlowStats,
+    Scenario,
 };
 
 const LATENCY: &str = "0623683ba1a369cc9500ff4570395a17ed74682a4b46487f077e5ff9b7404b1f";
@@ -30,7 +30,7 @@ const OVERLOAD_CHURN_WINDOWS: &str =
 const LATENCY_CHURN_TOTALS: &str =
     "19ea9e0cc383babed334954d859be5e3d3c8fad19a0ea0bded3a3f6647efb292";
 const LATENCY_CHURN_WINDOWS: &str =
-    "39cdac3ce0b68bd7a1702dd44bd14ba47ae33e3116f0782b1288cf19b96064aa";
+    "d1c10aefcbc2fd46dc46ba0d89200a30135625a93b6c60bc8e313476c4c981c4";
 const CHURN_TOTALS: &str = "00926d2db8be72e85190cf47f392dffaab7ef51f6fd645d52d2ca6dc45cf1dc9";
 const CHURN_WINDOWS: &str = "57e5ae6271928a59abf3d16e390600f5a7e76d7b157e1ea975ae2046e118a893";
 
@@ -123,11 +123,14 @@ fn latency_digest_is_unchanged() {
     for family in EngineFamily::ALL {
         for shards in [1usize, 4] {
             for flood in [0u64, 30_000] {
-                let spec = LatencySpec::new(EngineScenario { family, shards }).with_flood(flood);
-                let out = run_latency_scenario(cfg(), &spec, START_NS);
-                d.flow(&out.victim);
-                d.maybe_flow(out.flood.as_ref());
-                d.router(&out.entry_stats);
+                let out = run(
+                    cfg(),
+                    &Scenario::latency(EngineScenario { family, shards }, flood),
+                    START_NS,
+                );
+                d.flow(&out.flows[0].total);
+                d.maybe_flow(out.flows.get(1).map(|f| &f.total));
+                d.router(&out.routers[0]);
             }
         }
     }
@@ -138,10 +141,10 @@ fn latency_digest_is_unchanged() {
 fn partial_path_digest_is_unchanged() {
     let mut d = Digest::new();
     for family in EngineFamily::ALL {
-        let out = run_partial_path_scenario(cfg(), single(family), 300, START_NS);
-        d.flow(&out.victim);
-        d.u(out.per_hop.len() as u64);
-        for s in &out.per_hop {
+        let out = run(cfg(), &common::partial_path(single(family)), START_NS);
+        d.flow(&out.flows[0].total);
+        d.u(out.routers.len() as u64);
+        for s in &out.routers {
             d.router(s);
         }
     }
@@ -152,9 +155,9 @@ fn partial_path_digest_is_unchanged() {
 fn multipath_digest_is_unchanged() {
     let mut d = Digest::new();
     for family in EngineFamily::ALL {
-        let out = run_multipath_scenario(cfg(), single(family), START_NS);
-        d.flow(&out.p);
-        d.flow(&out.q);
+        let out = run(cfg(), &common::multipath(single(family)), START_NS);
+        d.flow(&out.flows[0].total);
+        d.flow(&out.flows[1].total);
     }
     assert_eq!(d.hex(), MULTIPATH);
 }
@@ -163,19 +166,23 @@ fn multipath_digest_is_unchanged() {
 fn overload_digest_is_unchanged() {
     let mut d = Digest::new();
     for family in EngineFamily::ALL {
-        let mut spec = OverloadSpec::new(single(family));
-        spec.max_pkts_per_flow = 400;
-        let out = run_overload_scenario(cfg(), &spec, START_NS);
-        d.u(out.points.len() as u64);
-        for p in &out.points {
-            d.u(p.offered_kbps);
-            d.flow(&p.reserved);
-            d.flow(&p.best_effort);
-            d.u(u64::from(p.reserved_done));
-            d.u(u64::from(p.best_effort_done));
-            d.u(p.reserved_elapsed_ns);
-            d.u(p.best_effort_elapsed_ns);
-            d.u(p.events);
+        let sweep = Scenario::overload_sweep(single(family), 400);
+        d.u(sweep.len() as u64);
+        for s in &sweep {
+            let out = run(cfg(), s, START_NS);
+            let (reserved, best_effort) = (&out.flows[0], &out.flows[1]);
+            d.u(s.flows[1].1.rate_kbps);
+            d.flow(&reserved.total);
+            d.flow(&best_effort.total);
+            d.u(u64::from(reserved.done));
+            d.u(u64::from(best_effort.done));
+            d.u(reserved.elapsed_ns);
+            d.u(best_effort.elapsed_ns);
+            d.u(out.events);
+            // Every closed-loop copy is delivered or in a named drop counter.
+            for f in [reserved, best_effort] {
+                assert_eq!(f.total.unattributed(), 0, "{}: conservation", family.name());
+            }
         }
     }
     assert_eq!(d.hex(), OVERLOAD);
@@ -185,17 +192,20 @@ fn overload_digest_is_unchanged() {
 fn overload_churn_digests_are_unchanged() {
     let (mut totals, mut windows) = (Digest::new(), Digest::new());
     for family in EngineFamily::ALL {
-        let out =
-            run_overload_churn_scenario(cfg(), &OverloadChurnSpec::new(single(family)), START_NS);
-        totals.flow(&out.reserved_total);
-        totals.flow(&out.best_effort_total);
-        totals.u(u64::from(out.reserved_done));
-        totals.u(u64::from(out.best_effort_done));
+        let out = run(cfg(), &common::overload_churn(single(family)), START_NS);
+        let (reserved, best_effort) = (&out.flows[0], &out.flows[1]);
+        totals.flow(&reserved.total);
+        totals.flow(&best_effort.total);
+        totals.u(u64::from(reserved.done));
+        totals.u(u64::from(best_effort.done));
         totals.report(&out.report);
         totals.u(out.events);
-        windows.flow(&out.reserved_base);
-        windows.flow(&out.reserved_outage);
-        windows.flow(&out.reserved_recovery);
+        for i in 0..3 {
+            windows.flow(&reserved.window(i));
+        }
+        for f in [reserved, best_effort] {
+            assert_eq!(f.total.unattributed(), 0, "{}: conservation", family.name());
+        }
     }
     assert_eq!(totals.hex(), OVERLOAD_CHURN_TOTALS);
     assert_eq!(windows.hex(), OVERLOAD_CHURN_WINDOWS);
@@ -206,14 +216,15 @@ fn latency_churn_digests_are_unchanged() {
     let (mut totals, mut windows) = (Digest::new(), Digest::new());
     for family in EngineFamily::ALL {
         for flood in [0u64, 30_000] {
-            let spec = LatencySpec::new(single(family)).with_flood(flood);
-            let out = run_latency_churn_scenario(cfg(), &spec, 42, 100_000_000, START_NS);
-            totals.flow(&out.total);
-            totals.maybe_flow(out.flood_total.as_ref());
+            let scenario = common::latency_churn(single(family), flood, 42, 100_000_000);
+            let out = run(cfg(), &scenario, START_NS);
+            let victim = &out.flows[0];
+            totals.flow(&victim.total);
+            totals.maybe_flow(out.flows.get(1).map(|f| &f.total));
             totals.report(&out.report);
-            windows.flow(&out.base);
-            windows.flow(&out.outage);
-            windows.flow(&out.recovery);
+            for i in 0..3 {
+                windows.flow(&victim.window(i));
+            }
         }
     }
     assert_eq!(totals.hex(), LATENCY_CHURN_TOTALS);

@@ -14,10 +14,11 @@
 //! 4. The partial-path and multipath variants of the family sweep.
 //! 5. `FlowStats` zero-division edges.
 
+mod common;
+
 use hummingbird_dataplane::RouterConfig;
 use hummingbird_netsim::{
-    run_latency_scenario, run_multipath_scenario, run_partial_path_scenario, EngineFamily,
-    EngineScenario, FlowStats, LatencySpec, LinearTopology, LinkSpec, ServiceModel,
+    run, EngineFamily, EngineScenario, FlowStats, LinearTopology, LinkSpec, Scenario, ServiceModel,
 };
 use hummingbird_wire::IsdAs;
 use proptest::prelude::*;
@@ -49,28 +50,28 @@ fn fig34_latency_sweep_across_families_and_shards() {
     for family in EngineFamily::ALL {
         for shards in [1usize, 4] {
             let scenario = EngineScenario { family, shards };
-            let spec = LatencySpec::new(scenario);
-            let base = run_latency_scenario(cfg, &spec, START_NS);
-            let loaded = run_latency_scenario(cfg, &spec.with_flood(30_000), START_NS);
+            let base = run(cfg, &Scenario::latency(scenario, 0), START_NS).flows[0].total;
+            let loaded = run(cfg, &Scenario::latency(scenario, 30_000), START_NS);
+            let (victim, flood) = (loaded.flows[0].total, loaded.flows[1].total);
             let label = format!("{}x{shards}", family.name());
 
             // Uncontended: everything arrives, in order, never dropped
             // by authentication, with a positive modeled delay.
-            assert!(base.victim.delivery_ratio() > 0.99, "{label}: base delivery");
-            assert_eq!(base.victim.router_drops, 0, "{label}: victim must authenticate");
-            assert_eq!(base.victim.reordered_pkts, 0, "{label}: base FIFO");
-            let base_ms = base.victim.mean_latency_ms();
+            assert!(base.delivery_ratio() > 0.99, "{label}: base delivery");
+            assert_eq!(base.router_drops, 0, "{label}: victim must authenticate");
+            assert_eq!(base.reordered_pkts, 0, "{label}: base FIFO");
+            let base_ms = base.mean_latency_ms();
             assert!(base_ms > 0.0, "{label}: latency model must accrue delay");
 
             // Under flood.
-            assert_eq!(loaded.victim.router_drops, 0, "{label}: flood never forges MACs");
-            assert_eq!(loaded.victim.reordered_pkts, 0, "{label}: loaded FIFO");
-            let loaded_ms = loaded.victim.mean_latency_ms();
+            assert_eq!(victim.router_drops, 0, "{label}: flood never forges MACs");
+            assert_eq!(victim.reordered_pkts, 0, "{label}: loaded FIFO");
+            let loaded_ms = victim.mean_latency_ms();
             if family.has_priority_class() {
                 assert!(
-                    loaded.victim.delivery_ratio() > 0.99,
+                    victim.delivery_ratio() > 0.99,
                     "{label}: reservation family must protect delivery, ratio {}",
-                    loaded.victim.delivery_ratio()
+                    victim.delivery_ratio()
                 );
                 assert!(
                     loaded_ms < base_ms * 1.5,
@@ -79,9 +80,9 @@ fn fig34_latency_sweep_across_families_and_shards() {
                 );
             } else {
                 assert!(
-                    loaded.victim.delivery_ratio() < 0.7,
+                    victim.delivery_ratio() < 0.7,
                     "{label}: authentication-only family cannot protect, ratio {}",
-                    loaded.victim.delivery_ratio()
+                    victim.delivery_ratio()
                 );
                 assert!(
                     loaded_ms > base_ms * 3.0,
@@ -91,10 +92,9 @@ fn fig34_latency_sweep_across_families_and_shards() {
             }
             // The entry router saw every packet exactly once, however
             // many shards it runs across.
-            let flood = loaded.flood.expect("flood ran");
             assert_eq!(
-                loaded.entry_stats.processed,
-                loaded.victim.sent_pkts + flood.sent_pkts,
+                loaded.routers[0].processed,
+                victim.sent_pkts + flood.sent_pkts,
                 "{label}: every packet counted once"
             );
         }
@@ -160,22 +160,24 @@ proptest! {
     ) {
         let cfg = RouterConfig::default();
         let scenario = EngineScenario { family: EngineFamily::Hummingbird, shards };
-        let mut spec = LatencySpec::new(scenario);
-        spec.run_s = 1;
-        let alone = run_latency_scenario(cfg, &spec, START_NS);
-        let contested = run_latency_scenario(cfg, &spec.with_flood(flood_kbps), START_NS);
+        let victim = |flood_kbps| {
+            let mut s = Scenario::latency(scenario, flood_kbps);
+            s.run_s = 1;
+            run(cfg, &s, START_NS).flows[0].total
+        };
+        let (alone, contested) = (victim(0), victim(flood_kbps));
         prop_assert!(
-            contested.victim.delivery_ratio() >= alone.victim.delivery_ratio(),
+            contested.delivery_ratio() >= alone.delivery_ratio(),
             "best-effort competitor reduced flyover delivery: {} -> {}",
-            alone.victim.delivery_ratio(),
-            contested.victim.delivery_ratio()
+            alone.delivery_ratio(),
+            contested.delivery_ratio()
         );
-        prop_assert!(contested.victim.delivery_ratio() > 0.99);
+        prop_assert!(contested.delivery_ratio() > 0.99);
         prop_assert!(
-            contested.victim.mean_latency_ms() < alone.victim.mean_latency_ms() * 1.5,
+            contested.mean_latency_ms() < alone.mean_latency_ms() * 1.5,
             "flyover latency must not track the flood"
         );
-        prop_assert_eq!(contested.victim.reordered_pkts, 0);
+        prop_assert_eq!(contested.reordered_pkts, 0);
     }
 }
 
@@ -225,26 +227,27 @@ fn partial_path_family_sweep() {
     for family in EngineFamily::ALL {
         for shards in [1usize, 4] {
             let scenario = EngineScenario { family, shards };
-            let out = run_partial_path_scenario(cfg, scenario, 300, START_NS);
+            let out = run(cfg, &common::partial_path(scenario), START_NS);
+            let (victim, per_hop) = (out.flows[0].total, &out.routers);
             let label = format!("{}x{shards}", family.name());
-            assert_eq!(out.victim.router_drops, 0, "{label}: victim must authenticate");
+            assert_eq!(victim.router_drops, 0, "{label}: victim must authenticate");
             // Priority rode exactly the credentialed hop — and only for
             // the families that have a priority class at all.
-            assert_eq!(out.per_hop[0].flyover, 0, "{label}: hop 0 is uncredentialed");
-            assert_eq!(out.per_hop[2].flyover, 0, "{label}: hop 2 is uncredentialed");
+            assert_eq!(per_hop[0].flyover, 0, "{label}: hop 0 is uncredentialed");
+            assert_eq!(per_hop[2].flyover, 0, "{label}: hop 2 is uncredentialed");
             if family.has_priority_class() {
-                assert!(out.per_hop[1].flyover > 0, "{label}: middle hop carries priority");
+                assert!(per_hop[1].flyover > 0, "{label}: middle hop carries priority");
                 assert!(
-                    out.victim.delivery_ratio() > 0.99,
+                    victim.delivery_ratio() > 0.99,
                     "{label}: middle-hop credential must protect, ratio {}",
-                    out.victim.delivery_ratio()
+                    victim.delivery_ratio()
                 );
             } else {
-                assert_eq!(out.per_hop[1].flyover, 0, "{label}: no priority class");
+                assert_eq!(per_hop[1].flyover, 0, "{label}: no priority class");
                 assert!(
-                    out.victim.delivery_ratio() < 0.7,
+                    victim.delivery_ratio() < 0.7,
                     "{label}: authentication-only family cannot protect, ratio {}",
-                    out.victim.delivery_ratio()
+                    victim.delivery_ratio()
                 );
             }
         }
@@ -260,25 +263,26 @@ fn multipath_family_sweep() {
     for family in EngineFamily::ALL {
         for shards in [1usize, 4] {
             let scenario = EngineScenario { family, shards };
-            let out = run_multipath_scenario(cfg, scenario, START_NS);
+            let out = run(cfg, &common::multipath(scenario), START_NS);
+            let (p, q) = (out.flows[0].total, out.flows[1].total);
             let label = format!("{}x{shards}", family.name());
             assert!(
-                out.p.delivery_ratio() > 0.99,
+                p.delivery_ratio() > 0.99,
                 "{label}: the clean branch is isolated by path choice, ratio {}",
-                out.p.delivery_ratio()
+                p.delivery_ratio()
             );
-            assert_eq!(out.p.router_drops + out.q.router_drops, 0, "{label}: both authenticate");
+            assert_eq!(p.router_drops + q.router_drops, 0, "{label}: both authenticate");
             if family.has_priority_class() {
                 assert!(
-                    out.q.delivery_ratio() > 0.99,
+                    q.delivery_ratio() > 0.99,
                     "{label}: reservation family must protect the flooded branch, ratio {}",
-                    out.q.delivery_ratio()
+                    q.delivery_ratio()
                 );
             } else {
                 assert!(
-                    out.q.delivery_ratio() < 0.7,
+                    q.delivery_ratio() < 0.7,
                     "{label}: authentication-only family starves on the flooded branch, ratio {}",
-                    out.q.delivery_ratio()
+                    q.delivery_ratio()
                 );
             }
         }

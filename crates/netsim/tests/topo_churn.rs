@@ -6,7 +6,8 @@
 //!    schedule order (the `(time, seq)` FIFO contract churn relies on).
 //! 3. **Churn mechanics** — down/up pairs restore the exact pre-failure
 //!    link set; a reboot wipes all datapath state (caches come back
-//!    cold) without disturbing the flows.
+//!    cold) without disturbing the flows; a failure's queue drain and a
+//!    reroute's bump land in the window that starts at their instant.
 //! 4. **Generator invariants** (property tests) — generated graphs are
 //!    connected with no self-loops or duplicate adjacencies, and every
 //!    flow's path exists edge-by-edge in the graph.
@@ -16,10 +17,12 @@
 //!    delivery > 0.9) while authentication-only families stay flooded,
 //!    and two same-seed runs are bit-identical end to end.
 
+mod common;
+
 use hummingbird_dataplane::RouterConfig;
 use hummingbird_netsim::{
-    run_churn_scenario, run_with_churn, BackboneSpec, ChurnAction, ChurnPlan, ChurnSpec,
-    EngineFamily, EngineScenario, HierarchySpec, LinkSpec, TopologyBuilder,
+    run, run_churn_scenario, run_with_churn, BackboneSpec, ChurnAction, ChurnOutcome, ChurnPlan,
+    ChurnSpec, EngineFamily, EngineScenario, FlowSpec, HierarchySpec, LinkSpec, TopologyBuilder,
 };
 use proptest::prelude::*;
 
@@ -64,26 +67,10 @@ fn equal_timestamp_events_are_fifo_by_schedule_order() {
         t.connect(a, b, LinkSpec::default());
         // stop = start + 1 ns ⇒ exactly one packet per flow, both sent
         // at the same instant.
-        let f0 = t.add_family_flow(
-            EngineFamily::Hummingbird,
-            a,
-            b,
-            500,
-            1_000,
-            None,
-            START_NS,
-            START_NS + 1,
-        );
-        let f1 = t.add_family_flow(
-            EngineFamily::Hummingbird,
-            a,
-            b,
-            500,
-            1_000,
-            None,
-            START_NS,
-            START_NS + 1,
-        );
+        let flow = FlowSpec::cbr(500, 1_000, None);
+        let hb = EngineFamily::Hummingbird;
+        let f0 = t.add_family_flow(hb, a, b, &flow, START_NS, START_NS + 1);
+        let f1 = t.add_family_flow(hb, a, b, &flow, START_NS, START_NS + 1);
         t.sim.run_until(START_NS + SEC);
         (t.sim.stats(f0), t.sim.stats(f1))
     };
@@ -133,9 +120,7 @@ fn reboot_router_wipes_datapath_state() {
         EngineFamily::Hummingbird,
         0,
         4, // PoP 2, router 0: two inter-PoP hops
-        500,
-        1_000,
-        Some(2_000),
+        &FlowSpec::cbr(500, 1_000, Some(2_000)),
         START_NS,
         START_NS + 2 * SEC,
     );
@@ -198,9 +183,7 @@ proptest! {
             EngineFamily::Hummingbird,
             (seed as usize) % n,
             (seed as usize + n / 2) % n,
-            500,
-            1_000,
-            Some(2_000),
+            &FlowSpec::cbr(500, 1_000, Some(2_000)),
             START_NS,
             START_NS + SEC,
         );
@@ -247,6 +230,43 @@ proptest! {
         }
         run_with_churn(&mut t, &plan, START_NS + 2 * SEC);
         prop_assert_eq!(t.live_adjacencies(), before);
+    }
+}
+
+/// The window convention: a window ends *before* the steps at its
+/// instant apply. On a backbone with a flood just under the bottleneck
+/// (so the failed link's queues hold flood packets and, for the
+/// authentication-only families, the victim's own best-effort ones), the
+/// packets the link failure drains count in the outage window that
+/// starts at the failure — the clean base window has no link-down drops
+/// at all — and the reroute's `reroutes` bump counts in recovery.
+#[test]
+fn failure_drain_counts_in_the_outage_window() {
+    for family in EngineFamily::ALL {
+        let label = family.name();
+        let scenario =
+            common::latency_churn(EngineScenario { family, shards: 1 }, 9_000, 42, SEC / 10);
+        let out = run(cfg(), &scenario, START_NS);
+        let drained: u64 = out
+            .report
+            .records
+            .iter()
+            .map(|r| match r.outcome {
+                ChurnOutcome::LinkDown { drained } => drained,
+                _ => 0,
+            })
+            .sum();
+        assert!(drained > 0, "{label}: the failed link had packets queued");
+        let link_down = |i| out.flows.iter().map(|f| f.window(i).link_down_drops).sum::<u64>();
+        assert_eq!(link_down(0), 0, "{label}: the base window ends before the failure");
+        assert!(
+            link_down(1) >= drained,
+            "{label}: the {drained} drained packets count in the outage window ({})",
+            link_down(1)
+        );
+        let victim = &out.flows[0];
+        assert_eq!(victim.window(1).reroutes, 0, "{label}: the outage ends before the reroute");
+        assert_eq!(victim.window(2).reroutes, 1, "{label}: the reroute counts in recovery");
     }
 }
 

@@ -12,6 +12,9 @@ for dir in crates/*/src; do
     n=$(grep -rhE '^\s*pub (fn|struct|enum|const|trait|type|mod|use|static)' "$dir" | wc -l)
     printf '  %-10s %s\n' "${crate%/src}" "$n"
 done
+printf 'netsim scenario.rs lines:             %s\n' "$(wc -l < crates/netsim/src/scenario.rs)"
+printf 'netsim `pub fn run_*`:                %s\n' \
+    "$(grep -rhE '^\s*pub fn run_' crates/netsim/src | wc -l)"
 printf '*Stats/*Report structs:               %s\n' \
     "$(grep -rhE '^\s*pub struct \w+(Stats|Report)\b' crates/*/src | wc -l)"
 # A percentile function takes arguments; test functions named after one do not.

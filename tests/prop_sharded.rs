@@ -500,19 +500,16 @@ fn threaded_tx_path_conserves_and_orders_packets() {
 /// 4-shard. The event loop has no hidden entropy.
 #[test]
 fn same_seed_same_topology_is_bit_identical() {
-    use hummingbird::netsim::{run_latency_scenario, EngineFamily, EngineScenario, LatencySpec};
+    use hummingbird::netsim::{run, EngineFamily, EngineScenario, Scenario};
     let cfg = RouterConfig::default();
     const START_NS: u64 = 1_700_000_000 * 1_000_000_000;
     for family in EngineFamily::ALL {
         for shards in [1usize, 4] {
-            let scenario = EngineScenario { family, shards };
-            let spec = LatencySpec::new(scenario).with_flood(30_000);
-            let a = run_latency_scenario(cfg, &spec, START_NS);
-            let b = run_latency_scenario(cfg, &spec, START_NS);
+            let scenario = Scenario::latency(EngineScenario { family, shards }, 30_000);
+            let a = run(cfg, &scenario, START_NS);
+            let b = run(cfg, &scenario, START_NS);
             let label = format!("{}x{shards}", family.name());
-            assert_eq!(a.victim, b.victim, "{label}: victim FlowStats diverged");
-            assert_eq!(a.flood, b.flood, "{label}: flood FlowStats diverged");
-            assert_eq!(a.entry_stats, b.entry_stats, "{label}: engine counters diverged");
+            assert_eq!(a, b, "{label}: flow stats or engine counters diverged");
         }
     }
 }
