@@ -191,6 +191,18 @@ mod tests {
     }
 
     #[test]
+    fn zero_rate_reservation_is_best_effort() {
+        // `bw_encoded = 0` decodes to 0 kbps: no packet fits such a
+        // reservation, so it must never get priority — not by wrapping
+        // the deadline past `u64::MAX`, and not at the far end of time.
+        let mut p = Policer::new(4, DEFAULT_BURST_TIME_NS);
+        assert_eq!(p.check(0, 0, 100, SEC), FwdClass::BestEffort);
+        assert_eq!(p.check(1, 0, 100, u64::MAX - 1), FwdClass::BestEffort);
+        // The demoted packets left their slots untouched.
+        assert_eq!(p.check(0, 1_000, 100, SEC), FwdClass::Flyover);
+    }
+
+    #[test]
     fn reset_recycles_slot() {
         let mut p = Policer::new(4, DEFAULT_BURST_TIME_NS);
         let now = SEC;
