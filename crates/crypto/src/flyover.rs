@@ -301,6 +301,9 @@ pub fn flyover_tags_batch_with<'a>(
 /// full generation a flip allocates nothing. A hit in cold promotes back
 /// to hot. This keeps lookups O(1), bounds the footprint to two
 /// generations, and ages out expired reservations without a sweeper.
+/// The configured capacity is that bound, not an up-front reservation:
+/// a new cache holds no tables, and the hot one grows with the working
+/// set — never past a generation — until the first flip.
 /// Hit/miss counters are exposed for `DatapathStats`-style reporting.
 ///
 /// # Example
@@ -350,22 +353,24 @@ struct Generation<K, S> {
 }
 
 impl<K: Eq + Hash, S: BuildHasher + Default> Generation<K, S> {
-    fn with_capacity(capacity: usize) -> Self {
-        Generation {
-            index: HashMap::with_capacity_and_hasher(capacity, S::default()),
-            keys: Vec::with_capacity(capacity),
-        }
+    fn empty() -> Self {
+        Generation { index: HashMap::with_hasher(S::default()), keys: Vec::new() }
     }
 
     fn take(&mut self, key: &K) -> Option<AuthKey> {
         self.index.remove(key).map(|slot| self.keys[slot as usize].clone())
     }
 
-    /// Stores `value` under `key` (in place if `key` is resident).
-    fn insert(&mut self, key: K, value: AuthKey) -> &AuthKey {
+    /// Stores `value` under `key` (in place if `key` is resident). The
+    /// arena doubles as it fills but never past `limit` slots; the caller
+    /// flips generations before a new key would exceed it.
+    fn insert(&mut self, key: K, value: AuthKey, limit: usize) -> &AuthKey {
         let next = self.keys.len() as u32;
         let slot = *self.index.entry(key).or_insert(next) as usize;
         if slot == self.keys.len() {
+            if slot == self.keys.capacity() {
+                self.keys.reserve_exact((2 * slot).max(4).min(limit) - slot);
+            }
             self.keys.push(value);
         } else {
             self.keys[slot] = value;
@@ -382,11 +387,12 @@ impl<K: Eq + Hash, S: BuildHasher + Default> Generation<K, S> {
 impl<K: Eq + Hash + Clone, S: BuildHasher + Default> AuthKeyCache<K, S> {
     /// Creates a cache holding at most ~`capacity` expanded keys
     /// (internally two generations of `capacity / 2`, minimum 1).
+    /// Allocates nothing until the first insert.
     pub fn new(capacity: usize) -> Self {
         let generation_capacity = (capacity / 2).max(1);
         AuthKeyCache {
-            hot: Generation::with_capacity(generation_capacity),
-            cold: Generation::with_capacity(0),
+            hot: Generation::empty(),
+            cold: Generation::empty(),
             generation_capacity,
             hits: 0,
             misses: 0,
@@ -462,7 +468,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> AuthKeyCache<K, S> {
             self.hot.index.reserve(self.generation_capacity);
             self.hot.keys.reserve(self.generation_capacity);
         }
-        self.hot.insert(key, value)
+        self.hot.insert(key, value, self.generation_capacity)
     }
 
     /// Cache hits since creation / the last counter reset.
@@ -921,6 +927,31 @@ mod tests {
         let misses_before = cache.misses();
         assert!(cache.lookup(&info(1)).is_none(), "aged-out entry misses");
         assert_eq!(cache.misses(), misses_before + 1);
+    }
+
+    #[test]
+    fn auth_key_cache_grows_with_the_working_set() {
+        let key = AuthKey::new([10u8; 16]);
+        // Capacity 10 → generations of 5: not a power of two, so doubling
+        // alone would overshoot it.
+        let mut cache: AuthKeyCache<u32> = AuthKeyCache::new(10);
+        assert_eq!((cache.hot.keys.capacity(), cache.hot.index.capacity()), (0, 0));
+        for i in 0..3 {
+            cache.insert(i, key.clone());
+        }
+        assert!((3..=4).contains(&cache.hot.keys.capacity()), "{}", cache.hot.keys.capacity());
+        for i in 3..5 {
+            cache.insert(i, key.clone());
+        }
+        assert_eq!(cache.hot.keys.capacity(), 5, "a full generation, no more");
+        // The flip reserves a generation for the fresh hot tables; the
+        // next one reuses the first generation's tables.
+        cache.insert(5, key.clone());
+        assert_eq!((cache.hot.keys.capacity(), cache.cold.keys.capacity()), (5, 5));
+        for i in 6..11 {
+            cache.insert(i, key.clone());
+        }
+        assert_eq!((cache.hot.keys.capacity(), cache.cold.keys.capacity()), (5, 5));
     }
 
     #[test]

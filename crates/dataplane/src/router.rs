@@ -33,15 +33,20 @@ pub struct RouterConfig {
     pub max_packet_age_ms: u64,
     /// Maximum clock skew δ, milliseconds (paper: e.g. 500 ms).
     pub max_clock_skew_ms: u64,
-    /// Policing array slots (ResIDmax; paper evaluation: 10⁵).
+    /// Policing array bound (ResIDmax; paper evaluation: 10⁵). ResIDs at
+    /// or above it are policed as best effort. The array is resident only
+    /// up to the highest ResID seen so far, so 8 B × this value (800 kB at
+    /// the default) is a ceiling, not what a new router allocates.
     pub policer_slots: u32,
     /// Burst budget, nanoseconds.
     pub burst_time_ns: u64,
     /// Enable the optional duplicate suppression stage.
     pub duplicate_suppression: bool,
-    /// Capacity of the per-engine authentication-key cache (expanded
-    /// `A_i` schedules reused across packets of one reservation);
-    /// `0` disables caching and re-derives per packet.
+    /// Capacity bound of the per-engine authentication-key cache
+    /// (expanded `A_i` schedules reused across packets of one
+    /// reservation); `0` disables caching and re-derives per packet. The
+    /// cache starts empty and grows with the reservations it sees, up to
+    /// this many keys.
     pub auth_key_cache_slots: u32,
 }
 

@@ -11,6 +11,10 @@
 //! A whole `run_to_completion` allocates per template, not per buffer
 //! a template could ever need: its pools grow on demand.
 //!
+//! A new router allocates per reservation it has seen, not per slot its
+//! configuration allows: the policer's ResIDmax array and the key cache's
+//! generations are bounds that fill on first use.
+//!
 //! The counting allocator counts per thread, so the tests may run in
 //! parallel; the runtime test runs its shards sequentially on its own
 //! thread for the same reason.
@@ -27,22 +31,25 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// System allocator wrapper that counts every allocation made by the
-/// current thread.
+/// current thread, and the bytes each one asked for.
 struct CountingAlloc;
 
 thread_local! {
-    // `const` and destructor-free: touching it never allocates.
+    // `const` and destructor-free: touching them never allocates.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Counts one allocation of `bytes` (a `realloc` counts its new size).
+fn count_one(bytes: usize) {
     // `try_with`: a thread being torn down may still free and allocate.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: same contract as the caller's; delegated unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -51,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: same contract as the caller's; delegated unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -65,6 +72,13 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Bytes this thread requested from the allocator while running `f`.
+fn bytes_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (BYTES.with(Cell::get) - before, out)
 }
 
 const NOW_S: u64 = 1_700_000_096;
@@ -142,6 +156,17 @@ fn miss_bursts_and_generation_flips_do_not_allocate() {
         }
     });
     assert_eq!(allocs, 0, "{allocs} allocations on the sequential path");
+}
+
+#[test]
+fn new_router_allocates_on_first_use() {
+    let (sv, hop_key) = (SecretValue::new([0x42; 16]), HopMacKey::new([0x17; 16]));
+    let cfg = RouterConfig::default();
+    // Up front, the bounds would be 800 kB of policer slots plus a
+    // generation of 4 096 expanded keys.
+    let (bytes, router) = bytes_during(|| BorderRouter::new(sv, hop_key, cfg));
+    assert!(bytes <= 64 * 1024, "{bytes} bytes for a router that has seen no packet");
+    drop(router);
 }
 
 /// Allocations of one sharded `run_to_completion` with the tx path on,

@@ -422,7 +422,11 @@ pub struct Simulator {
     /// Per node: the installed service model, if any.
     services: Vec<Option<RouterService>>,
     queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// Scheduled events by slot; the heap holds each one's slot.
     pending: Vec<Option<Event>>,
+    /// Slots of `pending` already dispatched, reused by `schedule`, so
+    /// `pending` stays as long as the most events ever queued at once.
+    free_slots: Vec<usize>,
     seq: u64,
     now_ns: u64,
     events_processed: u64,
@@ -441,6 +445,7 @@ impl Simulator {
             services: Vec::new(),
             queue: BinaryHeap::new(),
             pending: Vec::new(),
+            free_slots: Vec::new(),
             seq: 0,
             now_ns: start_ns,
             events_processed: 0,
@@ -707,9 +712,20 @@ impl Simulator {
     /// before returning, so an externally applied churn action at `t`
     /// (link down, reboot, reroute) always acts *after* the packet
     /// events of that instant.
+    ///
+    /// The slot only locates the event: `seq` is unique, so a recycled
+    /// slot never influences the order.
     fn schedule(&mut self, at_ns: u64, event: Event) {
-        let slot = self.pending.len();
-        self.pending.push(Some(event));
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.pending[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.pending.push(Some(event));
+                self.pending.len() - 1
+            }
+        };
         self.queue.push(Reverse((at_ns, self.seq, slot)));
         self.seq += 1;
     }
@@ -726,6 +742,7 @@ impl Simulator {
             self.queue.pop();
             self.now_ns = t;
             let event = self.pending[slot].take().expect("event consumed twice");
+            self.free_slots.push(slot);
             self.events_processed += 1;
             self.dispatch(event);
         }
@@ -1087,5 +1104,36 @@ impl Simulator {
                 link.busy = false;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::scenario::{LinearTopology, LinkSpec};
+    use hummingbird_dataplane::RouterConfig;
+    use hummingbird_wire::IsdAs;
+
+    const START_NS: u64 = 1_700_000_000 * 1_000_000_000;
+    const SEC: u64 = 1_000_000_000;
+
+    /// Dispatched slots are reused: the event table is as long as the
+    /// most events queued at once, not as the run's event count.
+    #[test]
+    fn event_slots_are_recycled() {
+        let mut topo =
+            LinearTopology::build(2, LinkSpec::default(), START_NS, RouterConfig::default());
+        let (src, dst) = (IsdAs::new(1, 0xa), IsdAs::new(2, 0xb));
+        let flow = topo.add_cbr_flow(src, dst, 1000, 2_000, Some(3_000), START_NS, START_NS + SEC);
+        topo.sim.run_until(START_NS + 2 * SEC);
+        let sim = &topo.sim;
+        assert!(sim.stats(flow).delivery_ratio() > 0.99);
+        assert!(sim.events_processed() > 1_000, "{} events", sim.events_processed());
+        assert!(
+            sim.pending.len() <= 8,
+            "{} slots for {} events",
+            sim.pending.len(),
+            sim.events_processed()
+        );
+        assert_eq!(sim.free_slots.len(), sim.pending.len(), "every slot dispatched");
     }
 }
