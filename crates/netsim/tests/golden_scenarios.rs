@@ -7,17 +7,20 @@
 //! its outcome is folded into SHA-256. Each experiment keeps one digest
 //! over its whole-run totals (flow totals, finish state, router counters,
 //! the fault timeline, event counts) and, where it has a failure plan,
-//! one over its windowed snapshots (base, outage, recovery). A changed
-//! digest means a count, a latency or the event order changed, not speed.
+//! one over its windowed snapshots (base, outage, recovery). The chain
+//! the benchmark and the socket testbed build by hand, outside `run`,
+//! has one digest of its own. A changed digest means a count, a latency,
+//! a verdict or the event order changed, not speed.
 
 mod common;
 
 use hummingbird_crypto::sha256::Sha256;
-use hummingbird_dataplane::{DatapathStats, RouterConfig};
+use hummingbird_dataplane::{Datapath, DatapathStats, RouterConfig, Verdict};
 use hummingbird_netsim::{
-    run, run_churn_scenario, ChurnReport, ChurnSpec, EngineFamily, EngineScenario, FlowStats,
-    Scenario,
+    run, run_churn_scenario, ChurnReport, ChurnSpec, EngineFamily, EngineScenario, FlowSpec,
+    FlowStats, LinearTopology, LinkSpec, Scenario,
 };
+use hummingbird_wire::IsdAs;
 
 const LATENCY: &str = "0623683ba1a369cc9500ff4570395a17ed74682a4b46487f077e5ff9b7404b1f";
 const PARTIAL_PATH: &str = "c04109fd52a3d3d4c734af5c6bdc12ba051284907dfdd4142029654779dcc7d3";
@@ -33,6 +36,7 @@ const LATENCY_CHURN_WINDOWS: &str =
     "d1c10aefcbc2fd46dc46ba0d89200a30135625a93b6c60bc8e313476c4c981c4";
 const CHURN_TOTALS: &str = "00926d2db8be72e85190cf47f392dffaab7ef51f6fd645d52d2ca6dc45cf1dc9";
 const CHURN_WINDOWS: &str = "57e5ae6271928a59abf3d16e390600f5a7e76d7b157e1ea975ae2046e118a893";
+const HAND_WIRED_CHAIN: &str = "aafe7709a6e084be09724bc27168e0199f238972dcfaa735027b7fe52191c4d2";
 
 const START_NS: u64 = 1_700_000_000 * 1_000_000_000;
 
@@ -229,6 +233,63 @@ fn latency_churn_digests_are_unchanged() {
     }
     assert_eq!(totals.hex(), LATENCY_CHURN_TOTALS);
     assert_eq!(windows.hex(), LATENCY_CHURN_WINDOWS);
+}
+
+/// The hand-wired chain outside `run`, per family × {1, 4} shards: 64
+/// credentialed packets, one every 250 µs through 3 Mbps credentials
+/// (so the reservation families' policers demote some), pushed hop by
+/// hop through stand-alone hop engines; then a 3-AS chain simulated for
+/// 1 s with a reserved victim and a best-effort flood.
+#[test]
+fn hand_wired_chain_digest_is_unchanged() {
+    const START_S: u64 = START_NS / 1_000_000_000;
+    const SEC: u64 = 1_000_000_000;
+    let (victim, dest, attacker) = (IsdAs::new(1, 0xa), IsdAs::new(2, 0xb), IsdAs::new(3, 0xc));
+    let mut d = Digest::new();
+    for family in EngineFamily::ALL {
+        for shards in [1usize, 4] {
+            let mut topo = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg());
+            let mut generator = topo.make_generator(victim, dest);
+            for hop in 0..3 {
+                let credential = topo.make_family_credential(family, hop, victim, 3_000, START_S);
+                generator.attach_reservation(hop, credential).unwrap();
+            }
+            let mut engines: Vec<Box<dyn Datapath + Send>> = (0..3)
+                .map(|hop| match shards {
+                    1 => topo.make_family_hop_engine(family, hop, cfg()),
+                    _ => Box::new(topo.make_sharded_hop_engine(family, hop, cfg(), shards)),
+                })
+                .collect();
+            for i in 0..64u64 {
+                let now_ns = START_NS + i * 250_000;
+                let mut pkt = generator.generate(&[0u8; 500], now_ns / 1_000_000).unwrap();
+                for engine in &mut engines {
+                    let verdict = engine.process(&mut pkt, now_ns);
+                    d.0.update(format!("{verdict:?}").as_bytes());
+                    if let Verdict::Drop(_) = verdict {
+                        break;
+                    }
+                }
+            }
+            for engine in &engines {
+                d.router(&engine.stats());
+            }
+
+            let mut topo = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg());
+            topo.install_engines(EngineScenario { family, shards }, cfg());
+            let stop_ns = START_NS + SEC;
+            let reserved = FlowSpec::cbr(1_000, 2_000, Some(3_000));
+            let v = topo.add_family_flow(family, victim, dest, None, &reserved, START_NS, stop_ns);
+            let f = topo.add_cbr_flow(attacker, dest, 1_000, 30_000, None, START_NS, stop_ns);
+            topo.sim.run_until(stop_ns);
+            d.flow(&topo.sim.stats(v));
+            d.flow(&topo.sim.stats(f));
+            for &node in &topo.as_nodes {
+                d.router(&topo.sim.router_stats(node).unwrap());
+            }
+        }
+    }
+    assert_eq!(d.hex(), HAND_WIRED_CHAIN);
 }
 
 #[test]
