@@ -245,3 +245,71 @@ impl Sink {
         Ok(report)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::PayloadHeader;
+    use crate::link::WaitStrategy;
+    use crate::now_unix_ms;
+    use hummingbird_dataplane::RouterConfig;
+    use hummingbird_netsim::{EngineFamily, LinearTopology, LinkSpec};
+    use hummingbird_wire::IsdAs;
+
+    /// A reserved flow sent far over its 64 kbps credential: the policer
+    /// keeps the first packet or two in the priority class and demotes the
+    /// rest, and the router counts each packet in the class its verdict
+    /// forwarded it in, not in the class of its flow.
+    #[test]
+    fn demoted_reserved_packets_count_as_best_effort() {
+        const PKTS: u64 = 200;
+        let (cfg, timeout) = (RouterConfig::default(), Duration::from_secs(10));
+        let start_ns = now_unix_ns();
+        let mut topo = LinearTopology::build(1, LinkSpec::default(), start_ns, cfg);
+        let (hb, src) = (EngineFamily::Hummingbird, IsdAs::new(1, 0x100));
+        let mut generator = topo.make_generator(src, IsdAs::new(2, 0xB));
+        let credential = topo.make_family_credential(hb, 0, src, 64, start_ns / 1_000_000_000);
+        generator.attach_reservation(0, credential).unwrap();
+
+        let (data, sink_data) =
+            (UdpSocket::bind("127.0.0.1:0").unwrap(), UdpSocket::bind("127.0.0.1:0").unwrap());
+        let link = |to: &UdpSocket| {
+            CreditedSender::new(to.local_addr().unwrap(), 64, WaitStrategy::Backoff, timeout)
+                .unwrap()
+        };
+        let (mut gateway, next) = (link(&data), link(&sink_data));
+        let sink = Sink {
+            data: sink_data,
+            acks: AckSender::new(next.ctrl_addr().unwrap(), 16).unwrap(),
+            flow_reserved: vec![true],
+            epoch: Instant::now(),
+            timeout,
+        };
+        let router = SocketRouter {
+            data,
+            engine: topo.make_family_hop_engine(hb, 0, cfg),
+            next,
+            acks: AckSender::new(gateway.ctrl_addr().unwrap(), 16).unwrap(),
+            flow_reserved: vec![true],
+            timeout,
+        };
+        let (router, sink) =
+            (std::thread::spawn(move || router.run()), std::thread::spawn(move || sink.run()));
+        let mut payload = [0u8; 200];
+        for seq in 0..PKTS {
+            PayloadHeader { flow_id: 0, seq, stamp_ns: 0 }.write(&mut payload);
+            let mut frame = vec![KIND_DATA];
+            frame.extend(generator.generate(&payload, now_unix_ms()).unwrap());
+            gateway.send_data(&frame).unwrap();
+        }
+        gateway.send_fin().unwrap();
+        gateway.drain().unwrap();
+        let stats = router.join().unwrap().unwrap();
+        sink.join().unwrap().unwrap();
+
+        assert_eq!(stats.engine_dropped(), 0, "{stats:?}");
+        assert_eq!(stats.forwarded[RESERVED] + stats.forwarded[BEST_EFFORT], PKTS);
+        assert!(stats.forwarded[RESERVED] > 0, "the burst budget admits some: {stats:?}");
+        assert!(stats.forwarded[BEST_EFFORT] > 0, "demoted packets are best effort: {stats:?}");
+    }
+}
