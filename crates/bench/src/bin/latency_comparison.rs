@@ -57,16 +57,16 @@ fn dst() -> IsdAs {
 /// secrets, injected uncontended so what's measured is authentication.
 fn forged_drop_ratio(scenario: EngineScenario, cfg: RouterConfig) -> f64 {
     let link = LinkSpec { bandwidth_bps: 100_000_000, ..Default::default() };
-    let mut topo = LinearTopology::build(2, link, START_NS, cfg);
-    topo.install_engines(scenario, cfg);
+    let mut net = LinearTopology::build(2, link, START_NS, cfg).net;
+    net.install_engines(scenario, cfg);
     let mut other = LinearTopology::build_seeded(2, link, START_NS, cfg, 0xEE);
     let mut forged_gen = other.make_generator(atk(), dst());
     for hop in 0..2 {
         let credential = other.make_family_credential(scenario.family, hop, atk(), 3_000, START_S);
         forged_gen.attach_reservation(hop, credential).expect("matching interfaces");
     }
-    let entry = topo.as_nodes[0];
-    let forged = topo.sim.add_flow(hummingbird::netsim::Flow {
+    let entry = net.as_nodes[0];
+    let forged = net.sim.add_flow(hummingbird::netsim::Flow {
         generator: forged_gen,
         entry,
         payload_len: 500,
@@ -74,8 +74,8 @@ fn forged_drop_ratio(scenario: EngineScenario, cfg: RouterConfig) -> f64 {
         start_ns: START_NS,
         stop_ns: START_NS + SEC,
     });
-    topo.sim.run_until(START_NS + 2 * SEC);
-    let f = topo.sim.stats(forged);
+    net.sim.run_until(START_NS + 2 * SEC);
+    let f = net.sim.stats(forged);
     f.router_drops as f64 / f.sent_pkts.max(1) as f64
 }
 

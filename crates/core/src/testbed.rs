@@ -13,7 +13,7 @@ use hummingbird_control::{
 use hummingbird_crypto::sig::SecretKey;
 use hummingbird_dataplane::{RouterConfig, SourceGenerator, SourceReservation};
 use hummingbird_ledger::{Address, ExecError, ObjectId};
-use hummingbird_netsim::{LinearTopology, LinkSpec};
+use hummingbird_netsim::{LinearTopology, LinkSpec, TopologyBuilder};
 use hummingbird_wire::IsdAs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,8 +107,8 @@ pub struct Testbed {
     pub services: Vec<AsService>,
     /// The marketplace object.
     pub market: ObjectId,
-    /// The simulated network (routers share secrets with `services`).
-    pub topo: LinearTopology,
+    /// The simulated AS chain (routers share secrets with `services`).
+    pub topo: TopologyBuilder,
     /// Deployment configuration.
     pub cfg: TestbedConfig,
     /// Deterministic RNG for control-plane crypto.
@@ -174,7 +174,8 @@ impl Testbed {
             cfg.router,
             hop_keys,
             sv_keys,
-        );
+        )
+        .net;
 
         Ok(Testbed { control, services, market, topo, cfg, rng })
     }
@@ -235,51 +236,9 @@ impl Testbed {
         client: &mut Client,
         spec: PurchaseSpec,
     ) -> Result<Vec<GrantedReservation>, TestbedError> {
-        let n = self.cfg.n_ases;
-        // Browse the market for a matching ingress/egress pair per hop.
-        let listings = self.control.listings(self.market);
-        let mut hops = Vec::with_capacity(n);
-        for i in 0..n {
-            let (ingress_if, egress_if) = LinearTopology::interfaces(n, i);
-            let find = |interface: u16, direction: Direction| {
-                listings.iter().find(|(_, _, a)| {
-                    a.as_id == Self::as_id(i)
-                        && a.interface == interface
-                        && a.direction == direction
-                        && a.start_time <= spec.start
-                        && a.expiry_time >= spec.end
-                        && a.bandwidth_kbps >= spec.bandwidth_kbps
-                })
-            };
-            let ing = find(ingress_if, Direction::Ingress)
-                .ok_or(TestbedError::NoMatchingListing { hop: i })?;
-            let eg = find(egress_if, Direction::Egress)
-                .ok_or(TestbedError::NoMatchingListing { hop: i })?;
-            hops.push((ing.0, eg.0, spec));
-        }
-
-        // One atomic transaction for the whole path.
-        client.buy_and_redeem_path(&mut self.control, self.market, &hops, &mut self.rng)?;
-
-        // Each AS answers its redeem request (fast-path deliveries).
-        let before = client.reservations().len();
-        for service in self.services.iter_mut() {
-            service.process_requests(&mut self.control, &mut self.rng)?;
-        }
-        client.collect_deliveries(&self.control)?;
-        let granted: Vec<GrantedReservation> = client.reservations()[before..].to_vec();
-
-        // Order by hop (ingress interface order along the chain).
-        let mut ordered = Vec::with_capacity(n);
-        for i in 0..n {
-            let (ingress_if, _) = LinearTopology::interfaces(n, i);
-            let g = granted
-                .iter()
-                .find(|g| g.as_id == Self::as_id(i) && g.res_info.ingress == ingress_if)
-                .ok_or(TestbedError::NoMatchingListing { hop: i })?;
-            ordered.push(g.clone());
-        }
-        Ok(ordered)
+        let hops: Vec<usize> = (0..self.cfg.n_ases).collect();
+        let grants = self.acquire_hops(client, spec, &hops)?;
+        Ok(grants.into_iter().map(|(_, g)| g).collect())
     }
 
     /// Acquires reservations for a *subset* of the path's hops — the
@@ -343,7 +302,8 @@ impl Testbed {
         dst: IsdAs,
         grants: &[(usize, GrantedReservation)],
     ) -> Result<SourceGenerator, TestbedError> {
-        let mut generator = self.topo.make_generator(src, dst);
+        let path: Vec<usize> = (0..self.cfg.n_ases).collect();
+        let mut generator = self.topo.generator(&path, src, dst);
         for (hop, g) in grants {
             generator.attach_reservation(
                 *hop,
@@ -361,13 +321,8 @@ impl Testbed {
         dst: IsdAs,
         granted: &[GrantedReservation],
     ) -> Result<SourceGenerator, TestbedError> {
-        let mut generator = self.topo.make_generator(src, dst);
-        for (i, g) in granted.iter().enumerate() {
-            generator.attach_reservation(
-                i,
-                SourceReservation { res_info: g.res_info, key: g.key.clone() },
-            )?;
-        }
-        Ok(generator)
+        let grants: Vec<(usize, GrantedReservation)> =
+            granted.iter().cloned().enumerate().collect();
+        self.make_partially_reserved_generator(src, dst, &grants)
     }
 }

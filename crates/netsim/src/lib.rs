@@ -14,10 +14,13 @@
 //!   that executes it into an [`Outcome`]. The engines are an
 //!   [`EngineScenario`]: every router node runs one [`EngineFamily`]
 //!   (the table lives in `hummingbird-baselines` and is re-exported
-//!   here), optionally sharded. Also the hand-wired [`LinearTopology`].
-//! * [`topo`] — seed-driven Internet-scale topology generation
-//!   (ring-of-PoPs backbones, fat trees, AS hierarchies) over the same
-//!   real-router nodes, with BFS routing and per-family credentials.
+//!   here), optionally sharded.
+//! * [`topo`] — the one network type, [`TopologyBuilder`]: the
+//!   hand-wired AS chain and Fig. 3 diamond, and seed-driven
+//!   Internet-scale topologies (ring-of-PoPs backbones, fat trees, AS
+//!   hierarchies), all over real-router nodes, with BFS routing and
+//!   per-family credentials. [`LinearTopology`] is a chain handle for
+//!   driving one hop by hop outside a scenario.
 //! * [`churn`] — fault injection on the simulator clock: link down/up,
 //!   cold router reboots, and mid-epoch reroute of stranded flows.
 //! * [`flow`] — closed-loop reactive flows: windowed, ack-clocked
@@ -29,7 +32,6 @@
 
 pub mod churn;
 pub mod flow;
-pub mod multipath;
 pub mod scenario;
 pub mod sim;
 pub mod topo;
@@ -40,16 +42,16 @@ pub use churn::{
 };
 pub use flow::{FlowEvent, FlowEventKind, ReactiveFlow};
 pub use hummingbird_baselines::EngineFamily;
-pub use multipath::{Branch, DiamondTopology};
 pub use scenario::{
     run, run_churn_scenario, ChurnScenarioOutcome, ChurnSpec, EngineScenario, FlowKind,
-    FlowOutcome, FlowSpec, LinearTopology, LinkSpec, Outcome, ReactiveProfile, Route, Scenario,
-    Step, Topology,
+    FlowOutcome, FlowSpec, LinkSpec, Outcome, ReactiveProfile, Route, Scenario, Step, Topology,
 };
 pub use sim::{
     Class, Flow, FlowId, FlowStats, Node, NodeId, ReplayTap, ServiceModel, SimPacket, Simulator,
 };
-pub use topo::{AdjId, Adjacency, BackboneSpec, HierarchySpec, RouterId, TopologyBuilder};
+pub use topo::{
+    AdjId, Adjacency, BackboneSpec, HierarchySpec, LinearTopology, RouterId, TopologyBuilder,
+};
 
 #[cfg(test)]
 mod tests {
@@ -60,6 +62,7 @@ mod tests {
     const START_S: u64 = 1_700_000_000;
     const START_NS: u64 = START_S * 1_000_000_000;
     const SEC: u64 = 1_000_000_000;
+    const HB: EngineFamily = EngineFamily::Hummingbird;
 
     fn src() -> IsdAs {
         IsdAs::new(1, 0xa)
@@ -71,35 +74,68 @@ mod tests {
         IsdAs::new(3, 0xc)
     }
 
+    /// An `n`-AS chain of uniform `link`s.
+    fn chain(n: usize, link: LinkSpec, cfg: RouterConfig) -> TopologyBuilder {
+        LinearTopology::build(n, link, START_NS, cfg).net
+    }
+
+    /// A `family` CBR flow of 1000-byte packets over the whole chain
+    /// from sender `src`, with a `credential` on every hop, sending for
+    /// `run_s` seconds.
+    fn cbr(
+        net: &mut TopologyBuilder,
+        family: EngineFamily,
+        src: IsdAs,
+        rate_kbps: u64,
+        credential: Option<u64>,
+        run_s: u64,
+    ) -> FlowId {
+        let route = Route { src: Some(src), ..Route::new(0, net.n_routers() - 1) };
+        let flow = FlowSpec::cbr(1000, rate_kbps, credential);
+        net.add_family_flow(family, route, &flow, START_NS, START_NS + run_s * SEC)
+    }
+
+    /// A 500-byte, 1 kpps flow entering the chain's first AS from
+    /// `other`, a seeded sibling chain whose secrets the chain does not
+    /// share, with `family` credentials from it on every hop.
+    fn forged_flow(
+        net: &mut TopologyBuilder,
+        other: &mut LinearTopology,
+        family: EngineFamily,
+        bw_kbps: u64,
+        run_s: u64,
+    ) -> FlowId {
+        let mut generator = other.make_generator(atk(), dst());
+        for hop in 0..other.net.n_routers() {
+            let credential = other.make_family_credential(family, hop, atk(), bw_kbps, START_S);
+            generator.attach_reservation(hop, credential).unwrap();
+        }
+        net.sim.add_flow(Flow {
+            generator,
+            entry: net.as_nodes[0],
+            payload_len: 500,
+            interval_ns: 1_000_000,
+            start_ns: START_NS,
+            stop_ns: START_NS + run_s * SEC,
+        })
+    }
+
     /// The headline QoS property (D2): under a flooding attack on a
     /// bottleneck link, the reserved flow keeps its goodput and latency
     /// while the attacker only gets leftover capacity.
     #[test]
     fn reservation_protects_against_flooding() {
-        let mut topo = LinearTopology::build(
-            3,
-            LinkSpec::default(), // 10 Mbps bottlenecks
-            START_NS,
-            RouterConfig::default(),
-        );
+        // 10 Mbps bottlenecks.
+        let mut net = chain(3, LinkSpec::default(), RouterConfig::default());
         let run_s = 2;
         // Victim: 2 Mbps with reservations on every hop.
-        let victim = topo.add_cbr_flow(
-            src(),
-            dst(),
-            1000,
-            2_000,
-            Some(3_000),
-            START_NS,
-            START_NS + run_s * SEC,
-        );
+        let victim = cbr(&mut net, HB, src(), 2_000, Some(3_000), run_s);
         // Attacker: 30 Mbps best-effort flood (3× the bottleneck).
-        let attacker =
-            topo.add_cbr_flow(atk(), dst(), 1000, 30_000, None, START_NS, START_NS + run_s * SEC);
-        topo.sim.run_until(START_NS + (run_s + 1) * SEC);
+        let attacker = cbr(&mut net, HB, atk(), 30_000, None, run_s);
+        net.sim.run_until(START_NS + (run_s + 1) * SEC);
 
-        let v = topo.sim.stats(victim);
-        let a = topo.sim.stats(attacker);
+        let v = net.sim.stats(victim);
+        let a = net.sim.stats(attacker);
         assert!(
             v.delivery_ratio() > 0.99,
             "victim delivery ratio {} under flood",
@@ -122,29 +158,21 @@ mod tests {
     #[test]
     fn sharded_router_node_preserves_flood_protection() {
         let cfg = RouterConfig::default();
-        let mut topo = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg);
-        let entry = topo.as_nodes[0];
-        let sharded = topo.make_sharded_hop_engine(EngineFamily::Hummingbird, 0, cfg, 4);
-        topo.sim.replace_engine(entry, Box::new(sharded)).ok().expect("entry node is a router");
+        let topo = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg);
+        let sharded = topo.make_sharded_hop_engine(HB, 0, cfg, 4);
+        let mut net = topo.net;
+        let entry = net.as_nodes[0];
+        net.sim.replace_engine(entry, Box::new(sharded)).ok().expect("entry node is a router");
         let run_s = 2;
-        let victim = topo.add_cbr_flow(
-            src(),
-            dst(),
-            1000,
-            2_000,
-            Some(3_000),
-            START_NS,
-            START_NS + run_s * SEC,
-        );
-        let attacker =
-            topo.add_cbr_flow(atk(), dst(), 1000, 30_000, None, START_NS, START_NS + run_s * SEC);
-        topo.sim.run_until(START_NS + (run_s + 1) * SEC);
-        let v = topo.sim.stats(victim);
-        let a = topo.sim.stats(attacker);
+        let victim = cbr(&mut net, HB, src(), 2_000, Some(3_000), run_s);
+        let attacker = cbr(&mut net, HB, atk(), 30_000, None, run_s);
+        net.sim.run_until(START_NS + (run_s + 1) * SEC);
+        let v = net.sim.stats(victim);
+        let a = net.sim.stats(attacker);
         assert!(v.delivery_ratio() > 0.99, "sharded node: ratio {}", v.delivery_ratio());
         assert!(a.goodput_kbps(run_s as f64) < 9_000.0);
         // The facade aggregates stats across its shards like one router.
-        let rs = topo.sim.router_stats(entry).unwrap();
+        let rs = net.sim.router_stats(entry).unwrap();
         assert_eq!(rs.processed, v.sent_pkts + a.sent_pkts, "every packet counted once");
     }
 
@@ -161,26 +189,14 @@ mod tests {
         let cfg = RouterConfig::default();
         for family in EngineFamily::ALL {
             for shards in [1usize, 4] {
-                let mut topo = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg);
-                topo.install_engines(EngineScenario { family, shards }, cfg);
+                let mut net = chain(3, LinkSpec::default(), cfg);
+                net.install_engines(EngineScenario { family, shards }, cfg);
                 let run_s = 2;
-                let stop_ns = START_NS + run_s * SEC;
-                let victim_flow = FlowSpec::cbr(1000, 2_000, Some(3_000));
-                let victim = topo.add_family_flow(
-                    family,
-                    src(),
-                    dst(),
-                    None,
-                    &victim_flow,
-                    START_NS,
-                    stop_ns,
-                );
-                let flood = FlowSpec::cbr(1000, 30_000, None);
-                let attacker =
-                    topo.add_family_flow(family, atk(), dst(), None, &flood, START_NS, stop_ns);
-                topo.sim.run_until(START_NS + (run_s + 1) * SEC);
-                let v = topo.sim.stats(victim);
-                let a = topo.sim.stats(attacker);
+                let victim = cbr(&mut net, family, src(), 2_000, Some(3_000), run_s);
+                let attacker = cbr(&mut net, family, atk(), 30_000, None, run_s);
+                net.sim.run_until(START_NS + (run_s + 1) * SEC);
+                let v = net.sim.stats(victim);
+                let a = net.sim.stats(attacker);
                 let label = format!("{}x{shards}", family.name());
                 // Credentialed traffic authenticates in every family: the
                 // victim loses packets only to congestion, never to MAC
@@ -202,7 +218,7 @@ mod tests {
                 }
                 // Stats aggregate identically however many shards: every
                 // packet reaching the entry router is counted once.
-                let rs = topo.sim.router_stats(topo.as_nodes[0]).unwrap();
+                let rs = net.sim.router_stats(net.as_nodes[0]).unwrap();
                 assert_eq!(
                     rs.processed,
                     v.sent_pkts + a.sent_pkts,
@@ -221,43 +237,22 @@ mod tests {
         let cfg = RouterConfig { duplicate_suppression: true, ..Default::default() };
         // Uncongested links: what's measured is validation, not queueing.
         let link = LinkSpec { bandwidth_bps: 100_000_000, ..Default::default() };
-        let mut topo = LinearTopology::build(2, link, START_NS, cfg);
-        topo.install_engines(EngineScenario { family: EngineFamily::Epic, shards: 1 }, cfg);
+        let epic = EngineFamily::Epic;
+        let mut net = chain(2, link, cfg);
+        net.install_engines(EngineScenario { family: epic, shards: 1 }, cfg);
         let run_s = 1;
-        let victim = topo.add_family_flow(
-            EngineFamily::Epic,
-            src(),
-            dst(),
-            None,
-            &FlowSpec::cbr(1000, 2_000, Some(2_000)),
-            START_NS,
-            START_NS + run_s * SEC,
-        );
+        let victim = cbr(&mut net, epic, src(), 2_000, Some(2_000), run_s);
         // Forger: EPIC credentials derived under the wrong DRKey masters
-        // (a seeded sibling topology) — every packet must fail the MAC.
+        // — every packet must fail the MAC.
         let mut other = LinearTopology::build_seeded(2, link, START_NS, cfg, 0xEE);
-        let mut forged_gen = other.make_generator(atk(), dst());
-        for hop in 0..2 {
-            let credential =
-                other.make_family_credential(EngineFamily::Epic, hop, atk(), 0, START_S);
-            forged_gen.attach_reservation(hop, credential).unwrap();
-        }
-        let entry = topo.as_nodes[0];
-        let forged = topo.sim.add_flow(crate::sim::Flow {
-            generator: forged_gen,
-            entry,
-            payload_len: 500,
-            interval_ns: 1_000_000,
-            start_ns: START_NS,
-            stop_ns: START_NS + run_s * SEC,
-        });
+        let forged = forged_flow(&mut net, &mut other, epic, 0, run_s);
         // Replayer: duplicates every victim packet 5× at the entry AS.
-        let tap = topo.sim.add_replay_tap(victim, entry, 5, 200_000);
-        topo.sim.run_until(START_NS + (run_s + 1) * SEC);
+        let tap = net.sim.add_replay_tap(victim, net.as_nodes[0], 5, 200_000);
+        net.sim.run_until(START_NS + (run_s + 1) * SEC);
 
-        let v = topo.sim.stats(victim);
-        let f = topo.sim.stats(forged);
-        let t = topo.sim.stats(tap);
+        let v = net.sim.stats(victim);
+        let f = net.sim.stats(forged);
+        let t = net.sim.stats(tap);
         assert!(v.delivery_ratio() > 0.99, "victim ratio {}", v.delivery_ratio());
         assert_eq!(f.delivered_pkts, 0);
         assert_eq!(f.router_drops, f.sent_pkts, "all forged packets dropped");
@@ -269,22 +264,12 @@ mod tests {
     /// flood — this is the problem Hummingbird solves.
     #[test]
     fn without_reservation_victim_starves() {
-        let mut topo =
-            LinearTopology::build(3, LinkSpec::default(), START_NS, RouterConfig::default());
+        let mut net = chain(3, LinkSpec::default(), RouterConfig::default());
         let run_s = 2;
-        let victim = topo.add_cbr_flow(
-            src(),
-            dst(),
-            1000,
-            2_000,
-            None, // best effort
-            START_NS,
-            START_NS + run_s * SEC,
-        );
-        let _attacker =
-            topo.add_cbr_flow(atk(), dst(), 1000, 30_000, None, START_NS, START_NS + run_s * SEC);
-        topo.sim.run_until(START_NS + (run_s + 1) * SEC);
-        let v = topo.sim.stats(victim);
+        let victim = cbr(&mut net, HB, src(), 2_000, None, run_s);
+        cbr(&mut net, HB, atk(), 30_000, None, run_s);
+        net.sim.run_until(START_NS + (run_s + 1) * SEC);
+        let v = net.sim.stats(victim);
         assert!(
             v.delivery_ratio() < 0.7,
             "unreserved victim should lose traffic, got ratio {}",
@@ -296,31 +281,17 @@ mod tests {
     /// the excess demoted (not dropped) by deterministic policing.
     #[test]
     fn overuse_is_demoted_not_dropped() {
-        let mut topo = LinearTopology::build(
-            2,
-            LinkSpec {
-                bandwidth_bps: 100_000_000, // uncongested
-                ..Default::default()
-            },
-            START_NS,
-            RouterConfig::default(),
-        );
+        // Uncongested.
+        let link = LinkSpec { bandwidth_bps: 100_000_000, ..Default::default() };
+        let mut net = chain(2, link, RouterConfig::default());
         let run_s = 1;
-        let flow = topo.add_cbr_flow(
-            src(),
-            dst(),
-            1000,
-            8_000,
-            Some(2_000),
-            START_NS,
-            START_NS + run_s * SEC,
-        );
-        topo.sim.run_until(START_NS + (run_s + 1) * SEC);
-        let s = topo.sim.stats(flow);
+        let flow = cbr(&mut net, HB, src(), 8_000, Some(2_000), run_s);
+        net.sim.run_until(START_NS + (run_s + 1) * SEC);
+        let s = net.sim.stats(flow);
         // Nothing is dropped on an uncongested path...
         assert!(s.delivery_ratio() > 0.99, "ratio {}", s.delivery_ratio());
         // ...but the first router demoted the excess.
-        let rs = topo.sim.router_stats(topo.as_nodes[0]).unwrap();
+        let rs = net.sim.router_stats(net.as_nodes[0]).unwrap();
         assert!(rs.demoted_overuse > 0, "policer must demote overuse");
         let expected_demoted = s.sent_pkts * 3 / 4; // 8 Mbps vs 2 Mbps
         assert!(
@@ -331,42 +302,38 @@ mod tests {
         );
     }
 
+    /// A 2-AS chain carrying a 2 Mbps victim on 2.5 Mbps reservations,
+    /// a 30 Mbps best-effort flood (so demoted packets actually hurt), and
+    /// an adversary that duplicates every victim packet 20× at AS 0's
+    /// ingress: enough accepted copies pin the token bucket at the burst
+    /// ceiling so subsequent originals are demoted. Returns the network,
+    /// the victim and the tap.
+    fn replay_attack(cfg: RouterConfig) -> (TopologyBuilder, FlowId, FlowId) {
+        let mut net = chain(2, LinkSpec::default(), cfg);
+        let run_s = 2;
+        let victim = cbr(&mut net, HB, src(), 2_000, Some(2_500), run_s);
+        cbr(&mut net, HB, atk(), 30_000, None, run_s);
+        let tap = net.sim.add_replay_tap(victim, net.as_nodes[0], 19, 200_000);
+        net.sim.run_until(START_NS + (run_s + 1) * SEC);
+        (net, victim, tap)
+    }
+
     /// The on-reservation-set replay attack (Fig. 3 / §5.4): without
     /// duplicate suppression, replayed copies consume the shared
     /// reservation's budget and the victim's packets get demoted into the
     /// congested best-effort class.
     #[test]
     fn replay_attack_degrades_shared_reservation() {
-        let cfg = RouterConfig::default();
-        let mut topo = LinearTopology::build(2, LinkSpec::default(), START_NS, cfg);
-        let run_s = 2;
-        let victim = topo.add_cbr_flow(
-            src(),
-            dst(),
-            1000,
-            2_000,
-            Some(2_500),
-            START_NS,
-            START_NS + run_s * SEC,
-        );
-        // Congestion so demoted packets actually hurt.
-        let _flood =
-            topo.add_cbr_flow(atk(), dst(), 1000, 30_000, None, START_NS, START_NS + run_s * SEC);
-        // Adversary duplicates every victim packet 20× at AS 0's ingress:
-        // enough accepted copies pin the token bucket at the burst ceiling
-        // so subsequent originals are demoted.
-        let tap = topo.sim.add_replay_tap(victim, topo.as_nodes[0], 19, 200_000);
-        topo.sim.run_until(START_NS + (run_s + 1) * SEC);
-
-        let v = topo.sim.stats(victim);
-        let t = topo.sim.stats(tap);
+        let (net, victim, tap) = replay_attack(RouterConfig::default());
+        let v = net.sim.stats(victim);
+        let t = net.sim.stats(tap);
         assert!(t.sent_pkts > 0, "tap observed packets");
         assert!(
             v.delivery_ratio() < 0.95,
             "victim should suffer under replay, ratio {}",
             v.delivery_ratio()
         );
-        let rs = topo.sim.router_stats(topo.as_nodes[0]).unwrap();
+        let rs = net.sim.router_stats(net.as_nodes[0]).unwrap();
         assert!(rs.demoted_overuse > 0, "replays exhaust the reservation budget");
     }
 
@@ -375,24 +342,9 @@ mod tests {
     #[test]
     fn duplicate_suppression_defeats_replay() {
         let cfg = RouterConfig { duplicate_suppression: true, ..Default::default() };
-        let mut topo = LinearTopology::build(2, LinkSpec::default(), START_NS, cfg);
-        let run_s = 2;
-        let victim = topo.add_cbr_flow(
-            src(),
-            dst(),
-            1000,
-            2_000,
-            Some(2_500),
-            START_NS,
-            START_NS + run_s * SEC,
-        );
-        let _flood =
-            topo.add_cbr_flow(atk(), dst(), 1000, 30_000, None, START_NS, START_NS + run_s * SEC);
-        let tap = topo.sim.add_replay_tap(victim, topo.as_nodes[0], 19, 200_000);
-        topo.sim.run_until(START_NS + (run_s + 1) * SEC);
-
-        let v = topo.sim.stats(victim);
-        let t = topo.sim.stats(tap);
+        let (net, victim, tap) = replay_attack(cfg);
+        let v = net.sim.stats(victim);
+        let t = net.sim.stats(tap);
         assert!(
             v.delivery_ratio() > 0.99,
             "dup suppression should protect the victim, ratio {}",
@@ -406,35 +358,15 @@ mod tests {
     /// packets fail MAC verification and are dropped (D1).
     #[test]
     fn forged_tags_are_dropped_at_first_router() {
-        let mut topo =
-            LinearTopology::build(2, LinkSpec::default(), START_NS, RouterConfig::default());
+        let cfg = RouterConfig::default();
+        let mut net = chain(2, LinkSpec::default(), cfg);
         let run_s = 1;
         // "Forged" = reservation keys derived from the wrong secret value:
-        // build a second topology's generator (different SVs/hop keys) and
-        // inject its packets here.
-        let mut other = LinearTopology::build_seeded(
-            2,
-            LinkSpec::default(),
-            START_NS,
-            RouterConfig::default(),
-            0xEE,
-        );
-        let mut forged_gen = other.make_generator(atk(), dst());
-        for hop in 0..2 {
-            let res = other.make_reservation(hop, 5_000, START_S as u32 - 5, u16::MAX);
-            forged_gen.attach_reservation(hop, res).unwrap();
-        }
-        let entry = topo.as_nodes[0];
-        let forged = topo.sim.add_flow(crate::sim::Flow {
-            generator: forged_gen,
-            entry,
-            payload_len: 500,
-            interval_ns: 1_000_000,
-            start_ns: START_NS,
-            stop_ns: START_NS + run_s * SEC,
-        });
-        topo.sim.run_until(START_NS + (run_s + 1) * SEC);
-        let f = topo.sim.stats(forged);
+        // a second chain's generator (different SVs/hop keys) injected here.
+        let mut other = LinearTopology::build_seeded(2, LinkSpec::default(), START_NS, cfg, 0xEE);
+        let forged = forged_flow(&mut net, &mut other, HB, 5_000, run_s);
+        net.sim.run_until(START_NS + (run_s + 1) * SEC);
+        let f = net.sim.stats(forged);
         assert_eq!(f.delivered_pkts, 0);
         assert_eq!(f.router_drops, f.sent_pkts, "all forged packets dropped");
     }
@@ -443,37 +375,23 @@ mod tests {
     /// enough when the rest of the path has headroom.
     #[test]
     fn partial_reservation_on_congested_hop_suffices() {
-        let mut topo = LinearTopology::build(
-            3,
-            LinkSpec { bandwidth_bps: 100_000_000, ..Default::default() },
-            START_NS,
-            RouterConfig::default(),
-        );
+        let link = LinkSpec { bandwidth_bps: 100_000_000, ..Default::default() };
+        let mut net = chain(3, link, RouterConfig::default());
         let run_s = 2;
-        let victim = {
-            // Reservation only on hop 1.
-            let mut generator = topo.make_generator(src(), dst());
-            let res = topo.make_reservation(1, 3_000, START_S as u32 - 5, u16::MAX);
-            generator.attach_reservation(1, res).unwrap();
-            let entry = topo.as_nodes[0];
-            topo.sim.add_flow(crate::sim::Flow {
-                generator,
-                entry,
-                payload_len: 1000,
-                interval_ns: 4_000_000, // 2 Mbps
-                start_ns: START_NS,
-                stop_ns: START_NS + run_s * SEC,
-            })
-        };
+        // 2 Mbps with a reservation on hop 1 only.
+        let route = Route { src: Some(src()), credential_hop: Some(1), ..Route::new(0, 2) };
+        let flow = FlowSpec::cbr(1000, 2_000, Some(3_000));
+        let victim = net.add_family_flow(HB, route, &flow, START_NS, START_NS + run_s * SEC);
         // Heavy cross traffic: 120 Mbps > the 100 Mbps links.
-        let _flood =
-            topo.add_cbr_flow(atk(), dst(), 1000, 120_000, None, START_NS, START_NS + run_s * SEC);
-        topo.sim.run_until(START_NS + (run_s + 1) * SEC);
-        let v = topo.sim.stats(victim);
+        cbr(&mut net, HB, atk(), 120_000, None, run_s);
+        net.sim.run_until(START_NS + (run_s + 1) * SEC);
+        let v = net.sim.stats(victim);
         // Hop 0 is unreserved and congested: some victim loss is expected
         // there, but hop 1 priority must keep the flow mostly alive
         // relative to a fully unreserved flow (checked loosely).
         assert!(v.sent_pkts > 0);
         assert!(v.delivered_pkts > 0, "partial reservation keeps the flow alive");
+        let rs = net.sim.router_stats(net.as_nodes[1]).unwrap();
+        assert!(rs.flyover > 0, "hop 1 carries the victim with priority");
     }
 }

@@ -1,7 +1,8 @@
 //! Experiments as data: a [`Scenario`] names the engines every router
 //! runs ([`EngineScenario`], a row of the engine-family table owned by
-//! `hummingbird-baselines`, optionally sharded), the [`Topology`], the
-//! router [`ServiceModel`], the flows (open-loop CBR or closed-loop
+//! `hummingbird-baselines`, optionally sharded), the [`Topology`] (one of
+//! the [`TopologyBuilder`] constructors), the router [`ServiceModel`],
+//! the flows (a [`Route`] plus open-loop CBR or closed-loop
 //! [`ReactiveFlow`] senders, see [`FlowSpec`]) and a timed failure plan,
 //! and one [`run`] executes any of them into an [`Outcome`]. The Fig. 3/4
 //! latency run, its partial-path and multipath variants, the overload
@@ -11,23 +12,17 @@
 //! [`run_churn_scenario`] for the backbone churn run the benchmark
 //! drives).
 //!
-//! Also here: [`LinearTopology`], the hand-wired AS chain with its
-//! reservation plumbing. The per-router service cost is plain scenario
-//! data; the bench binaries that want each family to pay its own
-//! measured datapath cost read it from `BENCH_hotpath.json` themselves.
+//! The per-router service cost is plain scenario data; the bench
+//! binaries that want each family to pay its own measured datapath cost
+//! read it from `BENCH_hotpath.json` themselves.
 
 use crate::churn::{apply_action, ChurnAction, ChurnReport};
 use crate::flow::{FlowEventKind, ReactiveFlow};
-use crate::multipath::{Branch, DiamondTopology};
 use crate::sim::{Flow, FlowId, FlowStats, NodeId, ServiceModel, Simulator};
-use crate::topo::{AdjId, BackboneSpec, RouterId, TopologyBuilder};
+use crate::topo::{AdjId, BackboneSpec, LinearTopology, RouterId, TopologyBuilder};
 use hummingbird_baselines::EngineFamily;
-use hummingbird_crypto::{ResInfo, SecretValue};
-use hummingbird_dataplane::{
-    forge_path, BeaconHop, Datapath, DatapathStats, RouterConfig, ShardedRouter, SourceGenerator,
-    SourceReservation,
-};
-use hummingbird_wire::bwcls;
+use hummingbird_crypto::SecretValue;
+use hummingbird_dataplane::{Datapath, DatapathStats, RouterConfig, SourceGenerator};
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
 use rand::{rngs::StdRng, Rng as _, SeedableRng as _};
@@ -38,8 +33,8 @@ const SEC: u64 = 1_000_000_000;
 /// every router node runs, and across how many shards.
 ///
 /// A [`Scenario`]'s `engines`; by hand, apply with
-/// [`LinearTopology::install_engines`] and attach matching per-hop
-/// credentials to flows with [`LinearTopology::add_family_flow`].
+/// [`TopologyBuilder::install_engines`] and attach matching per-hop
+/// credentials to flows with [`TopologyBuilder::add_family_flow`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineScenario {
     /// The engine family under test.
@@ -50,7 +45,8 @@ pub struct EngineScenario {
 
 impl EngineScenario {
     /// This deployment over one AS's secrets: one bare engine of the
-    /// family, or `shards` of them behind a [`ShardedRouter`] with the
+    /// family, or `shards` of them behind a
+    /// [`ShardedRouter`](hummingbird_dataplane::ShardedRouter) with the
     /// family's steering.
     pub(crate) fn deploy(
         self,
@@ -65,30 +61,6 @@ impl EngineScenario {
             self.family.engine(sv, hop_key, master, cfg)
         }
     }
-}
-
-/// A linear chain of `n` ASes with a destination host behind the last one.
-///
-/// Interface convention: AS `i` has ingress `2i` (0 at the first AS, where
-/// sources inject directly) and egress `2i+1` (0 at the last AS, meaning
-/// local delivery to the attached host).
-pub struct LinearTopology {
-    /// The simulator, pre-wired.
-    pub sim: Simulator,
-    /// Router node per AS.
-    pub as_nodes: Vec<NodeId>,
-    /// The destination host node.
-    pub dest_host: NodeId,
-    /// Link `i` carries AS `i`'s egress toward AS `i+1`.
-    pub links: Vec<crate::sim::LinkId>,
-    hop_keys: Vec<HopMacKey>,
-    svs: Vec<SecretValue>,
-    /// Per-AS DRKey masters for the baseline engine families (derived
-    /// from the SV bytes so seeded topologies stay mutually rejecting).
-    drkey_masters: Vec<[u8; 16]>,
-    info_ts: u32,
-    beta0: u16,
-    next_res_id: u32,
 }
 
 /// Link parameters for a topology.
@@ -109,274 +81,6 @@ impl Default for LinkSpec {
             propagation_ns: 1_000_000, // 1 ms
             queue_cap_bytes: 64 * 1024,
         }
-    }
-}
-
-impl LinearTopology {
-    /// Interface pair of AS `i` in an `n`-AS chain.
-    pub fn interfaces(n: usize, i: usize) -> (u16, u16) {
-        let ingress = if i == 0 { 0 } else { 2 * i as u16 };
-        let egress = if i == n - 1 { 0 } else { 2 * i as u16 + 1 };
-        (ingress, egress)
-    }
-
-    /// Builds an `n`-AS chain starting at simulated time `start_ns`.
-    pub fn build(n: usize, link: LinkSpec, start_ns: u64, cfg: RouterConfig) -> Self {
-        Self::build_seeded(n, link, start_ns, cfg, 0)
-    }
-
-    /// Like [`LinearTopology::build`] but with distinct AS key material per
-    /// `seed` — two topologies with different seeds reject each other's
-    /// packets.
-    pub fn build_seeded(
-        n: usize,
-        link: LinkSpec,
-        start_ns: u64,
-        cfg: RouterConfig,
-        seed: u8,
-    ) -> Self {
-        let hop_keys = (0..n)
-            .map(|i| {
-                let mut k = [0x21 + i as u8; 16];
-                k[15] = seed;
-                k
-            })
-            .collect();
-        let sv_keys = (0..n)
-            .map(|i| {
-                let mut k = [0x51 + i as u8; 16];
-                k[15] = seed;
-                k
-            })
-            .collect();
-        Self::build_with_keys(n, link, start_ns, cfg, hop_keys, sv_keys)
-    }
-
-    /// Builds a chain with explicit AS key material — how the end-to-end
-    /// testbed wires the same secrets into both the control-plane
-    /// `AsService`s and the simulated border routers. The wiring (and
-    /// the DRKey-master derivation) goes through the shared
-    /// [`TopologyBuilder`] primitives; only the `2i`/`2i+1` interface
-    /// convention is owned here.
-    pub fn build_with_keys(
-        n: usize,
-        link: LinkSpec,
-        start_ns: u64,
-        cfg: RouterConfig,
-        hop_key_bytes: Vec<[u8; 16]>,
-        sv_key_bytes: Vec<[u8; 16]>,
-    ) -> Self {
-        assert!(n >= 1);
-        assert_eq!(hop_key_bytes.len(), n);
-        assert_eq!(sv_key_bytes.len(), n);
-        let hop_keys: Vec<HopMacKey> = hop_key_bytes.iter().copied().map(HopMacKey::new).collect();
-        let svs: Vec<SecretValue> = sv_key_bytes.iter().copied().map(SecretValue::new).collect();
-        let mut builder = TopologyBuilder::new(start_ns, cfg);
-        for i in 0..n {
-            builder.add_router_keyed(
-                hop_key_bytes[i],
-                sv_key_bytes[i],
-                IsdAs::new(1, 0x100 + i as u64),
-            );
-        }
-        builder.attach_host(n - 1);
-        // Wire AS i's egress to AS i+1.
-        let mut links = Vec::with_capacity(n.saturating_sub(1));
-        for i in 0..n - 1 {
-            let (_, egress) = Self::interfaces(n, i);
-            links.push(builder.connect_oneway(i, egress, i + 1, link));
-        }
-        let parts = builder.into_parts();
-        let dest_host = parts.hosts[n - 1].expect("host attached to the last AS");
-        LinearTopology {
-            sim: parts.sim,
-            as_nodes: parts.router_nodes,
-            dest_host,
-            links,
-            hop_keys,
-            svs,
-            drkey_masters: parts.drkey_masters,
-            info_ts: (start_ns / 1_000_000_000) as u32,
-            beta0: 0x4242,
-            next_res_id: 0,
-        }
-    }
-
-    /// Number of ASes.
-    pub fn n_ases(&self) -> usize {
-        self.as_nodes.len()
-    }
-
-    /// Hop `i`'s router of `family` sharded across `shards` engines
-    /// behind the [`ShardedRouter`] facade — a drop-in for
-    /// [`Simulator::replace_engine`] and the router every testbed node
-    /// runs, so any scenario can rerun with a multi-core router node and
-    /// identical verdicts (the facade steers every flow to the one shard
-    /// that holds its state).
-    pub fn make_sharded_hop_engine(
-        &self,
-        family: EngineFamily,
-        hop: usize,
-        cfg: RouterConfig,
-        shards: usize,
-    ) -> ShardedRouter {
-        family.sharded_engine(
-            shards,
-            &self.svs[hop],
-            &self.hop_keys[hop],
-            &self.drkey_masters[hop],
-            cfg,
-        )
-    }
-
-    /// A fresh, stand-alone engine of `family` with hop `i`'s secrets —
-    /// for probing packets outside the simulator (the in-simulator
-    /// engines live in the router nodes).
-    pub fn make_family_hop_engine(
-        &self,
-        family: EngineFamily,
-        hop: usize,
-        cfg: RouterConfig,
-    ) -> Box<dyn Datapath + Send> {
-        family.engine(&self.svs[hop], &self.hop_keys[hop], &self.drkey_masters[hop], cfg)
-    }
-
-    /// Swaps every router node's engine for `scenario`'s family, sharded
-    /// across `scenario.shards` engines when more than one — the knob
-    /// that reruns a whole QoS/DoS experiment per engine family on
-    /// unchanged topology, flows and adversaries.
-    pub fn install_engines(&mut self, scenario: EngineScenario, cfg: RouterConfig) {
-        for hop in 0..self.n_ases() {
-            let engine =
-                scenario.deploy(&self.svs[hop], &self.hop_keys[hop], &self.drkey_masters[hop], cfg);
-            self.sim.replace_engine(self.as_nodes[hop], engine).ok().expect("AS nodes are routers");
-        }
-    }
-
-    /// Installs `model` on every router node (or clears the service
-    /// models with `None`) — the per-node knob is
-    /// [`Simulator::set_router_service`].
-    pub fn set_service_model(&mut self, model: Option<ServiceModel>) {
-        for &node in &self.as_nodes {
-            self.sim.set_router_service(node, model);
-        }
-    }
-
-    /// Builds a fresh source generator over the chain's beaconed path.
-    pub fn make_generator(&self, src: IsdAs, dst: IsdAs) -> SourceGenerator {
-        let n = self.n_ases();
-        let hops: Vec<BeaconHop> = (0..n)
-            .map(|i| {
-                let (ingress, egress) = Self::interfaces(n, i);
-                BeaconHop {
-                    key: self.hop_keys[i].clone(),
-                    cons_ingress: ingress,
-                    cons_egress: egress,
-                }
-            })
-            .collect();
-        SourceGenerator::new(src, dst, forge_path(&hops, self.info_ts, self.beta0))
-    }
-
-    /// Creates a reservation for hop `i` at `bw_kbps`, valid over
-    /// `[res_start, res_start + duration_s)`, with a fresh ResID.
-    pub fn make_reservation(
-        &mut self,
-        hop: usize,
-        bw_kbps: u64,
-        res_start: u32,
-        duration_s: u16,
-    ) -> SourceReservation {
-        let n = self.n_ases();
-        let (ingress, egress) = Self::interfaces(n, hop);
-        let res_id = self.next_res_id;
-        self.next_res_id += 1;
-        let res_info = ResInfo {
-            ingress,
-            egress,
-            res_id,
-            bw_encoded: bwcls::encode_ceil(bw_kbps).expect("encodable bandwidth"),
-            res_start,
-            duration: duration_s,
-        };
-        let key = self.svs[hop].derive_key(&res_info);
-        SourceReservation { res_info, key }
-    }
-
-    /// A Hummingbird CBR flow over the full chain: `reserved_kbps` of
-    /// `Some(r)` attaches reservations of rate `r` on *every* hop; `None`
-    /// sends best effort. (The Hummingbird case of
-    /// [`add_family_flow`](LinearTopology::add_family_flow).)
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_cbr_flow(
-        &mut self,
-        src: IsdAs,
-        dst: IsdAs,
-        payload_len: usize,
-        rate_kbps: u64,
-        reserved_kbps: Option<u64>,
-        start_ns: u64,
-        stop_ns: u64,
-    ) -> FlowId {
-        let flow = FlowSpec::cbr(payload_len, rate_kbps, reserved_kbps);
-        self.add_family_flow(EngineFamily::Hummingbird, src, dst, None, &flow, start_ns, stop_ns)
-    }
-
-    /// The [`EngineFamily::credential`] a `family` sender `src` attaches
-    /// for hop `hop`, keyed under that hop's secrets exactly as its
-    /// [`make_family_hop_engine`](LinearTopology::make_family_hop_engine)
-    /// engine re-derives it; reservation-keyed families draw a fresh
-    /// ResID from this topology's counter.
-    pub fn make_family_credential(
-        &mut self,
-        family: EngineFamily,
-        hop: usize,
-        src: IsdAs,
-        bw_kbps: u64,
-        now_s: u64,
-    ) -> SourceReservation {
-        let n = self.n_ases();
-        let (ingress, egress) = Self::interfaces(n, hop);
-        family.credential(
-            &self.svs[hop],
-            &self.drkey_masters[hop],
-            ingress,
-            egress,
-            &mut self.next_res_id,
-            src,
-            bw_kbps,
-            now_s,
-        )
-    }
-
-    /// Adds `flow` from sender `src` over the full chain to `dst`'s host,
-    /// sending from `start_ns` (until `stop_ns` if it is CBR). A credential (`flow.credential_kbps`) is `family`'s per-hop
-    /// credential on every hop (reservation keys, Helia grants, or
-    /// DRKey/EPIC source keys), or only on `credential_hop` when set —
-    /// the partial-path shape (§3.3 ❸): reserve (or authenticate) the
-    /// congested hop and ride best effort elsewhere. Pair with
-    /// [`install_engines`](LinearTopology::install_engines) so routers
-    /// and senders agree on the key hierarchy.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_family_flow(
-        &mut self,
-        family: EngineFamily,
-        src: IsdAs,
-        dst: IsdAs,
-        credential_hop: Option<usize>,
-        flow: &FlowSpec,
-        start_ns: u64,
-        stop_ns: u64,
-    ) -> FlowId {
-        let mut generator = self.make_generator(src, dst);
-        if let Some(r) = flow.credential_kbps {
-            let hops = credential_hop.map_or(0..self.n_ases(), |h| h..h + 1);
-            for hop in hops {
-                let credential = self.make_family_credential(family, hop, src, r, start_ns / SEC);
-                generator.attach_reservation(hop, credential).expect("matching interfaces");
-            }
-        }
-        flow.add_to(&mut self.sim, generator, self.as_nodes[0], start_ns, stop_ns)
     }
 }
 
@@ -490,56 +194,68 @@ impl FlowSpec {
 #[derive(Clone, Copy, Debug)]
 pub enum Topology {
     /// A [`LinearTopology`] of `n_ases` with uniform `link`s; `narrow`
-    /// re-rates one link `(index, bits per second)` into the bottleneck.
+    /// re-rates the forward link of one adjacency `(index, bits per
+    /// second)`, AS `index` → AS `index + 1`, into the bottleneck.
     Chain {
         /// Chain length (ASes).
         n_ases: usize,
         /// Link parameters.
         link: LinkSpec,
-        /// One link to re-rate after building.
+        /// One forward link to re-rate after building.
         narrow: Option<(usize, u64)>,
     },
-    /// The Fig. 3 [`DiamondTopology`] with uniform links.
+    /// The Fig. 3 [`diamond`](TopologyBuilder::diamond) with uniform
+    /// links: branch ASes P (router 0) and Q (router 1), shared AS T
+    /// (router 2).
     Diamond(LinkSpec),
-    /// A generated ring-of-PoPs backbone — the only topology a failure
-    /// plan can act on.
+    /// A generated ring-of-PoPs backbone — the only topology a
+    /// [`Step::FailPath`] can act on.
     Backbone(BackboneSpec),
 }
 
-/// Where a scenario flow runs; each variant belongs to one [`Topology`].
+impl Topology {
+    /// The network this describes, starting at `start_ns`.
+    fn build(&self, start_ns: u64, cfg: RouterConfig) -> TopologyBuilder {
+        match *self {
+            Topology::Chain { n_ases, link, narrow } => {
+                let mut t = LinearTopology::build(n_ases, link, start_ns, cfg).net;
+                if let Some((i, bps)) = narrow {
+                    let forward = t.adjacency(i).ab;
+                    t.sim.set_link_bandwidth(forward, bps);
+                }
+                t
+            }
+            Topology::Diamond(link) => TopologyBuilder::diamond(link, start_ns, cfg),
+            Topology::Backbone(spec) => TopologyBuilder::ring_of_pops(&spec, start_ns, cfg),
+        }
+    }
+}
+
+/// Where a flow runs: from router `from` along the shortest path to the
+/// host behind router `to`, addressed to `to`'s AS.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Route {
-    /// The whole chain, from sender `src` to `dst`'s host (see
-    /// [`LinearTopology::add_family_flow`] for `credential_hop`).
-    Chain {
-        /// Sender identity.
-        src: IsdAs,
-        /// Destination identity.
-        dst: IsdAs,
-        /// Credential on this hop only; `None` = every hop.
-        credential_hop: Option<usize>,
-    },
-    /// One diamond branch, then the shared AS T.
-    Diamond {
-        /// The branch.
-        branch: Branch,
-        /// Sender identity.
-        src: IsdAs,
-        /// Destination identity.
-        dst: IsdAs,
-    },
-    /// Backbone router `from` to router `to`'s host, by BFS, from a fresh
-    /// sender identity.
-    Backbone {
-        /// Entry router.
-        from: RouterId,
-        /// Router whose host receives.
-        to: RouterId,
-    },
+pub struct Route {
+    /// Entry router.
+    pub from: RouterId,
+    /// Router whose attached host receives.
+    pub to: RouterId,
+    /// Sender identity; `None` draws a fresh one per flow.
+    pub src: Option<IsdAs>,
+    /// A credential on this hop of the path only (the partial-path
+    /// shape); `None` = every hop.
+    pub credential_hop: Option<usize>,
+}
+
+impl Route {
+    /// `from` to `to`'s host from a fresh sender, credentialed (when
+    /// the flow carries a credential) on every hop.
+    pub const fn new(from: RouterId, to: RouterId) -> Self {
+        Route { from, to, src: None, credential_hop: None }
+    }
 }
 
 /// One step of a [`Scenario`]'s failure plan, resolved against the live
-/// backbone when it applies.
+/// network when it applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
     /// Take down the first `links` adjacencies of scenario flow `flow`'s
@@ -585,11 +301,11 @@ pub struct Scenario {
 
 /// The sender identities of the chain shapes.
 const VICTIM: IsdAs = IsdAs::new(1, 0xa);
-const DEST: IsdAs = IsdAs::new(2, 0xb);
 const ATTACKER: IsdAs = IsdAs::new(3, 0xc);
 
+/// The whole 3-AS chain of the chain shapes, from sender `src`.
 fn chain_route(src: IsdAs) -> Route {
-    Route::Chain { src, dst: DEST, credential_hop: None }
+    Route { src: Some(src), ..Route::new(0, 2) }
 }
 
 impl Scenario {
@@ -663,11 +379,9 @@ impl Scenario {
 pub struct Outcome {
     /// One per [`Scenario::flows`] entry, in order.
     pub flows: Vec<FlowOutcome>,
-    /// Every router's engine counters at the end (chain: AS order;
-    /// diamond: P, Q, T; backbone: router id order).
+    /// Every router's engine counters at the end, by [`RouterId`].
     pub routers: Vec<DatapathStats>,
-    /// Bidirectional adjacencies of a backbone (0 on the chain and the
-    /// diamond).
+    /// Bidirectional adjacencies of the network.
     pub adjacencies: usize,
     /// The applied failure plan with per-action effects.
     pub report: ChurnReport,
@@ -720,126 +434,46 @@ impl FlowOutcome {
     }
 }
 
-/// A built [`Topology`].
-enum Net {
-    Chain(LinearTopology),
-    Diamond(Box<DiamondTopology>),
-    Backbone(TopologyBuilder, BackboneSpec),
-}
-
-impl Net {
-    fn build(topology: &Topology, start_ns: u64, cfg: RouterConfig) -> Self {
-        match *topology {
-            Topology::Chain { n_ases, link, narrow } => {
-                let mut t = LinearTopology::build(n_ases, link, start_ns, cfg);
-                if let Some((i, bps)) = narrow {
-                    t.sim.set_link_bandwidth(t.links[i], bps);
-                }
-                Net::Chain(t)
-            }
-            Topology::Diamond(link) => {
-                Net::Diamond(Box::new(DiamondTopology::build(link, start_ns, cfg)))
-            }
-            Topology::Backbone(spec) => {
-                Net::Backbone(TopologyBuilder::ring_of_pops(&spec, start_ns, cfg), spec)
-            }
-        }
-    }
-
-    fn sim(&mut self) -> &mut Simulator {
-        match self {
-            Net::Chain(t) => &mut t.sim,
-            Net::Diamond(t) => &mut t.sim,
-            Net::Backbone(t, _) => &mut t.sim,
-        }
-    }
-
-    fn router_nodes(&self) -> Vec<NodeId> {
-        match self {
-            Net::Chain(t) => t.as_nodes.clone(),
-            Net::Diamond(t) => vec![t.as_p, t.as_q, t.as_t],
-            Net::Backbone(t, _) => (0..t.n_routers()).map(|r| t.router_node(r)).collect(),
-        }
-    }
-
-    fn install(
-        &mut self,
-        engines: EngineScenario,
-        cfg: RouterConfig,
-        service: Option<ServiceModel>,
-    ) {
-        match self {
-            Net::Chain(t) => {
-                t.install_engines(engines, cfg);
-                t.set_service_model(service);
-            }
-            Net::Diamond(t) => {
-                t.install_engines(engines, cfg);
-                t.set_service_model(service);
-            }
-            Net::Backbone(t, _) => {
-                t.install_engines(engines, cfg);
-                t.set_service_model(service);
-            }
-        }
-    }
-
-    fn add_flow(
-        &mut self,
-        family: EngineFamily,
-        route: Route,
-        flow: &FlowSpec,
-        start_ns: u64,
-        stop_ns: u64,
-    ) -> FlowId {
-        match (self, route) {
-            (Net::Chain(t), Route::Chain { src, dst, credential_hop }) => {
-                t.add_family_flow(family, src, dst, credential_hop, flow, start_ns, stop_ns)
-            }
-            (Net::Diamond(t), Route::Diamond { branch, src, dst }) => {
-                t.add_family_flow(family, branch, src, dst, flow, start_ns, stop_ns)
-            }
-            (Net::Backbone(t, _), Route::Backbone { from, to }) => {
-                t.add_family_flow(family, from, to, flow, start_ns, stop_ns)
-            }
-            (_, route) => panic!("{route:?} does not run on this topology"),
-        }
-    }
-
-    /// Applies one plan step now, recording each action into `report`.
-    fn apply(&mut self, step: Step, flows: &[FlowId], report: &mut ChurnReport) {
-        let Net::Backbone(t, spec) = self else {
-            panic!("a failure plan needs a backbone topology");
-        };
-        let path = |t: &TopologyBuilder, flow: usize| {
-            t.route_of(flows[flow]).expect("scenario flows are routed").to_vec()
-        };
-        match step {
-            Step::FailPath { flow, links } => {
-                let rpp = spec.routers_per_pop;
-                let lane0 =
-                    (0..spec.pops - 1).filter_map(|p| t.adjacency_between(p * rpp, (p + 1) * rpp));
-                let mut adjs: Vec<AdjId> = Vec::with_capacity(links);
-                let on_path: Vec<AdjId> = path(t, flow)
-                    .windows(2)
-                    .filter_map(|w| t.adjacency_between(w[0], w[1]))
-                    .collect();
-                for adj in on_path.into_iter().chain(lane0) {
-                    if adjs.len() < links && !adjs.contains(&adj) {
-                        adjs.push(adj);
-                    }
-                }
-                for adj in adjs {
-                    report.records.push(apply_action(t, ChurnAction::LinkDown(adj)));
+/// Applies one plan step to `net` (built from `topology`) now,
+/// recording each action into `report`.
+fn apply(
+    net: &mut TopologyBuilder,
+    topology: &Topology,
+    step: Step,
+    flows: &[FlowId],
+    report: &mut ChurnReport,
+) {
+    let path = |t: &TopologyBuilder, flow: usize| {
+        t.route_of(flows[flow]).expect("scenario flows are routed").to_vec()
+    };
+    match step {
+        Step::FailPath { flow, links } => {
+            let Topology::Backbone(spec) = topology else {
+                panic!("FailPath pads with backbone ring links");
+            };
+            let rpp = spec.routers_per_pop;
+            let lane0 =
+                (0..spec.pops - 1).filter_map(|p| net.adjacency_between(p * rpp, (p + 1) * rpp));
+            let mut adjs: Vec<AdjId> = Vec::with_capacity(links);
+            let on_path: Vec<AdjId> = path(net, flow)
+                .windows(2)
+                .filter_map(|w| net.adjacency_between(w[0], w[1]))
+                .collect();
+            for adj in on_path.into_iter().chain(lane0) {
+                if adjs.len() < links && !adjs.contains(&adj) {
+                    adjs.push(adj);
                 }
             }
-            Step::Reroute => report.records.push(apply_action(t, ChurnAction::RerouteAffected)),
-            Step::RebootMidPath { flow } => {
-                let path = path(t, flow);
-                if path.len() > 2 {
-                    let mid = path[path.len() / 2];
-                    report.records.push(apply_action(t, ChurnAction::RouterReboot(mid)));
-                }
+            for adj in adjs {
+                report.records.push(apply_action(net, ChurnAction::LinkDown(adj)));
+            }
+        }
+        Step::Reroute => report.records.push(apply_action(net, ChurnAction::RerouteAffected)),
+        Step::RebootMidPath { flow } => {
+            let path = path(net, flow);
+            if path.len() > 2 {
+                let mid = path[path.len() / 2];
+                report.records.push(apply_action(net, ChurnAction::RouterReboot(mid)));
             }
         }
     }
@@ -854,29 +488,29 @@ impl Net {
 /// visible `done: false` instead of a hang), and one more drain second,
 /// so in-flight copies land or die before the counters are read.
 pub fn run(cfg: RouterConfig, scenario: &Scenario, start_ns: u64) -> Outcome {
-    let mut net = Net::build(&scenario.topology, start_ns, cfg);
-    net.install(scenario.engines, cfg, scenario.service);
-    let stop_ns = start_ns + scenario.run_s * SEC;
+    let mut net = scenario.topology.build(start_ns, cfg);
+    net.install_engines(scenario.engines, cfg);
+    net.set_service_model(scenario.service);
+    let (family, stop_ns) = (scenario.engines.family, start_ns + scenario.run_s * SEC);
     let ids: Vec<FlowId> = scenario
         .flows
         .iter()
-        .map(|(route, flow)| net.add_flow(scenario.engines.family, *route, flow, start_ns, stop_ns))
+        .map(|(route, flow)| net.add_family_flow(family, *route, flow, start_ns, stop_ns))
         .collect();
     let mut plan = scenario.plan.clone();
     plan.sort_by_key(|&(at, _)| at);
     let mut at = vec![Vec::new(); ids.len()];
     let mut report = ChurnReport::default();
     for steps in plan.chunk_by(|a, b| a.0 == b.0) {
-        let sim = net.sim();
-        sim.run_until(start_ns + steps[0].0);
+        net.sim.run_until(start_ns + steps[0].0);
         for (snapshots, &f) in at.iter_mut().zip(&ids) {
-            snapshots.push(sim.stats(f));
+            snapshots.push(net.sim.stats(f));
         }
         for &(_, step) in steps {
-            net.apply(step, &ids, &mut report);
+            apply(&mut net, &scenario.topology, step, &ids, &mut report);
         }
     }
-    let sim = net.sim();
+    let sim = &mut net.sim;
     let mut horizon = stop_ns + SEC;
     sim.run_until(horizon);
     while ids.iter().any(|&f| !sim.reactive_done(f)) && horizon < stop_ns + 120 * SEC {
@@ -901,14 +535,9 @@ pub fn run(cfg: RouterConfig, scenario: &Scenario, start_ns: u64) -> Outcome {
                 - start_ns,
         })
         .collect();
-    let events = sim.events_processed();
-    let nodes = net.router_nodes();
-    let sim = net.sim();
-    let routers = nodes.iter().map(|&n| sim.router_stats(n).expect("router node")).collect();
-    let adjacencies = match &net {
-        Net::Backbone(t, _) => t.n_adjacencies(),
-        _ => 0,
-    };
+    let routers =
+        net.as_nodes.iter().map(|&n| net.sim.router_stats(n).expect("router node")).collect();
+    let (adjacencies, events) = (net.n_adjacencies(), net.sim.events_processed());
     Outcome { flows, routers, adjacencies, report, events }
 }
 
@@ -1048,14 +677,14 @@ pub fn run_churn_scenario(
     start_ns: u64,
 ) -> ChurnScenarioOutcome {
     let (n, rpp, p) = (spec.pops * spec.routers_per_pop, spec.routers_per_pop, spec.payload_len);
-    let victim = Route::Backbone { from: 0, to: spec.span_pops.clamp(1, spec.pops - 1) * rpp };
+    let victim = Route::new(0, spec.span_pops.clamp(1, spec.pops - 1) * rpp);
     let mut flows = vec![(victim, FlowSpec::cbr(p, spec.victim_kbps, Some(spec.credential_kbps)))];
     flows.extend((spec.flood_kbps > 0).then(|| (victim, FlowSpec::cbr(p, spec.flood_kbps, None))));
     let mesh = FlowSpec::cbr(500, spec.background_kbps, spec.background_credential_kbps);
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x9E37_79B9_7F4A_7C15);
     for _ in 0..spec.background_flows {
         let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-        flows.push((Route::Backbone { from: a, to: if b == a { (a + 1) % n } else { b } }, mesh));
+        flows.push((Route::new(a, if b == a { (a + 1) % n } else { b }), mesh));
     }
     let (fail, reroute) = (spec.run_s * SEC / 3, spec.run_s * SEC / 3 + spec.reroute_delay_ns);
     let mut plan =

@@ -1109,9 +1109,8 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
-    use crate::scenario::{LinearTopology, LinkSpec};
+    use crate::{EngineFamily, FlowSpec, LinearTopology, LinkSpec, Route};
     use hummingbird_dataplane::RouterConfig;
-    use hummingbird_wire::IsdAs;
 
     const START_NS: u64 = 1_700_000_000 * 1_000_000_000;
     const SEC: u64 = 1_000_000_000;
@@ -1120,12 +1119,13 @@ mod tests {
     /// most events queued at once, not as the run's event count.
     #[test]
     fn event_slots_are_recycled() {
-        let mut topo =
-            LinearTopology::build(2, LinkSpec::default(), START_NS, RouterConfig::default());
-        let (src, dst) = (IsdAs::new(1, 0xa), IsdAs::new(2, 0xb));
-        let flow = topo.add_cbr_flow(src, dst, 1000, 2_000, Some(3_000), START_NS, START_NS + SEC);
-        topo.sim.run_until(START_NS + 2 * SEC);
-        let sim = &topo.sim;
+        let mut net =
+            LinearTopology::build(2, LinkSpec::default(), START_NS, RouterConfig::default()).net;
+        let reserved = FlowSpec::cbr(1000, 2_000, Some(3_000));
+        let hb = EngineFamily::Hummingbird;
+        let flow = net.add_family_flow(hb, Route::new(0, 1), &reserved, START_NS, START_NS + SEC);
+        net.sim.run_until(START_NS + 2 * SEC);
+        let sim = &net.sim;
         assert!(sim.stats(flow).delivery_ratio() > 0.99);
         assert!(sim.events_processed() > 1_000, "{} events", sim.events_processed());
         assert!(

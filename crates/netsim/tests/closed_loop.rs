@@ -23,7 +23,7 @@ mod common;
 use hummingbird_dataplane::RouterConfig;
 use hummingbird_netsim::{
     run, EngineFamily, EngineScenario, FlowEventKind, FlowKind, FlowOutcome, FlowSpec,
-    LinearTopology, LinkSpec, ReactiveProfile, Scenario, ServiceModel,
+    LinearTopology, LinkSpec, ReactiveProfile, Route, Scenario, ServiceModel,
 };
 use hummingbird_wire::IsdAs;
 
@@ -35,11 +35,9 @@ fn cfg() -> RouterConfig {
     RouterConfig::default()
 }
 
-fn src() -> IsdAs {
-    IsdAs::new(1, 0xa)
-}
-fn dst() -> IsdAs {
-    IsdAs::new(2, 0xb)
+/// The whole 3-AS chain from sender `src`.
+fn chain_route(src: IsdAs) -> Route {
+    Route { src: Some(src), ..Route::new(0, 2) }
 }
 
 /// A closed-loop flow of `total_pkts` 1000-byte packets paced at
@@ -169,24 +167,25 @@ fn overload_sweep_across_families_and_shards() {
 fn closed_loop_bit_identical_across_shard_counts() {
     let run = |shards: usize| {
         let link = LinkSpec { queue_cap_bytes: 16 * 1024, ..LinkSpec::default() };
-        let mut topo = LinearTopology::build(3, link, START_NS, cfg());
-        topo.install_engines(EngineScenario { family: EngineFamily::Hummingbird, shards }, cfg());
+        let mut net = LinearTopology::build(3, link, START_NS, cfg()).net;
+        net.install_engines(EngineScenario { family: EngineFamily::Hummingbird, shards }, cfg());
         // Fixed 2-core service model regardless of engine shards: the
         // sharding facade must be behavior-preserving.
-        topo.set_service_model(Some(ServiceModel::new(300, 2)));
+        net.set_service_model(Some(ServiceModel::new(300, 2)));
         let (hb, profile, end_ns) =
             (EngineFamily::Hummingbird, ReactiveProfile::default(), START_NS + 10 * SEC);
         let flow = closed_loop(2_000, Some(3_000), 250, profile);
-        let reserved = topo.add_family_flow(hb, src(), dst(), None, &flow, START_NS, end_ns);
+        let route = chain_route(IsdAs::new(1, 0xa));
+        let reserved = net.add_family_flow(hb, route, &flow, START_NS, end_ns);
         let flow = closed_loop(16_000, None, 1000, profile);
-        let best_effort =
-            topo.add_family_flow(hb, IsdAs::new(3, 0xc), dst(), None, &flow, START_NS, end_ns);
-        topo.sim.run_until(end_ns);
+        let route = chain_route(IsdAs::new(3, 0xc));
+        let best_effort = net.add_family_flow(hb, route, &flow, START_NS, end_ns);
+        net.sim.run_until(end_ns);
         (
-            topo.sim.stats(reserved),
-            topo.sim.stats(best_effort),
-            topo.sim.flow_events(reserved).to_vec(),
-            topo.sim.flow_events(best_effort).to_vec(),
+            net.sim.stats(reserved),
+            net.sim.stats(best_effort),
+            net.sim.flow_events(reserved).to_vec(),
+            net.sim.flow_events(best_effort).to_vec(),
         )
     };
     let single = run(1);
@@ -203,8 +202,8 @@ fn closed_loop_bit_identical_across_shard_counts() {
 /// every wire copy attributed to `link_down_drops`.
 #[test]
 fn retransmit_budget_exhaustion_terminates() {
-    let mut topo = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg());
-    topo.install_engines(EngineScenario { family: EngineFamily::Hummingbird, shards: 1 }, cfg());
+    let mut net = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg()).net;
+    net.install_engines(EngineScenario { family: EngineFamily::Hummingbird, shards: 1 }, cfg());
     let profile = ReactiveProfile {
         window: 32,
         ack_delay_ns: 1_000_000,
@@ -215,21 +214,15 @@ fn retransmit_budget_exhaustion_terminates() {
     let total = 50u64;
     let spec = closed_loop(2_000, Some(3_000), total, profile);
     let end_ns = START_NS + 60 * SEC;
-    let flow = topo.add_family_flow(
-        EngineFamily::Hummingbird,
-        src(),
-        dst(),
-        None,
-        &spec,
-        START_NS,
-        end_ns,
-    );
+    let route = chain_route(IsdAs::new(1, 0xa));
+    let flow = net.add_family_flow(EngineFamily::Hummingbird, route, &spec, START_NS, end_ns);
     // Blackhole the first hop before anything is sent.
-    topo.sim.set_link_up(topo.links[0], false);
-    topo.sim.run_until(end_ns);
+    let first = net.adjacency(0).ab;
+    net.sim.set_link_up(first, false);
+    net.sim.run_until(end_ns);
 
-    assert!(topo.sim.reactive_done(flow), "budget exhaustion must terminate the flow");
-    let s = topo.sim.stats(flow);
+    assert!(net.sim.reactive_done(flow), "budget exhaustion must terminate the flow");
+    let s = net.sim.stats(flow);
     assert_eq!(s.delivered_pkts, 0, "nothing crosses a dead link");
     assert_eq!(s.unattributed(), 0, "blackholed: conservation");
     assert_eq!(s.sent_pkts, s.link_down_drops, "every copy died on the dead link");
@@ -239,7 +232,7 @@ fn retransmit_budget_exhaustion_terminates() {
         "every packet retries exactly its budget"
     );
     assert!(s.timeouts >= s.retransmits, "every retry was driven by a timeout");
-    let events = topo.sim.flow_events(flow);
+    let events = net.sim.flow_events(flow);
     assert_eq!(
         events.iter().filter(|e| matches!(e.kind, FlowEventKind::Abandoned { .. })).count(),
         total as usize,

@@ -6,14 +6,13 @@
 #![allow(dead_code)]
 
 use hummingbird_netsim::{
-    BackboneSpec, Branch, EngineScenario, FlowKind, FlowSpec, LinkSpec, ReactiveProfile, Route,
-    Scenario, ServiceModel, Step, Topology,
+    BackboneSpec, EngineScenario, FlowKind, FlowSpec, LinkSpec, ReactiveProfile, Route, Scenario,
+    ServiceModel, Step, Topology,
 };
 use hummingbird_wire::IsdAs;
 
 const SEC: u64 = 1_000_000_000;
 const VICTIM: IsdAs = IsdAs::new(1, 0xa);
-const DEST: IsdAs = IsdAs::new(2, 0xb);
 const ATTACKER: IsdAs = IsdAs::new(3, 0xc);
 
 /// The partial-path variant (§3.3 ❸) of [`Scenario::latency`]: 100 Mbps
@@ -24,23 +23,25 @@ pub fn partial_path(engines: EngineScenario) -> Scenario {
     let mut s = Scenario::latency(engines, 20_000);
     let fat = LinkSpec { bandwidth_bps: 100_000_000, ..LinkSpec::default() };
     s.topology = Topology::Chain { n_ases: 3, link: fat, narrow: Some((1, 10_000_000)) };
-    s.flows[0].0 = Route::Chain { src: VICTIM, dst: DEST, credential_hop: Some(1) };
+    s.flows[0].0.credential_hop = Some(1);
     s
 }
 
 /// The multipath variant on the Fig. 3 diamond: a 2 Mbps credentialed
-/// victim flow on each branch and a 30 Mbps best-effort flood on Q only.
+/// victim flow on each branch (P = router 0, Q = router 1, both into T =
+/// router 2) and a 30 Mbps best-effort flood on Q only.
 pub fn multipath(engines: EngineScenario) -> Scenario {
     let victim = FlowSpec::cbr(1_000, 2_000, Some(3_000));
-    let on = |branch, src| Route::Diamond { branch, src, dst: DEST };
+    let (p, q) = (0, 1);
+    let on = |branch, src| Route { src: Some(src), ..Route::new(branch, 2) };
     Scenario {
         engines,
         topology: Topology::Diamond(LinkSpec::default()),
         service: None,
         flows: vec![
-            (on(Branch::P, VICTIM), victim),
-            (on(Branch::Q, VICTIM), victim),
-            (on(Branch::Q, ATTACKER), FlowSpec::cbr(1_000, 30_000, None)),
+            (on(p, VICTIM), victim),
+            (on(q, VICTIM), victim),
+            (on(q, ATTACKER), FlowSpec::cbr(1_000, 30_000, None)),
         ],
         plan: Vec::new(),
         run_s: 2,
@@ -60,7 +61,7 @@ pub fn latency_churn(
     let mut s = Scenario::latency(engines, flood_kbps);
     s.topology = Topology::Backbone(BackboneSpec::new(3, 2, seed));
     for (route, _) in &mut s.flows {
-        *route = Route::Backbone { from: 0, to: 4 };
+        *route = Route::new(0, 4);
     }
     let t_fail = s.run_s * SEC / 3;
     s.plan = vec![
@@ -86,7 +87,7 @@ pub fn overload_churn(engines: EngineScenario) -> Scenario {
             profile: ReactiveProfile::default(),
         },
     };
-    let route = Route::Backbone { from: 0, to: 4 };
+    let route = Route::new(0, 4);
     Scenario {
         engines,
         topology: Topology::Backbone(BackboneSpec::new(8, 2, 0x0BAD_CA5E)),

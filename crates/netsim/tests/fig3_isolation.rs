@@ -8,8 +8,8 @@
 //! adversary observes and replays only flow Q. The victim flow P must
 //! suffer in the shared case and be unaffected in the separate case.
 
-use hummingbird_dataplane::RouterConfig;
-use hummingbird_netsim::{Flow, LinearTopology, LinkSpec};
+use hummingbird_dataplane::{RouterConfig, SourceReservation};
+use hummingbird_netsim::{EngineFamily, Flow, FlowSpec, LinearTopology, LinkSpec, Route};
 use hummingbird_wire::IsdAs;
 
 const START_S: u64 = 1_700_000_000;
@@ -20,54 +20,42 @@ const RUN_S: u64 = 2;
 /// Runs the scenario; returns the victim's delivery ratio.
 fn run(shared_reservation: bool) -> f64 {
     let mut topo = LinearTopology::build(2, LinkSpec::default(), START_NS, RouterConfig::default());
+    let src = IsdAs::new(1, 0xa);
+    let mut reserve =
+        |hop| topo.make_family_credential(EngineFamily::Hummingbird, hop, src, 5_000, START_S);
 
-    // One reservation for flow Q; flow P either shares it or gets its own.
-    let res_q = topo.make_reservation(0, 5_000, START_S as u32 - 5, u16::MAX);
-    let res_q_hop1 = topo.make_reservation(1, 5_000, START_S as u32 - 5, u16::MAX);
-    let (res_p, res_p_hop1) = if shared_reservation {
-        (res_q.clone(), res_q_hop1.clone())
-    } else {
-        (
-            topo.make_reservation(0, 5_000, START_S as u32 - 5, u16::MAX),
-            topo.make_reservation(1, 5_000, START_S as u32 - 5, u16::MAX),
-        )
-    };
+    // One reservation per hop for flow Q; flow P either shares them or
+    // gets its own.
+    let res_q = [reserve(0), reserve(1)];
+    let res_p = if shared_reservation { res_q.clone() } else { [reserve(0), reserve(1)] };
 
-    let entry = topo.as_nodes[0];
-    let mk_flow = |topo: &mut LinearTopology,
-                   dst: IsdAs,
-                   r0: hummingbird_dataplane::SourceReservation,
-                   r1: hummingbird_dataplane::SourceReservation| {
-        let mut generator = topo.make_generator(IsdAs::new(1, 0xa), dst);
-        generator.attach_reservation(0, r0).unwrap();
-        generator.attach_reservation(1, r1).unwrap();
-        topo.sim.add_flow(Flow {
+    let mk_flow = |topo: &mut LinearTopology, reservations: [SourceReservation; 2]| {
+        let mut generator = topo.make_generator(src, IsdAs::new(2, 0xb));
+        for (hop, res) in reservations.into_iter().enumerate() {
+            generator.attach_reservation(hop, res).unwrap();
+        }
+        topo.net.sim.add_flow(Flow {
             generator,
-            entry,
+            entry: topo.net.as_nodes[0],
             payload_len: 1000,
             interval_ns: 4_000_000, // 2 Mbps each
             start_ns: START_NS,
             stop_ns: START_NS + RUN_S * SEC,
         })
     };
-    let flow_p = mk_flow(&mut topo, IsdAs::new(2, 0xb), res_p, res_p_hop1);
-    let flow_q = mk_flow(&mut topo, IsdAs::new(2, 0xb), res_q, res_q_hop1);
+    let flow_p = mk_flow(&mut topo, res_p);
+    let flow_q = mk_flow(&mut topo, res_q);
+    let net = &mut topo.net;
 
     // Background congestion so demotions turn into loss.
-    let _flood = topo.add_cbr_flow(
-        IsdAs::new(3, 0xc),
-        IsdAs::new(2, 0xb),
-        1000,
-        30_000,
-        None,
-        START_NS,
-        START_NS + RUN_S * SEC,
-    );
+    let flood = FlowSpec::cbr(1000, 30_000, None);
+    let route = Route { src: Some(IsdAs::new(3, 0xc)), ..Route::new(0, 1) };
+    net.add_family_flow(EngineFamily::Hummingbird, route, &flood, START_NS, START_NS + RUN_S * SEC);
 
     // Adversary on flow Q's path: duplicates Q's packets 19x, timed.
-    topo.sim.add_replay_tap(flow_q, topo.as_nodes[0], 19, 200_000);
-    topo.sim.run_until(START_NS + (RUN_S + 1) * SEC);
-    topo.sim.stats(flow_p).delivery_ratio()
+    net.sim.add_replay_tap(flow_q, net.as_nodes[0], 19, 200_000);
+    net.sim.run_until(START_NS + (RUN_S + 1) * SEC);
+    net.sim.stats(flow_p).delivery_ratio()
 }
 
 #[test]

@@ -18,7 +18,7 @@ use hummingbird_crypto::sha256::Sha256;
 use hummingbird_dataplane::{Datapath, DatapathStats, RouterConfig, Verdict};
 use hummingbird_netsim::{
     run, run_churn_scenario, ChurnReport, ChurnSpec, EngineFamily, EngineScenario, FlowSpec,
-    FlowStats, LinearTopology, LinkSpec, Scenario,
+    FlowStats, LinearTopology, LinkSpec, Route, Scenario,
 };
 use hummingbird_wire::IsdAs;
 
@@ -275,17 +275,20 @@ fn hand_wired_chain_digest_is_unchanged() {
                 d.router(&engine.stats());
             }
 
-            let mut topo = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg());
-            topo.install_engines(EngineScenario { family, shards }, cfg());
+            let mut net = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg()).net;
+            net.install_engines(EngineScenario { family, shards }, cfg());
             let stop_ns = START_NS + SEC;
-            let reserved = FlowSpec::cbr(1_000, 2_000, Some(3_000));
-            let v = topo.add_family_flow(family, victim, dest, None, &reserved, START_NS, stop_ns);
-            let f = topo.add_cbr_flow(attacker, dest, 1_000, 30_000, None, START_NS, stop_ns);
-            topo.sim.run_until(stop_ns);
-            d.flow(&topo.sim.stats(v));
-            d.flow(&topo.sim.stats(f));
-            for &node in &topo.as_nodes {
-                d.router(&topo.sim.router_stats(node).unwrap());
+            let route = |src| Route { src: Some(src), ..Route::new(0, 2) };
+            let (reserved, flood) =
+                (FlowSpec::cbr(1_000, 2_000, Some(3_000)), FlowSpec::cbr(1_000, 30_000, None));
+            let v = net.add_family_flow(family, route(victim), &reserved, START_NS, stop_ns);
+            let hb = EngineFamily::Hummingbird;
+            let f = net.add_family_flow(hb, route(attacker), &flood, START_NS, stop_ns);
+            net.sim.run_until(stop_ns);
+            d.flow(&net.sim.stats(v));
+            d.flow(&net.sim.stats(f));
+            for &node in &net.as_nodes {
+                d.router(&net.sim.router_stats(node).unwrap());
             }
         }
     }

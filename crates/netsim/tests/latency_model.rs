@@ -18,23 +18,20 @@ mod common;
 
 use hummingbird_dataplane::RouterConfig;
 use hummingbird_netsim::{
-    run, EngineFamily, EngineScenario, FlowStats, LinearTopology, LinkSpec, Scenario, ServiceModel,
+    run, EngineFamily, EngineScenario, FlowId, FlowSpec, FlowStats, LinearTopology, LinkSpec,
+    Route, Scenario, ServiceModel, TopologyBuilder,
 };
-use hummingbird_wire::IsdAs;
 use proptest::prelude::*;
 
 const START_S: u64 = 1_700_000_000;
 const START_NS: u64 = START_S * 1_000_000_000;
 const SEC: u64 = 1_000_000_000;
 
-fn src() -> IsdAs {
-    IsdAs::new(1, 0xa)
-}
-fn dst() -> IsdAs {
-    IsdAs::new(2, 0xb)
-}
-fn atk() -> IsdAs {
-    IsdAs::new(3, 0xc)
+/// `flow` over the whole chain `net` from a fresh sender, with
+/// Hummingbird credentials, sending from the start until `stop_ns`.
+fn chain_flow(net: &mut TopologyBuilder, flow: FlowSpec, stop_ns: u64) -> FlowId {
+    let route = Route::new(0, net.n_routers() - 1);
+    net.add_family_flow(EngineFamily::Hummingbird, route, &flow, START_NS, stop_ns)
 }
 
 /// The acceptance sweep: Fig. 3/4-style latency across all four engine
@@ -124,17 +121,16 @@ proptest! {
             propagation_ns: prop_us * 1000,
             queue_cap_bytes: 64 * 1024,
         };
-        let mut topo = LinearTopology::build(n_ases, link, START_NS, RouterConfig::default());
+        let mut net = LinearTopology::build(n_ases, link, START_NS, RouterConfig::default()).net;
         if service_ns > 0 {
-            topo.set_service_model(Some(ServiceModel::new(service_ns, shards)));
+            net.set_service_model(Some(ServiceModel::new(service_ns, shards)));
         }
         // 1 Mbps CBR: the packet interval (≥ 2.4 ms) dwarfs both the
         // worst-case serialization (~1.1 ms) and the service time, so no
         // queueing ever happens — the closed form is exact.
-        let flow = topo.add_cbr_flow(src(), dst(), payload, 1_000, Some(3_000), START_NS,
-            START_NS + SEC);
-        topo.sim.run_until(START_NS + 2 * SEC);
-        let v = topo.sim.stats(flow);
+        let flow = chain_flow(&mut net, FlowSpec::cbr(payload, 1_000, Some(3_000)), START_NS + SEC);
+        net.sim.run_until(START_NS + 2 * SEC);
+        let v = net.sim.stats(flow);
         prop_assert!(v.sent_pkts > 0);
         prop_assert_eq!(v.delivered_pkts, v.sent_pkts, "uncontended: everything arrives");
         let wire_len = v.sent_bytes / v.sent_pkts;
@@ -189,30 +185,20 @@ proptest! {
 #[test]
 fn per_class_departures_stay_fifo_under_contention() {
     let cfg = RouterConfig::default();
-    let mut topo = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg);
-    topo.set_service_model(Some(ServiceModel::new(300, 2)));
-    let run_s = 2u64;
-    let victim =
-        topo.add_cbr_flow(src(), dst(), 1000, 2_000, Some(3_000), START_NS, START_NS + run_s * SEC);
-    let be_a =
-        topo.add_cbr_flow(atk(), dst(), 1000, 12_000, None, START_NS, START_NS + run_s * SEC);
-    let be_b = topo.add_cbr_flow(
-        IsdAs::new(4, 0xd),
-        dst(),
-        700,
-        9_000,
-        None,
-        START_NS,
-        START_NS + run_s * SEC,
-    );
-    topo.sim.run_until(START_NS + (run_s + 1) * SEC);
+    let mut net = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg).net;
+    net.set_service_model(Some(ServiceModel::new(300, 2)));
+    let stop_ns = START_NS + 2 * SEC;
+    let victim = chain_flow(&mut net, FlowSpec::cbr(1000, 2_000, Some(3_000)), stop_ns);
+    let be_a = chain_flow(&mut net, FlowSpec::cbr(1000, 12_000, None), stop_ns);
+    let be_b = chain_flow(&mut net, FlowSpec::cbr(700, 9_000, None), stop_ns);
+    net.sim.run_until(stop_ns + SEC);
     for (name, flow) in [("victim", victim), ("be_a", be_a), ("be_b", be_b)] {
-        let s = topo.sim.stats(flow);
+        let s = net.sim.stats(flow);
         assert!(s.delivered_pkts > 0, "{name} delivered nothing");
         assert_eq!(s.reordered_pkts, 0, "{name}: departures must match arrivals per class");
     }
     // The flood actually contested the bottleneck.
-    let a = topo.sim.stats(be_a);
+    let a = net.sim.stats(be_a);
     assert!(a.queue_drops > 0, "flood must overflow the best-effort queue");
 }
 

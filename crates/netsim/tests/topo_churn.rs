@@ -22,7 +22,8 @@ mod common;
 use hummingbird_dataplane::RouterConfig;
 use hummingbird_netsim::{
     run, run_churn_scenario, run_with_churn, BackboneSpec, ChurnAction, ChurnOutcome, ChurnPlan,
-    ChurnSpec, EngineFamily, EngineScenario, FlowSpec, HierarchySpec, LinkSpec, TopologyBuilder,
+    ChurnSpec, EngineFamily, EngineScenario, FlowSpec, HierarchySpec, LinkSpec, Route,
+    TopologyBuilder,
 };
 use proptest::prelude::*;
 
@@ -64,13 +65,13 @@ fn equal_timestamp_events_are_fifo_by_schedule_order() {
         let a = t.add_router_keyed([0x21; 16], [0x51; 16], hummingbird_wire::IsdAs::new(1, 1));
         let b = t.add_router_keyed([0x22; 16], [0x52; 16], hummingbird_wire::IsdAs::new(1, 2));
         t.attach_host(b);
-        t.connect(a, b, LinkSpec::default());
+        t.connect(a, b, None, LinkSpec::default());
         // stop = start + 1 ns ⇒ exactly one packet per flow, both sent
         // at the same instant.
         let flow = FlowSpec::cbr(500, 1_000, None);
         let hb = EngineFamily::Hummingbird;
-        let f0 = t.add_family_flow(hb, a, b, &flow, START_NS, START_NS + 1);
-        let f1 = t.add_family_flow(hb, a, b, &flow, START_NS, START_NS + 1);
+        let f0 = t.add_family_flow(hb, Route::new(a, b), &flow, START_NS, START_NS + 1);
+        let f1 = t.add_family_flow(hb, Route::new(a, b), &flow, START_NS, START_NS + 1);
         t.sim.run_until(START_NS + SEC);
         (t.sim.stats(f0), t.sim.stats(f1))
     };
@@ -118,23 +119,22 @@ fn reboot_router_wipes_datapath_state() {
     t.install_engines(EngineScenario { family: EngineFamily::Hummingbird, shards: 1 }, cfg());
     let flow = t.add_family_flow(
         EngineFamily::Hummingbird,
-        0,
-        4, // PoP 2, router 0: two inter-PoP hops
+        Route::new(0, 4), // to PoP 2, router 0: two inter-PoP hops
         &FlowSpec::cbr(500, 1_000, Some(2_000)),
         START_NS,
         START_NS + 2 * SEC,
     );
     let transit = 2; // PoP 1, router 0 — on the lane-0 ring path
     t.sim.run_until(START_NS + SEC);
-    let before = t.sim.router_stats(t.router_node(transit)).unwrap();
+    let before = t.sim.router_stats(t.as_nodes[transit]).unwrap();
     assert!(before.processed > 0);
     assert!(before.key_cache_hits > 0, "warm cache before the reboot: {before:?}");
     let discarded = t.reboot_router(transit);
     assert_eq!(discarded, before);
-    let wiped = t.sim.router_stats(t.router_node(transit)).unwrap();
+    let wiped = t.sim.router_stats(t.as_nodes[transit]).unwrap();
     assert_eq!(wiped.processed, 0, "reboot must wipe the engine: {wiped:?}");
     t.sim.run_until(START_NS + 3 * SEC);
-    let after = t.sim.router_stats(t.router_node(transit)).unwrap();
+    let after = t.sim.router_stats(t.as_nodes[transit]).unwrap();
     assert!(after.processed > 0);
     assert!(after.key_cache_misses > 0, "cold cache after the reboot: {after:?}");
     let s = t.sim.stats(flow);
@@ -181,8 +181,7 @@ proptest! {
         let n = t.n_routers();
         let f = t.add_family_flow(
             EngineFamily::Hummingbird,
-            (seed as usize) % n,
-            (seed as usize + n / 2) % n,
+            Route::new((seed as usize) % n, (seed as usize + n / 2) % n),
             &FlowSpec::cbr(500, 1_000, Some(2_000)),
             START_NS,
             START_NS + SEC,

@@ -39,9 +39,10 @@ pub const BEST_EFFORT: usize = 1;
 pub struct NodeStats {
     /// Data frames received off the socket.
     pub rx: u64,
-    /// Packets forwarded to the next hop (router) / delivered (sink).
+    /// Packets forwarded to the next hop, per class of the engine's
+    /// verdict (a demoted reserved packet is best effort).
     pub forwarded: [u64; 2],
-    /// Engine drops per class.
+    /// Engine drops per class of the dropped packet's flow.
     pub engine_drops: [u64; 2],
     /// Engine drops per flow id.
     pub flow_drops: Vec<u64>,
@@ -135,15 +136,22 @@ impl SocketRouter {
                     continue;
                 }
             };
+            // A drop is charged to the flow's class; a forwarded packet
+            // counts in the class its verdict gave it, so a demoted
+            // reserved packet is best effort.
             match self.engine.process(pkt, now_unix_ns()) {
                 Verdict::Drop(reason) => {
                     stats.engine_drops[class] += 1;
                     stats.flow_drops[hdr.flow_id as usize] += 1;
                     stats.count_reason(reason);
                 }
-                Verdict::Flyover { .. } | Verdict::BestEffort { .. } => {
+                Verdict::Flyover { .. } => {
                     self.next.send_data(&buf[..n])?;
-                    stats.forwarded[class] += 1;
+                    stats.forwarded[RESERVED] += 1;
+                }
+                Verdict::BestEffort { .. } => {
+                    self.next.send_data(&buf[..n])?;
+                    stats.forwarded[BEST_EFFORT] += 1;
                 }
             }
         }

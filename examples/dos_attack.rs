@@ -12,7 +12,9 @@
 //!
 //! Run with: `cargo run --release --example dos_attack`
 
-use hummingbird::netsim::{EngineFamily, LinearTopology, LinkSpec};
+use hummingbird::netsim::{
+    EngineFamily, FlowId, FlowSpec, LinearTopology, LinkSpec, Route, TopologyBuilder,
+};
 use hummingbird::{Datapath, IsdAs, RouterConfig, Verdict};
 
 const START_S: u64 = 1_700_000_000;
@@ -30,23 +32,34 @@ fn attacker() -> IsdAs {
     IsdAs::new(66, 0x666)
 }
 
+/// An `n`-AS chain of uniform `link`s.
+fn chain(n: usize, link: LinkSpec, cfg: RouterConfig) -> TopologyBuilder {
+    LinearTopology::build(n, link, START_NS, cfg).net
+}
+
+/// A Hummingbird CBR flow of 1000-byte packets from sender `src` over the
+/// whole chain, credentialed on every hop at `reserved_kbps` (or best
+/// effort), sending for `run_s` seconds.
+fn cbr(
+    net: &mut TopologyBuilder,
+    src: IsdAs,
+    rate_kbps: u64,
+    reserved_kbps: Option<u64>,
+    run_s: u64,
+) -> FlowId {
+    let route = Route { src: Some(src), ..Route::new(0, net.n_routers() - 1) };
+    let flow = FlowSpec::cbr(1000, rate_kbps, reserved_kbps);
+    net.add_family_flow(EngineFamily::Hummingbird, route, &flow, START_NS, START_NS + run_s * SEC)
+}
+
 fn scenario_flooding() {
     println!("-- 1. off-path flooding (30 Mbps into 10 Mbps links) --");
-    let mut topo = LinearTopology::build(3, LinkSpec::default(), START_NS, RouterConfig::default());
-    let v = topo.add_cbr_flow(
-        victim(),
-        dest(),
-        1000,
-        2_000,
-        Some(3_000),
-        START_NS,
-        START_NS + RUN_S * SEC,
-    );
-    let a =
-        topo.add_cbr_flow(attacker(), dest(), 1000, 30_000, None, START_NS, START_NS + RUN_S * SEC);
-    topo.sim.run_until(START_NS + (RUN_S + 1) * SEC);
-    let vs = topo.sim.stats(v);
-    let as_ = topo.sim.stats(a);
+    let mut net = chain(3, LinkSpec::default(), RouterConfig::default());
+    let v = cbr(&mut net, victim(), 2_000, Some(3_000), RUN_S);
+    let a = cbr(&mut net, attacker(), 30_000, None, RUN_S);
+    net.sim.run_until(START_NS + (RUN_S + 1) * SEC);
+    let vs = net.sim.stats(v);
+    let as_ = net.sim.stats(a);
     println!(
         "   victim: {:.1}% delivered at {:.2} ms | attacker: {:.1}% delivered, {} queue drops",
         vs.delivery_ratio() * 100.0,
@@ -59,7 +72,7 @@ fn scenario_flooding() {
 
 fn scenario_spoofing() {
     println!("-- 2. reservation spoofing with forged keys --");
-    let mut topo = LinearTopology::build(2, LinkSpec::default(), START_NS, RouterConfig::default());
+    let mut net = chain(2, LinkSpec::default(), RouterConfig::default());
     // Forge: keys from a different (attacker-chosen) secret value.
     let mut other = LinearTopology::build_seeded(
         2,
@@ -70,11 +83,17 @@ fn scenario_spoofing() {
     );
     let mut forged_gen = other.make_generator(attacker(), dest());
     for hop in 0..2 {
-        let res = other.make_reservation(hop, 5_000, START_S as u32 - 5, u16::MAX);
+        let res = other.make_family_credential(
+            EngineFamily::Hummingbird,
+            hop,
+            attacker(),
+            5_000,
+            START_S,
+        );
         forged_gen.attach_reservation(hop, res).unwrap();
     }
-    let entry = topo.as_nodes[0];
-    let forged = topo.sim.add_flow(hummingbird::netsim::Flow {
+    let entry = net.as_nodes[0];
+    let forged = net.sim.add_flow(hummingbird::netsim::Flow {
         generator: forged_gen,
         entry,
         payload_len: 500,
@@ -82,8 +101,8 @@ fn scenario_spoofing() {
         start_ns: START_NS,
         stop_ns: START_NS + RUN_S * SEC,
     });
-    topo.sim.run_until(START_NS + (RUN_S + 1) * SEC);
-    let fs = topo.sim.stats(forged);
+    net.sim.run_until(START_NS + (RUN_S + 1) * SEC);
+    let fs = net.sim.stats(forged);
     println!(
         "   attacker sent {} forged packets; {} dropped at the first router, {} delivered",
         fs.sent_pkts, fs.router_drops, fs.delivered_pkts
@@ -93,16 +112,12 @@ fn scenario_spoofing() {
 
 fn scenario_overuse() {
     println!("-- 3. overuse of a valid reservation (8 Mbps through 2 Mbps) --");
-    let mut topo = LinearTopology::build(
-        2,
-        LinkSpec { bandwidth_bps: 100_000_000, ..Default::default() },
-        START_NS,
-        RouterConfig::default(),
-    );
-    let f = topo.add_cbr_flow(victim(), dest(), 1000, 8_000, Some(2_000), START_NS, START_NS + SEC);
-    topo.sim.run_until(START_NS + 2 * SEC);
-    let s = topo.sim.stats(f);
-    let rs = topo.sim.router_stats(topo.as_nodes[0]).unwrap();
+    let link = LinkSpec { bandwidth_bps: 100_000_000, ..Default::default() };
+    let mut net = chain(2, link, RouterConfig::default());
+    let f = cbr(&mut net, victim(), 8_000, Some(2_000), 1);
+    net.sim.run_until(START_NS + 2 * SEC);
+    let s = net.sim.stats(f);
+    let rs = net.sim.router_stats(net.as_nodes[0]).unwrap();
     println!(
         "   {} packets sent, {} kept priority, {} demoted to best effort, 0 dropped (no punishment)",
         s.sent_pkts, rs.flyover, rs.demoted_overuse
@@ -115,25 +130,16 @@ fn scenario_replay(dup_suppression: bool) {
     let label = if dup_suppression { "with" } else { "without" };
     println!("-- 4. on-reservation-set replay, {label} duplicate suppression --");
     let cfg = RouterConfig { duplicate_suppression: dup_suppression, ..Default::default() };
-    let mut topo = LinearTopology::build(2, LinkSpec::default(), START_NS, cfg);
-    let v = topo.add_cbr_flow(
-        victim(),
-        dest(),
-        1000,
-        2_000,
-        Some(2_500),
-        START_NS,
-        START_NS + RUN_S * SEC,
-    );
-    let _flood =
-        topo.add_cbr_flow(attacker(), dest(), 1000, 30_000, None, START_NS, START_NS + RUN_S * SEC);
+    let mut net = chain(2, LinkSpec::default(), cfg);
+    let v = cbr(&mut net, victim(), 2_000, Some(2_500), RUN_S);
+    cbr(&mut net, attacker(), 30_000, None, RUN_S);
     // Adversary duplicates every victim packet 19x, timed to pin the
     // token bucket right before the next original.
-    let tap = topo.sim.add_replay_tap(v, topo.as_nodes[0], 19, 200_000);
-    topo.sim.run_until(START_NS + (RUN_S + 1) * SEC);
-    let vs = topo.sim.stats(v);
-    let ts = topo.sim.stats(tap);
-    let rs = topo.sim.router_stats(topo.as_nodes[0]).unwrap();
+    let tap = net.sim.add_replay_tap(v, net.as_nodes[0], 19, 200_000);
+    net.sim.run_until(START_NS + (RUN_S + 1) * SEC);
+    let vs = net.sim.stats(v);
+    let ts = net.sim.stats(tap);
+    let rs = net.sim.router_stats(net.as_nodes[0]).unwrap();
     println!(
         "   victim delivery {:.1}% | {} replays injected, {} dropped as duplicates, {} demotions",
         vs.delivery_ratio() * 100.0,
@@ -156,7 +162,7 @@ fn scenario_replay_via_datapath() {
     println!("-- 5. replay probe through the Datapath trait --");
     let mut topo = LinearTopology::build(1, LinkSpec::default(), START_NS, RouterConfig::default());
     let mut generator = topo.make_generator(victim(), dest());
-    let res = topo.make_reservation(0, 5_000, START_S as u32 - 5, u16::MAX);
+    let res = topo.make_family_credential(EngineFamily::Hummingbird, 0, victim(), 5_000, START_S);
     generator.attach_reservation(0, res).unwrap();
     let mut original = generator.generate(&[0u8; 128], START_S * 1000).unwrap();
     let mut replay = original.clone();

@@ -13,7 +13,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use hummingbird::netsim::EngineFamily;
+use hummingbird::netsim::{EngineFamily, EngineScenario};
 use hummingbird::testbed::{Testbed, TestbedConfig};
 use hummingbird::{Datapath, IsdAs, PacketBuf, PurchaseSpec};
 
@@ -105,7 +105,8 @@ fn main() {
         engine.process_batch(&mut batch, now_ns, &mut verdicts);
         (verdicts.iter().filter(|v| v.is_flyover()).count(), verdicts.len())
     };
-    let mut router = tb.topo.make_family_hop_engine(EngineFamily::Hummingbird, 0, tb.cfg.router);
+    let hb = |shards| EngineScenario { family: EngineFamily::Hummingbird, shards };
+    let mut router = tb.topo.engine(0, hb(1), tb.cfg.router);
     let (priority, total) = verdict_probe(router.as_mut());
     println!(
         "Datapath batch API: {} of {} packets verified with priority at a fresh hop-0 \"{}\" engine",
@@ -119,9 +120,8 @@ fn main() {
     // The same trait also fronts a whole multi-core router: a
     // `ShardedRouter` RSS-steers each reservation to the one shard that
     // polices it, and behaves observably like the single engine above.
-    let mut sharded =
-        tb.topo.make_sharded_hop_engine(EngineFamily::Hummingbird, 0, tb.cfg.router, 4);
-    let (priority, total) = verdict_probe(&mut sharded);
+    let mut sharded = tb.topo.engine(0, hb(4), tb.cfg.router);
+    let (priority, total) = verdict_probe(sharded.as_mut());
     println!(
         "Sharded runtime: the same {} packets verified with priority across a 4-shard \"{}\" router",
         priority,

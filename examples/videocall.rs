@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example videocall`
 
-use hummingbird::netsim::{LinearTopology, LinkSpec};
+use hummingbird::netsim::{EngineFamily, FlowSpec, LinearTopology, LinkSpec, Route};
 use hummingbird::{IsdAs, RouterConfig};
 
 const START_S: u64 = 1_700_000_000;
@@ -23,7 +23,7 @@ struct CallResult {
 }
 
 fn run_call(reserved: bool) -> CallResult {
-    let mut topo = LinearTopology::build(
+    let mut net = LinearTopology::build(
         3,
         LinkSpec {
             bandwidth_bps: 20_000_000, // 20 Mbps peering links
@@ -32,29 +32,19 @@ fn run_call(reserved: bool) -> CallResult {
         },
         START_NS,
         RouterConfig::default(),
-    );
+    )
+    .net;
+    let mut add = |src: IsdAs, flow: FlowSpec| {
+        let route = Route { src: Some(src), ..Route::new(0, 2) };
+        let hb = EngineFamily::Hummingbird;
+        net.add_family_flow(hb, route, &flow, START_NS, START_NS + RUN_S * SEC)
+    };
     // The video call: 4 Mbps of 1200 B frames.
-    let call = topo.add_cbr_flow(
-        IsdAs::new(1, 0xa),
-        IsdAs::new(2, 0xb),
-        1200,
-        4_000,
-        reserved.then_some(5_000),
-        START_NS,
-        START_NS + RUN_S * SEC,
-    );
+    let call = add(IsdAs::new(1, 0xa), FlowSpec::cbr(1200, 4_000, reserved.then_some(5_000)));
     // The congestion: a 60 Mbps bulk transfer sharing every link.
-    let _bulk = topo.add_cbr_flow(
-        IsdAs::new(3, 0xc),
-        IsdAs::new(2, 0xb),
-        1500,
-        60_000,
-        None,
-        START_NS,
-        START_NS + RUN_S * SEC,
-    );
-    topo.sim.run_until(START_NS + (RUN_S + 1) * SEC);
-    let s = topo.sim.stats(call);
+    add(IsdAs::new(3, 0xc), FlowSpec::cbr(1500, 60_000, None));
+    net.sim.run_until(START_NS + (RUN_S + 1) * SEC);
+    let s = net.sim.stats(call);
     CallResult {
         goodput_kbps: s.goodput_kbps(RUN_S as f64),
         delivery_pct: s.delivery_ratio() * 100.0,

@@ -15,6 +15,9 @@ done
 printf 'netsim scenario.rs lines:             %s\n' "$(wc -l < crates/netsim/src/scenario.rs)"
 printf 'netsim `pub fn run_*`:                %s\n' \
     "$(grep -rhE '^\s*pub fn run_' crates/netsim/src | wc -l)"
+# A network type is a `pub struct` named `*Topology`, plus `TopologyBuilder`.
+printf 'netsim network types:                 %s\n' \
+    "$(grep -rhE '^\s*pub struct (\w+Topology|TopologyBuilder)\b' crates/netsim/src | wc -l)"
 printf '*Stats/*Report structs:               %s\n' \
     "$(grep -rhE '^\s*pub struct \w+(Stats|Report)\b' crates/*/src | wc -l)"
 # A percentile function takes arguments; test functions named after one do not.
