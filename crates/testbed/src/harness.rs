@@ -378,6 +378,23 @@ mod tests {
         }
     }
 
+    /// Goodput counts the L4 payload only: every delivered packet adds
+    /// exactly `payload_len` bytes, whatever its path header weighs.
+    #[test]
+    fn payload_bytes_are_payload_len_per_delivered_packet() {
+        let mut spec = ChainSpec::new(EngineFamily::Hummingbird, TrafficMix::Cbr);
+        spec.pkts = 203;
+        spec.routers = 1;
+        spec.payload_len = 120;
+        let report = run_chain(&spec).unwrap();
+        assert!(report.clean(), "{:?}", report.violations);
+        for class in [RESERVED, BEST_EFFORT] {
+            let c = &report.classes[class];
+            assert!(c.delivered > 0, "class {class} delivered nothing");
+            assert_eq!(c.payload_bytes, c.delivered * spec.payload_len as u64, "class {class}");
+        }
+    }
+
     /// Multiple shards behind one socket router still conserve exactly.
     #[test]
     fn sharded_chain_conserves_with_bursty_mix() {
