@@ -6,12 +6,12 @@
 //! provides the common packet/router/market fixtures so the workloads are
 //! identical across experiments.
 //!
-//! Besides the human-readable tables, five binaries write a trajectory
+//! Besides the human-readable tables, two binaries write a trajectory
 //! document each — `fig5_forwarding` `BENCH_hotpath.json`,
-//! `netsim_scale` `BENCH_netsim.json`, `overload_sweep`
-//! `BENCH_overload.json`, `control_scale` `BENCH_control.json`,
-//! `testbed_e2e` `BENCH_testbed.json` — built as a [`json::Value`]; each
-//! binary's module doc holds its schema.
+//! `overload_sweep` `BENCH_overload.json` — built as a [`json::Value`];
+//! each binary's module doc holds its schema. The simulator, socket
+//! testbed and control-plane numbers are the `netsim_churn`, `chain_*`
+//! and `control_*` workloads of the `benchmark/` package.
 
 pub mod json;
 
@@ -21,7 +21,6 @@ use hummingbird_dataplane::{
     forge_path, BeaconHop, BorderRouter, Datapath, Gateway, HostShare, NullEngine, RouterConfig,
     ShardedRouter, SourceGenerator, SourceReservation, Steering,
 };
-use hummingbird_testbed::WaitStrategy;
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
 
@@ -231,35 +230,6 @@ pub fn pkts_from_args(default: u64) -> u64 {
 /// sweep next to the per-core-clone one).
 pub fn sharded_from_args() -> bool {
     flag_present("sharded")
-}
-
-/// Parses `--wait busy|yield[:n]|backoff` into the testbed's
-/// credit-wait [`WaitStrategy`]; its default (backoff) applies when the
-/// flag is absent. `yield` without a count spins 64 times before
-/// yielding. Exits with a usage message on malformed input.
-pub fn wait_from_args() -> WaitStrategy {
-    let Some(v) = flag_value("wait") else { return WaitStrategy::default() };
-    match v.as_str() {
-        "busy" => WaitStrategy::BusyPoll,
-        "yield" => WaitStrategy::YieldAfter(64),
-        "backoff" => WaitStrategy::Backoff,
-        other => WaitStrategy::YieldAfter(or_usage_exit(
-            other
-                .strip_prefix("yield:")
-                .and_then(|n| n.parse().ok())
-                .ok_or_else(|| format!("bad --wait '{v}'; expected busy|yield[:n]|backoff")),
-        )),
-    }
-}
-
-/// The `--wait` spelling of a [`WaitStrategy`] (for JSON metadata and
-/// log lines).
-pub fn wait_label(wait: WaitStrategy) -> String {
-    match wait {
-        WaitStrategy::BusyPoll => "busy".to_string(),
-        WaitStrategy::YieldAfter(n) => format!("yield:{n}"),
-        WaitStrategy::Backoff => "backoff".to_string(),
-    }
 }
 
 /// Parses `--batch <n>` (packets per burst in the runtime hot loop, the

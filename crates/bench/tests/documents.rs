@@ -79,38 +79,11 @@ fn fig5_forwarding_writes_the_hotpath_document() {
 }
 
 #[test]
-fn netsim_scale_writes_the_netsim_document() {
-    check_document(
-        env!("CARGO_BIN_EXE_netsim_scale"),
-        &["--routers", "12", "--flows", "4", "--pkts", "250"],
-        include_str!("../../../BENCH_netsim.json"),
-    );
-}
-
-#[test]
 fn overload_sweep_writes_the_overload_document() {
     check_document(
         env!("CARGO_BIN_EXE_overload_sweep"),
         &["--pkts", "100"],
         include_str!("../../../BENCH_overload.json"),
-    );
-}
-
-#[test]
-fn control_scale_writes_the_control_document() {
-    check_document(
-        env!("CARGO_BIN_EXE_control_scale"),
-        &["--reservations", "200", "--shards", "2", "--auctions", "4", "--wave", "100"],
-        include_str!("../../../BENCH_control.json"),
-    );
-}
-
-#[test]
-fn testbed_e2e_writes_the_testbed_document() {
-    check_document(
-        env!("CARGO_BIN_EXE_testbed_e2e"),
-        &["--pkts", "200", "--mix", "cbr"],
-        include_str!("../../../BENCH_testbed.json"),
     );
 }
 

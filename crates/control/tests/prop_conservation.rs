@@ -426,7 +426,8 @@ fn renewals_preserve_hops_res_id_and_shard() {
         .collect();
 
     // Two consecutive renewal generations; each must reproduce the exact
-    // (ResID, ingress, egress, shard) tuple one window later.
+    // (ResID, ingress, egress, shard) tuple one window later, under the
+    // key the border router derives for it on its own.
     for generation in 0..2u32 {
         let before = client.reservations().len();
         let targets: Vec<(u16, u32, u32)> =
@@ -448,6 +449,11 @@ fn renewals_preserve_hops_res_id_and_shard() {
                 g.res_info.res_start as u64,
                 (u64::from(generation) + 1) * HOUR,
                 "generation {generation}: window did not advance"
+            );
+            assert_eq!(
+                g.key,
+                service.secret_value().derive_key(&g.res_info),
+                "generation {generation}: ResID {res_id} key differs from the router's A_K"
             );
         }
     }

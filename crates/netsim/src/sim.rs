@@ -598,8 +598,8 @@ impl Simulator {
         self.now_ns
     }
 
-    /// Events dispatched so far — the sim-throughput denominator the
-    /// `netsim_scale` bench reports (events per wall-clock second).
+    /// Events dispatched so far — the operations the `netsim_churn`
+    /// benchmark workload counts (events per wall-clock second).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }

@@ -47,9 +47,9 @@ pub struct ChainSpec {
     pub mix: TrafficMix,
     /// Number of border routers between gateway and sink.
     pub routers: usize,
-    /// Engine shards per router (`--cores`).
+    /// Engine shards per router.
     pub shards: usize,
-    /// How senders wait for link credit (`--wait`).
+    /// How senders wait for link credit.
     pub wait: WaitStrategy,
     /// Total packets the gateway sends.
     pub pkts: u64,
@@ -90,7 +90,8 @@ pub struct ClassReport {
     pub delivered: u64,
     /// Packets engines dropped along the chain.
     pub engine_dropped: u64,
-    /// Payload bytes delivered.
+    /// L4 payload bytes delivered: `payload_len` per packet, the path
+    /// header not counted.
     pub payload_bytes: u64,
     /// End-to-end latency distribution at the sink.
     pub latency: LatencyHistogram,
@@ -346,34 +347,35 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
 mod tests {
     use super::*;
 
-    /// A short chain per family: every packet accounted for, both
-    /// classes delivered, latency histograms populated. The packet
-    /// count is deliberately *not* a multiple of the 16-frame ack
-    /// cadence — a regression guard for the FIN/drain ordering: the
-    /// trailing sub-cadence frames are only acknowledged by the
-    /// receiver's FIN-time flush, so draining before sending the FIN
-    /// deadlocked such runs.
+    /// A short chain per family and mix: every packet accounted for,
+    /// nothing unparseable, both classes delivered, latency histograms
+    /// populated. The packet count is deliberately *not* a multiple of
+    /// the 16-frame ack cadence — a regression guard for the FIN/drain
+    /// ordering: the trailing sub-cadence frames are only acknowledged
+    /// by the receiver's FIN-time flush, so draining before sending the
+    /// FIN deadlocked such runs.
     #[test]
     fn short_chains_conserve_packets_for_every_family() {
         for family in EngineFamily::ALL {
-            let mut spec = ChainSpec::new(family, TrafficMix::Cbr);
-            spec.pkts = 2_005;
-            spec.routers = 2;
-            let report = run_chain(&spec).unwrap();
-            assert!(report.violations.is_empty(), "{}: {:?}", family.name(), report.violations);
-            assert_eq!(report.parse_drops, 0, "{}", family.name());
-            assert!(report.clean(), "{}", family.name());
-            assert_eq!(
-                report.delivered() + report.engine_dropped(),
-                spec.pkts,
-                "{}: {:?}",
-                family.name(),
-                report.drop_reasons
-            );
-            for class in [RESERVED, BEST_EFFORT] {
-                let c = &report.classes[class];
-                assert!(c.delivered > 0, "{} class {class} delivered nothing", family.name());
-                assert!(c.latency.percentile_ns(0.5) > 0, "{}", family.name());
+            for mix in TrafficMix::ALL {
+                let label = format!("{}/{}", family.name(), mix.name());
+                let mut spec = ChainSpec::new(family, mix);
+                spec.pkts = 2_005;
+                spec.routers = 2;
+                let report = run_chain(&spec).unwrap();
+                assert!(report.violations.is_empty(), "{label}: {:?}", report.violations);
+                assert_eq!(report.parse_drops, 0, "{label}");
+                assert_eq!(
+                    report.delivered() + report.engine_dropped(),
+                    spec.pkts,
+                    "{label}: {:?}",
+                    report.drop_reasons
+                );
+                for class in [RESERVED, BEST_EFFORT] {
+                    let c = &report.classes[class];
+                    assert!(c.delivered > 0, "{label} class {class} delivered nothing");
+                    assert!(c.latency.percentile_ns(0.5) > 0, "{label}");
+                }
             }
         }
     }

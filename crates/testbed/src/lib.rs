@@ -7,7 +7,7 @@
 //! them with [`hummingbird_wire::PacketView::new_checked`], drives them
 //! through any [`EngineFamily`](hummingbird_netsim::EngineFamily)
 //! datapath behind a [`ShardedRouter`](hummingbird_dataplane::ShardedRouter)
-//! (so the bench `--cores` knob applies unchanged), and forwards
+//! (`ChainSpec::shards` engines), and forwards
 //! the mutated bytes to the next hop's socket. Links are credit-windowed
 //! ([`link`]) so kernel receive-buffer drops are structurally impossible
 //! and `sent = delivered + dropped` holds *exactly* — globally, per

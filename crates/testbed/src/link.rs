@@ -15,7 +15,7 @@
 //!   sends the cumulative count back on a separate control socket (an
 //!   [`AckSender`], every `ack_every` frames and once more on FIN);
 //! * a sender that would exceed its window polls its control socket
-//!   under its [`WaitStrategy`] (`--wait`) until credit arrives — or
+//!   under its [`WaitStrategy`] until credit arrives — or
 //!   errors out loudly after `timeout`, so a genuine stall (a wedged
 //!   node, an unexpected kernel drop) surfaces as a failure instead of
 //!   silent loss.
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use crate::frame::{KIND_DATA, KIND_FIN};
 
 /// How a [`CreditedSender`] waits between nonblocking control-socket
-/// polls while it is out of credit ([`ChainSpec::wait`], `--wait`): a
+/// polls while it is out of credit ([`ChainSpec::wait`]): a
 /// spinning sender steals the timeslice the receiver it waits on needs
 /// when node threads outnumber hardware threads, a yielding one adds
 /// latency when they do not.

@@ -7,7 +7,7 @@
 //! [`PacketView::new_checked`] (plus the declared-vs-actual length
 //! check), drive it through any [`Datapath`] — in practice a
 //! [`ShardedRouter`](hummingbird_dataplane::ShardedRouter) over the
-//! selected engine family, so `--cores` applies — and forward the
+//! selected engine family, so `ChainSpec::shards` applies — and forward the
 //! mutated bytes to the next hop's socket. Every datagram is accounted
 //! for: it is forwarded, counted as an engine drop against its flow, or
 //! counted as a parse drop. Nothing is lost silently, which is what
@@ -21,7 +21,7 @@ use std::io;
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
-use crate::frame::{PayloadHeader, KIND_DATA, KIND_FIN, PAYLOAD_HDR_LEN};
+use crate::frame::{PayloadHeader, KIND_DATA, KIND_FIN};
 use crate::link::{AckSender, CreditedSender};
 use crate::now_unix_ns;
 
@@ -76,13 +76,15 @@ impl NodeStats {
 
 /// Validates one received data frame: checked view over the packet
 /// bytes, declared length equal to the datagram length, and a readable
-/// payload header. Returns the flow header on success.
-fn validate_frame(pkt: &[u8]) -> Option<PayloadHeader> {
+/// payload header. Returns the flow header and the L4 payload length on
+/// success.
+fn validate_frame(pkt: &[u8]) -> Option<(PayloadHeader, usize)> {
     let view = PacketView::new_checked(pkt).ok()?;
     if view.wire_len().ok()? != pkt.len() {
         return None;
     }
-    PayloadHeader::read(view.payload().ok()?)
+    let payload = view.payload().ok()?;
+    Some((PayloadHeader::read(payload)?, payload.len()))
 }
 
 /// One border-router node: rx socket → engine → credit-windowed tx.
@@ -124,7 +126,7 @@ impl SocketRouter {
                 continue;
             }
             let pkt = &mut buf[1..n];
-            let Some(hdr) = validate_frame(pkt) else {
+            let Some((hdr, _)) = validate_frame(pkt) else {
                 stats.parse_drops += 1;
                 continue;
             };
@@ -171,7 +173,8 @@ impl SocketRouter {
 pub struct SinkClass {
     /// Packets delivered.
     pub pkts: u64,
-    /// Payload bytes delivered (goodput numerator).
+    /// L4 payload bytes delivered, measurement header included and
+    /// path header excluded (goodput numerator).
     pub payload_bytes: u64,
     /// End-to-end latency distribution (send stamp → sink rx).
     pub latency: LatencyHistogram,
@@ -228,7 +231,7 @@ impl Sink {
                 continue;
             }
             let pkt = &buf[1..n];
-            let Some(hdr) = validate_frame(pkt) else {
+            let Some((hdr, payload_len)) = validate_frame(pkt) else {
                 report.parse_drops += 1;
                 continue;
             };
@@ -243,7 +246,7 @@ impl Sink {
             let now_ns = self.epoch.elapsed().as_nanos() as u64;
             let cls = &mut report.classes[class];
             cls.pkts += 1;
-            cls.payload_bytes += (n - 1) as u64 - PAYLOAD_HDR_LEN as u64;
+            cls.payload_bytes += payload_len as u64;
             cls.latency.record(now_ns.saturating_sub(hdr.stamp_ns));
             report.flow_delivered[hdr.flow_id as usize] += 1;
         }
