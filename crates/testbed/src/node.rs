@@ -323,4 +323,50 @@ mod tests {
         assert!(stats.forwarded[RESERVED] > 0, "the burst budget admits some: {stats:?}");
         assert!(stats.forwarded[BEST_EFFORT] > 0, "demoted packets are best effort: {stats:?}");
     }
+
+    /// A router and a sink whose upstream never sends each end with a
+    /// `TimedOut` error that names the node once their socket has been
+    /// silent for `timeout`: never a spin, a hang, or a bare
+    /// "Resource temporarily unavailable".
+    #[test]
+    fn silent_upstream_times_out_naming_the_node() {
+        let (cfg, timeout) = (RouterConfig::default(), Duration::from_millis(200));
+        let topo = LinearTopology::build(1, LinkSpec::default(), now_unix_ns(), cfg);
+        let bind = || UdpSocket::bind("127.0.0.1:0").unwrap();
+        let (data, sink_data, downstream, upstream) = (bind(), bind(), bind(), bind());
+        let upstream_ctrl = upstream.local_addr().unwrap();
+        let router = SocketRouter {
+            data,
+            engine: topo.make_family_hop_engine(EngineFamily::Hummingbird, 0, cfg),
+            next: CreditedSender::new(
+                downstream.local_addr().unwrap(),
+                64,
+                WaitStrategy::Backoff,
+                timeout,
+            )
+            .unwrap(),
+            acks: AckSender::new(upstream_ctrl, 32).unwrap(),
+            flow_reserved: vec![true],
+            timeout,
+        };
+        let sink = Sink {
+            data: sink_data,
+            acks: AckSender::new(upstream_ctrl, 32).unwrap(),
+            flow_reserved: vec![true],
+            epoch: Instant::now(),
+            timeout,
+        };
+        let t0 = Instant::now();
+        let (router, sink) =
+            (std::thread::spawn(move || router.run()), std::thread::spawn(move || sink.run()));
+        let errors = [
+            ("router", router.join().unwrap().unwrap_err()),
+            ("sink", sink.join().unwrap().unwrap_err()),
+        ];
+        assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
+        for (node, err) in errors {
+            assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{node}: {err}");
+            assert!(err.to_string().contains(node), "{node}: {err}");
+        }
+    }
 }
