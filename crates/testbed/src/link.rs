@@ -8,22 +8,28 @@
 //! `sent = received + dropped` accounting. Instead every link is
 //! credit-windowed:
 //!
-//! * a [`CreditedSender`] keeps at most `window` data frames in flight —
-//!   sized so even worst-case kernel skb accounting stays far below the
-//!   default receive buffer, making kernel drops structurally impossible;
+//! * a [`CreditedSender`] keeps at most `window` data frames in flight,
+//!   fewer than the receive buffer can hold, so kernel drops are
+//!   structurally impossible. Linux's default 212 992-byte buffer
+//!   holds 166 loopback datagrams of ≤ 600 B (the kernel charges each
+//!   its whole buffer allocation, not its length), so the default
+//!   window of 64 fills 39 % of it; datagrams of 1 000–1 500 B fit 92;
 //! * the receiver counts every data frame it pulls off its socket and
 //!   sends the cumulative count back on a separate control socket (an
 //!   [`AckSender`], every `ack_every` frames and once more on FIN);
 //! * a sender that would exceed its window polls its control socket
-//!   under its [`WaitStrategy`] until credit arrives — or
-//!   errors out loudly after `timeout`, so a genuine stall (a wedged
-//!   node, an unexpected kernel drop) surfaces as a failure instead of
-//!   silent loss.
+//!   under its [`WaitStrategy`] until credit arrives — under the default
+//!   `Backoff`, a few yielding polls and then a blocking `recv` that the
+//!   next ack ends — or errors out loudly after `timeout`, so a genuine
+//!   stall (a wedged node, an unexpected kernel drop) surfaces as a
+//!   failure instead of silent loss.
 //!
 //! Acks are cumulative *counts*, not sequence numbers, so they are
 //! idempotent and loss-tolerant: a later ack supersedes any number of
 //! lost earlier ones (and ack traffic is itself bounded by the data
-//! window, so the control sockets cannot overrun either).
+//! window, so the control sockets cannot overrun either). Each sending
+//! socket is connected to its one peer, which spares every datagram the
+//! kernel's per-`sendto` route lookup.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -31,8 +37,7 @@ use std::time::{Duration, Instant};
 
 use crate::frame::{KIND_DATA, KIND_FIN};
 
-/// How a [`CreditedSender`] waits between nonblocking control-socket
-/// polls while it is out of credit ([`ChainSpec::wait`]): a
+/// How a [`CreditedSender`] waits for credit ([`ChainSpec::wait`]): a
 /// spinning sender steals the timeslice the receiver it waits on needs
 /// when node threads outnumber hardware threads, a yielding one adds
 /// latency when they do not.
@@ -40,68 +45,41 @@ use crate::frame::{KIND_DATA, KIND_FIN};
 /// [`ChainSpec::wait`]: crate::ChainSpec::wait
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum WaitStrategy {
-    /// Spin (`spin_loop` hint) without ever yielding — lowest latency
-    /// when every node owns a dedicated hardware thread, pathological
-    /// when cores are shared.
+    /// Poll the control socket nonblocking and spin (`spin_loop` hint)
+    /// between polls, never yielding — lowest latency when every node
+    /// owns a dedicated hardware thread, pathological when cores are
+    /// shared.
     BusyPoll,
-    /// Spin through the first `n` polls, then yield the timeslice on
-    /// every further one until credit arrives. `YieldAfter(0)` yields
-    /// immediately.
+    /// Spin through the first `n` nonblocking polls, then yield the
+    /// timeslice after every further one until credit arrives.
+    /// `YieldAfter(0)` yields immediately.
     YieldAfter(u32),
-    /// Spin through 63 polls, yield through the next 192, then sleep
-    /// 50 µs per poll: short stalls stay on-core, long ones surrender
-    /// the core entirely. Needs no tuning parameter; the default.
+    /// Yield after each of the first few nonblocking polls, then sleep
+    /// in a blocking `recv` on the control socket until an ack arrives
+    /// or the stall budget runs out: a short stall costs a few yields,
+    /// a long one costs the thread nothing until the ack wakes it. Needs
+    /// no tuning parameter; the default.
     #[default]
     Backoff,
 }
 
-/// Spin/yield/sleep helper implementing a [`WaitStrategy`].
-struct Waiter {
-    strategy: WaitStrategy,
-    spins: u32,
-}
+/// Nonblocking polls, each followed by a `yield_now`, before a
+/// [`WaitStrategy::Backoff`] sender sleeps on its control socket.
+const BACKOFF_POLLS: u32 = 4;
 
-impl Waiter {
-    fn new(strategy: WaitStrategy) -> Self {
-        Waiter { strategy, spins: 0 }
-    }
-
-    fn reset(&mut self) {
-        self.spins = 0;
-    }
-
-    fn wait(&mut self) {
-        self.spins = self.spins.saturating_add(1);
-        match self.strategy {
-            WaitStrategy::BusyPoll => std::hint::spin_loop(),
-            WaitStrategy::YieldAfter(n) => {
-                if self.spins > n {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            WaitStrategy::Backoff => {
-                if self.spins < 64 {
-                    std::hint::spin_loop();
-                } else if self.spins < 256 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-        }
-    }
+/// Whether a blocking `recv` ended because its read timeout expired,
+/// which Linux reports as `WouldBlock` (`EAGAIN`), not `TimedOut`.
+pub(crate) fn read_timed_out(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
 /// The sending half of one credit-windowed link.
 pub struct CreditedSender {
     data: UdpSocket,
     ctrl: UdpSocket,
-    peer: SocketAddr,
     window: u64,
     timeout: Duration,
-    waiter: Waiter,
+    wait: WaitStrategy,
     /// Data frames sent on this link.
     pub sent: u64,
     /// Highest cumulative receive count acknowledged by the peer.
@@ -120,15 +98,15 @@ impl CreditedSender {
         timeout: Duration,
     ) -> io::Result<Self> {
         let data = UdpSocket::bind("127.0.0.1:0")?;
+        data.connect(peer)?;
         let ctrl = UdpSocket::bind("127.0.0.1:0")?;
         ctrl.set_nonblocking(true)?;
         Ok(CreditedSender {
             data,
             ctrl,
-            peer,
             window: window.max(1) as u64,
             timeout,
-            waiter: Waiter::new(wait),
+            wait,
             sent: 0,
             acked: 0,
         })
@@ -143,10 +121,31 @@ impl CreditedSender {
     fn poll_acks(&mut self) {
         let mut buf = [0u8; 8];
         while let Ok(n) = self.ctrl.recv(&mut buf) {
-            if n == 8 {
-                self.acked = self.acked.max(u64::from_le_bytes(buf));
-            }
+            self.record_ack(&buf[..n]);
         }
+    }
+
+    fn record_ack(&mut self, ack: &[u8]) {
+        if let Ok(count) = ack.try_into() {
+            self.acked = self.acked.max(u64::from_le_bytes(count));
+        }
+    }
+
+    /// Sleeps in a blocking `recv` on the control socket until one ack
+    /// arrives or `left` runs out; the caller re-checks credit and
+    /// deadline either way.
+    fn sleep_for_ack(&mut self, left: Duration) -> io::Result<()> {
+        let mut buf = [0u8; 8];
+        self.ctrl.set_nonblocking(false)?;
+        self.ctrl.set_read_timeout(Some(left))?;
+        let got = self.ctrl.recv(&mut buf);
+        self.ctrl.set_nonblocking(true)?;
+        match got {
+            Ok(n) => self.record_ack(&buf[..n]),
+            Err(e) if read_timed_out(&e) || e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        Ok(())
     }
 
     /// Waits (under the configured [`WaitStrategy`]) until at most
@@ -156,13 +155,14 @@ impl CreditedSender {
             return Ok(());
         }
         let deadline = Instant::now() + self.timeout;
-        self.waiter.reset();
+        let mut polls = 0u32;
         loop {
             self.poll_acks();
             if self.sent - self.acked < below {
                 return Ok(());
             }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!(
@@ -173,7 +173,14 @@ impl CreditedSender {
                     ),
                 ));
             }
-            self.waiter.wait();
+            polls = polls.saturating_add(1);
+            match self.wait {
+                WaitStrategy::BusyPoll => std::hint::spin_loop(),
+                WaitStrategy::YieldAfter(n) if polls <= n => std::hint::spin_loop(),
+                WaitStrategy::YieldAfter(_) => std::thread::yield_now(),
+                WaitStrategy::Backoff if polls < BACKOFF_POLLS => std::thread::yield_now(),
+                WaitStrategy::Backoff => self.sleep_for_ack(left)?,
+            }
         }
     }
 
@@ -182,7 +189,7 @@ impl CreditedSender {
     pub fn send_data(&mut self, frame: &[u8]) -> io::Result<()> {
         debug_assert_eq!(frame.first(), Some(&KIND_DATA));
         self.wait_in_flight_below(self.window)?;
-        self.data.send_to(frame, self.peer)?;
+        self.data.send(frame)?;
         self.sent += 1;
         Ok(())
     }
@@ -204,7 +211,7 @@ impl CreditedSender {
     /// the receiver flushes its cumulative ack on FIN, which is what
     /// lets the subsequent [`CreditedSender::drain`] complete.
     pub fn send_fin(&mut self) -> io::Result<()> {
-        self.data.send_to(&[KIND_FIN], self.peer)?;
+        self.data.send(&[KIND_FIN])?;
         Ok(())
     }
 }
@@ -213,7 +220,6 @@ impl CreditedSender {
 /// cumulative count to the upstream sender's control socket.
 pub struct AckSender {
     sock: UdpSocket,
-    upstream_ctrl: SocketAddr,
     every: u64,
     /// Data frames received so far on this link.
     pub received: u64,
@@ -223,12 +229,9 @@ impl AckSender {
     /// Creates the ack half toward `upstream_ctrl`
     /// ([`CreditedSender::ctrl_addr`]), acking every `every` frames.
     pub fn new(upstream_ctrl: SocketAddr, every: u64) -> io::Result<Self> {
-        Ok(AckSender {
-            sock: UdpSocket::bind("127.0.0.1:0")?,
-            upstream_ctrl,
-            every: every.max(1),
-            received: 0,
-        })
+        let sock = UdpSocket::bind("127.0.0.1:0")?;
+        sock.connect(upstream_ctrl)?;
+        Ok(AckSender { sock, every: every.max(1), received: 0 })
     }
 
     /// Records one received data frame, acking on the cadence.
@@ -243,7 +246,7 @@ impl AckSender {
     /// Sends the current cumulative count unconditionally (the FIN-time
     /// final ack).
     pub fn flush(&mut self) -> io::Result<()> {
-        self.sock.send_to(&self.received.to_le_bytes(), self.upstream_ctrl)?;
+        self.sock.send(&self.received.to_le_bytes())?;
         Ok(())
     }
 }
