@@ -19,13 +19,14 @@
 //! profiling one point); without it the sweep covers 4..128.
 
 use hummingbird_bench::{
-    batch_from_args, cores_from_args, flag_present, pkts_from_args, row, DataplaneFixture,
-    EngineKind, EPOCH_NS,
+    batch_from_args, conserved, cores_from_args, flag_present, pkts_from_args, row,
+    DataplaneFixture, EngineKind, Throughput, EPOCH_NS,
 };
 use hummingbird_coloring::{color_optimal, max_overlap, FirstFit, Interval, KiersteadTrotter};
 use hummingbird_dataplane::policing::Policer;
 use hummingbird_dataplane::{
     run_to_completion, Datapath, DatapathBuilder, ExecMode, PacketBuf, RuntimeConfig, RuntimeMode,
+    RuntimeReport,
 };
 use hummingbird_wire::hopfield::{FLYOVER_FIELD_LEN, HOP_FIELD_LEN};
 use rand::rngs::StdRng;
@@ -167,6 +168,16 @@ fn fx_hop_key(_fx: &DataplaneFixture) -> hummingbird_wire::scion_mac::HopMacKey 
     hummingbird_wire::scion_mac::HopMacKey::new([0x31; 16])
 }
 
+/// Million packets per second of a runtime run offered `offered`
+/// packets; exits 1 if the run lost or duplicated one.
+fn checked_mpps(kind: EngineKind, offered: u64, report: &RuntimeReport) -> f64 {
+    if let Err(e) = conserved(offered, report) {
+        eprintln!("CONSERVATION FAILURE: engine {}: {e}", kind.name());
+        std::process::exit(1);
+    }
+    Throughput::from(report).mpps()
+}
+
 fn ablation_runtime_sharding() {
     println!("== Ablation 5: multi-queue runtime — clone vs sharded vs harness floor ==\n");
     let fx = DataplaneFixture::new(4);
@@ -188,32 +199,19 @@ fn ablation_runtime_sharding() {
             let total = per_core * cores as u64;
             let mut cfg = RuntimeConfig::new(cores);
             cfg.exec = ExecMode::Auto;
-            let clone = run_to_completion(
-                &cfg,
-                RuntimeMode::PerCoreClone,
-                |_| fx.engine(kind),
-                &templates,
-                total,
-                EPOCH_NS,
-            )
-            .throughput();
-            let rss = run_to_completion(
-                &cfg,
-                RuntimeMode::Sharded,
-                |_| fx.engine(kind),
-                &templates,
-                total,
-                EPOCH_NS,
-            )
-            .throughput();
+            let [clone, rss] = [RuntimeMode::PerCoreClone, RuntimeMode::Sharded].map(|mode| {
+                let report =
+                    run_to_completion(&cfg, mode, |_| fx.engine(kind), &templates, total, EPOCH_NS);
+                checked_mpps(kind, total, &report)
+            });
             println!(
                 "{}",
                 row(
                     &[
                         kind.name().into(),
                         format!("{cores}"),
-                        format!("{:.2}", clone.mpps()),
-                        format!("{:.2}", rss.mpps()),
+                        format!("{clone:.2}"),
+                        format!("{rss:.2}"),
                     ],
                     &widths
                 )
@@ -251,9 +249,8 @@ fn ablation_batch_size() {
                 &templates,
                 total,
                 EPOCH_NS,
-            )
-            .throughput();
-            cells.push(format!("{:.2}", rss.mpps()));
+            );
+            cells.push(format!("{:.2}", checked_mpps(kind, total, &rss)));
         }
         println!("{}", row(&cells, &widths));
     }

@@ -12,8 +12,8 @@ use hummingbird::testbed::{Testbed, TestbedConfig};
 use hummingbird::PurchaseSpec;
 use hummingbird_baselines::helia::flexibility::{helia_slot_coverage, hummingbird_coverage};
 use hummingbird_baselines::{slot_of, HeliaService, SLOT_SECS};
-use hummingbird_bench::{DataplaneFixture, EngineKind, EPOCH_NS};
-use hummingbird_dataplane::forwarding_throughput;
+use hummingbird_bench::{conserved, DataplaneFixture, EngineKind, Throughput, EPOCH_NS};
+use hummingbird_dataplane::{run_to_completion, RuntimeConfig, RuntimeMode};
 use hummingbird_wire::IsdAs;
 
 fn main() {
@@ -100,9 +100,24 @@ fn main() {
     println!("\n-- 5. per-packet datapath cost, one interface through one `Datapath` trait --");
     let fx = DataplaneFixture::new(4);
     println!("{:<14} {:>14} {:>12}", "engine", "ns/pkt (1core)", "verdict class");
+    // One core runs on the calling thread whatever the exec mode, in
+    // the default 32-packet bursts.
+    let cfg = RuntimeConfig::new(1);
     for kind in EngineKind::ALL {
-        let pkt = fx.engine_packet(kind, 500);
-        let t = forwarding_throughput(|| fx.engine(kind), &pkt, 1, 50_000, EPOCH_NS);
+        let pkt = [fx.engine_packet(kind, 500)];
+        let report = run_to_completion(
+            &cfg,
+            RuntimeMode::PerCoreClone,
+            |_| fx.engine(kind),
+            &pkt,
+            50_000,
+            EPOCH_NS,
+        );
+        if let Err(e) = conserved(50_000, &report) {
+            eprintln!("CONSERVATION FAILURE: engine {}: {e}", kind.name());
+            std::process::exit(1);
+        }
+        let t = Throughput::from(&report);
         let class = match kind.family() {
             Some(family) if family.has_priority_class() => "priority",
             Some(_) => "best effort",

@@ -5,8 +5,10 @@
 //! Run with: `cargo run --release -p hummingbird-bench --bin fig14_generation
 //! [-- --cores 1,2,4] [--pkts <count>]`
 
-use hummingbird_bench::{cores_from_args, pkts_from_args, row, DataplaneFixture, EPOCH_MS};
-use hummingbird_dataplane::{generation_throughput, LINE_RATE_GBPS};
+use hummingbird_bench::{
+    cores_from_args, generation_throughput, pkts_from_args, row, DataplaneFixture, EPOCH_MS,
+    LINE_RATE_GBPS,
+};
 
 fn main() {
     let cores_list = cores_from_args(&[1usize, 2, 4, 8, 16, 32]);

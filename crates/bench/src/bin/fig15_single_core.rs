@@ -8,8 +8,7 @@
 //!
 //! Run with: `cargo run --release -p hummingbird-bench --bin fig15_single_core`
 
-use hummingbird_bench::{row, DataplaneFixture, EPOCH_MS};
-use hummingbird_dataplane::generation_throughput;
+use hummingbird_bench::{generation_throughput, row, DataplaneFixture, EPOCH_MS};
 
 fn main() {
     let payloads = [100usize, 500, 1000, 1500];

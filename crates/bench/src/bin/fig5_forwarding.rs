@@ -16,10 +16,11 @@
 //! policed by exactly one shard — cross-core-correct policing, measured
 //! side by side with the per-core-clone mode on the same input, plus a
 //! core-scaling curve (clone and sharded at every `--cores` point).
-//! `--batch <n>` sets the hot-loop burst size. Every sharded/clone
-//! runtime run is checked for packet conservation (processed == offered);
-//! a mismatch aborts the process with a nonzero exit, which is what the
-//! CI smoke leg asserts.
+//! `--batch <n>` sets the hot-loop burst size. Every runtime run — the
+//! table's clone rows, the single-core row and both modes of the
+//! sharded comparison — is checked for packet conservation
+//! ([`hummingbird_bench::conserved`]); a mismatch aborts the process with
+//! a nonzero exit, which is what the CI smoke leg asserts.
 //!
 //! Run with: `cargo run --release -p hummingbird-bench --bin fig5_forwarding
 //! [-- --engine hummingbird|scion|helia|drkey|epic|gateway|null|all]
@@ -86,12 +87,11 @@
 
 use hummingbird_bench::json::{self, Value};
 use hummingbird_bench::{
-    batch_from_args, cores_from_args, engines_from_args, flag_value, pkts_from_args, row,
-    sharded_from_args, DataplaneFixture, EngineKind, EPOCH_NS,
+    batch_from_args, conserved, cores_from_args, engines_from_args, flag_value, pkts_from_args,
+    row, sharded_from_args, DataplaneFixture, EngineKind, Throughput, EPOCH_NS, LINE_RATE_GBPS,
 };
 use hummingbird_dataplane::{
-    forwarding_throughput, run_to_completion, ExecMode, RuntimeConfig, RuntimeMode, RuntimeReport,
-    Throughput, BATCH_SIZE, LINE_RATE_GBPS,
+    run_to_completion, ExecMode, RuntimeConfig, RuntimeMode, RuntimeReport, BATCH_SIZE,
 };
 
 /// One `records` row: `t` measured on `cores` workers.
@@ -136,21 +136,14 @@ fn main() {
             let mut cells = vec![format!("{cores}")];
             for &payload in &payloads {
                 let pkt = fx.engine_packet(kind, payload);
-                let t = forwarding_throughput(
-                    || fx.engine(kind),
-                    &pkt,
-                    cores,
-                    pkts_per_core / cores.max(1) as u64 * 4,
-                    EPOCH_NS,
-                );
+                let t = clone_run(&fx, kind, pkt, cores, pkts_per_core / cores as u64 * 4);
                 cells.push(format!("{:.2}", t.gbps_line_capped()));
                 records.push(record(kind, "clone", cores, payload, &t));
             }
             println!("{}", row(&cells, &widths));
         }
         // Per-packet cost at one core (comparable to Table 3's totals).
-        let pkt = fx.engine_packet(kind, 500);
-        let t = forwarding_throughput(|| fx.engine(kind), &pkt, 1, pkts_per_core, EPOCH_NS);
+        let t = clone_run(&fx, kind, fx.engine_packet(kind, 500), 1, pkts_per_core);
         println!("single-core per-packet cost: {:.0} ns\n", t.ns_per_pkt(1));
 
         if sharded {
@@ -187,20 +180,41 @@ fn main() {
     println!("123 ns per SCION packet, 308 ns per Hummingbird packet (AES-NI).");
 }
 
-/// Aborts on a packet-conservation failure: every offered packet must be
-/// accounted for by exactly one shard. This is the invariant the CI
+/// Exits 1 on a packet-conservation failure: every offered packet must
+/// be accounted for by exactly one shard. This is the invariant the CI
 /// smoke leg asserts (exit status, not log scraping).
 fn assert_conserved(kind: EngineKind, mode: &str, cores: usize, offered: u64, r: &RuntimeReport) {
-    let processed: u64 = r.per_shard.iter().map(|s| s.processed).sum();
-    if processed != offered || r.packets != offered {
-        eprintln!(
-            "CONSERVATION FAILURE: engine {} mode {mode} cores {cores}: offered {offered}, \
-             processed {processed}, reported {}",
-            kind.name(),
-            r.packets
-        );
+    if let Err(e) = conserved(offered, r) {
+        eprintln!("CONSERVATION FAILURE: engine {} mode {mode} cores {cores}: {e}", kind.name());
         std::process::exit(1);
     }
+}
+
+/// `cores` per-core clones of `kind`'s engine, each driving
+/// `pkts_per_core` copies of `pkt` in bursts of up to [`BATCH_SIZE`].
+fn clone_run(
+    fx: &DataplaneFixture,
+    kind: EngineKind,
+    pkt: Vec<u8>,
+    cores: usize,
+    pkts_per_core: u64,
+) -> Throughput {
+    let mut cfg = RuntimeConfig::new(cores);
+    cfg.batch_size = BATCH_SIZE.min(pkts_per_core.max(1) as usize);
+    // Real threads when the host has the cores, dedicated-core
+    // critical-path estimate when it doesn't.
+    cfg.exec = ExecMode::Auto;
+    let offered = pkts_per_core * cores as u64;
+    let report = run_to_completion(
+        &cfg,
+        RuntimeMode::PerCoreClone,
+        |_| fx.engine(kind),
+        &[pkt],
+        offered,
+        EPOCH_NS,
+    );
+    assert_conserved(kind, "clone", cores, offered, &report);
+    Throughput::from(&report)
 }
 
 /// Clone vs sharded runtime on the same 64-flow, 500 B workload, plus
@@ -243,7 +257,7 @@ fn sharded_comparison(
             EPOCH_NS,
         );
         assert_conserved(kind, "clone", cores, total, &clone_report);
-        let clone = clone_report.throughput();
+        let clone = Throughput::from(&clone_report);
         let rss_report = run_to_completion(
             &cfg,
             RuntimeMode::Sharded,
@@ -253,7 +267,7 @@ fn sharded_comparison(
             EPOCH_NS,
         );
         assert_conserved(kind, "sharded", cores, total, &rss_report);
-        let rss = rss_report.throughput();
+        let rss = Throughput::from(&rss_report);
         let ratio = if clone.gbps() > 0.0 { rss.gbps() / clone.gbps() } else { 0.0 };
         let speedup = |mpps0: &mut Option<f64>, mpps: f64| match *mpps0 {
             None => {

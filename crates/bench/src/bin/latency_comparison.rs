@@ -34,7 +34,7 @@
 use hummingbird::netsim::{run, EngineScenario, LinearTopology, LinkSpec, Scenario};
 use hummingbird_baselines::SLOT_SECS;
 use hummingbird_bench::{
-    hotpath_calibration, pkts_from_args, row, DataplaneFixture, EngineKind, EPOCH_NS,
+    conserved, hotpath_calibration, pkts_from_args, row, DataplaneFixture, EngineKind, EPOCH_NS,
 };
 use hummingbird_dataplane::{
     run_to_completion, EgressConfig, RouterConfig, RuntimeConfig, RuntimeMode,
@@ -192,14 +192,19 @@ fn main() {
         let mut rcfg = RuntimeConfig::new(4);
         rcfg.egress = Some(EgressConfig::default());
         rcfg.steering = kind.steering();
+        let offered = pkts.max(1) * 32;
         let report = run_to_completion(
             &rcfg,
             RuntimeMode::Sharded,
             |_| fx.engine(kind),
             &templates,
-            pkts.max(1) * 32,
+            offered,
             EPOCH_NS,
         );
+        if let Err(e) = conserved(offered, &report) {
+            eprintln!("CONSERVATION FAILURE: engine {}: {e}", kind.name());
+            std::process::exit(1);
+        }
         let e = report.egress.expect("tx path enabled");
         assert_eq!(e.forwarded() + e.dropped, report.packets, "tx path conserves packets");
         // Each shard has its own wire; below ¾ load a loss is starvation,

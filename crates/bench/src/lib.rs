@@ -19,10 +19,11 @@ use hummingbird_baselines::EngineFamily;
 use hummingbird_crypto::{ResInfo, SecretValue};
 use hummingbird_dataplane::{
     forge_path, BeaconHop, BorderRouter, Datapath, Gateway, HostShare, NullEngine, RouterConfig,
-    ShardedRouter, SourceGenerator, SourceReservation, Steering,
+    RuntimeReport, ShardedRouter, SourceGenerator, SourceReservation, Steering,
 };
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
+use std::time::Instant;
 
 /// Fixed evaluation epoch (Unix seconds).
 pub const EPOCH_S: u64 = 1_700_000_000;
@@ -466,6 +467,119 @@ impl DataplaneFixture {
     }
 }
 
+/// The line rate of the paper's testbed: four 40 Gbps links.
+pub const LINE_RATE_GBPS: f64 = 160.0;
+
+/// A throughput measurement: a [`RuntimeReport`]'s totals, or a
+/// [`generation_throughput`] run's.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Throughput {
+    /// Packets processed (across all cores).
+    pub packets: u64,
+    /// Bits moved (wire size × packets).
+    pub bits: u64,
+    /// Wall-clock seconds (slowest core).
+    pub seconds: f64,
+}
+
+impl From<&RuntimeReport> for Throughput {
+    fn from(r: &RuntimeReport) -> Self {
+        Throughput { packets: r.packets, bits: r.bits, seconds: r.seconds }
+    }
+}
+
+impl Throughput {
+    /// Aggregate throughput in Gbps (0 for an instantaneous or empty
+    /// run — tiny smoke runs must not report `inf`/`NaN`).
+    pub fn gbps(&self) -> f64 {
+        if self.seconds <= 0.0 {
+            return 0.0;
+        }
+        self.bits as f64 / self.seconds / 1e9
+    }
+
+    /// Aggregate throughput in Gbps, capped at the testbed line rate.
+    pub fn gbps_line_capped(&self) -> f64 {
+        self.gbps().min(LINE_RATE_GBPS)
+    }
+
+    /// Million packets per second (0 for an instantaneous or empty run).
+    pub fn mpps(&self) -> f64 {
+        if self.seconds <= 0.0 {
+            return 0.0;
+        }
+        self.packets as f64 / self.seconds / 1e6
+    }
+
+    /// Average nanoseconds per packet per core (0 for an empty run).
+    pub fn ns_per_pkt(&self, cores: usize) -> f64 {
+        if self.packets == 0 {
+            return 0.0;
+        }
+        self.seconds * 1e9 * cores as f64 / self.packets as f64
+    }
+}
+
+/// Packet conservation of a `run_to_completion` that was offered
+/// `offered` packets: the shards' `processed` counts sum to the report's
+/// `packets`, and `packets` plus the packets shed at rx under
+/// backpressure is `offered`. `Err` says which identity broke; the
+/// figure binaries exit nonzero on it.
+pub fn conserved(offered: u64, r: &RuntimeReport) -> Result<(), String> {
+    let processed: u64 = r.per_shard.iter().map(|s| s.processed).sum();
+    if processed != r.packets {
+        return Err(format!("shards processed {processed}, report says {}", r.packets));
+    }
+    if r.packets + r.rx_backpressure_drops != offered {
+        return Err(format!(
+            "offered {offered}, processed {} + shed at rx {}",
+            r.packets, r.rx_backpressure_drops
+        ));
+    }
+    Ok(())
+}
+
+/// Measures source traffic-generation throughput: `cores` threads each
+/// generate `pkts_per_core` packets with their own generator.
+pub fn generation_throughput<F>(
+    make_generator: F,
+    payload_len: usize,
+    cores: usize,
+    pkts_per_core: u64,
+    start_ms: u64,
+) -> Throughput
+where
+    F: Fn() -> SourceGenerator + Sync,
+{
+    let payload = vec![0u8; payload_len];
+    let bits = std::sync::atomic::AtomicU64::new(0);
+    let seconds = std::thread::scope(|s| {
+        let mut handles = Vec::with_capacity(cores);
+        for _ in 0..cores {
+            let make_generator = &make_generator;
+            let payload = &payload;
+            let bits = &bits;
+            handles.push(s.spawn(move || {
+                let mut generator = make_generator();
+                let mut local_bits = 0u64;
+                let start = Instant::now();
+                for i in 0..pkts_per_core {
+                    // Advance the millisecond clock slowly so the per-ms
+                    // counter provides uniqueness.
+                    let now_ms = start_ms + i / 1000;
+                    let pkt = generator.generate(payload, now_ms).expect("generation failed");
+                    local_bits += pkt.len() as u64 * 8;
+                    std::hint::black_box(&pkt);
+                }
+                bits.fetch_add(local_bits, std::sync::atomic::Ordering::Relaxed);
+                start.elapsed().as_secs_f64()
+            }));
+        }
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).fold(0.0f64, f64::max)
+    });
+    Throughput { packets: pkts_per_core * cores as u64, bits: bits.into_inner(), seconds }
+}
+
 /// Formats a right-aligned table row.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells
@@ -637,6 +751,53 @@ mod tests {
         assert_eq!(EngineKind::parse("all"), Some(EngineKind::ALL.to_vec()));
         assert_eq!(EngineKind::parse("null,bogus"), None);
         assert_eq!(EngineKind::parse(""), None);
+    }
+
+    #[test]
+    fn throughput_arithmetic() {
+        let t = Throughput { packets: 1_000_000, bits: 12_000_000_000, seconds: 0.5 };
+        assert!((t.gbps() - 24.0).abs() < 1e-9);
+        assert!((t.mpps() - 2.0).abs() < 1e-9);
+        assert!((t.ns_per_pkt(4) - 2000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn line_rate_cap() {
+        let t = Throughput { packets: 1, bits: 400_000_000_000, seconds: 1.0 };
+        assert!((t.gbps_line_capped() - LINE_RATE_GBPS).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_duration_and_zero_packets_are_finite() {
+        // Tiny smoke runs can complete inside the clock resolution; the
+        // arithmetic must stay finite instead of reporting inf/NaN.
+        let t = Throughput { packets: 10, bits: 8_000, seconds: 0.0 };
+        assert_eq!(t.gbps(), 0.0);
+        assert_eq!(t.gbps_line_capped(), 0.0);
+        assert_eq!(t.mpps(), 0.0);
+        let empty = Throughput { packets: 0, bits: 0, seconds: 1.0 };
+        assert_eq!(empty.ns_per_pkt(4), 0.0);
+        assert!(t.gbps().is_finite() && empty.mpps().is_finite());
+    }
+
+    #[test]
+    fn conservation_needs_every_offered_packet_on_one_shard() {
+        use hummingbird_dataplane::ShardReport;
+        let shard = |processed| ShardReport { processed, ..ShardReport::default() };
+        let report = |packets, shards: &[u64]| RuntimeReport {
+            packets,
+            bits: 0,
+            seconds: 0.0,
+            rx_backpressure_drops: 0,
+            per_shard: shards.iter().map(|&p| shard(p)).collect(),
+            egress: None,
+        };
+        assert_eq!(conserved(100, &report(100, &[60, 40])), Ok(()));
+        assert!(conserved(100, &report(99, &[60, 39])).is_err(), "one packet short");
+        assert!(conserved(100, &report(100, &[60, 39])).is_err(), "shards disagree");
+        // Packets shed at rx under backpressure are accounted for.
+        let shed = RuntimeReport { rx_backpressure_drops: 1, ..report(99, &[60, 39]) };
+        assert_eq!(conserved(100, &shed), Ok(()));
     }
 
     #[test]

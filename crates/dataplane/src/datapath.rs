@@ -117,11 +117,8 @@ impl Verdict {
     }
 }
 
-/// Shared per-engine counters.
-///
-/// Moved out of `router` (where it was `RouterStats`) so every
-/// [`Datapath`] engine reports the same vocabulary; the old name remains
-/// as a compatibility alias (`router::RouterStats`).
+/// Shared per-engine counters: every [`Datapath`] engine reports the
+/// same vocabulary.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DatapathStats {
     /// Packets processed.
@@ -223,7 +220,7 @@ impl From<Vec<u8>> for PacketBuf {
 /// Implemented by [`BorderRouter`], [`crate::Gateway`] and the baseline
 /// engines in `hummingbird-baselines` (`HeliaDatapath`, `DrKeyDatapath`,
 /// `EpicDatapath`). Harnesses — the network simulator, the end-to-end
-/// testbed, the multicore throughput rig, every benchmark binary — drive
+/// testbed, the multi-queue runtime, every benchmark binary — drive
 /// engines exclusively through this trait, so any experiment can swap
 /// engines with a flag.
 ///
@@ -331,7 +328,7 @@ impl<D: Datapath + ?Sized> Datapath for Box<D> {
 /// policing — every packet is forwarded best-effort through egress 0.
 ///
 /// Useful as the zero of the engine lattice: driving a harness (the
-/// multicore rig, the multi-queue runtime, a figure binary) with
+/// multi-queue runtime, a figure binary) with
 /// `--engine null` measures the harness's own overhead — burst fill,
 /// batch bookkeeping, buffer resets — so every other engine's cost can
 /// be read as "minus the null baseline". Stats are still tallied, so

@@ -58,17 +58,6 @@ struct HostState {
     deadline: u64,
 }
 
-/// Counters for gateway observability.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GatewayStats {
-    /// Packets stamped with reservation MACs.
-    pub reserved: u64,
-    /// Packets demoted to best effort (unknown host or over rate).
-    pub best_effort: u64,
-    /// Generation failures.
-    pub failed: u64,
-}
-
 impl Gateway {
     /// Creates a gateway over a reserved generator (flyovers attached on
     /// the hops the operator bought) and a plain best-effort generator on

@@ -13,10 +13,8 @@
 //!   computes flyover MACs for every reserved hop.
 //! * [`beacon`] — forges valid SCION paths (the beaconing substitute).
 //! * [`dup`] — optional duplicate suppression (§5.4 ablation).
-//! * [`multicore`] — `std::thread`-based throughput harness for the
-//!   Fig. 5/14 scaling experiments, generic over any [`Datapath`] engine
-//!   (now one configuration of the [`runtime`]).
-//! * [`runtime`] — the sharded multi-queue runtime: an RSS-style flow
+//! * [`runtime`] — the sharded multi-queue runtime and the one way to
+//!   run engines on cores ([`run_to_completion`]): an RSS-style flow
 //!   hash splits the workload into per-shard rx queues so each
 //!   reservation lands on the one shard that polices it, each shard
 //!   feeds its bursts straight to its engine and its own tx scheduler,
@@ -35,7 +33,6 @@ pub mod beacon;
 pub mod datapath;
 pub mod dup;
 pub mod gateway;
-pub mod multicore;
 pub mod policing;
 pub mod router;
 pub mod runtime;
@@ -45,16 +42,13 @@ pub use beacon::{forge_path, BeaconHop};
 pub use datapath::{
     Datapath, DatapathBuilder, DatapathStats, DropReason, NullEngine, PacketBuf, Verdict,
 };
-pub use gateway::{Gateway, GatewayStats, GatewayVerdict, HostShare};
-pub use multicore::{
-    forwarding_throughput, generation_throughput, Throughput, BATCH_SIZE, LINE_RATE_GBPS,
-};
+pub use gateway::{Gateway, GatewayVerdict, HostShare};
 pub use policing::{FwdClass, Policer, DEFAULT_BURST_TIME_NS};
-pub use router::{BorderRouter, RouterConfig, RouterStats};
+pub use router::{BorderRouter, RouterConfig};
 pub use runtime::{
     run_to_completion, BackpressureConfig, BackpressurePolicy, EgressClassStats, EgressConfig,
     EgressStats, ExecMode, LatencyHistogram, RuntimeConfig, RuntimeMode, RuntimeReport, RxMode,
-    ShardMap, ShardReport, ShardedRouter, Steering,
+    ShardMap, ShardReport, ShardedRouter, Steering, BATCH_SIZE,
 };
 pub use source::{GenError, SourceGenerator, SourceReservation};
 
@@ -331,24 +325,5 @@ mod tests {
             cons_egress: fly.cons_egress,
         });
         assert_eq!(fly.agg_mac, expected);
-    }
-
-    #[test]
-    fn multicore_harness_smoke() {
-        let n = 2;
-        let mut net = build_net(n, RouterConfig::default());
-        attach_all_reservations(&mut net, n, 300);
-        let pkt = net.generator.generate(&[0u8; 500], NOW_MS).unwrap();
-        let hop_key = HopMacKey::new([0x10; 16]);
-        let sv = SecretValue::new([0x60; 16]);
-        let t = forwarding_throughput(
-            || BorderRouter::new(sv.clone(), hop_key.clone(), RouterConfig::default()),
-            &pkt,
-            2,
-            2_000,
-            NOW_NS,
-        );
-        assert_eq!(t.packets, 4_000);
-        assert!(t.gbps() > 0.0);
     }
 }

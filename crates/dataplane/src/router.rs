@@ -22,10 +22,6 @@ use hummingbird_wire::scion_mac::HopMacKey;
 
 pub use crate::datapath::{DropReason, Verdict};
 
-/// Former name of [`DatapathStats`], kept for compatibility with
-/// pre-`Datapath` call sites.
-pub type RouterStats = DatapathStats;
-
 /// Router configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct RouterConfig {

@@ -65,10 +65,13 @@ pub use ring::*;
 pub use shard::{FlowClass, ShardMap, Steering};
 
 use crate::datapath::{Datapath, DatapathStats, PacketBuf, Verdict};
-use crate::multicore::{Throughput, BATCH_SIZE};
 use std::collections::VecDeque;
 use std::sync::Barrier;
 use std::time::Instant;
+
+/// Packets per [`Datapath::process_batch`] burst in the hot loop (a
+/// DPDK-ish burst size): [`RuntimeConfig::new`]'s `batch_size`.
+pub const BATCH_SIZE: usize = 32;
 
 /// One logical router spread across per-shard engines, behind the
 /// [`Datapath`] trait.
@@ -197,9 +200,8 @@ impl Datapath for ShardedRouter {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RuntimeMode {
     /// Each worker owns an independent engine and feeds itself an even
-    /// share of the workload — the historical `multicore` harness, now
-    /// expressed as a runtime configuration. Measures pure per-core
-    /// engine scaling; no cross-core policing semantics.
+    /// share of the workload. Measures pure per-core engine scaling; no
+    /// cross-core policing semantics.
     PerCoreClone,
     /// One logical router with correct cross-core policing: every
     /// packet is processed by the shard the [`ShardMap`] assigns it to,
@@ -400,13 +402,6 @@ pub struct RuntimeReport {
     /// per-class packet/byte counts and residence times, merged across
     /// shards.
     pub egress: Option<EgressStats>,
-}
-
-impl RuntimeReport {
-    /// The run as a [`Throughput`] measurement.
-    pub fn throughput(&self) -> Throughput {
-        Throughput { packets: self.packets, bits: self.bits, seconds: self.seconds }
-    }
 }
 
 /// What a worker counts per burst it puts through the engine.
@@ -801,6 +796,26 @@ mod tests {
             assert!(report.bits > 0 && report.seconds > 0.0, "{mode:?}");
             let forwarded: u64 = report.per_shard.iter().map(|r| r.forwarded).sum();
             assert_eq!(forwarded, 1_000, "valid reserved packets all forward ({mode:?})");
+        }
+    }
+
+    #[test]
+    fn drop_heavy_engines_are_measurable() {
+        // Junk through a real router: every packet drops, and the run
+        // still counts every offered packet on the shard that dropped it.
+        let junk = vec![vec![0u8; 128]];
+        let report = run_to_completion(
+            &RuntimeConfig::new(2),
+            RuntimeMode::PerCoreClone,
+            |_| hop_engine(),
+            &junk,
+            1_000,
+            NOW_NS,
+        );
+        assert_eq!(report.packets, 1_000);
+        for shard in &report.per_shard {
+            assert!(shard.processed > 0);
+            assert_eq!(shard.dropped, shard.processed, "{shard:?}");
         }
     }
 

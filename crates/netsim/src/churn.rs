@@ -1,15 +1,16 @@
-//! Event-driven fault injection on the simulator clock: scheduled link
-//! down/up, router reboots (datapath state wiped — auth-key cache,
-//! policer buckets and duplicate suppressor come back cold), and
-//! mid-epoch reroute of the flows a failure stranded.
+//! Fault injection on the simulator clock: link down/up, router reboots
+//! (datapath state wiped — auth-key cache, policer buckets and duplicate
+//! suppressor come back cold), and mid-epoch reroute of the flows a
+//! failure stranded.
 //!
-//! A [`ChurnPlan`] is a timestamped action list; [`run_with_churn`]
-//! interleaves it with the packet schedule by advancing the
-//! [`Simulator`](crate::Simulator) to each action's instant and applying
-//! it there. Because [`Simulator::run_until`](crate::Simulator::run_until)
-//! is inclusive, every packet event at time `t` is processed *before* a
-//! churn action at `t` — the stable tie-break the determinism tests pin
-//! (see the event-ordering notes on `Simulator::schedule`).
+//! [`apply_action`] applies one [`ChurnAction`] at the simulator's
+//! current instant; a timed plan is [`run`](crate::run)'s
+//! [`Scenario::plan`](crate::Scenario::plan), or any caller's own loop of
+//! [`Simulator::run_until`](crate::Simulator::run_until) and
+//! [`apply_action`]. Because `run_until` is inclusive, every packet event
+//! at time `t` is processed *before* a churn action at `t` — the stable
+//! tie-break the determinism tests pin (see the event-ordering notes on
+//! `Simulator::schedule`).
 //!
 //! Every application is recorded as a [`ChurnRecord`] whose
 //! [`ChurnOutcome`] carries the measurable effect (packets drained by a
@@ -35,46 +36,6 @@ pub enum ChurnAction {
     /// adjacency (fresh credentials on the new path; old reservations
     /// stay stranded on the dead one).
     RerouteAffected,
-}
-
-/// A [`ChurnAction`] scheduled at an absolute simulated time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChurnEvent {
-    /// When to apply the action, ns (simulated clock).
-    pub at_ns: u64,
-    /// What to do.
-    pub action: ChurnAction,
-}
-
-/// A timestamped fault-injection schedule. Actions sharing a timestamp
-/// apply in insertion order (the sort is stable).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ChurnPlan {
-    events: Vec<ChurnEvent>,
-}
-
-impl ChurnPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `action` at `at_ns` (builder style).
-    #[must_use]
-    pub fn at(mut self, at_ns: u64, action: ChurnAction) -> Self {
-        self.push(at_ns, action);
-        self
-    }
-
-    /// Schedules `action` at `at_ns`.
-    pub fn push(&mut self, at_ns: u64, action: ChurnAction) {
-        self.events.push(ChurnEvent { at_ns, action });
-    }
-
-    /// The scheduled events, in insertion order.
-    pub fn events(&self) -> &[ChurnEvent] {
-        &self.events
-    }
 }
 
 /// The measurable effect of one applied [`ChurnAction`].
@@ -172,23 +133,4 @@ pub fn apply_action(topo: &mut TopologyBuilder, action: ChurnAction) -> ChurnRec
         }
     };
     ChurnRecord { at_ns: topo.sim.now_ns(), action, outcome }
-}
-
-/// Runs the simulation to `end_ns`, applying every `plan` action at its
-/// scheduled instant (actions past `end_ns` are skipped). Packet events
-/// at an action's timestamp are processed first — see the module docs
-/// for the tie-break contract.
-pub fn run_with_churn(topo: &mut TopologyBuilder, plan: &ChurnPlan, end_ns: u64) -> ChurnReport {
-    let mut events = plan.events.clone();
-    events.sort_by_key(|e| e.at_ns);
-    let mut report = ChurnReport::default();
-    for ev in events {
-        if ev.at_ns > end_ns {
-            break;
-        }
-        topo.sim.run_until(ev.at_ns);
-        report.records.push(apply_action(topo, ev.action));
-    }
-    topo.sim.run_until(end_ns);
-    report
 }

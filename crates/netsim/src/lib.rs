@@ -16,13 +16,13 @@
 //!   (the table lives in `hummingbird-baselines` and is re-exported
 //!   here), optionally sharded.
 //! * [`topo`] — the one network type, [`TopologyBuilder`]: the
-//!   hand-wired AS chain and Fig. 3 diamond, and seed-driven
-//!   Internet-scale topologies (ring-of-PoPs backbones, fat trees, AS
-//!   hierarchies), all over real-router nodes, with BFS routing and
-//!   per-family credentials. [`LinearTopology`] is a chain handle for
-//!   driving one hop by hop outside a scenario.
-//! * [`churn`] — fault injection on the simulator clock: link down/up,
-//!   cold router reboots, and mid-epoch reroute of stranded flows.
+//!   hand-wired AS chain and Fig. 3 diamond, and the seed-driven
+//!   ring-of-PoPs ISP backbone, all over real-router nodes, with BFS
+//!   routing and per-family credentials. [`LinearTopology`] is a chain
+//!   handle for driving one hop by hop outside a scenario.
+//! * [`churn`] — the fault-injection actions a scenario's failure plan
+//!   applies on the simulator clock: link down/up, cold router reboots,
+//!   and mid-epoch reroute of stranded flows.
 //! * [`flow`] — closed-loop reactive flows: windowed, ack-clocked
 //!   senders with RTO/backoff retransmission and a bounded retry
 //!   budget, the senders the overload scenarios drive.
@@ -36,10 +36,7 @@ pub mod scenario;
 pub mod sim;
 pub mod topo;
 
-pub use churn::{
-    apply_action, run_with_churn, ChurnAction, ChurnEvent, ChurnOutcome, ChurnPlan, ChurnRecord,
-    ChurnReport,
-};
+pub use churn::{apply_action, ChurnAction, ChurnOutcome, ChurnRecord, ChurnReport};
 pub use flow::{FlowEvent, FlowEventKind, ReactiveFlow};
 pub use hummingbird_baselines::EngineFamily;
 pub use scenario::{
@@ -49,9 +46,7 @@ pub use scenario::{
 pub use sim::{
     Class, Flow, FlowId, FlowStats, Node, NodeId, ReplayTap, ServiceModel, SimPacket, Simulator,
 };
-pub use topo::{
-    AdjId, Adjacency, BackboneSpec, HierarchySpec, LinearTopology, RouterId, TopologyBuilder,
-};
+pub use topo::{AdjId, Adjacency, BackboneSpec, LinearTopology, RouterId, TopologyBuilder};
 
 #[cfg(test)]
 mod tests {

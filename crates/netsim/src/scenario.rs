@@ -541,12 +541,20 @@ pub fn run(cfg: RouterConfig, scenario: &Scenario, start_ns: u64) -> Outcome {
     Outcome { flows, routers, adjacencies, report, events }
 }
 
-/// Knobs of a churn run: the QoS/DoS experiment (credentialed victim vs
-/// best-effort flood) moved onto a generated ring-of-PoPs backbone with
-/// a seeded background-flow mesh, plus mid-epoch fault injection — ≥ 1
-/// link failures on the victim's path at one third of the run, a
-/// reroute pass after `reroute_delay_ns`, and optionally a cold reboot
-/// of a transit router on the failover path.
+/// Knobs of a churn run: the QoS/DoS experiment moved onto a generated
+/// ring-of-PoPs backbone with a seeded background-flow mesh, plus
+/// mid-epoch fault injection. The fixed part of the shape: a 2 Mbps
+/// victim of 1000-byte packets with 3 Mbps credentials on every hop,
+/// from PoP 0 to PoP 2 (with `routers_per_pop ≥ 2` that ring path is
+/// *strictly* hop-count shortest — chords attach to each PoP's last
+/// router, so any chord detour costs ≥ 3 hops — making base and
+/// failover paths seed-independent); the optional flood on the same
+/// route with the same packet size; 64 kbps best-effort background
+/// flows of 500-byte packets; `failures` link failures on the victim's
+/// path at one third of the run, a reroute pass 50 ms later and a cold
+/// reboot of a transit router on the failover path at the same
+/// instant; and routers that serve 300 ns per packet on
+/// `scenario.shards` cores.
 #[derive(Clone, Copy, Debug)]
 pub struct ChurnSpec {
     /// Engine family + shard deployment every router node runs.
@@ -557,64 +565,45 @@ pub struct ChurnSpec {
     pub routers_per_pop: usize,
     /// Seed for topology, key material and the background mesh.
     pub seed: u64,
-    /// How many PoPs the victim's path spans (dst = PoP `span_pops`).
-    pub span_pops: usize,
-    /// Victim CBR rate, kbps.
-    pub victim_kbps: u64,
-    /// Credential (reservation/grant) rate on every victim hop, kbps.
-    pub credential_kbps: u64,
-    /// Payload bytes per victim/flood packet.
-    pub payload_len: usize,
     /// Best-effort flood rate on the victim's route, kbps (`0` = none).
     pub flood_kbps: u64,
     /// Seeded random background flows across the whole backbone.
     pub background_flows: usize,
-    /// Rate of each background flow, kbps.
-    pub background_kbps: u64,
-    /// Credential rate attached to each background flow (`None` = best
-    /// effort) — `Some` puts thousands of live reservations on the
-    /// backbone at bench scale.
-    pub background_credential_kbps: Option<u64>,
     /// Link failures to inject at `run_s / 3` (victim-path adjacencies
     /// first, padded with further ring links if the path is shorter).
     pub failures: usize,
-    /// Delay from failure to the reroute pass, ns.
-    pub reroute_delay_ns: u64,
-    /// Also cold-reboot a transit router on the victim's failover path.
-    pub reboot_on_path: bool,
-    /// Per-router, per-core datapath service time, ns (`0` = off).
-    pub service_per_pkt_ns: u64,
     /// Run length, seconds.
     pub run_s: u64,
 }
 
+/// PoPs the churn victim's path spans (its destination is PoP 2).
+const CHURN_SPAN_POPS: usize = 2;
+/// The churn victim's CBR rate, kbps.
+const CHURN_VICTIM_KBPS: u64 = 2_000;
+/// The credential rate on every churn victim hop, kbps.
+const CHURN_CREDENTIAL_KBPS: u64 = 3_000;
+/// Payload bytes per churn victim/flood packet.
+const CHURN_PAYLOAD_LEN: usize = 1_000;
+/// Rate of each best-effort churn background flow, kbps.
+const CHURN_BACKGROUND_KBPS: u64 = 64;
+/// Delay from the churn failure to the reroute pass, ns.
+const CHURN_REROUTE_DELAY_NS: u64 = 50_000_000;
+/// Per-router, per-core service time of a churn run, ns.
+const CHURN_SERVICE_PER_PKT_NS: u64 = 300;
+
 impl ChurnSpec {
     /// The default acceptance shape: a 26-PoP × 4-router backbone (104
-    /// routers), a victim spanning 2 PoPs (with `routers_per_pop ≥ 2`
-    /// that ring path is *strictly* hop-count shortest — chords attach
-    /// to each PoP's last router, so any chord detour costs ≥ 3 hops —
-    /// making base and failover paths seed-independent), 3 link
-    /// failures with a 50 ms reroute delay plus an on-path reboot, and
-    /// a 64-flow background mesh. Add the flood with
-    /// [`with_flood`](ChurnSpec::with_flood).
+    /// routers), 3 link failures and a 64-flow background mesh, running
+    /// 3 s. Add the flood with [`with_flood`](ChurnSpec::with_flood).
     pub fn new(scenario: EngineScenario) -> Self {
         ChurnSpec {
             scenario,
             pops: 26,
             routers_per_pop: 4,
             seed: 0xC0FFEE,
-            span_pops: 2,
-            victim_kbps: 2_000,
-            credential_kbps: 3_000,
-            payload_len: 1_000,
             flood_kbps: 0,
             background_flows: 64,
-            background_kbps: 64,
-            background_credential_kbps: None,
             failures: 3,
-            reroute_delay_ns: 50_000_000,
-            reboot_on_path: true,
-            service_per_pkt_ns: 300,
             run_s: 3,
         }
     }
@@ -664,34 +653,36 @@ pub struct ChurnScenarioOutcome {
 /// the victim, the optional flood on the same route and the seeded
 /// background mesh, then at one third of the run a
 /// [`FailPath`](Step::FailPath) of `spec.failures` links on the
-/// victim's path, `reroute_delay_ns` of outage (reservation stranding,
-/// counted per flow), a [`Reroute`](Step::Reroute) with fresh
-/// credentials and, optionally, a cold reboot halfway along the
-/// victim's new path. The D2 contrast survives churn: after the reroute
-/// the reservation families restore the victim's latency and delivery
-/// at the clean level, while the authentication-only families leave it
-/// queueing behind the (also rerouted) flood.
+/// victim's path, 50 ms of outage (reservation stranding, counted per
+/// flow), a [`Reroute`](Step::Reroute) with fresh credentials and a
+/// cold reboot halfway along the victim's new path. The D2 contrast
+/// survives churn: after the reroute the reservation families restore
+/// the victim's latency and delivery at the clean level, while the
+/// authentication-only families leave it queueing behind the (also
+/// rerouted) flood.
 pub fn run_churn_scenario(
     cfg: RouterConfig,
     spec: &ChurnSpec,
     start_ns: u64,
 ) -> ChurnScenarioOutcome {
-    let (n, rpp, p) = (spec.pops * spec.routers_per_pop, spec.routers_per_pop, spec.payload_len);
-    let victim = Route::new(0, spec.span_pops.clamp(1, spec.pops - 1) * rpp);
-    let mut flows = vec![(victim, FlowSpec::cbr(p, spec.victim_kbps, Some(spec.credential_kbps)))];
+    let (n, rpp, p) = (spec.pops * spec.routers_per_pop, spec.routers_per_pop, CHURN_PAYLOAD_LEN);
+    let victim = Route::new(0, CHURN_SPAN_POPS.clamp(1, spec.pops - 1) * rpp);
+    let victim_flow = FlowSpec::cbr(p, CHURN_VICTIM_KBPS, Some(CHURN_CREDENTIAL_KBPS));
+    let mut flows = vec![(victim, victim_flow)];
     flows.extend((spec.flood_kbps > 0).then(|| (victim, FlowSpec::cbr(p, spec.flood_kbps, None))));
-    let mesh = FlowSpec::cbr(500, spec.background_kbps, spec.background_credential_kbps);
+    let mesh = FlowSpec::cbr(500, CHURN_BACKGROUND_KBPS, None);
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x9E37_79B9_7F4A_7C15);
     for _ in 0..spec.background_flows {
         let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
         flows.push((Route::new(a, if b == a { (a + 1) % n } else { b }), mesh));
     }
-    let (fail, reroute) = (spec.run_s * SEC / 3, spec.run_s * SEC / 3 + spec.reroute_delay_ns);
-    let mut plan =
-        vec![(fail, Step::FailPath { flow: 0, links: spec.failures }), (reroute, Step::Reroute)];
-    plan.extend(spec.reboot_on_path.then_some((reroute, Step::RebootMidPath { flow: 0 })));
-    let service = (spec.service_per_pkt_ns > 0)
-        .then(|| ServiceModel::new(spec.service_per_pkt_ns, spec.scenario.shards));
+    let (fail, reroute) = (spec.run_s * SEC / 3, spec.run_s * SEC / 3 + CHURN_REROUTE_DELAY_NS);
+    let plan = vec![
+        (fail, Step::FailPath { flow: 0, links: spec.failures }),
+        (reroute, Step::Reroute),
+        (reroute, Step::RebootMidPath { flow: 0 }),
+    ];
+    let service = Some(ServiceModel::new(CHURN_SERVICE_PER_PKT_NS, spec.scenario.shards));
     let topology = Topology::Backbone(BackboneSpec::new(spec.pops, rpp, spec.seed));
     let (engines, run_s) = (spec.scenario, spec.run_s);
     let out = run(cfg, &Scenario { engines, topology, service, flows, plan, run_s }, start_ns);

@@ -3,8 +3,7 @@
 //! parameterized-constructor style of snowcap's `ExampleNetwork`s — the
 //! hand-wired AS [`chain`](TopologyBuilder::chain) and Fig. 3
 //! [`diamond`](TopologyBuilder::diamond), and the seed-driven generated
-//! ISP-backbone rings of PoPs, fat-tree regions and customer/provider/peer
-//! AS hierarchies.
+//! ISP-backbone [`ring_of_pops`](TopologyBuilder::ring_of_pops).
 //!
 //! Everything is deterministic: key material and graph structure both
 //! come from explicit bytes or an explicit `u64` seed routed through the
@@ -106,86 +105,31 @@ struct FlowRoute {
 }
 
 /// Spec of a ring-of-PoPs ISP backbone: `pops` points of presence on a
-/// ring, each a full mesh of `routers_per_pop` routers, adjacent PoPs
-/// joined by one long-haul link per router index (parallel inter-PoP
-/// links are what give failover paths of equal PoP count), plus up to
-/// `chords` seeded long-haul shortcuts between non-adjacent PoPs.
+/// ring, each a full mesh of `routers_per_pop` routers on 100 Mbps /
+/// 0.1 ms intra-PoP links, adjacent PoPs joined by one default 10 Mbps /
+/// 1 ms long-haul link per router index (parallel inter-PoP links are
+/// what give failover paths of equal PoP count), plus `pops / 4` seeded
+/// long-haul shortcut draws between non-adjacent PoPs.
 #[derive(Clone, Copy, Debug)]
 pub struct BackboneSpec {
     /// PoPs on the ring (≥ 3).
     pub pops: usize,
     /// Routers per PoP (≥ 1), fully meshed inside the PoP.
     pub routers_per_pop: usize,
-    /// Seeded random long-haul shortcut links (draws; invalid draws —
-    /// same, adjacent or already-linked PoP pairs — are skipped).
-    pub chords: usize,
     /// Seed for key material and chord structure.
     pub seed: u64,
-    /// Inter-PoP long-haul link parameters (the contended bottlenecks).
-    pub pop_link: LinkSpec,
-    /// Intra-PoP link parameters (short, fat).
-    pub intra_link: LinkSpec,
 }
 
 impl BackboneSpec {
-    /// A backbone spec with the default 10 Mbps / 1 ms long-haul links
-    /// and 100 Mbps / 0.1 ms intra-PoP links.
+    /// A `pops` × `routers_per_pop` backbone seeded with `seed`.
     pub fn new(pops: usize, routers_per_pop: usize, seed: u64) -> Self {
-        BackboneSpec {
-            pops,
-            routers_per_pop,
-            chords: pops / 4,
-            seed,
-            pop_link: LinkSpec::default(),
-            intra_link: LinkSpec {
-                bandwidth_bps: 100_000_000,
-                propagation_ns: 100_000,
-                queue_cap_bytes: 64 * 1024,
-            },
-        }
+        BackboneSpec { pops, routers_per_pop, seed }
     }
 }
 
-/// Spec of a customer/provider/peer AS hierarchy: `tier1` transit ASes
-/// in a full peer mesh, `tier2` regional providers each homed to two
-/// tier-1 providers, `stubs` leaf ASes homed to one or two tier-2
-/// providers, plus up to `peering` seeded lateral tier-2 peer links.
-#[derive(Clone, Copy, Debug)]
-pub struct HierarchySpec {
-    /// Tier-1 (full-mesh core) ASes, ≥ 1.
-    pub tier1: usize,
-    /// Tier-2 (regional) ASes.
-    pub tier2: usize,
-    /// Stub (leaf) ASes.
-    pub stubs: usize,
-    /// Seeded lateral tier-2 peering links (draws; invalid skipped).
-    pub peering: usize,
-    /// Seed for key material, homing and peering structure.
-    pub seed: u64,
-    /// Core (tier-1 mesh + tier-1/tier-2) link parameters.
-    pub core_link: LinkSpec,
-    /// Edge (stub homing) link parameters.
-    pub edge_link: LinkSpec,
-}
-
-impl HierarchySpec {
-    /// A hierarchy spec with fat core links and default edge links.
-    pub fn new(tier1: usize, tier2: usize, stubs: usize, seed: u64) -> Self {
-        HierarchySpec {
-            tier1,
-            tier2,
-            stubs,
-            peering: tier2 / 2,
-            seed,
-            core_link: LinkSpec {
-                bandwidth_bps: 100_000_000,
-                propagation_ns: 500_000,
-                queue_cap_bytes: 64 * 1024,
-            },
-            edge_link: LinkSpec::default(),
-        }
-    }
-}
+/// Intra-PoP link parameters of a [`BackboneSpec`] backbone (short, fat).
+const INTRA_POP_LINK: LinkSpec =
+    LinkSpec { bandwidth_bps: 100_000_000, propagation_ns: 100_000, queue_cap_bytes: 64 * 1024 };
 
 /// A deterministic topology of real-datapath router nodes — and, once
 /// built, the live handle an experiment drives (see the
@@ -376,6 +320,8 @@ impl TopologyBuilder {
     pub fn ring_of_pops(spec: &BackboneSpec, start_ns: u64, cfg: RouterConfig) -> Self {
         assert!(spec.pops >= 3, "a ring needs at least 3 PoPs");
         assert!(spec.routers_per_pop >= 1);
+        // Inter-PoP long-haul links: the contended bottlenecks.
+        let pop_link = LinkSpec::default();
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let mut t = Self::new(start_ns, cfg);
         let pops: Vec<Vec<RouterId>> = (0..spec.pops)
@@ -385,7 +331,7 @@ impl TopologyBuilder {
         for pop in &pops {
             for i in 0..pop.len() {
                 for j in i + 1..pop.len() {
-                    t.connect(pop[i], pop[j], None, spec.intra_link);
+                    t.connect(pop[i], pop[j], None, INTRA_POP_LINK);
                 }
             }
         }
@@ -394,7 +340,7 @@ impl TopologyBuilder {
         for p in 0..spec.pops {
             let q = (p + 1) % spec.pops;
             for (&a, &b) in pops[p].iter().zip(&pops[q]) {
-                t.connect(a, b, None, spec.pop_link);
+                t.connect(a, b, None, pop_link);
             }
         }
         // Seeded chords between non-adjacent PoPs, attached to each
@@ -402,8 +348,10 @@ impl TopologyBuilder {
         // intra-PoP hop on both ends, so chords shorten long failover
         // detours without beating short ring paths on hop count (BFS
         // ties resolve to the ring, whose links are inserted first).
+        // Invalid draws — same, adjacent or already-linked PoP pairs —
+        // are skipped.
         let last = spec.routers_per_pop - 1;
-        for _ in 0..spec.chords {
+        for _ in 0..spec.pops / 4 {
             let p = rng.gen_range(0..spec.pops);
             let q = rng.gen_range(0..spec.pops);
             let ring_adjacent = (p + 1) % spec.pops == q || (q + 1) % spec.pops == p;
@@ -413,93 +361,7 @@ impl TopologyBuilder {
             {
                 continue;
             }
-            t.connect(pops[p][last], pops[q][last], None, spec.pop_link);
-        }
-        t
-    }
-
-    /// Builds a `k`-ary fat-tree region (`k` even): `(k/2)²` core
-    /// routers and `k` pods of `k/2` aggregation + `k/2` edge routers.
-    /// `seed` drives key material only — the wiring is the classic
-    /// fixed fat-tree.
-    pub fn fat_tree(k: usize, seed: u64, link: LinkSpec, start_ns: u64, cfg: RouterConfig) -> Self {
-        assert!(k >= 2 && k.is_multiple_of(2), "fat-tree arity must be even");
-        let half = k / 2;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = Self::new(start_ns, cfg);
-        let cores: Vec<RouterId> = (0..half * half).map(|_| t.add_router(&mut rng)).collect();
-        for _pod in 0..k {
-            let aggs: Vec<RouterId> = (0..half).map(|_| t.add_router(&mut rng)).collect();
-            let edges: Vec<RouterId> = (0..half).map(|_| t.add_router(&mut rng)).collect();
-            for &e in &edges {
-                for &a in &aggs {
-                    t.connect(e, a, None, link);
-                }
-            }
-            for (j, &a) in aggs.iter().enumerate() {
-                for c in 0..half {
-                    t.connect(a, cores[j * half + c], None, link);
-                }
-            }
-        }
-        t
-    }
-
-    /// Builds a customer/provider/peer AS hierarchy per `spec` (see
-    /// [`HierarchySpec`]). Deterministic in `spec.seed`.
-    pub fn as_hierarchy(spec: &HierarchySpec, start_ns: u64, cfg: RouterConfig) -> Self {
-        assert!(spec.tier1 >= 1);
-        let mut rng = StdRng::seed_from_u64(spec.seed);
-        let mut t = Self::new(start_ns, cfg);
-        let tier1: Vec<RouterId> = (0..spec.tier1).map(|_| t.add_router(&mut rng)).collect();
-        let tier2: Vec<RouterId> = (0..spec.tier2).map(|_| t.add_router(&mut rng)).collect();
-        let stubs: Vec<RouterId> = (0..spec.stubs).map(|_| t.add_router(&mut rng)).collect();
-        // Tier-1 peer mesh.
-        for i in 0..tier1.len() {
-            for j in i + 1..tier1.len() {
-                t.connect(tier1[i], tier1[j], None, spec.core_link);
-            }
-        }
-        // Tier-2: dual-homed to tier-1 providers.
-        for &r in &tier2 {
-            let a = rng.gen_range(0..spec.tier1);
-            let mut b = rng.gen_range(0..spec.tier1);
-            if b == a {
-                b = (a + 1) % spec.tier1;
-            }
-            t.connect(r, tier1[a], None, spec.core_link);
-            if b != a {
-                t.connect(r, tier1[b], None, spec.core_link);
-            }
-        }
-        // Stubs: homed to one or two tier-2 providers (or straight to
-        // tier-1 when there is no tier-2).
-        for &r in &stubs {
-            if spec.tier2 == 0 {
-                t.connect(r, tier1[rng.gen_range(0..spec.tier1)], None, spec.edge_link);
-                continue;
-            }
-            let a = rng.gen_range(0..spec.tier2);
-            t.connect(r, tier2[a], None, spec.edge_link);
-            if rng.gen_bool(0.5) && spec.tier2 > 1 {
-                let mut b = rng.gen_range(0..spec.tier2);
-                if b == a {
-                    b = (a + 1) % spec.tier2;
-                }
-                t.connect(r, tier2[b], None, spec.edge_link);
-            }
-        }
-        // Lateral tier-2 peering.
-        for _ in 0..spec.peering {
-            if spec.tier2 < 2 {
-                break;
-            }
-            let a = rng.gen_range(0..spec.tier2);
-            let b = rng.gen_range(0..spec.tier2);
-            if a == b || t.adjacency_between(tier2[a], tier2[b]).is_some() {
-                continue;
-            }
-            t.connect(tier2[a], tier2[b], None, spec.core_link);
+            t.connect(pops[p][last], pops[q][last], None, pop_link);
         }
         t
     }

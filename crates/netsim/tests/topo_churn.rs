@@ -8,9 +8,9 @@
 //!    link set; a reboot wipes all datapath state (caches come back
 //!    cold) without disturbing the flows; a failure's queue drain and a
 //!    reroute's bump land in the window that starts at their instant.
-//! 4. **Generator invariants** (property tests) — generated graphs are
-//!    connected with no self-loops or duplicate adjacencies, and every
-//!    flow's path exists edge-by-edge in the graph.
+//! 4. **Generator invariants** (property tests) — generated backbones
+//!    are connected with no self-loops or duplicate adjacencies, and
+//!    every flow's path exists edge-by-edge in the graph.
 //! 5. **Acceptance** — the four-family QoS/DoS experiment runs on a
 //!    generated 104-router backbone with 3 mid-epoch link failures:
 //!    reservation families recover (post-failover latency < 2× base,
@@ -21,9 +21,8 @@ mod common;
 
 use hummingbird_dataplane::RouterConfig;
 use hummingbird_netsim::{
-    run, run_churn_scenario, run_with_churn, BackboneSpec, ChurnAction, ChurnOutcome, ChurnPlan,
-    ChurnSpec, EngineFamily, EngineScenario, FlowSpec, HierarchySpec, LinkSpec, Route,
-    TopologyBuilder,
+    apply_action, run, run_churn_scenario, BackboneSpec, ChurnAction, ChurnOutcome, ChurnReport,
+    ChurnSpec, EngineFamily, EngineScenario, FlowSpec, LinkSpec, Route, TopologyBuilder,
 };
 use proptest::prelude::*;
 
@@ -92,14 +91,12 @@ fn churn_down_up_restores_exact_link_set() {
     let mut t = TopologyBuilder::ring_of_pops(&BackboneSpec::new(5, 2, 7), START_NS, cfg());
     let before = t.live_adjacencies();
     let victims = [0, 3, before.len() - 1].map(|i| before[i]);
-    let mut plan = ChurnPlan::new();
-    for &adj in &victims {
-        plan.push(START_NS + SEC, ChurnAction::LinkDown(adj));
-    }
-    for &adj in &victims {
-        plan.push(START_NS + 2 * SEC, ChurnAction::LinkUp(adj));
-    }
-    let report = run_with_churn(&mut t, &plan, START_NS + 3 * SEC);
+    let mut report = ChurnReport::default();
+    t.sim.run_until(START_NS + SEC);
+    report.records.extend(victims.map(|adj| apply_action(&mut t, ChurnAction::LinkDown(adj))));
+    t.sim.run_until(START_NS + 2 * SEC);
+    report.records.extend(victims.map(|adj| apply_action(&mut t, ChurnAction::LinkUp(adj))));
+    t.sim.run_until(START_NS + 3 * SEC);
     assert_eq!(report.records.len(), 6);
     assert_eq!(report.link_failures(), 3);
     assert_eq!(t.live_adjacencies(), before, "down/up must restore the exact link set");
@@ -189,29 +186,6 @@ proptest! {
         assert_flow_path_in_graph(&t, f);
     }
 
-    /// Fat trees are sound for any (even) arity and seed.
-    #[test]
-    fn fat_tree_generator_invariants(k in 1usize..3, seed in 0u64..1_000_000) {
-        let k = k * 2; // arities 2 and 4
-        let t = TopologyBuilder::fat_tree(k, seed, LinkSpec::default(), START_NS, cfg());
-        assert_graph_sound(&t);
-        prop_assert_eq!(t.n_routers(), (k / 2) * (k / 2) + k * k);
-    }
-
-    /// AS hierarchies are sound for any tier shape and seed.
-    #[test]
-    fn hierarchy_generator_invariants(
-        tier1 in 1usize..4,
-        tier2 in 0usize..5,
-        stubs in 0usize..6,
-        seed in 0u64..1_000_000,
-    ) {
-        let spec = HierarchySpec::new(tier1, tier2, stubs, seed);
-        let t = TopologyBuilder::as_hierarchy(&spec, START_NS, cfg());
-        assert_graph_sound(&t);
-        prop_assert_eq!(t.n_routers(), tier1 + tier2 + stubs);
-    }
-
     /// Any churn down/up pairing restores the exact pre-failure link
     /// set, whatever subset of adjacencies fails.
     #[test]
@@ -220,14 +194,18 @@ proptest! {
         let before = t.live_adjacencies();
         let step = before.len() / n_fail.max(1);
         let victims: Vec<_> = (0..n_fail).map(|i| before[(i * step.max(1)) % before.len()]).collect();
-        let mut plan = ChurnPlan::new();
-        for (i, &adj) in victims.iter().enumerate() {
-            plan.push(START_NS + (i as u64 + 1) * SEC / 8, ChurnAction::LinkDown(adj));
+        // Every failure lands before (or at) the first repair.
+        let downs = victims.iter().enumerate().map(|(i, &adj)| {
+            (START_NS + (i as u64 + 1) * SEC / 8, ChurnAction::LinkDown(adj))
+        });
+        let ups = victims.iter().enumerate().map(|(i, &adj)| {
+            (START_NS + SEC / 2 + (i as u64) * SEC / 8, ChurnAction::LinkUp(adj))
+        });
+        for (at, action) in downs.chain(ups) {
+            t.sim.run_until(at);
+            apply_action(&mut t, action);
         }
-        for (i, &adj) in victims.iter().enumerate() {
-            plan.push(START_NS + SEC / 2 + (i as u64) * SEC / 8, ChurnAction::LinkUp(adj));
-        }
-        run_with_churn(&mut t, &plan, START_NS + 2 * SEC);
+        t.sim.run_until(START_NS + 2 * SEC);
         prop_assert_eq!(t.live_adjacencies(), before);
     }
 }

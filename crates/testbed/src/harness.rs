@@ -284,15 +284,13 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
         .map_err(|_| "sink panicked".to_owned())?
         .map_err(|e| format!("sink: {e}"))?;
 
-    // Assemble and cross-check.
-    let mut classes = [ClassReport::default(), ClassReport::default()];
+    // Assemble and cross-check: the sink's per-class report gets the
+    // gateway's sent counts and the routers' engine drops.
+    let mut classes = sink_report.classes;
     for (f, &reserved) in flow_reserved.iter().enumerate() {
         classes[if reserved { RESERVED } else { BEST_EFFORT }].sent += seqs[f];
     }
     for class in [RESERVED, BEST_EFFORT] {
-        classes[class].delivered = sink_report.classes[class].pkts;
-        classes[class].payload_bytes = sink_report.classes[class].payload_bytes;
-        classes[class].latency = sink_report.classes[class].latency;
         classes[class].engine_dropped = router_stats.iter().map(|s| s.engine_drops[class]).sum();
     }
     let parse_drops: u64 =

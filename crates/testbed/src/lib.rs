@@ -31,7 +31,7 @@ pub use frame::{PayloadHeader, KIND_DATA, KIND_FIN, PAYLOAD_HDR_LEN};
 pub use harness::{run_chain, ChainSpec, ClassReport, RunReport, RESERVED_BW_KBPS};
 pub use link::{AckSender, CreditedSender, WaitStrategy};
 pub use mix::{FlowSpec, MixPlan, TrafficMix};
-pub use node::{NodeStats, Sink, SinkClass, SinkReport, SocketRouter, BEST_EFFORT, RESERVED};
+pub use node::{NodeStats, Sink, SinkReport, SocketRouter, BEST_EFFORT, RESERVED};
 
 use std::time::{SystemTime, UNIX_EPOCH};
 

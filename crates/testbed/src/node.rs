@@ -25,13 +25,14 @@
 //!
 //! [`PacketView::new_checked`]: hummingbird_wire::PacketView::new_checked
 
-use hummingbird_dataplane::{Datapath, DropReason, LatencyHistogram, Verdict};
+use hummingbird_dataplane::{Datapath, DropReason, Verdict};
 use hummingbird_wire::PacketView;
 use std::io;
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
 use crate::frame::{PayloadHeader, KIND_DATA, KIND_FIN};
+use crate::harness::ClassReport;
 use crate::link::{read_timed_out, AckSender, CreditedSender};
 use crate::now_unix_ns;
 
@@ -238,23 +239,13 @@ impl SocketRouter {
     }
 }
 
-/// What the sink measured for one class.
-#[derive(Clone, Debug, Default)]
-pub struct SinkClass {
-    /// Packets delivered.
-    pub pkts: u64,
-    /// L4 payload bytes delivered, measurement header included and
-    /// path header excluded (goodput numerator).
-    pub payload_bytes: u64,
-    /// End-to-end latency distribution (send stamp → sink rx).
-    pub latency: LatencyHistogram,
-}
-
 /// End-of-chain measurements.
 #[derive(Clone, Debug, Default)]
 pub struct SinkReport {
-    /// Per-class delivery and latency.
-    pub classes: [SinkClass; 2],
+    /// Per-class delivery and latency: the sink fills `delivered`,
+    /// `payload_bytes` and `latency`; the senders' and routers' columns
+    /// stay 0 until [`run_chain`](crate::run_chain) adds them.
+    pub classes: [ClassReport; 2],
     /// Packets delivered per flow id.
     pub flow_delivered: Vec<u64>,
     /// Structurally invalid datagrams.
@@ -300,7 +291,7 @@ impl Sink {
                 return Ok(false);
             };
             let cls = &mut report.classes[class];
-            cls.pkts += 1;
+            cls.delivered += 1;
             cls.payload_bytes += payload_len as u64;
             cls.latency.record(now_ns.saturating_sub(hdr.stamp_ns));
             report.flow_delivered[hdr.flow_id as usize] += 1;
@@ -425,7 +416,10 @@ mod tests {
 
         assert_eq!(stats.rx, PKTS, "{stats:?}");
         assert_eq!(stats.forwarded[RESERVED] + stats.forwarded[BEST_EFFORT], PKTS, "{stats:?}");
-        assert_eq!(report.classes[RESERVED].pkts + report.classes[BEST_EFFORT].pkts, PKTS);
+        assert_eq!(
+            report.classes[RESERVED].delivered + report.classes[BEST_EFFORT].delivered,
+            PKTS
+        );
         assert_eq!(report.flow_delivered, [PKTS]);
         assert_eq!(report.parse_drops, 0);
     }

@@ -1,17 +1,24 @@
 #!/bin/sh
 # The counts ROADMAP "Recent" tracks, as one rerunnable command (run from
 # the repo root). A `pub` item is a line that starts with `pub` plus an
-# item keyword under crates/<crate>/src; fields and `pub(crate)` do not count.
+# item keyword under src/ or crates/<crate>/src; fields and `pub(crate)` do
+# not count.
 set -eu
 rs_lines() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
 printf '.rs lines, crates src tests examples: %s\n' "$(rs_lines crates src tests examples)"
 printf '.rs lines, benchmark (frozen):        %s\n' "$(rs_lines benchmark/src benchmark/tests)"
+# The root package's src/ is the `hummingbird` crate.
 echo 'pub items per crate:'
-for dir in crates/*/src; do
-    crate=${dir#crates/}
+for dir in src crates/*/src; do
+    case $dir in
+        src) crate=hummingbird ;;
+        *) crate=${dir#crates/} crate=${crate%/src} ;;
+    esac
     n=$(grep -rhE '^\s*pub (fn|struct|enum|const|trait|type|mod|use|static)' "$dir" | wc -l)
-    printf '  %-10s %s\n' "${crate%/src}" "$n"
+    printf '  %-11s %s\n' "$crate" "$n"
 done
+printf 'workspace packages:                   %s\n' \
+    "$(cargo metadata --offline --no-deps --format-version 1 | tr ',' '\n' | grep -c '"manifest_path"')"
 printf 'netsim scenario.rs lines:             %s\n' "$(wc -l < crates/netsim/src/scenario.rs)"
 printf 'netsim `pub fn run_*`:                %s\n' \
     "$(grep -rhE '^\s*pub fn run_' crates/netsim/src | wc -l)"
