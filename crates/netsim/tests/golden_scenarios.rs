@@ -4,8 +4,10 @@
 //! partial-path and multipath variants, the closed-loop overload sweep,
 //! overload under churn, latency under churn, and the backbone churn run
 //! the benchmark drives — is run per engine family, and every field of
-//! its outcome is folded into SHA-256. Each experiment keeps one digest
-//! over its whole-run totals (flow totals, finish state, router counters,
+//! its outcome is folded into SHA-256 — except the routers' key-cache
+//! hit/miss diagnostics, which no verdict depends on. Each experiment
+//! keeps one digest over its whole-run totals (flow totals, finish state,
+//! router verdict and demotion counters,
 //! the fault timeline, event counts) and, where it has a failure plan,
 //! one over its windowed snapshots (base, outage, recovery). The chain
 //! the benchmark and the socket testbed build by hand, outside `run`,
@@ -22,8 +24,8 @@ use hummingbird_netsim::{
 };
 use hummingbird_wire::IsdAs;
 
-const LATENCY: &str = "0623683ba1a369cc9500ff4570395a17ed74682a4b46487f077e5ff9b7404b1f";
-const PARTIAL_PATH: &str = "c04109fd52a3d3d4c734af5c6bdc12ba051284907dfdd4142029654779dcc7d3";
+const LATENCY: &str = "93de5642dc9a0de1f72c6ae6f44bee528b145d7b57e099db3132b6cbd06a56ad";
+const PARTIAL_PATH: &str = "ccc4f74ab8304665e23b5fce04ddffd72dc9d44fad21a35b4bb982f46529a2d2";
 const MULTIPATH: &str = "ed28f017d0225effa0ad3d7b2983e3943570c2be192ffd800bca6277748cbd57";
 const OVERLOAD: &str = "c7b82f2d3c122766fb74f66cac21b4c3dfa868dbb28262b8383c3883aa723092";
 const OVERLOAD_CHURN_TOTALS: &str =
@@ -34,9 +36,9 @@ const LATENCY_CHURN_TOTALS: &str =
     "19ea9e0cc383babed334954d859be5e3d3c8fad19a0ea0bded3a3f6647efb292";
 const LATENCY_CHURN_WINDOWS: &str =
     "d1c10aefcbc2fd46dc46ba0d89200a30135625a93b6c60bc8e313476c4c981c4";
-const CHURN_TOTALS: &str = "00926d2db8be72e85190cf47f392dffaab7ef51f6fd645d52d2ca6dc45cf1dc9";
+const CHURN_TOTALS: &str = "c6222dac8624ae1969a2a0f32b62370a8616444c192e5dfb6b08ea4495597b6d";
 const CHURN_WINDOWS: &str = "57e5ae6271928a59abf3d16e390600f5a7e76d7b157e1ea975ae2046e118a893";
-const HAND_WIRED_CHAIN: &str = "aafe7709a6e084be09724bc27168e0199f238972dcfaa735027b7fe52191c4d2";
+const HAND_WIRED_CHAIN: &str = "6aab5facea6c828d5511d34c91590e7b09f801d2cb1ad733fa47daf7cb7e56df";
 
 const START_NS: u64 = 1_700_000_000 * 1_000_000_000;
 
@@ -102,8 +104,6 @@ impl Digest {
             s.dropped,
             s.demoted_overuse,
             s.demoted_untimely,
-            s.key_cache_hits,
-            s.key_cache_misses,
         ] {
             self.u(v);
         }
