@@ -20,11 +20,13 @@
 //! thread for the same reason.
 
 use hummingbird_crypto::{ResInfo, SecretValue};
+use hummingbird_dataplane::router::stages;
 use hummingbird_dataplane::{
     forge_path, run_to_completion, BackpressurePolicy, BeaconHop, BorderRouter, Datapath,
-    EgressConfig, ExecMode, NullEngine, PacketBuf, RouterConfig, RuntimeConfig, RuntimeMode,
-    SourceGenerator, SourceReservation, Verdict, BATCH_SIZE,
+    DropReason, EgressConfig, ExecMode, NullEngine, PacketBuf, RouterConfig, RuntimeConfig,
+    RuntimeMode, SourceGenerator, SourceReservation, Verdict, BATCH_SIZE,
 };
+use hummingbird_wire::hopfield::FlyoverHopField;
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -38,27 +40,31 @@ thread_local! {
     // `const` and destructor-free: touching them never allocates.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Counts one allocation of `bytes` (a `realloc` counts its new size).
-fn count_one(bytes: usize) {
+/// Counts one allocation of `bytes` (a `realloc` counts its new size)
+/// and moves the live total by `live`.
+fn count_one(bytes: usize, live: i64) {
     // `try_with`: a thread being torn down may still free and allocate.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+    let _ = LIVE.try_with(|n| n.set(n.get() + live));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one(layout.size());
+        count_one(layout.size(), layout.size() as i64);
         // SAFETY: same contract as the caller's; delegated unchanged.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as i64));
         // SAFETY: same contract as the caller's; delegated unchanged.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one(new_size);
+        count_one(new_size, new_size as i64 - layout.size() as i64);
         // SAFETY: same contract as the caller's; delegated unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -79,6 +85,14 @@ fn bytes_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = BYTES.with(Cell::get);
     let out = f();
     (BYTES.with(Cell::get) - before, out)
+}
+
+/// Bytes this thread still holds from what it allocated while running
+/// `f` (freed memory does not count).
+fn live_bytes_during<R>(f: impl FnOnce() -> R) -> (i64, R) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (LIVE.with(Cell::get) - before, out)
 }
 
 const NOW_S: u64 = 1_700_000_096;
@@ -167,6 +181,38 @@ fn new_router_allocates_on_first_use() {
     let (bytes, router) = bytes_during(|| BorderRouter::new(sv, hop_key, cfg));
     assert!(bytes <= 64 * 1024, "{bytes} bytes for a router that has seen no packet");
     drop(router);
+}
+
+/// Forged flyover packets in the flood, each on a fresh `ResInfo`.
+const FLOOD: u32 = 200_000;
+
+#[test]
+fn forged_flood_leaves_a_default_router_small() {
+    let (sv, hop_key) = (SecretValue::new([0x42; 16]), HopMacKey::new([0x17; 16]));
+    // One packet keyed under a wrong secret value; the flood rewrites its
+    // reservation fields per packet, so the router meets a fresh
+    // `ResInfo` every time and no tag verifies.
+    let template = packets(&SecretValue::new([0xEE; 16]), &hop_key).swap_remove(0);
+    let hop_off = stages::parse(template.as_bytes()).unwrap().hop_off;
+    let fly = FlyoverHopField::parse(&template.as_bytes()[hop_off..]).unwrap();
+    let mut burst = vec![template; BATCH_SIZE];
+    let mut verdicts = Vec::with_capacity(BATCH_SIZE);
+    let (bytes, router) = live_bytes_during(|| {
+        let mut router = BorderRouter::new(sv, hop_key, RouterConfig::default());
+        for first in (0..FLOOD).step_by(BATCH_SIZE) {
+            for (n, buf) in (first..).zip(burst.iter_mut()) {
+                let mut forged = fly;
+                (forged.res_id, forged.bw) = (1 + n, 1 + (n % 1000) as u16);
+                forged.emit(&mut buf.bytes_mut()[hop_off..]).unwrap();
+            }
+            verdicts.clear();
+            router.process_batch(&mut burst, NOW_NS, &mut verdicts);
+            assert!(verdicts.iter().all(|v| *v == Verdict::Drop(DropReason::BadMac)));
+        }
+        router
+    });
+    assert_eq!(router.stats().dropped, u64::from(FLOOD));
+    assert!(bytes <= 64 * 1024, "{bytes} bytes held after {FLOOD} forged packets");
 }
 
 /// Allocations of one sharded `run_to_completion` with the tx path on,
