@@ -283,10 +283,11 @@ impl Datapath for EpicDatapath {
                     let flyover = inputs
                         .as_ref()
                         .map(|i| (i, *next_tag.next().expect("one tag per fresh flyover hop")));
+                    let hop_mac = hop_key.hop_mac(&stages::hop_mac_input(&parsed));
                     let outcome = stages::complete_with_tag(
                         pkt.bytes_mut(),
                         now_ns,
-                        hop_key,
+                        &hop_mac,
                         None,
                         dup.as_mut(),
                         &parsed,

@@ -45,6 +45,13 @@
 //! the per-burst key derivations. Both are bit-for-bit identical to the
 //! single-block loop.
 //!
+//! [`Aes128::derive_and_encrypt_blocks`] is the fused kernel for keys
+//! that live for one block: it derives block `i`'s key under this cipher
+//! and encrypts the block under it, computing that key's schedule round
+//! by round as it is applied (AES-NI: 8 lanes plus a one-lane remainder),
+//! so no schedule is ever stored. The border router tags every flyover
+//! packet this way, under `A_K = E_SV(ResInfo)`.
+//!
 //! All paths are validated against the FIPS-197 / NIST CAVP vectors and
 //! cross-checked against each other by the property tests below.
 
@@ -335,6 +342,57 @@ impl Aes128 {
             i += 1;
         }
     }
+
+    /// Encrypts `block` under the key this cipher derives from
+    /// `key_input`: `Aes128::new(&self.encrypt(key_input)).encrypt(block)`,
+    /// without storing the derived key's schedule (see
+    /// [`derive_and_encrypt_blocks`](Aes128::derive_and_encrypt_blocks)).
+    pub fn derive_and_encrypt(
+        &self,
+        key_input: &[u8; BLOCK_SIZE],
+        block: &[u8; BLOCK_SIZE],
+    ) -> [u8; BLOCK_SIZE] {
+        let mut out = *block;
+        self.derive_and_encrypt_blocks(
+            std::slice::from_ref(key_input),
+            std::slice::from_mut(&mut out),
+        );
+        out
+    }
+
+    /// [`derive_and_encrypt`](Aes128::derive_and_encrypt) for every `i`:
+    /// `blocks[i]` is encrypted in place under the key derived from
+    /// `key_inputs[i]`.
+    ///
+    /// Under AES-NI, 8 lanes run at once: 8 derivations under this
+    /// cipher, then 8 key schedules computed round by round, each round
+    /// key going straight into its lane's `AESENC`. A remainder runs one
+    /// lane at a time. The software backend expands each derived key and
+    /// encrypts. Bit-for-bit identical to the expanded-key path.
+    ///
+    /// # Panics
+    ///
+    /// If `key_inputs.len() != blocks.len()`.
+    #[allow(unsafe_code)] // `Keys::Ni` implies runtime-detected AES-NI
+    pub fn derive_and_encrypt_blocks(
+        &self,
+        key_inputs: &[[u8; BLOCK_SIZE]],
+        blocks: &mut [[u8; BLOCK_SIZE]],
+    ) {
+        assert_eq!(key_inputs.len(), blocks.len(), "one key input per block");
+        match &self.keys {
+            Keys::Soft(rk) => {
+                for (key_input, block) in key_inputs.iter().zip(blocks) {
+                    let mut key = *key_input;
+                    encrypt1_soft(rk, &mut key);
+                    encrypt1_soft(&expand_soft(&key), block);
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Keys::Ni` implies AES-NI was detected at expansion.
+            Keys::Ni(s) => unsafe { ni::derive_and_encrypt_blocks(s, key_inputs, blocks) },
+        }
+    }
 }
 
 /// The software round keys of blocks `base..base + SOFT_LANES`, if all
@@ -551,11 +609,11 @@ mod ni {
         unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), v) }
     }
 
-    /// FIPS-197 §5.2 with `AESENCLAST` as the S-box. `AESKEYGENASSIST`
-    /// is the instruction made for this, but it is several times slower
-    /// than `AESENCLAST` on many cores (≈ 55 vs ≈ 18 ns per key here),
-    /// and a border router expands one key per reservation it has not
-    /// cached.
+    /// One step of FIPS-197 §5.2: the round key after `prev`, with
+    /// `AESENCLAST` as the S-box. `AESKEYGENASSIST` is the instruction
+    /// made for this, but it is several times slower than `AESENCLAST`
+    /// on many cores (≈ 55 vs ≈ 18 ns per key here), and a border router
+    /// runs a whole schedule for every flyover packet.
     ///
     /// With the last word `w3` broadcast to all four columns, ShiftRows
     /// moves nothing, so `AESENCLAST(w3 × 4, rc)` is `SubWord(w3) ⊕ rc`
@@ -563,22 +621,118 @@ mod ni {
     /// `RotWord(SubWord(w3)) ⊕ Rcon = SubWord(RotWord(w3)) ⊕ Rcon` when
     /// `rc` is `Rcon` pre-rotated left by 8 bits. The running XOR of the
     /// previous round key's words is a two-step prefix XOR.
+    #[inline]
+    #[target_feature(enable = "aes")]
+    fn next_round_key(prev: __m128i, rcon: u8) -> __m128i {
+        let sub = _mm_aesenclast_si128(
+            _mm_shuffle_epi32(prev, 0xff),
+            _mm_set1_epi32(i32::from(rcon) << 8),
+        );
+        let t = _mm_or_si128(_mm_srli_epi32(sub, 8), _mm_slli_epi32(sub, 24));
+        let mut k = _mm_xor_si128(prev, _mm_slli_si128(prev, 4));
+        k = _mm_xor_si128(k, _mm_slli_si128(k, 8));
+        _mm_xor_si128(k, t)
+    }
+
+    /// The full schedule, one [`next_round_key`] step per round.
     #[target_feature(enable = "aes")]
     pub(super) fn expand(key: &[u8; KEY_SIZE]) -> Schedule {
         let mut rk = [_mm_setzero_si128(); ROUND_KEYS];
         rk[0] = load(key);
         for (i, &rcon) in RCON.iter().enumerate() {
-            let prev = rk[i];
-            let sub = _mm_aesenclast_si128(
-                _mm_shuffle_epi32(prev, 0xff),
-                _mm_set1_epi32(i32::from(rcon) << 8),
-            );
-            let t = _mm_or_si128(_mm_srli_epi32(sub, 8), _mm_slli_epi32(sub, 24));
-            let mut k = _mm_xor_si128(prev, _mm_slli_si128(prev, 4));
-            k = _mm_xor_si128(k, _mm_slli_si128(k, 8));
-            rk[i + 1] = _mm_xor_si128(k, t);
+            rk[i + 1] = next_round_key(rk[i], rcon);
         }
         Schedule(rk)
+    }
+
+    /// `N` blocks under one schedule, round-major.
+    #[inline]
+    #[target_feature(enable = "aes")]
+    fn encrypt_n<const N: usize>(s: &Schedule, mut v: [__m128i; N]) -> [__m128i; N] {
+        for lane in v.iter_mut() {
+            *lane = _mm_xor_si128(*lane, s.0[0]);
+        }
+        for r in 1..10 {
+            for lane in v.iter_mut() {
+                *lane = _mm_aesenc_si128(*lane, s.0[r]);
+            }
+        }
+        for lane in v.iter_mut() {
+            *lane = _mm_aesenclast_si128(*lane, s.0[10]);
+        }
+        v
+    }
+
+    /// `N` blocks, each under its own key whose schedule is computed as
+    /// it is applied: every round key comes out of [`next_round_key`]
+    /// and goes straight into its lane's `AESENC`, so none is stored.
+    /// The lanes are independent chains, interleaved round by round.
+    #[inline]
+    #[target_feature(enable = "aes")]
+    fn encrypt_fresh_keys<const N: usize>(
+        mut keys: [__m128i; N],
+        mut v: [__m128i; N],
+    ) -> [__m128i; N] {
+        for l in 0..N {
+            v[l] = _mm_xor_si128(v[l], keys[l]);
+        }
+        for &rcon in &RCON[..9] {
+            for l in 0..N {
+                keys[l] = next_round_key(keys[l], rcon);
+                v[l] = _mm_aesenc_si128(v[l], keys[l]);
+            }
+        }
+        for l in 0..N {
+            v[l] = _mm_aesenclast_si128(v[l], next_round_key(keys[l], RCON[9]));
+        }
+        v
+    }
+
+    /// `N` lanes of the fused kernel: each lane's key is derived under
+    /// `sv`, then encrypts that lane's block on the fly.
+    #[inline]
+    #[target_feature(enable = "aes")]
+    fn derive_and_encrypt_n<const N: usize>(
+        sv: &Schedule,
+        key_inputs: &[[u8; BLOCK_SIZE]],
+        blocks: &mut [[u8; BLOCK_SIZE]],
+    ) {
+        let keys = encrypt_n::<N>(sv, std::array::from_fn(|l| load(&key_inputs[l])));
+        let v = encrypt_fresh_keys::<N>(keys, std::array::from_fn(|l| load(&blocks[l])));
+        for (block, lane) in blocks.iter_mut().zip(v) {
+            store(block, lane);
+        }
+    }
+
+    /// The fused derive-and-encrypt kernel: [`LANES`]-wide groups, then
+    /// one lane at a time.
+    #[target_feature(enable = "aes")]
+    pub(super) fn derive_and_encrypt_blocks(
+        sv: &Schedule,
+        key_inputs: &[[u8; BLOCK_SIZE]],
+        blocks: &mut [[u8; BLOCK_SIZE]],
+    ) {
+        let wide = blocks.len() - blocks.len() % LANES;
+        for i in (0..wide).step_by(LANES) {
+            derive_and_encrypt_n::<LANES>(sv, &key_inputs[i..i + LANES], &mut blocks[i..i + LANES]);
+        }
+        for i in wide..blocks.len() {
+            derive_and_encrypt_n::<1>(sv, &key_inputs[i..=i], &mut blocks[i..=i]);
+        }
+    }
+
+    /// The on-the-fly half of the fused kernel alone: every block under
+    /// `key`, for known-answer tests.
+    #[cfg(test)]
+    #[target_feature(enable = "aes")]
+    pub(super) fn encrypt_fresh_key<const N: usize>(
+        key: &[u8; KEY_SIZE],
+        blocks: &mut [[u8; BLOCK_SIZE]; N],
+    ) {
+        let v = encrypt_fresh_keys([load(key); N], blocks.map(|b| load(&b)));
+        for (block, lane) in blocks.iter_mut().zip(v) {
+            store(block, lane);
+        }
     }
 
     #[target_feature(enable = "aes")]
@@ -790,6 +944,42 @@ mod tests {
         }
     }
 
+    /// The FIPS-197 appendix vectors through the fused kernel's
+    /// on-the-fly schedule, at the full lane width and at the one-lane
+    /// remainder. (The software fallback is `expand_soft` + encrypt,
+    /// which the vectors above already cover.)
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)] // AES-NI presence checked first
+    fn fips197_vectors_through_the_on_the_fly_schedule() {
+        if !ni_available() {
+            return;
+        }
+        let vectors = [
+            (
+                "2b7e151628aed2a6abf7158809cf4f3c",
+                "3243f6a8885a308d313198a2e0370734",
+                "3925841d02dc09fbdc118597196a0b32",
+            ),
+            (
+                "000102030405060708090a0b0c0d0e0f",
+                "00112233445566778899aabbccddeeff",
+                "69c4e0d86a7b0430d8cdb78070b4c55a",
+            ),
+        ];
+        for (key, pt, ct) in vectors {
+            let mut wide = [hex16(pt); ni::LANES];
+            let mut one = [hex16(pt)];
+            // SAFETY: AES-NI support was just runtime-detected.
+            unsafe {
+                ni::encrypt_fresh_key(&hex16(key), &mut wide);
+                ni::encrypt_fresh_key(&hex16(key), &mut one);
+            }
+            assert_eq!(wide, [hex16(ct); ni::LANES], "8 lanes, key {key}");
+            assert_eq!(one, [hex16(ct)], "one lane, key {key}");
+        }
+    }
+
     #[test]
     fn nist_cavp_varkey_first() {
         // NIST CAVP ECBVarKey128 count 0: key = 0x80||0..0, pt = 0.
@@ -977,6 +1167,36 @@ mod tests {
                 let mut batch = blocks.clone();
                 cipher.encrypt_blocks(&mut batch);
                 prop_assert_eq!(&batch, &expected, "{} batch diverged", label);
+            }
+        }
+
+        /// The fused kernel, an expanded key (`Aes128::new(k).encrypt(b)`)
+        /// and the byte-oriented reference agree on both backends, at
+        /// every burst length 0..=40: five 8-lane groups and every
+        /// remainder.
+        #[test]
+        fn fused_kernel_agrees_with_expanded_keys(
+            sv in any::<[u8; 16]>(),
+            key_inputs in proptest::collection::vec(any::<[u8; 16]>(), 40..41),
+            blocks in proptest::collection::vec(any::<[u8; 16]>(), 40..41),
+        ) {
+            let reference = ByteAes128::new(&sv);
+            let expected: Vec<[u8; 16]> = key_inputs
+                .iter()
+                .zip(&blocks)
+                .map(|(k, b)| ByteAes128::new(&reference.encrypt(k)).encrypt(b))
+                .collect();
+            for backend in backends() {
+                let cipher = Aes128::with_backend(&sv, backend);
+                for ((k, b), want) in key_inputs.iter().zip(&blocks).zip(&expected) {
+                    prop_assert_eq!(&Aes128::new(&cipher.encrypt(k)).encrypt(b), want);
+                    prop_assert_eq!(&cipher.derive_and_encrypt(k, b), want, "{:?} single", backend);
+                }
+                for n in 0..=40 {
+                    let mut got = blocks[..n].to_vec();
+                    cipher.derive_and_encrypt_blocks(&key_inputs[..n], &mut got);
+                    prop_assert_eq!(&got[..], &expected[..n], "{:?} burst of {}", backend, n);
+                }
             }
         }
     }

@@ -113,6 +113,18 @@ impl Cmac {
         x
     }
 
+    /// The CMAC of each one-block message in `blocks`, in place:
+    /// `E(M ⊕ K1)` per block, as [`mac`](Cmac::mac) computes it, through
+    /// [`Aes128::encrypt_blocks`] so several blocks are in flight.
+    pub fn mac_blocks(&self, blocks: &mut [[u8; BLOCK_SIZE]]) {
+        for block in blocks.iter_mut() {
+            for (b, k) in block.iter_mut().zip(&self.k1) {
+                *b ^= k;
+            }
+        }
+        self.cipher.encrypt_blocks(blocks);
+    }
+
     /// Computes the CMAC truncated to `len` bytes (`len <= 16`).
     ///
     /// The paper truncates packet tags to `ℓ_tag = 6` bytes (§5.4).
@@ -215,6 +227,18 @@ mod tests {
                 "length {len} diverged"
             );
         }
+    }
+
+    #[test]
+    fn mac_blocks_matches_single_block_macs() {
+        let cmac = Cmac::new(&rfc4493_key());
+        let mut blocks: Vec<[u8; BLOCK_SIZE]> =
+            (0..19).map(|i| [i as u8 * 7; BLOCK_SIZE]).collect();
+        blocks[0].copy_from_slice(&hex("6bc1bee22e409f96e93d7e117393172a"));
+        let expected: Vec<[u8; BLOCK_SIZE]> = blocks.iter().map(|b| cmac.mac(b)).collect();
+        cmac.mac_blocks(&mut blocks);
+        assert_eq!(blocks, expected);
+        assert_eq!(blocks[0].to_vec(), hex("070a16b46b4d4144f79bdd9dd04a287c"), "RFC 4493 ex. 2");
     }
 
     #[test]

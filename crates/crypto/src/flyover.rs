@@ -139,10 +139,6 @@ impl SecretValue {
     /// back to back. Appends one key per `ResInfo`, in order, to `out`;
     /// element-wise identical to
     /// [`derive_key_bytes`](SecretValue::derive_key_bytes).
-    ///
-    /// The border router runs this over every flyover packet of a burst
-    /// *before* any cache lookup, so the bytes can serve as the cache
-    /// key (see [`AuthKeyCache`]).
     pub fn derive_key_bytes_batch<'a>(
         &self,
         infos: impl IntoIterator<Item = &'a ResInfo>,
@@ -157,10 +153,11 @@ impl SecretValue {
     /// followed by the key expansion of every result. Appends one key per
     /// `ResInfo`, in order, to `out`; the result is element-wise
     /// identical to calling [`derive_key`](SecretValue::derive_key) per
-    /// reservation. The border router no longer calls this — it sweeps
-    /// the raw bytes of every flyover packet and expands only its cache
-    /// misses — but it is the one-call form for callers that want every
-    /// key expanded (and the benchmark's per-key derivation row).
+    /// reservation. The border router does not call this — it derives
+    /// and uses each key inside one fused pass
+    /// ([`flyover_tags`](SecretValue::flyover_tags)) — but it is the
+    /// one-call form for callers that want every key expanded (and the
+    /// benchmark's per-key derivation row).
     ///
     /// `scratch` holds the raw key bytes so hot loops can reuse one
     /// allocation across calls (it is cleared on entry).
@@ -175,6 +172,49 @@ impl SecretValue {
         out.reserve(infos.len());
         out.extend(scratch.iter().map(|bytes| AuthKey::new(*bytes)));
     }
+
+    /// The flyover tag `V_K` of one packet, straight from its
+    /// reservation: `A_K` (Eq. 2) is derived and MACs `input` (Eq. 3) in
+    /// one fused AES pass that never stores the key's schedule
+    /// ([`Aes128::derive_and_encrypt`]). Equal to
+    /// `self.derive_key(info).flyover_mac(input)`.
+    pub fn flyover_tag(&self, info: &ResInfo, input: &FlyoverMacInput) -> Tag {
+        truncate(&self.cipher.derive_and_encrypt(&info.to_kdf_block(), &input.to_block()))
+    }
+
+    /// [`flyover_tag`](SecretValue::flyover_tag) over a burst: appends
+    /// the tag of `inputs[i]` under reservation `infos[i]` to `out`, in
+    /// order. Under AES-NI eight packets run at once
+    /// ([`Aes128::derive_and_encrypt_blocks`]); the blocks live on the
+    /// stack, so nothing but `out` is allocated.
+    ///
+    /// # Panics
+    ///
+    /// If `infos.len() != inputs.len()`.
+    pub fn flyover_tags(&self, infos: &[ResInfo], inputs: &[FlyoverMacInput], out: &mut Vec<Tag>) {
+        /// Packets per stack chunk: a burst, and a multiple of the lanes.
+        const CHUNK: usize = 32;
+        assert_eq!(infos.len(), inputs.len(), "one MAC input per reservation");
+        out.reserve(infos.len());
+        for (infos, inputs) in infos.chunks(CHUNK).zip(inputs.chunks(CHUNK)) {
+            let mut key_inputs = [[0u8; 16]; CHUNK];
+            let mut blocks = [[0u8; 16]; CHUNK];
+            for (i, (info, input)) in infos.iter().zip(inputs).enumerate() {
+                key_inputs[i] = info.to_kdf_block();
+                blocks[i] = input.to_block();
+            }
+            let n = infos.len();
+            self.cipher.derive_and_encrypt_blocks(&key_inputs[..n], &mut blocks[..n]);
+            out.extend(blocks[..n].iter().map(truncate));
+        }
+    }
+}
+
+/// A MAC block cut to the [`TAG_LEN`] bytes a packet carries.
+fn truncate(full: &[u8; 16]) -> Tag {
+    let mut tag = [0u8; TAG_LEN];
+    tag.copy_from_slice(&full[..TAG_LEN]);
+    tag
 }
 
 /// A reservation authentication key `A_K`, expanded and ready to MAC packets.
@@ -214,10 +254,7 @@ impl AuthKey {
     /// truncated to [`TAG_LEN`] bytes.
     #[inline]
     pub fn flyover_mac(&self, input: &FlyoverMacInput) -> Tag {
-        let full = self.cipher.encrypt(&input.to_block());
-        let mut tag = [0u8; TAG_LEN];
-        tag.copy_from_slice(&full[..TAG_LEN]);
-        tag
+        truncate(&self.cipher.encrypt(&input.to_block()))
     }
 }
 
@@ -250,7 +287,7 @@ pub fn flyover_tags_batch(
 
 /// [`flyover_tags_batch`] with the per-packet key resolved through
 /// `key_at(i)` instead of a materialized slice, so batch paths that
-/// already index their keys (e.g. the router's per-burst dedupe table)
+/// already index their keys (e.g. EPIC's per-burst dedupe table)
 /// compute a whole burst's tags without allocating. `key_at` must be a
 /// pure index lookup — it may be called more than once per input (the
 /// interleave kernels probe each group's backends first), in ascending
@@ -265,34 +302,25 @@ pub fn flyover_tags_batch_with<'a>(
     scratch.extend(inputs.iter().map(FlyoverMacInput::to_block));
     Aes128::encrypt_blocks_with(|i| &key_at(i).cipher, scratch);
     out.reserve(inputs.len());
-    out.extend(scratch.iter().map(|full| {
-        let mut tag = [0u8; TAG_LEN];
-        tag.copy_from_slice(&full[..TAG_LEN]);
-        tag
-    }));
+    out.extend(scratch.iter().map(truncate));
 }
 
-/// A per-engine cache of expanded [`AuthKey`]s, so a reservation's AES
-/// key schedule is computed once per epoch instead of once per packet.
+/// A per-engine cache of expanded [`AuthKey`]s, so a key's AES schedule
+/// is computed once per epoch instead of once per packet.
 ///
-/// The border router's per-packet budget (Table 3) charges one AES block
-/// for deriving `A_i` *and* a full AES-128 key expansion for extending
-/// it — but `ResInfo` is stable for a reservation's whole validity
-/// period, so every packet after the first can reuse the expanded
-/// schedule. Engines hold one cache each (hence per-shard under the
-/// multi-queue runtime: no locking, and a reservation's entry lives
-/// exactly where its packets are steered).
+/// The baseline engines (EPIC, Helia, DRKey) derive their packet keys
+/// through multi-level DRKey chains, so they keep one cache each (hence
+/// per shard under the multi-queue runtime: no locking, and an entry
+/// lives exactly where its packets are steered). The Hummingbird border
+/// router keeps none: its `A_K` costs one AES block, so it derives the
+/// key, runs the schedule on the fly and tags the packet in one fused
+/// pass ([`SecretValue::flyover_tags`]) — nothing for a forged packet
+/// to insert or evict.
 ///
-/// **Keys.** The border router keys its cache by the raw `A_K` bytes
-/// ([`SecretValue::derive_key_bytes`]) it computes for the whole burst
-/// anyway, hashed on [`DigestState`](crate::DigestState): AES under `SV`
-/// is a permutation, so every hit and miss falls exactly where a
-/// `ResInfo`-keyed cache would put it, and the bytes are uniform and
-/// unsteerable without `SV` (see [`crate::digest_hash`]); a miss then
-/// costs only the key expansion. The defaults — [`ResInfo`] on std's
-/// hasher — serve callers that hold only the `ResInfo`; the baseline
-/// engines instantiate the cache over their own attacker-chosen
-/// key-hierarchy tuples, which stay on std's hasher.
+/// **Keys.** The defaults — [`ResInfo`] on std's hasher — serve callers
+/// that hold only the `ResInfo`; the baseline engines instantiate the
+/// cache over their own attacker-chosen key-hierarchy tuples, which stay
+/// on std's hasher.
 ///
 /// **Replacement** is generational (segmented LRU): entries insert into
 /// a *hot* generation; when the hot generation fills, it becomes the
@@ -498,17 +526,12 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> AuthKeyCache<K, S> {
     }
 }
 
-/// Per-burst key dedupe + cache resolution shared by every batched
-/// engine: the scaffolding that used to be copied between
-/// `BorderRouter::process_batch` and `EpicDatapath::process_batch`
-/// (burst-local uniq map, the [`AuthKeyCache::record_burst_hit`]
-/// counter dance, the pass-2 key iterator), generic over the cache key
-/// and its hasher so the counter-parity invariant lives in one place.
-/// The border router's identity is the raw `A_K` bytes on
-/// [`DigestState`](crate::DigestState) (see [`AuthKeyCache`]: the
-/// identity is the key, so its derive sweep is only the key
-/// expansion); EPIC's is its attacker-chosen source tuple on std's
-/// hasher.
+/// Per-burst key dedupe + cache resolution for a batched engine with an
+/// [`AuthKeyCache`] (`EpicDatapath::process_batch`, keyed by its
+/// source tuple): the burst-local uniq map, the
+/// [`AuthKeyCache::record_burst_hit`] counter dance and the pass-2 key
+/// iterator, generic over the cache key and its hasher so the
+/// counter-parity invariant lives in one place.
 ///
 /// Protocol, per burst:
 ///
@@ -872,6 +895,40 @@ mod tests {
         assert_eq!(tags.len(), 14);
         flyover_tags_batch(&[], &[], &mut scratch, &mut tags);
         assert_eq!(tags.len(), 14);
+    }
+
+    #[test]
+    fn fused_flyover_tags_match_derive_then_mac() {
+        let sv = SecretValue::new([11u8; 16]);
+        let base = sample_info();
+        // More than one stack chunk, with a remainder.
+        let infos: Vec<ResInfo> = (0..75).map(|i| ResInfo { res_id: 900 + i, ..base }).collect();
+        let inputs: Vec<FlyoverMacInput> = (0..75u32)
+            .map(|i| FlyoverMacInput {
+                dst_isd: 1,
+                dst_as: 0x20 + u64::from(i),
+                pkt_len: 100 + i as u16,
+                res_start_offset: 50,
+                millis_ts: i as u16,
+                counter: 3 * i as u16,
+            })
+            .collect();
+        let expected: Vec<Tag> =
+            infos.iter().zip(&inputs).map(|(i, m)| sv.derive_key(i).flyover_mac(m)).collect();
+        for (info, (input, want)) in infos.iter().zip(inputs.iter().zip(&expected)) {
+            assert_eq!(sv.flyover_tag(info, input), *want);
+        }
+        for n in [0, 1, 7, 8, 9, 32, 33, 75] {
+            let mut tags = vec![[0xAA; TAG_LEN]];
+            sv.flyover_tags(&infos[..n], &inputs[..n], &mut tags);
+            assert_eq!(tags[1..], expected[..n], "burst of {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one MAC input per reservation")]
+    fn fused_flyover_tags_check_lengths() {
+        SecretValue::new([1u8; 16]).flyover_tags(&[sample_info()], &[], &mut Vec::new());
     }
 
     #[test]

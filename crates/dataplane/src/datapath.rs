@@ -133,9 +133,9 @@ pub struct DatapathStats {
     pub demoted_overuse: u64,
     /// Flyover packets demoted for staleness / inactive reservation.
     pub demoted_untimely: u64,
-    /// Authentication-key cache hits (the reservation's expanded AES
-    /// schedule was reused instead of recomputed). Zero for engines
-    /// without a key cache.
+    /// Authentication-key cache hits (an expanded key was reused instead
+    /// of derived again). Zero for engines without a key cache, which
+    /// includes the Hummingbird router.
     pub key_cache_hits: u64,
     /// Authentication-key cache misses (a full derivation + key
     /// expansion ran). Zero for engines without a key cache.
@@ -415,18 +415,6 @@ impl DatapathBuilder {
     /// Toggles the optional duplicate-suppression stage (§5.4).
     pub fn duplicate_suppression(mut self, enabled: bool) -> Self {
         self.cfg.duplicate_suppression = enabled;
-        self
-    }
-
-    /// Key-derivation stage: capacity of the per-engine [`AuthKey`]
-    /// cache (expanded `A_i` schedules reused across packets of one
-    /// reservation). `0` disables the cache, re-deriving per packet —
-    /// the configuration the cache-equivalence property tests compare
-    /// against.
-    ///
-    /// [`AuthKey`]: hummingbird_crypto::AuthKey
-    pub fn auth_key_cache(mut self, slots: u32) -> Self {
-        self.cfg.auth_key_cache_slots = slots;
         self
     }
 

@@ -14,11 +14,8 @@
 use crate::datapath::{Datapath, DatapathBuilder, DatapathStats, PacketBuf};
 use crate::dup::DuplicateSuppressor;
 use crate::policing::{Policer, DEFAULT_BURST_TIME_NS};
-use hummingbird_crypto::{
-    flyover_tags_batch_with, AuthKey, AuthKeyCache, BurstKeyResolver, DigestState, FlyoverMacInput,
-    SecretValue, Tag,
-};
-use hummingbird_wire::scion_mac::HopMacKey;
+use hummingbird_crypto::{FlyoverMacInput, ResInfo, SecretValue, Tag};
+use hummingbird_wire::scion_mac::{HopMacInput, HopMacKey};
 
 pub use crate::datapath::{DropReason, Verdict};
 
@@ -38,17 +35,19 @@ pub struct RouterConfig {
     pub burst_time_ns: u64,
     /// Enable the optional duplicate suppression stage.
     pub duplicate_suppression: bool,
-    /// Capacity bound of the per-engine authentication-key cache
-    /// (expanded `A_i` schedules reused across packets of one
-    /// reservation); `0` disables caching and re-derives per packet. The
-    /// cache starts empty and grows with the reservations it sees, up to
-    /// this many keys.
+    /// Capacity bound of a baseline engine's key cache (EPIC's and
+    /// Helia's expanded keys, reused across packets of one source or
+    /// grant); `0` disables caching and re-derives per packet. The cache
+    /// starts empty and grows with the identities it sees, up to this
+    /// many keys. The Hummingbird router has no key cache — it derives
+    /// `A_K` for every flyover packet — and ignores this field.
     pub auth_key_cache_slots: u32,
 }
 
-/// Default [`RouterConfig::auth_key_cache_slots`]: comfortably above the
-/// per-shard live-reservation working set of the evaluation workloads
-/// while keeping the footprint (≈230 B per expanded key) under ~2 MB.
+/// Default [`RouterConfig::auth_key_cache_slots`], and the DRKey
+/// baseline's fixed cache size: comfortably above the per-shard working
+/// set of the evaluation workloads while keeping a full cache (≈230 B
+/// per expanded key) under ~2 MB. Bounds the baselines' caches only.
 pub const DEFAULT_AUTH_KEY_CACHE_SLOTS: u32 = 8_192;
 
 impl Default for RouterConfig {
@@ -279,6 +278,17 @@ pub mod stages {
         timely && active
     }
 
+    /// The input of the current hop field's SCION MAC (Algorithm 4).
+    pub fn hop_mac_input(parsed: &Parsed) -> HopMacInput {
+        HopMacInput {
+            seg_id: parsed.info.seg_id,
+            timestamp: parsed.info.timestamp,
+            exp_time: parsed.hop.exp_time(),
+            cons_ingress: parsed.hop.cons_ingress(),
+            cons_egress: parsed.hop.cons_egress(),
+        }
+    }
+
     /// Stage 4: hop-field expiry and SCION MAC verification (Algorithm 4).
     /// On success returns the recomputed hop-field MAC (needed by
     /// [`advance`] for SegID chaining and AggMAC replacement).
@@ -288,21 +298,25 @@ pub mod stages {
         candidate_mac: &Tag,
         now_s: u64,
     ) -> Result<Tag, DropReason> {
+        check_hop_mac(parsed, candidate_mac, &hop_key.hop_mac(&hop_mac_input(parsed)), now_s)
+    }
+
+    /// Stage 4 with the hop-field MAC already computed: expiry, then the
+    /// comparison with the candidate.
+    fn check_hop_mac(
+        parsed: &Parsed,
+        candidate_mac: &Tag,
+        hop_mac: &Tag,
+        now_s: u64,
+    ) -> Result<Tag, DropReason> {
         let expiry = crate::beacon::hop_field_expiry(parsed.info.timestamp, parsed.hop.exp_time());
         if now_s >= expiry {
             return Err(DropReason::ExpiredHopField);
         }
-        let computed = hop_key.hop_mac(&HopMacInput {
-            seg_id: parsed.info.seg_id,
-            timestamp: parsed.info.timestamp,
-            exp_time: parsed.hop.exp_time(),
-            cons_ingress: parsed.hop.cons_ingress(),
-            cons_egress: parsed.hop.cons_egress(),
-        });
-        if computed != *candidate_mac {
+        if hop_mac != candidate_mac {
             return Err(DropReason::BadMac);
         }
-        Ok(computed)
+        Ok(*hop_mac)
     }
 
     /// Stage 5 (optional, §5.4): duplicate suppression. Runs *after*
@@ -401,20 +415,22 @@ pub mod stages {
         eligible: impl FnOnce(&Parsed, &FlyoverInputs, u64) -> bool,
     ) -> PipelineOutcome {
         let tagged = flyover.map(|(inputs, key)| (inputs, key.flyover_mac(&inputs.mac_input)));
-        complete_with_tag(pkt, now_ns, hop_key, policer, dup, parsed, tagged, eligible)
+        let hop_mac = hop_key.hop_mac(&hop_mac_input(parsed));
+        complete_with_tag(pkt, now_ns, &hop_mac, policer, dup, parsed, tagged, eligible)
     }
 
-    /// [`complete`] with the per-packet flyover MAC already computed —
-    /// the entry point of the batched tag sweep, where a burst's `V_K`
-    /// tags come out of one multi-block AES pass
-    /// (`hummingbird_crypto::flyover_tags_batch`) instead of one
+    /// [`complete`] with the packet's MACs already computed — the entry
+    /// point of batch paths, where a burst's `V_K` tags and hop-field
+    /// MACs each come out of one multi-block AES pass instead of one
     /// invocation per packet. `flyover` pairs the prepared MAC inputs
-    /// with that tag; semantics are otherwise identical to [`complete`].
+    /// with the flyover tag, and `hop_mac` is the hop field's own MAC,
+    /// which stage 4 only compares; semantics are otherwise identical to
+    /// [`complete`].
     #[allow(clippy::too_many_arguments)] // the pipeline's full stage set
     pub fn complete_with_tag(
         pkt: &mut [u8],
         now_ns: u64,
-        hop_key: &HopMacKey,
+        hop_mac: &Tag,
         policer: Option<&mut crate::policing::Policer>,
         dup: Option<&mut DuplicateSuppressor>,
         parsed: &Parsed,
@@ -450,7 +466,7 @@ pub mod stages {
         };
 
         // Stage 4: hop-field expiry + SCION MAC verification.
-        let computed = match verify_hop_mac(hop_key, parsed, &candidate_mac, now_s) {
+        let computed = match check_hop_mac(parsed, &candidate_mac, hop_mac, now_s) {
             Ok(tag) => tag,
             Err(r) => return drop(r),
         };
@@ -538,11 +554,6 @@ pub mod stages {
     }
 }
 
-/// A reservation's identity on the router: its raw `A_K` bytes, hashed
-/// as a PRF output (see [`AuthKeyCache`] for why this is exactly as
-/// precise as keying by `ResInfo` and no easier to attack).
-type RawKey = [u8; 16];
-
 /// Reusable per-burst scratch of the batched
 /// [`Datapath::process_batch`] override, so steady-state bursts allocate
 /// nothing once the vectors reach burst size.
@@ -550,80 +561,47 @@ type RawKey = [u8; 16];
 struct BatchScratch {
     /// Per-packet outcome of the read-only pipeline half.
     prepared: Vec<Result<(stages::Parsed, Option<stages::FlyoverInputs>), DropReason>>,
-    /// Per flyover packet: its raw `A_K`, out of the burst's KDF sweep.
-    raw_keys: Vec<RawKey>,
-    /// Burst reservation dedupe + cache resolution (shared helper).
-    resolver: BurstKeyResolver<RawKey, DigestState>,
-    /// Per flyover packet: the MAC input of the tag sweep.
+    /// Per flyover packet: its reservation and MAC input, the fused
+    /// kernel's input.
+    res_infos: Vec<ResInfo>,
     mac_inputs: Vec<FlyoverMacInput>,
-    /// 16-byte block scratch of the tag sweep.
-    blocks: Vec<[u8; 16]>,
-    /// Expanded keys of the burst's cache misses.
-    derived: Vec<AuthKey>,
-    /// Flyover tags out of the tag sweep, in flyover-packet order.
+    /// Flyover tags out of the fused kernel, in flyover-packet order.
     tags: Vec<Tag>,
+    /// Per parsed packet: its hop-field MAC input, and the MAC out of
+    /// the burst's single-key pass.
+    hop_inputs: Vec<HopMacInput>,
+    hop_macs: Vec<Tag>,
 }
 
-/// A Hummingbird-enabled border router of one AS.
-///
-/// Constructed directly or through [`crate::DatapathBuilder`]; driven
-/// through the [`Datapath`] trait.
-pub struct BorderRouter {
-    sv: SecretValue,
-    hop_key: HopMacKey,
+/// What stages 2b-7 read and write per packet.
+struct RouterState {
     cfg: RouterConfig,
     policer: Policer,
     dup: Option<DuplicateSuppressor>,
-    /// Expanded `A_i` schedules keyed by their raw bytes, one entry per
-    /// live reservation, so key expansion runs once per epoch rather than
-    /// once per packet (`None` when `cfg.auth_key_cache_slots == 0`).
-    key_cache: Option<AuthKeyCache<RawKey, DigestState>>,
     stats: DatapathStats,
-    batch: BatchScratch,
 }
 
-impl BorderRouter {
-    /// Creates a router with the AS's data-plane secrets.
-    pub fn new(sv: SecretValue, hop_key: HopMacKey, cfg: RouterConfig) -> Self {
-        BorderRouter {
-            sv,
-            hop_key,
-            policer: Policer::new(cfg.policer_slots, cfg.burst_time_ns),
-            dup: DatapathBuilder::make_suppressor(&cfg),
-            key_cache: (cfg.auth_key_cache_slots > 0)
-                .then(|| AuthKeyCache::new(cfg.auth_key_cache_slots as usize)),
-            cfg,
-            stats: DatapathStats::default(),
-            batch: BatchScratch::default(),
-        }
-    }
-
-    /// The router's configuration.
-    pub fn config(&self) -> RouterConfig {
-        self.cfg
-    }
-
-    /// Implements Algorithm 2 with Algorithms 1, 3, 4 as the explicit
-    /// [`stages`], via the shared [`stages::run_pipeline`] driver with
-    /// Hummingbird's key derivation: `A_i ← PRF_SV(ResInfo)`, whose raw
-    /// bytes key the per-engine [`AuthKeyCache`] so the AES key
-    /// extension runs once per reservation epoch — the keying
-    /// [`Datapath::process_batch`] uses too.
-    fn process_inner(&mut self, pkt: &mut [u8], now_ns: u64) -> Verdict {
-        let BorderRouter { sv, hop_key, cfg, policer, dup, key_cache, stats, batch: _ } = self;
-        let out = stages::run_pipeline(
+impl RouterState {
+    /// Stages 2b-7 of one prepared packet whose flyover tag and hop-field
+    /// MAC are computed ([`stages::complete_with_tag`] with Hummingbird's
+    /// eligibility rule), with the demotions counted.
+    fn complete(
+        &mut self,
+        pkt: &mut [u8],
+        now_ns: u64,
+        parsed: &stages::Parsed,
+        flyover: Option<(&stages::FlyoverInputs, Tag)>,
+        hop_mac: &Tag,
+    ) -> Verdict {
+        let RouterState { cfg, policer, dup, stats } = self;
+        let out = stages::complete_with_tag(
             pkt,
             now_ns,
-            hop_key,
+            hop_mac,
             Some(policer),
             dup.as_mut(),
-            |_, inputs| {
-                let raw = sv.derive_key_bytes(&inputs.res_info);
-                match key_cache {
-                    Some(cache) => cache.get_or_derive(&raw, || AuthKey::new(raw)).clone(),
-                    None => AuthKey::new(raw),
-                }
-            },
+            parsed,
+            flyover,
             |parsed, inputs, now_ms| stages::freshness(cfg, parsed, &inputs.res_info, now_ms),
         );
         stats.demoted_overuse += u64::from(out.demoted_overuse);
@@ -632,96 +610,115 @@ impl BorderRouter {
     }
 }
 
+/// A Hummingbird-enabled border router of one AS.
+///
+/// Constructed directly or through [`crate::DatapathBuilder`]; driven
+/// through the [`Datapath`] trait. It keeps no key state: every flyover
+/// packet's `A_K` is derived, scheduled on the fly and used in one fused
+/// AES pass ([`SecretValue::flyover_tag`], [`SecretValue::flyover_tags`]),
+/// so a forged packet leaves nothing behind.
+pub struct BorderRouter {
+    sv: SecretValue,
+    hop_key: HopMacKey,
+    state: RouterState,
+    batch: BatchScratch,
+}
+
+impl BorderRouter {
+    /// Creates the router with the AS's data-plane secrets.
+    pub fn new(sv: SecretValue, hop_key: HopMacKey, cfg: RouterConfig) -> Self {
+        BorderRouter {
+            sv,
+            hop_key,
+            state: RouterState {
+                policer: Policer::new(cfg.policer_slots, cfg.burst_time_ns),
+                dup: DatapathBuilder::make_suppressor(&cfg),
+                cfg,
+                stats: DatapathStats::default(),
+            },
+            batch: BatchScratch::default(),
+        }
+    }
+
+    /// The router's configuration.
+    pub fn config(&self) -> RouterConfig {
+        self.state.cfg
+    }
+}
+
 impl Datapath for BorderRouter {
+    /// Algorithm 2 with Algorithms 1, 3, 4 as the explicit [`stages`]:
+    /// `A_i ← PRF_SV(ResInfo)` and the flyover tag under it come out of
+    /// the single-packet fused kernel, then stages 2b-7 run as in the
+    /// batch path.
     fn process(&mut self, pkt: &mut [u8], now_ns: u64) -> Verdict {
-        let verdict = self.process_inner(pkt, now_ns);
-        self.stats.record(verdict);
+        let verdict = match stages::prepare(pkt) {
+            Err(r) => Verdict::Drop(r),
+            Ok((parsed, inputs)) => {
+                let flyover =
+                    inputs.as_ref().map(|i| (i, self.sv.flyover_tag(&i.res_info, &i.mac_input)));
+                let hop_mac = self.hop_key.hop_mac(&stages::hop_mac_input(&parsed));
+                self.state.complete(pkt, now_ns, &parsed, flyover, &hop_mac)
+            }
+        };
+        self.state.stats.record(verdict);
         verdict
     }
 
-    /// The batched Algorithm 2: the read-only pipeline half runs over the
-    /// whole burst first and pre-touches the policer slots; **one AES
-    /// sweep** ([`SecretValue::derive_key_bytes_batch`]) then derives
-    /// the raw `A_K` of every flyover packet, before any lookup; those
-    /// bytes are the identity the burst is **deduplicated** by and
-    /// resolved against the [`AuthKeyCache`] with (so a single-flow
-    /// burst expands its key at most once, and a miss costs only the
-    /// expansion); every flyover tag of the burst comes out of **one
-    /// multi-key AES pass** ([`flyover_tags_batch_with`]). The stateful
-    /// stages (verification, duplicate suppression, header mutation,
-    /// policing) then run per packet in input order — verdicts and stats
-    /// stay element-wise identical to sequential [`Datapath::process`]
-    /// calls, which key the cache the same way (the contract
-    /// `tests/prop_datapath.rs` enforces; repeats within a burst count
-    /// as cache hits, exactly as they would sequentially — see
-    /// [`AuthKeyCache::record_burst_hit`] for the cache-counter
-    /// semantics: when a cache-generation boundary falls inside a burst,
-    /// the *counters* (never the verdicts) can read slightly differently
-    /// from sequential processing).
+    /// The batched Algorithm 2. Pass 1 runs the read-only pipeline half
+    /// over the whole burst and pre-touches the policer slots. The
+    /// burst's crypto then takes two AES passes: the **fused kernel**
+    /// ([`SecretValue::flyover_tags`]) derives every flyover packet's
+    /// `A_K`, runs its schedule round by round and tags the packet under
+    /// it, eight packets at a time; and **one single-key pass**
+    /// ([`HopMacKey::hop_macs`]) computes every packet's hop-field MAC.
+    /// Pass 2 runs the stateful stages (verification, which only
+    /// compares, duplicate suppression, header mutation, policing) per
+    /// packet in input order, so verdicts and stats are element-wise
+    /// identical to sequential [`Datapath::process`] calls (the contract
+    /// `tests/prop_datapath.rs` enforces).
     fn process_batch(&mut self, pkts: &mut [PacketBuf], now_ns: u64, out: &mut Vec<Verdict>) {
-        let BorderRouter { sv, hop_key, cfg, policer, dup, key_cache, stats, batch } = self;
-        let BatchScratch { prepared, raw_keys, resolver, mac_inputs, blocks, derived, tags } =
-            batch;
+        let BorderRouter { sv, hop_key, state, batch } = self;
+        let BatchScratch { prepared, res_infos, mac_inputs, tags, hop_inputs, hop_macs } = batch;
         prepared.clear();
-        raw_keys.clear();
-        resolver.begin();
+        res_infos.clear();
         mac_inputs.clear();
         tags.clear();
+        hop_inputs.clear();
+        hop_macs.clear();
 
         // Pass 1 (read-only): parse + flyover-input reconstruction.
         for pkt in pkts.iter() {
             let prep = stages::prepare(pkt.as_bytes());
-            if let Ok((_, Some(inputs))) = &prep {
-                policer.pre_touch(inputs.res_info.res_id);
-                mac_inputs.push(inputs.mac_input);
+            if let Ok((parsed, inputs)) = &prep {
+                hop_inputs.push(stages::hop_mac_input(parsed));
+                if let Some(inputs) = inputs {
+                    state.policer.pre_touch(inputs.res_info.res_id);
+                    res_infos.push(inputs.res_info);
+                    mac_inputs.push(inputs.mac_input);
+                }
             }
             prepared.push(prep);
         }
 
-        // The amortized per-burst work: one AES sweep derives every
-        // flyover packet's raw A_K; the burst is deduplicated and resolved
-        // against the cache by those bytes; the misses are key-expanded;
-        // and one multi-key AES pass computes every flyover tag.
-        let flyover_infos = prepared.iter().filter_map(|prep| match prep {
-            Ok((_, Some(inputs))) => Some(&inputs.res_info),
-            _ => None,
-        });
-        sv.derive_key_bytes_batch(flyover_infos, raw_keys);
-        for &raw in raw_keys.iter() {
-            resolver.visit(raw, key_cache.as_mut());
-        }
-        derived.extend(resolver.pending().map(|&raw| AuthKey::new(raw)));
-        resolver.fill_pending(derived.drain(..), key_cache.as_mut());
-        flyover_tags_batch_with(|i| resolver.key_of(i), mac_inputs, blocks, tags);
+        sv.flyover_tags(res_infos, mac_inputs, tags);
+        hop_key.hop_macs(hop_inputs, hop_macs);
 
         // Pass 2 (stateful, in input order).
         out.reserve(pkts.len());
-        let mut next_tag = tags.iter();
+        let (mut tags, mut hop_macs) = (tags.iter(), hop_macs.iter());
         for (pkt, prep) in pkts.iter_mut().zip(prepared.drain(..)) {
             let verdict = match prep {
                 Err(r) => Verdict::Drop(r),
                 Ok((parsed, inputs)) => {
-                    let flyover = inputs
-                        .as_ref()
-                        .map(|i| (i, *next_tag.next().expect("one tag per flyover hop")));
-                    let outcome = stages::complete_with_tag(
-                        pkt.bytes_mut(),
-                        now_ns,
-                        hop_key,
-                        Some(&mut *policer),
-                        dup.as_mut(),
-                        &parsed,
-                        flyover,
-                        |parsed, inputs, now_ms| {
-                            stages::freshness(cfg, parsed, &inputs.res_info, now_ms)
-                        },
-                    );
-                    stats.demoted_overuse += u64::from(outcome.demoted_overuse);
-                    stats.demoted_untimely += u64::from(outcome.demoted_untimely);
-                    outcome.verdict
+                    // A flyover hop without its tag fails closed in
+                    // `complete_with_tag`.
+                    let flyover = inputs.as_ref().and_then(|i| Some((i, *tags.next()?)));
+                    let hop_mac = hop_macs.next().expect("one hop MAC per parsed packet");
+                    state.complete(pkt.bytes_mut(), now_ns, &parsed, flyover, hop_mac)
                 }
             };
-            stats.record(verdict);
+            state.stats.record(verdict);
             out.push(verdict);
         }
     }
@@ -731,18 +728,10 @@ impl Datapath for BorderRouter {
     }
 
     fn stats(&self) -> DatapathStats {
-        let mut stats = self.stats;
-        if let Some(cache) = &self.key_cache {
-            stats.key_cache_hits = cache.hits();
-            stats.key_cache_misses = cache.misses();
-        }
-        stats
+        self.state.stats
     }
 
     fn reset_stats(&mut self) {
-        self.stats = DatapathStats::default();
-        if let Some(cache) = &mut self.key_cache {
-            cache.reset_counters();
-        }
+        self.state.stats = DatapathStats::default();
     }
 }

@@ -5,8 +5,8 @@
 //! 2. **Event ordering** — packet events sharing a timestamp dispatch in
 //!    schedule order (the `(time, seq)` FIFO contract churn relies on).
 //! 3. **Churn mechanics** — down/up pairs restore the exact pre-failure
-//!    link set; a reboot wipes all datapath state (caches come back
-//!    cold) without disturbing the flows; a failure's queue drain and a
+//!    link set; a reboot wipes all datapath state (counters and policer
+//!    come back cold) without disturbing the flows; a failure's queue drain and a
 //!    reroute's bump land in the window that starts at their instant.
 //! 4. **Generator invariants** (property tests) — generated backbones
 //!    are connected with no self-loops or duplicate adjacencies, and
@@ -19,7 +19,7 @@
 
 mod common;
 
-use hummingbird_dataplane::RouterConfig;
+use hummingbird_dataplane::{DatapathStats, RouterConfig};
 use hummingbird_netsim::{
     apply_action, run, run_churn_scenario, BackboneSpec, ChurnAction, ChurnOutcome, ChurnReport,
     ChurnSpec, EngineFamily, EngineScenario, FlowSpec, LinkSpec, Route, TopologyBuilder,
@@ -107,9 +107,10 @@ fn churn_down_up_restores_exact_link_set() {
     }
 }
 
-/// A reboot rebuilds the engine from scratch: counters reset, caches
-/// cold — and traffic keeps validating afterwards (keys re-derive from
-/// the same AS secrets).
+/// A reboot rebuilds the engine from scratch: counters reset and the
+/// policer comes back with every reservation's full burst budget — and
+/// traffic keeps validating afterwards (keys re-derive from the same AS
+/// secrets).
 #[test]
 fn reboot_router_wipes_datapath_state() {
     let mut t = TopologyBuilder::ring_of_pops(&BackboneSpec::new(4, 2, 9), START_NS, cfg());
@@ -117,23 +118,29 @@ fn reboot_router_wipes_datapath_state() {
     let flow = t.add_family_flow(
         EngineFamily::Hummingbird,
         Route::new(0, 4), // to PoP 2, router 0: two inter-PoP hops
-        &FlowSpec::cbr(500, 1_000, Some(2_000)),
+        // Twice the credential's rate: the policer demotes the overuse,
+        // so the reservation's slot is full when the router reboots.
+        &FlowSpec::cbr(500, 4_000, Some(2_000)),
         START_NS,
         START_NS + 2 * SEC,
     );
     let transit = 2; // PoP 1, router 0 — on the lane-0 ring path
+    let stats = |t: &TopologyBuilder| t.sim.router_stats(t.as_nodes[transit]).unwrap();
     t.sim.run_until(START_NS + SEC);
-    let before = t.sim.router_stats(t.as_nodes[transit]).unwrap();
+    let before = stats(&t);
     assert!(before.processed > 0);
-    assert!(before.key_cache_hits > 0, "warm cache before the reboot: {before:?}");
+    assert!(before.demoted_overuse > 0, "policer at work before the reboot: {before:?}");
     let discarded = t.reboot_router(transit);
     assert_eq!(discarded, before);
-    let wiped = t.sim.router_stats(t.as_nodes[transit]).unwrap();
-    assert_eq!(wiped.processed, 0, "reboot must wipe the engine: {wiped:?}");
+    assert_eq!(stats(&t), DatapathStats::default(), "reboot must wipe the counters");
+    // A cold policer admits the next 20 ms whole (its 50 ms budget
+    // outlasts them); the full slot would have demoted about half.
+    t.sim.run_until(START_NS + SEC + 20_000_000);
+    let early = stats(&t);
+    assert!(early.flyover > 0, "traffic reaches the rebooted router: {early:?}");
+    assert_eq!(early.demoted_overuse, 0, "cold policer after the reboot: {early:?}");
     t.sim.run_until(START_NS + 3 * SEC);
-    let after = t.sim.router_stats(t.as_nodes[transit]).unwrap();
-    assert!(after.processed > 0);
-    assert!(after.key_cache_misses > 0, "cold cache after the reboot: {after:?}");
+    assert!(stats(&t).processed > early.processed);
     let s = t.sim.stats(flow);
     assert!(s.delivery_ratio() > 0.99, "traffic must keep validating: {s:?}");
 }

@@ -68,11 +68,34 @@ impl HopMacKey {
 
     /// Computes the 6-byte hop-field MAC.
     pub fn hop_mac(&self, input: &HopMacInput) -> Tag {
-        let full = self.cmac.mac(&input.to_block());
-        let mut tag = [0u8; TAG_LEN];
-        tag.copy_from_slice(&full[..TAG_LEN]);
-        tag
+        truncate(&self.cmac.mac(&input.to_block()))
     }
+
+    /// [`hop_mac`](HopMacKey::hop_mac) over a burst: appends the MAC of
+    /// every input, in order, to `out`. One key, so AES-NI keeps eight
+    /// blocks in flight ([`Cmac::mac_blocks`]); the blocks live on the
+    /// stack.
+    pub fn hop_macs(&self, inputs: &[HopMacInput], out: &mut Vec<Tag>) {
+        /// Inputs per stack chunk: a burst, and a multiple of the lanes.
+        const CHUNK: usize = 32;
+        out.reserve(inputs.len());
+        for chunk in inputs.chunks(CHUNK) {
+            let mut blocks = [[0u8; 16]; CHUNK];
+            let blocks = &mut blocks[..chunk.len()];
+            for (block, input) in blocks.iter_mut().zip(chunk) {
+                *block = input.to_block();
+            }
+            self.cmac.mac_blocks(blocks);
+            out.extend(blocks.iter().map(truncate));
+        }
+    }
+}
+
+/// A CMAC block cut to the [`TAG_LEN`] bytes a hop field carries.
+fn truncate(full: &[u8; 16]) -> Tag {
+    let mut tag = [0u8; TAG_LEN];
+    tag.copy_from_slice(&full[..TAG_LEN]);
+    tag
 }
 
 /// Applies the SegID chaining rule: `β' = β ⊕ MAC[0..2]`.
@@ -136,6 +159,27 @@ mod tests {
             HopMacInput { cons_egress: 6, ..base },
         ] {
             assert_ne!(key.hop_mac(&variant), m, "{variant:?}");
+        }
+    }
+
+    #[test]
+    fn burst_hop_macs_match_hop_mac_on_every_block() {
+        let key = HopMacKey::new([7u8; 16]);
+        let base = sample_input();
+        let inputs: Vec<HopMacInput> = (0..40u16)
+            .map(|i| HopMacInput {
+                seg_id: base.seg_id ^ i.wrapping_mul(0x9e37),
+                timestamp: base.timestamp + u32::from(i),
+                exp_time: i as u8,
+                cons_ingress: i % 5,
+                cons_egress: i % 7,
+            })
+            .collect();
+        for n in 0..=inputs.len() {
+            let mut macs = Vec::new();
+            key.hop_macs(&inputs[..n], &mut macs);
+            let expected: Vec<Tag> = inputs[..n].iter().map(|i| key.hop_mac(i)).collect();
+            assert_eq!(macs, expected, "burst of {n}");
         }
     }
 

@@ -8,12 +8,13 @@
 //!    whether a packet's bytes are used directly, round-tripped through
 //!    the owned `Packet` repr, or wrapped in a checked zero-copy
 //!    `PacketView` first.
-//! 3. **Cache flips inside bursts** (ROADMAP 3(d)) — with a key cache
+//! 3. **Cached ≡ uncached** on EPIC, the engine whose batch path
+//!    resolves keys through `BurstKeyResolver` — and with a key cache
 //!    small enough that its generations flip mid-burst, batch ≡
-//!    sequential still holds, and the router's `A_K`-keyed cache counts
-//!    exactly the hits and misses a `ResInfo`-keyed cache would.
+//!    sequential still holds and each path counts exactly the hits and
+//!    misses a replayed `AuthKeyCache` counts.
 
-use hummingbird::crypto::{AuthKeyCache, BurstKeyResolver};
+use hummingbird::crypto::{AuthKey, AuthKeyCache, BurstKeyResolver};
 use hummingbird::dataplane::router::stages;
 use hummingbird::dataplane::{
     forge_path, BeaconHop, Datapath, DatapathBuilder, PacketBuf, RouterConfig, SourceGenerator,
@@ -107,6 +108,16 @@ fn router() -> DatapathBuilder {
     DatapathBuilder::new(sv(0), hop_key(0))
 }
 
+/// A hop-0 EPIC engine with a key cache of `cache_slots` (0: none).
+fn epic_engine(cache_slots: u32, dup: bool) -> Box<dyn Datapath + Send> {
+    let cfg = RouterConfig {
+        duplicate_suppression: dup,
+        auth_key_cache_slots: cache_slots,
+        ..RouterConfig::default()
+    };
+    hop0_engine(EngineFamily::Epic, cfg)
+}
+
 /// An EPIC-stamped mixed workload from up to three source ASes: per spec
 /// `(src_choice, payload, stale, corrupt)`, a packet authenticated under
 /// the verifying AS's EPIC key for that source — optionally stamped 10 s
@@ -182,50 +193,20 @@ proptest! {
 
     /// EPIC-stamped traffic from several sources: batch ≡ sequential with
     /// verdicts that actually validate (plus stale/corrupt packets mixed
-    /// in), and cached ≡ uncached key derivation through both paths.
+    /// in).
     #[test]
     fn epic_stamped_batch_and_cache_equivalence(
         specs in prop::collection::vec((0u8..3, 0u16..400, any::<bool>(), any::<bool>()), 1..16),
         dup in any::<bool>(),
     ) {
         let packets = epic_workload(&specs);
-        let make = |cache_slots: u32| -> Box<dyn Datapath + Send> {
-            let cfg = RouterConfig {
-                duplicate_suppression: dup,
-                auth_key_cache_slots: cache_slots,
-                ..RouterConfig::default()
-            };
-            hop0_engine(EngineFamily::Epic, cfg)
-        };
-        let mut probe = make(0);
+        let make = || epic_engine(RouterConfig::default().auth_key_cache_slots, dup);
+        let mut probe = make();
         let fresh = epic_workload(&[(0, 64, false, false)]);
         let v = probe.process(&mut fresh[0].clone(), NOW_NS);
         prop_assert!(matches!(v, hummingbird::dataplane::Verdict::BestEffort { .. }),
             "stamped packet must validate best-effort: {:?}", v);
-
-        // Batch ≡ sequential on the default (cached) configuration.
-        assert_batch_matches_sequential(
-            make(RouterConfig::default().auth_key_cache_slots),
-            make(RouterConfig::default().auth_key_cache_slots),
-            packets.clone(),
-        )?;
-
-        // Cached ≡ uncached: verdicts agree packet by packet, and core
-        // stats agree once the cache counters are masked off.
-        let mut cached = make(RouterConfig::default().auth_key_cache_slots);
-        let mut uncached = make(0);
-        for pkt in &packets {
-            let a = cached.process(&mut pkt.clone(), NOW_NS);
-            let b = uncached.process(&mut pkt.clone(), NOW_NS);
-            prop_assert_eq!(a, b, "cached EPIC verdict diverged");
-        }
-        let mut cached_stats = cached.stats();
-        let uncached_stats = uncached.stats();
-        prop_assert_eq!(uncached_stats.key_cache_hits, 0, "disabled cache must not count");
-        prop_assert_eq!(uncached_stats.key_cache_misses, 0, "disabled cache must not count");
-        cached_stats.key_cache_hits = 0;
-        cached_stats.key_cache_misses = 0;
-        prop_assert_eq!(cached_stats, uncached_stats, "core stats diverged");
+        assert_batch_matches_sequential(make(), make(), packets)?;
     }
 
     /// Helia-stamped packets also verify batch ≡ sequential with verdicts
@@ -247,18 +228,19 @@ proptest! {
         assert_batch_matches_sequential(make(), make(), packets)?;
     }
 
-    /// AuthKey-cache ≡ uncached: a router resolving `A_i` through the
-    /// per-engine key cache reaches identical verdicts and core stats to
-    /// one that re-derives (and re-expands) per packet, through both the
-    /// sequential and the batch path.
+    /// AuthKey-cache ≡ uncached on EPIC: an engine resolving its
+    /// per-source keys through the key cache reaches identical verdicts
+    /// and core stats to one that re-derives (and re-expands) per packet,
+    /// through both the sequential and the batch path.
     #[test]
     fn cached_key_derivation_equals_uncached(
-        n_hops in 1usize..5,
-        specs in prop::collection::vec((0u16..600, any::<bool>(), any::<bool>()), 1..24),
+        specs in prop::collection::vec((0u8..3, 0u16..400, any::<bool>(), any::<bool>()), 1..24),
+        dup in any::<bool>(),
     ) {
-        let packets = workload(n_hops, &specs);
-        let mut cached = router().build_boxed();
-        let mut uncached = router().auth_key_cache(0).build_boxed();
+        let packets = epic_workload(&specs);
+        let cached_slots = RouterConfig::default().auth_key_cache_slots;
+        let mut cached = epic_engine(cached_slots, dup);
+        let mut uncached = epic_engine(0, dup);
         for pkt in &packets {
             let a = cached.process(&mut pkt.clone(), NOW_NS);
             let b = uncached.process(&mut pkt.clone(), NOW_NS);
@@ -268,16 +250,16 @@ proptest! {
         let uncached_stats = uncached.stats();
         prop_assert_eq!(uncached_stats.key_cache_hits, 0, "disabled cache must not count");
         prop_assert_eq!(uncached_stats.key_cache_misses, 0, "disabled cache must not count");
-        // The workload repeats one reservation, so any second flyover
-        // lookup is a hit; core counters agree once cache fields align.
+        // The workload repeats three sources, so any second lookup is a
+        // hit; core counters agree once cache fields align.
         cached_stats.key_cache_hits = 0;
         cached_stats.key_cache_misses = 0;
         prop_assert_eq!(cached_stats, uncached_stats, "core stats diverged");
 
         // Batch path: same equivalence, and batch ≡ sequential counters
         // on the cached engine (burst repeats count as hits).
-        let mut cached_batch = router().build_boxed();
-        let mut uncached_batch = router().auth_key_cache(0).build_boxed();
+        let mut cached_batch = epic_engine(cached_slots, dup);
+        let mut uncached_batch = epic_engine(0, dup);
         let mut bufs_a: Vec<PacketBuf> = packets.iter().cloned().map(PacketBuf::new).collect();
         let mut bufs_b: Vec<PacketBuf> = packets.into_iter().map(PacketBuf::new).collect();
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
@@ -322,43 +304,25 @@ proptest! {
     }
 }
 
-/// Per spec `(res_id, forged, bw, start_back_s, duration)`: one flyover
-/// packet at hop 0 of a two-hop path. Valid ones carry a reservation
-/// keyed under the router's SV; forged ones carry an attacker-chosen
-/// `ResInfo` keyed under a wrong SV, which the router still derives a
-/// key for (the MAC check comes after) before dropping the packet.
-fn flyover_mix(specs: &[(u32, bool, u16, u32, u16)]) -> Vec<Vec<u8>> {
-    let (ingress, egress) = interfaces(2, 0);
-    let (router_sv, wrong_sv) = (sv(0), SecretValue::new([0xEE; 16]));
-    let mut sender =
-        SourceGenerator::new(IsdAs::new(1, 0x10), IsdAs::new(2, 0x20), beaconed_path(2));
+/// Per spec `(src, forged, stale)`: one EPIC-stamped packet at hop 0 of
+/// the two-hop path from source AS `0x10 + src`. Forged ones carry a
+/// credential under a wrong DRKey master, which the engine still derives
+/// (and caches) a key for before the MAC check drops the packet; stale
+/// ones are dropped before key derivation.
+fn epic_source_mix(specs: &[(u64, bool, bool)]) -> Vec<Vec<u8>> {
+    const WRONG_MASTER: [u8; 16] = [0xEE; 16];
     specs
         .iter()
         .enumerate()
-        .map(|(i, &(res_id, forged, bw_encoded, start_back_s, duration))| {
-            let res_info = ResInfo {
-                ingress,
-                egress,
-                res_id,
-                bw_encoded,
-                res_start: NOW_S as u32 - start_back_s,
-                duration,
-            };
-            let key = if forged { &wrong_sv } else { &router_sv }.derive_key(&res_info);
-            sender.attach_reservation(0, SourceReservation { res_info, key }).unwrap();
-            sender.generate(&[0u8; 64], NOW_MS + i as u64).unwrap()
-        })
-        .collect()
-}
-
-/// The `ResInfo` the router reconstructs from each packet that reaches
-/// key derivation, in packet order.
-fn derived_res_infos(packets: &[Vec<u8>]) -> Vec<ResInfo> {
-    packets
-        .iter()
-        .filter_map(|p| match stages::prepare(p) {
-            Ok((_, Some(inputs))) => Some(inputs.res_info),
-            _ => None,
+        .map(|(i, &(src, forged, stale))| {
+            let src = IsdAs::new(1, 0x10 + src);
+            let master = if forged { &WRONG_MASTER } else { &MASTER };
+            let credential =
+                EngineFamily::Epic.credential(&sv(0), master, 0, 1, &mut 1, src, 0, NOW_S);
+            let mut sender = SourceGenerator::new(src, IsdAs::new(2, 0x20), beaconed_path(2));
+            sender.attach_reservation(0, credential).unwrap();
+            let at = if stale { NOW_MS - 10_000 } else { NOW_MS } + i as u64;
+            sender.generate(&[0u8; 64], at).unwrap()
         })
         .collect()
 }
@@ -366,25 +330,21 @@ fn derived_res_infos(packets: &[Vec<u8>]) -> Vec<ResInfo> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// ROADMAP 3(d), cache rollover mid-burst: a cache of a few slots
-    /// flips generations inside most bursts; repeats within a burst and
-    /// forged wrong-SV flyovers on attacker-chosen `ResInfo`s are mixed
-    /// in. Verdicts stay batch ≡ sequential, and each path's hit/miss
-    /// counters equal a `ResInfo`-keyed `AuthKeyCache` replaying what
-    /// that path does (per packet sequentially; per burst — dedupe,
-    /// lookups, then inserts — in batch).
+    /// Cache rollover mid-burst: an EPIC key cache of a few slots flips
+    /// generations inside most bursts; repeats within a burst, forged
+    /// sources and stale packets are mixed in. Verdicts stay batch ≡
+    /// sequential, and each path's hit/miss counters equal an
+    /// `AuthKeyCache` over the source identities replaying what that path
+    /// does (per packet sequentially; per burst — dedupe, lookups, then
+    /// inserts — in batch).
     #[test]
     fn key_cache_flips_inside_bursts_keep_batch_equal_to_sequential(
-        specs in prop::collection::vec(
-            (1u32..24, any::<bool>(), 1u16..1024, 0u32..3000, 3600u16..7200),
-            1..96,
-        ),
+        specs in prop::collection::vec((0u64..24, any::<bool>(), any::<bool>()), 1..96),
         slots in 2u32..12,
         burst in 1usize..33,
     ) {
-        let packets = flyover_mix(&specs);
-        let make = || router().auth_key_cache(slots).build_boxed();
-        let (mut seq_engine, mut batch_engine) = (make(), make());
+        let packets = epic_source_mix(&specs);
+        let (mut seq_engine, mut batch_engine) = (epic_engine(slots, false), epic_engine(slots, false));
 
         let sequential: Vec<_> =
             packets.iter().map(|p| seq_engine.process(&mut p.clone(), NOW_NS)).collect();
@@ -395,31 +355,37 @@ proptest! {
         }
         prop_assert_eq!(&batched, &sequential, "batch verdicts diverge from sequential");
 
-        let infos = derived_res_infos(&packets);
-        let derive = |info: &ResInfo| sv(0).derive_key(info);
-        let mut seq_ref: AuthKeyCache = AuthKeyCache::new(slots as usize);
-        for info in &infos {
-            seq_ref.get_or_derive(info, || derive(info));
+        // The identity of each packet that reaches key derivation: fresh
+        // and tagged. Any key will do, only the counters are compared.
+        let cache_id = |p: &Vec<u8>| match stages::prepare(p) {
+            Ok((parsed, Some(inputs)))
+                if stages::freshness(&RouterConfig::default(), &parsed, &inputs.res_info, NOW_MS) =>
+            {
+                Some((parsed.addr.src, parsed.addr.src_host))
+            }
+            _ => None,
+        };
+        let key = || AuthKey::new([0; 16]);
+        let mut seq_ref: AuthKeyCache<(IsdAs, [u8; 4])> = AuthKeyCache::new(slots as usize);
+        for id in packets.iter().filter_map(cache_id) {
+            seq_ref.get_or_derive(&id, key);
         }
         let seq = seq_engine.stats();
         prop_assert_eq!((seq.key_cache_hits, seq.key_cache_misses),
-            (seq_ref.hits(), seq_ref.misses()), "sequential counters differ from ResInfo keying");
+            (seq_ref.hits(), seq_ref.misses()), "sequential counters differ from the replay");
 
-        // Every packet here reaches key derivation, so bursts of packets
-        // and bursts of `ResInfo`s line up.
-        prop_assert_eq!(infos.len(), packets.len());
-        let mut batch_ref: AuthKeyCache = AuthKeyCache::new(slots as usize);
+        let mut batch_ref: AuthKeyCache<(IsdAs, [u8; 4])> = AuthKeyCache::new(slots as usize);
         let mut resolver = BurstKeyResolver::new();
-        for chunk in infos.chunks(burst) {
+        for chunk in packets.chunks(burst) {
             resolver.begin();
-            for info in chunk {
-                resolver.visit(*info, Some(&mut batch_ref));
+            for id in chunk.iter().filter_map(cache_id) {
+                resolver.visit(id, Some(&mut batch_ref));
             }
-            let keys: Vec<_> = resolver.pending().map(derive).collect();
+            let keys: Vec<_> = resolver.pending().map(|_| key()).collect();
             resolver.fill_pending(keys, Some(&mut batch_ref));
         }
         let batch = batch_engine.stats();
         prop_assert_eq!((batch.key_cache_hits, batch.key_cache_misses),
-            (batch_ref.hits(), batch_ref.misses()), "batch counters differ from ResInfo keying");
+            (batch_ref.hits(), batch_ref.misses()), "batch counters differ from the replay");
     }
 }

@@ -187,20 +187,20 @@ proptest! {
         prop_assert!(map.res_id_range(active[0]).contains(&res_id));
     }
 
-    /// Key-cache correctness across shard steering: per-shard `AuthKey`
-    /// caches behave exactly like one engine-wide cache, because every
-    /// reservation steers to one shard — aggregate hit/miss counters
-    /// match a single engine, and revisiting the same flows adds hits
-    /// but never misses (each revisit lands on the shard that already
-    /// holds the expanded schedule).
+    /// Key-cache correctness across shard steering, on EPIC (the
+    /// Hummingbird router keeps no key cache): per-shard `AuthKey` caches
+    /// behave exactly like one engine-wide cache, because every source
+    /// steers to one shard — aggregate hit/miss counters match a single
+    /// engine, and revisiting the same flows adds hits but never misses
+    /// (each revisit lands on the shard that already holds the key).
     #[test]
     fn key_cache_counters_survive_sharding(
         shards in 1usize..6,
         specs in prop::collection::vec((any::<u8>(), 0u16..400, any::<bool>()), 1..24),
     ) {
-        let packets = workload(&specs);
-        let mut single = make_engine(false);
-        let mut sharded = make_sharded(shards, false);
+        let packets = epic_workload(&specs);
+        let mut single = make_epic(false);
+        let mut sharded = make_sharded_epic(shards, false);
         for pkt in &packets {
             single.process(&mut pkt.clone(), NOW_NS);
             sharded.process(&mut pkt.clone(), NOW_NS);
