@@ -15,8 +15,8 @@
 //! * **`ni`** — AES-NI via `std::arch::x86_64` intrinsics
 //!   (`AESENC`/`AESENCLAST`, the latter also as the key schedule's
 //!   S-box), selected at runtime with
-//!   `is_x86_feature_detected!("aes")` and falling back to `soft`
-//!   otherwise.
+//!   `is_x86_feature_detected!("aes")` (and `"ssse3"`, for the key
+//!   schedule's byte shuffle) and falling back to `soft` otherwise.
 //!
 //! # Backend selection
 //!
@@ -141,11 +141,12 @@ impl AesBackend {
     }
 }
 
-/// Whether AES-NI is available on this CPU.
+/// Whether AES-NI is available on this CPU (with SSSE3, whose byte
+/// shuffle the key schedule uses; every AES-NI CPU has it).
 pub fn ni_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("aes")
+        std::arch::is_x86_feature_detected!("aes") && std::arch::is_x86_feature_detected!("ssse3")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -575,17 +576,17 @@ fn encrypt4_soft(rks: [&[u32; RK_WORDS]; SOFT_LANES], blocks: &mut [[u8; BLOCK_S
 #[allow(unsafe_code)]
 mod ni {
     //! AES-NI kernels. Every function carries
-    //! `#[target_feature(enable = "aes")]`; the soundness condition for
-    //! calling them is that `super::ni_available()` returned true, which
-    //! is established once at key-expansion time (`Keys::Ni` values exist
-    //! only on AES-capable CPUs).
+    //! `#[target_feature(enable = "aes,ssse3")]`; the soundness condition
+    //! for calling them is that `super::ni_available()` returned true,
+    //! which is established once at key-expansion time (`Keys::Ni` values
+    //! exist only on CPUs with both).
     #![deny(unsafe_op_in_unsafe_fn)]
 
     use super::{BLOCK_SIZE, KEY_SIZE, RCON, ROUND_KEYS};
     use std::arch::x86_64::{
-        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_or_si128,
-        _mm_set1_epi32, _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_epi32, _mm_slli_si128,
-        _mm_srli_epi32, _mm_storeu_si128, _mm_xor_si128,
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_set1_epi32,
+        _mm_set_epi8, _mm_setzero_si128, _mm_shuffle_epi8, _mm_slli_si128, _mm_storeu_si128,
+        _mm_xor_si128,
     };
 
     /// Blocks kept in flight by the batch kernels: `AESENC` latency is
@@ -615,27 +616,24 @@ mod ni {
     /// on many cores (≈ 55 vs ≈ 18 ns per key here), and a border router
     /// runs a whole schedule for every flyover packet.
     ///
-    /// With the last word `w3` broadcast to all four columns, ShiftRows
-    /// moves nothing, so `AESENCLAST(w3 × 4, rc)` is `SubWord(w3) ⊕ rc`
-    /// in every column; rotating each column right by 8 bits then gives
-    /// `RotWord(SubWord(w3)) ⊕ Rcon = SubWord(RotWord(w3)) ⊕ Rcon` when
-    /// `rc` is `Rcon` pre-rotated left by 8 bits. The running XOR of the
-    /// previous round key's words is a two-step prefix XOR.
+    /// `PSHUFB` broadcasts `RotWord(w3)` of the last word to all four
+    /// columns. ShiftRows then moves nothing, so `AESENCLAST(·, Rcon × 4)`
+    /// is `SubWord(RotWord(w3)) ⊕ Rcon` in every column: one shuffle and
+    /// one `AESENCLAST` on the critical path. The running XOR of the
+    /// previous round key's words is a two-step prefix XOR beside it.
     #[inline]
-    #[target_feature(enable = "aes")]
+    #[target_feature(enable = "aes,ssse3")]
     fn next_round_key(prev: __m128i, rcon: u8) -> __m128i {
-        let sub = _mm_aesenclast_si128(
-            _mm_shuffle_epi32(prev, 0xff),
-            _mm_set1_epi32(i32::from(rcon) << 8),
-        );
-        let t = _mm_or_si128(_mm_srli_epi32(sub, 8), _mm_slli_epi32(sub, 24));
+        let rot_w3 = _mm_set_epi8(12, 15, 14, 13, 12, 15, 14, 13, 12, 15, 14, 13, 12, 15, 14, 13);
+        let t =
+            _mm_aesenclast_si128(_mm_shuffle_epi8(prev, rot_w3), _mm_set1_epi32(i32::from(rcon)));
         let mut k = _mm_xor_si128(prev, _mm_slli_si128(prev, 4));
         k = _mm_xor_si128(k, _mm_slli_si128(k, 8));
         _mm_xor_si128(k, t)
     }
 
     /// The full schedule, one [`next_round_key`] step per round.
-    #[target_feature(enable = "aes")]
+    #[target_feature(enable = "aes,ssse3")]
     pub(super) fn expand(key: &[u8; KEY_SIZE]) -> Schedule {
         let mut rk = [_mm_setzero_si128(); ROUND_KEYS];
         rk[0] = load(key);
@@ -647,7 +645,7 @@ mod ni {
 
     /// `N` blocks under one schedule, round-major.
     #[inline]
-    #[target_feature(enable = "aes")]
+    #[target_feature(enable = "aes,ssse3")]
     fn encrypt_n<const N: usize>(s: &Schedule, mut v: [__m128i; N]) -> [__m128i; N] {
         for lane in v.iter_mut() {
             *lane = _mm_xor_si128(*lane, s.0[0]);
@@ -668,7 +666,7 @@ mod ni {
     /// and goes straight into its lane's `AESENC`, so none is stored.
     /// The lanes are independent chains, interleaved round by round.
     #[inline]
-    #[target_feature(enable = "aes")]
+    #[target_feature(enable = "aes,ssse3")]
     fn encrypt_fresh_keys<const N: usize>(
         mut keys: [__m128i; N],
         mut v: [__m128i; N],
@@ -691,7 +689,7 @@ mod ni {
     /// `N` lanes of the fused kernel: each lane's key is derived under
     /// `sv`, then encrypts that lane's block on the fly.
     #[inline]
-    #[target_feature(enable = "aes")]
+    #[target_feature(enable = "aes,ssse3")]
     fn derive_and_encrypt_n<const N: usize>(
         sv: &Schedule,
         key_inputs: &[[u8; BLOCK_SIZE]],
@@ -706,7 +704,7 @@ mod ni {
 
     /// The fused derive-and-encrypt kernel: [`LANES`]-wide groups, then
     /// one lane at a time.
-    #[target_feature(enable = "aes")]
+    #[target_feature(enable = "aes,ssse3")]
     pub(super) fn derive_and_encrypt_blocks(
         sv: &Schedule,
         key_inputs: &[[u8; BLOCK_SIZE]],
@@ -724,7 +722,7 @@ mod ni {
     /// The on-the-fly half of the fused kernel alone: every block under
     /// `key`, for known-answer tests.
     #[cfg(test)]
-    #[target_feature(enable = "aes")]
+    #[target_feature(enable = "aes,ssse3")]
     pub(super) fn encrypt_fresh_key<const N: usize>(
         key: &[u8; KEY_SIZE],
         blocks: &mut [[u8; BLOCK_SIZE]; N],
@@ -735,7 +733,7 @@ mod ni {
         }
     }
 
-    #[target_feature(enable = "aes")]
+    #[target_feature(enable = "aes,ssse3")]
     pub(super) fn encrypt_block(s: &Schedule, block: &mut [u8; BLOCK_SIZE]) {
         let mut b = _mm_xor_si128(load(block), s.0[0]);
         for r in 1..10 {
@@ -745,7 +743,7 @@ mod ni {
     }
 
     /// Single-key batch: [`LANES`] blocks in flight per group.
-    #[target_feature(enable = "aes")]
+    #[target_feature(enable = "aes,ssse3")]
     pub(super) fn encrypt_blocks(s: &Schedule, blocks: &mut [[u8; BLOCK_SIZE]]) {
         let mut chunks = blocks.chunks_exact_mut(LANES);
         for chunk in &mut chunks {
@@ -770,7 +768,7 @@ mod ni {
 
     /// Multi-key batch: `blocks[i]` under `scheds[i]` — the per-burst
     /// flyover-tag shape (one reservation key per packet).
-    #[target_feature(enable = "aes")]
+    #[target_feature(enable = "aes,ssse3")]
     pub(super) fn encrypt_lanes(
         scheds: &[&Schedule; LANES],
         blocks: &mut [[u8; BLOCK_SIZE]; LANES],
