@@ -59,9 +59,9 @@ pub struct HeliaDatapath {
     hop_key: HopMacKey,
     cfg: RouterConfig,
     policer: Policer,
-    /// `(source AS, slot, res_id, bw)` → expanded packet key: the same
-    /// [`AuthKeyCache`] the Hummingbird router uses, instantiated over
-    /// Helia's grant identity, so consecutive packets of one flow skip
+    /// `(source AS, slot, res_id, bw)` → expanded packet key: the shared
+    /// [`AuthKeyCache`], instantiated over Helia's grant identity, so
+    /// consecutive packets of one flow skip
     /// the DRKey derivation chain *and* the AES key expansion (a real
     /// Helia router holds per-grant keys for the whole slot). `None`
     /// when `cfg.auth_key_cache_slots == 0`.

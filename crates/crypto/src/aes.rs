@@ -45,7 +45,7 @@
 //! the per-burst key derivations. Both are bit-for-bit identical to the
 //! single-block loop.
 //!
-//! [`Aes128::derive_and_encrypt_blocks`] is the fused kernel for keys
+//! `Aes128::derive_and_encrypt_blocks` is the fused kernel for keys
 //! that live for one block: it derives block `i`'s key under this cipher
 //! and encrypts the block under it, computing that key's schedule round
 //! by round as it is applied (AES-NI: 8 lanes plus a one-lane remainder),
@@ -348,7 +348,7 @@ impl Aes128 {
     /// `key_input`: `Aes128::new(&self.encrypt(key_input)).encrypt(block)`,
     /// without storing the derived key's schedule (see
     /// [`derive_and_encrypt_blocks`](Aes128::derive_and_encrypt_blocks)).
-    pub fn derive_and_encrypt(
+    pub(crate) fn derive_and_encrypt(
         &self,
         key_input: &[u8; BLOCK_SIZE],
         block: &[u8; BLOCK_SIZE],
@@ -375,7 +375,7 @@ impl Aes128 {
     ///
     /// If `key_inputs.len() != blocks.len()`.
     #[allow(unsafe_code)] // `Keys::Ni` implies runtime-detected AES-NI
-    pub fn derive_and_encrypt_blocks(
+    pub(crate) fn derive_and_encrypt_blocks(
         &self,
         key_inputs: &[[u8; BLOCK_SIZE]],
         blocks: &mut [[u8; BLOCK_SIZE]],

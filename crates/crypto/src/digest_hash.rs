@@ -34,7 +34,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DigestHasher(u64);
 
-// `#[inline]` throughout: every caller (ledger, control plane, router)
+// `#[inline]` throughout: every caller (ledger, control plane)
 // is in another crate, where a non-generic function is not inlined
 // without it — and a call per hash is most of what this type saves.
 impl Hasher for DigestHasher {

@@ -18,9 +18,9 @@
 //! budget possible.
 
 use crate::aes::Aes128;
-use std::collections::hash_map::{Entry, RandomState};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
+use std::hash::Hash;
 
 /// Tag length ℓ_tag in bytes (§5.4: 6 bytes ⇒ ~2^47 online brute-force work).
 pub const TAG_LEN: usize = 6;
@@ -131,29 +131,13 @@ impl SecretValue {
         self.cipher.encrypt(&info.to_kdf_block())
     }
 
-    /// Derives the raw key bytes of a whole burst in one AES sweep: the
-    /// PRF inputs are serialized, then encrypted together via
-    /// [`Aes128::encrypt_blocks`] (round-major over the batch, several
-    /// blocks in flight) — the per-burst amortization the paper's DPDK
-    /// router performs when it derives every `A_i` of a packet burst
-    /// back to back. Appends one key per `ResInfo`, in order, to `out`;
-    /// element-wise identical to
-    /// [`derive_key_bytes`](SecretValue::derive_key_bytes).
-    pub fn derive_key_bytes_batch<'a>(
-        &self,
-        infos: impl IntoIterator<Item = &'a ResInfo>,
-        out: &mut Vec<[u8; 16]>,
-    ) {
-        let start = out.len();
-        out.extend(infos.into_iter().map(ResInfo::to_kdf_block));
-        self.cipher.encrypt_blocks(&mut out[start..]);
-    }
-
-    /// [`derive_key_bytes_batch`](SecretValue::derive_key_bytes_batch)
-    /// followed by the key expansion of every result. Appends one key per
-    /// `ResInfo`, in order, to `out`; the result is element-wise
-    /// identical to calling [`derive_key`](SecretValue::derive_key) per
-    /// reservation. The border router does not call this — it derives
+    /// Derives and expands the keys of a whole burst: the PRF inputs are
+    /// serialized, encrypted together via [`Aes128::encrypt_blocks`]
+    /// (round-major over the batch, several blocks in flight), and each
+    /// result is expanded. Appends one key per `ResInfo`, in order, to
+    /// `out`; the result is element-wise identical to calling
+    /// [`derive_key`](SecretValue::derive_key) per reservation. The
+    /// border router does not call this — it derives
     /// and uses each key inside one fused pass
     /// ([`flyover_tags`](SecretValue::flyover_tags)) — but it is the
     /// one-call form for callers that want every key expanded (and the
@@ -168,7 +152,8 @@ impl SecretValue {
         out: &mut Vec<AuthKey>,
     ) {
         scratch.clear();
-        self.derive_key_bytes_batch(infos, scratch);
+        scratch.extend(infos.iter().map(ResInfo::to_kdf_block));
+        self.cipher.encrypt_blocks(scratch);
         out.reserve(infos.len());
         out.extend(scratch.iter().map(|bytes| AuthKey::new(*bytes)));
     }
@@ -176,7 +161,7 @@ impl SecretValue {
     /// The flyover tag `V_K` of one packet, straight from its
     /// reservation: `A_K` (Eq. 2) is derived and MACs `input` (Eq. 3) in
     /// one fused AES pass that never stores the key's schedule
-    /// ([`Aes128::derive_and_encrypt`]). Equal to
+    /// (`Aes128::derive_and_encrypt`). Equal to
     /// `self.derive_key(info).flyover_mac(input)`.
     pub fn flyover_tag(&self, info: &ResInfo, input: &FlyoverMacInput) -> Tag {
         truncate(&self.cipher.derive_and_encrypt(&info.to_kdf_block(), &input.to_block()))
@@ -185,7 +170,7 @@ impl SecretValue {
     /// [`flyover_tag`](SecretValue::flyover_tag) over a burst: appends
     /// the tag of `inputs[i]` under reservation `infos[i]` to `out`, in
     /// order. Under AES-NI eight packets run at once
-    /// ([`Aes128::derive_and_encrypt_blocks`]); the blocks live on the
+    /// (`Aes128::derive_and_encrypt_blocks`); the blocks live on the
     /// stack, so nothing but `out` is allocated.
     ///
     /// # Panics
@@ -317,10 +302,10 @@ pub fn flyover_tags_batch_with<'a>(
 /// pass ([`SecretValue::flyover_tags`]) — nothing for a forged packet
 /// to insert or evict.
 ///
-/// **Keys.** The defaults — [`ResInfo`] on std's hasher — serve callers
-/// that hold only the `ResInfo`; the baseline engines instantiate the
-/// cache over their own attacker-chosen key-hierarchy tuples, which stay
-/// on std's hasher.
+/// **Keys** are hashed on std's hasher: the default, [`ResInfo`], serves
+/// callers that hold only the `ResInfo`; the baseline engines
+/// instantiate the cache over their own attacker-chosen key-hierarchy
+/// tuples.
 ///
 /// **Replacement** is generational (segmented LRU): entries insert into
 /// a *hot* generation; when the hot generation fills, it becomes the
@@ -360,9 +345,9 @@ pub fn flyover_tags_batch_with<'a>(
 /// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// ```
 #[derive(Clone, Debug)]
-pub struct AuthKeyCache<K = ResInfo, S = RandomState> {
-    hot: Generation<K, S>,
-    cold: Generation<K, S>,
+pub struct AuthKeyCache<K = ResInfo> {
+    hot: Generation<K>,
+    cold: Generation<K>,
     /// Entries per generation (total footprint ≤ 2×).
     generation_capacity: usize,
     hits: u64,
@@ -375,14 +360,14 @@ pub struct AuthKeyCache<K = ResInfo, S = RandomState> {
 /// instead of into a random bucket of a table of schedules; a cold hit
 /// leaves its slot dead until the generation is cleared.
 #[derive(Clone, Debug)]
-struct Generation<K, S> {
-    index: HashMap<K, u32, S>,
+struct Generation<K> {
+    index: HashMap<K, u32>,
     keys: Vec<AuthKey>,
 }
 
-impl<K: Eq + Hash, S: BuildHasher + Default> Generation<K, S> {
+impl<K: Eq + Hash> Generation<K> {
     fn empty() -> Self {
-        Generation { index: HashMap::with_hasher(S::default()), keys: Vec::new() }
+        Generation { index: HashMap::new(), keys: Vec::new() }
     }
 
     fn take(&mut self, key: &K) -> Option<AuthKey> {
@@ -412,7 +397,7 @@ impl<K: Eq + Hash, S: BuildHasher + Default> Generation<K, S> {
     }
 }
 
-impl<K: Eq + Hash + Clone, S: BuildHasher + Default> AuthKeyCache<K, S> {
+impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
     /// Creates a cache holding at most ~`capacity` expanded keys
     /// (internally two generations of `capacity / 2`, minimum 1).
     /// Allocates nothing until the first insert.
@@ -530,8 +515,8 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> AuthKeyCache<K, S> {
 /// [`AuthKeyCache`] (`EpicDatapath::process_batch`, keyed by its
 /// source tuple): the burst-local uniq map, the
 /// [`AuthKeyCache::record_burst_hit`] counter dance and the pass-2 key
-/// iterator, generic over the cache key and its hasher so the
-/// counter-parity invariant lives in one place.
+/// iterator, generic over the cache key so the counter-parity invariant
+/// lives in one place.
 ///
 /// Protocol, per burst:
 ///
@@ -555,11 +540,11 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> AuthKeyCache<K, S> {
 /// sequential and batched paths (see `record_burst_hit` for the
 /// generation-boundary caveat).
 #[derive(Clone, Debug)]
-pub struct BurstKeyResolver<K, S = RandomState> {
+pub struct BurstKeyResolver<K> {
     /// The burst's distinct identities, in first-appearance order.
     uniq_ids: Vec<K>,
     /// Burst-local dedupe map: identity → index into `uniq_ids`.
-    uniq_index: HashMap<K, usize, S>,
+    uniq_index: HashMap<K, usize>,
     /// One resolved key per entry of `uniq_ids` (`None` until resolved
     /// from the cache or the derive sweep).
     uniq_keys: Vec<Option<AuthKey>>,
@@ -569,7 +554,7 @@ pub struct BurstKeyResolver<K, S = RandomState> {
     key_of_pkt: Vec<usize>,
 }
 
-impl<K, S: Default> Default for BurstKeyResolver<K, S> {
+impl<K> Default for BurstKeyResolver<K> {
     fn default() -> Self {
         BurstKeyResolver {
             uniq_ids: Vec::new(),
@@ -581,7 +566,7 @@ impl<K, S: Default> Default for BurstKeyResolver<K, S> {
     }
 }
 
-impl<K: Eq + Hash + Clone, S: BuildHasher + Default> BurstKeyResolver<K, S> {
+impl<K: Eq + Hash + Clone> BurstKeyResolver<K> {
     /// Creates an empty resolver (reusable across bursts; steady-state
     /// bursts allocate nothing once the vectors reach burst size).
     pub fn new() -> Self {
@@ -602,7 +587,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> BurstKeyResolver<K, S> {
     /// a cache hit (it *would* have hit sequentially), a first
     /// appearance does one [`AuthKeyCache::lookup`] and on a miss queues
     /// the id for the engine's derive sweep.
-    pub fn visit(&mut self, id: K, cache: Option<&mut AuthKeyCache<K, S>>) {
+    pub fn visit(&mut self, id: K, cache: Option<&mut AuthKeyCache<K>>) {
         let slot = match self.uniq_index.entry(id) {
             Entry::Occupied(e) => {
                 if let Some(cache) = cache {
@@ -644,7 +629,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> BurstKeyResolver<K, S> {
     pub fn fill_pending(
         &mut self,
         keys: impl IntoIterator<Item = AuthKey>,
-        mut cache: Option<&mut AuthKeyCache<K, S>>,
+        mut cache: Option<&mut AuthKeyCache<K>>,
     ) {
         let mut keys = keys.into_iter();
         for &slot in &self.pending_slots {

@@ -13,8 +13,10 @@
 //!   substitution").
 //! * [`sealed`] — ECIES-style sealed boxes for reservation delivery (§4.2).
 //! * [`flyover`] — the Hummingbird derivations: `A_K` (Eq. 2), the 6-byte
-//!   per-packet flyover MAC (Eq. 3/7a) and the aggregate MAC (Eq. 6).
-//! * [`digest_hash`] — hash tables keyed by digests and `A_K` bytes, and
+//!   per-packet flyover MAC (Eq. 3/7a) and the aggregate MAC (Eq. 6), and
+//!   the fused pass that derives `A_K` and tags a packet without storing
+//!   a key schedule.
+//! * [`digest_hash`] — hash tables keyed by digests and PRF outputs, and
 //!   the argument for which keys may skip SipHash.
 
 // `deny` rather than `forbid`: the sanctioned exceptions are the AES-NI

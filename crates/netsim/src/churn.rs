@@ -1,7 +1,7 @@
 //! Fault injection on the simulator clock: link down/up, router reboots
-//! (datapath state wiped — auth-key cache, policer buckets and duplicate
-//! suppressor come back cold), and mid-epoch reroute of the flows a
-//! failure stranded.
+//! (datapath state wiped — counters, policer buckets, duplicate
+//! suppressor and a baseline engine's key cache come back cold), and
+//! mid-epoch reroute of the flows a failure stranded.
 //!
 //! [`apply_action`] applies one [`ChurnAction`] at the simulator's
 //! current instant; a timed plan is [`run`](crate::run)'s
