@@ -94,7 +94,7 @@ pub mod stages {
     use hummingbird_wire::scion_mac::{update_seg_id, HopMacInput, HopMacKey};
 
     /// The current hop field, either kind.
-    #[derive(Clone, Copy, Debug)]
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum HopKind {
         /// A plain SCION hop field.
         Plain(HopField),
@@ -129,7 +129,7 @@ pub mod stages {
     }
 
     /// Everything stage 1 learns about a packet.
-    #[derive(Clone, Copy, Debug)]
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct Parsed {
         /// Common header.
         pub common: CommonHeader,
