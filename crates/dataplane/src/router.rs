@@ -189,14 +189,16 @@ pub mod stages {
             + META_HDR_LEN
             + INFO_FIELD_LEN * meta.num_inf()
             + 4 * usize::from(meta.curr_hf);
-        if pkt.len() < hop_off + HOP_FIELD_LEN {
+        // Both fields must end inside the declared header. That bounds
+        // CurrHF at 236, so advancing it cannot overflow its 8 bits.
+        if info_off + INFO_FIELD_LEN > hdr_len_bytes || hop_off + HOP_FIELD_LEN > hdr_len_bytes {
             return Err(DropReason::Malformed);
         }
         let Ok(is_flyover) = peek_flyover_bit(&pkt[hop_off..]) else {
             return Err(DropReason::Malformed);
         };
         let hop = if is_flyover {
-            if pkt.len() < hop_off + FLYOVER_FIELD_LEN {
+            if hop_off + FLYOVER_FIELD_LEN > hdr_len_bytes {
                 return Err(DropReason::Malformed);
             }
             let Ok(fly) = FlyoverHopField::parse(&pkt[hop_off..]) else {
@@ -354,7 +356,8 @@ pub mod stages {
         }
         let hop_units = if parsed.is_flyover() { FLYOVER_UNITS } else { HF_UNITS };
         let mut new_meta = parsed.meta;
-        new_meta.curr_hf = parsed.meta.curr_hf + hop_units;
+        new_meta.curr_hf =
+            parsed.meta.curr_hf.checked_add(hop_units).ok_or(DropReason::Malformed)?;
         if u16::from(new_meta.curr_hf) < new_meta.total_hf_units() {
             if let Ok((seg, _)) = new_meta.segment_of_curr_hf() {
                 new_meta.curr_inf = seg as u8;

@@ -71,11 +71,20 @@ mod reference {
         if pkt.len() < hop_off + HOP_FIELD_LEN {
             return Err(DropReason::Malformed);
         }
+        // Not in the original: both fields must also end inside the
+        // declared header, the rule that keeps CurrHF from wrapping in
+        // `advance` (tests/hop_past_header.rs). The reference takes it too
+        // so that this rule is the only difference the oracle allows.
+        if info_off + INFO_FIELD_LEN > hdr_len_bytes || hop_off + HOP_FIELD_LEN > hdr_len_bytes {
+            return Err(DropReason::Malformed);
+        }
         let Ok(is_flyover) = peek_flyover_bit(&pkt[hop_off..]) else {
             return Err(DropReason::Malformed);
         };
         let hop = if is_flyover {
-            if pkt.len() < hop_off + FLYOVER_FIELD_LEN {
+            if pkt.len() < hop_off + FLYOVER_FIELD_LEN
+                || hop_off + FLYOVER_FIELD_LEN > hdr_len_bytes
+            {
                 return Err(DropReason::Malformed);
             }
             let Ok(fly) = FlyoverHopField::parse(&pkt[hop_off..]) else {
