@@ -85,13 +85,13 @@ pub mod stages {
     use super::{DropReason, RouterConfig};
     use crate::dup::DuplicateSuppressor;
     use hummingbird_crypto::{aggregate_mac, AuthKey, FlyoverMacInput, ResInfo, Tag};
-    use hummingbird_wire::common::{AddressHeader, CommonHeader, ADDR_HDR_LEN, COMMON_HDR_LEN};
+    use hummingbird_wire::common::{AddressHeader, CommonHeader};
     use hummingbird_wire::hopfield::{
-        peek_flyover_bit, FlyoverHopField, HopField, InfoField, FLYOVER_FIELD_LEN, HOP_FIELD_LEN,
-        INFO_FIELD_LEN,
+        peek_flyover_bit, FlyoverHopField, HopField, InfoField, INFO_FIELD_LEN,
     };
-    use hummingbird_wire::meta::{PathMetaHdr, FLYOVER_UNITS, HF_UNITS, META_HDR_LEN};
+    use hummingbird_wire::meta::{PathMetaHdr, FLYOVER_UNITS, HF_UNITS};
     use hummingbird_wire::scion_mac::{update_seg_id, HopMacInput, HopMacKey};
+    use hummingbird_wire::view::{decode_prefix, PATH_OFFSET, PREFIX_LEN};
 
     /// The current hop field, either kind.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,63 +155,48 @@ pub mod stages {
     }
 
     /// Stage 1: structural validation and header extraction.
+    ///
+    /// Each header is decoded once, from a fixed-size array at its
+    /// offset: the 48-byte prefix (common, address and path meta header,
+    /// [`decode_prefix`]) from one `first_chunk`, then the current info
+    /// field and hop field from two checked slices of the declared header.
+    /// Both fields must end inside that header (`4·HdrLen` bytes), which
+    /// bounds CurrHF at 236, so [`advance`] cannot overflow it. A fully
+    /// consumed path is `PathConsumed`; every other failure is
+    /// `Malformed`.
     pub fn parse(pkt: &[u8]) -> Result<Parsed, DropReason> {
-        let Ok(common) = CommonHeader::parse(pkt) else {
+        let Some(Ok((common, addr, meta))) = pkt.first_chunk().map(decode_prefix) else {
             return Err(DropReason::Malformed);
         };
-        let Ok(addr) = AddressHeader::parse(&pkt[COMMON_HDR_LEN..]) else {
+        let Some(hdr) = pkt.get(..4 * usize::from(common.hdr_len)) else {
             return Err(DropReason::Malformed);
         };
-        let path_start = COMMON_HDR_LEN + ADDR_HDR_LEN;
-        let Ok(meta) = PathMetaHdr::parse(&pkt[path_start..]) else {
-            return Err(DropReason::Malformed);
-        };
-        let hdr_len_bytes = 4 * usize::from(common.hdr_len);
-        if pkt.len() < hdr_len_bytes {
-            return Err(DropReason::Malformed);
-        }
         if u16::from(meta.curr_hf) >= meta.total_hf_units() {
             return Err(DropReason::PathConsumed);
         }
         let Ok((seg_idx, _)) = meta.segment_of_curr_hf() else {
             return Err(DropReason::Malformed);
         };
-        let info_off = path_start + META_HDR_LEN + INFO_FIELD_LEN * seg_idx;
-        // The declared segment layout may lie about the buffer length —
-        // index with a checked slice (found by the router fuzz tests).
-        let Some(info_bytes) = pkt.get(info_off..) else {
+        // The declared segment layout may lie about the header length —
+        // take both fields with checked slices (found by the router fuzz
+        // tests).
+        let info_off = PREFIX_LEN + INFO_FIELD_LEN * seg_idx;
+        let Some(info) = hdr.get(info_off..).and_then(<[u8]>::first_chunk) else {
             return Err(DropReason::Malformed);
         };
-        let Ok(info) = InfoField::parse(info_bytes) else {
+        let hop_off = PATH_OFFSET + meta.hop_field_offset();
+        let Some(hop_bytes) = hdr.get(hop_off..) else {
             return Err(DropReason::Malformed);
         };
-        let hop_off = path_start
-            + META_HDR_LEN
-            + INFO_FIELD_LEN * meta.num_inf()
-            + 4 * usize::from(meta.curr_hf);
-        // Both fields must end inside the declared header. That bounds
-        // CurrHF at 236, so advancing it cannot overflow its 8 bits.
-        if info_off + INFO_FIELD_LEN > hdr_len_bytes || hop_off + HOP_FIELD_LEN > hdr_len_bytes {
-            return Err(DropReason::Malformed);
-        }
-        let Ok(is_flyover) = peek_flyover_bit(&pkt[hop_off..]) else {
-            return Err(DropReason::Malformed);
-        };
-        let hop = if is_flyover {
-            if hop_off + FLYOVER_FIELD_LEN > hdr_len_bytes {
-                return Err(DropReason::Malformed);
-            }
-            let Ok(fly) = FlyoverHopField::parse(&pkt[hop_off..]) else {
-                return Err(DropReason::Malformed);
-            };
-            HopKind::Flyover(fly)
+        let hop = if peek_flyover_bit(hop_bytes) == Ok(true) {
+            hop_bytes.first_chunk().map(|b| FlyoverHopField::decode(b).map(HopKind::Flyover))
         } else {
-            let Ok(hf) = HopField::parse(&pkt[hop_off..]) else {
-                return Err(DropReason::Malformed);
-            };
-            HopKind::Plain(hf)
+            hop_bytes.first_chunk().map(|b| HopField::decode(b).map(HopKind::Plain))
         };
-        Ok(Parsed { common, addr, meta, info, info_off, hop_off, hop })
+        let Some(Ok(hop)) = hop else {
+            return Err(DropReason::Malformed);
+        };
+        Ok(Parsed { common, addr, meta, info: InfoField::decode(info), info_off, hop_off, hop })
     }
 
     /// The key-independent inputs of the flyover MAC (stage 2).
@@ -338,36 +323,36 @@ pub mod stages {
     }
 
     /// Stage 6: in-place header mutation — SegID chaining, AggMAC →
-    /// HopFieldMAC replacement for path reversal (App. A.7), and
-    /// CurrHF/CurrINF advance.
+    /// HopFieldMAC replacement for path reversal (App. A.7), and the
+    /// CurrHF/CurrINF advance. Writes exactly those fields at the offsets
+    /// [`parse`] recorded: the info field's SegID, a flyover's MAC and
+    /// the meta header's first word. Nothing `parse` validated is checked
+    /// again.
     ///
-    /// Checked like [`parse`]: a buffer shorter than the offsets recorded
-    /// in `parsed` (possible only if the two come from different buffers)
-    /// is `Malformed`, never a panic.
+    /// A CurrHF that would overflow (impossible after [`parse`]) or a
+    /// buffer shorter than the offsets recorded in `parsed` (possible only
+    /// if the two come from different buffers) is `Malformed`, never a
+    /// panic.
     pub fn advance(pkt: &mut [u8], parsed: &Parsed, computed: &Tag) -> Result<(), DropReason> {
-        let new_seg_id = update_seg_id(parsed.info.seg_id, computed);
-        pkt.get_mut(parsed.info_off + 2..parsed.info_off + 4)
-            .ok_or(DropReason::Malformed)?
-            .copy_from_slice(&new_seg_id.to_be_bytes());
-        if parsed.is_flyover() {
-            pkt.get_mut(parsed.hop_off + 6..parsed.hop_off + 12)
-                .ok_or(DropReason::Malformed)?
-                .copy_from_slice(computed);
-        }
         let hop_units = if parsed.is_flyover() { FLYOVER_UNITS } else { HF_UNITS };
-        let mut new_meta = parsed.meta;
-        new_meta.curr_hf =
-            parsed.meta.curr_hf.checked_add(hop_units).ok_or(DropReason::Malformed)?;
-        if u16::from(new_meta.curr_hf) < new_meta.total_hf_units() {
-            if let Ok((seg, _)) = new_meta.segment_of_curr_hf() {
-                new_meta.curr_inf = seg as u8;
+        let mut next = parsed.meta;
+        next.curr_hf = parsed.meta.curr_hf.checked_add(hop_units).ok_or(DropReason::Malformed)?;
+        if u16::from(next.curr_hf) < next.total_hf_units() {
+            if let Ok((seg, _)) = next.segment_of_curr_hf() {
+                next.curr_inf = seg as u8;
             }
         }
-        let path_start = COMMON_HDR_LEN + ADDR_HDR_LEN;
-        let meta_buf = pkt.get_mut(path_start..).ok_or(DropReason::Malformed)?;
-        if new_meta.emit(meta_buf).is_err() {
-            return Err(DropReason::Malformed);
+        let new_seg_id = update_seg_id(parsed.info.seg_id, computed);
+        write_at(pkt, parsed.info_off + 2, &new_seg_id.to_be_bytes())?;
+        if parsed.is_flyover() {
+            write_at(pkt, parsed.hop_off + 6, computed)?;
         }
+        write_at(pkt, PATH_OFFSET, &next.first_word().to_be_bytes())
+    }
+
+    /// Copies `bytes` into `pkt` at `at`; `Malformed` if they do not fit.
+    fn write_at(pkt: &mut [u8], at: usize, bytes: &[u8]) -> Result<(), DropReason> {
+        pkt.get_mut(at..at + bytes.len()).ok_or(DropReason::Malformed)?.copy_from_slice(bytes);
         Ok(())
     }
 
@@ -562,8 +547,10 @@ pub mod stages {
 /// nothing once the vectors reach burst size.
 #[derive(Default)]
 struct BatchScratch {
-    /// Per-packet outcome of the read-only pipeline half.
-    prepared: Vec<Result<(stages::Parsed, Option<stages::FlyoverInputs>), DropReason>>,
+    /// Per-packet outcome of the read-only pipeline half. A flyover's
+    /// [`stages::FlyoverInputs`] are rebuilt from its `Parsed` in pass 2,
+    /// which costs less than carrying them through the burst.
+    prepared: Vec<Result<stages::Parsed, DropReason>>,
     /// Per flyover packet: its reservation and MAC input, the fused
     /// kernel's input.
     res_infos: Vec<ResInfo>,
@@ -692,15 +679,16 @@ impl Datapath for BorderRouter {
 
         // Pass 1 (read-only): parse + flyover-input reconstruction.
         for pkt in pkts.iter() {
-            let prep = stages::prepare(pkt.as_bytes());
-            if let Ok((parsed, inputs)) = &prep {
-                hop_inputs.push(stages::hop_mac_input(parsed));
-                if let Some(inputs) = inputs {
+            let prep = stages::parse(pkt.as_bytes()).and_then(|parsed| {
+                if parsed.is_flyover() {
+                    let inputs = stages::flyover_inputs(&parsed)?;
                     state.policer.pre_touch(inputs.res_info.res_id);
                     res_infos.push(inputs.res_info);
                     mac_inputs.push(inputs.mac_input);
                 }
-            }
+                hop_inputs.push(stages::hop_mac_input(&parsed));
+                Ok(parsed)
+            });
             prepared.push(prep);
         }
 
@@ -711,15 +699,19 @@ impl Datapath for BorderRouter {
         out.reserve(pkts.len());
         let (mut tags, mut hop_macs) = (tags.iter(), hop_macs.iter());
         for (pkt, prep) in pkts.iter_mut().zip(prepared.drain(..)) {
-            let verdict = match prep {
+            let verdict = match prep.map(|parsed| (parsed, hop_macs.next())) {
                 Err(r) => Verdict::Drop(r),
-                Ok((parsed, inputs)) => {
-                    // A flyover hop without its tag fails closed in
+                Ok((parsed, Some(hop_mac))) => {
+                    // Pass 1 built these inputs once: this cannot fail
+                    // for a flyover, and a plain hop has none. A flyover
+                    // hop without its tag fails closed in
                     // `complete_with_tag`.
+                    let inputs = stages::flyover_inputs(&parsed).ok();
                     let flyover = inputs.as_ref().and_then(|i| Some((i, *tags.next()?)));
-                    let hop_mac = hop_macs.next().expect("one hop MAC per parsed packet");
                     state.complete(pkt.bytes_mut(), now_ns, &parsed, flyover, hop_mac)
                 }
+                // One hop MAC per parsed packet; fail closed, not panic.
+                Ok((_, None)) => Verdict::Drop(DropReason::Malformed),
             };
             state.stats.record(verdict);
             out.push(verdict);

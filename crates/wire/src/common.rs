@@ -70,24 +70,23 @@ pub struct CommonHeader {
 }
 
 impl CommonHeader {
+    /// Decodes the header's 12 bytes.
+    #[inline]
+    pub fn decode(b: &[u8; COMMON_HDR_LEN]) -> Self {
+        CommonHeader {
+            version: b[0] >> 4,
+            traffic_class: ((b[0] & 0x0f) << 4) | (b[1] >> 4),
+            flow_id: u32::from_be_bytes([0, b[1] & 0x0f, b[2], b[3]]),
+            next_hdr: b[4],
+            hdr_len: b[5],
+            payload_len: u16::from_be_bytes([b[6], b[7]]),
+            path_type: b[8],
+        }
+    }
+
     /// Parses from the front of `buf`.
     pub fn parse(buf: &[u8]) -> Result<Self> {
-        if buf.len() < COMMON_HDR_LEN {
-            return Err(WireError::Truncated);
-        }
-        let version = buf[0] >> 4;
-        let traffic_class = ((buf[0] & 0x0f) << 4) | (buf[1] >> 4);
-        let flow_id =
-            (u32::from(buf[1] & 0x0f) << 16) | (u32::from(buf[2]) << 8) | u32::from(buf[3]);
-        Ok(CommonHeader {
-            version,
-            traffic_class,
-            flow_id,
-            next_hdr: buf[4],
-            hdr_len: buf[5],
-            payload_len: u16::from_be_bytes([buf[6], buf[7]]),
-            path_type: buf[8],
-        })
+        buf.first_chunk().map(Self::decode).ok_or(WireError::Truncated)
     }
 
     /// Emits into the front of `buf`.
@@ -114,6 +113,7 @@ impl CommonHeader {
 
     /// Computes the authenticated packet length (Eq. 7d):
     /// `PktLen = PayloadLen + 4·HdrLen`, dropping the packet on overflow.
+    #[inline]
     pub fn pkt_len(&self) -> Result<u16> {
         self.payload_len.checked_add(4 * u16::from(self.hdr_len)).ok_or(WireError::PktLenOverflow)
     }
@@ -140,30 +140,26 @@ pub struct AddressHeader {
 }
 
 impl AddressHeader {
+    /// Decodes the header's 24 bytes.
+    #[inline]
+    pub fn decode(b: &[u8; ADDR_HDR_LEN]) -> Self {
+        AddressHeader {
+            dst: IsdAs {
+                isd: u16::from_be_bytes([b[0], b[1]]),
+                asn: u64::from_be_bytes([0, 0, b[2], b[3], b[4], b[5], b[6], b[7]]),
+            },
+            src: IsdAs {
+                isd: u16::from_be_bytes([b[8], b[9]]),
+                asn: u64::from_be_bytes([0, 0, b[10], b[11], b[12], b[13], b[14], b[15]]),
+            },
+            dst_host: [b[16], b[17], b[18], b[19]],
+            src_host: [b[20], b[21], b[22], b[23]],
+        }
+    }
+
     /// Parses from the front of `buf`.
     pub fn parse(buf: &[u8]) -> Result<Self> {
-        if buf.len() < ADDR_HDR_LEN {
-            return Err(WireError::Truncated);
-        }
-        let read_ia = |b: &[u8]| IsdAs {
-            isd: u16::from_be_bytes([b[0], b[1]]),
-            asn: (u64::from(b[2]) << 40)
-                | (u64::from(b[3]) << 32)
-                | (u64::from(b[4]) << 24)
-                | (u64::from(b[5]) << 16)
-                | (u64::from(b[6]) << 8)
-                | u64::from(b[7]),
-        };
-        let mut dst_host = [0u8; 4];
-        dst_host.copy_from_slice(&buf[16..20]);
-        let mut src_host = [0u8; 4];
-        src_host.copy_from_slice(&buf[20..24]);
-        Ok(AddressHeader {
-            dst: read_ia(&buf[0..8]),
-            src: read_ia(&buf[8..16]),
-            dst_host,
-            src_host,
-        })
+        buf.first_chunk().map(Self::decode).ok_or(WireError::Truncated)
     }
 
     /// Emits into the front of `buf`.

@@ -1,7 +1,7 @@
 //! Info fields, hop fields and flyover hop fields (Appendix A.2-A.4).
 
 use crate::error::{Result, WireError};
-use hummingbird_crypto::{Tag, BW_ENC_MAX, RES_ID_MAX, TAG_LEN};
+use hummingbird_crypto::{Tag, BW_ENC_MAX, RES_ID_MAX};
 
 /// Info field length in bytes.
 pub const INFO_FIELD_LEN: usize = 8;
@@ -24,17 +24,20 @@ pub struct InfoField {
 }
 
 impl InfoField {
+    /// Decodes the field's 8 bytes.
+    #[inline]
+    pub fn decode(b: &[u8; INFO_FIELD_LEN]) -> Self {
+        InfoField {
+            peering: b[0] & 0b10 != 0,
+            cons_dir: b[0] & 0b01 != 0,
+            seg_id: u16::from_be_bytes([b[2], b[3]]),
+            timestamp: u32::from_be_bytes([b[4], b[5], b[6], b[7]]),
+        }
+    }
+
     /// Parses from the front of `buf`.
     pub fn parse(buf: &[u8]) -> Result<Self> {
-        if buf.len() < INFO_FIELD_LEN {
-            return Err(WireError::Truncated);
-        }
-        Ok(InfoField {
-            peering: buf[0] & 0b10 != 0,
-            cons_dir: buf[0] & 0b01 != 0,
-            seg_id: u16::from_be_bytes([buf[2], buf[3]]),
-            timestamp: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
-        })
+        buf.first_chunk().map(Self::decode).ok_or(WireError::Truncated)
     }
 
     /// Emits into the front of `buf`.
@@ -62,7 +65,8 @@ pub struct HopFlags {
 }
 
 impl HopFlags {
-    fn parse(byte: u8) -> Self {
+    #[inline]
+    fn decode(byte: u8) -> Self {
         HopFlags {
             flyover: byte & 0x80 != 0,
             ingress_alert: byte & 0x02 != 0,
@@ -79,11 +83,9 @@ impl HopFlags {
 
 /// Reads the flyover bit without parsing the whole field — routers use this
 /// to decide which processing pipeline a hop takes (Algorithm 2, line 1).
+#[inline]
 pub fn peek_flyover_bit(buf: &[u8]) -> Result<bool> {
-    if buf.is_empty() {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf[0] & 0x80 != 0)
+    buf.first().map(|&b| b & 0x80 != 0).ok_or(WireError::Truncated)
 }
 
 /// Owned representation of a standard hop field (Fig. 9, 12 bytes).
@@ -102,24 +104,25 @@ pub struct HopField {
 }
 
 impl HopField {
-    /// Parses from the front of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Self> {
-        if buf.len() < HOP_FIELD_LEN {
-            return Err(WireError::Truncated);
-        }
-        let flags = HopFlags::parse(buf[0]);
+    /// Decodes the field's 12 bytes; a set flyover bit is `Malformed`.
+    #[inline]
+    pub fn decode(b: &[u8; HOP_FIELD_LEN]) -> Result<Self> {
+        let flags = HopFlags::decode(b[0]);
         if flags.flyover {
             return Err(WireError::Malformed);
         }
-        let mut mac = [0u8; TAG_LEN];
-        mac.copy_from_slice(&buf[6..12]);
         Ok(HopField {
             flags,
-            exp_time: buf[1],
-            cons_ingress: u16::from_be_bytes([buf[2], buf[3]]),
-            cons_egress: u16::from_be_bytes([buf[4], buf[5]]),
-            mac,
+            exp_time: b[1],
+            cons_ingress: u16::from_be_bytes([b[2], b[3]]),
+            cons_egress: u16::from_be_bytes([b[4], b[5]]),
+            mac: [b[6], b[7], b[8], b[9], b[10], b[11]],
         })
+    }
+
+    /// Parses from the front of `buf`.
+    pub fn parse(buf: &[u8]) -> Result<Self> {
+        Self::decode(buf.first_chunk().ok_or(WireError::Truncated)?)
     }
 
     /// Emits into the front of `buf`.
@@ -163,29 +166,30 @@ pub struct FlyoverHopField {
 }
 
 impl FlyoverHopField {
-    /// Parses from the front of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Self> {
-        if buf.len() < FLYOVER_FIELD_LEN {
-            return Err(WireError::Truncated);
-        }
-        let flags = HopFlags::parse(buf[0]);
+    /// Decodes the field's 20 bytes; a clear flyover bit is `Malformed`.
+    #[inline]
+    pub fn decode(b: &[u8; FLYOVER_FIELD_LEN]) -> Result<Self> {
+        let flags = HopFlags::decode(b[0]);
         if !flags.flyover {
             return Err(WireError::Malformed);
         }
-        let mut agg_mac = [0u8; TAG_LEN];
-        agg_mac.copy_from_slice(&buf[6..12]);
-        let packed = u32::from_be_bytes([buf[12], buf[13], buf[14], buf[15]]);
+        let packed = u32::from_be_bytes([b[12], b[13], b[14], b[15]]);
         Ok(FlyoverHopField {
             flags,
-            exp_time: buf[1],
-            cons_ingress: u16::from_be_bytes([buf[2], buf[3]]),
-            cons_egress: u16::from_be_bytes([buf[4], buf[5]]),
-            agg_mac,
+            exp_time: b[1],
+            cons_ingress: u16::from_be_bytes([b[2], b[3]]),
+            cons_egress: u16::from_be_bytes([b[4], b[5]]),
+            agg_mac: [b[6], b[7], b[8], b[9], b[10], b[11]],
             res_id: packed >> 10,
             bw: (packed & 0x3ff) as u16,
-            res_start_offset: u16::from_be_bytes([buf[16], buf[17]]),
-            res_duration: u16::from_be_bytes([buf[18], buf[19]]),
+            res_start_offset: u16::from_be_bytes([b[16], b[17]]),
+            res_duration: u16::from_be_bytes([b[18], b[19]]),
         })
+    }
+
+    /// Parses from the front of `buf`.
+    pub fn parse(buf: &[u8]) -> Result<Self> {
+        Self::decode(buf.first_chunk().ok_or(WireError::Truncated)?)
     }
 
     /// Emits into the front of `buf`.

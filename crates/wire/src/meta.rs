@@ -45,22 +45,25 @@ pub struct PathMetaHdr {
 }
 
 impl PathMetaHdr {
-    /// Parses from the front of `buf`, validating segment consistency.
-    pub fn parse(buf: &[u8]) -> Result<Self> {
-        if buf.len() < META_HDR_LEN {
-            return Err(WireError::Truncated);
-        }
-        let word = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
+    /// Decodes the header's 12 bytes, validating segment consistency.
+    #[inline]
+    pub fn decode(b: &[u8; META_HDR_LEN]) -> Result<Self> {
+        let word = u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
         let hdr = PathMetaHdr {
             curr_inf: (word >> 30) as u8,
-            curr_hf: ((word >> 22) & 0xff) as u8,
+            curr_hf: (word >> 22) as u8,
             seg_len: [((word >> 14) & 0x7f) as u8, ((word >> 7) & 0x7f) as u8, (word & 0x7f) as u8],
-            base_ts: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
-            millis_ts: u16::from_be_bytes([buf[8], buf[9]]),
-            counter: u16::from_be_bytes([buf[10], buf[11]]),
+            base_ts: u32::from_be_bytes([b[4], b[5], b[6], b[7]]),
+            millis_ts: u16::from_be_bytes([b[8], b[9]]),
+            counter: u16::from_be_bytes([b[10], b[11]]),
         };
         hdr.validate()?;
         Ok(hdr)
+    }
+
+    /// Parses from the front of `buf`, validating segment consistency.
+    pub fn parse(buf: &[u8]) -> Result<Self> {
+        Self::decode(buf.first_chunk().ok_or(WireError::Truncated)?)
     }
 
     /// Emits into the front of `buf`.
@@ -69,20 +72,28 @@ impl PathMetaHdr {
             return Err(WireError::Truncated);
         }
         self.validate()?;
-        let word: u32 = (u32::from(self.curr_inf) << 30)
-            | (u32::from(self.curr_hf) << 22)
-            | (u32::from(self.seg_len[0]) << 14)
-            | (u32::from(self.seg_len[1]) << 7)
-            | u32::from(self.seg_len[2]);
-        buf[0..4].copy_from_slice(&word.to_be_bytes());
+        buf[0..4].copy_from_slice(&self.first_word().to_be_bytes());
         buf[4..8].copy_from_slice(&self.base_ts.to_be_bytes());
         buf[8..10].copy_from_slice(&self.millis_ts.to_be_bytes());
         buf[10..12].copy_from_slice(&self.counter.to_be_bytes());
         Ok(())
     }
 
+    /// The header's first 32-bit word, `CurrINF ∥ CurrHF ∥ r ∥
+    /// Seg0Len ∥ Seg1Len ∥ Seg2Len`, with `r` clear: what a router
+    /// rewrites when it advances the hop pointers.
+    #[inline]
+    pub fn first_word(&self) -> u32 {
+        (u32::from(self.curr_inf) << 30)
+            | (u32::from(self.curr_hf) << 22)
+            | (u32::from(self.seg_len[0]) << 14)
+            | (u32::from(self.seg_len[1]) << 7)
+            | u32::from(self.seg_len[2])
+    }
+
     /// Checks field ranges and the segment-gap rule
     /// (`SegXLen > 0 ∧ SegYLen == 0` for `X > Y` is an error).
+    #[inline]
     pub fn validate(&self) -> Result<()> {
         if self.curr_inf > 2 {
             return Err(WireError::FieldRange);
@@ -99,29 +110,34 @@ impl PathMetaHdr {
     }
 
     /// Number of present info fields (`NumINF`).
+    #[inline]
     pub fn num_inf(&self) -> usize {
         self.seg_len.iter().take_while(|&&l| l > 0).count()
     }
 
     /// Total path length in 4-byte units (sum of segment lengths).
+    #[inline]
     pub fn total_hf_units(&self) -> u16 {
         self.seg_len.iter().map(|&l| u16::from(l)).sum()
     }
 
     /// Byte offset of the current info field relative to the start of the
     /// path header (Eq. 5a): `12 + 8·CurrINF`.
+    #[inline]
     pub fn info_field_offset(&self) -> usize {
         META_HDR_LEN + 8 * usize::from(self.curr_inf)
     }
 
     /// Byte offset of the current hop field relative to the start of the
     /// path header (Eq. 5b): `12 + 8·NumINF + 4·CurrHF`.
+    #[inline]
     pub fn hop_field_offset(&self) -> usize {
         META_HDR_LEN + 8 * self.num_inf() + 4 * usize::from(self.curr_hf)
     }
 
     /// Index of the info field whose segment contains `curr_hf`, together
     /// with the unit offset of that segment's start.
+    #[inline]
     pub fn segment_of_curr_hf(&self) -> Result<(usize, u16)> {
         let mut start = 0u16;
         let hf = u16::from(self.curr_hf);
@@ -145,6 +161,7 @@ impl PathMetaHdr {
 
     /// Absolute send timestamp in milliseconds since the Unix epoch
     /// (`BaseTimestamp ∥ MillisTimestamp` of Algorithm 3, line 12).
+    #[inline]
     pub fn abs_ts_millis(&self) -> u64 {
         u64::from(self.base_ts) * 1000 + u64::from(self.millis_ts)
     }

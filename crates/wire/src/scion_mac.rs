@@ -99,6 +99,7 @@ fn truncate(full: &[u8; 16]) -> Tag {
 }
 
 /// Applies the SegID chaining rule: `β' = β ⊕ MAC[0..2]`.
+#[inline]
 pub fn update_seg_id(seg_id: u16, mac: &Tag) -> u16 {
     seg_id ^ u16::from_be_bytes([mac[0], mac[1]])
 }

@@ -15,6 +15,25 @@ use crate::meta::{PathMetaHdr, META_HDR_LEN};
 /// Byte offset of the path header within a packet.
 pub const PATH_OFFSET: usize = COMMON_HDR_LEN + ADDR_HDR_LEN;
 
+/// Length of the fixed prefix every packet starts with: the common
+/// header, the address header and the path meta header.
+pub const PREFIX_LEN: usize = PATH_OFFSET + META_HDR_LEN;
+
+/// Decodes the fixed prefix: the common header, the address header and
+/// the path meta header, each once, at its offset. The meta header is
+/// validated as [`PathMetaHdr::decode`] does.
+#[inline]
+pub fn decode_prefix(
+    prefix: &[u8; PREFIX_LEN],
+) -> Result<(CommonHeader, AddressHeader, PathMetaHdr)> {
+    // Splits of a fixed-size array at constant offsets: these cannot fail
+    // and compile to nothing.
+    let (common, rest) = prefix.split_first_chunk().ok_or(WireError::Truncated)?;
+    let (addr, meta) = rest.split_first_chunk().ok_or(WireError::Truncated)?;
+    let meta = meta.first_chunk().ok_or(WireError::Truncated)?;
+    Ok((CommonHeader::decode(common), AddressHeader::decode(addr), PathMetaHdr::decode(meta)?))
+}
+
 /// A zero-copy view over a serialized Hummingbird packet.
 #[derive(Debug, Clone)]
 pub struct PacketView<T: AsRef<[u8]>> {
@@ -40,15 +59,12 @@ impl<T: AsRef<[u8]>> PacketView<T> {
 
     fn check(&self) -> Result<()> {
         let buf = self.buffer.as_ref();
-        let common = CommonHeader::parse(buf)?;
-        AddressHeader::parse(buf.get(COMMON_HDR_LEN..).ok_or(WireError::Truncated)?)?;
-        let meta = PathMetaHdr::parse(buf.get(PATH_OFFSET..).ok_or(WireError::Truncated)?)?;
-        let hdr_len_bytes = 4 * usize::from(common.hdr_len);
-        if buf.len() < hdr_len_bytes {
+        let (common, _, meta) = decode_prefix(buf.first_chunk().ok_or(WireError::Truncated)?)?;
+        if buf.len() < 4 * usize::from(common.hdr_len) {
             return Err(WireError::Truncated);
         }
         if u16::from(meta.curr_hf) < meta.total_hf_units() {
-            let off = self.current_hop_offset()?;
+            let off = PATH_OFFSET + meta.hop_field_offset();
             let need = if peek_flyover_bit(buf.get(off..).ok_or(WireError::Truncated)?)? {
                 FLYOVER_FIELD_LEN
             } else {
