@@ -68,7 +68,9 @@ pub mod stages {
     //! stages — the decomposition [`crate::DatapathBuilder`] composes:
     //!
     //! 1. [`parse`] — structural validation, header extraction, hop-field
-    //!    location (Algorithm 2 prologue);
+    //!    location (Algorithm 2 prologue): each header decoded once, by
+    //!    its one `hummingbird_wire` decoder, from a fixed-size array at
+    //!    its offset;
     //! 2. [`flyover_inputs`] + [`candidate_hop_mac`] — flyover MAC
     //!    re-derivation (Algorithm 3); the authentication key is a
     //!    parameter, so baseline engines (Helia/DRKey) reuse the stage
@@ -79,8 +81,12 @@ pub mod stages {
     //!    verification (Algorithm 4);
     //! 5. [`duplicate_check`] — the optional §5.4 stage;
     //! 6. [`advance`] — in-place header mutation: SegID chaining, AggMAC
-    //!    replacement, CurrHF/CurrINF advance (App. A.7);
+    //!    replacement, CurrHF/CurrINF advance (App. A.7), written at the
+    //!    offsets [`parse`] recorded;
     //! 7. policing via [`crate::policing::Policer::check`] (Algorithm 1).
+    //!
+    //! [`Parsed`] is the only record of a packet's headers the later
+    //! stages read; none of them decodes a header again.
 
     use super::{DropReason, RouterConfig};
     use crate::dup::DuplicateSuppressor;
@@ -128,7 +134,11 @@ pub mod stages {
         }
     }
 
-    /// Everything stage 1 learns about a packet.
+    /// Everything stage 1 learns about a packet: the three fixed headers,
+    /// the current info field and hop field, and the byte offsets
+    /// [`advance`] writes at. In a `Parsed` from [`parse`], both fields
+    /// end inside the declared header (`4·HdrLen` bytes), so
+    /// `meta.curr_hf` is at most 236.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct Parsed {
         /// Common header.

@@ -279,13 +279,15 @@ proptest! {
     }
 
     /// Random bytes in one region of a generated packet: the fixed
-    /// prefix, the meta word, the info fields or the hop fields.
+    /// prefix, the meta word, the hop pointers alone (any CurrINF and
+    /// CurrHF over valid segment lengths), the info fields or the hop
+    /// fields.
     #[test]
     fn parse_matches_reference_on_scribbled_packets(
         seed: u64,
         segments in 1usize..=3,
         flyover_share in 0usize..=4,
-        region in 0usize..4,
+        region in 0usize..5,
         count in 1usize..6,
     ) {
         let mut rng = Mix(seed);
@@ -297,7 +299,13 @@ proptest! {
                 let word = rng.next() as u32;
                 pkt[META_OFF..META_OFF + 4].copy_from_slice(&word.to_be_bytes());
             }
-            2 => scribble(&mut rng, &mut pkt, INFO_OFF..hops_off, count),
+            2 => {
+                let pointers = (rng.next() as u32) << 22;
+                let word = u32::from_be_bytes([pkt[META_OFF], pkt[META_OFF + 1], pkt[META_OFF + 2], pkt[META_OFF + 3]]);
+                let word = (word & 0x003f_ffff) | pointers;
+                pkt[META_OFF..META_OFF + 4].copy_from_slice(&word.to_be_bytes());
+            }
+            3 => scribble(&mut rng, &mut pkt, INFO_OFF..hops_off, count),
             _ => {
                 let hdr_end = 4 * usize::from(pkt[5]);
                 scribble(&mut rng, &mut pkt, hops_off..hdr_end, count);
