@@ -201,7 +201,7 @@ fn packet(rng: &mut Mix, segments: usize, flyover_share: usize) -> Vec<u8> {
             let flyover = rng.below(4) < flyover_share;
             let hop = hop_field(rng, flyover);
             boundaries.push((seg as u8, units + seg_units));
-            seg_units += hop_units(&hop);
+            seg_units += hop.units();
             hops.push(hop);
         }
         meta.seg_len[seg] = seg_units;
@@ -215,14 +215,6 @@ fn packet(rng: &mut Mix, segments: usize, flyover_share: usize) -> Vec<u8> {
         .build(HummingbirdPath { meta, info, hops }, payload)
         .and_then(|p| p.to_bytes())
         .expect("generated paths are well formed")
-}
-
-fn hop_units(hop: &PathField) -> u8 {
-    if hop.is_flyover() {
-        5
-    } else {
-        3
-    }
 }
 
 /// Writes `count` random bytes at random offsets of `pkt[range]`.
