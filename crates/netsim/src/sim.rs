@@ -1109,11 +1109,67 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
-    use crate::{EngineFamily, FlowSpec, LinearTopology, LinkSpec, Route};
+    use super::{FlowId, Simulator};
+    use crate::{
+        EngineFamily, FlowKind, FlowSpec, LinearTopology, LinkSpec, ReactiveProfile, Route,
+    };
     use hummingbird_dataplane::RouterConfig;
+    use hummingbird_wire::IsdAs;
 
-    const START_NS: u64 = 1_700_000_000 * 1_000_000_000;
+    const START_S: u64 = 1_700_000_000;
+    const START_NS: u64 = START_S * 1_000_000_000;
     const SEC: u64 = 1_000_000_000;
+
+    /// Runs `spec` for 2 s over a 2-AS chain whose reservations start
+    /// 1 s in, so the generator refuses every send of the first second,
+    /// and drains the network.
+    fn run_with_late_reservation(spec: FlowSpec) -> (Simulator, FlowId) {
+        let mut chain =
+            LinearTopology::build(2, LinkSpec::default(), START_NS, RouterConfig::default());
+        let src = IsdAs::new(1, 0x10);
+        let mut generator = chain.make_generator(src, chain.net.router_isd_as(1));
+        for hop in 0..2 {
+            // Credentials start 5 s before the date they are issued at.
+            let credential = chain.make_family_credential(
+                EngineFamily::Hummingbird,
+                hop,
+                src,
+                2_000,
+                START_S + 6,
+            );
+            generator.attach_reservation(hop, credential).unwrap();
+        }
+        let entry = chain.net.as_nodes[0];
+        let mut sim = chain.net.sim;
+        let flow = spec.add_to(&mut sim, generator, entry, START_NS, START_NS + 2 * SEC);
+        sim.run_until(START_NS + 10 * SEC);
+        (sim, flow)
+    }
+
+    /// A CBR flow: the sends of the first second are refused by the
+    /// generator; every one must still be accounted for.
+    #[test]
+    fn refused_cbr_sends_are_attributed() {
+        let (sim, flow) = run_with_late_reservation(FlowSpec::cbr(1000, 800, Some(2_000)));
+        let s = sim.stats(flow);
+        assert_eq!((s.sent_pkts, s.delivered_pkts), (200, 100), "{s:?}");
+        assert_eq!(s.unattributed(), 0, "{s:?}");
+    }
+
+    /// A closed-loop flow: first sends and retransmissions refused
+    /// before the reservation starts are accounted for, and the flow
+    /// still completes once the reservation is active.
+    #[test]
+    fn refused_reactive_sends_are_attributed() {
+        let kind = FlowKind::ClosedLoop { total_pkts: 150, profile: ReactiveProfile::default() };
+        let spec = FlowSpec { kind, ..FlowSpec::cbr(1000, 800, Some(2_000)) };
+        let (sim, flow) = run_with_late_reservation(spec);
+        let s = sim.stats(flow);
+        assert!(sim.reactive_done(flow));
+        assert_eq!(s.delivered_pkts, 150, "{s:?}");
+        assert!(s.retransmits > 0, "{s:?}");
+        assert_eq!(s.unattributed(), 0, "{s:?}");
+    }
 
     /// Dispatched slots are reused: the event table is as long as the
     /// most events queued at once, not as the run's event count.
