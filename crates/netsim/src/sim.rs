@@ -164,6 +164,12 @@ pub struct FlowStats {
     /// ([`ServiceModel::queue_pkts`]) — the netsim face of the
     /// runtime's `TxQueueFull`.
     pub service_queue_drops: u64,
+    /// Sends the source generator refused (e.g. before its reservation
+    /// starts, or once the 16-bit start offset runs out): each is
+    /// counted in `sent_pkts` but never reached the wire. A closed
+    /// loop's refused send still occupies its window and arms its
+    /// timer, so its retries can count here again.
+    pub generation_failures: u64,
     /// End-to-end latency distribution over delivered packets
     /// (log₂-bucketed; [`FlowStats::p99_latency_ms`] reads it).
     pub latency: LatencyHistogram,
@@ -203,9 +209,9 @@ impl FlowStats {
         self.latency.percentile_ns(0.99) as f64 / 1e6
     }
 
-    /// Wire copies sent but neither delivered nor in a named drop
-    /// counter: `sent − delivered − router − queue − link_down −
-    /// service_queue` drops. The conservation identity is that this is
+    /// Sends neither delivered nor in a named counter: `sent −
+    /// delivered − router − queue − link_down − service_queue` drops
+    /// `− generation_failures`. The conservation identity is that this is
     /// 0 once the run has drained — every loss attributable, retries
     /// included; negative means a copy was counted twice.
     pub fn unattributed(&self) -> i64 {
@@ -213,7 +219,8 @@ impl FlowStats {
             + self.router_drops
             + self.queue_drops
             + self.link_down_drops
-            + self.service_queue_drops;
+            + self.service_queue_drops
+            + self.generation_failures;
         self.sent_pkts as i64 - accounted as i64
     }
 
@@ -239,6 +246,7 @@ impl FlowStats {
             timeouts: self.timeouts - earlier.timeouts,
             backpressure_stalls: self.backpressure_stalls - earlier.backpressure_stalls,
             service_queue_drops: self.service_queue_drops - earlier.service_queue_drops,
+            generation_failures: self.generation_failures - earlier.generation_failures,
             latency: self.latency.since(&earlier.latency),
         }
     }
@@ -783,8 +791,9 @@ impl Simulator {
             }
             Err(_) => {
                 // Generation failure (e.g. reservation not yet active):
-                // count as a send that never left the host.
+                // a send that never left the host.
                 self.stats[flow_id].sent_pkts += 1;
+                self.stats[flow_id].generation_failures += 1;
             }
         }
         let next = now + interval;
@@ -831,6 +840,7 @@ impl Simulator {
                     // host. It still occupies the window and arms its
                     // timer — the retry path handles it like any loss
                     // (by then the reservation may have become active).
+                    self.stats[flow_id].generation_failures += 1;
                 }
             }
             st.outstanding.insert(seq, Outstanding { attempt: 0, rto_ns: st.cfg.rto_ns });
@@ -908,10 +918,13 @@ impl Simulator {
                 // Regenerate through the *current* generator: a reroute
                 // applied since the original send puts the retry on the
                 // new path.
-                if let Ok(bytes) = st.cfg.generator.generate(&payload, now / 1_000_000) {
-                    self.stats[flow_id].sent_bytes += bytes.len() as u64;
-                    let pkt = SimPacket { bytes, flow: flow_id, sent_at: now, seq };
-                    to_schedule.push((now, Event::Arrival { node: st.cfg.entry, pkt }));
+                match st.cfg.generator.generate(&payload, now / 1_000_000) {
+                    Ok(bytes) => {
+                        self.stats[flow_id].sent_bytes += bytes.len() as u64;
+                        let pkt = SimPacket { bytes, flow: flow_id, sent_at: now, seq };
+                        to_schedule.push((now, Event::Arrival { node: st.cfg.entry, pkt }));
+                    }
+                    Err(_) => self.stats[flow_id].generation_failures += 1,
                 }
                 st.events.push(FlowEvent {
                     at_ns: now,
@@ -1153,7 +1166,9 @@ mod tests {
         let (sim, flow) = run_with_late_reservation(FlowSpec::cbr(1000, 800, Some(2_000)));
         let s = sim.stats(flow);
         assert_eq!((s.sent_pkts, s.delivered_pkts), (200, 100), "{s:?}");
+        assert_eq!(s.generation_failures, 100, "{s:?}");
         assert_eq!(s.unattributed(), 0, "{s:?}");
+        assert_eq!(s.since(&Default::default()), s);
     }
 
     /// A closed-loop flow: first sends and retransmissions refused
@@ -1167,8 +1182,10 @@ mod tests {
         let s = sim.stats(flow);
         assert!(sim.reactive_done(flow));
         assert_eq!(s.delivered_pkts, 150, "{s:?}");
-        assert!(s.retransmits > 0, "{s:?}");
+        assert!(s.retransmits > 0 && s.generation_failures > 0, "{s:?}");
+        assert_eq!(s.sent_pkts, 150 + s.retransmits, "{s:?}");
         assert_eq!(s.unattributed(), 0, "{s:?}");
+        assert_eq!(s.since(&Default::default()), s);
     }
 
     /// Dispatched slots are reused: the event table is as long as the
