@@ -7,10 +7,13 @@
 //! unlike a border router, the source computes the authentication tags for
 //! *all* on-path ASes.
 
-use hummingbird_crypto::{aggregate_mac, AuthKey, FlyoverMacInput, ResInfo};
-use hummingbird_wire::common::IsdAs;
-use hummingbird_wire::hopfield::{FlyoverHopField, HopFlags};
-use hummingbird_wire::packet::{Packet, PacketBuilder};
+use hummingbird_crypto::{
+    flyover_tags_batch_with, AuthKey, FlyoverMacInput, ResInfo, Tag, TAG_LEN,
+};
+use hummingbird_wire::common::{IsdAs, ADDR_HDR_LEN, COMMON_HDR_LEN};
+use hummingbird_wire::hopfield::{FlyoverHopField, HopFlags, INFO_FIELD_LEN};
+use hummingbird_wire::meta::META_HDR_LEN;
+use hummingbird_wire::packet::PacketBuilder;
 use hummingbird_wire::path::{HummingbirdPath, PathField};
 use hummingbird_wire::WireError;
 
@@ -58,6 +61,23 @@ impl std::fmt::Display for GenError {
 impl std::error::Error for GenError {}
 
 /// A Hummingbird traffic source for one path.
+///
+/// Everything in a packet but its timestamps, its counter, its
+/// reservations' start offsets and its flyover MACs is fixed by the
+/// path, the attached reservations and the payload length. The
+/// generator therefore caches the header bytes for the current
+/// reservation layout and payload length, encoded once through
+/// [`PacketBuilder::build`] and
+/// [`Packet::to_bytes`](hummingbird_wire::packet::Packet::to_bytes) with the plain
+/// hop-field MACs in the flyover fields' aggregate-MAC slots. The cache
+/// is dropped by [`attach_reservation`](Self::attach_reservation) and
+/// [`detach_reservation`](Self::detach_reservation) and rebuilt on the
+/// next [`generate`](Self::generate), and rebuilt whenever the payload
+/// length differs from the cached one. Per packet, `generate` copies
+/// the header and the payload into one buffer, patches BaseTimestamp,
+/// MillisTimestamp, Counter and each flyover's ResStartOffset, and XORs
+/// in the flyover MACs of all reserved hops, computed in one multi-key
+/// AES pass ([`flyover_tags_batch_with`]).
 pub struct SourceGenerator {
     builder: PacketBuilder,
     base_path: HummingbirdPath,
@@ -65,7 +85,48 @@ pub struct SourceGenerator {
     counter: u16,
     last_ms: u64,
     dst: IsdAs,
+    /// The cached header; `None` after the reservations changed.
+    template: Option<Template>,
+    /// Per-packet scratch: one MAC input, AES block and tag per flyover.
+    mac_inputs: Vec<FlyoverMacInput>,
+    mac_blocks: Vec<[u8; 16]>,
+    tags: Vec<Tag>,
 }
+
+/// The header every packet of one reservation layout and payload length
+/// starts from.
+struct Template {
+    payload_len: usize,
+    /// The flyover hop fields carrying a reservation, in path order.
+    flyovers: Vec<TemplateFlyover>,
+    /// The encoded header and its authenticated `PktLen`, or the wire
+    /// error every packet of this shape fails with.
+    header: Result<(Vec<u8>, u16), WireError>,
+}
+
+/// A reserved flyover hop field of a [`Template`].
+struct TemplateFlyover {
+    /// Byte offset of the field in the header.
+    at: usize,
+    start: StartOffset,
+    key: AuthKey,
+}
+
+/// Where a flyover field's ResStartOffset comes from.
+enum StartOffset {
+    /// Derived per packet from this reservation start: a plain hop the
+    /// reservation turned into a flyover field.
+    Since(u32),
+    /// Fixed: a flyover field the base path already carried.
+    Fixed(u16),
+}
+
+/// Offset of the meta header's BaseTimestamp in a packet; MillisTimestamp
+/// and Counter follow it.
+const BASE_TS_AT: usize = COMMON_HDR_LEN + ADDR_HDR_LEN + 4;
+/// Offsets of the aggregate MAC and of ResStartOffset in a flyover field.
+const AGG_MAC_AT: usize = 6;
+const RES_START_OFFSET_AT: usize = 16;
 
 impl SourceGenerator {
     /// Creates a generator over a beaconed `path` (plain hop fields, e.g.
@@ -79,6 +140,10 @@ impl SourceGenerator {
             counter: 0,
             last_ms: 0,
             dst,
+            template: None,
+            mac_inputs: Vec::new(),
+            mac_blocks: Vec::new(),
+            tags: Vec::new(),
         }
     }
 
@@ -94,6 +159,7 @@ impl SourceGenerator {
             return Err(GenError::InterfaceMismatch);
         }
         self.reservations[index] = Some(res);
+        self.template = None;
         Ok(())
     }
 
@@ -101,6 +167,7 @@ impl SourceGenerator {
     pub fn detach_reservation(&mut self, index: usize) {
         if let Some(slot) = self.reservations.get_mut(index) {
             *slot = None;
+            self.template = None;
         }
     }
 
@@ -113,12 +180,6 @@ impl SourceGenerator {
     /// returning the serialized bytes. Each call stamps a unique
     /// `(BaseTimestamp, MillisTimestamp, Counter)` triple.
     pub fn generate(&mut self, payload: &[u8], now_ms: u64) -> Result<Vec<u8>, GenError> {
-        let pkt = self.generate_packet(payload, now_ms)?;
-        Ok(pkt.to_bytes()?)
-    }
-
-    /// Generates one packet as an owned [`Packet`] structure.
-    pub fn generate_packet(&mut self, payload: &[u8], now_ms: u64) -> Result<Packet, GenError> {
         // Unique (BaseTS, MillisTS, Counter) per packet (App. A.1).
         if now_ms != self.last_ms {
             self.last_ms = now_ms;
@@ -129,72 +190,128 @@ impl SourceGenerator {
         let base_ts = (now_ms / 1000) as u32;
         let millis_ts = (now_ms % 1000) as u16;
 
-        // Build the path: plain hops stay as-is; reserved hops become
-        // flyover hop fields. MACs are filled in after the packet length
-        // is known (PktLen is authenticated, Eq. 7d).
-        let mut path = self.base_path.clone();
-        path.meta.base_ts = base_ts;
-        path.meta.millis_ts = millis_ts;
-        path.meta.counter = self.counter;
+        let template = match &mut self.template {
+            Some(t) if t.payload_len == payload.len() => t,
+            slot => slot.insert(Template::build(
+                &self.builder,
+                &self.base_path,
+                &self.reservations,
+                payload.len(),
+            )),
+        };
 
-        let mut seg_len_delta = [0u16; 3];
-        let mut hop_segments = Vec::with_capacity(path.hops.len());
-        {
-            // Which segment each hop belongs to (for SegLen adjustment).
-            let mut seg = 0usize;
-            let mut consumed = 0u16;
-            for hop in &self.base_path.hops {
-                while consumed >= u16::from(self.base_path.meta.seg_len[seg]) {
-                    consumed -= u16::from(self.base_path.meta.seg_len[seg]);
-                    seg += 1;
-                }
-                hop_segments.push(seg);
-                consumed += u16::from(hop.units());
-            }
-        }
-
-        for (i, slot) in self.reservations.iter().enumerate() {
-            let Some(res) = slot else { continue };
-            let PathField::Hop(hf) = path.hops[i] else {
-                continue; // base path always carries plain hop fields
+        // Start offsets are checked before the header's own wire errors.
+        let pkt_len = template.header.as_ref().map_or(0, |(_, pkt_len)| *pkt_len);
+        self.mac_inputs.clear();
+        for fly in &template.flyovers {
+            let res_start_offset = match fly.start {
+                StartOffset::Since(res_start) => compute_start_offset(base_ts, res_start)?,
+                StartOffset::Fixed(offset) => offset,
             };
-            let offset = compute_start_offset(base_ts, res.res_info.res_start)?;
-            path.hops[i] = PathField::Flyover(FlyoverHopField {
-                flags: HopFlags { flyover: true, ..hf.flags },
-                exp_time: hf.exp_time,
-                cons_ingress: hf.cons_ingress,
-                cons_egress: hf.cons_egress,
-                agg_mac: hf.mac, // placeholder; XORed below
-                res_id: res.res_info.res_id,
-                bw: res.res_info.bw_encoded,
-                res_start_offset: offset,
-                res_duration: res.res_info.duration,
-            });
-            seg_len_delta[hop_segments[i]] += 2; // 20 B vs 12 B = +2 units
-        }
-        for (i, delta) in seg_len_delta.iter().enumerate() {
-            path.meta.seg_len[i] = path.meta.seg_len[i].saturating_add(*delta as u8);
-        }
-
-        // Assemble to learn PktLen, then compute flyover MACs (Table 4:
-        // "Compute flyover MACs" happens per packet for all on-path ASes).
-        let mut pkt = self.builder.build(path, payload.to_vec())?;
-        let pkt_len = pkt.pkt_len()?;
-        for (i, slot) in self.reservations.iter().enumerate() {
-            let Some(res) = slot else { continue };
-            let PathField::Flyover(ref mut fly) = pkt.path.hops[i] else { continue };
-            let input = FlyoverMacInput {
+            self.mac_inputs.push(FlyoverMacInput {
                 dst_isd: self.dst.isd,
                 dst_as: self.dst.asn,
                 pkt_len,
-                res_start_offset: fly.res_start_offset,
+                res_start_offset,
                 millis_ts,
-                counter: pkt.path.meta.counter,
-            };
-            let fly_mac = res.key.flyover_mac(&input);
-            fly.agg_mac = aggregate_mac(&fly.agg_mac, &fly_mac);
+                counter: self.counter,
+            });
+        }
+        let (header, _) = template.header.as_ref().map_err(|&e| GenError::Wire(e))?;
+
+        let mut pkt = Vec::with_capacity(header.len() + payload.len());
+        pkt.extend_from_slice(header);
+        pkt.extend_from_slice(payload);
+        pkt[BASE_TS_AT..BASE_TS_AT + 4].copy_from_slice(&base_ts.to_be_bytes());
+        pkt[BASE_TS_AT + 4..BASE_TS_AT + 6].copy_from_slice(&millis_ts.to_be_bytes());
+        pkt[BASE_TS_AT + 6..BASE_TS_AT + 8].copy_from_slice(&self.counter.to_be_bytes());
+        if template.flyovers.is_empty() {
+            return Ok(pkt);
+        }
+
+        // Flyover MACs for all on-path ASes (Table 4), over the
+        // authenticated PktLen (Eq. 7d), aggregated into the hop-field
+        // MACs (Eq. 6).
+        let flyovers = &template.flyovers;
+        for (fly, input) in flyovers.iter().zip(&self.mac_inputs) {
+            let field = &mut pkt[fly.at + RES_START_OFFSET_AT..fly.at + RES_START_OFFSET_AT + 2];
+            field.copy_from_slice(&input.res_start_offset.to_be_bytes());
+        }
+        self.tags.clear();
+        flyover_tags_batch_with(
+            |i| &flyovers[i].key,
+            &self.mac_inputs,
+            &mut self.mac_blocks,
+            &mut self.tags,
+        );
+        for (fly, tag) in flyovers.iter().zip(&self.tags) {
+            let mac = &mut pkt[fly.at + AGG_MAC_AT..fly.at + AGG_MAC_AT + TAG_LEN];
+            mac.iter_mut().zip(tag).for_each(|(b, t)| *b ^= t);
         }
         Ok(pkt)
+    }
+}
+
+impl Template {
+    /// Encodes the header of every packet with `payload_len` bytes of
+    /// payload: plain hops stay as they are, reserved hops become
+    /// flyover hop fields whose aggregate-MAC slot holds the plain
+    /// hop-field MAC, and each segment grows by the flyover fields'
+    /// extra 8 bytes.
+    fn build(
+        builder: &PacketBuilder,
+        base_path: &HummingbirdPath,
+        reservations: &[Option<SourceReservation>],
+        payload_len: usize,
+    ) -> Template {
+        let mut path = base_path.clone();
+        let mut flyovers = Vec::new();
+        let mut at =
+            COMMON_HDR_LEN + ADDR_HDR_LEN + META_HDR_LEN + INFO_FIELD_LEN * path.info.len();
+        let mut seg_len_delta = [0u16; 3];
+        let mut seg = 0usize;
+        let mut consumed = 0u16;
+        for (hop, slot) in path.hops.iter_mut().zip(reservations) {
+            // Which segment the hop belongs to (for SegLen adjustment).
+            while consumed >= u16::from(base_path.meta.seg_len[seg]) {
+                consumed -= u16::from(base_path.meta.seg_len[seg]);
+                seg += 1;
+            }
+            consumed += u16::from(hop.units());
+            if let Some(res) = slot {
+                let start = match *hop {
+                    PathField::Hop(hf) => {
+                        *hop = PathField::Flyover(FlyoverHopField {
+                            flags: HopFlags { flyover: true, ..hf.flags },
+                            exp_time: hf.exp_time,
+                            cons_ingress: hf.cons_ingress,
+                            cons_egress: hf.cons_egress,
+                            agg_mac: hf.mac, // the flyover MAC is XORed in per packet
+                            res_id: res.res_info.res_id,
+                            bw: res.res_info.bw_encoded,
+                            res_start_offset: 0,
+                            res_duration: res.res_info.duration,
+                        });
+                        seg_len_delta[seg] += 2; // 20 B vs 12 B = +2 units
+                        StartOffset::Since(res.res_info.res_start)
+                    }
+                    PathField::Flyover(f) => StartOffset::Fixed(f.res_start_offset),
+                };
+                flyovers.push(TemplateFlyover { at, start, key: res.key.clone() });
+            }
+            at += hop.byte_len();
+        }
+        for (len, delta) in path.meta.seg_len.iter_mut().zip(seg_len_delta) {
+            *len = len.saturating_add(delta as u8);
+        }
+
+        let header = builder.build(path, vec![0; payload_len]).and_then(|pkt| {
+            let pkt_len = pkt.pkt_len()?;
+            let mut bytes = pkt.to_bytes()?;
+            bytes.truncate(pkt.header_len());
+            Ok((bytes, pkt_len))
+        });
+        Template { payload_len, flyovers, header }
     }
 }
 
@@ -212,6 +329,7 @@ mod tests {
     use super::*;
     use crate::beacon::{forge_path, BeaconHop};
     use hummingbird_crypto::SecretValue;
+    use hummingbird_wire::packet::Packet;
     use hummingbird_wire::scion_mac::HopMacKey;
 
     fn make_gen(n_hops: usize) -> (SourceGenerator, Vec<SecretValue>) {

@@ -5,6 +5,7 @@
 //! `Packet` object model for every packet (`generate_packet`) and
 //! serializes it with `Packet::to_bytes`. Both generators are driven
 //! through the same random call sequences — 1-3 segments of 1-8 hops,
+//! now and then one the path already carries as a flyover field,
 //! reservations on any subset of the hops, payloads of 0-2000 B plus ones
 //! whose `PktLen` or `PayloadLen` overflows, send times before the
 //! reservation start and more than 18 h after it, same-millisecond
@@ -13,7 +14,7 @@
 
 use hummingbird_crypto::{AuthKey, ResInfo, BW_ENC_MAX, RES_ID_MAX};
 use hummingbird_dataplane::{GenError, SourceGenerator, SourceReservation};
-use hummingbird_wire::hopfield::{HopField, HopFlags, InfoField};
+use hummingbird_wire::hopfield::{FlyoverHopField, HopField, HopFlags, InfoField};
 use hummingbird_wire::meta::PathMetaHdr;
 use hummingbird_wire::path::{HummingbirdPath, PathField};
 use hummingbird_wire::IsdAs;
@@ -192,13 +193,14 @@ const EPOCH_S: u64 = 1_700_000_000;
 const SRC: IsdAs = IsdAs::new(1, 0x10);
 const DST: IsdAs = IsdAs::new(2, 0xffff_0000_0020);
 
-/// A base path of plain hop fields over `hops_per_segment`.
-fn base_path(rng: &mut Mix, hops_per_segment: &[usize]) -> HummingbirdPath {
+/// A base path over `hops_per_segment`: plain hop fields and, if
+/// `carried_flyovers`, now and then a flyover field the path already
+/// carries.
+fn base_path(rng: &mut Mix, hops_per_segment: &[usize], carried_flyovers: bool) -> HummingbirdPath {
     let mut seg_len = [0u8; 3];
     let mut info = Vec::new();
     let mut hops = Vec::new();
     for (s, &n) in hops_per_segment.iter().enumerate() {
-        seg_len[s] = 3 * n as u8;
         info.push(InfoField {
             peering: rng.chance(4),
             cons_dir: rng.chance(2),
@@ -207,7 +209,7 @@ fn base_path(rng: &mut Mix, hops_per_segment: &[usize]) -> HummingbirdPath {
         });
         for _ in 0..n {
             let mac = rng.next().to_be_bytes();
-            hops.push(PathField::Hop(HopField {
+            let hop = HopField {
                 flags: HopFlags {
                     flyover: false,
                     ingress_alert: rng.chance(4),
@@ -217,7 +219,24 @@ fn base_path(rng: &mut Mix, hops_per_segment: &[usize]) -> HummingbirdPath {
                 cons_ingress: rng.next() as u16,
                 cons_egress: rng.next() as u16,
                 mac: [mac[0], mac[1], mac[2], mac[3], mac[4], mac[5]],
-            }));
+            };
+            let field = if carried_flyovers && rng.chance(8) {
+                PathField::Flyover(FlyoverHopField {
+                    flags: HopFlags { flyover: true, ..hop.flags },
+                    exp_time: hop.exp_time,
+                    cons_ingress: hop.cons_ingress,
+                    cons_egress: hop.cons_egress,
+                    agg_mac: hop.mac,
+                    res_id: rng.below(u64::from(RES_ID_MAX) + 1) as u32,
+                    bw: rng.below(u64::from(BW_ENC_MAX) + 1) as u16,
+                    res_start_offset: rng.next() as u16,
+                    res_duration: rng.next() as u16,
+                })
+            } else {
+                PathField::Hop(hop)
+            };
+            seg_len[s] += field.units();
+            hops.push(field);
         }
     }
     HummingbirdPath {
@@ -285,7 +304,7 @@ fn run_sequence(seed: u64, seen: &mut BTreeMap<String, u64>) -> Result<(), Strin
     let mut rng = Mix(seed);
     let segments = 1 + rng.below(3) as usize;
     let shape: Vec<usize> = (0..segments).map(|_| 1 + rng.below(8) as usize).collect();
-    let path = base_path(&mut rng, &shape);
+    let path = base_path(&mut rng, &shape, true);
     let n = path.hops.len();
     let mut new = SourceGenerator::new(SRC, DST, path.clone());
     let mut old = reference::SourceGenerator::new(SRC, DST, path.clone());
@@ -381,7 +400,7 @@ fn sequences_reach_every_outcome() {
 #[test]
 fn every_reserved_hop_subset_matches_the_reference() {
     let mut rng = Mix(7);
-    let path = base_path(&mut rng, &[3, 2, 3]);
+    let path = base_path(&mut rng, &[3, 2, 3], false);
     let n = path.hops.len();
     let reservations: Vec<SourceReservation> = path
         .hops
