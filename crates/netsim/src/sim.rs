@@ -9,7 +9,7 @@
 
 use crate::flow::{FlowEvent, FlowEventKind, Outstanding, ReactiveFlow, ReactiveState};
 use hummingbird_dataplane::{Datapath, DatapathStats, LatencyHistogram, SourceGenerator, Verdict};
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Node identifier.
@@ -274,7 +274,7 @@ pub struct Flow {
 /// and stats ids are the same index space no matter in which order flows
 /// and taps are registered.
 enum FlowSlot {
-    Cbr(Flow),
+    Cbr(Box<Flow>),
     Reactive(Box<ReactiveState>),
     Tap,
 }
@@ -418,6 +418,88 @@ pub struct ReplayTap {
     pub attacker_flow: FlowId,
 }
 
+/// The scheduled events, dispatched in `(time, schedule order)`.
+///
+/// Each event waits in a slot of `pending`; the heap holds one
+/// [`QueueEntry`] per event, keyed by `(time << 64) | seq` with `seq`
+/// strictly increasing per push, so one integer comparison orders
+/// events by time and, at equal times, in push order. Dispatched slots
+/// are reused, so `pending` stays as long as the most events ever
+/// queued at once.
+struct EventQueue<E> {
+    heap: BinaryHeap<Reverse<QueueEntry>>,
+    pending: Vec<Option<E>>,
+    free_slots: Vec<usize>,
+    seq: u64,
+}
+
+/// A heap entry: the event's order key and its slot in
+/// [`EventQueue::pending`]. Ordered by the key alone: keys are unique,
+/// so the slot never influences the order.
+struct QueueEntry {
+    key: u128,
+    slot: usize,
+}
+
+impl PartialEq for QueueEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for QueueEntry {}
+
+impl PartialOrd for QueueEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for QueueEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        EventQueue { heap: BinaryHeap::new(), pending: Vec::new(), free_slots: Vec::new(), seq: 0 }
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// Schedules `event` at `at_ns`, after every event already
+    /// scheduled at that time.
+    fn push(&mut self, at_ns: u64, event: E) {
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.pending[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.pending.push(Some(event));
+                self.pending.len() - 1
+            }
+        };
+        let key = (u128::from(at_ns) << 64) | u128::from(self.seq);
+        self.heap.push(Reverse(QueueEntry { key, slot }));
+        self.seq += 1;
+    }
+
+    /// Removes and returns the first event, with its time, if it is due
+    /// at or before `end_ns`.
+    fn pop_due(&mut self, end_ns: u64) -> Option<(u64, E)> {
+        let at_ns = (self.heap.peek()?.0.key >> 64) as u64;
+        if at_ns > end_ns {
+            return None;
+        }
+        let slot = self.heap.pop()?.0.slot;
+        let event = self.pending[slot].take().expect("event consumed twice");
+        self.free_slots.push(slot);
+        Some((at_ns, event))
+    }
+}
+
 /// The simulator.
 pub struct Simulator {
     nodes: Vec<Node>,
@@ -429,13 +511,9 @@ pub struct Simulator {
     taps: Vec<ReplayTap>,
     /// Per node: the installed service model, if any.
     services: Vec<Option<RouterService>>,
-    queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    /// Scheduled events by slot; the heap holds each one's slot.
-    pending: Vec<Option<Event>>,
-    /// Slots of `pending` already dispatched, reused by `schedule`, so
-    /// `pending` stays as long as the most events ever queued at once.
-    free_slots: Vec<usize>,
-    seq: u64,
+    queue: EventQueue<Event>,
+    /// Zeros as long as the longest flow payload: every send's payload.
+    zeros: Vec<u8>,
     now_ns: u64,
     events_processed: u64,
 }
@@ -451,10 +529,8 @@ impl Simulator {
             newest_delivered: Vec::new(),
             taps: Vec::new(),
             services: Vec::new(),
-            queue: BinaryHeap::new(),
-            pending: Vec::new(),
-            free_slots: Vec::new(),
-            seq: 0,
+            queue: EventQueue::default(),
+            zeros: Vec::new(),
             now_ns: start_ns,
             events_processed: 0,
         }
@@ -554,7 +630,8 @@ impl Simulator {
     pub fn add_flow(&mut self, flow: Flow) -> FlowId {
         let id = self.flows.len();
         let start = flow.start_ns.max(self.now_ns);
-        self.flows.push(FlowSlot::Cbr(flow));
+        self.grow_zeros(flow.payload_len);
+        self.flows.push(FlowSlot::Cbr(Box::new(flow)));
         self.stats.push(FlowStats::default());
         self.newest_delivered.push(0);
         self.schedule(start, Event::FlowSend { flow: id });
@@ -570,6 +647,7 @@ impl Simulator {
     pub fn add_reactive_flow(&mut self, flow: ReactiveFlow) -> FlowId {
         let id = self.flows.len();
         let start = flow.start_ns.max(self.now_ns);
+        self.grow_zeros(flow.payload_len);
         let mut state = ReactiveState::new(flow);
         state.send_scheduled = true;
         self.flows.push(FlowSlot::Reactive(Box::new(state)));
@@ -577,6 +655,13 @@ impl Simulator {
         self.newest_delivered.push(0);
         self.schedule(start, Event::ReactiveSend { flow: id });
         id
+    }
+
+    /// Makes the shared zero payload at least `payload_len` bytes long.
+    fn grow_zeros(&mut self, payload_len: usize) {
+        if self.zeros.len() < payload_len {
+            self.zeros.resize(payload_len, 0);
+        }
     }
 
     /// Registers an on-reservation-set replay adversary. The attacker's
@@ -711,31 +796,16 @@ impl Simulator {
 
     /// Enqueues `event` at `at_ns`.
     ///
-    /// Equal-timestamp determinism contract: the queue orders by
-    /// `(time, seq)` with `seq` strictly increasing per `schedule` call,
-    /// so events at the same instant dispatch in exactly the order they
-    /// were scheduled — FIFO, never heap-arbitrary. This is what makes
-    /// reruns bit-identical, and what gives churn a stable tie-break:
+    /// Equal-timestamp determinism contract: events at the same instant
+    /// dispatch in exactly the order they were scheduled — FIFO, never
+    /// heap-arbitrary ([`EventQueue`]). This is what makes reruns
+    /// bit-identical, and what gives churn a stable tie-break:
     /// [`run_until`](Simulator::run_until) drains every event at `t`
     /// before returning, so an externally applied churn action at `t`
     /// (link down, reboot, reroute) always acts *after* the packet
     /// events of that instant.
-    ///
-    /// The slot only locates the event: `seq` is unique, so a recycled
-    /// slot never influences the order.
     fn schedule(&mut self, at_ns: u64, event: Event) {
-        let slot = match self.free_slots.pop() {
-            Some(slot) => {
-                self.pending[slot] = Some(event);
-                slot
-            }
-            None => {
-                self.pending.push(Some(event));
-                self.pending.len() - 1
-            }
-        };
-        self.queue.push(Reverse((at_ns, self.seq, slot)));
-        self.seq += 1;
+        self.queue.push(at_ns, event);
     }
 
     /// Runs until `end_ns` inclusive (or until no events remain): every
@@ -743,14 +813,8 @@ impl Simulator {
     /// during the run — has been dispatched when this returns, in
     /// `(time, schedule-order)` order.
     pub fn run_until(&mut self, end_ns: u64) {
-        while let Some(&Reverse((t, _, slot))) = self.queue.peek() {
-            if t > end_ns {
-                break;
-            }
-            self.queue.pop();
+        while let Some((t, event)) = self.queue.pop_due(end_ns) {
             self.now_ns = t;
-            let event = self.pending[slot].take().expect("event consumed twice");
-            self.free_slots.push(slot);
             self.events_processed += 1;
             self.dispatch(event);
         }
@@ -777,12 +841,11 @@ impl Simulator {
         if now >= flow.stop_ns {
             return;
         }
-        let payload = vec![0u8; flow.payload_len];
         let now_ms = now / 1_000_000;
         let interval = flow.interval_ns;
         let stop_ns = flow.stop_ns;
         let entry = flow.entry;
-        match flow.generator.generate(&payload, now_ms) {
+        match flow.generator.generate(&self.zeros[..flow.payload_len], now_ms) {
             Ok(bytes) => {
                 self.stats[flow_id].sent_pkts += 1;
                 self.stats[flow_id].sent_bytes += bytes.len() as u64;
@@ -828,8 +891,8 @@ impl Simulator {
             st.next_seq += 1;
             st.last_send_ns = now;
             self.stats[flow_id].sent_pkts += 1;
-            let payload = vec![0u8; st.cfg.payload_len];
-            match st.cfg.generator.generate(&payload, now / 1_000_000) {
+            let payload = &self.zeros[..st.cfg.payload_len];
+            match st.cfg.generator.generate(payload, now / 1_000_000) {
                 Ok(bytes) => {
                     self.stats[flow_id].sent_bytes += bytes.len() as u64;
                     let pkt = SimPacket { bytes, flow: flow_id, sent_at: now, seq };
@@ -914,11 +977,11 @@ impl Simulator {
                 let next_rto = out.rto_ns;
                 self.stats[flow_id].retransmits += 1;
                 self.stats[flow_id].sent_pkts += 1;
-                let payload = vec![0u8; st.cfg.payload_len];
+                let payload = &self.zeros[..st.cfg.payload_len];
                 // Regenerate through the *current* generator: a reroute
                 // applied since the original send puts the retry on the
                 // new path.
-                match st.cfg.generator.generate(&payload, now / 1_000_000) {
+                match st.cfg.generator.generate(payload, now / 1_000_000) {
                     Ok(bytes) => {
                         self.stats[flow_id].sent_bytes += bytes.len() as u64;
                         let pkt = SimPacket { bytes, flow: flow_id, sent_at: now, seq };
@@ -1122,12 +1185,14 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
-    use super::{FlowId, Simulator};
+    use super::{EventQueue, FlowId, Simulator};
     use crate::{
         EngineFamily, FlowKind, FlowSpec, LinearTopology, LinkSpec, ReactiveProfile, Route,
     };
     use hummingbird_dataplane::RouterConfig;
     use hummingbird_wire::IsdAs;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     const START_S: u64 = 1_700_000_000;
     const START_NS: u64 = START_S * 1_000_000_000;
@@ -1201,12 +1266,47 @@ mod tests {
         let sim = &net.sim;
         assert!(sim.stats(flow).delivery_ratio() > 0.99);
         assert!(sim.events_processed() > 1_000, "{} events", sim.events_processed());
+        let queue = &sim.queue;
         assert!(
-            sim.pending.len() <= 8,
+            queue.pending.len() <= 8,
             "{} slots for {} events",
-            sim.pending.len(),
+            queue.pending.len(),
             sim.events_processed()
         );
-        assert_eq!(sim.free_slots.len(), sim.pending.len(), "every slot dispatched");
+        assert_eq!(queue.free_slots.len(), queue.pending.len(), "every slot dispatched");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The queue dispatches exactly in `(time, schedule order)`:
+        /// random schedules crowded onto a few instants, some at the top
+        /// of the `u64` range, with pops between the pushes so slots are
+        /// reused mid-run.
+        #[test]
+        fn queue_dispatches_in_time_then_schedule_order(
+            ops in prop::collection::vec((0u8..4, 0usize..6, any::<u64>()), 1..300),
+        ) {
+            const INSTANTS: [u64; 5] = [0, 1_000, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+            let mut queue = EventQueue::default();
+            // What must come out: (time, schedule index), in order.
+            let mut model = BTreeSet::new();
+            for (index, (op, which, raw)) in ops.into_iter().enumerate() {
+                let at = INSTANTS.get(which).copied().unwrap_or(raw);
+                if op > 0 {
+                    queue.push(at, index);
+                    model.insert((at, index));
+                    continue;
+                }
+                while let Some(popped) = queue.pop_due(at) {
+                    prop_assert_eq!(Some(popped), model.pop_first());
+                }
+                prop_assert!(model.first().is_none_or(|&(t, _)| t > at));
+            }
+            while let Some(popped) = queue.pop_due(u64::MAX) {
+                prop_assert_eq!(Some(popped), model.pop_first());
+            }
+            prop_assert!(model.is_empty());
+        }
     }
 }
