@@ -13,6 +13,8 @@
 //! testbed and control-plane numbers are the `netsim_churn`, `chain_*`
 //! and `control_*` workloads of the `benchmark/` package.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 
 use hummingbird_baselines::EngineFamily;

@@ -18,12 +18,17 @@
 //!   a key schedule.
 //! * [`digest_hash`] — hash tables keyed by digests and PRF outputs, and
 //!   the argument for which keys may skip SipHash.
+//! * [`prefetch`] — a non-blocking cache hint for per-burst state that
+//!   sits outside the crypto (the border router's policer slots).
 
 // `deny` rather than `forbid`: the sanctioned exceptions are the AES-NI
 // backend in [`aes`] and the SHA-NI backend in [`sha256`], whose
 // intrinsics modules opt back in with a scoped `#[allow(unsafe_code)]`
-// and `deny(unsafe_op_in_unsafe_fn)`.
+// and `deny(unsafe_op_in_unsafe_fn)`, and the cache hint [`prefetch`].
+// This crate holds every `std::arch` intrinsic of the workspace; the
+// other crates forbid `unsafe` outright.
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod aes;
@@ -41,3 +46,24 @@ pub use flyover::{
     aggregate_mac, flyover_tags_batch, flyover_tags_batch_with, AuthKey, AuthKeyCache,
     BurstKeyResolver, FlyoverMacInput, ResInfo, SecretValue, Tag, BW_ENC_MAX, RES_ID_MAX, TAG_LEN,
 };
+
+/// Asks the CPU to start loading the cache line that holds `value` into
+/// every cache level, and returns at once: a hint, not a load, so a burst
+/// can issue one per packet and let the misses overlap each other and the
+/// work in between. It never faults, writes or changes a result, whatever
+/// later happens to `value`'s memory. On x86_64 it is `PREFETCHT0` (SSE,
+/// part of the baseline, so no runtime detection); elsewhere a no-op.
+#[inline(always)]
+pub fn prefetch<T>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)] // one SSE hint on a live reference
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: SSE is enabled on every x86_64 target, and a prefetch
+        // only hints the cache: it neither reads into a register, faults,
+        // nor writes, and `value` is a valid reference besides.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((value as *const T).cast()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
+}

@@ -28,6 +28,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Packet bytes decide what this crate sees: no panicking shortcuts.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod beacon;
 pub mod datapath;

@@ -114,15 +114,20 @@ impl Policer {
         self.ts_array.last_mut()
     }
 
-    /// Touches the deadline slot of `res_id` so it is cache-resident when
-    /// [`check`](Policer::check) runs — the batch path calls this for a
-    /// whole burst between key derivation and policing, mirroring the
-    /// DPDK prefetch the paper's router issues per burst. A no-op for
-    /// slots not yet resident (`check` creates them).
+    /// Starts loading the deadline slot of `res_id` into cache without
+    /// waiting for it, so it is resident when [`check`](Policer::check)
+    /// runs: the batch path calls this for a whole burst before its two
+    /// AES passes, like the DPDK prefetch the paper's router issues per
+    /// burst, and the burst's slot misses overlap each other and the
+    /// crypto. A non-blocking hint ([`hummingbird_crypto::prefetch`]): it
+    /// may target a slot that a `check` earlier in the same burst then
+    /// moves by growing the array, which is harmless because a prefetch
+    /// never faults or writes. A no-op for slots not yet resident (`check`
+    /// creates them).
     #[inline]
-    pub fn pre_touch(&self, res_id: u32) {
+    pub fn prefetch(&self, res_id: u32) {
         if let Some(slot) = self.ts_array.get(res_id as usize) {
-            std::hint::black_box(*slot);
+            hummingbird_crypto::prefetch(slot);
         }
     }
 
@@ -261,9 +266,9 @@ mod tests {
     fn slots_become_resident_on_first_use() {
         let mut p = Policer::new(1_000, DEFAULT_BURST_TIME_NS);
         assert_eq!(p.ts_array.len(), 0);
-        // Resets and pre-touches of untouched slots change nothing.
+        // Resets and prefetches of untouched slots change nothing.
         p.reset(500);
-        p.pre_touch(999);
+        p.prefetch(999);
         assert_eq!(p.ts_array.len(), 0);
         assert_eq!(p.check(9, 1_000, 1500, SEC), FwdClass::Flyover);
         assert_eq!(p.ts_array.len(), 10);
@@ -322,7 +327,7 @@ mod tests {
                         p.reset(res_id);
                         dense.reset(res_id);
                     }
-                    1 => p.pre_touch(res_id),
+                    1 => p.prefetch(res_id),
                     _ => {}
                 }
                 let got = p.check(res_id, bw_kbps, pkt_len, now);

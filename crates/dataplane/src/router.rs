@@ -666,7 +666,7 @@ impl Datapath for BorderRouter {
     }
 
     /// The batched Algorithm 2. Pass 1 runs the read-only pipeline half
-    /// over the whole burst and pre-touches the policer slots. The
+    /// over the whole burst and prefetches the policer slots. The
     /// burst's crypto then takes two AES passes: the **fused kernel**
     /// ([`SecretValue::flyover_tags`]) derives every flyover packet's
     /// `A_K`, runs its schedule round by round and tags the packet under
@@ -692,7 +692,7 @@ impl Datapath for BorderRouter {
             let prep = stages::parse(pkt.as_bytes()).and_then(|parsed| {
                 if parsed.is_flyover() {
                     let inputs = stages::flyover_inputs(&parsed)?;
-                    state.policer.pre_touch(inputs.res_info.res_id);
+                    state.policer.prefetch(inputs.res_info.res_id);
                     res_infos.push(inputs.res_info);
                     mac_inputs.push(inputs.mac_input);
                 }

@@ -84,7 +84,7 @@ pub const BATCH_SIZE: usize = 32;
 /// [`process_batch`](Datapath::process_batch) forwards maximal same-shard
 /// runs to the
 /// owning engine's batch path, so per-burst amortizations (batch key
-/// derivation, policer pre-touch) survive sharding.
+/// derivation, policer prefetch) survive sharding.
 ///
 /// This synchronous facade is the drop-in form — harnesses that want
 /// real parallelism drive the same engines through
@@ -684,18 +684,19 @@ where
         std::thread::scope(|s| {
             let handles: Vec<_> =
                 plans.iter().enumerate().map(|job| s.spawn(move || run_shard(job))).collect();
-            handles.into_iter().map(|h| h.join().expect("runtime worker panicked")).collect()
+            // A worker's panic is the caller's: re-raise it unchanged.
+            let joined = handles.into_iter().map(|h| h.join());
+            joined.map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic))).collect()
         })
     } else {
         plans.iter().enumerate().map(run_shard).collect()
     };
 
     let seconds = outcomes.iter().fold(0.0f64, |m, o| m.max(o.seconds));
-    let egress_total = egress.map(|_| {
-        let mut total = EgressStats::default();
-        for o in &outcomes {
-            total.merge(&o.egress.expect("egress was enabled for every shard"));
-        }
+    // Every shard runs egress or none does, and there is at least one
+    // shard: the total exists exactly when egress was enabled.
+    let egress_total = outcomes.iter().filter_map(|o| o.egress).reduce(|mut total, shard| {
+        total.merge(&shard);
         total
     });
     RuntimeReport {

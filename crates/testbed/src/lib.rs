@@ -21,6 +21,8 @@
 //! latency from the dataplane's
 //! [`LatencyHistogram`](hummingbird_dataplane::LatencyHistogram).
 
+#![forbid(unsafe_code)]
+
 pub mod frame;
 pub mod harness;
 pub mod link;

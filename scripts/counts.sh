@@ -7,15 +7,18 @@ set -eu
 rs_lines() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
 printf '.rs lines, crates src tests examples: %s\n' "$(rs_lines crates src tests examples)"
 printf '.rs lines, benchmark (frozen):        %s\n' "$(rs_lines benchmark/src benchmark/tests)"
-# The root package's src/ is the `hummingbird` crate.
+# The crate a src/ directory belongs to; the root package's src/ is the
+# `hummingbird` crate.
+crate_of() {
+    case $1 in
+        src) echo hummingbird ;;
+        *) crate=${1#crates/} && echo "${crate%/src}" ;;
+    esac
+}
 echo 'pub items per crate:'
 for dir in src crates/*/src; do
-    case $dir in
-        src) crate=hummingbird ;;
-        *) crate=${dir#crates/} crate=${crate%/src} ;;
-    esac
     n=$(grep -rhE '^\s*pub (fn|struct|enum|const|trait|type|mod|use|static)' "$dir" | wc -l)
-    printf '  %-11s %s\n' "$crate" "$n"
+    printf '  %-11s %s\n' "$(crate_of "$dir")" "$n"
 done
 printf 'workspace packages:                   %s\n' \
     "$(cargo metadata --offline --no-deps --format-version 1 | tr ',' '\n' | grep -c '"manifest_path"')"
@@ -38,6 +41,19 @@ printf 'unwrap/expect outside tests:          %s\n' "$(
         /^[[:space:]]*\/\// { next }
         { n += gsub(/\.unwrap\(\)|\.expect\(/, "&") }
         END { print n + 0 }' {} \; | awk '{ s += $1 } END { print s }')"
+# `unsafe` blocks outside tests, per crate: everything from a file's first
+# top-level #[cfg(test)] on is test code, and comments do not count. Only
+# hummingbird-crypto (the crate with every `std::arch` intrinsic) may have
+# any; the others forbid `unsafe` outright.
+echo 'unsafe blocks outside tests:'
+for dir in src crates/*/src; do
+    n=$(find "$dir" -name '*.rs' -exec awk '
+        /^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        { n += gsub(/unsafe[[:space:]]*\{/, "&") }
+        END { print n + 0 }' {} \; | awk '{ s += $1 } END { print s }')
+    printf '  %-11s %s\n' "$(crate_of "$dir")" "$n"
+done
 printf 'RuntimeConfig fields:                 %s\n' "$(
     awk '/^pub struct RuntimeConfig \{/ { on = 1; next } on && /^}/ { exit }
         on && /^[[:space:]]*pub [a-z_]+:/ { n++ } END { print n + 0 }' \
