@@ -29,76 +29,67 @@ pub struct DrKeySecret {
 impl DrKeySecret {
     /// Derives the epoch secret from the AS's long-term master key.
     pub fn derive(master: &[u8; 16], epoch: u64) -> Self {
-        let master_cipher = Aes128::new(master);
-        let mut block = [0u8; 16];
-        block[..8].copy_from_slice(b"drkey-sv");
-        block[8..16].copy_from_slice(&epoch.to_be_bytes());
-        let sv = master_cipher.encrypt(&block);
+        let sv = Aes128::new(master).encrypt(&epoch_block(epoch));
         DrKeySecret { cipher: Aes128::new(&sv), epoch }
-    }
-
-    /// The epoch this secret belongs to.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// First-level key `K_{A→B}`.
     pub fn as_to_as(&self, b: IsdAs) -> [u8; 16] {
-        let mut block = [0u8; 16];
-        block[0..2].copy_from_slice(&b.isd.to_be_bytes());
-        block[2..10].copy_from_slice(&b.asn.to_be_bytes());
-        self.cipher.encrypt(&block)
+        self.cipher.encrypt(&as_block(b))
     }
 
     /// Second-level key `K_{A→B:H}` for host `host` in AS `b`.
     pub fn as_to_host(&self, b: IsdAs, host: [u8; 4]) -> [u8; 16] {
-        let l1 = Aes128::new(&self.as_to_as(b));
-        let mut block = [0u8; 16];
-        block[0..4].copy_from_slice(&host);
-        block[4] = 0x01; // level tag
-        l1.encrypt(&block)
+        Aes128::new(&self.as_to_as(b)).encrypt(&host_block(host))
+    }
+}
+
+/// The PRF input of `SV_A(epoch)` under the master key.
+pub(crate) fn epoch_block(epoch: u64) -> [u8; 16] {
+    let mut block = [0u8; 16];
+    block[..8].copy_from_slice(b"drkey-sv");
+    block[8..16].copy_from_slice(&epoch.to_be_bytes());
+    block
+}
+
+/// The PRF input of `K_{A→B}` under `SV_A`.
+pub(crate) fn as_block(b: IsdAs) -> [u8; 16] {
+    let mut block = [0u8; 16];
+    block[0..2].copy_from_slice(&b.isd.to_be_bytes());
+    block[2..10].copy_from_slice(&b.asn.to_be_bytes());
+    block
+}
+
+/// The PRF input of `K_{A→B:H}` under `K_{A→B}`.
+pub(crate) fn host_block(host: [u8; 4]) -> [u8; 16] {
+    let mut block = [0u8; 16];
+    block[0..4].copy_from_slice(&host);
+    block[4] = 0x01; // level tag
+    block
+}
+
+/// The root of the DRKey and EPIC engines' key chains: the epoch secret
+/// of the clock's epoch, one entry the clock rotates. No packet chooses
+/// it.
+pub(crate) struct EpochRoot {
+    master: [u8; 16],
+    secret: DrKeySecret,
+}
+
+impl EpochRoot {
+    /// The root under `master`, holding epoch 0 until the clock says
+    /// otherwise.
+    pub(crate) fn new(master: [u8; 16]) -> Self {
+        EpochRoot { master, secret: DrKeySecret::derive(&master, 0) }
     }
 
-    /// Derives `K_{A→B:H}` for a whole burst in two AES sweeps.
-    ///
-    /// Sweep 1 computes every first-level key `K_{A→B}` under the single
-    /// epoch cipher ([`Aes128::encrypt_blocks`], round-major over the
-    /// batch); sweep 2 encrypts each host block under its own first-level
-    /// cipher (the [`Aes128::encrypt_blocks_per_key`] multi-key kernel) —
-    /// the shape the EPIC engine's batched key derivation amortizes a
-    /// burst of cache misses with. Appends one key per id, in order, to
-    /// `out`; element-wise identical to
-    /// [`as_to_host`](DrKeySecret::as_to_host).
-    ///
-    /// `blocks` and `ciphers` are scratch buffers hot loops reuse across
-    /// bursts (both are cleared on entry).
-    pub fn as_to_host_batch(
-        &self,
-        ids: &[(IsdAs, [u8; 4])],
-        blocks: &mut Vec<[u8; 16]>,
-        ciphers: &mut Vec<Aes128>,
-        out: &mut Vec<[u8; 16]>,
-    ) {
-        // Sweep 1: first-level keys, one shared epoch cipher.
-        blocks.clear();
-        blocks.extend(ids.iter().map(|(b, _)| {
-            let mut block = [0u8; 16];
-            block[0..2].copy_from_slice(&b.isd.to_be_bytes());
-            block[2..10].copy_from_slice(&b.asn.to_be_bytes());
-            block
-        }));
-        self.cipher.encrypt_blocks(blocks);
-        // Sweep 2: host keys, one cipher per block.
-        ciphers.clear();
-        ciphers.extend(blocks.iter().map(Aes128::new));
-        let start = out.len();
-        out.extend(ids.iter().map(|(_, host)| {
-            let mut block = [0u8; 16];
-            block[0..4].copy_from_slice(host);
-            block[4] = 0x01; // level tag
-            block
-        }));
-        Aes128::encrypt_blocks_with(|i| &ciphers[i], &mut out[start..]);
+    /// The expanded epoch secret of the epoch covering `now_s`.
+    pub(crate) fn at(&mut self, now_s: u64) -> &Aes128 {
+        let epoch = epoch_of(now_s);
+        if self.secret.epoch != epoch {
+            self.secret = DrKeySecret::derive(&self.master, epoch);
+        }
+        &self.secret.cipher
     }
 }
 
@@ -138,26 +129,6 @@ mod tests {
         );
         // Host keys are not the AS key.
         assert_ne!(sv.as_to_as(IsdAs::new(1, 1)), sv.as_to_host(IsdAs::new(1, 1), [0, 0, 0, 1]));
-    }
-
-    #[test]
-    fn batched_host_keys_match_sequential() {
-        let sv = DrKeySecret::derive(&[3u8; 16], 4);
-        let ids: Vec<(IsdAs, [u8; 4])> = (0..11u16)
-            .map(|i| (IsdAs::new(1 + (i % 3), 0x10 + u64::from(i)), [0, 0, i as u8, 1]))
-            .collect();
-        let (mut blocks, mut ciphers, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        sv.as_to_host_batch(&ids, &mut blocks, &mut ciphers, &mut out);
-        assert_eq!(out.len(), ids.len());
-        for ((b, host), key) in ids.iter().zip(&out) {
-            assert_eq!(sv.as_to_host(*b, *host), *key);
-        }
-        // Appends without clearing `out`; empty bursts are a no-op.
-        sv.as_to_host_batch(&ids[..1], &mut blocks, &mut ciphers, &mut out);
-        assert_eq!(out.len(), ids.len() + 1);
-        assert_eq!(out[ids.len()], sv.as_to_host(ids[0].0, ids[0].1));
-        sv.as_to_host_batch(&[], &mut blocks, &mut ciphers, &mut out);
-        assert_eq!(out.len(), ids.len() + 1);
     }
 
     #[test]

@@ -14,12 +14,13 @@
 //! [`SourceGenerator`]: hummingbird_dataplane::SourceGenerator
 
 use crate::drkey::{epoch_of, DrKeySecret, EPOCH_SECS};
-use crate::engine::{helia_packet_key, DrKeyDatapath, HeliaDatapath};
-use crate::epic::{epic_auth_key, EpicDatapath};
+use crate::engine::{helia_packet_key, DrKey, Helia};
+use crate::epic::{epic_auth_key, Epic};
 use crate::helia::{slot_of, SLOT_SECS};
 use hummingbird_crypto::{AuthKey, ResInfo, SecretValue};
 use hummingbird_dataplane::{
-    Datapath, DatapathBuilder, RouterConfig, ShardedRouter, SourceReservation, Steering,
+    BorderRouter, Datapath, DatapathBuilder, RouterConfig, ShardedRouter, SourceReservation,
+    Steering,
 };
 use hummingbird_wire::bwcls;
 use hummingbird_wire::scion_mac::HopMacKey;
@@ -86,8 +87,8 @@ impl EngineFamily {
     }
 
     /// A fresh engine of this family over one AS's secrets: the
-    /// Hummingbird router is keyed by `sv`, the baselines by the AS's
-    /// DRKey `master`.
+    /// [`BorderRouter`] instance of the family, keyed by `sv` for
+    /// Hummingbird and by the AS's DRKey `master` for the baselines.
     pub fn engine(
         self,
         sv: &SecretValue,
@@ -99,9 +100,15 @@ impl EngineFamily {
             EngineFamily::Hummingbird => {
                 DatapathBuilder::new(sv.clone(), hop_key.clone()).config(cfg).build_boxed()
             }
-            EngineFamily::Helia => Box::new(HeliaDatapath::new(*master, hop_key.clone(), cfg)),
-            EngineFamily::Drkey => Box::new(DrKeyDatapath::new(*master, hop_key.clone())),
-            EngineFamily::Epic => Box::new(EpicDatapath::new(*master, hop_key.clone(), cfg)),
+            EngineFamily::Helia => {
+                Box::new(BorderRouter::with_family(Helia::new(*master), hop_key.clone(), cfg))
+            }
+            EngineFamily::Drkey => {
+                Box::new(BorderRouter::with_family(DrKey::new(*master), hop_key.clone(), cfg))
+            }
+            EngineFamily::Epic => {
+                Box::new(BorderRouter::with_family(Epic::new(*master), hop_key.clone(), cfg))
+            }
         }
     }
 

@@ -172,15 +172,20 @@ impl HeliaService {
 
 /// The Helia per-slot authenticator key for `source_as` covering `slot`:
 /// `PRF_{K_{A→B}}(slot ‖ "helia")` with `K_{A→B}` from the DRKey
-/// hierarchy. Shared by [`HeliaService::verify_grant`] and the per-packet
-/// [`crate::engine::HeliaDatapath`].
-pub fn slot_key(drkey_master: &[u8; 16], source_as: IsdAs, slot: u64) -> [u8; 16] {
+/// hierarchy. Shared by [`HeliaService::verify_grant`] and the sender's
+/// `helia_packet_key`; the per-packet [`crate::engine::HeliaDatapath`]
+/// derives it inside its key chain.
+pub(crate) fn slot_key(drkey_master: &[u8; 16], source_as: IsdAs, slot: u64) -> [u8; 16] {
     let sv = DrKeySecret::derive(drkey_master, crate::drkey::epoch_of(slot * SLOT_SECS));
-    let l1 = Aes128::new(&sv.as_to_as(source_as));
+    Aes128::new(&sv.as_to_as(source_as)).encrypt(&slot_block(slot))
+}
+
+/// The PRF input of the slot key under `K_{A→B}`.
+pub(crate) fn slot_block(slot: u64) -> [u8; 16] {
     let mut block = [0u8; 16];
     block[..8].copy_from_slice(&slot.to_be_bytes());
     block[8..13].copy_from_slice(b"helia");
-    l1.encrypt(&block)
+    block
 }
 
 /// Flexibility comparison helpers used by the baseline bench: how much of

@@ -7,11 +7,14 @@
 //!   (simulator, testbed, bench harness, tests) reads: name, priority
 //!   class, shard steering, engine constructor and per-hop sender
 //!   credential for Hummingbird, Helia, DRKey and EPIC.
-//! * [`engine`] — the Helia and DRKey per-packet
-//!   [`hummingbird_dataplane::Datapath`] engines; [`epic`] — the EPIC
-//!   L1-style path-validation engine (chained hop authenticators over
-//!   DRKey-derived per-source keys, strict freshness, replay
-//!   suppression, no reservations), the heavyweight end of the family.
+//! * [`engine`] — the Helia and DRKey engine families; [`epic`] — the
+//!   EPIC L1-style path-validation family (chained hop authenticators
+//!   over DRKey-derived per-source keys, strict freshness, replay
+//!   suppression, no reservations), the heavyweight end of the
+//!   comparison. Each is a [`hummingbird_dataplane::Family`]: an instance
+//!   of the one batched border-router pipeline the Hummingbird router
+//!   runs, deriving every packet's key on the fly through its DRKey
+//!   chain, with no key state.
 //! * [`helia`] — the Helia-style fixed-slot grant service (Wyss et al.,
 //!   CCS 2022): fixed time slots, AS-computed bandwidth shares, no
 //!   ahead-of-time reservations, per-source-AS authorization via DRKey,
@@ -34,7 +37,7 @@ pub mod helia;
 mod testutil;
 
 pub use drkey::DrKeySecret;
-pub use engine::{DrKeyDatapath, HeliaDatapath};
-pub use epic::{epic_auth_key, EpicDatapath, EpicKeyId};
+pub use engine::{DrKey, DrKeyDatapath, Helia, HeliaDatapath};
+pub use epic::{epic_auth_key, Epic, EpicDatapath};
 pub use family::EngineFamily;
 pub use helia::{slot_of, HeliaError, HeliaGrant, HeliaService, SLOT_SECS};

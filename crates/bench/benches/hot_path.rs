@@ -8,7 +8,7 @@ use hummingbird_crypto::aes::{bytewise::ByteAes128, Aes128, AesBackend};
 use hummingbird_crypto::cmac::Cmac;
 use hummingbird_crypto::sha256::Sha256;
 use hummingbird_crypto::{
-    flyover_tags_batch, ni_available, AuthKey, AuthKeyCache, FlyoverMacInput, ResInfo, SecretValue,
+    flyover_tags_batch, ni_available, AuthKey, FlyoverMacInput, ResInfo, SecretValue,
 };
 use hummingbird_dataplane::policing::Policer;
 use hummingbird_dataplane::{Datapath, PacketBuf};
@@ -118,15 +118,6 @@ fn bench_derivations(c: &mut Criterion) {
             keys.clear();
             sv.derive_keys_batch(&infos, &mut scratch, &mut keys);
             std::hint::black_box(keys.len());
-        })
-    });
-    // Cached vs uncached `A_i` resolution: the per-packet cost once the
-    // reservation's expanded schedule is resident.
-    g.bench_function("derive_auth_key_cached", |b| {
-        let mut cache: AuthKeyCache = AuthKeyCache::new(1024);
-        cache.get_or_derive(&info, || sv.derive_key(&info));
-        b.iter(|| {
-            std::hint::black_box(cache.get_or_derive(&info, || sv.derive_key(&info)).to_bytes())
         })
     });
     let key = AuthKey::new([5u8; 16]);

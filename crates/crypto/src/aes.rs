@@ -45,12 +45,15 @@
 //! the per-burst key derivations. Both are bit-for-bit identical to the
 //! single-block loop.
 //!
-//! `Aes128::derive_and_encrypt_blocks` is the fused kernel for keys
-//! that live for one block: it derives block `i`'s key under this cipher
-//! and encrypts the block under it, computing that key's schedule round
-//! by round as it is applied (AES-NI: 8 lanes plus a one-lane remainder),
-//! so no schedule is ever stored. The border router tags every flyover
-//! packet this way, under `A_K = E_SV(ResInfo)`.
+//! [`Aes128::derive_and_encrypt_blocks`] is the fused kernel for keys
+//! that live for one block: it derives block `i`'s key through a chain
+//! of `k` levels that starts under this cipher and encrypts the block
+//! under the last one, computing each derived key's schedule round by
+//! round as it is applied (AES-NI: 8 lanes plus a one-lane remainder),
+//! so no schedule is ever stored. Every border-router family tags its
+//! flyover packets this way — Hummingbird under `A_K = E_SV(ResInfo)`
+//! (`k = 1`), the DRKey, EPIC and Helia baselines under their DRKey
+//! chains (`k` = 2, 3, 4; the table is on the kernel).
 //!
 //! All paths are validated against the FIPS-197 / NIST CAVP vectors and
 //! cross-checked against each other by the property tests below.
@@ -344,54 +347,65 @@ impl Aes128 {
         }
     }
 
-    /// Encrypts `block` under the key this cipher derives from
-    /// `key_input`: `Aes128::new(&self.encrypt(key_input)).encrypt(block)`,
-    /// without storing the derived key's schedule (see
-    /// [`derive_and_encrypt_blocks`](Aes128::derive_and_encrypt_blocks)).
-    pub(crate) fn derive_and_encrypt(
-        &self,
-        key_input: &[u8; BLOCK_SIZE],
-        block: &[u8; BLOCK_SIZE],
-    ) -> [u8; BLOCK_SIZE] {
-        let mut out = *block;
-        self.derive_and_encrypt_blocks(
-            std::slice::from_ref(key_input),
-            std::slice::from_mut(&mut out),
-        );
-        out
-    }
-
-    /// [`derive_and_encrypt`](Aes128::derive_and_encrypt) for every `i`:
-    /// `blocks[i]` is encrypted in place under the key derived from
-    /// `key_inputs[i]`.
+    /// Encrypts `blocks[i]` under the last key of the chain that
+    /// `chains[i]` derives from this cipher, for every `i`. The chain's
+    /// first key is this cipher's encryption of `chains[i][0]`; each
+    /// further level `l` encrypts `chains[i][l]` under the key before it;
+    /// the last key encrypts the block. A `k`-level chain is `k`
+    /// sequential `Aes128::new(..).encrypt(..)` calls, then one more for
+    /// the block — bit for bit.
     ///
-    /// Under AES-NI, 8 lanes run at once: 8 derivations under this
-    /// cipher, then 8 key schedules computed round by round, each round
-    /// key going straight into its lane's `AESENC`. A remainder runs one
-    /// lane at a time. The software backend expands each derived key and
-    /// encrypts. Bit-for-bit identical to the expanded-key path.
+    /// No derived key's schedule is ever stored. Under AES-NI, 8 lanes
+    /// run at once: 8 first-level derivations under this cipher's
+    /// schedule, then, per further level and for the block, 8 key
+    /// schedules computed round by round, each round key going straight
+    /// into its lane's `AESENC`. A remainder runs one lane at a time. The
+    /// software backend expands each derived key and encrypts.
+    ///
+    /// The border-router families each start from a pre-expanded root
+    /// that no packet chooses, and the last key tags the packet's MAC
+    /// block:
+    ///
+    /// | family | root | k | levels |
+    /// |---|---|---|---|
+    /// | Hummingbird | the SV | 1 | `A_K = PRF_SV(ResInfo)` |
+    /// | DRKey | the epoch secret of `now` | 2 | `K_{A→B}`, `K_{A→B:H}` |
+    /// | EPIC | the epoch secret of `now` | 3 | `K_{A→B}`, `K_{A→B:H}`, `K^{epic}` |
+    /// | Helia | the DRKey master | 4 | the slot's epoch secret, `K_{A→B}`, the slot key, the packet key |
     ///
     /// # Panics
     ///
-    /// If `key_inputs.len() != blocks.len()`.
+    /// If `chains.len() != blocks.len()`, or a chain is empty or of
+    /// another length than the first.
     #[allow(unsafe_code)] // `Keys::Ni` implies runtime-detected AES-NI
-    pub(crate) fn derive_and_encrypt_blocks(
+    pub fn derive_and_encrypt_blocks<C: AsRef<[[u8; BLOCK_SIZE]]>>(
         &self,
-        key_inputs: &[[u8; BLOCK_SIZE]],
+        chains: &[C],
         blocks: &mut [[u8; BLOCK_SIZE]],
     ) {
-        assert_eq!(key_inputs.len(), blocks.len(), "one key input per block");
+        assert_eq!(chains.len(), blocks.len(), "one key chain per block");
+        let levels = chains.first().map_or(1, |chain| chain.as_ref().len());
+        assert!(
+            levels > 0 && chains.iter().all(|chain| chain.as_ref().len() == levels),
+            "key chains of one non-zero length"
+        );
         match &self.keys {
             Keys::Soft(rk) => {
-                for (key_input, block) in key_inputs.iter().zip(blocks) {
-                    let mut key = *key_input;
+                for (chain, block) in chains.iter().zip(blocks) {
+                    let (first, rest) = chain.as_ref().split_first().expect("non-empty chain");
+                    let mut key = *first;
                     encrypt1_soft(rk, &mut key);
+                    for input in rest {
+                        let mut next = *input;
+                        encrypt1_soft(&expand_soft(&key), &mut next);
+                        key = next;
+                    }
                     encrypt1_soft(&expand_soft(&key), block);
                 }
             }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Keys::Ni` implies AES-NI was detected at expansion.
-            Keys::Ni(s) => unsafe { ni::derive_and_encrypt_blocks(s, key_inputs, blocks) },
+            Keys::Ni(s) => unsafe { ni::derive_and_encrypt_blocks(s, chains, blocks) },
         }
     }
 }
@@ -686,17 +700,22 @@ mod ni {
         v
     }
 
-    /// `N` lanes of the fused kernel: each lane's key is derived under
-    /// `sv`, then encrypts that lane's block on the fly.
+    /// `N` lanes of the fused kernel: each lane's chain starts under
+    /// `root`, every further level and the block run under keys whose
+    /// schedules are computed on the fly.
     #[inline]
     #[target_feature(enable = "aes,ssse3")]
-    fn derive_and_encrypt_n<const N: usize>(
-        sv: &Schedule,
-        key_inputs: &[[u8; BLOCK_SIZE]],
+    fn derive_and_encrypt_n<const N: usize, C: AsRef<[[u8; BLOCK_SIZE]]>>(
+        root: &Schedule,
+        chains: &[C],
         blocks: &mut [[u8; BLOCK_SIZE]],
     ) {
-        let keys = encrypt_n::<N>(sv, std::array::from_fn(|l| load(&key_inputs[l])));
-        let v = encrypt_fresh_keys::<N>(keys, std::array::from_fn(|l| load(&blocks[l])));
+        let level = |l: usize| std::array::from_fn(|lane| load(&chains[lane].as_ref()[l]));
+        let mut keys = encrypt_n::<N>(root, level(0));
+        for l in 1..chains[0].as_ref().len() {
+            keys = encrypt_fresh_keys::<N>(keys, level(l));
+        }
+        let v = encrypt_fresh_keys::<N>(keys, std::array::from_fn(|lane| load(&blocks[lane])));
         for (block, lane) in blocks.iter_mut().zip(v) {
             store(block, lane);
         }
@@ -705,17 +724,21 @@ mod ni {
     /// The fused derive-and-encrypt kernel: [`LANES`]-wide groups, then
     /// one lane at a time.
     #[target_feature(enable = "aes,ssse3")]
-    pub(super) fn derive_and_encrypt_blocks(
-        sv: &Schedule,
-        key_inputs: &[[u8; BLOCK_SIZE]],
+    pub(super) fn derive_and_encrypt_blocks<C: AsRef<[[u8; BLOCK_SIZE]]>>(
+        root: &Schedule,
+        chains: &[C],
         blocks: &mut [[u8; BLOCK_SIZE]],
     ) {
         let wide = blocks.len() - blocks.len() % LANES;
         for i in (0..wide).step_by(LANES) {
-            derive_and_encrypt_n::<LANES>(sv, &key_inputs[i..i + LANES], &mut blocks[i..i + LANES]);
+            derive_and_encrypt_n::<LANES, C>(
+                root,
+                &chains[i..i + LANES],
+                &mut blocks[i..i + LANES],
+            );
         }
         for i in wide..blocks.len() {
-            derive_and_encrypt_n::<1>(sv, &key_inputs[i..=i], &mut blocks[i..=i]);
+            derive_and_encrypt_n::<1, C>(root, &chains[i..=i], &mut blocks[i..=i]);
         }
     }
 
@@ -1168,32 +1191,45 @@ mod tests {
             }
         }
 
-        /// The fused kernel, an expanded key (`Aes128::new(k).encrypt(b)`)
-        /// and the byte-oriented reference agree on both backends, at
-        /// every burst length 0..=40: five 8-lane groups and every
-        /// remainder.
+        /// The fused kernel, `k` sequential expanded keys
+        /// (`Aes128::new(k).encrypt(b)`) and the byte-oriented reference
+        /// agree on both backends, for every chain length k ≤ 4 and every
+        /// burst length 0..=40: five 8-lane groups and every remainder.
         #[test]
         fn fused_kernel_agrees_with_expanded_keys(
-            sv in any::<[u8; 16]>(),
-            key_inputs in proptest::collection::vec(any::<[u8; 16]>(), 40..41),
+            root in any::<[u8; 16]>(),
+            levels in proptest::collection::vec(any::<[u8; 64]>(), 40..41),
             blocks in proptest::collection::vec(any::<[u8; 16]>(), 40..41),
         ) {
-            let reference = ByteAes128::new(&sv);
-            let expected: Vec<[u8; 16]> = key_inputs
+            let chains: Vec<[[u8; 16]; 4]> = levels
                 .iter()
-                .zip(&blocks)
-                .map(|(k, b)| ByteAes128::new(&reference.encrypt(k)).encrypt(b))
+                .map(|l| std::array::from_fn(|i| l[16 * i..16 * i + 16].try_into().unwrap()))
                 .collect();
-            for backend in backends() {
-                let cipher = Aes128::with_backend(&sv, backend);
-                for ((k, b), want) in key_inputs.iter().zip(&blocks).zip(&expected) {
-                    prop_assert_eq!(&Aes128::new(&cipher.encrypt(k)).encrypt(b), want);
-                    prop_assert_eq!(&cipher.derive_and_encrypt(k, b), want, "{:?} single", backend);
-                }
-                for n in 0..=40 {
-                    let mut got = blocks[..n].to_vec();
-                    cipher.derive_and_encrypt_blocks(&key_inputs[..n], &mut got);
-                    prop_assert_eq!(&got[..], &expected[..n], "{:?} burst of {}", backend, n);
+            for k in 1..=4 {
+                let chains: Vec<&[[u8; 16]]> = chains.iter().map(|c| &c[..k]).collect();
+                let expected: Vec<[u8; 16]> = chains
+                    .iter()
+                    .zip(&blocks)
+                    .map(|(chain, b)| {
+                        let key = chain.iter().fold(root, |key, input| {
+                            ByteAes128::new(&key).encrypt(input)
+                        });
+                        ByteAes128::new(&key).encrypt(b)
+                    })
+                    .collect();
+                for backend in backends() {
+                    let cipher = Aes128::with_backend(&root, backend);
+                    for ((chain, b), want) in chains.iter().zip(&blocks).zip(&expected) {
+                        let key = chain[1..].iter().fold(cipher.encrypt(&chain[0]), |key, input| {
+                            Aes128::new(&key).encrypt(input)
+                        });
+                        prop_assert_eq!(&Aes128::new(&key).encrypt(b), want);
+                    }
+                    for n in 0..=40 {
+                        let mut got = blocks[..n].to_vec();
+                        cipher.derive_and_encrypt_blocks(&chains[..n], &mut got);
+                        prop_assert_eq!(&got[..], &expected[..n], "{:?} k = {}, burst of {}", backend, k, n);
+                    }
                 }
             }
         }

@@ -18,7 +18,6 @@
 //! budget possible.
 
 use crate::aes::Aes128;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -64,6 +63,7 @@ impl ResInfo {
     ///  8..12 ResStart
     /// 12..14 ResDuration     14..16 zero padding
     /// ```
+    #[inline]
     pub fn to_kdf_block(&self) -> [u8; 16] {
         debug_assert!(self.res_id <= RES_ID_MAX, "ResID exceeds 22 bits");
         debug_assert!(self.bw_encoded <= BW_ENC_MAX, "BW exceeds 10 bits");
@@ -137,11 +137,11 @@ impl SecretValue {
     /// result is expanded. Appends one key per `ResInfo`, in order, to
     /// `out`; the result is element-wise identical to calling
     /// [`derive_key`](SecretValue::derive_key) per reservation. The
-    /// border router does not call this — it derives
-    /// and uses each key inside one fused pass
-    /// ([`flyover_tags`](SecretValue::flyover_tags)) — but it is the
-    /// one-call form for callers that want every key expanded (and the
-    /// benchmark's per-key derivation row).
+    /// border router does not call this — it derives and uses each key
+    /// inside one fused pass ([`chained_flyover_tags`] under
+    /// [`cipher`](SecretValue::cipher)) — but it is the one-call form for
+    /// callers that want every key expanded (and the benchmark's per-key
+    /// derivation row).
     ///
     /// `scratch` holds the raw key bytes so hot loops can reuse one
     /// allocation across calls (it is cleared on entry).
@@ -158,44 +158,60 @@ impl SecretValue {
         out.extend(scratch.iter().map(|bytes| AuthKey::new(*bytes)));
     }
 
-    /// The flyover tag `V_K` of one packet, straight from its
-    /// reservation: `A_K` (Eq. 2) is derived and MACs `input` (Eq. 3) in
-    /// one fused AES pass that never stores the key's schedule
-    /// (`Aes128::derive_and_encrypt`). Equal to
-    /// `self.derive_key(info).flyover_mac(input)`.
-    pub fn flyover_tag(&self, info: &ResInfo, input: &FlyoverMacInput) -> Tag {
-        truncate(&self.cipher.derive_and_encrypt(&info.to_kdf_block(), &input.to_block()))
+    /// The expanded SV: the root of the one-level key chain
+    /// `A_K = PRF_SV(ResInfo)` that [`chained_flyover_tags`] tags a
+    /// burst under.
+    pub fn cipher(&self) -> &Aes128 {
+        &self.cipher
     }
+}
 
-    /// [`flyover_tag`](SecretValue::flyover_tag) over a burst: appends
-    /// the tag of `inputs[i]` under reservation `infos[i]` to `out`, in
-    /// order. Under AES-NI eight packets run at once
-    /// (`Aes128::derive_and_encrypt_blocks`); the blocks live on the
-    /// stack, so nothing but `out` is allocated.
-    ///
-    /// # Panics
-    ///
-    /// If `infos.len() != inputs.len()`.
-    pub fn flyover_tags(&self, infos: &[ResInfo], inputs: &[FlyoverMacInput], out: &mut Vec<Tag>) {
-        /// Packets per stack chunk: a burst, and a multiple of the lanes.
-        const CHUNK: usize = 32;
-        assert_eq!(infos.len(), inputs.len(), "one MAC input per reservation");
-        out.reserve(infos.len());
-        for (infos, inputs) in infos.chunks(CHUNK).zip(inputs.chunks(CHUNK)) {
-            let mut key_inputs = [[0u8; 16]; CHUNK];
-            let mut blocks = [[0u8; 16]; CHUNK];
-            for (i, (info, input)) in infos.iter().zip(inputs).enumerate() {
-                key_inputs[i] = info.to_kdf_block();
-                blocks[i] = input.to_block();
-            }
-            let n = infos.len();
-            self.cipher.derive_and_encrypt_blocks(&key_inputs[..n], &mut blocks[..n]);
-            out.extend(blocks[..n].iter().map(truncate));
+/// The flyover tag `V_K` of one packet whose key comes out of `chain`
+/// under `root` ([`Aes128::derive_and_encrypt_blocks`], one lane): equal
+/// to deriving every level with `Aes128::new(..).encrypt(..)` and calling
+/// [`AuthKey::flyover_mac`] under the last key, without storing any
+/// derived key's schedule.
+pub fn chained_flyover_tag<C: AsRef<[[u8; 16]]>>(
+    root: &Aes128,
+    chain: &C,
+    input: &FlyoverMacInput,
+) -> Tag {
+    let mut block = [input.to_block()];
+    root.derive_and_encrypt_blocks(std::slice::from_ref(chain), &mut block);
+    truncate(&block[0])
+}
+
+/// [`chained_flyover_tag`] over a burst: appends the tag of `inputs[i]`
+/// under the key `chains[i]` derives from `root` to `out`, in order.
+/// Under AES-NI eight packets run at once; the MAC blocks live on the
+/// stack, so nothing but `out` is allocated.
+///
+/// # Panics
+///
+/// If `chains.len() != inputs.len()`, or the chains differ in length.
+pub fn chained_flyover_tags<C: AsRef<[[u8; 16]]>>(
+    root: &Aes128,
+    chains: &[C],
+    inputs: &[FlyoverMacInput],
+    out: &mut Vec<Tag>,
+) {
+    /// Packets per stack chunk: a burst, and a multiple of the lanes.
+    const CHUNK: usize = 32;
+    assert_eq!(chains.len(), inputs.len(), "one MAC input per key chain");
+    out.reserve(inputs.len());
+    for (chains, inputs) in chains.chunks(CHUNK).zip(inputs.chunks(CHUNK)) {
+        let mut blocks = [[0u8; 16]; CHUNK];
+        let blocks = &mut blocks[..inputs.len()];
+        for (block, input) in blocks.iter_mut().zip(inputs) {
+            *block = input.to_block();
         }
+        root.derive_and_encrypt_blocks(chains, blocks);
+        out.extend(blocks.iter().map(truncate));
     }
 }
 
 /// A MAC block cut to the [`TAG_LEN`] bytes a packet carries.
+#[inline]
 fn truncate(full: &[u8; 16]) -> Tag {
     let mut tag = [0u8; TAG_LEN];
     tag.copy_from_slice(&full[..TAG_LEN]);
@@ -290,22 +306,16 @@ pub fn flyover_tags_batch_with<'a>(
     out.extend(scratch.iter().map(truncate));
 }
 
-/// A per-engine cache of expanded [`AuthKey`]s, so a key's AES schedule
-/// is computed once per epoch instead of once per packet.
+/// A cache of expanded [`AuthKey`]s, so a key's AES schedule is computed
+/// once per epoch instead of once per packet.
 ///
-/// The baseline engines (EPIC, Helia, DRKey) derive their packet keys
-/// through multi-level DRKey chains, so they keep one cache each (hence
-/// per shard under the multi-queue runtime: no locking, and an entry
-/// lives exactly where its packets are steered). The Hummingbird border
-/// router keeps none: its `A_K` costs one AES block, so it derives the
-/// key, runs the schedule on the fly and tags the packet in one fused
-/// pass ([`SecretValue::flyover_tags`]) — nothing for a forged packet
-/// to insert or evict.
+/// **No engine reads it.** Every border-router family derives its
+/// packet keys on the fly, runs each schedule as it is applied and tags
+/// the packet in one fused pass ([`chained_flyover_tags`]), so a forged
+/// packet has nothing to insert or evict. The cache remains for the
+/// benchmark's replayed hit-share row (`crypto.key_cache_hit_share`).
 ///
-/// **Keys** are hashed on std's hasher: the default, [`ResInfo`], serves
-/// callers that hold only the `ResInfo`; the baseline engines
-/// instantiate the cache over their own attacker-chosen key-hierarchy
-/// tuples.
+/// **Keys** are hashed on std's hasher; the default is [`ResInfo`].
 ///
 /// **Replacement** is generational (segmented LRU): entries insert into
 /// a *hot* generation; when the hot generation fills, it becomes the
@@ -317,7 +327,7 @@ pub fn flyover_tags_batch_with<'a>(
 /// The configured capacity is that bound, not an up-front reservation:
 /// a new cache holds no tables, and the hot one grows with the working
 /// set — never past a generation — until the first flip.
-/// Hit/miss counters are exposed for `DatapathStats`-style reporting.
+/// Hit/miss counters are exposed for reporting.
 ///
 /// # Example
 ///
@@ -412,29 +422,12 @@ impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
         }
     }
 
-    /// Looks `key` up, counting a hit or miss; a hit in the cold
-    /// generation promotes the entry back to hot.
-    pub fn lookup(&mut self, key: &K) -> Option<&AuthKey> {
-        self.get_or(key, || None)
-    }
-
-    /// Inserts an expanded key (no counter change — pair with a failed
-    /// [`lookup`](AuthKeyCache::lookup)).
-    pub fn insert(&mut self, key: K, value: AuthKey) {
-        self.promote(key, value);
-    }
-
-    /// The cached key for `key`, deriving (and caching) it on a miss.
+    /// The cached key for `key`, deriving (and caching) it on a miss. A
+    /// hit in the cold generation promotes the entry back to hot.
     pub fn get_or_derive(&mut self, key: &K, derive: impl FnOnce() -> AuthKey) -> &AuthKey {
-        self.get_or(key, || Some(derive())).expect("derived on a miss")
-    }
-
-    /// [`lookup`](AuthKeyCache::lookup), with `derive` deciding what a
-    /// miss caches (if anything).
-    fn get_or(&mut self, key: &K, derive: impl FnOnce() -> Option<AuthKey>) -> Option<&AuthKey> {
         if let Some(&slot) = self.hot.index.get(key) {
             self.hits += 1;
-            return Some(&self.hot.keys[slot as usize]);
+            return &self.hot.keys[slot as usize];
         }
         let value = match self.cold.take(key) {
             Some(value) => {
@@ -443,32 +436,10 @@ impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
             }
             None => {
                 self.misses += 1;
-                derive()?
+                derive()
             }
         };
-        Some(self.promote(key.clone(), value))
-    }
-
-    /// Records a hit that bypassed [`lookup`](AuthKeyCache::lookup) —
-    /// used by batch paths that dedupe repeated keys within one burst
-    /// (the repeat *would* have hit had the packets been processed
-    /// sequentially, so counters stay comparable across paths).
-    ///
-    /// Counter semantics under batching: a batch path performs all of a
-    /// burst's lookups against the cache state at burst start and
-    /// inserts afterwards, while sequential processing interleaves
-    /// inserts between lookups. The counts therefore match exactly
-    /// unless a generation boundary falls *inside* the burst — a
-    /// sequential mid-burst insert that flips generations can evict a
-    /// key (turning a later lookup into a miss) or, conversely, a
-    /// cold-resident key can survive one lookup longer under the batch
-    /// order. With the default capacity a flip occurs once per
-    /// thousands of distinct reservations, so the counters are exact in
-    /// steady state and off by at most the burst's repeats around a
-    /// flip. Counters are diagnostics; derivation is deterministic, so
-    /// verdicts never depend on them.
-    pub fn record_burst_hit(&mut self) {
-        self.hits += 1;
+        self.promote(key.clone(), value)
     }
 
     fn promote(&mut self, key: K, value: AuthKey) -> &AuthKey {
@@ -499,158 +470,6 @@ impl<K: Eq + Hash + Clone> AuthKeyCache<K> {
         self.hits = 0;
         self.misses = 0;
     }
-
-    /// Number of currently cached keys (both generations).
-    pub fn len(&self) -> usize {
-        self.hot.index.len() + self.cold.index.len()
-    }
-
-    /// Whether the cache holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Per-burst key dedupe + cache resolution for a batched engine with an
-/// [`AuthKeyCache`] (`EpicDatapath::process_batch`, keyed by its
-/// source tuple): the burst-local uniq map, the
-/// [`AuthKeyCache::record_burst_hit`] counter dance and the pass-2 key
-/// iterator, generic over the cache key so the counter-parity invariant
-/// lives in one place.
-///
-/// Protocol, per burst:
-///
-/// 1. [`begin`](BurstKeyResolver::begin) clears the burst-local state;
-/// 2. [`visit`](BurstKeyResolver::visit) registers each keyed packet's
-///    identity in burst order — the first appearance does exactly one
-///    cache lookup (queueing the id for the derive sweep on a miss),
-///    repeats count as burst hits;
-/// 3. the engine runs its batch derive sweep over
-///    [`pending`](BurstKeyResolver::pending) and hands the keys back in
-///    the same order via [`fill_pending`](BurstKeyResolver::fill_pending)
-///    (which also populates the cache);
-/// 4. [`key_of`](BurstKeyResolver::key_of) serves pass 2 / the tag sweep
-///    with the resolved key of the `i`-th visited packet.
-///
-/// The invariant this encodes: processed sequentially, a burst's first
-/// packet on an identity would miss (derive + insert) and every repeat
-/// would hit — so the batch path performs exactly one lookup and at most
-/// one insert per distinct identity, counts repeats via
-/// `record_burst_hit`, and hit/miss counters stay comparable across the
-/// sequential and batched paths (see `record_burst_hit` for the
-/// generation-boundary caveat).
-#[derive(Clone, Debug)]
-pub struct BurstKeyResolver<K> {
-    /// The burst's distinct identities, in first-appearance order.
-    uniq_ids: Vec<K>,
-    /// Burst-local dedupe map: identity → index into `uniq_ids`.
-    uniq_index: HashMap<K, usize>,
-    /// One resolved key per entry of `uniq_ids` (`None` until resolved
-    /// from the cache or the derive sweep).
-    uniq_keys: Vec<Option<AuthKey>>,
-    /// The `uniq_keys` slots the derive sweep fills, in miss order.
-    pending_slots: Vec<usize>,
-    /// Per visited packet: index into `uniq_keys`.
-    key_of_pkt: Vec<usize>,
-}
-
-impl<K> Default for BurstKeyResolver<K> {
-    fn default() -> Self {
-        BurstKeyResolver {
-            uniq_ids: Vec::new(),
-            uniq_index: HashMap::default(),
-            uniq_keys: Vec::new(),
-            pending_slots: Vec::new(),
-            key_of_pkt: Vec::new(),
-        }
-    }
-}
-
-impl<K: Eq + Hash + Clone> BurstKeyResolver<K> {
-    /// Creates an empty resolver (reusable across bursts; steady-state
-    /// bursts allocate nothing once the vectors reach burst size).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears the burst-local state for a new burst.
-    pub fn begin(&mut self) {
-        self.uniq_ids.clear();
-        self.uniq_index.clear();
-        self.uniq_keys.clear();
-        self.pending_slots.clear();
-        self.key_of_pkt.clear();
-    }
-
-    /// Registers the identity of the next keyed packet of the burst and
-    /// resolves it against `cache`: a repeat within the burst counts as
-    /// a cache hit (it *would* have hit sequentially), a first
-    /// appearance does one [`AuthKeyCache::lookup`] and on a miss queues
-    /// the id for the engine's derive sweep.
-    pub fn visit(&mut self, id: K, cache: Option<&mut AuthKeyCache<K>>) {
-        let slot = match self.uniq_index.entry(id) {
-            Entry::Occupied(e) => {
-                if let Some(cache) = cache {
-                    cache.record_burst_hit();
-                }
-                *e.get()
-            }
-            Entry::Vacant(e) => {
-                let slot = self.uniq_ids.len();
-                let id = e.key().clone();
-                e.insert(slot);
-                self.uniq_ids.push(id);
-                self.uniq_keys.push(cache.and_then(|c| c.lookup(&self.uniq_ids[slot]).cloned()));
-                if self.uniq_keys[slot].is_none() {
-                    self.pending_slots.push(slot);
-                }
-                slot
-            }
-        };
-        self.key_of_pkt.push(slot);
-    }
-
-    /// The identities that missed the cache, in miss order — the input
-    /// of the engine's batch derive sweep.
-    pub fn pending(&self) -> impl Iterator<Item = &K> + '_ {
-        self.pending_slots.iter().map(|&slot| &self.uniq_ids[slot])
-    }
-
-    /// Installs the derive sweep's keys — one per
-    /// [`pending`](BurstKeyResolver::pending) identity, same order —
-    /// inserting each into `cache` (miss already counted by
-    /// [`visit`](BurstKeyResolver::visit)).
-    ///
-    /// # Panics
-    ///
-    /// If `keys` yields fewer keys than there were pending identities —
-    /// an engine bug the later [`key_of`](BurstKeyResolver::key_of)
-    /// would otherwise surface confusingly.
-    pub fn fill_pending(
-        &mut self,
-        keys: impl IntoIterator<Item = AuthKey>,
-        mut cache: Option<&mut AuthKeyCache<K>>,
-    ) {
-        let mut keys = keys.into_iter();
-        for &slot in &self.pending_slots {
-            let key = keys.next().expect("one derived key per pending identity");
-            if let Some(cache) = cache.as_deref_mut() {
-                cache.insert(self.uniq_ids[slot].clone(), key.clone());
-            }
-            self.uniq_keys[slot] = Some(key);
-        }
-        self.pending_slots.clear();
-    }
-
-    /// The resolved key of the `i`-th visited packet.
-    ///
-    /// # Panics
-    ///
-    /// If the key is still unresolved (the engine skipped
-    /// [`fill_pending`](BurstKeyResolver::fill_pending)).
-    pub fn key_of(&self, i: usize) -> &AuthKey {
-        self.uniq_keys[self.key_of_pkt[i]].as_ref().expect("every burst key resolved")
-    }
 }
 
 /// The per-packet MAC input of Fig. 11 (exactly one AES block):
@@ -680,6 +499,7 @@ pub struct FlyoverMacInput {
 
 impl FlyoverMacInput {
     /// Serializes to the 16-byte block of Fig. 11.
+    #[inline]
     pub fn to_block(&self) -> [u8; 16] {
         let mut b = [0u8; 16];
         b[2..4].copy_from_slice(&self.dst_isd.to_be_bytes());
@@ -900,20 +720,22 @@ mod tests {
             .collect();
         let expected: Vec<Tag> =
             infos.iter().zip(&inputs).map(|(i, m)| sv.derive_key(i).flyover_mac(m)).collect();
-        for (info, (input, want)) in infos.iter().zip(inputs.iter().zip(&expected)) {
-            assert_eq!(sv.flyover_tag(info, input), *want);
+        let chains: Vec<[[u8; 16]; 1]> = infos.iter().map(|i| [i.to_kdf_block()]).collect();
+        for (chain, (input, want)) in chains.iter().zip(inputs.iter().zip(&expected)) {
+            assert_eq!(chained_flyover_tag(sv.cipher(), chain, input), *want);
         }
         for n in [0, 1, 7, 8, 9, 32, 33, 75] {
             let mut tags = vec![[0xAA; TAG_LEN]];
-            sv.flyover_tags(&infos[..n], &inputs[..n], &mut tags);
+            chained_flyover_tags(sv.cipher(), &chains[..n], &inputs[..n], &mut tags);
             assert_eq!(tags[1..], expected[..n], "burst of {n}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "one MAC input per reservation")]
+    #[should_panic(expected = "one MAC input per key chain")]
     fn fused_flyover_tags_check_lengths() {
-        SecretValue::new([1u8; 16]).flyover_tags(&[sample_info()], &[], &mut Vec::new());
+        let sv = SecretValue::new([1u8; 16]);
+        chained_flyover_tags(sv.cipher(), &[[sample_info().to_kdf_block()]], &[], &mut Vec::new());
     }
 
     #[test]
@@ -938,12 +760,9 @@ mod tests {
         }
         assert_eq!(derivations, 1, "schedule expanded once per reservation");
         assert_eq!((cache.hits(), cache.misses()), (4, 1));
-        cache.record_burst_hit();
-        assert_eq!(cache.hits(), 5);
         cache.reset_counters();
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
+        assert_eq!(cache.hot.index.len(), 1, "entries are kept");
     }
 
     #[test]
@@ -956,18 +775,24 @@ mod tests {
         for i in 0..2 {
             cache.get_or_derive(&info(i), || sv.derive_key(&info(i)));
         }
+        let len = |cache: &AuthKeyCache| cache.hot.index.len() + cache.cold.index.len();
         // Third insert flips generations; 0 and 1 move to cold.
         cache.get_or_derive(&info(2), || sv.derive_key(&info(2)));
-        assert_eq!(cache.len(), 3);
+        assert_eq!(len(&cache), 3);
         // A cold hit promotes back to hot.
-        assert!(cache.lookup(&info(0)).is_some());
+        cache.get_or_derive(&info(0), || unreachable!("cold hit"));
         // Fill until the original cold generation is dropped.
         for i in 3..7 {
             cache.get_or_derive(&info(i), || sv.derive_key(&info(i)));
         }
-        assert!(cache.len() <= 4, "footprint bounded by two generations");
+        assert!(len(&cache) <= 4, "footprint bounded by two generations");
         let misses_before = cache.misses();
-        assert!(cache.lookup(&info(1)).is_none(), "aged-out entry misses");
+        let mut derived = false;
+        cache.get_or_derive(&info(1), || {
+            derived = true;
+            sv.derive_key(&info(1))
+        });
+        assert!(derived, "aged-out entry misses");
         assert_eq!(cache.misses(), misses_before + 1);
     }
 
@@ -979,19 +804,19 @@ mod tests {
         let mut cache: AuthKeyCache<u32> = AuthKeyCache::new(10);
         assert_eq!((cache.hot.keys.capacity(), cache.hot.index.capacity()), (0, 0));
         for i in 0..3 {
-            cache.insert(i, key.clone());
+            cache.get_or_derive(&i, || key.clone());
         }
         assert!((3..=4).contains(&cache.hot.keys.capacity()), "{}", cache.hot.keys.capacity());
         for i in 3..5 {
-            cache.insert(i, key.clone());
+            cache.get_or_derive(&i, || key.clone());
         }
         assert_eq!(cache.hot.keys.capacity(), 5, "a full generation, no more");
         // The flip reserves a generation for the fresh hot tables; the
         // next one reuses the first generation's tables.
-        cache.insert(5, key.clone());
+        cache.get_or_derive(&5, || key.clone());
         assert_eq!((cache.hot.keys.capacity(), cache.cold.keys.capacity()), (5, 5));
         for i in 6..11 {
-            cache.insert(i, key.clone());
+            cache.get_or_derive(&i, || key.clone());
         }
         assert_eq!((cache.hot.keys.capacity(), cache.cold.keys.capacity()), (5, 5));
     }

@@ -14,8 +14,9 @@
 //! * [`sealed`] — ECIES-style sealed boxes for reservation delivery (§4.2).
 //! * [`flyover`] — the Hummingbird derivations: `A_K` (Eq. 2), the 6-byte
 //!   per-packet flyover MAC (Eq. 3/7a) and the aggregate MAC (Eq. 6), and
-//!   the fused pass that derives `A_K` and tags a packet without storing
-//!   a key schedule.
+//!   the fused pass that derives a packet's key through a chain of AES
+//!   levels — `A_K`, or a baseline's DRKey chain — and tags the packet
+//!   without storing a key schedule.
 //! * [`digest_hash`] — hash tables keyed by digests and PRF outputs, and
 //!   the argument for which keys may skip SipHash.
 //! * [`prefetch`] — a non-blocking cache hint for per-burst state that
@@ -43,8 +44,9 @@ pub mod sig;
 pub use aes::{active_backend, ni_available, AesBackend};
 pub use digest_hash::{DigestHasher, DigestMap, DigestSet, DigestState};
 pub use flyover::{
-    aggregate_mac, flyover_tags_batch, flyover_tags_batch_with, AuthKey, AuthKeyCache,
-    BurstKeyResolver, FlyoverMacInput, ResInfo, SecretValue, Tag, BW_ENC_MAX, RES_ID_MAX, TAG_LEN,
+    aggregate_mac, chained_flyover_tag, chained_flyover_tags, flyover_tags_batch,
+    flyover_tags_batch_with, AuthKey, AuthKeyCache, FlyoverMacInput, ResInfo, SecretValue, Tag,
+    BW_ENC_MAX, RES_ID_MAX, TAG_LEN,
 };
 
 /// Asks the CPU to start loading the cache line that holds `value` into

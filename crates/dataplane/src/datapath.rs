@@ -40,7 +40,6 @@
 //! assert!(matches!(verdicts[0], Verdict::Drop(_)));
 //! ```
 
-use crate::dup::DuplicateSuppressor;
 use crate::router::{BorderRouter, RouterConfig};
 use hummingbird_crypto::SecretValue;
 use hummingbird_wire::scion_mac::HopMacKey;
@@ -133,13 +132,6 @@ pub struct DatapathStats {
     pub demoted_overuse: u64,
     /// Flyover packets demoted for staleness / inactive reservation.
     pub demoted_untimely: u64,
-    /// Authentication-key cache hits (an expanded key was reused instead
-    /// of derived again). Zero for engines without a key cache, which
-    /// includes the Hummingbird router.
-    pub key_cache_hits: u64,
-    /// Authentication-key cache misses (a full derivation + key
-    /// expansion ran). Zero for engines without a key cache.
-    pub key_cache_misses: u64,
 }
 
 impl DatapathStats {
@@ -183,11 +175,13 @@ impl PacketBuf {
     }
 
     /// Read-only view of the packet bytes.
+    #[inline]
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
 
     /// Mutable view of the packet bytes.
+    #[inline]
     pub fn bytes_mut(&mut self) -> &mut [u8] {
         &mut self.bytes
     }
@@ -217,9 +211,10 @@ impl From<Vec<u8>> for PacketBuf {
 
 /// The unified packet-processing interface.
 ///
-/// Implemented by [`BorderRouter`], [`crate::Gateway`] and the baseline
-/// engines in `hummingbird-baselines` (`HeliaDatapath`, `DrKeyDatapath`,
-/// `EpicDatapath`). Harnesses — the network simulator, the end-to-end
+/// Implemented by [`BorderRouter`] — for every engine family: the
+/// Hummingbird router and, in `hummingbird-baselines`, its Helia, DRKey
+/// and EPIC instances (`HeliaDatapath`, `DrKeyDatapath`,
+/// `EpicDatapath`) — and by [`crate::Gateway`]. Harnesses — the network simulator, the end-to-end
 /// testbed, the multi-queue runtime, every benchmark binary — drive
 /// engines exclusively through this trait, so any experiment can swap
 /// engines with a flag.
@@ -432,19 +427,6 @@ impl DatapathBuilder {
     /// collections (e.g. the simulator's nodes).
     pub fn build_boxed(self) -> Box<dyn Datapath + Send> {
         Box::new(self.build())
-    }
-
-    /// The duplicate-suppressor matching this configuration, if the stage
-    /// is enabled (entries outlive the freshness window `Δ + 2δ`).
-    ///
-    /// Public so engines built *outside* this crate on the shared
-    /// [`crate::router::stages`] (the Helia/DRKey/EPIC baselines) size
-    /// their replay filters exactly like [`BorderRouter`] does.
-    pub fn make_suppressor(cfg: &RouterConfig) -> Option<DuplicateSuppressor> {
-        cfg.duplicate_suppression.then(|| {
-            let window_ns = (cfg.max_packet_age_ms + 2 * cfg.max_clock_skew_ms) * 1_000_000;
-            DuplicateSuppressor::new(window_ns, 1 << 20)
-        })
     }
 }
 

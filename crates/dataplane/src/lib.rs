@@ -5,7 +5,8 @@
 //! * [`router`] — the border-router pipeline of Fig. 13 / Algorithms 2-4:
 //!   flyover MAC re-derivation, hop-field MAC verification with SegID
 //!   chaining, freshness and reservation-activity checks, in-place header
-//!   mutation, all allocation-free on the hot path.
+//!   mutation, all allocation-free on the hot path; one batched pipeline
+//!   for every engine family ([`Family`]).
 //! * [`policing`] — deterministic token-bucket policing (Algorithm 1): one
 //!   8-byte deadline per ResID, a global `BurstTime`, overuse demoted to
 //!   best effort (never dropped).
@@ -46,7 +47,7 @@ pub use datapath::{
 };
 pub use gateway::{Gateway, GatewayVerdict, HostShare};
 pub use policing::{FwdClass, Policer, DEFAULT_BURST_TIME_NS};
-pub use router::{BorderRouter, RouterConfig};
+pub use router::{BorderRouter, Class, Family, Hummingbird, RouterConfig};
 pub use runtime::{
     run_to_completion, BackpressureConfig, BackpressurePolicy, EgressClassStats, EgressConfig,
     EgressStats, ExecMode, LatencyHistogram, RuntimeConfig, RuntimeMode, RuntimeReport, RxMode,

@@ -8,14 +8,30 @@
 //!
 //! The router is driven through the [`Datapath`] trait; its pipeline is
 //! the explicit, individually testable [`stages`] the
-//! [`crate::DatapathBuilder`] documents, which baseline engines reuse
-//! with their own key-derivation rules.
+//! [`crate::DatapathBuilder`] documents, run in two passes (read-only,
+//! then stateful) around the burst's AES.
+//!
+//! Every engine family of the comparison is this one pipeline:
+//! [`BorderRouter<F>`](BorderRouter) is generic over a small [`Family`]
+//! trait that supplies the packet's key chain and its root, the freshness
+//! rule and priority eligibility, and whether the duplicate filter runs.
+//! [`BorderRouter`] with the default parameter is the Hummingbird router
+//! ([`Hummingbird`]); the Helia, DRKey and EPIC baselines of
+//! `hummingbird-baselines` are its other instances. No family keeps key
+//! state: every flyover packet's key is derived through its chain, each
+//! schedule computed as it is applied, and the packet tagged in one fused
+//! AES pass ([`chained_flyover_tags`]), so a forged packet leaves nothing
+//! behind.
 
-use crate::datapath::{Datapath, DatapathBuilder, DatapathStats, PacketBuf};
+use crate::datapath::{Datapath, DatapathStats, PacketBuf};
 use crate::dup::DuplicateSuppressor;
-use crate::policing::{Policer, DEFAULT_BURST_TIME_NS};
-use hummingbird_crypto::{FlyoverMacInput, ResInfo, SecretValue, Tag};
+use crate::policing::{FwdClass, Policer, DEFAULT_BURST_TIME_NS};
+use hummingbird_crypto::aes::Aes128;
+use hummingbird_crypto::{
+    aggregate_mac, chained_flyover_tag, chained_flyover_tags, FlyoverMacInput, SecretValue, Tag,
+};
 use hummingbird_wire::scion_mac::{HopMacInput, HopMacKey};
+use stages::{FlyoverInputs, HopKind, Parsed};
 
 pub use crate::datapath::{DropReason, Verdict};
 
@@ -35,20 +51,12 @@ pub struct RouterConfig {
     pub burst_time_ns: u64,
     /// Enable the optional duplicate suppression stage.
     pub duplicate_suppression: bool,
-    /// Capacity bound of a baseline engine's key cache (EPIC's and
-    /// Helia's expanded keys, reused across packets of one source or
-    /// grant); `0` disables caching and re-derives per packet. The cache
-    /// starts empty and grows with the identities it sees, up to this
-    /// many keys. The Hummingbird router has no key cache — it derives
-    /// `A_K` for every flyover packet — and ignores this field.
+    /// Capacity of an `AuthKeyCache` sized for this router (default
+    /// 8 192). **No engine reads it**: every family derives its keys on
+    /// the fly and keeps no key state. It remains for the benchmark's
+    /// replayed key-cache row.
     pub auth_key_cache_slots: u32,
 }
-
-/// Default [`RouterConfig::auth_key_cache_slots`], and the DRKey
-/// baseline's fixed cache size: comfortably above the per-shard working
-/// set of the evaluation workloads while keeping a full cache (≈230 B
-/// per expanded key) under ~2 MB. Bounds the baselines' caches only.
-pub const DEFAULT_AUTH_KEY_CACHE_SLOTS: u32 = 8_192;
 
 impl Default for RouterConfig {
     fn default() -> Self {
@@ -58,7 +66,7 @@ impl Default for RouterConfig {
             policer_slots: 100_000,
             burst_time_ns: DEFAULT_BURST_TIME_NS,
             duplicate_suppression: false,
-            auth_key_cache_slots: DEFAULT_AUTH_KEY_CACHE_SLOTS,
+            auth_key_cache_slots: 8_192,
         }
     }
 }
@@ -73,10 +81,11 @@ pub mod stages {
     //!    its offset;
     //! 2. [`flyover_inputs`] + [`candidate_hop_mac`] — flyover MAC
     //!    re-derivation (Algorithm 3); the authentication key is a
-    //!    parameter, so baseline engines (Helia/DRKey) reuse the stage
-    //!    with their own key hierarchies;
+    //!    parameter, and the pipeline derives it through its family's key
+    //!    chain ([`super::Family`]);
     //! 3. [`freshness`] — the `now − absTS ∈ [−δ, Δ+δ]` and
-    //!    reservation-activity checks (Algorithm 3 lines 12-17);
+    //!    reservation-activity checks (Algorithm 3 lines 12-17), which
+    //!    each family's rule builds on;
     //! 4. [`verify_hop_mac`] — hop-field expiry and SCION MAC
     //!    verification (Algorithm 4);
     //! 5. [`duplicate_check`] — the optional §5.4 stage;
@@ -86,7 +95,10 @@ pub mod stages {
     //! 7. policing via [`crate::policing::Policer::check`] (Algorithm 1).
     //!
     //! [`Parsed`] is the only record of a packet's headers the later
-    //! stages read; none of them decodes a header again.
+    //! stages read; none of them decodes a header again. The pipeline
+    //! ([`super::BorderRouter`]) runs stages 1-3 in its read-only pass 1
+    //! and stages 4-7 in its stateful pass 2, with the burst's AES in
+    //! between.
 
     use super::{DropReason, RouterConfig};
     use crate::dup::DuplicateSuppressor;
@@ -159,6 +171,7 @@ pub mod stages {
 
     impl Parsed {
         /// Whether the current hop field is a flyover.
+        #[inline]
         pub fn is_flyover(&self) -> bool {
             matches!(self.hop, HopKind::Flyover(_))
         }
@@ -224,8 +237,9 @@ pub mod stages {
 
     /// Stage 2a: reconstructs the reservation and MAC inputs of a flyover
     /// hop field. Key derivation is left to the caller — Hummingbird
-    /// derives `A_i = PRF_SV(ResInfo)`, the baseline engines substitute
-    /// their own hierarchies over the same inputs.
+    /// derives `A_i = PRF_SV(ResInfo)`, the baseline families their own
+    /// DRKey chains over the same inputs.
+    #[inline]
     pub fn flyover_inputs(parsed: &Parsed) -> Result<FlyoverInputs, DropReason> {
         let HopKind::Flyover(fly) = parsed.hop else {
             return Err(DropReason::Malformed);
@@ -266,6 +280,7 @@ pub mod stages {
     /// 12-17): the packet is eligible for priority iff
     /// `now − absTS ∈ [−δ, Δ+δ]` and the reservation is active (no skew on
     /// activity, App. A.7).
+    #[inline]
     pub fn freshness(cfg: &RouterConfig, parsed: &Parsed, res_info: &ResInfo, now_ms: u64) -> bool {
         let abs_ts_ms = parsed.meta.abs_ts_millis();
         let delta = cfg.max_packet_age_ms;
@@ -276,6 +291,7 @@ pub mod stages {
     }
 
     /// The input of the current hop field's SCION MAC (Algorithm 4).
+    #[inline]
     pub fn hop_mac_input(parsed: &Parsed) -> HopMacInput {
         HopMacInput {
             seg_id: parsed.info.seg_id,
@@ -300,7 +316,7 @@ pub mod stages {
 
     /// Stage 4 with the hop-field MAC already computed: expiry, then the
     /// comparison with the candidate.
-    fn check_hop_mac(
+    pub(super) fn check_hop_mac(
         parsed: &Parsed,
         candidate_mac: &Tag,
         hop_mac: &Tag,
@@ -365,205 +381,107 @@ pub mod stages {
         pkt.get_mut(at..at + bytes.len()).ok_or(DropReason::Malformed)?.copy_from_slice(bytes);
         Ok(())
     }
+}
 
-    /// Outcome of [`run_pipeline`]: the verdict plus which demotion (if
-    /// any) produced it, so each engine keeps its own counters.
-    #[derive(Clone, Copy, Debug)]
-    pub struct PipelineOutcome {
-        /// The forwarding decision.
-        pub verdict: super::Verdict,
-        /// A policing demotion (Algorithm 1) produced the verdict.
-        pub demoted_overuse: bool,
-        /// A freshness/eligibility demotion produced the verdict.
-        pub demoted_untimely: bool,
-    }
+/// The forwarding class a flyover hop is eligible for: its family's
+/// freshness rule and priority eligibility, decided in pass 1, before
+/// any AES runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Class {
+    /// Forwarded with priority if the policer admits it (Algorithm 1),
+    /// else demoted for overuse.
+    Priority,
+    /// Stale, or outside its reservation or slot: forwarded best effort
+    /// and counted in [`DatapathStats::demoted_untimely`].
+    Demoted,
+    /// The family has no priority class (nor does a plain hop):
+    /// forwarded best effort, no demotion counted.
+    BestEffort,
+}
 
-    /// Stages 1-2a as one read-only unit: structural parsing plus, for
-    /// flyover hops, reconstruction of the key-derivation and MAC inputs.
-    ///
-    /// This is the half of the pipeline that needs no authentication key,
-    /// so batch paths run it over a whole burst first, derive every
-    /// burst key in one AES sweep, and then drive [`complete`] per
-    /// packet. `Ok((parsed, None))` means a plain SCION hop.
-    pub fn prepare(pkt: &[u8]) -> Result<(Parsed, Option<FlyoverInputs>), DropReason> {
-        let parsed = parse(pkt)?;
-        let inputs = if parsed.is_flyover() { Some(flyover_inputs(&parsed)?) } else { None };
-        Ok((parsed, inputs))
-    }
-
-    /// Stages 2b-7, given [`prepare`]d state and a pre-derived
-    /// authentication key: candidate-MAC aggregation, eligibility,
-    /// hop-field verification, optional duplicate suppression, in-place
-    /// header mutation, and policing.
-    ///
-    /// `flyover` pairs the prepared MAC inputs with the hop's
-    /// authenticator and must be `Some` exactly when [`prepare`] returned
-    /// flyover inputs; `eligible` decides priority-class eligibility
-    /// (called with `now_ms`; constant `false` for engines without a
-    /// priority class).
-    #[allow(clippy::too_many_arguments)] // the pipeline's full stage set
-    pub fn complete(
-        pkt: &mut [u8],
-        now_ns: u64,
-        hop_key: &HopMacKey,
-        policer: Option<&mut crate::policing::Policer>,
-        dup: Option<&mut DuplicateSuppressor>,
+/// What one engine family's border router does differently from
+/// another's; everything else is the one pipeline of [`BorderRouter`].
+///
+/// | family | key chain (k) | freshness | priority | duplicate filter |
+/// |---|---|---|---|---|
+/// | [`Hummingbird`] | SV → `A_K` (1) | stale: demote | policed | from `cfg` |
+/// | Helia | master → slot's epoch secret → `K_{A→B}` → slot key → packet key (4) | stale or not the current slot: demote | policed | never |
+/// | DRKey | epoch secret → `K_{A→B}` → `K_{A→B:H}` (2) | none | none | never |
+/// | EPIC | DRKey's chain → `K^{epic}` (3) | stale: drop `Untimely` before any AES | none | from `cfg` |
+///
+/// Only the priority class is policed, so the families that have one
+/// police and the others never reach the policer.
+pub trait Family {
+    /// The engine name ([`Datapath::engine_name`]).
+    const NAME: &'static str;
+    /// Whether the duplicate filter runs when
+    /// [`RouterConfig::duplicate_suppression`] asks for it.
+    const DUPLICATE_FILTER: bool;
+    /// The inputs of a flyover packet's key chain, one AES block per
+    /// level, first level first (typically `[[u8; 16]; k]`).
+    type Chain: AsRef<[[u8; 16]]>;
+    /// The key chain of a flyover hop, from the packet's headers.
+    fn key_chain(&self, parsed: &Parsed, inputs: &FlyoverInputs) -> Self::Chain;
+    /// The pre-expanded cipher every chain starts under at `now_s` (Unix
+    /// seconds): the AS's own secret, which no packet chooses.
+    fn root(&mut self, now_s: u64) -> &Aes128;
+    /// The freshness rule and priority eligibility of a flyover hop at
+    /// `now_ms`: its [`Class`], or the drop it earns before any AES.
+    fn class(
+        &self,
+        cfg: &RouterConfig,
         parsed: &Parsed,
-        flyover: Option<(&FlyoverInputs, &AuthKey)>,
-        eligible: impl FnOnce(&Parsed, &FlyoverInputs, u64) -> bool,
-    ) -> PipelineOutcome {
-        let tagged = flyover.map(|(inputs, key)| (inputs, key.flyover_mac(&inputs.mac_input)));
-        let hop_mac = hop_key.hop_mac(&hop_mac_input(parsed));
-        complete_with_tag(pkt, now_ns, &hop_mac, policer, dup, parsed, tagged, eligible)
+        inputs: &FlyoverInputs,
+        now_ms: u64,
+    ) -> Result<Class, DropReason>;
+}
+
+/// The Hummingbird family: `A_K = PRF_SV(ResInfo)` (Eq. 2) under the
+/// AS's secret value, a one-level chain; a stale packet or an inactive
+/// reservation is demoted to best effort (Algorithm 3 lines 12-17).
+pub struct Hummingbird {
+    sv: SecretValue,
+}
+
+impl Family for Hummingbird {
+    const NAME: &'static str = "hummingbird";
+    const DUPLICATE_FILTER: bool = true;
+    type Chain = [[u8; 16]; 1];
+
+    fn key_chain(&self, _parsed: &Parsed, inputs: &FlyoverInputs) -> Self::Chain {
+        [inputs.res_info.to_kdf_block()]
     }
 
-    /// [`complete`] with the packet's MACs already computed — the entry
-    /// point of batch paths, where a burst's `V_K` tags and hop-field
-    /// MACs each come out of one multi-block AES pass instead of one
-    /// invocation per packet. `flyover` pairs the prepared MAC inputs
-    /// with the flyover tag, and `hop_mac` is the hop field's own MAC,
-    /// which stage 4 only compares; semantics are otherwise identical to
-    /// [`complete`].
-    #[allow(clippy::too_many_arguments)] // the pipeline's full stage set
-    pub fn complete_with_tag(
-        pkt: &mut [u8],
-        now_ns: u64,
-        hop_mac: &Tag,
-        policer: Option<&mut crate::policing::Policer>,
-        dup: Option<&mut DuplicateSuppressor>,
+    fn root(&mut self, _now_s: u64) -> &Aes128 {
+        self.sv.cipher()
+    }
+
+    fn class(
+        &self,
+        cfg: &RouterConfig,
         parsed: &Parsed,
-        flyover: Option<(&FlyoverInputs, Tag)>,
-        eligible: impl FnOnce(&Parsed, &FlyoverInputs, u64) -> bool,
-    ) -> PipelineOutcome {
-        use super::Verdict;
-        let now_ms = now_ns / 1_000_000;
-        let now_s = now_ms / 1000;
-        let drop = |r: DropReason| PipelineOutcome {
-            verdict: Verdict::Drop(r),
-            demoted_overuse: false,
-            demoted_untimely: false,
-        };
-
-        // Stages 2b-3: flyover MAC aggregation + eligibility.
-        let (candidate_mac, priority) = match flyover {
-            Some((inputs, flyover_mac)) => {
-                let candidate = aggregate_mac(&flyover_mac, &inputs.agg_mac);
-                let fresh = eligible(parsed, inputs, now_ms);
-                (candidate, fresh.then_some(inputs))
-            }
-            None => {
-                // A flyover hop without its derived key breaks the
-                // prepare/complete contract; fail closed rather than
-                // panic on packet content.
-                let HopKind::Plain(hf) = parsed.hop else {
-                    debug_assert!(false, "flyover hop completed without its auth key");
-                    return drop(DropReason::Malformed);
-                };
-                (hf.mac, None)
-            }
-        };
-
-        // Stage 4: hop-field expiry + SCION MAC verification.
-        let computed = match check_hop_mac(parsed, &candidate_mac, hop_mac, now_s) {
-            Ok(tag) => tag,
-            Err(r) => return drop(r),
-        };
-
-        // Stage 5 (optional): duplicate suppression.
-        if let Some(dup) = dup {
-            if let Err(r) = duplicate_check(dup, parsed, now_ns) {
-                return drop(r);
-            }
-        }
-
-        // Stage 6: in-place header mutation.
-        if let Err(r) = advance(pkt, parsed, &computed) {
-            return drop(r);
-        }
-
-        // Stage 7: bandwidth monitoring (Algorithm 1).
-        let egress = parsed.hop.cons_egress();
-        match priority {
-            Some(inputs) => {
-                let admitted = match policer {
-                    Some(policer) => {
-                        let bw_kbps = hummingbird_wire::bwcls::decode(inputs.res_info.bw_encoded);
-                        policer.check(inputs.res_info.res_id, bw_kbps, inputs.pkt_len, now_ns)
-                            == crate::policing::FwdClass::Flyover
-                    }
-                    None => true,
-                };
-                if admitted {
-                    PipelineOutcome {
-                        verdict: Verdict::Flyover { egress },
-                        demoted_overuse: false,
-                        demoted_untimely: false,
-                    }
-                } else {
-                    PipelineOutcome {
-                        verdict: Verdict::BestEffort { egress },
-                        demoted_overuse: true,
-                        demoted_untimely: false,
-                    }
-                }
-            }
-            None => PipelineOutcome {
-                verdict: Verdict::BestEffort { egress },
-                demoted_overuse: false,
-                demoted_untimely: parsed.is_flyover(),
-            },
-        }
-    }
-
-    /// The full stage driver shared by every engine built on this
-    /// pipeline (`BorderRouter` and the Helia/DRKey baselines): stages
-    /// 1-7 in order — [`prepare`], per-packet key derivation, then
-    /// [`complete`] — with the two engine-specific points —
-    /// authentication key derivation and priority eligibility — as
-    /// closures.
-    ///
-    /// `derive_key` maps a flyover hop to its authenticator (`A_i =
-    /// PRF_SV(ResInfo)` for Hummingbird, DRKey hierarchies for the
-    /// baselines); `eligible` decides priority-class eligibility (called
-    /// with `now_ms`; return `false` unconditionally for engines without
-    /// a priority class). `policer`/`dup` toggle the optional stages.
-    pub fn run_pipeline(
-        pkt: &mut [u8],
-        now_ns: u64,
-        hop_key: &HopMacKey,
-        policer: Option<&mut crate::policing::Policer>,
-        dup: Option<&mut DuplicateSuppressor>,
-        derive_key: impl FnOnce(&Parsed, &FlyoverInputs) -> AuthKey,
-        eligible: impl FnOnce(&Parsed, &FlyoverInputs, u64) -> bool,
-    ) -> PipelineOutcome {
-        let (parsed, inputs) = match prepare(pkt) {
-            Ok(prep) => prep,
-            Err(r) => {
-                return PipelineOutcome {
-                    verdict: super::Verdict::Drop(r),
-                    demoted_overuse: false,
-                    demoted_untimely: false,
-                }
-            }
-        };
-        let auth_key = inputs.as_ref().map(|i| derive_key(&parsed, i));
-        let flyover = inputs.as_ref().zip(auth_key.as_ref());
-        complete(pkt, now_ns, hop_key, policer, dup, &parsed, flyover, eligible)
+        inputs: &FlyoverInputs,
+        now_ms: u64,
+    ) -> Result<Class, DropReason> {
+        let fresh = stages::freshness(cfg, parsed, &inputs.res_info, now_ms);
+        Ok(if fresh { Class::Priority } else { Class::Demoted })
     }
 }
 
-/// Reusable per-burst scratch of the batched
-/// [`Datapath::process_batch`] override, so steady-state bursts allocate
-/// nothing once the vectors reach burst size.
-#[derive(Default)]
-struct BatchScratch {
-    /// Per-packet outcome of the read-only pipeline half. A flyover's
-    /// [`stages::FlyoverInputs`] are rebuilt from its `Parsed` in pass 2,
-    /// which costs less than carrying them through the burst.
-    prepared: Vec<Result<stages::Parsed, DropReason>>,
-    /// Per flyover packet: its reservation and MAC input, the fused
+/// Reusable per-burst scratch of [`BorderRouter::process_batch`], so
+/// steady-state bursts allocate nothing once the vectors reach burst
+/// size.
+struct BatchScratch<C> {
+    /// Per-packet outcome of pass 1, and per parsed packet its class
+    /// (kept apart: a wider element costs pass 1 more than a second
+    /// vector does). A flyover's [`stages::FlyoverInputs`] are rebuilt
+    /// from its `Parsed` in pass 2, which costs less than carrying them
+    /// through the burst.
+    prepared: Vec<Result<Parsed, DropReason>>,
+    classes: Vec<Class>,
+    /// Per flyover packet: its key chain and MAC input, the fused
     /// kernel's input.
-    res_infos: Vec<ResInfo>,
+    chains: Vec<C>,
     mac_inputs: Vec<FlyoverMacInput>,
     /// Flyover tags out of the fused kernel, in flyover-packet order.
     tags: Vec<Tag>,
@@ -573,7 +491,21 @@ struct BatchScratch {
     hop_macs: Vec<Tag>,
 }
 
-/// What stages 2b-7 read and write per packet.
+impl<C> Default for BatchScratch<C> {
+    fn default() -> Self {
+        BatchScratch {
+            prepared: Vec::new(),
+            classes: Vec::new(),
+            chains: Vec::new(),
+            mac_inputs: Vec::new(),
+            tags: Vec::new(),
+            hop_inputs: Vec::new(),
+            hop_macs: Vec::new(),
+        }
+    }
+}
+
+/// What pass 2 reads and writes per packet.
 struct RouterState {
     cfg: RouterConfig,
     policer: Policer,
@@ -582,57 +514,96 @@ struct RouterState {
 }
 
 impl RouterState {
-    /// Stages 2b-7 of one prepared packet whose flyover tag and hop-field
-    /// MAC are computed ([`stages::complete_with_tag`] with Hummingbird's
-    /// eligibility rule), with the demotions counted.
+    /// Pass 2 of one prepared packet whose flyover tag (if it is a
+    /// flyover) and hop-field MAC are computed: the candidate MAC (stage
+    /// 2b), hop-field verification, which only compares (stage 4), the
+    /// optional duplicate filter (stage 5), header mutation (stage 6)
+    /// and, for the priority class, policing (stage 7), with the
+    /// demotions counted.
     fn complete(
         &mut self,
         pkt: &mut [u8],
         now_ns: u64,
-        parsed: &stages::Parsed,
-        flyover: Option<(&stages::FlyoverInputs, Tag)>,
+        (parsed, class): (&Parsed, Class),
+        tag: Option<Tag>,
         hop_mac: &Tag,
-    ) -> Verdict {
-        let RouterState { cfg, policer, dup, stats } = self;
-        let out = stages::complete_with_tag(
-            pkt,
-            now_ns,
-            hop_mac,
-            Some(policer),
-            dup.as_mut(),
-            parsed,
-            flyover,
-            |parsed, inputs, now_ms| stages::freshness(cfg, parsed, &inputs.res_info, now_ms),
-        );
-        stats.demoted_overuse += u64::from(out.demoted_overuse);
-        stats.demoted_untimely += u64::from(out.demoted_untimely);
-        out.verdict
+    ) -> Result<Verdict, DropReason> {
+        // Pass 1 built these inputs once, so this cannot fail for a
+        // flyover; a flyover hop without its tag fails closed.
+        let flyover = match tag {
+            Some(tag) => Some((stages::flyover_inputs(parsed)?, tag)),
+            None => None,
+        };
+        let candidate = match (parsed.hop, &flyover) {
+            (_, Some((inputs, tag))) => aggregate_mac(tag, &inputs.agg_mac),
+            (HopKind::Plain(hf), None) => hf.mac,
+            (HopKind::Flyover(_), None) => {
+                debug_assert!(false, "flyover hop completed without its tag");
+                return Err(DropReason::Malformed);
+            }
+        };
+        let computed = stages::check_hop_mac(parsed, &candidate, hop_mac, now_ns / 1_000_000_000)?;
+        if let Some(dup) = &mut self.dup {
+            stages::duplicate_check(dup, parsed, now_ns)?;
+        }
+        stages::advance(pkt, parsed, &computed)?;
+        let egress = parsed.hop.cons_egress();
+        Ok(match (class, flyover) {
+            (Class::Priority, Some((inputs, _))) => {
+                let bw_kbps = hummingbird_wire::bwcls::decode(inputs.res_info.bw_encoded);
+                let res_id = inputs.res_info.res_id;
+                if self.policer.check(res_id, bw_kbps, inputs.pkt_len, now_ns) == FwdClass::Flyover
+                {
+                    Verdict::Flyover { egress }
+                } else {
+                    self.stats.demoted_overuse += 1;
+                    Verdict::BestEffort { egress }
+                }
+            }
+            (Class::Demoted, _) => {
+                self.stats.demoted_untimely += 1;
+                Verdict::BestEffort { egress }
+            }
+            _ => Verdict::BestEffort { egress },
+        })
     }
 }
 
-/// A Hummingbird-enabled border router of one AS.
+/// A border router of one AS, of engine family `F` — by default the
+/// Hummingbird router.
 ///
-/// Constructed directly or through [`crate::DatapathBuilder`]; driven
-/// through the [`Datapath`] trait. It keeps no key state: every flyover
-/// packet's `A_K` is derived, scheduled on the fly and used in one fused
-/// AES pass ([`SecretValue::flyover_tag`], [`SecretValue::flyover_tags`]),
-/// so a forged packet leaves nothing behind.
-pub struct BorderRouter {
-    sv: SecretValue,
+/// Constructed directly ([`BorderRouter::new`], [`BorderRouter::with_family`])
+/// or through [`crate::DatapathBuilder`]; driven through the [`Datapath`]
+/// trait. It keeps no key state: every flyover packet's key is derived
+/// through `F`'s chain, scheduled on the fly and used in one fused AES
+/// pass, so a forged packet leaves nothing behind.
+pub struct BorderRouter<F: Family = Hummingbird> {
+    family: F,
     hop_key: HopMacKey,
     state: RouterState,
-    batch: BatchScratch,
+    batch: BatchScratch<F::Chain>,
 }
 
 impl BorderRouter {
-    /// Creates the router with the AS's data-plane secrets.
+    /// Creates the Hummingbird router with the AS's data-plane secrets.
     pub fn new(sv: SecretValue, hop_key: HopMacKey, cfg: RouterConfig) -> Self {
+        BorderRouter::with_family(Hummingbird { sv }, hop_key, cfg)
+    }
+}
+
+impl<F: Family> BorderRouter<F> {
+    /// Creates a router of `family` with the AS's SCION hop key. The
+    /// duplicate filter, if `F` runs one, outlives the freshness window
+    /// `Δ + 2δ`.
+    pub fn with_family(family: F, hop_key: HopMacKey, cfg: RouterConfig) -> Self {
+        let window_ns = (cfg.max_packet_age_ms + 2 * cfg.max_clock_skew_ms) * 1_000_000;
         BorderRouter {
-            sv,
+            family,
             hop_key,
             state: RouterState {
                 policer: Policer::new(cfg.policer_slots, cfg.burst_time_ns),
-                dup: DatapathBuilder::make_suppressor(&cfg),
+                dup: (F::DUPLICATE_FILTER && cfg.duplicate_suppression)
+                    .then(|| DuplicateSuppressor::new(window_ns, 1 << 20)),
                 cfg,
                 stats: DatapathStats::default(),
             },
@@ -646,90 +617,105 @@ impl BorderRouter {
     }
 }
 
-impl Datapath for BorderRouter {
-    /// Algorithm 2 with Algorithms 1, 3, 4 as the explicit [`stages`]:
-    /// `A_i ← PRF_SV(ResInfo)` and the flyover tag under it come out of
-    /// the single-packet fused kernel, then stages 2b-7 run as in the
-    /// batch path.
+impl<F: Family> Datapath for BorderRouter<F> {
+    /// Algorithm 2 with Algorithms 1, 3, 4 as the explicit [`stages`], on
+    /// one packet in the batch path's order: stages 1-3, the flyover tag
+    /// out of the single-lane fused kernel and the hop-field MAC, then
+    /// pass 2.
     fn process(&mut self, pkt: &mut [u8], now_ns: u64) -> Verdict {
-        let verdict = match stages::prepare(pkt) {
-            Err(r) => Verdict::Drop(r),
-            Ok((parsed, inputs)) => {
-                let flyover =
-                    inputs.as_ref().map(|i| (i, self.sv.flyover_tag(&i.res_info, &i.mac_input)));
-                let hop_mac = self.hop_key.hop_mac(&stages::hop_mac_input(&parsed));
-                self.state.complete(pkt, now_ns, &parsed, flyover, &hop_mac)
-            }
-        };
-        self.state.stats.record(verdict);
+        let now_ms = now_ns / 1_000_000;
+        let BorderRouter { family, hop_key, state, batch: _ } = self;
+        let verdict = stages::parse(pkt)
+            .and_then(|parsed| {
+                let (class, tag) = if parsed.is_flyover() {
+                    let inputs = stages::flyover_inputs(&parsed)?;
+                    let class = family.class(&state.cfg, &parsed, &inputs, now_ms)?;
+                    let chain = family.key_chain(&parsed, &inputs);
+                    let root = family.root(now_ms / 1000);
+                    (class, Some(chained_flyover_tag(root, &chain, &inputs.mac_input)))
+                } else {
+                    (Class::BestEffort, None)
+                };
+                let hop_mac = hop_key.hop_mac(&stages::hop_mac_input(&parsed));
+                state.complete(pkt, now_ns, (&parsed, class), tag, &hop_mac)
+            })
+            .unwrap_or_else(Verdict::Drop);
+        state.stats.record(verdict);
         verdict
     }
 
-    /// The batched Algorithm 2. Pass 1 runs the read-only pipeline half
-    /// over the whole burst and prefetches the policer slots. The
-    /// burst's crypto then takes two AES passes: the **fused kernel**
-    /// ([`SecretValue::flyover_tags`]) derives every flyover packet's
-    /// `A_K`, runs its schedule round by round and tags the packet under
-    /// it, eight packets at a time; and **one single-key pass**
-    /// ([`HopMacKey::hop_macs`]) computes every packet's hop-field MAC.
-    /// Pass 2 runs the stateful stages (verification, which only
-    /// compares, duplicate suppression, header mutation, policing) per
-    /// packet in input order, so verdicts and stats are element-wise
-    /// identical to sequential [`Datapath::process`] calls (the contract
-    /// `tests/prop_datapath.rs` enforces).
+    /// The batched Algorithm 2. Pass 1 runs the read-only stages 1-3 over
+    /// the whole burst and prefetches the priority packets' policer
+    /// slots. The burst's crypto then takes two AES passes: the **fused
+    /// kernel** ([`chained_flyover_tags`]) derives every flyover packet's
+    /// key through its family's chain, running each schedule round by
+    /// round, and tags the packet under the last key, eight packets at a
+    /// time; and **one single-key pass** ([`HopMacKey::hop_macs`])
+    /// computes every packet's hop-field MAC. Pass 2 runs the stateful
+    /// stages (verification, which only compares, duplicate suppression,
+    /// header mutation, policing) per packet in input order, so verdicts
+    /// and stats are element-wise identical to sequential
+    /// [`Datapath::process`] calls (the contract `tests/prop_datapath.rs`
+    /// enforces).
     fn process_batch(&mut self, pkts: &mut [PacketBuf], now_ns: u64, out: &mut Vec<Verdict>) {
-        let BorderRouter { sv, hop_key, state, batch } = self;
-        let BatchScratch { prepared, res_infos, mac_inputs, tags, hop_inputs, hop_macs } = batch;
+        let BorderRouter { family, hop_key, state, batch } = self;
+        let BatchScratch { prepared, classes, chains, mac_inputs, tags, hop_inputs, hop_macs } =
+            batch;
         prepared.clear();
-        res_infos.clear();
+        classes.clear();
+        chains.clear();
         mac_inputs.clear();
         tags.clear();
         hop_inputs.clear();
         hop_macs.clear();
+        let now_ms = now_ns / 1_000_000;
 
-        // Pass 1 (read-only): parse + flyover-input reconstruction.
+        // Pass 1 (read-only): stages 1-3.
         for pkt in pkts.iter() {
             let prep = stages::parse(pkt.as_bytes()).and_then(|parsed| {
-                if parsed.is_flyover() {
+                let class = if parsed.is_flyover() {
                     let inputs = stages::flyover_inputs(&parsed)?;
-                    state.policer.prefetch(inputs.res_info.res_id);
-                    res_infos.push(inputs.res_info);
+                    let class = family.class(&state.cfg, &parsed, &inputs, now_ms)?;
+                    if class == Class::Priority {
+                        state.policer.prefetch(inputs.res_info.res_id);
+                    }
+                    chains.push(family.key_chain(&parsed, &inputs));
                     mac_inputs.push(inputs.mac_input);
-                }
+                    class
+                } else {
+                    Class::BestEffort
+                };
+                classes.push(class);
                 hop_inputs.push(stages::hop_mac_input(&parsed));
                 Ok(parsed)
             });
             prepared.push(prep);
         }
 
-        sv.flyover_tags(res_infos, mac_inputs, tags);
+        chained_flyover_tags(family.root(now_ms / 1000), chains, mac_inputs, tags);
         hop_key.hop_macs(hop_inputs, hop_macs);
 
         // Pass 2 (stateful, in input order).
         out.reserve(pkts.len());
-        let (mut tags, mut hop_macs) = (tags.iter(), hop_macs.iter());
+        let (mut classes, mut tags, mut hop_macs) = (classes.iter(), tags.iter(), hop_macs.iter());
         for (pkt, prep) in pkts.iter_mut().zip(prepared.drain(..)) {
-            let verdict = match prep.map(|parsed| (parsed, hop_macs.next())) {
-                Err(r) => Verdict::Drop(r),
-                Ok((parsed, Some(hop_mac))) => {
-                    // Pass 1 built these inputs once: this cannot fail
-                    // for a flyover, and a plain hop has none. A flyover
-                    // hop without its tag fails closed in
-                    // `complete_with_tag`.
-                    let inputs = stages::flyover_inputs(&parsed).ok();
-                    let flyover = inputs.as_ref().and_then(|i| Some((i, *tags.next()?)));
-                    state.complete(pkt.bytes_mut(), now_ns, &parsed, flyover, hop_mac)
-                }
-                // One hop MAC per parsed packet; fail closed, not panic.
-                Ok((_, None)) => Verdict::Drop(DropReason::Malformed),
-            };
+            let verdict = prep
+                .and_then(|parsed| {
+                    let tag = if parsed.is_flyover() { tags.next().copied() } else { None };
+                    // One class and hop MAC per parsed packet; fail closed,
+                    // not panic.
+                    let class = *classes.next().ok_or(DropReason::Malformed)?;
+                    let hop_mac = hop_macs.next().ok_or(DropReason::Malformed)?;
+                    state.complete(pkt.bytes_mut(), now_ns, (&parsed, class), tag, hop_mac)
+                })
+                .unwrap_or_else(Verdict::Drop);
             state.stats.record(verdict);
             out.push(verdict);
         }
     }
 
     fn engine_name(&self) -> &'static str {
-        "hummingbird"
+        F::NAME
     }
 
     fn stats(&self) -> DatapathStats {

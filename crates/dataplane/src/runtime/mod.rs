@@ -180,11 +180,6 @@ impl Datapath for ShardedRouter {
             total.dropped += st.dropped;
             total.demoted_overuse += st.demoted_overuse;
             total.demoted_untimely += st.demoted_untimely;
-            // Per-shard key caches sum exactly to a single engine's
-            // counters: every reservation steers to one shard, so the
-            // set of first-contact misses is partitioned, not repeated.
-            total.key_cache_hits += st.key_cache_hits;
-            total.key_cache_misses += st.key_cache_misses;
         }
         total
     }

@@ -627,9 +627,9 @@ impl TopologyBuilder {
     }
 
     /// Reboots router `r`: the engine is rebuilt from scratch under the
-    /// installed scenario — counters, policer buckets, the duplicate
-    /// suppressor and a baseline engine's `AuthKeyCache` all come back
-    /// cold — and the service model
+    /// installed scenario — counters, policer buckets and the duplicate
+    /// suppressor all come back cold (no engine keeps key state) — and
+    /// the service model
     /// restarts with idle cores. Returns the discarded engine's final
     /// counters (the stats lost to the reboot).
     pub fn reboot_router(&mut self, r: RouterId) -> DatapathStats {

@@ -4,8 +4,7 @@
 //! partial-path and multipath variants, the closed-loop overload sweep,
 //! overload under churn, latency under churn, and the backbone churn run
 //! the benchmark drives — is run per engine family, and every field of
-//! its outcome is folded into SHA-256 — except the routers' key-cache
-//! hit/miss diagnostics, which no verdict depends on. Each experiment
+//! its outcome is folded into SHA-256. Each experiment
 //! keeps one digest over its whole-run totals (flow totals, finish state,
 //! router verdict and demotion counters,
 //! the fault timeline, event counts) and, where it has a failure plan,
@@ -36,7 +35,7 @@ const LATENCY_CHURN_TOTALS: &str =
     "19ea9e0cc383babed334954d859be5e3d3c8fad19a0ea0bded3a3f6647efb292";
 const LATENCY_CHURN_WINDOWS: &str =
     "d1c10aefcbc2fd46dc46ba0d89200a30135625a93b6c60bc8e313476c4c981c4";
-const CHURN_TOTALS: &str = "c6222dac8624ae1969a2a0f32b62370a8616444c192e5dfb6b08ea4495597b6d";
+const CHURN_TOTALS: &str = "42e00ba5deec0b62db234b36071961f822ce25dd2d74d1a02c09c30131c17717";
 const CHURN_WINDOWS: &str = "57e5ae6271928a59abf3d16e390600f5a7e76d7b157e1ea975ae2046e118a893";
 const HAND_WIRED_CHAIN: &str = "6aab5facea6c828d5511d34c91590e7b09f801d2cb1ad733fa47daf7cb7e56df";
 

@@ -58,6 +58,14 @@ printf 'RuntimeConfig fields:                 %s\n' "$(
     awk '/^pub struct RuntimeConfig \{/ { on = 1; next } on && /^}/ { exit }
         on && /^[[:space:]]*pub [a-z_]+:/ { n++ } END { print n + 0 }' \
         crates/dataplane/src/runtime/mod.rs)"
+# A key-cache reference is a line naming the cache type, its config
+# field or its counters, outside the cache's own module (crypto's
+# flyover.rs, which defines and tests it) and the frozen benchmark/.
+printf 'key-cache references outside benchmark/: %s\n' \
+    "$(grep -rnE 'AuthKeyCache|auth_key_cache|key_cache_(hits|misses)' crates src tests examples \
+        | grep -vc '^crates/crypto/src/flyover.rs:')"
+printf '`fn process_batch` bodies in crates/*/src: %s\n' \
+    "$(grep -rhE 'fn process_batch\(.*\{' crates/*/src | wc -l)"
 printf 'clippy::too_many_arguments allows:    %s\n' \
     "$(grep -rn 'allow(clippy::too_many_arguments)' crates src tests examples | wc -l)"
 printf 'CI smoke legs:                        %s\n' \

@@ -9,8 +9,7 @@
 //! the wall clock is folded into one SHA-256: packets, bits, rx drops,
 //! per-shard tallies and engine verdict and demotion counters, and the
 //! egress per-class packet and byte counts, verdict drops and tail drops.
-//! `seconds`, residence times and the key-cache hit/miss diagnostics
-//! (which no verdict depends on) are left out.
+//! `seconds` and residence times are left out.
 //!
 //! The constant was computed before the shard loop lost its ring hops; a
 //! change to it means a verdict, a count or the per-shard split changed,

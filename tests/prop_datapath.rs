@@ -8,11 +8,11 @@
 //!    whether a packet's bytes are used directly, round-tripped through
 //!    the owned `Packet` repr, or wrapped in a checked zero-copy
 //!    `PacketView` first.
-//! 3. **Cached ≡ uncached** on EPIC, the engine whose batch path
-//!    resolves keys through `BurstKeyResolver` — and with a key cache
-//!    small enough that its generations flip mid-burst, batch ≡
-//!    sequential still holds and each path counts exactly the hits and
-//!    misses a replayed `AuthKeyCache` counts.
+//! 3. **Every family, one pipeline** — the Helia, DRKey and EPIC
+//!    instances of the border-router pipeline keep batch ≡ sequential on
+//!    foreign-keyed and on family-stamped bursts (EPIC's with stale and
+//!    corrupted packets mixed in, its duplicate filter on or off),
+//!    deriving every key on the fly in each burst's fused AES pass.
 //! 4. **Policer slots across the whole ResID range** — bursts whose
 //!    ResIDs span the default 10⁵ slots, each led by a packet whose
 //!    policing grows (reallocates) the deadline array after the batch
@@ -20,8 +20,7 @@
 //!    verdicts, bytes, stats and every policer slot as sequential
 //!    `process` leaves them.
 
-use hummingbird::crypto::{AuthKey, AuthKeyCache, BurstKeyResolver, RES_ID_MAX};
-use hummingbird::dataplane::router::stages;
+use hummingbird::crypto::RES_ID_MAX;
 use hummingbird::dataplane::{
     forge_path, BeaconHop, Datapath, DatapathBuilder, PacketBuf, RouterConfig, SourceGenerator,
     SourceReservation,
@@ -115,13 +114,9 @@ fn router() -> DatapathBuilder {
     DatapathBuilder::new(sv(0), hop_key(0))
 }
 
-/// A hop-0 EPIC engine with a key cache of `cache_slots` (0: none).
-fn epic_engine(cache_slots: u32, dup: bool) -> Box<dyn Datapath + Send> {
-    let cfg = RouterConfig {
-        duplicate_suppression: dup,
-        auth_key_cache_slots: cache_slots,
-        ..RouterConfig::default()
-    };
+/// A hop-0 EPIC engine, its duplicate filter on or off.
+fn epic_engine(dup: bool) -> Box<dyn Datapath + Send> {
+    let cfg = RouterConfig { duplicate_suppression: dup, ..RouterConfig::default() };
     hop0_engine(EngineFamily::Epic, cfg)
 }
 
@@ -184,9 +179,9 @@ proptest! {
     }
 
     /// The same batch contract holds for the baseline engines (for EPIC
-    /// this drives the real three-sweep batched key derivation against
-    /// foreign-keyed flyover packets: fresh ones derive and fail the MAC,
-    /// stale ones drop at the pass-1 freshness gate).
+    /// this drives the three-level key chain against foreign-keyed
+    /// flyover packets: fresh ones derive and fail the MAC, stale ones
+    /// drop at the pass-1 freshness gate).
     #[test]
     fn baseline_engines_batch_equals_sequential(
         specs in prop::collection::vec((0u16..400, any::<bool>(), any::<bool>()), 1..16),
@@ -207,7 +202,7 @@ proptest! {
         dup in any::<bool>(),
     ) {
         let packets = epic_workload(&specs);
-        let make = || epic_engine(RouterConfig::default().auth_key_cache_slots, dup);
+        let make = || epic_engine(dup);
         let mut probe = make();
         let fresh = epic_workload(&[(0, 64, false, false)]);
         let v = probe.process(&mut fresh[0].clone(), NOW_NS);
@@ -233,48 +228,6 @@ proptest! {
         let v = probe.process(&mut packets[0].clone(), NOW_NS);
         prop_assert!(v.is_flyover(), "stamped packet must prioritize: {:?}", v);
         assert_batch_matches_sequential(make(), make(), packets)?;
-    }
-
-    /// AuthKey-cache ≡ uncached on EPIC: an engine resolving its
-    /// per-source keys through the key cache reaches identical verdicts
-    /// and core stats to one that re-derives (and re-expands) per packet,
-    /// through both the sequential and the batch path.
-    #[test]
-    fn cached_key_derivation_equals_uncached(
-        specs in prop::collection::vec((0u8..3, 0u16..400, any::<bool>(), any::<bool>()), 1..24),
-        dup in any::<bool>(),
-    ) {
-        let packets = epic_workload(&specs);
-        let cached_slots = RouterConfig::default().auth_key_cache_slots;
-        let mut cached = epic_engine(cached_slots, dup);
-        let mut uncached = epic_engine(0, dup);
-        for pkt in &packets {
-            let a = cached.process(&mut pkt.clone(), NOW_NS);
-            let b = uncached.process(&mut pkt.clone(), NOW_NS);
-            prop_assert_eq!(a, b, "cached verdict diverged (sequential)");
-        }
-        let mut cached_stats = cached.stats();
-        let uncached_stats = uncached.stats();
-        prop_assert_eq!(uncached_stats.key_cache_hits, 0, "disabled cache must not count");
-        prop_assert_eq!(uncached_stats.key_cache_misses, 0, "disabled cache must not count");
-        // The workload repeats three sources, so any second lookup is a
-        // hit; core counters agree once cache fields align.
-        cached_stats.key_cache_hits = 0;
-        cached_stats.key_cache_misses = 0;
-        prop_assert_eq!(cached_stats, uncached_stats, "core stats diverged");
-
-        // Batch path: same equivalence, and batch ≡ sequential counters
-        // on the cached engine (burst repeats count as hits).
-        let mut cached_batch = epic_engine(cached_slots, dup);
-        let mut uncached_batch = epic_engine(0, dup);
-        let mut bufs_a: Vec<PacketBuf> = packets.iter().cloned().map(PacketBuf::new).collect();
-        let mut bufs_b: Vec<PacketBuf> = packets.into_iter().map(PacketBuf::new).collect();
-        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-        cached_batch.process_batch(&mut bufs_a, NOW_NS, &mut out_a);
-        uncached_batch.process_batch(&mut bufs_b, NOW_NS, &mut out_b);
-        prop_assert_eq!(&out_a, &out_b, "cached verdict diverged (batch)");
-        prop_assert_eq!(cached_batch.stats(), cached.stats(),
-            "batch cache counters diverged from sequential");
     }
 
     /// A `BorderRouter` verdict is identical whether the packet bytes are
@@ -308,92 +261,6 @@ proptest! {
         }
         prop_assert_eq!(verdicts[0], verdicts[1], "owned Packet path diverged");
         prop_assert_eq!(verdicts[0], verdicts[2], "PacketView path diverged");
-    }
-}
-
-/// Per spec `(src, forged, stale)`: one EPIC-stamped packet at hop 0 of
-/// the two-hop path from source AS `0x10 + src`. Forged ones carry a
-/// credential under a wrong DRKey master, which the engine still derives
-/// (and caches) a key for before the MAC check drops the packet; stale
-/// ones are dropped before key derivation.
-fn epic_source_mix(specs: &[(u64, bool, bool)]) -> Vec<Vec<u8>> {
-    const WRONG_MASTER: [u8; 16] = [0xEE; 16];
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, &(src, forged, stale))| {
-            let src = IsdAs::new(1, 0x10 + src);
-            let master = if forged { &WRONG_MASTER } else { &MASTER };
-            let credential =
-                EngineFamily::Epic.credential(&sv(0), master, 0, 1, &mut 1, src, 0, NOW_S);
-            let mut sender = SourceGenerator::new(src, IsdAs::new(2, 0x20), beaconed_path(2));
-            sender.attach_reservation(0, credential).unwrap();
-            let at = if stale { NOW_MS - 10_000 } else { NOW_MS } + i as u64;
-            sender.generate(&[0u8; 64], at).unwrap()
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Cache rollover mid-burst: an EPIC key cache of a few slots flips
-    /// generations inside most bursts; repeats within a burst, forged
-    /// sources and stale packets are mixed in. Verdicts stay batch ≡
-    /// sequential, and each path's hit/miss counters equal an
-    /// `AuthKeyCache` over the source identities replaying what that path
-    /// does (per packet sequentially; per burst — dedupe, lookups, then
-    /// inserts — in batch).
-    #[test]
-    fn key_cache_flips_inside_bursts_keep_batch_equal_to_sequential(
-        specs in prop::collection::vec((0u64..24, any::<bool>(), any::<bool>()), 1..96),
-        slots in 2u32..12,
-        burst in 1usize..33,
-    ) {
-        let packets = epic_source_mix(&specs);
-        let (mut seq_engine, mut batch_engine) = (epic_engine(slots, false), epic_engine(slots, false));
-
-        let sequential: Vec<_> =
-            packets.iter().map(|p| seq_engine.process(&mut p.clone(), NOW_NS)).collect();
-        let mut bufs: Vec<PacketBuf> = packets.iter().cloned().map(PacketBuf::new).collect();
-        let mut batched = Vec::new();
-        for chunk in bufs.chunks_mut(burst) {
-            batch_engine.process_batch(chunk, NOW_NS, &mut batched);
-        }
-        prop_assert_eq!(&batched, &sequential, "batch verdicts diverge from sequential");
-
-        // The identity of each packet that reaches key derivation: fresh
-        // and tagged. Any key will do, only the counters are compared.
-        let cache_id = |p: &Vec<u8>| match stages::prepare(p) {
-            Ok((parsed, Some(inputs)))
-                if stages::freshness(&RouterConfig::default(), &parsed, &inputs.res_info, NOW_MS) =>
-            {
-                Some((parsed.addr.src, parsed.addr.src_host))
-            }
-            _ => None,
-        };
-        let key = || AuthKey::new([0; 16]);
-        let mut seq_ref: AuthKeyCache<(IsdAs, [u8; 4])> = AuthKeyCache::new(slots as usize);
-        for id in packets.iter().filter_map(cache_id) {
-            seq_ref.get_or_derive(&id, key);
-        }
-        let seq = seq_engine.stats();
-        prop_assert_eq!((seq.key_cache_hits, seq.key_cache_misses),
-            (seq_ref.hits(), seq_ref.misses()), "sequential counters differ from the replay");
-
-        let mut batch_ref: AuthKeyCache<(IsdAs, [u8; 4])> = AuthKeyCache::new(slots as usize);
-        let mut resolver = BurstKeyResolver::new();
-        for chunk in packets.chunks(burst) {
-            resolver.begin();
-            for id in chunk.iter().filter_map(cache_id) {
-                resolver.visit(id, Some(&mut batch_ref));
-            }
-            let keys: Vec<_> = resolver.pending().map(|_| key()).collect();
-            resolver.fill_pending(keys, Some(&mut batch_ref));
-        }
-        let batch = batch_engine.stats();
-        prop_assert_eq!((batch.key_cache_hits, batch.key_cache_misses),
-            (batch_ref.hits(), batch_ref.misses()), "batch counters differ from the replay");
     }
 }
 

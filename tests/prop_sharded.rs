@@ -187,39 +187,6 @@ proptest! {
         prop_assert!(map.res_id_range(active[0]).contains(&res_id));
     }
 
-    /// Key-cache correctness across shard steering, on EPIC (the
-    /// Hummingbird router keeps no key cache): per-shard `AuthKey` caches
-    /// behave exactly like one engine-wide cache, because every source
-    /// steers to one shard — aggregate hit/miss counters match a single
-    /// engine, and revisiting the same flows adds hits but never misses
-    /// (each revisit lands on the shard that already holds the key).
-    #[test]
-    fn key_cache_counters_survive_sharding(
-        shards in 1usize..6,
-        specs in prop::collection::vec((any::<u8>(), 0u16..400, any::<bool>()), 1..24),
-    ) {
-        let packets = epic_workload(&specs);
-        let mut single = make_epic(false);
-        let mut sharded = make_sharded_epic(shards, false);
-        for pkt in &packets {
-            single.process(&mut pkt.clone(), NOW_NS);
-            sharded.process(&mut pkt.clone(), NOW_NS);
-        }
-        let (s, sh) = (single.stats(), sharded.stats());
-        prop_assert_eq!(s.key_cache_hits, sh.key_cache_hits, "aggregate hits diverged");
-        prop_assert_eq!(s.key_cache_misses, sh.key_cache_misses, "aggregate misses diverged");
-        // A second pass over the identical flows derives nothing new,
-        // wherever the packets steer.
-        let misses_after_first = sh.key_cache_misses;
-        for pkt in &packets {
-            sharded.process(&mut pkt.clone(), NOW_NS);
-        }
-        prop_assert_eq!(
-            sharded.stats().key_cache_misses, misses_after_first,
-            "revisit missed: a flow reached a shard without its key"
-        );
-    }
-
     /// Exact replays steer to the owning shard and are dropped by its
     /// duplicate filter exactly as a single engine drops them.
     #[test]
@@ -306,10 +273,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Sharded ≡ single for the source-keyed EPIC engine under
-    /// `Steering::BySource`: verdicts, aggregate stats and key-cache
-    /// counters match for any shard count on duplicate-free mixed
-    /// traffic, through both the per-packet and the batch path — every
-    /// source's key cache and replay state lives on exactly one shard.
+    /// `Steering::BySource`: verdicts and aggregate stats match for any
+    /// shard count on duplicate-free mixed traffic, through both the
+    /// per-packet and the batch path — every source's replay state lives
+    /// on exactly one shard.
     #[test]
     fn epic_sharded_by_source_equals_single(
         shards in 1usize..6,
@@ -327,8 +294,8 @@ proptest! {
         prop_assert_eq!(single.stats(), sharded.stats(), "aggregate stats diverged");
 
         // The same equivalence through the batch path (which regroups
-        // the burst into per-shard runs and drives the three-sweep
-        // batched key derivation per run).
+        // the burst into per-shard runs and derives each run's keys in
+        // one fused pass).
         let mut single_b = make_epic(dup);
         let mut sharded_b = make_sharded_epic(shards, dup);
         let mut bufs_a: Vec<PacketBuf> = packets.iter().cloned().map(PacketBuf::new).collect();
@@ -580,9 +547,7 @@ fn threaded_tx_path_is_deterministic_for_a_pinned_flow() {
     assert_eq!(ea.dropped, eb.dropped);
 }
 
-/// Order-free aggregate verdict counts of a run (key-cache hits are
-/// excluded: they depend on how flows interleave on an engine, which
-/// legitimately differs between shard counts).
+/// Order-free aggregate verdict counts of a run.
 fn verdict_totals(report: &hummingbird::dataplane::RuntimeReport) -> [u64; 5] {
     let f = |get: fn(&hummingbird::dataplane::ShardReport) -> u64| {
         report.per_shard.iter().map(get).sum()
