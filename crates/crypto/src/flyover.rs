@@ -161,6 +161,7 @@ impl SecretValue {
     /// The expanded SV: the root of the one-level key chain
     /// `A_K = PRF_SV(ResInfo)` that [`chained_flyover_tags`] tags a
     /// burst under.
+    #[inline]
     pub fn cipher(&self) -> &Aes128 {
         &self.cipher
     }

@@ -448,14 +448,17 @@ impl Family for Hummingbird {
     const DUPLICATE_FILTER: bool = true;
     type Chain = [[u8; 16]; 1];
 
+    #[inline]
     fn key_chain(&self, _parsed: &Parsed, inputs: &FlyoverInputs) -> Self::Chain {
         [inputs.res_info.to_kdf_block()]
     }
 
+    #[inline]
     fn root(&mut self, _now_s: u64) -> &Aes128 {
         self.sv.cipher()
     }
 
+    #[inline]
     fn class(
         &self,
         cfg: &RouterConfig,
