@@ -1281,18 +1281,36 @@ mod tests {
 
         /// The queue dispatches exactly in `(time, schedule order)`:
         /// random schedules crowded onto a few instants, some at the top
-        /// of the `u64` range, with pops between the pushes so slots are
-        /// reused mid-run.
+        /// of the `u64` range, and onto instants relative to the last
+        /// dispatched one — at it, just inside, at and just past a
+        /// near-term horizon, and before it — with pops between the
+        /// pushes so slots are reused mid-run. Pop bounds are drawn the
+        /// same way, so they often fall between the earliest near-term
+        /// and the earliest later event; a refused pop must leave every
+        /// queued event in place.
         #[test]
         fn queue_dispatches_in_time_then_schedule_order(
-            ops in prop::collection::vec((0u8..4, 0usize..6, any::<u64>()), 1..300),
+            ops in prop::collection::vec((0u8..4, 0usize..12, any::<u64>()), 1..300),
         ) {
             const INSTANTS: [u64; 5] = [0, 1_000, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+            /// A near-term horizon the relative instants straddle.
+            const HORIZON: u64 = 4_096;
             let mut queue = EventQueue::default();
             // What must come out: (time, schedule index), in order.
             let mut model = BTreeSet::new();
+            // The last dispatched instant.
+            let mut last = 0u64;
             for (index, (op, which, raw)) in ops.into_iter().enumerate() {
-                let at = INSTANTS.get(which).copied().unwrap_or(raw);
+                let at = match which {
+                    0..=4 => INSTANTS[which],
+                    5 => last,
+                    6 => last.saturating_add(HORIZON - 1),
+                    7 => last.saturating_add(HORIZON),
+                    8 => last.saturating_add(HORIZON + 1),
+                    9 => last.saturating_sub(raw % (2 * HORIZON)),
+                    10 => last.saturating_add(raw % (2 * HORIZON)),
+                    _ => raw,
+                };
                 if op > 0 {
                     queue.push(at, index);
                     model.insert((at, index));
@@ -1300,6 +1318,7 @@ mod tests {
                 }
                 while let Some(popped) = queue.pop_due(at) {
                     prop_assert_eq!(Some(popped), model.pop_first());
+                    last = popped.0;
                 }
                 prop_assert!(model.first().is_none_or(|&(t, _)| t > at));
             }
