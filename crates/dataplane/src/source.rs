@@ -73,11 +73,13 @@ impl std::error::Error for GenError {}
 /// is dropped by [`attach_reservation`](Self::attach_reservation) and
 /// [`detach_reservation`](Self::detach_reservation) and rebuilt on the
 /// next [`generate`](Self::generate), and rebuilt whenever the payload
-/// length differs from the cached one. Per packet, `generate` copies
-/// the header and the payload into one buffer, patches BaseTimestamp,
-/// MillisTimestamp, Counter and each flyover's ResStartOffset, and XORs
-/// in the flyover MACs of all reserved hops, computed in one multi-key
-/// AES pass ([`flyover_tags_batch_with`]).
+/// length differs from the cached one. Per packet,
+/// [`generate_into`](Self::generate_into) — the one generator body,
+/// which `generate` wraps — copies the header and the payload into the
+/// caller's buffer, patches BaseTimestamp, MillisTimestamp, Counter and
+/// each flyover's ResStartOffset, and XORs in the flyover MACs of all
+/// reserved hops, computed in one multi-key AES pass
+/// ([`flyover_tags_batch_with`]).
 pub struct SourceGenerator {
     builder: PacketBuilder,
     base_path: HummingbirdPath,
@@ -178,8 +180,28 @@ impl SourceGenerator {
 
     /// Generates one packet with `payload` at time `now_ms` (Unix ms),
     /// returning the serialized bytes. Each call stamps a unique
-    /// `(BaseTimestamp, MillisTimestamp, Counter)` triple.
+    /// `(BaseTimestamp, MillisTimestamp, Counter)` triple. A wrapper over
+    /// [`generate_into`](Self::generate_into) with a new buffer, so the
+    /// packet costs one allocation of exactly its length.
     pub fn generate(&mut self, payload: &[u8], now_ms: u64) -> Result<Vec<u8>, GenError> {
+        let mut pkt = Vec::new();
+        self.generate_into(payload, now_ms, &mut pkt)?;
+        Ok(pkt)
+    }
+
+    /// Generates one packet like [`generate`](Self::generate), writing
+    /// its bytes over whatever `out` held: `out` is cleared first and
+    /// reserves the packet's length, so a buffer reused from an earlier
+    /// packet of this size allocates nothing. On `Err`, `out` is empty
+    /// and still owns its capacity — a caller recycling buffers can take
+    /// it back.
+    pub fn generate_into(
+        &mut self,
+        payload: &[u8],
+        now_ms: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), GenError> {
+        out.clear();
         // Unique (BaseTS, MillisTS, Counter) per packet (App. A.1).
         if now_ms != self.last_ms {
             self.last_ms = now_ms;
@@ -219,14 +241,14 @@ impl SourceGenerator {
         }
         let (header, _) = template.header.as_ref().map_err(|&e| GenError::Wire(e))?;
 
-        let mut pkt = Vec::with_capacity(header.len() + payload.len());
-        pkt.extend_from_slice(header);
-        pkt.extend_from_slice(payload);
-        pkt[BASE_TS_AT..BASE_TS_AT + 4].copy_from_slice(&base_ts.to_be_bytes());
-        pkt[BASE_TS_AT + 4..BASE_TS_AT + 6].copy_from_slice(&millis_ts.to_be_bytes());
-        pkt[BASE_TS_AT + 6..BASE_TS_AT + 8].copy_from_slice(&self.counter.to_be_bytes());
+        out.reserve_exact(header.len() + payload.len());
+        out.extend_from_slice(header);
+        out.extend_from_slice(payload);
+        out[BASE_TS_AT..BASE_TS_AT + 4].copy_from_slice(&base_ts.to_be_bytes());
+        out[BASE_TS_AT + 4..BASE_TS_AT + 6].copy_from_slice(&millis_ts.to_be_bytes());
+        out[BASE_TS_AT + 6..BASE_TS_AT + 8].copy_from_slice(&self.counter.to_be_bytes());
         if template.flyovers.is_empty() {
-            return Ok(pkt);
+            return Ok(());
         }
 
         // Flyover MACs for all on-path ASes (Table 4), over the
@@ -234,7 +256,7 @@ impl SourceGenerator {
         // MACs (Eq. 6).
         let flyovers = &template.flyovers;
         for (fly, input) in flyovers.iter().zip(&self.mac_inputs) {
-            let field = &mut pkt[fly.at + RES_START_OFFSET_AT..fly.at + RES_START_OFFSET_AT + 2];
+            let field = &mut out[fly.at + RES_START_OFFSET_AT..fly.at + RES_START_OFFSET_AT + 2];
             field.copy_from_slice(&input.res_start_offset.to_be_bytes());
         }
         self.tags.clear();
@@ -245,10 +267,10 @@ impl SourceGenerator {
             &mut self.tags,
         );
         for (fly, tag) in flyovers.iter().zip(&self.tags) {
-            let mac = &mut pkt[fly.at + AGG_MAC_AT..fly.at + AGG_MAC_AT + TAG_LEN];
+            let mac = &mut out[fly.at + AGG_MAC_AT..fly.at + AGG_MAC_AT + TAG_LEN];
             mac.iter_mut().zip(tag).for_each(|(b, t)| *b ^= t);
         }
-        Ok(pkt)
+        Ok(())
     }
 }
 

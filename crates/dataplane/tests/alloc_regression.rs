@@ -195,3 +195,26 @@ fn sharded_run_allocates_per_template_not_per_buffer() {
         assert!(allocs <= 3 * n + 64, "{allocs} allocations for {n} templates");
     }
 }
+
+/// `generate` costs one allocation per packet — the buffer it returns,
+/// of exactly the packet's length — and `generate_into` over a buffer an
+/// earlier packet left behind costs none, the header cache warm either
+/// way.
+#[test]
+fn generate_allocates_its_packet_and_generate_into_nothing() {
+    let hops = [BeaconHop { key: HopMacKey::new([0x17; 16]), cons_ingress: 0, cons_egress: 1 }];
+    let path = forge_path(&hops, NOW_S as u32 - 100, 7);
+    let mut generator = SourceGenerator::new(IsdAs::new(1, 0x10), IsdAs::new(2, 0x20), path);
+    let payload = [0u8; 100];
+    let warm = generator.generate(&payload, NOW_S * 1000).unwrap();
+    let (allocs, mut pkt) =
+        allocations_during(|| generator.generate(&payload, NOW_S * 1000).unwrap());
+    assert_eq!(allocs, 1, "{allocs} allocations for one packet");
+    assert_eq!((pkt.len(), pkt.capacity()), (warm.len(), warm.len()));
+    let (allocs, ()) = allocations_during(|| {
+        for _ in 0..64 {
+            generator.generate_into(&payload, NOW_S * 1000, &mut pkt).unwrap();
+        }
+    });
+    assert_eq!(allocs, 0, "{allocs} allocations for 64 packets into a reused buffer");
+}

@@ -10,7 +10,10 @@
 //! whose `PktLen` or `PayloadLen` overflows, send times before the
 //! reservation start and more than 18 h after it, same-millisecond
 //! bursts, and attach, detach and payload-length changes between calls.
-//! Every call must return the identical `Result<Vec<u8>, GenError>`.
+//! Every call must return the identical `Result<Vec<u8>, GenError>`; the
+//! new generator alternates between `generate` and `generate_into` over
+//! one reused buffer that starts with random length, capacity and
+//! contents.
 
 use hummingbird_crypto::{AuthKey, ResInfo, BW_ENC_MAX, RES_ID_MAX};
 use hummingbird_dataplane::{GenError, SourceGenerator, SourceReservation};
@@ -323,6 +326,10 @@ fn run_sequence(seed: u64, seen: &mut BTreeMap<String, u64>) -> Result<(), Strin
 
     let mut payload = vec![0u8; payload_len(&mut rng)];
     let mut now_ms = send_ms(&mut rng);
+    // `generate_into`'s buffer starts dirty: random length, spare
+    // capacity and contents.
+    let mut buf = Vec::with_capacity(rng.below(4096) as usize);
+    buf.extend((0..rng.below(3000)).map(|_| rng.next() as u8));
     for call in 0..48 {
         match rng.below(16) {
             0 => {
@@ -351,7 +358,17 @@ fn run_sequence(seed: u64, seen: &mut BTreeMap<String, u64>) -> Result<(), Strin
         };
         let fill = rng.next() as u8;
         payload.iter_mut().enumerate().for_each(|(k, b)| *b = fill ^ k as u8);
-        let got: Result<Vec<u8>, GenError> = new.generate(&payload, now_ms);
+        // Calls alternate between `generate` and `generate_into` on the
+        // one reused buffer, which must come out empty on an error.
+        let got: Result<Vec<u8>, GenError> = if call % 2 == 0 {
+            new.generate(&payload, now_ms)
+        } else {
+            let got = new.generate_into(&payload, now_ms, &mut buf).map(|()| buf.clone());
+            if got.is_err() && !buf.is_empty() {
+                return Err(format!("seed {seed} call {call}: {} B left after {got:?}", buf.len()));
+            }
+            got
+        };
         let want = old.generate(&payload, now_ms);
         let outcome = match &want {
             Ok(_) => "Ok".to_string(),

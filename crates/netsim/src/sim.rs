@@ -103,8 +103,10 @@ pub enum Node {
     Router {
         /// The packet-processing engine (owns its keys and policer).
         router: Box<dyn Datapath + Send>,
-        /// Egress interface → link. Interface 0 delivers to `local`.
-        interfaces: std::collections::HashMap<u16, LinkId>,
+        /// Egress interface → link, indexed by interface number (`None`
+        /// for an unwired one): a forwarded packet's lookup is one bounds
+        /// check, not a hash probe. Interface 0 delivers to `local`.
+        interfaces: Vec<Option<LinkId>>,
         /// Node receiving locally-delivered packets (the destination
         /// host), if any.
         local: Option<NodeId>,
@@ -418,22 +420,45 @@ pub struct ReplayTap {
     pub attacker_flow: FlowId,
 }
 
+/// How far past the last dispatched instant an event may be due and
+/// still go into [`EventQueue::near`] instead of the heap, ns. Wider than
+/// a router's service time plus its queueing (up to ≈ 2 µs in
+/// `netsim_churn`) and narrower than the next band of push deltas (from
+/// ≈ 33 µs on), so the near tier stays a handful of events long.
+const NEAR_HORIZON_NS: u64 = 4_096;
+
 /// The scheduled events, dispatched in `(time, schedule order)`.
 ///
-/// Each event waits in a slot of `pending`; the heap holds one
-/// [`QueueEntry`] per event, keyed by `(time << 64) | seq` with `seq`
-/// strictly increasing per push, so one integer comparison orders
-/// events by time and, at equal times, in push order. Dispatched slots
-/// are reused, so `pending` stays as long as the most events ever
+/// Each event waits in a slot of `pending` and is ordered by one
+/// [`QueueEntry`] keyed by `(time << 64) | seq`, with `seq` strictly
+/// increasing per push, so one integer comparison orders events by time
+/// and, at equal times, in push order. The entry goes into one of two
+/// tiers:
+///
+/// - `near`, a `VecDeque` kept sorted by key, if the event is due within
+///   [`NEAR_HORIZON_NS`] of the last dispatched instant. Most pushes are
+///   such events (a packet arriving at `now`, a router's egress a
+///   service time later) and most are due no earlier than anything
+///   queued, so the insertion point, searched from the back, is the back.
+/// - `heap`, a binary heap, for everything later.
+///
+/// [`pop_due`](Self::pop_due) takes whichever front has the smaller key,
+/// so the split only decides the cost of a push and a pop, never the
+/// order: an event stays in the tier it was pushed into. Dispatched
+/// slots are reused, so `pending` stays as long as the most events ever
 /// queued at once.
 struct EventQueue<E> {
+    near: VecDeque<QueueEntry>,
     heap: BinaryHeap<Reverse<QueueEntry>>,
     pending: Vec<Option<E>>,
     free_slots: Vec<usize>,
     seq: u64,
+    /// The time of the last dispatched event: where the near tier's
+    /// horizon starts.
+    last_ns: u64,
 }
 
-/// A heap entry: the event's order key and its slot in
+/// A queue entry: the event's order key and its slot in
 /// [`EventQueue::pending`]. Ordered by the key alone: keys are unique,
 /// so the slot never influences the order.
 struct QueueEntry {
@@ -463,7 +488,14 @@ impl Ord for QueueEntry {
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
-        EventQueue { heap: BinaryHeap::new(), pending: Vec::new(), free_slots: Vec::new(), seq: 0 }
+        EventQueue {
+            near: VecDeque::new(),
+            heap: BinaryHeap::new(),
+            pending: Vec::new(),
+            free_slots: Vec::new(),
+            seq: 0,
+            last_ns: 0,
+        }
     }
 }
 
@@ -482,25 +514,47 @@ impl<E> EventQueue<E> {
             }
         };
         let key = (u128::from(at_ns) << 64) | u128::from(self.seq);
-        self.heap.push(Reverse(QueueEntry { key, slot }));
         self.seq += 1;
+        let entry = QueueEntry { key, slot };
+        if at_ns <= self.last_ns.saturating_add(NEAR_HORIZON_NS) {
+            let at = self.near.iter().rposition(|e| e.key < key).map_or(0, |i| i + 1);
+            self.near.insert(at, entry);
+        } else {
+            self.heap.push(Reverse(entry));
+        }
     }
 
     /// Removes and returns the first event, with its time, if it is due
     /// at or before `end_ns`.
     fn pop_due(&mut self, end_ns: u64) -> Option<(u64, E)> {
-        let at_ns = (self.heap.peek()?.0.key >> 64) as u64;
+        let from_near = match (self.near.front(), self.heap.peek()) {
+            (Some(near), Some(Reverse(far))) => near.key < far.key,
+            (near, _) => near.is_some(),
+        };
+        let front = if from_near { self.near.front() } else { self.heap.peek().map(|e| &e.0) };
+        let at_ns = (front?.key >> 64) as u64;
         if at_ns > end_ns {
             return None;
         }
-        let slot = self.heap.pop()?.0.slot;
+        let entry = if from_near { self.near.pop_front() } else { self.heap.pop().map(|e| e.0) };
+        let slot = entry?.slot;
         let event = self.pending[slot].take().expect("event consumed twice");
         self.free_slots.push(slot);
+        self.last_ns = at_ns;
         Some((at_ns, event))
     }
 }
 
-/// The simulator.
+/// The simulator: nodes, links and flows driven by one event queue in
+/// `(time, schedule order)`.
+///
+/// Per event it does as little bookkeeping as it can without changing
+/// which events run or in what order: events due within a few µs of the
+/// last dispatched one skip the queue's heap, every send writes its
+/// packet through [`SourceGenerator::generate_into`] into a byte buffer
+/// from a free list that delivered and dropped packets refill, and a
+/// router node finds its egress link by indexing [`Node::Router`]'s
+/// interface table.
 pub struct Simulator {
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -514,6 +568,12 @@ pub struct Simulator {
     queue: EventQueue<Event>,
     /// Zeros as long as the longest flow payload: every send's payload.
     zeros: Vec<u8>,
+    /// Byte buffers of delivered and dropped packets, and of sends the
+    /// generator refused: every send and replay copy writes into one of
+    /// these before it allocates. Only packets that left the network
+    /// return here, so the list never holds more buffers than the most
+    /// packets ever in flight at once.
+    free_bufs: Vec<Vec<u8>>,
     now_ns: u64,
     events_processed: u64,
 }
@@ -531,6 +591,7 @@ impl Simulator {
             services: Vec::new(),
             queue: EventQueue::default(),
             zeros: Vec::new(),
+            free_bufs: Vec::new(),
             now_ns: start_ns,
             events_processed: 0,
         }
@@ -570,7 +631,11 @@ impl Simulator {
     /// Wires egress `interface` of router `node` onto `link`.
     pub fn connect_interface(&mut self, node: NodeId, interface: u16, link: LinkId) {
         if let Node::Router { interfaces, .. } = &mut self.nodes[node] {
-            interfaces.insert(interface, link);
+            let at = usize::from(interface);
+            if interfaces.len() <= at {
+                interfaces.resize(at + 1, None);
+            }
+            interfaces[at] = Some(link);
         }
     }
 
@@ -601,14 +666,13 @@ impl Simulator {
         if up || !was_up {
             return 0;
         }
-        let mut drained_flows = Vec::new();
+        let mut drained = 0;
         while let Some(pkt) = l.pop_next() {
-            drained_flows.push(pkt.flow);
+            self.stats[pkt.flow].link_down_drops += 1;
+            self.free_bufs.push(pkt.bytes);
+            drained += 1;
         }
-        for flow in &drained_flows {
-            self.stats[*flow].link_down_drops += 1;
-        }
-        drained_flows.len() as u64
+        drained
     }
 
     /// Whether a link is currently up.
@@ -845,8 +909,9 @@ impl Simulator {
         let interval = flow.interval_ns;
         let stop_ns = flow.stop_ns;
         let entry = flow.entry;
-        match flow.generator.generate(&self.zeros[..flow.payload_len], now_ms) {
-            Ok(bytes) => {
+        let mut bytes = self.free_bufs.pop().unwrap_or_default();
+        match flow.generator.generate_into(&self.zeros[..flow.payload_len], now_ms, &mut bytes) {
+            Ok(()) => {
                 self.stats[flow_id].sent_pkts += 1;
                 self.stats[flow_id].sent_bytes += bytes.len() as u64;
                 let pkt = SimPacket { bytes, flow: flow_id, sent_at: now, seq: 0 };
@@ -857,6 +922,7 @@ impl Simulator {
                 // a send that never left the host.
                 self.stats[flow_id].sent_pkts += 1;
                 self.stats[flow_id].generation_failures += 1;
+                self.free_bufs.push(bytes);
             }
         }
         let next = now + interval;
@@ -892,8 +958,9 @@ impl Simulator {
             st.last_send_ns = now;
             self.stats[flow_id].sent_pkts += 1;
             let payload = &self.zeros[..st.cfg.payload_len];
-            match st.cfg.generator.generate(payload, now / 1_000_000) {
-                Ok(bytes) => {
+            let mut bytes = self.free_bufs.pop().unwrap_or_default();
+            match st.cfg.generator.generate_into(payload, now / 1_000_000, &mut bytes) {
+                Ok(()) => {
                     self.stats[flow_id].sent_bytes += bytes.len() as u64;
                     let pkt = SimPacket { bytes, flow: flow_id, sent_at: now, seq };
                     to_schedule.push((now, Event::Arrival { node: st.cfg.entry, pkt }));
@@ -904,6 +971,7 @@ impl Simulator {
                     // timer — the retry path handles it like any loss
                     // (by then the reservation may have become active).
                     self.stats[flow_id].generation_failures += 1;
+                    self.free_bufs.push(bytes);
                 }
             }
             st.outstanding.insert(seq, Outstanding { attempt: 0, rto_ns: st.cfg.rto_ns });
@@ -981,13 +1049,17 @@ impl Simulator {
                 // Regenerate through the *current* generator: a reroute
                 // applied since the original send puts the retry on the
                 // new path.
-                match st.cfg.generator.generate(payload, now / 1_000_000) {
-                    Ok(bytes) => {
+                let mut bytes = self.free_bufs.pop().unwrap_or_default();
+                match st.cfg.generator.generate_into(payload, now / 1_000_000, &mut bytes) {
+                    Ok(()) => {
                         self.stats[flow_id].sent_bytes += bytes.len() as u64;
                         let pkt = SimPacket { bytes, flow: flow_id, sent_at: now, seq };
                         to_schedule.push((now, Event::Arrival { node: st.cfg.entry, pkt }));
                     }
-                    Err(_) => self.stats[flow_id].generation_failures += 1,
+                    Err(_) => {
+                        self.stats[flow_id].generation_failures += 1;
+                        self.free_bufs.push(bytes);
+                    }
                 }
                 st.events.push(FlowEvent {
                     at_ns: now,
@@ -1025,7 +1097,7 @@ impl Simulator {
         }
     }
 
-    fn handle_arrival(&mut self, node_id: NodeId, pkt: SimPacket) {
+    fn handle_arrival(&mut self, node_id: NodeId, mut pkt: SimPacket) {
         let now = self.now_ns;
         // Duplicating adversaries observe the packet as it arrives and
         // inject copies at the same ingress shortly after.
@@ -1040,8 +1112,9 @@ impl Simulator {
             // token bucket pinned right up to the next original packet —
             // the timing that makes the §5.4 attack effective.
             for c in 0..copies {
-                let mut copy = pkt.clone();
-                copy.flow = attacker_flow;
+                let mut bytes = self.free_bufs.pop().unwrap_or_default();
+                bytes.clone_from(&pkt.bytes);
+                let copy = SimPacket { bytes, flow: attacker_flow, ..pkt };
                 self.stats[attacker_flow].sent_pkts += 1;
                 self.stats[attacker_flow].sent_bytes += copy.bytes.len() as u64;
                 self.schedule(
@@ -1071,14 +1144,14 @@ impl Simulator {
                     let delay = rst.cfg.ack_delay_ns;
                     self.schedule(now + delay, Event::FlowAck { flow: pkt.flow, seq: pkt.seq });
                 }
+                self.free_bufs.push(pkt.bytes);
             }
             Node::Router { router, interfaces, local } => {
-                let mut bytes = pkt.bytes;
-                let verdict = router.process(&mut bytes, now);
-                let pkt = SimPacket { bytes, ..pkt };
+                let verdict = router.process(&mut pkt.bytes, now);
                 match verdict {
                     Verdict::Drop(_) => {
                         self.stats[pkt.flow].router_drops += 1;
+                        self.free_bufs.push(pkt.bytes);
                     }
                     Verdict::Flyover { egress } | Verdict::BestEffort { egress } => {
                         let class =
@@ -1089,10 +1162,17 @@ impl Simulator {
                         let target = if egress == 0 {
                             local.map(EgressTarget::Local)
                         } else {
-                            interfaces.get(&egress).map(|&l| EgressTarget::Link(l))
+                            interfaces
+                                .get(usize::from(egress))
+                                .copied()
+                                .flatten()
+                                .map(EgressTarget::Link)
                         };
                         match target {
-                            None => self.stats[pkt.flow].router_drops += 1,
+                            None => {
+                                self.stats[pkt.flow].router_drops += 1;
+                                self.free_bufs.push(pkt.bytes);
+                            }
                             Some(target) => {
                                 let depart = match &mut self.services[node_id] {
                                     Some(svc) => svc.try_serve(now),
@@ -1103,6 +1183,7 @@ impl Simulator {
                                     // full: tail drop, named counter.
                                     None => {
                                         self.stats[pkt.flow].service_queue_drops += 1;
+                                        self.free_bufs.push(pkt.bytes);
                                     }
                                     Some(depart) if depart <= now => {
                                         self.handle_egress(target, pkt, class);
@@ -1136,6 +1217,7 @@ impl Simulator {
         let link = &mut self.links[link_id];
         if !link.up {
             self.stats[pkt.flow].link_down_drops += 1;
+            self.free_bufs.push(pkt.bytes);
             return;
         }
         if !link.busy {
@@ -1155,6 +1237,7 @@ impl Simulator {
                 queue.push_back(pkt);
             } else {
                 self.stats[pkt.flow].queue_drops += 1;
+                self.free_bufs.push(pkt.bytes);
             }
         }
     }
@@ -1185,11 +1268,11 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
-    use super::{EventQueue, FlowId, Simulator};
+    use super::{EventQueue, FlowId, Simulator, NEAR_HORIZON_NS};
     use crate::{
         EngineFamily, FlowKind, FlowSpec, LinearTopology, LinkSpec, ReactiveProfile, Route,
     };
-    use hummingbird_dataplane::RouterConfig;
+    use hummingbird_dataplane::{RouterConfig, SourceGenerator};
     use hummingbird_wire::IsdAs;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
@@ -1198,12 +1281,14 @@ mod tests {
     const START_NS: u64 = START_S * 1_000_000_000;
     const SEC: u64 = 1_000_000_000;
 
-    /// Runs `spec` for 2 s over a 2-AS chain whose reservations start
-    /// 1 s in, so the generator refuses every send of the first second,
-    /// and drains the network.
-    fn run_with_late_reservation(spec: FlowSpec) -> (Simulator, FlowId) {
-        let mut chain =
-            LinearTopology::build(2, LinkSpec::default(), START_NS, RouterConfig::default());
+    /// A 2-AS chain.
+    fn chain() -> LinearTopology {
+        LinearTopology::build(2, LinkSpec::default(), START_NS, RouterConfig::default())
+    }
+
+    /// A generator over `chain` whose reservations start `start_s`
+    /// seconds into the run.
+    fn reserved_generator(chain: &mut LinearTopology, start_s: u64) -> SourceGenerator {
         let src = IsdAs::new(1, 0x10);
         let mut generator = chain.make_generator(src, chain.net.router_isd_as(1));
         for hop in 0..2 {
@@ -1213,15 +1298,46 @@ mod tests {
                 hop,
                 src,
                 2_000,
-                START_S + 6,
+                START_S + start_s + 5,
             );
             generator.attach_reservation(hop, credential).unwrap();
         }
+        generator
+    }
+
+    /// Runs `spec` for 2 s over a 2-AS chain whose reservations start
+    /// 1 s in, so the generator refuses every send of the first second,
+    /// and drains the network.
+    fn run_with_late_reservation(spec: FlowSpec) -> (Simulator, FlowId) {
+        let mut chain = chain();
+        let generator = reserved_generator(&mut chain, 1);
         let entry = chain.net.as_nodes[0];
         let mut sim = chain.net.sim;
         let flow = spec.add_to(&mut sim, generator, entry, START_NS, START_NS + 2 * SEC);
         sim.run_until(START_NS + 10 * SEC);
         (sim, flow)
+    }
+
+    /// A refused send hands its buffer back to the free list: a flow
+    /// delivers for a second, then is rerouted onto reservations that
+    /// start a minute later, so every later send is refused — and the
+    /// buffer the delivered packets left behind is still there.
+    #[test]
+    fn refused_sends_return_their_buffers() {
+        let mut chain = chain();
+        let active = reserved_generator(&mut chain, 0);
+        let late = reserved_generator(&mut chain, 60);
+        let entry = chain.net.as_nodes[0];
+        let mut sim = chain.net.sim;
+        let spec = FlowSpec::cbr(1000, 800, Some(2_000));
+        let flow = spec.add_to(&mut sim, active, entry, START_NS, START_NS + 2 * SEC);
+        sim.run_until(START_NS + SEC - 1);
+        sim.set_flow_route(flow, late, entry);
+        sim.run_until(START_NS + 10 * SEC);
+        let s = sim.stats(flow);
+        assert!(s.delivered_pkts > 0 && s.generation_failures > 0, "{s:?}");
+        assert_eq!(s.unattributed(), 0, "{s:?}");
+        assert!(!sim.free_bufs.is_empty(), "a refused send kept its buffer");
     }
 
     /// A CBR flow: the sends of the first second are refused by the
@@ -1253,8 +1369,10 @@ mod tests {
         assert_eq!(s.since(&Default::default()), s);
     }
 
-    /// Dispatched slots are reused: the event table is as long as the
-    /// most events queued at once, not as the run's event count.
+    /// Dispatched slots and delivered packets' buffers are reused: the
+    /// event table, both queue tiers and the packet free list are as
+    /// long as the most events or packets in flight at once, not as the
+    /// run's event or packet count.
     #[test]
     fn event_slots_are_recycled() {
         let mut net =
@@ -1264,16 +1382,25 @@ mod tests {
         let flow = net.add_family_flow(hb, Route::new(0, 1), &reserved, START_NS, START_NS + SEC);
         net.sim.run_until(START_NS + 2 * SEC);
         let sim = &net.sim;
-        assert!(sim.stats(flow).delivery_ratio() > 0.99);
+        let stats = sim.stats(flow);
+        assert!(stats.delivery_ratio() > 0.99);
         assert!(sim.events_processed() > 1_000, "{} events", sim.events_processed());
         let queue = &sim.queue;
-        assert!(
-            queue.pending.len() <= 8,
-            "{} slots for {} events",
+        let sizes = [
             queue.pending.len(),
+            queue.near.capacity(),
+            queue.heap.capacity(),
+            sim.free_bufs.len(),
+        ];
+        assert!(
+            sizes.iter().all(|&n| n <= 8),
+            "slots, near and heap capacity, free buffers {sizes:?} for {} events",
             sim.events_processed()
         );
         assert_eq!(queue.free_slots.len(), queue.pending.len(), "every slot dispatched");
+        assert!(queue.near.capacity() > 0, "no event took the near tier");
+        // Delivered packets hand their buffers back.
+        assert!(!sim.free_bufs.is_empty(), "{} packets sent", stats.sent_pkts);
     }
 
     proptest! {
@@ -1282,19 +1409,17 @@ mod tests {
         /// The queue dispatches exactly in `(time, schedule order)`:
         /// random schedules crowded onto a few instants, some at the top
         /// of the `u64` range, and onto instants relative to the last
-        /// dispatched one — at it, just inside, at and just past a
-        /// near-term horizon, and before it — with pops between the
+        /// dispatched one — at it, just inside, at and just past the
+        /// near tier's horizon, and before it — with pops between the
         /// pushes so slots are reused mid-run. Pop bounds are drawn the
-        /// same way, so they often fall between the earliest near-term
-        /// and the earliest later event; a refused pop must leave every
-        /// queued event in place.
+        /// same way, so they often fall between the two tiers' fronts; a
+        /// refused pop must leave every queued event in place.
         #[test]
         fn queue_dispatches_in_time_then_schedule_order(
             ops in prop::collection::vec((0u8..4, 0usize..12, any::<u64>()), 1..300),
         ) {
+            const HORIZON: u64 = NEAR_HORIZON_NS;
             const INSTANTS: [u64; 5] = [0, 1_000, u64::MAX / 2, u64::MAX - 1, u64::MAX];
-            /// A near-term horizon the relative instants straddle.
-            const HORIZON: u64 = 4_096;
             let mut queue = EventQueue::default();
             // What must come out: (time, schedule index), in order.
             let mut model = BTreeSet::new();

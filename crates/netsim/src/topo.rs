@@ -192,7 +192,7 @@ impl TopologyBuilder {
             router: DatapathBuilder::new(sv.clone(), hop_key.clone())
                 .config(self.engine_cfg)
                 .build_boxed(),
-            interfaces: HashMap::new(),
+            interfaces: Vec::new(),
             local: None,
         });
         self.as_nodes.push(node);

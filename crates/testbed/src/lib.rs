@@ -22,6 +22,7 @@
 //! [`LatencyHistogram`](hummingbird_dataplane::LatencyHistogram).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod frame;
 pub mod harness;
@@ -35,16 +36,23 @@ pub use link::{AckSender, CreditedSender, WaitStrategy};
 pub use mix::{FlowSpec, MixPlan, TrafficMix};
 pub use node::{NodeStats, Sink, SinkReport, SocketRouter, BEST_EFFORT, RESERVED};
 
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Wall-clock Unix time in milliseconds — what generators stamp packets
 /// with (engines enforce a freshness window against the same clock).
 pub fn now_unix_ms() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).expect("clock before epoch").as_millis() as u64
+    since_epoch().as_millis() as u64
 }
 
 /// Wall-clock Unix time in nanoseconds — what engines are handed as
 /// `now_ns`.
 pub fn now_unix_ns() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).expect("clock before epoch").as_nanos() as u64
+    since_epoch().as_nanos() as u64
+}
+
+/// Time since the Unix epoch. A clock set before 1970 saturates to the
+/// epoch itself instead of panicking a node thread; generators and
+/// engines read the same helpers, so they still agree on the time.
+fn since_epoch() -> Duration {
+    SystemTime::now().duration_since(UNIX_EPOCH).unwrap_or(Duration::ZERO)
 }

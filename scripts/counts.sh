@@ -20,6 +20,22 @@ for dir in src crates/*/src; do
     n=$(grep -rhE '^\s*pub (fn|struct|enum|const|trait|type|mod|use|static)' "$dir" | wc -l)
     printf '  %-11s %s\n' "$(crate_of "$dir")" "$n"
 done
+# ROADMAP item 13's grep: a `pub fn/struct/enum/const/type/trait` name
+# in a crate's src/ that no other `.rs` file names as a whole word —
+# other crates, every tests/ and examples/ (the crate's own included)
+# and the frozen benchmark/. Approximate: names collide, and a type in a
+# public signature must stay `pub` even when no one names it.
+echo 'pub names used nowhere outside their src/ (informational):'
+words=$(mktemp)
+trap 'rm -f "$words"' EXIT
+for dir in src crates/*/src; do
+    find crates src tests examples benchmark -name '*.rs' -not -path '*/target/*' \
+        -not -path "$dir/*" -exec grep -ohwE '\w+' {} + | LC_ALL=C sort -u > "$words"
+    names=$(grep -rhoE '^\s*pub (fn|struct|enum|const|type|trait) \w+' "$dir" \
+        | awk '{ print $NF }' | LC_ALL=C sort -u)
+    unused=$(printf '%s\n' "$names" | LC_ALL=C comm -23 - "$words" | grep -c . || true)
+    printf '  %-11s %s of %s\n' "$(crate_of "$dir")" "$unused" "$(printf '%s\n' "$names" | grep -c .)"
+done
 printf 'workspace packages:                   %s\n' \
     "$(cargo metadata --offline --no-deps --format-version 1 | tr ',' '\n' | grep -c '"manifest_path"')"
 printf 'netsim scenario.rs lines:             %s\n' "$(wc -l < crates/netsim/src/scenario.rs)"
