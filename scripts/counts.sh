@@ -20,7 +20,7 @@ for dir in src crates/*/src; do
     n=$(grep -rhE '^\s*pub (fn|struct|enum|const|trait|type|mod|use|static)' "$dir" | wc -l)
     printf '  %-11s %s\n' "$(crate_of "$dir")" "$n"
 done
-# ROADMAP item 13's grep: a `pub fn/struct/enum/const/type/trait` name
+# The public-surface grep: a `pub fn/struct/enum/const/type/trait` name
 # in a crate's src/ that no other `.rs` file names as a whole word —
 # other crates, every tests/ and examples/ (the crate's own included)
 # and the frozen benchmark/. Approximate: names collide, and a type in a
