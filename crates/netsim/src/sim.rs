@@ -571,8 +571,8 @@ pub struct Simulator {
     /// Byte buffers of delivered and dropped packets, and of sends the
     /// generator refused: every send and replay copy writes into one of
     /// these before it allocates. Only packets that left the network
-    /// return here, so the list never holds more buffers than the most
-    /// packets ever in flight at once.
+    /// and refused sends return here, so the list never holds more
+    /// buffers than the most packets ever in flight at once, plus one.
     free_bufs: Vec<Vec<u8>>,
     now_ns: u64,
     events_processed: u64,
