@@ -19,14 +19,13 @@
 //! profiling one point); without it the sweep covers 4..128.
 
 use hummingbird_bench::{
-    batch_from_args, conserved, cores_from_args, flag_present, pkts_from_args, row,
+    batch_from_args, checked_run, cores_from_args, flag_present, row, u64_from_args,
     DataplaneFixture, EngineKind, Throughput, EPOCH_NS,
 };
 use hummingbird_coloring::{color_optimal, max_overlap, FirstFit, Interval, KiersteadTrotter};
 use hummingbird_dataplane::policing::Policer;
 use hummingbird_dataplane::{
-    run_to_completion, Datapath, DatapathBuilder, ExecMode, PacketBuf, RuntimeConfig, RuntimeMode,
-    RuntimeReport,
+    Datapath, DatapathBuilder, ExecMode, PacketBuf, RuntimeConfig, RuntimeMode,
 };
 use hummingbird_wire::hopfield::{FLYOVER_FIELD_LEN, HOP_FIELD_LEN};
 use rand::rngs::StdRng;
@@ -47,7 +46,7 @@ fn ablation_policing_array() {
     println!("== Ablation 1: policing-array size vs per-check cost ==");
     println!("(§4.4: 75k IDs = 600 kB fits L2; 3M IDs = 24 MB fits L3)\n");
     let widths = [12usize, 12, 12];
-    println!("{}", row(&["ResIDmax".into(), "array".into(), "ns/check".into()], &widths));
+    println!("{}", row(&["ResIDmax", "array", "ns/check"], &widths));
     let mut rng = StdRng::seed_from_u64(1);
     for slots in [1_000u32, 75_000, 1_000_000, 3_000_000] {
         let mut p = Policer::new(slots, 50_000_000);
@@ -73,20 +72,7 @@ fn ablation_policing_array() {
 fn ablation_coloring() {
     println!("== Ablation 2: ResID allocation — First-Fit vs Kierstead-Trotter ==\n");
     let widths = [10usize, 8, 8, 8, 10, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "intervals".into(),
-                "omega".into(),
-                "FF".into(),
-                "KT".into(),
-                "FF ratio".into(),
-                "KT ratio".into()
-            ],
-            &widths
-        )
-    );
+    println!("{}", row(&["intervals", "omega", "FF", "KT", "FF ratio", "KT ratio"], &widths));
     let mut rng = StdRng::seed_from_u64(2);
     for n in [50usize, 200, 500] {
         let intervals: Vec<Interval> = (0..n)
@@ -131,8 +117,9 @@ fn ablation_dup_suppression() {
     let iters = 200_000u64;
     let mut results = Vec::new();
     for dup in [false, true] {
+        let (sv, hop_key) = fx.hop0_keys();
         let mut router =
-            DatapathBuilder::new(fx_sv(&fx), fx_hop_key(&fx)).duplicate_suppression(dup).build();
+            DatapathBuilder::new(sv.clone(), hop_key.clone()).duplicate_suppression(dup).build();
         // Unique packets (the realistic stream) — regenerate timestamps.
         let mut generator = fx.generator(true);
         let mut pkts: Vec<PacketBuf> = (0..64)
@@ -159,38 +146,13 @@ fn ablation_dup_suppression() {
     );
 }
 
-// The fixture keeps its secrets private; recreate the hop-0 values the
-// same way the fixture does (kept in sync with hummingbird_bench).
-fn fx_sv(_fx: &DataplaneFixture) -> hummingbird_crypto::SecretValue {
-    hummingbird_crypto::SecretValue::new([0x61; 16])
-}
-fn fx_hop_key(_fx: &DataplaneFixture) -> hummingbird_wire::scion_mac::HopMacKey {
-    hummingbird_wire::scion_mac::HopMacKey::new([0x31; 16])
-}
-
-/// Million packets per second of a runtime run offered `offered`
-/// packets; exits 1 if the run lost or duplicated one.
-fn checked_mpps(kind: EngineKind, offered: u64, report: &RuntimeReport) -> f64 {
-    if let Err(e) = conserved(offered, report) {
-        eprintln!("CONSERVATION FAILURE: engine {}: {e}", kind.name());
-        std::process::exit(1);
-    }
-    Throughput::from(report).mpps()
-}
-
 fn ablation_runtime_sharding() {
     println!("== Ablation 5: multi-queue runtime — clone vs sharded vs harness floor ==\n");
     let fx = DataplaneFixture::new(4);
     let cores_list = cores_from_args(&[1usize, 2, 4]);
-    let per_core = pkts_from_args(100_000);
+    let per_core = u64_from_args("pkts", 100_000);
     let widths = [12usize, 8, 12, 12];
-    println!(
-        "{}",
-        row(
-            &["engine".into(), "cores".into(), "clone mpps".into(), "sharded mpps".into()],
-            &widths
-        )
-    );
+    println!("{}", row(&["engine", "cores", "clone mpps", "sharded mpps"], &widths));
     // The null engine's rows are the harness floor: burst fill,
     // bookkeeping and (sharded) rx steering with zero per-packet work.
     for kind in [EngineKind::Null, EngineKind::Hummingbird] {
@@ -200,9 +162,7 @@ fn ablation_runtime_sharding() {
             let mut cfg = RuntimeConfig::new(cores);
             cfg.exec = ExecMode::Auto;
             let [clone, rss] = [RuntimeMode::PerCoreClone, RuntimeMode::Sharded].map(|mode| {
-                let report =
-                    run_to_completion(&cfg, mode, |_| fx.engine(kind), &templates, total, EPOCH_NS);
-                checked_mpps(kind, total, &report)
+                Throughput::from(&checked_run(&cfg, mode, &fx, kind, &templates, total)).mpps()
             });
             println!(
                 "{}",
@@ -226,14 +186,14 @@ fn ablation_runtime_sharding() {
 fn ablation_batch_size() {
     println!("== Ablation 6: burst size — amortization vs cache footprint ==\n");
     let fx = DataplaneFixture::new(4);
-    let per_core = pkts_from_args(100_000);
+    let per_core = u64_from_args("pkts", 100_000);
     let cores = 2usize;
     // One --batch value pins the sweep (profiling a single point);
     // otherwise sweep the interesting range around the default of 32.
     let batches: Vec<usize> =
         if flag_present("batch") { vec![batch_from_args(32)] } else { vec![4, 8, 16, 32, 64, 128] };
     let widths = [8usize, 14, 14];
-    println!("{}", row(&["batch".into(), "null mpps".into(), "hbird mpps".into()], &widths));
+    println!("{}", row(&["batch", "null mpps", "hbird mpps"], &widths));
     for &batch in &batches {
         let mut cells = vec![format!("{batch}")];
         for kind in [EngineKind::Null, EngineKind::Hummingbird] {
@@ -242,15 +202,8 @@ fn ablation_batch_size() {
             let mut cfg = RuntimeConfig::new(cores);
             cfg.batch_size = batch;
             cfg.exec = ExecMode::Auto;
-            let rss = run_to_completion(
-                &cfg,
-                RuntimeMode::Sharded,
-                |_| fx.engine(kind),
-                &templates,
-                total,
-                EPOCH_NS,
-            );
-            cells.push(format!("{:.2}", checked_mpps(kind, total, &rss)));
+            let rss = checked_run(&cfg, RuntimeMode::Sharded, &fx, kind, &templates, total);
+            cells.push(format!("{:.2}", Throughput::from(&rss).mpps()));
         }
         println!("{}", row(&cells, &widths));
     }

@@ -25,20 +25,17 @@
 //!
 //! Run with: `cargo run --release -p hummingbird-bench --bin
 //! latency_comparison` (`--pkts <n>` bounds both the per-run victim
-//! packet count and the runtime leg, for CI smoke runs). The simulated
-//! router service cost is calibrated from the checked-in
-//! `BENCH_hotpath.json` clone/1-core measurements; without the file, or
-//! for a family it has no record of, the hand-set default is kept (and
-//! logged). A file that does not parse exits 2.
+//! packet count and the runtime leg, for CI smoke runs). Before the
+//! sweep, the binary measures each family's router service cost on this
+//! build and host ([`hummingbird_bench::service_ns`]) and prints it; the
+//! simulated routers of that family serve a packet in that time.
 
-use hummingbird::netsim::{run, EngineScenario, LinearTopology, LinkSpec, Scenario};
+use hummingbird::netsim::{run, EngineFamily, EngineScenario, LinearTopology, LinkSpec, Scenario};
 use hummingbird_baselines::SLOT_SECS;
 use hummingbird_bench::{
-    conserved, hotpath_calibration, pkts_from_args, row, DataplaneFixture, EngineKind, EPOCH_NS,
+    checked_run, row, service_ns, u64_from_args, DataplaneFixture, EngineKind,
 };
-use hummingbird_dataplane::{
-    run_to_completion, EgressConfig, RouterConfig, RuntimeConfig, RuntimeMode,
-};
+use hummingbird_dataplane::{EgressConfig, RouterConfig, RuntimeConfig, RuntimeMode};
 use hummingbird_wire::IsdAs;
 
 const START_S: u64 = 1_700_000_000;
@@ -81,26 +78,28 @@ fn forged_drop_ratio(scenario: EngineScenario, cfg: RouterConfig) -> f64 {
 
 fn main() {
     let cfg = RouterConfig::default();
-    let pkts = pkts_from_args(500);
+    let pkts = u64_from_args("pkts", 500);
+    let service = EngineFamily::ALL.map(|family| (family, service_ns(family)));
     println!("== Fig. 3/4-style latency comparison: engine family x shards ==");
     println!(
-        "3-AS chain, 10 Mbps bottlenecks, 1 ms links, per-family router service cost\n\
-         calibrated from BENCH_hotpath.json (hand-set fallback when missing);\n\
-         victim 2 Mbps credentialed, flood 30 Mbps best effort, ~{pkts} victim pkts/run\n"
+        "3-AS chain, 10 Mbps bottlenecks, 1 ms links, per-family router service cost;\n\
+         victim 2 Mbps credentialed, flood 30 Mbps best effort, ~{pkts} victim pkts/run"
     );
+    let costs = service.map(|(family, ns)| format!("{} {ns}", family.name()));
+    println!("router service cost [ns/pkt, 1 core, 500 B, measured]: {}\n", costs.join(", "));
     let widths = [12usize, 7, 8, 8, 10, 11, 11, 10];
     println!(
         "{}",
         row(
             &[
-                "family".into(),
-                "shards".into(),
-                "D1 [%]".into(),
-                "D2 [%]".into(),
-                "base [ms]".into(),
-                "flood [ms]".into(),
-                "max [ms]".into(),
-                "atk [kbps]".into(),
+                "family",
+                "shards",
+                "D1 [%]",
+                "D2 [%]",
+                "base [ms]",
+                "flood [ms]",
+                "max [ms]",
+                "atk [kbps]"
             ],
             &widths
         )
@@ -116,13 +115,13 @@ fn main() {
             SLOT_SECS * 250
         );
     }
-    for (family, measured_ns) in hotpath_calibration("latency") {
+    for (family, ns) in service {
         for shards in [1usize, 4] {
             let scenario = EngineScenario { family, shards };
             let [base, loaded] = [0, 30_000].map(|flood_kbps| {
                 let mut s = Scenario::latency(scenario, flood_kbps);
                 s.run_s = run_s;
-                if let (Some(model), Some(ns)) = (&mut s.service, measured_ns) {
+                if let Some(model) = &mut s.service {
                     model.per_pkt_ns = ns;
                 }
                 run(cfg, &s, START_NS)
@@ -166,14 +165,14 @@ fn main() {
         "{}",
         row(
             &[
-                "engine".into(),
-                "prio".into(),
-                "beffort".into(),
-                "wire %".into(),
-                "mean res [us]".into(),
-                "max res [us]".into(),
-                "prio p99 [us]".into(),
-                "be p99 [us]".into(),
+                "engine",
+                "prio",
+                "beffort",
+                "wire %",
+                "mean res [us]",
+                "max res [us]",
+                "prio p99 [us]",
+                "be p99 [us]"
             ],
             &widths
         )
@@ -193,18 +192,7 @@ fn main() {
         rcfg.egress = Some(EgressConfig::default());
         rcfg.steering = kind.steering();
         let offered = pkts.max(1) * 32;
-        let report = run_to_completion(
-            &rcfg,
-            RuntimeMode::Sharded,
-            |_| fx.engine(kind),
-            &templates,
-            offered,
-            EPOCH_NS,
-        );
-        if let Err(e) = conserved(offered, &report) {
-            eprintln!("CONSERVATION FAILURE: engine {}: {e}", kind.name());
-            std::process::exit(1);
-        }
+        let report = checked_run(&rcfg, RuntimeMode::Sharded, &fx, kind, &templates, offered);
         let e = report.egress.expect("tx path enabled");
         assert_eq!(e.forwarded() + e.dropped, report.packets, "tx path conserves packets");
         // Each shard has its own wire; below ¾ load a loss is starvation,

@@ -21,27 +21,29 @@
 //!    violation — this is the CI smoke leg's contract.
 //!
 //! Run with: `cargo run --release -p hummingbird-bench --bin
-//! overload_sweep [-- --pkts <n>] [--json <path>] [--no-calibrate]`
+//! overload_sweep [-- --pkts <n>] [--json <path>]`
 //!
 //! `--pkts` caps each flow's packet budget (the CI smoke knob; 0 =
-//! uncapped). The router service cost is calibrated from
-//! `BENCH_hotpath.json` clone/1-core records when present
-//! (`--no-calibrate` keeps the hand-set default; a file that does not
-//! parse exits 2). Every run writes `BENCH_overload.json`; `--json
-//! <path>` overrides the output location, and a failed write exits
-//! nonzero.
+//! uncapped). Before the sweep, the binary measures each family's
+//! router service cost on this build and host
+//! ([`hummingbird_bench::service_ns`]) and prints it above the table;
+//! every router of that family's runs serves a packet in that time.
+//! `--json <path>` writes the document below to `path`; a failed write
+//! exits nonzero.
 //!
-//! # Overload schema (`schema = 1`)
-//!
-//! The binary verifies conservation and termination for every point
-//! before writing, so a checked-in document is also a green light.
+//! # Overload schema (`schema = 2`)
 //!
 //! ```json
 //! {
-//!   "schema": 1,
+//!   "schema": 2,
 //!   "bench": "overload",
 //!   "pkts_cap": 2000,             // per-flow packet cap (0 = uncapped)
-//!   "service_calibrated": true,   // per-pkt cost from BENCH_hotpath.json
+//!   "service_ns": {               // per-packet router service cost [ns]
+//!     "hummingbird": 207,         //   each family ran with, measured
+//!     "helia": 277,               //   in this run (1 core, 500 B)
+//!     "drkey": 285,
+//!     "epic": 125
+//!   },
 //!   "records": [
 //!     {
 //!       "family": "hummingbird",  // EngineFamily name
@@ -78,10 +80,15 @@
 //!   ]
 //! }
 //! ```
+//!
+//! Schema 2 replaced schema 1's `service_calibrated` flag (whether a
+//! checked-in hot-path file supplied the costs) with the costs
+//! themselves. The binary verifies conservation and termination for
+//! every point before it exits 0.
 
 use hummingbird::netsim::{run, EngineFamily, EngineScenario, FlowOutcome, Scenario};
 use hummingbird_bench::json::{self, Value};
-use hummingbird_bench::{flag_present, flag_value, hotpath_calibration, row, u64_from_args};
+use hummingbird_bench::{flag_value, row, service_ns, u64_from_args};
 use hummingbird_dataplane::RouterConfig;
 
 const START_S: u64 = 1_700_000_000;
@@ -106,37 +113,26 @@ fn violations(label: &str, reserved: &FlowOutcome, best_effort: &FlowOutcome) ->
 fn main() {
     let cfg = RouterConfig::default();
     let pkts_cap = u64_from_args("pkts", 0);
-    let calibration = if flag_present("no-calibrate") {
-        EngineFamily::ALL.map(|family| (family, None)).to_vec()
-    } else {
-        hotpath_calibration("overload")
-    };
-    let json_path = flag_value("json").unwrap_or_else(|| "BENCH_overload.json".to_string());
+    let json_path = flag_value("json");
+    let service = EngineFamily::ALL.map(|family| (family, service_ns(family)));
 
     println!("== closed-loop overload sweep: bounded queues + backpressure ==");
     println!(
         "2 Mbps reserved vs swept best effort on 10 Mbps links (16 KiB class queues,\n\
          128-pkt router queues), closed-loop senders (window 32, RTO 100 ms, budget 4);\n\
-         per-flow cap {} pkts\n",
+         per-flow cap {} pkts",
         if pkts_cap == 0 { "unlimited".to_string() } else { pkts_cap.to_string() }
     );
+    let costs = service.map(|(family, ns)| format!("{} {ns}", family.name()));
+    println!("router service cost [ns/pkt, 1 core, 500 B, measured]: {}\n", costs.join(", "));
 
     let widths = [12usize, 6, 9, 7, 9, 9, 7, 9, 9, 6, 6];
     println!(
         "{}",
         row(
             &[
-                "family".into(),
-                "shards".into(),
-                "offered".into(),
-                "rsv D%".into(),
-                "rsv kbps".into(),
-                "rsv p99".into(),
-                "be D%".into(),
-                "be kbps".into(),
-                "be p99".into(),
-                "rtx".into(),
-                "drops".into(),
+                "family", "shards", "offered", "rsv D%", "rsv kbps", "rsv p99", "be D%", "be kbps",
+                "be p99", "rtx", "drops"
             ],
             &widths
         )
@@ -145,15 +141,14 @@ fn main() {
     let mut records: Vec<Value> = Vec::new();
     let mut saturation: Vec<Value> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    let calibrated_any = calibration.iter().any(|(_, ns)| ns.is_some());
 
-    for (family, measured_ns) in calibration {
+    for (family, ns) in service {
         for shards in [1usize, 4] {
             let mut reserved_held = true;
             let mut sat_kbps = 0u64;
             let mut post_goodput_kbps = 0.0;
             for mut s in Scenario::overload_sweep(EngineScenario { family, shards }, pkts_cap) {
-                if let (Some(model), Some(ns)) = (&mut s.service, measured_ns) {
+                if let Some(model) = &mut s.service {
                     model.per_pkt_ns = ns;
                 }
                 let offered_kbps = s.flows[1].1.rate_kbps;
@@ -224,15 +219,18 @@ fn main() {
     }
 
     println!();
-    let doc = Value::obj([
-        ("schema", 1u64.into()),
-        ("bench", "overload".into()),
-        ("pkts_cap", pkts_cap.into()),
-        ("service_calibrated", calibrated_any.into()),
-        ("records", records.into()),
-        ("saturation", saturation.into()),
-    ]);
-    json::write(&json_path, &doc);
+    if let Some(path) = json_path {
+        let service_ns = service.map(|(family, ns)| (family.name().to_string(), ns.into()));
+        let doc = Value::obj([
+            ("schema", 2u64.into()),
+            ("bench", "overload".into()),
+            ("pkts_cap", pkts_cap.into()),
+            ("service_ns", Value::Obj(service_ns.to_vec())),
+            ("records", records.into()),
+            ("saturation", saturation.into()),
+        ]);
+        json::write(&path, &doc);
+    }
 
     if !failures.is_empty() {
         eprintln!("\noverload invariants VIOLATED:");

@@ -1,0 +1,931 @@
+//! The paper's evaluation, one claim per table or figure.
+//!
+//! Run with: `cargo run --release -p hummingbird-bench --bin paper
+//! [-- --claim <id>]... [flags]`
+//!
+//! `--claim` is repeatable; with no `--claim`, every claim runs in paper
+//! order. An unknown id prints the list below and exits 2. Each claim
+//! reads its own flags from the whole command line, so `--pkts` sizes
+//! both `fig5` and `fig14`:
+//!
+//! | id | regenerates | flags |
+//! |---|---|---|
+//! | `table1` | Table 1: atomic buy-and-redeem gas, 1–16 hops | — |
+//! | `table2` | Table 2: gas of every asset and market call | — |
+//! | `fig4` | Fig. 4: buy-and-redeem latency, 100 runs per path length | — |
+//! | `fig5` | Fig. 5: border-router forwarding throughput | `--engine --cores --pkts --sharded --batch --json` |
+//! | `table3` | Table 3: per-step border-router timings | `--engine` |
+//! | `table4` | Table 4: per-step source-generation timings | — |
+//! | `fig14` | Fig. 14: multi-core source generation throughput | `--cores --pkts` |
+//! | `fig15` | Fig. 15: single-core source generation throughput | — |
+//!
+//! `table1`, `table2` and `fig4` are seeded: they print the same bytes on
+//! every run. The other claims time this host.
+//!
+//! # Fig. 5
+//!
+//! Border-router packet validation and forwarding throughput for
+//! different payload sizes and core counts, across every `Datapath`
+//! engine (Hummingbird vs SCION best-effort by default; add the Helia,
+//! DRKey and EPIC baselines, the gateway or the null calibration engine
+//! with `--engine`, including comma lists like `--engine null,hummingbird`).
+//!
+//! The paper reaches the 160 Gbps line rate with 4 cores at 1500 B and
+//! 32 cores at 100 B (AES-NI hardware). The *shape* to check is (i)
+//! near-linear core scaling up to the line-rate cap, (ii) throughput
+//! proportional to payload size, (iii) SCION ≈ 2.5x cheaper per packet
+//! than Hummingbird.
+//!
+//! With `--sharded`, each engine additionally runs as **one logical
+//! router** on the multi-queue worker runtime: producer-side RSS splits a
+//! 64-flow workload into per-shard rx queues so every reservation is
+//! policed by exactly one shard — cross-core-correct policing, measured
+//! side by side with the per-core-clone mode on the same input, plus a
+//! core-scaling curve (clone and sharded at every `--cores` point).
+//! `--batch <n>` sets the sharded comparison's burst size. Every runtime
+//! run is a [`checked_run`]: a packet-conservation failure exits 1,
+//! which is what the CI smoke leg asserts.
+//!
+//! With `--json <path>`, the claim writes its ns/pkt + Mpps points — and,
+//! with `--sharded`, the per-engine core-scaling curves — to `path`. A
+//! failed write exits nonzero.
+//!
+//! ## Hot-path schema (`schema = 4`)
+//!
+//! ```json
+//! {
+//!   "schema": 4,
+//!   "bench": "hotpath",
+//!   "aes_backend": "ni",          // active AES backend: "soft" | "ni"
+//!   "hardware_threads": 8,        // available parallelism of the host
+//!   "batch": 32,                  // packets per burst in the hot loop
+//!   "records": [
+//!     {
+//!       "engine": "hummingbird",  // EngineKind name
+//!       "mode": "clone",          // "clone" | "sharded"
+//!       "cores": 1,               // worker cores driving the engine
+//!       "payload_b": 500,         // payload bytes per packet
+//!       "ns_per_pkt": 308.2,      // per-core-seconds per packet
+//!       "mpps": 3.24              // aggregate million packets / second
+//!     }
+//!   ],
+//!   "scaling": [
+//!     {
+//!       "engine": "null",         // EngineKind name
+//!       "mode": "sharded",        // "clone" | "sharded"
+//!       "curve": [
+//!         {
+//!           "cores": 2,           // worker cores at this point
+//!           "mpps": 18.1,         // aggregate throughput at this point
+//!           "speedup": 1.94,      // mpps relative to the first non-empty
+//!                                 //   point of the same (engine, mode)
+//!                                 //   curve
+//!           "exec": "threaded"    // "threaded": workers ran concurrently
+//!         }                       //   (or one worker); "sequential":
+//!                                 //   the dedicated-core estimate of a
+//!                                 //   host with fewer hardware threads
+//!       ]
+//!     }
+//!   ]
+//! }
+//! ```
+//!
+//! Schema 4 is schema 3 with an `exec` label on every scaling point, so
+//! a curve says which of its points are concurrent wall clock and which
+//! are a sequential estimate; schema 3 dropped two header fields that
+//! recorded runtime knobs the runtime no longer has (the worker wait
+//! strategy and the rx layout). `records` rows are unchanged since
+//! schema 1, the `scaling` section (per-engine core-scaling curves, the
+//! Fig. 5 "does N shards buy ~N×?" question in machine-readable form)
+//! since schema 2.
+//!
+//! `ns_per_pkt` / `mpps` / `speedup` are `null` for a point that
+//! processed no packet (`--pkts` smaller than the point's cores) or whose
+//! run took no measurable time — consumers should drop such points
+//! rather than read them as zeros.
+
+use hummingbird::testbed::{Testbed, TestbedConfig};
+use hummingbird::{Client, ExecPath, ObjectId, PurchaseSpec};
+use hummingbird_bench::json::{self, Value};
+use hummingbird_bench::{
+    batch_from_args, checked_run, clone_run, cores_from_args, engines_from_args, flag_present,
+    flag_value, flag_values, row, u64_from_args, DataplaneFixture, EngineKind, Summary, Throughput,
+    EPOCH_MS, EPOCH_NS, EPOCH_S, LINE_RATE_GBPS,
+};
+use hummingbird_control::{BandwidthAsset, Direction, EncryptedReservation};
+use hummingbird_crypto::{aggregate_mac, AuthKey, FlyoverMacInput, ResInfo};
+use hummingbird_dataplane::policing::Policer;
+use hummingbird_dataplane::{
+    Datapath, ExecMode, FwdClass, PacketBuf, RuntimeConfig, RuntimeMode, SourceGenerator,
+    BATCH_SIZE,
+};
+use hummingbird_ledger::{GasSummary, LatencyModel};
+use hummingbird_wire::common::{AddressHeader, CommonHeader, COMMON_HDR_LEN};
+use hummingbird_wire::meta::PathMetaHdr;
+use hummingbird_wire::scion_mac::{update_seg_id, HopMacInput};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::hint::black_box;
+use std::time::Instant;
+
+/// Every claim as `(id, caption, run)`, in paper order.
+const CLAIMS: [(&str, &str, fn()); 8] = [
+    ("table1", "Table 1: atomic buy-and-redeem gas per path length", table1),
+    ("table2", "Table 2: gas of every asset and market call", table2),
+    ("fig4", "Fig. 4: atomic buy-and-redeem latency per path length", fig4),
+    ("fig5", "Fig. 5: border-router forwarding throughput by engine", fig5),
+    ("table3", "Table 3: per-step border-router timings", table3),
+    ("table4", "Table 4: per-step source-generation timings", table4),
+    ("fig14", "Fig. 14: multi-core source generation throughput", fig14),
+    ("fig15", "Fig. 15: single-core source generation throughput", fig15),
+];
+
+fn main() {
+    let ids = flag_values("claim");
+    let mut claims = Vec::new();
+    for id in &ids {
+        let Some(&(_, _, claim)) = CLAIMS.iter().find(|(known, _, _)| known == id) else {
+            eprintln!("unknown claim '{id}'; expected one of:");
+            for (id, caption, _) in CLAIMS {
+                eprintln!("  {id:<7} {caption}");
+            }
+            std::process::exit(2);
+        };
+        claims.push(claim);
+    }
+    if ids.is_empty() {
+        claims = CLAIMS.iter().map(|&(_, _, claim)| claim).collect();
+    }
+    for (i, claim) in claims.into_iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        claim();
+    }
+}
+
+/// Table 1: gas and dollar cost of atomically buying and redeeming a full
+/// path, for 1-16 hops, with the paper's worst-case split on every asset
+/// (two time splits + one bandwidth split).
+fn table1() {
+    println!("Table 1: atomic buy-and-redeem cost per path length");
+    println!("(worst-case split per asset: 2x time, 1x bandwidth; reference prices:");
+    println!(" 7.5e-7 SUI/unit computation, 7.6e-6 SUI/byte storage, 1.221 USD/SUI)\n");
+    let widths = [5, 13, 11, 11, 9, 9];
+    println!("{}", row(&["Hops", "Computation", "Storage", "Rebate", "SUI", "USD"], &widths));
+
+    for hops in [1usize, 2, 4, 8, 16] {
+        // Large parent assets so the purchase needs the full worst-case
+        // split: buy an interior window with partial bandwidth.
+        let (mut tb, mut client, hop_list) =
+            stocked_path(TestbedConfig { n_ases: hops, ..Default::default() });
+        let mut rng = StdRng::seed_from_u64(1);
+        let rx = client
+            .buy_and_redeem_path(&mut tb.control, tb.market, &hop_list, &mut rng)
+            .expect("atomic purchase");
+        let g = rx.gas;
+        println!(
+            "{}",
+            row(
+                &[
+                    format!("{hops}"),
+                    format!("{:.5}", g.computation_cost as f64 / 1e9),
+                    format!("{:.4}", g.storage_cost as f64 / 1e9),
+                    format!("{:.4}", g.storage_rebate as f64 / 1e9),
+                    format!("{:.4}", g.total_sui()),
+                    format!("{:.4}", g.total_usd(&tb.control.ledger.gas)),
+                ],
+                &widths
+            )
+        );
+    }
+    println!("\npaper (Table 1): 1 hop 0.031 SUI/0.038 USD ... 16 hops 0.49 SUI/0.60 USD,");
+    println!(
+        "computation buckets 0.00075 SUI (1-4 hops), 0.0015 (8), 0.0030 (16); linear in hops."
+    );
+}
+
+/// A testbed whose market lists one large asset pair per hop, a funded
+/// client, and the listings a 10-minute, 4 Mbps purchase over every hop
+/// buys: Table 1's and Fig. 4's path.
+fn stocked_path(cfg: TestbedConfig) -> (Testbed, Client, Vec<(ObjectId, ObjectId, PurchaseSpec)>) {
+    let hops = cfg.n_ases;
+    let mut tb = Testbed::build(cfg).expect("testbed");
+    let t0 = tb.cfg.start_unix_s;
+    tb.stock_market(100_000, t0 - 3600, t0 + 36_000, 60, 100).expect("stock");
+    let client = tb.new_client("bench", 100_000);
+    let spec = PurchaseSpec { start: t0, end: t0 + 600, bandwidth_kbps: 4_000 };
+    let all_hops: Vec<usize> = (0..hops).collect();
+    let hop_list = tb.hop_listings(spec, &all_hops).expect("listing");
+    (tb, client, hop_list)
+}
+
+/// Table 2: gas cost of every individual asset- and market-contract call.
+fn table2() {
+    const HOUR: u64 = 3600;
+    let widths = [22usize, 12, 9, 9, 9, 9];
+    println!("Table 2: per-call gas cost (negative totals = net credit from rebates)\n");
+    println!(
+        "{}",
+        row(&["Contract call", "Computation", "Storage", "Rebate", "SUI", "USD"], &widths)
+    );
+
+    let mut tb =
+        Testbed::build(TestbedConfig { n_ases: 1, ..Default::default() }).expect("testbed");
+    let usd = tb.control.ledger.gas.usd_per_sui_micros as f64 / 1e6;
+    let print_row = |name: &str, g: &GasSummary| {
+        println!(
+            "{}",
+            row(
+                &[
+                    name.to_string(),
+                    format!("{:.5}", g.computation_cost as f64 / 1e9),
+                    format!("{:.4}", g.storage_cost as f64 / 1e9),
+                    format!("{:.4}", g.storage_rebate as f64 / 1e9),
+                    format!("{:+.4}", g.total_sui()),
+                    format!("{:+.4}", g.total_sui() * usd),
+                ],
+                &widths
+            )
+        );
+    };
+    let t0 = tb.cfg.start_unix_s;
+    let account = tb.services[0].account;
+    let as_id = Testbed::as_id(0);
+    let mut rng = StdRng::seed_from_u64(2);
+
+    println!("-- asset functions --");
+    let template = |interface: u16, dir: Direction| BandwidthAsset {
+        as_id,
+        bandwidth_kbps: 100_000,
+        start_time: t0,
+        expiry_time: t0 + 10 * HOUR,
+        interface,
+        direction: dir,
+        time_granularity: 60,
+        min_bandwidth_kbps: 100,
+    };
+    let rx = tb.services[0].issue_asset(&mut tb.control, template(0, Direction::Ingress)).unwrap();
+    print_row("issue", &rx.gas);
+    let asset = rx.value;
+
+    let rx = tb.control.split_time(account, asset, t0 + 2 * HOUR).unwrap();
+    print_row("split_time", &rx.gas);
+    let (head, tail) = rx.value;
+
+    let rx = tb.control.split_bandwidth(account, head, 40_000).unwrap();
+    print_row("split_bandwidth", &rx.gas);
+    let (left, right) = rx.value;
+
+    let rx = tb.control.fuse_bandwidth(account, left, right).unwrap();
+    print_row("fuse_bandwidth", &rx.gas);
+    let fused = rx.value;
+
+    let rx = tb.control.fuse_time(account, fused, tail).unwrap();
+    print_row("fuse_time", &rx.gas);
+    let ingress_asset = rx.value;
+
+    // Redeem needs a matching egress asset.
+    let egress_asset =
+        tb.services[0].issue_asset(&mut tb.control, template(0, Direction::Egress)).unwrap().value;
+    let eph = hummingbird_crypto::sig::SecretKey::generate(&mut rng);
+    let rx = tb.control.redeem(account, ingress_asset, egress_asset, eph.public()).unwrap();
+    print_row("redeem", &rx.gas);
+    let request = rx.value;
+
+    let pending = tb.control.pending_requests(account);
+    let delivery = EncryptedReservation {
+        as_id,
+        request,
+        sealed: hummingbird_crypto::sealed::seal(&pending[0].1.ephemeral_pk, &[0u8; 48], &mut rng),
+    };
+    let rx = tb.control.deliver_reservation(account, request, delivery).unwrap();
+    print_row("deliver_reservation", &rx.gas);
+
+    println!("-- market functions --");
+    let rx = tb.control.create_marketplace(account).unwrap();
+    print_row("create_marketplace", &rx.gas);
+    let market = rx.value;
+
+    let rx = tb.control.register_seller(account, market).unwrap();
+    print_row("register_seller", &rx.gas);
+
+    // Four buy variants against four fresh listings.
+    let variants: [(&str, PurchaseSpec); 4] = [
+        ("buy (full)", PurchaseSpec { start: t0, end: t0 + 10 * HOUR, bandwidth_kbps: 100_000 }),
+        ("buy (split bw)", PurchaseSpec { start: t0, end: t0 + 10 * HOUR, bandwidth_kbps: 40_000 }),
+        (
+            "buy (split time)",
+            PurchaseSpec { start: t0 + HOUR, end: t0 + 2 * HOUR, bandwidth_kbps: 100_000 },
+        ),
+        (
+            "buy (split both)",
+            PurchaseSpec { start: t0 + HOUR, end: t0 + 2 * HOUR, bandwidth_kbps: 40_000 },
+        ),
+    ];
+    for (i, (name, spec)) in variants.into_iter().enumerate() {
+        let asset = tb.services[0]
+            .issue_asset(&mut tb.control, template(1, Direction::Ingress))
+            .unwrap()
+            .value;
+        let rx = tb.control.create_listing(account, market, asset, 1).unwrap();
+        if i == 0 {
+            print_row("create_listing", &rx.gas);
+        }
+        let listing = rx.value;
+        let mut buyer = tb.new_client(&format!("buyer-{name}"), 100_000);
+        let rx = buyer.buy(&mut tb.control, market, listing, spec).unwrap();
+        print_row(name, &rx.gas);
+    }
+
+    println!("\npaper (Table 2): issue 0.0029 SUI, splits 0.0029, fuses -0.0013,");
+    println!("redeem 0.00012, deliver -0.0027, create_listing 0.0050,");
+    println!("buy full/-0.0023, split bw 0.0039, split time 0.010, split both 0.016.");
+}
+
+/// Figure 4: end-to-end latency of an atomic buy-and-redeem for different
+/// path lengths, 100 runs each.
+///
+/// The purchase transaction goes through consensus (shared marketplace);
+/// the per-AS reservation deliveries ride the fast path in parallel. Each
+/// run executes the real transactions against the ledger and samples the
+/// calibrated Sui-testnet latency model for the network component.
+fn fig4() {
+    const RUNS: usize = 100;
+    println!("Figure 4: atomic buy-and-redeem latency (request=consensus, responses=fast path)");
+    println!("{RUNS} runs per path length; milliseconds\n");
+    let widths = [5usize, 8, 8, 8, 8, 8];
+    println!("{}", row(&["Hops", "p5", "median", "p83", "p95", "mean"], &widths));
+
+    let model = LatencyModel::default();
+    let mut lat_rng = StdRng::seed_from_u64(4);
+    let mut pooled: Vec<f64> = Vec::new();
+
+    for hops in [1usize, 2, 4, 8, 16] {
+        let mut samples = Vec::with_capacity(RUNS);
+        for run in 0..RUNS {
+            let cfg = TestbedConfig { n_ases: hops, seed: run as u64, ..Default::default() };
+            let (mut tb, mut client, hop_list) = stocked_path(cfg);
+            let mut rng = StdRng::seed_from_u64(run as u64);
+            // Request: the real purchase transaction (consensus).
+            let rx = client
+                .buy_and_redeem_path(&mut tb.control, tb.market, &hop_list, &mut rng)
+                .expect("purchase");
+            assert_eq!(rx.path, ExecPath::Consensus);
+            let request_ms = model.sample(ExecPath::Consensus, &mut lat_rng);
+            // Responses: the real per-AS deliveries (fast path), measured
+            // until the last one lands.
+            for service in tb.services.iter_mut() {
+                let rxs = service.process_requests(&mut tb.control, &mut rng).expect("deliver");
+                assert_eq!(rxs.len(), 1);
+            }
+            client.collect_deliveries(&tb.control).expect("collect");
+            let response_ms = model.sample_parallel_fast(hops, &mut lat_rng);
+            samples.push(request_ms + response_ms);
+        }
+        pooled.extend(samples.iter().copied());
+        let s = Summary::of(samples);
+        println!(
+            "{}",
+            row(
+                &[
+                    format!("{hops}"),
+                    format!("{:.0}", s.p5),
+                    format!("{:.0}", s.p50),
+                    format!("{:.0}", s.p83),
+                    format!("{:.0}", s.p95),
+                    format!("{:.0}", s.mean),
+                ],
+                &widths
+            )
+        );
+    }
+    let below_3s = pooled.iter().filter(|&&p| p < 3000.0).count() as f64 / pooled.len() as f64;
+    println!("\npaper (Fig. 4): total < 3 s in 83% of measurements, largely independent of hops.");
+    println!("measured: total < 3 s in {:.0}% of all measurements.", below_3s * 100.0);
+}
+
+/// Figure 5 (see the module doc): forwarding throughput per engine,
+/// payload and core count, optionally next to the sharded runtime.
+fn fig5() {
+    let engines = engines_from_args(&[EngineKind::Hummingbird, EngineKind::Scion]);
+    let cores_list = cores_from_args(&[1usize, 2, 4, 8, 16, 32]);
+    let payloads = [100usize, 500, 1000, 1500];
+    let pkts_per_core = u64_from_args("pkts", 200_000);
+    let sharded = flag_present("sharded");
+    let batch = batch_from_args(BATCH_SIZE);
+    let json_path = flag_value("json");
+    let physical = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let backend = hummingbird_crypto::active_backend().name();
+    println!(
+        "Figure 5: forwarding throughput [Gbps] by Datapath engine, line rate {LINE_RATE_GBPS}"
+    );
+    println!("(machine has {physical} hardware threads; rows beyond that oversubscribe)");
+    println!("(AES backend: {backend}; batch: {batch})\n");
+
+    let mut records: Vec<Value> = Vec::new();
+    let mut scaling: Vec<Value> = Vec::new();
+    for kind in engines {
+        println!("--- engine: {} ---", kind.name());
+        let mut widths = vec![6usize];
+        widths.extend(std::iter::repeat_n(10, payloads.len()));
+        let mut header = vec!["cores".to_string()];
+        header.extend(payloads.iter().map(|p| format!("p={p}B")));
+        println!("{}", row(&header, &widths));
+        let fx = DataplaneFixture::new(4);
+        for &cores in &cores_list {
+            let mut cells = vec![format!("{cores}")];
+            for &payload in &payloads {
+                let pkt = fx.engine_packet(kind, payload);
+                let t = clone_run(&fx, kind, pkt, cores, pkts_per_core / cores as u64 * 4);
+                cells.push(format!("{:.2}", t.gbps_line_capped()));
+                records.push(record(kind, "clone", cores, payload, &t));
+            }
+            println!("{}", row(&cells, &widths));
+        }
+        // Per-packet cost at one core (comparable to Table 3's totals).
+        let t = clone_run(&fx, kind, fx.engine_packet(kind, 500), 1, pkts_per_core);
+        println!("single-core per-packet cost: {:.0} ns\n", t.ns_per_pkt(1));
+
+        if sharded {
+            sharded_comparison(
+                &fx,
+                kind,
+                &cores_list,
+                pkts_per_core,
+                batch,
+                &mut records,
+                &mut scaling,
+            );
+        }
+    }
+    if let Some(path) = json_path {
+        let doc = Value::obj([
+            ("schema", 4u64.into()),
+            ("bench", "hotpath".into()),
+            ("aes_backend", backend.into()),
+            ("hardware_threads", physical.into()),
+            ("batch", batch.into()),
+            ("records", records.into()),
+            ("scaling", scaling.into()),
+        ]);
+        json::write(&path, &doc);
+    }
+    println!();
+    if sharded {
+        println!("(sharded = one logical router: producer-side RSS into per-shard rx queues,");
+        println!(" every ResID policed by exactly one shard; clone = independent engine per");
+        println!(" core. With fewer hardware threads than cores the runtime falls back to a");
+        println!(" dedicated-core critical-path estimate — the speedup column then reports");
+        println!(" what dedicated cores would sustain, not concurrent wall clock.)\n");
+    }
+    println!("paper (Fig. 5): line rate at 4 cores/1500 B and 32 cores/100 B;");
+    println!("123 ns per SCION packet, 308 ns per Hummingbird packet (AES-NI).");
+}
+
+/// `x`, a measurement of the run `t`, as a document number; `null` when
+/// that run processed no packet.
+fn measured(t: &Throughput, x: f64) -> Value {
+    if t.packets == 0 {
+        Value::Null
+    } else {
+        x.into()
+    }
+}
+
+/// One `records` row: `t` measured on `cores` workers.
+fn record(kind: EngineKind, mode: &str, cores: usize, payload_b: usize, t: &Throughput) -> Value {
+    Value::obj([
+        ("engine", kind.name().into()),
+        ("mode", mode.into()),
+        ("cores", cores.into()),
+        ("payload_b", payload_b.into()),
+        ("ns_per_pkt", measured(t, t.ns_per_pkt(cores))),
+        ("mpps", measured(t, t.mpps())),
+    ])
+}
+
+/// Clone vs sharded runtime on the same 64-flow, 500 B workload, plus
+/// the core-scaling curves (speedup vs the first non-empty point of
+/// each mode).
+fn sharded_comparison(
+    fx: &DataplaneFixture,
+    kind: EngineKind,
+    cores_list: &[usize],
+    pkts_per_core: u64,
+    batch: usize,
+    records: &mut Vec<Value>,
+    scaling: &mut Vec<Value>,
+) {
+    let templates = fx.flow_packets(kind, 500, 64);
+    let widths = [6usize, 12, 12, 10, 10];
+    println!("{}", row(&["cores", "clone", "sharded", "ratio", "scale"], &widths));
+    let (mut clone_curve, mut rss_curve) = (Vec::new(), Vec::new());
+    // Each curve's first non-empty mpps, which its speedups are relative to.
+    let (mut clone_mpps0, mut rss_mpps0) = (None, None);
+    let speedup = |mpps0: &mut Option<f64>, t: &Throughput| {
+        (t.packets > 0).then(|| t.mpps() / *mpps0.get_or_insert(t.mpps()))
+    };
+    for &cores in cores_list {
+        let total = pkts_per_core / cores.max(1) as u64 * 4 * cores as u64;
+        let mut cfg = RuntimeConfig::new(cores);
+        cfg.batch_size = batch;
+        // Real threads when the host has the cores, dedicated-core
+        // critical-path estimate when it doesn't.
+        cfg.exec = ExecMode::Auto;
+        cfg.steering = kind.steering();
+        let [clone, rss] = [RuntimeMode::PerCoreClone, RuntimeMode::Sharded]
+            .map(|mode| Throughput::from(&checked_run(&cfg, mode, fx, kind, &templates, total)));
+        let ratio = if clone.gbps() > 0.0 { rss.gbps() / clone.gbps() } else { 0.0 };
+        let rss_speedup = speedup(&mut rss_mpps0, &rss);
+        let exec = if cfg.exec.is_concurrent(cores) { "threaded" } else { "sequential" };
+        let point = |t: &Throughput, speedup: Option<f64>| {
+            Value::obj([
+                ("cores", cores.into()),
+                ("mpps", measured(t, t.mpps())),
+                ("speedup", speedup.map_or(Value::Null, Value::from)),
+                ("exec", exec.into()),
+            ])
+        };
+        clone_curve.push(point(&clone, speedup(&mut clone_mpps0, &clone)));
+        rss_curve.push(point(&rss, rss_speedup));
+        records.push(record(kind, "sharded", cores, 500, &rss));
+        println!(
+            "{}",
+            row(
+                &[
+                    format!("{cores}"),
+                    format!("{:.2}", clone.gbps_line_capped()),
+                    format!("{:.2}", rss.gbps_line_capped()),
+                    format!("{ratio:.2}x"),
+                    format!("{:.2}x", rss_speedup.unwrap_or(0.0)),
+                ],
+                &widths
+            )
+        );
+    }
+    for (mode, curve) in [("clone", clone_curve), ("sharded", rss_curve)] {
+        scaling.push(Value::obj([
+            ("engine", kind.name().into()),
+            ("mode", mode.into()),
+            ("curve", curve.into()),
+        ]));
+    }
+    println!();
+}
+
+/// The mean wall-clock ns of one call of `f` over `iters` calls, after
+/// `iters / 10` warm-up calls.
+fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
+    for _ in 0..iters / 10 {
+        f();
+    }
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// Table 3: fine-grained packet validation and forwarding timings at the
+/// border router.
+///
+/// Measures each pipeline step in isolation (same decomposition as the
+/// paper's Table 3) plus the end-to-end `process` call per `--engine`.
+/// The shape to check is which steps dominate (the crypto: hop-field
+/// MAC, A_i derivation + AES extension, flyover MAC).
+fn table3() {
+    const ITERS: u64 = 300_000;
+    println!("Table 3: per-step border-router timings (software AES; {ITERS} iters/step)\n");
+    let widths = [46usize, 10];
+    println!("{}", row(&["Task", "Time [ns]"], &widths));
+
+    let fx = DataplaneFixture::new(4);
+    let pkt = fx.packet(500, true);
+    let (sv, hop_key) = fx.hop0_keys();
+    let res_info = ResInfo {
+        ingress: 0,
+        egress: 1,
+        res_id: 1,
+        bw_encoded: 1000,
+        res_start: EPOCH_S as u32 - 50,
+        duration: 36_000,
+    };
+    let auth_key = sv.derive_key(&res_info);
+    let mac_input = FlyoverMacInput {
+        dst_isd: 2,
+        dst_as: 0x20,
+        pkt_len: 600,
+        res_start_offset: 50,
+        millis_ts: 0,
+        counter: 0,
+    };
+    let hop_input = HopMacInput {
+        seg_id: 0x7777,
+        timestamp: EPOCH_S as u32 - 100,
+        exp_time: 63,
+        cons_ingress: 0,
+        cons_egress: 1,
+    };
+    let mut results: Vec<(&str, f64)> = Vec::new();
+
+    results.push((
+        "Check packet size",
+        time_ns(ITERS, || {
+            black_box(black_box(&pkt).len() >= 48);
+        }),
+    ));
+    results.push((
+        "Parse packet headers (common+addr+meta)",
+        time_ns(ITERS, || {
+            let c = CommonHeader::parse(black_box(&pkt)).unwrap();
+            let a = AddressHeader::parse(&pkt[COMMON_HDR_LEN..]).unwrap();
+            let m = PathMetaHdr::parse(&pkt[36..]).unwrap();
+            black_box((c, a, m));
+        }),
+    ));
+    results.push((
+        "Check whether hop field is expired",
+        time_ns(ITERS, || {
+            black_box(
+                hummingbird_dataplane::beacon::hop_field_expiry(
+                    black_box(EPOCH_S as u32 - 100),
+                    63,
+                ) > EPOCH_S,
+            );
+        }),
+    ));
+    results.push((
+        "Recompute SCION hop field MAC",
+        time_ns(ITERS, || {
+            black_box(hop_key.hop_mac(black_box(&hop_input)));
+        }),
+    ));
+    results.push((
+        "Update segment identifier (SegID)",
+        time_ns(ITERS, || {
+            black_box(update_seg_id(black_box(0x7777), black_box(&[1, 2, 3, 4, 5, 6])));
+        }),
+    ));
+    results.push((
+        "Compute authentication key (A_i)",
+        time_ns(ITERS, || {
+            black_box(sv.derive_key_bytes(black_box(&res_info)));
+        }),
+    ));
+    results.push((
+        "AES-extend authentication key (A_i)",
+        time_ns(ITERS, || {
+            black_box(AuthKey::new(black_box([7u8; 16])));
+        }),
+    ));
+    results.push((
+        "Recompute flyover MAC",
+        time_ns(ITERS, || {
+            black_box(auth_key.flyover_mac(black_box(&mac_input)));
+        }),
+    ));
+    results.push((
+        "Compute aggregate MAC (XOR)",
+        time_ns(ITERS, || {
+            black_box(aggregate_mac(
+                black_box(&[1, 2, 3, 4, 5, 6]),
+                black_box(&[9, 9, 9, 9, 9, 9]),
+            ));
+        }),
+    ));
+    let mut policer = Policer::paper_default();
+    let mut t = EPOCH_NS;
+    results.push((
+        "Check for overuse (Algorithm 1)",
+        time_ns(ITERS, || {
+            t += 1000;
+            let _ = black_box(policer.check(black_box(1), 1_000_000, 600, t)) == FwdClass::Flyover;
+        }),
+    ));
+
+    for (name, ns) in &results {
+        println!("{}", row(&[name.to_string(), format!("{ns:.0}")], &widths));
+    }
+
+    // End-to-end pipeline cost per engine (the Table 3 totals), measured
+    // exclusively through the Datapath trait.
+    let engines = engines_from_args(&[EngineKind::Scion, EngineKind::Hummingbird]);
+    let mut totals = Vec::new();
+    for kind in engines {
+        let mut engine = fx.engine(kind);
+        let mut hot = PacketBuf::new(fx.engine_packet(kind, 500));
+        let total = time_ns(ITERS, || {
+            black_box(engine.process(hot.bytes_mut(), EPOCH_NS));
+            hot.reset();
+        });
+        println!(
+            "{}",
+            row(&[format!("— total: {} pipeline", kind.name()), format!("{total:.0}")], &widths)
+        );
+        totals.push((kind, total));
+    }
+    let find = |k: EngineKind| totals.iter().find(|(kind, _)| *kind == k).map(|(_, t)| *t);
+    if let (Some(hb), Some(scion)) = (find(EngineKind::Hummingbird), find(EngineKind::Scion)) {
+        println!(
+            "\nHummingbird/SCION per-packet cost ratio: {:.2}x (paper: 308/123 = 2.5x)",
+            hb / scion
+        );
+    }
+    println!("paper totals: 123 ns SCION, +185 ns Hummingbird overhead (AES-NI hardware).");
+}
+
+/// Table 4: fine-grained packet-generation timings at the source for a
+/// four-hop path (the additional Hummingbird operations highlighted).
+fn table4() {
+    const ITERS: u64 = 200_000;
+    println!("Table 4: per-step source-generation timings, 4 AS-level hops\n");
+    let widths = [46usize, 12];
+    println!("{}", row(&["Task", "Time [ns]"], &widths));
+
+    let fx = DataplaneFixture::new(4);
+    let payload_500 = vec![0u8; 500];
+    let payload_1500 = vec![0u8; 1500];
+    // One generator's cost per packet at `payload`, on a millisecond
+    // clock slow enough that the per-ms counter provides uniqueness.
+    let generate_ns = |generator: &mut SourceGenerator, payload: &[u8]| {
+        let mut i = 0u64;
+        time_ns(ITERS, || {
+            i += 1;
+            black_box(generator.generate(payload, EPOCH_MS + i / 1000).unwrap());
+        })
+    };
+
+    // Header assembly without any reservation work (SCION baseline).
+    let scion_500 = generate_ns(&mut fx.generator(false), &payload_500);
+    println!(
+        "{}",
+        row(
+            &["Add SCION headers + hop fields + 500 B payload".into(), format!("{scion_500:.0}")],
+            &widths
+        )
+    );
+
+    // The four flyover MACs in isolation.
+    let key = AuthKey::new([9u8; 16]);
+    let input = FlyoverMacInput {
+        dst_isd: 2,
+        dst_as: 0x20,
+        pkt_len: 600,
+        res_start_offset: 50,
+        millis_ts: 1,
+        counter: 2,
+    };
+    let one_mac = time_ns(ITERS, || {
+        black_box(key.flyover_mac(black_box(&input)));
+    });
+    println!(
+        "{}",
+        row(
+            &["Compute flyover MACs (4 on-path ASes)".into(), format!("{:.0}", 4.0 * one_mac)],
+            &widths
+        )
+    );
+
+    // Full Hummingbird generation at two payload sizes.
+    let mut hb_gen = fx.generator(true);
+    let hb_500 = generate_ns(&mut hb_gen, &payload_500);
+    let hb_1500 = generate_ns(&mut hb_gen, &payload_1500);
+    println!("{}", row(&["Total SCION, 500 B payload".into(), format!("{scion_500:.0}")], &widths));
+    println!(
+        "{}",
+        row(&["Total Hummingbird, 500 B payload".into(), format!("{hb_500:.0}")], &widths)
+    );
+    println!(
+        "{}",
+        row(&["Total Hummingbird, 1500 B payload".into(), format!("{hb_1500:.0}")], &widths)
+    );
+    println!(
+        "\nHummingbird/SCION generation cost ratio: {:.2}x (paper: 494/293 = 1.69x)",
+        hb_500 / scion_500
+    );
+    println!("paper totals (4 hops): SCION 293 ns, Hummingbird 494 ns (500 B), 519 ns (1500 B);");
+    println!("flyover MACs 201 ns of the difference.");
+}
+
+/// Source traffic-generation throughput: `cores` threads each generate
+/// `pkts_per_core` packets with their own generator.
+fn generation_throughput<F>(
+    make_generator: F,
+    payload_len: usize,
+    cores: usize,
+    pkts_per_core: u64,
+) -> Throughput
+where
+    F: Fn() -> SourceGenerator + Sync,
+{
+    let payload = vec![0u8; payload_len];
+    let bits = std::sync::atomic::AtomicU64::new(0);
+    let seconds = std::thread::scope(|s| {
+        let mut handles = Vec::with_capacity(cores);
+        for _ in 0..cores {
+            let make_generator = &make_generator;
+            let payload = &payload;
+            let bits = &bits;
+            handles.push(s.spawn(move || {
+                let mut generator = make_generator();
+                let mut local_bits = 0u64;
+                let start = Instant::now();
+                for i in 0..pkts_per_core {
+                    // Advance the millisecond clock slowly so the per-ms
+                    // counter provides uniqueness.
+                    let now_ms = EPOCH_MS + i / 1000;
+                    let pkt = generator.generate(payload, now_ms).expect("generation failed");
+                    local_bits += pkt.len() as u64 * 8;
+                    black_box(&pkt);
+                }
+                bits.fetch_add(local_bits, std::sync::atomic::Ordering::Relaxed);
+                start.elapsed().as_secs_f64()
+            }));
+        }
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).fold(0.0f64, f64::max)
+    });
+    Throughput { packets: pkts_per_core * cores as u64, bits: bits.into_inner(), seconds }
+}
+
+/// Figure 14: multi-core traffic-generation throughput at the source for
+/// 500 B payloads, as a function of core count and number of AS hops,
+/// Hummingbird vs SCION best-effort.
+fn fig14() {
+    let cores_list = cores_from_args(&[1usize, 2, 4, 8, 16, 32]);
+    let hop_counts = [1usize, 2, 4, 8, 16];
+    let payload = 500usize;
+    let pkts = u64_from_args("pkts", 100_000);
+    let physical = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    println!("Figure 14: source packet generation throughput [Gbps], payload {payload} B");
+    println!("(line rate {LINE_RATE_GBPS} Gbps; {physical} hardware threads available)\n");
+
+    for flyover in [true, false] {
+        let label =
+            if flyover { "Hummingbird (flyovers on all hops)" } else { "SCION best effort" };
+        println!("--- {label} ---");
+        let mut widths = vec![6usize];
+        widths.extend(std::iter::repeat_n(10, hop_counts.len()));
+        let mut header = vec!["cores".to_string()];
+        header.extend(hop_counts.iter().map(|h| format!("h={h}")));
+        println!("{}", row(&header, &widths));
+        for &cores in &cores_list {
+            let mut cells = vec![format!("{cores}")];
+            for &h in &hop_counts {
+                let fx = DataplaneFixture::new(h);
+                let per_core = pkts / cores.max(1) as u64 * 2;
+                let t = generation_throughput(|| fx.generator(flyover), payload, cores, per_core);
+                cells.push(format!("{:.2}", t.gbps_line_capped()));
+            }
+            println!("{}", row(&cells, &widths));
+        }
+        println!();
+    }
+    println!("paper (Fig. 14): 32 cores reach the 160 Gbps line rate for 500 B payloads");
+    println!("for both Hummingbird and SCION, even at 8 on-path ASes; throughput falls");
+    println!("with hop count (more MACs per packet) and Hummingbird < SCION per core.");
+}
+
+/// Figure 15: single-core packet-generation throughput at the source for
+/// different payload sizes and hop counts, Hummingbird vs SCION.
+///
+/// The paper's reference points (single core): at 1 kB payload and 4 hops,
+/// Hummingbird 17.90 Gbps vs SCION 28.64 Gbps; at 100 B, 4.65 vs 7.70.
+/// The shape: throughput grows with payload (fixed per-packet cost) and
+/// falls with hop count; SCION ≈ 1.6x Hummingbird.
+fn fig15() {
+    let payloads = [100usize, 500, 1000, 1500];
+    let hop_counts = [1usize, 2, 4, 8, 16];
+    let pkts: u64 = 150_000;
+    println!("Figure 15: single-core generation throughput [Gbps] by payload and hops\n");
+
+    for flyover in [true, false] {
+        let label = if flyover { "Hummingbird" } else { "SCION best effort" };
+        println!("--- {label} ---");
+        let mut widths = vec![8usize];
+        widths.extend(std::iter::repeat_n(9, hop_counts.len()));
+        let mut header = vec!["payload".to_string()];
+        header.extend(hop_counts.iter().map(|h| format!("h={h}")));
+        println!("{}", row(&header, &widths));
+        for &payload in &payloads {
+            let mut cells = vec![format!("{payload}B")];
+            for &h in &hop_counts {
+                let fx = DataplaneFixture::new(h);
+                let t = generation_throughput(|| fx.generator(flyover), payload, 1, pkts);
+                cells.push(format!("{:.2}", t.gbps()));
+            }
+            println!("{}", row(&cells, &widths));
+        }
+        println!();
+    }
+    // The paper's headline comparison point.
+    let fx = DataplaneFixture::new(4);
+    let hb = generation_throughput(|| fx.generator(true), 1000, 1, pkts);
+    let sc = generation_throughput(|| fx.generator(false), 1000, 1, pkts);
+    println!(
+        "1 kB / 4 hops: Hummingbird {:.2} Gbps vs SCION {:.2} Gbps (ratio {:.2}; paper: 17.90 vs 28.64 = 1.60)",
+        hb.gbps(),
+        sc.gbps(),
+        sc.gbps() / hb.gbps()
+    );
+}

@@ -1,10 +1,10 @@
-//! The trajectory documents (`BENCH_*.json`) as data: one JSON [`Value`],
-//! one writer, one parser. Each writer binary builds its document inline
-//! (its module doc holds the schema) and hands it to [`write()`]; readers
-//! [`parse`] it back. The offline build has no JSON library.
+//! The `--json` documents as data: one JSON [`Value`], one writer, one
+//! parser. Each writer builds its document inline (its module doc holds
+//! the schema) and hands it to [`write()`]; readers [`parse`] it back.
+//! The offline build has no JSON library.
 //!
-//! The layout is fixed so a regenerated file diffs cleanly against the
-//! checked-in one: objects keep insertion order; an object or array whose
+//! The layout is fixed so two runs' documents diff cleanly: objects keep
+//! insertion order; an object or array whose
 //! members are all scalars prints on one line, any other prints one
 //! member per line. Integral numbers print without decimals, other finite
 //! numbers at three decimal places, and non-finite numbers (a degenerate,
@@ -30,12 +30,6 @@ impl Value {
     /// Builds an object from `(key, value)` pairs, in order.
     pub fn obj<const N: usize>(pairs: [(&str, Value); N]) -> Value {
         Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Object member lookup (`None` on other kinds or a missing key).
-    fn get(&self, key: &str) -> Option<&Value> {
-        let Value::Obj(pairs) = self else { return None };
-        pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     fn fmt_at(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
@@ -267,35 +261,40 @@ impl Parser<'_> {
     }
 }
 
-/// The measured single-core clone ns/pkt of `engine` in a parsed
-/// `BENCH_hotpath.json`: the mean `ns_per_pkt` over its finite, positive
-/// `"mode": "clone"`, `"cores": 1` records (the payload sweep), rounded.
-/// `None` when the document has no such record.
-pub(crate) fn hotpath_clone_1core_ns(doc: &Value, engine: &str) -> Option<u64> {
-    let Some(Value::Arr(records)) = doc.get("records") else { return None };
-    let clone_1core = [("engine", engine.into()), ("mode", "clone".into()), ("cores", 1u64.into())];
-    let ns: Vec<f64> = records
-        .iter()
-        .filter(|r| clone_1core.iter().all(|(key, want)| r.get(key) == Some(want)))
-        .filter_map(|r| match r.get("ns_per_pkt") {
-            Some(&Value::Num(v)) if v.is_finite() && v > 0.0 => Some(v),
-            _ => None,
-        })
-        .collect();
-    (!ns.is_empty()).then(|| (ns.iter().sum::<f64>() / ns.len() as f64).round() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    const CHECKED_IN: [&str; 2] =
-        [include_str!("../../../BENCH_hotpath.json"), include_str!("../../../BENCH_overload.json")];
+    /// A random document `depth` levels deep: every value kind, keys and
+    /// strings with characters that need escaping, and numbers the
+    /// writer prints exactly (integers and thousandths).
+    fn generated(rng: &mut StdRng, depth: u32) -> Value {
+        let text = |rng: &mut StdRng| -> String {
+            let len = rng.gen_range(0..8usize);
+            (0..len)
+                .map(|_| ['a', 'Z', '_', ' ', '"', '\\', '\n', '\u{7}', 'é'][rng.gen_range(0..9)])
+                .collect()
+        };
+        let kind = if depth == 0 { rng.gen_range(0..4u32) } else { rng.gen_range(0..6u32) };
+        match kind {
+            0 => [Value::Null, Value::Bool(false), Value::Bool(true)][rng.gen_range(0..3)].clone(),
+            1 => Value::Num(rng.gen_range(0..1_000_000_000u64) as f64),
+            2 => Value::Num(rng.gen_range(-1_000_000..1_000_000i64) as f64 / 1000.0),
+            3 => Value::Str(text(rng)),
+            4 => Value::Arr((0..rng.gen_range(0..5)).map(|_| generated(rng, depth - 1)).collect()),
+            _ => Value::Obj(
+                (0..rng.gen_range(0..5)).map(|_| (text(rng), generated(rng, depth - 1))).collect(),
+            ),
+        }
+    }
 
     #[test]
-    fn checked_in_documents_round_trip() {
-        for text in CHECKED_IN {
-            let doc = parse(text).expect("checked-in document parses");
+    fn generated_documents_round_trip() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..500 {
+            let doc = generated(&mut rng, 4);
             assert_eq!(parse(&doc.to_string()), Ok(doc));
         }
     }
@@ -352,43 +351,12 @@ mod tests {
 
     #[test]
     fn malformed_input_is_an_error() {
-        let truncated = &CHECKED_IN[0][..CHECKED_IN[0].len() / 2];
+        let doc = Value::obj([("records", vec![Value::obj([("mpps", 3.25.into())])].into())]);
+        let text = doc.to_string();
+        let truncated = &text[..text.len() / 2];
         let bad = ["", truncated, "[1,]", "{\"a\": 1,}", "NaN", "{\"a\": NaN}", "{\"a\" 1}"];
         for bad in bad.into_iter().chain(["tru", "1 2", "\"abc", "\"\\x\"", "\"\\u12\"", "1e999"]) {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
-        }
-    }
-
-    #[test]
-    fn hotpath_reader_reads_what_the_writer_writes() {
-        let rec = |engine: &str, mode: &str, cores: u64, ns_per_pkt: f64| {
-            Value::obj([
-                ("engine", engine.into()),
-                ("mode", mode.into()),
-                ("cores", cores.into()),
-                ("ns_per_pkt", ns_per_pkt.into()),
-            ])
-        };
-        let records = vec![
-            rec("helia", "clone", 1, 100.0),
-            rec("helia", "clone", 1, 201.0),
-            rec("helia", "clone", 1, f64::NAN), // written as null: skipped
-            rec("helia", "clone", 16, 9_999.0),
-            rec("helia", "sharded", 1, 9_999.0),
-            rec("epic", "clone", 1, 700.4),
-        ];
-        let doc = parse(&Value::obj([("records", records.into())]).to_string()).unwrap();
-        assert_eq!(hotpath_clone_1core_ns(&doc, "helia"), Some(151), "mean of 100 and 201");
-        assert_eq!(hotpath_clone_1core_ns(&doc, "epic"), Some(700));
-        assert_eq!(hotpath_clone_1core_ns(&doc, "drkey"), None, "no record, no calibration");
-
-        // The checked-in file was recorded with `--engine null,hummingbird`:
-        // those calibrate, the other families keep the hand-set cost.
-        let checked_in = parse(CHECKED_IN[0]).unwrap();
-        assert_eq!(hotpath_clone_1core_ns(&checked_in, "hummingbird"), Some(285));
-        assert_eq!(hotpath_clone_1core_ns(&checked_in, "null"), Some(28));
-        for engine in ["helia", "drkey", "epic"] {
-            assert_eq!(hotpath_clone_1core_ns(&checked_in, engine), None, "{engine}");
         }
     }
 }

@@ -1,17 +1,22 @@
-//! Shared fixtures and table formatting for the benchmark harness.
+//! Shared fixtures, runs and table formatting for the benchmark harness.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see ARCHITECTURE.md, "Benchmark output schema",
-//! for what each one writes); this library
-//! provides the common packet/router/market fixtures so the workloads are
-//! identical across experiments.
+//! The `paper` binary regenerates the paper's tables and figures, one
+//! `--claim` each; `overload_sweep`, `latency_comparison`,
+//! `baseline_comparison` and `ablations` run the experiments the paper
+//! argues from (see ARCHITECTURE.md, "Benchmark output schema"). This
+//! library provides the packet/router/market fixtures, so the workloads
+//! are identical across experiments, and the one checked runtime run
+//! they share: [`checked_run`] exits the process on a packet
+//! conservation failure, [`clone_run`] measures an engine on per-core
+//! clones, and [`service_ns`] is the per-packet router cost the
+//! simulated sweeps charge each engine family.
 //!
-//! Besides the human-readable tables, two binaries write a trajectory
-//! document each — `fig5_forwarding` `BENCH_hotpath.json`,
-//! `overload_sweep` `BENCH_overload.json` — built as a [`json::Value`];
-//! each binary's module doc holds its schema. The simulator, socket
-//! testbed and control-plane numbers are the `netsim_churn`, `chain_*`
-//! and `control_*` workloads of the `benchmark/` package.
+//! Two runs write a document when given `--json <path>` — `paper --claim
+//! fig5` the hot-path points, `overload_sweep` the overload sweep — built
+//! as a [`json::Value`]; the writer's module doc holds each schema. The
+//! simulator, socket testbed and control-plane numbers are the
+//! `netsim_churn`, `chain_*` and `control_*` workloads of the
+//! `benchmark/` package.
 
 #![forbid(unsafe_code)]
 
@@ -20,12 +25,12 @@ pub mod json;
 use hummingbird_baselines::EngineFamily;
 use hummingbird_crypto::{ResInfo, SecretValue};
 use hummingbird_dataplane::{
-    forge_path, BeaconHop, BorderRouter, Datapath, Gateway, HostShare, NullEngine, RouterConfig,
-    RuntimeReport, ShardedRouter, SourceGenerator, SourceReservation, Steering,
+    forge_path, run_to_completion, BeaconHop, BorderRouter, Datapath, ExecMode, Gateway, HostShare,
+    NullEngine, RouterConfig, RuntimeConfig, RuntimeMode, RuntimeReport, ShardedRouter,
+    SourceGenerator, SourceReservation, Steering, BATCH_SIZE,
 };
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
-use std::time::Instant;
 
 /// Fixed evaluation epoch (Unix seconds).
 pub const EPOCH_S: u64 = 1_700_000_000;
@@ -41,11 +46,11 @@ const DRKEY_MASTER: [u8; 16] = [0xB5; 16];
 const SRC: IsdAs = IsdAs::new(1, 0x10);
 const DST: IsdAs = IsdAs::new(2, 0x20);
 
-/// Which [`Datapath`] engine a figure/table binary should drive.
+/// Which [`Datapath`] engine a claim or binary should drive.
 ///
-/// Every packet-processing binary accepts `--engine
+/// Every packet-processing claim accepts `--engine
 /// hummingbird|scion|helia|drkey|epic|gateway|null|all` (default: the
-/// binary's traditional engine set). Four kinds are rows of the
+/// claim's traditional engine set). Four kinds are rows of the
 /// engine-family table ([`EngineFamily`]) and take their name, engine,
 /// steering and credential from it; `scion` is the Hummingbird router
 /// over plain packets, `gateway` and `null` are bench-only engines.
@@ -157,7 +162,7 @@ fn flag_value_in(args: &[String], name: &str) -> Result<Option<String>, String> 
     flag_values_in(args, name).map(|values| values.into_iter().next())
 }
 
-/// Unwraps a parsed flag or input file; a malformed one prints its
+/// Unwraps a parsed flag; a malformed one prints its
 /// message and exits with status 2.
 fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
     parsed.unwrap_or_else(|msg| {
@@ -166,13 +171,20 @@ fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
     })
 }
 
+/// Every value of the repeatable `--<name> <v>` / `--<name>=<v>` flag in
+/// the process arguments, in order. Exits with a usage message when the
+/// flag dangles with no value.
+pub fn flag_values(name: &str) -> Vec<String> {
+    let args: Vec<String> = std::env::args().collect();
+    or_usage_exit(flag_values_in(&args, name))
+}
+
 /// Parses `--engine <kind>` (repeatable, or `all`) from the process
 /// arguments; `default` applies when the flag is absent. Exits with a
 /// usage message on an unknown engine or a dangling `--engine`.
 pub fn engines_from_args(default: &[EngineKind]) -> Vec<EngineKind> {
-    let args: Vec<String> = std::env::args().collect();
     let mut selected = Vec::new();
-    for v in or_usage_exit(flag_values_in(&args, "engine")) {
+    for v in flag_values("engine") {
         selected.extend(or_usage_exit(EngineKind::parse(&v).ok_or_else(|| {
             format!("unknown engine '{v}'; expected hummingbird|scion|helia|drkey|epic|gateway|null|all")
         })));
@@ -222,19 +234,6 @@ pub fn cores_from_args(default: &[usize]) -> Vec<usize> {
     )
 }
 
-/// Parses `--pkts <n>` (total per-core packet budget override, letting CI
-/// smoke-run the figures with tiny counts); `default` applies when the
-/// flag is absent.
-pub fn pkts_from_args(default: u64) -> u64 {
-    u64_from_args("pkts", default)
-}
-
-/// Whether `--sharded` was passed (figure binaries add a sharded-runtime
-/// sweep next to the per-core-clone one).
-pub fn sharded_from_args() -> bool {
-    flag_present("sharded")
-}
-
 /// Parses `--batch <n>` (packets per burst in the runtime hot loop, the
 /// knob the batch-size ablation sweeps); `default` applies when the flag
 /// is absent. Exits with a usage message on malformed or zero input.
@@ -246,36 +245,6 @@ pub fn batch_from_args(default: usize) -> usize {
             .filter(|&n| n > 0)
             .ok_or_else(|| format!("bad --batch '{v}'; expected a positive packet count")),
     )
-}
-
-/// The per-router service cost the `sweep` feeds the simulator, per
-/// engine family: its measured clone/1-core ns/pkt in the working
-/// directory's `BENCH_hotpath.json` (the mean over its payload sweep),
-/// so each family pays its own datapath cost. `None`, logged, keeps the
-/// hand-set cost: the file is missing or has no record for the family.
-/// A file that exists but cannot be read or parsed exits with status 2.
-pub fn hotpath_calibration(sweep: &str) -> Vec<(EngineFamily, Option<u64>)> {
-    const PATH: &str = "BENCH_hotpath.json";
-    let doc = match std::fs::read_to_string(PATH) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        read => Some(or_usage_exit(
-            read.map_err(|e| e.to_string())
-                .and_then(|text| json::parse(&text))
-                .map_err(|e| format!("{PATH}: {e}")),
-        )),
-    };
-    let measured = |family: EngineFamily| {
-        let ns = doc.as_ref().and_then(|doc| json::hotpath_clone_1core_ns(doc, family.name()));
-        if ns.is_none() {
-            eprintln!(
-                "no {PATH} clone/1-core record for {}; its {sweep} sweep keeps the hand-set \
-                 service cost",
-                family.name()
-            );
-        }
-        (family, ns)
-    };
-    EngineFamily::ALL.into_iter().map(measured).collect()
 }
 
 /// A self-contained data-plane fixture: one source path of `h` hops plus
@@ -336,9 +305,15 @@ impl DataplaneFixture {
         generator
     }
 
+    /// Hop 0's secret value and hop-field key: the keys every engine
+    /// this fixture builds validates with.
+    pub fn hop0_keys(&self) -> (&SecretValue, &HopMacKey) {
+        (&self.svs[0], &self.hop_keys[0])
+    }
+
     /// A border router for hop 0 of this fixture (the hop every generated
     /// packet is validated at).
-    pub fn router(&self) -> BorderRouter {
+    fn router(&self) -> BorderRouter {
         BorderRouter::new(self.svs[0].clone(), self.hop_keys[0].clone(), RouterConfig::default())
     }
 
@@ -349,7 +324,7 @@ impl DataplaneFixture {
     }
 
     /// A hop-0 engine of the requested kind, type-erased behind
-    /// [`Datapath`] — the only constructor the figure binaries use.
+    /// [`Datapath`] — the only constructor the claims and binaries use.
     pub fn engine(&self, kind: EngineKind) -> Box<dyn Datapath + Send> {
         match (kind.family(), kind) {
             (Some(family), _) => family.engine(
@@ -472,8 +447,8 @@ impl DataplaneFixture {
 /// The line rate of the paper's testbed: four 40 Gbps links.
 pub const LINE_RATE_GBPS: f64 = 160.0;
 
-/// A throughput measurement: a [`RuntimeReport`]'s totals, or a
-/// [`generation_throughput`] run's.
+/// A throughput measurement: a [`RuntimeReport`]'s totals, or a source
+/// generation run's.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Throughput {
     /// Packets processed (across all cores).
@@ -525,9 +500,8 @@ impl Throughput {
 /// Packet conservation of a `run_to_completion` that was offered
 /// `offered` packets: the shards' `processed` counts sum to the report's
 /// `packets`, and `packets` plus the packets shed at rx under
-/// backpressure is `offered`. `Err` says which identity broke; the
-/// figure binaries exit nonzero on it.
-pub fn conserved(offered: u64, r: &RuntimeReport) -> Result<(), String> {
+/// backpressure is `offered`. `Err` says which identity broke.
+fn conserved(offered: u64, r: &RuntimeReport) -> Result<(), String> {
     let processed: u64 = r.per_shard.iter().map(|s| s.processed).sum();
     if processed != r.packets {
         return Err(format!("shards processed {processed}, report says {}", r.packets));
@@ -541,53 +515,70 @@ pub fn conserved(offered: u64, r: &RuntimeReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Measures source traffic-generation throughput: `cores` threads each
-/// generate `pkts_per_core` packets with their own generator.
-pub fn generation_throughput<F>(
-    make_generator: F,
-    payload_len: usize,
+/// `run_to_completion` of `offered` packets from `templates` through
+/// `fx`'s hop-0 engines of `kind`, checked for packet conservation: a
+/// run that lost or duplicated a packet prints which identity broke and
+/// exits the process with status 1. Every runtime run of the harness
+/// goes through here, so a CI smoke leg asserts conservation through its
+/// exit status, not by scraping logs.
+pub fn checked_run(
+    cfg: &RuntimeConfig,
+    mode: RuntimeMode,
+    fx: &DataplaneFixture,
+    kind: EngineKind,
+    templates: &[Vec<u8>],
+    offered: u64,
+) -> RuntimeReport {
+    let report = run_to_completion(cfg, mode, |_| fx.engine(kind), templates, offered, EPOCH_NS);
+    if let Err(e) = conserved(offered, &report) {
+        let mode = if mode == RuntimeMode::Sharded { "sharded" } else { "clone" };
+        let (engine, cores) = (kind.name(), cfg.shards);
+        eprintln!("CONSERVATION FAILURE: engine {engine} mode {mode} cores {cores}: {e}");
+        std::process::exit(1);
+    }
+    report
+}
+
+/// `cores` per-core clones of `kind`'s engine, each driving
+/// `pkts_per_core` copies of `pkt` in bursts of up to [`BATCH_SIZE`],
+/// on real threads when the host has the cores and as the runtime's
+/// dedicated-core estimate when it does not ([`ExecMode::Auto`]).
+/// Checked for conservation like every [`checked_run`].
+pub fn clone_run(
+    fx: &DataplaneFixture,
+    kind: EngineKind,
+    pkt: Vec<u8>,
     cores: usize,
     pkts_per_core: u64,
-    start_ms: u64,
-) -> Throughput
-where
-    F: Fn() -> SourceGenerator + Sync,
-{
-    let payload = vec![0u8; payload_len];
-    let bits = std::sync::atomic::AtomicU64::new(0);
-    let seconds = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(cores);
-        for _ in 0..cores {
-            let make_generator = &make_generator;
-            let payload = &payload;
-            let bits = &bits;
-            handles.push(s.spawn(move || {
-                let mut generator = make_generator();
-                let mut local_bits = 0u64;
-                let start = Instant::now();
-                for i in 0..pkts_per_core {
-                    // Advance the millisecond clock slowly so the per-ms
-                    // counter provides uniqueness.
-                    let now_ms = start_ms + i / 1000;
-                    let pkt = generator.generate(payload, now_ms).expect("generation failed");
-                    local_bits += pkt.len() as u64 * 8;
-                    std::hint::black_box(&pkt);
-                }
-                bits.fetch_add(local_bits, std::sync::atomic::Ordering::Relaxed);
-                start.elapsed().as_secs_f64()
-            }));
-        }
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).fold(0.0f64, f64::max)
-    });
-    Throughput { packets: pkts_per_core * cores as u64, bits: bits.into_inner(), seconds }
+) -> Throughput {
+    let mut cfg = RuntimeConfig::new(cores);
+    cfg.batch_size = BATCH_SIZE.min(pkts_per_core.max(1) as usize);
+    cfg.exec = ExecMode::Auto;
+    let offered = pkts_per_core * cores as u64;
+    Throughput::from(&checked_run(&cfg, RuntimeMode::PerCoreClone, fx, kind, &[pkt], offered))
+}
+
+/// The per-packet router cost of `family` on this build and host, in ns:
+/// its engine's one-core [`clone_run`] over 500 B packets on the 4-hop
+/// fixture (Fig. 5's single-core point), rounded. The simulated sweeps
+/// charge each family this service time, measured in the run that uses
+/// it.
+pub fn service_ns(family: EngineFamily) -> u64 {
+    const PKTS: u64 = 20_000;
+    let kind = EngineKind::ALL
+        .into_iter()
+        .find(|kind| kind.family() == Some(family))
+        .expect("every family is an engine kind");
+    let fx = DataplaneFixture::new(4);
+    clone_run(&fx, kind, fx.engine_packet(kind, 500), 1, PKTS).ns_per_pkt(1).round() as u64
 }
 
 /// Formats a right-aligned table row.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
+pub fn row<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
     cells
         .iter()
         .zip(widths.iter())
-        .map(|(c, w)| format!("{c:>w$}", w = w))
+        .map(|(c, w)| format!("{:>w$}", c.as_ref(), w = w))
         .collect::<Vec<_>>()
         .join("  ")
 }
@@ -596,7 +587,7 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
 /// same convention as `FlowStats` and the egress `LatencyHistogram`,
 /// and finite by construction so no trajectory document gets a `null`
 /// from this path.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -661,8 +652,7 @@ mod tests {
         // Absent flag: the default applies.
         assert_eq!(flag_value_in(&argv(&["bench", "--cores", "2"]), "pkts").unwrap(), None);
         // `--json` likewise: a dangling or `=`-spelled flag that fell
-        // back to the default would overwrite the checked-in
-        // `BENCH_*.json` in the working directory.
+        // back to the default would silently write no document.
         assert!(flag_value_in(&argv(&["bench", "--json"]), "json").is_err());
         for spelling in [&["bench", "--json", "/tmp/x.json"][..], &["bench", "--json=/tmp/x.json"]]
         {

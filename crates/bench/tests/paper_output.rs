@@ -18,8 +18,8 @@ fn assert_stdout_digest(bin: &str, args: &[&str], want: &str) {
 #[test]
 fn table1_output_is_unchanged() {
     assert_stdout_digest(
-        env!("CARGO_BIN_EXE_table1_gas"),
-        &[],
+        env!("CARGO_BIN_EXE_paper"),
+        &["--claim", "table1"],
         "b42946727f0dd4fccf3713233483268964b864171292d705de6d6c43747c2215",
     );
 }
@@ -27,8 +27,8 @@ fn table1_output_is_unchanged() {
 #[test]
 fn table2_output_is_unchanged() {
     assert_stdout_digest(
-        env!("CARGO_BIN_EXE_table2_gas"),
-        &[],
+        env!("CARGO_BIN_EXE_paper"),
+        &["--claim", "table2"],
         "0b3c59976a3ce35c01e6f8e859b4204860321f98e76be5fb4d0bbad90a6ff543",
     );
 }
@@ -36,8 +36,8 @@ fn table2_output_is_unchanged() {
 #[test]
 fn fig4_output_is_unchanged() {
     assert_stdout_digest(
-        env!("CARGO_BIN_EXE_fig4_latency"),
-        &[],
+        env!("CARGO_BIN_EXE_paper"),
+        &["--claim", "fig4"],
         "817c38c59452bfd62359dea90b02c955e2d698dcec97bbdd86cd06540a0fabe7",
     );
 }

@@ -13,8 +13,8 @@
 //! drives).
 //!
 //! The per-router service cost is plain scenario data; the bench
-//! binaries that want each family to pay its own measured datapath cost
-//! read it from `BENCH_hotpath.json` themselves.
+//! binaries that want each family to pay its own datapath cost measure
+//! it in the same run and set it themselves.
 
 use crate::churn::{apply_action, ChurnAction, ChurnReport};
 use crate::flow::{FlowEventKind, ReactiveFlow};

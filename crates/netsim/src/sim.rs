@@ -337,9 +337,10 @@ enum EgressTarget {
 /// `per_pkt_ns` — the M/D/c shape of the multi-queue runtime, where a
 /// [`hummingbird_dataplane::ShardedRouter`] with `c` shards drains its
 /// ingress `c` packets at a time. Feeding the measured per-packet engine
-/// cost (e.g. `BENCH_hotpath.json`'s ns/pkt) in here is what lets the
-/// Fig. 3/4-style latency sweeps run on the real multi-core datapath
-/// numbers instead of zero-cost routers.
+/// cost in here (the bench sweeps measure each family's one-core ns/pkt
+/// just before they run) is what lets the Fig. 3/4-style latency sweeps
+/// run on the real multi-core datapath numbers instead of zero-cost
+/// routers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceModel {
     /// Per-packet service time, ns (one core's datapath cost).

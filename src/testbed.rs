@@ -241,6 +241,44 @@ impl Testbed {
         Ok(grants.into_iter().map(|(_, g)| g).collect())
     }
 
+    /// The `(ingress, egress, spec)` purchase of every hop in
+    /// `hop_indices`, in that order: per hop, the first market listing on
+    /// the AS's chain interface in each direction whose asset covers
+    /// `spec`.
+    pub fn hop_listings(
+        &self,
+        spec: PurchaseSpec,
+        hop_indices: &[usize],
+    ) -> Result<Vec<(ObjectId, ObjectId, PurchaseSpec)>, TestbedError> {
+        let n = self.cfg.n_ases;
+        let listings = self.control.listings(self.market);
+        let hop = |i: usize| {
+            let missing = TestbedError::NoMatchingListing { hop: i };
+            if i >= n {
+                return Err(missing);
+            }
+            let (ingress_if, egress_if) = LinearTopology::interfaces(n, i);
+            let find = |interface: u16, direction: Direction| {
+                listings
+                    .iter()
+                    .find(|(_, _, a)| {
+                        a.as_id == Self::as_id(i)
+                            && a.interface == interface
+                            && a.direction == direction
+                            && a.start_time <= spec.start
+                            && a.expiry_time >= spec.end
+                            && a.bandwidth_kbps >= spec.bandwidth_kbps
+                    })
+                    .map(|(id, _, _)| *id)
+            };
+            match (find(ingress_if, Direction::Ingress), find(egress_if, Direction::Egress)) {
+                (Some(ingress), Some(egress)) => Ok((ingress, egress, spec)),
+                _ => Err(missing),
+            }
+        };
+        hop_indices.iter().map(|&i| hop(i)).collect()
+    }
+
     /// Acquires reservations for a *subset* of the path's hops — the
     /// partial-reservation mode of §3.3 (❸): reserve only the hops you
     /// expect to be congested; the rest of the path stays best effort.
@@ -252,29 +290,7 @@ impl Testbed {
         hop_indices: &[usize],
     ) -> Result<Vec<(usize, GrantedReservation)>, TestbedError> {
         let n = self.cfg.n_ases;
-        let listings = self.control.listings(self.market);
-        let mut hops = Vec::with_capacity(hop_indices.len());
-        for &i in hop_indices {
-            if i >= n {
-                return Err(TestbedError::NoMatchingListing { hop: i });
-            }
-            let (ingress_if, egress_if) = LinearTopology::interfaces(n, i);
-            let find = |interface: u16, direction: Direction| {
-                listings.iter().find(|(_, _, a)| {
-                    a.as_id == Self::as_id(i)
-                        && a.interface == interface
-                        && a.direction == direction
-                        && a.start_time <= spec.start
-                        && a.expiry_time >= spec.end
-                        && a.bandwidth_kbps >= spec.bandwidth_kbps
-                })
-            };
-            let ing = find(ingress_if, Direction::Ingress)
-                .ok_or(TestbedError::NoMatchingListing { hop: i })?;
-            let eg = find(egress_if, Direction::Egress)
-                .ok_or(TestbedError::NoMatchingListing { hop: i })?;
-            hops.push((ing.0, eg.0, spec));
-        }
+        let hops = self.hop_listings(spec, hop_indices)?;
         client.buy_and_redeem_path(&mut self.control, self.market, &hops, &mut self.rng)?;
         let before = client.reservations().len();
         for service in self.services.iter_mut() {
