@@ -225,7 +225,7 @@ fn main() {
             ("schema", 2u64.into()),
             ("bench", "overload".into()),
             ("pkts_cap", pkts_cap.into()),
-            ("service_ns", Value::Obj(service_ns.to_vec())),
+            ("service_ns", Value::Obj(service_ns.into())),
             ("records", records.into()),
             ("saturation", saturation.into()),
         ]);

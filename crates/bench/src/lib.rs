@@ -162,8 +162,8 @@ fn flag_value_in(args: &[String], name: &str) -> Result<Option<String>, String> 
     flag_values_in(args, name).map(|values| values.into_iter().next())
 }
 
-/// Unwraps a parsed flag; a malformed one prints its
-/// message and exits with status 2.
+/// Unwraps a parsed flag; a malformed one prints its message and exits
+/// with status 2.
 fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
     parsed.unwrap_or_else(|msg| {
         eprintln!("{msg}");
