@@ -78,18 +78,16 @@ impl ResInfo {
         b
     }
 
-    /// Absolute expiration time (`ResStart + ResDuration`).
-    pub fn expiry(&self) -> u32 {
-        self.res_start.saturating_add(u32::from(self.duration))
-    }
-
-    /// Whether `now` (Unix seconds) falls within `[ResStart, ResExp]`.
+    /// Whether `now` (Unix seconds) falls within `[ResStart, ResStart +
+    /// ResDuration]`, in 64 bits: a reservation may end past the 32-bit
+    /// seconds of its start, and `now` may be there too.
     ///
     /// Per Appendix A.7, the clock skew is deliberately *not* applied here to
     /// avoid double-counting traffic across adjacent reservations that share
     /// a ResID.
-    pub fn is_active_at(&self, now: u32) -> bool {
-        now >= self.res_start && now <= self.expiry()
+    pub fn is_active_at(&self, now: u64) -> bool {
+        let start = u64::from(self.res_start);
+        now >= start && now <= start + u64::from(self.duration)
     }
 }
 
@@ -825,9 +823,16 @@ mod tests {
     #[test]
     fn activity_window_inclusive() {
         let info = sample_info();
-        assert!(!info.is_active_at(info.res_start - 1));
-        assert!(info.is_active_at(info.res_start));
-        assert!(info.is_active_at(info.expiry()));
-        assert!(!info.is_active_at(info.expiry() + 1));
+        let start = u64::from(info.res_start);
+        let end = start + u64::from(info.duration);
+        assert!(!info.is_active_at(start - 1));
+        assert!(info.is_active_at(start));
+        assert!(info.is_active_at(end));
+        assert!(!info.is_active_at(end + 1));
+        // A window that ends past the 32-bit seconds of its start.
+        let late = ResInfo { res_start: u32::MAX - 100, ..info };
+        assert!(late.is_active_at(u64::from(u32::MAX) + 1));
+        assert!(late.is_active_at(u64::from(u32::MAX) + 200));
+        assert!(!late.is_active_at(u64::from(u32::MAX) + 201));
     }
 }

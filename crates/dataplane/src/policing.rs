@@ -87,6 +87,10 @@ impl Policer {
     /// 0 kbps reservation.
     #[inline]
     pub fn check(&mut self, res_id: u32, bw_kbps: u64, pkt_len: u16, now_ns: u64) -> FwdClass {
+        // No packet fits 0 kbps, however large the burst budget.
+        if bw_kbps == 0 {
+            return FwdClass::BestEffort;
+        }
         let tx_ns = transmission_time_ns(pkt_len, bw_kbps);
         let burst_time_ns = self.burst_time_ns;
         if let Some(slot) = self.ts_array.get_mut(res_id as usize) {
@@ -251,6 +255,8 @@ mod tests {
         assert_eq!(p.check(1, 0, 100, u64::MAX - 1), FwdClass::BestEffort);
         // The demoted packets left their slots untouched.
         assert_eq!(p.check(0, 1_000, 100, SEC), FwdClass::Flyover);
+        // Nor does an unbounded burst budget admit one.
+        assert_eq!(Policer::new(4, u64::MAX).check(0, 0, 100, SEC), FwdClass::BestEffort);
     }
 
     #[test]

@@ -286,7 +286,7 @@ pub mod stages {
         let delta = cfg.max_packet_age_ms;
         let skew = cfg.max_clock_skew_ms;
         let timely = now_ms + skew >= abs_ts_ms && abs_ts_ms + delta + skew >= now_ms;
-        let active = res_info.is_active_at((now_ms / 1000) as u32);
+        let active = res_info.is_active_at(now_ms / 1000);
         timely && active
     }
 

@@ -226,7 +226,7 @@ impl Router {
         // Eq. 5a (impl.): the info field of the segment that holds CurrHF;
         // the paper presumes CurrINF names it, and CurrINF is not read.
         // Eq. 5b: the hop field at 48 + 8·NumINF + 4·CurrHF is 20 bytes if
-        // its F bit is set, else 12. The header bound (impl., PR 32): both
+        // its F bit is set, else 12. The header bound (impl.): both
         // end inside the 4·HdrLen bytes, which keeps CurrHF + 5 in 8 bits.
         let info_at = 48 + 8 * seg;
         let hop_at = 48 + 8 * meta.seg_len.iter().filter(|&&l| l > 0).count() + 4 * usize::from(hf);
