@@ -276,8 +276,10 @@ pub trait Datapath {
     /// order) to `out`.
     ///
     /// The default implementation is element-wise equivalent to calling
-    /// [`process`](Datapath::process) sequentially — a property the
-    /// repository's `prop_datapath` test enforces for every engine.
+    /// [`process`](Datapath::process) sequentially — a property
+    /// `crates/dataplane/tests/differential.rs` checks for the
+    /// Hummingbird router against the paper's reference, and the
+    /// repository's `prop_datapath` test for the other families.
     /// Engines may override it to amortize per-packet work across the
     /// burst (e.g. batching reservation-key derivations), as long as the
     /// verdicts stay element-wise identical.

@@ -49,7 +49,10 @@
 //! (bit-identical packets steer identically) but not for distinct
 //! packets that collide on the duplicate-filter key while carrying
 //! different ResIDs — the same property a per-queue dup filter has on
-//! real RSS hardware.
+//! real RSS hardware. Each shard's filter also rotates its epochs with
+//! the traffic it sees, so once the clock steps back below the newest
+//! epoch, a shard may still hold a replay's identity that one engine's
+//! filter has let go, and drop that replay.
 
 pub mod egress;
 pub mod ring;
@@ -80,7 +83,9 @@ pub const BATCH_SIZE: usize = 32;
 /// its flow, so per-reservation policing state never splits across
 /// engines; verdicts and aggregate [`stats`](Datapath::stats) are
 /// element-wise identical to a single engine over the same traffic (the
-/// contract `tests/prop_sharded.rs` enforces).
+/// contract `crates/dataplane/tests/differential.rs` checks against the
+/// paper's reference router, with the two exceptions the module doc
+/// names).
 /// [`process_batch`](Datapath::process_batch) forwards maximal same-shard
 /// runs to the
 /// owning engine's batch path, so per-burst amortizations (batch key
@@ -121,11 +126,6 @@ impl ShardedRouter {
         mut make: impl FnMut(usize) -> Box<dyn Datapath + Send>,
     ) -> Self {
         Self::new((0..shards.max(1)).map(&mut make).collect(), slots, Steering::ByReservation)
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// The steering map.

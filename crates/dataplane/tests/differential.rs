@@ -17,7 +17,7 @@
 
 mod reference;
 
-use hummingbird_crypto::{AuthKey, FlyoverMacInput, ResInfo, SecretValue, BW_ENC_MAX, RES_ID_MAX};
+use hummingbird_crypto::{AuthKey, ResInfo, SecretValue, BW_ENC_MAX, RES_ID_MAX};
 use hummingbird_dataplane::router::stages::{self, HopKind, Parsed};
 use hummingbird_dataplane::runtime::ShardedRouter;
 use hummingbird_dataplane::{
@@ -317,18 +317,20 @@ impl Run {
                 }
                 rest = tail;
             }
-            let got: Vec<_> =
-                got.into_iter().zip(bufs.into_iter().map(PacketBuf::into_inner)).collect();
-            let diverges =
-                |((v, out), (w, want, _)): (&(_, Vec<u8>), &(_, Vec<u8>, _))| v != w || out != want;
-            if let Some(i) = got.iter().zip(&want).position(diverges) {
-                let ((v, out), (w, want, rule)) = (&got[i], &want[i]);
-                return Err(format!(
-                    "{name}: packet {i} of {} at {now_ns} ns:\n  in   {:02x?}\n  got  {v:?} \
-                     {out:02x?}\n  want {w:?} {want:02x?}\n  rule {rule}",
-                    pkts.len(),
-                    pkts[i],
-                ));
+            if got.len() != pkts.len() {
+                return Err(format!("{name}: {} verdicts for {} packets", got.len(), pkts.len()));
+            }
+            let outs = bufs.into_iter().map(PacketBuf::into_inner);
+            for (i, ((v, out), (w, want, rule))) in got.into_iter().zip(outs).zip(&want).enumerate()
+            {
+                if (&v, &out) != (w, want) {
+                    return Err(format!(
+                        "{name}: packet {i} of {} at {now_ns} ns:\n  in   {:02x?}\n  got  {v:?} \
+                         {out:02x?}\n  want {w:?} {want:02x?}\n  rule {rule}",
+                        pkts.len(),
+                        pkts[i],
+                    ));
+                }
             }
             let (got, want) = (engine.stats(), self.reference.stats);
             if got != want {
@@ -396,13 +398,10 @@ fn past_header(keys: Keys, now_s: u32, flyover: bool) -> (Vec<u8>, Parsed) {
         HopField { flags: HopFlags::default(), exp_time: 63, cons_ingress: 0, cons_egress: 1, mac };
     let hop_off = INFO_OFF + 16 + 4 * usize::from(curr_hf);
     let hop = if flyover {
-        let (res_id, bw, res_start, res_start_offset) = (7, 400, now_s - 50, 50);
-        let res =
-            ResInfo { ingress: 0, egress: 1, res_id, bw_encoded: bw, res_start, duration: 600 };
-        let (dst_isd, dst_as, pkt_len, millis_ts, counter) = (0, 0, 1088, 0, 0);
-        let input =
-            FlyoverMacInput { dst_isd, dst_as, pkt_len, res_start_offset, millis_ts, counter };
-        let v = AuthKey::new(reference::auth_key(&keys.sv, &res)).flyover_mac(&input);
+        let (res_id, bw, duration, res_start) = (7, 400, 600, now_s - 50);
+        let res = ResInfo { ingress: 0, egress: 1, res_id, bw_encoded: bw, res_start, duration };
+        let key = reference::auth_key(&keys.sv, &res);
+        let v = reference::flyover_mac(&key, IsdAs::default(), 1088, 50, &meta);
         let f = FlyoverHopField {
             flags: HopFlags { flyover: true, ..hf.flags },
             exp_time: 63,
@@ -411,8 +410,8 @@ fn past_header(keys: Keys, now_s: u32, flyover: bool) -> (Vec<u8>, Parsed) {
             agg_mac: std::array::from_fn(|i| mac[i] ^ v[i]),
             res_id,
             bw,
-            res_start_offset,
-            res_duration: 600,
+            res_start_offset: 50,
+            res_duration: duration,
         };
         f.emit(&mut pkt[hop_off..]).unwrap();
         HopKind::Flyover(f)

@@ -33,7 +33,13 @@ pub fn auth_key(sv: &[u8; 16], r: &ResInfo) -> [u8; 16] {
 /// Eq. 3: `V = MAC_{A_K}(DstISD ∥ DstAS ∥ PktLen ∥ ResStartOffset ∥
 /// MillisTS ∥ Counter)[..6]`, one AES call over Fig. 11's block (the low
 /// 32 bits of DstAS).
-fn flyover_mac(key: &[u8; 16], dst: IsdAs, pkt_len: u16, offset: u16, meta: &PathMetaHdr) -> Tag {
+pub fn flyover_mac(
+    key: &[u8; 16],
+    dst: IsdAs,
+    pkt_len: u16,
+    offset: u16,
+    meta: &PathMetaHdr,
+) -> Tag {
     let head = u128::from(dst.isd) << 96 | u128::from(dst.asn as u32) << 64;
     let tail = u128::from(pkt_len) << 48 | u128::from(offset) << 32;
     let ts = u128::from(meta.millis_ts) << 16 | u128::from(meta.counter);

@@ -1,33 +1,25 @@
 //! Property tests for the unified `Datapath` API:
 //!
-//! 1. **Batch ≡ sequential** — for every engine, `process_batch` verdicts
-//!    are element-wise identical to sequential `process` calls on an
-//!    identically-configured engine (the contract that lets later PRs
-//!    amortize work across a burst without changing semantics).
-//! 2. **Owned ≡ zero-copy** — a `BorderRouter` reaches the same verdict
+//! 1. **Owned ≡ zero-copy** — a `BorderRouter` reaches the same verdict
 //!    whether a packet's bytes are used directly, round-tripped through
 //!    the owned `Packet` repr, or wrapped in a checked zero-copy
 //!    `PacketView` first.
-//! 3. **Every family, one pipeline** — the Helia, DRKey and EPIC
+//! 2. **Every family, one pipeline** — the Helia, DRKey and EPIC
 //!    instances of the border-router pipeline keep batch ≡ sequential on
 //!    foreign-keyed and on family-stamped bursts (EPIC's with stale and
 //!    corrupted packets mixed in, its duplicate filter on or off),
 //!    deriving every key on the fly in each burst's fused AES pass.
-//! 4. **Policer slots across the whole ResID range** — bursts whose
-//!    ResIDs span the default 10⁵ slots, each led by a packet whose
-//!    policing grows (reallocates) the deadline array after the batch
-//!    path's pass 1 has already hinted the burst's later slots, leave
-//!    verdicts, bytes, stats and every policer slot as sequential
-//!    `process` leaves them.
+//!
+//! The Hummingbird router itself is checked against a reference written
+//! from the paper, through `process`, `process_batch` and a sharded
+//! router, by `crates/dataplane/tests/differential.rs`.
 
-use hummingbird::crypto::RES_ID_MAX;
 use hummingbird::dataplane::{
     forge_path, BeaconHop, Datapath, DatapathBuilder, PacketBuf, RouterConfig, SourceGenerator,
     SourceReservation,
 };
 use hummingbird::{IsdAs, ResInfo, SecretValue};
 use hummingbird_baselines::EngineFamily;
-use hummingbird_wire::bwcls;
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::{HummingbirdPath, Packet, PacketView};
 use proptest::prelude::*;
@@ -163,21 +155,6 @@ fn assert_batch_matches_sequential(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `process_batch` ≡ sequential `process` for the Hummingbird router,
-    /// across mixed flyover/best-effort/corrupted bursts — including the
-    /// stateful stages (policing shares one token bucket across the
-    /// burst; duplicate suppression sees the same stream).
-    #[test]
-    fn border_router_batch_equals_sequential(
-        n_hops in 1usize..5,
-        specs in prop::collection::vec((0u16..600, any::<bool>(), any::<bool>()), 1..24),
-        dup in any::<bool>(),
-    ) {
-        let packets = workload(n_hops, &specs);
-        let make = || router().duplicate_suppression(dup).build_boxed();
-        assert_batch_matches_sequential(make(), make(), packets)?;
-    }
-
     /// The same batch contract holds for the baseline engines (for EPIC
     /// this drives the three-level key chain against foreign-keyed
     /// flyover packets: fresh ones derive and fail the MAC, stale ones
@@ -261,150 +238,5 @@ proptest! {
         }
         prop_assert_eq!(verdicts[0], verdicts[1], "owned Packet path diverged");
         prop_assert_eq!(verdicts[0], verdicts[2], "PacketView path diverged");
-    }
-}
-
-/// The default ResIDmax: the bursts below span every slot below it.
-const RES_IDS: u32 = 100_000;
-
-/// Reservation rates in kbps. At `BurstTime` = 50 ms a slot at the
-/// slowest admits one packet of a few hundred bytes per instant and at the
-/// fastest about a dozen, so a probe after the run reads its deadline.
-const RATES_KBPS: [u64; 3] = [100, 300, 1_000];
-
-/// A hop-0 reserved packet of the two-hop path on `res_id` at `bw_kbps`,
-/// with a valid flyover MAC, stamped `at_ms`.
-fn reserved_on(res_id: u32, bw_kbps: u64, payload: usize, at_ms: u64) -> Vec<u8> {
-    let (ingress, egress) = interfaces(2, 0);
-    let res_info = ResInfo {
-        ingress,
-        egress,
-        res_id,
-        bw_encoded: bwcls::encode_floor(bw_kbps).unwrap(),
-        res_start: NOW_S as u32 - 50,
-        duration: 600,
-    };
-    let key = sv(0).derive_key(&res_info);
-    let mut sender =
-        SourceGenerator::new(IsdAs::new(1, 0x10), IsdAs::new(2, 0x20), beaconed_path(2));
-    sender.attach_reservation(0, SourceReservation { res_info, key }).unwrap();
-    sender.generate(&vec![0u8; payload], at_ms).unwrap()
-}
-
-/// One burst of the policer workload: `lead` draws the ResID of its first
-/// packet, and each `(kind, draw, payload, rate, corrupt)` describes one
-/// later packet.
-type PolicerBurst = (u32, Vec<(u8, u32, u16, u8, bool)>);
-
-/// Builds the bursts. Burst `k` opens with a valid packet on a ResID
-/// above every earlier one: its `check` is the only one that grows the
-/// array, and from the second burst on it reallocates it (growth doubles
-/// capacity, and no earlier growth reached ResIDmax). Next comes a packet
-/// on the previous burst's lead, resident and hinted in pass 1, then the
-/// drawn packets: one on a ResID used before (so slot state carries across
-/// packets and bursts), one on a new ResID below this burst's lead, one
-/// at or beyond ResIDmax, or a plain packet, any of them corrupted. Leads
-/// climb through the whole range; returns the bursts and every in-range
-/// ResID.
-fn policer_workload(bursts: &[PolicerBurst]) -> (Vec<Vec<Vec<u8>>>, Vec<u32>) {
-    let mut plain =
-        SourceGenerator::new(IsdAs::new(1, 0x10), IsdAs::new(2, 0x20), beaconed_path(2));
-    let mut at_ms = NOW_MS;
-    let mut stamp = || {
-        at_ms += 1;
-        at_ms
-    };
-    let mut leads: Vec<u32> = Vec::new();
-    let mut used = Vec::new();
-    let built = bursts
-        .iter()
-        .enumerate()
-        .map(|(k, (lead_draw, rest))| {
-            let next_free = leads.last().map_or(0, |&l| l + 1);
-            let room = (RES_IDS - next_free) / (bursts.len() - k) as u32;
-            let lead = next_free + lead_draw % room;
-            let mut burst = vec![reserved_on(lead, RATES_KBPS[k % 3], 200, stamp())];
-            if let Some(&previous) = leads.last() {
-                burst.push(reserved_on(previous, RATES_KBPS[0], 200, stamp()));
-            }
-            leads.push(lead);
-            used.push(lead);
-            for (i, &(kind, draw, payload, rate, corrupt)) in rest.iter().enumerate() {
-                let (payload, bw_kbps) = (usize::from(payload), RATES_KBPS[usize::from(rate) % 3]);
-                let mut bytes = match kind % 4 {
-                    0 => {
-                        let res_id = used[draw as usize % used.len()];
-                        reserved_on(res_id, bw_kbps, payload, stamp())
-                    }
-                    1 => {
-                        let res_id = draw % (lead + 1);
-                        used.push(res_id);
-                        reserved_on(res_id, bw_kbps, payload, stamp())
-                    }
-                    2 => {
-                        let res_id = RES_IDS + draw % (RES_ID_MAX - RES_IDS + 1);
-                        reserved_on(res_id, bw_kbps, payload, stamp())
-                    }
-                    _ => plain.generate(&vec![0u8; payload], stamp()).unwrap(),
-                };
-                if corrupt {
-                    bytes[56 + i % 12] ^= 0x40;
-                }
-                burst.push(bytes);
-            }
-            burst
-        })
-        .collect();
-    used.sort_unstable();
-    used.dedup();
-    (built, used)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Batch ≡ sequential on the default 10⁵-slot policer, with the array
-    /// reallocated mid-burst after pass 1: identical verdicts, packet
-    /// bytes and stats, and afterwards an identical verdict for a probe
-    /// on every ResID the run policed (each probe reads that slot's
-    /// deadline, since a slow reservation admits it only with budget left).
-    #[test]
-    fn policer_growth_mid_burst_keeps_batch_equal_to_sequential(
-        bursts in prop::collection::vec(
-            (any::<u32>(), prop::collection::vec(
-                (0u8..4, any::<u32>(), 0u16..600, 0u8..3, any::<bool>()), 0..31)),
-            2..7),
-        dup in any::<bool>(),
-    ) {
-        let (bursts, used) = policer_workload(&bursts);
-        let make = || router().duplicate_suppression(dup).build();
-        let (mut seq_engine, mut batch_engine) = (make(), make());
-        let mut now_ns = NOW_NS;
-        for burst in bursts {
-            now_ns += 7_000_000;
-            let mut sequential = Vec::new();
-            let mut seq_bytes = Vec::new();
-            for pkt in &burst {
-                let mut bytes = pkt.clone();
-                sequential.push(seq_engine.process(&mut bytes, now_ns));
-                seq_bytes.push(bytes);
-            }
-            let mut bufs: Vec<PacketBuf> = burst.into_iter().map(PacketBuf::new).collect();
-            let mut batched = Vec::new();
-            batch_engine.process_batch(&mut bufs, now_ns, &mut batched);
-            prop_assert_eq!(&batched, &sequential, "batch verdicts diverge from sequential");
-            for (buf, bytes) in bufs.iter().zip(&seq_bytes) {
-                prop_assert_eq!(buf.as_bytes(), bytes.as_slice(), "packet bytes diverge");
-            }
-            prop_assert_eq!(batch_engine.stats(), seq_engine.stats(), "stats diverge");
-        }
-        for (i, &res_id) in used.iter().enumerate() {
-            // Stamped after every workload packet, within the clock skew.
-            let probe = reserved_on(res_id, RATES_KBPS[1], 300, NOW_MS + 250 + i as u64);
-            let seq = seq_engine.process(&mut probe.clone(), now_ns);
-            let batch = batch_engine.process(&mut probe.clone(), now_ns);
-            prop_assert_eq!(batch, seq, "policer slot {} diverges", res_id);
-        }
-        prop_assert_eq!(batch_engine.stats(), seq_engine.stats(), "probe stats diverge");
     }
 }

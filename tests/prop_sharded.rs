@@ -1,23 +1,22 @@
 //! Property tests for the sharded multi-queue runtime:
 //!
-//! 1. **Sharded ≡ single** — for duplicate-free traffic, a
-//!    `ShardedRouter` over N identically-keyed engines produces verdicts
-//!    and aggregate stats element-wise identical to one engine, for any
-//!    shard count, through both the per-packet and the batch path.
-//! 2. **ResID ownership** — a reservation's policer state never splits
+//! 1. **ResID ownership** — a reservation's policer state never splits
 //!    across shards: all traffic on one ResID (whatever its source,
 //!    timestamps, or hash-collision-crafted siblings) lands on exactly
 //!    one shard, so overuse demotion matches the single-engine count.
-//! 3. **Replay co-location** — exact replays are bit-identical, steer to
-//!    the same shard, and are caught by that shard's duplicate filter
-//!    exactly as a single engine would.
-//! 4. **Packet conservation** — the threaded runtime processes every
+//! 2. **Packet conservation** — the threaded runtime processes every
 //!    offered packet exactly once, in both clone and sharded modes.
-//! 5. **Multi-queue ≡ single** — the per-shard rx queues conserve
+//! 3. **Multi-queue ≡ single** — the per-shard rx queues conserve
 //!    packets and produce the same aggregate verdict counts as one
 //!    shard, for every shard count.
-//! 6. **Runtime determinism** — two runs with one configuration are
+//! 4. **Runtime determinism** — two runs with one configuration are
 //!    bit-identical per shard, with the tx path off or on.
+//!
+//! That a `ShardedRouter` of 1-5 shards gives the verdicts, bytes and
+//! counters of one router, through `process` and `process_batch`, on
+//! valid, forged, replayed and over-rate traffic, is checked against a
+//! reference written from the paper by
+//! `crates/dataplane/tests/differential.rs`.
 
 use hummingbird::dataplane::runtime::{
     run_to_completion, RuntimeConfig, RuntimeMode, ShardMap, ShardedRouter, Steering,
@@ -76,75 +75,8 @@ fn generator(res_id: u32, bw_encoded: u16) -> SourceGenerator {
     generator
 }
 
-/// A duplicate-free mixed workload: per spec `(res_choice, payload,
-/// corrupt)`, a packet on `RES_IDS[res_choice % 6]` (or plain when
-/// `res_choice == 6`), each stamped at a distinct millisecond so no two
-/// packets share a duplicate-filter identity.
-fn workload(specs: &[(u8, u16, bool)]) -> Vec<Vec<u8>> {
-    let mut reserved: Vec<SourceGenerator> = RES_IDS.iter().map(|&r| generator(r, 700)).collect();
-    let hops = vec![BeaconHop { key: hop_key(), cons_ingress: 0, cons_egress: 0 }];
-    let path = forge_path(&hops, NOW_S as u32 - 100, 0x1234);
-    let mut plain = SourceGenerator::new(IsdAs::new(1, 0x10), IsdAs::new(2, 0x20), path);
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, &(res_choice, payload, corrupt))| {
-            let payload = vec![0u8; usize::from(payload)];
-            let at = NOW_MS + i as u64; // unique ms → duplicate-free
-            let mut bytes = if usize::from(res_choice) % 7 == 6 {
-                plain.generate(&payload, at).unwrap()
-            } else {
-                reserved[usize::from(res_choice) % 7 % 6].generate(&payload, at).unwrap()
-            };
-            if corrupt {
-                let idx = 56 + (i % 12);
-                bytes[idx] ^= 0x40;
-            }
-            bytes
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Sharded ≡ single: verdicts and aggregate stats match for any
-    /// shard count on duplicate-free mixed traffic (per-packet path).
-    #[test]
-    fn sharded_equals_single_engine(
-        shards in 1usize..6,
-        specs in prop::collection::vec((any::<u8>(), 0u16..600, any::<bool>()), 1..24),
-        dup in any::<bool>(),
-    ) {
-        let packets = workload(&specs);
-        let mut single = make_engine(dup);
-        let mut sharded = make_sharded(shards, dup);
-        for pkt in &packets {
-            let a = single.process(&mut pkt.clone(), NOW_NS);
-            let b = sharded.process(&mut pkt.clone(), NOW_NS);
-            prop_assert_eq!(a, b, "sharded verdict diverged");
-        }
-        prop_assert_eq!(single.stats(), sharded.stats(), "aggregate stats diverged");
-    }
-
-    /// The same equivalence through `process_batch` (which regroups the
-    /// burst into per-shard runs and drives each engine's batch path).
-    #[test]
-    fn sharded_batch_equals_single_batch(
-        shards in 1usize..6,
-        specs in prop::collection::vec((any::<u8>(), 0u16..600, any::<bool>()), 1..24),
-    ) {
-        let packets = workload(&specs);
-        let mut single = make_engine(false);
-        let mut sharded = make_sharded(shards, false);
-        let mut bufs_a: Vec<PacketBuf> = packets.iter().cloned().map(PacketBuf::new).collect();
-        let mut bufs_b: Vec<PacketBuf> = packets.into_iter().map(PacketBuf::new).collect();
-        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-        single.process_batch(&mut bufs_a, NOW_NS, &mut out_a);
-        sharded.process_batch(&mut bufs_b, NOW_NS, &mut out_b);
-        prop_assert_eq!(&out_a, &out_b, "batch verdicts diverged");
-        prop_assert_eq!(single.stats(), sharded.stats(), "batch stats diverged");
-    }
 
     /// ResID ownership: every packet of one reservation — across
     /// payloads, timestamps and source hosts — is processed by exactly
@@ -185,31 +117,6 @@ proptest! {
         let map = ShardMap::new(shards, SLOTS, Steering::ByReservation);
         prop_assert_eq!(active[0], map.shard_of_res_id(res_id));
         prop_assert!(map.res_id_range(active[0]).contains(&res_id));
-    }
-
-    /// Exact replays steer to the owning shard and are dropped by its
-    /// duplicate filter exactly as a single engine drops them.
-    #[test]
-    fn replays_colocate_with_their_original(
-        shards in 2usize..6,
-        res_choice in 0usize..6,
-        copies in 1usize..5,
-    ) {
-        let mut generator = generator(RES_IDS[res_choice], 700);
-        let original = generator.generate(&[0u8; 300], NOW_MS).unwrap();
-        let mut single = make_engine(true);
-        let mut sharded = make_sharded(shards, true);
-        for i in 0..=copies {
-            let a = single.process(&mut original.clone(), NOW_NS + i as u64);
-            let b = sharded.process(&mut original.clone(), NOW_NS + i as u64);
-            prop_assert_eq!(a, b, "copy {} diverged", i);
-            if i == 0 {
-                prop_assert!(a.is_flyover(), "original must pass: {:?}", a);
-            } else {
-                prop_assert!(a.is_drop(), "replay {} must drop: {:?}", i, a);
-            }
-        }
-        prop_assert_eq!(single.stats(), sharded.stats());
     }
 }
 
