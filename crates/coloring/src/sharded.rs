@@ -167,11 +167,6 @@ impl ShardedFirstFit {
         Self::new(&[Range { start: 0, end: max_ids }])
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard whose range contains `res_id`, if any.
     pub fn shard_of(&self, res_id: u32) -> Option<usize> {
         self.shards.iter().position(|s| s.contains(res_id))

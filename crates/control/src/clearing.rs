@@ -72,11 +72,6 @@ impl ClearingEngine {
         self.by_epoch.get(&epoch).map(Vec::len).unwrap_or(0)
     }
 
-    /// Epochs that still have unsettled auctions, ascending.
-    pub fn open_epochs(&self) -> Vec<u64> {
-        self.by_epoch.keys().copied().collect()
-    }
-
     /// Settles every tracked auction of `epoch` in **one transaction**.
     ///
     /// Every auction must already be in the reveal phase: the whole

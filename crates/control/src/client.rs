@@ -249,11 +249,6 @@ impl Client {
         Ok(n)
     }
 
-    /// Convenience: the subset of granted reservations issued by `as_id`.
-    pub fn reservations_at(&self, as_id: IsdAs) -> Vec<&GrantedReservation> {
-        self.granted.iter().filter(|g| g.as_id == as_id).collect()
-    }
-
     /// Shares a reservation with another party (paper §4.1: reservations
     /// are not bound to network identities, so the key can simply be
     /// handed over — e.g. to the destination for a reverse path, App. C).

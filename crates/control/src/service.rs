@@ -218,11 +218,6 @@ impl AsService {
         &self.sv
     }
 
-    /// The PKI public key (to install as a trust anchor).
-    pub fn cert_public(&self) -> hummingbird_crypto::sig::PublicKey {
-        self.cert_key.public()
-    }
-
     /// The auth token object, once registered.
     pub fn auth_token(&self) -> Option<ObjectId> {
         self.auth_token

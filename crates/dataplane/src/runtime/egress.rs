@@ -230,14 +230,6 @@ pub struct EgressClassStats {
 }
 
 impl EgressClassStats {
-    /// Mean residence time in ns (0 when no packets were serialized).
-    pub fn mean_residence_ns(&self) -> f64 {
-        if self.pkts == 0 {
-            return 0.0;
-        }
-        self.residence_ns_sum as f64 / self.pkts as f64
-    }
-
     /// p99 residence time in ns — `0` when nothing was serialized, with
     /// the ±2× bucket resolution of [`LatencyHistogram`].
     pub fn residence_p99_ns(&self) -> u64 {

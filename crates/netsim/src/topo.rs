@@ -393,8 +393,9 @@ impl TopologyBuilder {
         (0..self.adjacencies.len()).filter(|&i| self.adjacencies[i].up).collect()
     }
 
-    /// AS identity of router `r`.
-    pub fn router_isd_as(&self, r: RouterId) -> IsdAs {
+    /// AS identity of router `r` (only the simulator's unit tests ask).
+    #[cfg(test)]
+    pub(crate) fn router_isd_as(&self, r: RouterId) -> IsdAs {
         self.routers[r].isd_as
     }
 

@@ -156,11 +156,6 @@ impl<T: AsRef<[u8]>> PacketView<T> {
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> PacketView<T> {
-    /// Mutable access to the raw bytes.
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        self.buffer.as_mut()
-    }
-
     /// Overwrites the SegID of the current segment's info field (the
     /// router's MAC-chaining update).
     pub fn set_current_seg_id(&mut self, seg_id: u16) -> Result<()> {

@@ -6,6 +6,7 @@
 set -eu
 rs_lines() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
 printf '.rs lines, crates src tests examples: %s\n' "$(rs_lines crates src tests examples)"
+printf '.rs lines, tests (of the above):     %s\n' "$(rs_lines tests crates/*/tests)"
 printf '.rs lines, benchmark (frozen):        %s\n' "$(rs_lines benchmark/src benchmark/tests)"
 # The crate a src/ directory belongs to; the root package's src/ is the
 # `hummingbird` crate.
