@@ -85,6 +85,7 @@ impl ResInfo {
     /// Per Appendix A.7, the clock skew is deliberately *not* applied here to
     /// avoid double-counting traffic across adjacent reservations that share
     /// a ResID.
+    #[inline]
     pub fn is_active_at(&self, now: u64) -> bool {
         let start = u64::from(self.res_start);
         now >= start && now <= start + u64::from(self.duration)

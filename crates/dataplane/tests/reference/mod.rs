@@ -114,13 +114,11 @@ impl Source {
 
     /// One packet carrying `payload`, sent at `now_ms` (Unix ms).
     pub fn generate(&mut self, payload: &[u8], now_ms: u64) -> Result<Vec<u8>, GenError> {
-        // A.1: (BaseTS, MillisTS, Counter) is unique per source; impl.: the
-        // Counter restarts at 0 in each new ms (the first "last ms" is 0).
+        // A.1: (BaseTS, MillisTS, Counter) is unique per source (impl.: Counter 0 in each new ms).
         self.counter = if now_ms == self.last_ms { self.counter.wrapping_add(1) } else { 0 };
         self.last_ms = now_ms;
         let mut path = self.path.clone();
-        // A.1: BaseTimestamp holds 32-bit Unix seconds (impl.: it wraps
-        // after 2106), MillisTimestamp the ms past them.
+        // A.1: BaseTimestamp is 32-bit Unix s (impl.: wraps after 2106), MillisTimestamp the ms.
         let base_ts = (now_ms / 1000) as u32;
         (path.meta.base_ts, path.meta.millis_ts, path.meta.counter) =
             (base_ts, (now_ms % 1000) as u16, self.counter);
@@ -130,12 +128,12 @@ impl Source {
                 (units, seg) = (units - self.path.meta.seg_len[seg], seg + 1);
             }
             units += hop.units();
+            // impl.: a flyover field the path already carries keeps its fields, offset included.
             let (Some((r, _)), PathField::Hop(hf)) = (slot, *hop) else { continue };
             // §4.2: ResStartOffset = BaseTimestamp − ResStart, in 16 bits (≈ 18 h).
             let offset = u16::try_from(i64::from(base_ts) - i64::from(r.res_start))
                 .map_err(|_| GenError::StartOffsetOutOfRange)?;
-            // A.4: a reserved hop travels as a 20-byte flyover field, 2 units
-            // more in its segment (impl.: the 7-bit SegLen saturates, then fails).
+            // A.4: a reserved hop travels as a 20-byte flyover field, 2 units more in its segment.
             *hop = PathField::Flyover(FlyoverHopField {
                 flags: HopFlags { flyover: true, ..hf.flags },
                 exp_time: hf.exp_time,
@@ -147,21 +145,21 @@ impl Source {
                 res_start_offset: offset,
                 res_duration: r.duration,
             });
+            // impl.: the 7-bit SegLen saturates here and fails when the packet is built.
             path.meta.seg_len[seg] = path.meta.seg_len[seg].saturating_add(2);
         }
-        // App. A (impl. order): HdrLen, PayloadLen and SegLen must fit 8, 16
-        // and 7 bits (FieldRange), then Eq. 7d's PktLen 16 (PktLenOverflow),
-        // then ResID and BW 22 and 10 (FieldRange, as the header is written).
+        // App. A (impl.: checked first): HdrLen, PayloadLen and SegLen fit 8, 16 and 7 bits.
         let mut pkt = self.builder.build(path, payload.to_vec())?;
+        // Eq. 7d: PktLen = PayloadLen + 4·HdrLen fits 16 bits.
         let pkt_len = pkt.pkt_len()?;
         for (hop, slot) in pkt.path.hops.iter_mut().zip(&self.reservations) {
-            // Eqs. 3 and 6: each reserved hop's V is XORed into its hop-field
-            // MAC (impl.: a flyover field the path carries keeps its fields).
+            // Eqs. 3 and 6: each reserved hop's V is XORed into its hop-field MAC.
             if let (Some((_, key)), PathField::Flyover(f)) = (slot, hop) {
                 let v = flyover_mac(key, self.dst, pkt_len, f.res_start_offset, &pkt.path.meta);
                 f.agg_mac = xor(f.agg_mac, v);
             }
         }
+        // A.4: ResID and BW fit 22 and 10 bits (impl.: checked as the header is written).
         Ok(pkt.to_bytes()?)
     }
 }
@@ -213,30 +211,27 @@ impl Router {
     fn forward(&mut self, pkt: &mut [u8], now: u128) -> Result<(Verdict, &'static str), Drop> {
         use DropReason::*;
         let (bad, now_ms, now_s) = (|rule| (Malformed, rule), now / 1_000_000, now / 1_000_000_000);
-        // App. A: a packet opens with the common (12 B), address (24 B) and
-        // path meta header (12 B; A.1: CurrINF ≤ 2, no SegLen after a 0).
+        // App. A: a packet opens with the common, address and path meta headers (48 B).
         let prefix = pkt.get(..48).ok_or(bad("A: 48-byte prefix"))?;
         let (common, addr) = (CommonHeader::parse(prefix), AddressHeader::parse(&prefix[12..]));
+        // A.1: CurrINF ≤ 2, and no SegLen follows an empty one.
         let (Ok(common), Ok(addr), Ok(meta)) = (common, addr, PathMetaHdr::parse(&prefix[36..]))
         else {
             return Err(bad("A.1: meta header"));
         };
-        // App. A: the router reads the 4·HdrLen bytes the header declares,
-        // which the buffer must hold.
+        // App. A: the router reads the 4·HdrLen bytes declared, which the buffer must hold.
         let hdr = pkt.get(..4 * usize::from(common.hdr_len)).ok_or(bad("A: 4·HdrLen"))?;
         // A.7: a CurrHF at or past ΣSegLen has no hop field left.
         let [l0, l1, l2] = meta.seg_len.map(u16::from);
         let segment_of = |hf: u16| [l0, l0 + l1, l0 + l1 + l2].iter().position(|&end| hf < end);
         let hf = u16::from(meta.curr_hf);
         let seg = segment_of(hf).ok_or((PathConsumed, "A.7: path consumed"))?;
-        // Eq. 5a (impl.): the info field of the segment that holds CurrHF;
-        // the paper presumes CurrINF names it, and CurrINF is not read.
-        // Eq. 5b: the hop field at 48 + 8·NumINF + 4·CurrHF is 20 bytes if
-        // its F bit is set, else 12. The header bound (impl.): both
-        // end inside the 4·HdrLen bytes, which keeps CurrHF + 5 in 8 bits.
+        // Eq. 5a (impl.: CurrINF is not read): the info field of the segment holding CurrHF.
         let info_at = 48 + 8 * seg;
+        // Eq. 5b: the hop field sits at 48 + 8·NumINF + 4·CurrHF, 20 B if F is set, else 12.
         let hop_at = 48 + 8 * meta.seg_len.iter().filter(|&&l| l > 0).count() + 4 * usize::from(hf);
         let hop_len = if hdr.get(hop_at).is_some_and(|&b| b & 0x80 != 0) { 20 } else { 12 };
+        // The header bound (impl.): both fields end within 4·HdrLen, so CurrHF + 5 fits 8 bits.
         let (Some(info), Some(hop)) =
             (hdr.get(info_at..info_at + 8), hdr.get(hop_at..hop_at + hop_len))
         else {
@@ -248,8 +243,7 @@ impl Router {
             // Eq. 7d: PktLen = PayloadLen + 4·HdrLen; a 16-bit overflow drops.
             let pkt_len = u16::try_from(usize::from(common.payload_len) + hdr.len())
                 .map_err(|_| (PktLenOverflow, "Eq. 7d: PktLen overflow"))?;
-            // Algorithm 3 l.2: ResStart = BaseTimestamp − ResStartOffset (mod
-            // 2³²: Fig. 12 holds 32 bits).
+            // Algorithm 3 l.2: ResStart = BaseTimestamp − ResStartOffset, mod 2³² as in Fig. 12.
             let res_start = meta.base_ts.wrapping_sub(f.res_start_offset.into());
             let (ingress, egress, res_id, bw_encoded) =
                 (f.cons_ingress, f.cons_egress, f.res_id, f.bw);
@@ -264,14 +258,12 @@ impl Router {
             // Eqs. 2, 3 and 6: the candidate hop-field MAC is AggMAC ⊕ V under A_K.
             let key = auth_key(&self.sv, &res);
             let v = flyover_mac(&key, addr.dst, pkt_len, f.res_start_offset, &meta);
-            // Algorithm 3 l.12-17 (impl.: `now` in whole ms): fresh iff
-            // now − absTS ∈ [−δ, Δ + δ], absTS = BaseTS·1000 + MillisTS ms.
+            // Algorithm 3 l.12-17 (impl.: in whole ms): fresh iff now − absTS ∈ [−δ, Δ + δ].
             let abs_ms = u128::from(meta.base_ts) * 1000 + u128::from(meta.millis_ts);
             let (age, skew) =
                 (self.cfg.max_packet_age_ms as u128, self.cfg.max_clock_skew_ms as u128);
             let fresh = now_ms + skew >= abs_ms && now_ms <= abs_ms + age + skew;
-            // A.7 (impl.: `now` in whole s): active iff ResStart ≤ now ≤
-            // ResStart + ResDuration, with no skew.
+            // A.7: active iff ResStart ≤ now ≤ ResStart + ResDuration, no skew (impl.: whole s).
             let end = u128::from(res_start) + u128::from(res.duration);
             let active = (u128::from(res_start)..=end).contains(&now_s);
             (xor(f.agg_mac, v), f.exp_time, ingress, egress, Some((res, pkt_len, fresh && active)))
@@ -279,8 +271,7 @@ impl Router {
             let h = HopField::parse(hop).map_err(|_| bad("A.3: hop field"))?;
             (h.mac, h.exp_time, h.cons_ingress, h.cons_egress, None)
         };
-        // Algorithm 4 l.2 (SCION; impl.: whole seconds): the hop field
-        // expires ⌊(1 + ExpTime)·337.5⌋ s after its info field's Timestamp.
+        // Algorithm 4 l.2: expired ⌊(1 + ExpTime)·337.5⌋ s after Timestamp (impl.: whole s).
         if now_s >= u128::from(info.timestamp) + (1 + u128::from(exp)) * 1350 / 4 {
             return Err((ExpiredHopField, "Algo 4: hop field expired"));
         }
@@ -295,18 +286,16 @@ impl Router {
                 now,
             )?;
         }
-        // A.7: SegID ← SegID ⊕ MAC[0..2], and a flyover's AggMAC ← the
-        // hop-field MAC, so the path can be used in reverse (A.8).
+        // A.7: SegID ← SegID ⊕ MAC[0..2]; a flyover's AggMAC ← HopFieldMAC, for reversal (A.8).
         let seg_id = info.seg_id ^ u16::from_be_bytes([mac[0], mac[1]]);
         pkt[info_at + 2..info_at + 4].copy_from_slice(&seg_id.to_be_bytes());
         if flyover.is_some() {
             pkt[hop_at + 6..hop_at + 12].copy_from_slice(&mac);
         }
-        // A.7: CurrHF moves past the field (3 or 5 units), CurrINF to the
-        // segment of the new CurrHF if one is left (impl.: else it stays);
-        // impl.: the meta word's r bit is written 0.
+        // A.7: CurrHF passes the field; CurrINF follows while a segment is left (impl.: else kept).
         let next_hf = hf + hop_len as u16 / 4;
         let next_inf = segment_of(next_hf).map_or(meta.curr_inf.into(), |s| s as u32);
+        // impl.: the meta word's r bit is written 0.
         let lens = u32::from(l0) << 14 | u32::from(l1) << 7 | u32::from(l2);
         pkt[36..40]
             .copy_from_slice(&(next_inf << 30 | u32::from(next_hf) << 22 | lens).to_be_bytes());
@@ -328,13 +317,13 @@ impl Router {
         })
     }
 
-    /// §5.4 (impl.: two epochs of Δ + 2δ counted from time 0): after
-    /// authentication, a packet whose (BaseTS, MillisTS, Counter, SrcAS) is
-    /// filed under the newest epoch seen or the one before is a duplicate;
-    /// identities are filed under the newest epoch, even if time steps back.
+    /// §5.4's optional duplicate filter, after authentication, on the
+    /// identity (BaseTS, MillisTS, Counter, SrcAS).
     fn suppress_duplicate(&mut self, id: (u32, u16, u16, u64), now: u128) -> Result<(), Drop> {
+        // impl.: identities are filed in epochs of Δ + 2δ from time 0, under the newest one seen.
         let window_ms = u128::from(self.cfg.max_packet_age_ms + 2 * self.cfg.max_clock_skew_ms);
         self.epoch = self.epoch.max(now / (window_ms * 1_000_000).max(1));
+        // impl.: an identity filed in the newest epoch or the one before is a duplicate.
         if self.seen.get(&id).is_some_and(|&filed| filed + 1 >= self.epoch) {
             return Err((DropReason::Duplicate, "§5.4: duplicate"));
         }
@@ -351,8 +340,7 @@ impl Router {
         // A.4: BW is a 10-bit float of kbps, s if e = 0, else (32 + s)·2^(e−1).
         let (e, s) = (res.bw_encoded >> 5, u128::from(res.bw_encoded & 31));
         let bw_kbps = if e == 0 { s } else { (32 + s) << (e - 1) };
-        // l.3: ts = max(TSArray[ResID], now) + PktLen/BW (impl.: whole ns,
-        // rounded down); 0 kbps fits nothing.
+        // l.3: ts = max(TSArray[ResID], now) + PktLen/BW (impl.: in whole ns); 0 kbps fits nothing.
         let Some(tx) = (u128::from(pkt_len) * 8_000_000).checked_div(bw_kbps) else { return false };
         let deadline = self.deadlines.entry(res.res_id).or_insert(0);
         let ts = now.max(*deadline) + tx;
