@@ -652,7 +652,7 @@ fn run_traffic(seed: u64, rules: &mut BTreeMap<&'static str, u64>) -> Result<(),
 #[test]
 fn router_matches_the_reference_on_traffic() {
     let mut rules = BTreeMap::new();
-    for seed in 0..64 {
+    for seed in 0..96 {
         run_traffic(seed, &mut rules).unwrap_or_else(|e| panic!("{e}"));
     }
     for rule in [
