@@ -579,7 +579,9 @@ fn run_traffic(seed: u64, rules: &mut BTreeMap<&'static str, u64>) -> Result<(),
             .filter_map(|f| f.res)
             .map(|r| u64::from(r.res_start) + u64::from(r.duration));
         match (step, ends.nth(rng.below(flows.len() as u64) as usize)) {
+            // Every clock jumps up to 2 h forward.
             (3, _) => send_ms += 1000 * rng.below(7200),
+            // Onto the last second of a reservation, or the first after it.
             (4, Some(end)) => send_ms = (end + rng.below(2)) * 1000 + rng.below(700),
             _ => {}
         }
@@ -625,10 +627,13 @@ fn run_traffic(seed: u64, rules: &mut BTreeMap<&'static str, u64>) -> Result<(),
         }
         let lag_ns = rng.below(1_000_000_000);
         now_ns = match step {
+            // The router behind the senders by more than δ, or ahead by more than Δ + δ.
             0 => send_ms * 1_000_000 - 600_000_000 - lag_ns,
             1 => send_ms * 1_000_000 + 1_600_000_000 + 5 * lag_ns,
+            // Its clock steps back, or to the end of `u64` time.
             2 => now_ns.saturating_sub(5 * lag_ns),
             5 => u64::MAX - lag_ns,
+            // Up to 300 ms behind the senders.
             _ => send_ms * 1_000_000 + lag_ns * 3 / 10,
         };
         run.burst(&burst, now_ns).map_err(|e| format!("seed {seed}, burst {b}: {e}"))?;
