@@ -18,28 +18,28 @@ use hummingbird_crypto::aes::Aes128;
 use hummingbird_wire::IsdAs;
 
 /// Length of a DRKey epoch in seconds (typical deployments: hours).
-pub const EPOCH_SECS: u64 = 6 * 3600;
+pub(crate) const EPOCH_SECS: u64 = 6 * 3600;
 
 /// An AS's DRKey secret for one epoch.
-pub struct DrKeySecret {
+pub(crate) struct DrKeySecret {
     cipher: Aes128,
     epoch: u64,
 }
 
 impl DrKeySecret {
     /// Derives the epoch secret from the AS's long-term master key.
-    pub fn derive(master: &[u8; 16], epoch: u64) -> Self {
+    pub(crate) fn derive(master: &[u8; 16], epoch: u64) -> Self {
         let sv = Aes128::new(master).encrypt(&epoch_block(epoch));
         DrKeySecret { cipher: Aes128::new(&sv), epoch }
     }
 
     /// First-level key `K_{A→B}`.
-    pub fn as_to_as(&self, b: IsdAs) -> [u8; 16] {
+    pub(crate) fn as_to_as(&self, b: IsdAs) -> [u8; 16] {
         self.cipher.encrypt(&as_block(b))
     }
 
     /// Second-level key `K_{A→B:H}` for host `host` in AS `b`.
-    pub fn as_to_host(&self, b: IsdAs, host: [u8; 4]) -> [u8; 16] {
+    pub(crate) fn as_to_host(&self, b: IsdAs, host: [u8; 4]) -> [u8; 16] {
         Aes128::new(&self.as_to_as(b)).encrypt(&host_block(host))
     }
 }
@@ -94,7 +94,7 @@ impl EpochRoot {
 }
 
 /// The epoch index covering `unix_s`.
-pub fn epoch_of(unix_s: u64) -> u64 {
+pub(crate) fn epoch_of(unix_s: u64) -> u64 {
     unix_s / EPOCH_SECS
 }
 

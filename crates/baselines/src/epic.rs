@@ -50,7 +50,7 @@ use hummingbird_wire::IsdAs;
 /// one more PRF level on the DRKey chain, domain-separated from the
 /// plain host key so an EPIC deployment and a PISKES deployment of the
 /// same AS never share MAC keys.
-pub fn epic_auth_key(secret: &DrKeySecret, src: IsdAs, host: [u8; 4]) -> [u8; 16] {
+pub(crate) fn epic_auth_key(secret: &DrKeySecret, src: IsdAs, host: [u8; 4]) -> [u8; 16] {
     let host_cipher = Aes128::new(&secret.as_to_host(src, host));
     host_cipher.encrypt(&EPIC_LEVEL_BLOCK)
 }
@@ -81,7 +81,7 @@ impl Family for Epic {
     const DUPLICATE_FILTER: bool = true;
     type Chain = [[u8; 16]; 3];
 
-    /// [`epic_auth_key`]'s three levels under the epoch secret:
+    /// `epic_auth_key`'s three levels under the epoch secret:
     /// `K_{A→S}`, `K_{A→S:H}` and `K^{epic}`, from nothing but the
     /// packet's (authenticated) source address.
     fn key_chain(&self, parsed: &Parsed, _inputs: &FlyoverInputs) -> Self::Chain {

@@ -19,8 +19,7 @@ use crate::epic::{epic_auth_key, Epic};
 use crate::helia::{slot_of, SLOT_SECS};
 use hummingbird_crypto::{AuthKey, ResInfo, SecretValue};
 use hummingbird_dataplane::{
-    BorderRouter, Datapath, DatapathBuilder, RouterConfig, ShardedRouter, SourceReservation,
-    Steering,
+    BorderRouter, Datapath, RouterConfig, ShardedRouter, SourceReservation, Steering,
 };
 use hummingbird_wire::bwcls;
 use hummingbird_wire::scion_mac::HopMacKey;
@@ -98,7 +97,7 @@ impl EngineFamily {
     ) -> Box<dyn Datapath + Send> {
         match self {
             EngineFamily::Hummingbird => {
-                DatapathBuilder::new(sv.clone(), hop_key.clone()).config(cfg).build_boxed()
+                Box::new(BorderRouter::new(sv.clone(), hop_key.clone(), cfg))
             }
             EngineFamily::Helia => {
                 Box::new(BorderRouter::with_family(Helia::new(*master), hop_key.clone(), cfg))

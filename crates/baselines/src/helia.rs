@@ -118,7 +118,7 @@ impl HeliaService {
     /// capacity is divided equally among active sources (a simplification
     /// of Helia's per-neighbor allocation formula that preserves the
     /// property under test: the *source cannot choose*).
-    pub fn current_share_kbps(&self) -> u64 {
+    pub(crate) fn current_share_kbps(&self) -> u64 {
         let n = self.active.len().max(1) as u64;
         self.capacity_kbps / n
     }
@@ -148,33 +148,17 @@ impl HeliaService {
         }
         self.active.insert(source_as, ());
         let share = self.current_share_kbps();
-        let key = self.grant_key(source_as, current);
+        let key = slot_key(&self.drkey_master, source_as, current);
         Ok(HeliaGrant { slot: current, bandwidth_kbps: share, key })
-    }
-
-    /// The per-slot DRKey-derived authenticator for `source_as`
-    /// (`K_{A→B}` bound to the slot index).
-    fn grant_key(&self, source_as: IsdAs, slot: u64) -> [u8; 16] {
-        slot_key(&self.drkey_master, source_as, slot)
-    }
-
-    /// Router-side check: verifies a grant key (the router re-derives it
-    /// from DRKey, like Hummingbird routers re-derive `A_K`).
-    pub fn verify_grant(&self, source_as: IsdAs, grant: &HeliaGrant) -> bool {
-        self.grant_key(source_as, grant.slot) == grant.key
-    }
-
-    /// Number of sources holding a grant this slot.
-    pub fn active_sources(&self) -> usize {
-        self.active.len()
     }
 }
 
 /// The Helia per-slot authenticator key for `source_as` covering `slot`:
 /// `PRF_{K_{A→B}}(slot ‖ "helia")` with `K_{A→B}` from the DRKey
-/// hierarchy. Shared by [`HeliaService::verify_grant`] and the sender's
-/// `helia_packet_key`; the per-packet [`crate::engine::HeliaDatapath`]
-/// derives it inside its key chain.
+/// hierarchy. Shared by [`HeliaService::request`]'s grants and the
+/// sender's `helia_packet_key`; the per-packet
+/// [`crate::engine::HeliaDatapath`] derives it inside its key chain, the
+/// way Hummingbird routers re-derive `A_K`.
 pub(crate) fn slot_key(drkey_master: &[u8; 16], source_as: IsdAs, slot: u64) -> [u8; 16] {
     let sv = DrKeySecret::derive(drkey_master, crate::drkey::epoch_of(slot * SLOT_SECS));
     Aes128::new(&sv.as_to_as(source_as)).encrypt(&slot_block(slot))
@@ -246,7 +230,6 @@ mod tests {
         assert_eq!(g1.bandwidth_kbps, 100_000, "single source gets everything");
         let g2 = s.request(IsdAs::new(2, 2), now, slot).unwrap();
         assert_eq!(g2.bandwidth_kbps, 50_000, "share shrinks as demand arrives");
-        assert_eq!(s.active_sources(), 2);
     }
 
     #[test]
@@ -267,11 +250,10 @@ mod tests {
         let slot = slot_of(now);
         let src = IsdAs::new(2, 7);
         let g = s.request(src, now, slot).unwrap();
-        assert!(s.verify_grant(src, &g));
+        assert_eq!(g.key, slot_key(&[9u8; 16], src, slot));
         // Wrong source AS or stale slot fails.
-        assert!(!s.verify_grant(IsdAs::new(2, 8), &g));
-        let stale = HeliaGrant { slot: slot - 1, ..g };
-        assert!(!s.verify_grant(src, &stale));
+        assert_ne!(g.key, slot_key(&[9u8; 16], IsdAs::new(2, 8), slot));
+        assert_ne!(g.key, slot_key(&[9u8; 16], src, slot - 1));
     }
 
     #[test]
@@ -283,7 +265,6 @@ mod tests {
         let later = now + SLOT_SECS;
         let g = s.request(IsdAs::new(2, 1), later, slot_of(later)).unwrap();
         assert_eq!(g.bandwidth_kbps, 100_000, "new slot, demand forgotten");
-        assert_eq!(s.active_sources(), 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use hummingbird_bench::{
 use hummingbird_coloring::{color_optimal, max_overlap, FirstFit, Interval, KiersteadTrotter};
 use hummingbird_dataplane::policing::Policer;
 use hummingbird_dataplane::{
-    Datapath, DatapathBuilder, ExecMode, PacketBuf, RuntimeConfig, RuntimeMode,
+    BorderRouter, Datapath, ExecMode, PacketBuf, RouterConfig, RuntimeConfig, RuntimeMode,
 };
 use hummingbird_wire::hopfield::{FLYOVER_FIELD_LEN, HOP_FIELD_LEN};
 use rand::rngs::StdRng;
@@ -118,8 +118,8 @@ fn ablation_dup_suppression() {
     let mut results = Vec::new();
     for dup in [false, true] {
         let (sv, hop_key) = fx.hop0_keys();
-        let mut router =
-            DatapathBuilder::new(sv.clone(), hop_key.clone()).duplicate_suppression(dup).build();
+        let cfg = RouterConfig { duplicate_suppression: dup, ..RouterConfig::default() };
+        let mut router = BorderRouter::new(sv.clone(), hop_key.clone(), cfg);
         // Unique packets (the realistic stream) — regenerate timestamps.
         let mut generator = fx.generator(true);
         let mut pkts: Vec<PacketBuf> = (0..64)

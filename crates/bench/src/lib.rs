@@ -19,6 +19,7 @@
 //! `benchmark/` package.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod json;
 

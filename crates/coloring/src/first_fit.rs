@@ -95,14 +95,8 @@ impl FirstFit {
         }
     }
 
-    /// Prunes every interval that has ended by `now`.
-    pub fn release_expired(&mut self, now: u64) {
-        for actives in self.colors.iter_mut() {
-            actives.retain(|a| !a.expired_at(now));
-        }
-    }
-
-    /// Number of currently active reservations.
+    /// Number of reservations held; an ended one stays until
+    /// [`release`](Self::release)d.
     pub fn active_count(&self) -> usize {
         self.colors.iter().map(|c| c.len()).sum()
     }
@@ -110,11 +104,6 @@ impl FirstFit {
     /// Highest ResID handed out so far (drives the policing-array size).
     pub fn high_water(&self) -> u32 {
         self.high_water
-    }
-
-    /// The configured ResID cap.
-    pub fn max_ids(&self) -> u32 {
-        self.max_ids
     }
 
     /// Checks the coloring invariant: no two active intervals under the
@@ -163,9 +152,8 @@ mod tests {
         let mut ff = FirstFit::new(1);
         assert_eq!(ff.assign(Interval::new(0, 10)), Some(0));
         assert_eq!(ff.assign(Interval::new(5, 15)), None);
-        ff.release_expired(10);
+        // [10, 20) starts as [0, 10) ends: the ID is free again.
         assert_eq!(ff.assign(Interval::new(10, 20)), Some(0));
-        assert_eq!(ff.active_count(), 1);
     }
 
     #[test]
@@ -201,7 +189,6 @@ mod tests {
             ff.assign(Interval::new(i, 100)).unwrap();
         }
         assert_eq!(ff.high_water(), 4);
-        ff.release_expired(100);
         ff.assign(Interval::new(200, 201)).unwrap();
         assert_eq!(ff.high_water(), 4, "high water never decreases");
     }

@@ -25,11 +25,6 @@ impl Interval {
         self.start < other.end && other.start < self.end
     }
 
-    /// Whether the interval has ended at time `now`.
-    pub fn expired_at(&self, now: u64) -> bool {
-        self.end <= now
-    }
-
     /// Interval length.
     pub fn len(&self) -> u64 {
         self.end - self.start
@@ -79,13 +74,6 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_interval_panics() {
         Interval::new(5, 5);
-    }
-
-    #[test]
-    fn expiry() {
-        let iv = Interval::new(0, 10);
-        assert!(!iv.expired_at(9));
-        assert!(iv.expired_at(10));
     }
 
     #[test]

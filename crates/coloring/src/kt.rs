@@ -86,12 +86,7 @@ impl KiersteadTrotter {
         }
     }
 
-    /// Prunes intervals ended by `now`.
-    pub fn release_expired(&mut self, now: u64) {
-        self.entries.retain(|e| !e.iv.expired_at(now));
-    }
-
-    /// Number of active intervals.
+    /// Number of intervals colored so far.
     pub fn active_count(&self) -> usize {
         self.entries.len()
     }
@@ -180,14 +175,5 @@ mod tests {
                 "KT used {used} colors for omega {omega}"
             );
         }
-    }
-
-    #[test]
-    fn expiry_prunes_entries() {
-        let mut kt = KiersteadTrotter::new();
-        kt.assign(Interval::new(0, 10));
-        kt.assign(Interval::new(5, 20));
-        kt.release_expired(15);
-        assert_eq!(kt.active_count(), 1);
     }
 }

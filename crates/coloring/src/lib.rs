@@ -19,6 +19,7 @@
 //! * [`res_id_bound`] — the paper's worst-case array-size bound.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod first_fit;

@@ -131,17 +131,6 @@ impl ShardSlice {
         actives[pos].end = new_end;
         true
     }
-
-    fn release_expired(&mut self, now: u64) {
-        for (c, actives) in self.colors.iter_mut().enumerate() {
-            let before = actives.len();
-            actives.retain(|a| !a.expired_at(now));
-            self.active -= before - actives.len();
-            if actives.is_empty() && before > 0 {
-                self.empty.insert(c as u32);
-            }
-        }
-    }
 }
 
 /// A steering-aware First-Fit variant: the ResID space is split into the
@@ -212,14 +201,8 @@ impl ShardedFirstFit {
         }
     }
 
-    /// Prunes every interval that has ended by `now`.
-    pub fn release_expired(&mut self, now: u64) {
-        for shard in &mut self.shards {
-            shard.release_expired(now);
-        }
-    }
-
-    /// Number of currently active reservations.
+    /// Number of reservations held; an ended one stays until
+    /// [`release`](Self::release)d.
     pub fn active_count(&self) -> usize {
         self.shards.iter().map(|s| s.active).sum()
     }
@@ -233,11 +216,6 @@ impl ShardedFirstFit {
     /// size, like [`FirstFit::high_water`](crate::FirstFit::high_water)).
     pub fn high_water(&self) -> Option<u32> {
         self.shards.iter().filter_map(|s| s.high_water.map(|hw| s.base + hw)).max()
-    }
-
-    /// Total ResID capacity across all shards.
-    pub fn max_ids(&self) -> u32 {
-        self.shards.iter().map(|s| s.cap).sum()
     }
 
     /// Max/min ratio of per-shard active counts over the non-empty-range
@@ -302,7 +280,8 @@ mod tests {
         let iv = Interval::new(0, 10);
         assert_eq!(sf.assign(iv), Some(0));
         assert_eq!(sf.assign(Interval::new(0, 10)), Some(1));
-        sf.release_expired(10);
+        assert!(sf.release(1, &Interval::new(0, 10)));
+        assert!(sf.release(0, &iv));
         // Smallest recycled color wins over a fresh one.
         assert_eq!(sf.assign(Interval::new(20, 30)), Some(0));
         assert!(sf.is_valid());

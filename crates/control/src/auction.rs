@@ -21,7 +21,6 @@
 //!    asset).
 
 use crate::plane::{read_asset, ControlPlane, CpResult};
-use crate::types::TAG_ASSET;
 use hummingbird_crypto::sha256::Sha256;
 use hummingbird_ledger::codec::{DecodeError, Reader, Writer};
 use hummingbird_ledger::{Address, ExecError, ObjectId, Owner, TxContext};
@@ -68,8 +67,8 @@ pub struct Auction {
     /// Current phase.
     pub phase: Phase,
     /// The settlement epoch this auction belongs to (§5.3's "discrete
-    /// rounds in which the auctions complete"). The [`crate::clearing`]
-    /// engine settles every auction of an epoch in one batched
+    /// rounds in which the auctions complete"). The
+    /// [`ClearingEngine`](crate::ClearingEngine) settles every auction of an epoch in one batched
     /// transaction; 0 means "unscheduled" (settled individually).
     pub close_epoch: u64,
 }
@@ -249,7 +248,7 @@ impl ControlPlane {
     /// Like [`Self::create_auction`], but stamps the auction with the
     /// settlement epoch it belongs to so a [`crate::ClearingEngine`] can
     /// batch-settle it together with every other auction of that epoch.
-    pub fn create_auction_at(
+    pub(crate) fn create_auction_at(
         &mut self,
         seller: Address,
         asset_id: ObjectId,
@@ -358,18 +357,6 @@ impl ControlPlane {
             .map(|e| e.meta.id)
             .collect()
     }
-
-    /// Public chain scan: the asset escrowed under an auction (checked
-    /// against [`TAG_ASSET`]).
-    pub fn auction_state(&self, auction_id: ObjectId) -> Option<Auction> {
-        let entry = self.ledger.object(auction_id)?;
-        if entry.meta.type_tag != TAG_AUCTION {
-            return None;
-        }
-        let a = Auction::decode(&entry.data).ok()?;
-        debug_assert_eq!(self.ledger.object(a.asset)?.meta.type_tag, TAG_ASSET);
-        Some(a)
-    }
 }
 
 #[cfg(test)]
@@ -453,7 +440,7 @@ mod tests {
         // Seller received exactly the clearing price.
         assert!(w.cp.ledger.balance(w.seller) >= seller_before + 30_000);
         // Auction and bids were destroyed.
-        assert!(w.cp.auction_state(auction).is_none());
+        assert!(w.cp.ledger.object(auction).is_none());
     }
 
     #[test]

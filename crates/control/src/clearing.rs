@@ -45,7 +45,7 @@ impl ClearingEngine {
     }
 
     /// Creates an auction scheduled to settle in `close_epoch` and tracks
-    /// it (see [`ControlPlane::create_auction_at`]).
+    /// it (see `ControlPlane::create_auction_at`).
     pub fn create_auction(
         &mut self,
         cp: &mut ControlPlane,

@@ -134,31 +134,16 @@ impl Client {
         Ok(receipt)
     }
 
-    /// Requests a renewal of a reservation this client holds: same hop
-    /// set, same ResID, one more duration window (the O(1) fast path —
-    /// no market purchase, no re-coloring, no key exchange). `generation`
-    /// is the number of renewals already served for this reservation; the
-    /// fee is paid up front and refunded by the AS if the renewal is
-    /// rejected. The renewed key arrives as a [`RenewedReservation`]
-    /// delivery, collected with [`Self::collect_renewals`].
-    ///
-    /// [`RenewedReservation`]: crate::renewal::RenewedReservation
-    pub fn request_renewal(
-        &mut self,
-        cp: &mut ControlPlane,
-        as_account: Address,
-        ingress: u16,
-        res_id: u32,
-        generation: u32,
-        fee: u64,
-    ) -> CpResult<ObjectId> {
-        let request = RenewalRequest { requester: self.account, ingress, res_id, generation, fee };
-        cp.request_renewal(self.account, as_account, request)
-    }
-
     /// Requests renewals for a whole batch of reservations in **one
     /// transaction** (see [`ControlPlane::request_renewals`]): each item is
-    /// `(ingress, res_id, generation)`; `fee` is paid per renewal.
+    /// `(ingress, res_id, generation)`, where `generation` is the number of
+    /// renewals already served for that reservation. A renewal keeps the
+    /// hop set and the ResID and adds one more duration window (the O(1)
+    /// fast path — no market purchase, no re-coloring, no key exchange).
+    /// `fee` is paid per renewal up front and refunded by the AS if the
+    /// renewal is rejected. Each renewed key arrives as a
+    /// `RenewedReservation` delivery, collected with
+    /// [`Self::collect_renewals`].
     pub fn request_renewals(
         &mut self,
         cp: &mut ControlPlane,
@@ -238,7 +223,7 @@ impl Client {
 
     /// Deletes every delivery object whose payload this client has already
     /// ingested, in one transaction, collecting the storage rebates
-    /// (see [`ControlPlane::reclaim`]). Returns how many were reclaimed.
+    /// (see `ControlPlane::reclaim`). Returns how many were reclaimed.
     pub fn sweep_collected(&mut self, cp: &mut ControlPlane) -> Result<usize, ExecError> {
         if self.reclaimable.is_empty() {
             return Ok(0);
@@ -247,17 +232,5 @@ impl Client {
         let n = ids.len();
         cp.reclaim(self.account, ids)?;
         Ok(n)
-    }
-
-    /// Shares a reservation with another party (paper §4.1: reservations
-    /// are not bound to network identities, so the key can simply be
-    /// handed over — e.g. to the destination for a reverse path, App. C).
-    pub fn export_reservation(&self, index: usize) -> Option<(IsdAs, ResInfo, [u8; 16])> {
-        self.granted.get(index).map(|g| (g.as_id, g.res_info, g.key.to_bytes()))
-    }
-
-    /// Imports a reservation shared by another party.
-    pub fn import_reservation(&mut self, as_id: IsdAs, res_info: ResInfo, key: [u8; 16]) {
-        self.push_granted(GrantedReservation { as_id, res_info, key: AuthKey::new(key) });
     }
 }

@@ -6,43 +6,42 @@
 //!
 //! * [`types`] — on-chain object types (assets, auth tokens, redeem
 //!   requests, deliveries, listings).
-//! * [`plane`] — the [`ControlPlane`] facade over the ledger with the
+//! * `plane` — the [`ControlPlane`] facade over the ledger with the
 //!   asset-contract entry points (issue / split / fuse / redeem / deliver).
-//! * [`market`] — the marketplace contract and the one-transaction atomic
+//! * `market` — the marketplace contract and the one-transaction atomic
 //!   buy-and-redeem for whole paths.
-//! * [`service`] — the AS-side service: ResID assignment (interval
+//! * `service` — the AS-side service: ResID assignment (interval
 //!   coloring), `A_K` derivation, sealed delivery.
-//! * [`client`] — the end-host client: purchases, ephemeral keys,
+//! * `client` — the end-host client: purchases, ephemeral keys,
 //!   collecting deliveries into usable reservations.
 //! * [`pki`] — trust anchors and AS registration possession proofs.
-//! * [`clearing`] — epoch-batched auction settlement: one transaction
+//! * `clearing` — epoch-batched auction settlement: one transaction
 //!   clears every auction of a settlement round.
-//! * [`renewal`] — the O(1) renewal fast path: extend a live reservation
+//! * `renewal` — the O(1) renewal fast path: extend a live reservation
 //!   without a market purchase or re-coloring.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod auction;
-pub mod clearing;
-pub mod client;
-pub mod market;
+mod clearing;
+mod client;
+mod market;
 pub mod pki;
-pub mod plane;
-pub mod renewal;
-pub mod service;
+mod plane;
+mod renewal;
+mod service;
 pub mod types;
 
-pub use auction::{bid_commitment, Auction, AuctionOutcome, Phase};
+pub use auction::{bid_commitment, Auction, AuctionOutcome};
 pub use clearing::ClearingEngine;
 pub use client::{Client, GrantedReservation};
 pub use market::{HopPurchase, PurchaseSpec};
-pub use plane::{ControlPlane, CpResult};
-pub use renewal::{renewal_wrap_key, RenewalRequest, RenewedReservation, TAG_RENEWAL, TAG_RENEWED};
-pub use service::{AsService, IssuedReservation, RenewalReport, ReservationPayload, ServiceError};
-pub use types::{
-    AuthToken, BandwidthAsset, Direction, EncryptedReservation, Listing, RedeemRequest,
-};
+pub use plane::ControlPlane;
+pub use renewal::RenewalRequest;
+pub use service::{AsService, IssuedReservation, RenewalReport, ServiceError};
+pub use types::{BandwidthAsset, Direction, EncryptedReservation, Listing};
 
 #[cfg(test)]
 mod tests {
@@ -327,27 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_res_ids_recycle() {
-        let mut w = setup();
-        let mut rng = StdRng::seed_from_u64(11);
-        let (l_in, l_eg) = list_pair(&mut w, 1, 2);
-        let spec = PurchaseSpec { start: 0, end: HOUR, bandwidth_kbps: 4_000 };
-        w.client.buy_and_redeem_path(&mut w.cp, w.market, &[(l_in, l_eg, spec)], &mut rng).unwrap();
-        w.service.process_requests(&mut w.cp, &mut w.rng).unwrap();
-        let first_high = w.service.res_id_high_water(1).unwrap();
-
-        // After expiry, a new reservation can reuse ResID 0.
-        w.service.expire_reservations(2 * HOUR);
-        let (l_in2, l_eg2) = list_pair(&mut w, 1, 2);
-        let spec2 = PurchaseSpec { start: 3 * HOUR, end: 4 * HOUR, bandwidth_kbps: 4_000 };
-        w.client
-            .buy_and_redeem_path(&mut w.cp, w.market, &[(l_in2, l_eg2, spec2)], &mut rng)
-            .unwrap();
-        w.service.process_requests(&mut w.cp, &mut w.rng).unwrap();
-        assert_eq!(w.service.res_id_high_water(1).unwrap(), first_high);
-    }
-
-    #[test]
     fn end_to_end_renewal_fast_path() {
         let mut w = setup();
         let mut rng = StdRng::seed_from_u64(13);
@@ -361,16 +339,8 @@ mod tests {
         // Renew twice: each renewal appends one more window, same ResID.
         let as_acct = w.service.account;
         for generation in 0..2u32 {
-            w.client
-                .request_renewal(
-                    &mut w.cp,
-                    as_acct,
-                    first.res_info.ingress,
-                    first.res_info.res_id,
-                    generation,
-                    500,
-                )
-                .unwrap();
+            let item = (first.res_info.ingress, first.res_info.res_id, generation);
+            w.client.request_renewals(&mut w.cp, as_acct, &[item], 500).unwrap();
             let report = w.service.process_renewals(&mut w.cp, &mut w.rng).unwrap();
             assert_eq!(report.delivered.len(), 1);
             assert_eq!(report.rejected, 0);
@@ -390,17 +360,8 @@ mod tests {
 
         // A stale (replayed) generation is rejected and the fee refunded.
         let balance_before = w.cp.ledger.balance(w.client.account);
-        let rx = w
-            .client
-            .request_renewal(
-                &mut w.cp,
-                as_acct,
-                first.res_info.ingress,
-                first.res_info.res_id,
-                0,
-                500,
-            )
-            .unwrap();
+        let item = (first.res_info.ingress, first.res_info.res_id, 0);
+        let rx = w.client.request_renewals(&mut w.cp, as_acct, &[item], 500).unwrap();
         let report = w.service.process_renewals(&mut w.cp, &mut w.rng).unwrap();
         assert_eq!(report.delivered.len(), 0);
         assert_eq!(report.rejected, 1);
@@ -408,23 +369,5 @@ mod tests {
         let spent = i128::from(balance_before) - i128::from(w.cp.ledger.balance(w.client.account));
         assert_eq!(spent, rx.gas.total_mist(), "fee refunded, only gas spent");
         assert_eq!(w.client.collect_renewals(&w.cp).unwrap(), 0);
-    }
-
-    #[test]
-    fn reservation_sharing_via_export_import() {
-        let mut w = setup();
-        let mut rng = StdRng::seed_from_u64(12);
-        let (l_in, l_eg) = list_pair(&mut w, 1, 2);
-        let spec = PurchaseSpec { start: 0, end: HOUR, bandwidth_kbps: 4_000 };
-        w.client.buy_and_redeem_path(&mut w.cp, w.market, &[(l_in, l_eg, spec)], &mut rng).unwrap();
-        w.service.process_requests(&mut w.cp, &mut w.rng).unwrap();
-        w.client.collect_deliveries(&w.cp).unwrap();
-
-        // Hand the reservation to a second party (App. C flow).
-        let (as_id, info, key) = w.client.export_reservation(0).unwrap();
-        let mut server = Client::new(Address::from_label("server"));
-        server.import_reservation(as_id, info, key);
-        assert_eq!(server.reservations().len(), 1);
-        assert_eq!(server.reservations()[0].res_info, info);
     }
 }

@@ -38,7 +38,12 @@ impl TrustAnchors {
     /// Verifies a registration possession proof: a signature by the AS
     /// certificate key over the binding of AS identity and on-chain
     /// account.
-    pub fn verify_registration(&self, as_id: IsdAs, account: Address, sig: &Signature) -> bool {
+    pub(crate) fn verify_registration(
+        &self,
+        as_id: IsdAs,
+        account: Address,
+        sig: &Signature,
+    ) -> bool {
         match self.key_of(as_id) {
             Some(pk) => pk.verify(&registration_challenge(as_id, account), sig),
             None => false,
@@ -47,7 +52,7 @@ impl TrustAnchors {
 }
 
 /// The message an AS signs to register `account` as its on-chain identity.
-pub fn registration_challenge(as_id: IsdAs, account: Address) -> Vec<u8> {
+pub(crate) fn registration_challenge(as_id: IsdAs, account: Address) -> Vec<u8> {
     let mut msg = Vec::with_capacity(64);
     msg.extend_from_slice(b"hummingbird-as-registration-v1");
     msg.extend_from_slice(&as_id.isd.to_be_bytes());

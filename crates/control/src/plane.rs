@@ -16,7 +16,7 @@ use hummingbird_wire::IsdAs;
 use std::collections::HashMap;
 
 /// Result alias for contract calls.
-pub type CpResult<T> = Result<TxReceipt<T>, ExecError>;
+pub(crate) type CpResult<T> = Result<TxReceipt<T>, ExecError>;
 
 /// Payload size of the simulated gas coin object. With the ~100 B object
 /// envelope this gives the ~0.0025 SUI per-tx storage fee / rebate cycle
@@ -261,7 +261,7 @@ impl ControlPlane {
     /// hash-map probe against it — small at millions of reservations.
     /// Ownership is enforced per object by the ledger: a sender cannot
     /// reclaim objects it cannot use.
-    pub fn reclaim(&mut self, sender: Address, ids: Vec<ObjectId>) -> CpResult<usize> {
+    pub(crate) fn reclaim(&mut self, sender: Address, ids: Vec<ObjectId>) -> CpResult<usize> {
         self.exec(sender, move |ctx| {
             for &id in &ids {
                 ctx.delete(id)?;

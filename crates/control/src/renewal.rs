@@ -44,10 +44,10 @@ use hummingbird_ledger::{Address, ExecError, ObjectId, Owner};
 use hummingbird_wire::IsdAs;
 
 /// Type tag of renewal request objects.
-pub const TAG_RENEWAL: &str = "hummingbird::renewal::RenewalRequest";
+pub(crate) const TAG_RENEWAL: &str = "hummingbird::renewal::RenewalRequest";
 
 /// Type tag of renewed-reservation delivery objects.
-pub const TAG_RENEWED: &str = "hummingbird::renewal::RenewedReservation";
+pub(crate) const TAG_RENEWED: &str = "hummingbird::renewal::RenewedReservation";
 
 /// Derives the symmetric wrapping key for a renewal delivery from the
 /// previous window's authentication key. Both sides can compute it: the
@@ -56,7 +56,7 @@ pub const TAG_RENEWED: &str = "hummingbird::renewal::RenewedReservation";
 /// ratchet makes every window's wrap key distinct. AES-CMAC as the PRF —
 /// same primitive (and hardware path) as the data-plane key derivation,
 /// so a renewal costs no hash-function work at all.
-pub fn renewal_wrap_key(prev_key: &[u8; 16], new_generation: u32) -> [u8; 16] {
+pub(crate) fn renewal_wrap_key(prev_key: &[u8; 16], new_generation: u32) -> [u8; 16] {
     let mut msg = [0u8; 28];
     msg[..24].copy_from_slice(b"hummingbird-renewal-wrap");
     msg[24..].copy_from_slice(&new_generation.to_be_bytes());
@@ -111,7 +111,7 @@ impl RenewalRequest {
 /// can locate the reservation it extends (and derive the unwrap key), plus
 /// the symmetrically wrapped `(ResInfo, A_K)` payload for the new window.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RenewedReservation {
+pub(crate) struct RenewedReservation {
     /// The issuing AS.
     pub as_id: IsdAs,
     /// Ingress interface of the renewed reservation.
@@ -126,7 +126,7 @@ pub struct RenewedReservation {
 
 impl RenewedReservation {
     /// Serializes the delivery.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u16(self.as_id.isd);
         w.u64(self.as_id.asn);
@@ -140,7 +140,7 @@ impl RenewedReservation {
     }
 
     /// Parses the delivery.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(bytes);
         let as_id = IsdAs::new(r.u16()?, r.u64()?);
         let ingress = r.u16()?;
@@ -161,24 +161,6 @@ impl RenewedReservation {
 }
 
 impl ControlPlane {
-    /// Posts a renewal request to `as_account`, paying the fee up front.
-    /// The request object is owned by the AS until it is served or
-    /// rejected by [`crate::AsService::process_renewals`].
-    pub fn request_renewal(
-        &mut self,
-        sender: Address,
-        as_account: Address,
-        request: RenewalRequest,
-    ) -> CpResult<ObjectId> {
-        if request.requester != sender {
-            return Err(ExecError::Contract("renewal requester must be the sender".into()));
-        }
-        self.exec(sender, move |ctx| {
-            ctx.pay(as_account, request.fee);
-            Ok(ctx.create(Owner::Address(as_account), TAG_RENEWAL, request.encode()))
-        })
-    }
-
     /// Posts a whole batch of renewal requests in **one transaction**: one
     /// digest, one gas accounting pass and one fee payment covering every
     /// request, instead of a full transaction per renewal. A client
@@ -206,7 +188,7 @@ impl ControlPlane {
 
     /// All pending renewal requests owned by `as_account`, in object-ID
     /// order (index-backed, like [`ControlPlane::pending_requests`]).
-    pub fn pending_renewals(&self, as_account: Address) -> Vec<(ObjectId, RenewalRequest)> {
+    pub(crate) fn pending_renewals(&self, as_account: Address) -> Vec<(ObjectId, RenewalRequest)> {
         self.ledger
             .objects_owned_by(Owner::Address(as_account), TAG_RENEWAL)
             .filter_map(|e| RenewalRequest::decode(&e.data).ok().map(|r| (e.meta.id, r)))
@@ -215,7 +197,7 @@ impl ControlPlane {
 
     /// All renewed-reservation deliveries owned by `recipient`, in
     /// object-ID order (index-backed).
-    pub fn renewal_deliveries_for(
+    pub(crate) fn renewal_deliveries_for(
         &self,
         recipient: Address,
     ) -> Vec<(ObjectId, RenewedReservation)> {
@@ -275,6 +257,6 @@ mod tests {
         cp.faucet(mallory, 10);
         let req =
             RenewalRequest { requester: victim, ingress: 1, res_id: 0, generation: 0, fee: 100 };
-        assert!(cp.request_renewal(mallory, as_account, req).is_err());
+        assert!(cp.request_renewals(mallory, as_account, vec![req]).is_err());
     }
 }

@@ -26,7 +26,7 @@ use std::ops::Range;
 /// The decrypted payload of a reservation delivery: the data-plane
 /// parameters plus the authentication key `A_K`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReservationPayload {
+pub(crate) struct ReservationPayload {
     /// The reservation description authenticated on the data plane.
     pub res_info: ResInfo,
     /// The 16-byte reservation authentication key.
@@ -35,7 +35,7 @@ pub struct ReservationPayload {
 
 impl ReservationPayload {
     /// Serializes the payload for sealing.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u16(self.res_info.ingress);
         w.u16(self.res_info.egress);
@@ -48,7 +48,7 @@ impl ReservationPayload {
     }
 
     /// Parses a sealed payload after decryption.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(bytes);
         let p = ReservationPayload {
             res_info: ResInfo {
@@ -193,7 +193,7 @@ impl AsService {
     /// [`Self::align_with_shard_map`]). Ranges are clamped to the
     /// service's `res_id_cap` so the policing-array bound holds per
     /// interface regardless of the dataplane's slot count.
-    pub fn set_shard_ranges(&mut self, ranges: Vec<Range<u32>>) {
+    pub(crate) fn set_shard_ranges(&mut self, ranges: Vec<Range<u32>>) {
         let cap = self.res_id_cap;
         self.shard_ranges = ranges.into_iter().map(|r| r.start.min(cap)..r.end.min(cap)).collect();
         if self.shard_ranges.is_empty() {
@@ -224,7 +224,7 @@ impl AsService {
     }
 
     /// Produces the PKI possession proof for registration.
-    pub fn registration_proof<R: Rng + ?Sized>(&self, rng: &mut R) -> Signature {
+    pub(crate) fn registration_proof<R: Rng + ?Sized>(&self, rng: &mut R) -> Signature {
         crate::pki::sign_registration(&self.cert_key, self.as_id, self.account, rng)
     }
 
@@ -255,20 +255,6 @@ impl AsService {
     /// Reservations this AS has granted so far.
     pub fn issued(&self) -> &[IssuedReservation] {
         &self.issued
-    }
-
-    /// Highest ResID in use on `ingress` (policing-array sizing).
-    pub fn res_id_high_water(&self, ingress: u16) -> Option<u32> {
-        self.allocators.get(&ingress).and_then(|a| a.high_water())
-    }
-
-    /// Recycles ResIDs of reservations that have expired by `now`, and
-    /// drops their renewal-table entries.
-    pub fn expire_reservations(&mut self, now: u64) {
-        for alloc in self.allocators.values_mut() {
-            alloc.release_expired(now);
-        }
-        self.renewals.retain(|_, e| !e.interval.expired_at(now));
     }
 
     /// Serves every pending redeem request addressed to this AS: assigns a

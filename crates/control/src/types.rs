@@ -9,19 +9,19 @@ use hummingbird_wire::IsdAs;
 /// Type tag of bandwidth assets.
 pub const TAG_ASSET: &str = "hummingbird::asset::BandwidthAsset";
 /// Type tag of AS authorization tokens.
-pub const TAG_AUTH_TOKEN: &str = "hummingbird::asset::AuthToken";
+pub(crate) const TAG_AUTH_TOKEN: &str = "hummingbird::asset::AuthToken";
 /// Type tag of redeem requests.
-pub const TAG_REDEEM: &str = "hummingbird::asset::RedeemRequest";
+pub(crate) const TAG_REDEEM: &str = "hummingbird::asset::RedeemRequest";
 /// Type tag of encrypted reservation deliveries.
-pub const TAG_DELIVERY: &str = "hummingbird::asset::EncryptedReservation";
+pub(crate) const TAG_DELIVERY: &str = "hummingbird::asset::EncryptedReservation";
 /// Type tag of the marketplace shared object.
-pub const TAG_MARKET: &str = "hummingbird::market::Marketplace";
+pub(crate) const TAG_MARKET: &str = "hummingbird::market::Marketplace";
 /// Type tag of seller registrations.
-pub const TAG_SELLER: &str = "hummingbird::market::Seller";
+pub(crate) const TAG_SELLER: &str = "hummingbird::market::Seller";
 /// Type tag of listings.
-pub const TAG_LISTING: &str = "hummingbird::market::Listing";
+pub(crate) const TAG_LISTING: &str = "hummingbird::market::Listing";
 /// Type tag of the simulated Sui gas coin mutated by every transaction.
-pub const TAG_GAS_COIN: &str = "sui::coin::Coin<SUI>";
+pub(crate) const TAG_GAS_COIN: &str = "sui::coin::Coin<SUI>";
 
 /// Whether an asset reserves an interface as ingress or egress.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -161,14 +161,14 @@ impl BandwidthAsset {
 
 /// Authorization token minted at AS registration (§4.2, "AS Registration").
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AuthToken {
+pub(crate) struct AuthToken {
     /// The AS this token authorizes to issue assets.
     pub as_id: IsdAs,
 }
 
 impl AuthToken {
     /// Serializes the token.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u16(self.as_id.isd);
         w.u64(self.as_id.asn);
@@ -176,7 +176,7 @@ impl AuthToken {
     }
 
     /// Parses the token.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(bytes);
         let t = AuthToken { as_id: IsdAs::new(r.u16()?, r.u64()?) };
         r.finish()?;

@@ -37,7 +37,7 @@
 //! # Batch entry points
 //!
 //! [`Aes128::encrypt_blocks`] (one key, many blocks) and
-//! [`Aes128::encrypt_blocks_per_key`] (one key *per* block — the shape of
+//! `Aes128::encrypt_blocks_with` (one key *per* block — the shape of
 //! a per-burst flyover-tag sweep, where every packet authenticates under
 //! its own `A_i`) keep 4 (software) or 8 (AES-NI) independent blocks in
 //! flight so the pipelined `AESENC` units / overlapping table loads are
@@ -45,7 +45,7 @@
 //! the per-burst key derivations. Both are bit-for-bit identical to the
 //! single-block loop.
 //!
-//! [`Aes128::derive_and_encrypt_blocks`] is the fused kernel for keys
+//! `Aes128::derive_and_encrypt_blocks` is the fused kernel for keys
 //! that live for one block: it derives block `i`'s key through a chain
 //! of `k` levels that starts under this cipher and encrypts the block
 //! under the last one, computing each derived key's schedule round by
@@ -61,9 +61,9 @@
 use std::sync::OnceLock;
 
 /// The AES block size in bytes.
-pub const BLOCK_SIZE: usize = 16;
+pub(crate) const BLOCK_SIZE: usize = 16;
 /// The AES-128 key size in bytes.
-pub const KEY_SIZE: usize = 16;
+pub(crate) const KEY_SIZE: usize = 16;
 /// Number of round keys for AES-128 (10 rounds + initial whitening).
 const ROUND_KEYS: usize = 11;
 /// Round-key words (4 per round key).
@@ -289,7 +289,7 @@ impl Aes128 {
         }
     }
 
-    /// Encrypts `blocks[i]` under `ciphers[i]` for every `i`, with the
+    /// Encrypts `blocks[i]` under `cipher_at(i)` for every `i`, with the
     /// same interleaving as [`encrypt_blocks`](Aes128::encrypt_blocks).
     ///
     /// This is the shape of a per-burst tag sweep: every packet of a
@@ -297,26 +297,16 @@ impl Aes128 {
     /// blocks are still independent, so they pipeline just as well as a
     /// single-key batch. Backend-homogeneous groups (the only case that
     /// occurs in practice — the backend is process-wide) take the wide
-    /// kernels; mixed groups fall back to per-block encryption.
-    ///
-    /// # Panics
-    ///
-    /// If `ciphers.len() != blocks.len()`.
-    pub fn encrypt_blocks_per_key(ciphers: &[&Aes128], blocks: &mut [[u8; BLOCK_SIZE]]) {
-        assert_eq!(ciphers.len(), blocks.len(), "one cipher per block");
-        Self::encrypt_blocks_with(|i| ciphers[i], blocks);
-    }
-
-    /// [`encrypt_blocks_per_key`](Aes128::encrypt_blocks_per_key) with
-    /// the per-block cipher resolved through `cipher_at(i)` instead of a
-    /// materialized slice — hot batch paths that already hold their keys
-    /// in an index structure avoid building (and allocating) a
-    /// reference vector per burst. `cipher_at` must be a pure index
-    /// lookup: it may be called more than once per index (the interleave
-    /// kernels probe a group's backends before committing to a wide
-    /// pass), in ascending order within each group.
+    /// kernels; mixed groups fall back to per-block encryption. The cipher
+    /// is resolved through `cipher_at(i)` instead of a materialized slice,
+    /// so hot batch paths that already hold their keys in an index
+    /// structure build (and allocate) no reference vector per burst.
+    /// `cipher_at` must be a pure index lookup: it may be called more than
+    /// once per index (the interleave kernels probe a group's backends
+    /// before committing to a wide pass), in ascending order within each
+    /// group.
     #[allow(unsafe_code)] // `Keys::Ni` implies runtime-detected AES-NI
-    pub fn encrypt_blocks_with<'a>(
+    pub(crate) fn encrypt_blocks_with<'a>(
         cipher_at: impl Fn(usize) -> &'a Aes128,
         blocks: &mut [[u8; BLOCK_SIZE]],
     ) {
@@ -378,7 +368,7 @@ impl Aes128 {
     /// If `chains.len() != blocks.len()`, or a chain is empty or of
     /// another length than the first.
     #[allow(unsafe_code)] // `Keys::Ni` implies runtime-detected AES-NI
-    pub fn derive_and_encrypt_blocks<C: AsRef<[[u8; BLOCK_SIZE]]>>(
+    pub(crate) fn derive_and_encrypt_blocks<C: AsRef<[[u8; BLOCK_SIZE]]>>(
         &self,
         chains: &[C],
         blocks: &mut [[u8; BLOCK_SIZE]],
@@ -1136,7 +1126,7 @@ mod tests {
                 let mut batch: Vec<[u8; 16]> = (0..n).map(|i| [0xA0 ^ i as u8; 16]).collect();
                 let expected: Vec<[u8; 16]> =
                     batch.iter().zip(&refs).map(|(b, c)| c.encrypt(b)).collect();
-                Aes128::encrypt_blocks_per_key(&refs, &mut batch);
+                Aes128::encrypt_blocks_with(|i| refs[i], &mut batch);
                 assert_eq!(batch, expected, "{backend:?}: per-key batch of {n} diverged");
             }
         }
@@ -1152,15 +1142,8 @@ mod tests {
         let mut batch: Vec<[u8; 16]> = (0..12).map(|i| [i as u8; 16]).collect();
         let expected: Vec<[u8; 16]> =
             batch.iter().zip(&refs).map(|(blk, c)| c.encrypt(blk)).collect();
-        Aes128::encrypt_blocks_per_key(&refs, &mut batch);
+        Aes128::encrypt_blocks_with(|i| refs[i], &mut batch);
         assert_eq!(batch, expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "one cipher per block")]
-    fn encrypt_blocks_per_key_checks_lengths() {
-        let c = Aes128::new(&[1; 16]);
-        Aes128::encrypt_blocks_per_key(&[&c], &mut []);
     }
 
     proptest! {

@@ -46,7 +46,7 @@ impl Cmac {
     }
 
     /// Creates a CMAC instance from an already-expanded cipher.
-    pub fn from_cipher(cipher: Aes128) -> Self {
+    pub(crate) fn from_cipher(cipher: Aes128) -> Self {
         let l = cipher.encrypt(&[0u8; BLOCK_SIZE]);
         let k1 = dbl(&l);
         let k2 = dbl(&k1);
@@ -123,14 +123,6 @@ impl Cmac {
             }
         }
         self.cipher.encrypt_blocks(blocks);
-    }
-
-    /// Computes the CMAC truncated to `len` bytes (`len <= 16`).
-    ///
-    /// The paper truncates packet tags to `ℓ_tag = 6` bytes (§5.4).
-    pub fn mac_truncated(&self, msg: &[u8], len: usize) -> Vec<u8> {
-        assert!(len <= BLOCK_SIZE, "truncation length exceeds block size");
-        self.mac(msg)[..len].to_vec()
     }
 }
 
@@ -239,19 +231,5 @@ mod tests {
         cmac.mac_blocks(&mut blocks);
         assert_eq!(blocks, expected);
         assert_eq!(blocks[0].to_vec(), hex("070a16b46b4d4144f79bdd9dd04a287c"), "RFC 4493 ex. 2");
-    }
-
-    #[test]
-    fn truncation_is_prefix() {
-        let cmac = Cmac::new(&[9u8; 16]);
-        let full = cmac.mac(b"hello world");
-        let trunc = cmac.mac_truncated(b"hello world", 6);
-        assert_eq!(&full[..6], trunc.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "truncation length")]
-    fn truncation_length_checked() {
-        Cmac::new(&[0u8; 16]).mac_truncated(b"x", 17);
     }
 }

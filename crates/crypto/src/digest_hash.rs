@@ -5,32 +5,31 @@
 //! hash or a PRF that nobody can steer, that protection is already in the
 //! key: any eight of its bytes are a uniform hash. [`DigestHasher`] takes
 //! the first eight bytes it is given and stops.
-//!
-//! ## Which keys may be hashed this way
-//!
-//! * **SHA-256 outputs** the ledger derives — object IDs and addresses.
-//!   Choosing two that collide in 64 bits means finding a SHA-256 partial
-//!   collision on inputs the ledger, not the peer, assembles.
-//! * **Reservation authentication keys `A_K = PRF_SV(ResInfo)`** (Eq. 2)
-//!   as a border router derives them. AES under `SV` is a permutation, so
-//!   `A_K` identifies its `ResInfo` exactly as well as the `ResInfo`
-//!   itself, and without `SV` nobody can predict which bytes a `ResInfo`
-//!   maps to.
-//!
-//! ## Which keys must not
-//!
-//! Anything a peer picks freely: a [`ResInfo`](crate::ResInfo) read off a
-//! packet, the baselines' `(source AS, host, epoch)` tuples, an ID or
-//! address built from wire bytes instead of derived. Those stay on std's
-//! hasher. Fed to these tables they give no wrong answer, but an attacker
-//! can put every key into one bucket and make each probe O(n).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hasher for keys that are digests or PRF outputs: XORs in the first
-/// eight bytes of each `write` (see the [module docs](self) for which
-/// keys qualify).
+/// eight bytes of each `write`.
+///
+/// # Which keys may be hashed this way
+///
+/// * **SHA-256 outputs** the ledger derives — object IDs and addresses.
+///   Choosing two that collide in 64 bits means finding a SHA-256 partial
+///   collision on inputs the ledger, not the peer, assembles.
+/// * **Reservation authentication keys `A_K = PRF_SV(ResInfo)`** (Eq. 2)
+///   as a border router derives them. AES under `SV` is a permutation, so
+///   `A_K` identifies its `ResInfo` exactly as well as the `ResInfo`
+///   itself, and without `SV` nobody can predict which bytes a `ResInfo`
+///   maps to.
+///
+/// # Which keys must not
+///
+/// Anything a peer picks freely: a [`ResInfo`](crate::ResInfo) read off a
+/// packet, the baselines' `(source AS, host, epoch)` tuples, an ID or
+/// address built from wire bytes instead of derived. Those stay on std's
+/// hasher. Fed to these tables they give no wrong answer, but an attacker
+/// can put every key into one bucket and make each probe O(n).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DigestHasher(u64);
 
@@ -60,7 +59,7 @@ impl Hasher for DigestHasher {
 
 /// The [`BuildHasher`](std::hash::BuildHasher) of [`DigestMap`] and
 /// [`DigestSet`].
-pub type DigestState = BuildHasherDefault<DigestHasher>;
+pub(crate) type DigestState = BuildHasherDefault<DigestHasher>;
 /// A hash map keyed by a digest.
 pub type DigestMap<K, V> = HashMap<K, V, DigestState>;
 /// A hash set of digests.

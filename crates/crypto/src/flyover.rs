@@ -167,7 +167,7 @@ impl SecretValue {
 }
 
 /// The flyover tag `V_K` of one packet whose key comes out of `chain`
-/// under `root` ([`Aes128::derive_and_encrypt_blocks`], one lane): equal
+/// under `root` (`Aes128::derive_and_encrypt_blocks`, one lane): equal
 /// to deriving every level with `Aes128::new(..).encrypt(..)` and calling
 /// [`AuthKey::flyover_mac`] under the last key, without storing any
 /// derived key's schedule.
@@ -263,7 +263,7 @@ impl AuthKey {
 /// AES pass: `keys[i]` authenticates `inputs[i]`.
 ///
 /// Each packet of a burst carries its own reservation key, so this is a
-/// *multi-key* sweep — [`Aes128::encrypt_blocks_per_key`] still keeps
+/// *multi-key* sweep — `Aes128::encrypt_blocks_with` still keeps
 /// 4-8 independent blocks in flight (the per-block keys change which
 /// round key each lane loads, not the data-flow shape), which is how the
 /// paper's DPDK router amortizes the per-packet tag computation across a

@@ -44,16 +44,9 @@ impl Hmac {
     }
 }
 
-/// Computes HMAC-SHA-256 over `msg` with `key` (any length).
-pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
-    let mut h = Hmac::new(key);
-    h.update(msg);
-    h.finalize()
-}
-
 /// Simple HKDF-like expansion: fills `out` with 32-byte blocks
 /// `T(i) = HMAC(key, T(i-1) ∥ info ∥ i)`, all under one key schedule.
-pub fn kdf_expand(key: &[u8], info: &[u8], out: &mut [u8]) {
+pub(crate) fn kdf_expand(key: &[u8], info: &[u8], out: &mut [u8]) {
     let keyed = Hmac::new(key);
     let mut counter = 1u8;
     let mut block = [0u8; 32];
@@ -71,7 +64,7 @@ pub fn kdf_expand(key: &[u8], info: &[u8], out: &mut [u8]) {
 }
 
 /// Constant-time byte-slice equality (length must match).
-pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
+pub(crate) fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }
@@ -85,6 +78,12 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
+        let mut h = Hmac::new(key);
+        h.update(msg);
+        h.finalize()
+    }
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len() / 2).map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).unwrap()).collect()

@@ -7,17 +7,17 @@
 //!
 //! * [`aes`] — AES-128 (FIPS-197), the paper's PRF instantiation (§7.1).
 //! * [`cmac`] — AES-CMAC (RFC 4493), the variable-length PRF/MAC.
-//! * [`sha256`] / [`hmac`] — SHA-256 and HMAC-SHA-256 (ledger digests, KDF).
+//! * [`sha256`] / `hmac` — SHA-256 and HMAC-SHA-256 (ledger digests, KDF).
 //! * [`sig`] — Schnorr signatures + DH over a 127-bit Schnorr group
 //!   (demo-grade PKI substitute; see ARCHITECTURE.md, "Schnorr-group
 //!   substitution").
 //! * [`sealed`] — ECIES-style sealed boxes for reservation delivery (§4.2).
-//! * [`flyover`] — the Hummingbird derivations: `A_K` (Eq. 2), the 6-byte
+//! * `flyover` — the Hummingbird derivations: `A_K` (Eq. 2), the 6-byte
 //!   per-packet flyover MAC (Eq. 3/7a) and the aggregate MAC (Eq. 6), and
 //!   the fused pass that derives a packet's key through a chain of AES
 //!   levels — `A_K`, or a baseline's DRKey chain — and tags the packet
 //!   without storing a key schedule.
-//! * [`digest_hash`] — hash tables keyed by digests and PRF outputs, and
+//! * `digest_hash` — hash tables keyed by digests and PRF outputs, and
 //!   the argument for which keys may skip SipHash.
 //! * [`prefetch`] — a non-blocking cache hint for per-burst state that
 //!   sits outside the crypto (the border router's policer slots).
@@ -29,20 +29,21 @@
 // This crate holds every `std::arch` intrinsic of the workspace; the
 // other crates forbid `unsafe` outright.
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod aes;
 pub mod cmac;
-pub mod digest_hash;
-pub mod flyover;
-pub mod hmac;
+mod digest_hash;
+mod flyover;
+mod hmac;
 pub mod sealed;
 pub mod sha256;
 pub mod sig;
 
 pub use aes::{active_backend, ni_available, AesBackend};
-pub use digest_hash::{DigestHasher, DigestMap, DigestSet, DigestState};
+pub use digest_hash::{DigestHasher, DigestMap, DigestSet};
 pub use flyover::{
     aggregate_mac, chained_flyover_tag, chained_flyover_tags, flyover_tags_batch,
     flyover_tags_batch_with, AuthKey, AuthKeyCache, FlyoverMacInput, ResInfo, SecretValue, Tag,

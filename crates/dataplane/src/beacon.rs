@@ -24,7 +24,7 @@ pub struct BeaconHop {
 
 /// Default hop-field expiry byte (SCION encodes expiry in units of
 /// 24h/256 = 337.5 s relative to the info-field timestamp; 63 ≈ 6 h).
-pub const DEFAULT_EXP_TIME: u8 = 63;
+pub(crate) const DEFAULT_EXP_TIME: u8 = 63;
 
 /// Absolute expiry of a hop field in Unix seconds (SCION rule:
 /// `Timestamp + (1 + ExpTime) · 337.5 s`).

@@ -21,28 +21,28 @@
 //!
 //! # Example
 //!
-//! Engines are constructed either directly (`BorderRouter::new`) or
-//! through [`DatapathBuilder`], which composes the pipeline stages
-//! explicitly, and are driven through the trait.
+//! Engines are constructed directly — here the Hummingbird router from
+//! the AS's secrets and a [`RouterConfig`](crate::RouterConfig), whose
+//! fields set each pipeline stage's parameters — and are driven through
+//! the trait.
 //!
 //! ```
-//! use hummingbird_dataplane::{Datapath, DatapathBuilder, PacketBuf, Verdict};
+//! use hummingbird_dataplane::{BorderRouter, Datapath, PacketBuf, RouterConfig, Verdict};
 //! use hummingbird_crypto::SecretValue;
 //! use hummingbird_wire::scion_mac::HopMacKey;
 //!
-//! let mut router = DatapathBuilder::new(SecretValue::new([6; 16]), HopMacKey::new([1; 16]))
-//!     .policing(100_000, 50_000_000)
-//!     .duplicate_suppression(false)
-//!     .build();
+//! let cfg = RouterConfig {
+//!     policer_slots: 100_000,
+//!     burst_time_ns: 50_000_000,
+//!     duplicate_suppression: false,
+//!     ..RouterConfig::default()
+//! };
+//! let mut router = BorderRouter::new(SecretValue::new([6; 16]), HopMacKey::new([1; 16]), cfg);
 //! let mut junk = PacketBuf::new(vec![0u8; 64]);
 //! let mut verdicts = Vec::new();
 //! router.process_batch(std::slice::from_mut(&mut junk), 1_700_000_000_000_000_000, &mut verdicts);
 //! assert!(matches!(verdicts[0], Verdict::Drop(_)));
 //! ```
-
-use crate::router::{BorderRouter, RouterConfig};
-use hummingbird_crypto::SecretValue;
-use hummingbird_wire::scion_mac::HopMacKey;
 
 /// Why a packet was dropped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -211,8 +211,8 @@ impl From<Vec<u8>> for PacketBuf {
 
 /// The unified packet-processing interface.
 ///
-/// Implemented by [`BorderRouter`] — for every engine family: the
-/// Hummingbird router and, in `hummingbird-baselines`, its Helia, DRKey
+/// Implemented by [`BorderRouter`](crate::BorderRouter) — for every
+/// engine family: the Hummingbird router and, in `hummingbird-baselines`, its Helia, DRKey
 /// and EPIC instances (`HeliaDatapath`, `DrKeyDatapath`,
 /// `EpicDatapath`) — and by [`crate::Gateway`]. Harnesses — the network simulator, the end-to-end
 /// testbed, the multi-queue runtime, every benchmark binary — drive
@@ -226,7 +226,8 @@ impl From<Vec<u8>> for PacketBuf {
 ///
 /// ```
 /// use hummingbird_dataplane::{
-///     forge_path, BeaconHop, Datapath, DatapathBuilder, SourceGenerator, SourceReservation,
+///     forge_path, BeaconHop, BorderRouter, Datapath, RouterConfig, SourceGenerator,
+///     SourceReservation,
 /// };
 /// use hummingbird_crypto::{ResInfo, SecretValue};
 /// use hummingbird_wire::scion_mac::HopMacKey;
@@ -235,8 +236,8 @@ impl From<Vec<u8>> for PacketBuf {
 /// let now_s = 1_700_000_000u64;
 /// let (sv, hop_key) = (SecretValue::new([6; 16]), HopMacKey::new([1; 16]));
 ///
-/// // The AS's border router, composed from the default pipeline stages.
-/// let mut router = DatapathBuilder::new(sv.clone(), hop_key.clone()).build();
+/// // The AS's border router, with the default stage parameters.
+/// let mut router = BorderRouter::new(sv.clone(), hop_key.clone(), RouterConfig::default());
 ///
 /// // A source holding a beaconed one-hop path and a reservation key.
 /// let hops = [BeaconHop { key: hop_key, cons_ingress: 0, cons_egress: 0 }];
@@ -362,79 +363,12 @@ impl Datapath for NullEngine {
     }
 }
 
-/// Builds a [`BorderRouter`] by composing the pipeline stages explicitly.
-///
-/// The pipeline is fixed in order — parse → flyover MAC re-derivation →
-/// freshness → hop-field MAC verify → (optional) duplicate suppression →
-/// header mutation → policing (see [`crate::router::stages`]) — and each
-/// stage's parameters are set here instead of through a bag-of-fields
-/// config. `RouterConfig` remains available for bulk configuration via
-/// [`DatapathBuilder::config`].
-#[derive(Clone, Debug)]
-pub struct DatapathBuilder {
-    sv: SecretValue,
-    hop_key: HopMacKey,
-    cfg: RouterConfig,
-}
-
-impl DatapathBuilder {
-    /// Starts a builder with the AS's data-plane secrets and default
-    /// stage parameters.
-    pub fn new(sv: SecretValue, hop_key: HopMacKey) -> Self {
-        DatapathBuilder { sv, hop_key, cfg: RouterConfig::default() }
-    }
-
-    /// Bulk-applies a [`RouterConfig`].
-    pub fn config(mut self, cfg: RouterConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Freshness stage: maximum packet age Δ in milliseconds.
-    pub fn max_packet_age_ms(mut self, ms: u64) -> Self {
-        self.cfg.max_packet_age_ms = ms;
-        self
-    }
-
-    /// Freshness stage: maximum clock skew δ in milliseconds.
-    pub fn max_clock_skew_ms(mut self, ms: u64) -> Self {
-        self.cfg.max_clock_skew_ms = ms;
-        self
-    }
-
-    /// Policing stage: ResID slot count and burst budget.
-    pub fn policing(mut self, slots: u32, burst_ns: u64) -> Self {
-        self.cfg.policer_slots = slots;
-        self.cfg.burst_time_ns = burst_ns;
-        self
-    }
-
-    /// Toggles the optional duplicate-suppression stage (§5.4).
-    pub fn duplicate_suppression(mut self, enabled: bool) -> Self {
-        self.cfg.duplicate_suppression = enabled;
-        self
-    }
-
-    /// The assembled configuration.
-    pub fn router_config(&self) -> RouterConfig {
-        self.cfg
-    }
-
-    /// Builds the router.
-    pub fn build(self) -> BorderRouter {
-        BorderRouter::new(self.sv, self.hop_key, self.cfg)
-    }
-
-    /// Builds the router type-erased, ready for heterogeneous engine
-    /// collections (e.g. the simulator's nodes).
-    pub fn build_boxed(self) -> Box<dyn Datapath + Send> {
-        Box::new(self.build())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::{BorderRouter, RouterConfig};
+    use hummingbird_crypto::SecretValue;
+    use hummingbird_wire::scion_mac::HopMacKey;
 
     #[test]
     fn packet_buf_resets_header_only() {
@@ -462,23 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_composes_stage_parameters() {
-        let b = DatapathBuilder::new(SecretValue::new([1; 16]), HopMacKey::new([2; 16]))
-            .max_packet_age_ms(2_000)
-            .max_clock_skew_ms(250)
-            .policing(64, 10_000_000)
-            .duplicate_suppression(true);
-        let cfg = b.router_config();
-        assert_eq!(cfg.max_packet_age_ms, 2_000);
-        assert_eq!(cfg.max_clock_skew_ms, 250);
-        assert_eq!(cfg.policer_slots, 64);
-        assert_eq!(cfg.burst_time_ns, 10_000_000);
-        assert!(cfg.duplicate_suppression);
-        let router = b.build();
-        assert_eq!(router.engine_name(), "hummingbird");
-    }
-
-    #[test]
     fn null_engine_forwards_everything_best_effort() {
         let mut null = NullEngine::new();
         let v = null.process(&mut [0u8; 8], 0);
@@ -495,8 +412,11 @@ mod tests {
 
     #[test]
     fn default_batch_is_sequential() {
-        let mut router =
-            DatapathBuilder::new(SecretValue::new([6; 16]), HopMacKey::new([1; 16])).build_boxed();
+        let mut router: Box<dyn Datapath> = Box::new(BorderRouter::new(
+            SecretValue::new([6; 16]),
+            HopMacKey::new([1; 16]),
+            RouterConfig::default(),
+        ));
         let mut batch: Vec<PacketBuf> = (0..4).map(|i| PacketBuf::new(vec![i as u8; 32])).collect();
         let mut out = Vec::new();
         router.process_batch(&mut batch, 1, &mut out);

@@ -15,11 +15,11 @@ use std::collections::HashSet;
 
 /// A packet identity: `(BaseTimestamp, MillisTimestamp, Counter)` plus the
 /// source-identifying flow information the AS chooses to scope by.
-pub type PacketId = (u32, u16, u16, u64);
+pub(crate) type PacketId = (u32, u16, u16, u64);
 
 /// Two-epoch duplicate suppressor.
 #[derive(Clone, Debug)]
-pub struct DuplicateSuppressor {
+pub(crate) struct DuplicateSuppressor {
     current: HashSet<PacketId>,
     previous: HashSet<PacketId>,
     epoch_len_ns: u64,
@@ -31,7 +31,7 @@ pub struct DuplicateSuppressor {
 
 impl DuplicateSuppressor {
     /// Creates a suppressor whose entries survive at least `window_ns`.
-    pub fn new(window_ns: u64, max_entries: usize) -> Self {
+    pub(crate) fn new(window_ns: u64, max_entries: usize) -> Self {
         DuplicateSuppressor {
             current: HashSet::new(),
             previous: HashSet::new(),
@@ -53,7 +53,7 @@ impl DuplicateSuppressor {
     }
 
     /// Records `id`; returns `true` if it was seen before (a duplicate).
-    pub fn check_and_insert(&mut self, id: PacketId, now_ns: u64) -> bool {
+    pub(crate) fn check_and_insert(&mut self, id: PacketId, now_ns: u64) -> bool {
         self.rotate_if_needed(now_ns);
         if self.current.contains(&id) || self.previous.contains(&id) {
             return true;
@@ -63,16 +63,6 @@ impl DuplicateSuppressor {
         }
         false
     }
-
-    /// Number of tracked identities.
-    pub fn len(&self) -> usize {
-        self.current.len() + self.previous.len()
-    }
-
-    /// Whether nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty() && self.previous.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -80,6 +70,11 @@ mod tests {
     use super::*;
 
     const MS: u64 = 1_000_000;
+
+    /// Number of tracked identities.
+    fn tracked(d: &DuplicateSuppressor) -> usize {
+        d.current.len() + d.previous.len()
+    }
 
     #[test]
     fn detects_duplicates_within_window() {
@@ -113,7 +108,7 @@ mod tests {
         for i in 0..1000u16 {
             d.check_and_insert((0, 0, i, 0), 0);
         }
-        assert!(d.len() <= 100);
+        assert!(tracked(&d) <= 100);
     }
 
     #[test]
@@ -121,8 +116,8 @@ mod tests {
         let mut d = DuplicateSuppressor::new(1000 * MS, 1 << 16);
         d.check_and_insert((1, 0, 0, 0), 0);
         d.check_and_insert((2, 0, 0, 0), 100 * MS);
-        assert_eq!(d.len(), 2);
+        assert_eq!(tracked(&d), 2);
         d.check_and_insert((3, 0, 0, 0), 10_000 * MS);
-        assert!(d.len() <= 2);
+        assert!(tracked(&d) <= 2);
     }
 }

@@ -16,7 +16,7 @@ use hummingbird_wire::common::{AddressHeader, CommonHeader, COMMON_HDR_LEN};
 use std::collections::HashMap;
 
 /// Identifier of an internal host behind the gateway.
-pub type HostId = u32;
+pub(crate) type HostId = u32;
 
 /// Admission decision for one host packet.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,16 +84,6 @@ impl Gateway {
         self.hosts.insert(host, HostState { share, deadline: 0 });
     }
 
-    /// Removes a host.
-    pub fn evict_host(&mut self, host: HostId) {
-        self.hosts.remove(&host);
-    }
-
-    /// Number of admitted hosts.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
-    }
-
     /// The admission decision shared by [`Gateway::send`] and the
     /// [`Datapath`] impl: both the host's share and the aggregate token
     /// bucket must admit `wire_len` bytes at `now_ns` (Algorithm 1 run
@@ -150,7 +140,7 @@ impl Gateway {
 /// The gateway as a [`Datapath`] engine: it processes *already serialized*
 /// packets arriving from internal hosts on their way onto the reserved
 /// uplink. The host is identified by the packet's source host address
-/// (`AddressHeader::src_host`, big-endian `u32` = [`HostId`]); the verdict
+/// (`AddressHeader::src_host`, big-endian `u32` = `HostId`); the verdict
 /// classifies the packet onto the reservation ([`Verdict::Flyover`]) or
 /// demotes it locally ([`Verdict::BestEffort`]) — in both cases through
 /// egress interface 0, the gateway's single WAN uplink.
@@ -289,16 +279,6 @@ mod tests {
         }
         // At most BurstTime worth of aggregate-rate traffic instantly.
         assert!(reserved_bits <= 1_000 * 50 + 10_000, "aggregate exceeded: {reserved_bits}");
-    }
-
-    #[test]
-    fn eviction_takes_effect() {
-        let mut gw = make_gateway(10_000);
-        gw.admit_host(1, HostShare { rate_kbps: 5_000 });
-        assert!(matches!(gw.send(1, &[0u8; 100], NOW_NS), GatewayVerdict::Reserved(_)));
-        gw.evict_host(1);
-        assert!(matches!(gw.send(1, &[0u8; 100], NOW_NS), GatewayVerdict::BestEffort(_)));
-        assert_eq!(gw.host_count(), 0);
     }
 
     #[test]

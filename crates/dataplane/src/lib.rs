@@ -10,10 +10,10 @@
 //! * [`policing`] — deterministic token-bucket policing (Algorithm 1): one
 //!   8-byte deadline per ResID, a global `BurstTime`, overuse demoted to
 //!   best effort (never dropped).
-//! * [`source`] — the traffic generator: stamps per-packet timestamps and
+//! * `source` — the traffic generator: stamps per-packet timestamps and
 //!   computes flyover MACs for every reserved hop.
 //! * [`beacon`] — forges valid SCION paths (the beaconing substitute).
-//! * [`dup`] — optional duplicate suppression (§5.4 ablation).
+//! * `dup` — optional duplicate suppression (§5.4 ablation).
 //! * [`runtime`] — the sharded multi-queue runtime and the one way to
 //!   run engines on cores ([`run_to_completion`]): an RSS-style flow
 //!   hash splits the workload into per-shard rx queues so each
@@ -21,37 +21,36 @@
 //!   feeds its bursts straight to its engine and its own tx scheduler,
 //!   and the [`ShardedRouter`] facade exposes the whole thing as a
 //!   single [`Datapath`] engine.
-//! * [`datapath`] — the unified batch-oriented [`Datapath`] trait that
+//! * `datapath` — the unified batch-oriented [`Datapath`] trait that
 //!   every packet-processing engine (router, gateway, baselines)
 //!   implements, plus the shared [`Verdict`]/[`DropReason`]/
-//!   [`DatapathStats`] vocabulary, the [`DatapathBuilder`], and the
-//!   [`NullEngine`] calibration engine.
+//!   [`DatapathStats`] vocabulary and the [`NullEngine`] calibration
+//!   engine.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 // Packet bytes decide what this crate sees: no panicking shortcuts.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod beacon;
-pub mod datapath;
-pub mod dup;
-pub mod gateway;
+mod datapath;
+mod dup;
+mod gateway;
 pub mod policing;
 pub mod router;
 pub mod runtime;
-pub mod source;
+mod source;
 
 pub use beacon::{forge_path, BeaconHop};
-pub use datapath::{
-    Datapath, DatapathBuilder, DatapathStats, DropReason, NullEngine, PacketBuf, Verdict,
-};
+pub use datapath::{Datapath, DatapathStats, DropReason, NullEngine, PacketBuf, Verdict};
 pub use gateway::{Gateway, GatewayVerdict, HostShare};
-pub use policing::{FwdClass, Policer, DEFAULT_BURST_TIME_NS};
+pub use policing::{FwdClass, Policer};
 pub use router::{BorderRouter, Class, Family, Hummingbird, RouterConfig};
 pub use runtime::{
-    run_to_completion, BackpressureConfig, BackpressurePolicy, EgressClassStats, EgressConfig,
-    EgressStats, ExecMode, LatencyHistogram, RuntimeConfig, RuntimeMode, RuntimeReport, RxMode,
-    ShardMap, ShardReport, ShardedRouter, Steering, BATCH_SIZE,
+    run_to_completion, BackpressureConfig, BackpressurePolicy, EgressConfig, EgressStats, ExecMode,
+    LatencyHistogram, RuntimeConfig, RuntimeMode, RuntimeReport, RxMode, ShardMap, ShardReport,
+    ShardedRouter, Steering, BATCH_SIZE,
 };
 pub use source::{GenError, SourceGenerator, SourceReservation};
 

@@ -38,7 +38,7 @@ pub struct Policer {
 
 /// Default `BurstTime`: 50 ms (§4.4, "a value of roughly 50 ms seems
 /// reasonable" given current router buffer trends).
-pub const DEFAULT_BURST_TIME_NS: u64 = 50_000_000;
+pub(crate) const DEFAULT_BURST_TIME_NS: u64 = 50_000_000;
 
 /// Transmission time of `pkt_len` bytes at `bw_kbps`, in nanoseconds:
 /// `PktLen / BW` of Algorithm 1 line 3.

@@ -7,9 +7,8 @@
 //! before forwarding. No allocation on the hot path.
 //!
 //! The router is driven through the [`Datapath`] trait; its pipeline is
-//! the explicit, individually testable [`stages`] the
-//! [`crate::DatapathBuilder`] documents, run in two passes (read-only,
-//! then stateful) around the burst's AES.
+//! the explicit, individually testable [`stages`] that [`BorderRouter`]
+//! runs in two passes (read-only, then stateful) around the burst's AES.
 //!
 //! Every engine family of the comparison is this one pipeline:
 //! [`BorderRouter<F>`](BorderRouter) is generic over a small [`Family`]
@@ -73,7 +72,8 @@ impl Default for RouterConfig {
 
 pub mod stages {
     //! The border-router pipeline as explicit, individually testable
-    //! stages — the decomposition [`crate::DatapathBuilder`] composes:
+    //! stages — the decomposition [`crate::BorderRouter`] runs, with the
+    //! parameters of its [`crate::RouterConfig`]:
     //!
     //! 1. [`parse`] — structural validation, header extraction, hop-field
     //!    location (Algorithm 2 prologue): each header decoded once, by
@@ -88,7 +88,7 @@ pub mod stages {
     //!    each family's rule builds on;
     //! 4. [`verify_hop_mac`] — hop-field expiry and SCION MAC
     //!    verification (Algorithm 4);
-    //! 5. [`duplicate_check`] — the optional §5.4 stage;
+    //! 5. `duplicate_check` — the optional §5.4 stage;
     //! 6. [`advance`] — in-place header mutation: SegID chaining, AggMAC
     //!    replacement, CurrHF/CurrINF advance (App. A.7), written at the
     //!    offsets [`parse`] recorded;
@@ -292,7 +292,7 @@ pub mod stages {
 
     /// The input of the current hop field's SCION MAC (Algorithm 4).
     #[inline]
-    pub fn hop_mac_input(parsed: &Parsed) -> HopMacInput {
+    pub(crate) fn hop_mac_input(parsed: &Parsed) -> HopMacInput {
         HopMacInput {
             seg_id: parsed.info.seg_id,
             timestamp: parsed.info.timestamp,
@@ -335,7 +335,7 @@ pub mod stages {
     /// Stage 5 (optional, §5.4): duplicate suppression. Runs *after*
     /// authentication so attackers cannot poison the filter with
     /// unauthenticated junk.
-    pub fn duplicate_check(
+    pub(crate) fn duplicate_check(
         dup: &mut DuplicateSuppressor,
         parsed: &Parsed,
         now_ns: u64,
@@ -575,11 +575,11 @@ impl RouterState {
 /// A border router of one AS, of engine family `F` — by default the
 /// Hummingbird router.
 ///
-/// Constructed directly ([`BorderRouter::new`], [`BorderRouter::with_family`])
-/// or through [`crate::DatapathBuilder`]; driven through the [`Datapath`]
-/// trait. It keeps no key state: every flyover packet's key is derived
-/// through `F`'s chain, scheduled on the fly and used in one fused AES
-/// pass, so a forged packet leaves nothing behind.
+/// Constructed with [`BorderRouter::new`] or [`BorderRouter::with_family`]
+/// from a [`RouterConfig`]; driven through the [`Datapath`] trait. It
+/// keeps no key state: every flyover packet's key is derived through
+/// `F`'s chain, scheduled on the fly and used in one fused AES pass, so a
+/// forged packet leaves nothing behind.
 pub struct BorderRouter<F: Family = Hummingbird> {
     family: F,
     hop_key: HopMacKey,

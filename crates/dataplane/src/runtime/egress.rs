@@ -110,7 +110,7 @@ impl Default for BackpressureConfig {
     }
 }
 
-/// A log₂-bucketed latency histogram: [`Self::BUCKETS`] power-of-two
+/// A log₂-bucketed latency histogram: `Self::BUCKETS` power-of-two
 /// buckets cover the full `u64` nanosecond range — real-socket runs see
 /// multi-second scheduler stalls, which a 32-bucket (~2.1 s cap)
 /// histogram used to silently flatten — in 520 bytes of `Copy` state.
@@ -137,7 +137,7 @@ impl Default for LatencyHistogram {
 impl LatencyHistogram {
     /// Bucket count: one per bit of a `u64` sample, so `bucket_of` never
     /// clamps a representable latency into a smaller bucket.
-    pub const BUCKETS: usize = 64;
+    pub(crate) const BUCKETS: usize = 64;
 
     fn bucket_of(ns: u64) -> usize {
         if ns == 0 {
@@ -192,7 +192,7 @@ impl LatencyHistogram {
     }
 
     /// Folds another histogram into this one (saturating).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
+    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
         self.count = self.count.saturating_add(other.count);
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b = b.saturating_add(*o);
@@ -245,7 +245,7 @@ impl EgressClassStats {
     /// Folds another shard's class counters into this one: counts and
     /// residence sums add (saturating), the max residence is the max of
     /// maxes.
-    pub fn merge(&mut self, other: &EgressClassStats) {
+    pub(crate) fn merge(&mut self, other: &EgressClassStats) {
         self.pkts += other.pkts;
         self.bytes += other.bytes;
         self.residence_ns_sum = self.residence_ns_sum.saturating_add(other.residence_ns_sum);
@@ -286,7 +286,7 @@ impl EgressStats {
     /// Folds another shard's egress statistics into this one — how the
     /// multi-queue runtime aggregates its per-worker [`TxScheduler`]s
     /// into the single [`EgressStats`] the report carries.
-    pub fn merge(&mut self, other: &EgressStats) {
+    pub(crate) fn merge(&mut self, other: &EgressStats) {
         self.priority.merge(&other.priority);
         self.best_effort.merge(&other.best_effort);
         self.dropped += other.dropped;
@@ -366,7 +366,7 @@ impl TxScheduler {
 
     /// Creates a scheduler over `cfg`'s link rate with `bp`'s per-class
     /// queue bound.
-    pub fn with_backpressure(cfg: &EgressConfig, bp: &BackpressureConfig) -> Self {
+    pub(crate) fn with_backpressure(cfg: &EgressConfig, bp: &BackpressureConfig) -> Self {
         TxScheduler {
             bandwidth_bps: cfg.bandwidth_bps.max(1),
             queue_bound: bp.tx_queue_pkts.max(1),
@@ -383,7 +383,7 @@ impl TxScheduler {
 
     /// Packets currently queued across all ports — what the worker
     /// compares against [`BackpressureConfig::high_watermark`].
-    pub fn queued_pkts(&self) -> usize {
+    pub(crate) fn queued_pkts(&self) -> usize {
         self.queued
     }
 

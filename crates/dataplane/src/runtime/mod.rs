@@ -54,9 +54,9 @@
 //! epoch, a shard may still hold a replay's identity that one engine's
 //! filter has let go, and drop that replay.
 
-pub mod egress;
-pub mod ring;
-pub mod shard;
+mod egress;
+mod ring;
+mod shard;
 
 pub use egress::{
     BackpressureConfig, BackpressurePolicy, EgressClassStats, EgressConfig, EgressStats,
@@ -201,7 +201,7 @@ pub enum RuntimeMode {
     /// One logical router with correct cross-core policing: every
     /// packet is processed by the shard the [`ShardMap`] assigns it to,
     /// the assignment made at injection time
-    /// ([`ShardMap::partition_templates`]).
+    /// (`ShardMap::partition_templates`).
     Sharded,
 }
 
@@ -248,7 +248,7 @@ impl Waiter {
 pub enum RxMode {
     /// Per-shard rx queues filled by RSS-style hashing at injection
     /// time: the workload is partitioned into per-shard plans up front
-    /// via [`ShardMap::partition_templates`], each shard feeds itself
+    /// via `ShardMap::partition_templates`, each shard feeds itself
     /// its plan, and shards share nothing.
     #[default]
     MultiQueue,
@@ -307,7 +307,7 @@ pub struct RuntimeConfig {
     /// Selects nothing: a shard hands each burst straight from its fill
     /// to the engine, so the runtime has no ring for this to size. Kept
     /// for the frozen `benchmark/` package, which reads it to size the
-    /// queue in [`ring`] whose burst hop it measures.
+    /// queue in `ring` whose burst hop it measures.
     pub ring_capacity: usize,
     /// Burst size per `process_batch` call.
     pub batch_size: usize,
@@ -708,8 +708,7 @@ where
 mod tests {
     use super::*;
     use crate::beacon::{forge_path, BeaconHop};
-    use crate::datapath::DatapathBuilder;
-    use crate::router::RouterConfig;
+    use crate::router::{BorderRouter, RouterConfig};
     use crate::source::{SourceGenerator, SourceReservation};
     use hummingbird_crypto::{ResInfo, SecretValue};
     use hummingbird_wire::scion_mac::HopMacKey;
@@ -737,7 +736,11 @@ mod tests {
     }
 
     fn hop_engine() -> Box<dyn Datapath + Send> {
-        DatapathBuilder::new(SecretValue::new([0x60; 16]), HopMacKey::new([0x10; 16])).build_boxed()
+        Box::new(BorderRouter::new(
+            SecretValue::new([0x60; 16]),
+            HopMacKey::new([0x10; 16]),
+            RouterConfig::default(),
+        ))
     }
 
     #[test]

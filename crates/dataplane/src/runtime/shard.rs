@@ -56,7 +56,7 @@ pub enum FlowClass {
 /// FNV-1a over `bytes` — cheap, deterministic, good avalanche for the
 /// handful of header bytes a flow key covers.
 #[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -151,7 +151,7 @@ impl ShardMap {
     /// `total_pkts` (packet conservation) and the assignment is a pure
     /// function of the bytes, so every run over the same workload
     /// splits identically.
-    pub fn partition_templates(
+    pub(crate) fn partition_templates(
         &self,
         templates: &[Vec<u8>],
         total_pkts: u64,

@@ -173,11 +173,6 @@ impl SourceGenerator {
         }
     }
 
-    /// How many hops carry reservations.
-    pub fn reserved_hops(&self) -> usize {
-        self.reservations.iter().filter(|r| r.is_some()).count()
-    }
-
     /// Generates one packet with `payload` at time `now_ms` (Unix ms),
     /// returning the serialized bytes. Each call stamps a unique
     /// `(BaseTimestamp, MillisTimestamp, Counter)` triple. A wrapper over
@@ -451,7 +446,6 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(g.reserved_hops(), 5);
         let bytes = g.generate(&[0; 100], 1_700_000_001_000).unwrap();
         let pkt = Packet::parse(&bytes).unwrap();
         assert!(pkt.path.hops.iter().all(|h| h.is_flyover()));

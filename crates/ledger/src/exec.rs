@@ -111,7 +111,7 @@ pub(crate) struct Staged {
 
 impl Staged {
     /// Payload length after the transaction.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match (&self.data, self.old) {
             (Some(data), _) => data.len(),
             (None, old) => old.map_or(0, |(_, len)| len),
@@ -140,7 +140,7 @@ impl Scratch {
     const KEEP: usize = 16;
 
     /// Empties the tables for the next transaction.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.staged.clear();
         self.staged.shrink_to(Self::KEEP);
         self.balance_deltas.clear();

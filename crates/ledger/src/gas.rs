@@ -53,7 +53,7 @@ impl GasSchedule {
     ///
     /// Buckets double from 1000: {1000, 2000, 4000, ...} — this reproduces
     /// Table 1 where 1-4 hops cost 1000 units, 8 hops 2000, 16 hops 4000.
-    pub fn bucket_computation(&self, raw_units: u64) -> u64 {
+    pub(crate) fn bucket_computation(&self, raw_units: u64) -> u64 {
         let mut bucket = 1_000u64;
         while bucket < raw_units {
             bucket *= 2;

@@ -144,24 +144,28 @@ pub(crate) struct OwnerIndex(DigestMap<IndexKey, IdSet>);
 
 impl OwnerIndex {
     /// IDs owned by `owner` under `type_tag`, ascending.
-    pub fn ids(&self, owner: Owner, type_tag: &'static str) -> impl Iterator<Item = ObjectId> + '_ {
+    pub(crate) fn ids(
+        &self,
+        owner: Owner,
+        type_tag: &'static str,
+    ) -> impl Iterator<Item = ObjectId> + '_ {
         let set = self.0.get(&IndexKey(owner, type_tag));
         set.into_iter().flat_map(|set| &set.slots).filter(|slot| **slot != GAP).map(id_of)
     }
 
     /// How many there are.
-    pub fn count(&self, owner: Owner, type_tag: &'static str) -> usize {
+    pub(crate) fn count(&self, owner: Owner, type_tag: &'static str) -> usize {
         self.0.get(&IndexKey(owner, type_tag)).map_or(0, |set| set.len)
     }
 
     /// Files a committed object under its owner and tag.
-    pub fn insert(&mut self, of: &ObjectMeta) {
+    pub(crate) fn insert(&mut self, of: &ObjectMeta) {
         self.0.entry(IndexKey(of.owner, of.type_tag)).or_default().insert(slot_of(&of.id));
     }
 
     /// Removes an object from where `of` (its metadata when it was
     /// filed) put it — one hash of the key; a set that empties goes too.
-    pub fn remove(&mut self, of: &ObjectMeta) {
+    pub(crate) fn remove(&mut self, of: &ObjectMeta) {
         if let Entry::Occupied(mut set) = self.0.entry(IndexKey(of.owner, of.type_tag)) {
             set.get_mut().remove(&slot_of(&of.id));
             if set.get().len == 0 {

@@ -7,14 +7,14 @@
 //! crate reproduces the properties those contracts depend on:
 //!
 //! * **object model** — versioned objects with address / shared / immutable
-//!   / object owners ([`object`]);
+//!   / object owners (`object`);
 //! * **atomic transactions** — closure-based programmable transactions with
-//!   all-or-nothing commit ([`exec`]), giving atomic path reservations;
+//!   all-or-nothing commit (`exec`), giving atomic path reservations;
 //! * **gas model** — Sui's computation buckets, per-byte storage fees and
-//!   99 % storage rebates ([`gas`]), reproducing Tables 1 and 2;
+//!   99 % storage rebates (`gas`), reproducing Tables 1 and 2;
 //! * **execution paths** — owned-only transactions take the fast path,
 //!   shared-object transactions take consensus, with a latency model
-//!   calibrated to Fig. 4 ([`latency`]).
+//!   calibrated to Fig. 4 (`latency`).
 //!
 //! ## Digest keys skip SipHash
 //!
@@ -30,14 +30,15 @@
 //! them to these tables.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod exec;
-pub mod gas;
+mod exec;
+mod gas;
 mod index;
-pub mod latency;
-pub mod object;
+mod latency;
+mod object;
 
 pub use exec::{ExecError, ExecPath, TxContext, TxReceipt};
 pub use gas::{GasSchedule, GasSummary, MIST_PER_SUI};

@@ -11,7 +11,7 @@ use hummingbird_crypto::sig::PublicKey;
 
 // Digest-keyed tables live in `hummingbird-crypto` beside the other key
 // that already is a hash (`A_K`); re-exported under the ledger's names.
-pub use hummingbird_crypto::{DigestHasher, DigestMap, DigestSet};
+pub use hummingbird_crypto::{DigestMap, DigestSet};
 
 /// A 32-byte account address (hash of the account's public key).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -44,7 +44,7 @@ use std::collections::HashMap;
 
 /// Configuration of a closed-loop flow
 /// ([`Simulator::add_reactive_flow`](crate::sim::Simulator::add_reactive_flow)).
-pub struct ReactiveFlow {
+pub(crate) struct ReactiveFlow {
     /// Source generator (holds path + reservations). Retransmissions
     /// regenerate through whatever generator the flow holds *at retry
     /// time*, so a mid-run

@@ -7,46 +7,45 @@
 //! packet bytes, and links schedule reservation traffic with strict
 //! priority over best effort.
 //!
-//! * [`sim`] — the event engine: nodes, priority links, flows, replay
+//! * `sim` — the event engine: nodes, priority links, flows, replay
 //!   adversaries.
-//! * [`scenario`] — experiments as data: a [`Scenario`] (engines,
+//! * `scenario` — experiments as data: a [`Scenario`] (engines,
 //!   topology, service model, flows, failure plan) and the one [`run`]
 //!   that executes it into an [`Outcome`]. The engines are an
 //!   [`EngineScenario`]: every router node runs one [`EngineFamily`]
 //!   (the table lives in `hummingbird-baselines` and is re-exported
 //!   here), optionally sharded.
-//! * [`topo`] — the one network type, [`TopologyBuilder`]: the
+//! * `topo` — the one network type, [`TopologyBuilder`]: the
 //!   hand-wired AS chain and Fig. 3 diamond, and the seed-driven
 //!   ring-of-PoPs ISP backbone, all over real-router nodes, with BFS
 //!   routing and per-family credentials. [`LinearTopology`] is a chain
 //!   handle for driving one hop by hop outside a scenario.
-//! * [`churn`] — the fault-injection actions a scenario's failure plan
+//! * `churn` — the fault-injection actions a scenario's failure plan
 //!   applies on the simulator clock: link down/up, cold router reboots,
 //!   and mid-epoch reroute of stranded flows.
-//! * [`flow`] — closed-loop reactive flows: windowed, ack-clocked
+//! * `flow` — closed-loop reactive flows: windowed, ack-clocked
 //!   senders with RTO/backoff retransmission and a bounded retry
 //!   budget, the senders the overload scenarios drive.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod churn;
-pub mod flow;
-pub mod scenario;
-pub mod sim;
-pub mod topo;
+mod churn;
+mod flow;
+mod scenario;
+mod sim;
+mod topo;
 
 pub use churn::{apply_action, ChurnAction, ChurnOutcome, ChurnRecord, ChurnReport};
-pub use flow::{FlowEvent, FlowEventKind, ReactiveFlow};
+pub use flow::{FlowEvent, FlowEventKind};
 pub use hummingbird_baselines::EngineFamily;
 pub use scenario::{
     run, run_churn_scenario, ChurnScenarioOutcome, ChurnSpec, EngineScenario, FlowKind,
     FlowOutcome, FlowSpec, LinkSpec, Outcome, ReactiveProfile, Route, Scenario, Step, Topology,
 };
-pub use sim::{
-    Class, Flow, FlowId, FlowStats, Node, NodeId, ReplayTap, ServiceModel, SimPacket, Simulator,
-};
-pub use topo::{AdjId, Adjacency, BackboneSpec, LinearTopology, RouterId, TopologyBuilder};
+pub use sim::{Class, Flow, FlowId, FlowStats, ServiceModel, Simulator};
+pub use topo::{Adjacency, BackboneSpec, LinearTopology, TopologyBuilder};
 
 #[cfg(test)]
 mod tests {

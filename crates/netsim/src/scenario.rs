@@ -139,7 +139,7 @@ pub enum FlowKind {
     /// Open loop: one packet per interval until the stop time, whatever
     /// happens to them.
     Cbr,
-    /// A windowed, ack-clocked [`ReactiveFlow`] that runs until
+    /// A windowed, ack-clocked `ReactiveFlow` that runs until
     /// `total_pkts` distinct sequence numbers are acked or abandoned.
     ClosedLoop {
         /// Distinct packets to deliver.
@@ -379,7 +379,7 @@ impl Scenario {
 pub struct Outcome {
     /// One per [`Scenario::flows`] entry, in order.
     pub flows: Vec<FlowOutcome>,
-    /// Every router's engine counters at the end, by [`RouterId`].
+    /// Every router's engine counters at the end, by `RouterId`.
     pub routers: Vec<DatapathStats>,
     /// Bidirectional adjacencies of the network.
     pub adjacencies: usize,

@@ -13,9 +13,9 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Node identifier.
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 /// Link identifier.
-pub type LinkId = usize;
+pub(crate) type LinkId = usize;
 /// Flow identifier.
 pub type FlowId = usize;
 
@@ -30,7 +30,7 @@ pub enum Class {
 
 /// A packet in flight, with bookkeeping for statistics.
 #[derive(Clone, Debug)]
-pub struct SimPacket {
+pub(crate) struct SimPacket {
     /// Serialized wire bytes (mutated by routers en route).
     pub bytes: Vec<u8>,
     /// Originating flow.
@@ -43,7 +43,7 @@ pub struct SimPacket {
 }
 
 /// A unidirectional link between two nodes.
-pub struct Link {
+pub(crate) struct Link {
     /// Destination node.
     pub to: NodeId,
     /// Serialization rate, bits per second.
@@ -98,7 +98,7 @@ impl Link {
 /// What happens to packets arriving at a node. `Router` holds any boxed
 /// [`Datapath`] engine, so simulations can mix Hummingbird routers,
 /// gateways and baseline engines in one topology.
-pub enum Node {
+pub(crate) enum Node {
     /// An AS border router: verifies, polices and forwards by interface.
     Router {
         /// The packet-processing engine (owns its keys and policer).
@@ -113,8 +113,6 @@ pub enum Node {
     },
     /// An end host: records deliveries.
     Host,
-    /// A blackhole (used to model adversary-controlled sinks).
-    Sink,
 }
 
 /// Per-flow statistics.
@@ -147,7 +145,7 @@ pub struct FlowStats {
     /// flow keeps sending onto a dead path until it is rerouted.
     pub link_down_drops: u64,
     /// Path reconfigurations applied to this flow
-    /// ([`Simulator::set_flow_route`]): each reroute after a link
+    /// (`Simulator::set_flow_route`): each reroute after a link
     /// failure increments this once.
     pub reroutes: u64,
     /// Retransmissions sent (reactive flows only): copies of a sequence
@@ -332,7 +330,7 @@ enum EgressTarget {
 /// many parallel cores.
 ///
 /// `None` (the default) keeps the historical instantaneous forwarding.
-/// With a model installed ([`Simulator::set_router_service`]), every
+/// With a model installed (`Simulator::set_router_service`), every
 /// forwarded packet is served by the earliest-free of `shards` cores for
 /// `per_pkt_ns` — the M/D/c shape of the multi-queue runtime, where a
 /// [`hummingbird_dataplane::ShardedRouter`] with `c` shards drains its
@@ -408,7 +406,7 @@ impl RouterService {
 /// the adversary sits in front of) and injects `copies` duplicates there.
 /// Duplicates carry valid authentication tags, so without duplicate
 /// suppression they pass verification and consume the reservation budget.
-pub struct ReplayTap {
+pub(crate) struct ReplayTap {
     /// The flow being observed.
     pub victim: FlowId,
     /// Node at whose ingress the duplicates appear.
@@ -554,7 +552,7 @@ impl<E> EventQueue<E> {
 /// last dispatched one skip the queue's heap, every send writes its
 /// packet through [`SourceGenerator::generate_into`] into a byte buffer
 /// from a free list that delivered and dropped packets refill, and a
-/// router node finds its egress link by indexing [`Node::Router`]'s
+/// router node finds its egress link by indexing `Node::Router`'s
 /// interface table.
 pub struct Simulator {
     nodes: Vec<Node>,
@@ -599,7 +597,7 @@ impl Simulator {
     }
 
     /// Adds a node, returning its ID.
-    pub fn add_node(&mut self, node: Node) -> NodeId {
+    pub(crate) fn add_node(&mut self, node: Node) -> NodeId {
         self.nodes.push(node);
         self.services.push(None);
         self.nodes.len() - 1
@@ -609,7 +607,7 @@ impl Simulator {
     /// router node: with a model, forwarded packets reach their egress
     /// queue only after the earliest-free of `model.shards` cores has
     /// spent `model.per_pkt_ns` on them, instead of instantaneously.
-    pub fn set_router_service(&mut self, node: NodeId, model: Option<ServiceModel>) {
+    pub(crate) fn set_router_service(&mut self, node: NodeId, model: Option<ServiceModel>) {
         self.services[node] = model.map(|m| RouterService {
             per_pkt_ns: m.per_pkt_ns,
             queue_pkts: m.queue_pkts,
@@ -618,7 +616,7 @@ impl Simulator {
     }
 
     /// Adds a link, returning its ID.
-    pub fn add_link(
+    pub(crate) fn add_link(
         &mut self,
         to: NodeId,
         bandwidth_bps: u64,
@@ -630,7 +628,7 @@ impl Simulator {
     }
 
     /// Wires egress `interface` of router `node` onto `link`.
-    pub fn connect_interface(&mut self, node: NodeId, interface: u16, link: LinkId) {
+    pub(crate) fn connect_interface(&mut self, node: NodeId, interface: u16, link: LinkId) {
         if let Node::Router { interfaces, .. } = &mut self.nodes[node] {
             let at = usize::from(interface);
             if interfaces.len() <= at {
@@ -644,7 +642,7 @@ impl Simulator {
     /// into the bottleneck). Packets already being serialized keep their
     /// scheduled completion; everything queued serializes at the new
     /// rate.
-    pub fn set_link_bandwidth(&mut self, link: LinkId, bandwidth_bps: u64) {
+    pub(crate) fn set_link_bandwidth(&mut self, link: LinkId, bandwidth_bps: u64) {
         self.links[link].bandwidth_bps = bandwidth_bps.max(1);
     }
 
@@ -684,7 +682,7 @@ impl Simulator {
     /// Wires local delivery of a router node to `host` — packets the
     /// router forwards on egress interface 0 arrive there. No-op on
     /// non-router nodes.
-    pub fn set_local_delivery(&mut self, node: NodeId, host: NodeId) {
+    pub(crate) fn set_local_delivery(&mut self, node: NodeId, host: NodeId) {
         if let Node::Router { local, .. } = &mut self.nodes[node] {
             *local = Some(host);
         }
@@ -709,7 +707,7 @@ impl Simulator {
     /// per-packet budget runs out, and the flow completes when every
     /// sequence number is acked or abandoned
     /// ([`reactive_done`](Simulator::reactive_done)).
-    pub fn add_reactive_flow(&mut self, flow: ReactiveFlow) -> FlowId {
+    pub(crate) fn add_reactive_flow(&mut self, flow: ReactiveFlow) -> FlowId {
         let id = self.flows.len();
         let start = flow.start_ns.max(self.now_ns);
         self.grow_zeros(flow.payload_len);
@@ -758,7 +756,7 @@ impl Simulator {
 
     /// Events dispatched so far — the operations the `netsim_churn`
     /// benchmark workload counts (events per wall-clock second).
-    pub fn events_processed(&self) -> u64 {
+    pub(crate) fn events_processed(&self) -> u64 {
         self.events_processed
     }
 
@@ -766,7 +764,7 @@ impl Simulator {
     /// a CBR flow before its stop time, or a reactive flow that has not
     /// completed. Taps are never active (they have no sends of their
     /// own).
-    pub fn flow_is_active(&self, flow: FlowId) -> bool {
+    pub(crate) fn flow_is_active(&self, flow: FlowId) -> bool {
         self.flows.get(flow).is_some_and(|f| match f {
             FlowSlot::Cbr(f) => f.stop_ns > self.now_ns,
             FlowSlot::Reactive(st) => !st.done,
@@ -803,7 +801,12 @@ impl Simulator {
     ///
     /// Panics if `flow` is a replay tap's pseudo-flow (taps observe a
     /// victim; they have no path of their own).
-    pub fn set_flow_route(&mut self, flow: FlowId, generator: SourceGenerator, entry: NodeId) {
+    pub(crate) fn set_flow_route(
+        &mut self,
+        flow: FlowId,
+        generator: SourceGenerator,
+        entry: NodeId,
+    ) {
         match self.flows.get_mut(flow).expect("set_flow_route: unknown flow") {
             FlowSlot::Cbr(f) => {
                 f.generator = generator;
@@ -833,7 +836,7 @@ impl Simulator {
     /// router node, `Err(engine)` — handing the argument back — if the
     /// node is not a router.
     #[allow(clippy::result_large_err)]
-    pub fn replace_engine(
+    pub(crate) fn replace_engine(
         &mut self,
         node: NodeId,
         engine: Box<dyn Datapath + Send>,
@@ -1125,7 +1128,7 @@ impl Simulator {
             }
         }
         match &mut self.nodes[node_id] {
-            Node::Host | Node::Sink => {
+            Node::Host => {
                 let st = &mut self.stats[pkt.flow];
                 st.delivered_pkts += 1;
                 st.delivered_bytes += pkt.bytes.len() as u64;

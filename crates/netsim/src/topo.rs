@@ -27,7 +27,7 @@ use crate::sim::{FlowId, LinkId, Node, NodeId, ServiceModel, Simulator};
 use hummingbird_baselines::EngineFamily;
 use hummingbird_crypto::SecretValue;
 use hummingbird_dataplane::{
-    forge_path, BeaconHop, Datapath, DatapathBuilder, DatapathStats, RouterConfig, ShardedRouter,
+    forge_path, BeaconHop, BorderRouter, Datapath, DatapathStats, RouterConfig, ShardedRouter,
     SourceGenerator, SourceReservation,
 };
 use hummingbird_wire::scion_mac::HopMacKey;
@@ -36,9 +36,9 @@ use rand::{rngs::StdRng, Rng as _, SeedableRng as _};
 use std::collections::{HashMap, VecDeque};
 
 /// Index of a router inside a [`TopologyBuilder`].
-pub type RouterId = usize;
+pub(crate) type RouterId = usize;
 /// Index of a bidirectional adjacency inside a [`TopologyBuilder`].
-pub type AdjId = usize;
+pub(crate) type AdjId = usize;
 
 const SEC: u64 = 1_000_000_000;
 
@@ -133,11 +133,11 @@ const INTRA_POP_LINK: LinkSpec =
 
 /// A deterministic topology of real-datapath router nodes — and, once
 /// built, the live handle an experiment drives (see the
-/// [module docs](self)).
+/// module docs).
 pub struct TopologyBuilder {
     /// The simulator, wired as the topology grows.
     pub sim: Simulator,
-    /// Simulator node of each router (one per AS), by [`RouterId`].
+    /// Simulator node of each router (one per AS), by `RouterId`.
     pub as_nodes: Vec<NodeId>,
     routers: Vec<RouterMeta>,
     adjacencies: Vec<Adjacency>,
@@ -189,9 +189,7 @@ impl TopologyBuilder {
         let mut master = sv_key_bytes;
         master[0] ^= 0xA5;
         let node = self.sim.add_node(Node::Router {
-            router: DatapathBuilder::new(sv.clone(), hop_key.clone())
-                .config(self.engine_cfg)
-                .build_boxed(),
+            router: Box::new(BorderRouter::new(sv.clone(), hop_key.clone(), self.engine_cfg)),
             interfaces: Vec::new(),
             local: None,
         });
@@ -620,7 +618,7 @@ impl TopologyBuilder {
     /// directions together. Returns how many queued packets the failure
     /// drained (each counted into its flow's
     /// [`link_down_drops`](crate::FlowStats::link_down_drops)).
-    pub fn set_adjacency_up(&mut self, adj: AdjId, up: bool) -> u64 {
+    pub(crate) fn set_adjacency_up(&mut self, adj: AdjId, up: bool) -> u64 {
         let a = self.adjacencies[adj];
         let drained = self.sim.set_link_up(a.ab, up) + self.sim.set_link_up(a.ba, up);
         self.adjacencies[adj].up = up;
@@ -649,7 +647,7 @@ impl TopologyBuilder {
     /// [`Simulator::set_flow_route`]. Flows with no surviving path are
     /// left stranded, still sending into the failure. Returns
     /// `(rerouted, stranded)`.
-    pub fn reroute_affected(&mut self) -> (usize, usize) {
+    pub(crate) fn reroute_affected(&mut self) -> (usize, usize) {
         let mut moved = 0;
         let mut stranded = 0;
         for i in 0..self.routes.len() {
@@ -743,7 +741,7 @@ impl LinearTopology {
 
     /// Hop `i`'s router of `family` sharded across `shards` engines
     /// behind the [`ShardedRouter`] facade — a drop-in for
-    /// [`Simulator::replace_engine`] and the router every testbed node
+    /// `Simulator::replace_engine` and the router every testbed node
     /// runs, so any scenario can rerun with a multi-core router node and
     /// identical verdicts (the facade steers every flow to the one shard
     /// that holds its state).

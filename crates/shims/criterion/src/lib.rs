@@ -8,6 +8,7 @@
 //! statistically rigorous.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use std::time::{Duration, Instant};
 

@@ -13,6 +13,7 @@
 //! of the `prop_assert*` macro that fired.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use rand::{Rng as _, SeedableRng as _};
 

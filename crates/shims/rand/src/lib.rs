@@ -10,6 +10,7 @@
 //! are constructed from explicit byte arrays).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 /// Types drawable uniformly over their whole domain via [`Rng::gen`].
 pub trait Random: Sized {

@@ -62,7 +62,7 @@ pub struct ChainSpec {
     pub payload_len: usize,
     /// Credit window per link, in data frames (default 64, 39 % of the
     /// 166 datagrams of ≤ 600 B the default Linux receive buffer holds;
-    /// see [`link`](crate::link)).
+    /// see `link`).
     pub window: usize,
     /// Receiver ack cadence, in data frames (default 32, half the
     /// window: a sender out of credit wakes once per 32 frames the

@@ -9,9 +9,9 @@
 //! datapath behind a [`ShardedRouter`](hummingbird_dataplane::ShardedRouter)
 //! (`ChainSpec::shards` engines), and forwards
 //! the mutated bytes to the next hop's socket. Links are credit-windowed
-//! ([`link`]) so kernel receive-buffer drops are structurally impossible
+//! (`link`) so kernel receive-buffer drops are structurally impossible
 //! and `sent = delivered + dropped` holds *exactly* — globally, per
-//! class and per flow ([`harness`]).
+//! class and per flow (`harness`).
 //!
 //! The crate deliberately reuses the rest of the repository instead of
 //! duplicating it: packets come from the dataplane's
@@ -22,13 +22,14 @@
 //! [`LatencyHistogram`](hummingbird_dataplane::LatencyHistogram).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod frame;
-pub mod harness;
-pub mod link;
-pub mod mix;
-pub mod node;
+mod frame;
+mod harness;
+mod link;
+mod mix;
+mod node;
 
 pub use frame::{PayloadHeader, KIND_DATA, KIND_FIN, PAYLOAD_HDR_LEN};
 pub use harness::{run_chain, ChainSpec, ClassReport, RunReport, RESERVED_BW_KBPS};

@@ -66,19 +66,6 @@ impl TrafficMix {
         }
     }
 
-    /// Parses a mix from its [`TrafficMix::name`].
-    pub fn from_name(name: &str) -> Option<TrafficMix> {
-        [
-            TrafficMix::Cbr,
-            TrafficMix::BurstyOnOff,
-            TrafficMix::ElephantMice,
-            TrafficMix::FlashCrowd,
-            TrafficMix::VideoCall,
-        ]
-        .into_iter()
-        .find(|m| m.name() == name)
-    }
-
     /// Builds the flow table and the packet schedule for a `total`-packet
     /// run.
     pub fn plan(&self, total: u64) -> MixPlan {
@@ -192,13 +179,5 @@ mod tests {
         assert!(plan.sequence[..1_000].iter().all(|&f| f < 4));
         assert!(plan.sequence[3_000..].iter().all(|&f| f < 4));
         assert!(plan.sequence[1_000..3_000].iter().any(|&f| f >= 4));
-    }
-
-    #[test]
-    fn names_roundtrip() {
-        for mix in TrafficMix::ALL.iter().chain([TrafficMix::VideoCall].iter()) {
-            assert_eq!(TrafficMix::from_name(mix.name()), Some(*mix));
-        }
-        assert_eq!(TrafficMix::from_name("nope"), None);
     }
 }

@@ -37,7 +37,7 @@ use crate::link::{read_timed_out, AckSender, CreditedSender};
 use crate::now_unix_ns;
 
 /// Largest datagram a node accepts (header + payload headroom).
-pub const MAX_DATAGRAM: usize = 2048;
+pub(crate) const MAX_DATAGRAM: usize = 2048;
 
 /// Traffic class of a flow: `RESERVED` carries the family's per-hop
 /// credential, `BEST_EFFORT` rides plain.

@@ -14,7 +14,7 @@
 //! kbps units the top of the range is ~67 Tbps.
 
 /// Maximum raw encoded value (10 bits).
-pub const ENC_MAX: u16 = (1 << 10) - 1;
+pub(crate) const ENC_MAX: u16 = (1 << 10) - 1;
 /// Maximum decodable bandwidth value.
 pub const VALUE_MAX: u64 = 63u64 << 30;
 

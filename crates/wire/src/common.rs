@@ -7,8 +7,6 @@
 
 use crate::error::{Result, WireError};
 
-/// SCION path-type value for the standard SCION path.
-pub const PATH_TYPE_SCION: u8 = 1;
 /// Path-type value we assign to the Hummingbird path type (new in the paper).
 pub const PATH_TYPE_HUMMINGBIRD: u8 = 5;
 

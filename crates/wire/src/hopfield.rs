@@ -219,7 +219,7 @@ impl FlyoverHopField {
     /// field (used by path reversal, Appendix A.8). The MAC is carried over
     /// verbatim; at the router it has already been replaced by the plain
     /// hop-field MAC before forwarding (Appendix A.7).
-    pub fn to_hop_field(&self) -> HopField {
+    pub(crate) fn to_hop_field(self) -> HopField {
         HopField {
             flags: HopFlags { flyover: false, ..self.flags },
             exp_time: self.exp_time,

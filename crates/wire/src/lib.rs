@@ -17,22 +17,23 @@
 //! * [`scion_mac`] — standard SCION hop-field MACs and SegID chaining.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 // Packet bytes decide what this crate sees: no panicking shortcuts.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bwcls;
 pub mod common;
-pub mod error;
+mod error;
 pub mod hopfield;
 pub mod meta;
 pub mod packet;
 pub mod path;
 pub mod scion_mac;
-pub mod scion_path;
+mod scion_path;
 pub mod view;
 
-pub use common::{AddressHeader, CommonHeader, IsdAs, PATH_TYPE_HUMMINGBIRD, PATH_TYPE_SCION};
+pub use common::{AddressHeader, CommonHeader, IsdAs, PATH_TYPE_HUMMINGBIRD};
 pub use error::{Result, WireError};
 pub use hopfield::{FlyoverHopField, HopField, HopFlags, InfoField};
 pub use meta::PathMetaHdr;

@@ -24,7 +24,7 @@ pub const HF_UNITS: u8 = 3;
 /// CurrHF increment for a 20-byte flyover hop field.
 pub const FLYOVER_UNITS: u8 = 5;
 /// Maximum value of a 7-bit segment length.
-pub const SEG_LEN_MAX: u8 = (1 << 7) - 1;
+pub(crate) const SEG_LEN_MAX: u8 = (1 << 7) - 1;
 
 /// Owned representation of the path meta header.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -111,7 +111,7 @@ impl PathMetaHdr {
 
     /// Number of present info fields (`NumINF`).
     #[inline]
-    pub fn num_inf(&self) -> usize {
+    pub(crate) fn num_inf(&self) -> usize {
         self.seg_len.iter().take_while(|&&l| l > 0).count()
     }
 
@@ -119,13 +119,6 @@ impl PathMetaHdr {
     #[inline]
     pub fn total_hf_units(&self) -> u16 {
         self.seg_len.iter().map(|&l| u16::from(l)).sum()
-    }
-
-    /// Byte offset of the current info field relative to the start of the
-    /// path header (Eq. 5a): `12 + 8·CurrINF`.
-    #[inline]
-    pub fn info_field_offset(&self) -> usize {
-        META_HDR_LEN + 8 * usize::from(self.curr_inf)
     }
 
     /// Byte offset of the current hop field relative to the start of the
@@ -152,11 +145,6 @@ impl PathMetaHdr {
             start = end;
         }
         Err(WireError::HopOutOfSegment)
-    }
-
-    /// An empty path (all `SegLen == 0`), valid only for intra-AS traffic.
-    pub fn is_empty_path(&self) -> bool {
-        self.seg_len.iter().all(|&l| l == 0)
     }
 
     /// Absolute send timestamp in milliseconds since the Unix epoch
@@ -208,7 +196,6 @@ mod tests {
     fn offsets_follow_eq_5() {
         let hdr = sample();
         assert_eq!(hdr.num_inf(), 2);
-        assert_eq!(hdr.info_field_offset(), 12 + 8);
         assert_eq!(hdr.hop_field_offset(), 12 + 16 + 44);
     }
 
@@ -227,12 +214,5 @@ mod tests {
     fn abs_ts_millis_combines_fields() {
         let hdr = sample();
         assert_eq!(hdr.abs_ts_millis(), 1_700_000_000_000 + 734);
-    }
-
-    #[test]
-    fn empty_path_detection() {
-        let hdr = PathMetaHdr { seg_len: [0, 0, 0], curr_hf: 0, curr_inf: 0, ..sample() };
-        assert!(hdr.is_empty_path());
-        assert!(!sample().is_empty_path());
     }
 }

@@ -11,7 +11,7 @@ use crate::path::HummingbirdPath;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Packet {
     /// SCION common header. `hdr_len` and `payload_len` are maintained by
-    /// [`Packet::sync_lengths`] / the builder.
+    /// `Packet::sync_lengths` / the builder.
     pub common: CommonHeader,
     /// SCION address header.
     pub addr: AddressHeader,
@@ -34,7 +34,7 @@ impl Packet {
 
     /// Recomputes `hdr_len` (4-byte units) and `payload_len` in the common
     /// header from the current path and payload.
-    pub fn sync_lengths(&mut self) -> Result<()> {
+    pub(crate) fn sync_lengths(&mut self) -> Result<()> {
         let hdr = self.header_len();
         debug_assert_eq!(hdr % 4, 0, "all header parts are 4-byte aligned");
         let units = hdr / 4;
@@ -91,7 +91,6 @@ pub struct PacketBuilder {
     dst: IsdAs,
     src_host: [u8; 4],
     dst_host: [u8; 4],
-    traffic_class: u8,
     flow_id: u32,
     next_hdr: u8,
 }
@@ -104,7 +103,6 @@ impl PacketBuilder {
             dst,
             src_host: [0, 0, 0, 1],
             dst_host: [0, 0, 0, 2],
-            traffic_class: 0,
             flow_id: 1,
             next_hdr: 17,
         }
@@ -123,19 +121,13 @@ impl PacketBuilder {
         self
     }
 
-    /// Sets the traffic class byte.
-    pub fn traffic_class(mut self, tc: u8) -> Self {
-        self.traffic_class = tc;
-        self
-    }
-
     /// Assembles a packet with the given path and payload, syncing all
     /// length fields.
     pub fn build(&self, path: HummingbirdPath, payload: Vec<u8>) -> Result<Packet> {
         let mut pkt = Packet {
             common: CommonHeader {
                 version: 0,
-                traffic_class: self.traffic_class,
+                traffic_class: 0,
                 flow_id: self.flow_id,
                 next_hdr: self.next_hdr,
                 hdr_len: 0,

@@ -9,9 +9,9 @@ use crate::hopfield::{
 use crate::meta::{PathMetaHdr, FLYOVER_UNITS, HF_UNITS, META_HDR_LEN};
 
 /// Maximum number of hop fields in a path (per the SCION spec).
-pub const MAX_HOP_FIELDS: usize = 64;
+pub(crate) const MAX_HOP_FIELDS: usize = 64;
 /// Maximum number of info fields / segments.
-pub const MAX_INFO_FIELDS: usize = 3;
+pub(crate) const MAX_INFO_FIELDS: usize = 3;
 
 /// One entry in the hop-field sequence: either a plain SCION hop field or a
 /// flyover hop field carrying a reservation.
@@ -193,7 +193,7 @@ impl HummingbirdPath {
 
     /// Index into `hops` of the field starting at `curr_hf` 4-byte units,
     /// or an error if `curr_hf` does not land on a field boundary.
-    pub fn hop_index_at(&self, curr_hf: u8) -> Result<usize> {
+    pub(crate) fn hop_index_at(&self, curr_hf: u8) -> Result<usize> {
         let mut units = 0u16;
         for (i, hop) in self.hops.iter().enumerate() {
             if units == u16::from(curr_hf) {
@@ -212,7 +212,7 @@ impl HummingbirdPath {
     }
 
     /// The hop field the meta header currently points at.
-    pub fn current_hop(&self) -> Result<&PathField> {
+    pub(crate) fn current_hop(&self) -> Result<&PathField> {
         let idx = self.hop_index_at(self.meta.curr_hf)?;
         Ok(&self.hops[idx])
     }
@@ -233,11 +233,6 @@ impl HummingbirdPath {
             self.meta.curr_inf = seg as u8;
         }
         Ok(())
-    }
-
-    /// Whether the path has been fully traversed.
-    pub fn at_end(&self) -> bool {
-        u16::from(self.meta.curr_hf) >= self.meta.total_hf_units()
     }
 
     /// Path reversal (Appendix A.8): reverses hop and info fields, converts
@@ -382,9 +377,9 @@ mod tests {
         assert_eq!(path.meta.curr_inf, 1);
         path.advance().unwrap();
         path.advance().unwrap();
-        assert!(!path.at_end());
+        assert!(u16::from(path.meta.curr_hf) < path.meta.total_hf_units());
         path.advance().unwrap();
-        assert!(path.at_end());
+        assert_eq!(u16::from(path.meta.curr_hf), path.meta.total_hf_units(), "at the end");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::meta::HF_UNITS;
 use crate::path::HummingbirdPath;
 
 /// Standard SCION path meta header length.
-pub const SCION_META_LEN: usize = 4;
+pub(crate) const SCION_META_LEN: usize = 4;
 
 /// Owned representation of the standard SCION path meta header.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -84,7 +84,7 @@ impl ScionPathMeta {
     }
 
     /// Number of info fields present.
-    pub fn num_inf(&self) -> usize {
+    pub(crate) fn num_inf(&self) -> usize {
         self.seg_len.iter().take_while(|&&l| l > 0).count()
     }
 }

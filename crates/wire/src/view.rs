@@ -1,15 +1,15 @@
 //! Zero-copy packet views in the smoltcp idiom: a `PacketView<T:
 //! AsRef<[u8]>>` wraps a buffer, `new_checked` validates structural
-//! invariants once, and field accessors read (or, with `AsMut`, write)
-//! directly at wire offsets without allocating.
+//! invariants once, and field accessors read directly at wire offsets
+//! without allocating.
 //!
 //! The owned `Repr` types in [`crate::packet`]/[`crate::path`] are the
 //! construction-side API; views are the inspection/forwarding-side API —
 //! what a border router uses on the hot path.
 
-use crate::common::{AddressHeader, CommonHeader, IsdAs, ADDR_HDR_LEN, COMMON_HDR_LEN};
+use crate::common::{AddressHeader, CommonHeader, ADDR_HDR_LEN, COMMON_HDR_LEN};
 use crate::error::{Result, WireError};
-use crate::hopfield::{peek_flyover_bit, FLYOVER_FIELD_LEN, HOP_FIELD_LEN, INFO_FIELD_LEN};
+use crate::hopfield::{peek_flyover_bit, FLYOVER_FIELD_LEN, HOP_FIELD_LEN};
 use crate::meta::{PathMetaHdr, META_HDR_LEN};
 
 /// Byte offset of the path header within a packet.
@@ -44,7 +44,7 @@ impl<T: AsRef<[u8]>> PacketView<T> {
     /// Wraps `buffer` without any checks. Accessors may return errors (or
     /// garbage field values) on malformed input; prefer
     /// [`PacketView::new_checked`].
-    pub fn new_unchecked(buffer: T) -> Self {
+    pub(crate) fn new_unchecked(buffer: T) -> Self {
         PacketView { buffer }
     }
 
@@ -99,40 +99,13 @@ impl<T: AsRef<[u8]>> PacketView<T> {
         )
     }
 
-    /// Destination ISD-AS without parsing the whole address header.
-    pub fn dst_ia(&self) -> Result<IsdAs> {
-        Ok(self.addr()?.dst)
-    }
-
     /// Parses the path meta header.
     pub fn meta(&self) -> Result<PathMetaHdr> {
         PathMetaHdr::parse(self.buffer.as_ref().get(PATH_OFFSET..).ok_or(WireError::Truncated)?)
     }
 
-    /// Byte offset of the info field governing the current hop.
-    pub fn current_info_offset(&self) -> Result<usize> {
-        let meta = self.meta()?;
-        let (seg, _) = meta.segment_of_curr_hf()?;
-        Ok(PATH_OFFSET + META_HDR_LEN + INFO_FIELD_LEN * seg)
-    }
-
-    /// Byte offset of the current hop field.
-    pub fn current_hop_offset(&self) -> Result<usize> {
-        let meta = self.meta()?;
-        Ok(PATH_OFFSET
-            + META_HDR_LEN
-            + INFO_FIELD_LEN * meta.num_inf()
-            + 4 * usize::from(meta.curr_hf))
-    }
-
-    /// Whether the current hop field is a flyover.
-    pub fn current_is_flyover(&self) -> Result<bool> {
-        let off = self.current_hop_offset()?;
-        peek_flyover_bit(self.buffer.as_ref().get(off..).ok_or(WireError::Truncated)?)
-    }
-
     /// Byte offset where the L4 payload starts (= 4·hdr_len).
-    pub fn payload_offset(&self) -> Result<usize> {
+    pub(crate) fn payload_offset(&self) -> Result<usize> {
         Ok(4 * usize::from(self.common()?.hdr_len))
     }
 
@@ -155,27 +128,10 @@ impl<T: AsRef<[u8]>> PacketView<T> {
     }
 }
 
-impl<T: AsRef<[u8]> + AsMut<[u8]>> PacketView<T> {
-    /// Overwrites the SegID of the current segment's info field (the
-    /// router's MAC-chaining update).
-    pub fn set_current_seg_id(&mut self, seg_id: u16) -> Result<()> {
-        let off = self.current_info_offset()? + 2;
-        let buf = self.buffer.as_mut();
-        buf.get_mut(off..off + 2)
-            .ok_or(WireError::Truncated)?
-            .copy_from_slice(&seg_id.to_be_bytes());
-        Ok(())
-    }
-
-    /// Rewrites the path meta header.
-    pub fn set_meta(&mut self, meta: &PathMetaHdr) -> Result<()> {
-        meta.emit(self.buffer.as_mut().get_mut(PATH_OFFSET..).ok_or(WireError::Truncated)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::IsdAs;
     use crate::hopfield::{FlyoverHopField, HopField, HopFlags, InfoField};
     use crate::meta::PathMetaHdr;
     use crate::packet::PacketBuilder;
@@ -225,8 +181,7 @@ mod tests {
     fn checked_view_accepts_valid_packets() {
         let bytes = sample_packet();
         let view = PacketView::new_checked(bytes.as_slice()).unwrap();
-        assert_eq!(view.dst_ia().unwrap(), IsdAs::new(2, 0x20));
-        assert!(view.current_is_flyover().unwrap());
+        assert_eq!(view.addr().unwrap().dst, IsdAs::new(2, 0x20));
         assert_eq!(view.payload().unwrap(), &[0xCD; 40][..]);
         assert_eq!(view.meta().unwrap().counter, 4);
     }
@@ -262,22 +217,7 @@ mod tests {
         let bytes = sample_packet();
         let view = PacketView::new_checked(bytes.as_slice()).unwrap();
         // 36 (fixed headers) + 12 (meta) + 8 (one info field) = 56.
-        assert_eq!(view.current_hop_offset().unwrap(), 56);
-        assert_eq!(view.current_info_offset().unwrap(), 48);
-    }
-
-    #[test]
-    fn mutable_view_updates_in_place() {
-        let mut bytes = sample_packet();
-        let mut view = PacketView::new_checked(bytes.as_mut_slice()).unwrap();
-        view.set_current_seg_id(0x1234).unwrap();
-        let mut meta = view.meta().unwrap();
-        meta.curr_hf += 5; // past the flyover
-        view.set_meta(&meta).unwrap();
-        // Reparse through the owned types and confirm.
-        let pkt = crate::packet::Packet::parse(&bytes).unwrap();
-        assert_eq!(pkt.path.info[0].seg_id, 0x1234);
-        assert_eq!(pkt.path.meta.curr_hf, 5);
+        assert_eq!(PATH_OFFSET + view.meta().unwrap().hop_field_offset(), 56);
     }
 
     #[test]

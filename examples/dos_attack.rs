@@ -156,7 +156,7 @@ fn scenario_replay(dup_suppression: bool) {
 
 /// The replay defence probed directly through the unified `Datapath`
 /// trait: a router built with the duplicate-suppression stage enabled
-/// (via `DatapathBuilder`) accepts a packet once and drops the replay —
+/// (`RouterConfig::duplicate_suppression`) accepts a packet once and drops the replay —
 /// the same API every engine in the workspace speaks.
 fn scenario_replay_via_datapath() {
     println!("-- 5. replay probe through the Datapath trait --");

@@ -16,26 +16,31 @@ crate_of() {
         *) crate=${1#crates/} && echo "${crate%/src}" ;;
     esac
 }
+pub_items() { grep -rhE '^\s*pub (fn|struct|enum|const|trait|type|mod|use|static)' "$@" | wc -l; }
+printf 'pub items, workspace:                 %s\n' "$(pub_items src crates/*/src)"
 echo 'pub items per crate:'
 for dir in src crates/*/src; do
-    n=$(grep -rhE '^\s*pub (fn|struct|enum|const|trait|type|mod|use|static)' "$dir" | wc -l)
-    printf '  %-11s %s\n' "$(crate_of "$dir")" "$n"
+    printf '  %-11s %s\n' "$(crate_of "$dir")" "$(pub_items "$dir")"
 done
 # The public-surface grep: a `pub fn/struct/enum/const/type/trait` name
 # in a crate's src/ that no other `.rs` file names as a whole word —
-# other crates, every tests/ and examples/ (the crate's own included)
-# and the frozen benchmark/. Approximate: names collide, and a type in a
-# public signature must stay `pub` even when no one names it.
+# other crates, every tests/ and examples/ (the crate's own included),
+# the package's own src/bin/ (each binary is a crate of its own) and the
+# frozen benchmark/. Approximate: names collide, and a type in a public
+# signature must stay `pub` even when no one names it.
 echo 'pub names used nowhere outside their src/ (informational):'
 words=$(mktemp)
 trap 'rm -f "$words"' EXIT
 for dir in src crates/*/src; do
     find crates src tests examples benchmark -name '*.rs' -not -path '*/target/*' \
-        -not -path "$dir/*" -exec grep -ohwE '\w+' {} + | LC_ALL=C sort -u > "$words"
-    names=$(grep -rhoE '^\s*pub (fn|struct|enum|const|type|trait) \w+' "$dir" \
+        \( -path "$dir/bin/*" -o -not -path "$dir/*" \) -exec grep -ohwE '\w+' {} + \
+        | LC_ALL=C sort -u > "$words"
+    names=$(find "$dir" -name '*.rs' -not -path "$dir/bin/*" \
+        -exec grep -hoE '^\s*pub (fn|struct|enum|const|type|trait) \w+' {} + \
         | awk '{ print $NF }' | LC_ALL=C sort -u)
-    unused=$(printf '%s\n' "$names" | LC_ALL=C comm -23 - "$words" | grep -c . || true)
-    printf '  %-11s %s of %s\n' "$(crate_of "$dir")" "$unused" "$(printf '%s\n' "$names" | grep -c .)"
+    unused=$(printf '%s\n' "$names" | LC_ALL=C comm -23 - "$words" | tr '\n' ' ')
+    printf '  %-11s %s of %s: %s\n' "$(crate_of "$dir")" "$(printf '%s' "$unused" | wc -w)" \
+        "$(printf '%s\n' "$names" | grep -c .)" "$unused"
 done
 printf 'workspace packages:                   %s\n' \
     "$(cargo metadata --offline --no-deps --format-version 1 | tr ',' '\n' | grep -c '"manifest_path"')"

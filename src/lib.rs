@@ -53,9 +53,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod bidirectional;
+mod bidirectional;
 pub mod testbed;
 
 pub use bidirectional::{BundleEntry, ReservationBundle};
@@ -76,8 +77,8 @@ pub use hummingbird_control::{
 };
 pub use hummingbird_crypto::{AuthKey, ResInfo, SecretValue};
 pub use hummingbird_dataplane::{
-    BorderRouter, Datapath, DatapathBuilder, DatapathStats, PacketBuf, RouterConfig,
-    SourceGenerator, SourceReservation, Verdict,
+    BorderRouter, Datapath, DatapathStats, PacketBuf, RouterConfig, SourceGenerator,
+    SourceReservation, Verdict,
 };
 pub use hummingbird_ledger::{Address, ExecPath, Ledger, ObjectId};
 pub use hummingbird_netsim::{LinearTopology, LinkSpec, Simulator};

@@ -19,8 +19,8 @@ use hummingbird::dataplane::runtime::{
     run_to_completion, ExecMode, RuntimeConfig, RuntimeMode, RuntimeReport,
 };
 use hummingbird::dataplane::{
-    forge_path, BackpressureConfig, BackpressurePolicy, BeaconHop, DatapathBuilder, EgressConfig,
-    EgressStats, SourceGenerator, SourceReservation,
+    forge_path, BackpressureConfig, BackpressurePolicy, BeaconHop, BorderRouter, EgressConfig,
+    EgressStats, RouterConfig, SourceGenerator, SourceReservation,
 };
 use hummingbird::{IsdAs, ResInfo, SecretValue};
 use hummingbird_crypto::sha256::Sha256;
@@ -134,7 +134,7 @@ fn runtime_digest_is_unchanged() {
                         policy: BackpressurePolicy::Block,
                         ..cfg.backpressure
                     };
-                    let make = |_| DatapathBuilder::new(sv(), hop_key()).build();
+                    let make = |_| BorderRouter::new(sv(), hop_key(), RouterConfig::default());
                     let r = run_to_completion(&cfg, mode, make, &templates, total, NOW_NS);
                     let label = format!("{mode:?}/{shards}/{exec:?}/egress {}", egress.is_some());
                     assert_eq!(r.packets, total, "{label}");

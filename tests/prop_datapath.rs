@@ -15,7 +15,7 @@
 //! router, by `crates/dataplane/tests/differential.rs`.
 
 use hummingbird::dataplane::{
-    forge_path, BeaconHop, Datapath, DatapathBuilder, PacketBuf, RouterConfig, SourceGenerator,
+    forge_path, BeaconHop, BorderRouter, Datapath, PacketBuf, RouterConfig, SourceGenerator,
     SourceReservation,
 };
 use hummingbird::{IsdAs, ResInfo, SecretValue};
@@ -102,8 +102,8 @@ fn workload(n_hops: usize, specs: &[(u16, bool, bool)]) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn router() -> DatapathBuilder {
-    DatapathBuilder::new(sv(0), hop_key(0))
+fn router() -> BorderRouter {
+    BorderRouter::new(sv(0), hop_key(0), RouterConfig::default())
 }
 
 /// A hop-0 EPIC engine, its duplicate filter on or off.
@@ -233,7 +233,7 @@ proptest! {
 
         let mut verdicts = Vec::new();
         for bytes in [direct_bytes, owned_bytes, view_bytes] {
-            let mut engine = router().build();
+            let mut engine = router();
             verdicts.push(engine.process(&mut bytes.clone(), NOW_NS));
         }
         prop_assert_eq!(verdicts[0], verdicts[1], "owned Packet path diverged");

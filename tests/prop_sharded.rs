@@ -22,7 +22,7 @@ use hummingbird::dataplane::runtime::{
     run_to_completion, RuntimeConfig, RuntimeMode, ShardMap, ShardedRouter, Steering,
 };
 use hummingbird::dataplane::{
-    forge_path, BeaconHop, Datapath, DatapathBuilder, DatapathStats, PacketBuf, RouterConfig,
+    forge_path, BeaconHop, BorderRouter, Datapath, DatapathStats, PacketBuf, RouterConfig,
     SourceGenerator, SourceReservation, Verdict,
 };
 use hummingbird::{IsdAs, ResInfo, SecretValue};
@@ -44,7 +44,8 @@ fn sv() -> SecretValue {
 }
 
 fn make_engine(dup: bool) -> Box<dyn Datapath + Send> {
-    DatapathBuilder::new(sv(), hop_key()).duplicate_suppression(dup).build_boxed()
+    let cfg = RouterConfig { duplicate_suppression: dup, ..RouterConfig::default() };
+    Box::new(BorderRouter::new(sv(), hop_key(), cfg))
 }
 
 fn make_sharded(shards: usize, dup: bool) -> ShardedRouter {
@@ -473,7 +474,7 @@ fn verdict_totals(report: &hummingbird::dataplane::RuntimeReport) -> [u64; 5] {
 /// the per-shard rx queues are a pure transport change, invisible to
 /// what the router decides.
 #[test]
-fn multi_queue_matches_dispatcher_and_single_shard() {
+fn shard_counts_agree_on_verdicts() {
     let templates: Vec<Vec<u8>> =
         RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
     let total = 2_000u64;
