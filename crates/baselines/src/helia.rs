@@ -16,7 +16,7 @@
 //!   independently with no coordination.
 //!
 //! This module implements that model faithfully enough to compare against
-//! Hummingbird in the `baseline_comparison` bench: slot-based grants,
+//! Hummingbird in `paper --claim sec2`: slot-based grants,
 //! demand-proportional bandwidth shares, DRKey-based authenticators, and
 //! per-slot request/renewal.
 

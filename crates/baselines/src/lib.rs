@@ -22,8 +22,9 @@
 //! * `drkey` — the DRKey key-derivation hierarchy Helia (and Colibri)
 //!   depend on and Hummingbird eliminates.
 //!
-//! The `baseline_comparison` binary in `hummingbird-bench` runs the
-//! systems side by side on the dimensions the paper's §2 claims.
+//! `paper --claim sec2` in `hummingbird-bench` runs Hummingbird and the
+//! Helia-style service side by side on the dimensions the paper's §2
+//! claims.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]

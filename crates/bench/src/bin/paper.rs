@@ -10,17 +10,18 @@
 //!
 //! | id | regenerates | flags |
 //! |---|---|---|
+//! | `sec2` | §2: Hummingbird vs a Helia-style fixed-slot baseline | — |
 //! | `table1` | Table 1: atomic buy-and-redeem gas, 1–16 hops | — |
 //! | `table2` | Table 2: gas of every asset and market call | — |
 //! | `fig4` | Fig. 4: buy-and-redeem latency, 100 runs per path length | — |
-//! | `fig5` | Fig. 5: border-router forwarding throughput | `--engine --cores --pkts --sharded --batch --json` |
+//! | `fig5` | Fig. 5: border-router forwarding throughput | `--engine --cores --pkts --sharded --batch` |
 //! | `table3` | Table 3: per-step border-router timings | `--engine` |
 //! | `table4` | Table 4: per-step source-generation timings | — |
 //! | `fig14` | Fig. 14: multi-core source generation throughput | `--cores --pkts` |
 //! | `fig15` | Fig. 15: single-core source generation throughput | — |
 //!
-//! `table1`, `table2` and `fig4` are seeded: they print the same bytes on
-//! every run. The other claims time this host.
+//! `sec2`, `table1`, `table2` and `fig4` are seeded: they print the same
+//! bytes on every run. The other claims time this host.
 //!
 //! # Fig. 5
 //!
@@ -44,92 +45,38 @@
 //! core-scaling curve (clone and sharded at every `--cores` point).
 //! `--batch <n>` sets the sharded comparison's burst size. Every runtime
 //! run is a [`checked_run`]: a packet-conservation failure exits 1,
-//! which is what the CI smoke leg asserts.
-//!
-//! With `--json <path>`, the claim writes its ns/pkt + Mpps points — and,
-//! with `--sharded`, the per-engine core-scaling curves — to `path`. A
-//! failed write exits nonzero.
-//!
-//! ## Hot-path schema (`schema = 4`)
-//!
-//! ```json
-//! {
-//!   "schema": 4,
-//!   "bench": "hotpath",
-//!   "aes_backend": "ni",          // active AES backend: "soft" | "ni"
-//!   "hardware_threads": 8,        // available parallelism of the host
-//!   "batch": 32,                  // packets per burst in the hot loop
-//!   "records": [
-//!     {
-//!       "engine": "hummingbird",  // EngineKind name
-//!       "mode": "clone",          // "clone" | "sharded"
-//!       "cores": 1,               // worker cores driving the engine
-//!       "payload_b": 500,         // payload bytes per packet
-//!       "ns_per_pkt": 308.2,      // per-core-seconds per packet
-//!       "mpps": 3.24              // aggregate million packets / second
-//!     }
-//!   ],
-//!   "scaling": [
-//!     {
-//!       "engine": "null",         // EngineKind name
-//!       "mode": "sharded",        // "clone" | "sharded"
-//!       "curve": [
-//!         {
-//!           "cores": 2,           // worker cores at this point
-//!           "mpps": 18.1,         // aggregate throughput at this point
-//!           "speedup": 1.94,      // mpps relative to the first non-empty
-//!                                 //   point of the same (engine, mode)
-//!                                 //   curve
-//!           "exec": "threaded"    // "threaded": workers ran concurrently
-//!         }                       //   (or one worker); "sequential":
-//!                                 //   the dedicated-core estimate of a
-//!                                 //   host with fewer hardware threads
-//!       ]
-//!     }
-//!   ]
-//! }
-//! ```
-//!
-//! Schema 4 is schema 3 with an `exec` label on every scaling point, so
-//! a curve says which of its points are concurrent wall clock and which
-//! are a sequential estimate; schema 3 dropped two header fields that
-//! recorded runtime knobs the runtime no longer has (the worker wait
-//! strategy and the rx layout). `records` rows are unchanged since
-//! schema 1, the `scaling` section (per-engine core-scaling curves, the
-//! Fig. 5 "does N shards buy ~N×?" question in machine-readable form)
-//! since schema 2.
-//!
-//! `ns_per_pkt` / `mpps` / `speedup` are `null` for a point that
-//! processed no packet (`--pkts` smaller than the point's cores) or whose
-//! run took no measurable time — consumers should drop such points
-//! rather than read them as zeros.
+//! which is what the CI smoke leg asserts. A point that processed no
+//! packet (`--pkts` below its core count) prints `—`, not a measurement.
 
-use hummingbird::testbed::{Testbed, TestbedConfig};
+use hummingbird::world::{World, WorldConfig};
 use hummingbird::{Client, ExecPath, ObjectId, PurchaseSpec};
-use hummingbird_bench::json::{self, Value};
+use hummingbird_baselines::helia::flexibility::{helia_slot_coverage, hummingbird_coverage};
+use hummingbird_baselines::{slot_of, HeliaService, SLOT_SECS};
 use hummingbird_bench::{
     batch_from_args, checked_run, clone_run, cores_from_args, engines_from_args, flag_present,
-    flag_value, flag_values, row, u64_from_args, DataplaneFixture, EngineKind, Summary, Throughput,
-    EPOCH_MS, EPOCH_NS, EPOCH_S, LINE_RATE_GBPS,
+    flag_values, row, u64_from_args, DataplaneFixture, EngineKind, Summary, Throughput, EPOCH_MS,
+    EPOCH_NS, EPOCH_S, LINE_RATE_GBPS,
 };
 use hummingbird_control::{BandwidthAsset, Direction, EncryptedReservation};
 use hummingbird_crypto::{aggregate_mac, AuthKey, FlyoverMacInput, ResInfo};
 use hummingbird_dataplane::policing::Policer;
 use hummingbird_dataplane::{
-    Datapath, ExecMode, FwdClass, PacketBuf, RuntimeConfig, RuntimeMode, SourceGenerator,
-    BATCH_SIZE,
+    BorderRouter, Datapath, ExecMode, FwdClass, PacketBuf, RouterConfig, RuntimeConfig,
+    RuntimeMode, SourceGenerator, BATCH_SIZE,
 };
 use hummingbird_ledger::{GasSummary, LatencyModel};
 use hummingbird_wire::common::{AddressHeader, CommonHeader, COMMON_HDR_LEN};
 use hummingbird_wire::meta::PathMetaHdr;
 use hummingbird_wire::scion_mac::{update_seg_id, HopMacInput};
+use hummingbird_wire::IsdAs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
 
 /// Every claim as `(id, caption, run)`, in paper order.
-const CLAIMS: [(&str, &str, fn()); 8] = [
+const CLAIMS: [(&str, &str, fn()); 9] = [
+    ("sec2", "§2: Hummingbird vs a Helia-style fixed-slot baseline", sec2),
     ("table1", "Table 1: atomic buy-and-redeem gas per path length", table1),
     ("table2", "Table 2: gas of every asset and market call", table2),
     ("fig4", "Fig. 4: atomic buy-and-redeem latency per path length", fig4),
@@ -164,6 +111,85 @@ fn main() {
     }
 }
 
+/// §2: Hummingbird against a Helia-style fixed-slot baseline on the
+/// dimensions the paper claims — paid vs wanted bandwidth-time,
+/// ahead-of-time reservations, who chooses the bandwidth, and atomic
+/// path acquisition. The per-packet cost of every engine is `fig5
+/// --engine all`'s single-core line.
+fn sec2() {
+    println!("§2: Hummingbird vs a Helia-style fixed-slot baseline\n");
+    let now = EPOCH_S;
+
+    println!("-- 1. reservation flexibility: paid vs wanted bandwidth-time --");
+    println!("{:<28} {:>12} {:>12} {:>10}", "scenario", "wanted [s]", "paid [s]", "overhead");
+    for (label, start, end) in [
+        ("10 s trade burst", now + 8, now + 18),
+        ("90 s VoIP call", now + 5, now + 95),
+        ("47 min video call", now, now + 47 * 60),
+    ] {
+        let (want, helia_paid) = helia_slot_coverage(start, end);
+        let (_, hb_paid) = hummingbird_coverage(start, end, 1);
+        let overhead = |paid: u64| (paid as f64 / want as f64 - 1.0) * 100.0;
+        println!(
+            "{label:<28} {want:>12} {helia_paid:>12} {:>9.0}%   (Helia, {SLOT_SECS}s slots)",
+            overhead(helia_paid)
+        );
+        println!(
+            "{:<28} {want:>12} {hb_paid:>12} {:>9.0}%   (Hummingbird, 1s granularity)",
+            "",
+            overhead(hb_paid)
+        );
+    }
+
+    println!("\n-- 2. ahead-of-time reservations --");
+    let mut helia = HeliaService::new(IsdAs::new(1, 1), [1u8; 16], 100_000, 100);
+    let refused = helia.request(IsdAs::new(2, 2), now, slot_of(now + 86_400));
+    println!("Helia: reserving for tomorrow fails: {}", refused.expect_err("a future slot"));
+    let mut world = World::build(WorldConfig { n_ases: 1, ..Default::default() }).expect("world");
+    let t0 = world.cfg.start_unix_s;
+    world.stock_market(100_000, t0 + 86_400, t0 + 86_400 + 3600, 60, 100).expect("stock");
+    let mut client = world.new_client("planner", 10_000);
+    let spec = PurchaseSpec { start: t0 + 86_400, end: t0 + 86_400 + 600, bandwidth_kbps: 4_000 };
+    let grants = world.acquire_path(&mut client, spec).expect("tomorrow's reservation");
+    println!(
+        "Hummingbird: bought + redeemed tomorrow's reservation today (start in {} h), key in hand",
+        (grants[0].res_info.res_start as u64 - t0) / 3600
+    );
+
+    println!("\n-- 3. who chooses the bandwidth --");
+    let mut helia = HeliaService::new(IsdAs::new(1, 1), [1u8; 16], 100_000, 100);
+    let g1 = helia.request(IsdAs::new(2, 1), now, slot_of(now)).expect("current slot");
+    let g2 = helia.request(IsdAs::new(2, 2), now, slot_of(now)).expect("current slot");
+    println!(
+        "Helia: source 1 was handed {} kbps, then demand halved it to {} kbps for source 2 — \
+         neither asked for a rate",
+        g1.bandwidth_kbps, g2.bandwidth_kbps
+    );
+    println!(
+        "Hummingbird: the client above requested exactly 4000 kbps and was granted class {}",
+        grants[0].res_info.bw_encoded
+    );
+
+    println!("\n-- 4. atomic path acquisition --");
+    println!("Helia: each hop requested independently; a failure on hop k strands k-1 grants");
+    println!("       (and their cost) with no rollback — the paper's partial-failure problem.");
+    let mut world = World::build(WorldConfig { n_ases: 3, ..Default::default() }).expect("world");
+    let t0 = world.cfg.start_unix_s;
+    // Stock only a bandwidth that hop purchases can't satisfy: whole-path
+    // failure must move nothing.
+    world.stock_market(1_000, t0 - 60, t0 + 3540, 60, 100).expect("stock");
+    let mut client = world.new_client("atomic", 10_000);
+    let before = world.control.ledger.balance(client.account);
+    let bad = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 4_000 };
+    assert!(world.acquire_path(&mut client, bad).is_err());
+    assert_eq!(world.control.ledger.balance(client.account), before);
+    println!("Hummingbird: 3-hop purchase failed atomically; client balance unchanged.");
+
+    println!("\npaper (§2): Hummingbird = Helia's per-hop flyovers");
+    println!("+ negotiable size/start/duration + ahead-of-time setup + end-host keys");
+    println!("+ tradable assets + atomic paths − DRKey − gateways − fixed slots.");
+}
+
 /// Table 1: gas and dollar cost of atomically buying and redeeming a full
 /// path, for 1-16 hops, with the paper's worst-case split on every asset
 /// (two time splits + one bandwidth split).
@@ -177,11 +203,11 @@ fn table1() {
     for hops in [1usize, 2, 4, 8, 16] {
         // Large parent assets so the purchase needs the full worst-case
         // split: buy an interior window with partial bandwidth.
-        let (mut tb, mut client, hop_list) =
-            stocked_path(TestbedConfig { n_ases: hops, ..Default::default() });
+        let (mut world, mut client, hop_list) =
+            stocked_path(WorldConfig { n_ases: hops, ..Default::default() });
         let mut rng = StdRng::seed_from_u64(1);
         let rx = client
-            .buy_and_redeem_path(&mut tb.control, tb.market, &hop_list, &mut rng)
+            .buy_and_redeem_path(&mut world.control, world.market, &hop_list, &mut rng)
             .expect("atomic purchase");
         let g = rx.gas;
         println!(
@@ -193,7 +219,7 @@ fn table1() {
                     format!("{:.4}", g.storage_cost as f64 / 1e9),
                     format!("{:.4}", g.storage_rebate as f64 / 1e9),
                     format!("{:.4}", g.total_sui()),
-                    format!("{:.4}", g.total_usd(&tb.control.ledger.gas)),
+                    format!("{:.4}", g.total_usd(&world.control.ledger.gas)),
                 ],
                 &widths
             )
@@ -205,19 +231,19 @@ fn table1() {
     );
 }
 
-/// A testbed whose market lists one large asset pair per hop, a funded
+/// A world whose market lists one large asset pair per hop, a funded
 /// client, and the listings a 10-minute, 4 Mbps purchase over every hop
 /// buys: Table 1's and Fig. 4's path.
-fn stocked_path(cfg: TestbedConfig) -> (Testbed, Client, Vec<(ObjectId, ObjectId, PurchaseSpec)>) {
+fn stocked_path(cfg: WorldConfig) -> (World, Client, Vec<(ObjectId, ObjectId, PurchaseSpec)>) {
     let hops = cfg.n_ases;
-    let mut tb = Testbed::build(cfg).expect("testbed");
-    let t0 = tb.cfg.start_unix_s;
-    tb.stock_market(100_000, t0 - 3600, t0 + 36_000, 60, 100).expect("stock");
-    let client = tb.new_client("bench", 100_000);
+    let mut world = World::build(cfg).expect("world");
+    let t0 = world.cfg.start_unix_s;
+    world.stock_market(100_000, t0 - 3600, t0 + 36_000, 60, 100).expect("stock");
+    let client = world.new_client("bench", 100_000);
     let spec = PurchaseSpec { start: t0, end: t0 + 600, bandwidth_kbps: 4_000 };
     let all_hops: Vec<usize> = (0..hops).collect();
-    let hop_list = tb.hop_listings(spec, &all_hops).expect("listing");
-    (tb, client, hop_list)
+    let hop_list = world.hop_listings(spec, &all_hops).expect("listing");
+    (world, client, hop_list)
 }
 
 /// Table 2: gas cost of every individual asset- and market-contract call.
@@ -230,9 +256,8 @@ fn table2() {
         row(&["Contract call", "Computation", "Storage", "Rebate", "SUI", "USD"], &widths)
     );
 
-    let mut tb =
-        Testbed::build(TestbedConfig { n_ases: 1, ..Default::default() }).expect("testbed");
-    let usd = tb.control.ledger.gas.usd_per_sui_micros as f64 / 1e6;
+    let mut world = World::build(WorldConfig { n_ases: 1, ..Default::default() }).expect("world");
+    let usd = world.control.ledger.gas.usd_per_sui_micros as f64 / 1e6;
     let print_row = |name: &str, g: &GasSummary| {
         println!(
             "{}",
@@ -249,9 +274,9 @@ fn table2() {
             )
         );
     };
-    let t0 = tb.cfg.start_unix_s;
-    let account = tb.services[0].account;
-    let as_id = Testbed::as_id(0);
+    let t0 = world.cfg.start_unix_s;
+    let account = world.services[0].account;
+    let as_id = World::as_id(0);
     let mut rng = StdRng::seed_from_u64(2);
 
     println!("-- asset functions --");
@@ -265,49 +290,52 @@ fn table2() {
         time_granularity: 60,
         min_bandwidth_kbps: 100,
     };
-    let rx = tb.services[0].issue_asset(&mut tb.control, template(0, Direction::Ingress)).unwrap();
+    let rx =
+        world.services[0].issue_asset(&mut world.control, template(0, Direction::Ingress)).unwrap();
     print_row("issue", &rx.gas);
     let asset = rx.value;
 
-    let rx = tb.control.split_time(account, asset, t0 + 2 * HOUR).unwrap();
+    let rx = world.control.split_time(account, asset, t0 + 2 * HOUR).unwrap();
     print_row("split_time", &rx.gas);
     let (head, tail) = rx.value;
 
-    let rx = tb.control.split_bandwidth(account, head, 40_000).unwrap();
+    let rx = world.control.split_bandwidth(account, head, 40_000).unwrap();
     print_row("split_bandwidth", &rx.gas);
     let (left, right) = rx.value;
 
-    let rx = tb.control.fuse_bandwidth(account, left, right).unwrap();
+    let rx = world.control.fuse_bandwidth(account, left, right).unwrap();
     print_row("fuse_bandwidth", &rx.gas);
     let fused = rx.value;
 
-    let rx = tb.control.fuse_time(account, fused, tail).unwrap();
+    let rx = world.control.fuse_time(account, fused, tail).unwrap();
     print_row("fuse_time", &rx.gas);
     let ingress_asset = rx.value;
 
     // Redeem needs a matching egress asset.
-    let egress_asset =
-        tb.services[0].issue_asset(&mut tb.control, template(0, Direction::Egress)).unwrap().value;
+    let egress_asset = world.services[0]
+        .issue_asset(&mut world.control, template(0, Direction::Egress))
+        .unwrap()
+        .value;
     let eph = hummingbird_crypto::sig::SecretKey::generate(&mut rng);
-    let rx = tb.control.redeem(account, ingress_asset, egress_asset, eph.public()).unwrap();
+    let rx = world.control.redeem(account, ingress_asset, egress_asset, eph.public()).unwrap();
     print_row("redeem", &rx.gas);
     let request = rx.value;
 
-    let pending = tb.control.pending_requests(account);
+    let pending = world.control.pending_requests(account);
     let delivery = EncryptedReservation {
         as_id,
         request,
         sealed: hummingbird_crypto::sealed::seal(&pending[0].1.ephemeral_pk, &[0u8; 48], &mut rng),
     };
-    let rx = tb.control.deliver_reservation(account, request, delivery).unwrap();
+    let rx = world.control.deliver_reservation(account, request, delivery).unwrap();
     print_row("deliver_reservation", &rx.gas);
 
     println!("-- market functions --");
-    let rx = tb.control.create_marketplace(account).unwrap();
+    let rx = world.control.create_marketplace(account).unwrap();
     print_row("create_marketplace", &rx.gas);
     let market = rx.value;
 
-    let rx = tb.control.register_seller(account, market).unwrap();
+    let rx = world.control.register_seller(account, market).unwrap();
     print_row("register_seller", &rx.gas);
 
     // Four buy variants against four fresh listings.
@@ -324,17 +352,17 @@ fn table2() {
         ),
     ];
     for (i, (name, spec)) in variants.into_iter().enumerate() {
-        let asset = tb.services[0]
-            .issue_asset(&mut tb.control, template(1, Direction::Ingress))
+        let asset = world.services[0]
+            .issue_asset(&mut world.control, template(1, Direction::Ingress))
             .unwrap()
             .value;
-        let rx = tb.control.create_listing(account, market, asset, 1).unwrap();
+        let rx = world.control.create_listing(account, market, asset, 1).unwrap();
         if i == 0 {
             print_row("create_listing", &rx.gas);
         }
         let listing = rx.value;
-        let mut buyer = tb.new_client(&format!("buyer-{name}"), 100_000);
-        let rx = buyer.buy(&mut tb.control, market, listing, spec).unwrap();
+        let mut buyer = world.new_client(&format!("buyer-{name}"), 100_000);
+        let rx = buyer.buy(&mut world.control, market, listing, spec).unwrap();
         print_row(name, &rx.gas);
     }
 
@@ -364,22 +392,22 @@ fn fig4() {
     for hops in [1usize, 2, 4, 8, 16] {
         let mut samples = Vec::with_capacity(RUNS);
         for run in 0..RUNS {
-            let cfg = TestbedConfig { n_ases: hops, seed: run as u64, ..Default::default() };
-            let (mut tb, mut client, hop_list) = stocked_path(cfg);
+            let cfg = WorldConfig { n_ases: hops, seed: run as u64, ..Default::default() };
+            let (mut world, mut client, hop_list) = stocked_path(cfg);
             let mut rng = StdRng::seed_from_u64(run as u64);
             // Request: the real purchase transaction (consensus).
             let rx = client
-                .buy_and_redeem_path(&mut tb.control, tb.market, &hop_list, &mut rng)
+                .buy_and_redeem_path(&mut world.control, world.market, &hop_list, &mut rng)
                 .expect("purchase");
             assert_eq!(rx.path, ExecPath::Consensus);
             let request_ms = model.sample(ExecPath::Consensus, &mut lat_rng);
             // Responses: the real per-AS deliveries (fast path), measured
             // until the last one lands.
-            for service in tb.services.iter_mut() {
-                let rxs = service.process_requests(&mut tb.control, &mut rng).expect("deliver");
+            for service in world.services.iter_mut() {
+                let rxs = service.process_requests(&mut world.control, &mut rng).expect("deliver");
                 assert_eq!(rxs.len(), 1);
             }
-            client.collect_deliveries(&tb.control).expect("collect");
+            client.collect_deliveries(&world.control).expect("collect");
             let response_ms = model.sample_parallel_fast(hops, &mut lat_rng);
             samples.push(request_ms + response_ms);
         }
@@ -414,7 +442,6 @@ fn fig5() {
     let pkts_per_core = u64_from_args("pkts", 200_000);
     let sharded = flag_present("sharded");
     let batch = batch_from_args(BATCH_SIZE);
-    let json_path = flag_value("json");
     let physical = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let backend = hummingbird_crypto::active_backend().name();
     println!(
@@ -423,8 +450,6 @@ fn fig5() {
     println!("(machine has {physical} hardware threads; rows beyond that oversubscribe)");
     println!("(AES backend: {backend}; batch: {batch})\n");
 
-    let mut records: Vec<Value> = Vec::new();
-    let mut scaling: Vec<Value> = Vec::new();
     for kind in engines {
         println!("--- engine: {} ---", kind.name());
         let mut widths = vec![6usize];
@@ -438,8 +463,7 @@ fn fig5() {
             for &payload in &payloads {
                 let pkt = fx.engine_packet(kind, payload);
                 let t = clone_run(&fx, kind, pkt, cores, pkts_per_core / cores as u64 * 4);
-                cells.push(format!("{:.2}", t.gbps_line_capped()));
-                records.push(record(kind, "clone", cores, payload, &t));
+                cells.push(measured(&t, format!("{:.2}", t.gbps_line_capped())));
             }
             println!("{}", row(&cells, &widths));
         }
@@ -448,84 +472,47 @@ fn fig5() {
         println!("single-core per-packet cost: {:.0} ns\n", t.ns_per_pkt(1));
 
         if sharded {
-            sharded_comparison(
-                &fx,
-                kind,
-                &cores_list,
-                pkts_per_core,
-                batch,
-                &mut records,
-                &mut scaling,
-            );
+            sharded_comparison(&fx, kind, &cores_list, pkts_per_core, batch);
         }
-    }
-    if let Some(path) = json_path {
-        let doc = Value::obj([
-            ("schema", 4u64.into()),
-            ("bench", "hotpath".into()),
-            ("aes_backend", backend.into()),
-            ("hardware_threads", physical.into()),
-            ("batch", batch.into()),
-            ("records", records.into()),
-            ("scaling", scaling.into()),
-        ]);
-        json::write(&path, &doc);
     }
     println!();
     if sharded {
         println!("(sharded = one logical router: producer-side RSS into per-shard rx queues,");
         println!(" every ResID policed by exactly one shard; clone = independent engine per");
         println!(" core. With fewer hardware threads than cores the runtime falls back to a");
-        println!(" dedicated-core critical-path estimate — the speedup column then reports");
-        println!(" what dedicated cores would sustain, not concurrent wall clock.)\n");
+        println!(" dedicated-core critical-path estimate, marked `sequential` in the exec");
+        println!(" column — the speedup then reports what dedicated cores would sustain, not");
+        println!(" concurrent wall clock.)\n");
     }
     println!("paper (Fig. 5): line rate at 4 cores/1500 B and 32 cores/100 B;");
     println!("123 ns per SCION packet, 308 ns per Hummingbird packet (AES-NI).");
 }
 
-/// `x`, a measurement of the run `t`, as a document number; `null` when
-/// that run processed no packet.
-fn measured(t: &Throughput, x: f64) -> Value {
+/// `cell`, a measurement of the run `t`; `—` when that run processed no
+/// packet, so an empty point never reads as a real 0.
+fn measured(t: &Throughput, cell: String) -> String {
     if t.packets == 0 {
-        Value::Null
+        "—".to_string()
     } else {
-        x.into()
+        cell
     }
 }
 
-/// One `records` row: `t` measured on `cores` workers.
-fn record(kind: EngineKind, mode: &str, cores: usize, payload_b: usize, t: &Throughput) -> Value {
-    Value::obj([
-        ("engine", kind.name().into()),
-        ("mode", mode.into()),
-        ("cores", cores.into()),
-        ("payload_b", payload_b.into()),
-        ("ns_per_pkt", measured(t, t.ns_per_pkt(cores))),
-        ("mpps", measured(t, t.mpps())),
-    ])
-}
-
 /// Clone vs sharded runtime on the same 64-flow, 500 B workload, plus
-/// the core-scaling curves (speedup vs the first non-empty point of
-/// each mode).
+/// the sharded core-scaling curve (speedup vs its first non-empty
+/// point).
 fn sharded_comparison(
     fx: &DataplaneFixture,
     kind: EngineKind,
     cores_list: &[usize],
     pkts_per_core: u64,
     batch: usize,
-    records: &mut Vec<Value>,
-    scaling: &mut Vec<Value>,
 ) {
     let templates = fx.flow_packets(kind, 500, 64);
-    let widths = [6usize, 12, 12, 10, 10];
-    println!("{}", row(&["cores", "clone", "sharded", "ratio", "scale"], &widths));
-    let (mut clone_curve, mut rss_curve) = (Vec::new(), Vec::new());
-    // Each curve's first non-empty mpps, which its speedups are relative to.
-    let (mut clone_mpps0, mut rss_mpps0) = (None, None);
-    let speedup = |mpps0: &mut Option<f64>, t: &Throughput| {
-        (t.packets > 0).then(|| t.mpps() / *mpps0.get_or_insert(t.mpps()))
-    };
+    let widths = [6usize, 12, 12, 10, 10, 11];
+    println!("{}", row(&["cores", "clone", "sharded", "ratio", "scale", "exec"], &widths));
+    // The curve's first non-empty mpps, which its speedups are relative to.
+    let mut rss_mpps0 = None;
     for &cores in cores_list {
         let total = pkts_per_core / cores.max(1) as u64 * 4 * cores as u64;
         let mut cfg = RuntimeConfig::new(cores);
@@ -537,39 +524,22 @@ fn sharded_comparison(
         let [clone, rss] = [RuntimeMode::PerCoreClone, RuntimeMode::Sharded]
             .map(|mode| Throughput::from(&checked_run(&cfg, mode, fx, kind, &templates, total)));
         let ratio = if clone.gbps() > 0.0 { rss.gbps() / clone.gbps() } else { 0.0 };
-        let rss_speedup = speedup(&mut rss_mpps0, &rss);
+        let speedup = (rss.packets > 0).then(|| rss.mpps() / *rss_mpps0.get_or_insert(rss.mpps()));
         let exec = if cfg.exec.is_concurrent(cores) { "threaded" } else { "sequential" };
-        let point = |t: &Throughput, speedup: Option<f64>| {
-            Value::obj([
-                ("cores", cores.into()),
-                ("mpps", measured(t, t.mpps())),
-                ("speedup", speedup.map_or(Value::Null, Value::from)),
-                ("exec", exec.into()),
-            ])
-        };
-        clone_curve.push(point(&clone, speedup(&mut clone_mpps0, &clone)));
-        rss_curve.push(point(&rss, rss_speedup));
-        records.push(record(kind, "sharded", cores, 500, &rss));
         println!(
             "{}",
             row(
                 &[
                     format!("{cores}"),
-                    format!("{:.2}", clone.gbps_line_capped()),
-                    format!("{:.2}", rss.gbps_line_capped()),
-                    format!("{ratio:.2}x"),
-                    format!("{:.2}x", rss_speedup.unwrap_or(0.0)),
+                    measured(&clone, format!("{:.2}", clone.gbps_line_capped())),
+                    measured(&rss, format!("{:.2}", rss.gbps_line_capped())),
+                    measured(&rss, format!("{ratio:.2}x")),
+                    speedup.map_or("—".to_string(), |x| format!("{x:.2}x")),
+                    exec.to_string(),
                 ],
                 &widths
             )
         );
-    }
-    for (mode, curve) in [("clone", clone_curve), ("sharded", rss_curve)] {
-        scaling.push(Value::obj([
-            ("engine", kind.name().into()),
-            ("mode", mode.into()),
-            ("curve", curve.into()),
-        ]));
     }
     println!();
 }
@@ -726,6 +696,22 @@ fn table3() {
         totals.push((kind, total));
     }
     let find = |k: EngineKind| totals.iter().find(|(kind, _)| *kind == k).map(|(_, t)| *t);
+    if find(EngineKind::Hummingbird).is_some() {
+        // The optional §5.4 duplicate filter: the same pipeline with the
+        // stage on, over packets that are each new to it.
+        let (sv, hop_key) = fx.hop0_keys();
+        let cfg = RouterConfig { duplicate_suppression: true, ..RouterConfig::default() };
+        let mut router = BorderRouter::new(sv.clone(), hop_key.clone(), cfg);
+        let total = distinct_packets_ns(&mut router, &mut fx.generator(true), ITERS);
+        assert_eq!(router.stats().dropped, 0, "the filter dropped a packet that was no replay");
+        println!(
+            "{}",
+            row(
+                &["— total: hummingbird pipeline, dup filter on".into(), format!("{total:.0}")],
+                &widths
+            )
+        );
+    }
     if let (Some(hb), Some(scion)) = (find(EngineKind::Hummingbird), find(EngineKind::Scion)) {
         println!(
             "\nHummingbird/SCION per-packet cost ratio: {:.2}x (paper: 308/123 = 2.5x)",
@@ -733,6 +719,31 @@ fn table3() {
         );
     }
     println!("paper totals: 123 ns SCION, +185 ns Hummingbird overhead (AES-NI hardware).");
+}
+
+/// The mean ns of one `engine.process` over `n` distinct packets from
+/// `generator`, each processed once at its own send time. Packets are
+/// generated, untimed, in bursts of 1 024 that stay in cache; the first
+/// burst is the warm-up. No identity repeats, so a duplicate filter
+/// inserts every packet and drops none.
+fn distinct_packets_ns(engine: &mut dyn Datapath, generator: &mut SourceGenerator, n: u64) -> f64 {
+    const BURST: u64 = 1024;
+    let payload = [0u8; 500];
+    let mut burst = vec![Vec::new(); BURST as usize];
+    let mut timed = (0u64, 0u128);
+    for first in (0..n + BURST).step_by(BURST as usize) {
+        for (i, pkt) in (first..).zip(&mut burst) {
+            generator.generate_into(&payload, EPOCH_MS + i / 1000, pkt).expect("generation");
+        }
+        let start = Instant::now();
+        for (i, pkt) in (first..).zip(&mut burst) {
+            black_box(engine.process(pkt, EPOCH_NS + i / 1000 * 1_000_000));
+        }
+        if first > 0 {
+            timed = (timed.0 + BURST, timed.1 + start.elapsed().as_nanos());
+        }
+    }
+    timed.1 as f64 / timed.0 as f64
 }
 
 /// Table 4: fine-grained packet-generation timings at the source for a

@@ -1,27 +1,19 @@
 //! Shared fixtures, runs and table formatting for the benchmark harness.
 //!
-//! The `paper` binary regenerates the paper's tables and figures, one
-//! `--claim` each; `overload_sweep`, `latency_comparison`,
-//! `baseline_comparison` and `ablations` run the experiments the paper
-//! argues from (see ARCHITECTURE.md, "Benchmark output schema"). This
-//! library provides the packet/router/market fixtures, so the workloads
-//! are identical across experiments, and the one checked runtime run
-//! they share: [`checked_run`] exits the process on a packet
-//! conservation failure, [`clone_run`] measures an engine on per-core
-//! clones, and [`service_ns`] is the per-packet router cost the
-//! simulated sweeps charge each engine family.
-//!
-//! Two runs write a document when given `--json <path>` — `paper --claim
-//! fig5` the hot-path points, `overload_sweep` the overload sweep — built
-//! as a [`json::Value`]; the writer's module doc holds each schema. The
+//! The `paper` binary regenerates the paper's evaluation, one `--claim`
+//! per table, figure or section, and prints each as a table. This
+//! library provides the packet/router fixtures, so the workloads are
+//! identical across claims, the command-line flags they read, and the
+//! one checked runtime run they share: [`checked_run`] exits the process
+//! on a packet conservation failure, and [`clone_run`] measures an
+//! engine on per-core clones. The overload and latency sweeps are tests
+//! of `hummingbird-netsim` (`closed_loop.rs`, `latency_model.rs`); the
 //! simulator, socket testbed and control-plane numbers are the
 //! `netsim_churn`, `chain_*` and `control_*` workloads of the
 //! `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
-
-pub mod json;
 
 use hummingbird_baselines::EngineFamily;
 use hummingbird_crypto::{ResInfo, SecretValue};
@@ -47,7 +39,7 @@ const DRKEY_MASTER: [u8; 16] = [0xB5; 16];
 const SRC: IsdAs = IsdAs::new(1, 0x10);
 const DST: IsdAs = IsdAs::new(2, 0x20);
 
-/// Which [`Datapath`] engine a claim or binary should drive.
+/// Which [`Datapath`] engine a claim should drive.
 ///
 /// Every packet-processing claim accepts `--engine
 /// hummingbird|scion|helia|drkey|epic|gateway|null|all` (default: the
@@ -200,7 +192,7 @@ pub fn engines_from_args(default: &[EngineKind]) -> Vec<EngineKind> {
 /// The value of `--<name> <v>` / `--<name>=<v>` in the process
 /// arguments, if present. Exits with a usage message when the flag
 /// dangles with no value.
-pub fn flag_value(name: &str) -> Option<String> {
+fn flag_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     or_usage_exit(flag_value_in(&args, name))
 }
@@ -235,9 +227,8 @@ pub fn cores_from_args(default: &[usize]) -> Vec<usize> {
     )
 }
 
-/// Parses `--batch <n>` (packets per burst in the runtime hot loop, the
-/// knob the batch-size ablation sweeps); `default` applies when the flag
-/// is absent. Exits with a usage message on malformed or zero input.
+/// Parses `--batch <n>` (packets per burst in the runtime hot loop);
+/// `default` applies when the flag is absent. Exits with a usage message on malformed or zero input.
 pub fn batch_from_args(default: usize) -> usize {
     let Some(v) = flag_value("batch") else { return default };
     or_usage_exit(
@@ -325,7 +316,7 @@ impl DataplaneFixture {
     }
 
     /// A hop-0 engine of the requested kind, type-erased behind
-    /// [`Datapath`] — the only constructor the claims and binaries use.
+    /// [`Datapath`] — the only constructor the claims use.
     pub fn engine(&self, kind: EngineKind) -> Box<dyn Datapath + Send> {
         match (kind.family(), kind) {
             (Some(family), _) => family.engine(
@@ -559,21 +550,6 @@ pub fn clone_run(
     Throughput::from(&checked_run(&cfg, RuntimeMode::PerCoreClone, fx, kind, &[pkt], offered))
 }
 
-/// The per-packet router cost of `family` on this build and host, in ns:
-/// its engine's one-core [`clone_run`] over 500 B packets on the 4-hop
-/// fixture (Fig. 5's single-core point), rounded. The simulated sweeps
-/// charge each family this service time, measured in the run that uses
-/// it.
-pub fn service_ns(family: EngineFamily) -> u64 {
-    const PKTS: u64 = 20_000;
-    let kind = EngineKind::ALL
-        .into_iter()
-        .find(|kind| kind.family() == Some(family))
-        .expect("every family is an engine kind");
-    let fx = DataplaneFixture::new(4);
-    clone_run(&fx, kind, fx.engine_packet(kind, 500), 1, PKTS).ns_per_pkt(1).round() as u64
-}
-
 /// Formats a right-aligned table row.
 pub fn row<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
     cells
@@ -586,8 +562,7 @@ pub fn row<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
 
 /// Percentile of a sorted slice. Empty populations answer `0` — the
 /// same convention as `FlowStats` and the egress `LatencyHistogram`,
-/// and finite by construction so no trajectory document gets a `null`
-/// from this path.
+/// and finite by construction.
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -652,16 +627,6 @@ mod tests {
         );
         // Absent flag: the default applies.
         assert_eq!(flag_value_in(&argv(&["bench", "--cores", "2"]), "pkts").unwrap(), None);
-        // `--json` likewise: a dangling or `=`-spelled flag that fell
-        // back to the default would silently write no document.
-        assert!(flag_value_in(&argv(&["bench", "--json"]), "json").is_err());
-        for spelling in [&["bench", "--json", "/tmp/x.json"][..], &["bench", "--json=/tmp/x.json"]]
-        {
-            assert_eq!(
-                flag_value_in(&argv(spelling), "json").unwrap().as_deref(),
-                Some("/tmp/x.json")
-            );
-        }
         // `--engine` is repeatable and goes through the same scan: a
         // dangling one must not silently run the default engines.
         assert!(flag_values_in(&argv(&["bench", "--engine"]), "engine").is_err());
@@ -679,8 +644,7 @@ mod tests {
     #[test]
     fn percentile_of_empty_is_zero() {
         // The empty-population convention everywhere else (FlowStats,
-        // LatencyHistogram) is 0 — NaN here would reach a trajectory
-        // document as a null.
+        // LatencyHistogram) is 0 — never NaN.
         assert_eq!(percentile(&[], 0.5), 0.0);
         assert_eq!(percentile(&[], 1.0), 0.0);
         // Non-empty percentiles are unchanged.

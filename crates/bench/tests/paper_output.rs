@@ -1,18 +1,35 @@
 //! The seeded paper claims print the same bytes on every run, in debug
 //! and release and under either AES backend: Table 1 and Fig. 4 buy
-//! whole paths on a seeded testbed, Table 2 calls every contract once.
-//! Each test pins the SHA-256 of one claim's stdout, so a change to the
-//! listing search, the purchase path or the table layout shows here.
+//! whole paths on a seeded world, Table 2 calls every contract once, and
+//! §2 runs the Helia-style service next to the market. Each digest test
+//! pins the SHA-256 of one claim's stdout, so a change to the listing
+//! search, the purchase path or the table layout shows here. The timed
+//! claims cannot be pinned; their shape can.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 use hummingbird_crypto::sha256::Sha256;
 
-fn assert_stdout_digest(bin: &str, args: &[&str], want: &str) {
+/// Runs `bin` with `args` and returns its output; the run must succeed.
+fn run(bin: &str, args: &[&str]) -> Output {
     let out = Command::new(bin).args(args).output().expect("spawn binary");
     assert!(out.status.success(), "{bin} {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    out
+}
+
+fn assert_stdout_digest(bin: &str, args: &[&str], want: &str) {
+    let out = run(bin, args);
     let got: String = Sha256::digest(&out.stdout).iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(got, want, "{bin} {args:?} printed:\n{}", String::from_utf8_lossy(&out.stdout));
+}
+
+#[test]
+fn sec2_output_is_unchanged() {
+    assert_stdout_digest(
+        env!("CARGO_BIN_EXE_paper"),
+        &["--claim", "sec2"],
+        "47e97fcbe2da53521a05ed2be921239d09f966991e58be830cf605ebea12221e",
+    );
 }
 
 #[test]
@@ -40,4 +57,30 @@ fn fig4_output_is_unchanged() {
         &["--claim", "fig4"],
         "817c38c59452bfd62359dea90b02c955e2d698dcec97bbdd86cd06540a0fabe7",
     );
+}
+
+/// A Fig. 5 point that processed no packet prints `—` in every
+/// measurement cell, never a real-looking `0.00`: at `--pkts 2` each of
+/// 4 cores gets no packet, in the clone table and in the sharded one,
+/// while the 1-core points still measure.
+#[test]
+fn fig5_prints_a_dash_for_a_point_without_packets() {
+    let args =
+        ["--claim", "fig5", "--engine", "null", "--cores", "1,4", "--pkts", "2", "--sharded"];
+    let out = run(env!("CARGO_BIN_EXE_paper"), &args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rows = |cores: &str| -> Vec<Vec<&str>> {
+        let cells = stdout.lines().map(|line| line.split_whitespace().collect::<Vec<_>>());
+        cells.filter(|cells| cells.first() == Some(&cores)).collect()
+    };
+    // The clone table, then the sharded one (its last cell is `exec`).
+    let empty = rows("4");
+    assert_eq!(empty.len(), 2, "{stdout}");
+    assert_eq!(empty[0][1..], ["—"; 4], "{stdout}");
+    assert_eq!(empty[1][1..5], ["—"; 4], "{stdout}");
+    let measured = rows("1");
+    assert_eq!(measured.len(), 2, "{stdout}");
+    for row in measured {
+        assert!(!row.contains(&"—"), "a 1-core point processed packets: {stdout}");
+    }
 }

@@ -4,8 +4,9 @@
 //! header's unique `(BaseTimestamp, MillisTimestamp, Counter)` triple merely
 //! makes it possible for ASes that want it. This module implements it so
 //! the netsim experiments can quantify what it buys against
-//! on-reservation-set replay adversaries (ablation 3 of the `ablations`
-//! binary; ARCHITECTURE.md, "The data-plane pipeline", row §5.4).
+//! on-reservation-set replay adversaries (its per-packet cost is a total
+//! row of `paper --claim table3`; ARCHITECTURE.md, "The data-plane
+//! pipeline", row §5.4).
 //!
 //! Implementation: two-epoch rotating hash sets. Entries live at least one
 //! full packet-validity window (`Δ + 2δ`) and at most two, using bounded

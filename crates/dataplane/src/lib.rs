@@ -13,7 +13,7 @@
 //! * `source` — the traffic generator: stamps per-packet timestamps and
 //!   computes flyover MACs for every reserved hop.
 //! * [`beacon`] — forges valid SCION paths (the beaconing substitute).
-//! * `dup` — optional duplicate suppression (§5.4 ablation).
+//! * `dup` — optional duplicate suppression (§5.4).
 //! * [`runtime`] — the sharded multi-queue runtime and the one way to
 //!   run engines on cores ([`run_to_completion`]): an RSS-style flow
 //!   hash splits the workload into per-shard rx queues so each

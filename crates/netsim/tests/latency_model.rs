@@ -3,7 +3,8 @@
 //! 1. **Fig. 3/4-style sweep** (the headline): end-to-end latency per
 //!    engine family × {single, 4-shard} — reservation families hold the
 //!    victim's latency flat under a flood, authentication-only families
-//!    watch it blow up with the best-effort queue.
+//!    watch it blow up with the best-effort queue — and D1 over the same
+//!    deployments: forged credentials die at the first router.
 //! 2. **Closed form**: an uncontended CBR flow's latency is *exactly*
 //!    `hops·service + links·(serialization + propagation)` — the link
 //!    rate, propagation delay and router service model compose with no
@@ -18,9 +19,10 @@ mod common;
 
 use hummingbird_dataplane::RouterConfig;
 use hummingbird_netsim::{
-    run, EngineFamily, EngineScenario, FlowId, FlowSpec, FlowStats, LinearTopology, LinkSpec,
+    run, EngineFamily, EngineScenario, Flow, FlowId, FlowSpec, FlowStats, LinearTopology, LinkSpec,
     Route, Scenario, ServiceModel, TopologyBuilder,
 };
+use hummingbird_wire::IsdAs;
 use proptest::prelude::*;
 
 const START_S: u64 = 1_700_000_000;
@@ -94,6 +96,47 @@ fn fig34_latency_sweep_across_families_and_shards() {
                 victim.sent_pkts + flood.sent_pkts,
                 "{label}: every packet counted once"
             );
+        }
+    }
+}
+
+/// D1 in a simulated flow, per engine family × {single, 4-shard}: a
+/// sender whose every-hop credentials were minted under a seeded sibling
+/// chain's secrets (`build_seeded(.., 0xEE)`) has every packet dropped at
+/// the first router, so the second router never sees one and nothing is
+/// delivered. Uncontended, so what is measured is authentication.
+#[test]
+fn forged_credentials_are_dropped_at_the_first_router() {
+    let cfg = RouterConfig::default();
+    let link = LinkSpec { bandwidth_bps: 100_000_000, ..Default::default() };
+    let (atk, dst) = (IsdAs::new(3, 0xc), IsdAs::new(2, 0xb));
+    for family in EngineFamily::ALL {
+        for shards in [1usize, 4] {
+            let label = format!("{}x{shards}", family.name());
+            let mut net = LinearTopology::build(2, link, START_NS, cfg).net;
+            net.install_engines(EngineScenario { family, shards }, cfg);
+            let mut sibling = LinearTopology::build_seeded(2, link, START_NS, cfg, 0xEE);
+            let mut generator = sibling.make_generator(atk, dst);
+            for hop in 0..2 {
+                let credential = sibling.make_family_credential(family, hop, atk, 3_000, START_S);
+                generator.attach_reservation(hop, credential).expect("matching interfaces");
+            }
+            let forged = net.sim.add_flow(Flow {
+                generator,
+                entry: net.as_nodes[0],
+                payload_len: 500,
+                interval_ns: 1_000_000,
+                start_ns: START_NS,
+                stop_ns: START_NS + SEC,
+            });
+            net.sim.run_until(START_NS + 2 * SEC);
+            let f = net.sim.stats(forged);
+            assert!(f.sent_pkts > 0, "{label}: the forger sent nothing");
+            assert_eq!(f.router_drops, f.sent_pkts, "{label}: every forged packet dropped");
+            assert_eq!(f.delivered_pkts, 0, "{label}: a forged packet was delivered");
+            let [first, second] = [0, 1].map(|i| net.sim.router_stats(net.as_nodes[i]).unwrap());
+            assert_eq!(first.dropped, f.sent_pkts, "{label}: dropped at the first router");
+            assert_eq!(second.processed, 0, "{label}: a forged packet passed the first router");
         }
     }
 }

@@ -8,21 +8,21 @@
 //!
 //! Run with: `cargo run --release --example bidirectional`
 
-use hummingbird::testbed::{Testbed, TestbedConfig};
+use hummingbird::world::{World, WorldConfig};
 use hummingbird::{IsdAs, PurchaseSpec, ReservationBundle};
 
 fn main() {
     // Forward direction: client -> server over 3 ASes.
-    let mut fwd = Testbed::build(TestbedConfig { n_ases: 3, seed: 1, ..Default::default() })
-        .expect("forward testbed");
+    let mut fwd = World::build(WorldConfig { n_ases: 3, seed: 1, ..Default::default() })
+        .expect("forward world");
     // Reverse direction: an independent chain (in a real deployment, the
     // reverse path's ASes; here a second simulated path).
-    let mut rev = Testbed::build(TestbedConfig { n_ases: 3, seed: 2, ..Default::default() })
-        .expect("reverse testbed");
+    let mut rev = World::build(WorldConfig { n_ases: 3, seed: 2, ..Default::default() })
+        .expect("reverse world");
     let t0 = fwd.cfg.start_unix_s;
 
-    for tb in [&mut fwd, &mut rev] {
-        tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).expect("stock");
+    for world in [&mut fwd, &mut rev] {
+        world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).expect("stock");
     }
 
     // The client buys BOTH directions (it pays for the server's replies —

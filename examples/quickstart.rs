@@ -14,29 +14,29 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use hummingbird::netsim::{EngineFamily, EngineScenario};
-use hummingbird::testbed::{Testbed, TestbedConfig};
+use hummingbird::world::{World, WorldConfig};
 use hummingbird::{Datapath, IsdAs, PacketBuf, PurchaseSpec};
 
 fn main() {
-    let cfg = TestbedConfig { n_ases: 5, ..Default::default() };
+    let cfg = WorldConfig { n_ases: 5, ..Default::default() };
     let n = cfg.n_ases;
-    let mut tb = Testbed::build(cfg).expect("testbed");
-    let t0 = tb.cfg.start_unix_s;
+    let mut world = World::build(cfg).expect("world");
+    let t0 = world.cfg.start_unix_s;
     println!("== Hummingbird quickstart: {n} ASes, linear path ==\n");
 
     // --- ASes stock the market --------------------------------------
-    let listings = tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).expect("stock market");
+    let listings = world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).expect("stock market");
     println!(
         "ASes issued and listed {} assets (1 ingress + 1 egress per hop, 100 Mbps, 1 h)",
         listings.len() * 2
     );
 
     // --- Client: atomic path purchase --------------------------------
-    let mut client = tb.new_client("alice", 1_000);
-    let balance_before = tb.control.ledger.balance(client.account);
+    let mut client = world.new_client("alice", 1_000);
+    let balance_before = world.control.ledger.balance(client.account);
     let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 4_000 };
-    let grants = tb.acquire_path(&mut client, spec).expect("acquire path");
-    let balance_after = tb.control.ledger.balance(client.account);
+    let grants = world.acquire_path(&mut client, spec).expect("acquire path");
+    let balance_after = world.control.ledger.balance(client.account);
     println!("\nclient bought + redeemed {} flyovers atomically (4 Mbps, 10 min)", grants.len());
     println!("  paid {:.4} SUI (price + gas)", (balance_before - balance_after) as f64 / 1e9);
     for (i, g) in grants.iter().enumerate() {
@@ -54,10 +54,10 @@ fn main() {
     // --- Data plane: send prioritized traffic ------------------------
     let src = IsdAs::new(1, 0xa);
     let dst = IsdAs::new(2, 0xb);
-    let generator = tb.make_reserved_generator(src, dst, &grants).expect("generator");
-    let entry = tb.topo.as_nodes[0];
+    let generator = world.make_reserved_generator(src, dst, &grants).expect("generator");
+    let entry = world.topo.as_nodes[0];
     let start_ns = t0 * 1_000_000_000;
-    let flow = tb.topo.sim.add_flow(hummingbird::netsim::Flow {
+    let flow = world.topo.sim.add_flow(hummingbird::netsim::Flow {
         generator,
         entry,
         payload_len: 1000,
@@ -67,8 +67,8 @@ fn main() {
         start_ns,
         stop_ns: start_ns + 2_000_000_000,
     });
-    tb.topo.sim.run_until(start_ns + 3_000_000_000);
-    let stats = tb.topo.sim.stats(flow);
+    world.topo.sim.run_until(start_ns + 3_000_000_000);
+    let stats = world.topo.sim.stats(flow);
     println!("\nsent {} packets over the simulated path:", stats.sent_pkts);
     println!(
         "  delivered {} ({:.1}%), mean latency {:.2} ms",
@@ -76,8 +76,8 @@ fn main() {
         stats.delivery_ratio() * 100.0,
         stats.mean_latency_ms()
     );
-    for (i, node) in tb.topo.as_nodes.iter().enumerate() {
-        let rs = tb.topo.sim.router_stats(*node).unwrap();
+    for (i, node) in world.topo.as_nodes.iter().enumerate() {
+        let rs = world.topo.sim.router_stats(*node).unwrap();
         println!(
             "  AS {i}: processed {} | priority {} | best-effort {} | dropped {}",
             rs.processed, rs.flyover, rs.best_effort, rs.dropped
@@ -90,7 +90,7 @@ fn main() {
     // Everything above drove engines through the simulator; the same
     // packets can be processed against any engine directly through the
     // `Datapath` trait — here hop 0's router, batch-first.
-    let mut generator = tb.make_reserved_generator(src, dst, &grants).expect("generator");
+    let mut generator = world.make_reserved_generator(src, dst, &grants).expect("generator");
     let now_ns = t0 * 1_000_000_000;
     let mut batch: Vec<PacketBuf> = (0..8)
         .map(|i| PacketBuf::new(generator.generate(&[0u8; 200], t0 * 1000 + i).unwrap()))
@@ -106,7 +106,7 @@ fn main() {
         (verdicts.iter().filter(|v| v.is_flyover()).count(), verdicts.len())
     };
     let hb = |shards| EngineScenario { family: EngineFamily::Hummingbird, shards };
-    let mut router = tb.topo.engine(0, hb(1), tb.cfg.router);
+    let mut router = world.topo.engine(0, hb(1), world.cfg.router);
     let (priority, total) = verdict_probe(router.as_mut());
     println!(
         "Datapath batch API: {} of {} packets verified with priority at a fresh hop-0 \"{}\" engine",
@@ -120,7 +120,7 @@ fn main() {
     // The same trait also fronts a whole multi-core router: a
     // `ShardedRouter` RSS-steers each reservation to the one shard that
     // polices it, and behaves observably like the single engine above.
-    let mut sharded = tb.topo.engine(0, hb(4), tb.cfg.router);
+    let mut sharded = world.topo.engine(0, hb(4), world.cfg.router);
     let (priority, total) = verdict_probe(sharded.as_mut());
     println!(
         "Sharded runtime: the same {} packets verified with priority across a 4-shard \"{}\" router",

@@ -21,7 +21,7 @@
 //! | Asset + market contracts, redeem flow | `hummingbird_control` | §4.2 |
 //! | Border router, policing, traffic generation | `hummingbird_dataplane` | §4.3-4.4, §7 |
 //! | Discrete-event network simulation | `hummingbird_netsim` | §5 (D2) |
-//! | End-to-end testbed (this crate) | [`testbed`] | whole system |
+//! | In-process end-to-end world (this crate) | [`world`] | whole system |
 //!
 //! This is the workspace's root package, so the repository-level
 //! `tests/` and `examples/` build against it.
@@ -29,25 +29,25 @@
 //! ## Quickstart
 //!
 //! ```
-//! use hummingbird::testbed::{Testbed, TestbedConfig};
+//! use hummingbird::world::{World, WorldConfig};
 //! use hummingbird::PurchaseSpec;
 //!
-//! let mut tb = Testbed::build(TestbedConfig::default()).unwrap();
-//! let t0 = tb.cfg.start_unix_s;
+//! let mut world = World::build(WorldConfig::default()).unwrap();
+//! let t0 = world.cfg.start_unix_s;
 //!
 //! // ASes list bandwidth on the market.
-//! tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+//! world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
 //!
 //! // A client atomically buys + redeems reservations for the whole path.
-//! let mut client = tb.new_client("alice", 1_000);
+//! let mut client = world.new_client("alice", 1_000);
 //! let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 4_000 };
-//! let grants = tb.acquire_path(&mut client, spec).unwrap();
-//! assert_eq!(grants.len(), tb.cfg.n_ases);
+//! let grants = world.acquire_path(&mut client, spec).unwrap();
+//! assert_eq!(grants.len(), world.cfg.n_ases);
 //!
 //! // The grants plug straight into the data plane.
 //! let src = hummingbird::IsdAs::new(1, 0xa);
 //! let dst = hummingbird::IsdAs::new(2, 0xb);
-//! let mut generator = tb.make_reserved_generator(src, dst, &grants).unwrap();
+//! let mut generator = world.make_reserved_generator(src, dst, &grants).unwrap();
 //! let pkt = generator.generate(&[0u8; 500], t0 * 1000).unwrap();
 //! assert!(pkt.len() > 500);
 //! ```
@@ -57,10 +57,10 @@
 #![warn(missing_docs)]
 
 mod bidirectional;
-pub mod testbed;
+pub mod world;
 
 pub use bidirectional::{BundleEntry, ReservationBundle};
-pub use testbed::{Testbed, TestbedConfig, TestbedError};
+pub use world::{World, WorldConfig, WorldError};
 
 // Re-export the sub-crates under stable names.
 pub use hummingbird_coloring as coloring;
@@ -86,32 +86,32 @@ pub use hummingbird_wire::{HummingbirdPath, IsdAs, Packet};
 
 #[cfg(test)]
 mod tests {
-    use super::testbed::{Testbed, TestbedConfig};
+    use super::world::{World, WorldConfig};
     use super::*;
 
     #[test]
     fn testbed_builds_and_registers_all_ases() {
-        let tb = Testbed::build(TestbedConfig::default()).unwrap();
-        assert_eq!(tb.services.len(), 3);
-        assert_eq!(tb.control.registered_ases().len(), 3);
+        let world = World::build(WorldConfig::default()).unwrap();
+        assert_eq!(world.services.len(), 3);
+        assert_eq!(world.control.registered_ases().len(), 3);
     }
 
     #[test]
     fn full_stack_quickstart_flow() {
-        let mut tb = Testbed::build(TestbedConfig { n_ases: 4, ..Default::default() }).unwrap();
-        let t0 = tb.cfg.start_unix_s;
-        tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
-        let mut client = tb.new_client("alice", 1_000);
+        let mut world = World::build(WorldConfig { n_ases: 4, ..Default::default() }).unwrap();
+        let t0 = world.cfg.start_unix_s;
+        world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+        let mut client = world.new_client("alice", 1_000);
         let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 4_000 };
-        let grants = tb.acquire_path(&mut client, spec).unwrap();
+        let grants = world.acquire_path(&mut client, spec).unwrap();
         assert_eq!(grants.len(), 4);
 
         // Control-plane keys verify at the simulated routers end-to-end.
         let src = IsdAs::new(1, 0xa);
         let dst = IsdAs::new(2, 0xb);
-        let generator = tb.make_reserved_generator(src, dst, &grants).unwrap();
-        let entry = tb.topo.as_nodes[0];
-        let flow = tb.topo.sim.add_flow(hummingbird_netsim::Flow {
+        let generator = world.make_reserved_generator(src, dst, &grants).unwrap();
+        let entry = world.topo.as_nodes[0];
+        let flow = world.topo.sim.add_flow(hummingbird_netsim::Flow {
             generator,
             entry,
             payload_len: 500,
@@ -119,40 +119,40 @@ mod tests {
             start_ns: t0 * 1_000_000_000,
             stop_ns: (t0 + 1) * 1_000_000_000,
         });
-        tb.topo.sim.run_until((t0 + 2) * 1_000_000_000);
-        let stats = tb.topo.sim.stats(flow);
+        world.topo.sim.run_until((t0 + 2) * 1_000_000_000);
+        let stats = world.topo.sim.stats(flow);
         assert!(stats.sent_pkts > 90);
         assert_eq!(stats.delivered_pkts, stats.sent_pkts, "all packets delivered");
         assert_eq!(stats.router_drops, 0);
         // Every router saw them as priority traffic.
-        for node in &tb.topo.as_nodes {
-            let rs = tb.topo.sim.router_stats(*node).unwrap();
+        for node in &world.topo.as_nodes {
+            let rs = world.topo.sim.router_stats(*node).unwrap();
             assert_eq!(rs.flyover, stats.sent_pkts, "priority at node {node}");
         }
     }
 
     #[test]
     fn atomic_failure_leaves_funds_untouched() {
-        let mut tb = Testbed::build(TestbedConfig::default()).unwrap();
-        let t0 = tb.cfg.start_unix_s;
-        tb.stock_market(1_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
-        let mut client = tb.new_client("bob", 1_000);
-        let before = tb.control.ledger.balance(client.account);
+        let mut world = World::build(WorldConfig::default()).unwrap();
+        let t0 = world.cfg.start_unix_s;
+        world.stock_market(1_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+        let mut client = world.new_client("bob", 1_000);
+        let before = world.control.ledger.balance(client.account);
         let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 4_000 };
         // 4 Mbps exceeds the 1 Mbps listings: no hop matches.
-        assert!(tb.acquire_path(&mut client, spec).is_err());
-        assert_eq!(tb.control.ledger.balance(client.account), before);
+        assert!(world.acquire_path(&mut client, spec).is_err());
+        assert_eq!(world.control.ledger.balance(client.account), before);
         assert_eq!(client.pending_count(), 0);
     }
 
     #[test]
     fn bidirectional_bundle_shares_reverse_path() {
-        let mut tb = Testbed::build(TestbedConfig::default()).unwrap();
-        let t0 = tb.cfg.start_unix_s;
-        tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
-        let mut client = tb.new_client("alice", 1_000);
+        let mut world = World::build(WorldConfig::default()).unwrap();
+        let t0 = world.cfg.start_unix_s;
+        world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+        let mut client = world.new_client("alice", 1_000);
         let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 2_000 };
-        let grants = tb.acquire_path(&mut client, spec).unwrap();
+        let grants = world.acquire_path(&mut client, spec).unwrap();
 
         // Ship the credentials to the server (App. C flow).
         let bundle = ReservationBundle::from_grants(&grants);
@@ -162,7 +162,7 @@ mod tests {
         // The server can now authenticate packets with the same keys.
         let src = IsdAs::new(2, 0xb);
         let dst = IsdAs::new(1, 0xa);
-        let mut generator = tb.make_reserved_generator(src, dst, &server_grants).unwrap();
+        let mut generator = world.make_reserved_generator(src, dst, &server_grants).unwrap();
         assert!(generator.generate(&[0u8; 100], t0 * 1000).is_ok());
     }
 }

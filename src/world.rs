@@ -1,6 +1,6 @@
-//! An end-to-end Hummingbird testbed: one object, every layer wired up.
+//! An in-process Hummingbird world: one object, every layer wired up.
 //!
-//! The [`Testbed`] combines the blockchain control plane, per-AS
+//! The [`World`] combines the blockchain control plane, per-AS
 //! Hummingbird services, the marketplace, end-host clients and the
 //! discrete-event network simulator into one coherent deployment over a
 //! linear AS chain — the full life of a reservation from `issue` on chain
@@ -18,9 +18,9 @@ use hummingbird_wire::IsdAs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Errors from testbed orchestration.
+/// Errors from world orchestration.
 #[derive(Debug)]
-pub enum TestbedError {
+pub enum WorldError {
     /// A control-plane transaction failed.
     Exec(ExecError),
     /// The AS service could not serve a redeem request.
@@ -34,40 +34,40 @@ pub enum TestbedError {
     Gen(hummingbird_dataplane::GenError),
 }
 
-impl std::fmt::Display for TestbedError {
+impl std::fmt::Display for WorldError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TestbedError::Exec(e) => write!(f, "control plane: {e}"),
-            TestbedError::Service(e) => write!(f, "AS service: {e}"),
-            TestbedError::NoMatchingListing { hop } => {
+            WorldError::Exec(e) => write!(f, "control plane: {e}"),
+            WorldError::Service(e) => write!(f, "AS service: {e}"),
+            WorldError::NoMatchingListing { hop } => {
                 write!(f, "no matching ingress/egress listing pair at hop {hop}")
             }
-            TestbedError::Gen(e) => write!(f, "generator: {e}"),
+            WorldError::Gen(e) => write!(f, "generator: {e}"),
         }
     }
 }
 
-impl std::error::Error for TestbedError {}
+impl std::error::Error for WorldError {}
 
-impl From<ExecError> for TestbedError {
+impl From<ExecError> for WorldError {
     fn from(e: ExecError) -> Self {
-        TestbedError::Exec(e)
+        WorldError::Exec(e)
     }
 }
-impl From<hummingbird_control::ServiceError> for TestbedError {
+impl From<hummingbird_control::ServiceError> for WorldError {
     fn from(e: hummingbird_control::ServiceError) -> Self {
-        TestbedError::Service(e)
+        WorldError::Service(e)
     }
 }
-impl From<hummingbird_dataplane::GenError> for TestbedError {
+impl From<hummingbird_dataplane::GenError> for WorldError {
     fn from(e: hummingbird_dataplane::GenError) -> Self {
-        TestbedError::Gen(e)
+        WorldError::Gen(e)
     }
 }
 
-/// Configuration of a testbed deployment.
+/// Configuration of a world.
 #[derive(Clone, Debug)]
-pub struct TestbedConfig {
+pub struct WorldConfig {
     /// Number of ASes in the chain.
     pub n_ases: usize,
     /// Link parameters for the inter-AS links.
@@ -85,9 +85,9 @@ pub struct TestbedConfig {
     pub seed: u64,
 }
 
-impl Default for TestbedConfig {
+impl Default for WorldConfig {
     fn default() -> Self {
-        TestbedConfig {
+        WorldConfig {
             n_ases: 3,
             link: LinkSpec::default(),
             router: RouterConfig::default(),
@@ -100,7 +100,7 @@ impl Default for TestbedConfig {
 }
 
 /// The assembled deployment.
-pub struct Testbed {
+pub struct World {
     /// The blockchain control plane.
     pub control: ControlPlane,
     /// One Hummingbird service per AS (index = hop position).
@@ -110,21 +110,21 @@ pub struct Testbed {
     /// The simulated AS chain (routers share secrets with `services`).
     pub topo: TopologyBuilder,
     /// Deployment configuration.
-    pub cfg: TestbedConfig,
+    pub cfg: WorldConfig,
     /// Deterministic RNG for control-plane crypto.
     pub rng: StdRng,
 }
 
-impl Testbed {
+impl World {
     /// AS identifier of hop `i` (ISD 1, ASN `0x1000 + i`).
     pub fn as_id(i: usize) -> IsdAs {
         IsdAs::new(1, 0x1000 + i as u64)
     }
 
-    /// Builds a testbed: registers every AS with the asset contract,
+    /// Builds a world: registers every AS with the asset contract,
     /// creates the marketplace, and wires the same data-plane secrets into
     /// the simulated routers.
-    pub fn build(cfg: TestbedConfig) -> Result<Self, TestbedError> {
+    pub fn build(cfg: WorldConfig) -> Result<Self, WorldError> {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let n = cfg.n_ases;
 
@@ -177,7 +177,7 @@ impl Testbed {
         )
         .net;
 
-        Ok(Testbed { control, services, market, topo, cfg, rng })
+        Ok(World { control, services, market, topo, cfg, rng })
     }
 
     /// Has every AS issue and list a matching ingress/egress asset pair
@@ -190,7 +190,7 @@ impl Testbed {
         end: u64,
         granularity_s: u64,
         min_bw_kbps: u64,
-    ) -> Result<Vec<(ObjectId, ObjectId)>, TestbedError> {
+    ) -> Result<Vec<(ObjectId, ObjectId)>, WorldError> {
         let n = self.cfg.n_ases;
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
@@ -235,7 +235,7 @@ impl Testbed {
         &mut self,
         client: &mut Client,
         spec: PurchaseSpec,
-    ) -> Result<Vec<GrantedReservation>, TestbedError> {
+    ) -> Result<Vec<GrantedReservation>, WorldError> {
         let hops: Vec<usize> = (0..self.cfg.n_ases).collect();
         let grants = self.acquire_hops(client, spec, &hops)?;
         Ok(grants.into_iter().map(|(_, g)| g).collect())
@@ -249,11 +249,11 @@ impl Testbed {
         &self,
         spec: PurchaseSpec,
         hop_indices: &[usize],
-    ) -> Result<Vec<(ObjectId, ObjectId, PurchaseSpec)>, TestbedError> {
+    ) -> Result<Vec<(ObjectId, ObjectId, PurchaseSpec)>, WorldError> {
         let n = self.cfg.n_ases;
         let listings = self.control.listings(self.market);
         let hop = |i: usize| {
-            let missing = TestbedError::NoMatchingListing { hop: i };
+            let missing = WorldError::NoMatchingListing { hop: i };
             if i >= n {
                 return Err(missing);
             }
@@ -288,7 +288,7 @@ impl Testbed {
         client: &mut Client,
         spec: PurchaseSpec,
         hop_indices: &[usize],
-    ) -> Result<Vec<(usize, GrantedReservation)>, TestbedError> {
+    ) -> Result<Vec<(usize, GrantedReservation)>, WorldError> {
         let n = self.cfg.n_ases;
         let hops = self.hop_listings(spec, hop_indices)?;
         client.buy_and_redeem_path(&mut self.control, self.market, &hops, &mut self.rng)?;
@@ -304,7 +304,7 @@ impl Testbed {
             let g = granted
                 .iter()
                 .find(|g| g.as_id == Self::as_id(i) && g.res_info.ingress == ingress_if)
-                .ok_or(TestbedError::NoMatchingListing { hop: i })?;
+                .ok_or(WorldError::NoMatchingListing { hop: i })?;
             out.push((i, g.clone()));
         }
         Ok(out)
@@ -317,7 +317,7 @@ impl Testbed {
         src: IsdAs,
         dst: IsdAs,
         grants: &[(usize, GrantedReservation)],
-    ) -> Result<SourceGenerator, TestbedError> {
+    ) -> Result<SourceGenerator, WorldError> {
         let path: Vec<usize> = (0..self.cfg.n_ases).collect();
         let mut generator = self.topo.generator(&path, src, dst);
         for (hop, g) in grants {
@@ -336,7 +336,7 @@ impl Testbed {
         src: IsdAs,
         dst: IsdAs,
         granted: &[GrantedReservation],
-    ) -> Result<SourceGenerator, TestbedError> {
+    ) -> Result<SourceGenerator, WorldError> {
         let grants: Vec<(usize, GrantedReservation)> =
             granted.iter().cloned().enumerate().collect();
         self.make_partially_reserved_generator(src, dst, &grants)

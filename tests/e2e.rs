@@ -2,7 +2,7 @@
 //! market issuance through packet forwarding, exercised via the umbrella
 //! crate's public API only.
 
-use hummingbird::testbed::{Testbed, TestbedConfig};
+use hummingbird::world::{World, WorldConfig};
 use hummingbird::{ExecPath, IsdAs, PurchaseSpec, ReservationBundle};
 
 const SEC: u64 = 1_000_000_000;
@@ -10,25 +10,25 @@ const SEC: u64 = 1_000_000_000;
 #[test]
 fn sixteen_hop_path_acquisition_and_forwarding() {
     // The longest path the paper evaluates (Table 1, Fig. 4: 16 hops).
-    let mut tb = Testbed::build(TestbedConfig {
+    let mut world = World::build(WorldConfig {
         n_ases: 16,
         link: hummingbird::LinkSpec { bandwidth_bps: 100_000_000, ..Default::default() },
         ..Default::default()
     })
     .unwrap();
-    let t0 = tb.cfg.start_unix_s;
-    tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
-    let mut client = tb.new_client("alice", 10_000);
+    let t0 = world.cfg.start_unix_s;
+    world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+    let mut client = world.new_client("alice", 10_000);
     let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 2_000 };
-    let grants = tb.acquire_path(&mut client, spec).unwrap();
+    let grants = world.acquire_path(&mut client, spec).unwrap();
     assert_eq!(grants.len(), 16);
 
     // All 16 flyovers verify along the chain.
     let generator =
-        tb.make_reserved_generator(IsdAs::new(1, 0xa), IsdAs::new(2, 0xb), &grants).unwrap();
-    let entry = tb.topo.as_nodes[0];
+        world.make_reserved_generator(IsdAs::new(1, 0xa), IsdAs::new(2, 0xb), &grants).unwrap();
+    let entry = world.topo.as_nodes[0];
     let start_ns = t0 * SEC;
-    let flow = tb.topo.sim.add_flow(hummingbird::netsim::Flow {
+    let flow = world.topo.sim.add_flow(hummingbird::netsim::Flow {
         generator,
         entry,
         payload_len: 500,
@@ -36,35 +36,33 @@ fn sixteen_hop_path_acquisition_and_forwarding() {
         start_ns,
         stop_ns: start_ns + SEC,
     });
-    tb.topo.sim.run_until(start_ns + 2 * SEC);
-    let s = tb.topo.sim.stats(flow);
+    world.topo.sim.run_until(start_ns + 2 * SEC);
+    let s = world.topo.sim.stats(flow);
     assert!(s.sent_pkts >= 200);
     assert_eq!(s.delivered_pkts, s.sent_pkts);
-    for node in &tb.topo.as_nodes {
-        assert_eq!(tb.topo.sim.router_stats(*node).unwrap().dropped, 0);
+    for node in &world.topo.as_nodes {
+        assert_eq!(world.topo.sim.router_stats(*node).unwrap().dropped, 0);
     }
 }
 
 #[test]
 fn purchase_needs_consensus_delivery_rides_fast_path() {
-    let mut tb = Testbed::build(TestbedConfig::default()).unwrap();
-    let t0 = tb.cfg.start_unix_s;
-    tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+    let mut world = World::build(WorldConfig::default()).unwrap();
+    let t0 = world.cfg.start_unix_s;
+    world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
 
     // Direct calls so we can inspect the execution path per transaction.
-    let mut client = tb.new_client("alice", 1_000);
-    let listings = tb.control.listings(tb.market);
+    let mut client = world.new_client("alice", 1_000);
+    let listings = world.control.listings(world.market);
     let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 2_000 };
-    let hops: Vec<_> = (0..tb.cfg.n_ases)
+    let hops: Vec<_> = (0..world.cfg.n_ases)
         .map(|i| {
-            let (ing_if, eg_if) = hummingbird::LinearTopology::interfaces(tb.cfg.n_ases, i);
+            let (ing_if, eg_if) = hummingbird::LinearTopology::interfaces(world.cfg.n_ases, i);
             let find = |interface: u16, dir: hummingbird::Direction| {
                 listings
                     .iter()
                     .find(|(_, _, a)| {
-                        a.as_id == Testbed::as_id(i)
-                            && a.interface == interface
-                            && a.direction == dir
+                        a.as_id == World::as_id(i) && a.interface == interface && a.direction == dir
                     })
                     .unwrap()
                     .0
@@ -77,18 +75,19 @@ fn purchase_needs_consensus_delivery_rides_fast_path() {
         })
         .collect();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
-    let rx = client.buy_and_redeem_path(&mut tb.control, tb.market, &hops, &mut rng).unwrap();
+    let rx = client.buy_and_redeem_path(&mut world.control, world.market, &hops, &mut rng).unwrap();
     assert_eq!(rx.path, ExecPath::Consensus, "market purchase touches a shared object");
 
     // Deliveries use owned objects only → fast path (paper §6.1).
-    let pending = tb.control.pending_requests(tb.services[0].account);
+    let pending = world.control.pending_requests(world.services[0].account);
     let (req_id, req) = pending[0].clone();
     let delivery = hummingbird_control::EncryptedReservation {
-        as_id: Testbed::as_id(0),
+        as_id: World::as_id(0),
         request: req_id,
         sealed: hummingbird_crypto::sealed::seal(&req.ephemeral_pk, b"test", &mut rng),
     };
-    let rx = tb.control.deliver_reservation(tb.services[0].account, req_id, delivery).unwrap();
+    let rx =
+        world.control.deliver_reservation(world.services[0].account, req_id, delivery).unwrap();
     assert_eq!(rx.path, ExecPath::FastPath);
 }
 
@@ -98,11 +97,11 @@ fn gas_cost_scales_linearly_with_hops() {
     // path length (≈0.031 SUI per hop at the paper's prices).
     let mut per_hop_costs = Vec::new();
     for hops in [1usize, 2, 4, 8] {
-        let mut tb = Testbed::build(TestbedConfig { n_ases: hops, ..Default::default() }).unwrap();
-        let t0 = tb.cfg.start_unix_s;
-        tb.stock_market(100_000, t0 - 3600, t0 + 36_000, 60, 100).unwrap();
-        let mut client = tb.new_client("alice", 10_000);
-        let listings = tb.control.listings(tb.market);
+        let mut world = World::build(WorldConfig { n_ases: hops, ..Default::default() }).unwrap();
+        let t0 = world.cfg.start_unix_s;
+        world.stock_market(100_000, t0 - 3600, t0 + 36_000, 60, 100).unwrap();
+        let mut client = world.new_client("alice", 10_000);
+        let listings = world.control.listings(world.market);
         // Worst-case split on every asset: interior window + partial bw.
         let spec = PurchaseSpec { start: t0, end: t0 + 600, bandwidth_kbps: 4_000 };
         let hop_list: Vec<_> = (0..hops)
@@ -112,7 +111,7 @@ fn gas_cost_scales_linearly_with_hops() {
                     listings
                         .iter()
                         .find(|(_, _, a)| {
-                            a.as_id == Testbed::as_id(i)
+                            a.as_id == World::as_id(i)
                                 && a.interface == interface
                                 && a.direction == dir
                         })
@@ -127,8 +126,9 @@ fn gas_cost_scales_linearly_with_hops() {
             })
             .collect();
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(13);
-        let rx =
-            client.buy_and_redeem_path(&mut tb.control, tb.market, &hop_list, &mut rng).unwrap();
+        let rx = client
+            .buy_and_redeem_path(&mut world.control, world.market, &hop_list, &mut rng)
+            .unwrap();
         let total_sui = rx.gas.total_sui();
         assert!(total_sui > 0.0);
         per_hop_costs.push(total_sui / hops as f64);
@@ -148,34 +148,35 @@ fn gas_cost_scales_linearly_with_hops() {
 
 #[test]
 fn bundle_transfer_enables_reverse_traffic() {
-    let mut tb = Testbed::build(TestbedConfig { n_ases: 2, ..Default::default() }).unwrap();
-    let t0 = tb.cfg.start_unix_s;
-    tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
-    let mut alice = tb.new_client("alice", 1_000);
+    let mut world = World::build(WorldConfig { n_ases: 2, ..Default::default() }).unwrap();
+    let t0 = world.cfg.start_unix_s;
+    world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+    let mut alice = world.new_client("alice", 1_000);
     let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 2_000 };
-    let grants = tb.acquire_path(&mut alice, spec).unwrap();
+    let grants = world.acquire_path(&mut alice, spec).unwrap();
 
     // Alice ships credentials to Bob; Bob's packets verify at the routers.
     let wire_bundle = ReservationBundle::from_grants(&grants).encode();
     let bob_grants = ReservationBundle::decode(&wire_bundle).unwrap().into_grants();
-    let mut bob_gen =
-        tb.make_reserved_generator(IsdAs::new(7, 0x77), IsdAs::new(2, 0xb), &bob_grants).unwrap();
+    let mut bob_gen = world
+        .make_reserved_generator(IsdAs::new(7, 0x77), IsdAs::new(2, 0xb), &bob_grants)
+        .unwrap();
     let mut pkt = bob_gen.generate(&[0u8; 64], t0 * 1000).unwrap();
-    let v = tb.topo.sim.process_at_router(tb.topo.as_nodes[0], &mut pkt, t0 * SEC).unwrap();
+    let v = world.topo.sim.process_at_router(world.topo.as_nodes[0], &mut pkt, t0 * SEC).unwrap();
     assert!(v.is_flyover());
 }
 
 #[test]
 fn multiple_clients_share_the_market_fairly() {
-    let mut tb = Testbed::build(TestbedConfig { n_ases: 2, ..Default::default() }).unwrap();
-    let t0 = tb.cfg.start_unix_s;
-    tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+    let mut world = World::build(WorldConfig { n_ases: 2, ..Default::default() }).unwrap();
+    let t0 = world.cfg.start_unix_s;
+    world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
     let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 10_000 };
     // Ten clients buy 10 Mbps each out of the 100 Mbps listings.
     let mut all_res_ids = Vec::new();
     for i in 0..10 {
-        let mut c = tb.new_client(&format!("client-{i}"), 10_000);
-        let grants = tb.acquire_path(&mut c, spec).unwrap();
+        let mut c = world.new_client(&format!("client-{i}"), 10_000);
+        let grants = world.acquire_path(&mut c, spec).unwrap();
         all_res_ids.push(grants[0].res_info.res_id);
     }
     // Everyone got distinct concurrent ResIDs on hop 0.
@@ -185,6 +186,6 @@ fn multiple_clients_share_the_market_fairly() {
     assert_eq!(dedup.len(), 10, "{all_res_ids:?}");
     // The market is now out of bandwidth at this window: an 11th client
     // cannot buy (all remaining pieces are too small).
-    let mut late = tb.new_client("late", 10_000);
-    assert!(tb.acquire_path(&mut late, spec).is_err());
+    let mut late = world.new_client("late", 10_000);
+    assert!(world.acquire_path(&mut late, spec).is_err());
 }

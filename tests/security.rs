@@ -2,7 +2,7 @@
 //! analysis (§5): C1 secure reservation establishment, C2 economic
 //! fairness, D1 overuse protection, D2 QoS.
 
-use hummingbird::testbed::{Testbed, TestbedConfig};
+use hummingbird::world::{World, WorldConfig};
 use hummingbird::{IsdAs, PurchaseSpec};
 use hummingbird_control::pki::{sign_registration, TrustAnchors};
 use hummingbird_control::{AsService, Client, ControlPlane};
@@ -46,24 +46,24 @@ fn c1_registration_is_unforgeable() {
 /// (any other account) cannot decrypt it.
 #[test]
 fn c1_delivered_keys_are_confidential() {
-    let mut tb = Testbed::build(TestbedConfig::default()).unwrap();
-    let t0 = tb.cfg.start_unix_s;
-    tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
-    let mut alice = tb.new_client("alice", 1_000);
+    let mut world = World::build(WorldConfig::default()).unwrap();
+    let t0 = world.cfg.start_unix_s;
+    world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+    let mut alice = world.new_client("alice", 1_000);
     let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 2_000 };
     // Buy + redeem but do NOT collect yet; the sealed deliveries sit on
     // chain owned by alice.
     let hops: Vec<_> = {
-        let listings = tb.control.listings(tb.market);
+        let listings = world.control.listings(world.market);
         // ingress/egress pair per hop, matching interfaces.
-        (0..tb.cfg.n_ases)
+        (0..world.cfg.n_ases)
             .map(|i| {
-                let (ing_if, eg_if) = hummingbird::LinearTopology::interfaces(tb.cfg.n_ases, i);
+                let (ing_if, eg_if) = hummingbird::LinearTopology::interfaces(world.cfg.n_ases, i);
                 let ing = listings
                     .iter()
                     .find(|(_, _, a)| {
                         a.interface == ing_if
-                            && a.as_id == Testbed::as_id(i)
+                            && a.as_id == World::as_id(i)
                             && a.direction == hummingbird::Direction::Ingress
                     })
                     .unwrap()
@@ -72,7 +72,7 @@ fn c1_delivered_keys_are_confidential() {
                     .iter()
                     .find(|(_, _, a)| {
                         a.interface == eg_if
-                            && a.as_id == Testbed::as_id(i)
+                            && a.as_id == World::as_id(i)
                             && a.direction == hummingbird::Direction::Egress
                     })
                     .unwrap()
@@ -82,21 +82,21 @@ fn c1_delivered_keys_are_confidential() {
             .collect()
     };
     let mut rng = StdRng::seed_from_u64(9);
-    alice.buy_and_redeem_path(&mut tb.control, tb.market, &hops, &mut rng).unwrap();
-    for service in tb.services.iter_mut() {
-        service.process_requests(&mut tb.control, &mut rng).unwrap();
+    alice.buy_and_redeem_path(&mut world.control, world.market, &hops, &mut rng).unwrap();
+    for service in world.services.iter_mut() {
+        service.process_requests(&mut world.control, &mut rng).unwrap();
     }
 
     // An eavesdropper reads the public chain state but cannot open any
     // sealed delivery with keys of its own.
-    let deliveries = tb.control.deliveries_for(alice.account);
-    assert_eq!(deliveries.len(), tb.cfg.n_ases);
+    let deliveries = world.control.deliveries_for(alice.account);
+    assert_eq!(deliveries.len(), world.cfg.n_ases);
     let eve_key = SecretKey::from_seed(b"eve");
     for (_, d) in &deliveries {
         assert!(sealed::open(&eve_key, &d.sealed).is_err());
     }
     // Alice (holding the matching ephemeral secrets) can.
-    assert_eq!(alice.collect_deliveries(&tb.control).unwrap(), tb.cfg.n_ases);
+    assert_eq!(alice.collect_deliveries(&world.control).unwrap(), world.cfg.n_ases);
 }
 
 /// C2 (economic fairness): starving others requires buying the bandwidth
@@ -105,20 +105,20 @@ fn c1_delivered_keys_are_confidential() {
 #[test]
 fn c2_sybil_accounts_pay_full_market_price() {
     let price_for = |n_accounts: usize| -> u64 {
-        let mut tb = Testbed::build(TestbedConfig { n_ases: 1, ..Default::default() }).unwrap();
-        let t0 = tb.cfg.start_unix_s;
-        tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+        let mut world = World::build(WorldConfig { n_ases: 1, ..Default::default() }).unwrap();
+        let t0 = world.cfg.start_unix_s;
+        world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
         // The adversary wants the whole 100 Mbps hour; it splits the
         // purchase across `n_accounts` Sybils.
         let total_bw = 100_000u64;
         let per_account = total_bw / n_accounts as u64;
         let mut total_paid = 0u64;
         for s in 0..n_accounts {
-            let mut sybil = tb.new_client(&format!("sybil-{s}"), 100_000);
-            let before = tb.control.ledger.balance(sybil.account);
+            let mut sybil = world.new_client(&format!("sybil-{s}"), 100_000);
+            let before = world.control.ledger.balance(sybil.account);
             let spec = PurchaseSpec { start: t0 - 60, end: t0 + 3540, bandwidth_kbps: per_account };
-            tb.acquire_path(&mut sybil, spec).unwrap();
-            total_paid += before - tb.control.ledger.balance(sybil.account);
+            world.acquire_path(&mut sybil, spec).unwrap();
+            total_paid += before - world.control.ledger.balance(sybil.account);
         }
         total_paid
     };
@@ -134,27 +134,27 @@ fn c2_sybil_accounts_pay_full_market_price() {
 /// (reservation stealing mitigation, §5.4).
 #[test]
 fn d1_reservation_stealing_breaks_the_tag() {
-    let mut tb = Testbed::build(TestbedConfig { n_ases: 2, ..Default::default() }).unwrap();
-    let t0 = tb.cfg.start_unix_s;
-    tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
-    let mut client = tb.new_client("alice", 1_000);
+    let mut world = World::build(WorldConfig { n_ases: 2, ..Default::default() }).unwrap();
+    let t0 = world.cfg.start_unix_s;
+    world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+    let mut client = world.new_client("alice", 1_000);
     let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 2_000 };
-    let grants = tb.acquire_path(&mut client, spec).unwrap();
+    let grants = world.acquire_path(&mut client, spec).unwrap();
     let mut generator =
-        tb.make_reserved_generator(IsdAs::new(1, 0xa), IsdAs::new(2, 0xb), &grants).unwrap();
-    let node = tb.topo.as_nodes[0];
+        world.make_reserved_generator(IsdAs::new(1, 0xa), IsdAs::new(2, 0xb), &grants).unwrap();
+    let node = world.topo.as_nodes[0];
     let now = t0 * 1_000_000_000;
 
     // Control: the untampered packet verifies.
     let mut ok_pkt = generator.generate(&[0u8; 200], t0 * 1000).unwrap();
-    let v1 = tb.topo.sim.process_at_router(node, &mut ok_pkt, now).unwrap();
+    let v1 = world.topo.sim.process_at_router(node, &mut ok_pkt, now).unwrap();
     assert!(v1.is_flyover(), "control packet must verify: {v1:?}");
 
     // The thief rewrites the destination AS in the address header
     // (DstAS occupies bytes 14..20; common header is 12 B).
     let mut stolen = generator.generate(&[0u8; 200], t0 * 1000).unwrap();
     stolen[18] ^= 0xff;
-    let v2 = tb.topo.sim.process_at_router(node, &mut stolen, now).unwrap();
+    let v2 = world.topo.sim.process_at_router(node, &mut stolen, now).unwrap();
     assert!(
         matches!(v2, hummingbird::Verdict::Drop(_)),
         "stolen-destination packet must be dropped: {v2:?}"
@@ -167,23 +167,23 @@ fn d1_reservation_stealing_breaks_the_tag() {
 /// redeem request fails rather than silently over-committing monitoring).
 #[test]
 fn d1_as_can_cap_monitored_reservations() {
-    let mut tb =
-        Testbed::build(TestbedConfig { n_ases: 1, res_id_cap: 2, ..Default::default() }).unwrap();
-    let t0 = tb.cfg.start_unix_s;
-    tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+    let mut world =
+        World::build(WorldConfig { n_ases: 1, res_id_cap: 2, ..Default::default() }).unwrap();
+    let t0 = world.cfg.start_unix_s;
+    world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
     let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 1_000 };
 
-    let mut c1 = tb.new_client("c1", 1_000);
-    let mut c2 = tb.new_client("c2", 1_000);
-    let mut c3 = tb.new_client("c3", 1_000);
-    tb.acquire_path(&mut c1, spec).unwrap();
-    tb.acquire_path(&mut c2, spec).unwrap();
+    let mut c1 = world.new_client("c1", 1_000);
+    let mut c2 = world.new_client("c2", 1_000);
+    let mut c3 = world.new_client("c3", 1_000);
+    world.acquire_path(&mut c1, spec).unwrap();
+    world.acquire_path(&mut c2, spec).unwrap();
     // Third concurrent reservation on the same interface: the allocator is
     // at its cap.
-    let err = tb.acquire_path(&mut c3, spec);
+    let err = world.acquire_path(&mut c3, spec);
     assert!(matches!(
         err,
-        Err(hummingbird::TestbedError::Service(hummingbird_control::ServiceError::ResIdsExhausted))
+        Err(hummingbird::WorldError::Service(hummingbird_control::ServiceError::ResIdsExhausted))
     ));
 }
 
@@ -191,19 +191,23 @@ fn d1_as_can_cap_monitored_reservations() {
 /// usable by another (keys are not bound to network identities).
 #[test]
 fn reservations_are_identity_free() {
-    let mut tb = Testbed::build(TestbedConfig { n_ases: 2, ..Default::default() }).unwrap();
-    let t0 = tb.cfg.start_unix_s;
-    tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
-    let mut buyer = tb.new_client("buyer", 1_000);
+    let mut world = World::build(WorldConfig { n_ases: 2, ..Default::default() }).unwrap();
+    let t0 = world.cfg.start_unix_s;
+    world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+    let mut buyer = world.new_client("buyer", 1_000);
     let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 2_000 };
-    let grants = tb.acquire_path(&mut buyer, spec).unwrap();
+    let grants = world.acquire_path(&mut buyer, spec).unwrap();
 
     // A completely different sender (different SCION source) uses them.
     let other_src = IsdAs::new(9, 0x999);
-    let mut generator = tb.make_reserved_generator(other_src, IsdAs::new(2, 0xb), &grants).unwrap();
+    let mut generator =
+        world.make_reserved_generator(other_src, IsdAs::new(2, 0xb), &grants).unwrap();
     let mut pkt = generator.generate(&[0u8; 100], t0 * 1000).unwrap();
-    let v =
-        tb.topo.sim.process_at_router(tb.topo.as_nodes[0], &mut pkt, t0 * 1_000_000_000).unwrap();
+    let v = world
+        .topo
+        .sim
+        .process_at_router(world.topo.as_nodes[0], &mut pkt, t0 * 1_000_000_000)
+        .unwrap();
     assert!(v.is_flyover(), "{v:?}");
 }
 
@@ -211,14 +215,14 @@ fn reservations_are_identity_free() {
 /// AS A never reaches AS B's service.
 #[test]
 fn services_only_see_their_own_requests() {
-    let mut tb = Testbed::build(TestbedConfig { n_ases: 3, ..Default::default() }).unwrap();
-    let t0 = tb.cfg.start_unix_s;
-    tb.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
-    let mut client = tb.new_client("alice", 1_000);
+    let mut world = World::build(WorldConfig { n_ases: 3, ..Default::default() }).unwrap();
+    let t0 = world.cfg.start_unix_s;
+    world.stock_market(100_000, t0 - 60, t0 + 3540, 60, 100).unwrap();
+    let mut client = world.new_client("alice", 1_000);
     let spec = PurchaseSpec { start: t0 - 60, end: t0 + 540, bandwidth_kbps: 2_000 };
 
     // Buy-and-redeem, then check pending queues before processing.
-    let listings = tb.control.listings(tb.market);
+    let listings = world.control.listings(world.market);
     let hops: Vec<_> = (0..3)
         .map(|i| {
             let (ing_if, eg_if) = hummingbird::LinearTopology::interfaces(3, i);
@@ -226,9 +230,7 @@ fn services_only_see_their_own_requests() {
                 listings
                     .iter()
                     .find(|(_, _, a)| {
-                        a.as_id == Testbed::as_id(i)
-                            && a.interface == interface
-                            && a.direction == dir
+                        a.as_id == World::as_id(i) && a.interface == interface && a.direction == dir
                     })
                     .unwrap()
                     .0
@@ -241,11 +243,11 @@ fn services_only_see_their_own_requests() {
         })
         .collect();
     let mut rng = StdRng::seed_from_u64(3);
-    client.buy_and_redeem_path(&mut tb.control, tb.market, &hops, &mut rng).unwrap();
-    for (i, service) in tb.services.iter().enumerate() {
-        let pending = tb.control.pending_requests(service.account);
+    client.buy_and_redeem_path(&mut world.control, world.market, &hops, &mut rng).unwrap();
+    for (i, service) in world.services.iter().enumerate() {
+        let pending = world.control.pending_requests(service.account);
         assert_eq!(pending.len(), 1, "exactly one request for AS {i}");
-        assert_eq!(pending[0].1.asset.as_id, Testbed::as_id(i));
+        assert_eq!(pending[0].1.asset.as_id, World::as_id(i));
     }
 }
 
