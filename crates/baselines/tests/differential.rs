@@ -1,27 +1,32 @@
 //! One differential suite for the data plane: [`reference`], written from
-//! the paper, against the implementation on the same inputs.
+//! the paper and from each baseline family's definition, against the
+//! implementation on the same inputs.
 //!
 //! * The source: `SourceGenerator::generate` and `generate_into` (in
 //!   turn, over one reused buffer that starts dirty) must return the
 //!   reference source's bytes or `GenError`.
-//! * The border router: `process` per packet, `process_batch` on bursts
-//!   cut at random points, and a `ShardedRouter` of 1–5 shards through
-//!   both must each give, after every burst, the reference router's
-//!   verdicts, output bytes and `DatapathStats`. A traffic case ends with
-//!   one probe per ResID it touched, which reads that ResID's policer
-//!   state.
+//! * The border router of every [`EngineFamily`]: `process` per packet,
+//!   `process_batch` on bursts cut at random points, and a
+//!   `ShardedRouter` of 1–5 shards under the family's own steering
+//!   through both must each give, after every burst, the reference
+//!   router's verdicts, output bytes and `DatapathStats`. A traffic case
+//!   ends with one probe per ResID it touched, which reads that ResID's
+//!   policer state.
 //!
-//! A failure prints the first packet that diverges, both results and the
-//! reference rule that fired. Cases run from fixed seeds (the proptest
-//! shim does not shrink either), so the seed in a message reproduces one.
+//! It lives in the lowest crate with all four families in scope. A
+//! failure prints the family, the first packet that diverges, both
+//! results and the reference rule that fired. Cases run from fixed seeds
+//! (the proptest shim does not shrink either), so the seed in a message
+//! reproduces one.
 
+#[path = "../../dataplane/tests/reference/mod.rs"]
 mod reference;
 
+use hummingbird_baselines::{EngineFamily, SLOT_SECS};
 use hummingbird_crypto::{AuthKey, ResInfo, SecretValue, BW_ENC_MAX, RES_ID_MAX};
 use hummingbird_dataplane::router::stages::{self, HopKind, Parsed};
-use hummingbird_dataplane::runtime::ShardedRouter;
 use hummingbird_dataplane::{
-    forge_path, BeaconHop, BorderRouter, Datapath, DropReason, GenError, PacketBuf, RouterConfig,
+    forge_path, BeaconHop, Datapath, DropReason, GenError, PacketBuf, RouterConfig,
     SourceGenerator, SourceReservation,
 };
 use hummingbird_wire::common::{AddressHeader, CommonHeader, PATH_TYPE_HUMMINGBIRD};
@@ -245,15 +250,48 @@ fn source_matches_the_reference() {
 
 // The border router.
 
-/// The router's AS secrets: its SV and its hop-field key.
+/// The router's engine family and AS secrets: its SV (Hummingbird) or
+/// DRKey master (the baselines), and its hop-field key.
 #[derive(Clone, Copy)]
 struct Keys {
-    sv: [u8; 16],
+    family: EngineFamily,
+    secret: [u8; 16],
     hop: [u8; 16],
 }
 
-/// The reference router and the four entry points under test, fed the
-/// same bursts; tallies the reference rule behind every verdict.
+impl Keys {
+    /// The key a sender from `src` holds for `res` at `now_s`: the one the
+    /// reference router derives.
+    fn key(self, res: &ResInfo, src: IsdAs, now_s: u64) -> AuthKey {
+        let (family, now_s) = (self.family, now_s.into());
+        AuthKey::new(reference::flyover_key(family, &self.secret, res, src, SRC_HOST, now_s))
+    }
+
+    /// `res` as a sender holds it after asking at `now_s`: a Helia grant
+    /// covers the 16 s slot of `now_s`; any other reservation stays.
+    fn grant(self, res: ResInfo, now_s: u64) -> ResInfo {
+        let res_start = (now_s / SLOT_SECS * SLOT_SECS) as u32;
+        match self.family {
+            EngineFamily::Helia => ResInfo { res_start, duration: SLOT_SECS as u16, ..res },
+            _ => res,
+        }
+    }
+
+    /// The period a credential issued at `s` (Unix s) is good for: a Helia
+    /// grant its slot, a DRKey or EPIC key its epoch, a Hummingbird
+    /// reservation one period forever.
+    fn period(self, s: u64) -> u64 {
+        match self.family {
+            EngineFamily::Hummingbird => 0,
+            EngineFamily::Helia => s / SLOT_SECS,
+            EngineFamily::Drkey | EngineFamily::Epic => s / DRKEY_EPOCH_SECS,
+        }
+    }
+}
+
+/// The reference router and the four entry points under test, all of one
+/// family, fed the same bursts; tallies the reference rule behind every
+/// verdict, and whether a router of two or more shards was compared on it.
 ///
 /// Each shard's duplicate filter advances its epochs with the traffic it
 /// sees, so once the clock steps back below the newest epoch, a sharded
@@ -263,8 +301,9 @@ struct Keys {
 struct Run {
     reference: reference::Router,
     engines: Vec<(&'static str, Box<dyn Datapath + Send>)>,
+    shards: usize,
     cuts: Mix,
-    rules: BTreeMap<&'static str, u64>,
+    rules: BTreeMap<(&'static str, bool), u64>,
     /// The duplicate filter's epoch length, if it is on, and the newest
     /// epoch seen.
     epochs: Option<(u64, u64)>,
@@ -272,20 +311,21 @@ struct Run {
 
 impl Run {
     fn new(keys: Keys, cfg: RouterConfig, shards: usize, seed: u64) -> Self {
-        let engine = move |_| -> Box<dyn Datapath + Send> {
-            Box::new(BorderRouter::new(SecretValue::new(keys.sv), HopMacKey::new(keys.hop), cfg))
-        };
-        let sharded = || Box::new(ShardedRouter::from_fn(shards, cfg.policer_slots, engine));
+        let (family, sv) = (keys.family, SecretValue::new(keys.secret));
+        let hop_key = HopMacKey::new(keys.hop);
+        let engine = || family.engine(&sv, &hop_key, &keys.secret, cfg);
+        let sharded = || Box::new(family.sharded_engine(shards, &sv, &hop_key, &keys.secret, cfg));
         let engines: Vec<(_, Box<dyn Datapath + Send>)> = vec![
-            ("process", engine(0)),
-            ("process_batch", engine(0)),
+            ("process", engine()),
+            ("process_batch", engine()),
             ("sharded process", sharded()),
             ("sharded process_batch", sharded()),
         ];
-        let reference = reference::Router::new(keys.sv, keys.hop, cfg);
+        let reference = reference::Router::new(family, keys.secret, keys.hop, cfg);
         let window_ns = (cfg.max_packet_age_ms + 2 * cfg.max_clock_skew_ms) * 1_000_000;
-        let epochs = cfg.duplicate_suppression.then_some((window_ns, 0));
-        Run { reference, engines, cuts: Mix(seed), rules: BTreeMap::new(), epochs }
+        let filter = cfg.duplicate_suppression && reference::filters_duplicates(family);
+        let epochs = filter.then_some((window_ns, 0));
+        Run { reference, engines, shards, cuts: Mix(seed), rules: BTreeMap::new(), epochs }
     }
 
     /// One burst at `now_ns`; the batch entry points take it in pieces cut
@@ -297,11 +337,12 @@ impl Run {
             }
             *newest = (*newest).max(now_ns / *window_ns);
         }
+        let across_shards = self.shards > 1 && self.engines.len() == 4;
         let mut want = Vec::new();
         for pkt in pkts {
             let mut out = pkt.clone();
             let (verdict, rule) = self.reference.process(&mut out, now_ns);
-            *self.rules.entry(rule).or_default() += 1;
+            *self.rules.entry((rule, across_shards)).or_default() += 1;
             want.push((verdict, out, rule));
         }
         for (k, (name, engine)) in self.engines.iter_mut().enumerate() {
@@ -400,7 +441,7 @@ fn past_header(keys: Keys, now_s: u32, flyover: bool) -> (Vec<u8>, Parsed) {
     let hop = if flyover {
         let (res_id, bw, duration, res_start) = (7, 400, 600, now_s - 50);
         let res = ResInfo { ingress: 0, egress: 1, res_id, bw_encoded: bw, res_start, duration };
-        let key = reference::auth_key(&keys.sv, &res);
+        let key = reference::auth_key(&keys.secret, &res);
         let v = reference::flyover_mac(&key, IsdAs::default(), 1088, 50, &meta);
         let f = FlyoverHopField {
             flags: HopFlags { flyover: true, ..hf.flags },
@@ -428,24 +469,25 @@ fn past_header(keys: Keys, now_s: u32, flyover: bool) -> (Vec<u8>, Parsed) {
 /// `parse` let through.
 #[test]
 fn advance_refuses_a_curr_hf_that_does_not_fit() {
+    let keys = Keys { family: EngineFamily::Hummingbird, secret: [1; 16], hop: [2; 16] };
     for flyover in [false, true] {
-        let (mut pkt, parsed) =
-            past_header(Keys { sv: [1; 16], hop: [2; 16] }, 1_700_000_096, flyover);
+        let (mut pkt, parsed) = past_header(keys, 1_700_000_096, flyover);
         assert_eq!(stages::advance(&mut pkt, &parsed, &[0; 6]), Err(DropReason::Malformed));
     }
 }
 
-/// Header edges: a generated packet, plain, flyover or multi-segment, at
-/// any hop position, with random bytes in one region of it (the fixed
-/// prefix, the meta word, the hop pointers alone, the info fields or the
-/// hop fields) or none; then every truncation of it, and the two packets
-/// whose hop field lies past the declared header. Or random bytes.
+/// Header edges, at a router of each family in turn: a generated packet,
+/// plain, flyover or multi-segment, at any hop position, with random bytes
+/// in one region of it (the fixed prefix, the meta word, the hop pointers
+/// alone, the info fields or the hop fields) or none; then every
+/// truncation of it, and the two packets whose hop field lies past the
+/// declared header. Or random bytes.
 #[test]
 fn router_matches_the_reference_on_header_edges() {
     const NOW_S: u32 = 1_700_000_096;
     for seed in 0..160 {
-        let mut rng = Mix(seed);
-        let keys = Keys { sv: rng.bytes(), hop: rng.bytes() };
+        let (mut rng, family) = (Mix(seed), EngineFamily::ALL[seed as usize % 4]);
+        let keys = Keys { family, secret: rng.bytes(), hop: rng.bytes() };
         let cfg = RouterConfig { duplicate_suppression: rng.chance(2), ..RouterConfig::default() };
         let mut run = Run::new(keys, cfg, 1 + rng.below(5) as usize, seed);
         let (segments, flyover_share) = (1 + rng.below(3) as usize, rng.below(5));
@@ -467,16 +509,34 @@ fn router_matches_the_reference_on_header_edges() {
             (0..=pkt.len()).rev().map(|len| pkt[..len].to_vec()).collect();
         burst.extend([false, true].map(|flyover| past_header(keys, NOW_S, flyover).0));
         let now_ns = u64::from(NOW_S) * 1_000_000_000 + rng.below(2_000_000_000);
-        run.burst(&burst, now_ns).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        run.burst(&burst, now_ns).unwrap_or_else(|e| panic!("{family:?}, seed {seed}: {e}"));
     }
 }
 
 /// A traffic flow: one source AS, with its own path whose current hop is
-/// the router's, and its reservation there if it has one.
+/// the router's, and its credential there if it has one.
 struct Flow {
     sources: Sources,
+    src: IsdAs,
+    /// The router's hop on the path.
+    at: usize,
+    /// The reservation on that hop, whether its key is forged, and when
+    /// the sender was last issued a credential for it (Unix s).
     res: Option<ResInfo>,
+    forged: bool,
+    issued_s: u64,
     hdr_len: usize,
+}
+
+impl Flow {
+    /// Attaches `res` at the router's hop with the key a sender holds for
+    /// it at `now_s`, or a random one if the flow is forged.
+    fn issue(&mut self, rng: &mut Mix, keys: Keys, res: ResInfo, now_s: u64) {
+        let key =
+            if self.forged { AuthKey::new(rng.bytes()) } else { keys.key(&res, self.src, now_s) };
+        self.sources.attach(self.at, SourceReservation { res_info: res, key }).unwrap();
+        (self.res, self.issued_s) = (Some(res), now_s);
+    }
 }
 
 /// Reservation rates in kbps: 240 kbps spends the default 50 ms burst
@@ -484,11 +544,18 @@ struct Flow {
 /// a packet or two, 0 admits nothing and the fastest never runs out.
 const RATES_KBPS: [u64; 6] = [240, 100, 300, 1_000, 0, 1 << 35];
 
+/// The source host `PacketBuilder` stamps, which DRKey and EPIC keys bind.
+const SRC_HOST: [u8; 4] = [0, 0, 0, 1];
+
+/// A DRKey epoch, in seconds.
+const DRKEY_EPOCH_SECS: u64 = 6 * 3600;
+
 /// A flow from source AS `n` whose path, 1-3 segments of 1-4 hops, has the
 /// router's hop at a random position, with CurrINF wrong one time in
 /// eight and each hop field about to expire one time in eight. With
-/// `res_id`, that hop carries a reservation on it, active from `now_s`
-/// (forged one time in eight), and perhaps a later hop another.
+/// `res_id`, that hop carries a reservation on it, active from `now_s` (a
+/// Helia grant for the current slot seven times in eight), its key forged
+/// one time in eight, and perhaps a later hop another.
 fn flow(rng: &mut Mix, keys: Keys, n: u64, now_s: u64, res_id: Option<u32>) -> Flow {
     let shape: Vec<usize> = (0..1 + rng.below(3)).map(|_| 1 + rng.below(4) as usize).collect();
     let mut path = base_path(rng, &shape, false);
@@ -507,32 +574,31 @@ fn flow(rng: &mut Mix, keys: Keys, n: u64, now_s: u64, res_id: Option<u32>) -> F
     let (at, seg, curr_hf) = hops_at[rng.below(hops_at.len() as u64) as usize];
     path.meta.curr_hf = curr_hf;
     path.meta.curr_inf = if rng.chance(8) { rng.below(3) as u8 } else { seg as u8 };
-    let (hops, dst) = (path.hops.clone(), IsdAs::new(2, rng.next()));
-    let mut sources = Sources::new(rng, IsdAs::new(1, 0x100 + n), dst, path);
+    let (hops, dst, src) = (path.hops.clone(), IsdAs::new(2, rng.next()), IsdAs::new(1, 0x100 + n));
+    let sources = Sources::new(rng, src, dst, path);
+    let forged = rng.chance(8);
+    let mut flow = Flow { sources, src, at, res: None, forged, issued_s: now_s, hdr_len: 0 };
     let mut reserved = 0;
-    let mut attach = |sources: &mut Sources, i: usize, res_info: ResInfo, key: [u8; 16]| {
-        reserved += 1;
-        sources.attach(i, SourceReservation { res_info, key: AuthKey::new(key) }).unwrap();
-    };
-    let res = res_id.map(|res_id| {
+    if let Some(res_id) = res_id {
         let (ingress, egress) = (hops[at].cons_ingress(), hops[at].cons_egress());
         let bw_encoded = bwcls::encode_floor(RATES_KBPS[rng.below(6) as usize]).unwrap();
         let res_start = (now_s as u32).wrapping_sub(rng.below(600) as u32);
         let duration =
             if rng.chance(4) { rng.below(30) as u16 } else { 600 + rng.below(60_000) as u16 };
-        ResInfo { ingress, egress, res_id, bw_encoded, res_start, duration }
-    });
-    if let Some(res) = res {
-        let key = if rng.chance(8) { rng.bytes() } else { reference::auth_key(&keys.sv, &res) };
-        attach(&mut sources, at, res, key);
+        let res = ResInfo { ingress, egress, res_id, bw_encoded, res_start, duration };
+        let res = if rng.chance(8) { res } else { keys.grant(res, now_s) };
+        flow.issue(rng, keys, res, now_s);
+        reserved += 1;
         let later = at + 1 + rng.below(hops.len() as u64) as usize;
         if let Some(hop) = hops.get(later) {
             let extra = ResInfo { ingress: hop.cons_ingress(), egress: hop.cons_egress(), ..res };
-            attach(&mut sources, later, extra, rng.bytes());
+            let key = AuthKey::new(rng.bytes());
+            flow.sources.attach(later, SourceReservation { res_info: extra, key }).unwrap();
+            reserved += 1;
         }
     }
-    let hdr_len = INFO_OFF + 8 * shape.len() + 12 * hops.len() + 8 * reserved;
-    Flow { sources, res, hdr_len }
+    flow.hdr_len = INFO_OFF + 8 * shape.len() + 12 * hops.len() + 8 * reserved;
+    flow
 }
 
 /// A valid packet on `res_id` at 300 kbps, fresh and active at `at_ms`:
@@ -543,46 +609,62 @@ fn probe(rng: &mut Mix, keys: Keys, res_id: u32, at_ms: u64) -> Result<Vec<u8>, 
     let (src, dst) = (IsdAs::new(3, (1 << 32) + u64::from(res_id)), IsdAs::new(2, 0x20));
     let mut sources = Sources::new(rng, src, dst, forge_path(&[hop], now_s - 100, 7));
     let bw_encoded = bwcls::encode_floor(300).unwrap();
-    let res_info =
+    let res =
         ResInfo { ingress: 1, egress: 2, res_id, bw_encoded, res_start: now_s - 5, duration: 600 };
-    let key = AuthKey::new(reference::auth_key(&keys.sv, &res_info));
+    let res_info = keys.grant(res, now_s.into());
+    let key = keys.key(&res_info, src, now_s.into());
     sources.attach(0, SourceReservation { res_info, key })?;
     sources.generate(&[0; 300], at_ms)?.map_err(|e| format!("probe on ResID {res_id}: {e:?}"))
 }
 
-/// One traffic case: flows with and without reservations (valid, forged,
-/// slow, over their rate, some reserving a later hop too), sent in bursts
-/// with replays and corrupted packets mixed in, while the clocks move:
-/// the router close behind the senders, far behind or ahead of them, back,
-/// an hour or more forward with them, onto the last second of a
-/// reservation or the first after it, past 2³² s, or to the end of `u64`
-/// time. ResIDs come from a small pool, or each burst opens on a ResID
-/// above every earlier one, so the policer's array grows mid-burst up to
-/// its 10⁵ slots; now and then one is past them. Tallies the reference
-/// rule behind every verdict into `rules`.
-fn run_traffic(seed: u64, rules: &mut BTreeMap<&'static str, u64>) -> Result<(), String> {
+/// One traffic case at a router of `family`: flows with and without
+/// reservations (valid, forged, slow, over their rate, some reserving a
+/// later hop too), sent in bursts with replays and corrupted packets mixed
+/// in, while the clocks move: the router close behind the senders, far
+/// behind or ahead of them, back, an hour or more forward with them, onto
+/// the last second of a reservation or the first after it, past 2³² s, or
+/// to the end of `u64` time. Mid-burst, the senders cross a Helia slot or
+/// a DRKey epoch (and ask for new credentials, one time in four keeping
+/// the old ones), or a packet's freshness window ends or starts at the
+/// router's clock. ResIDs come from a small pool, or each burst opens on a
+/// ResID above every earlier one, so the policer's array grows mid-burst
+/// up to its 10⁵ slots; now and then one is past them. Tallies the
+/// reference rule behind every verdict into `rules`.
+fn run_traffic(
+    family: EngineFamily,
+    seed: u64,
+    rules: &mut BTreeMap<(&'static str, &'static str, bool), u64>,
+) -> Result<(), String> {
     let mut rng = Mix(seed);
-    let keys = Keys { sv: rng.bytes(), hop: rng.bytes() };
+    let keys = Keys { family, secret: rng.bytes(), hop: rng.bytes() };
     let burst_time_ns = [50_000_000, 100_000_000, 0, u64::MAX][rng.below(4) as usize];
     let cfg =
         RouterConfig { duplicate_suppression: rng.chance(2), burst_time_ns, ..Default::default() };
-    let (mut run, climbing) = (Run::new(keys, cfg, 1 + rng.below(5) as usize, seed), rng.chance(2));
+    let shards = 1 + rng.below(5) as usize;
+    let (mut run, climbing) = (Run::new(keys, cfg, shards, seed), rng.chance(2));
     // The senders' clock, in ms: 2023, or just before 2³² s.
     let mut send_ms =
         if rng.chance(4) { (1 << 32) * 1000 - 1 - rng.below(400) } else { EPOCH_S * 1000 };
     let (mut flows, mut sent, mut used) = (Vec::<Flow>::new(), Vec::<Vec<u8>>::new(), Vec::new());
     let (mut now_ns, bursts) = (send_ms * 1_000_000, 2 + rng.below(5));
     for b in 0..bursts {
-        let step = rng.below(12);
+        let step = rng.below(14);
         let mut ends = flows
             .iter()
             .filter_map(|f| f.res)
             .map(|r| u64::from(r.res_start) + u64::from(r.duration));
+        let mut boundary_ms = 0;
         match (step, ends.nth(rng.below(flows.len() as u64) as usize)) {
             // Every clock jumps up to 2 h forward.
             (3, _) => send_ms += 1000 * rng.below(7200),
             // Onto the last second of a reservation, or the first after it.
             (4, Some(end)) => send_ms = (end + rng.below(2)) * 1000 + rng.below(700),
+            // The senders to within 20 ms of the next slot or epoch, which the burst crosses.
+            (6, _) => {
+                let period_s = if rng.chance(2) { SLOT_SECS } else { DRKEY_EPOCH_SECS };
+                boundary_ms = (send_ms / 1000 / period_s + 1) * period_s * 1000;
+                send_ms = boundary_ms - 1 - rng.below(20);
+            }
             _ => {}
         }
         if rng.chance(3) {
@@ -600,7 +682,7 @@ fn run_traffic(seed: u64, rules: &mut BTreeMap<&'static str, u64>) -> Result<(),
             used.push(res_id);
             flows.push(flow(&mut rng, keys, flows.len() as u64, send_ms / 1000, Some(res_id)));
         }
-        let mut burst = Vec::new();
+        let (mut burst, mut stamps) = (Vec::new(), Vec::new());
         for k in 0..1 + rng.below(40) {
             if k > 0 && rng.chance(8) && !sent.is_empty() {
                 burst.push(sent[rng.below(sent.len() as u64) as usize].clone());
@@ -610,6 +692,15 @@ fn run_traffic(seed: u64, rules: &mut BTreeMap<&'static str, u64>) -> Result<(),
             // The newest flow opens the burst.
             let f = if k == 0 { flows.len() - 1 } else { rng.below(flows.len() as u64) as usize };
             let flow = &mut flows[f];
+            // A sender whose credential's period is over asks for a new one, or keeps the old.
+            let send_s = send_ms / 1000;
+            let over = keys.period(send_s) != keys.period(flow.issued_s);
+            if let (Some(res), true) = (flow.res, over) {
+                flow.issued_s = send_s;
+                if !rng.chance(4) {
+                    flow.issue(&mut rng, keys, keys.grant(res, send_s), send_s);
+                }
+            }
             // One time in four, the payload that makes PktLen 1 500 bytes.
             let edge = 1500usize.checked_sub(flow.hdr_len).filter(|_| rng.chance(4));
             let payload = vec![rng.byte(); edge.unwrap_or(rng.below(600) as usize)];
@@ -622,10 +713,12 @@ fn run_traffic(seed: u64, rules: &mut BTreeMap<&'static str, u64>) -> Result<(),
                 1 => pkt[6..8].copy_from_slice(&[0xff, 0xf0 | rng.byte()]),
                 _ => {}
             }
+            stamps.push(send_ms);
             sent.push(pkt.clone());
             burst.push(pkt);
         }
         let lag_ns = rng.below(1_000_000_000);
+        let (age_ms, skew_ms) = (cfg.max_packet_age_ms, cfg.max_clock_skew_ms);
         now_ns = match step {
             // The router behind the senders by more than δ, or ahead by more than Δ + δ.
             0 => send_ms * 1_000_000 - 600_000_000 - lag_ns,
@@ -633,6 +726,18 @@ fn run_traffic(seed: u64, rules: &mut BTreeMap<&'static str, u64>) -> Result<(),
             // Its clock steps back, or to the end of `u64` time.
             2 => now_ns.saturating_sub(5 * lag_ns),
             5 => u64::MAX - lag_ns,
+            // Within a second of the slot or epoch boundary the senders crossed.
+            6 => boundary_ms * 1_000_000 + 2 * lag_ns - 1_000_000_000,
+            // On the last or first ms of the middle packet's window [absTS − δ, absTS + Δ + δ].
+            7 if !stamps.is_empty() => {
+                let abs_ms = stamps[stamps.len() / 2];
+                let edge_ms = if rng.chance(2) {
+                    abs_ms + age_ms + skew_ms + rng.below(2)
+                } else {
+                    abs_ms - skew_ms - rng.below(2)
+                };
+                edge_ms * 1_000_000 + lag_ns % 1_000_000
+            }
             // Up to 300 ms behind the senders.
             _ => send_ms * 1_000_000 + lag_ns * 3 / 10,
         };
@@ -640,36 +745,56 @@ fn run_traffic(seed: u64, rules: &mut BTreeMap<&'static str, u64>) -> Result<(),
     }
     used.sort_unstable();
     used.dedup();
-    let probe_ms = send_ms.min((1 << 32) * 1000 - 2000);
+    // Probes need their 100 s of hop-field history inside 32-bit time.
+    let probe_ms = send_ms.clamp(100_000_000, (1 << 32) * 1000 - 2000);
     let probes: Result<Vec<_>, _> =
         used.iter().map(|&id| probe(&mut rng, keys, id, probe_ms)).collect();
     let probes = probes.map_err(|e| format!("seed {seed}: {e}"))?;
     run.burst(&probes, probe_ms * 1_000_000 + 1)
         .map_err(|e| format!("seed {seed}, probes: {e}"))?;
-    for (rule, n) in run.rules {
-        *rules.entry(rule).or_default() += n;
+    for ((rule, across_shards), n) in run.rules {
+        *rules.entry((family.name(), rule, across_shards)).or_default() += n;
     }
     Ok(())
 }
 
-/// Traffic cases, which together reach every rule of the reference
-/// router's pipeline.
+/// Traffic cases at a router of every family, which together reach every
+/// rule of each family's reference pipeline, and the duplicate filter at
+/// a router of two or more shards for the families that run it.
 #[test]
 fn router_matches_the_reference_on_traffic() {
     let mut rules = BTreeMap::new();
-    for seed in 0..96 {
-        run_traffic(seed, &mut rules).unwrap_or_else(|e| panic!("{e}"));
+    for family in EngineFamily::ALL {
+        for seed in 0..96 {
+            run_traffic(family, seed, &mut rules).unwrap_or_else(|e| panic!("{family:?}: {e}"));
+        }
     }
-    for rule in [
-        "Algo 1: within the burst budget",
-        "Algo 1: over the burst budget, demoted",
+    let shared = [
         "Algo 2: plain hop, best effort",
-        "Algo 3: stale or inactive, demoted",
         "Algo 4: MAC mismatch",
         "Algo 4: hop field expired",
         "Eq. 7d: PktLen overflow",
-        "§5.4: duplicate",
-    ] {
-        assert!(rules.get(rule).is_some_and(|&n| n > 0), "{rule} never fired: {rules:?}");
+    ];
+    let policed = ["Algo 1: within the burst budget", "Algo 1: over the burst budget, demoted"];
+    let dup = "§5.4: duplicate";
+    for family in EngineFamily::ALL {
+        let own: &[&str] = match family {
+            EngineFamily::Hummingbird => {
+                &[policed[0], policed[1], "Algo 3: stale or inactive, demoted", dup]
+            }
+            EngineFamily::Helia => {
+                &[policed[0], policed[1], "Helia: stale, inactive or past its slot, demoted"]
+            }
+            EngineFamily::Drkey => &["DRKey: authenticated, best effort"],
+            EngineFamily::Epic => {
+                &["EPIC: validated, best effort", "EPIC: stale or inactive, dropped", dup]
+            }
+        };
+        for &rule in shared.iter().chain(own) {
+            // A replay must have met the duplicate filter at a router of two or more shards.
+            let fired = |across| rules.get(&(family.name(), rule, across)).is_some_and(|&n| n > 0);
+            let fired = fired(true) || rule != dup && fired(false);
+            assert!(fired, "{family:?}: {rule} never fired: {rules:?}");
+        }
     }
 }

@@ -4,9 +4,9 @@
 //! [-- --claim <id>]... [flags]`
 //!
 //! `--claim` is repeatable; with no `--claim`, every claim runs in paper
-//! order. An unknown id prints the list below and exits 2. Each claim
-//! reads its own flags from the whole command line, so `--pkts` sizes
-//! both `fig5` and `fig14`:
+//! order. An unknown id prints the list below and exits 2, and so does a
+//! flag that no selected claim reads. Claims that read the same flag
+//! share its value, so `--pkts` sizes both `fig5` and `fig14`:
 //!
 //! | id | regenerates | flags |
 //! |---|---|---|
@@ -53,8 +53,7 @@ use hummingbird::{Client, ExecPath, ObjectId, PurchaseSpec};
 use hummingbird_baselines::helia::flexibility::{helia_slot_coverage, hummingbird_coverage};
 use hummingbird_baselines::{slot_of, HeliaService, SLOT_SECS};
 use hummingbird_bench::{
-    batch_from_args, checked_run, clone_run, cores_from_args, engines_from_args, flag_present,
-    flag_values, row, u64_from_args, DataplaneFixture, EngineKind, Summary, Throughput, EPOCH_MS,
+    checked_run, clone_run, row, Args, DataplaneFixture, EngineKind, Summary, Throughput, EPOCH_MS,
     EPOCH_NS, EPOCH_S, LINE_RATE_GBPS,
 };
 use hummingbird_control::{BandwidthAsset, Direction, EncryptedReservation};
@@ -74,40 +73,47 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Every claim as `(id, caption, run)`, in paper order.
-const CLAIMS: [(&str, &str, fn()); 9] = [
-    ("sec2", "§2: Hummingbird vs a Helia-style fixed-slot baseline", sec2),
-    ("table1", "Table 1: atomic buy-and-redeem gas per path length", table1),
-    ("table2", "Table 2: gas of every asset and market call", table2),
-    ("fig4", "Fig. 4: atomic buy-and-redeem latency per path length", fig4),
-    ("fig5", "Fig. 5: border-router forwarding throughput by engine", fig5),
-    ("table3", "Table 3: per-step border-router timings", table3),
-    ("table4", "Table 4: per-step source-generation timings", table4),
-    ("fig14", "Fig. 14: multi-core source generation throughput", fig14),
-    ("fig15", "Fig. 15: single-core source generation throughput", fig15),
+/// Every claim as `(id, caption, flags, run)`, in paper order; `flags`
+/// are the flags the claim reads, the `flags` column of the table above.
+type Claim = (&'static str, &'static str, &'static [&'static str], fn(&Args));
+const CLAIMS: [Claim; 9] = [
+    ("sec2", "§2: Hummingbird vs a Helia-style fixed-slot baseline", &[], sec2),
+    ("table1", "Table 1: atomic buy-and-redeem gas per path length", &[], table1),
+    ("table2", "Table 2: gas of every asset and market call", &[], table2),
+    ("fig4", "Fig. 4: atomic buy-and-redeem latency per path length", &[], fig4),
+    ("fig5", "Fig. 5: border-router forwarding throughput by engine", &FIG5_FLAGS, fig5),
+    ("table3", "Table 3: per-step border-router timings", &["engine"], table3),
+    ("table4", "Table 4: per-step source-generation timings", &[], table4),
+    ("fig14", "Fig. 14: multi-core source generation throughput", &["cores", "pkts"], fig14),
+    ("fig15", "Fig. 15: single-core source generation throughput", &[], fig15),
 ];
+const FIG5_FLAGS: [&str; 5] = ["engine", "cores", "pkts", "sharded", "batch"];
 
 fn main() {
-    let ids = flag_values("claim");
+    let args = Args::from_env();
     let mut claims = Vec::new();
-    for id in &ids {
-        let Some(&(_, _, claim)) = CLAIMS.iter().find(|(known, _, _)| known == id) else {
+    for id in &args.claims {
+        let Some(claim) = CLAIMS.iter().find(|(known, ..)| known == id) else {
             eprintln!("unknown claim '{id}'; expected one of:");
-            for (id, caption, _) in CLAIMS {
+            for (id, caption, ..) in CLAIMS {
                 eprintln!("  {id:<7} {caption}");
             }
             std::process::exit(2);
         };
         claims.push(claim);
     }
-    if ids.is_empty() {
-        claims = CLAIMS.iter().map(|&(_, _, claim)| claim).collect();
+    if claims.is_empty() {
+        claims = CLAIMS.iter().collect();
     }
-    for (i, claim) in claims.into_iter().enumerate() {
+    let mut read: Vec<&str> = claims.iter().flat_map(|(_, _, flags, _)| *flags).copied().collect();
+    read.sort_unstable();
+    read.dedup();
+    args.reject_unread(&read);
+    for (i, (_, _, _, run)) in claims.into_iter().enumerate() {
         if i > 0 {
             println!();
         }
-        claim();
+        run(&args);
     }
 }
 
@@ -116,7 +122,7 @@ fn main() {
 /// ahead-of-time reservations, who chooses the bandwidth, and atomic
 /// path acquisition. The per-packet cost of every engine is `fig5
 /// --engine all`'s single-core line.
-fn sec2() {
+fn sec2(_: &Args) {
     println!("§2: Hummingbird vs a Helia-style fixed-slot baseline\n");
     let now = EPOCH_S;
 
@@ -193,7 +199,7 @@ fn sec2() {
 /// Table 1: gas and dollar cost of atomically buying and redeeming a full
 /// path, for 1-16 hops, with the paper's worst-case split on every asset
 /// (two time splits + one bandwidth split).
-fn table1() {
+fn table1(_: &Args) {
     println!("Table 1: atomic buy-and-redeem cost per path length");
     println!("(worst-case split per asset: 2x time, 1x bandwidth; reference prices:");
     println!(" 7.5e-7 SUI/unit computation, 7.6e-6 SUI/byte storage, 1.221 USD/SUI)\n");
@@ -247,7 +253,7 @@ fn stocked_path(cfg: WorldConfig) -> (World, Client, Vec<(ObjectId, ObjectId, Pu
 }
 
 /// Table 2: gas cost of every individual asset- and market-contract call.
-fn table2() {
+fn table2(_: &Args) {
     const HOUR: u64 = 3600;
     let widths = [22usize, 12, 9, 9, 9, 9];
     println!("Table 2: per-call gas cost (negative totals = net credit from rebates)\n");
@@ -378,7 +384,7 @@ fn table2() {
 /// the per-AS reservation deliveries ride the fast path in parallel. Each
 /// run executes the real transactions against the ledger and samples the
 /// calibrated Sui-testnet latency model for the network component.
-fn fig4() {
+fn fig4(_: &Args) {
     const RUNS: usize = 100;
     println!("Figure 4: atomic buy-and-redeem latency (request=consensus, responses=fast path)");
     println!("{RUNS} runs per path length; milliseconds\n");
@@ -435,13 +441,13 @@ fn fig4() {
 
 /// Figure 5 (see the module doc): forwarding throughput per engine,
 /// payload and core count, optionally next to the sharded runtime.
-fn fig5() {
-    let engines = engines_from_args(&[EngineKind::Hummingbird, EngineKind::Scion]);
-    let cores_list = cores_from_args(&[1usize, 2, 4, 8, 16, 32]);
+fn fig5(args: &Args) {
+    let engines = args.engines(&[EngineKind::Hummingbird, EngineKind::Scion]);
+    let cores_list = args.cores(&[1usize, 2, 4, 8, 16, 32]);
     let payloads = [100usize, 500, 1000, 1500];
-    let pkts_per_core = u64_from_args("pkts", 200_000);
-    let sharded = flag_present("sharded");
-    let batch = batch_from_args(BATCH_SIZE);
+    let pkts_per_core = args.u64("pkts", 200_000);
+    let sharded = args.present("sharded");
+    let batch = args.batch(BATCH_SIZE);
     let physical = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let backend = hummingbird_crypto::active_backend().name();
     println!(
@@ -564,7 +570,7 @@ fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
 /// paper's Table 3) plus the end-to-end `process` call per `--engine`.
 /// The shape to check is which steps dominate (the crypto: hop-field
 /// MAC, A_i derivation + AES extension, flyover MAC).
-fn table3() {
+fn table3(args: &Args) {
     const ITERS: u64 = 300_000;
     println!("Table 3: per-step border-router timings (software AES; {ITERS} iters/step)\n");
     let widths = [46usize, 10];
@@ -680,7 +686,7 @@ fn table3() {
 
     // End-to-end pipeline cost per engine (the Table 3 totals), measured
     // exclusively through the Datapath trait.
-    let engines = engines_from_args(&[EngineKind::Scion, EngineKind::Hummingbird]);
+    let engines = args.engines(&[EngineKind::Scion, EngineKind::Hummingbird]);
     let mut totals = Vec::new();
     for kind in engines {
         let mut engine = fx.engine(kind);
@@ -748,7 +754,7 @@ fn distinct_packets_ns(engine: &mut dyn Datapath, generator: &mut SourceGenerato
 
 /// Table 4: fine-grained packet-generation timings at the source for a
 /// four-hop path (the additional Hummingbird operations highlighted).
-fn table4() {
+fn table4(_: &Args) {
     const ITERS: u64 = 200_000;
     println!("Table 4: per-step source-generation timings, 4 AS-level hops\n");
     let widths = [46usize, 12];
@@ -862,11 +868,11 @@ where
 /// Figure 14: multi-core traffic-generation throughput at the source for
 /// 500 B payloads, as a function of core count and number of AS hops,
 /// Hummingbird vs SCION best-effort.
-fn fig14() {
-    let cores_list = cores_from_args(&[1usize, 2, 4, 8, 16, 32]);
+fn fig14(args: &Args) {
+    let cores_list = args.cores(&[1usize, 2, 4, 8, 16, 32]);
     let hop_counts = [1usize, 2, 4, 8, 16];
     let payload = 500usize;
-    let pkts = u64_from_args("pkts", 100_000);
+    let pkts = args.u64("pkts", 100_000);
     let physical = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("Figure 14: source packet generation throughput [Gbps], payload {payload} B");
     println!("(line rate {LINE_RATE_GBPS} Gbps; {physical} hardware threads available)\n");
@@ -904,7 +910,7 @@ fn fig14() {
 /// Hummingbird 17.90 Gbps vs SCION 28.64 Gbps; at 100 B, 4.65 vs 7.70.
 /// The shape: throughput grows with payload (fixed per-packet cost) and
 /// falls with hop count; SCION ≈ 1.6x Hummingbird.
-fn fig15() {
+fn fig15(_: &Args) {
     let payloads = [100usize, 500, 1000, 1500];
     let hop_counts = [1usize, 2, 4, 8, 16];
     let pkts: u64 = 150_000;

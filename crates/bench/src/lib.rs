@@ -3,10 +3,10 @@
 //! The `paper` binary regenerates the paper's evaluation, one `--claim`
 //! per table, figure or section, and prints each as a table. This
 //! library provides the packet/router fixtures, so the workloads are
-//! identical across claims, the command-line flags they read, and the
-//! one checked runtime run they share: [`checked_run`] exits the process
-//! on a packet conservation failure, and [`clone_run`] measures an
-//! engine on per-core clones. The overload and latency sweeps are tests
+//! identical across claims, the command line parsed once ([`Args`]),
+//! and the one checked runtime run they share: [`checked_run`] exits the
+//! process on a packet conservation failure, and [`clone_run`] measures
+//! an engine on per-core clones. The overload and latency sweeps are tests
 //! of `hummingbird-netsim` (`closed_loop.rs`, `latency_model.rs`); the
 //! simulator, socket testbed and control-plane numbers are the
 //! `netsim_churn`, `chain_*` and `control_*` workloads of the
@@ -125,118 +125,138 @@ impl EngineKind {
     }
 }
 
-/// Every value of the repeatable `--<name> <v>` / `--<name>=<v>` flag in
-/// `args`, in order; `Err` when the flag appears as the last token with
-/// no value — a malformed command line that must fail loudly, never
-/// silently fall back to the default.
-fn flag_values_in(args: &[String], name: &str) -> Result<Vec<String>, String> {
-    let long = format!("--{name}");
-    let prefixed = format!("--{name}=");
-    let mut values = Vec::new();
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        if *arg == long {
-            match args.next() {
-                Some(v) => values.push(v.clone()),
-                None => {
-                    return Err(format!("--{name} requires a value (--{name} <v> or --{name}=<v>)"))
-                }
+/// The flags that take no value.
+const SWITCHES: [&str; 1] = ["sharded"];
+
+/// The command line, parsed once: the `--claim` ids, and every other
+/// `--<name> <v>`, `--<name>=<v>` or bare switch, in order.
+pub struct Args {
+    /// The values of the repeatable `--claim`, in order.
+    pub claims: Vec<String>,
+    flags: Vec<(String, Option<String>)>,
+}
+
+/// Prints `msg` and exits with status 2: a malformed command line must
+/// fail loudly, never silently fall back to a default.
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+impl Args {
+    /// Parses `tokens`, the arguments after the program name. `Err` on a
+    /// token that is not a `--flag`, or on a flag that takes a value and
+    /// has none.
+    fn parse(tokens: &[String]) -> Result<Args, String> {
+        let (mut claims, mut flags) = (Vec::new(), Vec::new());
+        let mut tokens = tokens.iter().peekable();
+        while let Some(token) = tokens.next() {
+            let Some(flag) = token.strip_prefix("--") else {
+                return Err(format!("unexpected argument '{token}'; every argument is a --flag"));
+            };
+            let (name, value) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_owned())),
+                None if SWITCHES.contains(&flag) => (flag, None),
+                None => match tokens.next_if(|v| !v.starts_with("--")) {
+                    Some(value) => (flag, Some(value.clone())),
+                    None => {
+                        return Err(format!(
+                            "--{flag} requires a value (--{flag} <v> or --{flag}=<v>)"
+                        ))
+                    }
+                },
+            };
+            match (name, value) {
+                ("claim", Some(id)) => claims.push(id),
+                (name, value) => flags.push((name.to_owned(), value)),
             }
-        } else if let Some(v) = arg.strip_prefix(&prefixed) {
-            values.push(v.to_owned());
+        }
+        Ok(Args { claims, flags })
+    }
+
+    /// The process's command line. Exits with status 2 if it is malformed.
+    pub fn from_env() -> Args {
+        let tokens: Vec<String> = std::env::args().skip(1).collect();
+        Args::parse(&tokens).unwrap_or_else(|msg| usage_exit(&msg))
+    }
+
+    /// Exits with status 2, naming the flags in `read`, if the command
+    /// line has a flag other than `--claim` that `read` does not hold.
+    pub fn reject_unread(&self, read: &[&str]) {
+        if let Some((name, _)) = self.flags.iter().find(|(name, _)| !read.contains(&name.as_str()))
+        {
+            let read: Vec<String> = read.iter().map(|flag| format!("--{flag}")).collect();
+            let read = if read.is_empty() { "none".to_owned() } else { read.join(" ") };
+            usage_exit(&format!(
+                "no selected claim reads --{name}; the selected claims read: {read}"
+            ));
         }
     }
-    Ok(values)
-}
 
-/// The first value of `--<name>` in `args` ([`flag_values_in`]):
-/// `Ok(None)` when the flag is absent (the caller's default applies).
-fn flag_value_in(args: &[String], name: &str) -> Result<Option<String>, String> {
-    flag_values_in(args, name).map(|values| values.into_iter().next())
-}
-
-/// Unwraps a parsed flag; a malformed one prints its message and exits
-/// with status 2.
-fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    })
-}
-
-/// Every value of the repeatable `--<name> <v>` / `--<name>=<v>` flag in
-/// the process arguments, in order. Exits with a usage message when the
-/// flag dangles with no value.
-pub fn flag_values(name: &str) -> Vec<String> {
-    let args: Vec<String> = std::env::args().collect();
-    or_usage_exit(flag_values_in(&args, name))
-}
-
-/// Parses `--engine <kind>` (repeatable, or `all`) from the process
-/// arguments; `default` applies when the flag is absent. Exits with a
-/// usage message on an unknown engine or a dangling `--engine`.
-pub fn engines_from_args(default: &[EngineKind]) -> Vec<EngineKind> {
-    let mut selected = Vec::new();
-    for v in flag_values("engine") {
-        selected.extend(or_usage_exit(EngineKind::parse(&v).ok_or_else(|| {
-            format!("unknown engine '{v}'; expected hummingbird|scion|helia|drkey|epic|gateway|null|all")
-        })));
+    /// Every value of the repeatable `--<name>`, in order.
+    fn values<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
+        self.flags.iter().filter(move |(n, _)| n == name).filter_map(|(_, v)| v.as_deref())
     }
-    if selected.is_empty() {
-        default.to_vec()
-    } else {
-        selected
+
+    /// Whether the switch `--<name>` is given.
+    pub fn present(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| n == name)
     }
-}
 
-/// The value of `--<name> <v>` / `--<name>=<v>` in the process
-/// arguments, if present. Exits with a usage message when the flag
-/// dangles with no value.
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    or_usage_exit(flag_value_in(&args, name))
-}
+    /// The engines `--engine <kind>` (repeatable, or `all`) selects;
+    /// `default` applies when the flag is absent. Exits with a usage
+    /// message on an unknown engine.
+    pub fn engines(&self, default: &[EngineKind]) -> Vec<EngineKind> {
+        let mut selected = Vec::new();
+        for v in self.values("engine") {
+            selected.extend(EngineKind::parse(v).unwrap_or_else(|| {
+                usage_exit(&format!(
+                    "unknown engine '{v}'; expected hummingbird|scion|helia|drkey|epic|gateway|null|all"
+                ))
+            }));
+        }
+        if selected.is_empty() {
+            default.to_vec()
+        } else {
+            selected
+        }
+    }
 
-/// Parses `--<name> <v>` as a `u64` from the process arguments;
-/// `default` applies when the flag is absent. Exits with a usage
-/// message on malformed input.
-pub fn u64_from_args(name: &str, default: u64) -> u64 {
-    let Some(v) = flag_value(name) else { return default };
-    or_usage_exit(
-        v.parse().map_err(|_| format!("bad --{name} '{v}'; expected an unsigned integer")),
-    )
-}
-
-/// Whether the bare flag `--<name>` appears in the process arguments.
-pub fn flag_present(name: &str) -> bool {
-    let long = format!("--{name}");
-    std::env::args().any(|a| a == long)
-}
-
-/// Parses `--cores 1,2,4` (comma-separated list) from the process
-/// arguments; `default` applies when the flag is absent. Exits with a
-/// usage message on malformed input.
-pub fn cores_from_args(default: &[usize]) -> Vec<usize> {
-    let Some(v) = flag_value("cores") else { return default.to_vec() };
-    let parsed: Option<Vec<usize>> =
-        v.split(',').map(|p| p.trim().parse::<usize>().ok().filter(|&c| c > 0)).collect();
-    or_usage_exit(
-        parsed.filter(|cores| !cores.is_empty()).ok_or_else(|| {
-            format!("bad --cores '{v}'; expected a comma-separated list like 1,2,4")
-        }),
-    )
-}
-
-/// Parses `--batch <n>` (packets per burst in the runtime hot loop);
-/// `default` applies when the flag is absent. Exits with a usage message on malformed or zero input.
-pub fn batch_from_args(default: usize) -> usize {
-    let Some(v) = flag_value("batch") else { return default };
-    or_usage_exit(
+    /// The parsed first value of `--<name>`, or `default` when the flag
+    /// is absent. Exits with a usage message naming `expected` when the
+    /// value does not parse.
+    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T, expected: &str) -> T {
+        let Some(v) = self.values(name).next() else { return default };
         v.parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad --batch '{v}'; expected a positive packet count")),
-    )
+            .unwrap_or_else(|_| usage_exit(&format!("bad --{name} '{v}'; expected {expected}")))
+    }
+
+    /// `--<name> <v>` as a `u64`; `default` applies when the flag is
+    /// absent. Exits with a usage message on malformed input.
+    pub fn u64(&self, name: &str, default: u64) -> u64 {
+        self.parsed(name, default, "an unsigned integer")
+    }
+
+    /// `--cores 1,2,4` (a comma-separated list); `default` applies when
+    /// the flag is absent. Exits with a usage message on malformed input.
+    pub fn cores(&self, default: &[usize]) -> Vec<usize> {
+        let Some(v) = self.values("cores").next() else { return default.to_vec() };
+        let parsed: Option<Vec<usize>> =
+            v.split(',').map(|p| p.trim().parse::<usize>().ok().filter(|&c| c > 0)).collect();
+        parsed.filter(|cores| !cores.is_empty()).unwrap_or_else(|| {
+            usage_exit(&format!("bad --cores '{v}'; expected a comma-separated list like 1,2,4"))
+        })
+    }
+
+    /// `--batch <n>` (packets per burst in the runtime hot loop);
+    /// `default` applies when the flag is absent. Exits with a usage
+    /// message on malformed or zero input.
+    pub fn batch(&self, default: usize) -> usize {
+        match self.parsed("batch", default, "a positive packet count") {
+            0 => usage_exit("bad --batch '0'; expected a positive packet count"),
+            n => n,
+        }
+    }
 }
 
 /// A self-contained data-plane fixture: one source path of `h` hops plus
@@ -604,41 +624,36 @@ impl Summary {
 mod tests {
     use super::*;
 
-    fn argv(tokens: &[&str]) -> Vec<String> {
-        tokens.iter().map(|s| s.to_string()).collect()
+    fn parse(tokens: &[&str]) -> Result<Args, String> {
+        Args::parse(&tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
     fn trailing_valued_flag_errors_instead_of_defaulting() {
         // `--pkts` as the last token is a malformed command line: it must
         // surface as an error, not silently fall through to the default.
-        assert!(
-            flag_value_in(&argv(&["bench", "--pkts"]), "pkts").is_err(),
-            "a dangling --pkts must not fall back to the default"
-        );
+        assert!(parse(&["--pkts"]).is_err(), "a dangling --pkts must not fall back to the default");
         // The well-formed spellings still parse.
-        assert_eq!(
-            flag_value_in(&argv(&["bench", "--pkts", "500"]), "pkts").unwrap().as_deref(),
-            Some("500")
-        );
-        assert_eq!(
-            flag_value_in(&argv(&["bench", "--pkts=500"]), "pkts").unwrap().as_deref(),
-            Some("500")
-        );
+        assert_eq!(parse(&["--pkts", "500"]).unwrap().u64("pkts", 1), 500);
+        assert_eq!(parse(&["--pkts=500"]).unwrap().u64("pkts", 1), 500);
         // Absent flag: the default applies.
-        assert_eq!(flag_value_in(&argv(&["bench", "--cores", "2"]), "pkts").unwrap(), None);
-        // `--engine` is repeatable and goes through the same scan: a
-        // dangling one must not silently run the default engines.
-        assert!(flag_values_in(&argv(&["bench", "--engine"]), "engine").is_err());
-        assert!(
-            flag_values_in(&argv(&["bench", "--engine", "epic", "--engine"]), "engine").is_err()
-        );
+        assert_eq!(parse(&["--cores", "2"]).unwrap().u64("pkts", 1), 1);
+        // `--engine` is repeatable: a dangling one, or one followed by
+        // another flag, must not silently run the default engines.
+        assert!(parse(&["--engine"]).is_err());
+        assert!(parse(&["--engine", "epic", "--engine"]).is_err());
+        assert!(parse(&["--engine", "--sharded"]).is_err());
+        let args = parse(&["--engine", "null", "--engine=helia,epic", "--sharded"]).unwrap();
+        let engines = [EngineKind::Null, EngineKind::Helia, EngineKind::Epic];
+        assert_eq!(args.engines(&[]), engines);
+        assert!(args.present("sharded"));
         assert_eq!(
-            flag_values_in(&argv(&["bench", "--engine", "null", "--engine=helia,epic"]), "engine")
-                .unwrap(),
-            ["null", "helia,epic"]
+            parse(&["--pkts", "5"]).unwrap().engines(&[EngineKind::Scion]),
+            [EngineKind::Scion]
         );
-        assert!(flag_values_in(&argv(&["bench", "--pkts", "5"]), "engine").unwrap().is_empty());
+        // A bare word is not a flag, and `--claim` values are kept apart.
+        assert!(parse(&["fig5"]).is_err());
+        assert_eq!(parse(&["--claim", "fig5", "--claim=sec2"]).unwrap().claims, ["fig5", "sec2"]);
     }
 
     #[test]

@@ -84,3 +84,20 @@ fn fig5_prints_a_dash_for_a_point_without_packets() {
         assert!(!row.contains(&"—"), "a 1-core point processed packets: {stdout}");
     }
 }
+
+/// A flag that no selected claim reads exits 2, naming the flags the
+/// selected claims do read; the CI smoke leg's command line still runs.
+#[test]
+fn paper_rejects_flags_no_selected_claim_reads() {
+    let paper = env!("CARGO_BIN_EXE_paper");
+    for args in ["fig5 --json /tmp/x.json", "fig5 --core 4", "table1 --pkts 10"] {
+        let out = Command::new(paper).arg("--claim").args(args.split(' ')).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let named = stderr.contains("the selected claims read");
+        assert!(out.status.code() == Some(2) && named, "--claim {args}: {stderr}");
+    }
+    run(
+        paper,
+        &["--claim", "fig5", "--engine", "all", "--sharded", "--cores", "1,2", "--pkts", "20"],
+    );
+}

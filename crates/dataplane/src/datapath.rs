@@ -278,9 +278,8 @@ pub trait Datapath {
     ///
     /// The default implementation is element-wise equivalent to calling
     /// [`process`](Datapath::process) sequentially — a property
-    /// `crates/dataplane/tests/differential.rs` checks for the
-    /// Hummingbird router against the paper's reference, and the
-    /// repository's `prop_datapath` test for the other families.
+    /// `crates/baselines/tests/differential.rs` checks for the router of
+    /// every engine family against a reference.
     /// Engines may override it to amortize per-packet work across the
     /// burst (e.g. batching reservation-key derivations), as long as the
     /// verdicts stay element-wise identical.

@@ -74,7 +74,8 @@ impl Policer {
     /// Memory footprint of the full deadline array in bytes — the ceiling
     /// the resident array grows towards (§4.4 sizing examples: 24 MB for
     /// 3M IDs, 600 kB for 75k).
-    pub fn array_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn array_bytes(&self) -> usize {
         self.capacity() * 8
     }
 

@@ -658,8 +658,8 @@ impl<F: Family> Datapath for BorderRouter<F> {
     /// stages (verification, which only compares, duplicate suppression,
     /// header mutation, policing) per packet in input order, so verdicts
     /// and stats are element-wise identical to sequential
-    /// [`Datapath::process`] calls (both are checked against the paper's
-    /// reference router by `crates/dataplane/tests/differential.rs`).
+    /// [`Datapath::process`] calls (both are checked against the reference
+    /// router of every family by `crates/baselines/tests/differential.rs`).
     fn process_batch(&mut self, pkts: &mut [PacketBuf], now_ns: u64, out: &mut Vec<Verdict>) {
         let BorderRouter { family, hop_key, state, batch } = self;
         let BatchScratch { prepared, classes, chains, mac_inputs, tags, hop_inputs, hop_macs } =

@@ -83,9 +83,9 @@ pub const BATCH_SIZE: usize = 32;
 /// its flow, so per-reservation policing state never splits across
 /// engines; verdicts and aggregate [`stats`](Datapath::stats) are
 /// element-wise identical to a single engine over the same traffic (the
-/// contract `crates/dataplane/tests/differential.rs` checks against the
-/// paper's reference router, with the two exceptions the module doc
-/// names).
+/// contract `crates/baselines/tests/differential.rs` checks against the
+/// reference router of every family, with the two exceptions the module
+/// doc names).
 /// [`process_batch`](Datapath::process_batch) forwards maximal same-shard
 /// runs to the
 /// owning engine's batch path, so per-burst amortizations (batch key

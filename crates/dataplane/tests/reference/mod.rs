@@ -1,16 +1,34 @@
 //! A reference data plane, written rule by rule from the paper: the
 //! source's header construction (§4.2) and Algorithms 1–4 at one border
-//! router (§4.3–§4.4), with the optional duplicate filter of §5.4.
+//! router (§4.3–§4.4), with the optional duplicate filter of §5.4; and
+//! the three baseline engine families the paper compares against (§2),
+//! written from each family's own definition in
+//! `crates/baselines/src/{drkey,helia,epic,engine}.rs`, since the paper
+//! specifies none of them to the byte.
 //!
 //! It shares no code with what it checks: one packet at a time (no burst,
 //! template, prefetch or shard), time in `u128` nanoseconds, every AES
 //! call on the byte-oriented [`ByteAes128`]. `hummingbird_wire`'s owned
-//! header types give the byte layout of App. A. Each rule is one commented
-//! line citing its section; "impl." marks the implementation's choice
-//! where the paper is silent. Left out on purpose: the Helia, DRKey and
-//! EPIC families, the duplicate filter's fail-open bound of 2²⁰
-//! identities per epoch, and everything after the verdict.
+//! header types give the byte layout of App. A, and `EngineFamily`'s
+//! variants name the families (none of its methods is called). Each rule
+//! is one commented line citing its section or file; "impl." marks the
+//! implementation's choice where the source is silent. The four families
+//! share the parse, Algorithm 4 and the header update; they differ in the
+//! key chain ([`flyover_key`]: Hummingbird's `A_K`, DRKey k = 2 and EPIC
+//! k = 3 under the epoch secret of the router's clock, Helia k = 4 from
+//! the master), the class rule (`Router::earns`: only a priority packet is
+//! policed) and whether the duplicate filter runs. Their "impl." choices:
+//! Helia reads its slot from ResStart and runs no filter; DRKey has no
+//! freshness rule and counts a verified packet as best effort, never as
+//! demoted; EPIC drops a stale packet `Untimely` before any AES, ahead of
+//! the hop-field expiry check.
+//!
+//! Left out on purpose: the duplicate filter's fail-open bound of 2²⁰
+//! identities per epoch, and everything after the verdict. The one test
+//! crate with all four families in scope,
+//! `crates/baselines/tests/differential.rs`, compiles this module.
 
+use hummingbird_baselines::EngineFamily as Family;
 use hummingbird_crypto::aes::bytewise::ByteAes128;
 use hummingbird_crypto::{ResInfo, Tag};
 use hummingbird_dataplane::{DatapathStats, DropReason, GenError, RouterConfig, Verdict};
@@ -48,6 +66,71 @@ pub fn flyover_mac(
 
 fn cut(block: [u8; 16]) -> Tag {
     std::array::from_fn(|i| block[i])
+}
+
+/// §5.4 (impl.): Hummingbird and EPIC run the duplicate filter if
+/// configured; Helia and DRKey never do.
+pub fn filters_duplicates(family: Family) -> bool {
+    matches!(family, Family::Hummingbird | Family::Epic)
+}
+
+/// drkey.rs: a DRKey epoch lasts 6 h.
+const EPOCH_S: u128 = 6 * 3600;
+/// helia.rs: a Helia slot lasts 16 s.
+const SLOT_S: u128 = 16;
+
+/// One AES block: `parts` back to back, zero-padded to 16 bytes.
+fn block(parts: &[&[u8]]) -> [u8; 16] {
+    let (mut b, bytes) = ([0; 16], parts.concat());
+    b[..bytes.len()].copy_from_slice(&bytes);
+    b
+}
+
+/// The flyover key of reservation `res` on a packet from host `host` of
+/// AS `src`, as `family` derives it at `now_s` (Unix s) from `secret`:
+/// the AS's SV for Hummingbird, its DRKey master for the baselines.
+pub fn flyover_key(
+    family: Family,
+    secret: &[u8; 16],
+    res: &ResInfo,
+    src: IsdAs,
+    host: [u8; 4],
+    now_s: u128,
+) -> [u8; 16] {
+    // drkey.rs: every level is one PRF call, K' = AES_K(block), first level first.
+    let chain = |root, levels: &[[u8; 16]]| {
+        levels.iter().fold(root, |key, b| ByteAes128::new(&key).encrypt(b))
+    };
+    // drkey.rs: SV_A(e) = PRF_master("drkey-sv" ∥ e), e the 64-bit epoch index.
+    let epoch_secret =
+        |e: u128| chain(*secret, &[block(&[b"drkey-sv", &(e as u64).to_be_bytes()])]);
+    // drkey.rs: K_{A→B} = PRF_{SV_A}(ISD ∥ AS) of the source AS B.
+    let as_level = block(&[&src.isd.to_be_bytes(), &src.asn.to_be_bytes()]);
+    // drkey.rs: K_{A→B:H} = PRF_{K_{A→B}}(H ∥ 0x01) of B's host H.
+    let host_level = block(&[&host, &[1]]);
+    // drkey.rs, engine.rs: DRKey's epoch is the router's clock's, ⌊now / 6 h⌋.
+    let now_epoch = now_s / EPOCH_S;
+    match family {
+        // Eq. 2: A_K = PRF_SV(ResInfo).
+        Family::Hummingbird => auth_key(secret, res),
+        // engine.rs: DRKey authenticates the source host, k = 2.
+        Family::Drkey => chain(epoch_secret(now_epoch), &[as_level, host_level]),
+        // epic.rs: K^{epic} = PRF_{K_{A→B:H}}("epic-l1"), k = 3.
+        Family::Epic => {
+            chain(epoch_secret(now_epoch), &[as_level, host_level, block(&[b"epic-l1"])])
+        }
+        Family::Helia => {
+            // engine.rs (impl.): the slot is ⌊ResStart / 16 s⌋, whatever the clock says.
+            let slot = u128::from(res.res_start) / SLOT_S;
+            // helia.rs: the slot key is PRF_{K_{A→B}}(slot ∥ "helia").
+            let slot_level = block(&[&(slot as u64).to_be_bytes(), b"helia"]);
+            // engine.rs: the packet key binds the AS-assigned ResID and BW: PRF(ResID ∥ BW ∥ "hpkt").
+            let (id, bw) = (res.res_id.to_be_bytes(), res.bw_encoded.to_be_bytes());
+            let packet_level = block(&[&id, &bw, b"hpkt"]);
+            // helia.rs: under the epoch secret of the slot's start, k = 4 from the master.
+            chain(epoch_secret(slot * SLOT_S / EPOCH_S), &[as_level, slot_level, packet_level])
+        }
+    }
 }
 
 /// Eq. 6: `AggMAC = HopFieldMAC ⊕ V`; the router strips `V` the same way.
@@ -164,9 +247,10 @@ impl Source {
     }
 }
 
-/// Algorithms 1–4 at one border router.
+/// Algorithms 1–4 at one border router of `family`.
 pub struct Router {
-    sv: [u8; 16],
+    family: Family,
+    secret: [u8; 16],
     hop_key: HopKey,
     cfg: RouterConfig,
     /// Algorithm 1's TSArray: a deadline per ResID, each 0 at start.
@@ -180,11 +264,21 @@ pub struct Router {
 /// A drop and the rule that decided it.
 type Drop = (DropReason, &'static str);
 
+/// What a flyover hop that verifies earns, decided before any AES, and
+/// the rule that decided it.
+enum Earns {
+    Priority,
+    Demoted(&'static str),
+    BestEffort(&'static str),
+}
+
 impl Router {
-    pub fn new(sv: [u8; 16], hop_key: [u8; 16], cfg: RouterConfig) -> Self {
+    /// A router of `family` under `secret` (its SV, or its DRKey master).
+    pub fn new(family: Family, secret: [u8; 16], hop_key: [u8; 16], cfg: RouterConfig) -> Self {
         let (hop_key, stats) = (HopKey::new(hop_key), DatapathStats::default());
         Router {
-            sv,
+            family,
+            secret,
             hop_key,
             cfg,
             deadlines: HashMap::new(),
@@ -255,9 +349,6 @@ impl Router {
                 res_start,
                 duration: f.res_duration,
             };
-            // Eqs. 2, 3 and 6: the candidate hop-field MAC is AggMAC ⊕ V under A_K.
-            let key = auth_key(&self.sv, &res);
-            let v = flyover_mac(&key, addr.dst, pkt_len, f.res_start_offset, &meta);
             // Algorithm 3 l.12-17 (impl.: in whole ms): fresh iff now − absTS ∈ [−δ, Δ + δ].
             let abs_ms = u128::from(meta.base_ts) * 1000 + u128::from(meta.millis_ts);
             let (age, skew) =
@@ -266,7 +357,11 @@ impl Router {
             // A.7: active iff ResStart ≤ now ≤ ResStart + ResDuration, no skew (impl.: whole s).
             let end = u128::from(res_start) + u128::from(res.duration);
             let active = (u128::from(res_start)..=end).contains(&now_s);
-            (xor(f.agg_mac, v), f.exp_time, ingress, egress, Some((res, pkt_len, fresh && active)))
+            let earns = self.earns(&res, fresh && active, now_s)?;
+            // Eqs. 3 and 6: the candidate hop-field MAC is AggMAC ⊕ V under the family's key.
+            let key = flyover_key(self.family, &self.secret, &res, addr.src, addr.src_host, now_s);
+            let v = flyover_mac(&key, addr.dst, pkt_len, f.res_start_offset, &meta);
+            (xor(f.agg_mac, v), f.exp_time, ingress, egress, Some((res, pkt_len, earns)))
         } else {
             let h = HopField::parse(hop).map_err(|_| bad("A.3: hop field"))?;
             (h.mac, h.exp_time, h.cons_ingress, h.cons_egress, None)
@@ -280,7 +375,7 @@ impl Router {
         if mac != candidate {
             return Err((BadMac, "Algo 4: MAC mismatch"));
         }
-        if self.cfg.duplicate_suppression {
+        if self.cfg.duplicate_suppression && filters_duplicates(self.family) {
             self.suppress_duplicate(
                 (meta.base_ts, meta.millis_ts, meta.counter, addr.src.asn),
                 now,
@@ -303,17 +398,39 @@ impl Router {
         let (priority, best_effort) = (Verdict::Flyover { egress }, Verdict::BestEffort { egress });
         Ok(match flyover {
             None => (best_effort, "Algo 2: plain hop, best effort"),
-            Some((_, _, false)) => {
+            Some((_, _, Earns::BestEffort(rule))) => (best_effort, rule),
+            Some((_, _, Earns::Demoted(rule))) => {
                 self.stats.demoted_untimely += 1;
-                (best_effort, "Algo 3: stale or inactive, demoted")
+                (best_effort, rule)
             }
-            Some((res, pkt_len, true)) if self.police(&res, pkt_len, now) => {
+            // Algorithm 1 polices only a priority packet.
+            Some((res, pkt_len, Earns::Priority)) if self.police(&res, pkt_len, now) => {
                 (priority, "Algo 1: within the burst budget")
             }
             Some(_) => {
                 self.stats.demoted_overuse += 1;
                 (best_effort, "Algo 1: over the burst budget, demoted")
             }
+        })
+    }
+
+    /// The class a flyover hop is eligible for under its family's rule,
+    /// given whether it is `fresh` and active at `now_s`.
+    fn earns(&self, res: &ResInfo, fresh: bool, now_s: u128) -> Result<Earns, Drop> {
+        // helia.rs: the current slot is ⌊now / 16 s⌋; engine.rs: the packet's is ⌊ResStart / 16 s⌋.
+        let current_slot = u128::from(res.res_start) / SLOT_S == now_s / SLOT_S;
+        Ok(match self.family {
+            // Algorithm 3 l.12-17: a stale packet or an inactive reservation is demoted.
+            Family::Hummingbird if fresh => Earns::Priority,
+            Family::Hummingbird => Earns::Demoted("Algo 3: stale or inactive, demoted"),
+            // engine.rs: Helia grants priority only within the current slot, else demotes.
+            Family::Helia if fresh && current_slot => Earns::Priority,
+            Family::Helia => Earns::Demoted("Helia: stale, inactive or past its slot, demoted"),
+            // engine.rs: DRKey has no freshness rule and no priority class.
+            Family::Drkey => Earns::BestEffort("DRKey: authenticated, best effort"),
+            // epic.rs: EPIC has no priority class, and drops a stale packet before any AES.
+            Family::Epic if fresh => Earns::BestEffort("EPIC: validated, best effort"),
+            Family::Epic => return Err((DropReason::Untimely, "EPIC: stale or inactive, dropped")),
         })
     }
 

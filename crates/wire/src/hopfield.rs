@@ -6,9 +6,9 @@ use hummingbird_crypto::{Tag, BW_ENC_MAX, RES_ID_MAX};
 /// Info field length in bytes.
 pub const INFO_FIELD_LEN: usize = 8;
 /// Standard hop field length in bytes.
-pub const HOP_FIELD_LEN: usize = 12;
+pub(crate) const HOP_FIELD_LEN: usize = 12;
 /// Flyover hop field length in bytes.
-pub const FLYOVER_FIELD_LEN: usize = 20;
+pub(crate) const FLYOVER_FIELD_LEN: usize = 20;
 
 /// Owned representation of an info field (Fig. 8, unchanged from SCION).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -12,11 +12,11 @@
 //! 4. **Runtime determinism** — two runs with one configuration are
 //!    bit-identical per shard, with the tx path off or on.
 //!
-//! That a `ShardedRouter` of 1-5 shards gives the verdicts, bytes and
-//! counters of one router, through `process` and `process_batch`, on
-//! valid, forged, replayed and over-rate traffic, is checked against a
-//! reference written from the paper by
-//! `crates/dataplane/tests/differential.rs`.
+//! That a `ShardedRouter` of 1-5 shards under each engine family's own
+//! steering gives the verdicts, bytes and counters of one router, through
+//! `process` and `process_batch`, on valid, forged, replayed and over-rate
+//! traffic, is checked against a reference by
+//! `crates/baselines/tests/differential.rs`.
 
 use hummingbird::dataplane::runtime::{
     run_to_completion, RuntimeConfig, RuntimeMode, ShardMap, ShardedRouter, Steering,
@@ -26,7 +26,6 @@ use hummingbird::dataplane::{
     SourceGenerator, SourceReservation, Verdict,
 };
 use hummingbird::{IsdAs, ResInfo, SecretValue};
-use hummingbird_baselines::EngineFamily;
 use hummingbird_wire::scion_mac::HopMacKey;
 use proptest::prelude::*;
 
@@ -118,126 +117,6 @@ proptest! {
         let map = ShardMap::new(shards, SLOTS, Steering::ByReservation);
         prop_assert_eq!(active[0], map.shard_of_res_id(res_id));
         prop_assert!(map.res_id_range(active[0]).contains(&res_id));
-    }
-}
-
-const MASTER: [u8; 16] = [0xB5; 16];
-
-fn epic_cfg(dup: bool) -> RouterConfig {
-    RouterConfig { duplicate_suppression: dup, ..RouterConfig::default() }
-}
-
-/// EPIC engine + `Steering::BySource` (the family's steering) helpers
-/// for the source-keyed sharding properties below.
-fn make_epic(dup: bool) -> Box<dyn Datapath + Send> {
-    EngineFamily::Epic.engine(&sv(), &hop_key(), &MASTER, epic_cfg(dup))
-}
-
-fn make_sharded_epic(shards: usize, dup: bool) -> ShardedRouter {
-    assert_eq!(EngineFamily::Epic.steering(), Steering::BySource);
-    EngineFamily::Epic.sharded_engine(shards, &sv(), &hop_key(), &MASTER, epic_cfg(dup))
-}
-
-/// An EPIC-stamped duplicate-free workload from up to five source ASes
-/// (the axis `Steering::BySource` shards on): per spec `(src_choice,
-/// payload, corrupt)`, a packet on source `src_choice % 5` (or plain
-/// SCION when the choice hashes to 5), each at a distinct millisecond.
-fn epic_workload(specs: &[(u8, u16, bool)]) -> Vec<Vec<u8>> {
-    let hops = vec![BeaconHop { key: hop_key(), cons_ingress: 0, cons_egress: 0 }];
-    let path = forge_path(&hops, NOW_S as u32 - 100, 0x1234);
-    let mut senders: Vec<SourceGenerator> = (0..5u64)
-        .map(|i| {
-            let src = IsdAs::new(1, 0x10 + i);
-            let credential =
-                EngineFamily::Epic.credential(&sv(), &MASTER, 0, 0, &mut 0, src, 0, NOW_S);
-            let mut sender = SourceGenerator::new(src, IsdAs::new(2, 0x20), path.clone());
-            sender.attach_reservation(0, credential).unwrap();
-            sender
-        })
-        .collect();
-    let mut plain = SourceGenerator::new(IsdAs::new(1, 0x10), IsdAs::new(2, 0x20), path);
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, &(src_choice, payload, corrupt))| {
-            let payload = vec![0u8; usize::from(payload)];
-            let at = NOW_MS + i as u64; // unique ms → duplicate-free
-            let choice = usize::from(src_choice) % 6;
-            let mut bytes = if choice == 5 {
-                plain.generate(&payload, at).unwrap()
-            } else {
-                senders[choice].generate(&payload, at).unwrap()
-            };
-            if corrupt {
-                let idx = 56 + (i % 12);
-                bytes[idx] ^= 0x40;
-            }
-            bytes
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Sharded ≡ single for the source-keyed EPIC engine under
-    /// `Steering::BySource`: verdicts and aggregate stats match for any
-    /// shard count on duplicate-free mixed traffic, through both the
-    /// per-packet and the batch path — every source's replay state lives
-    /// on exactly one shard.
-    #[test]
-    fn epic_sharded_by_source_equals_single(
-        shards in 1usize..6,
-        specs in prop::collection::vec((any::<u8>(), 0u16..400, any::<bool>()), 1..24),
-        dup in any::<bool>(),
-    ) {
-        let packets = epic_workload(&specs);
-        let mut single = make_epic(dup);
-        let mut sharded = make_sharded_epic(shards, dup);
-        for pkt in &packets {
-            let a = single.process(&mut pkt.clone(), NOW_NS);
-            let b = sharded.process(&mut pkt.clone(), NOW_NS);
-            prop_assert_eq!(a, b, "sharded EPIC verdict diverged");
-        }
-        prop_assert_eq!(single.stats(), sharded.stats(), "aggregate stats diverged");
-
-        // The same equivalence through the batch path (which regroups
-        // the burst into per-shard runs and derives each run's keys in
-        // one fused pass).
-        let mut single_b = make_epic(dup);
-        let mut sharded_b = make_sharded_epic(shards, dup);
-        let mut bufs_a: Vec<PacketBuf> = packets.iter().cloned().map(PacketBuf::new).collect();
-        let mut bufs_b: Vec<PacketBuf> = packets.into_iter().map(PacketBuf::new).collect();
-        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-        single_b.process_batch(&mut bufs_a, NOW_NS, &mut out_a);
-        sharded_b.process_batch(&mut bufs_b, NOW_NS, &mut out_b);
-        prop_assert_eq!(&out_a, &out_b, "batch verdicts diverged");
-        prop_assert_eq!(single_b.stats(), sharded_b.stats(), "batch stats diverged");
-    }
-
-    /// EPIC replays co-locate under source steering: exact copies steer
-    /// to the owning shard and its window filter drops them exactly as a
-    /// single engine would.
-    #[test]
-    fn epic_replays_colocate_with_their_original(
-        shards in 2usize..6,
-        src_choice in 0u8..5,
-        copies in 1usize..5,
-    ) {
-        let original = epic_workload(&[(src_choice, 300, false)]).remove(0);
-        let mut single = make_epic(true);
-        let mut sharded = make_sharded_epic(shards, true);
-        for i in 0..=copies {
-            let a = single.process(&mut original.clone(), NOW_NS + i as u64);
-            let b = sharded.process(&mut original.clone(), NOW_NS + i as u64);
-            prop_assert_eq!(a, b, "copy {} diverged", i);
-            if i == 0 {
-                prop_assert!(a.egress().is_some(), "original must validate: {:?}", a);
-            } else {
-                prop_assert!(a.is_drop(), "replay {} must drop: {:?}", i, a);
-            }
-        }
-        prop_assert_eq!(single.stats(), sharded.stats());
     }
 }
 
