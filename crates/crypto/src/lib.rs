@@ -27,7 +27,9 @@
 // intrinsics modules opt back in with a scoped `#[allow(unsafe_code)]`
 // and `deny(unsafe_op_in_unsafe_fn)`, and the cache hint [`prefetch`].
 // This crate holds every `std::arch` intrinsic of the workspace; the
-// other crates forbid `unsafe` outright.
+// only other `unsafe` is the socket testbed's `sys` module (the UDP
+// offload calls `std::net` lacks), and the remaining crates forbid it
+// outright.
 #![deny(unsafe_code)]
 #![warn(unreachable_pub)]
 #![deny(clippy::undocumented_unsafe_blocks)]

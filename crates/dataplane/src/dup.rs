@@ -12,11 +12,13 @@
 //! full packet-validity window (`Δ + 2δ`) and at most two, using bounded
 //! memory without per-entry timers.
 
+use hummingbird_wire::IsdAs;
 use std::collections::HashSet;
 
 /// A packet identity: `(BaseTimestamp, MillisTimestamp, Counter)` plus the
-/// source-identifying flow information the AS chooses to scope by.
-pub(crate) type PacketId = (u32, u16, u16, u64);
+/// source ISD-AS, so two sources' packets never collide (the counter is
+/// unique per source only).
+pub(crate) type PacketId = (u32, u16, u16, IsdAs);
 
 /// Two-epoch duplicate suppressor.
 #[derive(Clone, Debug)]
@@ -72,6 +74,11 @@ mod tests {
 
     const MS: u64 = 1_000_000;
 
+    /// Source AS `asn` of ISD 1.
+    fn src(asn: u64) -> IsdAs {
+        IsdAs::new(1, asn)
+    }
+
     /// Number of tracked identities.
     fn tracked(d: &DuplicateSuppressor) -> usize {
         d.current.len() + d.previous.len()
@@ -80,7 +87,7 @@ mod tests {
     #[test]
     fn detects_duplicates_within_window() {
         let mut d = DuplicateSuppressor::new(1500 * MS, 1 << 16);
-        let id = (100, 5, 1, 42);
+        let id = (100, 5, 1, src(42));
         assert!(!d.check_and_insert(id, 0));
         assert!(d.check_and_insert(id, 700 * MS));
         assert!(d.check_and_insert(id, 1400 * MS));
@@ -89,15 +96,15 @@ mod tests {
     #[test]
     fn distinct_counters_are_not_duplicates() {
         let mut d = DuplicateSuppressor::new(1500 * MS, 1 << 16);
-        assert!(!d.check_and_insert((100, 5, 1, 42), 0));
-        assert!(!d.check_and_insert((100, 5, 2, 42), 0));
-        assert!(!d.check_and_insert((100, 6, 1, 42), 0));
+        assert!(!d.check_and_insert((100, 5, 1, src(42)), 0));
+        assert!(!d.check_and_insert((100, 5, 2, src(42)), 0));
+        assert!(!d.check_and_insert((100, 6, 1, src(42)), 0));
     }
 
     #[test]
     fn entries_expire_after_two_epochs() {
         let mut d = DuplicateSuppressor::new(1000 * MS, 1 << 16);
-        let id = (1, 1, 1, 1);
+        let id = (1, 1, 1, src(1));
         assert!(!d.check_and_insert(id, 0));
         // Two full epochs later (and an idle gap), the entry is gone.
         assert!(!d.check_and_insert(id, 3500 * MS));
@@ -107,7 +114,7 @@ mod tests {
     fn memory_is_bounded() {
         let mut d = DuplicateSuppressor::new(1000 * MS, 100);
         for i in 0..1000u16 {
-            d.check_and_insert((0, 0, i, 0), 0);
+            d.check_and_insert((0, 0, i, src(0)), 0);
         }
         assert!(tracked(&d) <= 100);
     }
@@ -115,10 +122,10 @@ mod tests {
     #[test]
     fn idle_gap_clears_old_epochs() {
         let mut d = DuplicateSuppressor::new(1000 * MS, 1 << 16);
-        d.check_and_insert((1, 0, 0, 0), 0);
-        d.check_and_insert((2, 0, 0, 0), 100 * MS);
+        d.check_and_insert((1, 0, 0, src(0)), 0);
+        d.check_and_insert((2, 0, 0, src(0)), 100 * MS);
         assert_eq!(tracked(&d), 2);
-        d.check_and_insert((3, 0, 0, 0), 10_000 * MS);
+        d.check_and_insert((3, 0, 0, src(0)), 10_000 * MS);
         assert!(tracked(&d) <= 2);
     }
 }

@@ -71,6 +71,7 @@ mod tests {
         generator: SourceGenerator,
         routers: Vec<BorderRouter>,
         svs: Vec<SecretValue>,
+        path: hummingbird_wire::HummingbirdPath,
     }
 
     fn build_net(n: usize, cfg: RouterConfig) -> TestNet {
@@ -86,10 +87,11 @@ mod tests {
             })
             .collect();
         let path = forge_path(&hops, (NOW_MS / 1000) as u32 - 100, 0x1234);
-        let generator = SourceGenerator::new(IsdAs::new(1, 0x10), IsdAs::new(2, 0x20), path);
+        let generator =
+            SourceGenerator::new(IsdAs::new(1, 0x10), IsdAs::new(2, 0x20), path.clone());
         let routers: Vec<BorderRouter> =
             (0..n).map(|i| BorderRouter::new(svs[i].clone(), hop_keys[i].clone(), cfg)).collect();
-        TestNet { generator, routers, svs }
+        TestNet { generator, routers, svs, path }
     }
 
     fn interfaces(n: usize, i: usize) -> (u16, u16) {
@@ -261,6 +263,26 @@ mod tests {
         assert!(net.routers[0].process(&mut first, NOW_NS).is_flyover());
         let verdict = net.routers[0].process(&mut replay, NOW_NS + 1000);
         assert_eq!(verdict, Verdict::Drop(DropReason::Duplicate));
+    }
+
+    /// §5.4's packet identity holds the whole source ISD-AS: the first
+    /// packets of two sources in one millisecond share (BaseTS, MillisTS,
+    /// Counter), and both pass whether the sources differ in their ISD
+    /// (1-0x10 and 2-0x10) or, as a control, in their AS number (1-0x10
+    /// and 1-0x11).
+    #[test]
+    fn duplicate_filter_tells_sources_apart_by_isd_and_as() {
+        for other in [IsdAs::new(2, 0x10), IsdAs::new(1, 0x11)] {
+            let cfg = RouterConfig { duplicate_suppression: true, ..Default::default() };
+            let mut net = build_net(1, cfg);
+            let mut second = SourceGenerator::new(other, IsdAs::new(2, 0x20), net.path.clone());
+            let mut first = net.generator.generate(&[0u8; 128], NOW_MS).unwrap();
+            let mut next = second.generate(&[0u8; 128], NOW_MS).unwrap();
+            let router = &mut net.routers[0];
+            assert!(matches!(router.process(&mut first, NOW_NS), Verdict::BestEffort { .. }));
+            let verdict = router.process(&mut next, NOW_NS + 1000);
+            assert!(matches!(verdict, Verdict::BestEffort { .. }), "source {other:?}: {verdict:?}");
+        }
     }
 
     #[test]

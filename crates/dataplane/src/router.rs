@@ -340,8 +340,7 @@ pub mod stages {
         parsed: &Parsed,
         now_ns: u64,
     ) -> Result<(), DropReason> {
-        let id =
-            (parsed.meta.base_ts, parsed.meta.millis_ts, parsed.meta.counter, parsed.addr.src.asn);
+        let id = (parsed.meta.base_ts, parsed.meta.millis_ts, parsed.meta.counter, parsed.addr.src);
         if dup.check_and_insert(id, now_ns) {
             return Err(DropReason::Duplicate);
         }

@@ -122,13 +122,14 @@ impl ShardMap {
             Ok(parsed) => match parsed.hop {
                 HopKind::Flyover(fly) => FlowClass::Reservation(fly.res_id),
                 HopKind::Plain(_) => {
-                    // Exactly the duplicate-filter identity — (src AS,
-                    // BaseTS, MillisTS, Counter), see
-                    // `stages::duplicate_check` — and nothing more: any
-                    // extra field (ISD, source host) would let two
-                    // packets with one dup identity steer to different
-                    // shards, and the sharded router would forward what
-                    // a single engine drops as a duplicate.
+                    // Only fields of the duplicate-filter identity —
+                    // (src ISD-AS, BaseTS, MillisTS, Counter), see
+                    // `stages::duplicate_check` — minus the ISD, which
+                    // only coarsens the key: any field outside it
+                    // (the source host) would let two packets with one
+                    // dup identity steer to different shards, and the
+                    // sharded router would forward what a single engine
+                    // drops as a duplicate.
                     let mut key = [0u8; 16];
                     key[0..8].copy_from_slice(&parsed.addr.src.asn.to_be_bytes());
                     key[8..12].copy_from_slice(&parsed.meta.base_ts.to_be_bytes());

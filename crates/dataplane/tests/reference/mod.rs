@@ -256,7 +256,7 @@ pub struct Router {
     /// Algorithm 1's TSArray: a deadline per ResID, each 0 at start.
     deadlines: HashMap<u32, u128>,
     /// §5.4: the epoch each identity was filed under, and the newest epoch.
-    seen: HashMap<(u32, u16, u16, u64), u128>,
+    seen: HashMap<(u32, u16, u16, IsdAs), u128>,
     epoch: u128,
     pub stats: DatapathStats,
 }
@@ -376,10 +376,7 @@ impl Router {
             return Err((BadMac, "Algo 4: MAC mismatch"));
         }
         if self.cfg.duplicate_suppression && filters_duplicates(self.family) {
-            self.suppress_duplicate(
-                (meta.base_ts, meta.millis_ts, meta.counter, addr.src.asn),
-                now,
-            )?;
+            self.suppress_duplicate((meta.base_ts, meta.millis_ts, meta.counter, addr.src), now)?;
         }
         // A.7: SegID ← SegID ⊕ MAC[0..2]; a flyover's AggMAC ← HopFieldMAC, for reversal (A.8).
         let seg_id = info.seg_id ^ u16::from_be_bytes([mac[0], mac[1]]);
@@ -435,8 +432,8 @@ impl Router {
     }
 
     /// §5.4's optional duplicate filter, after authentication, on the
-    /// identity (BaseTS, MillisTS, Counter, SrcAS).
-    fn suppress_duplicate(&mut self, id: (u32, u16, u16, u64), now: u128) -> Result<(), Drop> {
+    /// identity (BaseTS, MillisTS, Counter, SrcISD-AS).
+    fn suppress_duplicate(&mut self, id: (u32, u16, u16, IsdAs), now: u128) -> Result<(), Drop> {
         // impl.: identities are filed in epochs of Δ + 2δ from time 0, under the newest one seen.
         let window_ms = u128::from(self.cfg.max_packet_age_ms + 2 * self.cfg.max_clock_skew_ms);
         self.epoch = self.epoch.max(now / (window_ms * 1_000_000).max(1));

@@ -1,11 +1,15 @@
 //! Datagram and payload framing of the real-socket testbed.
 //!
-//! Every UDP datagram on a testbed link is one frame: a single kind
-//! byte followed, for data frames, by one serialized Hummingbird packet
-//! exactly as [`hummingbird_wire`] emits it. There is no length field —
-//! UDP preserves datagram boundaries, and the packet's own headers
-//! declare its length ([`PacketView::wire_len`]), so a receiver can (and
-//! does) detect truncation by comparing the two.
+//! Every UDP segment on a testbed link is one frame: a single kind byte
+//! followed, for data frames, by one serialized Hummingbird packet
+//! exactly as [`hummingbird_wire`] emits it. A datagram is one segment,
+//! or a run of equal-length segments sent with `UDP_SEGMENT` and read
+//! back whole with `UDP_GRO` — and the kernel splits a run into one
+//! datagram per segment for a receiver without `UDP_GRO`, so there
+//! every datagram is still one frame. There is no length field — UDP
+//! preserves datagram and segment boundaries, and the packet's own
+//! headers declare its length ([`PacketView::wire_len`]), so a receiver
+//! can (and does) detect truncation by comparing the two.
 //!
 //! The first [`PAYLOAD_HDR_LEN`] bytes of every packet's L4 payload
 //! carry the measurement header the sink and routers read:

@@ -1,8 +1,9 @@
 //! Chain assembly and the end-to-end run loop.
 //!
 //! [`run_chain`] stands up one gateway → router… → sink chain over UDP
-//! loopback: the gateway thread generates and sends `pkts` real
-//! datagrams per the mix's schedule, each router thread drives its own
+//! loopback: the gateway thread generates and sends `pkts` real frames
+//! per the mix's schedule, in runs of equal-length frames, each router
+//! thread drives its own
 //! [`ShardedRouter`](hummingbird_dataplane::ShardedRouter) over the
 //! selected engine family, and the sink thread measures delivery,
 //! goodput and end-to-end latency. When the FIN has propagated, the
@@ -20,7 +21,7 @@ use std::time::{Duration, Instant};
 use crate::frame::{PayloadHeader, KIND_DATA, PAYLOAD_HDR_LEN};
 use crate::link::{AckSender, CreditedSender, WaitStrategy};
 use crate::mix::TrafficMix;
-use crate::node::{NodeStats, Sink, SocketRouter, BEST_EFFORT, RESERVED};
+use crate::node::{bind_receiver, NodeStats, Sink, SocketRouter, BEST_EFFORT, RESERVED};
 use crate::{now_unix_ms, now_unix_ns};
 
 /// Bandwidth granted to each reserved flow: 10 Gbps, far above anything
@@ -60,9 +61,9 @@ pub struct ChainSpec {
     pub pkts: u64,
     /// L4 payload length per packet (≥ [`PAYLOAD_HDR_LEN`]).
     pub payload_len: usize,
-    /// Credit window per link, in data frames (default 64, 39 % of the
-    /// 166 datagrams of ≤ 600 B the default Linux receive buffer holds;
-    /// see `link`).
+    /// Credit window per link, in data frames (default 64, also the most
+    /// one run carries; the default Linux receive buffer holds 73 of the
+    /// largest, 2 KiB frames, see `link`).
     pub window: usize,
     /// Receiver ack cadence, in data frames (default 32, half the
     /// window: a sender out of credit wakes once per 32 frames the
@@ -117,6 +118,23 @@ impl ClassReport {
     }
 }
 
+/// What one link carried, counted where it arrives.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LinkCounts {
+    /// Data frames received.
+    pub frames: u64,
+    /// Datagrams they arrived in: one per run the sender formed.
+    pub datagrams: u64,
+}
+
+impl LinkCounts {
+    /// Mean frames per datagram, the link's run length (0 when nothing
+    /// arrived).
+    pub fn frames_per_datagram(&self) -> f64 {
+        self.frames as f64 / self.datagrams.max(1) as f64
+    }
+}
+
 /// Everything one chain run produced.
 #[derive(Clone, Debug)]
 pub struct RunReport {
@@ -132,12 +150,15 @@ pub struct RunReport {
     pub sent: u64,
     /// Per-class accounting: `[RESERVED, BEST_EFFORT]`.
     pub classes: [ClassReport; 2],
-    /// Structurally invalid datagrams across all nodes.
+    /// Structurally invalid frames across all nodes.
     pub parse_drops: u64,
     /// Engine drop reasons, merged across routers.
     pub drop_reasons: Vec<(DropReason, u64)>,
     /// Sink measurement window (first delivery → FIN), ns.
     pub wall_ns: u64,
+    /// Every link in chain order, counted at its receiver: gateway →
+    /// router 0, router 0 → router 1, …, last router → sink.
+    pub links: Vec<LinkCounts>,
     /// Conservation violations; empty on a clean run.
     pub violations: Vec<String>,
 }
@@ -195,11 +216,9 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
     // Rx sockets for every node, addresses resolved before any socket
     // moves into its node.
     let err = |e: std::io::Error| e.to_string();
-    let router_socks: Vec<UdpSocket> = (0..spec.routers)
-        .map(|_| UdpSocket::bind("127.0.0.1:0"))
-        .collect::<std::io::Result<_>>()
-        .map_err(err)?;
-    let sink_sock = UdpSocket::bind("127.0.0.1:0").map_err(err)?;
+    let router_socks: Vec<UdpSocket> =
+        (0..spec.routers).map(|_| bind_receiver()).collect::<std::io::Result<_>>().map_err(err)?;
+    let sink_sock = bind_receiver().map_err(err)?;
     let mut peer_addrs = Vec::with_capacity(spec.routers + 1);
     for sock in &router_socks {
         peer_addrs.push(sock.local_addr().map_err(err)?);
@@ -248,8 +267,10 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
     let sink_handle = std::thread::spawn(move || sink.run());
 
     // The gateway runs on the calling thread: generate each packet
-    // fresh (engines check wall-clock freshness) and push it through the
-    // credit window.
+    // fresh (engines check wall-clock freshness) and queue it for the
+    // credit window. A run goes out as soon as the next frame's length
+    // differs or the run reaches its bound, so the gateway never waits
+    // for a run to fill.
     let mut seqs = vec![0u64; generators.len()];
     let mut payload = vec![0u8; spec.payload_len];
     let mut frame = Vec::with_capacity(1 + spec.payload_len + 512);
@@ -264,10 +285,11 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
         frame.clear();
         frame.push(KIND_DATA);
         frame.extend_from_slice(&pkt);
-        gw_sender.send_data(&frame).map_err(err)?;
+        gw_sender.queue_run(&frame).map_err(err)?;
     }
-    // FIN before drain: router 0 flushes its final (sub-cadence) ack
-    // when the FIN arrives, which is what lets the drain complete.
+    // FIN (after the last queued run) before drain: router 0 flushes its
+    // final (sub-cadence) ack when the FIN arrives, which is what lets
+    // the drain complete.
     gw_sender.send_fin().map_err(err)?;
     gw_sender.drain().map_err(err)?;
 
@@ -336,6 +358,22 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
         }
     }
 
+    // Runs arrive whole: every link's receiver counts exactly the
+    // datagrams its sender sent.
+    let mut links: Vec<LinkCounts> = router_stats
+        .iter()
+        .map(|s| LinkCounts { frames: s.rx, datagrams: s.rx_datagrams })
+        .collect();
+    links.push(LinkCounts { frames: sink_report.rx, datagrams: sink_report.rx_datagrams });
+    let sent_datagrams =
+        std::iter::once(gw_sender.datagrams).chain(router_stats.iter().map(|s| s.tx_datagrams));
+    for (hop, (sent, link)) in sent_datagrams.zip(&links).enumerate() {
+        if sent != link.datagrams {
+            violations
+                .push(format!("link {hop}: {sent} datagrams sent != {} received", link.datagrams));
+        }
+    }
+
     Ok(RunReport {
         family: spec.family,
         mix: spec.mix,
@@ -346,6 +384,7 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
         parse_drops,
         drop_reasons,
         wall_ns: sink_report.wall_ns,
+        links,
         violations,
     })
 }
@@ -401,6 +440,24 @@ mod tests {
             let c = &report.classes[class];
             assert!(c.delivered > 0, "class {class} delivered nothing");
             assert_eq!(c.payload_bytes, c.delivered * spec.payload_len as u64, "class {class}");
+        }
+    }
+
+    /// A saturated Cbr chain carries runs on every link: its reserved
+    /// and best-effort frames differ in length and alternate every four
+    /// frames, and each link's receiver counts at least 2 frames per
+    /// datagram, exactly the datagrams its sender sent.
+    #[test]
+    fn saturated_cbr_chain_forms_runs_on_every_link() {
+        let mut spec = ChainSpec::new(EngineFamily::Hummingbird, TrafficMix::Cbr);
+        spec.pkts = 20_000;
+        spec.routers = 2;
+        let report = run_chain(&spec).unwrap();
+        assert!(report.clean(), "{:?}", report.violations);
+        assert_eq!(report.links.len(), spec.routers + 1);
+        for (hop, link) in report.links.iter().enumerate() {
+            assert_eq!(link.frames, spec.pkts, "link {hop}");
+            assert!(link.frames_per_datagram() >= 2.0, "link {hop}: {link:?}");
         }
     }
 

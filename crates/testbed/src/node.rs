@@ -3,15 +3,25 @@
 //! accounting).
 //!
 //! A router node is exactly the paper's border-router loop over real
-//! datagrams: pull a frame off its UDP socket, validate the packet with
-//! [`PacketView::new_checked`] (plus the declared-vs-actual length
-//! check), drive it through any [`Datapath`] — in practice a
+//! datagrams: pull a run of frames off its UDP socket, validate each
+//! packet with [`PacketView::new_checked`] (plus the declared-vs-actual
+//! length check), drive it through any [`Datapath`] — in practice a
 //! [`ShardedRouter`](hummingbird_dataplane::ShardedRouter) over the
-//! selected engine family, so `ChainSpec::shards` applies — and forward the
-//! mutated bytes to the next hop's socket. Every datagram is accounted
+//! selected engine family, so `ChainSpec::shards` applies — and forward
+//! the mutated bytes to the next hop's socket. Every frame is accounted
 //! for: it is forwarded, counted as an engine drop against its flow, or
 //! counted as a parse drop. Nothing is lost silently, which is what
 //! makes the harness's exact conservation check possible.
+//!
+//! Both nodes receive with `UDP_GRO` into a 64 KiB buffer, so a run of
+//! equal-length frames the upstream sent as one `UDP_SEGMENT` datagram
+//! arrives whole; the node splits it by the segment size the kernel
+//! reports and counts and acks every frame. A router queues the frames
+//! a drain forwards and sends them as runs, in order, when the drain
+//! ends — before it yields or sleeps, and before the FIN. It never
+//! waits for a run to fill, so a sparse (paced) chain still forwards
+//! single datagrams. Each node counts the datagrams it received beside
+//! the frames, and a router the datagrams it sent.
 //!
 //! Both nodes wait by one receive-idle rule, after the paper's
 //! poll-mode router, which takes packets in bursts and sleeps only when
@@ -34,10 +44,7 @@ use std::time::{Duration, Instant};
 use crate::frame::{PayloadHeader, KIND_DATA, KIND_FIN};
 use crate::harness::ClassReport;
 use crate::link::{read_timed_out, AckSender, CreditedSender};
-use crate::now_unix_ns;
-
-/// Largest datagram a node accepts (header + payload headroom).
-pub(crate) const MAX_DATAGRAM: usize = 2048;
+use crate::{now_unix_ns, sys};
 
 /// Traffic class of a flow: `RESERVED` carries the family's per-hop
 /// credential, `BEST_EFFORT` rides plain.
@@ -50,6 +57,11 @@ pub const BEST_EFFORT: usize = 1;
 pub struct NodeStats {
     /// Data frames received off the socket.
     pub rx: u64,
+    /// Datagrams those frames arrived in: `rx / rx_datagrams` is the
+    /// mean run length on the inbound link.
+    pub rx_datagrams: u64,
+    /// Datagrams sent downstream, one per run.
+    pub tx_datagrams: u64,
     /// Packets forwarded to the next hop, per class of the engine's
     /// verdict (a demoted reserved packet is best effort).
     pub forwarded: [u64; 2],
@@ -57,10 +69,10 @@ pub struct NodeStats {
     pub engine_drops: [u64; 2],
     /// Engine drops per flow id.
     pub flow_drops: Vec<u64>,
-    /// Datagrams that failed structural validation (bad kind byte,
+    /// Frames that failed structural validation (bad kind byte,
     /// `new_checked` failure, declared/actual length mismatch, missing
     /// payload header). Classless by construction — an unparseable
-    /// datagram has no trustworthy flow id.
+    /// frame has no trustworthy flow id.
     pub parse_drops: u64,
     /// Engine drop reasons, for diagnosis.
     pub drop_reasons: Vec<(DropReason, u64)>,
@@ -90,74 +102,126 @@ const BATCH_SIZE: usize = 32;
 /// Polls of an empty socket, each followed by a `yield_now`, before a
 /// node sleeps in a blocking `recv`.
 const IDLE_POLLS: u32 = 8;
+/// A node's receive buffer: 64 KiB holds any UDP datagram, so a run
+/// always arrives whole.
+const RECV_BUF: usize = 1 << 16;
 
-/// The receive-idle rule every socket node runs, until `on_datagram`
-/// returns `true` (the FIN).
-///
-/// The socket is drained nonblocking, up to [`BATCH_SIZE`] datagrams at
-/// a time, and `on_datagram(frame, now)` sees one `clock()` reading per
-/// drain, taken when its first datagram came off the socket. An empty
-/// socket is polled [`IDLE_POLLS`] times, yielding after each poll (a
-/// spinning poll holds the vCPU the next hop needs to wake on), and
-/// then the node sleeps in a blocking `recv`. The
-/// datagram that ends a sleep is handled before the socket goes back to
-/// nonblocking, so a packet that finds its node asleep pays no extra
-/// syscall. A sleep that lasts `timeout` is a stall: the loop ends with
-/// a `TimedOut` error naming `node`.
-fn receive(
-    sock: &UdpSocket,
-    node: &str,
+/// Binds a node's data socket on loopback with `UDP_GRO` already on,
+/// so runs arrive whole from the first datagram. (A run that reaches a
+/// socket before `UDP_GRO` is on is split by the kernel into one
+/// datagram per frame: the frames are intact, but each counts as a
+/// datagram.)
+pub(crate) fn bind_receiver() -> io::Result<UdpSocket> {
+    let sock = UdpSocket::bind("127.0.0.1:0")?;
+    sys::enable_gro(&sock)?;
+    Ok(sock)
+}
+
+/// The receive side every socket node runs: its `UDP_GRO` socket, the
+/// buffer runs land in, and the receive-idle rule.
+struct Receiver<'a> {
+    sock: &'a UdpSocket,
+    node: &'static str,
     timeout: Duration,
-    clock: impl Fn() -> u64,
-    mut on_datagram: impl FnMut(&mut [u8], u64) -> io::Result<bool>,
-) -> io::Result<()> {
-    let mut buf = [0u8; MAX_DATAGRAM];
-    sock.set_read_timeout(Some(timeout))?;
-    sock.set_nonblocking(true)?;
-    let mut idle = 0;
-    loop {
+    buf: Vec<u8>,
+    idle: u32,
+    /// Datagrams that carried data frames (the FIN's not counted).
+    datagrams: u64,
+}
+
+impl<'a> Receiver<'a> {
+    /// Turns on `UDP_GRO` (failing, naming it, where the kernel lacks
+    /// it) and makes the socket nonblocking with `timeout` for sleeps.
+    fn new(sock: &'a UdpSocket, node: &'static str, timeout: Duration) -> io::Result<Self> {
+        sys::enable_gro(sock)?;
+        sock.set_read_timeout(Some(timeout))?;
+        sock.set_nonblocking(true)?;
+        Ok(Receiver { sock, node, timeout, buf: vec![0; RECV_BUF], idle: 0, datagrams: 0 })
+    }
+
+    /// One step of the receive-idle rule; `Ok(true)` once `on_frame`
+    /// returned `true` (the FIN).
+    ///
+    /// The socket is drained nonblocking, up to [`BATCH_SIZE`]
+    /// datagrams, each split into its frames by the segment size the
+    /// kernel reports, and `on_frame(frame, now)` sees one `clock()`
+    /// reading per drain, taken when its first datagram came off the
+    /// socket. An empty socket is polled [`IDLE_POLLS`] times, one step
+    /// each, yielding after each poll (a spinning poll holds the vCPU
+    /// the next hop needs to wake on), and then the node sleeps in a
+    /// blocking `recv`. The datagram that ends a sleep is handled before
+    /// the socket goes back to nonblocking, so a packet that finds its
+    /// node asleep pays no extra syscall. A sleep that lasts `timeout`
+    /// is a stall: the step fails with a `TimedOut` error naming the
+    /// node.
+    fn step(
+        &mut self,
+        clock: &impl Fn() -> u64,
+        mut on_frame: impl FnMut(&mut [u8], u64) -> io::Result<bool>,
+    ) -> io::Result<bool> {
         let mut now = None;
         for _ in 0..BATCH_SIZE {
-            let n = match sock.recv(&mut buf) {
-                Ok(n) => n,
+            let (n, seg) = match sys::recv_run(self.sock, &mut self.buf) {
+                Ok(got) => got,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => return Err(e),
             };
-            if on_datagram(&mut buf[..n], *now.get_or_insert_with(&clock))? {
-                return Ok(());
+            let now = *now.get_or_insert_with(clock);
+            if self.split(n, seg, now, &mut on_frame)? {
+                return Ok(true);
             }
         }
         if now.is_some() {
-            idle = 0;
-            continue;
+            self.idle = 0;
+            return Ok(false);
         }
-        idle += 1;
-        if idle < IDLE_POLLS {
+        self.idle += 1;
+        if self.idle < IDLE_POLLS {
             std::thread::yield_now();
-            continue;
+            return Ok(false);
         }
-        idle = 0;
-        sock.set_nonblocking(false)?;
-        let fin = match sock.recv(&mut buf) {
-            Ok(n) => on_datagram(&mut buf[..n], clock()),
+        self.idle = 0;
+        self.sock.set_nonblocking(false)?;
+        let fin = match sys::recv_run(self.sock, &mut self.buf) {
+            Ok((n, seg)) => self.split(n, seg, clock(), &mut on_frame),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(false),
             // Here `WouldBlock` is the expired timeout; in the drain
             // above it means "empty, poll again".
             Err(e) if read_timed_out(&e) => Err(io::Error::new(
                 io::ErrorKind::TimedOut,
-                format!("{node} socket silent for {timeout:?}: upstream stalled"),
+                format!("{} socket silent for {:?}: upstream stalled", self.node, self.timeout),
             )),
             Err(e) => Err(e),
         };
-        sock.set_nonblocking(true)?;
-        if fin? {
-            return Ok(());
+        self.sock.set_nonblocking(true)?;
+        fin
+    }
+
+    /// Hands the `n`-byte datagram in the buffer to `on_frame` as frames
+    /// of `seg` bytes (the last may be shorter, as `UDP_GRO` allows).
+    fn split(
+        &mut self,
+        n: usize,
+        seg: usize,
+        now: u64,
+        on_frame: &mut impl FnMut(&mut [u8], u64) -> io::Result<bool>,
+    ) -> io::Result<bool> {
+        // An empty datagram is one empty frame: a parse drop.
+        if n == 0 && on_frame(&mut [], now)? {
+            return Ok(true);
         }
+        for frame in self.buf[..n].chunks_mut(seg.max(1)) {
+            if on_frame(frame, now)? {
+                return Ok(true);
+            }
+        }
+        self.datagrams += 1;
+        Ok(false)
     }
 }
 
 /// Validates one received frame: the data kind byte, a checked view
-/// over the packet bytes, declared length equal to the datagram length,
+/// over the packet bytes, declared length equal to the frame length,
 /// and a readable payload header naming a flow of `flow_reserved`.
 /// Returns the flow header, the L4 payload length and the flow's class
 /// on success.
@@ -175,7 +239,11 @@ fn classify(frame: &[u8], flow_reserved: &[bool]) -> Option<(PayloadHeader, usiz
 
 /// One border-router node: rx socket → engine → credit-windowed tx.
 pub struct SocketRouter {
-    /// This node's data socket (upstream sends here).
+    /// This node's data socket (upstream sends here). [`run`] turns on
+    /// `UDP_GRO`; a run that arrives before then reaches the node split
+    /// into single datagrams, frames intact.
+    ///
+    /// [`run`]: SocketRouter::run
     pub data: UdpSocket,
     /// The engine under test (a `ShardedRouter` over the family).
     pub engine: Box<dyn Datapath + Send>,
@@ -191,13 +259,18 @@ pub struct SocketRouter {
 
 impl SocketRouter {
     /// Runs the node until FIN: every data frame is parsed, processed
-    /// and forwarded (or counted as a drop); the FIN then follows the
-    /// last forwarded frame, and the node waits until the downstream
-    /// hop has acknowledged every forwarded frame (the FIN is what
-    /// triggers the downstream's final ack flush).
+    /// and queued for forwarding (or counted as a drop), and each
+    /// drain's queue goes out as runs when the drain ends; the FIN then
+    /// follows the last forwarded frame, and the node waits until the
+    /// downstream hop has acknowledged every forwarded frame (the FIN is
+    /// what triggers the downstream's final ack flush). Fails, naming
+    /// the option, on a kernel without `UDP_GRO`.
     pub fn run(mut self) -> io::Result<NodeStats> {
         let mut stats = NodeStats::new(self.flow_reserved.len());
-        receive(&self.data, "router", self.timeout, now_unix_ns, |frame, now_ns| {
+        let mut rx = Receiver::new(&self.data, "router", self.timeout)?;
+        // What a drain forwarded goes out as runs when it ends, before
+        // the node yields or sleeps.
+        while !rx.step(&now_unix_ns, |frame, now_ns| {
             if frame.first() == Some(&KIND_FIN) {
                 self.acks.flush()?;
                 return Ok(true);
@@ -218,23 +291,27 @@ impl SocketRouter {
                     stats.count_reason(reason);
                 }
                 Verdict::Flyover { .. } => {
-                    self.next.send_data(frame)?;
+                    self.next.queue(frame);
                     stats.forwarded[RESERVED] += 1;
                 }
                 Verdict::BestEffort { .. } => {
-                    self.next.send_data(frame)?;
+                    self.next.queue(frame);
                     stats.forwarded[BEST_EFFORT] += 1;
                 }
             }
             Ok(false)
-        })?;
-        // FIN first, then drain: the downstream acks its trailing
-        // sub-cadence frames only on FIN, so the reverse order
-        // deadlocks whenever the forwarded count is not a multiple of
-        // the ack cadence. Loopback delivers in order, so the FIN
-        // cannot overtake the data frames.
+        })? {
+            self.next.flush()?;
+        }
+        stats.rx_datagrams = rx.datagrams;
+        // FIN first (after the frames still queued), then drain: the
+        // downstream acks its trailing sub-cadence frames only on FIN,
+        // so the reverse order deadlocks whenever the forwarded count is
+        // not a multiple of the ack cadence. Loopback delivers in order,
+        // so the FIN cannot overtake the data frames.
         self.next.send_fin()?;
         self.next.drain()?;
+        stats.tx_datagrams = self.next.datagrams;
         Ok(stats)
     }
 }
@@ -248,7 +325,11 @@ pub struct SinkReport {
     pub classes: [ClassReport; 2],
     /// Packets delivered per flow id.
     pub flow_delivered: Vec<u64>,
-    /// Structurally invalid datagrams.
+    /// Data frames received off the socket.
+    pub rx: u64,
+    /// Datagrams those frames arrived in.
+    pub rx_datagrams: u64,
+    /// Structurally invalid frames.
     pub parse_drops: u64,
     /// First data frame → FIN, nanoseconds (0 when nothing arrived).
     pub wall_ns: u64,
@@ -279,12 +360,14 @@ impl Sink {
         let epoch = self.epoch;
         let clock = || epoch.elapsed().as_nanos() as u64;
         let mut first_rx_ns = None;
-        receive(&self.data, "sink", self.timeout, clock, |frame, now_ns| {
+        let mut rx = Receiver::new(&self.data, "sink", self.timeout)?;
+        while !rx.step(&clock, |frame, now_ns| {
             if frame.first() == Some(&KIND_FIN) {
                 self.acks.flush()?;
                 return Ok(true);
             }
             first_rx_ns.get_or_insert(now_ns);
+            report.rx += 1;
             self.acks.on_data()?;
             let Some((hdr, payload_len, class)) = classify(frame, &self.flow_reserved) else {
                 report.parse_drops += 1;
@@ -296,7 +379,8 @@ impl Sink {
             cls.latency.record(now_ns.saturating_sub(hdr.stamp_ns));
             report.flow_delivered[hdr.flow_id as usize] += 1;
             Ok(false)
-        })?;
+        })? {}
+        report.rx_datagrams = rx.datagrams;
         if let Some(first) = first_rx_ns {
             report.wall_ns = clock().saturating_sub(first);
         }
@@ -322,8 +406,7 @@ mod tests {
         topo: &LinearTopology,
         timeout: Duration,
     ) -> (CreditedSender, SocketRouter, Sink) {
-        let (data, sink_data) =
-            (UdpSocket::bind("127.0.0.1:0").unwrap(), UdpSocket::bind("127.0.0.1:0").unwrap());
+        let (data, sink_data) = (bind_receiver().unwrap(), bind_receiver().unwrap());
         let link = |to: &UdpSocket| {
             CreditedSender::new(to.local_addr().unwrap(), 64, WaitStrategy::Backoff, timeout)
                 .unwrap()
@@ -366,6 +449,70 @@ mod tests {
         let mut frame = vec![KIND_DATA];
         frame.extend(generator.generate(&payload, now_unix_ms()).unwrap());
         frame
+    }
+
+    /// A sender toward `data` with the default window, and a sink on
+    /// `data` acking it, for one reserved flow.
+    fn sink_link(data: UdpSocket) -> (CreditedSender, Sink) {
+        let timeout = Duration::from_secs(10);
+        let tx =
+            CreditedSender::new(data.local_addr().unwrap(), 64, WaitStrategy::Backoff, timeout)
+                .unwrap();
+        let acks = AckSender::new(tx.ctrl_addr().unwrap(), 32).unwrap();
+        let sink = Sink { data, acks, flow_reserved: vec![true], epoch: Instant::now(), timeout };
+        (tx, sink)
+    }
+
+    /// A run of N equal frames is one datagram on the wire; the sink,
+    /// a `UDP_GRO` node, counts it as one datagram of N frames, delivers
+    /// all N and returns N credits.
+    #[test]
+    fn a_run_reaches_a_gro_node_as_n_frames_and_n_credits() {
+        const N: u64 = 8;
+        let (_topo, mut generator) = credentialed_flow(crate::RESERVED_BW_KBPS);
+        let (mut tx, sink) = sink_link(bind_receiver().unwrap());
+        let sink = std::thread::spawn(move || sink.run());
+        for seq in 0..N {
+            tx.queue(&data_frame(&mut generator, seq));
+        }
+        tx.flush().unwrap();
+        tx.send_fin().unwrap();
+        tx.drain().unwrap();
+        let report = sink.join().unwrap().unwrap();
+
+        assert_eq!((tx.sent, tx.datagrams, tx.acked), (N, 1, N));
+        assert_eq!((report.rx, report.rx_datagrams, report.parse_drops), (N, 1, 0));
+        assert_eq!(report.flow_delivered, [N]);
+    }
+
+    /// A full window of the largest frames a link carries, sent before
+    /// the receiving node starts, waits whole in its socket's receive
+    /// buffer and is all delivered once the node runs — sent as runs
+    /// (what nodes send) and as single datagrams (the costliest way to
+    /// carry them; see `link`'s receive-buffer argument).
+    #[test]
+    fn a_full_window_of_largest_frames_survives_a_late_receiver() {
+        const WINDOW: u64 = 64;
+        let mut frame = vec![0u8; crate::link::MAX_FRAME];
+        frame[0] = KIND_DATA;
+        for as_runs in [true, false] {
+            let (mut tx, sink) = sink_link(bind_receiver().unwrap());
+            for _ in 0..WINDOW {
+                if as_runs {
+                    tx.queue(&frame);
+                } else {
+                    tx.send_data(&frame).unwrap();
+                }
+            }
+            tx.send_fin().unwrap();
+            assert_eq!(tx.sent, WINDOW);
+            let report = std::thread::spawn(move || sink.run()).join().unwrap().unwrap();
+            tx.drain().unwrap();
+            // The frames are no packets: each is a parse drop, counted.
+            assert_eq!((report.rx, report.parse_drops), (WINDOW, WINDOW), "runs: {as_runs}");
+            assert_eq!(report.rx_datagrams, tx.datagrams, "runs: {as_runs}");
+            assert_eq!(tx.acked, WINDOW);
+        }
     }
 
     /// A reserved flow sent far over its 64 kbps credential: the policer

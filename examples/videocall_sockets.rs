@@ -8,8 +8,10 @@
 //! the dataplane's `SourceGenerator`, validated at each router with
 //! `PacketView::new_checked`, processed by a Hummingbird engine, and
 //! forwarded to the next hop's socket. At the end the example prints
-//! per-class goodput and the end-to-end tail (p50/p95/p99/p99.9), plus
-//! the exact conservation line `sent = delivered + drops`.
+//! per-class goodput and the end-to-end tail (p50/p95/p99/p99.9), the
+//! frames per datagram on each link (runs of equal-length frames ride
+//! one UDP GSO datagram), plus the exact conservation line
+//! `sent = delivered + drops`.
 //!
 //! Run with: `cargo run --release --example videocall_sockets`
 
@@ -52,6 +54,21 @@ fn main() {
             format!("{label} latency [ms]"),
             rsv.latency.percentile_ns(p) as f64 / 1e6,
             be.latency.percentile_ns(p) as f64 / 1e6,
+        );
+    }
+
+    // UDP GSO/GRO: each datagram carries a run of equal-length frames,
+    // one loopback stack traversal per run.
+    let hops = report.links.len();
+    for (hop, link) in report.links.iter().enumerate() {
+        let from = if hop == 0 { "gateway".to_owned() } else { format!("router {}", hop - 1) };
+        let to = if hop + 1 == hops { "sink".to_owned() } else { format!("router {hop}") };
+        println!(
+            "{:<22} {:>14.2}   ({} frames in {} datagrams)",
+            format!("{from} -> {to}"),
+            link.frames_per_datagram(),
+            link.frames,
+            link.datagrams
         );
     }
 

@@ -65,8 +65,9 @@ printf 'unwrap/expect outside tests:          %s\n' "$(
         END { print n + 0 }' {} \; | awk '{ s += $1 } END { print s }')"
 # `unsafe` blocks outside tests, per crate: everything from a file's first
 # top-level #[cfg(test)] on is test code, and comments do not count. Only
-# hummingbird-crypto (the crate with every `std::arch` intrinsic) may have
-# any; the others forbid `unsafe` outright.
+# hummingbird-crypto (the crate with every `std::arch` intrinsic) and
+# hummingbird-testbed (its `sys` module: setsockopt/sendmsg/recvmsg for
+# UDP GSO/GRO) may have any; the others forbid `unsafe` outright.
 echo 'unsafe blocks outside tests:'
 for dir in src crates/*/src; do
     n=$(find "$dir" -name '*.rs' -exec awk '
