@@ -19,8 +19,8 @@ use hummingbird_baselines::EngineFamily;
 use hummingbird_crypto::{ResInfo, SecretValue};
 use hummingbird_dataplane::{
     forge_path, run_to_completion, BeaconHop, BorderRouter, Datapath, ExecMode, Gateway, HostShare,
-    NullEngine, RouterConfig, RuntimeConfig, RuntimeMode, RuntimeReport, ShardedRouter,
-    SourceGenerator, SourceReservation, Steering, BATCH_SIZE,
+    NullEngine, RouterConfig, RuntimeConfig, RuntimeMode, RuntimeReport, SourceGenerator,
+    SourceReservation, Steering, BATCH_SIZE,
 };
 use hummingbird_wire::scion_mac::HopMacKey;
 use hummingbird_wire::IsdAs;
@@ -360,16 +360,6 @@ impl DataplaneFixture {
         }
     }
 
-    /// One logical hop-0 router of `kind` sharded across `shards`
-    /// engines under [`EngineKind::steering`].
-    pub fn sharded_engine(&self, kind: EngineKind, shards: usize) -> ShardedRouter {
-        ShardedRouter::new(
-            (0..shards.max(1)).map(|_| self.engine(kind)).collect(),
-            RouterConfig::default().policer_slots,
-            kind.steering(),
-        )
-    }
-
     /// A generator from `src` carrying `family`'s hop-0 credential (the
     /// one [`DataplaneFixture::engine`] re-derives), with ResID `res_id`
     /// where the family has reservation identities.
@@ -623,6 +613,7 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hummingbird_dataplane::ShardedRouter;
 
     fn parse(tokens: &[&str]) -> Result<Args, String> {
         Args::parse(&tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -691,7 +682,11 @@ mod tests {
         {
             let flows = fx.flow_packets(kind, 300, 8);
             assert_eq!(flows.len(), 8);
-            let mut sharded = fx.sharded_engine(kind, 4);
+            let mut sharded = ShardedRouter::new(
+                (0..4).map(|_| fx.engine(kind)).collect(),
+                RouterConfig::default().policer_slots,
+                kind.steering(),
+            );
             let mut single = fx.engine(kind);
             for pkt in &flows {
                 let a = single.process(&mut pkt.clone(), EPOCH_NS);

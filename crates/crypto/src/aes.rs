@@ -10,8 +10,7 @@
 //!   (4×256-entry tables built at compile time, `u32` round keys). This is
 //!   the baseline on every architecture and is itself ~an order of
 //!   magnitude faster than the byte-oriented S-box/`xtime` formulation it
-//!   replaced (kept as [`bytewise`] for differential testing and as the
-//!   benchmarks' "before" reference).
+//!   replaced (kept as [`bytewise`] for differential testing).
 //! * **`ni`** — AES-NI via `std::arch::x86_64` intrinsics
 //!   (`AESENC`/`AESENCLAST`, the latter also as the key schedule's
 //!   S-box), selected at runtime with
@@ -31,12 +30,12 @@
 //! 2. otherwise (unset, `ni`, or anything else) AES-NI is used when
 //!    detected, `soft` elsewhere.
 //!
-//! [`Aes128::with_backend`] pins a specific backend for tests and
-//! benchmarks regardless of the process-wide choice.
+//! `Aes128::with_backend` pins a specific backend for the tests below
+//! regardless of the process-wide choice.
 //!
 //! # Batch entry points
 //!
-//! [`Aes128::encrypt_blocks`] (one key, many blocks) and
+//! `Aes128::encrypt_blocks` (one key, many blocks) and
 //! `Aes128::encrypt_blocks_with` (one key *per* block — the shape of
 //! a per-burst flyover-tag sweep, where every packet authenticates under
 //! its own `A_i`) keep 4 (software) or 8 (AES-NI) independent blocks in
@@ -146,7 +145,7 @@ impl AesBackend {
 
 /// Whether AES-NI is available on this CPU (with SSSE3, whose byte
 /// shuffle the key schedule uses; every AES-NI CPU has it).
-pub fn ni_available() -> bool {
+pub(crate) fn ni_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("aes") && std::arch::is_x86_feature_detected!("ssse3")
@@ -217,10 +216,9 @@ impl Aes128 {
 
     /// Expands `key` for a specific backend, falling back to
     /// [`AesBackend::Soft`] when `AesBackend::Ni` is requested on a CPU
-    /// without AES-NI. Intended for tests and benchmarks; production
-    /// callers use [`Aes128::new`].
+    /// without AES-NI. Intended for tests; callers use [`Aes128::new`].
     #[allow(unsafe_code)] // calls into `ni` after runtime detection
-    pub fn with_backend(key: &[u8; KEY_SIZE], backend: AesBackend) -> Self {
+    pub(crate) fn with_backend(key: &[u8; KEY_SIZE], backend: AesBackend) -> Self {
         match backend {
             AesBackend::Soft => Aes128 { keys: Keys::Soft(expand_soft(key)) },
             AesBackend::Ni => {
@@ -245,7 +243,7 @@ impl Aes128 {
 
     /// Encrypts a single 16-byte block in place.
     #[allow(unsafe_code)] // `Keys::Ni` implies runtime-detected AES-NI
-    pub fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
+    pub(crate) fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
         match &self.keys {
             Keys::Soft(rk) => encrypt1_soft(rk, block),
             #[cfg(target_arch = "x86_64")]
@@ -272,7 +270,7 @@ impl Aes128 {
     /// identical to calling [`encrypt_block`](Aes128::encrypt_block) on
     /// each element.
     #[allow(unsafe_code)] // `Keys::Ni` implies runtime-detected AES-NI
-    pub fn encrypt_blocks(&self, blocks: &mut [[u8; BLOCK_SIZE]]) {
+    pub(crate) fn encrypt_blocks(&self, blocks: &mut [[u8; BLOCK_SIZE]]) {
         match &self.keys {
             Keys::Soft(rk) => {
                 let mut chunks = blocks.chunks_exact_mut(SOFT_LANES);
@@ -804,9 +802,10 @@ mod ni {
 pub mod bytewise {
     //! The original byte-oriented AES-128 (S-box + `xtime` MixColumns,
     //! no lookup tables beyond the S-box), retained as a differential
-    //! oracle for the fast backends and as the benchmarks' "before"
-    //! reference — the `hot_path` criterion group measures the T-table
-    //! and AES-NI speedups against this implementation.
+    //! oracle for the fast backends: the tests below check both against
+    //! it, and the reference router and source of
+    //! `crates/dataplane/tests/reference` compute every key and tag with
+    //! it.
 
     use super::{xtime, BLOCK_SIZE, KEY_SIZE, RCON, ROUND_KEYS, SBOX};
 
@@ -843,24 +842,19 @@ pub mod bytewise {
             ByteAes128 { round_keys: rk }
         }
 
-        /// Encrypts a single 16-byte block in place.
-        pub fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
-            add_round_key(block, &self.round_keys[0]);
-            for round in 1..10 {
-                sub_bytes(block);
-                shift_rows(block);
-                mix_columns(block);
-                add_round_key(block, &self.round_keys[round]);
-            }
-            sub_bytes(block);
-            shift_rows(block);
-            add_round_key(block, &self.round_keys[10]);
-        }
-
         /// Encrypts a block, returning the ciphertext.
         pub fn encrypt(&self, block: &[u8; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
             let mut out = *block;
-            self.encrypt_block(&mut out);
+            add_round_key(&mut out, &self.round_keys[0]);
+            for round in 1..10 {
+                sub_bytes(&mut out);
+                shift_rows(&mut out);
+                mix_columns(&mut out);
+                add_round_key(&mut out, &self.round_keys[round]);
+            }
+            sub_bytes(&mut out);
+            shift_rows(&mut out);
+            add_round_key(&mut out, &self.round_keys[10]);
             out
         }
     }

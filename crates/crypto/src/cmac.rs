@@ -115,7 +115,7 @@ impl Cmac {
 
     /// The CMAC of each one-block message in `blocks`, in place:
     /// `E(M ⊕ K1)` per block, as [`mac`](Cmac::mac) computes it, through
-    /// [`Aes128::encrypt_blocks`] so several blocks are in flight.
+    /// `Aes128::encrypt_blocks` so several blocks are in flight.
     pub fn mac_blocks(&self, blocks: &mut [[u8; BLOCK_SIZE]]) {
         for block in blocks.iter_mut() {
             for (b, k) in block.iter_mut().zip(&self.k1) {

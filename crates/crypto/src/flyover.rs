@@ -131,7 +131,7 @@ impl SecretValue {
     }
 
     /// Derives and expands the keys of a whole burst: the PRF inputs are
-    /// serialized, encrypted together via [`Aes128::encrypt_blocks`]
+    /// serialized, encrypted together via `Aes128::encrypt_blocks`
     /// (round-major over the batch, several blocks in flight), and each
     /// result is expanded. Appends one key per `ResInfo`, in order, to
     /// `out`; the result is element-wise identical to calling
@@ -260,7 +260,7 @@ impl AuthKey {
 }
 
 /// Computes the flyover tags `V_K` of a whole burst in one multi-block
-/// AES pass: `keys[i]` authenticates `inputs[i]`.
+/// AES pass: the key `key_at(i)` authenticates `inputs[i]`.
 ///
 /// Each packet of a burst carries its own reservation key, so this is a
 /// *multi-key* sweep — `Aes128::encrypt_blocks_with` still keeps
@@ -270,29 +270,14 @@ impl AuthKey {
 /// burst. Appends one tag per input, in order, to `out`; the result is
 /// element-wise identical to calling [`AuthKey::flyover_mac`] per packet.
 ///
+/// `key_at` resolves the per-packet key instead of a materialized slice,
+/// so batch paths that already index their keys compute a whole burst's
+/// tags without allocating. It must be a pure index lookup — it may be
+/// called more than once per input (the interleave kernels probe each
+/// group's backends first), in ascending order within each group.
+///
 /// `scratch` holds the intermediate MAC-input blocks so hot loops reuse
 /// one allocation across bursts (it is cleared on entry).
-///
-/// # Panics
-///
-/// If `keys.len() != inputs.len()`.
-pub fn flyover_tags_batch(
-    keys: &[&AuthKey],
-    inputs: &[FlyoverMacInput],
-    scratch: &mut Vec<[u8; 16]>,
-    out: &mut Vec<Tag>,
-) {
-    assert_eq!(keys.len(), inputs.len(), "one key per MAC input");
-    flyover_tags_batch_with(|i| keys[i], inputs, scratch, out);
-}
-
-/// [`flyover_tags_batch`] with the per-packet key resolved through
-/// `key_at(i)` instead of a materialized slice, so batch paths that
-/// already index their keys (e.g. EPIC's per-burst dedupe table)
-/// compute a whole burst's tags without allocating. `key_at` must be a
-/// pure index lookup — it may be called more than once per input (the
-/// interleave kernels probe each group's backends first), in ascending
-/// order within each group.
 pub fn flyover_tags_batch_with<'a>(
     key_at: impl Fn(usize) -> &'a AuthKey,
     inputs: &[FlyoverMacInput],
@@ -687,18 +672,17 @@ mod tests {
                 counter: i,
             })
             .collect();
-        let refs: Vec<&AuthKey> = keys.iter().collect();
         let mut scratch = Vec::new();
         let mut tags = Vec::new();
-        flyover_tags_batch(&refs, &inputs, &mut scratch, &mut tags);
+        flyover_tags_batch_with(|i| &keys[i], &inputs, &mut scratch, &mut tags);
         assert_eq!(tags.len(), inputs.len());
-        for ((key, input), tag) in refs.iter().zip(&inputs).zip(&tags) {
+        for ((key, input), tag) in keys.iter().zip(&inputs).zip(&tags) {
             assert_eq!(key.flyover_mac(input), *tag);
         }
         // Appends without clearing; empty bursts are a no-op.
-        flyover_tags_batch(&refs[..1], &inputs[..1], &mut scratch, &mut tags);
+        flyover_tags_batch_with(|i| &keys[i], &inputs[..1], &mut scratch, &mut tags);
         assert_eq!(tags.len(), 14);
-        flyover_tags_batch(&[], &[], &mut scratch, &mut tags);
+        flyover_tags_batch_with(|i| &keys[i], &[], &mut scratch, &mut tags);
         assert_eq!(tags.len(), 14);
     }
 
@@ -736,13 +720,6 @@ mod tests {
     fn fused_flyover_tags_check_lengths() {
         let sv = SecretValue::new([1u8; 16]);
         chained_flyover_tags(sv.cipher(), &[[sample_info().to_kdf_block()]], &[], &mut Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "one key per MAC input")]
-    fn flyover_tags_batch_checks_lengths() {
-        let key = AuthKey::new([1u8; 16]);
-        flyover_tags_batch(&[&key], &[], &mut Vec::new(), &mut Vec::new());
     }
 
     #[test]

@@ -44,12 +44,11 @@ pub mod sealed;
 pub mod sha256;
 pub mod sig;
 
-pub use aes::{active_backend, ni_available, AesBackend};
+pub use aes::{active_backend, AesBackend};
 pub use digest_hash::{DigestHasher, DigestMap, DigestSet};
 pub use flyover::{
-    aggregate_mac, chained_flyover_tag, chained_flyover_tags, flyover_tags_batch,
-    flyover_tags_batch_with, AuthKey, AuthKeyCache, FlyoverMacInput, ResInfo, SecretValue, Tag,
-    BW_ENC_MAX, RES_ID_MAX, TAG_LEN,
+    aggregate_mac, chained_flyover_tag, chained_flyover_tags, flyover_tags_batch_with, AuthKey,
+    AuthKeyCache, FlyoverMacInput, ResInfo, SecretValue, Tag, BW_ENC_MAX, RES_ID_MAX, TAG_LEN,
 };
 
 /// Asks the CPU to start loading the cache line that holds `value` into

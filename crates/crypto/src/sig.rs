@@ -263,7 +263,7 @@ impl SecretKey {
     }
 
     /// Diffie-Hellman: shared secret with `peer`, hashed to 32 bytes.
-    pub fn dh(&self, peer: &PublicKey) -> [u8; 32] {
+    pub(crate) fn dh(&self, peer: &PublicKey) -> [u8; 32] {
         // `PublicKey`'s field is public, so `peer` may be out of range.
         let shared = pow(Fp::reduce(peer.0, 0), self.x);
         let mut h = Sha256::new();

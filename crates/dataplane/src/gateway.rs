@@ -11,7 +11,7 @@
 
 use crate::datapath::{Datapath, DatapathStats, DropReason, Verdict};
 use crate::policing::{transmission_time_ns, DEFAULT_BURST_TIME_NS};
-use crate::source::{GenError, SourceGenerator};
+use crate::source::{GenError, Sequence, SourceGenerator};
 use hummingbird_wire::common::{AddressHeader, CommonHeader, COMMON_HDR_LEN};
 use std::collections::HashMap;
 
@@ -46,6 +46,9 @@ pub struct HostShare {
 pub struct Gateway {
     reserved: SourceGenerator,
     best_effort: SourceGenerator,
+    /// The one counter sequence both generators stamp from: they share
+    /// the source address, so each needs the other's counters.
+    sequence: Sequence,
     aggregate_rate_kbps: u64,
     burst_ns: u64,
     aggregate_deadline: u64,
@@ -71,6 +74,7 @@ impl Gateway {
         Gateway {
             reserved,
             best_effort,
+            sequence: Sequence::default(),
             aggregate_rate_kbps,
             burst_ns: DEFAULT_BURST_TIME_NS,
             aggregate_deadline: 0,
@@ -121,18 +125,13 @@ impl Gateway {
     pub fn send(&mut self, host: HostId, payload: &[u8], now_ns: u64) -> GatewayVerdict {
         let now_ms = now_ns / 1_000_000;
         let wire_estimate = (payload.len() + 200).min(u16::MAX as usize) as u16;
-        let aggregate_ok = self.admit(host, wire_estimate, now_ns);
-
-        if aggregate_ok {
-            match self.reserved.generate(payload, now_ms) {
-                Ok(bytes) => GatewayVerdict::Reserved(bytes),
-                Err(e) => GatewayVerdict::Failed(e),
-            }
-        } else {
-            match self.best_effort.generate(payload, now_ms) {
-                Ok(bytes) => GatewayVerdict::BestEffort(bytes),
-                Err(e) => GatewayVerdict::Failed(e),
-            }
+        let reserved = self.admit(host, wire_estimate, now_ns);
+        let generator = if reserved { &mut self.reserved } else { &mut self.best_effort };
+        let mut pkt = Vec::new();
+        match generator.stamp(self.sequence.next(now_ms), payload, now_ms, &mut pkt) {
+            Err(e) => GatewayVerdict::Failed(e),
+            Ok(()) if reserved => GatewayVerdict::Reserved(pkt),
+            Ok(()) => GatewayVerdict::BestEffort(pkt),
         }
     }
 }
@@ -192,6 +191,7 @@ mod tests {
     use super::*;
     use crate::beacon::{forge_path, BeaconHop};
     use crate::source::SourceReservation;
+    use crate::{BorderRouter, RouterConfig};
     use hummingbird_crypto::{ResInfo, SecretValue};
     use hummingbird_wire::scion_mac::HopMacKey;
     use hummingbird_wire::IsdAs;
@@ -279,6 +279,32 @@ mod tests {
         }
         // At most BurstTime worth of aggregate-rate traffic instantly.
         assert!(reserved_bits <= 1_000 * 50 + 10_000, "aggregate exceeded: {reserved_bits}");
+    }
+
+    /// Both generators stamp the gateway's one source ISD-AS, so they
+    /// draw on one counter sequence: a packet demoted in the millisecond
+    /// of a reserved one carries its own §5.4 identity, whichever goes
+    /// first, and a duplicate-suppressing router forwards both.
+    #[test]
+    fn reserved_and_demoted_packets_never_share_an_identity() {
+        // Host 1 is admitted (reserved); host 99 is unknown (demoted).
+        for hosts in [[1, 99], [99, 1]] {
+            let mut gw = make_gateway(10_000);
+            gw.admit_host(1, HostShare { rate_kbps: 5_000 });
+            let cfg = RouterConfig { duplicate_suppression: true, ..Default::default() };
+            let mut router =
+                BorderRouter::new(SecretValue::new([9u8; 16]), HopMacKey::new([1u8; 16]), cfg);
+            for host in hosts {
+                let (GatewayVerdict::Reserved(mut pkt) | GatewayVerdict::BestEffort(mut pkt)) =
+                    gw.send(host, &[0u8; 500], NOW_NS)
+                else {
+                    panic!("host {host}: generation failed");
+                };
+                let verdict = router.process(&mut pkt, NOW_NS);
+                assert_eq!(verdict.is_flyover(), host == 1, "hosts {hosts:?}: {verdict:?}");
+                assert!(verdict.egress().is_some(), "hosts {hosts:?}: {verdict:?}");
+            }
+        }
     }
 
     #[test]

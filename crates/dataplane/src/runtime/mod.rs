@@ -97,8 +97,9 @@ pub const BATCH_SIZE: usize = 32;
 /// second time (hardware RSS gets this for free), a deliberate trade —
 /// sharing the engine's own `stages::parse` keeps the steering decision
 /// bit-exact with what the engine will see, which is what the ResID-
-/// ownership invariant rests on; the `runtime` criterion bench group
-/// measures the overhead against a single engine. (The threaded runtime
+/// ownership invariant rests on; the benchmark's
+/// `runtime.sharded_ns_per_pkt` and `shard.shard_of_ns` rows measure the
+/// overhead against a single engine. (The threaded runtime
 /// avoids it in steady state by classifying once per template at plan
 /// time and re-arming recycled buffers.)
 pub struct ShardedRouter {

@@ -73,19 +73,18 @@ impl std::error::Error for GenError {}
 /// is dropped by [`attach_reservation`](Self::attach_reservation) and
 /// [`detach_reservation`](Self::detach_reservation) and rebuilt on the
 /// next [`generate`](Self::generate), and rebuilt whenever the payload
-/// length differs from the cached one. Per packet,
-/// [`generate_into`](Self::generate_into) — the one generator body,
-/// which `generate` wraps — copies the header and the payload into the
-/// caller's buffer, patches BaseTimestamp, MillisTimestamp, Counter and
-/// each flyover's ResStartOffset, and XORs in the flyover MACs of all
+/// length differs from the cached one. Per packet, the one generator
+/// body (behind `generate` and [`generate_into`](Self::generate_into))
+/// copies the header and the payload into the caller's buffer, patches
+/// BaseTimestamp, MillisTimestamp, Counter and each flyover's
+/// ResStartOffset, and XORs in the flyover MACs of all
 /// reserved hops, computed in one multi-key AES pass
 /// ([`flyover_tags_batch_with`]).
 pub struct SourceGenerator {
     builder: PacketBuilder,
     base_path: HummingbirdPath,
     reservations: Vec<Option<SourceReservation>>,
-    counter: u16,
-    last_ms: u64,
+    sequence: Sequence,
     dst: IsdAs,
     /// The cached header; `None` after the reservations changed.
     template: Option<Template>,
@@ -93,6 +92,28 @@ pub struct SourceGenerator {
     mac_inputs: Vec<FlyoverMacInput>,
     mac_blocks: Vec<[u8; 16]>,
     tags: Vec<Tag>,
+}
+
+/// A sender's packet-identity sequence: the counter restarts every
+/// millisecond, so each packet stamped from one sequence carries a
+/// unique `(BaseTimestamp, MillisTimestamp, Counter)` (App. A.1).
+#[derive(Default)]
+pub(crate) struct Sequence {
+    last_ms: u64,
+    counter: u16,
+}
+
+impl Sequence {
+    /// The counter of the next packet stamped at `now_ms`.
+    pub(crate) fn next(&mut self, now_ms: u64) -> u16 {
+        if now_ms != self.last_ms {
+            self.last_ms = now_ms;
+            self.counter = 0;
+        } else {
+            self.counter = self.counter.wrapping_add(1);
+        }
+        self.counter
+    }
 }
 
 /// The header every packet of one reservation layout and payload length
@@ -139,8 +160,7 @@ impl SourceGenerator {
             builder: PacketBuilder::new(src, dst),
             base_path: path,
             reservations: vec![None; n],
-            counter: 0,
-            last_ms: 0,
+            sequence: Sequence::default(),
             dst,
             template: None,
             mac_inputs: Vec::new(),
@@ -196,14 +216,23 @@ impl SourceGenerator {
         now_ms: u64,
         out: &mut Vec<u8>,
     ) -> Result<(), GenError> {
+        let counter = self.sequence.next(now_ms);
+        self.stamp(counter, payload, now_ms, out)
+    }
+
+    /// The one generator body: writes the packet stamped with `counter`
+    /// at `now_ms` over `out`. Generators that stamp one source address
+    /// (the [`Gateway`](crate::Gateway)'s reserved and best-effort pair)
+    /// draw `counter` from one [`Sequence`], or a duplicate filter would
+    /// take the second packet of a millisecond for a replay.
+    pub(crate) fn stamp(
+        &mut self,
+        counter: u16,
+        payload: &[u8],
+        now_ms: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), GenError> {
         out.clear();
-        // Unique (BaseTS, MillisTS, Counter) per packet (App. A.1).
-        if now_ms != self.last_ms {
-            self.last_ms = now_ms;
-            self.counter = 0;
-        } else {
-            self.counter = self.counter.wrapping_add(1);
-        }
         let base_ts = (now_ms / 1000) as u32;
         let millis_ts = (now_ms % 1000) as u16;
 
@@ -231,7 +260,7 @@ impl SourceGenerator {
                 pkt_len,
                 res_start_offset,
                 millis_ts,
-                counter: self.counter,
+                counter,
             });
         }
         let (header, _) = template.header.as_ref().map_err(|&e| GenError::Wire(e))?;
@@ -241,7 +270,7 @@ impl SourceGenerator {
         out.extend_from_slice(payload);
         out[BASE_TS_AT..BASE_TS_AT + 4].copy_from_slice(&base_ts.to_be_bytes());
         out[BASE_TS_AT + 4..BASE_TS_AT + 6].copy_from_slice(&millis_ts.to_be_bytes());
-        out[BASE_TS_AT + 6..BASE_TS_AT + 8].copy_from_slice(&self.counter.to_be_bytes());
+        out[BASE_TS_AT + 6..BASE_TS_AT + 8].copy_from_slice(&counter.to_be_bytes());
         if template.flyovers.is_empty() {
             return Ok(());
         }

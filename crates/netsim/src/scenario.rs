@@ -285,9 +285,9 @@ pub struct Scenario {
     pub engines: EngineScenario,
     /// The network.
     pub topology: Topology,
-    /// Service model installed on every router (`None` = instantaneous
-    /// forwarding).
-    pub service: Option<ServiceModel>,
+    /// Service model installed on every router
+    /// (`ServiceModel::new(0, 1)` = instantaneous forwarding).
+    pub service: ServiceModel,
     /// The flows, added in order (which fixes flow ids, sender
     /// identities and ResIDs).
     pub flows: Vec<(Route, FlowSpec)>,
@@ -324,7 +324,7 @@ impl Scenario {
         Scenario {
             engines,
             topology: Topology::Chain { n_ases: 3, link: LinkSpec::default(), narrow: None },
-            service: Some(ServiceModel::new(300, engines.shards)),
+            service: ServiceModel::new(300, engines.shards),
             flows,
             plan: Vec::new(),
             run_s: 2,
@@ -361,7 +361,7 @@ impl Scenario {
             .map(|offered_kbps| Scenario {
                 engines,
                 topology: Topology::Chain { n_ases: 3, link, narrow: None },
-                service: Some(service),
+                service,
                 flows: vec![
                     (chain_route(VICTIM), closed(2_000, Some(3_000))),
                     (chain_route(ATTACKER), closed(offered_kbps, None)),
@@ -682,7 +682,7 @@ pub fn run_churn_scenario(
         (reroute, Step::Reroute),
         (reroute, Step::RebootMidPath { flow: 0 }),
     ];
-    let service = Some(ServiceModel::new(CHURN_SERVICE_PER_PKT_NS, spec.scenario.shards));
+    let service = ServiceModel::new(CHURN_SERVICE_PER_PKT_NS, spec.scenario.shards);
     let topology = Topology::Backbone(BackboneSpec::new(spec.pops, rpp, spec.seed));
     let (engines, run_s) = (spec.scenario, spec.run_s);
     let out = run(cfg, &Scenario { engines, topology, service, flows, plan, run_s }, start_ns);

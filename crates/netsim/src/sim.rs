@@ -329,8 +329,7 @@ enum EgressTarget {
 /// holds a packet before it reaches the egress queue, and across how
 /// many parallel cores.
 ///
-/// `None` (the default) keeps the historical instantaneous forwarding.
-/// With a model installed (`Simulator::set_router_service`), every
+/// Every router has one (`Simulator::set_router_service`): every
 /// forwarded packet is served by the earliest-free of `shards` cores for
 /// `per_pkt_ns` — the M/D/c shape of the multi-queue runtime, where a
 /// [`hummingbird_dataplane::ShardedRouter`] with `c` shards drains its
@@ -338,7 +337,9 @@ enum EgressTarget {
 /// cost in here (the bench sweeps measure each family's one-core ns/pkt
 /// just before they run) is what lets the Fig. 3/4-style latency sweeps
 /// run on the real multi-core datapath numbers instead of zero-cost
-/// routers.
+/// routers. `ServiceModel::new(0, 1)`, every router's model until one is
+/// installed, is instantaneous forwarding: each packet departs when it
+/// arrives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceModel {
     /// Per-packet service time, ns (one core's datapath cost).
@@ -369,6 +370,17 @@ struct RouterService {
     queue_pkts: usize,
     /// Per-core busy horizon, ns.
     busy_until: Vec<u64>,
+}
+
+impl From<ServiceModel> for RouterService {
+    /// Idle cores: every horizon at 0.
+    fn from(m: ServiceModel) -> Self {
+        RouterService {
+            per_pkt_ns: m.per_pkt_ns,
+            queue_pkts: m.queue_pkts,
+            busy_until: vec![0; m.shards.max(1)],
+        }
+    }
 }
 
 impl RouterService {
@@ -562,8 +574,8 @@ pub struct Simulator {
     /// Per flow: latest `sent_at` delivered so far (reorder detection).
     newest_delivered: Vec<u64>,
     taps: Vec<ReplayTap>,
-    /// Per node: the installed service model, if any.
-    services: Vec<Option<RouterService>>,
+    /// Per node: the installed service model.
+    services: Vec<RouterService>,
     queue: EventQueue<Event>,
     /// Zeros as long as the longest flow payload: every send's payload.
     zeros: Vec<u8>,
@@ -599,20 +611,16 @@ impl Simulator {
     /// Adds a node, returning its ID.
     pub(crate) fn add_node(&mut self, node: Node) -> NodeId {
         self.nodes.push(node);
-        self.services.push(None);
+        self.services.push(ServiceModel::new(0, 1).into());
         self.nodes.len() - 1
     }
 
-    /// Installs (or clears, with `None`) the packet-service model of a
-    /// router node: with a model, forwarded packets reach their egress
-    /// queue only after the earliest-free of `model.shards` cores has
-    /// spent `model.per_pkt_ns` on them, instead of instantaneously.
-    pub(crate) fn set_router_service(&mut self, node: NodeId, model: Option<ServiceModel>) {
-        self.services[node] = model.map(|m| RouterService {
-            per_pkt_ns: m.per_pkt_ns,
-            queue_pkts: m.queue_pkts,
-            busy_until: vec![0; m.shards.max(1)],
-        });
+    /// Installs the packet-service model of a router node, with idle
+    /// cores: forwarded packets reach their egress queue only after the
+    /// earliest-free of `model.shards` cores has spent `model.per_pkt_ns`
+    /// on them.
+    pub(crate) fn set_router_service(&mut self, node: NodeId, model: ServiceModel) {
+        self.services[node] = model.into();
     }
 
     /// Adds a link, returning its ID.
@@ -1178,11 +1186,7 @@ impl Simulator {
                                 self.free_bufs.push(pkt.bytes);
                             }
                             Some(target) => {
-                                let depart = match &mut self.services[node_id] {
-                                    Some(svc) => svc.try_serve(now),
-                                    None => Some(now),
-                                };
-                                match depart {
+                                match self.services[node_id].try_serve(now) {
                                     // The router's bounded queue is
                                     // full: tail drop, named counter.
                                     None => {

@@ -145,7 +145,7 @@ pub struct TopologyBuilder {
     routes: Vec<FlowRoute>,
     engines: Option<EngineScenario>,
     engine_cfg: RouterConfig,
-    service: Option<ServiceModel>,
+    service: ServiceModel,
     info_ts: u32,
     next_res_id: u32,
     next_flow_src: u64,
@@ -166,7 +166,7 @@ impl TopologyBuilder {
             routes: Vec::new(),
             engines: None,
             engine_cfg: cfg,
-            service: None,
+            service: ServiceModel::new(0, 1),
             info_ts: (start_ns / SEC) as u32,
             next_res_id: 0,
             next_flow_src: 0,
@@ -469,9 +469,10 @@ impl TopologyBuilder {
         }
     }
 
-    /// Installs `model` on every router node (or clears with `None`),
-    /// remembered so reboots re-install it with idle cores.
-    pub fn set_service_model(&mut self, model: Option<ServiceModel>) {
+    /// Installs `model` on every router node, remembered so reboots
+    /// re-install it with idle cores. Routers forward instantaneously
+    /// (`ServiceModel::new(0, 1)`) until it is called.
+    pub fn set_service_model(&mut self, model: ServiceModel) {
         self.service = model;
         for &node in &self.as_nodes {
             self.sim.set_router_service(node, model);

@@ -171,7 +171,7 @@ fn closed_loop_bit_identical_across_shard_counts() {
         net.install_engines(EngineScenario { family: EngineFamily::Hummingbird, shards }, cfg());
         // Fixed 2-core service model regardless of engine shards: the
         // sharding facade must be behavior-preserving.
-        net.set_service_model(Some(ServiceModel::new(300, 2)));
+        net.set_service_model(ServiceModel::new(300, 2));
         let (hb, profile, end_ns) =
             (EngineFamily::Hummingbird, ReactiveProfile::default(), START_NS + 10 * SEC);
         let flow = closed_loop(2_000, Some(3_000), 250, profile);

@@ -37,7 +37,7 @@ pub fn multipath(engines: EngineScenario) -> Scenario {
     Scenario {
         engines,
         topology: Topology::Diamond(LinkSpec::default()),
-        service: None,
+        service: ServiceModel::new(0, 1),
         flows: vec![
             (on(p, VICTIM), victim),
             (on(q, VICTIM), victim),
@@ -91,7 +91,7 @@ pub fn overload_churn(engines: EngineScenario) -> Scenario {
     Scenario {
         engines,
         topology: Topology::Backbone(BackboneSpec::new(8, 2, 0x0BAD_CA5E)),
-        service: Some(ServiceModel { per_pkt_ns: 300, shards: engines.shards, queue_pkts: 128 }),
+        service: ServiceModel { per_pkt_ns: 300, shards: engines.shards, queue_pkts: 128 },
         flows: vec![(route, closed(2_000, Some(3_000))), (route, closed(16_000, None))],
         plan: vec![(SEC, Step::FailPath { flow: 0, links: 1 }), (SEC + 50_000_000, Step::Reroute)],
         run_s: 3,

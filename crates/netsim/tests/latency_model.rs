@@ -166,7 +166,7 @@ proptest! {
         };
         let mut net = LinearTopology::build(n_ases, link, START_NS, RouterConfig::default()).net;
         if service_ns > 0 {
-            net.set_service_model(Some(ServiceModel::new(service_ns, shards)));
+            net.set_service_model(ServiceModel::new(service_ns, shards));
         }
         // 1 Mbps CBR: the packet interval (≥ 2.4 ms) dwarfs both the
         // worst-case serialization (~1.1 ms) and the service time, so no
@@ -229,7 +229,7 @@ proptest! {
 fn per_class_departures_stay_fifo_under_contention() {
     let cfg = RouterConfig::default();
     let mut net = LinearTopology::build(3, LinkSpec::default(), START_NS, cfg).net;
-    net.set_service_model(Some(ServiceModel::new(300, 2)));
+    net.set_service_model(ServiceModel::new(300, 2));
     let stop_ns = START_NS + 2 * SEC;
     let victim = chain_flow(&mut net, FlowSpec::cbr(1000, 2_000, Some(3_000)), stop_ns);
     let be_a = chain_flow(&mut net, FlowSpec::cbr(1000, 12_000, None), stop_ns);

@@ -50,12 +50,10 @@ pub struct ChainSpec {
     pub routers: usize,
     /// Engine shards per router.
     pub shards: usize,
-    /// How senders wait for link credit. The default
-    /// [`WaitStrategy::Backoff`] yields through a few polls and then
-    /// sleeps on the control socket until the next ack, which suits
-    /// chains with more node threads than hardware threads;
-    /// `BusyPoll` and `YieldAfter(n)` are for hosts with a core per
-    /// node.
+    /// How senders wait for link credit: [`WaitStrategy::Backoff`], the
+    /// only strategy, yields through a few polls and then sleeps on the
+    /// control socket until the next ack, which suits chains with more
+    /// node threads than hardware threads.
     pub wait: WaitStrategy,
     /// Total packets the gateway sends.
     pub pkts: u64,

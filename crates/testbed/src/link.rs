@@ -27,9 +27,9 @@
 //!   sends the cumulative count back on a separate control socket (an
 //!   [`AckSender`], every `ack_every` frames and once more on FIN);
 //! * a sender that would exceed its window polls its control socket
-//!   under its [`WaitStrategy`] until credit arrives — under the default
-//!   `Backoff`, a few yielding polls and then a blocking `recv` that the
-//!   next ack ends — or errors out loudly after `timeout`, so a genuine
+//!   under its [`WaitStrategy`] until credit arrives — `Backoff`, a few
+//!   yielding polls and then a blocking `recv` that the next ack ends —
+//!   or errors out loudly after `timeout`, so a genuine
 //!   stall (a wedged node, an unexpected kernel drop) surfaces as a
 //!   failure instead of silent loss.
 //!
@@ -56,28 +56,19 @@ use std::time::{Duration, Instant};
 use crate::frame::{KIND_DATA, KIND_FIN};
 use crate::sys;
 
-/// How a [`CreditedSender`] waits for credit ([`ChainSpec::wait`]): a
-/// spinning sender steals the timeslice the receiver it waits on needs
-/// when node threads outnumber hardware threads, a yielding one adds
-/// latency when they do not.
+/// How a [`CreditedSender`] waits for credit ([`ChainSpec::wait`]). A
+/// spinning sender would steal the timeslice the receiver it waits on
+/// needs when node threads outnumber hardware threads, so the one
+/// strategy yields and then sleeps.
 ///
 /// [`ChainSpec::wait`]: crate::ChainSpec::wait
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum WaitStrategy {
-    /// Poll the control socket nonblocking and spin (`spin_loop` hint)
-    /// between polls, never yielding — lowest latency when every node
-    /// owns a dedicated hardware thread, pathological when cores are
-    /// shared.
-    BusyPoll,
-    /// Spin through the first `n` nonblocking polls, then yield the
-    /// timeslice after every further one until credit arrives.
-    /// `YieldAfter(0)` yields immediately.
-    YieldAfter(u32),
     /// Yield after each of the first few nonblocking polls, then sleep
     /// in a blocking `recv` on the control socket until an ack arrives
     /// or the stall budget runs out: a short stall costs a few yields,
     /// a long one costs the thread nothing until the ack wakes it. Needs
-    /// no tuning parameter; the default.
+    /// no tuning parameter.
     #[default]
     Backoff,
 }
@@ -217,9 +208,6 @@ impl CreditedSender {
             }
             polls = polls.saturating_add(1);
             match self.wait {
-                WaitStrategy::BusyPoll => std::hint::spin_loop(),
-                WaitStrategy::YieldAfter(n) if polls <= n => std::hint::spin_loop(),
-                WaitStrategy::YieldAfter(_) => std::thread::yield_now(),
                 WaitStrategy::Backoff if polls < BACKOFF_POLLS => std::thread::yield_now(),
                 WaitStrategy::Backoff => self.sleep_for_ack(left)?,
             }
@@ -571,7 +559,7 @@ mod tests {
         let mut tx = CreditedSender::new(
             rx.local_addr().unwrap(),
             4,
-            WaitStrategy::YieldAfter(8),
+            WaitStrategy::Backoff,
             Duration::from_secs(1),
         )
         .unwrap();

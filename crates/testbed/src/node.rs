@@ -17,11 +17,12 @@
 //! equal-length frames the upstream sent as one `UDP_SEGMENT` datagram
 //! arrives whole; the node splits it by the segment size the kernel
 //! reports and counts and acks every frame. A router queues the frames
-//! a drain forwards and sends them as runs, in order, when the drain
-//! ends — before it yields or sleeps, and before the FIN. It never
-//! waits for a run to fill, so a sparse (paced) chain still forwards
-//! single datagrams. Each node counts the datagrams it received beside
-//! the frames, and a router the datagrams it sent.
+//! of one datagram it forwards and sends them as one run as soon as the
+//! datagram is done, so a run arriving whole leaves whole and a lone
+//! frame leaves before the next read. It never waits for a run to
+//! fill, so a sparse (paced) chain still forwards single datagrams.
+//! Each node counts the datagrams it received beside the frames, and a
+//! router the datagrams it sent.
 //!
 //! Both nodes wait by one receive-idle rule, after the paper's
 //! poll-mode router, which takes packets in bursts and sleeps only when
@@ -139,12 +140,12 @@ impl<'a> Receiver<'a> {
         Ok(Receiver { sock, node, timeout, buf: vec![0; RECV_BUF], idle: 0, datagrams: 0 })
     }
 
-    /// One step of the receive-idle rule; `Ok(true)` once `on_frame`
-    /// returned `true` (the FIN).
+    /// One step of the receive-idle rule; `Ok(true)` once
+    /// `on_datagram` returned `true` (the FIN).
     ///
     /// The socket is drained nonblocking, up to [`BATCH_SIZE`]
-    /// datagrams, each split into its frames by the segment size the
-    /// kernel reports, and `on_frame(frame, now)` sees one `clock()`
+    /// datagrams, and `on_datagram(frames, now)` sees each one's frames
+    /// (split by the segment size the kernel reports) and one `clock()`
     /// reading per drain, taken when its first datagram came off the
     /// socket. An empty socket is polled [`IDLE_POLLS`] times, one step
     /// each, yielding after each poll (a spinning poll holds the vCPU
@@ -157,7 +158,7 @@ impl<'a> Receiver<'a> {
     fn step(
         &mut self,
         clock: &impl Fn() -> u64,
-        mut on_frame: impl FnMut(&mut [u8], u64) -> io::Result<bool>,
+        mut on_datagram: impl FnMut(Frames<'_>, u64) -> io::Result<bool>,
     ) -> io::Result<bool> {
         let mut now = None;
         for _ in 0..BATCH_SIZE {
@@ -167,7 +168,7 @@ impl<'a> Receiver<'a> {
                 Err(e) => return Err(e),
             };
             let now = *now.get_or_insert_with(clock);
-            if self.split(n, seg, now, &mut on_frame)? {
+            if self.split(n, seg, now, &mut on_datagram)? {
                 return Ok(true);
             }
         }
@@ -183,7 +184,7 @@ impl<'a> Receiver<'a> {
         self.idle = 0;
         self.sock.set_nonblocking(false)?;
         let fin = match sys::recv_run(self.sock, &mut self.buf) {
-            Ok((n, seg)) => self.split(n, seg, clock(), &mut on_frame),
+            Ok((n, seg)) => self.split(n, seg, clock(), &mut on_datagram),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(false),
             // Here `WouldBlock` is the expired timeout; in the drain
             // above it means "empty, poll again".
@@ -197,28 +198,29 @@ impl<'a> Receiver<'a> {
         fin
     }
 
-    /// Hands the `n`-byte datagram in the buffer to `on_frame` as frames
-    /// of `seg` bytes (the last may be shorter, as `UDP_GRO` allows).
+    /// Hands the `n`-byte datagram in the buffer to `on_datagram` as
+    /// frames of `seg` bytes (the last may be shorter, as `UDP_GRO`
+    /// allows).
     fn split(
         &mut self,
         n: usize,
         seg: usize,
         now: u64,
-        on_frame: &mut impl FnMut(&mut [u8], u64) -> io::Result<bool>,
+        on_datagram: &mut impl FnMut(Frames<'_>, u64) -> io::Result<bool>,
     ) -> io::Result<bool> {
         // An empty datagram is one empty frame: a parse drop.
-        if n == 0 && on_frame(&mut [], now)? {
+        let empty = (n == 0).then_some(&mut [][..]);
+        if on_datagram(self.buf[..n].chunks_mut(seg.max(1)).chain(empty), now)? {
             return Ok(true);
-        }
-        for frame in self.buf[..n].chunks_mut(seg.max(1)) {
-            if on_frame(frame, now)? {
-                return Ok(true);
-            }
         }
         self.datagrams += 1;
         Ok(false)
     }
 }
+
+/// The frames of one received datagram, in order.
+type Frames<'a> =
+    std::iter::Chain<std::slice::ChunksMut<'a, u8>, std::option::IntoIter<&'a mut [u8]>>;
 
 /// Validates one received frame: the data kind byte, a checked view
 /// over the packet bytes, declared length equal to the frame length,
@@ -260,49 +262,52 @@ pub struct SocketRouter {
 impl SocketRouter {
     /// Runs the node until FIN: every data frame is parsed, processed
     /// and queued for forwarding (or counted as a drop), and each
-    /// drain's queue goes out as runs when the drain ends; the FIN then
-    /// follows the last forwarded frame, and the node waits until the
-    /// downstream hop has acknowledged every forwarded frame (the FIN is
-    /// what triggers the downstream's final ack flush). Fails, naming
+    /// datagram's forwarded frames go out as one run as soon as the
+    /// datagram is done; the FIN then follows the last forwarded frame,
+    /// and the node waits until the downstream hop has acknowledged
+    /// every forwarded frame (the FIN is what triggers the downstream's
+    /// final ack flush). Fails, naming
     /// the option, on a kernel without `UDP_GRO`.
     pub fn run(mut self) -> io::Result<NodeStats> {
         let mut stats = NodeStats::new(self.flow_reserved.len());
         let mut rx = Receiver::new(&self.data, "router", self.timeout)?;
-        // What a drain forwarded goes out as runs when it ends, before
-        // the node yields or sleeps.
-        while !rx.step(&now_unix_ns, |frame, now_ns| {
-            if frame.first() == Some(&KIND_FIN) {
-                self.acks.flush()?;
-                return Ok(true);
+        // What a datagram forwarded goes out as soon as the datagram is
+        // done: an inbound run leaves as one run, and a lone frame pays
+        // no further read before it leaves.
+        while !rx.step(&now_unix_ns, |frames, now_ns| {
+            for frame in frames {
+                if frame.first() == Some(&KIND_FIN) {
+                    self.acks.flush()?;
+                    return Ok(true);
+                }
+                stats.rx += 1;
+                self.acks.on_data()?;
+                let Some((hdr, _, class)) = classify(frame, &self.flow_reserved) else {
+                    stats.parse_drops += 1;
+                    continue;
+                };
+                // A drop is charged to the flow's class; a forwarded
+                // packet counts in the class its verdict gave it, so a
+                // demoted reserved packet is best effort.
+                match self.engine.process(&mut frame[1..], now_ns) {
+                    Verdict::Drop(reason) => {
+                        stats.engine_drops[class] += 1;
+                        stats.flow_drops[hdr.flow_id as usize] += 1;
+                        stats.count_reason(reason);
+                    }
+                    Verdict::Flyover { .. } => {
+                        self.next.queue(frame);
+                        stats.forwarded[RESERVED] += 1;
+                    }
+                    Verdict::BestEffort { .. } => {
+                        self.next.queue(frame);
+                        stats.forwarded[BEST_EFFORT] += 1;
+                    }
+                }
             }
-            stats.rx += 1;
-            self.acks.on_data()?;
-            let Some((hdr, _, class)) = classify(frame, &self.flow_reserved) else {
-                stats.parse_drops += 1;
-                return Ok(false);
-            };
-            // A drop is charged to the flow's class; a forwarded packet
-            // counts in the class its verdict gave it, so a demoted
-            // reserved packet is best effort.
-            match self.engine.process(&mut frame[1..], now_ns) {
-                Verdict::Drop(reason) => {
-                    stats.engine_drops[class] += 1;
-                    stats.flow_drops[hdr.flow_id as usize] += 1;
-                    stats.count_reason(reason);
-                }
-                Verdict::Flyover { .. } => {
-                    self.next.queue(frame);
-                    stats.forwarded[RESERVED] += 1;
-                }
-                Verdict::BestEffort { .. } => {
-                    self.next.queue(frame);
-                    stats.forwarded[BEST_EFFORT] += 1;
-                }
-            }
-            Ok(false)
-        })? {
             self.next.flush()?;
-        }
+            Ok(false)
+        })? {}
         stats.rx_datagrams = rx.datagrams;
         // FIN first (after the frames still queued), then drain: the
         // downstream acks its trailing sub-cadence frames only on FIN,
@@ -361,23 +366,25 @@ impl Sink {
         let clock = || epoch.elapsed().as_nanos() as u64;
         let mut first_rx_ns = None;
         let mut rx = Receiver::new(&self.data, "sink", self.timeout)?;
-        while !rx.step(&clock, |frame, now_ns| {
-            if frame.first() == Some(&KIND_FIN) {
-                self.acks.flush()?;
-                return Ok(true);
+        while !rx.step(&clock, |frames, now_ns| {
+            for frame in frames {
+                if frame.first() == Some(&KIND_FIN) {
+                    self.acks.flush()?;
+                    return Ok(true);
+                }
+                first_rx_ns.get_or_insert(now_ns);
+                report.rx += 1;
+                self.acks.on_data()?;
+                let Some((hdr, payload_len, class)) = classify(frame, &self.flow_reserved) else {
+                    report.parse_drops += 1;
+                    continue;
+                };
+                let cls = &mut report.classes[class];
+                cls.delivered += 1;
+                cls.payload_bytes += payload_len as u64;
+                cls.latency.record(now_ns.saturating_sub(hdr.stamp_ns));
+                report.flow_delivered[hdr.flow_id as usize] += 1;
             }
-            first_rx_ns.get_or_insert(now_ns);
-            report.rx += 1;
-            self.acks.on_data()?;
-            let Some((hdr, payload_len, class)) = classify(frame, &self.flow_reserved) else {
-                report.parse_drops += 1;
-                return Ok(false);
-            };
-            let cls = &mut report.classes[class];
-            cls.delivered += 1;
-            cls.payload_bytes += payload_len as u64;
-            cls.latency.record(now_ns.saturating_sub(hdr.stamp_ns));
-            report.flow_delivered[hdr.flow_id as usize] += 1;
             Ok(false)
         })? {}
         report.rx_datagrams = rx.datagrams;
