@@ -136,7 +136,8 @@ struct Outcome {
     verdicts: Vec<Verdict>,
     /// The legitimate packets as the engine left them.
     bytes: Vec<Vec<u8>>,
-    /// Every counter except `processed` and `dropped`.
+    /// Every counter except `processed`, `dropped` and the per-reason
+    /// `drops`, which count the forged packets themselves.
     stats: DatapathStats,
 }
 
@@ -176,7 +177,8 @@ fn run(
         }
     }
     verdicts.extend(through(probes, NOW_NS + PROBE_DELAY_MS * 1_000_000).into_iter().map(|r| r.0));
-    let stats = DatapathStats { processed: 0, dropped: 0, ..engine.stats() };
+    let (processed, dropped, drops) = (0, 0, Default::default());
+    let stats = DatapathStats { processed, dropped, drops, ..engine.stats() };
     Outcome { verdicts, bytes, stats }
 }
 

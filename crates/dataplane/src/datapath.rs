@@ -44,6 +44,8 @@
 //! assert!(matches!(verdicts[0], Verdict::Drop(_)));
 //! ```
 
+use std::fmt;
+
 /// Why a packet was dropped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DropReason {
@@ -73,6 +75,29 @@ pub enum DropReason {
     /// [`EgressStats::tx_queue_full`](crate::runtime::EgressStats::tx_queue_full).
     TxQueueFull,
 }
+
+impl DropReason {
+    /// Every reason; `reason as usize` indexes it here and in
+    /// [`DatapathStats::drops`].
+    pub const ALL: [DropReason; 8] = [
+        DropReason::Malformed,
+        DropReason::ExpiredHopField,
+        DropReason::BadMac,
+        DropReason::PktLenOverflow,
+        DropReason::Duplicate,
+        DropReason::PathConsumed,
+        DropReason::Untimely,
+        DropReason::TxQueueFull,
+    ];
+}
+
+const _: () = {
+    let mut i = 0;
+    while i < DropReason::ALL.len() {
+        assert!(DropReason::ALL[i] as usize == i);
+        i += 1;
+    }
+};
 
 /// An engine's forwarding decision for one packet.
 ///
@@ -118,7 +143,7 @@ impl Verdict {
 
 /// Shared per-engine counters: every [`Datapath`] engine reports the
 /// same vocabulary.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct DatapathStats {
     /// Packets processed.
     pub processed: u64,
@@ -128,10 +153,15 @@ pub struct DatapathStats {
     pub best_effort: u64,
     /// Packets dropped.
     pub dropped: u64,
+    /// `dropped` per reason, indexed by `reason as usize`.
+    pub drops: [u64; DropReason::ALL.len()],
     /// Flyover packets demoted by the policer (overuse).
     pub demoted_overuse: u64,
     /// Flyover packets demoted for staleness / inactive reservation.
     pub demoted_untimely: u64,
+    /// Packets the full §5.4 filter passed without recording them, so
+    /// a replay of one passes too (it fails open, as the paper allows).
+    pub dup_unrecorded: u64,
 }
 
 impl DatapathStats {
@@ -140,10 +170,55 @@ impl DatapathStats {
     pub fn record(&mut self, verdict: Verdict) {
         self.processed += 1;
         match verdict {
-            Verdict::Drop(_) => self.dropped += 1,
+            Verdict::Drop(reason) => {
+                self.dropped += 1;
+                self.drops[reason as usize] += 1;
+            }
             Verdict::Flyover { .. } => self.flyover += 1,
             Verdict::BestEffort { .. } => self.best_effort += 1,
         }
+    }
+}
+
+/// Counter-wise sum, e.g. of the shards of one logical router.
+impl std::iter::Sum for DatapathStats {
+    fn sum<I: Iterator<Item = Self>>(stats: I) -> Self {
+        stats.fold(DatapathStats::default(), |mut total, s| {
+            total.processed += s.processed;
+            total.flyover += s.flyover;
+            total.best_effort += s.best_effort;
+            total.dropped += s.dropped;
+            for (sum, n) in total.drops.iter_mut().zip(s.drops) {
+                *sum += n;
+            }
+            total.demoted_overuse += s.demoted_overuse;
+            total.demoted_untimely += s.demoted_untimely;
+            total.dup_unrecorded += s.dup_unrecorded;
+            total
+        })
+    }
+}
+
+/// Lists only the drop reasons that occurred, and `dup_unrecorded`
+/// only once the filter has overflowed.
+impl fmt::Debug for DatapathStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = f.debug_struct("DatapathStats");
+        out.field("processed", &self.processed)
+            .field("flyover", &self.flyover)
+            .field("best_effort", &self.best_effort)
+            .field("dropped", &self.dropped);
+        let drops: Vec<(DropReason, u64)> =
+            DropReason::ALL.into_iter().zip(self.drops).filter(|&(_, n)| n > 0).collect();
+        if !drops.is_empty() {
+            out.field("drops", &drops);
+        }
+        out.field("demoted_overuse", &self.demoted_overuse)
+            .field("demoted_untimely", &self.demoted_untimely);
+        if self.dup_unrecorded > 0 {
+            out.field("dup_unrecorded", &self.dup_unrecorded);
+        }
+        out.finish()
     }
 }
 
@@ -295,12 +370,10 @@ pub trait Datapath {
     fn engine_name(&self) -> &'static str;
 
     /// Counter snapshot.
-    fn stats(&self) -> DatapathStats {
-        DatapathStats::default()
-    }
+    fn stats(&self) -> DatapathStats;
 
     /// Resets the counters.
-    fn reset_stats(&mut self) {}
+    fn reset_stats(&mut self);
 }
 
 impl<D: Datapath + ?Sized> Datapath for Box<D> {

@@ -20,6 +20,18 @@ use std::collections::HashSet;
 /// unique per source only).
 pub(crate) type PacketId = (u32, u16, u16, IsdAs);
 
+/// What [`DuplicateSuppressor::check_and_insert`] made of an identity.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Seen {
+    /// New, and now recorded.
+    Fresh,
+    /// Seen within the window.
+    Duplicate,
+    /// New, but the epoch is full: it passes unrecorded (fail-open), and
+    /// so will a replay of it.
+    Unrecorded,
+}
+
 /// Two-epoch duplicate suppressor.
 #[derive(Clone, Debug)]
 pub(crate) struct DuplicateSuppressor {
@@ -27,8 +39,8 @@ pub(crate) struct DuplicateSuppressor {
     previous: HashSet<PacketId>,
     epoch_len_ns: u64,
     epoch_start_ns: u64,
-    /// Capacity cap per epoch; beyond it entries are dropped (fail-open:
-    /// duplicates might pass, but memory stays bounded).
+    /// Capacity cap per epoch; beyond it identities go unrecorded
+    /// (fail-open: duplicates might pass, but memory stays bounded).
     max_entries: usize,
 }
 
@@ -55,16 +67,17 @@ impl DuplicateSuppressor {
         }
     }
 
-    /// Records `id`; returns `true` if it was seen before (a duplicate).
-    pub(crate) fn check_and_insert(&mut self, id: PacketId, now_ns: u64) -> bool {
+    /// Checks `id` against the window and records it if there is room.
+    pub(crate) fn check_and_insert(&mut self, id: PacketId, now_ns: u64) -> Seen {
         self.rotate_if_needed(now_ns);
         if self.current.contains(&id) || self.previous.contains(&id) {
-            return true;
-        }
-        if self.current.len() < self.max_entries {
+            Seen::Duplicate
+        } else if self.current.len() < self.max_entries {
             self.current.insert(id);
+            Seen::Fresh
+        } else {
+            Seen::Unrecorded
         }
-        false
     }
 }
 
@@ -88,26 +101,26 @@ mod tests {
     fn detects_duplicates_within_window() {
         let mut d = DuplicateSuppressor::new(1500 * MS, 1 << 16);
         let id = (100, 5, 1, src(42));
-        assert!(!d.check_and_insert(id, 0));
-        assert!(d.check_and_insert(id, 700 * MS));
-        assert!(d.check_and_insert(id, 1400 * MS));
+        assert_eq!(d.check_and_insert(id, 0), Seen::Fresh);
+        assert_eq!(d.check_and_insert(id, 700 * MS), Seen::Duplicate);
+        assert_eq!(d.check_and_insert(id, 1400 * MS), Seen::Duplicate);
     }
 
     #[test]
     fn distinct_counters_are_not_duplicates() {
         let mut d = DuplicateSuppressor::new(1500 * MS, 1 << 16);
-        assert!(!d.check_and_insert((100, 5, 1, src(42)), 0));
-        assert!(!d.check_and_insert((100, 5, 2, src(42)), 0));
-        assert!(!d.check_and_insert((100, 6, 1, src(42)), 0));
+        assert_eq!(d.check_and_insert((100, 5, 1, src(42)), 0), Seen::Fresh);
+        assert_eq!(d.check_and_insert((100, 5, 2, src(42)), 0), Seen::Fresh);
+        assert_eq!(d.check_and_insert((100, 6, 1, src(42)), 0), Seen::Fresh);
     }
 
     #[test]
     fn entries_expire_after_two_epochs() {
         let mut d = DuplicateSuppressor::new(1000 * MS, 1 << 16);
         let id = (1, 1, 1, src(1));
-        assert!(!d.check_and_insert(id, 0));
+        assert_eq!(d.check_and_insert(id, 0), Seen::Fresh);
         // Two full epochs later (and an idle gap), the entry is gone.
-        assert!(!d.check_and_insert(id, 3500 * MS));
+        assert_eq!(d.check_and_insert(id, 3500 * MS), Seen::Fresh);
     }
 
     #[test]
@@ -117,6 +130,19 @@ mod tests {
             d.check_and_insert((0, 0, i, src(0)), 0);
         }
         assert!(tracked(&d) <= 100);
+    }
+
+    /// Past its cap the filter fails open, but says so: the router
+    /// counts each `Unrecorded`.
+    #[test]
+    fn a_replay_past_the_cap_is_dropped_or_counted() {
+        let mut d = DuplicateSuppressor::new(1000 * MS, 8);
+        for i in 0..8 {
+            assert_eq!(d.check_and_insert((0, 0, i, src(0)), 0), Seen::Fresh);
+        }
+        assert_eq!(d.check_and_insert((0, 0, 8, src(0)), 0), Seen::Unrecorded);
+        let replay = d.check_and_insert((0, 0, 8, src(0)), 0);
+        assert_ne!(replay, Seen::Fresh, "a replay past the cap passed uncounted");
     }
 
     #[test]

@@ -100,8 +100,8 @@ pub mod stages {
     //! and stages 4-7 in its stateful pass 2, with the burst's AES in
     //! between.
 
-    use super::{DropReason, RouterConfig};
-    use crate::dup::DuplicateSuppressor;
+    use super::{DatapathStats, DropReason, RouterConfig};
+    use crate::dup::{DuplicateSuppressor, Seen};
     use hummingbird_crypto::{aggregate_mac, AuthKey, FlyoverMacInput, ResInfo, Tag};
     use hummingbird_wire::common::{AddressHeader, CommonHeader};
     use hummingbird_wire::hopfield::{
@@ -334,15 +334,19 @@ pub mod stages {
 
     /// Stage 5 (optional, §5.4): duplicate suppression. Runs *after*
     /// authentication so attackers cannot poison the filter with
-    /// unauthenticated junk.
+    /// unauthenticated junk. A packet the filter has no room to record
+    /// passes, counted in [`DatapathStats::dup_unrecorded`].
     pub(crate) fn duplicate_check(
         dup: &mut DuplicateSuppressor,
         parsed: &Parsed,
         now_ns: u64,
+        stats: &mut DatapathStats,
     ) -> Result<(), DropReason> {
         let id = (parsed.meta.base_ts, parsed.meta.millis_ts, parsed.meta.counter, parsed.addr.src);
-        if dup.check_and_insert(id, now_ns) {
-            return Err(DropReason::Duplicate);
+        match dup.check_and_insert(id, now_ns) {
+            Seen::Duplicate => return Err(DropReason::Duplicate),
+            Seen::Unrecorded => stats.dup_unrecorded += 1,
+            Seen::Fresh => {}
         }
         Ok(())
     }
@@ -546,7 +550,7 @@ impl RouterState {
         };
         let computed = stages::check_hop_mac(parsed, &candidate, hop_mac, now_ns / 1_000_000_000)?;
         if let Some(dup) = &mut self.dup {
-            stages::duplicate_check(dup, parsed, now_ns)?;
+            stages::duplicate_check(dup, parsed, now_ns, &mut self.stats)?;
         }
         stages::advance(pkt, parsed, &computed)?;
         let egress = parsed.hop.cons_egress();

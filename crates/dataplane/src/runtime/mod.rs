@@ -172,17 +172,7 @@ impl Datapath for ShardedRouter {
     }
 
     fn stats(&self) -> DatapathStats {
-        let mut total = DatapathStats::default();
-        for s in &self.shards {
-            let st = s.stats();
-            total.processed += st.processed;
-            total.flyover += st.flyover;
-            total.best_effort += st.best_effort;
-            total.dropped += st.dropped;
-            total.demoted_overuse += st.demoted_overuse;
-            total.demoted_untimely += st.demoted_untimely;
-        }
-        total
+        self.shards.iter().map(|s| s.stats()).sum()
     }
 
     fn reset_stats(&mut self) {
@@ -365,9 +355,9 @@ impl RuntimeConfig {
 pub struct ShardReport {
     /// Packets this shard processed.
     pub processed: u64,
-    /// Packets forwarded (flyover or best effort).
+    /// Packets forwarded: the engine's `flyover + best_effort`.
     pub forwarded: u64,
-    /// Packets dropped by the engine.
+    /// Packets dropped: the engine's `dropped`.
     pub dropped: u64,
     /// Offered packets shed at rx while this shard's tx queue was over
     /// the high-watermark under [`BackpressurePolicy::Drop`]
@@ -400,27 +390,6 @@ pub struct RuntimeReport {
     pub egress: Option<EgressStats>,
 }
 
-/// What a worker counts per burst it puts through the engine.
-#[derive(Default)]
-struct WorkerTally {
-    processed: u64,
-    bits: u64,
-    forwarded: u64,
-    dropped: u64,
-}
-
-fn tally_burst(tally: &mut WorkerTally, burst: &[PacketBuf], verdicts: &[Verdict]) {
-    tally.processed += burst.len() as u64;
-    tally.bits += burst.iter().map(|p| p.wire_len() as u64 * 8).sum::<u64>();
-    for v in verdicts {
-        if v.is_drop() {
-            tally.dropped += 1;
-        } else {
-            tally.forwarded += 1;
-        }
-    }
-}
-
 /// Runs `total_pkts` packets (cycling over `templates`) through
 /// `cfg.shards` worker threads and reports aggregate and per-shard
 /// throughput.
@@ -433,10 +402,13 @@ fn tally_burst(tally: &mut WorkerTally, burst: &[PacketBuf], verdicts: &[Verdict
 /// worker (no `Send` bound on `D`); construction stays out of the timed
 /// region.
 ///
-/// Packet accounting is deterministic: template `j` of `T` contributes
-/// exactly `total_pkts / T` packets plus one more when
-/// `j < total_pkts % T`, in both modes — which is what makes sharded
-/// runs byte-comparable against a single engine fed the same multiset.
+/// Packet accounting is deterministic, by one rule: `n` split `k` ways
+/// gives part `i` `n / k` packets, plus one when `i < n % k`. In
+/// [`RuntimeMode::Sharded`] template `j` of `T` contributes its part of
+/// `total_pkts`, whole on the shard that owns it, so the shards are
+/// comparable against one engine fed the same multiset; in
+/// [`RuntimeMode::PerCoreClone`] worker `i` spreads its part of
+/// `total_pkts` over the templates by the same rule.
 pub fn run_to_completion<D, F>(
     cfg: &RuntimeConfig,
     mode: RuntimeMode,
@@ -516,7 +488,7 @@ fn draw(rotation: &mut VecDeque<(usize, u64)>, n: usize, mut take: impl FnMut(us
 
 /// The self-fed shard loop shared by [`RuntimeMode::PerCoreClone`] and
 /// [`RuntimeMode::Sharded`]: draw a burst of re-armed buffers from the
-/// shard's plan, process it through the engine's batch path, tally,
+/// shard's plan, process it through the engine's batch path, count,
 /// recycle. With egress enabled, the worker stages the processed burst
 /// into its *own* [`TxScheduler`] (the per-core NIC tx queue) before
 /// recycling it; one clock read stamps every packet of the burst and
@@ -560,7 +532,7 @@ fn run_self_fed_shard<D: Datapath>(
     let bp = egress.map(|(_, bp, _)| bp).unwrap_or_default();
     let mut tx_state =
         egress.map(|(ecfg, bp, epoch)| (TxScheduler::with_backpressure(&ecfg, &bp), epoch));
-    let mut tally = WorkerTally::default();
+    let (mut processed, mut bits) = (0u64, 0u64);
     let mut rx_backpressure_drops = 0u64;
     let mut staging: Vec<PacketBuf> = Vec::with_capacity(batch);
     let mut staged_feeds: Vec<usize> = Vec::with_capacity(batch);
@@ -607,7 +579,8 @@ fn run_self_fed_shard<D: Datapath>(
 
         verdicts.clear();
         engine.process_batch(&mut staging, now_ns, &mut verdicts);
-        tally_burst(&mut tally, &staging, &verdicts);
+        processed += staging.len() as u64;
+        bits += staging.iter().map(|p| p.wire_len() as u64 * 8).sum::<u64>();
 
         if let Some((sched, epoch)) = &mut tx_state {
             // One stamp for the whole burst. Tail drops are counted
@@ -629,16 +602,17 @@ fn run_self_fed_shard<D: Datapath>(
         sched.flush();
     }
     let seconds = start.elapsed().as_secs_f64();
-
+    // The engine counted every verdict; the worker does not count again.
+    let stats = engine.stats();
     SelfFedOutcome {
         report: ShardReport {
-            processed: tally.processed,
-            forwarded: tally.forwarded,
-            dropped: tally.dropped,
+            processed,
+            forwarded: stats.flyover + stats.best_effort,
+            dropped: stats.dropped,
             rx_backpressure_drops,
-            stats: engine.stats(),
+            stats,
         },
-        bits: tally.bits,
+        bits,
         seconds,
         egress: tx_state.map(|(sched, _)| sched.stats()),
     }
@@ -778,153 +752,6 @@ mod tests {
         sharded.process_batch(&mut bufs, NOW_NS, &mut got);
         assert_eq!(got, expected);
         assert_eq!(sharded.stats().processed, templates.len() as u64);
-    }
-
-    #[test]
-    fn threaded_runtime_processes_every_packet_in_both_modes() {
-        let templates: Vec<Vec<u8>> =
-            [5u32, 40_000, 77_000].iter().map(|&r| reserved_packet(r)).collect();
-        for mode in [RuntimeMode::PerCoreClone, RuntimeMode::Sharded] {
-            let cfg = RuntimeConfig::new(3);
-            let report = run_to_completion(&cfg, mode, |_| hop_engine(), &templates, 1_000, NOW_NS);
-            assert_eq!(report.packets, 1_000, "{mode:?}");
-            assert_eq!(
-                report.per_shard.iter().map(|r| r.processed).sum::<u64>(),
-                1_000,
-                "{mode:?}"
-            );
-            assert!(report.bits > 0 && report.seconds > 0.0, "{mode:?}");
-            let forwarded: u64 = report.per_shard.iter().map(|r| r.forwarded).sum();
-            assert_eq!(forwarded, 1_000, "valid reserved packets all forward ({mode:?})");
-        }
-    }
-
-    #[test]
-    fn drop_heavy_engines_are_measurable() {
-        // Junk through a real router: every packet drops, and the run
-        // still counts every offered packet on the shard that dropped it.
-        let junk = vec![vec![0u8; 128]];
-        let report = run_to_completion(
-            &RuntimeConfig::new(2),
-            RuntimeMode::PerCoreClone,
-            |_| hop_engine(),
-            &junk,
-            1_000,
-            NOW_NS,
-        );
-        assert_eq!(report.packets, 1_000);
-        for shard in &report.per_shard {
-            assert!(shard.processed > 0);
-            assert_eq!(shard.dropped, shard.processed, "{shard:?}");
-        }
-    }
-
-    #[test]
-    fn sequential_exec_matches_threaded_results() {
-        let templates: Vec<Vec<u8>> =
-            [9u32, 55_000, 91_000].iter().map(|&r| reserved_packet(r)).collect();
-        let mut threaded_cfg = RuntimeConfig::new(4);
-        threaded_cfg.exec = ExecMode::Threaded;
-        let mut sequential_cfg = threaded_cfg;
-        sequential_cfg.exec = ExecMode::Sequential;
-        let a = run_to_completion(
-            &threaded_cfg,
-            RuntimeMode::Sharded,
-            |_| hop_engine(),
-            &templates,
-            600,
-            NOW_NS,
-        );
-        let b = run_to_completion(
-            &sequential_cfg,
-            RuntimeMode::Sharded,
-            |_| hop_engine(),
-            &templates,
-            600,
-            NOW_NS,
-        );
-        assert_eq!(a.packets, b.packets);
-        for (ra, rb) in a.per_shard.iter().zip(b.per_shard.iter()) {
-            assert_eq!(ra.processed, rb.processed, "per-shard split is deterministic");
-            assert_eq!(ra.stats, rb.stats);
-        }
-        // Auto resolves to one of the two and conserves as well.
-        let mut auto_cfg = threaded_cfg;
-        auto_cfg.exec = ExecMode::Auto;
-        let c = run_to_completion(
-            &auto_cfg,
-            RuntimeMode::Sharded,
-            |_| hop_engine(),
-            &templates,
-            600,
-            NOW_NS,
-        );
-        assert_eq!(c.packets, 600);
-    }
-
-    #[test]
-    fn shallow_ring_run_completes() {
-        let templates = vec![reserved_packet(42), reserved_packet(88_000)];
-        let cfg = RuntimeConfig::new(2);
-        let report = run_to_completion(
-            &cfg,
-            RuntimeMode::Sharded,
-            |_| hop_engine(),
-            &templates,
-            200,
-            NOW_NS,
-        );
-        assert_eq!(report.packets, 200);
-    }
-
-    #[test]
-    fn sharded_runtime_egress_reports_residence_times() {
-        let templates: Vec<Vec<u8>> =
-            [7u32, 33_000, 88_000].iter().map(|&r| reserved_packet(r)).collect();
-        let mut cfg = RuntimeConfig::new(3);
-        cfg.egress = Some(EgressConfig::default());
-        let report = run_to_completion(
-            &cfg,
-            RuntimeMode::Sharded,
-            |_| hop_engine(),
-            &templates,
-            1_000,
-            NOW_NS,
-        );
-        assert_eq!(report.packets, 1_000);
-        let e = report.egress.expect("tx path enabled");
-        // Packet conservation through the tx path: everything
-        // processed either serialized or was a verdict drop.
-        assert_eq!(e.forwarded() + e.dropped, 1_000);
-        // Valid reserved traffic rides the priority class exclusively.
-        assert_eq!(e.priority.pkts, 1_000);
-        assert_eq!(e.best_effort.pkts, 0);
-        assert!(e.priority.bytes > 0);
-        assert!(e.priority.residence_ns_sum >= e.priority.pkts, "residence accrues");
-        assert!(e.priority.residence_ns_max > 0);
-        // Tiny and zero-packet runs drain the tx path cleanly too.
-        let mut cfg2 = RuntimeConfig::new(2);
-        cfg2.egress = Some(EgressConfig::default());
-        let report =
-            run_to_completion(&cfg2, RuntimeMode::Sharded, |_| hop_engine(), &templates, 3, NOW_NS);
-        assert_eq!(report.packets, 3);
-        assert_eq!(report.egress.expect("enabled").forwarded(), 3);
-        let report =
-            run_to_completion(&cfg2, RuntimeMode::Sharded, |_| hop_engine(), &templates, 0, NOW_NS);
-        assert_eq!(report.egress.expect("enabled").forwarded(), 0);
-    }
-
-    #[test]
-    fn sharded_runtime_handles_tiny_runs_and_single_shard() {
-        let templates = vec![reserved_packet(42)];
-        let cfg = RuntimeConfig::new(1);
-        let report =
-            run_to_completion(&cfg, RuntimeMode::Sharded, |_| hop_engine(), &templates, 3, NOW_NS);
-        assert_eq!(report.packets, 3);
-        // Zero-packet runs terminate cleanly too.
-        let report =
-            run_to_completion(&cfg, RuntimeMode::Sharded, |_| hop_engine(), &templates, 0, NOW_NS);
-        assert_eq!(report.packets, 0);
     }
 
     #[test]

@@ -295,7 +295,10 @@ impl Router {
         let s = &mut self.stats;
         s.processed += 1;
         match verdict {
-            Verdict::Drop(_) => s.dropped += 1,
+            Verdict::Drop(why) => {
+                s.dropped += 1;
+                s.drops[why as usize] += 1;
+            }
             Verdict::Flyover { .. } => s.flyover += 1,
             Verdict::BestEffort { .. } => s.best_effort += 1,
         }

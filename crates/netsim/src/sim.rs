@@ -316,6 +316,63 @@ enum Event {
     },
 }
 
+/// What a flow's events write besides the flow itself: the event
+/// queue, the flow's stats and the buffer pool, at the current time.
+struct Outbox<'a> {
+    queue: &'a mut EventQueue<Event>,
+    stats: &'a mut FlowStats,
+    free_bufs: &'a mut Vec<Vec<u8>>,
+    zeros: &'a [u8],
+    flow: FlowId,
+    now: u64,
+}
+
+impl Outbox<'_> {
+    /// Sends packet `seq` through `generator` with a zero payload of
+    /// `payload_len` bytes into a recycled buffer, and schedules its
+    /// arrival at `entry` now. A send the generator refuses (e.g.
+    /// before its reservation starts) counts as sent and as a
+    /// generation failure, and never leaves the host.
+    fn send(
+        &mut self,
+        generator: &mut SourceGenerator,
+        payload_len: usize,
+        entry: NodeId,
+        seq: u64,
+    ) {
+        self.stats.sent_pkts += 1;
+        let mut bytes = self.free_bufs.pop().unwrap_or_default();
+        let payload = &self.zeros[..payload_len];
+        match generator.generate_into(payload, self.now / 1_000_000, &mut bytes) {
+            Ok(()) => {
+                self.stats.sent_bytes += bytes.len() as u64;
+                let pkt = SimPacket { bytes, flow: self.flow, sent_at: self.now, seq };
+                self.queue.push(self.now, Event::Arrival { node: entry, pkt });
+            }
+            Err(_) => {
+                self.stats.generation_failures += 1;
+                self.free_bufs.push(bytes);
+            }
+        }
+    }
+
+    /// Common tail of ack and abandon: check completion, and restart the
+    /// send chain if it stalled on the window this retirement just
+    /// opened (respecting the pacing floor).
+    fn after_retire(&mut self, st: &mut ReactiveState) {
+        if st.complete() {
+            st.done = true;
+            st.events.push(FlowEvent { at_ns: self.now, kind: FlowEventKind::Completed });
+            return;
+        }
+        if !st.send_scheduled && st.next_seq < st.cfg.total_pkts {
+            st.send_scheduled = true;
+            let at = self.now.max(st.last_send_ns + st.cfg.pacing_ns.max(1));
+            self.queue.push(at, Event::ReactiveSend { flow: self.flow });
+        }
+    }
+}
+
 /// Where a router's verdict sends a forwarded packet.
 #[derive(Clone, Copy, Debug)]
 enum EgressTarget {
@@ -513,6 +570,15 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Schedules `event` at `at_ns`, after every event already
     /// scheduled at that time.
+    ///
+    /// Equal-timestamp determinism contract: events at the same instant
+    /// dispatch in exactly the order they were scheduled — FIFO, never
+    /// heap-arbitrary. This is what makes reruns bit-identical, and what
+    /// gives churn a stable tie-break:
+    /// [`Simulator::run_until`] drains every event at `t` before
+    /// returning, so an externally applied churn action at `t` (link
+    /// down, reboot, reroute) always acts *after* the packet events of
+    /// that instant.
     fn push(&mut self, at_ns: u64, event: E) {
         let slot = match self.free_slots.pop() {
             Some(slot) => {
@@ -705,7 +771,7 @@ impl Simulator {
         self.flows.push(FlowSlot::Cbr(Box::new(flow)));
         self.stats.push(FlowStats::default());
         self.newest_delivered.push(0);
-        self.schedule(start, Event::FlowSend { flow: id });
+        self.queue.push(start, Event::FlowSend { flow: id });
         id
     }
 
@@ -724,7 +790,7 @@ impl Simulator {
         self.flows.push(FlowSlot::Reactive(Box::new(state)));
         self.stats.push(FlowStats::default());
         self.newest_delivered.push(0);
-        self.schedule(start, Event::ReactiveSend { flow: id });
+        self.queue.push(start, Event::ReactiveSend { flow: id });
         id
     }
 
@@ -870,20 +936,6 @@ impl Simulator {
         }
     }
 
-    /// Enqueues `event` at `at_ns`.
-    ///
-    /// Equal-timestamp determinism contract: events at the same instant
-    /// dispatch in exactly the order they were scheduled — FIFO, never
-    /// heap-arbitrary ([`EventQueue`]). This is what makes reruns
-    /// bit-identical, and what gives churn a stable tie-break:
-    /// [`run_until`](Simulator::run_until) drains every event at `t`
-    /// before returning, so an externally applied churn action at `t`
-    /// (link down, reboot, reroute) always acts *after* the packet
-    /// events of that instant.
-    fn schedule(&mut self, at_ns: u64, event: Event) {
-        self.queue.push(at_ns, event);
-    }
-
     /// Runs until `end_ns` inclusive (or until no events remain): every
     /// event with timestamp `<= end_ns` — including ones scheduled
     /// during the run — has been dispatched when this returns, in
@@ -909,37 +961,26 @@ impl Simulator {
         }
     }
 
+    /// Flow `flow`'s slot, and apart from it what its events write.
+    fn flow_and_outbox(&mut self, flow: FlowId) -> (&mut FlowSlot, Outbox<'_>) {
+        let Simulator { flows, stats, queue, zeros, free_bufs, now_ns, .. } = self;
+        let outbox =
+            Outbox { queue, stats: &mut stats[flow], free_bufs, zeros, flow, now: *now_ns };
+        (&mut flows[flow], outbox)
+    }
+
     fn handle_flow_send(&mut self, flow_id: FlowId) {
-        let now = self.now_ns;
-        let FlowSlot::Cbr(flow) = &mut self.flows[flow_id] else {
+        let (slot, mut out) = self.flow_and_outbox(flow_id);
+        let FlowSlot::Cbr(flow) = slot else {
             return;
         };
-        if now >= flow.stop_ns {
+        if out.now >= flow.stop_ns {
             return;
         }
-        let now_ms = now / 1_000_000;
-        let interval = flow.interval_ns;
-        let stop_ns = flow.stop_ns;
-        let entry = flow.entry;
-        let mut bytes = self.free_bufs.pop().unwrap_or_default();
-        match flow.generator.generate_into(&self.zeros[..flow.payload_len], now_ms, &mut bytes) {
-            Ok(()) => {
-                self.stats[flow_id].sent_pkts += 1;
-                self.stats[flow_id].sent_bytes += bytes.len() as u64;
-                let pkt = SimPacket { bytes, flow: flow_id, sent_at: now, seq: 0 };
-                self.schedule(now, Event::Arrival { node: entry, pkt });
-            }
-            Err(_) => {
-                // Generation failure (e.g. reservation not yet active):
-                // a send that never left the host.
-                self.stats[flow_id].sent_pkts += 1;
-                self.stats[flow_id].generation_failures += 1;
-                self.free_bufs.push(bytes);
-            }
-        }
-        let next = now + interval;
-        if next < stop_ns {
-            self.schedule(next, Event::FlowSend { flow: flow_id });
+        out.send(&mut flow.generator, flow.payload_len, flow.entry, 0);
+        let next = out.now + flow.interval_ns;
+        if next < flow.stop_ns {
+            out.queue.push(next, Event::FlowSend { flow: flow_id });
         }
     }
 
@@ -948,191 +989,113 @@ impl Simulator {
     /// chain). The chain self-perpetuates — each successful new send
     /// schedules the next opportunity one `pacing_ns` later.
     fn handle_reactive_send(&mut self, flow_id: FlowId) {
-        let now = self.now_ns;
-        let mut to_schedule: Vec<(u64, Event)> = Vec::new();
-        {
-            let FlowSlot::Reactive(st) = &mut self.flows[flow_id] else {
-                return;
-            };
-            st.send_scheduled = false;
-            if st.done || st.next_seq >= st.cfg.total_pkts {
-                return;
-            }
-            if st.outstanding.len() >= st.cfg.window.max(1) {
-                // Ack-blocked: the closed loop is doing its job. No
-                // reschedule — handle_flow_ack restarts the chain.
-                self.stats[flow_id].backpressure_stalls += 1;
-                st.events.push(FlowEvent { at_ns: now, kind: FlowEventKind::Stalled });
-                return;
-            }
-            let seq = st.next_seq;
-            st.next_seq += 1;
-            st.last_send_ns = now;
-            self.stats[flow_id].sent_pkts += 1;
-            let payload = &self.zeros[..st.cfg.payload_len];
-            let mut bytes = self.free_bufs.pop().unwrap_or_default();
-            match st.cfg.generator.generate_into(payload, now / 1_000_000, &mut bytes) {
-                Ok(()) => {
-                    self.stats[flow_id].sent_bytes += bytes.len() as u64;
-                    let pkt = SimPacket { bytes, flow: flow_id, sent_at: now, seq };
-                    to_schedule.push((now, Event::Arrival { node: st.cfg.entry, pkt }));
-                }
-                Err(_) => {
-                    // Generation failure: the packet never left the
-                    // host. It still occupies the window and arms its
-                    // timer — the retry path handles it like any loss
-                    // (by then the reservation may have become active).
-                    self.stats[flow_id].generation_failures += 1;
-                    self.free_bufs.push(bytes);
-                }
-            }
-            st.outstanding.insert(seq, Outstanding { attempt: 0, rto_ns: st.cfg.rto_ns });
-            st.events.push(FlowEvent { at_ns: now, kind: FlowEventKind::Sent { seq } });
-            to_schedule
-                .push((now + st.cfg.rto_ns, Event::FlowRto { flow: flow_id, seq, attempt: 0 }));
-            if st.next_seq < st.cfg.total_pkts {
-                st.send_scheduled = true;
-                to_schedule
-                    .push((now + st.cfg.pacing_ns.max(1), Event::ReactiveSend { flow: flow_id }));
-            }
+        let (slot, mut out) = self.flow_and_outbox(flow_id);
+        let FlowSlot::Reactive(st) = slot else {
+            return;
+        };
+        let now = out.now;
+        st.send_scheduled = false;
+        if st.done || st.next_seq >= st.cfg.total_pkts {
+            return;
         }
-        for (at, ev) in to_schedule {
-            self.schedule(at, ev);
+        if st.outstanding.len() >= st.cfg.window.max(1) {
+            // Ack-blocked: the closed loop is doing its job. No
+            // reschedule — handle_flow_ack restarts the chain.
+            out.stats.backpressure_stalls += 1;
+            st.events.push(FlowEvent { at_ns: now, kind: FlowEventKind::Stalled });
+            return;
+        }
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        st.last_send_ns = now;
+        // A refused send still occupies the window and arms its timer —
+        // the retry path handles it like any loss (by then the
+        // reservation may have become active).
+        out.send(&mut st.cfg.generator, st.cfg.payload_len, st.cfg.entry, seq);
+        st.outstanding.insert(seq, Outstanding { attempt: 0, rto_ns: st.cfg.rto_ns });
+        st.events.push(FlowEvent { at_ns: now, kind: FlowEventKind::Sent { seq } });
+        out.queue.push(now + st.cfg.rto_ns, Event::FlowRto { flow: flow_id, seq, attempt: 0 });
+        if st.next_seq < st.cfg.total_pkts {
+            st.send_scheduled = true;
+            out.queue.push(now + st.cfg.pacing_ns.max(1), Event::ReactiveSend { flow: flow_id });
         }
     }
 
     /// The sender sees an acknowledgment: retire the sequence number,
     /// open the window, restart a stalled send chain.
     fn handle_flow_ack(&mut self, flow_id: FlowId, seq: u64) {
-        let now = self.now_ns;
-        let mut to_schedule: Vec<(u64, Event)> = Vec::new();
-        {
-            let FlowSlot::Reactive(st) = &mut self.flows[flow_id] else {
-                return;
-            };
-            if st.done || st.outstanding.remove(&seq).is_none() {
-                // Spurious ack: a retransmission's original copy also
-                // arrived, or the seq was already abandoned.
-                return;
-            }
-            st.acked += 1;
-            st.events.push(FlowEvent { at_ns: now, kind: FlowEventKind::Acked { seq } });
-            Self::after_retire(st, flow_id, now, &mut to_schedule);
+        let (slot, mut out) = self.flow_and_outbox(flow_id);
+        let FlowSlot::Reactive(st) = slot else {
+            return;
+        };
+        if st.done || st.outstanding.remove(&seq).is_none() {
+            // Spurious ack: a retransmission's original copy also
+            // arrived, or the seq was already abandoned.
+            return;
         }
-        for (at, ev) in to_schedule {
-            self.schedule(at, ev);
-        }
+        st.acked += 1;
+        st.events.push(FlowEvent { at_ns: out.now, kind: FlowEventKind::Acked { seq } });
+        out.after_retire(st);
     }
 
     /// A retransmission timer fires: resend through the flow's *current*
     /// generator with doubled (capped) RTO, or abandon the sequence
     /// number once its budget is spent.
     fn handle_flow_rto(&mut self, flow_id: FlowId, seq: u64, attempt: u32) {
-        let now = self.now_ns;
-        let mut to_schedule: Vec<(u64, Event)> = Vec::new();
-        {
-            let FlowSlot::Reactive(st) = &mut self.flows[flow_id] else {
-                return;
-            };
-            if st.done {
-                return;
-            }
-            let Some(out) = st.outstanding.get_mut(&seq) else {
-                return; // already acked
-            };
-            if out.attempt != attempt {
-                return; // stale timer from a superseded attempt
-            }
-            self.stats[flow_id].timeouts += 1;
-            st.events.push(FlowEvent { at_ns: now, kind: FlowEventKind::Timeout { seq } });
-            if out.attempt >= st.cfg.max_retransmits {
-                st.outstanding.remove(&seq);
-                st.abandoned += 1;
-                st.events.push(FlowEvent { at_ns: now, kind: FlowEventKind::Abandoned { seq } });
-                Self::after_retire(st, flow_id, now, &mut to_schedule);
-            } else {
-                out.attempt += 1;
-                out.rto_ns = out.rto_ns.saturating_mul(2).min(st.cfg.rto_max_ns.max(1));
-                let next_attempt = out.attempt;
-                let next_rto = out.rto_ns;
-                self.stats[flow_id].retransmits += 1;
-                self.stats[flow_id].sent_pkts += 1;
-                let payload = &self.zeros[..st.cfg.payload_len];
-                // Regenerate through the *current* generator: a reroute
-                // applied since the original send puts the retry on the
-                // new path.
-                let mut bytes = self.free_bufs.pop().unwrap_or_default();
-                match st.cfg.generator.generate_into(payload, now / 1_000_000, &mut bytes) {
-                    Ok(()) => {
-                        self.stats[flow_id].sent_bytes += bytes.len() as u64;
-                        let pkt = SimPacket { bytes, flow: flow_id, sent_at: now, seq };
-                        to_schedule.push((now, Event::Arrival { node: st.cfg.entry, pkt }));
-                    }
-                    Err(_) => {
-                        self.stats[flow_id].generation_failures += 1;
-                        self.free_bufs.push(bytes);
-                    }
-                }
-                st.events.push(FlowEvent {
-                    at_ns: now,
-                    kind: FlowEventKind::Retransmit { seq, attempt: next_attempt },
-                });
-                to_schedule.push((
-                    now + next_rto,
-                    Event::FlowRto { flow: flow_id, seq, attempt: next_attempt },
-                ));
-            }
-        }
-        for (at, ev) in to_schedule {
-            self.schedule(at, ev);
-        }
-    }
-
-    /// Common tail of ack and abandon: check completion, and restart the
-    /// send chain if it stalled on the window this retirement just
-    /// opened (respecting the pacing floor).
-    fn after_retire(
-        st: &mut ReactiveState,
-        flow_id: FlowId,
-        now: u64,
-        to_schedule: &mut Vec<(u64, Event)>,
-    ) {
-        if st.complete() {
-            st.done = true;
-            st.events.push(FlowEvent { at_ns: now, kind: FlowEventKind::Completed });
+        let (slot, mut out) = self.flow_and_outbox(flow_id);
+        let FlowSlot::Reactive(st) = slot else {
+            return;
+        };
+        let now = out.now;
+        if st.done {
             return;
         }
-        if !st.send_scheduled && st.next_seq < st.cfg.total_pkts {
-            st.send_scheduled = true;
-            let at = now.max(st.last_send_ns + st.cfg.pacing_ns.max(1));
-            to_schedule.push((at, Event::ReactiveSend { flow: flow_id }));
+        let Some(pending) = st.outstanding.get_mut(&seq) else {
+            return; // already acked
+        };
+        if pending.attempt != attempt {
+            return; // stale timer from a superseded attempt
         }
+        out.stats.timeouts += 1;
+        st.events.push(FlowEvent { at_ns: now, kind: FlowEventKind::Timeout { seq } });
+        if pending.attempt >= st.cfg.max_retransmits {
+            st.outstanding.remove(&seq);
+            st.abandoned += 1;
+            st.events.push(FlowEvent { at_ns: now, kind: FlowEventKind::Abandoned { seq } });
+            out.after_retire(st);
+            return;
+        }
+        pending.attempt += 1;
+        pending.rto_ns = pending.rto_ns.saturating_mul(2).min(st.cfg.rto_max_ns.max(1));
+        let (next_attempt, next_rto) = (pending.attempt, pending.rto_ns);
+        out.stats.retransmits += 1;
+        // Regenerate through the *current* generator: a reroute applied
+        // since the original send puts the retry on the new path.
+        out.send(&mut st.cfg.generator, st.cfg.payload_len, st.cfg.entry, seq);
+        st.events.push(FlowEvent {
+            at_ns: now,
+            kind: FlowEventKind::Retransmit { seq, attempt: next_attempt },
+        });
+        out.queue
+            .push(now + next_rto, Event::FlowRto { flow: flow_id, seq, attempt: next_attempt });
     }
 
     fn handle_arrival(&mut self, node_id: NodeId, mut pkt: SimPacket) {
         let now = self.now_ns;
         // Duplicating adversaries observe the packet as it arrives and
-        // inject copies at the same ingress shortly after.
-        let tap_copies: Vec<(u32, u64, FlowId)> = self
-            .taps
-            .iter()
-            .filter(|t| t.victim == pkt.flow && t.inject_at == node_id)
-            .map(|t| (t.copies, t.delay_ns, t.attacker_flow))
-            .collect();
-        for (copies, delay, attacker_flow) in tap_copies {
-            // Copies are spread `delay_ns` apart so the attacker keeps the
-            // token bucket pinned right up to the next original packet —
-            // the timing that makes the §5.4 attack effective.
-            for c in 0..copies {
-                let mut bytes = self.free_bufs.pop().unwrap_or_default();
+        // inject copies at the same ingress shortly after, spread
+        // `delay_ns` apart so the attacker keeps the token bucket pinned
+        // right up to the next original packet — the timing that makes
+        // the §5.4 attack effective.
+        let Simulator { taps, stats, queue, free_bufs, .. } = self;
+        for tap in taps.iter().filter(|t| t.victim == pkt.flow && t.inject_at == node_id) {
+            for c in 1..=u64::from(tap.copies) {
+                let mut bytes = free_bufs.pop().unwrap_or_default();
                 bytes.clone_from(&pkt.bytes);
-                let copy = SimPacket { bytes, flow: attacker_flow, ..pkt };
-                self.stats[attacker_flow].sent_pkts += 1;
-                self.stats[attacker_flow].sent_bytes += copy.bytes.len() as u64;
-                self.schedule(
-                    now + delay * (u64::from(c) + 1),
-                    Event::Arrival { node: node_id, pkt: copy },
-                );
+                let copy = SimPacket { bytes, flow: tap.attacker_flow, ..pkt };
+                stats[tap.attacker_flow].sent_pkts += 1;
+                stats[tap.attacker_flow].sent_bytes += copy.bytes.len() as u64;
+                queue.push(now + tap.delay_ns * c, Event::Arrival { node: node_id, pkt: copy });
             }
         }
         match &mut self.nodes[node_id] {
@@ -1154,7 +1117,7 @@ impl Simulator {
                 // reverse-path delay.
                 if let FlowSlot::Reactive(rst) = &self.flows[pkt.flow] {
                     let delay = rst.cfg.ack_delay_ns;
-                    self.schedule(now + delay, Event::FlowAck { flow: pkt.flow, seq: pkt.seq });
+                    self.queue.push(now + delay, Event::FlowAck { flow: pkt.flow, seq: pkt.seq });
                 }
                 self.free_bufs.push(pkt.bytes);
             }
@@ -1197,7 +1160,8 @@ impl Simulator {
                                         self.handle_egress(target, pkt, class);
                                     }
                                     Some(depart) => {
-                                        self.schedule(depart, Event::Egress { target, pkt, class });
+                                        self.queue
+                                            .push(depart, Event::Egress { target, pkt, class });
                                     }
                                 }
                             }
@@ -1214,7 +1178,7 @@ impl Simulator {
         match target {
             EgressTarget::Local(host) => {
                 let now = self.now_ns;
-                self.schedule(now, Event::Arrival { node: host, pkt });
+                self.queue.push(now, Event::Arrival { node: host, pkt });
             }
             EgressTarget::Link(link_id) => self.enqueue_on_link(link_id, pkt, class),
         }
@@ -1233,8 +1197,8 @@ impl Simulator {
             let done = now + link.tx_time_ns(pkt.bytes.len());
             let arrive = done + link.propagation_ns;
             let to = link.to;
-            self.schedule(done, Event::LinkDone { link: link_id });
-            self.schedule(arrive, Event::Arrival { node: to, pkt });
+            self.queue.push(done, Event::LinkDone { link: link_id });
+            self.queue.push(arrive, Event::Arrival { node: to, pkt });
         } else {
             let (queue, bytes_used) = match class {
                 Class::Priority => (&mut link.prio, &mut link.prio_bytes),
@@ -1264,8 +1228,8 @@ impl Simulator {
                 let done = now + link.tx_time_ns(pkt.bytes.len());
                 let arrive = done + link.propagation_ns;
                 let to = link.to;
-                self.schedule(done, Event::LinkDone { link: link_id });
-                self.schedule(arrive, Event::Arrival { node: to, pkt });
+                self.queue.push(done, Event::LinkDone { link: link_id });
+                self.queue.push(arrive, Event::Arrival { node: to, pkt });
             }
             None => {
                 link.busy = false;

@@ -12,7 +12,7 @@
 //! and per class — and reports any violation as a loud error string
 //! rather than a skewed statistic.
 
-use hummingbird_dataplane::{DropReason, LatencyHistogram, RouterConfig};
+use hummingbird_dataplane::{DatapathStats, DropReason, LatencyHistogram, RouterConfig};
 use hummingbird_netsim::{EngineFamily, LinearTopology, LinkSpec};
 use hummingbird_wire::IsdAs;
 use std::net::UdpSocket;
@@ -150,7 +150,8 @@ pub struct RunReport {
     pub classes: [ClassReport; 2],
     /// Structurally invalid frames across all nodes.
     pub parse_drops: u64,
-    /// Engine drop reasons, merged across routers.
+    /// Engine drops per reason, summed over the routers' engines; only
+    /// reasons that occurred, in [`DropReason::ALL`] order.
     pub drop_reasons: Vec<(DropReason, u64)>,
     /// Sink measurement window (first delivery → FIN), ns.
     pub wall_ns: u64,
@@ -315,20 +316,21 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
     }
     let parse_drops: u64 =
         router_stats.iter().map(|s| s.parse_drops).sum::<u64>() + sink_report.parse_drops;
-    let mut drop_reasons: Vec<(DropReason, u64)> = Vec::new();
-    for stats in &router_stats {
-        for &(reason, n) in &stats.drop_reasons {
-            if let Some(slot) = drop_reasons.iter_mut().find(|(r, _)| *r == reason) {
-                slot.1 += n;
-            } else {
-                drop_reasons.push((reason, n));
-            }
-        }
-    }
+    let engines: DatapathStats = router_stats.iter().map(|s| s.engine).sum();
+    let drop_reasons =
+        DropReason::ALL.into_iter().zip(engines.drops).filter(|&(_, n)| n > 0).collect();
 
     let mut violations = Vec::new();
     let delivered: u64 = classes.iter().map(|c| c.delivered).sum();
     let engine_dropped: u64 = classes.iter().map(|c| c.engine_dropped).sum();
+    // The engines count their drops and the nodes charge each to a
+    // flow: two views of one set of verdicts.
+    if engines.dropped != engine_dropped {
+        violations.push(format!(
+            "engine drops: the engines counted {}, the nodes charged {engine_dropped}",
+            engines.dropped
+        ));
+    }
     if spec.pkts != delivered + engine_dropped + parse_drops {
         violations.push(format!(
             "global conservation: sent {} != delivered {} + engine drops {} + parse drops {}",

@@ -11,7 +11,11 @@
 //! the mutated bytes to the next hop's socket. Every frame is accounted
 //! for: it is forwarded, counted as an engine drop against its flow, or
 //! counted as a parse drop. Nothing is lost silently, which is what
-//! makes the harness's exact conservation check possible.
+//! makes the harness's exact conservation check possible. A router's
+//! [`NodeStats`] holds what its socket saw (`rx`, `rx_datagrams`,
+//! `tx_datagrams`), the drops charged per class and per flow
+//! (`engine_drops`, `flow_drops`), `parse_drops`, and its engine's own
+//! verdict counters taken at FIN (`engine`).
 //!
 //! Both nodes receive with `UDP_GRO` into a 64 KiB buffer, so a run of
 //! equal-length frames the upstream sent as one `UDP_SEGMENT` datagram
@@ -36,7 +40,7 @@
 //!
 //! [`PacketView::new_checked`]: hummingbird_wire::PacketView::new_checked
 
-use hummingbird_dataplane::{Datapath, DropReason, Verdict};
+use hummingbird_dataplane::{Datapath, DatapathStats};
 use hummingbird_wire::PacketView;
 use std::io;
 use std::net::UdpSocket;
@@ -63,9 +67,6 @@ pub struct NodeStats {
     pub rx_datagrams: u64,
     /// Datagrams sent downstream, one per run.
     pub tx_datagrams: u64,
-    /// Packets forwarded to the next hop, per class of the engine's
-    /// verdict (a demoted reserved packet is best effort).
-    pub forwarded: [u64; 2],
     /// Engine drops per class of the dropped packet's flow.
     pub engine_drops: [u64; 2],
     /// Engine drops per flow id.
@@ -75,21 +76,15 @@ pub struct NodeStats {
     /// payload header). Classless by construction — an unparseable
     /// frame has no trustworthy flow id.
     pub parse_drops: u64,
-    /// Engine drop reasons, for diagnosis.
-    pub drop_reasons: Vec<(DropReason, u64)>,
+    /// The engine's own counters, taken at FIN: what it forwarded per
+    /// verdict class (`flyover`, `best_effort`; a demoted reserved
+    /// packet is best effort) and what it dropped, per reason.
+    pub engine: DatapathStats,
 }
 
 impl NodeStats {
     fn new(flows: usize) -> Self {
         NodeStats { flow_drops: vec![0; flows], ..NodeStats::default() }
-    }
-
-    fn count_reason(&mut self, reason: DropReason) {
-        if let Some(slot) = self.drop_reasons.iter_mut().find(|(r, _)| *r == reason) {
-            slot.1 += 1;
-        } else {
-            self.drop_reasons.push((reason, 1));
-        }
     }
 
     /// Total engine drops.
@@ -286,29 +281,20 @@ impl SocketRouter {
                     stats.parse_drops += 1;
                     continue;
                 };
-                // A drop is charged to the flow's class; a forwarded
-                // packet counts in the class its verdict gave it, so a
-                // demoted reserved packet is best effort.
-                match self.engine.process(&mut frame[1..], now_ns) {
-                    Verdict::Drop(reason) => {
-                        stats.engine_drops[class] += 1;
-                        stats.flow_drops[hdr.flow_id as usize] += 1;
-                        stats.count_reason(reason);
-                    }
-                    Verdict::Flyover { .. } => {
-                        self.next.queue(frame);
-                        stats.forwarded[RESERVED] += 1;
-                    }
-                    Verdict::BestEffort { .. } => {
-                        self.next.queue(frame);
-                        stats.forwarded[BEST_EFFORT] += 1;
-                    }
+                // A drop is charged to its flow and the flow's class; the
+                // engine counts every verdict itself.
+                if self.engine.process(&mut frame[1..], now_ns).is_drop() {
+                    stats.engine_drops[class] += 1;
+                    stats.flow_drops[hdr.flow_id as usize] += 1;
+                } else {
+                    self.next.queue(frame);
                 }
             }
             self.next.flush()?;
             Ok(false)
         })? {}
         stats.rx_datagrams = rx.datagrams;
+        stats.engine = self.engine.stats();
         // FIN first (after the frames still queued), then drain: the
         // downstream acks its trailing sub-cadence frames only on FIN,
         // so the reverse order deadlocks whenever the forwarded count is
@@ -542,9 +528,9 @@ mod tests {
         sink.join().unwrap().unwrap();
 
         assert_eq!(stats.engine_dropped(), 0, "{stats:?}");
-        assert_eq!(stats.forwarded[RESERVED] + stats.forwarded[BEST_EFFORT], PKTS);
-        assert!(stats.forwarded[RESERVED] > 0, "the burst budget admits some: {stats:?}");
-        assert!(stats.forwarded[BEST_EFFORT] > 0, "demoted packets are best effort: {stats:?}");
+        assert_eq!(stats.engine.flyover + stats.engine.best_effort, PKTS);
+        assert!(stats.engine.flyover > 0, "the burst budget admits some: {stats:?}");
+        assert!(stats.engine.best_effort > 0, "demoted packets are best effort: {stats:?}");
     }
 
     /// 40 data frames and the FIN queued before the router starts: its
@@ -569,7 +555,7 @@ mod tests {
         let report = sink.join().unwrap().unwrap();
 
         assert_eq!(stats.rx, PKTS, "{stats:?}");
-        assert_eq!(stats.forwarded[RESERVED] + stats.forwarded[BEST_EFFORT], PKTS, "{stats:?}");
+        assert_eq!(stats.engine.flyover + stats.engine.best_effort, PKTS, "{stats:?}");
         assert_eq!(
             report.classes[RESERVED].delivered + report.classes[BEST_EFFORT].delivered,
             PKTS

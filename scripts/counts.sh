@@ -8,6 +8,10 @@ rs_lines() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
 printf '.rs lines, crates src tests examples: %s\n' "$(rs_lines crates src tests examples)"
 printf '.rs lines, tests (of the above):     %s\n' "$(rs_lines tests crates/*/tests)"
 printf '.rs lines, benchmark (frozen):        %s\n' "$(rs_lines benchmark/src benchmark/tests)"
+# A test function is a `#[test]` line; each case of a `proptest!` block
+# carries its own. `cargo test` adds the doc-tests to this number.
+printf 'test functions, crates src tests examples: %s\n' \
+    "$(grep -rhE --include='*.rs' '^\s*#\[test\]' crates src tests examples | wc -l)"
 # The crate a src/ directory belongs to; the root package's src/ is the
 # `hummingbird` crate.
 crate_of() {

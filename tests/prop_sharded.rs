@@ -4,13 +4,12 @@
 //!    across shards: all traffic on one ResID (whatever its source,
 //!    timestamps, or hash-collision-crafted siblings) lands on exactly
 //!    one shard, so overuse demotion matches the single-engine count.
-//! 2. **Packet conservation** — the threaded runtime processes every
-//!    offered packet exactly once, in both clone and sharded modes.
-//! 3. **Multi-queue ≡ single** — the per-shard rx queues conserve
-//!    packets and produce the same aggregate verdict counts as one
-//!    shard, for every shard count.
-//! 4. **Runtime determinism** — two runs with one configuration are
-//!    bit-identical per shard, with the tx path off or on.
+//! 2. **The runtime's contract** — in every layout `run_to_completion`
+//!    has, no packet is lost or duplicated between rx and tx, the
+//!    shards' counters are one engine's, and no count depends on how
+//!    shards map onto threads.
+//! 3. **Plain-packet steering** keeps one duplicate identity on one shard.
+//! 4. **Simulator determinism** — one seed replays bit-identically.
 //!
 //! That a `ShardedRouter` of 1-5 shards under each engine family's own
 //! steering gives the verdicts, bytes and counters of one router, through
@@ -19,11 +18,12 @@
 //! `crates/baselines/tests/differential.rs`.
 
 use hummingbird::dataplane::runtime::{
-    run_to_completion, RuntimeConfig, RuntimeMode, ShardMap, ShardedRouter, Steering,
+    run_to_completion, ExecMode, RuntimeConfig, RuntimeMode, RuntimeReport, ShardMap,
+    ShardedRouter, Steering,
 };
 use hummingbird::dataplane::{
-    forge_path, BeaconHop, BorderRouter, Datapath, DatapathStats, PacketBuf, RouterConfig,
-    SourceGenerator, SourceReservation, Verdict,
+    forge_path, BackpressurePolicy, BeaconHop, BorderRouter, Datapath, DatapathStats, DropReason,
+    PacketBuf, RouterConfig, SourceGenerator, SourceReservation, Verdict,
 };
 use hummingbird::{IsdAs, ResInfo, SecretValue};
 use hummingbird_wire::scion_mac::HopMacKey;
@@ -120,35 +120,6 @@ proptest! {
     }
 }
 
-/// The threaded runtime conserves packets: every offered packet is
-/// processed exactly once, in both modes, and the per-shard stats add up.
-#[test]
-fn threaded_runtime_conserves_packets() {
-    let templates: Vec<Vec<u8>> =
-        RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
-    for mode in [RuntimeMode::PerCoreClone, RuntimeMode::Sharded] {
-        for shards in [1usize, 2, 4] {
-            let cfg = RuntimeConfig::new(shards);
-            let total = 2_000u64;
-            let report =
-                run_to_completion(&cfg, mode, |_| make_engine(false), &templates, total, NOW_NS);
-            assert_eq!(report.packets, total, "{mode:?}/{shards}");
-            let processed: u64 = report.per_shard.iter().map(|r| r.processed).sum();
-            assert_eq!(processed, total, "{mode:?}/{shards}");
-            for shard in &report.per_shard {
-                assert_eq!(
-                    shard.stats.flyover + shard.stats.best_effort + shard.stats.dropped,
-                    shard.stats.processed,
-                    "{mode:?}/{shards}: shard stats must balance"
-                );
-            }
-            // Valid reserved traffic: nothing drops in either mode.
-            let dropped: u64 = report.per_shard.iter().map(|r| r.dropped).sum();
-            assert_eq!(dropped, 0, "{mode:?}/{shards}");
-        }
-    }
-}
-
 /// Plain-packet steering hashes exactly the duplicate-filter identity
 /// `(src AS, BaseTS, MillisTS, Counter)`: two packets sharing that
 /// identity but differing in source *host* (which the dup filter
@@ -208,46 +179,6 @@ fn reservation_steering_overrides_hash_collisions() {
     assert_eq!(active, 2, "two reservations at opposite range ends → two shards");
 }
 
-/// The threaded tx path conserves packets: with the egress model on,
-/// every packet a worker processes is staged into its shard's two-class
-/// scheduler and serialized exactly once — the per-class totals balance
-/// against the verdicts, and the workers' own forwarded tallies agree
-/// with the merged scheduler counts.
-#[test]
-fn threaded_tx_path_conserves_and_orders_packets() {
-    use hummingbird::dataplane::EgressConfig;
-    // Class-1000 reservations: policing never demotes, so every packet
-    // is deterministically priority class.
-    let templates: Vec<Vec<u8>> = RES_IDS
-        .iter()
-        .map(|&r| generator(r, 1000).generate(&[0u8; 400], NOW_MS).unwrap())
-        .collect();
-    for shards in [1usize, 2, 4] {
-        let mut cfg = RuntimeConfig::new(shards);
-        cfg.egress = Some(EgressConfig::default());
-        let total = 2_000u64;
-        let report = run_to_completion(
-            &cfg,
-            RuntimeMode::Sharded,
-            |_| make_engine(false),
-            &templates,
-            total,
-            NOW_NS,
-        );
-        assert_eq!(report.packets, total, "{shards} shards");
-        let e = report.egress.expect("tx path enabled");
-        assert_eq!(e.forwarded() + e.dropped, total, "{shards} shards: tx conserves");
-        assert_eq!(e.priority.pkts, total, "{shards} shards: valid reserved → all priority");
-        assert_eq!(e.best_effort.pkts, 0, "{shards} shards");
-        assert_eq!(e.dropped, 0, "{shards} shards");
-        // Residence accrues monotonically ordered wire departures.
-        assert!(e.priority.residence_ns_max >= e.priority.residence_ns_sum / total);
-        // Worker-side tallies agree with the scheduler's view.
-        let forwarded: u64 = report.per_shard.iter().map(|r| r.forwarded).sum();
-        assert_eq!(forwarded, e.forwarded(), "{shards} shards");
-    }
-}
-
 /// Determinism, simulated side: the same seed and topology produce
 /// bit-identical `FlowStats` (latency sums included) and engine
 /// counters across two runs — for every engine family, single and
@@ -296,44 +227,6 @@ fn same_seed_churned_run_is_bit_identical() {
     }
 }
 
-/// Determinism, threaded side: two runs over the same single-flow
-/// workload produce identical per-shard packet/verdict counts, engine
-/// stats and egress class totals (wall-clock fields aside). A single
-/// flow steers to one shard, so even the per-shard split is fully
-/// determined; multi-flow mixes are covered by the conservation checks
-/// above, whose totals are order-free.
-#[test]
-fn threaded_tx_path_is_deterministic_for_a_pinned_flow() {
-    use hummingbird::dataplane::EgressConfig;
-    let templates = vec![generator(50_000, 1000).generate(&[0u8; 400], NOW_MS).unwrap()];
-    let run = || {
-        let mut cfg = RuntimeConfig::new(3);
-        cfg.egress = Some(EgressConfig::default());
-        run_to_completion(
-            &cfg,
-            RuntimeMode::Sharded,
-            |_| make_engine(false),
-            &templates,
-            1_500,
-            NOW_NS,
-        )
-    };
-    let (a, b) = (run(), run());
-    assert_eq!(a.packets, b.packets);
-    assert_eq!(a.bits, b.bits);
-    for (sa, sb) in a.per_shard.iter().zip(b.per_shard.iter()) {
-        assert_eq!(sa.processed, sb.processed, "per-shard split must be deterministic");
-        assert_eq!(sa.forwarded, sb.forwarded);
-        assert_eq!(sa.dropped, sb.dropped);
-        assert_eq!(sa.stats, sb.stats, "engine counters must be deterministic");
-    }
-    let (ea, eb) = (a.egress.unwrap(), b.egress.unwrap());
-    assert_eq!(ea.priority.pkts, eb.priority.pkts);
-    assert_eq!(ea.priority.bytes, eb.priority.bytes);
-    assert_eq!(ea.best_effort.pkts, eb.best_effort.pkts);
-    assert_eq!(ea.dropped, eb.dropped);
-}
-
 /// Order-free aggregate verdict counts of a run.
 fn verdict_totals(report: &hummingbird::dataplane::RuntimeReport) -> [u64; 5] {
     let f = |get: fn(&hummingbird::dataplane::ShardReport) -> u64| {
@@ -346,37 +239,6 @@ fn verdict_totals(report: &hummingbird::dataplane::RuntimeReport) -> [u64; 5] {
         f(|s| s.stats.demoted_overuse),
         f(|s| s.stats.demoted_untimely),
     ]
-}
-
-/// Multi-queue ≡ single: the run conserves packets at every shard
-/// count, and its aggregate verdict counts match the single-shard run —
-/// the per-shard rx queues are a pure transport change, invisible to
-/// what the router decides.
-#[test]
-fn shard_counts_agree_on_verdicts() {
-    let templates: Vec<Vec<u8>> =
-        RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
-    let total = 2_000u64;
-    let mut baseline: Option<[u64; 5]> = None;
-    for shards in [1usize, 2, 4] {
-        let cfg = RuntimeConfig::new(shards);
-        let report = run_to_completion(
-            &cfg,
-            RuntimeMode::Sharded,
-            |_| make_engine(false),
-            &templates,
-            total,
-            NOW_NS,
-        );
-        assert_eq!(report.packets, total, "{shards}");
-        let processed: u64 = report.per_shard.iter().map(|r| r.processed).sum();
-        assert_eq!(processed, total, "{shards}: conservation");
-        let totals = verdict_totals(&report);
-        match &baseline {
-            None => baseline = Some(totals),
-            Some(b) => assert_eq!(&totals, b, "{shards}: verdicts diverged from baseline"),
-        }
-    }
 }
 
 /// An engine held to at least [`Paced::NS_PER_PKT`] per packet, so how
@@ -407,6 +269,10 @@ impl Datapath for Paced {
 
     fn stats(&self) -> DatapathStats {
         self.0.stats()
+    }
+
+    fn reset_stats(&mut self) {
+        self.0.reset_stats()
     }
 }
 
@@ -476,68 +342,159 @@ fn mixed_traffic_conserves_at_tx_defaults() {
     assert_eq!(verdict_totals(&report), want, "sharded verdicts diverged from one engine");
 }
 
-/// Runtime determinism: for every shard count, two runs produce
-/// bit-identical per-shard reports.
-#[test]
-fn multi_queue_runs_are_bit_identical() {
-    let templates: Vec<Vec<u8>> =
-        RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
-    let total = 1_500u64;
-    for shards in [1usize, 2, 4] {
-        let run = || {
-            let cfg = RuntimeConfig::new(shards);
-            run_to_completion(
-                &cfg,
-                RuntimeMode::Sharded,
-                |_| make_engine(false),
-                &templates,
-                total,
-                NOW_NS,
-            )
-        };
-        let (x, y) = (run(), run());
-        assert_eq!(x.packets, y.packets, "{shards}");
-        assert_eq!(x.bits, y.bits, "{shards}");
-        for (i, (sx, sy)) in x.per_shard.iter().zip(y.per_shard.iter()).enumerate() {
-            assert_eq!(sx.processed, sy.processed, "{shards}: shard {i}");
-            assert_eq!(sx.forwarded, sy.forwarded, "{shards}: shard {i}");
-            assert_eq!(sx.dropped, sy.dropped, "{shards}: shard {i}");
-            assert_eq!(sx.stats, sy.stats, "{shards}: shard {i}");
-        }
-    }
+/// Traffic with every verdict: flyover on ResIDs in every shard's range,
+/// an over-rate reservation on two templates of one size (overuse), a
+/// stale packet (untimely), plain packets, a forged MAC and junk.
+fn contract_templates() -> Vec<Vec<u8>> {
+    let reserved = |res_id, at_ms| generator(res_id, 1000).generate(&[0u8; 400], at_ms).unwrap();
+    let mut templates: Vec<Vec<u8>> = RES_IDS.iter().map(|&r| reserved(r, NOW_MS)).collect();
+    // 240 kbps: one 1.2 kB packet fills the 50 ms burst budget.
+    let mut over_rate = generator(60_000, 124);
+    templates.extend((0..2).map(|i| over_rate.generate(&[0u8; 1200], NOW_MS + i).unwrap()));
+    templates.push(reserved(30_000, NOW_MS - 10_000));
+    let hops = vec![BeaconHop { key: hop_key(), cons_ingress: 0, cons_egress: 0 }];
+    let path = forge_path(&hops, NOW_S as u32 - 100, 0x1234);
+    let mut plain = SourceGenerator::new(IsdAs::new(1, 0x10), IsdAs::new(2, 0x20), path);
+    templates.extend((0..2).map(|i| plain.generate(&[0u8; 300], NOW_MS + i).unwrap()));
+    let mut forged = reserved(80_000, NOW_MS);
+    forged[60] ^= 0x40;
+    templates.push(forged);
+    templates.push(vec![0xA5; 128]);
+    templates
 }
 
-/// The sequential executor's tx path conserves packets too: each shard
-/// stages its own egress into its TxScheduler whether the shards run on
-/// threads or one after another on the caller's, and the merged class
-/// totals balance against the workers' tallies.
+/// Part `i` of `total` split `parts` ways, by `run_to_completion`'s rule.
+fn share(total: u64, parts: usize, i: usize) -> u64 {
+    total / parts as u64 + u64::from((i as u64) < total % parts as u64)
+}
+
+/// A fresh engine's counters over `counts[j]` copies of template `j`,
+/// in template order: no counter here depends on the order (one packet
+/// size per ResID, a fixed clock, no duplicate filter).
+fn fresh_engine_stats(templates: &[Vec<u8>], counts: &[u64]) -> DatapathStats {
+    let mut engine = make_engine(false);
+    for (template, &n) in templates.iter().zip(counts) {
+        for _ in 0..n {
+            engine.process(&mut template.clone(), NOW_NS);
+        }
+    }
+    engine.stats()
+}
+
+/// The runtime's contract in every layout: clone and sharded × 1-4
+/// shards × sequential, threaded and auto × egress off and on (under
+/// `Block`) × 0, 3 and 600 packets.
+/// 1. Conservation: each packet is processed once, each shard's
+///    verdicts and counters balance, `bits` is exact.
+/// 2. Equivalence: sharded, the shards' counters sum to one fresh
+///    engine's; cloned, each worker's are a fresh engine's over its share.
+/// 3. Independence: every field that does not read the clock is equal
+///    across the exec modes.
+/// 4. Egress: processed = serialized + verdict drops, no tail drop, the
+///    classes carry the engines' verdicts, residence accrues.
+/// 5. Termination: tiny runs complete; a run with packets took time.
 #[test]
-fn multi_queue_tx_path_conserves() {
-    use hummingbird::dataplane::runtime::ExecMode;
+fn runtime_contract_holds_in_every_layout() {
     use hummingbird::dataplane::EgressConfig;
-    let templates: Vec<Vec<u8>> = RES_IDS
-        .iter()
-        .map(|&r| generator(r, 1000).generate(&[0u8; 400], NOW_MS).unwrap())
-        .collect();
-    let total = 1_500u64;
-    for shards in [1usize, 2, 4] {
-        let mut cfg = RuntimeConfig::new(shards);
-        cfg.exec = ExecMode::Sequential;
-        cfg.egress = Some(EgressConfig::default());
-        let report = run_to_completion(
-            &cfg,
-            RuntimeMode::Sharded,
-            |_| make_engine(false),
-            &templates,
-            total,
-            NOW_NS,
-        );
-        assert_eq!(report.packets, total, "{shards}");
-        let e = report.egress.expect("tx path enabled");
-        assert_eq!(e.forwarded() + e.dropped, total, "{shards}: tx conserves");
-        assert_eq!(e.priority.pkts, total, "{shards}: valid reserved → all priority");
-        assert_eq!(e.dropped, 0, "{shards}");
-        let forwarded: u64 = report.per_shard.iter().map(|r| r.forwarded).sum();
-        assert_eq!(forwarded, e.forwarded(), "{shards}: worker tallies agree");
+    const EXECS: [ExecMode; 3] = [ExecMode::Sequential, ExecMode::Threaded, ExecMode::Auto];
+    let templates = contract_templates();
+    let t = templates.len();
+    let fresh_stats = |counts: Vec<u64>| fresh_engine_stats(&templates, &counts);
+    let mix = fresh_stats((0..t).map(|j| share(600, t, j)).collect());
+    assert!(mix.flyover > 0 && mix.best_effort > 0, "{mix:?}");
+    assert!(mix.demoted_overuse > 0 && mix.demoted_untimely > 0, "{mix:?}");
+    for reason in [DropReason::Malformed, DropReason::BadMac] {
+        assert!(mix.drops[reason as usize] > 0, "no {reason:?}: {mix:?}");
+    }
+    // Every field of a report that does not read the clock.
+    let deterministic = |r: &RuntimeReport| {
+        let shards = r.per_shard.iter().map(|s| (s.processed, s.forwarded, s.dropped, s.stats));
+        let egress = r.egress.map(|e| {
+            let (p, b) = (e.priority, e.best_effort);
+            [p.pkts, p.bytes, b.pkts, b.bytes, e.dropped, e.tx_queue_full]
+        });
+        (r.packets, r.bits, shards.collect::<Vec<_>>(), egress)
+    };
+
+    let layouts = [RuntimeMode::PerCoreClone, RuntimeMode::Sharded].into_iter().flat_map(|mode| {
+        (1..=4).flat_map(move |shards| {
+            [None, Some(EgressConfig::default())].into_iter().flat_map(move |egress| {
+                [0u64, 3, 600].map(|offered| (mode, shards, egress, offered))
+            })
+        })
+    });
+    for (mode, shards, egress, offered) in layouts {
+        let layout = format!("{mode:?}/{shards} shards/egress {}/{offered} pkts", egress.is_some());
+        // The offered packets per template; a clone worker takes its
+        // share of the total, spread over all templates.
+        let clone_counts =
+            |i| -> Vec<u64> { (0..t).map(|j| share(share(offered, shards, i), t, j)).collect() };
+        let counts: Vec<u64> = match mode {
+            RuntimeMode::Sharded => (0..t).map(|j| share(offered, t, j)).collect(),
+            RuntimeMode::PerCoreClone => {
+                (0..t).map(|j| (0..shards).map(|i| clone_counts(i)[j]).sum()).collect()
+            }
+        };
+        let bits: u64 = templates.iter().zip(&counts).map(|(p, &n)| p.len() as u64 * 8 * n).sum();
+        let reports = EXECS.map(|exec| {
+            let mut cfg = RuntimeConfig::new(shards);
+            cfg.exec = exec;
+            cfg.egress = egress;
+            cfg.backpressure.policy = BackpressurePolicy::Block;
+            run_to_completion(&cfg, mode, |_| make_engine(false), &templates, offered, NOW_NS)
+        });
+        for (exec, r) in EXECS.iter().zip(&reports) {
+            let label = format!("{layout}/{exec:?}");
+            // 1. Conservation.
+            assert_eq!((r.packets, r.rx_backpressure_drops), (offered, 0), "{label}");
+            assert_eq!(r.per_shard.len(), shards, "{label}");
+            assert_eq!(r.per_shard.iter().map(|s| s.processed).sum::<u64>(), r.packets, "{label}");
+            for (i, s) in r.per_shard.iter().enumerate() {
+                let (st, label) = (s.stats, format!("{label}: shard {i}: {s:?}"));
+                assert_eq!(s.forwarded + s.dropped, s.processed, "{label}");
+                assert_eq!((st.processed, st.dropped), (s.processed, s.dropped), "{label}");
+                assert_eq!(st.flyover + st.best_effort, s.forwarded, "{label}");
+                assert_eq!(st.drops.iter().sum::<u64>(), st.dropped, "{label}");
+            }
+            assert_eq!(r.bits, bits, "{label}");
+            // 2. Equivalence.
+            let engines: DatapathStats = r.per_shard.iter().map(|s| s.stats).sum();
+            if mode == RuntimeMode::Sharded {
+                assert_eq!(engines, fresh_stats(counts.clone()), "{label}: shards ≠ one engine");
+            } else {
+                for (i, s) in r.per_shard.iter().enumerate() {
+                    assert_eq!(s.stats, fresh_stats(clone_counts(i)), "{label}: worker {i}");
+                }
+            }
+            // 4. Egress, which only the sharded router has.
+            let tx_port = egress.is_some() && mode == RuntimeMode::Sharded;
+            assert_eq!(r.egress.is_some(), tx_port, "{label}");
+            if let Some(e) = r.egress {
+                let label = format!("{label}: {e:?}");
+                assert_eq!(e.forwarded() + e.dropped, r.packets, "{label}");
+                assert_eq!(e.tx_queue_full, 0, "{label}");
+                let classes = [e.priority.pkts, e.best_effort.pkts, e.dropped];
+                assert_eq!(
+                    classes,
+                    [engines.flyover, engines.best_effort, engines.dropped],
+                    "{label}"
+                );
+                let forwarded: u64 = r.per_shard.iter().map(|s| s.forwarded).sum();
+                assert_eq!(forwarded, e.forwarded(), "{label}");
+                for class in [e.priority, e.best_effort].iter().filter(|c| c.pkts > 0) {
+                    assert!(class.residence_ns_sum >= class.pkts, "{label}");
+                    assert!(
+                        class.residence_ns_max >= class.residence_ns_sum / class.pkts,
+                        "{label}"
+                    );
+                }
+            }
+            // 5. Termination.
+            assert!(offered == 0 || r.seconds > 0.0, "{label}: {}", r.seconds);
+        }
+        // 3. Independence from how shards map to threads.
+        let [sequential, threaded, auto] = reports.each_ref().map(deterministic);
+        assert_eq!(threaded, sequential, "{layout}: threaded ≠ sequential");
+        assert_eq!(auto, sequential, "{layout}: auto ≠ sequential");
     }
 }
