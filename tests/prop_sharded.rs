@@ -120,6 +120,35 @@ proptest! {
     }
 }
 
+/// The threaded runtime conserves packets: every offered packet is
+/// processed exactly once, in both modes, and the per-shard stats add up.
+#[test]
+fn threaded_runtime_conserves_packets() {
+    let templates: Vec<Vec<u8>> =
+        RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
+    for mode in [RuntimeMode::PerCoreClone, RuntimeMode::Sharded] {
+        for shards in [1usize, 2, 4] {
+            let cfg = RuntimeConfig::new(shards);
+            let total = 2_000u64;
+            let report =
+                run_to_completion(&cfg, mode, |_| make_engine(false), &templates, total, NOW_NS);
+            assert_eq!(report.packets, total, "{mode:?}/{shards}");
+            let processed: u64 = report.per_shard.iter().map(|r| r.processed).sum();
+            assert_eq!(processed, total, "{mode:?}/{shards}");
+            for shard in &report.per_shard {
+                assert_eq!(
+                    shard.stats.flyover + shard.stats.best_effort + shard.stats.dropped,
+                    shard.stats.processed,
+                    "{mode:?}/{shards}: shard stats must balance"
+                );
+            }
+            // Valid reserved traffic: nothing drops in either mode.
+            let dropped: u64 = report.per_shard.iter().map(|r| r.dropped).sum();
+            assert_eq!(dropped, 0, "{mode:?}/{shards}");
+        }
+    }
+}
+
 /// Plain-packet steering hashes exactly the duplicate-filter identity
 /// `(src AS, BaseTS, MillisTS, Counter)`: two packets sharing that
 /// identity but differing in source *host* (which the dup filter
@@ -179,6 +208,46 @@ fn reservation_steering_overrides_hash_collisions() {
     assert_eq!(active, 2, "two reservations at opposite range ends → two shards");
 }
 
+/// The threaded tx path conserves packets: with the egress model on,
+/// every packet a worker processes is staged into its shard's two-class
+/// scheduler and serialized exactly once — the per-class totals balance
+/// against the verdicts, and the workers' own forwarded tallies agree
+/// with the merged scheduler counts.
+#[test]
+fn threaded_tx_path_conserves_and_orders_packets() {
+    use hummingbird::dataplane::EgressConfig;
+    // Class-1000 reservations: policing never demotes, so every packet
+    // is deterministically priority class.
+    let templates: Vec<Vec<u8>> = RES_IDS
+        .iter()
+        .map(|&r| generator(r, 1000).generate(&[0u8; 400], NOW_MS).unwrap())
+        .collect();
+    for shards in [1usize, 2, 4] {
+        let mut cfg = RuntimeConfig::new(shards);
+        cfg.egress = Some(EgressConfig::default());
+        let total = 2_000u64;
+        let report = run_to_completion(
+            &cfg,
+            RuntimeMode::Sharded,
+            |_| make_engine(false),
+            &templates,
+            total,
+            NOW_NS,
+        );
+        assert_eq!(report.packets, total, "{shards} shards");
+        let e = report.egress.expect("tx path enabled");
+        assert_eq!(e.forwarded() + e.dropped, total, "{shards} shards: tx conserves");
+        assert_eq!(e.priority.pkts, total, "{shards} shards: valid reserved → all priority");
+        assert_eq!(e.best_effort.pkts, 0, "{shards} shards");
+        assert_eq!(e.dropped, 0, "{shards} shards");
+        // Residence accrues monotonically ordered wire departures.
+        assert!(e.priority.residence_ns_max >= e.priority.residence_ns_sum / total);
+        // Worker-side tallies agree with the scheduler's view.
+        let forwarded: u64 = report.per_shard.iter().map(|r| r.forwarded).sum();
+        assert_eq!(forwarded, e.forwarded(), "{shards} shards");
+    }
+}
+
 /// Determinism, simulated side: the same seed and topology produce
 /// bit-identical `FlowStats` (latency sums included) and engine
 /// counters across two runs — for every engine family, single and
@@ -227,6 +296,44 @@ fn same_seed_churned_run_is_bit_identical() {
     }
 }
 
+/// Determinism, threaded side: two runs over the same single-flow
+/// workload produce identical per-shard packet/verdict counts, engine
+/// stats and egress class totals (wall-clock fields aside). A single
+/// flow steers to one shard, so even the per-shard split is fully
+/// determined; multi-flow mixes are covered by the conservation checks
+/// above, whose totals are order-free.
+#[test]
+fn threaded_tx_path_is_deterministic_for_a_pinned_flow() {
+    use hummingbird::dataplane::EgressConfig;
+    let templates = vec![generator(50_000, 1000).generate(&[0u8; 400], NOW_MS).unwrap()];
+    let run = || {
+        let mut cfg = RuntimeConfig::new(3);
+        cfg.egress = Some(EgressConfig::default());
+        run_to_completion(
+            &cfg,
+            RuntimeMode::Sharded,
+            |_| make_engine(false),
+            &templates,
+            1_500,
+            NOW_NS,
+        )
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(a.packets, b.packets);
+    assert_eq!(a.bits, b.bits);
+    for (sa, sb) in a.per_shard.iter().zip(b.per_shard.iter()) {
+        assert_eq!(sa.processed, sb.processed, "per-shard split must be deterministic");
+        assert_eq!(sa.forwarded, sb.forwarded);
+        assert_eq!(sa.dropped, sb.dropped);
+        assert_eq!(sa.stats, sb.stats, "engine counters must be deterministic");
+    }
+    let (ea, eb) = (a.egress.unwrap(), b.egress.unwrap());
+    assert_eq!(ea.priority.pkts, eb.priority.pkts);
+    assert_eq!(ea.priority.bytes, eb.priority.bytes);
+    assert_eq!(ea.best_effort.pkts, eb.best_effort.pkts);
+    assert_eq!(ea.dropped, eb.dropped);
+}
+
 /// Order-free aggregate verdict counts of a run.
 fn verdict_totals(report: &hummingbird::dataplane::RuntimeReport) -> [u64; 5] {
     let f = |get: fn(&hummingbird::dataplane::ShardReport) -> u64| {
@@ -239,6 +346,37 @@ fn verdict_totals(report: &hummingbird::dataplane::RuntimeReport) -> [u64; 5] {
         f(|s| s.stats.demoted_overuse),
         f(|s| s.stats.demoted_untimely),
     ]
+}
+
+/// Multi-queue ≡ single: the run conserves packets at every shard
+/// count, and its aggregate verdict counts match the single-shard run —
+/// the per-shard rx queues are a pure transport change, invisible to
+/// what the router decides.
+#[test]
+fn shard_counts_agree_on_verdicts() {
+    let templates: Vec<Vec<u8>> =
+        RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
+    let total = 2_000u64;
+    let mut baseline: Option<[u64; 5]> = None;
+    for shards in [1usize, 2, 4] {
+        let cfg = RuntimeConfig::new(shards);
+        let report = run_to_completion(
+            &cfg,
+            RuntimeMode::Sharded,
+            |_| make_engine(false),
+            &templates,
+            total,
+            NOW_NS,
+        );
+        assert_eq!(report.packets, total, "{shards}");
+        let processed: u64 = report.per_shard.iter().map(|r| r.processed).sum();
+        assert_eq!(processed, total, "{shards}: conservation");
+        let totals = verdict_totals(&report);
+        match &baseline {
+            None => baseline = Some(totals),
+            Some(b) => assert_eq!(&totals, b, "{shards}: verdicts diverged from baseline"),
+        }
+    }
 }
 
 /// An engine held to at least [`Paced::NS_PER_PKT`] per packet, so how
@@ -340,6 +478,71 @@ fn mixed_traffic_conserves_at_tx_defaults() {
     assert_eq!(report.packets, total);
     assert_eq!(e.forwarded() + e.dropped, total, "tx conserves");
     assert_eq!(verdict_totals(&report), want, "sharded verdicts diverged from one engine");
+}
+
+/// Runtime determinism: for every shard count, two runs produce
+/// bit-identical per-shard reports.
+#[test]
+fn multi_queue_runs_are_bit_identical() {
+    let templates: Vec<Vec<u8>> =
+        RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
+    let total = 1_500u64;
+    for shards in [1usize, 2, 4] {
+        let run = || {
+            let cfg = RuntimeConfig::new(shards);
+            run_to_completion(
+                &cfg,
+                RuntimeMode::Sharded,
+                |_| make_engine(false),
+                &templates,
+                total,
+                NOW_NS,
+            )
+        };
+        let (x, y) = (run(), run());
+        assert_eq!(x.packets, y.packets, "{shards}");
+        assert_eq!(x.bits, y.bits, "{shards}");
+        for (i, (sx, sy)) in x.per_shard.iter().zip(y.per_shard.iter()).enumerate() {
+            assert_eq!(sx.processed, sy.processed, "{shards}: shard {i}");
+            assert_eq!(sx.forwarded, sy.forwarded, "{shards}: shard {i}");
+            assert_eq!(sx.dropped, sy.dropped, "{shards}: shard {i}");
+            assert_eq!(sx.stats, sy.stats, "{shards}: shard {i}");
+        }
+    }
+}
+
+/// The sequential executor's tx path conserves packets too: each shard
+/// stages its own egress into its TxScheduler whether the shards run on
+/// threads or one after another on the caller's, and the merged class
+/// totals balance against the workers' tallies.
+#[test]
+fn multi_queue_tx_path_conserves() {
+    use hummingbird::dataplane::EgressConfig;
+    let templates: Vec<Vec<u8>> = RES_IDS
+        .iter()
+        .map(|&r| generator(r, 1000).generate(&[0u8; 400], NOW_MS).unwrap())
+        .collect();
+    let total = 1_500u64;
+    for shards in [1usize, 2, 4] {
+        let mut cfg = RuntimeConfig::new(shards);
+        cfg.exec = ExecMode::Sequential;
+        cfg.egress = Some(EgressConfig::default());
+        let report = run_to_completion(
+            &cfg,
+            RuntimeMode::Sharded,
+            |_| make_engine(false),
+            &templates,
+            total,
+            NOW_NS,
+        );
+        assert_eq!(report.packets, total, "{shards}");
+        let e = report.egress.expect("tx path enabled");
+        assert_eq!(e.forwarded() + e.dropped, total, "{shards}: tx conserves");
+        assert_eq!(e.priority.pkts, total, "{shards}: valid reserved → all priority");
+        assert_eq!(e.dropped, 0, "{shards}");
+        let forwarded: u64 = report.per_shard.iter().map(|r| r.forwarded).sum();
+        assert_eq!(forwarded, e.forwarded(), "{shards}: worker tallies agree");
+    }
 }
 
 /// Traffic with every verdict: flyover on ResIDs in every shard's range,
