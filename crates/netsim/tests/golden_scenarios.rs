@@ -18,8 +18,8 @@ mod common;
 use hummingbird_crypto::sha256::Sha256;
 use hummingbird_dataplane::{Datapath, DatapathStats, RouterConfig, Verdict};
 use hummingbird_netsim::{
-    run, run_churn_scenario, ChurnReport, ChurnSpec, EngineFamily, EngineScenario, FlowSpec,
-    FlowStats, LinearTopology, LinkSpec, Route, Scenario,
+    run, run_churn_scenario, ChurnAction, ChurnOutcome, ChurnReport, ChurnSpec, EngineFamily,
+    EngineScenario, FlowSpec, FlowStats, LinearTopology, LinkSpec, Route, Scenario,
 };
 use hummingbird_wire::IsdAs;
 
@@ -28,14 +28,14 @@ const PARTIAL_PATH: &str = "ccc4f74ab8304665e23b5fce04ddffd72dc9d44fad21a35b4bb9
 const MULTIPATH: &str = "ed28f017d0225effa0ad3d7b2983e3943570c2be192ffd800bca6277748cbd57";
 const OVERLOAD: &str = "c7b82f2d3c122766fb74f66cac21b4c3dfa868dbb28262b8383c3883aa723092";
 const OVERLOAD_CHURN_TOTALS: &str =
-    "d3e8f396da4a69b7deaf7af090df97cfa41c2032196d336153a78a9dac8ca776";
+    "38aa3cf3af3199ff0edbfc25347e2d8e5898b529f22cec7b0a1a6c6b5b41d17b";
 const OVERLOAD_CHURN_WINDOWS: &str =
     "8029d3ca993ea2e2c439b0d465ef3ceb325f7766e4f90ab999c606ef7364a822";
 const LATENCY_CHURN_TOTALS: &str =
-    "19ea9e0cc383babed334954d859be5e3d3c8fad19a0ea0bded3a3f6647efb292";
+    "40440c8dfccdd020f1c1d6506e055595f03bdd081e5ca1a94cf7cc076800214c";
 const LATENCY_CHURN_WINDOWS: &str =
     "d1c10aefcbc2fd46dc46ba0d89200a30135625a93b6c60bc8e313476c4c981c4";
-const CHURN_TOTALS: &str = "42e00ba5deec0b62db234b36071961f822ce25dd2d74d1a02c09c30131c17717";
+const CHURN_TOTALS: &str = "5c6856ebf7aacb7dd0a1cda3bd452a299e6f2f016c4c1c3308d1a92aa33379dd";
 const CHURN_WINDOWS: &str = "57e5ae6271928a59abf3d16e390600f5a7e76d7b157e1ea975ae2046e118a893";
 const HAND_WIRED_CHAIN: &str = "6aab5facea6c828d5511d34c91590e7b09f801d2cb1ad733fa47daf7cb7e56df";
 
@@ -108,10 +108,39 @@ impl Digest {
         }
     }
 
+    /// Every record field by field: the instant, the action as a tag
+    /// and its id, and the outcome as a tag and its counts (a reboot's
+    /// discarded engine with every counter).
     fn report(&mut self, r: &ChurnReport) {
         self.u(r.records.len() as u64);
         for rec in &r.records {
-            self.0.update(format!("{rec:?}").as_bytes());
+            self.u(rec.at_ns);
+            let (tag, id) = match rec.action {
+                ChurnAction::LinkDown(adj) => (0, adj),
+                ChurnAction::LinkUp(adj) => (1, adj),
+                ChurnAction::RouterReboot(router) => (2, router),
+                ChurnAction::RerouteAffected => (3, 0),
+            };
+            self.u(tag);
+            self.u(id as u64);
+            match rec.outcome {
+                ChurnOutcome::LinkDown { drained } => {
+                    self.u(0);
+                    self.u(drained);
+                }
+                ChurnOutcome::LinkUp => self.u(1),
+                ChurnOutcome::Rebooted { discarded } => {
+                    self.u(2);
+                    self.router(&discarded);
+                    discarded.drops.iter().for_each(|&v| self.u(v));
+                    self.u(discarded.dup_unrecorded);
+                }
+                ChurnOutcome::Rerouted { rerouted, stranded } => {
+                    self.u(3);
+                    self.u(rerouted as u64);
+                    self.u(stranded as u64);
+                }
+            }
         }
     }
 
