@@ -446,7 +446,9 @@ mod tests {
     /// A saturated Cbr chain carries runs on every link: its reserved
     /// and best-effort frames differ in length and alternate every four
     /// frames, and each link's receiver counts at least 2 frames per
-    /// datagram, exactly the datagrams its sender sent.
+    /// datagram, exactly the datagrams its sender sent. The gateway's
+    /// runs end where lengths change; a router forwards each drain
+    /// class by class, so every link after it carries longer runs.
     #[test]
     fn saturated_cbr_chain_forms_runs_on_every_link() {
         let mut spec = ChainSpec::new(EngineFamily::Hummingbird, TrafficMix::Cbr);
@@ -455,9 +457,14 @@ mod tests {
         let report = run_chain(&spec).unwrap();
         assert!(report.clean(), "{:?}", report.violations);
         assert_eq!(report.links.len(), spec.routers + 1);
+        let gateway_run = report.links[0].frames_per_datagram();
         for (hop, link) in report.links.iter().enumerate() {
             assert_eq!(link.frames, spec.pkts, "link {hop}");
             assert!(link.frames_per_datagram() >= 2.0, "link {hop}: {link:?}");
+            if hop > 0 {
+                let runs = &report.links;
+                assert!(link.frames_per_datagram() > gateway_run, "link {hop}: {runs:?}");
+            }
         }
     }
 

@@ -390,8 +390,35 @@ mod tests {
     use hummingbird_dataplane::{RouterConfig, SourceGenerator};
     use hummingbird_netsim::{EngineFamily, LinearTopology, LinkSpec};
     use hummingbird_wire::IsdAs;
+    use std::thread::JoinHandle;
 
     const HB: EngineFamily = EngineFamily::Hummingbird;
+
+    /// A sender toward `to` with the default window.
+    fn link(to: &UdpSocket, timeout: Duration) -> CreditedSender {
+        CreditedSender::new(to.local_addr().unwrap(), 64, WaitStrategy::Backoff, timeout).unwrap()
+    }
+
+    /// Gateway link → one router running hop 0 of `topo` → `next`, with
+    /// the default ack cadence, for flows of `flow_reserved`.
+    fn one_hop_router(
+        topo: &LinearTopology,
+        timeout: Duration,
+        next: CreditedSender,
+        flow_reserved: Vec<bool>,
+    ) -> (CreditedSender, SocketRouter) {
+        let data = bind_receiver().unwrap();
+        let gateway = link(&data, timeout);
+        let router = SocketRouter {
+            data,
+            engine: topo.make_family_hop_engine(HB, 0, RouterConfig::default()),
+            next,
+            acks: AckSender::new(gateway.ctrl_addr().unwrap(), 32).unwrap(),
+            flow_reserved,
+            timeout,
+        };
+        (gateway, router)
+    }
 
     /// Gateway link → one router running hop 0 of `topo` → sink, for one
     /// reserved flow, with the default window and ack cadence.
@@ -399,12 +426,8 @@ mod tests {
         topo: &LinearTopology,
         timeout: Duration,
     ) -> (CreditedSender, SocketRouter, Sink) {
-        let (data, sink_data) = (bind_receiver().unwrap(), bind_receiver().unwrap());
-        let link = |to: &UdpSocket| {
-            CreditedSender::new(to.local_addr().unwrap(), 64, WaitStrategy::Backoff, timeout)
-                .unwrap()
-        };
-        let (gateway, next) = (link(&data), link(&sink_data));
+        let sink_data = bind_receiver().unwrap();
+        let next = link(&sink_data, timeout);
         let sink = Sink {
             data: sink_data,
             acks: AckSender::new(next.ctrl_addr().unwrap(), 32).unwrap(),
@@ -412,14 +435,7 @@ mod tests {
             epoch: Instant::now(),
             timeout,
         };
-        let router = SocketRouter {
-            data,
-            engine: topo.make_family_hop_engine(HB, 0, RouterConfig::default()),
-            next,
-            acks: AckSender::new(gateway.ctrl_addr().unwrap(), 32).unwrap(),
-            flow_reserved: vec![true],
-            timeout,
-        };
+        let (gateway, router) = one_hop_router(topo, timeout, next, vec![true]);
         (gateway, router, sink)
     }
 
@@ -437,8 +453,13 @@ mod tests {
 
     /// Data frame `seq` of flow 0.
     fn data_frame(generator: &mut SourceGenerator, seq: u64) -> Vec<u8> {
+        flow_frame(generator, 0, seq)
+    }
+
+    /// Data frame `seq` of flow `flow_id`.
+    fn flow_frame(generator: &mut SourceGenerator, flow_id: u32, seq: u64) -> Vec<u8> {
         let mut payload = [0u8; 200];
-        PayloadHeader { flow_id: 0, seq, stamp_ns: 0 }.write(&mut payload);
+        PayloadHeader { flow_id, seq, stamp_ns: 0 }.write(&mut payload);
         let mut frame = vec![KIND_DATA];
         frame.extend(generator.generate(&payload, now_unix_ms()).unwrap());
         frame
@@ -448,9 +469,7 @@ mod tests {
     /// `data` acking it, for one reserved flow.
     fn sink_link(data: UdpSocket) -> (CreditedSender, Sink) {
         let timeout = Duration::from_secs(10);
-        let tx =
-            CreditedSender::new(data.local_addr().unwrap(), 64, WaitStrategy::Backoff, timeout)
-                .unwrap();
+        let tx = link(&data, timeout);
         let acks = AckSender::new(tx.ctrl_addr().unwrap(), 32).unwrap();
         let sink = Sink { data, acks, flow_reserved: vec![true], epoch: Instant::now(), timeout };
         (tx, sink)
@@ -562,6 +581,70 @@ mod tests {
         );
         assert_eq!(report.flow_delivered, [PKTS]);
         assert_eq!(report.parse_drops, 0);
+    }
+
+    /// A link into a node that records each data frame's `(flow, seq)`
+    /// in arrival order until the FIN, acking as a sink does.
+    fn recording_link(timeout: Duration) -> (CreditedSender, JoinHandle<Vec<(u32, u64)>>) {
+        let data = bind_receiver().unwrap();
+        data.set_read_timeout(Some(timeout)).unwrap();
+        let tx = link(&data, timeout);
+        let mut acks = AckSender::new(tx.ctrl_addr().unwrap(), 32).unwrap();
+        let recorder = std::thread::spawn(move || {
+            let (mut buf, mut got) = (vec![0u8; RECV_BUF], Vec::new());
+            loop {
+                let (n, seg) = sys::recv_run(&data, &mut buf).unwrap();
+                for frame in buf[..n].chunks(seg) {
+                    if frame == [KIND_FIN] {
+                        acks.flush().unwrap();
+                        return got;
+                    }
+                    acks.on_data().unwrap();
+                    let (hdr, _, _) = classify(frame, &[true, false]).unwrap();
+                    got.push((hdr.flow_id, hdr.seq));
+                }
+            }
+        });
+        (tx, recorder)
+    }
+
+    /// One drain on a contended link: 12 best-effort frames (flow 1)
+    /// queued ahead of 12 flyover frames (flow 0), then the FIN, all
+    /// waiting before the router starts. The router forwards the drain
+    /// priority first: every flyover frame reaches the next hop ahead of
+    /// every best-effort frame, each flow in `seq` order within its
+    /// class, and every best-effort frame ahead of the FIN.
+    #[test]
+    fn flyover_frames_leave_a_drain_ahead_of_best_effort() {
+        const PKTS: u64 = 12;
+        let timeout = Duration::from_secs(10);
+        let (topo, mut reserved) = credentialed_flow(crate::RESERVED_BW_KBPS);
+        let mut plain = topo.make_generator(IsdAs::new(1, 0x101), IsdAs::new(2, 0xB));
+        let (next, recorder) = recording_link(timeout);
+        let (mut gateway, router) = one_hop_router(&topo, timeout, next, vec![true, false]);
+        for seq in 0..PKTS {
+            gateway.send_data(&flow_frame(&mut plain, 1, seq)).unwrap();
+        }
+        for seq in 0..PKTS {
+            gateway.send_data(&flow_frame(&mut reserved, 0, seq)).unwrap();
+        }
+        gateway.send_fin().unwrap();
+        let router = std::thread::spawn(move || router.run());
+        gateway.drain().unwrap();
+        let stats = router.join().unwrap().unwrap();
+        let got = recorder.join().unwrap();
+
+        assert_eq!((stats.engine.flyover, stats.engine.best_effort), (PKTS, PKTS), "{stats:?}");
+        let (priority, best_effort) = got.split_at(got.len().min(PKTS as usize));
+        assert!(priority.iter().all(|&(flow, _)| flow == 0), "flyover first: {got:?}");
+        for (class, flow) in [(priority, 0), (best_effort, 1)] {
+            let seqs: Vec<u64> = class.iter().map(|&(_, seq)| seq).collect();
+            assert_eq!(seqs, (0..PKTS).collect::<Vec<_>>(), "flow {flow}: {got:?}");
+        }
+        // Every frame of the drain, the best-effort ones included, came
+        // ahead of the FIN, and none is missing or extra.
+        assert_eq!((stats.rx, got.len() as u64), (2 * PKTS, 2 * PKTS));
+        assert_eq!((stats.engine_dropped(), stats.parse_drops), (0, 0));
     }
 
     /// A router and a sink whose upstream never sends each end with a
