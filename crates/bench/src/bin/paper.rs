@@ -4,8 +4,9 @@
 //! [-- --claim <id>]... [flags]`
 //!
 //! `--claim` is repeatable; with no `--claim`, every claim runs in paper
-//! order. An unknown id prints the list below and exits 2, and so does a
-//! flag that no selected claim reads. Claims that read the same flag
+//! order. `--help` prints the list below and exits 0; an unknown id
+//! prints it and exits 2, and a flag that no selected claim reads exits
+//! 2 too. Claims that read the same flag
 //! share its value, so `--pkts` sizes both `fig5` and `fig14`:
 //!
 //! | id | regenerates | flags |
@@ -91,13 +92,15 @@ const FIG5_FLAGS: [&str; 5] = ["engine", "cores", "pkts", "sharded", "batch"];
 
 fn main() {
     let args = Args::from_env();
+    if args.present("help") {
+        println!("usage: paper [--claim <id>]... [flags]; no --claim runs every claim\n");
+        print!("{}", claim_list());
+        return;
+    }
     let mut claims = Vec::new();
     for id in &args.claims {
         let Some(claim) = CLAIMS.iter().find(|(known, ..)| known == id) else {
-            eprintln!("unknown claim '{id}'; expected one of:");
-            for (id, caption, ..) in CLAIMS {
-                eprintln!("  {id:<7} {caption}");
-            }
+            eprint!("unknown claim '{id}'; expected one of:\n{}", claim_list());
             std::process::exit(2);
         };
         claims.push(claim);
@@ -115,6 +118,19 @@ fn main() {
         }
         run(&args);
     }
+}
+
+/// One line per claim of `CLAIMS`: its id, caption and the flags it
+/// reads.
+fn claim_list() -> String {
+    let mut list = String::new();
+    for (id, caption, flags, _) in CLAIMS {
+        let flags: Vec<String> = flags.iter().map(|flag| format!("--{flag}")).collect();
+        let line = format!("  {id:<7} {caption:<55} {}", flags.join(" "));
+        list += line.trim_end();
+        list.push('\n');
+    }
+    list
 }
 
 /// §2: Hummingbird against a Helia-style fixed-slot baseline on the
@@ -572,7 +588,10 @@ fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
 /// MAC, A_i derivation + AES extension, flyover MAC).
 fn table3(args: &Args) {
     const ITERS: u64 = 300_000;
-    println!("Table 3: per-step border-router timings (software AES; {ITERS} iters/step)\n");
+    let backend = hummingbird_crypto::active_backend().name();
+    println!(
+        "Table 3: per-step border-router timings (AES backend: {backend}; {ITERS} iters/step)\n"
+    );
     let widths = [46usize, 10];
     println!("{}", row(&["Task", "Time [ns]"], &widths));
 

@@ -126,7 +126,7 @@ impl EngineKind {
 }
 
 /// The flags that take no value.
-const SWITCHES: [&str; 1] = ["sharded"];
+const SWITCHES: [&str; 2] = ["sharded", "help"];
 
 /// The command line, parsed once: the `--claim` ids, and every other
 /// `--<name> <v>`, `--<name>=<v>` or bare switch, in order.

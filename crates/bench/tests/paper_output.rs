@@ -101,3 +101,20 @@ fn paper_rejects_flags_no_selected_claim_reads() {
         &["--claim", "fig5", "--engine", "all", "--sharded", "--cores", "1,2", "--pkts", "20"],
     );
 }
+
+/// `--help` exits 0 and lists every claim with its caption and the
+/// flags it reads.
+#[test]
+fn help_lists_every_claim_with_its_flags() {
+    let out = run(env!("CARGO_BIN_EXE_paper"), &["--help"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = |id: &str| stdout.lines().find(|l| l.split_whitespace().next() == Some(id));
+    for id in ["sec2", "table1", "table2", "fig4", "fig5", "table3", "table4", "fig14", "fig15"] {
+        assert!(line(id).is_some(), "{id}: {stdout}");
+    }
+    let fig5 = line("fig5").unwrap();
+    let fig5_flags = "--engine --cores --pkts --sharded --batch";
+    assert!(fig5.contains("Fig. 5") && fig5.ends_with(fig5_flags), "{stdout}");
+    assert!(line("fig14").unwrap().ends_with("--cores --pkts"), "{stdout}");
+    assert!(!line("table1").unwrap().contains("--"), "{stdout}");
+}

@@ -20,13 +20,14 @@
 //! Both nodes receive with `UDP_GRO` into a 64 KiB buffer, so a run of
 //! equal-length frames the upstream sent as one `UDP_SEGMENT` datagram
 //! arrives whole; the node splits it by the segment size the kernel
-//! reports and counts and acks every frame. A router queues the frames
-//! of one datagram it forwards and sends them as one run as soon as the
-//! datagram is done, so a run arriving whole leaves whole and a lone
-//! frame leaves before the next read. It never waits for a run to
-//! fill, so a sparse (paced) chain still forwards single datagrams.
-//! Each node counts the datagrams it received beside the frames, and a
-//! router the datagrams it sent.
+//! reports and counts and acks every frame. A router forwards each
+//! drain in one flush, priority first as in the paper's router: its
+//! flyover frames, then its best-effort ones (demoted too), each flow in
+//! order within its class. A mix whose classes alternate in length thus
+//! leaves in long runs, yet a lone frame leaves one empty read after it
+//! arrived: a router never waits for a run to fill. Each node counts the
+//! datagrams it received beside the frames, and a router the datagrams
+//! it sent.
 //!
 //! Both nodes wait by one receive-idle rule, after the paper's
 //! poll-mode router, which takes packets in bursts and sleeps only when
@@ -256,46 +257,59 @@ pub struct SocketRouter {
 
 impl SocketRouter {
     /// Runs the node until FIN: every data frame is parsed, processed
-    /// and queued for forwarding (or counted as a drop), and each
-    /// datagram's forwarded frames go out as one run as soon as the
-    /// datagram is done; the FIN then follows the last forwarded frame,
-    /// and the node waits until the downstream hop has acknowledged
-    /// every forwarded frame (the FIN is what triggers the downstream's
-    /// final ack flush). Fails, naming
-    /// the option, on a kernel without `UDP_GRO`.
+    /// and queued for forwarding (or counted as a drop). What one drain
+    /// forwarded leaves in one flush when it ends: its flyover frames,
+    /// then its best-effort ones, each in arrival order, and on FIN the
+    /// FIN after them. The node then waits until the downstream hop has
+    /// acknowledged every forwarded frame (the FIN is what triggers the
+    /// downstream's final ack flush). Fails, naming the option, on a
+    /// kernel without `UDP_GRO`.
     pub fn run(mut self) -> io::Result<NodeStats> {
         let mut stats = NodeStats::new(self.flow_reserved.len());
         let mut rx = Receiver::new(&self.data, "router", self.timeout)?;
-        // What a datagram forwarded goes out as soon as the datagram is
-        // done: an inbound run leaves as one run, and a lone frame pays
-        // no further read before it leaves.
-        while !rx.step(&now_unix_ns, |frames, now_ns| {
-            for frame in frames {
-                if frame.first() == Some(&KIND_FIN) {
-                    self.acks.flush()?;
-                    return Ok(true);
+        // A drain's best-effort frames wait here, back to back beside
+        // their lengths, until its flyover frames are queued.
+        let (mut best_effort, mut lens) = (Vec::new(), Vec::new());
+        let mut fin = false;
+        while !fin {
+            fin = rx.step(&now_unix_ns, |frames, now_ns| {
+                for frame in frames {
+                    if frame.first() == Some(&KIND_FIN) {
+                        self.acks.flush()?;
+                        return Ok(true);
+                    }
+                    stats.rx += 1;
+                    self.acks.on_data()?;
+                    let Some((hdr, _, class)) = classify(frame, &self.flow_reserved) else {
+                        stats.parse_drops += 1;
+                        continue;
+                    };
+                    // A drop is charged to its flow and the flow's class;
+                    // the engine counts every verdict itself.
+                    let verdict = self.engine.process(&mut frame[1..], now_ns);
+                    if verdict.is_drop() {
+                        stats.engine_drops[class] += 1;
+                        stats.flow_drops[hdr.flow_id as usize] += 1;
+                    } else if verdict.is_flyover() {
+                        self.next.queue(frame);
+                    } else {
+                        best_effort.extend_from_slice(frame);
+                        lens.push(frame.len());
+                    }
                 }
-                stats.rx += 1;
-                self.acks.on_data()?;
-                let Some((hdr, _, class)) = classify(frame, &self.flow_reserved) else {
-                    stats.parse_drops += 1;
-                    continue;
-                };
-                // A drop is charged to its flow and the flow's class; the
-                // engine counts every verdict itself.
-                if self.engine.process(&mut frame[1..], now_ns).is_drop() {
-                    stats.engine_drops[class] += 1;
-                    stats.flow_drops[hdr.flow_id as usize] += 1;
-                } else {
-                    self.next.queue(frame);
-                }
+                Ok(false)
+            })?;
+            let mut at = 0;
+            for len in lens.drain(..) {
+                self.next.queue(&best_effort[at..at + len]);
+                at += len;
             }
+            best_effort.clear();
             self.next.flush()?;
-            Ok(false)
-        })? {}
+        }
         stats.rx_datagrams = rx.datagrams;
         stats.engine = self.engine.stats();
-        // FIN first (after the frames still queued), then drain: the
+        // FIN first (after the last drain's frames), then drain: the
         // downstream acks its trailing sub-cadence frames only on FIN,
         // so the reverse order deadlocks whenever the forwarded count is
         // not a multiple of the ack cadence. Loopback delivers in order,
@@ -451,13 +465,8 @@ mod tests {
         (topo, generator)
     }
 
-    /// Data frame `seq` of flow 0.
-    fn data_frame(generator: &mut SourceGenerator, seq: u64) -> Vec<u8> {
-        flow_frame(generator, 0, seq)
-    }
-
     /// Data frame `seq` of flow `flow_id`.
-    fn flow_frame(generator: &mut SourceGenerator, flow_id: u32, seq: u64) -> Vec<u8> {
+    fn data_frame(generator: &mut SourceGenerator, flow_id: u32, seq: u64) -> Vec<u8> {
         let mut payload = [0u8; 200];
         PayloadHeader { flow_id, seq, stamp_ns: 0 }.write(&mut payload);
         let mut frame = vec![KIND_DATA];
@@ -485,7 +494,7 @@ mod tests {
         let (mut tx, sink) = sink_link(bind_receiver().unwrap());
         let sink = std::thread::spawn(move || sink.run());
         for seq in 0..N {
-            tx.queue(&data_frame(&mut generator, seq));
+            tx.queue(&data_frame(&mut generator, 0, seq));
         }
         tx.flush().unwrap();
         tx.send_fin().unwrap();
@@ -539,7 +548,7 @@ mod tests {
         let (router, sink) =
             (std::thread::spawn(move || router.run()), std::thread::spawn(move || sink.run()));
         for seq in 0..PKTS {
-            gateway.send_data(&data_frame(&mut generator, seq)).unwrap();
+            gateway.send_data(&data_frame(&mut generator, 0, seq)).unwrap();
         }
         gateway.send_fin().unwrap();
         gateway.drain().unwrap();
@@ -564,7 +573,7 @@ mod tests {
         let (topo, mut generator) = credentialed_flow(crate::RESERVED_BW_KBPS);
         let (mut gateway, router, sink) = one_hop_chain(&topo, Duration::from_secs(10));
         for seq in 0..PKTS {
-            gateway.send_data(&data_frame(&mut generator, seq)).unwrap();
+            gateway.send_data(&data_frame(&mut generator, 0, seq)).unwrap();
         }
         gateway.send_fin().unwrap();
         let (router, sink) =
@@ -623,10 +632,10 @@ mod tests {
         let (next, recorder) = recording_link(timeout);
         let (mut gateway, router) = one_hop_router(&topo, timeout, next, vec![true, false]);
         for seq in 0..PKTS {
-            gateway.send_data(&flow_frame(&mut plain, 1, seq)).unwrap();
+            gateway.send_data(&data_frame(&mut plain, 1, seq)).unwrap();
         }
         for seq in 0..PKTS {
-            gateway.send_data(&flow_frame(&mut reserved, 0, seq)).unwrap();
+            gateway.send_data(&data_frame(&mut reserved, 0, seq)).unwrap();
         }
         gateway.send_fin().unwrap();
         let router = std::thread::spawn(move || router.run());
@@ -638,8 +647,8 @@ mod tests {
         let (priority, best_effort) = got.split_at(got.len().min(PKTS as usize));
         assert!(priority.iter().all(|&(flow, _)| flow == 0), "flyover first: {got:?}");
         for (class, flow) in [(priority, 0), (best_effort, 1)] {
-            let seqs: Vec<u64> = class.iter().map(|&(_, seq)| seq).collect();
-            assert_eq!(seqs, (0..PKTS).collect::<Vec<_>>(), "flow {flow}: {got:?}");
+            let in_order: Vec<(u32, u64)> = (0..PKTS).map(|seq| (flow, seq)).collect();
+            assert_eq!(class, in_order, "flow {flow} in its class: {got:?}");
         }
         // Every frame of the drain, the best-effort ones included, came
         // ahead of the FIN, and none is missing or extra.

@@ -81,6 +81,23 @@ for dir in src crates/*/src; do
         END { print n + 0 }' {} \; | awk '{ s += $1 } END { print s }')
     printf '  %-11s %s\n' "$(crate_of "$dir")" "$n"
 done
+# ROADMAP item 17's probe: clippy's truncating-cast warnings in non-test library
+# code, per crate, by the file each warning points at (informational; the
+# offline shims stand in for crates.io and are not counted).
+echo 'truncating casts in library code (clippy::cast_possible_truncation):'
+cargo clippy --offline --workspace --lib --quiet -- \
+    -A clippy::all -W clippy::cast_possible_truncation 2>&1 | awk '
+    /^warning: casting / { cast = 1; next }
+    cast && /-->/ {
+        cast = 0
+        split($2, at, "/")
+        crate = at[1] == "src" ? "hummingbird" : at[2]
+        if (at[1] == "crates" && crate == "shims") next
+        n[crate]++
+        total++
+    }
+    END { for (c in n) printf "  %-11s %s\n", c, n[c] | "sort"; close("sort")
+          printf "  %-11s %s\n", "total", total + 0 }'
 printf 'RuntimeConfig fields:                 %s\n' "$(
     awk '/^pub struct RuntimeConfig \{/ { on = 1; next } on && /^}/ { exit }
         on && /^[[:space:]]*pub [a-z_]+:/ { n++ } END { print n + 0 }' \

@@ -120,35 +120,6 @@ proptest! {
     }
 }
 
-/// The threaded runtime conserves packets: every offered packet is
-/// processed exactly once, in both modes, and the per-shard stats add up.
-#[test]
-fn threaded_runtime_conserves_packets() {
-    let templates: Vec<Vec<u8>> =
-        RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
-    for mode in [RuntimeMode::PerCoreClone, RuntimeMode::Sharded] {
-        for shards in [1usize, 2, 4] {
-            let cfg = RuntimeConfig::new(shards);
-            let total = 2_000u64;
-            let report =
-                run_to_completion(&cfg, mode, |_| make_engine(false), &templates, total, NOW_NS);
-            assert_eq!(report.packets, total, "{mode:?}/{shards}");
-            let processed: u64 = report.per_shard.iter().map(|r| r.processed).sum();
-            assert_eq!(processed, total, "{mode:?}/{shards}");
-            for shard in &report.per_shard {
-                assert_eq!(
-                    shard.stats.flyover + shard.stats.best_effort + shard.stats.dropped,
-                    shard.stats.processed,
-                    "{mode:?}/{shards}: shard stats must balance"
-                );
-            }
-            // Valid reserved traffic: nothing drops in either mode.
-            let dropped: u64 = report.per_shard.iter().map(|r| r.dropped).sum();
-            assert_eq!(dropped, 0, "{mode:?}/{shards}");
-        }
-    }
-}
-
 /// Plain-packet steering hashes exactly the duplicate-filter identity
 /// `(src AS, BaseTS, MillisTS, Counter)`: two packets sharing that
 /// identity but differing in source *host* (which the dup filter
@@ -348,37 +319,6 @@ fn verdict_totals(report: &hummingbird::dataplane::RuntimeReport) -> [u64; 5] {
     ]
 }
 
-/// Multi-queue ≡ single: the run conserves packets at every shard
-/// count, and its aggregate verdict counts match the single-shard run —
-/// the per-shard rx queues are a pure transport change, invisible to
-/// what the router decides.
-#[test]
-fn shard_counts_agree_on_verdicts() {
-    let templates: Vec<Vec<u8>> =
-        RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
-    let total = 2_000u64;
-    let mut baseline: Option<[u64; 5]> = None;
-    for shards in [1usize, 2, 4] {
-        let cfg = RuntimeConfig::new(shards);
-        let report = run_to_completion(
-            &cfg,
-            RuntimeMode::Sharded,
-            |_| make_engine(false),
-            &templates,
-            total,
-            NOW_NS,
-        );
-        assert_eq!(report.packets, total, "{shards}");
-        let processed: u64 = report.per_shard.iter().map(|r| r.processed).sum();
-        assert_eq!(processed, total, "{shards}: conservation");
-        let totals = verdict_totals(&report);
-        match &baseline {
-            None => baseline = Some(totals),
-            Some(b) => assert_eq!(&totals, b, "{shards}: verdicts diverged from baseline"),
-        }
-    }
-}
-
 /// An engine held to at least [`Paced::NS_PER_PKT`] per packet, so how
 /// busy the modelled wire is does not depend on the build profile.
 struct Paced(Box<dyn Datapath + Send>);
@@ -478,37 +418,6 @@ fn mixed_traffic_conserves_at_tx_defaults() {
     assert_eq!(report.packets, total);
     assert_eq!(e.forwarded() + e.dropped, total, "tx conserves");
     assert_eq!(verdict_totals(&report), want, "sharded verdicts diverged from one engine");
-}
-
-/// Runtime determinism: for every shard count, two runs produce
-/// bit-identical per-shard reports.
-#[test]
-fn multi_queue_runs_are_bit_identical() {
-    let templates: Vec<Vec<u8>> =
-        RES_IDS.iter().map(|&r| generator(r, 700).generate(&[0u8; 400], NOW_MS).unwrap()).collect();
-    let total = 1_500u64;
-    for shards in [1usize, 2, 4] {
-        let run = || {
-            let cfg = RuntimeConfig::new(shards);
-            run_to_completion(
-                &cfg,
-                RuntimeMode::Sharded,
-                |_| make_engine(false),
-                &templates,
-                total,
-                NOW_NS,
-            )
-        };
-        let (x, y) = (run(), run());
-        assert_eq!(x.packets, y.packets, "{shards}");
-        assert_eq!(x.bits, y.bits, "{shards}");
-        for (i, (sx, sy)) in x.per_shard.iter().zip(y.per_shard.iter()).enumerate() {
-            assert_eq!(sx.processed, sy.processed, "{shards}: shard {i}");
-            assert_eq!(sx.forwarded, sy.forwarded, "{shards}: shard {i}");
-            assert_eq!(sx.dropped, sy.dropped, "{shards}: shard {i}");
-            assert_eq!(sx.stats, sy.stats, "{shards}: shard {i}");
-        }
-    }
 }
 
 /// The sequential executor's tx path conserves packets too: each shard
