@@ -837,21 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn shallow_ring_run_completes() {
-        let templates = vec![reserved_packet(42), reserved_packet(88_000)];
-        let cfg = RuntimeConfig::new(2);
-        let report = run_to_completion(
-            &cfg,
-            RuntimeMode::Sharded,
-            |_| hop_engine(),
-            &templates,
-            200,
-            NOW_NS,
-        );
-        assert_eq!(report.packets, 200);
-    }
-
-    #[test]
     fn sharded_runtime_egress_reports_residence_times() {
         let templates: Vec<Vec<u8>> =
             [7u32, 33_000, 88_000].iter().map(|&r| reserved_packet(r)).collect();
@@ -886,19 +871,6 @@ mod tests {
         let report =
             run_to_completion(&cfg2, RuntimeMode::Sharded, |_| hop_engine(), &templates, 0, NOW_NS);
         assert_eq!(report.egress.expect("enabled").forwarded(), 0);
-    }
-
-    #[test]
-    fn sharded_runtime_handles_tiny_runs_and_single_shard() {
-        let templates = vec![reserved_packet(42)];
-        let cfg = RuntimeConfig::new(1);
-        let report =
-            run_to_completion(&cfg, RuntimeMode::Sharded, |_| hop_engine(), &templates, 3, NOW_NS);
-        assert_eq!(report.packets, 3);
-        // Zero-packet runs terminate cleanly too.
-        let report =
-            run_to_completion(&cfg, RuntimeMode::Sharded, |_| hop_engine(), &templates, 0, NOW_NS);
-        assert_eq!(report.packets, 0);
     }
 
     #[test]

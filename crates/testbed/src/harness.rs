@@ -1,16 +1,16 @@
 //! Chain assembly and the end-to-end run loop.
 //!
 //! [`run_chain`] stands up one gateway → router… → sink chain over UDP
-//! loopback: the gateway thread generates and sends `pkts` real frames
-//! per the mix's schedule, in runs of equal-length frames, each router
-//! thread drives its own
-//! [`ShardedRouter`](hummingbird_dataplane::ShardedRouter) over the
+//! loopback: the gateway thread generates `pkts` real frames per the
+//! mix's schedule and sends each window of them in one flush, reserved
+//! first, as a router forwards each drain; each router thread drives its
+//! own [`ShardedRouter`](hummingbird_dataplane::ShardedRouter) over the
 //! selected engine family, and the sink thread measures delivery,
 //! goodput and end-to-end latency. When the FIN has propagated, the
 //! harness cross-checks every counter for exact packet conservation —
 //! `sent = delivered + engine drops + parse drops`, globally, per flow
-//! and per class — and reports any violation as a loud error string
-//! rather than a skewed statistic.
+//! and per class — and each flow's order at the sink, and reports any
+//! violation as a loud error string rather than a skewed statistic.
 
 use hummingbird_dataplane::{DatapathStats, DropReason, LatencyHistogram, RouterConfig};
 use hummingbird_netsim::{EngineFamily, LinearTopology, LinkSpec};
@@ -22,7 +22,7 @@ use crate::frame::{PayloadHeader, KIND_DATA, PAYLOAD_HDR_LEN};
 use crate::link::{AckSender, CreditedSender, WaitStrategy};
 use crate::mix::TrafficMix;
 use crate::node::{bind_receiver, NodeStats, Sink, SocketRouter, BEST_EFFORT, RESERVED};
-use crate::{now_unix_ms, now_unix_ns};
+use crate::{nanos, now_unix_ms, now_unix_ns};
 
 /// Bandwidth granted to each reserved flow: 10 Gbps, far above anything
 /// a loopback chain can carry, so policing never throttles a
@@ -60,8 +60,8 @@ pub struct ChainSpec {
     /// L4 payload length per packet (≥ [`PAYLOAD_HDR_LEN`]).
     pub payload_len: usize,
     /// Credit window per link, in data frames (default 64, also the most
-    /// one run carries; the default Linux receive buffer holds 73 of the
-    /// largest, 2 KiB frames, see `link`).
+    /// one run carries and the frames the gateway sends per flush; the
+    /// default receive buffer holds 73 of the largest, 2 KiB, see `link`).
     pub window: usize,
     /// Receiver ack cadence, in data frames (default 32, half the
     /// window: a sender out of credit wakes once per 32 frames the
@@ -266,27 +266,34 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
     let sink_handle = std::thread::spawn(move || sink.run());
 
     // The gateway runs on the calling thread: generate each packet
-    // fresh (engines check wall-clock freshness) and queue it for the
-    // credit window. A run goes out as soon as the next frame's length
-    // differs or the run reaches its bound, so the gateway never waits
-    // for a run to fill.
+    // fresh (engines check wall-clock freshness), queue a reserved
+    // flow's frame and defer a best-effort one, and flush once per
+    // window of frames, the most the link may have in flight: reserved
+    // frames first, each flow in order, in runs up to the credit left.
     let mut seqs = vec![0u64; generators.len()];
     let mut payload = vec![0u8; spec.payload_len];
     let mut frame = Vec::with_capacity(1 + spec.payload_len + 512);
-    for &f in &plan.sequence {
-        let fi = f as usize;
-        PayloadHeader { flow_id: f, seq: seqs[fi], stamp_ns: epoch.elapsed().as_nanos() as u64 }
-            .write(&mut payload);
-        seqs[fi] += 1;
-        let pkt = generators[fi]
-            .generate(&payload, now_unix_ms())
-            .map_err(|e| format!("flow {fi}: generate failed: {e:?}"))?;
-        frame.clear();
-        frame.push(KIND_DATA);
-        frame.extend_from_slice(&pkt);
-        gw_sender.queue_run(&frame).map_err(err)?;
+    for window in plan.sequence.chunks(spec.window.max(1)) {
+        for &f in window {
+            let fi = f as usize;
+            PayloadHeader { flow_id: f, seq: seqs[fi], stamp_ns: nanos(epoch.elapsed()) }
+                .write(&mut payload);
+            seqs[fi] += 1;
+            let pkt = generators[fi]
+                .generate(&payload, now_unix_ms())
+                .map_err(|e| format!("flow {fi}: generate failed: {e:?}"))?;
+            frame.clear();
+            frame.push(KIND_DATA);
+            frame.extend_from_slice(&pkt);
+            if flow_reserved[fi] {
+                gw_sender.queue(&frame);
+            } else {
+                gw_sender.defer(&frame);
+            }
+        }
+        gw_sender.flush().map_err(err)?;
     }
-    // FIN (after the last queued run) before drain: router 0 flushes its
+    // FIN (after the last window) before drain: router 0 flushes its
     // final (sub-cadence) ack when the FIN arrives, which is what lets
     // the drain complete.
     gw_sender.send_fin().map_err(err)?;
@@ -355,6 +362,10 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
             violations.push(format!(
                 "flow {f} conservation: sent {sent} != delivered {delivered} + drops {dropped}"
             ));
+        }
+        let late = sink_report.flow_reordered[f];
+        if late > 0 {
+            violations.push(format!("flow {f} order: {late} frames reached the sink out of seq"));
         }
     }
 

@@ -29,7 +29,10 @@
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(unreachable_pub)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::cast_possible_truncation)
+)]
 
 mod frame;
 mod harness;
@@ -50,18 +53,18 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// Wall-clock Unix time in milliseconds — what generators stamp packets
 /// with (engines enforce a freshness window against the same clock).
 pub fn now_unix_ms() -> u64 {
-    since_epoch().as_millis() as u64
+    now_unix_ns() / 1_000_000
 }
 
 /// Wall-clock Unix time in nanoseconds — what engines are handed as
-/// `now_ns`.
+/// `now_ns`. A clock set before 1970 saturates to the epoch itself
+/// instead of panicking a node thread; generators and engines read the
+/// same helpers, so they still agree on the time.
 pub fn now_unix_ns() -> u64 {
-    since_epoch().as_nanos() as u64
+    nanos(SystemTime::now().duration_since(UNIX_EPOCH).unwrap_or(Duration::ZERO))
 }
 
-/// Time since the Unix epoch. A clock set before 1970 saturates to the
-/// epoch itself instead of panicking a node thread; generators and
-/// engines read the same helpers, so they still agree on the time.
-fn since_epoch() -> Duration {
-    SystemTime::now().duration_since(UNIX_EPOCH).unwrap_or(Duration::ZERO)
+/// `d` in nanoseconds, saturating at `u64::MAX` (584 years).
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }

@@ -36,11 +36,14 @@
 //! Frames ride in *runs*: consecutive frames of one length go out as a
 //! single `UDP_SEGMENT` datagram (at most the credit left,
 //! `MAX_RUN_FRAMES` frames and `MAX_RUN_BYTES` bytes), so the loopback
-//! stack is walked once per run rather than once per frame. A node's
-//! socket has `UDP_GRO` on and reads a run back whole, splitting it by
-//! the segment size the kernel reports; a plain socket gets the kernel
-//! to split it into one datagram per frame. Credits, acks and the FIN
-//! count frames, never datagrams.
+//! stack is walked once per run rather than once per frame. A sender
+//! queues priority frames and defers best-effort ones, and a flush sends
+//! the queued, then the deferred: a gateway window or a router drain
+//! whose classes alternate in length leaves in long runs. A node's socket
+//! has `UDP_GRO` on and reads a run back whole, splitting it by the
+//! segment size the kernel reports; a plain socket gets the kernel to
+//! split it into one datagram per frame. Credits, acks and the FIN count
+//! frames, never datagrams.
 //!
 //! Acks are cumulative *counts*, not sequence numbers, so they are
 //! idempotent and loss-tolerant: a later ack supersedes any number of
@@ -101,11 +104,10 @@ pub struct CreditedSender {
     window: u64,
     timeout: Duration,
     wait: WaitStrategy,
-    /// Frames queued for this link, back to back, in order.
-    queued: Vec<u8>,
-    /// The queued frames as runs of `(frame length, frames)`:
-    /// consecutive frames of one length share a run.
-    runs: Vec<(usize, usize)>,
+    /// Priority frames queued for this link, in order.
+    queued: Runs,
+    /// Best-effort frames held until the next flush, in order.
+    deferred: Runs,
     /// Data frames sent on this link.
     pub sent: u64,
     /// Highest cumulative receive count acknowledged by the peer.
@@ -137,8 +139,8 @@ impl CreditedSender {
             window: window.max(1) as u64,
             timeout,
             wait,
-            queued: Vec::new(),
-            runs: Vec::new(),
+            queued: Runs::default(),
+            deferred: Runs::default(),
             sent: 0,
             acked: 0,
             datagrams: 0,
@@ -214,67 +216,36 @@ impl CreditedSender {
         }
     }
 
-    /// Sends one data frame (`KIND_DATA` byte + serialized packet) as a
-    /// run of one, after anything already queued, blocking under the
-    /// wait strategy while the window is full.
+    /// Queues one data frame (`KIND_DATA` byte + serialized packet) and
+    /// flushes, blocking under the wait strategy while the window is full.
     pub fn send_data(&mut self, frame: &[u8]) -> io::Result<()> {
-        debug_assert_eq!(frame.first(), Some(&KIND_DATA));
         self.queue(frame);
         self.flush()
     }
 
-    /// Queues one data frame; [`CreditedSender::flush`] sends it.
+    /// Queues one priority data frame; [`CreditedSender::flush`] sends it.
     pub(crate) fn queue(&mut self, frame: &[u8]) {
-        debug_assert_eq!(frame.first(), Some(&KIND_DATA));
-        self.queued.extend_from_slice(frame);
-        match self.runs.last_mut() {
-            Some((len, frames)) if *len == frame.len() => *frames += 1,
-            _ => self.runs.push((frame.len(), 1)),
-        }
+        self.queued.push(frame);
     }
 
-    /// Queues one frame of a run that is flushed as soon as it is
-    /// complete: the queued run goes out first when `frame` has another
-    /// length, and the run `frame` joins goes out once it reaches its
-    /// bound. Nothing ever waits for a run to fill.
-    pub(crate) fn queue_run(&mut self, frame: &[u8]) -> io::Result<()> {
-        if self.runs.last().is_some_and(|&(len, _)| len != frame.len()) {
-            self.flush()?;
-        }
-        self.queue(frame);
-        match self.runs.last() {
-            Some(&(len, frames)) if frames as u64 >= self.run_bound(len) => self.flush(),
-            _ => Ok(()),
-        }
+    /// Holds one best-effort data frame until the next
+    /// [`CreditedSender::flush`] has sent the queued priority frames.
+    pub(crate) fn defer(&mut self, frame: &[u8]) {
+        self.deferred.push(frame);
     }
 
-    /// Most frames of `len` bytes one run may carry: the credit window,
-    /// [`MAX_RUN_FRAMES`] and [`MAX_RUN_BYTES`], whichever binds first.
-    fn run_bound(&self, len: usize) -> u64 {
-        (MAX_RUN_FRAMES.min(MAX_RUN_BYTES / len.max(1)).max(1) as u64).min(self.window)
-    }
-
-    /// Sends every queued frame, in order, one `UDP_SEGMENT` datagram
-    /// per run. A run longer than its bound, or than the credit left,
-    /// goes out in parts: each part waits for at least one credit and
-    /// takes as many frames as the credit covers, so a run never waits
-    /// for credit it could do without.
+    /// Sends every queued frame and then every deferred one, each in
+    /// order, one `UDP_SEGMENT` datagram per run. A run longer than its
+    /// bound, or than the credit left, goes out in parts: each part waits
+    /// for at least one credit and takes as many frames as the credit
+    /// covers, so a run never waits for credit it could do without.
     pub(crate) fn flush(&mut self) -> io::Result<()> {
-        if self.runs.is_empty() {
-            return Ok(());
-        }
         // Moved out for the sends and back after, keeping their capacity.
-        let (mut queued, mut runs) =
-            (std::mem::take(&mut self.queued), std::mem::take(&mut self.runs));
-        let mut rest = &queued[..];
-        let sent = runs.iter().try_for_each(|&(len, frames)| {
-            let (run, tail) = rest.split_at(len * frames);
-            rest = tail;
-            self.send_run(run, len)
-        });
-        queued.clear();
-        runs.clear();
-        (self.queued, self.runs) = (queued, runs);
+        let mut held = [std::mem::take(&mut self.queued), std::mem::take(&mut self.deferred)];
+        let sent =
+            held.iter().flat_map(Runs::iter).try_for_each(|(run, len)| self.send_run(run, len));
+        held.iter_mut().for_each(Runs::clear);
+        [self.queued, self.deferred] = held;
         sent
     }
 
@@ -282,19 +253,20 @@ impl CreditedSender {
     /// datagrams as its bound and the credit allow, charging one credit
     /// per frame.
     fn send_run(&mut self, mut run: &[u8], len: usize) -> io::Result<()> {
-        if !(1..=MAX_FRAME).contains(&len) {
+        let Some(seg) = u16::try_from(len).ok().filter(|_| (1..=MAX_FRAME).contains(&len)) else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!("{len} B frame: a link carries frames of 1 to {MAX_FRAME} B"),
             ));
-        }
+        };
         while !run.is_empty() {
             self.wait_in_flight_below(self.window)?;
-            let credit = self.window - (self.sent - self.acked);
-            let frames = credit.min(self.run_bound(len)).min((run.len() / len) as u64);
-            let (part, rest) = run.split_at(frames as usize * len);
-            sys::send_run(&self.data, part, len as u16)?;
-            self.sent += frames;
+            let credit =
+                usize::try_from(self.window - (self.sent - self.acked)).unwrap_or(usize::MAX);
+            let frames = (run.len() / len).min(MAX_RUN_FRAMES).min(MAX_RUN_BYTES / len).min(credit);
+            let (part, rest) = run.split_at(frames * len);
+            sys::send_run(&self.data, part, seg)?;
+            self.sent += frames as u64;
             self.datagrams += 1;
             run = rest;
         }
@@ -322,6 +294,40 @@ impl CreditedSender {
         self.flush()?;
         self.data.send(&[KIND_FIN])?;
         Ok(())
+    }
+}
+
+/// Frames back to back, in order, as runs of `(frame length, frames)`:
+/// consecutive frames of one length share a run.
+#[derive(Default)]
+struct Runs {
+    bytes: Vec<u8>,
+    runs: Vec<(usize, usize)>,
+}
+
+impl Runs {
+    fn push(&mut self, frame: &[u8]) {
+        debug_assert_eq!(frame.first(), Some(&KIND_DATA));
+        self.bytes.extend_from_slice(frame);
+        match self.runs.last_mut() {
+            Some((len, frames)) if *len == frame.len() => *frames += 1,
+            _ => self.runs.push((frame.len(), 1)),
+        }
+    }
+
+    /// Each run's frames with their length.
+    fn iter(&self) -> impl Iterator<Item = (&[u8], usize)> {
+        let mut rest = &self.bytes[..];
+        self.runs.iter().map(move |&(len, frames)| {
+            let (run, tail) = rest.split_at(len * frames);
+            rest = tail;
+            (run, len)
+        })
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.runs.clear();
     }
 }
 
@@ -432,6 +438,34 @@ mod tests {
             got.extend(buf[..n].chunks(seg).map(<[u8]>::to_vec));
         }
         assert_eq!(runs, [(600, 300), (600, 200), (300, 300), (120, 120)]);
+        assert_eq!(got, queued);
+    }
+
+    /// One flush sends the queued frames and then the deferred ones,
+    /// each in the order they were handed over, however the two were
+    /// interleaved, and a run spans only frames of one length.
+    #[test]
+    fn deferred_frames_leave_after_the_queued_ones() {
+        let rx = gro_receiver();
+        let mut tx = sender(&rx, 64);
+        let (mut queued, mut deferred) = (Vec::new(), Vec::new());
+        for i in 0..12 {
+            if i % 4 < 2 {
+                queued.push(tagged(i, 300));
+                tx.queue(&tagged(i, 300));
+            } else {
+                deferred.push(tagged(i, 200));
+                tx.defer(&tagged(i, 200));
+            }
+        }
+        tx.flush().unwrap();
+        assert_eq!((tx.sent, tx.datagrams), (12, 2));
+        let (mut buf, mut got) = (vec![0u8; 1 << 16], Vec::new());
+        for _ in 0..2 {
+            let (n, seg) = sys::recv_run(&rx, &mut buf).unwrap();
+            got.extend(buf[..n].chunks(seg).map(<[u8]>::to_vec));
+        }
+        queued.extend(deferred);
         assert_eq!(got, queued);
     }
 

@@ -69,18 +69,21 @@ impl TrafficMix {
     /// Builds the flow table and the packet schedule for a `total`-packet
     /// run.
     pub fn plan(&self, total: u64) -> MixPlan {
-        let total = total as usize;
+        // Past `usize::MAX` packets the schedule could not be held anyway.
+        let total = usize::try_from(total).unwrap_or(usize::MAX);
+        // Slot `i` of every block of ten, for the mixes planned in tens.
+        let tens = || (0..10u32).cycle().take(total);
         match self {
             TrafficMix::Cbr => {
                 // Flows 0..4 reserved, 4..8 best-effort; round-robin.
                 let flows = class_split(8, 4);
-                let sequence = (0..total).map(|i| (i % 8) as u32).collect();
+                let sequence = (0..8).cycle().take(total).collect();
                 MixPlan { flows, sequence }
             }
             TrafficMix::BurstyOnOff => {
                 let flows = class_split(8, 4);
-                let sequence = (0..total).map(|i| ((i / 64) % 8) as u32).collect();
-                MixPlan { flows, sequence }
+                let bursts = (0..8).flat_map(|f| std::iter::repeat_n(f, 64));
+                MixPlan { flows, sequence: bursts.cycle().take(total).collect() }
             }
             TrafficMix::ElephantMice => {
                 // Flow 0: reserved elephant; flow 1: best-effort
@@ -88,15 +91,12 @@ impl TrafficMix {
                 // of ten: four packets per elephant, two mice.
                 let mut flows = vec![FlowSpec { reserved: true }, FlowSpec { reserved: false }];
                 flows.extend((0..40).map(|i| FlowSpec { reserved: i % 2 == 0 }));
-                let mut mouse = 0usize;
-                let sequence = (0..total)
-                    .map(|i| match i % 10 {
-                        0..=3 => 0u32,
+                let mut mice = (2..42).cycle();
+                let sequence = tens()
+                    .map(|slot| match slot {
+                        0..=3 => 0,
                         4..=7 => 1,
-                        _ => {
-                            mouse += 1;
-                            (2 + (mouse - 1) % 40) as u32
-                        }
+                        _ => mice.next().unwrap_or(2),
                     })
                     .collect();
                 MixPlan { flows, sequence }
@@ -106,15 +106,15 @@ impl TrafficMix {
                 // 4..132 the crowd (all best-effort).
                 let mut flows = class_split(4, 2);
                 flows.extend((0..128).map(|_| FlowSpec { reserved: false }));
-                let (surge_from, surge_to) = (total / 4, 3 * total / 4);
-                let mut crowd = 0usize;
+                let surge = total / 4..3 * total / 4;
+                let mut crowd = (4..132).cycle();
                 let sequence = (0..total)
-                    .map(|i| {
-                        if i >= surge_from && i < surge_to && i % 2 == 1 {
-                            crowd += 1;
-                            (4 + (crowd - 1) % 128) as u32
+                    .zip((0..4).cycle())
+                    .map(|(i, base)| {
+                        if surge.contains(&i) && i % 2 == 1 {
+                            crowd.next().unwrap_or(4)
                         } else {
-                            (i % 4) as u32
+                            base
                         }
                     })
                     .collect();
@@ -125,10 +125,10 @@ impl TrafficMix {
                 // bulk. Blocks of ten: three call packets, seven bulk.
                 let mut flows = vec![FlowSpec { reserved: true }];
                 flows.extend((0..4).map(|_| FlowSpec { reserved: false }));
-                let sequence = (0..total)
-                    .map(|i| match i % 10 {
-                        0..=2 => 0u32,
-                        r => (1 + (r - 3) % 4) as u32,
+                let sequence = tens()
+                    .map(|slot| match slot {
+                        0..=2 => 0,
+                        slot => 1 + (slot - 3) % 4,
                     })
                     .collect();
                 MixPlan { flows, sequence }

@@ -21,13 +21,14 @@
 //! equal-length frames the upstream sent as one `UDP_SEGMENT` datagram
 //! arrives whole; the node splits it by the segment size the kernel
 //! reports and counts and acks every frame. A router forwards each
-//! drain in one flush, priority first as in the paper's router: its
-//! flyover frames, then its best-effort ones (demoted too), each flow in
-//! order within its class. A mix whose classes alternate in length thus
-//! leaves in long runs, yet a lone frame leaves one empty read after it
-//! arrived: a router never waits for a run to fill. Each node counts the
-//! datagrams it received beside the frames, and a router the datagrams
-//! it sent.
+//! drain in one flush, priority first as in the paper's router: it
+//! queues its flyover frames on the outbound link and defers its
+//! best-effort ones (demoted too), so each flow keeps its order within
+//! its class. A mix whose classes alternate in length thus leaves in
+//! long runs, yet a lone frame leaves one empty read after it arrived: a
+//! router never waits for a run to fill. Each node counts the datagrams
+//! it received beside the frames, and a router the datagrams it sent.
+//! The sink counts each frame whose `seq` is not above its flow's last.
 //!
 //! Both nodes wait by one receive-idle rule, after the paper's
 //! poll-mode router, which takes packets in bursts and sleeps only when
@@ -50,7 +51,7 @@ use std::time::{Duration, Instant};
 use crate::frame::{PayloadHeader, KIND_DATA, KIND_FIN};
 use crate::harness::ClassReport;
 use crate::link::{read_timed_out, AckSender, CreditedSender};
-use crate::{now_unix_ns, sys};
+use crate::{nanos, now_unix_ns, sys};
 
 /// Traffic class of a flow: `RESERVED` carries the family's per-hop
 /// credential, `BEST_EFFORT` rides plain.
@@ -267,9 +268,6 @@ impl SocketRouter {
     pub fn run(mut self) -> io::Result<NodeStats> {
         let mut stats = NodeStats::new(self.flow_reserved.len());
         let mut rx = Receiver::new(&self.data, "router", self.timeout)?;
-        // A drain's best-effort frames wait here, back to back beside
-        // their lengths, until its flyover frames are queued.
-        let (mut best_effort, mut lens) = (Vec::new(), Vec::new());
         let mut fin = false;
         while !fin {
             fin = rx.step(&now_unix_ns, |frames, now_ns| {
@@ -293,18 +291,11 @@ impl SocketRouter {
                     } else if verdict.is_flyover() {
                         self.next.queue(frame);
                     } else {
-                        best_effort.extend_from_slice(frame);
-                        lens.push(frame.len());
+                        self.next.defer(frame);
                     }
                 }
                 Ok(false)
             })?;
-            let mut at = 0;
-            for len in lens.drain(..) {
-                self.next.queue(&best_effort[at..at + len]);
-                at += len;
-            }
-            best_effort.clear();
             self.next.flush()?;
         }
         stats.rx_datagrams = rx.datagrams;
@@ -330,6 +321,10 @@ pub struct SinkReport {
     pub classes: [ClassReport; 2],
     /// Packets delivered per flow id.
     pub flow_delivered: Vec<u64>,
+    /// Packets per flow id whose `seq` was not above every earlier one
+    /// of their flow: each flow must arrive in order, with gaps where
+    /// engines dropped.
+    pub(crate) flow_reordered: Vec<u64>,
     /// Data frames received off the socket.
     pub rx: u64,
     /// Datagrams those frames arrived in.
@@ -358,12 +353,15 @@ pub struct Sink {
 impl Sink {
     /// Runs until FIN, measuring delivery and end-to-end latency.
     pub fn run(mut self) -> io::Result<SinkReport> {
+        let flows = self.flow_reserved.len();
         let mut report = SinkReport {
-            flow_delivered: vec![0; self.flow_reserved.len()],
+            flow_delivered: vec![0; flows],
+            flow_reordered: vec![0; flows],
             ..SinkReport::default()
         };
+        let mut last_seq = vec![None; flows];
         let epoch = self.epoch;
-        let clock = || epoch.elapsed().as_nanos() as u64;
+        let clock = || nanos(epoch.elapsed());
         let mut first_rx_ns = None;
         let mut rx = Receiver::new(&self.data, "sink", self.timeout)?;
         while !rx.step(&clock, |frames, now_ns| {
@@ -383,7 +381,10 @@ impl Sink {
                 cls.delivered += 1;
                 cls.payload_bytes += payload_len as u64;
                 cls.latency.record(now_ns.saturating_sub(hdr.stamp_ns));
-                report.flow_delivered[hdr.flow_id as usize] += 1;
+                let f = hdr.flow_id as usize;
+                report.flow_delivered[f] += 1;
+                report.flow_reordered[f] += u64::from(last_seq[f] >= Some(hdr.seq));
+                last_seq[f] = last_seq[f].max(Some(hdr.seq));
             }
             Ok(false)
         })? {}
@@ -504,6 +505,25 @@ mod tests {
         assert_eq!((tx.sent, tx.datagrams, tx.acked), (N, 1, N));
         assert_eq!((report.rx, report.rx_datagrams, report.parse_drops), (N, 1, 0));
         assert_eq!(report.flow_delivered, [N]);
+    }
+
+    /// A flow whose frames reach the sink out of `seq` order is counted
+    /// once per frame that arrived behind a higher `seq`; a gap (a frame
+    /// an engine dropped) is not. Every frame is still delivered.
+    #[test]
+    fn a_sink_counts_frames_that_arrive_out_of_order() {
+        let (_topo, mut generator) = credentialed_flow(crate::RESERVED_BW_KBPS);
+        let (mut tx, sink) = sink_link(bind_receiver().unwrap());
+        let sink = std::thread::spawn(move || sink.run());
+        for seq in [0, 2, 1, 4, 6, 6] {
+            tx.send_data(&data_frame(&mut generator, 0, seq)).unwrap();
+        }
+        tx.send_fin().unwrap();
+        tx.drain().unwrap();
+        let report = sink.join().unwrap().unwrap();
+
+        assert_eq!(report.flow_delivered, [6]);
+        assert_eq!(report.flow_reordered, [2], "1 after 2, and 6 again");
     }
 
     /// A full window of the largest frames a link carries, sent before

@@ -86,13 +86,7 @@ fn set_udp_option(sock: &impl AsRawFd, name: c_int, label: &str, val: c_int) -> 
     // SAFETY: `val` is a live `c_int` and its exact size is passed; the
     // kernel only reads it during the call.
     let rc = unsafe {
-        setsockopt(
-            sock.as_raw_fd(),
-            SOL_UDP,
-            name,
-            (&val as *const c_int).cast(),
-            std::mem::size_of::<c_int>() as u32,
-        )
+        setsockopt(sock.as_raw_fd(), SOL_UDP, name, (&val as *const c_int).cast(), c_int::BITS / 8)
     };
     if rc == 0 {
         return Ok(());

@@ -17,6 +17,7 @@ if [ "$workloads" = all ]; then
     workloads=$(awk '/"workloads"/ { on = 1 } on && /"name"/ { split($0, f, "\""); print f[4] }
         on && /^  \]/ { exit }' BENCHMARK.json | paste -sd, -)
 fi
+echo "a: $rev = $(git rev-parse "$rev")   b: the working tree"
 # The parent as a plain export of <rev> (no worktree left to clean up).
 rm -rf "$dir/a" "$dir/b" "$dir/parent"
 mkdir -p "$dir/parent"
@@ -26,7 +27,10 @@ build() { # <checkout> <side>
         cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 }
 run() { # <checkout> <side> <workload> <seed>
-    (cd "$1" && "$dir/target-$2/release/hummingbird-benchmark" run \
+    # The parent export sits inside this repo: git's discovery stops at
+    # $dir, so side a's results read revision `unknown`, not this HEAD.
+    (cd "$1" && if [ "$2" = a ]; then export GIT_CEILING_DIRECTORIES="$dir"; fi &&
+        "$dir/target-$2/release/hummingbird-benchmark" run \
         --workload "$3" --seed "$4" --out "$dir/$2/$3/seed$4.json" >/dev/null)
 }
 build "$dir/parent" a

@@ -420,40 +420,6 @@ fn mixed_traffic_conserves_at_tx_defaults() {
     assert_eq!(verdict_totals(&report), want, "sharded verdicts diverged from one engine");
 }
 
-/// The sequential executor's tx path conserves packets too: each shard
-/// stages its own egress into its TxScheduler whether the shards run on
-/// threads or one after another on the caller's, and the merged class
-/// totals balance against the workers' tallies.
-#[test]
-fn multi_queue_tx_path_conserves() {
-    use hummingbird::dataplane::EgressConfig;
-    let templates: Vec<Vec<u8>> = RES_IDS
-        .iter()
-        .map(|&r| generator(r, 1000).generate(&[0u8; 400], NOW_MS).unwrap())
-        .collect();
-    let total = 1_500u64;
-    for shards in [1usize, 2, 4] {
-        let mut cfg = RuntimeConfig::new(shards);
-        cfg.exec = ExecMode::Sequential;
-        cfg.egress = Some(EgressConfig::default());
-        let report = run_to_completion(
-            &cfg,
-            RuntimeMode::Sharded,
-            |_| make_engine(false),
-            &templates,
-            total,
-            NOW_NS,
-        );
-        assert_eq!(report.packets, total, "{shards}");
-        let e = report.egress.expect("tx path enabled");
-        assert_eq!(e.forwarded() + e.dropped, total, "{shards}: tx conserves");
-        assert_eq!(e.priority.pkts, total, "{shards}: valid reserved → all priority");
-        assert_eq!(e.dropped, 0, "{shards}");
-        let forwarded: u64 = report.per_shard.iter().map(|r| r.forwarded).sum();
-        assert_eq!(forwarded, e.forwarded(), "{shards}: worker tallies agree");
-    }
-}
-
 /// Traffic with every verdict: flyover on ResIDs in every shard's range,
 /// an over-rate reservation on two templates of one size (overuse), a
 /// stale packet (untimely), plain packets, a forged MAC and junk.
