@@ -71,7 +71,7 @@ impl TrafficMix {
     pub fn plan(&self, total: u64) -> MixPlan {
         // Past `usize::MAX` packets the schedule could not be held anyway.
         let total = usize::try_from(total).unwrap_or(usize::MAX);
-        // Slot `i` of every block of ten, for the mixes planned in tens.
+        // Packet `i`'s slot `i % 10`, for the mixes planned in blocks of ten.
         let tens = || (0..10u32).cycle().take(total);
         match self {
             TrafficMix::Cbr => {
