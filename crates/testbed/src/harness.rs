@@ -458,8 +458,9 @@ mod tests {
     /// gateway's included: its reserved and best-effort frames differ in
     /// length and alternate every four frames, but the gateway sends each
     /// window of frames in one flush, reserved first, as a router
-    /// forwards each drain. Every link's receiver counts at least 16
-    /// frames per datagram, exactly the datagrams its sender sent.
+    /// forwards each drain, and the default window holds two full runs.
+    /// Every link's receiver counts at least 48 frames per datagram,
+    /// exactly the datagrams its sender sent.
     #[test]
     fn saturated_cbr_chain_forms_runs_on_every_link() {
         let mut spec = ChainSpec::new(EngineFamily::Hummingbird, TrafficMix::Cbr);
@@ -470,8 +471,23 @@ mod tests {
         assert_eq!(report.links.len(), spec.routers + 1);
         for (hop, link) in report.links.iter().enumerate() {
             assert_eq!(link.frames, spec.pkts, "link {hop}");
-            assert!(link.frames_per_datagram() >= 16.0, "link {hop}: {:?}", report.links);
+            assert!(link.frames_per_datagram() >= 48.0, "link {hop}: {:?}", report.links);
         }
+    }
+
+    /// A window the receivers' buffers cannot hold whole is refused
+    /// before any frame is sent, with an error that names the window and
+    /// the buffer: a window that could overrun a buffer would let the
+    /// kernel drop frames silently.
+    #[test]
+    fn a_window_beyond_the_receive_buffer_is_refused() {
+        let mut spec = ChainSpec::new(EngineFamily::Hummingbird, TrafficMix::Cbr);
+        spec.pkts = 100;
+        spec.routers = 1;
+        spec.window = 4_096;
+        spec.timeout = Duration::from_secs(1);
+        let err = run_chain(&spec).unwrap_err();
+        assert!(err.contains("4096") && err.contains("receive buffer"), "{err}");
     }
 
     /// Multiple shards behind one socket router still conserve exactly.

@@ -409,9 +409,16 @@ mod tests {
 
     const HB: EngineFamily = EngineFamily::Hummingbird;
 
+    /// The default credit window and ack cadence, as `ChainSpec::new`
+    /// sets them.
+    fn defaults() -> crate::ChainSpec {
+        crate::ChainSpec::new(HB, crate::TrafficMix::Cbr)
+    }
+
     /// A sender toward `to` with the default window.
     fn link(to: &UdpSocket, timeout: Duration) -> CreditedSender {
-        CreditedSender::new(to.local_addr().unwrap(), 64, WaitStrategy::Backoff, timeout).unwrap()
+        let to = to.local_addr().unwrap();
+        CreditedSender::new(to, defaults().window, WaitStrategy::Backoff, timeout).unwrap()
     }
 
     /// Gateway link → one router running hop 0 of `topo` → `next`, with
@@ -428,7 +435,7 @@ mod tests {
             data,
             engine: topo.make_family_hop_engine(HB, 0, RouterConfig::default()),
             next,
-            acks: AckSender::new(gateway.ctrl_addr().unwrap(), 32).unwrap(),
+            acks: AckSender::new(gateway.ctrl_addr().unwrap(), defaults().ack_every).unwrap(),
             flow_reserved,
             timeout,
         };
@@ -445,7 +452,7 @@ mod tests {
         let next = link(&sink_data, timeout);
         let sink = Sink {
             data: sink_data,
-            acks: AckSender::new(next.ctrl_addr().unwrap(), 32).unwrap(),
+            acks: AckSender::new(next.ctrl_addr().unwrap(), defaults().ack_every).unwrap(),
             flow_reserved: vec![true],
             epoch: Instant::now(),
             timeout,
@@ -480,7 +487,7 @@ mod tests {
     fn sink_link(data: UdpSocket) -> (CreditedSender, Sink) {
         let timeout = Duration::from_secs(10);
         let tx = link(&data, timeout);
-        let acks = AckSender::new(tx.ctrl_addr().unwrap(), 32).unwrap();
+        let acks = AckSender::new(tx.ctrl_addr().unwrap(), defaults().ack_every).unwrap();
         let sink = Sink { data, acks, flow_reserved: vec![true], epoch: Instant::now(), timeout };
         (tx, sink)
     }
@@ -533,12 +540,12 @@ mod tests {
     /// carry them; see `link`'s receive-buffer argument).
     #[test]
     fn a_full_window_of_largest_frames_survives_a_late_receiver() {
-        const WINDOW: u64 = 64;
+        let window = defaults().window as u64;
         let mut frame = vec![0u8; crate::link::MAX_FRAME];
         frame[0] = KIND_DATA;
         for as_runs in [true, false] {
             let (mut tx, sink) = sink_link(bind_receiver().unwrap());
-            for _ in 0..WINDOW {
+            for _ in 0..window {
                 if as_runs {
                     tx.queue(&frame);
                 } else {
@@ -546,13 +553,13 @@ mod tests {
                 }
             }
             tx.send_fin().unwrap();
-            assert_eq!(tx.sent, WINDOW);
+            assert_eq!(tx.sent, window);
             let report = std::thread::spawn(move || sink.run()).join().unwrap().unwrap();
             tx.drain().unwrap();
             // The frames are no packets: each is a parse drop, counted.
-            assert_eq!((report.rx, report.parse_drops), (WINDOW, WINDOW), "runs: {as_runs}");
+            assert_eq!((report.rx, report.parse_drops), (window, window), "runs: {as_runs}");
             assert_eq!(report.rx_datagrams, tx.datagrams, "runs: {as_runs}");
-            assert_eq!(tx.acked, WINDOW);
+            assert_eq!(tx.acked, window);
         }
     }
 
@@ -584,8 +591,8 @@ mod tests {
     /// 40 data frames and the FIN queued before the router starts: its
     /// first drain takes 32 frames, its second the last 8 and then the
     /// FIN. Every frame is forwarded and reaches the sink ahead of the
-    /// FIN, and the FIN-time ack flushes (the router's, for 40 frames,
-    /// past the 32-frame cadence; the sink's, for the router's drain)
+    /// FIN, and the FIN-time ack flushes (the router's, for the frames
+    /// past its last cadence ack; the sink's, for the router's drain)
     /// settle both upstream drains.
     #[test]
     fn fin_inside_a_drained_burst_follows_every_frame() {
@@ -618,7 +625,7 @@ mod tests {
         let data = bind_receiver().unwrap();
         data.set_read_timeout(Some(timeout)).unwrap();
         let tx = link(&data, timeout);
-        let mut acks = AckSender::new(tx.ctrl_addr().unwrap(), 32).unwrap();
+        let mut acks = AckSender::new(tx.ctrl_addr().unwrap(), defaults().ack_every).unwrap();
         let recorder = std::thread::spawn(move || {
             let (mut buf, mut got) = (vec![0u8; RECV_BUF], Vec::new());
             loop {
