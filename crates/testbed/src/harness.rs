@@ -59,13 +59,14 @@ pub struct ChainSpec {
     pub pkts: u64,
     /// L4 payload length per packet (≥ [`PAYLOAD_HDR_LEN`]).
     pub payload_len: usize,
-    /// Credit window per link, in data frames (default 64, also the most
-    /// one run carries and the frames the gateway sends per flush; the
-    /// default receive buffer holds 73 of the largest, 2 KiB, see `link`).
+    /// Credit window per link, in data frames (default 128: two of the
+    /// longest runs, and the frames the gateway sends per flush). Each
+    /// node's requested receive buffer holds 145 of the largest, 2 KiB,
+    /// frames (see `link`), and [`run_chain`] refuses a larger window.
     pub window: usize,
-    /// Receiver ack cadence, in data frames (default 32, half the
-    /// window: a sender out of credit wakes once per 32 frames the
-    /// receiver has taken, and always has another 32 in flight).
+    /// Receiver ack cadence, in data frames (default 64, half the
+    /// window: a sender out of credit wakes once per 64 frames the
+    /// receiver has taken, and always has another full run in flight).
     pub ack_every: u64,
     /// Stall budget: a link or socket silent this long fails the run.
     pub timeout: Duration,
@@ -82,8 +83,8 @@ impl ChainSpec {
             wait: WaitStrategy::Backoff,
             pkts: 100_000,
             payload_len: 200,
-            window: 64,
-            ack_every: 32,
+            window: 128,
+            ack_every: 64,
             timeout: Duration::from_secs(10),
         }
     }
@@ -182,9 +183,10 @@ impl RunReport {
 
 /// Runs one gateway → routers → sink chain over UDP loopback and
 /// returns the fully cross-checked report. `Err` means the chain itself
-/// failed (a stalled link, a dead socket, a generator error);
-/// conservation violations are reported in [`RunReport::violations`]
-/// instead, so the caller can print the numbers before failing.
+/// failed (a window too large for the receive buffers, before any thread
+/// starts; a stalled link, a dead socket, a generator error); conservation
+/// violations are reported in [`RunReport::violations`] instead, so the
+/// caller can print the numbers before failing.
 pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
     assert!(spec.routers >= 1, "a chain needs at least one router");
     assert!(spec.payload_len >= PAYLOAD_HDR_LEN, "payload must fit the measurement header");
@@ -215,9 +217,10 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
     // Rx sockets for every node, addresses resolved before any socket
     // moves into its node.
     let err = |e: std::io::Error| e.to_string();
+    let bind = || bind_receiver(spec.window);
     let router_socks: Vec<UdpSocket> =
-        (0..spec.routers).map(|_| bind_receiver()).collect::<std::io::Result<_>>().map_err(err)?;
-    let sink_sock = bind_receiver().map_err(err)?;
+        (0..spec.routers).map(|_| bind()).collect::<std::io::Result<_>>().map_err(err)?;
+    let sink_sock = bind().map_err(err)?;
     let mut peer_addrs = Vec::with_capacity(spec.routers + 1);
     for sock in &router_socks {
         peer_addrs.push(sock.local_addr().map_err(err)?);
@@ -272,15 +275,16 @@ pub fn run_chain(spec: &ChainSpec) -> Result<RunReport, String> {
     // frames first, each flow in order, in runs up to the credit left.
     let mut seqs = vec![0u64; generators.len()];
     let mut payload = vec![0u8; spec.payload_len];
-    let mut frame = Vec::with_capacity(1 + spec.payload_len + 512);
+    // Reused for every packet and its frame: the loop allocates nothing.
+    let (mut pkt, mut frame) = (Vec::new(), Vec::new());
     for window in plan.sequence.chunks(spec.window.max(1)) {
         for &f in window {
             let fi = f as usize;
             PayloadHeader { flow_id: f, seq: seqs[fi], stamp_ns: nanos(epoch.elapsed()) }
                 .write(&mut payload);
             seqs[fi] += 1;
-            let pkt = generators[fi]
-                .generate(&payload, now_unix_ms())
+            generators[fi]
+                .generate_into(&payload, now_unix_ms(), &mut pkt)
                 .map_err(|e| format!("flow {fi}: generate failed: {e:?}"))?;
             frame.clear();
             frame.push(KIND_DATA);

@@ -1,28 +1,28 @@
 //! Credit-windowed UDP links: the flow-control layer that makes exact
 //! packet conservation provable over real sockets, carried in runs.
 //!
-//! `std::net` exposes no receive-buffer control, so a sender that simply
-//! blasts datagrams at loopback speed will eventually overrun the
-//! receiver's kernel buffer and the kernel will drop datagrams
-//! *silently* — unattributable loss that would break the testbed's
-//! `sent = received + dropped` accounting. Instead every link is
-//! credit-windowed:
+//! A sender that simply blasts datagrams at loopback speed will
+//! eventually overrun the receiver's kernel buffer and the kernel will
+//! drop datagrams *silently* — unattributable loss that would break the
+//! testbed's `sent = received + dropped` accounting. Instead every link
+//! is credit-windowed:
 //!
 //! * a [`CreditedSender`] keeps at most `window` data frames in flight,
 //!   fewer than the receive buffer can hold, so kernel drops are
 //!   structurally impossible. The kernel charges a datagram its buffer
 //!   allocation, not its length. Every datagram a link sends carries
 //!   `UDP_SEGMENT`, so the kernel builds it in page fragments; measured
-//!   on loopback against Linux's default 212 992-byte buffer, a lone
-//!   frame is charged 1.1–1.4 KiB up to 600 B, 2.3 KiB at 1 500 B and
-//!   2.9 KiB at 2 KiB, and a run about 1.1× its bytes (665 B per 600 B
-//!   frame, 2.2–2.3 KiB per 2 KiB frame). A frame in a run never costs
-//!   more than the same frame alone, so the lone-frame charge bounds
-//!   any grouping: the buffer holds 73 frames of 2 KiB, and the default
-//!   window of 64 fits frames up to `MAX_FRAME` (2 KiB; longer ones are
-//!   refused) however they ride, where a plain `send` (a linear buffer:
-//!   166 datagrams of ≤ 600 B fit, only 48 above ≈ 1.65 KiB) would not.
-//!   The chains' ≈ 300 B frames fill a third of it;
+//!   on loopback, a lone frame is charged 1.1 KiB at 300 B, 1.4 KiB at
+//!   600 B, 2.3 KiB at 1 500 B and 2.9 KiB at 2 KiB, and a run about
+//!   1.1× its bytes; a frame in a run never costs more than alone. Each
+//!   node requests a 212 992 B receive buffer (`SO_RCVBUF`, Linux's
+//!   default), which the kernel doubles to 425 984 B (unless `rmem_max`
+//!   is lower). At most 2 918 B each, 145 lone frames of `MAX_FRAME`
+//!   (2 KiB; longer ones are refused) fit it (147 did on the reference
+//!   host), so the default window of 128, two full runs, fits however
+//!   the frames ride; `run_chain` refuses a window that does not. A
+//!   plain default-buffer socket, like the benchmark's sink, holds 188
+//!   lone 300 B frames, the size of the chains' frames;
 //! * the receiver counts every data frame it pulls off its socket and
 //!   sends the cumulative count back on a separate control socket (an
 //!   [`AckSender`], every `ack_every` frames and once more on FIN);
@@ -87,8 +87,8 @@ pub(crate) fn read_timed_out(e: &io::Error) -> bool {
 }
 
 /// Largest frame a link carries: a full default window of 2 KiB frames
-/// fits the default receive buffer however the frames are grouped into
-/// datagrams (see the module docs).
+/// fits the receive buffer a node requests however the frames are
+/// grouped into datagrams (see the module docs).
 pub(crate) const MAX_FRAME: usize = 2048;
 /// Most frames one run carries: `UDP_MAX_SEGMENTS` of the first
 /// kernels with UDP segmentation offload.
@@ -391,7 +391,7 @@ mod tests {
     /// A `UDP_GRO` receiver with a read timeout, so a missing datagram
     /// fails the test instead of hanging it.
     fn gro_receiver() -> UdpSocket {
-        let rx = bind_receiver().unwrap();
+        let rx = bind_receiver(MAX_RUN_FRAMES).unwrap();
         rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         rx
     }

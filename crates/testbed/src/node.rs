@@ -17,10 +17,11 @@
 //! (`engine_drops`, `flow_drops`), `parse_drops`, and its engine's own
 //! verdict counters taken at FIN (`engine`).
 //!
-//! Both nodes receive with `UDP_GRO` into a 64 KiB buffer, so a run of
-//! equal-length frames the upstream sent as one `UDP_SEGMENT` datagram
-//! arrives whole; the node splits it by the segment size the kernel
-//! reports and counts and acks every frame. A router forwards each
+//! Both nodes request a kernel receive buffer that holds a full window
+//! (see `link`) and receive with `UDP_GRO` into a 64 KiB buffer, so a
+//! run of equal-length frames sent as one `UDP_SEGMENT` datagram arrives
+//! whole; the node splits it by the segment size the kernel reports and
+//! counts and acks every frame. A router forwards each
 //! drain in one flush, priority first as in the paper's router: it
 //! queues its flyover frames on the outbound link and defers its
 //! best-effort ones (demoted too), so each flow keeps its order within
@@ -103,15 +104,27 @@ const IDLE_POLLS: u32 = 8;
 /// A node's receive buffer: 64 KiB holds any UDP datagram, so a run
 /// always arrives whole.
 const RECV_BUF: usize = 1 << 16;
+/// The kernel receive buffer a node requests (`SO_RCVBUF`; see `link`).
+const RECV_BUFFER_REQUEST: i32 = 212_992;
+/// The most a receive buffer charges one lone `MAX_FRAME` frame.
+const MAX_FRAME_CHARGE: usize = 2_918;
 
 /// Binds a node's data socket on loopback with `UDP_GRO` already on,
-/// so runs arrive whole from the first datagram. (A run that reaches a
-/// socket before `UDP_GRO` is on is split by the kernel into one
-/// datagram per frame: the frames are intact, but each counts as a
-/// datagram.)
-pub(crate) fn bind_receiver() -> io::Result<UdpSocket> {
+/// so runs arrive whole from the first datagram, and its receive buffer
+/// requested. (A run that reaches a socket before `UDP_GRO` is on is
+/// split by the kernel into one datagram per frame: the frames are
+/// intact, but each counts as a datagram.) A granted buffer too small
+/// for `window` lone `MAX_FRAME` frames is an error naming both.
+pub(crate) fn bind_receiver(window: usize) -> io::Result<UdpSocket> {
     let sock = UdpSocket::bind("127.0.0.1:0")?;
     sys::enable_gro(&sock)?;
+    let granted = sys::request_recv_buffer(&sock, RECV_BUFFER_REQUEST)?;
+    let need = window.saturating_mul(MAX_FRAME_CHARGE);
+    if need > granted {
+        let why =
+            format!("window of {window} needs a {need} B receive buffer, {granted} B granted");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+    }
     Ok(sock)
 }
 
@@ -128,10 +141,12 @@ struct Receiver<'a> {
 }
 
 impl<'a> Receiver<'a> {
-    /// Turns on `UDP_GRO` (failing, naming it, where the kernel lacks
-    /// it) and makes the socket nonblocking with `timeout` for sleeps.
+    /// Turns on `UDP_GRO` and requests the receive buffer as
+    /// [`bind_receiver`] does, whoever bound the socket, and makes it
+    /// nonblocking with `timeout` for sleeps.
     fn new(sock: &'a UdpSocket, node: &'static str, timeout: Duration) -> io::Result<Self> {
         sys::enable_gro(sock)?;
+        sys::request_recv_buffer(sock, RECV_BUFFER_REQUEST)?;
         sock.set_read_timeout(Some(timeout))?;
         sock.set_nonblocking(true)?;
         Ok(Receiver { sock, node, timeout, buf: vec![0; RECV_BUF], idle: 0, datagrams: 0 })
@@ -429,7 +444,7 @@ mod tests {
         next: CreditedSender,
         flow_reserved: Vec<bool>,
     ) -> (CreditedSender, SocketRouter) {
-        let data = bind_receiver().unwrap();
+        let data = bind_receiver(defaults().window).unwrap();
         let gateway = link(&data, timeout);
         let router = SocketRouter {
             data,
@@ -448,7 +463,7 @@ mod tests {
         topo: &LinearTopology,
         timeout: Duration,
     ) -> (CreditedSender, SocketRouter, Sink) {
-        let sink_data = bind_receiver().unwrap();
+        let sink_data = bind_receiver(defaults().window).unwrap();
         let next = link(&sink_data, timeout);
         let sink = Sink {
             data: sink_data,
@@ -499,7 +514,7 @@ mod tests {
     fn a_run_reaches_a_gro_node_as_n_frames_and_n_credits() {
         const N: u64 = 8;
         let (_topo, mut generator) = credentialed_flow(crate::RESERVED_BW_KBPS);
-        let (mut tx, sink) = sink_link(bind_receiver().unwrap());
+        let (mut tx, sink) = sink_link(bind_receiver(defaults().window).unwrap());
         let sink = std::thread::spawn(move || sink.run());
         for seq in 0..N {
             tx.queue(&data_frame(&mut generator, 0, seq));
@@ -520,7 +535,7 @@ mod tests {
     #[test]
     fn a_sink_counts_frames_that_arrive_out_of_order() {
         let (_topo, mut generator) = credentialed_flow(crate::RESERVED_BW_KBPS);
-        let (mut tx, sink) = sink_link(bind_receiver().unwrap());
+        let (mut tx, sink) = sink_link(bind_receiver(defaults().window).unwrap());
         let sink = std::thread::spawn(move || sink.run());
         for seq in [0, 2, 1, 4, 6, 6] {
             tx.send_data(&data_frame(&mut generator, 0, seq)).unwrap();
@@ -544,7 +559,7 @@ mod tests {
         let mut frame = vec![0u8; crate::link::MAX_FRAME];
         frame[0] = KIND_DATA;
         for as_runs in [true, false] {
-            let (mut tx, sink) = sink_link(bind_receiver().unwrap());
+            let (mut tx, sink) = sink_link(bind_receiver(defaults().window).unwrap());
             for _ in 0..window {
                 if as_runs {
                     tx.queue(&frame);
@@ -622,7 +637,7 @@ mod tests {
     /// A link into a node that records each data frame's `(flow, seq)`
     /// in arrival order until the FIN, acking as a sink does.
     fn recording_link(timeout: Duration) -> (CreditedSender, JoinHandle<Vec<(u32, u64)>>) {
-        let data = bind_receiver().unwrap();
+        let data = bind_receiver(defaults().window).unwrap();
         data.set_read_timeout(Some(timeout)).unwrap();
         let tx = link(&data, timeout);
         let mut acks = AckSender::new(tx.ctrl_addr().unwrap(), defaults().ack_every).unwrap();

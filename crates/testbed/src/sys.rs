@@ -1,5 +1,6 @@
-//! The three socket calls `std::net` does not expose: `setsockopt` for
-//! `UDP_SEGMENT`/`UDP_GRO`, `sendmsg` with a `UDP_SEGMENT` control
+//! The four socket calls `std::net` does not expose: `setsockopt` for
+//! `UDP_SEGMENT`/`UDP_GRO` and `SO_RCVBUF`, `getsockopt` that reads the
+//! granted `SO_RCVBUF` back, `sendmsg` with a `UDP_SEGMENT` control
 //! message, and `recvmsg` that reads the `UDP_GRO` segment size back.
 //! Linux-only (UDP segmentation offload, kernel ≥ 5.0) and the crate's
 //! only `unsafe` code.
@@ -16,6 +17,9 @@ use std::io;
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_void};
 
+/// `SOL_SOCKET`, and its `SO_RCVBUF`: the receive buffer's size, an `int`.
+const SOL_SOCKET: c_int = 1;
+const SO_RCVBUF: c_int = 8;
 /// `SOL_UDP`: the option level of both UDP offload options.
 const SOL_UDP: c_int = 17;
 /// `UDP_SEGMENT` (`<linux/udp.h>`): send-side segment size, a `u16`.
@@ -74,6 +78,7 @@ const fn cmsg_len(len: usize) -> usize {
 
 extern "C" {
     fn setsockopt(fd: c_int, level: c_int, name: c_int, val: *const c_void, len: u32) -> c_int;
+    fn getsockopt(fd: c_int, level: c_int, name: c_int, val: *mut c_void, len: *mut u32) -> c_int;
     fn sendmsg(fd: c_int, msg: *const MsgHdr, flags: c_int) -> isize;
     fn recvmsg(fd: c_int, msg: *mut MsgHdr, flags: c_int) -> isize;
 }
@@ -81,30 +86,44 @@ extern "C" {
 #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
 compile_error!("the socket testbed needs 64-bit Linux: its links use UDP_SEGMENT and UDP_GRO");
 
-/// Sets an `int` UDP option; an error names the option.
-fn set_udp_option(sock: &impl AsRawFd, name: c_int, label: &str, val: c_int) -> io::Result<()> {
+/// Sets the `int` option `[level, name]`; an error names the option.
+fn set_option(sock: &impl AsRawFd, opt: [c_int; 2], label: &str, val: c_int) -> io::Result<()> {
     // SAFETY: `val` is a live `c_int` and its exact size is passed; the
     // kernel only reads it during the call.
     let rc = unsafe {
-        setsockopt(sock.as_raw_fd(), SOL_UDP, name, (&val as *const c_int).cast(), c_int::BITS / 8)
+        setsockopt(sock.as_raw_fd(), opt[0], opt[1], (&raw const val).cast(), c_int::BITS / 8)
     };
     if rc == 0 {
         return Ok(());
     }
     let e = io::Error::last_os_error();
-    Err(io::Error::new(e.kind(), format!("setsockopt({label}): {e} (needs Linux >= 5.0)")))
+    let needs = if opt[0] == SOL_UDP { " (needs Linux >= 5.0)" } else { "" };
+    Err(io::Error::new(e.kind(), format!("setsockopt({label}): {e}{needs}")))
 }
 
 /// Turns on `UDP_GRO`: runs arrive whole, read by [`recv_run`].
 pub(crate) fn enable_gro(sock: &impl AsRawFd) -> io::Result<()> {
-    set_udp_option(sock, UDP_GRO, "UDP_GRO", 1)
+    set_option(sock, [SOL_UDP, UDP_GRO], "UDP_GRO", 1)
+}
+
+/// Requests a receive buffer of `bytes` (`SO_RCVBUF`); returns what the
+/// kernel granted, twice the request capped at twice `rmem_max`.
+pub(crate) fn request_recv_buffer(sock: &impl AsRawFd, bytes: c_int) -> io::Result<usize> {
+    set_option(sock, [SOL_SOCKET, SO_RCVBUF], "SO_RCVBUF", bytes)?;
+    let (mut val, mut len) = (0, c_int::BITS / 8);
+    // SAFETY: `val` is a live `c_int` and `len` holds its exact size; the
+    // kernel writes at most `len` bytes to `val` and their count to `len`.
+    let rc = unsafe {
+        getsockopt(sock.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, (&raw mut val).cast(), &mut len)
+    };
+    (rc == 0).then(|| usize::try_from(val).unwrap_or(0)).ok_or_else(io::Error::last_os_error)
 }
 
 /// Checks that the kernel accepts `UDP_SEGMENT`, which [`send_run`]
 /// sets per datagram. Segment size 0 is the option's off state, so the
 /// socket itself does not change.
 pub(crate) fn check_gso(sock: &impl AsRawFd) -> io::Result<()> {
-    set_udp_option(sock, UDP_SEGMENT, "UDP_SEGMENT", 0)
+    set_option(sock, [SOL_UDP, UDP_SEGMENT], "UDP_SEGMENT", 0)
 }
 
 /// Sends `frames` — equal-length frames of `seg` bytes back to back —
