@@ -30,6 +30,12 @@ use hummingbird_wire::IsdAs;
 /// from.
 const SRC_HOST: [u8; 4] = [0, 0, 0, 1];
 
+/// `unix_s` as a credential's `res_start`, the wire's `u32` seconds: a
+/// time past 2106 is a broken clock, not a value to wrap.
+fn wire_secs(unix_s: u64) -> u32 {
+    u32::try_from(unix_s).expect("Unix seconds fit the wire's u32 until 2106")
+}
+
 /// Which engine family an AS's border routers run: one row of the table.
 ///
 /// The same topology, flows and adversaries rerun against any family;
@@ -170,7 +176,7 @@ impl EngineFamily {
                     egress,
                     res_id,
                     bw_encoded: bwcls::encode_ceil(bw_kbps).expect("encodable bandwidth"),
-                    res_start: now_s.saturating_sub(5) as u32,
+                    res_start: wire_secs(now_s.saturating_sub(5)),
                     duration: u16::MAX,
                 };
                 let key = sv.derive_key(&res_info);
@@ -186,8 +192,8 @@ impl EngineFamily {
                         egress,
                         res_id,
                         bw_encoded,
-                        res_start: (slot * SLOT_SECS) as u32,
-                        duration: SLOT_SECS as u16,
+                        res_start: wire_secs(slot * SLOT_SECS),
+                        duration: u16::try_from(SLOT_SECS).expect("a slot fits the u16 duration"),
                     },
                     key: AuthKey::new(key),
                 }
@@ -206,7 +212,7 @@ impl EngineFamily {
                         egress,
                         res_id: 0,
                         bw_encoded: 0,
-                        res_start: (epoch * EPOCH_SECS) as u32,
+                        res_start: wire_secs(epoch * EPOCH_SECS),
                         duration: u16::MAX, // covers the 6 h epoch
                     },
                     key: AuthKey::new(key),

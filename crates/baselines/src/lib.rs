@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![warn(missing_docs)]
 
 mod drkey;
