@@ -794,49 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_exec_matches_threaded_results() {
-        let templates: Vec<Vec<u8>> =
-            [9u32, 55_000, 91_000].iter().map(|&r| reserved_packet(r)).collect();
-        let mut threaded_cfg = RuntimeConfig::new(4);
-        threaded_cfg.exec = ExecMode::Threaded;
-        let mut sequential_cfg = threaded_cfg;
-        sequential_cfg.exec = ExecMode::Sequential;
-        let a = run_to_completion(
-            &threaded_cfg,
-            RuntimeMode::Sharded,
-            |_| hop_engine(),
-            &templates,
-            600,
-            NOW_NS,
-        );
-        let b = run_to_completion(
-            &sequential_cfg,
-            RuntimeMode::Sharded,
-            |_| hop_engine(),
-            &templates,
-            600,
-            NOW_NS,
-        );
-        assert_eq!(a.packets, b.packets);
-        for (ra, rb) in a.per_shard.iter().zip(b.per_shard.iter()) {
-            assert_eq!(ra.processed, rb.processed, "per-shard split is deterministic");
-            assert_eq!(ra.stats, rb.stats);
-        }
-        // Auto resolves to one of the two and conserves as well.
-        let mut auto_cfg = threaded_cfg;
-        auto_cfg.exec = ExecMode::Auto;
-        let c = run_to_completion(
-            &auto_cfg,
-            RuntimeMode::Sharded,
-            |_| hop_engine(),
-            &templates,
-            600,
-            NOW_NS,
-        );
-        assert_eq!(c.packets, 600);
-    }
-
-    #[test]
     fn sharded_runtime_egress_reports_residence_times() {
         let templates: Vec<Vec<u8>> =
             [7u32, 33_000, 88_000].iter().map(|&r| reserved_packet(r)).collect();

@@ -267,44 +267,6 @@ fn same_seed_churned_run_is_bit_identical() {
     }
 }
 
-/// Determinism, threaded side: two runs over the same single-flow
-/// workload produce identical per-shard packet/verdict counts, engine
-/// stats and egress class totals (wall-clock fields aside). A single
-/// flow steers to one shard, so even the per-shard split is fully
-/// determined; multi-flow mixes are covered by the conservation checks
-/// above, whose totals are order-free.
-#[test]
-fn threaded_tx_path_is_deterministic_for_a_pinned_flow() {
-    use hummingbird::dataplane::EgressConfig;
-    let templates = vec![generator(50_000, 1000).generate(&[0u8; 400], NOW_MS).unwrap()];
-    let run = || {
-        let mut cfg = RuntimeConfig::new(3);
-        cfg.egress = Some(EgressConfig::default());
-        run_to_completion(
-            &cfg,
-            RuntimeMode::Sharded,
-            |_| make_engine(false),
-            &templates,
-            1_500,
-            NOW_NS,
-        )
-    };
-    let (a, b) = (run(), run());
-    assert_eq!(a.packets, b.packets);
-    assert_eq!(a.bits, b.bits);
-    for (sa, sb) in a.per_shard.iter().zip(b.per_shard.iter()) {
-        assert_eq!(sa.processed, sb.processed, "per-shard split must be deterministic");
-        assert_eq!(sa.forwarded, sb.forwarded);
-        assert_eq!(sa.dropped, sb.dropped);
-        assert_eq!(sa.stats, sb.stats, "engine counters must be deterministic");
-    }
-    let (ea, eb) = (a.egress.unwrap(), b.egress.unwrap());
-    assert_eq!(ea.priority.pkts, eb.priority.pkts);
-    assert_eq!(ea.priority.bytes, eb.priority.bytes);
-    assert_eq!(ea.best_effort.pkts, eb.best_effort.pkts);
-    assert_eq!(ea.dropped, eb.dropped);
-}
-
 /// Order-free aggregate verdict counts of a run.
 fn verdict_totals(report: &hummingbird::dataplane::RuntimeReport) -> [u64; 5] {
     let f = |get: fn(&hummingbird::dataplane::ShardReport) -> u64| {
