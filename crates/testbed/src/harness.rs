@@ -411,7 +411,7 @@ mod tests {
     /// A short chain per family and mix: every packet accounted for,
     /// nothing unparseable, both classes delivered, latency histograms
     /// populated. The packet count is deliberately *not* a multiple of
-    /// the 32-frame ack cadence — a regression guard for the FIN/drain
+    /// the 64-frame ack cadence — a regression guard for the FIN/drain
     /// ordering: the trailing sub-cadence frames are only acknowledged
     /// by the receiver's FIN-time flush, so draining before sending the
     /// FIN deadlocked such runs.
